@@ -1,0 +1,6 @@
+//go:build race
+
+package main
+
+// raceEnabled reports that the binary was built with -race.
+const raceEnabled = true
