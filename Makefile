@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race vet lint fuzz-seed check bench-smoke clean
+.PHONY: all build test race vet lint fuzz-seed bench-check check bench-smoke clean
 
 all: build
 
@@ -38,9 +38,19 @@ lint: $(BIN)/spinlint
 fuzz-seed:
 	$(GO) test -run '^Fuzz' ./internal/parser
 
+# The regression benchmark is a module of its own (benchmark/go.mod), so
+# go build/vet/test ./... at the root never compile it, and a signature
+# change under internal/ could break benchmark/run.sh unseen. This vets
+# it and runs its tests: the -quick in-process pass over all six
+# workloads (answers checked) and the BENCHMARK.json drift guard, ~5 s.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # The full gate CI runs: standard vet, spinlint, build, tests, the fuzz
-# seed corpus, and the race-enabled pass over the concurrent packages.
-check: vet lint build test fuzz-seed race
+# seed corpus, the benchmark module's own check, and the race-enabled
+# pass over the concurrent packages.
+check: vet lint build test fuzz-seed bench-check race
 
 # bench-smoke runs the full-vs-delta, full-vs-pruned and
 # sequential-vs-scheduled comparisons on small PR-VS and SSSP datasets:

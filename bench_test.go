@@ -62,6 +62,7 @@ func benchGraph(cfg bench.Config) (*workload.Graph, error) {
 
 func runQuery(b *testing.B, e *dbspinner.Engine, sql string) {
 	b.Helper()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Query(sql); err != nil {
@@ -75,6 +76,7 @@ func runQuery(b *testing.B, e *dbspinner.Engine, sql string) {
 func BenchmarkTableI_Rewrite(b *testing.B) {
 	e := newBenchEngine(b, benchConfig, dbspinner.Config{})
 	sql := bench.PRQuery(10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Explain(sql); err != nil {
@@ -160,6 +162,7 @@ func BenchmarkFig11(b *testing.B) {
 		b.Run(it.name+"/storedproc", func(b *testing.B) {
 			e := newBenchEngine(b, cfg, dbspinner.Config{})
 			p := it.mk()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := proc.Run(e, p); err != nil {
@@ -181,6 +184,7 @@ func BenchmarkMiddleware(b *testing.B) {
 		e := newBenchEngine(b, benchConfig, dbspinner.Config{})
 		c := middleware.NewClient(e)
 		p := proc.PageRank(benchConfig.Iterations, false)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := c.RunIterative(p); err != nil {
@@ -218,4 +222,33 @@ func BenchmarkRecursive(b *testing.B) {
 		SELECT 1 UNION SELECT edges.dst FROM reach JOIN edges ON edges.src = reach.node
 	) SELECT COUNT(*) FROM reach`
 	runQuery(b, e, sql)
+}
+
+// TestAllocBudgetPageRank gates what one 10-iteration PageRank over a
+// fixed 300-node graph allocates, at about 1.5× today's count (8.3k; the
+// Go-map kernels made 109k). The loop
+// body is two hash joins and a hash aggregate per iteration, so a
+// per-row allocation creeping back into a kernel multiplies into tens of
+// thousands here and fails go test, not a benchmark run.
+func TestAllocBudgetPageRank(t *testing.T) {
+	const budget = 12500
+	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
+	g, err := benchGraph(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := bench.NewEngine(g, cfg, dbspinner.Config{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := bench.PRQuery(cfg.Iterations)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("PageRank on %d nodes: %.0f allocations per query, budget %d", cfg.Nodes, got, budget)
+	}
+	t.Logf("PageRank on %d nodes: %.0f allocations per query (budget %d)", cfg.Nodes, got, budget)
 }

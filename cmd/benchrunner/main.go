@@ -9,12 +9,16 @@
 //	benchrunner -iterations 25       # change the loop bound
 //	benchrunner -scale 2000          # override the node count
 //	benchrunner -md results.md       # also write Markdown
+//	benchrunner -exp fig8 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                                 # profile the run (go tool pprof -top cpu.pb.gz)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"dbspinner/internal/bench"
@@ -29,8 +33,16 @@ func main() {
 		reps       = flag.Int("reps", 3, "timing repetitions (median reported)")
 		parts      = flag.Int("partitions", 4, "table partitions")
 		mdOut      = flag.String("md", "", "also write the results as Markdown to this file")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf    = flag.String("memprofile", "", "write an allocation profile of the run to this file (pprof -sample_index=alloc_space)")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	cfg := bench.Config{
 		Preset:     *preset,
@@ -138,7 +150,48 @@ func main() {
 			ok = false
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		ok = false
+	}
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts the CPU profile (if asked for) and returns the
+// function that stops it and writes the allocation profile. main calls
+// it explicitly before os.Exit, which would skip a defer.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // flush the last allocations into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

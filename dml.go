@@ -368,32 +368,21 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 	}
 
 	// Hash the FROM rows.
-	build := make(map[sqltypes.CompositeKey][]sqltypes.Row, len(fromRows))
-	for _, fr := range fromRows {
-		key, null, err := evalKeyRow(fKeys, fr)
-		if err != nil {
-			return 0, err
-		}
-		if null {
-			continue
-		}
-		build[key] = append(build[key], fr)
+	build, err := exec.BuildHashIndex(fromRows, fKeys)
+	if err != nil {
+		return 0, err
 	}
 
 	var updated int64
+	var combinedRow sqltypes.Row // scratch: Eval copies out what it keeps
 	for _, part := range t.Parts {
 		for ri, r := range part {
-			key, null, err := evalKeyRow(tKeys, r)
+			fi, err := build.First(r, tKeys)
 			if err != nil {
 				return 0, err
 			}
-			if null {
-				continue
-			}
-			for _, fr := range build[key] {
-				combinedRow := make(sqltypes.Row, 0, len(r)+len(fr))
-				combinedRow = append(combinedRow, r...)
-				combinedRow = append(combinedRow, fr...)
+			for ; fi >= 0; fi = build.Next(fi) {
+				combinedRow = append(append(combinedRow[:0], r...), build.Rows[fi]...)
 				if residual != nil {
 					v, err := residual.Eval(combinedRow)
 					if err != nil {
@@ -463,23 +452,4 @@ func fromColumnBindings(from ast.TableRef, projected []plan.ColInfo) []expr.Bind
 		out[i] = expr.Binding{Table: qual, Name: strings.ToLower(c.Name), Index: i, Type: c.Type}
 	}
 	return out
-}
-
-func evalKeyRow(keys []*expr.Compiled, r sqltypes.Row) (sqltypes.CompositeKey, bool, error) {
-	vals := make(sqltypes.Row, len(keys))
-	for i, k := range keys {
-		v, err := k.Eval(r)
-		if err != nil {
-			return sqltypes.CompositeKey{}, false, err
-		}
-		if v.IsNull() {
-			return sqltypes.CompositeKey{}, true, nil
-		}
-		vals[i] = v
-	}
-	cols := make([]int, len(vals))
-	for i := range cols {
-		cols[i] = i
-	}
-	return sqltypes.RowKey(vals, cols), false, nil
 }

@@ -202,39 +202,55 @@ func (m *MaintainAggStep) maintain(ctx *Context, cteTable, acc, snap *storage.Ta
 	// exactly "which keys changed": new keys, keys whose row differs,
 	// and keys that disappeared (their rows may feed other groups
 	// through the inner references, so they propagate too).
-	old := make(map[sqltypes.Key]sqltypes.Row, snap.Len())
+	//
+	// One key table holds both sides: the snapshot's keys take ids
+	// 0..len(old)-1, keys only the current CTE has take the ids after.
+	// old[id] is the snapshot row of key id, cur[id] its current row
+	// (nil: the key disappeared).
+	keys := sqltypes.NewKeyTable(1, snap.Len())
+	var old []sqltypes.Row
 	for _, part := range snap.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
 				return nil, 0, false, nil
 			}
-			old[r[m.Key].Key()] = r
+			if id, added := keys.Insert(r[m.Key : m.Key+1]); added {
+				old = append(old, r)
+			} else {
+				old[id] = r
+			}
 		}
 	}
-	changed := make(map[sqltypes.Key]bool)
-	seen := make(map[sqltypes.Key]bool, cteTable.Len())
+	cur := make([]sqltypes.Row, len(old))
+	changed := sqltypes.NewKeyTable(1, 0)
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
 				return nil, 0, false, nil
 			}
-			k := r[m.Key].Key()
-			if seen[k] {
+			key := r[m.Key : m.Key+1]
+			id, added := keys.Insert(key)
+			switch {
+			case added:
+				cur = append(cur, r)
+				changed.Insert(key)
+			case cur[id] != nil:
 				return nil, 0, false, nil // duplicate keys: groups not key-identified
-			}
-			seen[k] = true
-			if prev, ok := old[k]; !ok || !prev.Equal(r) {
-				changed[k] = true
+			default:
+				cur[id] = r
+				if !old[id].Equal(r) {
+					changed.Insert(key)
+				}
 			}
 		}
 	}
-	for k := range old {
-		if !seen[k] {
-			changed[k] = true
+	for id, r := range old {
+		if cur[id] == nil {
+			changed.Insert(r[m.Key : m.Key+1])
 		}
 	}
 
-	affected, err := m.affectedKeys(ctx, changed)
+	affected, err := affectedKeys(ctx, changed, m.Props, "aggregate-maintenance")
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -246,45 +262,38 @@ func (m *MaintainAggStep) maintain(ctx *Context, cteTable, acc, snap *storage.Ta
 	if err != nil {
 		return nil, 0, false, err
 	}
-	refolded := make(map[sqltypes.Key]sqltypes.Row, len(rows))
+	refolded := newRowIndex(m.Key, len(rows))
 	for _, r := range rows {
 		if m.Key >= len(r) {
 			return nil, 0, false, nil
 		}
-		k := r[m.Key].Key()
-		if _, dup := refolded[k]; dup || !affected[k] {
+		if affected.Find(r[m.Key:m.Key+1]) < 0 || !refolded.put(r) {
 			return nil, 0, false, nil // restricted plan escaped its frontier
 		}
-		refolded[k] = r
 	}
-	cached := make(map[sqltypes.Key]sqltypes.Row, acc.Len())
+	cached := newRowIndex(m.Key, acc.Len())
 	for _, part := range acc.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
+			if m.Key >= len(r) || !cached.put(r) {
 				return nil, 0, false, nil
 			}
-			if _, dup := cached[r[m.Key].Key()]; dup {
-				return nil, 0, false, nil
-			}
-			cached[r[m.Key].Key()] = r
 		}
 	}
 
 	// Splice in CTE scan order: the ordering contract (group-key
 	// stability + left-probe joins + first-encounter aggregation +
 	// content-addressed materialization) makes this the full plan's
-	// output order. A key absent from both maps was filtered out by
+	// output order. A key absent from both indexes was filtered out by
 	// Ri's WHERE clause — absent then, absent now.
 	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), m.Parts)
 	out.DistCol = 0
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			k := r[m.Key].Key()
-			if affected[k] {
-				if nr, ok := refolded[k]; ok {
+			if affected.Find(r[m.Key:m.Key+1]) >= 0 {
+				if nr, ok := refolded.get(r); ok {
 					out.Insert(nr)
 				}
-			} else if cr, ok := cached[k]; ok {
+			} else if cr, ok := cached.get(r); ok {
 				out.Insert(cr)
 			}
 		}
@@ -297,18 +306,21 @@ func (m *MaintainAggStep) maintain(ctx *Context, cteTable, acc, snap *storage.Ta
 	return out, int64(din.Len()), true, nil
 }
 
-// affectedKeys closes the changed-key set under the propagation
-// rules, exactly as DeltaMaterializeStep does: base rows whose From
-// column holds a changed key mark their To column's value affected.
-func (m *MaintainAggStep) affectedKeys(ctx *Context, changed map[sqltypes.Key]bool) (map[sqltypes.Key]bool, error) {
-	affected := make(map[sqltypes.Key]bool, 2*len(changed))
-	for k := range changed {
-		affected[k] = true
+// affectedKeys is changed ∪ propagate(changed), the closure both
+// incremental evaluators (aggregate maintenance, delta iteration)
+// restrict Ri to: for each rule, base rows whose From column holds a
+// changed key mark their To column's value affected. Over-approximation
+// is safe; missing a key is not, which is what the analyses guarantee
+// against. what names the caller in errors.
+func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []DeltaProp, what string) (*sqltypes.KeyTable, error) {
+	affected := sqltypes.NewKeyTable(1, 2*changed.Len())
+	for id := 0; id < changed.Len(); id++ {
+		affected.Insert(changed.Key(id))
 	}
-	for _, p := range m.Props {
+	for _, p := range props {
 		bt, err := ctx.RT.BaseTable(p.Table)
 		if err != nil {
-			return nil, fmt.Errorf("aggregate-maintenance propagation over %s: %w", p.Table, err)
+			return nil, fmt.Errorf("%s propagation over %s: %w", what, p.Table, err)
 		}
 		for _, part := range bt.Parts {
 			for _, r := range part {
@@ -316,8 +328,8 @@ func (m *MaintainAggStep) affectedKeys(ctx *Context, changed map[sqltypes.Key]bo
 				if p.From >= len(r) || p.To >= len(r) {
 					continue
 				}
-				if changed[r[p.From].Key()] {
-					affected[r[p.To].Key()] = true
+				if changed.Find(r[p.From:p.From+1]) >= 0 {
+					affected.Insert(r[p.To : p.To+1])
 				}
 			}
 		}
@@ -328,26 +340,21 @@ func (m *MaintainAggStep) affectedKeys(ctx *Context, changed map[sqltypes.Key]bo
 // crossCheck recomputes a deterministic sample of the cache-served
 // groups from scratch and fails the query if any diverges from the
 // row about to be emitted (or from its absence).
-func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table,
-	affected map[sqltypes.Key]bool, cached map[sqltypes.Key]sqltypes.Row) error {
-
-	sample := make(map[sqltypes.Key]bool)
+func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affected *sqltypes.KeyTable, cached *rowIndex) error {
 	var sampleRows []sqltypes.Row
 	i := 0
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			k := r[m.Key].Key()
-			if affected[k] {
+			if affected.Find(r[m.Key:m.Key+1]) >= 0 {
 				continue
 			}
 			if i%checkSampleStride == 0 {
-				sample[k] = true
 				sampleRows = append(sampleRows, r)
 			}
 			i++
 		}
 	}
-	if len(sample) == 0 {
+	if len(sampleRows) == 0 {
 		return nil
 	}
 	din := storage.NewTable(m.AggIn, cteTable.Schema.Clone(), m.Parts)
@@ -361,15 +368,15 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table,
 	if err != nil {
 		return err
 	}
-	recomputed := make(map[sqltypes.Key]sqltypes.Row, len(rows))
+	recomputed := newRowIndex(m.Key, len(rows))
 	for _, r := range rows {
-		recomputed[r[m.Key].Key()] = r
+		recomputed.put(r)
 	}
-	for k := range sample {
-		want, haveWant := recomputed[k]
-		got, haveGot := cached[k]
+	for _, r := range sampleRows {
+		want, haveWant := recomputed.get(r)
+		got, haveGot := cached.get(r)
 		if haveWant != haveGot || (haveWant && !want.Equal(got)) {
-			return fmt.Errorf("incremental-aggregate cross-check failed on %s: cached group %v diverges from scratch recomputation", m.CTE, k)
+			return fmt.Errorf("incremental-aggregate cross-check failed on %s: cached group %v diverges from scratch recomputation", m.CTE, r[m.Key])
 		}
 	}
 	return nil

@@ -373,7 +373,7 @@ func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
 	node := d.Full
 	input := full
 	if d.Loop != nil && d.Loop.haveDelta {
-		affected, err := d.affectedKeys(ctx)
+		affected, err := affectedKeys(ctx, d.Loop.changedKeys, d.Props, "delta")
 		if err != nil {
 			return 0, err
 		}
@@ -400,36 +400,6 @@ func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
 	ctx.Stats.RiFullRows += full
 	ctx.Stats.RiInputRows += input
 	return self + 1, nil
-}
-
-// affectedKeys is changed ∪ propagate(changed): for each rule, base
-// rows whose From column holds a changed key mark their To column's
-// value affected. Over-approximation is safe; missing a key is not,
-// which is what the analysis guarantees against.
-func (d *DeltaMaterializeStep) affectedKeys(ctx *Context) (map[sqltypes.Key]bool, error) {
-	changed := d.Loop.changedKeys
-	affected := make(map[sqltypes.Key]bool, 2*len(changed))
-	for k := range changed {
-		affected[k] = true
-	}
-	for _, p := range d.Props {
-		bt, err := ctx.RT.BaseTable(p.Table)
-		if err != nil {
-			return nil, fmt.Errorf("delta propagation over %s: %w", p.Table, err)
-		}
-		for _, part := range bt.Parts {
-			for _, r := range part {
-				ctx.Stats.Exec.RowsScanned++
-				if p.From >= len(r) || p.To >= len(r) {
-					continue
-				}
-				if changed[r[p.From].Key()] {
-					affected[r[p.To].Key()] = true
-				}
-			}
-		}
-	}
-	return affected, nil
 }
 
 // Explain implements Step.

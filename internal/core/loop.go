@@ -36,7 +36,7 @@ type LoopState struct {
 	iterations int
 	updates    int64
 	lastUpdate int64
-	prev       map[sqltypes.Key]sqltypes.Row // Delta: previous iteration by key
+	prev       *rowIndex // Delta: previous iteration by key
 	prevCount  int
 	key        int
 
@@ -44,7 +44,7 @@ type LoopState struct {
 	// merge identified as changed, valid once the first merge of the
 	// loop has run. DeltaMaterializeStep consumes it to restrict Ri's
 	// scan of the iterative reference to the affected frontier.
-	changedKeys map[sqltypes.Key]bool
+	changedKeys *sqltypes.KeyTable
 	haveDelta   bool
 }
 
@@ -57,7 +57,7 @@ func (l *LoopState) noteUpdates(n int64) {
 
 // noteDelta records the changed-key set of one merge pass for delta
 // iteration.
-func (l *LoopState) noteDelta(keys map[sqltypes.Key]bool) {
+func (l *LoopState) noteDelta(keys *sqltypes.KeyTable) {
 	l.changedKeys = keys
 	l.haveDelta = true
 }
@@ -240,12 +240,12 @@ func (l *LoopState) snapshot(ctx *Context) error {
 	// prevCount, so the disappeared-row adjustment in changedRows only
 	// accounts for keyed rows (a short row can neither match nor
 	// disappear).
-	l.prev = make(map[sqltypes.Key]sqltypes.Row, t.Len())
+	l.prev = newRowIndex(l.key, t.Len())
 	l.prevCount = 0
 	for _, part := range t.Parts {
 		for _, r := range part {
 			if l.key < len(r) {
-				l.prev[r[l.key].Key()] = r
+				l.prev.put(r)
 				l.prevCount++
 			}
 		}
@@ -267,7 +267,7 @@ func (l *LoopState) changedRows(ctx *Context) (int64, error) {
 				continue // short rows are skipped by snapshot too
 			}
 			seen++
-			prev, ok := l.prev[r[l.key].Key()]
+			prev, ok := l.prev.get(r)
 			if !ok || !prev.Equal(r) {
 				changed++
 			}

@@ -834,20 +834,55 @@ func indent(s, pad string) string {
 }
 
 func checkUniqueKey(t *storage.Table, key int) error {
-	seen := make(map[sqltypes.Key]bool, t.Len())
+	seen := sqltypes.NewKeyTable(1, t.Len())
 	for _, part := range t.Parts {
 		for _, r := range part {
 			if key >= len(r) {
 				return fmt.Errorf("key column %d out of range", key)
 			}
-			k := r[key].Key()
-			if seen[k] {
+			if _, added := seen.Insert(r[key : key+1]); !added {
 				return fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[key])
 			}
-			seen[k] = true
 		}
 	}
 	return nil
+}
+
+// rowIndex maps the values of one key column to the row carrying them:
+// the keyed-step form of the key table, with the rows in a slice indexed
+// by key id (so they can be walked in first-insertion order).
+type rowIndex struct {
+	col  int
+	keys *sqltypes.KeyTable
+	rows []sqltypes.Row
+}
+
+func newRowIndex(col, hint int) *rowIndex {
+	return &rowIndex{col: col, keys: sqltypes.NewKeyTable(1, hint), rows: make([]sqltypes.Row, 0, hint)}
+}
+
+// put files r under its key and reports whether the key was new; an
+// existing key's row is replaced. r must carry the key column.
+func (x *rowIndex) put(r sqltypes.Row) (added bool) {
+	id, added := x.keys.Insert(r[x.col : x.col+1])
+	if added {
+		x.rows = append(x.rows, r)
+	} else {
+		x.rows[id] = r
+	}
+	return added
+}
+
+// find returns the id of the row sharing r's key, or -1. r must carry
+// the key column.
+func (x *rowIndex) find(r sqltypes.Row) int { return x.keys.Find(r[x.col : x.col+1]) }
+
+// get returns the row sharing r's key, if any.
+func (x *rowIndex) get(r sqltypes.Row) (sqltypes.Row, bool) {
+	if id := x.find(r); id >= 0 {
+		return x.rows[id], true
+	}
+	return nil, false
 }
 
 // RenameStep is the new rename operator (§VI-A): re-point the working
@@ -901,11 +936,11 @@ func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
 	}
 	// Changed-row identification pass (redundant for full updates, as
 	// §VII-B explains — that is the point of the baseline).
-	old := make(map[sqltypes.Key]sqltypes.Row, dst.Len())
+	old := newRowIndex(c.Key, dst.Len())
 	for _, part := range dst.Parts {
 		for _, r := range part {
 			if c.Key < len(r) {
-				old[r[c.Key].Key()] = r
+				old.put(r)
 			}
 		}
 	}
@@ -920,7 +955,7 @@ func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
 				return 0, fmt.Errorf("copy-back into %s: key column %d out of range", c.To, c.Key)
 			}
 			seen++
-			if prev, ok := old[r[c.Key].Key()]; !ok || !prev.Equal(r) {
+			if prev, ok := old.get(r); !ok || !prev.Equal(r) {
 				changed++
 			}
 			fresh.Insert(r.Clone()) // physical data movement
@@ -933,8 +968,8 @@ func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
 	// though the table changed. Counting disappearances per key
 	// instead would double-count a row whose key column itself
 	// advanced (one appearance plus one disappearance).
-	if len(old) > seen {
-		changed += int64(len(old) - seen)
+	if n := old.keys.Len(); n > seen {
+		changed += int64(n - seen)
 	}
 	if c.Loop != nil {
 		c.Loop.noteUpdates(changed)
@@ -990,60 +1025,54 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 	if work == nil {
 		return 0, fmt.Errorf("merge: result %q not found", m.Work)
 	}
-	updated := make(map[sqltypes.Key]sqltypes.Row, work.Len())
+	// updated rejects duplicate keys, so its ids are the working rows'
+	// positions in scan order; inCTE marks the ones some CTE row carries.
+	updated := newRowIndex(m.Key, work.Len())
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
 				return 0, fmt.Errorf("merge: key column %d out of range", m.Key)
 			}
-			k := r[m.Key].Key()
-			if _, dup := updated[k]; dup {
+			if !updated.put(r) {
 				return 0, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
 			}
-			updated[k] = r
 		}
 	}
+	inCTE := make([]bool, len(updated.rows))
 	out := storage.NewTable(m.Into, cte.Schema.Clone(), m.Parts)
 	out.PK = cte.PK
 	out.DistCol = 0
-	var changed int64
-	changedKeys := make(map[sqltypes.Key]bool)
-	seen := make(map[sqltypes.Key]bool, cte.Len())
+	// deltaRows are exactly the rows identified as changed; their keys
+	// are the changed-key set delta iteration consumes.
 	var deltaRows []sqltypes.Row
 	for _, part := range cte.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
 				return 0, fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
 			}
-			k := r[m.Key].Key()
-			seen[k] = true
-			nr, ok := updated[k]
-			if !ok {
+			id := updated.find(r)
+			if id < 0 {
 				out.Insert(r)
 				continue
 			}
+			inCTE[id] = true
+			nr := updated.rows[id]
 			out.Insert(nr)
 			if !r.Equal(nr) {
-				changed++
-				changedKeys[k] = true
 				deltaRows = append(deltaRows, nr)
 			}
 		}
 	}
 	// Working rows with keys the CTE has never produced: appended, and
 	// by definition changed.
-	for _, part := range work.Parts {
-		for _, r := range part {
-			k := r[m.Key].Key()
-			if seen[k] {
-				continue
-			}
-			out.Insert(r)
-			changed++
-			changedKeys[k] = true
-			deltaRows = append(deltaRows, r)
+	for id, r := range updated.rows {
+		if inCTE[id] {
+			continue
 		}
+		out.Insert(r)
+		deltaRows = append(deltaRows, r)
 	}
+	changed := int64(len(deltaRows))
 	if m.Loop != nil {
 		m.Loop.noteUpdates(changed)
 	}
@@ -1051,8 +1080,10 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 		delta := storage.NewTable(m.Delta, cte.Schema.Clone(), m.Parts)
 		delta.PK = cte.PK
 		delta.DistCol = 0
+		changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
 		for _, r := range deltaRows {
 			delta.Insert(r)
+			changedKeys.Insert(r[m.Key : m.Key+1])
 		}
 		ctx.RT.Results.Put(m.Delta, delta)
 		ctx.track(m.Delta)

@@ -144,17 +144,15 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 	}
 
 	dedup := !union.All
-	seen := make(map[sqltypes.CompositeKey]bool)
+	seen := sqltypes.NewKeyTable(len(schema), 0)
 	result := storage.NewTable(cte.Name, schema, parts)
 	working := storage.NewTable(cte.Name, schema, parts)
 	appendRow := func(dst ...*storage.Table) func(r sqltypes.Row) {
 		return func(r sqltypes.Row) {
 			if dedup {
-				k := sqltypes.ValuesKey(r)
-				if seen[k] {
+				if _, added := seen.Insert(r); !added {
 					return
 				}
-				seen[k] = true
 			}
 			for _, d := range dst {
 				d.Insert(r)

@@ -50,17 +50,17 @@ type CheckpointSpec struct {
 }
 
 // loopSnap is the captured mutable state of one loop operator. The
-// maps are shared, not copied: every writer replaces them wholesale
-// (snapshot, noteDelta, InitLoop's reset), never mutates them in
-// place, so a shared reference stays frozen.
+// key indexes are shared, not copied: every writer replaces them
+// wholesale (snapshot, noteDelta, InitLoop's reset), never mutates them
+// in place, so a shared reference stays frozen.
 type loopSnap struct {
 	iterations  int
 	updates     int64
 	lastUpdate  int64
-	prev        map[sqltypes.Key]sqltypes.Row
+	prev        *rowIndex
 	prevCount   int
 	key         int
-	changedKeys map[sqltypes.Key]bool
+	changedKeys *sqltypes.KeyTable
 	haveDelta   bool
 }
 

@@ -344,8 +344,8 @@ func (a *Analysis) inferDistinct(t *plan.Distinct) result {
 		all[i] = i
 	}
 	// The full-row exchange is the identity when the input already
-	// sits at its ValuesKey destination — exactly Hash over all
-	// columns in order.
+	// sits at its full-row RowKey destination — exactly Hash over
+	// all columns in order.
 	a.decide(t, DistinctInput, all, satisfies(in, Hash(all...)))
 	// Elided or not, the output is distributed on the full row.
 	return result{prop: Hash(all...), eq: in.eq}

@@ -6,13 +6,13 @@ import (
 )
 
 // FilterTableByKey builds a restriction of a result table to the rows
-// whose key-column value appears in keep. The partition layout and
-// per-partition row order are preserved — no rehashing — so downstream
-// scans (including the MPP machine's aligned re-slicing) read the
-// partitions exactly as the source produced them. Rows too short to
-// carry the key column are dropped, matching the loop operator's
-// treatment of ragged rows.
-func FilterTableByKey(t *storage.Table, key int, keep map[sqltypes.Key]bool, name string, stats *Stats) *storage.Table {
+// whose key-column value appears in keep (a width-1 key table). The
+// partition layout and per-partition row order are preserved — no
+// rehashing — so downstream scans (including the MPP machine's aligned
+// re-slicing) read the partitions exactly as the source produced them.
+// Rows too short to carry the key column are dropped, matching the loop
+// operator's treatment of ragged rows.
+func FilterTableByKey(t *storage.Table, key int, keep *sqltypes.KeyTable, name string, stats *Stats) *storage.Table {
 	out := storage.NewTable(name, t.Schema.Clone(), t.NumParts())
 	out.PK = t.PK
 	out.DistCol = t.DistCol
@@ -22,7 +22,7 @@ func FilterTableByKey(t *storage.Table, key int, keep map[sqltypes.Key]bool, nam
 			if stats != nil {
 				stats.RowsScanned++
 			}
-			if key < len(r) && keep[r[key].Key()] {
+			if key < len(r) && keep.Find(r[key:key+1]) >= 0 {
 				rows = append(rows, r)
 			}
 		}

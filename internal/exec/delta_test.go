@@ -28,10 +28,9 @@ func TestFilterTableByKey(t *testing.T) {
 		{sqltypes.NewInt(3), sqltypes.NewInt(30)},
 	}
 
-	keep := map[sqltypes.Key]bool{
-		sqltypes.NewInt(1).Key(): true,
-		sqltypes.NewInt(3).Key(): true,
-	}
+	keep := sqltypes.NewKeyTable(1, 0)
+	keep.Insert(sqltypes.Row{sqltypes.NewInt(1)})
+	keep.Insert(sqltypes.Row{sqltypes.NewInt(3)})
 	stats := &Stats{}
 	out := FilterTableByKey(src, 0, keep, "DeltaIn#c", stats)
 

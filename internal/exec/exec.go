@@ -140,7 +140,7 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{input: in}, nil
+		return &distinctOp{input: in, width: len(t.Input.Columns())}, nil
 	case *plan.Sort:
 		in, err := buildWith(t.Input, rt, stats, cc)
 		if err != nil {
@@ -363,15 +363,19 @@ func (f *filterOp) Close() error { return f.input.Close() }
 type projectOp struct {
 	input Operator
 	items []*expr.Compiled
+	slab  sqltypes.RowSlab
 }
 
-func (p *projectOp) Open() error { return p.input.Open() }
+func (p *projectOp) Open() error {
+	p.slab = sqltypes.RowSlab{}
+	return p.input.Open()
+}
 func (p *projectOp) Next() (sqltypes.Row, error) {
 	r, err := p.input.Next()
 	if err != nil || r == nil {
 		return nil, err
 	}
-	out := make(sqltypes.Row, len(p.items))
+	out := p.slab.Alloc(len(p.items))
 	for i, it := range p.items {
 		v, err := it.Eval(r)
 		if err != nil {
@@ -436,11 +440,12 @@ func (u *unionOp) Close() error {
 
 type distinctOp struct {
 	input Operator
-	seen  map[sqltypes.CompositeKey]bool
+	width int
+	seen  *sqltypes.KeyTable
 }
 
 func (d *distinctOp) Open() error {
-	d.seen = make(map[sqltypes.CompositeKey]bool)
+	d.seen = sqltypes.NewKeyTable(d.width, 0)
 	return d.input.Open()
 }
 
@@ -450,12 +455,9 @@ func (d *distinctOp) Next() (sqltypes.Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		k := sqltypes.ValuesKey(r)
-		if d.seen[k] {
-			continue
+		if _, added := d.seen.Insert(r); added {
+			return r, nil
 		}
-		d.seen[k] = true
-		return r, nil
 	}
 }
 
@@ -546,11 +548,6 @@ func (l *limitOp) Close() error { return l.input.Close() }
 
 // --- aggregation --------------------------------------------------------
 
-type aggState struct {
-	groupVals sqltypes.Row
-	aggs      []expr.Aggregator
-}
-
 type aggOp struct {
 	node  *plan.Aggregate
 	rt    Runtime
@@ -597,26 +594,24 @@ func (a *aggOp) Open() error {
 	}
 	defer a.input.Close()
 
-	groups := make(map[sqltypes.CompositeKey]*aggState)
-	var order []sqltypes.CompositeKey
-
-	newState := func(groupVals sqltypes.Row) (*aggState, error) {
-		st := &aggState{groupVals: groupVals}
+	// Group ids are dense and in first-encounter order, so the
+	// accumulators of group id sit at aggs[id*nAggs:] and the output
+	// below is one pass over the ids.
+	nAggs := len(a.node.Aggs)
+	groups := sqltypes.NewKeyTable(len(a.groupEx), 0)
+	var aggs []expr.Aggregator
+	newGroup := func() error {
 		for _, spec := range a.node.Aggs {
 			ag, err := expr.NewAggregator(spec.Name, spec.Star, spec.Distinct)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			st.aggs = append(st.aggs, ag)
+			aggs = append(aggs, ag)
 		}
-		return st, nil
+		return nil
 	}
 
-	allCols := make([]int, len(a.groupEx))
-	for i := range allCols {
-		allCols[i] = i
-	}
-
+	groupVals := make([]sqltypes.Value, len(a.groupEx))
 	for {
 		r, err := a.input.Next()
 		if err != nil {
@@ -626,7 +621,6 @@ func (a *aggOp) Open() error {
 			break
 		}
 		a.stats.RowsAggInput++
-		groupVals := make(sqltypes.Row, len(a.groupEx))
 		for i, g := range a.groupEx {
 			v, err := g.Eval(r)
 			if err != nil {
@@ -634,15 +628,11 @@ func (a *aggOp) Open() error {
 			}
 			groupVals[i] = v
 		}
-		key := sqltypes.RowKey(groupVals, allCols)
-		st, ok := groups[key]
-		if !ok {
-			st, err = newState(groupVals)
-			if err != nil {
+		id, added := groups.Insert(groupVals)
+		if added {
+			if err := newGroup(); err != nil {
 				return err
 			}
-			groups[key] = st
-			order = append(order, key)
 		}
 		for i, spec := range a.node.Aggs {
 			var v sqltypes.Value
@@ -654,31 +644,26 @@ func (a *aggOp) Open() error {
 					return err
 				}
 			}
-			if err := st.aggs[i].Add(v); err != nil {
+			if err := aggs[id*nAggs+i].Add(v); err != nil {
 				return err
 			}
 		}
 	}
 
 	// Scalar aggregate over an empty input still yields one row.
-	if len(a.groupEx) == 0 && len(order) == 0 {
-		st, err := newState(nil)
-		if err != nil {
+	if len(a.groupEx) == 0 && groups.Len() == 0 {
+		groups.Insert(nil)
+		if err := newGroup(); err != nil {
 			return err
 		}
-		groups[sqltypes.CompositeKey{}] = st
-		order = append(order, sqltypes.CompositeKey{})
 	}
 
-	a.out = make([]sqltypes.Row, 0, len(order))
-	for _, k := range order {
-		st := groups[k]
-		row := make(sqltypes.Row, 0, len(a.groupEx)+len(st.aggs))
-		row = append(row, st.groupVals...)
-		for _, ag := range st.aggs {
-			row = append(row, ag.Result())
+	a.out = sqltypes.MakeRows(groups.Len(), len(a.groupEx)+nAggs)
+	for id, row := range a.out {
+		copy(row, groups.Key(id))
+		for i, ag := range aggs[id*nAggs : (id+1)*nAggs] {
+			row[len(a.groupEx)+i] = ag.Result()
 		}
-		a.out = append(a.out, row)
 	}
 	a.stats.RowsGrouped += int64(len(a.out))
 	a.pos = 0

@@ -73,6 +73,85 @@ func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok 
 	return nil, nil, false
 }
 
+// HashIndex is the build side of an equi-join: the build rows, chained
+// per distinct key in insertion order. Keys live in a sqltypes.KeyTable;
+// head is indexed by key id, next by build-row position, so a probe
+// walks head[id], next[...], ... and meets its matches in the order the
+// build side produced them. Rows with a NULL key component are
+// kept (outer joins emit them) but chained nowhere: NULL never matches.
+type HashIndex struct {
+	Rows []sqltypes.Row
+
+	keys *sqltypes.KeyTable
+	head []int32
+	next []int32
+	buf  []sqltypes.Value // key-evaluation scratch, build then probe
+}
+
+// BuildHashIndex indexes rows by the values of the key expressions.
+func BuildHashIndex(rows []sqltypes.Row, keyEx []*expr.Compiled) (*HashIndex, error) {
+	x := &HashIndex{
+		Rows: rows,
+		keys: sqltypes.NewKeyTable(len(keyEx), len(rows)),
+		next: make([]int32, len(rows)),
+		buf:  make([]sqltypes.Value, len(keyEx)),
+	}
+	var tail []int32 // per key id: the last row of its chain so far
+	for i, r := range rows {
+		x.next[i] = -1
+		null, err := EvalKey(keyEx, r, x.buf)
+		if err != nil {
+			return nil, err
+		}
+		if null {
+			continue
+		}
+		id, added := x.keys.Insert(x.buf)
+		if added {
+			x.head = append(x.head, int32(i))
+			tail = append(tail, int32(i))
+			continue
+		}
+		x.next[tail[id]] = int32(i)
+		tail[id] = int32(i)
+	}
+	return x, nil
+}
+
+// First returns the position in Rows of the first build row whose key
+// equals the probe row's, or -1 (also for a NULL probe key).
+func (x *HashIndex) First(probe sqltypes.Row, keyEx []*expr.Compiled) (int32, error) {
+	null, err := EvalKey(keyEx, probe, x.buf)
+	if err != nil || null {
+		return -1, err
+	}
+	id := x.keys.Find(x.buf)
+	if id < 0 {
+		return -1, nil
+	}
+	return x.head[id], nil
+}
+
+// Next returns the match after build row i, or -1.
+func (x *HashIndex) Next(i int32) int32 { return x.next[i] }
+
+// EvalKey evaluates the key expressions over r into buf (len(buf) must
+// be len(keys)), reporting whether a component was NULL; evaluation
+// stops at the first NULL, buf is then partly written.
+func EvalKey(keys []*expr.Compiled, r sqltypes.Row, buf []sqltypes.Value) (null bool, err error) {
+	for i, k := range keys {
+		v, err := k.Eval(r)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() {
+			return true, nil
+		}
+		buf[i] = v
+	}
+	return false, nil
+}
+
 // hashJoinOp implements inner, left-outer, right-outer and full-outer
 // hash joins. The build side is the right input except for right-outer
 // joins, where the left input is built and the right side streamed.
@@ -85,20 +164,16 @@ type hashJoinOp struct {
 	stats                 *Stats
 	cancel                *CancelChecker
 
-	build            map[sqltypes.CompositeKey][]*buildRow
-	buildRows        []*buildRow // insertion order, for full-outer leftovers
+	build            *HashIndex
+	matched          []bool // per build row; full-outer only
 	probe            Operator
+	probeKeys        []*expr.Compiled
 	probeRow         sqltypes.Row
-	matches          []*buildRow
-	matchIdx         int
+	match            int32 // next candidate build row for probeRow, -1 when exhausted
 	emittedForProbe  bool
 	leftoverIdx      int
 	drainingLeftover bool
-}
-
-type buildRow struct {
-	row     sqltypes.Row
-	matched bool
+	slab             sqltypes.RowSlab
 }
 
 // buildIsLeft reports whether the left input is the build side.
@@ -109,75 +184,41 @@ func (h *hashJoinOp) Open() error {
 	var buildKeys []*expr.Compiled
 	if h.buildIsLeft() {
 		buildOp, buildKeys = h.left, h.leftKeys
-		h.probe = h.right
+		h.probe, h.probeKeys = h.right, h.rightKeys
 	} else {
 		buildOp, buildKeys = h.right, h.rightKeys
-		h.probe = h.left
+		h.probe, h.probeKeys = h.left, h.leftKeys
 	}
 
 	rows, err := Drain(buildOp)
 	if err != nil {
 		return err
 	}
-	h.build = make(map[sqltypes.CompositeKey][]*buildRow, len(rows))
-	h.buildRows = h.buildRows[:0]
-	for _, r := range rows {
-		key, null, err := evalKey(buildKeys, r)
-		if err != nil {
-			return err
-		}
-		br := &buildRow{row: r}
-		h.buildRows = append(h.buildRows, br)
-		if null {
-			continue // NULL keys never match
-		}
-		h.build[key] = append(h.build[key], br)
+	if h.build, err = BuildHashIndex(rows, buildKeys); err != nil {
+		return err
+	}
+	h.matched = nil
+	if h.typ == ast.FullJoin {
+		h.matched = make([]bool, len(rows))
 	}
 	h.probeRow = nil
-	h.matches = nil
-	h.matchIdx = 0
+	h.match = -1
 	h.leftoverIdx = 0
 	h.drainingLeftover = false
+	h.slab = sqltypes.RowSlab{}
 	return h.probe.Open()
 }
 
-func evalKey(keys []*expr.Compiled, r sqltypes.Row) (sqltypes.CompositeKey, bool, error) {
-	vals := make(sqltypes.Row, len(keys))
-	for i, k := range keys {
-		v, err := k.Eval(r)
-		if err != nil {
-			return sqltypes.CompositeKey{}, false, err
-		}
-		if v.IsNull() {
-			return sqltypes.CompositeKey{}, true, nil
-		}
-		vals[i] = v
-	}
-	cols := make([]int, len(vals))
-	for i := range cols {
-		cols[i] = i
-	}
-	return sqltypes.RowKey(vals, cols), false, nil
-}
-
-// combined builds the output row in left-then-right column order.
-func (h *hashJoinOp) combined(probe sqltypes.Row, build sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, 0, h.leftWidth+h.rightWidth)
+// joined builds the output row of a probe/build pair in left-then-right
+// column order; a nil side is NULL-extended (slab rows start NULL).
+func (h *hashJoinOp) joined(probe, build sqltypes.Row) sqltypes.Row {
+	left, right := probe, build
 	if h.buildIsLeft() {
-		if build == nil {
-			out = out[:h.leftWidth] // zero Values are NULL
-		} else {
-			out = append(out, build...)
-		}
-		out = append(out, probe...)
-	} else {
-		out = append(out, probe...)
-		if build == nil {
-			out = append(out, make(sqltypes.Row, h.rightWidth)...)
-		} else {
-			out = append(out, build...)
-		}
+		left, right = build, probe
 	}
+	out := h.slab.Alloc(h.leftWidth + h.rightWidth)
+	copy(out, left)
+	copy(out[h.leftWidth:], right)
 	return out
 }
 
@@ -191,36 +232,39 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 	for {
 		if h.drainingLeftover {
 			// Full-outer: emit unmatched build rows null-extended.
-			for h.leftoverIdx < len(h.buildRows) {
-				br := h.buildRows[h.leftoverIdx]
+			for h.leftoverIdx < len(h.build.Rows) {
+				i := h.leftoverIdx
 				h.leftoverIdx++
-				if br.matched {
+				if h.matched[i] {
 					continue
 				}
 				h.stats.RowsJoined++
-				return h.nullExtendBuild(br.row), nil
+				return h.joined(nil, h.build.Rows[i]), nil
 			}
 			return nil, nil
 		}
 
 		// Continue emitting matches for the current probe row.
-		for h.matchIdx < len(h.matches) {
+		for h.match >= 0 {
 			if err := h.cancel.Tick(); err != nil {
 				return nil, err
 			}
-			br := h.matches[h.matchIdx]
-			h.matchIdx++
-			out := h.combined(h.probeRow, br.row)
+			bi := h.match
+			h.match = h.build.Next(bi)
+			out := h.joined(h.probeRow, h.build.Rows[bi])
 			if h.residual != nil {
 				v, err := h.residual.Eval(out)
 				if err != nil {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+					h.slab.Recycle(out)
 					continue
 				}
 			}
-			br.matched = true
+			if h.matched != nil {
+				h.matched[bi] = true
+			}
 			h.emittedForProbe = true
 			h.stats.RowsJoined++
 			return out, nil
@@ -229,7 +273,7 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 		// The previous probe row is exhausted; emit its null-extended
 		// form if it matched nothing and the join is outer.
 		if h.probeRow != nil && !h.emittedForProbe && h.outerProbe() {
-			out := h.combined(h.probeRow, nil)
+			out := h.joined(h.probeRow, nil)
 			h.probeRow = nil
 			h.stats.RowsJoined++
 			return out, nil
@@ -249,43 +293,15 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 		}
 		h.probeRow = r
 		h.emittedForProbe = false
-		var probeKeys []*expr.Compiled
-		if h.buildIsLeft() {
-			probeKeys = h.rightKeys
-		} else {
-			probeKeys = h.leftKeys
-		}
-		key, null, err := evalKey(probeKeys, r)
-		if err != nil {
+		if h.match, err = h.build.First(r, h.probeKeys); err != nil {
 			return nil, err
 		}
-		if null {
-			h.matches = nil
-		} else {
-			h.matches = h.build[key]
-		}
-		h.matchIdx = 0
 	}
-}
-
-// nullExtendBuild emits an unmatched build row (full-outer leftovers)
-// with NULLs on the probe side, in left-then-right order.
-func (h *hashJoinOp) nullExtendBuild(build sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, 0, h.leftWidth+h.rightWidth)
-	if h.buildIsLeft() {
-		out = append(out, build...)
-		out = append(out, make(sqltypes.Row, h.rightWidth)...)
-	} else {
-		out = append(out, make(sqltypes.Row, h.leftWidth)...)
-		out = append(out, build...)
-	}
-	return out
 }
 
 func (h *hashJoinOp) Close() error {
 	h.build = nil
-	h.buildRows = nil
-	h.matches = nil
+	h.matched = nil
 	return h.probe.Close()
 }
 
@@ -300,6 +316,7 @@ type nestedLoopOp struct {
 	rightRows []sqltypes.Row
 	leftRow   sqltypes.Row
 	rightIdx  int
+	slab      sqltypes.RowSlab
 }
 
 func (n *nestedLoopOp) Open() error {
@@ -310,6 +327,7 @@ func (n *nestedLoopOp) Open() error {
 	n.rightRows = rows
 	n.leftRow = nil
 	n.rightIdx = 0
+	n.slab = sqltypes.RowSlab{}
 	return n.left.Open()
 }
 
@@ -329,15 +347,16 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 			}
 			rr := n.rightRows[n.rightIdx]
 			n.rightIdx++
-			out := make(sqltypes.Row, 0, len(n.leftRow)+len(rr))
-			out = append(out, n.leftRow...)
-			out = append(out, rr...)
+			out := n.slab.Alloc(len(n.leftRow) + len(rr))
+			copy(out, n.leftRow)
+			copy(out[len(n.leftRow):], rr)
 			if n.residual != nil {
 				v, err := n.residual.Eval(out)
 				if err != nil {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+					n.slab.Recycle(out)
 					continue
 				}
 			}

@@ -54,12 +54,6 @@ func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *exp
 	return leftKeys, rightKeys, residual, nil
 }
 
-// KeyFor evaluates key expressions over a row, reporting whether any
-// component was NULL.
-func KeyFor(keys []*expr.Compiled, r sqltypes.Row) (sqltypes.CompositeKey, bool, error) {
-	return evalKey(keys, r)
-}
-
 // HashJoinPartition joins two row slices with the given key spec; the
 // caller guarantees co-partitioning (equal keys appear in the same
 // call). Semantics match the volcano hash join exactly.

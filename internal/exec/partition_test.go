@@ -61,26 +61,27 @@ func TestJoinKeysExtraction(t *testing.T) {
 	_ = rk
 }
 
-func TestKeyFor(t *testing.T) {
+func TestHashIndexKeys(t *testing.T) {
 	rt := testRuntime(t)
 	j := joinNode(t, rt, `SELECT * FROM edges e JOIN vertexStatus v ON e.dst = v.node`)
 	lk, _, _, err := JoinKeys(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(7), sqltypes.NewFloat(1)}
-	k1, null, err := KeyFor(lk, row)
-	if err != nil || null {
-		t.Fatalf("KeyFor: %v null=%v", err, null)
-	}
-	row2 := sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewFloat(7), sqltypes.NewFloat(2)}
-	k2, _, _ := KeyFor(lk, row2)
-	if k1 != k2 {
-		t.Error("7 and 7.0 keys should match")
-	}
 	nullRow := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NullValue, sqltypes.NewFloat(1)}
-	if _, null, _ := KeyFor(lk, nullRow); !null {
-		t.Error("NULL key not reported")
+	x, err := BuildHashIndex([]sqltypes.Row{
+		nullRow,
+		{sqltypes.NewInt(1), sqltypes.NewInt(7), sqltypes.NewFloat(1)},
+	}, lk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewFloat(7), sqltypes.NewFloat(2)}
+	if i, err := x.First(probe, lk); err != nil || i != 1 || x.Next(i) != -1 {
+		t.Errorf("7.0 should meet exactly the build row keyed 7: first=%d err=%v", i, err)
+	}
+	if i, _ := x.First(nullRow, lk); i != -1 {
+		t.Errorf("a NULL key must match nothing, not even the NULL-keyed build row: first=%d", i)
 	}
 }
 

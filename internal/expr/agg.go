@@ -36,7 +36,7 @@ func NewAggregator(name string, star, distinct bool) (Aggregator, error) {
 		return nil, fmt.Errorf("unknown aggregate %s", name)
 	}
 	if distinct {
-		a = &distinctAgg{inner: a, seen: make(map[sqltypes.Key]bool)}
+		a = &distinctAgg{inner: a, seen: sqltypes.NewKeyTable(1, 0)}
 	}
 	return a, nil
 }
@@ -166,7 +166,7 @@ func (a *avgAgg) Result() sqltypes.Value {
 
 type distinctAgg struct {
 	inner Aggregator
-	seen  map[sqltypes.Key]bool
+	seen  *sqltypes.KeyTable
 }
 
 func (d *distinctAgg) Add(v sqltypes.Value) error {
@@ -174,11 +174,10 @@ func (d *distinctAgg) Add(v sqltypes.Value) error {
 		// NULLs are ignored by the wrapped aggregates anyway.
 		return nil
 	}
-	k := v.Key()
-	if d.seen[k] {
+	key := [1]sqltypes.Value{v}
+	if _, added := d.seen.Insert(key[:]); !added {
 		return nil
 	}
-	d.seen[k] = true
 	return d.inner.Add(v)
 }
 

@@ -254,41 +254,56 @@ func (m *Machine) parallel(fn func(p int, cc *exec.CancelChecker) error) error {
 // destination sqltypes.CompositeKey.Partition assigns them, so the
 // exchange and the storage layer agree on one routing function.
 func (m *Machine) shuffle(in *relation, keys []*expr.Compiled) (*relation, error) {
-	return m.shuffleBy(in, func(r sqltypes.Row) (int, error) {
-		key, null, err := exec.KeyFor(keys, r)
-		if err != nil {
-			return 0, err
+	cols := identityCols(len(keys))
+	return m.shuffleBy(in, func() func(sqltypes.Row) (int, error) {
+		vals := make(sqltypes.Row, len(keys)) // per-fragment key scratch
+		return func(r sqltypes.Row) (int, error) {
+			null, err := exec.EvalKey(keys, r, vals)
+			if err != nil {
+				return 0, err
+			}
+			if null {
+				// EvalKey stops at the first NULL, so route explicitly;
+				// Partition sends NULL-bearing keys to 0 too.
+				return 0, nil
+			}
+			return sqltypes.RowKey(vals, cols).Partition(m.Parts), nil
 		}
-		if null {
-			// KeyFor aborts key construction on the first NULL, so route
-			// explicitly; Partition sends NULL-bearing keys to 0 too.
-			return 0, nil
-		}
-		return key.Partition(m.Parts), nil
 	})
 }
 
 // shuffleCols redistributes a relation routing each row by the values
 // at the given column positions — the direct-column variant of shuffle
-// used by the elided-aggregate path, where the routing values are
-// already materialized in the row.
+// used by the elided-aggregate path and the full-row distinct exchange,
+// where the routing values are already materialized in the row.
 func (m *Machine) shuffleCols(in *relation, cols []int) (*relation, error) {
-	return m.shuffleBy(in, func(r sqltypes.Row) (int, error) {
+	route := func(r sqltypes.Row) (int, error) {
 		return sqltypes.RowKey(r, cols).Partition(m.Parts), nil
-	})
+	}
+	return m.shuffleBy(in, func() func(sqltypes.Row) (int, error) { return route })
+}
+
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // shuffleBy is the exchange body shared by every shuffle variant:
 // per-source locals are concatenated in source-partition order so the
 // exchange is deterministic run to run. Every routed row counts toward
 // RowsShuffled; the rows that actually change partitions additionally
-// count toward RowsRelocated.
-func (m *Machine) shuffleBy(in *relation, route func(sqltypes.Row) (int, error)) (*relation, error) {
+// count toward RowsRelocated. newRoute is called once per fragment, so a
+// router may own scratch state.
+func (m *Machine) shuffleBy(in *relation, newRoute func() func(sqltypes.Row) (int, error)) (*relation, error) {
 	locals := make([][][]sqltypes.Row, m.Parts)
 	routed := int64(0)
 	moved := int64(0)
 	err := m.parallel(func(p int, cc *exec.CancelChecker) error {
 		local := make([][]sqltypes.Row, m.Parts)
+		route := newRoute()
 		atomic.AddInt64(&routed, int64(len(in.parts[p])))
 		for _, r := range in.parts[p] {
 			if err := cc.Tick(); err != nil {
@@ -459,20 +474,18 @@ func (m *Machine) evalProject(t *plan.Project) (*relation, error) {
 			}
 			items[i] = c
 		}
-		res := make([]sqltypes.Row, len(in.parts[p]))
+		res := sqltypes.MakeRows(len(in.parts[p]), len(items))
 		for ri, r := range in.parts[p] {
 			if err := cc.Tick(); err != nil {
 				return err
 			}
-			row := make(sqltypes.Row, len(items))
 			for i, c := range items {
 				v, err := c.Eval(r)
 				if err != nil {
 					return err
 				}
-				row[i] = v
+				res[ri][i] = v
 			}
-			res[ri] = row
 		}
 		out.parts[p] = res
 		return nil
@@ -638,7 +651,7 @@ func (m *Machine) evalAggregate(t *plan.Aggregate) (*relation, error) {
 // sit in one partition. Each fragment aggregates its partition exactly
 // (no merge needed), then the one-row-per-group outputs are exchanged
 // to the partitions the regular input shuffle would have used —
-// RowKey over the leading group columns, the same values KeyFor
+// RowKey over the leading group columns, the same values EvalKey
 // computes from the group expressions, through the same Partition
 // function. Destination, per-destination order (source-major, groups
 // in first-seen order within each source) and float accumulation
@@ -671,11 +684,7 @@ func (m *Machine) evalAggregateElided(t *plan.Aggregate, in *relation, cols []in
 	}
 	atomic.AddInt64(&m.Exec.RowsAggInput, aggIn)
 	atomic.AddInt64(&m.Exec.RowsGrouped, grouped)
-	gcols := make([]int, len(t.GroupBy))
-	for i := range gcols {
-		gcols[i] = i
-	}
-	return m.shuffleCols(pre, gcols)
+	return m.shuffleCols(pre, identityCols(len(t.GroupBy)))
 }
 
 func (m *Machine) evalUnion(t *plan.Union) (*relation, error) {
@@ -699,48 +708,38 @@ func (m *Machine) evalDistinct(t *plan.Distinct) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Repartition on the full row so duplicates co-locate. When the
-	// analysis proved the input already distributed on the full row,
-	// the exchange is the identity (every row already sits at its
-	// ValuesKey destination) and is skipped.
+	// Repartition on the full row so duplicates co-locate, through the
+	// same Partition function every other placement path uses
+	// (NULL-bearing rows go to partition 0, single-column rows use the
+	// scalar hash), so the partition-property analysis can equate the
+	// distinct exchange's layout with storage and shuffle layouts. When
+	// it proved the input already distributed on the full row, the
+	// exchange is the identity and is skipped.
+	width := len(t.Input.Columns())
 	sh := in
 	if el := m.Elide[plan.Node(t)]; el.Input {
 		if err := m.noteElide(in, el.InputCols, "distinct input"); err != nil {
 			return nil, err
 		}
-	} else if sh, err = m.shuffleFullRow(in); err != nil {
+	} else if sh, err = m.shuffleCols(in, identityCols(width)); err != nil {
 		return nil, err
 	}
 	out := m.newRelation()
 	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		seen := make(map[sqltypes.CompositeKey]bool, len(sh.parts[p]))
+		seen := sqltypes.NewKeyTable(width, len(sh.parts[p]))
 		var kept []sqltypes.Row
 		for _, r := range sh.parts[p] {
 			if err := cc.Tick(); err != nil {
 				return err
 			}
-			k := sqltypes.ValuesKey(r)
-			if seen[k] {
-				continue
+			if _, added := seen.Insert(r); added {
+				kept = append(kept, r)
 			}
-			seen[k] = true
-			kept = append(kept, r)
 		}
 		out.parts[p] = kept
 		return nil
 	})
 	return out, err
-}
-
-// shuffleFullRow routes each row by all of its columns, through the
-// same Partition function every other placement path uses (NULL-bearing
-// rows go to partition 0, single-column rows use the scalar hash), so
-// the partition-property analysis can equate the distinct exchange's
-// layout with storage and shuffle layouts.
-func (m *Machine) shuffleFullRow(in *relation) (*relation, error) {
-	return m.shuffleBy(in, func(r sqltypes.Row) (int, error) {
-		return sqltypes.ValuesKey(r).Partition(m.Parts), nil
-	})
 }
 
 // evalTopN implements distributed top-k: each fragment computes its

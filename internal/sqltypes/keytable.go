@@ -1,0 +1,212 @@
+package sqltypes
+
+import "math"
+
+// KeyTable is the engine's one hash-table kernel: it maps key tuples of
+// a fixed width to dense ids handed out in first-insertion order. Hash
+// join, hash aggregate, distinct and the keyed step maps of the step
+// program all sit on it; what they keep per key (chains, accumulators,
+// rows) lives in their own slices indexed by id.
+//
+// Two keys are equal when every column is: NULL equals NULL (grouping
+// semantics — joins reject NULL keys before they get here), INT and
+// FLOAT meet by value (1 = 1.0, INT–INT compared exactly, so integers
+// beyond 2^53 stay distinct), NaN equals NaN, and -0 equals +0. The hash
+// is taken over the float image of a number so that equal keys of mixed
+// type collide; it only ever narrows the search, equality is decided on
+// the stored values.
+//
+// Slot order is an implementation detail: nothing may iterate the slots.
+// Iterate ids 0..Len()-1, which is insertion order.
+type KeyTable struct {
+	width int
+	n     int
+	// vals holds each key's values once, id-major: key id occupies
+	// vals[id*width : (id+1)*width].
+	vals  []Value
+	slots []keySlot // open addressing, linear probing; len is a power of two
+}
+
+// keySlot is one open-addressing entry: the upper half of the key's
+// hash (enough to place it again when the table grows, and to reject
+// most non-matching probes without touching the values) and its id.
+type keySlot struct {
+	hash uint32
+	id1  int32 // id+1; 0 marks an empty slot
+}
+
+const minKeySlots = 8
+
+// NewKeyTable returns an empty table for keys of the given width, sized
+// so that hint keys fit without growing. A hint of 0 starts small.
+func NewKeyTable(width, hint int) *KeyTable {
+	slots := minKeySlots
+	for slots < 2*hint {
+		slots *= 2
+	}
+	t := &KeyTable{width: width, slots: make([]keySlot, slots)}
+	if hint > 0 {
+		t.vals = make([]Value, 0, hint*width)
+	}
+	return t
+}
+
+// Len returns the number of distinct keys inserted.
+func (t *KeyTable) Len() int { return t.n }
+
+// Key returns the stored values of key id. The slice is capped; callers
+// must not modify it.
+func (t *KeyTable) Key(id int) []Value {
+	lo, hi := id*t.width, (id+1)*t.width
+	return t.vals[lo:hi:hi]
+}
+
+// Insert adds the key (its first width values) unless an equal key is
+// present, and returns the key's id and whether it was added. The
+// values are copied; key may be a scratch buffer.
+func (t *KeyTable) Insert(key []Value) (id int, added bool) {
+	key = key[:t.width]
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	h := hashKey(key)
+	id, slot := t.lookup(key, h)
+	if id >= 0 {
+		return id, false
+	}
+	t.slots[slot] = keySlot{hash: h, id1: int32(t.n + 1)}
+	t.vals = append(t.vals, key...)
+	t.n++
+	return t.n - 1, true
+}
+
+// Find returns the id of the key equal to key, or -1.
+func (t *KeyTable) Find(key []Value) int {
+	key = key[:t.width]
+	id, _ := t.lookup(key, hashKey(key))
+	return id
+}
+
+// lookup probes for key (hashed to h) and returns its id, or -1 and the
+// empty slot where it would go.
+func (t *KeyTable) lookup(key []Value, h uint32) (id int, slot uint32) {
+	mask := uint32(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.id1 == 0 {
+			return -1, i
+		}
+		if s.hash == h && keysEqual(t.Key(int(s.id1-1)), key) {
+			return int(s.id1 - 1), i
+		}
+	}
+}
+
+// grow doubles the slot array; entries are placed again from their
+// stored hash, no key is rehashed.
+func (t *KeyTable) grow() {
+	old := t.slots
+	t.slots = make([]keySlot, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.id1 == 0 {
+			continue
+		}
+		i := s.hash & mask
+		for t.slots[i].id1 != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+func keysEqual(a, b []Value) bool {
+	for i := range a {
+		if !keyValueEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func keyValueEqual(a, b Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() && b.IsNull()
+	}
+	if isNumeric(a.T) && isNumeric(b.T) {
+		if a.T == Int && b.T == Int {
+			return a.I == b.I
+		}
+		af, bf := a.Float(), b.Float()
+		return af == bf || (af != af && bf != bf)
+	}
+	if a.T != b.T {
+		return false
+	}
+	if a.T == String {
+		return a.S == b.S
+	}
+	return a.I == b.I // Bool
+}
+
+// hashKey folds the columns' hashes in order and keeps the upper half,
+// which the final multiply-and-fold of mix64 has mixed best.
+func hashKey(key []Value) uint32 {
+	h := uint64(len(key))
+	for _, v := range key {
+		h = mix64(h ^ valueHashBits(v))
+	}
+	return uint32(h >> 32)
+}
+
+// Type tags folded into non-numeric hashes so that, say, TRUE and 1 do
+// not share a bucket by construction.
+const (
+	hashTagNull   = 0x9e3779b97f4a7c15
+	hashTagBool   = 0xc2b2ae3d27d4eb4f
+	hashTagString = 0x165667b19e3779f9
+)
+
+// valueHashBits returns the pre-mix hash input of one value: equal
+// values (in keyValueEqual's sense) give equal bits.
+func valueHashBits(v Value) uint64 {
+	switch v.T {
+	case Int:
+		return floatHashBits(float64(v.I))
+	case Float:
+		return floatHashBits(v.F)
+	case Bool:
+		return uint64(v.I) ^ hashTagBool
+	case String:
+		// FNV-1a over the bytes; mix64 spreads it afterwards.
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(v.S); i++ {
+			h ^= uint64(v.S[i])
+			h *= 1099511628211
+		}
+		return h ^ hashTagString
+	}
+	return hashTagNull
+}
+
+func floatHashBits(f float64) uint64 {
+	if f == 0 {
+		return 0 // -0 and +0 are equal
+	}
+	if f != f {
+		return 0x7ff8000000000001 // every NaN payload is the same key
+	}
+	return math.Float64bits(f)
+}
+
+// mix64 is the MurmurHash3 finalizer: a bijection on 64 bits whose
+// leading fold matters here, because the float image of a small integer
+// has only its top bits set.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}

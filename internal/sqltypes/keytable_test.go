@@ -1,0 +1,266 @@
+package sqltypes
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// TestKernelSizes pins the two sizes the kernel's memory behaviour
+// rests on, so the next change to either is deliberate.
+func TestKernelSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Errorf("sizeof(Value) = %d, want 40", got)
+	}
+	if got := unsafe.Sizeof(keySlot{}); got != 8 {
+		t.Errorf("sizeof(keySlot) = %d, want 8", got)
+	}
+}
+
+// modelKey is the reference model's notion of a key: a canonical string
+// per tuple, built without the table's hash or equality. Numbers go by
+// their float image except integers beyond 2^53, which the pool only
+// produces as INT and which must stay exact.
+func modelKey(key []Value) string {
+	var b strings.Builder
+	for _, v := range key {
+		switch {
+		case v.IsNull():
+			b.WriteString("n|")
+		case v.T == Bool:
+			fmt.Fprintf(&b, "b%d|", v.I)
+		case v.T == String:
+			fmt.Fprintf(&b, "s%d:%s|", len(v.S), v.S)
+		case v.T == Int && (v.I >= 1<<53 || v.I <= -(1<<53)):
+			fmt.Fprintf(&b, "i%d|", v.I)
+		default:
+			f := v.Float()
+			if f == 0 {
+				f = 0 // -0 = +0
+			}
+			if f != f {
+				b.WriteString("nan|")
+				continue
+			}
+			fmt.Fprintf(&b, "f%016x|", math.Float64bits(f))
+		}
+	}
+	return b.String()
+}
+
+// randomKeyValue draws from a pool built to collide: small integers as
+// INT and as FLOAT, both zeros, NaN, neighbours beyond 2^53 (INT only),
+// short strings, booleans and NULLs.
+func randomKeyValue(rng *rand.Rand, spread int) Value {
+	switch rng.Intn(10) {
+	case 0:
+		return NullValue
+	case 1:
+		return NewBool(rng.Intn(2) == 0)
+	case 2:
+		return NewString(fmt.Sprintf("s%d", rng.Intn(spread)))
+	case 3:
+		return NewFloat(float64(rng.Intn(spread))) // equal to an INT of the pool
+	case 4:
+		return NewFloat(float64(rng.Intn(spread)) + 0.5)
+	case 5:
+		switch rng.Intn(4) {
+		case 0:
+			return NewFloat(math.Copysign(0, -1))
+		case 1:
+			return NewFloat(0)
+		case 2:
+			return NewFloat(math.NaN())
+		}
+		return Value{} // the zero Value is NULL too
+	case 6:
+		return NewInt(1<<53 + int64(rng.Intn(4)))
+	}
+	return NewInt(int64(rng.Intn(spread)))
+}
+
+func TestKeyTableAgainstMapModel(t *testing.T) {
+	for width := 0; width <= 5; width++ {
+		for _, spread := range []int{3, 40, 2000} {
+			rng := rand.New(rand.NewSource(int64(100*width + spread)))
+			table := NewKeyTable(width, 0)
+			model := map[string]int{}
+			var first [][]Value
+			startSlots := len(table.slots)
+			key := make([]Value, width+1) // one longer: Insert uses the first width values
+			for op := 0; op < 6000; op++ {
+				for i := range key {
+					key[i] = randomKeyValue(rng, spread)
+				}
+				mk := modelKey(key[:width])
+				wantID, present := model[mk]
+				if op%3 == 0 {
+					got := table.Find(key)
+					if !present {
+						wantID = -1
+					}
+					if got != wantID {
+						t.Fatalf("width %d: Find(%v) = %d, model says %d", width, key[:width], got, wantID)
+					}
+					continue
+				}
+				id, added := table.Insert(key)
+				if added == present {
+					t.Fatalf("width %d: Insert(%v) added=%v, model present=%v", width, key[:width], added, present)
+				}
+				if !present {
+					wantID = len(model)
+					model[mk] = wantID
+					first = append(first, append([]Value(nil), key[:width]...))
+				}
+				if id != wantID {
+					t.Fatalf("width %d: Insert(%v) id = %d, want first-insertion id %d", width, key[:width], id, wantID)
+				}
+			}
+			if table.Len() != len(model) {
+				t.Fatalf("width %d: Len = %d, model has %d", width, table.Len(), len(model))
+			}
+			// Every id still resolves to the values first inserted under
+			// it, exactly as given (an INT stays an INT).
+			for id, want := range first {
+				got := table.Key(id)
+				if len(got) != width || cap(got) != width {
+					t.Fatalf("Key(%d) has len %d cap %d, want %d/%d", id, len(got), cap(got), width, width)
+				}
+				for i := range want {
+					if got[i].T != want[i].T || modelKey(got[i:i+1]) != modelKey(want[i:i+1]) {
+						t.Fatalf("Key(%d)[%d] = %#v, first inserted %#v", id, i, got[i], want[i])
+					}
+				}
+				if table.Find(want) != id {
+					t.Fatalf("Find(Key(%d)) = %d", id, table.Find(want))
+				}
+			}
+			if spread == 2000 && width > 0 && len(table.slots) < 8*startSlots {
+				t.Errorf("width %d: %d keys grew the table only from %d to %d slots; the test must cross several resizes",
+					width, table.Len(), startSlots, len(table.slots))
+			}
+		}
+	}
+}
+
+func TestKeyTableEquality(t *testing.T) {
+	big := int64(1) << 53
+	cases := []struct {
+		a, b Value
+		same bool
+	}{
+		{NewInt(1), NewFloat(1), true},
+		{NewInt(big), NewInt(big + 1), false}, // same float image, different integers
+		{NewInt(big), NewFloat(float64(big)), true},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1)), true},
+		{NewFloat(math.NaN()), NewFloat(math.NaN()), true},
+		{NewFloat(math.NaN()), NewFloat(1), false},
+		{NullValue, Value{}, true},
+		{NullValue, NewInt(0), false},
+		{NewBool(true), NewInt(1), false},
+		{NewString("1"), NewInt(1), false},
+		{NewString("a"), NewString("a"), true},
+	}
+	for _, c := range cases {
+		tab := NewKeyTable(1, 0)
+		tab.Insert([]Value{c.a})
+		_, added := tab.Insert([]Value{c.b})
+		if added == c.same {
+			t.Errorf("%#v vs %#v: same key = %v, want %v", c.a, c.b, !added, c.same)
+		}
+	}
+}
+
+func TestKeyTableZeroWidthAndHint(t *testing.T) {
+	tab := NewKeyTable(0, 0)
+	if tab.Find(nil) != -1 {
+		t.Error("empty zero-width table finds the empty key")
+	}
+	if id, added := tab.Insert(nil); id != 0 || !added {
+		t.Errorf("first empty key: id %d added %v", id, added)
+	}
+	if id, added := tab.Insert(Row{NewInt(7)}); id != 0 || added {
+		t.Errorf("every zero-width key is the one empty key: id %d added %v", id, added)
+	}
+	hinted := NewKeyTable(1, 1000)
+	slots := len(hinted.slots)
+	for i := 0; i < 1000; i++ {
+		hinted.Insert([]Value{NewInt(int64(i))})
+	}
+	if len(hinted.slots) != slots {
+		t.Errorf("a table hinted for 1000 keys grew from %d to %d slots", slots, len(hinted.slots))
+	}
+}
+
+// TestRowSlabRowsAreCapped is the ownership half of the kernel: a row
+// carved from a slab has no spare capacity, so appending to it copies
+// instead of writing into the next row.
+func TestRowSlabRowsAreCapped(t *testing.T) {
+	var slab RowSlab
+	rows := make([]Row, 40) // spans several chunks
+	for i := range rows {
+		rows[i] = slab.Alloc(3)
+		for j := range rows[i] {
+			if !rows[i][j].IsNull() {
+				t.Fatalf("row %d is not zeroed", i)
+			}
+			rows[i][j] = NewInt(int64(10*i + j))
+		}
+	}
+	for _, fresh := range MakeRows(5, 3) {
+		rows = append(rows, fresh)
+	}
+	for i, r := range rows {
+		if len(r) != 3 || cap(r) != 3 {
+			t.Fatalf("row %d: len %d cap %d, want 3/3", i, len(r), cap(r))
+		}
+		before := append(Row(nil), rows[(i+1)%len(rows)]...)
+		grown := append(r, NewString("overflow"))
+		grown[0] = NewString("scribble")
+		if !rows[(i+1)%len(rows)].Equal(before) || r[0].T == String {
+			t.Fatalf("append to row %d altered a slab row", i)
+		}
+	}
+	if got := slab.Alloc(0); got == nil {
+		t.Error("a zero-width row must be non-nil: nil means end of stream")
+	}
+}
+
+func TestRowSlabChunksGrowFromSmall(t *testing.T) {
+	var slab RowSlab
+	slab.Alloc(9)
+	if got := len(slab.buf); got != minSlabRows*9 {
+		t.Errorf("first chunk holds %d values, want %d (small inputs must not pay for a big chunk)", got, minSlabRows*9)
+	}
+	for i := 0; i < 10*maxSlabRows; i++ {
+		slab.Alloc(9)
+		if len(slab.buf) > maxSlabRows*9 {
+			t.Fatalf("chunk of %d values exceeds the %d-row bound", len(slab.buf), maxSlabRows)
+		}
+	}
+}
+
+func TestRowSlabRecycle(t *testing.T) {
+	var slab RowSlab
+	keep := slab.Alloc(2)
+	keep[0], keep[1] = NewInt(1), NewInt(2)
+	for i := 0; i < 3*minSlabRows; i++ { // across a chunk boundary
+		r := slab.Alloc(2)
+		r[0], r[1] = NewString("rejected"), NewInt(int64(i))
+		slab.Recycle(r)
+	}
+	again := slab.Alloc(2)
+	if !again[0].IsNull() || !again[1].IsNull() {
+		t.Errorf("a recycled row comes back as %v, want all NULL", again)
+	}
+	if keep[0].I != 1 || keep[1].I != 2 {
+		t.Errorf("recycling disturbed an earlier row: %v", keep)
+	}
+	if slab.rows != 2 {
+		t.Errorf("slab counts %d rows handed out, want 2: recycled rows must not grow the next chunk", slab.rows)
+	}
+}

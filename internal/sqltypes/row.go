@@ -101,9 +101,9 @@ func (s Schema) String() string {
 	return b.String()
 }
 
-// RowKey builds a composite map key from the given column positions of a
-// row. It is the common key-construction path for hash joins, grouping
-// and the merge step.
+// RowKey builds the routing key of a row from the given column
+// positions: what storage and the MPP exchanges hand to Partition.
+// (Joins, grouping and the keyed steps hash through KeyTable instead.)
 func RowKey(r Row, cols []int) CompositeKey {
 	switch len(cols) {
 	case 0:
@@ -127,15 +127,6 @@ func RowKey(r Row, cols []int) CompositeKey {
 		b.WriteByte(0)
 	}
 	return CompositeKey{Wide: b.String(), N: len(cols), wideNull: hasNull}
-}
-
-// ValuesKey builds a composite key from a full row (all columns).
-func ValuesKey(r Row) CompositeKey {
-	cols := make([]int, len(r))
-	for i := range cols {
-		cols[i] = i
-	}
-	return RowKey(r, cols)
 }
 
 func encodeKey(b *strings.Builder, k Key) {

@@ -107,22 +107,22 @@ func TestCompositeKeyHasNull(t *testing.T) {
 	}
 }
 
-func TestValuesKeyProperty(t *testing.T) {
+func TestFullRowKeyProperty(t *testing.T) {
 	// Rows equal under storage equality produce equal full-row keys.
 	f := func(a, b Value) bool {
 		r1, r2 := Row{a, b}, Row{a, b}
-		return ValuesKey(r1) == ValuesKey(r2)
+		return RowKey(r1, []int{0, 1}) == RowKey(r2, []int{0, 1})
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Errorf("ValuesKey determinism: %v", err)
+		t.Errorf("full-row key determinism: %v", err)
 	}
 	g := func(a, b Value) bool {
 		if Compare(a, b) == 0 {
 			return true
 		}
-		return ValuesKey(Row{a}) != ValuesKey(Row{b})
+		return RowKey(Row{a}, []int{0}) != RowKey(Row{b}, []int{0})
 	}
 	if err := quick.Check(g, nil); err != nil {
-		t.Errorf("ValuesKey separation: %v", err)
+		t.Errorf("full-row key separation: %v", err)
 	}
 }

@@ -63,7 +63,8 @@ func ParseType(name string) (Type, error) {
 
 // Value is a single SQL datum. The zero Value is SQL NULL.
 //
-// Values are small (32 bytes) and passed by value; rows are []Value.
+// Values are small (40 bytes: tag, two 8-byte payloads, a string header;
+// TestKernelSizes pins it) and passed by value; rows are []Value.
 type Value struct {
 	// T is the runtime type tag.
 	T Type
@@ -151,8 +152,7 @@ func isNumeric(t Type) bool { return t == Int || t == Float }
 // Compare orders two values with SQL semantics and returns -1, 0 or +1.
 // NULLs are not comparable in expressions (use Equal/Less via the
 // evaluator, which handles three-valued logic); Compare is the total
-// order used by ORDER BY and by hash-join key normalization, where NULL
-// sorts first and equals itself.
+// order used by ORDER BY, where NULL sorts first and equals itself.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
@@ -214,10 +214,11 @@ func Equal(a, b Value) (eq, ok bool) {
 	return Compare(a, b) == 0, true
 }
 
-// Key returns a normalized representation usable as a Go map key for
-// grouping and hash joins. Int and Float values that represent the same
-// number map to the same key, mirroring SQL join semantics where
-// 1 = 1.0.
+// Key returns the comparable normalization RowKey routes on. Int and
+// Float values that represent the same number map to the same key
+// (1 = 1.0), so they land in the same partition; integers beyond 2^53
+// may share a key, which routing tolerates (equal keys still co-locate)
+// and which is why joins and grouping decide equality in KeyTable.
 func (v Value) Key() Key {
 	switch v.T {
 	case Null, Unknown:
@@ -234,8 +235,8 @@ func (v Value) Key() Key {
 	return Key{k: keyNull}
 }
 
-// Key is a comparable normalization of a Value, used as (part of) map
-// keys in hash aggregation and hash joins.
+// Key is a comparable normalization of a Value: one component of the
+// CompositeKey routing key.
 type Key struct {
 	k keyKind
 	i int64
