@@ -11,6 +11,7 @@ package dbspinner_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dbspinner"
@@ -225,13 +226,18 @@ func BenchmarkRecursive(b *testing.B) {
 }
 
 // TestAllocBudgetPageRank gates what one 10-iteration PageRank over a
-// fixed 300-node graph allocates, at about 1.5× today's count (8.3k; the
-// Go-map kernels made 109k). The loop
-// body is two hash joins and a hash aggregate per iteration, so a
-// per-row allocation creeping back into a kernel multiplies into tens of
-// thousands here and fails go test, not a benchmark run.
+// fixed 300-node graph allocates, in objects and in bytes, at about 1.5×
+// today's counts (6.7k objects, the Go-map kernels made 109k; 4.5 MB).
+// The loop body is two hash joins and a hash aggregate per iteration, so
+// a per-row or per-group allocation creeping back into a kernel
+// multiplies into thousands of objects, and a join that materializes
+// the rows its aggregate folds and drops into megabytes (10.3 MB before
+// rows were borrowed); either fails go test, not a benchmark run.
 func TestAllocBudgetPageRank(t *testing.T) {
-	const budget = 12500
+	const (
+		budget      = 10000
+		bytesBudget = 6_800_000
+	)
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
 	g, err := benchGraph(cfg)
 	if err != nil {
@@ -242,13 +248,29 @@ func TestAllocBudgetPageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := bench.PRQuery(cfg.Iterations)
-	got := testing.AllocsPerRun(3, func() {
+	query := func() {
 		if _, err := e.Query(sql); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	got := testing.AllocsPerRun(3, query)
 	if got > budget {
 		t.Errorf("PageRank on %d nodes: %.0f allocations per query, budget %d", cfg.Nodes, got, budget)
 	}
 	t.Logf("PageRank on %d nodes: %.0f allocations per query (budget %d)", cfg.Nodes, got, budget)
+
+	// The same for bytes, which testing has no AllocsPerRun for.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	gotBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if gotBytes > bytesBudget {
+		t.Errorf("PageRank on %d nodes: %d bytes per query, budget %d", cfg.Nodes, gotBytes, bytesBudget)
+	}
+	t.Logf("PageRank on %d nodes: %d bytes per query (budget %d)", cfg.Nodes, gotBytes, bytesBudget)
 }

@@ -271,10 +271,22 @@ func (m *MaintainAggStep) maintain(ctx *Context, cteTable, acc, snap *storage.Ta
 			return nil, 0, false, nil // restricted plan escaped its frontier
 		}
 	}
-	cached := newRowIndex(m.Key, acc.Len())
+	// The cache is consulted (splice and cross-check alike) only for
+	// keys outside the affected set, so only those rows are indexed; an
+	// affected key's cached row is merely checked for being the only one.
+	cached := newRowIndex(m.Key, max(acc.Len()-affected.Len(), 0))
+	seenAffected := make([]bool, affected.Len())
 	for _, part := range acc.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) || !cached.put(r) {
+			if m.Key >= len(r) {
+				return nil, 0, false, nil
+			}
+			if id := affected.Find(r[m.Key : m.Key+1]); id >= 0 {
+				if seenAffected[id] {
+					return nil, 0, false, nil
+				}
+				seenAffected[id] = true
+			} else if !cached.put(r) {
 				return nil, 0, false, nil
 			}
 		}

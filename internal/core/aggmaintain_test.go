@@ -147,6 +147,31 @@ func TestMaintainStepDirect(t *testing.T) {
 	}
 }
 
+// TestMaintainFallsBackOnDuplicateCachedKeys: a cached output with two
+// rows for one key cannot be spliced from, whether the key is affected
+// this iteration (its cached rows are not indexed) or served from the
+// cache — the step must run the full plan either way.
+func TestMaintainFallsBackOnDuplicateCachedKeys(t *testing.T) {
+	for _, dupKey := range []int64{1, 2} { // 1 changes below, 2 does not
+		rt := newRT(t)
+		ctx := &Context{RT: rt, Stats: &Stats{}}
+		step := maintainFixture()
+		rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))
+		if _, err := step.Run(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 20, 3, 30, dupKey, 77))
+		rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
+		before := ctx.Stats.AggInputRows
+		if _, err := step.Run(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.Stats.AggInputRows - before; got != 3 {
+			t.Errorf("duplicate cached key %d: fed %d rows, want 3 (full-plan fallback)", dupKey, got)
+		}
+	}
+}
+
 // TestMaintainCrossCheckCatchesPoisonedAccumulator proves the dynamic
 // cross-check (Config.CheckIncrementalAgg) is a real oracle: corrupt
 // one cached group between iterations and the next maintained fold

@@ -43,14 +43,17 @@ type Stats struct {
 }
 
 // Operator is a volcano-style iterator. Next returns nil at end of
-// stream.
+// stream. Unless the operator was built for a consumer that keeps rows
+// (every exported entry point builds such a tree), a returned row is
+// valid only until the next Next or Close: see rows.go.
 type Operator interface {
 	Open() error
 	Next() (sqltypes.Row, error)
 	Close() error
 }
 
-// Drain runs an operator to completion and returns all rows.
+// Drain runs an operator to completion and returns all rows. It keeps
+// them, so op must not have been built to lend its rows.
 func Drain(op Operator) ([]sqltypes.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -69,21 +72,24 @@ func Drain(op Operator) ([]sqltypes.Row, error) {
 	}
 }
 
-// Build compiles a logical plan into an operator tree.
+// Build compiles a logical plan into an operator tree whose rows the
+// caller may keep (see rows.go for the ownership contract).
 func Build(n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, nil)
+	return buildWith(n, rt, stats, nil, false)
 }
 
 // BuildContext compiles a plan whose scan and join inner loops poll
 // ctx at a coarse row stride, so a canceled or timed-out query stops
 // mid-scan instead of finishing the operator it is inside.
 func BuildContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, NewCancelChecker(ctx))
+	return buildWith(n, rt, stats, NewCancelChecker(ctx), false)
 }
 
 // buildWith is the recursive compiler; cc (possibly nil) is shared by
-// every operator of the tree — execution is single-threaded.
-func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
+// every operator of the tree — execution is single-threaded. borrow
+// says that n's consumer is done with each row before it asks for the
+// next one, so n's operator may reuse one output row (rows.go).
+func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (Operator, error) {
 	if stats == nil {
 		stats = &Stats{}
 	}
@@ -95,9 +101,9 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 	case *plan.OneRow:
 		return &oneRowOp{}, nil
 	case *plan.Alias:
-		return buildWith(t.Input, rt, stats, cc)
+		return buildWith(t.Input, rt, stats, cc, borrow)
 	case *plan.Filter:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +113,7 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 		}
 		return &filterOp{input: in, cond: cond}, nil
 	case *plan.Project:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, true)
 		if err != nil {
 			return nil, err
 		}
@@ -120,41 +126,41 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 			}
 			items[i] = c
 		}
-		return &projectOp{input: in, items: items}, nil
+		return &projectOp{input: in, items: items, out: outRows{borrow: borrow}}, nil
 	case *plan.Join:
-		return buildJoin(t, rt, stats, cc)
+		return buildJoin(t, rt, stats, cc, borrow)
 	case *plan.Aggregate:
 		return buildAggregate(t, rt, stats, cc)
 	case *plan.Union:
-		l, err := buildWith(t.Left, rt, stats, cc)
+		l, err := buildWith(t.Left, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildWith(t.Right, rt, stats, cc)
+		r, err := buildWith(t.Right, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
 		return &unionOp{left: l, right: r}, nil
 	case *plan.Distinct:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctOp{input: in, width: len(t.Input.Columns())}, nil
 	case *plan.Sort:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, false)
 		if err != nil {
 			return nil, err
 		}
 		return &sortOp{input: in, keys: t.Keys}, nil
 	case *plan.Limit:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
 		return &limitOp{input: in, n: t.N, offset: t.Offset}, nil
 	case *plan.TopN:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, false)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +168,7 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 	case *plan.EmptyNode:
 		return emptyOp{}, nil
 	case *plan.Trim:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +205,7 @@ func Run(n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
 // coarse row stride; a fired context surfaces as ctx.Err(). A nil ctx
 // keeps the zero-cost uncancellable path.
 func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
-	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx))
+	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx), false)
 	if err != nil {
 		return nil, err
 	}
@@ -363,11 +369,11 @@ func (f *filterOp) Close() error { return f.input.Close() }
 type projectOp struct {
 	input Operator
 	items []*expr.Compiled
-	slab  sqltypes.RowSlab
+	out   outRows
 }
 
 func (p *projectOp) Open() error {
-	p.slab = sqltypes.RowSlab{}
+	p.out.reset()
 	return p.input.Open()
 }
 func (p *projectOp) Next() (sqltypes.Row, error) {
@@ -375,7 +381,7 @@ func (p *projectOp) Next() (sqltypes.Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	out := p.slab.Alloc(len(p.items))
+	out := p.out.next(len(p.items))
 	for i, it := range p.items {
 		v, err := it.Eval(r)
 		if err != nil {
@@ -398,7 +404,7 @@ func (t *trimOp) Next() (sqltypes.Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	return r[:t.keep], nil
+	return r[:t.keep:t.keep], nil
 }
 func (t *trimOp) Close() error { return t.input.Close() }
 
@@ -550,23 +556,29 @@ func (l *limitOp) Close() error { return l.input.Close() }
 
 type aggOp struct {
 	node  *plan.Aggregate
-	rt    Runtime
 	stats *Stats
 
 	input   Operator
 	groupEx []*expr.Compiled
-	argEx   []*expr.Compiled // nil entries for COUNT(*)
+	argEx   []*expr.Compiled         // nil entries for COUNT(*)
+	newAgg  []func() expr.Aggregator // per aggregate: its accumulator constructor
 	out     []sqltypes.Row
 	pos     int
 }
 
 func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
-	in, err := buildWith(t.Input, rt, stats, cc)
+	in, err := buildWith(t.Input, rt, stats, cc, true)
 	if err != nil {
 		return nil, err
 	}
+	return newAggOp(t, in, stats)
+}
+
+// newAggOp compiles an aggregate node's expressions over input's rows
+// and resolves each aggregate function once.
+func newAggOp(t *plan.Aggregate, input Operator, stats *Stats) (*aggOp, error) {
 	e := planEnv(t.Input)
-	op := &aggOp{node: t, rt: rt, stats: stats, input: in}
+	op := &aggOp{node: t, stats: stats, input: input}
 	for _, g := range t.GroupBy {
 		c, err := expr.Compile(g, e)
 		if err != nil {
@@ -575,6 +587,11 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 		op.groupEx = append(op.groupEx, c)
 	}
 	for _, a := range t.Aggs {
+		mk, err := expr.NewAggregators(a.Name, a.Star, a.Distinct)
+		if err != nil {
+			return nil, err
+		}
+		op.newAgg = append(op.newAgg, mk)
 		if a.Star {
 			op.argEx = append(op.argEx, nil)
 			continue
@@ -600,15 +617,10 @@ func (a *aggOp) Open() error {
 	nAggs := len(a.node.Aggs)
 	groups := sqltypes.NewKeyTable(len(a.groupEx), 0)
 	var aggs []expr.Aggregator
-	newGroup := func() error {
-		for _, spec := range a.node.Aggs {
-			ag, err := expr.NewAggregator(spec.Name, spec.Star, spec.Distinct)
-			if err != nil {
-				return err
-			}
-			aggs = append(aggs, ag)
+	newGroup := func() {
+		for _, mk := range a.newAgg {
+			aggs = append(aggs, mk())
 		}
-		return nil
 	}
 
 	groupVals := make([]sqltypes.Value, len(a.groupEx))
@@ -630,9 +642,7 @@ func (a *aggOp) Open() error {
 		}
 		id, added := groups.Insert(groupVals)
 		if added {
-			if err := newGroup(); err != nil {
-				return err
-			}
+			newGroup()
 		}
 		for i, spec := range a.node.Aggs {
 			var v sqltypes.Value
@@ -653,9 +663,7 @@ func (a *aggOp) Open() error {
 	// Scalar aggregate over an empty input still yields one row.
 	if len(a.groupEx) == 0 && groups.Len() == 0 {
 		groups.Insert(nil)
-		if err := newGroup(); err != nil {
-			return err
-		}
+		newGroup()
 	}
 
 	a.out = sqltypes.MakeRows(groups.Len(), len(a.groupEx)+nAggs)

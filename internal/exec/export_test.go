@@ -1,0 +1,176 @@
+package exec
+
+import (
+	"fmt"
+	"strings"
+
+	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
+)
+
+// Test-only machinery for the row-ownership contract (rows.go): a built
+// operator tree is rewired in place — no build-time switch exists — into
+// an all-retaining tree, or into one where every borrowed row is
+// destroyed the moment the contract lets it go.
+
+// scribbled is what a scribbleOp leaves in a row it has let go: a value
+// no test table holds, so a consumer that kept the row shows it.
+var scribbled = sqltypes.NewString("<scribbled>")
+
+// scribbleOp sits on top of a borrowing producer and overwrites the row
+// it returned last before pulling the next one, and at Close: the
+// latest moment the contract allows, made certain instead of
+// data-dependent.
+type scribbleOp struct {
+	input Operator
+	last  sqltypes.Row
+}
+
+func (s *scribbleOp) scribble() {
+	for i := range s.last {
+		s.last[i] = scribbled
+	}
+	s.last = nil
+}
+
+func (s *scribbleOp) Open() error { return s.input.Open() }
+
+func (s *scribbleOp) Next() (sqltypes.Row, error) {
+	s.scribble()
+	r, err := s.input.Next()
+	s.last = r
+	return r, err
+}
+
+func (s *scribbleOp) Close() error {
+	s.scribble()
+	return s.input.Close()
+}
+
+// inputsOf returns the addresses of op's input links. It knows every
+// operator type; a new one must be added here before its plans can be
+// ownership-tested.
+func inputsOf(op Operator) []*Operator {
+	switch t := op.(type) {
+	case *scanOp, *oneRowOp, *rowsOp, emptyOp:
+		return nil
+	case *filterOp:
+		return []*Operator{&t.input}
+	case *projectOp:
+		return []*Operator{&t.input}
+	case *trimOp:
+		return []*Operator{&t.input}
+	case *unionOp:
+		return []*Operator{&t.left, &t.right}
+	case *distinctOp:
+		return []*Operator{&t.input}
+	case *sortOp:
+		return []*Operator{&t.input}
+	case *limitOp:
+		return []*Operator{&t.input}
+	case *topNOp:
+		return []*Operator{&t.input}
+	case *aggOp:
+		return []*Operator{&t.input}
+	case *hashJoinOp:
+		return []*Operator{&t.left, &t.right}
+	case *nestedLoopOp:
+		return []*Operator{&t.left, &t.right}
+	}
+	panic(fmt.Sprintf("inputsOf: unknown operator %T", op))
+}
+
+// outRowsOf returns the output-row source of a row-building operator,
+// nil for the others.
+func outRowsOf(op Operator) *outRows {
+	switch t := op.(type) {
+	case *projectOp:
+		return &t.out
+	case *hashJoinOp:
+		return &t.out
+	case *nestedLoopOp:
+		return &t.out
+	}
+	return nil
+}
+
+// rewire replaces every operator of the tree, bottom-up, by f(op).
+func rewire(op Operator, f func(Operator) Operator) Operator {
+	for _, in := range inputsOf(op) {
+		*in = rewire(*in, f)
+	}
+	return f(op)
+}
+
+// lend makes the row-building operators that feed op's consumer borrow:
+// op itself, or what it forwards. It is how a mutant breaks a keeper.
+func lend(op Operator) {
+	switch op.(type) {
+	case *filterOp, *trimOp, *unionOp, *distinctOp, *limitOp:
+		for _, in := range inputsOf(op) {
+			lend(*in)
+		}
+	}
+	if o := outRowsOf(op); o != nil {
+		o.borrow = true
+	}
+}
+
+// OwnershipMode selects how RunOwnership rewires the tree it built.
+type OwnershipMode int
+
+const (
+	// Retaining: no operator borrows — the reference answer.
+	Retaining OwnershipMode = iota
+	// Scribbling: the tree as built, a scribbleOp on every borrowing
+	// producer.
+	Scribbling
+	// MutantSort and MutantBuildSide: as Scribbling, after declaring the
+	// input of every sort, or of every hash-join build side, borrowable
+	// — which they are not. The results must be wrong.
+	MutantSort
+	MutantBuildSide
+)
+
+// RunOwnership builds n as RunContext would, rewires it per mode and
+// drains it. It also returns how many scribbleOps it inserted.
+func RunOwnership(n plan.Node, rt Runtime, mode OwnershipMode) (rows []sqltypes.Row, scribblers int, err error) {
+	op, err := buildWith(n, rt, nil, nil, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	op = rewire(op, func(op Operator) Operator {
+		switch t := op.(type) {
+		case *sortOp:
+			if mode == MutantSort {
+				lend(t.input)
+			}
+		case *hashJoinOp:
+			if mode == MutantBuildSide {
+				if t.buildIsLeft() {
+					lend(t.left)
+				} else {
+					lend(t.right)
+				}
+			}
+		}
+		return op
+	})
+	op = rewire(op, func(op Operator) Operator {
+		o := outRowsOf(op)
+		switch {
+		case o == nil:
+		case mode == Retaining:
+			o.borrow = false
+		case o.borrow:
+			scribblers++
+			return &scribbleOp{input: op}
+		}
+		return op
+	})
+	rows, err = Drain(op)
+	return rows, scribblers, err
+}
+
+// RowsText renders rows one per line, in order, for comparing two runs.
+func RowsText(rows []sqltypes.Row) string { return strings.Join(rowStrings(rows), "\n") }

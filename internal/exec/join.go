@@ -13,15 +13,20 @@ import (
 // become hash keys; remaining conjuncts are evaluated as a residual
 // predicate on each candidate pair. Joins without any equi-key fall
 // back to a nested loop.
-func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
-	left, err := buildWith(t.Left, rt, stats, cc)
+func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (Operator, error) {
+	// The side a join streams is read one row at a time; the other side
+	// is drained and kept: the right input, except that a right-outer
+	// hash join builds on its left.
+	keepLeft := t.Type == ast.RightJoin
+	left, err := buildWith(t.Left, rt, stats, cc, !keepLeft)
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildWith(t.Right, rt, stats, cc)
+	right, err := buildWith(t.Right, rt, stats, cc, keepLeft)
 	if err != nil {
 		return nil, err
 	}
+	out := outRows{borrow: borrow}
 	lw, rw := len(t.Left.Columns()), len(t.Right.Columns())
 
 	leftKeys, rightKeys, residual, err := JoinKeys(t)
@@ -31,11 +36,11 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker) (Opera
 
 	switch t.Type {
 	case ast.CrossJoin:
-		return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc}, nil
+		return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc, out: out}, nil
 	case ast.InnerJoin, ast.LeftJoin, ast.RightJoin, ast.FullJoin:
 		if len(leftKeys) == 0 {
 			if t.Type == ast.InnerJoin {
-				return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc}, nil
+				return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc, out: out}, nil
 			}
 			return nil, fmt.Errorf("outer join requires at least one equality condition between the two sides")
 		}
@@ -43,7 +48,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker) (Opera
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			stats: stats, cancel: cc,
+			stats: stats, cancel: cc, out: out,
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -173,7 +178,7 @@ type hashJoinOp struct {
 	emittedForProbe  bool
 	leftoverIdx      int
 	drainingLeftover bool
-	slab             sqltypes.RowSlab
+	out              outRows
 }
 
 // buildIsLeft reports whether the left input is the build side.
@@ -205,22 +210,26 @@ func (h *hashJoinOp) Open() error {
 	h.match = -1
 	h.leftoverIdx = 0
 	h.drainingLeftover = false
-	h.slab = sqltypes.RowSlab{}
+	h.out.reset()
 	return h.probe.Open()
 }
 
 // joined builds the output row of a probe/build pair in left-then-right
-// column order; a nil side is NULL-extended (slab rows start NULL).
+// column order; a nil side is NULL-extended.
 func (h *hashJoinOp) joined(probe, build sqltypes.Row) sqltypes.Row {
 	left, right := probe, build
 	if h.buildIsLeft() {
 		left, right = build, probe
 	}
-	out := h.slab.Alloc(h.leftWidth + h.rightWidth)
-	copy(out, left)
-	copy(out[h.leftWidth:], right)
+	out := h.out.next(h.leftWidth + h.rightWidth)
+	fillSide(out[:h.leftWidth], left)
+	fillSide(out[h.leftWidth:], right)
 	return out
 }
+
+// fillSide writes one input's columns of a join output row: src's
+// values, then NULLs — all NULLs for the missing side of an outer join.
+func fillSide(dst, src sqltypes.Row) { clear(dst[copy(dst, src):]) }
 
 // outerProbe reports whether unmatched probe rows are emitted
 // null-extended.
@@ -258,7 +267,7 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
-					h.slab.Recycle(out)
+					h.out.discard(out)
 					continue
 				}
 			}
@@ -316,7 +325,7 @@ type nestedLoopOp struct {
 	rightRows []sqltypes.Row
 	leftRow   sqltypes.Row
 	rightIdx  int
-	slab      sqltypes.RowSlab
+	out       outRows
 }
 
 func (n *nestedLoopOp) Open() error {
@@ -327,7 +336,7 @@ func (n *nestedLoopOp) Open() error {
 	n.rightRows = rows
 	n.leftRow = nil
 	n.rightIdx = 0
-	n.slab = sqltypes.RowSlab{}
+	n.out.reset()
 	return n.left.Open()
 }
 
@@ -347,7 +356,7 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 			}
 			rr := n.rightRows[n.rightIdx]
 			n.rightIdx++
-			out := n.slab.Alloc(len(n.leftRow) + len(rr))
+			out := n.out.next(len(n.leftRow) + len(rr))
 			copy(out, n.leftRow)
 			copy(out[len(n.leftRow):], rr)
 			if n.residual != nil {
@@ -356,7 +365,7 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
-					n.slab.Recycle(out)
+					n.out.discard(out)
 					continue
 				}
 			}

@@ -106,25 +106,9 @@ func AggregatePartition(node *plan.Aggregate, rows []sqltypes.Row, emptyScalar b
 	if stats == nil {
 		stats = &Stats{}
 	}
-	op := &aggOp{node: node, stats: stats, input: RowsOperator(rows)}
-	e := planEnv(node.Input)
-	for _, g := range node.GroupBy {
-		c, err := expr.Compile(g, e)
-		if err != nil {
-			return nil, err
-		}
-		op.groupEx = append(op.groupEx, c)
-	}
-	for _, a := range node.Aggs {
-		if a.Star {
-			op.argEx = append(op.argEx, nil)
-			continue
-		}
-		c, err := expr.Compile(a.Arg, e)
-		if err != nil {
-			return nil, err
-		}
-		op.argEx = append(op.argEx, c)
+	op, err := newAggOp(node, RowsOperator(rows), stats)
+	if err != nil {
+		return nil, err
 	}
 	out, err := Drain(op)
 	if err != nil {

@@ -16,29 +16,60 @@ type Aggregator interface {
 	Result() sqltypes.Value
 }
 
-// NewAggregator constructs an accumulator for the named aggregate.
-// star marks COUNT(*); distinct wraps the accumulator with
-// duplicate elimination.
-func NewAggregator(name string, star, distinct bool) (Aggregator, error) {
-	var a Aggregator
+// NewAggregators resolves the named aggregate once and returns the
+// constructor of its accumulators, one call per group. star marks
+// COUNT(*); distinct wraps each accumulator with duplicate elimination.
+func NewAggregators(name string, star, distinct bool) (func() Aggregator, error) {
+	var mk func() Aggregator
 	switch strings.ToUpper(name) {
 	case "COUNT":
-		a = &countAgg{star: star}
+		mk = carved(countAgg{star: star})
 	case "SUM":
-		a = &sumAgg{}
+		mk = carved(sumAgg{})
 	case "MIN":
-		a = &extremumAgg{dir: -1}
+		mk = carved(extremumAgg{dir: -1})
 	case "MAX":
-		a = &extremumAgg{dir: 1}
+		mk = carved(extremumAgg{dir: 1})
 	case "AVG":
-		a = &avgAgg{}
+		mk = carved(avgAgg{})
 	default:
 		return nil, fmt.Errorf("unknown aggregate %s", name)
 	}
 	if distinct {
-		a = &distinctAgg{inner: a, seen: sqltypes.NewKeyTable(1, 0)}
+		inner := mk
+		mk = func() Aggregator {
+			return &distinctAgg{inner: inner(), seen: sqltypes.NewKeyTable(1, 0)}
+		}
 	}
-	return a, nil
+	return mk, nil
+}
+
+// Accumulator chunks grow like row slabs: a few groups pay for a small
+// chunk, many groups for one allocation per maxAccChunk of them.
+const (
+	minAccChunk = 4
+	maxAccChunk = 256
+)
+
+// carved returns a constructor of accumulators that start as init,
+// carved from chunks of the concrete type instead of one heap object
+// per group. A chunk lives as long as any accumulator carved from it.
+func carved[T any, P interface {
+	*T
+	Aggregator
+}](init T) func() Aggregator {
+	var chunk []T
+	size := minAccChunk
+	return func() Aggregator {
+		if len(chunk) == 0 {
+			chunk = make([]T, size)
+			size = min(2*size, maxAccChunk)
+		}
+		a := &chunk[0]
+		chunk = chunk[1:]
+		*a = init
+		return P(a)
+	}
 }
 
 // IsAggregate reports whether name is a supported aggregate function.

@@ -18,11 +18,11 @@ func feed(t *testing.T, a Aggregator, vals ...sqltypes.Value) sqltypes.Value {
 
 func mustAgg(t *testing.T, name string, star, distinct bool) Aggregator {
 	t.Helper()
-	a, err := NewAggregator(name, star, distinct)
+	mk, err := NewAggregators(name, star, distinct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return mk()
 }
 
 func TestCount(t *testing.T) {
@@ -124,8 +124,36 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestNewAggregatorErrors(t *testing.T) {
-	if _, err := NewAggregator("MEDIAN", false, false); err == nil {
+// TestAccumulatorsAreIndependent: accumulators of one constructor are
+// carved from shared chunks; each must start fresh and keep its own
+// state, across chunk boundaries too.
+func TestAccumulatorsAreIndependent(t *testing.T) {
+	for _, distinct := range []bool{false, true} {
+		mk, err := NewAggregators("SUM", false, distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 3*maxAccChunk + 5
+		accs := make([]Aggregator, n)
+		for i := range accs {
+			accs[i] = mk()
+			feed(t, accs[i], sqltypes.NewInt(int64(i)))
+		}
+		for i, a := range accs {
+			if got := feed(t, a, sqltypes.NewInt(n)); got != sqltypes.NewInt(int64(i)+n) {
+				t.Fatalf("distinct=%v: accumulator %d holds %v, want %d", distinct, i, got, i+n)
+			}
+		}
+	}
+	mk, _ := NewAggregators("MAX", false, false)
+	feed(t, mk(), sqltypes.NewInt(7))
+	if got := mk().Result(); !got.IsNull() {
+		t.Errorf("a new MAX accumulator starts at %v, want NULL", got)
+	}
+}
+
+func TestNewAggregatorsErrors(t *testing.T) {
+	if _, err := NewAggregators("MEDIAN", false, false); err == nil {
 		t.Error("unknown aggregate should fail")
 	}
 	if !IsAggregate("sum") || !IsAggregate("Count") || IsAggregate("LEAST") {

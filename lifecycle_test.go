@@ -280,17 +280,23 @@ func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 		t.Run(q.name, func(t *testing.T) {
 			cfg := dbspinner.Config{CheckIncrementalAgg: true}
 			e := lifecycleEngine(t, 1, cfg)
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				cancel()
-			}()
-			_, err := e.QueryContext(ctx, q.unbounded)
-			if !errors.Is(err, dbspinner.ErrQueryCanceled) {
-				t.Fatalf("err = %v, want ErrQueryCanceled", err)
-			}
 			// The canceled run must have exercised maintenance, or the
-			// leak check below is vacuous.
+			// leak check below is vacuous: under the race detector the
+			// first maintained iteration can outlast a short delay, so
+			// cancel later until one has finished.
+			for _, delay := range []time.Duration{20 * time.Millisecond, 200 * time.Millisecond, 2 * time.Second} {
+				ctx, cancel := context.WithCancel(context.Background())
+				timer := time.AfterFunc(delay, cancel)
+				_, err := e.QueryContext(ctx, q.unbounded)
+				timer.Stop()
+				cancel()
+				if !errors.Is(err, dbspinner.ErrQueryCanceled) {
+					t.Fatalf("err = %v, want ErrQueryCanceled", err)
+				}
+				if e.Stats().AggFullRows > 0 {
+					break
+				}
+			}
 			if e.Stats().AggFullRows == 0 {
 				t.Fatal("canceled run never engaged aggregate maintenance")
 			}
