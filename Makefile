@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race vet lint fuzz-seed bench-check bench-pair check bench-smoke clean
+.PHONY: all build test race vet lint fuzz-seed bench-check bench-pair profile check bench-smoke clean
 
 all: build
 
@@ -80,6 +80,23 @@ bench-pair:
 		gap = $$2 - $$5; iqr = $$3 - $$1; \
 		printf "change wins %d of %d; median gap %.2f ms (%.1f%%) against a base IQR of %.2f ms: %s\n", $$7, n, gap, 100 * gap / $$2, iqr, \
 			(10 * $$7 >= 9 * n && gap > iqr) ? "GAIN" : "NO GAIN SHOWN" }'
+
+# profile runs one root benchmark (bench_test.go) at a fixed iteration
+# count with CPU and allocation profiles, and prints both by cumulative
+# cost: where the time goes and where the bytes come from. The test
+# binary and the profiles land in .bench_build/profile/ (git-ignored);
+# look closer with `go tool pprof -list <func> .bench_build/profile/dbspinner.test
+# .bench_build/profile/cpu.pb.gz`.
+#   make profile [BENCH=Fig8/PR/rename] [TIME=60x]
+BENCH ?= Fig8/PR/rename
+TIME ?= 60x
+profile:
+	@mkdir -p .bench_build/profile
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(TIME) -benchmem \
+		-o .bench_build/profile/dbspinner.test -outputdir .bench_build/profile \
+		-cpuprofile cpu.pb.gz -memprofile mem.pb.gz -memprofilerate 4096 .
+	$(GO) tool pprof -top -cum -nodecount 40 .bench_build/profile/dbspinner.test .bench_build/profile/cpu.pb.gz
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 40 .bench_build/profile/dbspinner.test .bench_build/profile/mem.pb.gz
 
 # The full gate CI runs: standard vet, spinlint, build, tests, the fuzz
 # seed corpus, the benchmark module's own check, and the race-enabled

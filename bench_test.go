@@ -226,18 +226,19 @@ func BenchmarkRecursive(b *testing.B) {
 }
 
 // TestAllocBudgetPageRank gates what one 10-iteration PageRank over a
-// fixed 300-node graph allocates, in objects and in bytes, at about 1.5×
-// today's counts (6.7k objects, the Go-map kernels made 109k; 4.5 MB).
-// The loop body is two hash joins and a hash aggregate per iteration, so
-// a per-row or per-group allocation creeping back into a kernel
-// multiplies into thousands of objects, and a join that materializes
-// the rows its aggregate folds and drops into megabytes (10.3 MB before
-// rows were borrowed); either fails go test, not a benchmark run.
+// fixed 300-node graph allocates: objects at about 1.5× today's count
+// (6.1k; the Go-map kernels made 109k), bytes at 1.25× (3.15 MB), and the
+// bytes of the same PageRank with the vertexStatus join (PR-VS) at 1.09×
+// (1.375 MB). The loop body is two hash joins and a hash aggregate per
+// iteration, so a per-row or per-group allocation creeping back into a
+// kernel multiplies into thousands of objects, and a join that
+// materializes the rows its aggregate folds into megabytes (10.3 MB
+// before rows were borrowed). The byte budgets sit below what indexing
+// edges, or PR-VS's Common#1, once per iteration instead of once per
+// query allocates (4.54 MB and 1.605 MB before the run-scoped index memo,
+// exec.IndexCache); the counts repeat to within 100 bytes (1.3% more
+// under -race). Any of these fails go test, not a benchmark run.
 func TestAllocBudgetPageRank(t *testing.T) {
-	const (
-		budget      = 10000
-		bytesBudget = 6_800_000
-	)
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
 	g, err := benchGraph(cfg)
 	if err != nil {
@@ -247,30 +248,43 @@ func TestAllocBudgetPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql := bench.PRQuery(cfg.Iterations)
-	query := func() {
-		if _, err := e.Query(sql); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name, sql   string
+		budget      float64 // objects; 0: not gated
+		bytesBudget uint64
+	}{
+		{"PageRank", bench.PRQuery(cfg.Iterations), 9200, 3_950_000},
+		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 1_500_000},
+	} {
+		query := func() {
+			if _, err := e.Query(c.sql); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	got := testing.AllocsPerRun(3, query)
-	if got > budget {
-		t.Errorf("PageRank on %d nodes: %.0f allocations per query, budget %d", cfg.Nodes, got, budget)
-	}
-	t.Logf("PageRank on %d nodes: %.0f allocations per query (budget %d)", cfg.Nodes, got, budget)
+		if c.budget > 0 {
+			got := testing.AllocsPerRun(3, query)
+			if got > c.budget {
+				t.Errorf("%s on %d nodes: %.0f allocations per query, budget %.0f", c.name, cfg.Nodes, got, c.budget)
+			}
+			t.Logf("%s on %d nodes: %.0f allocations per query (budget %.0f)", c.name, cfg.Nodes, got, c.budget)
+		}
 
-	// The same for bytes, which testing has no AllocsPerRun for.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		query()
+		// The same for bytes, which testing has no AllocsPerRun for.
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			const runs = 3
+			query() // warm-up, as AllocsPerRun does
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				query()
+			}
+			runtime.ReadMemStats(&after)
+			gotBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			if gotBytes > c.bytesBudget {
+				t.Errorf("%s on %d nodes: %d bytes per query, budget %d", c.name, cfg.Nodes, gotBytes, c.bytesBudget)
+			}
+			t.Logf("%s on %d nodes: %d bytes per query (budget %d)", c.name, cfg.Nodes, gotBytes, c.bytesBudget)
+		}()
 	}
-	runtime.ReadMemStats(&after)
-	gotBytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	if gotBytes > bytesBudget {
-		t.Errorf("PageRank on %d nodes: %d bytes per query, budget %d", cfg.Nodes, gotBytes, bytesBudget)
-	}
-	t.Logf("PageRank on %d nodes: %d bytes per query (budget %d)", cfg.Nodes, gotBytes, bytesBudget)
 }

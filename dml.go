@@ -375,9 +375,10 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 
 	var updated int64
 	var combinedRow sqltypes.Row // scratch: Eval copies out what it keeps
+	keyBuf := make([]sqltypes.Value, len(tKeys))
 	for _, part := range t.Parts {
 		for ri, r := range part {
-			fi, err := build.First(r, tKeys)
+			fi, err := build.First(r, tKeys, keyBuf)
 			if err != nil {
 				return 0, err
 			}

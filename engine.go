@@ -328,10 +328,14 @@ type Stats struct {
 	MaterializedCells int64
 	ResultCellsRead   int64
 
-	// Executor counters.
+	// Executor counters. RowsIndexed counts rows inserted into join hash
+	// indexes; an iterative query indexes a table its loop does not
+	// change once, not once per iteration, and RowsScanned does not count
+	// the build-side scans that therefore did not happen.
 	RowsScanned  int64
 	RowsJoined   int64
 	RowsGrouped  int64
+	RowsIndexed  int64
 	RowsShuffled int64 // rows moved by MPP exchanges (Parallel mode)
 
 	// Shuffle-elision accounting (internal/distprop): exchanges the
@@ -547,6 +551,7 @@ func (e *Engine) absorbExecStats(es *exec.Stats) {
 	e.stats.RowsScanned += es.RowsScanned
 	e.stats.RowsJoined += es.RowsJoined
 	e.stats.RowsGrouped += es.RowsGrouped
+	e.stats.RowsIndexed += es.RowsIndexed
 	e.stats.RowsAggInput += es.RowsAggInput
 	e.stats.ResultCellsRead += es.ResultCellsRead
 }

@@ -1,0 +1,330 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+
+	"dbspinner/internal/catalog"
+	"dbspinner/internal/effects"
+	"dbspinner/internal/exec"
+	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
+	"dbspinner/internal/workload"
+)
+
+const ssspVSQuery = `WITH ITERATIVE sssp (Node, Distance, Delta)
+AS (SELECT src, 9999999, CASE WHEN src = 150 THEN 0 ELSE 9999999 END
+ FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
+ ITERATE
+  SELECT sssp.node,
+    LEAST(sssp.distance, sssp.delta),
+    COALESCE(MIN(IncomingDistance.delta + IncomingEdges.weight), 9999999)
+  FROM sssp
+   LEFT JOIN edges AS IncomingEdges ON sssp.node = IncomingEdges.dst
+   LEFT JOIN sssp AS IncomingDistance ON IncomingDistance.node = IncomingEdges.src
+   JOIN vertexStatus AS avail ON avail.node = IncomingEdges.dst
+  WHERE IncomingDistance.Delta != 9999999 AND avail.status != 0
+  GROUP BY sssp.node, LEAST(sssp.distance, sssp.delta)
+ UNTIL 5 ITERATIONS)
+SELECT Node, Distance FROM sssp ORDER BY Node`
+
+var untilIterations = regexp.MustCompile(`UNTIL \d+ ITERATIONS`)
+
+// iterating returns the workload query q running n iterations.
+func iterating(q string, n int) string {
+	return untilIterations.ReplaceAllString(q, fmt.Sprintf("UNTIL %d ITERATIONS", n))
+}
+
+// graphRT is a runtime over a generated 150-node graph (edges point from
+// new nodes to old ones, so paths start at node 150) with a fifth of the
+// vertices unavailable.
+func graphRT(t *testing.T, parts int) *exec.StoreRuntime {
+	t.Helper()
+	g := workload.PreferentialAttachment(150, 3, workload.WeightOutDegree, 5)
+	cat := catalog.New(parts)
+	edges, err := cat.Create("edges", sqltypes.Schema{
+		{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}, {Name: "weight", Type: sqltypes.Float},
+	}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges.InsertBatch(workload.EdgeRows(g))
+	vs, err := cat.Create("vertexStatus", sqltypes.Schema{
+		{Name: "node", Type: sqltypes.Int}, {Name: "status", Type: sqltypes.Int},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs.InsertBatch(workload.VertexStatus(g, 0.8, 99))
+	return exec.NewStoreRuntime(cat, storage.NewResultStore())
+}
+
+// countRows runs a SELECT COUNT(*) over the base tables.
+func countRows(t *testing.T, rt *exec.StoreRuntime, sql string) int64 {
+	t.Helper()
+	node, err := plan.NewBuilder(rt).Build(mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Run(node, rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[0][0].Int()
+}
+
+// TestIndexBuiltOncePerQuery: with the run's index memo, a 10-iteration
+// query inserts into join hash indexes the rows of each build table its
+// loop does not change once, plus the rows of each build side it does
+// change once per iteration — exactly; and it returns, byte for byte and
+// in order, the rows of a run without a memo, which indexes everything
+// once per iteration and differs in no other counter except the build
+// scans that did not happen.
+func TestIndexBuiltOncePerQuery(t *testing.T) {
+	const n = 10
+	for _, cfg := range []struct {
+		name     string
+		parts    int
+		parallel bool
+	}{
+		{"volcano-1", 1, false},
+		{"volcano-4", 4, false},
+		{"mpp-2", 2, true},
+	} {
+		rt := graphRT(t, cfg.parts)
+		edges := countRows(t, rt, "SELECT COUNT(*) FROM edges")
+		status := countRows(t, rt, "SELECT COUNT(*) FROM vertexStatus")
+		vertices := countRows(t, rt, "SELECT COUNT(*) FROM (SELECT src FROM edges UNION SELECT dst FROM edges)")
+		// Common#1: the edges into available vertices.
+		common := countRows(t, rt, "SELECT COUNT(*) FROM edges JOIN vertexStatus v ON v.node = edges.dst WHERE v.status != 0")
+
+		for _, q := range []struct {
+			name, sql string
+			// Rows indexed by a run with the memo and by one without, and
+			// the build-side scans the memo saves the volcano executor.
+			with, without, skipped int64
+		}{
+			// Build sides: edges on dst, PageRank on node. The MPP machine
+			// shuffles both (edges is stored by src), and a shuffle's
+			// output is a new relation every iteration.
+			{"PR", prQuery, edges + n*vertices, n * (edges + vertices), (n - 1) * edges},
+			// Build sides: vertexStatus (once, for Common#1), then
+			// Common#1 on dst and the CTE on node; both exchanges are
+			// elided under MPP, so both executors behave alike.
+			{"PR-VS", prVSQuery, status + common + n*vertices, status + n*(common+vertices), (n - 1) * common},
+			{"SSSP-VS", ssspVSQuery, status + common + n*vertices, status + n*(common+vertices), (n - 1) * common},
+		} {
+			t.Run(cfg.name+"/"+q.name, func(t *testing.T) {
+				if cfg.parallel && q.name == "PR" {
+					q.with, q.skipped = q.without, 0
+				}
+				if cfg.parallel {
+					q.skipped = 0 // an aligned MPP scan adopts the partitions and counts them either way
+				}
+				opts := DefaultOptions()
+				opts.Parts, opts.Parallel = cfg.parts, cfg.parallel
+				prog, err := Rewrite(mustParse(t, iterating(q.sql, n)), rt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var with, without Stats
+				got, err := prog.RunContext(context.Background(), rt, &with)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := prog.run(context.Background(), rt, &without) // rt carries no memo
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := strings.Join(rowStrs(got), "\n"), strings.Join(rowStrs(want), "\n"); g != w {
+					t.Errorf("rows differ from the run without a memo\n got:\n%s\nwant:\n%s", g, w)
+				}
+				if int64(len(got)) != vertices || with.Iterations != n {
+					t.Fatalf("%d rows after %d iterations, want %d after %d", len(got), with.Iterations, vertices, n)
+				}
+				if with.Exec.RowsIndexed != q.with {
+					t.Errorf("RowsIndexed = %d, want %d", with.Exec.RowsIndexed, q.with)
+				}
+				if without.Exec.RowsIndexed != q.without {
+					t.Errorf("without a memo RowsIndexed = %d, want %d", without.Exec.RowsIndexed, q.without)
+				}
+				if saved := without.Exec.RowsScanned - with.Exec.RowsScanned; saved != q.skipped {
+					t.Errorf("RowsScanned %d with the memo, %d without: %d saved, want %d", with.Exec.RowsScanned, without.Exec.RowsScanned, saved, q.skipped)
+				}
+				// The work that was not removed is the same work.
+				a, b := with, without
+				a.Exec.RowsIndexed, a.Exec.RowsScanned, a.Exec.ResultCellsRead = 0, 0, 0
+				b.Exec.RowsIndexed, b.Exec.RowsScanned, b.Exec.ResultCellsRead = 0, 0, 0
+				if a != b {
+					t.Errorf("other counters moved:\n   with %+v\nwithout %+v", a, b)
+				}
+			})
+		}
+	}
+}
+
+// indexProbe watches the index memo of the run that executes a program:
+// watchIndexes wraps every step, and after each one the probe notes the
+// memo (a run has exactly one) and the most entries it has held.
+type indexProbe struct {
+	cache *exec.IndexCache
+	peak  int
+	after func(ctx *Context) // optional, called after each step
+}
+
+type probedStep struct {
+	Step
+	probe *indexProbe
+}
+
+func (s probedStep) Run(ctx *Context, self int) (int, error) {
+	next, err := s.Step.Run(ctx, self)
+	p := s.probe
+	p.cache = ctx.RT.Indexes()
+	p.peak = max(p.peak, p.cache.Len())
+	if p.after != nil {
+		p.after(ctx)
+	}
+	return next, err
+}
+
+func watchIndexes(p *Program) *indexProbe {
+	probe := &indexProbe{}
+	for i, s := range p.Steps {
+		p.Steps[i] = probedStep{s, probe}
+	}
+	return probe
+}
+
+// TestIndexCacheStaysBounded: over 200 iterations of a loop that joins a
+// table it replaces every iteration, the memo never holds more than the
+// invariant index and those of the last two iterations' tables.
+func TestIndexCacheStaysBounded(t *testing.T) {
+	rt := newRT(t)
+	prog, err := Rewrite(mustParse(t, iterating(prQuery, 200)), rt, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := watchIndexes(prog)
+	var stats Stats
+	if _, err := prog.Run(rt, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Iterations != 200 {
+		t.Fatalf("%d iterations, want 200", stats.Iterations)
+	}
+	if probe.peak < 2 || probe.peak > 3 {
+		t.Errorf("the memo held up to %d indexes over 200 iterations, want 2 or 3 (edges, PageRank of this and the previous iteration)", probe.peak)
+	}
+	// 4 edges once, 3 vertices per iteration.
+	if want := int64(4 + 200*3); stats.Exec.RowsIndexed != want {
+		t.Errorf("RowsIndexed = %d, want %d", stats.Exec.RowsIndexed, want)
+	}
+}
+
+// TestIndexCacheGoneAfterStatement: however a statement ends, the memo
+// its run filled is empty afterwards (and, like the intermediate
+// results, nothing is left in the store).
+func TestIndexCacheGoneAfterStatement(t *testing.T) {
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name, sql string
+		ctx       context.Context
+		after     func(*Context)
+		wantErr   func(error) bool
+	}{
+		{"completed", prQuery, context.Background(), nil, func(err error) bool { return err == nil }},
+		{"failed", `WITH ITERATIVE c (k, v) AS (
+			SELECT 1, 0
+		 ITERATE SELECT c.k, edges.weight FROM c JOIN edges ON edges.src = c.k WHERE c.k = 1
+		 UNTIL 2 ITERATIONS)
+		 SELECT k FROM c`, context.Background(), nil,
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "duplicate") }},
+		{"canceled", iterating(prQuery, 50), cctx,
+			func(ctx *Context) {
+				if ctx.Stats.Iterations == 2 {
+					cancel()
+				}
+			},
+			func(err error) bool { return errors.Is(err, ErrQueryCanceled) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := newRT(t)
+			prog, err := Rewrite(mustParse(t, c.sql), rt, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := watchIndexes(prog)
+			probe.after = c.after
+			if _, err := prog.RunContext(c.ctx, rt, nil); !c.wantErr(err) {
+				t.Fatalf("unexpected outcome: %v", err)
+			}
+			if probe.peak == 0 {
+				t.Fatal("the run never put an index in its memo; the test shows nothing")
+			}
+			if n := probe.cache.Len(); n != 0 {
+				t.Errorf("the memo still holds %d indexes after the statement", n)
+			}
+			if n := rt.Results.Len(); n != 0 {
+				t.Errorf("%d intermediate results left", n)
+			}
+			if rt.Indexes() != nil {
+				t.Error("the caller's runtime acquired a memo")
+			}
+		})
+	}
+}
+
+// TestScheduledStepsShareOneIndex runs two independent materializations
+// that join the same base table on the same column as one scheduled
+// region: the guarded views share the run's memo, edges is indexed once,
+// and both steps probe that one index at the same time (this test is in
+// the -race pass).
+func TestScheduledStepsShareOneIndex(t *testing.T) {
+	rt := newRT(t)
+	seed := storage.NewTable("seed", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}}, 1)
+	for n := int64(1); n <= 3; n++ {
+		seed.Insert(sqltypes.Row{sqltypes.NewInt(n)})
+	}
+	rt.Results.Put("seed", seed)
+	defer rt.Results.Drop("seed")
+	join := func() plan.Node {
+		node, err := plan.NewBuilder(rt).Build(mustParse(t, "SELECT seed.src, edges.dst FROM seed JOIN edges ON edges.src = seed.src"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	sets := []effects.Set{
+		{Reads: []string{"seed"}, Writes: []string{"a"}},
+		{Reads: []string{"seed"}, Writes: []string{"b"}},
+	}
+	prog := &Program{
+		ParallelSteps: 2,
+		Parts:         1,
+		Steps: []Step{
+			&MaterializeStep{Into: "a", Plan: join(), Parts: 1, CheckKey: -1},
+			&MaterializeStep{Into: "b", Plan: join(), Parts: 1, CheckKey: -1},
+		},
+		Final:    namedResult("b", "src", "dst"),
+		Effects:  sets,
+		Schedule: effects.Build(sets, nil),
+	}
+	var stats Stats
+	rows, err := prog.Run(rt, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 || stats.Exec.RowsJoined != 8 {
+		t.Errorf("%d rows, %d joined; want 4 and 8", len(rows), stats.Exec.RowsJoined)
+	}
+	if stats.Exec.RowsIndexed != 4 {
+		t.Errorf("RowsIndexed = %d: two steps joining edges on src must build one index of its 4 rows", stats.Exec.RowsIndexed)
+	}
+}

@@ -133,7 +133,8 @@ func (s *UpdateLoopStep) Run(ctx *Context, self int) (int, error) {
 		// The iteration boundary: record wall clock since the previous
 		// boundary, the rows written this iteration, and the frontier
 		// the identification pass found (0 on the rename path).
-		ctx.Trace.noteIteration(s.Loop.iterations, ctx.Stats.UpdatedRows, s.Loop.lastUpdate)
+		now := traceCounts{ctx.Stats.UpdatedRows, ctx.Stats.Exec.RowsScanned, ctx.Stats.Exec.RowsIndexed}
+		ctx.Trace.noteIteration(s.Loop.iterations, now, s.Loop.lastUpdate)
 	}
 	return self + 1, nil
 }
@@ -161,6 +162,9 @@ func (s *LoopStep) Run(ctx *Context, self int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The back-edge: indexes the finished iteration did not ask for are
+	// of tables it replaced (exec.IndexCache).
+	ctx.RT.Indexes().Sweep()
 	if cont {
 		// Safety guard for Unknown termination verdicts: refuse to
 		// start an iteration past the cap. The check sits after

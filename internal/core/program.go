@@ -467,7 +467,18 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 // QueryLifecycleError wrapping ErrQueryCanceled or ErrQueryTimeout.
 // When p.QueryTimeout is set and goctx carries no deadline of its own,
 // the program arms its own deadline.
-func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) (rows []sqltypes.Row, err error) {
+func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
+	// The run's hash-index memo: every executor the run starts — steps,
+	// scheduled steps' guarded views, MPP machines, Qf — reaches it through
+	// this view of the runtime, and it is emptied on every exit path.
+	indexes := exec.NewIndexCache()
+	defer indexes.Clear()
+	return p.run(goctx, rt.WithIndexes(indexes), stats)
+}
+
+// run is RunContext over the runtime as given: with whatever index memo
+// rt carries, or none.
+func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) (rows []sqltypes.Row, err error) {
 	if stats == nil {
 		stats = &Stats{}
 	}

@@ -72,8 +72,11 @@ func TestMergeStepDirect(t *testing.T) {
 	if _, err := (&MergeStep{CTE: "c", Work: "zz", Into: "m", Parts: 1}).Run(ctx, 0); err == nil {
 		t.Error("missing working table should fail")
 	}
-	// Duplicate keys in the working table are the §II run-time error.
+	// Duplicate keys in the working table are the §II run-time error. A
+	// bound table is frozen, so the slot gets a copy with the extra row.
+	work = work.Clone()
 	work.Insert(sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(77)})
+	rt.Results.Put("w", work)
 	if _, err := step.Run(ctx, 4); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate-key merge should fail, got %v", err)
 	}

@@ -83,12 +83,12 @@ func (s loopSnap) apply(l *LoopState) {
 // capture, e.g. a rename source), the loop-operator states, the stats,
 // and the trace watermark.
 type checkpoint struct {
-	pc          int
-	tables      map[string]*storage.Table
-	loops       map[*LoopState]loopSnap
-	stats       Stats
-	spans       int
-	lastUpdated int64
+	pc        int
+	tables    map[string]*storage.Table
+	loops     map[*LoopState]loopSnap
+	stats     Stats
+	spans     int
+	traceLast traceCounts
 }
 
 // loopStates collects the distinct loop operators of the program, in
@@ -141,7 +141,7 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 	}
 	cp.stats = *ctx.Stats
 	if ctx.Trace != nil {
-		cp.spans, cp.lastUpdated = ctx.Trace.mark()
+		cp.spans, cp.traceLast = ctx.Trace.mark()
 	}
 	return cp
 }
@@ -173,7 +173,7 @@ func (p *Program) restore(ctx *Context, cp *checkpoint) {
 	*ctx.Stats = cp.stats
 	ctx.Stats.Trace = trace
 	if ctx.Trace != nil {
-		ctx.Trace.rewind(cp.spans, cp.lastUpdated)
+		ctx.Trace.rewind(cp.spans, cp.traceLast)
 	}
 }
 

@@ -180,6 +180,7 @@ func mergeTrace(ctx *Context, tr *stepTrace) {
 	ctx.Stats.MaterializedCells += s.MaterializedCells
 	ctx.Stats.Exec.RowsScanned += s.Exec.RowsScanned
 	ctx.Stats.Exec.RowsJoined += s.Exec.RowsJoined
+	ctx.Stats.Exec.RowsIndexed += s.Exec.RowsIndexed
 	ctx.Stats.Exec.RowsGrouped += s.Exec.RowsGrouped
 	ctx.Stats.Exec.ResultCellsRead += s.Exec.ResultCellsRead
 	for name := range tr.created {

@@ -9,9 +9,10 @@ import (
 
 // IterationTrace is the runtime trace of one traced execution
 // (Options.Trace, Config.TraceIterations, EXPLAIN ANALYZE): one span
-// per loop iteration — wall clock, rows written to working tables,
-// and the delta-frontier size the iteration's identification pass
-// found — plus the cumulative wall clock of every step. It is
+// per loop iteration — wall clock, rows written to working tables, the
+// delta-frontier size the iteration's identification pass found, and
+// the rows the executors scanned and inserted into join hash indexes —
+// plus the cumulative wall clock of every step. It is
 // captured on the same cooperative checkpoints the cancellation
 // plumbing polls, so tracing adds no extra synchronization points;
 // when tracing is off the execution path allocates nothing and never
@@ -35,10 +36,17 @@ type IterationTrace struct {
 
 	// mu guards concurrent recording: scheduled steps of one region
 	// report their timings from worker goroutines.
-	mu          sync.Mutex
-	started     time.Time
-	boundary    time.Time
-	lastUpdated int64
+	mu       sync.Mutex
+	started  time.Time
+	boundary time.Time
+	last     traceCounts
+}
+
+// traceCounts are the cumulative counters a span reports the growth of:
+// Stats.UpdatedRows and Exec.RowsScanned / RowsIndexed as they stood at
+// the previous iteration boundary.
+type traceCounts struct {
+	updated, scanned, indexed int64
 }
 
 // IterationSpan is the trace record of one loop iteration.
@@ -56,6 +64,11 @@ type IterationSpan struct {
 	// termination and delta iteration (0 on the rename path, which has
 	// no identification pass).
 	Frontier int64
+	// Scanned and Indexed are the rows read from tables and the rows
+	// inserted into join hash indexes during the iteration (the growth of
+	// exec.Stats.RowsScanned and RowsIndexed): a build side the loop does
+	// not change shows in the first span only.
+	Scanned, Indexed int64
 }
 
 // RetryRecord is the trace record of one checkpoint retry.
@@ -87,19 +100,21 @@ func newIterationTrace(steps int) *IterationTrace {
 }
 
 // noteIteration records one completed iteration at its loop boundary.
-// updatedRows is the cumulative Stats.UpdatedRows counter; the span
-// stores the delta since the previous boundary.
-func (t *IterationTrace) noteIteration(iter int, updatedRows, frontier int64) {
-	now := time.Now()
+// now holds the cumulative counters; the span stores their growth since
+// the previous boundary.
+func (t *IterationTrace) noteIteration(iter int, now traceCounts, frontier int64) {
+	at := time.Now()
 	t.mu.Lock()
 	t.Spans = append(t.Spans, IterationSpan{
 		Iteration: iter,
-		Wall:      now.Sub(t.boundary),
-		Rows:      updatedRows - t.lastUpdated,
+		Wall:      at.Sub(t.boundary),
+		Rows:      now.updated - t.last.updated,
 		Frontier:  frontier,
+		Scanned:   now.scanned - t.last.scanned,
+		Indexed:   now.indexed - t.last.indexed,
 	})
-	t.lastUpdated = updatedRows
-	t.boundary = now
+	t.last = now
+	t.boundary = at
 	t.mu.Unlock()
 }
 
@@ -122,22 +137,22 @@ func (t *IterationTrace) noteRetry(iter, step int, rung string, err error) {
 }
 
 // mark returns the restore point of the trace — the span count and the
-// cumulative-rows watermark — for checkpoint capture.
-func (t *IterationTrace) mark() (spans int, lastUpdated int64) {
+// counters at the last boundary — for checkpoint capture.
+func (t *IterationTrace) mark() (spans int, last traceCounts) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.Spans), t.lastUpdated
+	return len(t.Spans), t.last
 }
 
 // rewind discards the spans of an abandoned attempt, restoring the
 // trace to a captured mark. The iteration boundary resets to now: the
 // retried iteration's span will time the retry that produced it.
-func (t *IterationTrace) rewind(spans int, lastUpdated int64) {
+func (t *IterationTrace) rewind(spans int, last traceCounts) {
 	t.mu.Lock()
 	if spans >= 0 && spans <= len(t.Spans) {
 		t.Spans = t.Spans[:spans]
 	}
-	t.lastUpdated = lastUpdated
+	t.last = last
 	t.boundary = time.Now()
 	t.mu.Unlock()
 }
@@ -155,7 +170,8 @@ func (t *IterationTrace) finish(rows int) {
 func (t *IterationTrace) Render() string {
 	var b strings.Builder
 	for _, s := range t.Spans {
-		fmt.Fprintf(&b, "Iteration %d: %s wall, %d rows, frontier %d.\n", s.Iteration, s.Wall, s.Rows, s.Frontier)
+		fmt.Fprintf(&b, "Iteration %d: %s wall, %d rows, frontier %d, scanned %d, indexed %d.\n",
+			s.Iteration, s.Wall, s.Rows, s.Frontier, s.Scanned, s.Indexed)
 	}
 	for _, r := range t.Retries {
 		fmt.Fprintf(&b, "Retry iteration %d: step %d failed (%s), re-ran on the %s plan.\n", r.Iteration, r.Step, r.Err, r.Rung)

@@ -22,13 +22,23 @@ type Runtime interface {
 	BaseTable(name string) (*storage.Table, error)
 	// Result resolves a named intermediate result.
 	Result(name string) (*storage.Table, error)
+	// Indexes returns the run's hash-index memo; nil when there is none
+	// and every join builds its own.
+	Indexes() *IndexCache
 }
 
 // Stats accumulates execution counters, used by the benchmarks and the
 // data-movement experiments.
 type Stats struct {
-	RowsScanned int64 // rows read from base tables and results
+	// RowsScanned counts rows read from base tables and results. A join
+	// whose build side's index came out of the run's IndexCache did not
+	// read that table again and counts nothing for it.
+	RowsScanned int64
 	RowsJoined  int64 // rows emitted by joins
+	// RowsIndexed counts rows inserted into join hash indexes: every
+	// build-side row of every build that happened. A loop that indexes a
+	// table it does not change once per query adds the table's rows once.
+	RowsIndexed int64
 	RowsGrouped int64 // groups emitted by aggregates
 	// RowsAggInput counts rows fed INTO aggregate operators — the
 	// input-side metric the incremental-aggregate-maintenance
@@ -263,22 +273,24 @@ type scanOp struct {
 	cancel *CancelChecker
 
 	// parts snapshots the table's partition slices at Open; the slices
-	// themselves are stable (steps always materialize into fresh
-	// tables, and DML drains its scans before mutating), so no row
-	// copying is needed.
+	// themselves are stable (a table bound in the result store is frozen,
+	// see storage.Table, and DML drains its scans before mutating), so
+	// no row copying is needed.
 	parts [][]sqltypes.Row
 	pi    int
 	pos   int
 }
 
-func (s *scanOp) Open() error {
-	var t *storage.Table
-	var err error
+// table resolves the table the scan reads.
+func (s *scanOp) table() (*storage.Table, error) {
 	if s.base {
-		t, err = s.rt.BaseTable(s.name)
-	} else {
-		t, err = s.rt.Result(s.name)
+		return s.rt.BaseTable(s.name)
 	}
+	return s.rt.Result(s.name)
+}
+
+func (s *scanOp) Open() error {
+	t, err := s.table()
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
 )
 
 // Test-only machinery for the row-ownership contract (rows.go): a built
@@ -174,3 +175,19 @@ func RunOwnership(n plan.Node, rt Runtime, mode OwnershipMode) (rows []sqltypes.
 
 // RowsText renders rows one per line, in order, for comparing two runs.
 func RowsText(rows []sqltypes.Row) string { return strings.Join(rowStrings(rows), "\n") }
+
+// AliasByName is the seeded mutant of the index memo's key: it re-files
+// every entry under the table that its own table's name resolves to now
+// (nil: leave it), so the next request for that table is served the
+// index of whichever table had the name first — what a memo keyed on the
+// slot name instead of the table's address would do.
+func (c *IndexCache) AliasByName(resolve func(name string) *storage.Table) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for t, es := range c.entries {
+		if now := resolve(t.Name); now != nil && now != t {
+			c.entries[now] = append(c.entries[now], es...)
+			delete(c.entries, t)
+		}
+	}
+}

@@ -1,0 +1,88 @@
+package exec_test
+
+import (
+	"strings"
+	"testing"
+
+	"dbspinner/internal/ast"
+	"dbspinner/internal/bench"
+	"dbspinner/internal/core"
+	"dbspinner/internal/exec"
+	"dbspinner/internal/parser"
+	"dbspinner/internal/storage"
+	"dbspinner/internal/workload"
+)
+
+// aliasingStep runs the index memo's seeded mutant (exec.AliasByName)
+// before the step it wraps.
+type aliasingStep struct {
+	core.Step
+	resolve func(rt *exec.StoreRuntime, name string) *storage.Table
+}
+
+func (s aliasingStep) Run(ctx *core.Context, self int) (int, error) {
+	ctx.RT.Indexes().AliasByName(func(name string) *storage.Table { return s.resolve(ctx.RT, name) })
+	return s.Step.Run(ctx, self)
+}
+
+// TestNameKeyedIndexMemoFailsParity seeds the bug the memo's key exists
+// to exclude: identify a build side by the name it is read under, not by
+// the table. A slot that is re-bound every iteration (PageRank AS
+// IncomingRank, sssp AS IncomingDistance) would then be joined through
+// the index of its first table for the whole loop. Every workload query
+// with such a join must stop matching the unmutated run; the same
+// wrapper resolving nothing must keep matching it, so it is the key, not
+// the wrapping, that the comparison sees.
+func TestNameKeyedIndexMemoFailsParity(t *testing.T) {
+	const nodes = 120
+	g := workload.PreferentialAttachment(nodes, 3, workload.WeightOutDegree, 5)
+	rt := graphRuntime(t, g)
+
+	byName := func(rt *exec.StoreRuntime, name string) *storage.Table {
+		if tb := rt.Results.Get(name); tb != nil {
+			return tb
+		}
+		return rt.Catalog.Get(name)
+	}
+	nothing := func(*exec.StoreRuntime, string) *storage.Table { return nil }
+
+	for _, c := range []struct{ name, sql string }{
+		{"pr", bench.PRQuery(5)},
+		{"pr-vs", bench.PRVSQuery(5)},
+		{"sssp", bench.SSSPQuery(nodes, 5)},
+		{"sssp-vs", bench.SSSPVSQuery(nodes, 5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stmt, err := parser.Parse(c.sql + " ORDER BY Node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(resolve func(*exec.StoreRuntime, string) *storage.Table) string {
+				prog, err := core.Rewrite(stmt.(*ast.SelectStmt), rt, core.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resolve != nil {
+					for i, s := range prog.Steps {
+						prog.Steps[i] = aliasingStep{s, resolve}
+					}
+				}
+				rows, err := prog.Run(rt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exec.RowsText(rows)
+			}
+			want := run(nil)
+			if strings.Count(want, "\n") < nodes/2 {
+				t.Fatalf("the query returns too few rows to compare:\n%s", want)
+			}
+			if run(nothing) != want {
+				t.Error("wrapping the steps alone changed the rows")
+			}
+			if run(byName) == want {
+				t.Error("a memo keyed on the slot name returns the same rows: the parity check cannot see a stale index")
+			}
+		})
+	}
+}

@@ -1,0 +1,238 @@
+package exec
+
+import (
+	"sync"
+	"testing"
+
+	"dbspinner/internal/expr"
+	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
+)
+
+// keysOf compiles a join's build-side (right) key expressions.
+func keysOf(t *testing.T, rt *StoreRuntime, sql string) []*expr.Compiled {
+	t.Helper()
+	_, rk, _, err := JoinKeys(joinNode(t, rt, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rk
+}
+
+// TestIndexCacheIdentity: the memo answers for exactly the table, the
+// partition and the key columns it was asked about before, and a copy of
+// the table — the same rows at another address — is another table.
+func TestIndexCacheIdentity(t *testing.T) {
+	rt := testRuntime(t)
+	edges := rt.Catalog.Get("edges")
+	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
+	bySrc := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.src")
+	computed := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst + 0")
+	if byDst[0].Col != 1 || bySrc[0].Col != 0 || computed[0].Col != -1 {
+		t.Fatalf("Col of e.dst, e.src, e.dst + 0 = %d, %d, %d; want 1, 0, -1", byDst[0].Col, bySrc[0].Col, computed[0].Col)
+	}
+
+	c := NewIndexCache()
+	ask := func(tb *storage.Table, part int, keys []*expr.Compiled) (*HashIndex, bool) {
+		t.Helper()
+		x, built, err := c.Index(tb, part, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, built
+	}
+	first, built := ask(edges, allParts, byDst)
+	if !built || len(first.Rows) != 4 {
+		t.Fatalf("first request: built = %v over %d rows, want a build over 4", built, len(first.Rows))
+	}
+	if again, built := ask(edges, allParts, byDst); built || again != first {
+		t.Error("the same table, partition and columns must be a hit on the same index")
+	}
+	for _, miss := range []struct {
+		name string
+		tb   *storage.Table
+		part int
+		keys []*expr.Compiled
+	}{
+		{"other key column", edges, allParts, bySrc},
+		{"one partition", edges, 0, byDst},
+		{"a copy of the table", edges.Clone(), allParts, byDst},
+	} {
+		if x, built := ask(miss.tb, miss.part, miss.keys); !built || x == first {
+			t.Errorf("%s: want a new index, got built = %v, same = %v", miss.name, built, x == first)
+		}
+	}
+	if n := c.Len(); n != 4 {
+		t.Errorf("Len = %d, want 4", n)
+	}
+	// A computed key is built every time and never kept.
+	if _, built := ask(edges, allParts, computed); !built {
+		t.Error("a computed key was served from the memo")
+	}
+	if _, built := ask(edges, allParts, computed); !built || c.Len() != 4 {
+		t.Errorf("a computed key was kept: built = %v, Len = %d", built, c.Len())
+	}
+
+	// One partition's index holds that partition's rows only.
+	p1, _ := ask(edges, 1, byDst)
+	if len(p1.Rows) != len(edges.Parts[1]) {
+		t.Errorf("partition 1 index over %d rows, the partition has %d", len(p1.Rows), len(edges.Parts[1]))
+	}
+
+	// A nil cache builds, every time.
+	var none *IndexCache
+	a, builtA, _ := none.Index(edges, allParts, byDst)
+	b, builtB, _ := none.Index(edges, allParts, byDst)
+	if !builtA || !builtB || a == b || none.Len() != 0 {
+		t.Error("a nil cache must build a fresh index per request")
+	}
+	none.Sweep()
+	none.Clear()
+}
+
+// TestIndexCacheSweep: an entry lives as long as every sweep finds it
+// used since the one before.
+func TestIndexCacheSweep(t *testing.T) {
+	rt := testRuntime(t)
+	edges, vs := rt.Catalog.Get("edges"), rt.Catalog.Get("vertexStatus")
+	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
+	byNode := keysOf(t, rt, "SELECT * FROM edges e JOIN vertexStatus v ON v.node = e.dst")
+	c := NewIndexCache()
+	kept, _, _ := c.Index(edges, allParts, byDst)
+	c.Index(vs, allParts, byNode)
+	c.Sweep() // both were asked for
+	if c.Len() != 2 {
+		t.Fatalf("Len after the first sweep = %d, want 2", c.Len())
+	}
+	c.Index(edges, allParts, byDst)
+	c.Sweep() // vertexStatus was not
+	if c.Len() != 1 {
+		t.Fatalf("Len after the second sweep = %d, want 1", c.Len())
+	}
+	if x, built, _ := c.Index(edges, allParts, byDst); built || x != kept {
+		t.Error("the entry used every round was rebuilt")
+	}
+	if _, built, _ := c.Index(vs, allParts, byNode); !built {
+		t.Error("the swept entry was served")
+	}
+	c.Clear()
+	if c.Len() != 0 {
+		t.Errorf("Len after Clear = %d", c.Len())
+	}
+}
+
+// TestIndexCacheSharedByProbers has many goroutines ask for one index
+// and probe it at once: it is built once, and probing it with a scratch
+// of one's own is race-free (this test is in the -race pass).
+func TestIndexCacheSharedByProbers(t *testing.T) {
+	_, rt := kernelPlan(t, benchJoinSQL)
+	dim := rt.Catalog.Get("dim")
+	keys := keysOf(t, rt, benchJoinSQL)
+	c := NewIndexCache()
+	const probers = 8
+	var wg sync.WaitGroup
+	var builds, found [probers]int
+	for g := 0; g < probers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			x, built, err := c.Index(dim, allParts, keys)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if built {
+				builds[g]++
+			}
+			buf := make([]sqltypes.Value, len(keys))
+			for _, r := range dim.Parts[0] {
+				for i, err := x.First(r, keys, buf); i >= 0; i = x.Next(i) {
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					found[g]++
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	total := 0
+	for g := range builds {
+		total += builds[g]
+		if found[g] != 1000 {
+			t.Errorf("prober %d found %d matches, want 1000", g, found[g])
+		}
+	}
+	if total != 1 {
+		t.Errorf("%d goroutines built the index, want exactly one", total)
+	}
+}
+
+// TestJoinTakesTableIndexFromCache runs one join plan three times over a
+// runtime view with a memo: only the first run indexes and scans the
+// build table, every run returns the rows a runtime without a memo
+// returns, and replacing the table is a miss.
+func TestJoinTakesTableIndexFromCache(t *testing.T) {
+	for _, c := range []struct {
+		sql      string
+		memoized bool
+	}{
+		{benchJoinSQL, true}, // dim is the build side: 1000 rows
+		{"SELECT fact.v, d.w FROM fact LEFT JOIN dim AS d ON fact.k = d.k", true},
+		{"SELECT fact.v, dim.w FROM dim RIGHT JOIN fact ON fact.k = dim.k", true},     // a right join builds on its left
+		{"SELECT fact.v, dim.w FROM fact FULL JOIN dim ON fact.k = dim.k + 0", false}, // a computed key is never kept
+	} {
+		sql, memoized := c.sql, c.memoized
+		node, plain := kernelPlan(t, sql)
+		var ref Stats
+		want, err := Run(node, plain, &ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.RowsIndexed != 1000 || ref.RowsScanned != 4000 {
+			t.Fatalf("%s: without a memo RowsIndexed = %d, RowsScanned = %d; want 1000 and 4000", sql, ref.RowsIndexed, ref.RowsScanned)
+		}
+		rt := plain.WithIndexes(NewIndexCache())
+		for run := 1; run <= 3; run++ {
+			var st Stats
+			got, err := Run(node, rt, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if RowsText(got) != RowsText(want) {
+				t.Errorf("%s, run %d: rows differ from the run without a memo", sql, run)
+			}
+			wantIndexed, wantScanned := int64(1000), int64(4000)
+			if memoized && run > 1 {
+				wantIndexed, wantScanned = 0, 3000
+			}
+			if st.RowsIndexed != wantIndexed || st.RowsScanned != wantScanned || st.RowsJoined != ref.RowsJoined {
+				t.Errorf("%s, run %d: RowsIndexed = %d, RowsScanned = %d, RowsJoined = %d; want %d, %d, %d",
+					sql, run, st.RowsIndexed, st.RowsScanned, st.RowsJoined, wantIndexed, wantScanned, ref.RowsJoined)
+			}
+		}
+		if !memoized {
+			continue
+		}
+		// The same name, another table: one more row under key 0.
+		old := rt.Catalog.Get("dim")
+		if err := rt.Catalog.Drop("dim", false); err != nil {
+			t.Fatal(err)
+		}
+		repl, err := rt.Catalog.Create("dim", old.Schema, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repl.InsertBatch(old.AllRows())
+		repl.Insert(sqltypes.Row{i64(0), f64(-1)})
+		var st Stats
+		got, err := Run(node, rt, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RowsIndexed != 1001 || len(got) != len(want)+3 {
+			t.Errorf("%s: after replacing dim RowsIndexed = %d and %d rows, want 1001 and %d", sql, st.RowsIndexed, len(got), len(want)+3)
+		}
+	}
+}

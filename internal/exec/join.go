@@ -28,6 +28,11 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 	}
 	out := outRows{borrow: borrow}
 	lw, rw := len(t.Left.Columns()), len(t.Right.Columns())
+	buildOp := right
+	if keepLeft {
+		buildOp = left
+	}
+	buildScan, _ := buildOp.(*scanOp) // the build side is a table as it stands
 
 	leftKeys, rightKeys, residual, err := JoinKeys(t)
 	if err != nil {
@@ -48,7 +53,8 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			stats: stats, cancel: cc, out: out,
+			buildScan: buildScan,
+			stats:     stats, cancel: cc, out: out,
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -84,53 +90,59 @@ func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok 
 // walks head[id], next[...], ... and meets its matches in the order the
 // build side produced them. Rows with a NULL key component are
 // kept (outer joins emit them) but chained nowhere: NULL never matches.
+// An index is read-only once built, so any number of probers may share
+// it (IndexCache); each brings its own key scratch.
 type HashIndex struct {
 	Rows []sqltypes.Row
 
 	keys *sqltypes.KeyTable
 	head []int32
 	next []int32
-	buf  []sqltypes.Value // key-evaluation scratch, build then probe
 }
 
 // BuildHashIndex indexes rows by the values of the key expressions.
 func BuildHashIndex(rows []sqltypes.Row, keyEx []*expr.Compiled) (*HashIndex, error) {
+	// There are at most as many keys as rows, so head and tail are sized
+	// once; head is cut to the key count at the end.
+	links := make([]int32, 2*len(rows))
 	x := &HashIndex{
 		Rows: rows,
 		keys: sqltypes.NewKeyTable(len(keyEx), len(rows)),
-		next: make([]int32, len(rows)),
-		buf:  make([]sqltypes.Value, len(keyEx)),
+		next: links[:len(rows)],
+		head: links[len(rows):],
 	}
-	var tail []int32 // per key id: the last row of its chain so far
+	tail := make([]int32, len(rows)) // per key id: the last row of its chain so far
+	buf := make([]sqltypes.Value, len(keyEx))
 	for i, r := range rows {
 		x.next[i] = -1
-		null, err := EvalKey(keyEx, r, x.buf)
+		null, err := EvalKey(keyEx, r, buf)
 		if err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		id, added := x.keys.Insert(x.buf)
+		id, added := x.keys.Insert(buf)
 		if added {
-			x.head = append(x.head, int32(i))
-			tail = append(tail, int32(i))
-			continue
+			x.head[id] = int32(i)
+		} else {
+			x.next[tail[id]] = int32(i)
 		}
-		x.next[tail[id]] = int32(i)
 		tail[id] = int32(i)
 	}
+	x.head = x.head[:x.keys.Len():x.keys.Len()]
 	return x, nil
 }
 
 // First returns the position in Rows of the first build row whose key
-// equals the probe row's, or -1 (also for a NULL probe key).
-func (x *HashIndex) First(probe sqltypes.Row, keyEx []*expr.Compiled) (int32, error) {
-	null, err := EvalKey(keyEx, probe, x.buf)
+// equals the probe row's, or -1 (also for a NULL probe key). buf is the
+// caller's key scratch, len(keyEx) long.
+func (x *HashIndex) First(probe sqltypes.Row, keyEx []*expr.Compiled, buf []sqltypes.Value) (int32, error) {
+	null, err := EvalKey(keyEx, probe, buf)
 	if err != nil || null {
 		return -1, err
 	}
-	id := x.keys.Find(x.buf)
+	id := x.keys.Find(buf)
 	if id < 0 {
 		return -1, nil
 	}
@@ -168,11 +180,17 @@ type hashJoinOp struct {
 	leftWidth, rightWidth int
 	stats                 *Stats
 	cancel                *CancelChecker
+	// Where the build side's index comes from when it is not drained from
+	// the build input: a table read as it stands, indexed through the
+	// run's memo, or an index the caller built (HashJoinPartition).
+	buildScan *scanOp
+	prebuilt  *HashIndex
 
 	build            *HashIndex
 	matched          []bool // per build row; full-outer only
 	probe            Operator
 	probeKeys        []*expr.Compiled
+	probeBuf         []sqltypes.Value // probe-key scratch
 	probeRow         sqltypes.Row
 	match            int32 // next candidate build row for probeRow, -1 when exhausted
 	emittedForProbe  bool
@@ -195,16 +213,28 @@ func (h *hashJoinOp) Open() error {
 		h.probe, h.probeKeys = h.left, h.leftKeys
 	}
 
-	rows, err := Drain(buildOp)
-	if err != nil {
-		return err
+	var err error
+	switch {
+	case h.prebuilt != nil:
+		h.build = h.prebuilt
+	case h.buildScan != nil:
+		err = h.indexTable(buildKeys)
+	default:
+		var rows []sqltypes.Row
+		if rows, err = Drain(buildOp); err == nil {
+			h.build, err = BuildHashIndex(rows, buildKeys)
+			h.stats.RowsIndexed += int64(len(rows))
+		}
 	}
-	if h.build, err = BuildHashIndex(rows, buildKeys); err != nil {
+	if err != nil {
 		return err
 	}
 	h.matched = nil
 	if h.typ == ast.FullJoin {
-		h.matched = make([]bool, len(rows))
+		h.matched = make([]bool, len(h.build.Rows))
+	}
+	if len(h.probeBuf) != len(h.probeKeys) {
+		h.probeBuf = make([]sqltypes.Value, len(h.probeKeys))
 	}
 	h.probeRow = nil
 	h.match = -1
@@ -212,6 +242,30 @@ func (h *hashJoinOp) Open() error {
 	h.drainingLeftover = false
 	h.out.reset()
 	return h.probe.Open()
+}
+
+// indexTable takes the index of the table the build side reads from the
+// run's memo. Only a call that builds it reads the table, and only that
+// call counts the read.
+func (h *hashJoinOp) indexTable(keys []*expr.Compiled) error {
+	s := h.buildScan
+	t, err := s.table()
+	if err != nil {
+		return err
+	}
+	var built bool
+	if h.build, built, err = s.rt.Indexes().Index(t, allParts, keys); err != nil || !built {
+		return err
+	}
+	n := int64(len(h.build.Rows))
+	h.stats.RowsIndexed += n
+	h.stats.RowsScanned += n
+	if !s.base {
+		for _, r := range h.build.Rows {
+			h.stats.ResultCellsRead += int64(len(r))
+		}
+	}
+	return nil
 }
 
 // joined builds the output row of a probe/build pair in left-then-right
@@ -302,7 +356,7 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 		}
 		h.probeRow = r
 		h.emittedForProbe = false
-		if h.match, err = h.build.First(r, h.probeKeys); err != nil {
+		if h.match, err = h.build.First(r, h.probeKeys, h.probeBuf); err != nil {
 			return nil, err
 		}
 	}

@@ -181,7 +181,7 @@ func BenchmarkDistinct(b *testing.B) { benchKernel(b, benchDistinctSQL, 1000) }
 
 // TestAllocBudgets gates allocations per run of each hash operator over
 // the benchmark input, at about 1.5× what the kernel measures today
-// (join 118, aggregate 116, distinct 63). One make per input or output
+// (join 86, aggregate 116, distinct 63). One make per input or output
 // row, or per group, would add thousands, so the next per-row allocation
 // in a kernel fails here rather than in a benchmark run.
 func TestAllocBudgets(t *testing.T) {
@@ -189,7 +189,7 @@ func TestAllocBudgets(t *testing.T) {
 		name, sql string
 		budget    float64
 	}{
-		{"join", benchJoinSQL, 180},
+		{"join", benchJoinSQL, 130},
 		{"aggregate", benchAggSQL, 175},
 		{"distinct", benchDistinctSQL, 95},
 	} {

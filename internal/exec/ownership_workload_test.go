@@ -41,20 +41,10 @@ func TestWorkloadQueriesSurviveScribbling(t *testing.T) {
 		) SELECT node, MIN(hops) FROM reach GROUP BY node ORDER BY node`, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cat := catalog.New(2)
+			rt := graphRuntime(t, g)
 			load := func(name string, schema sqltypes.Schema, rows []sqltypes.Row) {
-				if err := cat.Drop(name, true); err != nil {
-					t.Fatal(err)
-				}
-				tb, err := cat.Create(name, schema, -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tb.InsertBatch(rows)
+				loadTable(t, rt.Catalog, name, schema, rows)
 			}
-			load("edges", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}, {Name: "weight", Type: sqltypes.Float}}, workload.EdgeRows(g))
-			load("vertexStatus", sqltypes.Schema{{Name: "node", Type: sqltypes.Int}, {Name: "status", Type: sqltypes.Int}}, workload.VertexStatus(g, 0.8, 99))
-			rt := exec.NewStoreRuntime(cat, storage.NewResultStore())
 
 			stmt, err := parser.Parse(c.sql)
 			if err != nil {
@@ -117,6 +107,29 @@ func TestWorkloadQueriesSurviveScribbling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadTable (re)creates a catalog table holding rows.
+func loadTable(t *testing.T, cat *catalog.Catalog, name string, schema sqltypes.Schema, rows []sqltypes.Row) {
+	t.Helper()
+	if err := cat.Drop(name, true); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := cat.Create(name, schema, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.InsertBatch(rows)
+}
+
+// graphRuntime is a two-partition runtime holding g in edges and a
+// vertexStatus table with a fifth of the vertices unavailable.
+func graphRuntime(t *testing.T, g *workload.Graph) *exec.StoreRuntime {
+	t.Helper()
+	cat := catalog.New(2)
+	loadTable(t, cat, "edges", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}, {Name: "weight", Type: sqltypes.Float}}, workload.EdgeRows(g))
+	loadTable(t, cat, "vertexStatus", sqltypes.Schema{{Name: "node", Type: sqltypes.Int}, {Name: "status", Type: sqltypes.Int}}, workload.VertexStatus(g, 0.8, 99))
+	return exec.NewStoreRuntime(cat, storage.NewResultStore())
 }
 
 // mergeByFirstColumn returns old with each row replaced by the row of

@@ -56,10 +56,12 @@ func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *exp
 
 // HashJoinPartition joins two row slices with the given key spec; the
 // caller guarantees co-partitioning (equal keys appear in the same
-// call). Semantics match the volcano hash join exactly.
+// call). Semantics match the volcano hash join exactly. build, when
+// non-nil, is the index of the build side's rows on its keys (the right
+// side's, a right-outer join's left), which the join then does not build.
 func HashJoinPartition(typ ast.JoinType, left, right []sqltypes.Row,
 	leftKeys, rightKeys []*expr.Compiled, residual *expr.Compiled,
-	leftWidth, rightWidth int, stats *Stats) ([]sqltypes.Row, error) {
+	leftWidth, rightWidth int, build *HashIndex, stats *Stats) ([]sqltypes.Row, error) {
 
 	if stats == nil {
 		stats = &Stats{}
@@ -69,7 +71,7 @@ func HashJoinPartition(typ ast.JoinType, left, right []sqltypes.Row,
 		left: RowsOperator(left), right: RowsOperator(right),
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		residual: residual, leftWidth: leftWidth, rightWidth: rightWidth,
-		stats: stats,
+		prebuilt: build, stats: stats,
 	}
 	return Drain(op)
 }

@@ -77,10 +77,11 @@ func TestHashIndexKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewFloat(7), sqltypes.NewFloat(2)}
-	if i, err := x.First(probe, lk); err != nil || i != 1 || x.Next(i) != -1 {
+	buf := make([]sqltypes.Value, len(lk))
+	if i, err := x.First(probe, lk, buf); err != nil || i != 1 || x.Next(i) != -1 {
 		t.Errorf("7.0 should meet exactly the build row keyed 7: first=%d err=%v", i, err)
 	}
-	if i, _ := x.First(nullRow, lk); i != -1 {
+	if i, _ := x.First(nullRow, lk, buf); i != -1 {
 		t.Errorf("a NULL key must match nothing, not even the NULL-keyed build row: first=%d", i)
 	}
 }
@@ -99,12 +100,28 @@ func TestHashJoinPartitionSemantics(t *testing.T) {
 	right := []sqltypes.Row{
 		{sqltypes.NewInt(2), sqltypes.NewInt(1)},
 	}
-	out, err := HashJoinPartition(ast.LeftJoin, left, right, lk, rk, residual, 3, 2, nil)
+	out, err := HashJoinPartition(ast.LeftJoin, left, right, lk, rk, residual, 3, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 {
 		t.Fatalf("out = %d rows", len(out))
+	}
+	// The same join over an index the caller built of the right side.
+	x, err := BuildHashIndex(right, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	pre, err := HashJoinPartition(ast.LeftJoin, left, right, lk, rk, residual, 3, 2, x, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RowsText(pre) != RowsText(out) {
+		t.Errorf("prebuilt index:\n%s\nwant:\n%s", RowsText(pre), RowsText(out))
+	}
+	if st.RowsIndexed != 0 || st.RowsJoined != 2 {
+		t.Errorf("prebuilt index: RowsIndexed = %d, RowsJoined = %d, want 0 and 2", st.RowsIndexed, st.RowsJoined)
 	}
 	matched, unmatched := 0, 0
 	for _, r := range out {

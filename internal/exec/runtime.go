@@ -16,6 +16,9 @@ import (
 type StoreRuntime struct {
 	Catalog *catalog.Catalog
 	Results *storage.ResultStore
+	// indexes is the hash-index memo of the query run this view belongs
+	// to (WithIndexes); nil outside one.
+	indexes *IndexCache
 }
 
 // NewStoreRuntime wraps a catalog and result store.
@@ -28,8 +31,18 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 // scheduler's dynamic cross-check). The catalog is shared as-is: base
 // tables are read-only during program execution.
 func (s *StoreRuntime) Guarded(g *storage.Guard) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g)}
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g), indexes: s.indexes}
 }
+
+// WithIndexes returns a view of the runtime whose joins share c for the
+// indexes of the tables they read directly. One query run owns c; its
+// guarded views inherit it.
+func (s *StoreRuntime) WithIndexes(c *IndexCache) *StoreRuntime {
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: c}
+}
+
+// Indexes implements Runtime.
+func (s *StoreRuntime) Indexes() *IndexCache { return s.indexes }
 
 // ArmFaults arms (or, with nil, disarms) fault injection on the result
 // store's mutation hooks (the "storage" point of Config.FaultSchedule).

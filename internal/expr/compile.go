@@ -88,10 +88,24 @@ type Compiled struct {
 	Eval func(row sqltypes.Row) (sqltypes.Value, error)
 	// Type is the statically inferred result type.
 	Type sqltypes.Type
+	// Col is the input column a bare column reference reads, -1 for any
+	// other expression.
+	Col int
 }
 
 // Compile binds an expression to the environment.
 func Compile(e ast.Expr, env *Env) (*Compiled, error) {
+	c, err := compile(e, env)
+	if err != nil {
+		return nil, err
+	}
+	if _, bare := e.(*ast.ColumnRef); !bare {
+		c.Col = -1
+	}
+	return c, nil
+}
+
+func compile(e ast.Expr, env *Env) (*Compiled, error) {
 	switch t := e.(type) {
 	case *ast.Literal:
 		v := t.Value
@@ -114,6 +128,7 @@ func Compile(e ast.Expr, env *Env) (*Compiled, error) {
 				return row[idx], nil
 			},
 			Type: b.Type,
+			Col:  idx,
 		}, nil
 
 	case *ast.BinaryExpr:

@@ -116,6 +116,9 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 // fragments.
 type relation struct {
 	parts [][]sqltypes.Row
+	// src is the table whose partitions parts are, as they stand (only
+	// the aligned branch of evalScan sets it); nil for anything computed.
+	src *storage.Table
 }
 
 func (m *Machine) newRelation() *relation {
@@ -408,6 +411,7 @@ func (m *Machine) evalScan(n plan.Node) (*relation, error) {
 	out := m.newRelation()
 	// Re-slice the table's partitions onto the machine's layout.
 	if len(t.Parts) == m.Parts {
+		out.src = t
 		for i, p := range t.Parts {
 			out.parts[i] = p
 			atomic.AddInt64(&m.Exec.RowsScanned, int64(len(p)))
@@ -563,13 +567,33 @@ func (m *Machine) evalJoin(t *plan.Join) (*relation, error) {
 	} else if rightSh, err = m.shuffle(right, rightKeys); err != nil {
 		return nil, err
 	}
+	// The build side (exec.HashJoinPartition's: the right input, a
+	// right-outer join's left). When it is a table's own partitions — a
+	// scan whose exchange was elided; a shuffle's output is a new relation
+	// every time — each fragment takes its partition's index from the
+	// run's memo instead of building it.
+	build, buildKeys := rightSh, rightKeys
+	if t.Type == ast.RightJoin {
+		build, buildKeys = leftSh, leftKeys
+	}
 	out := m.newRelation()
 	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
 		if e := cc.Check(); e != nil {
 			return e
 		}
+		var index *exec.HashIndex
+		built := true
+		if build.src != nil {
+			var err error
+			if index, built, err = m.RT.Indexes().Index(build.src, p, buildKeys); err != nil {
+				return err
+			}
+		}
+		if built {
+			atomic.AddInt64(&m.Exec.RowsIndexed, int64(len(build.parts[p])))
+		}
 		rows, err := exec.HashJoinPartition(t.Type, leftSh.parts[p], rightSh.parts[p],
-			leftKeys, rightKeys, residual, lw, rw, nil)
+			leftKeys, rightKeys, residual, lw, rw, index, nil)
 		if err != nil {
 			return err
 		}

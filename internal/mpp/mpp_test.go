@@ -423,3 +423,73 @@ func TestParallelExternalCancel(t *testing.T) {
 		t.Fatalf("pre-canceled machine ran a batch: %v", err)
 	}
 }
+
+// TestJoinTakesPartitionIndexesFromMemo: when a join's build side is a
+// table's own partitions — an aligned scan whose exchange was elided —
+// each fragment takes its partition's index from the run's memo, so a
+// second evaluation builds nothing; a shuffled build side is a new
+// relation every time and is indexed every time. Rows are identical in
+// all cases (this test is in the -race pass: two fragments at once ask
+// the memo and probe).
+func TestJoinTakesPartitionIndexesFromMemo(t *testing.T) {
+	const parts = 2
+	plain := newRT(t, parts)
+	stmt, err := parser.Parse("SELECT e.dst, kv.v FROM edges AS e JOIN kv ON e.src = kv.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := plan.NewBuilder(plain).Build(stmt.(*ast.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join *plan.Join
+	for n := plan.Node(node); join == nil; n = n.Children()[0] {
+		join, _ = n.(*plan.Join)
+	}
+	// edges is stored by src and kv by k: both sides already sit where the
+	// join's exchanges would send them.
+	elide := map[plan.Node]Elide{join: {Left: true, LeftCols: []int{0}, Right: true, RightCols: []int{0}}}
+	run := func(rt *exec.StoreRuntime, elide map[plan.Node]Elide) (string, int64) {
+		t.Helper()
+		var es exec.Stats
+		m := New(rt, parts, nil, &es)
+		m.Elide, m.CheckElide = elide, true
+		rows, err := m.Run(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs := make([]string, len(rows))
+		for i, r := range rows {
+			strs[i] = r.String()
+		}
+		return strings.Join(strs, "\n"), es.RowsIndexed
+	}
+	want, indexed := run(plain, nil)
+	if indexed != 50 {
+		t.Fatalf("no memo, shuffled: RowsIndexed = %d, want kv's 50 rows", indexed)
+	}
+	memo := plain.WithIndexes(exec.NewIndexCache())
+	for i, c := range []struct {
+		name    string
+		rt      *exec.StoreRuntime
+		elide   map[plan.Node]Elide
+		indexed int64
+	}{
+		{"no memo, elided", plain, elide, 50},
+		{"memo, shuffled", memo, nil, 50},
+		{"memo, elided, first", memo, elide, 50},
+		{"memo, elided, again", memo, elide, 0},
+		{"memo, shuffled again", memo, nil, 50},
+	} {
+		got, indexed := run(c.rt, c.elide)
+		if got != want {
+			t.Errorf("%d %s: rows differ from the plain run", i, c.name)
+		}
+		if indexed != c.indexed {
+			t.Errorf("%d %s: RowsIndexed = %d, want %d", i, c.name, indexed, c.indexed)
+		}
+	}
+	if n := memo.Indexes().Len(); n != parts {
+		t.Errorf("the memo holds %d indexes, want one per partition of kv", n)
+	}
+}

@@ -17,6 +17,12 @@ import (
 // shared-nothing layout. Intermediate results use the same
 // representation so the rename operator can swap them for base CTE
 // results without copying.
+//
+// A table is mutable until it is bound in a ResultStore and frozen from
+// then on: Insert, InsertBatch and Truncate panic. Scans that hold its
+// partition slices, aliases of it under other slots, checkpoints and the
+// run's hash-index memo (exec.IndexCache) all rely on that. Base tables
+// in the catalog are never frozen; they change only between statements.
 type Table struct {
 	Name   string
 	Schema sqltypes.Schema
@@ -30,6 +36,9 @@ type Table struct {
 	Parts [][]sqltypes.Row
 
 	rr int // round-robin cursor for DistCol == -1
+	// frozenAs is the result-store slot the table was last bound under;
+	// empty while the table may still be written.
+	frozenAs string
 }
 
 // NewTable creates an empty table with the given partition count
@@ -76,14 +85,24 @@ func (t *Table) partitionFor(r sqltypes.Row) int {
 	return p
 }
 
+// mustBeWritable panics on a write to a frozen table: only a bug writes
+// to a result other readers already share.
+func (t *Table) mustBeWritable(op string) {
+	if t.frozenAs != "" {
+		panic(fmt.Sprintf("storage: %s on table %q, frozen since it was bound as intermediate result %q", op, t.Name, t.frozenAs))
+	}
+}
+
 // Insert appends one row.
 func (t *Table) Insert(r sqltypes.Row) {
+	t.mustBeWritable("Insert")
 	p := t.partitionFor(r)
 	t.Parts[p] = append(t.Parts[p], r)
 }
 
 // InsertBatch appends many rows.
 func (t *Table) InsertBatch(rows []sqltypes.Row) {
+	t.mustBeWritable("InsertBatch")
 	for _, r := range rows {
 		t.Insert(r)
 	}
@@ -101,6 +120,7 @@ func (t *Table) AllRows() []sqltypes.Row {
 
 // Truncate removes all rows, keeping the schema and partitioning.
 func (t *Table) Truncate() {
+	t.mustBeWritable("Truncate")
 	for i := range t.Parts {
 		t.Parts[i] = nil
 	}
@@ -108,7 +128,8 @@ func (t *Table) Truncate() {
 }
 
 // Clone returns a deep-enough copy: new partition slices sharing the
-// row values (rows are treated as immutable once stored).
+// row values (rows are treated as immutable once stored). The copy is
+// writable whether or not t is frozen.
 func (t *Table) Clone() *Table {
 	c := &Table{Name: t.Name, Schema: t.Schema.Clone(), PK: t.PK, DistCol: t.DistCol}
 	c.Parts = make([][]sqltypes.Row, len(t.Parts))
@@ -179,6 +200,12 @@ func (s *ResultStore) inject() {
 // destination name previously referenced. Views created by Guarded
 // share the underlying state; the store itself is safe for concurrent
 // use on distinct slots (the parallel step scheduler's case).
+//
+// Binding freezes: a table handed to Put, or re-bound by Rename, must
+// not be written again (see Table). Every step therefore builds its
+// output in a fresh table and binds it last, and a slot changes content
+// only by pointing at a different table — which is what lets a table's
+// address stand for its content for as long as the table is reachable.
 type ResultStore struct {
 	state *resultState
 	guard *Guard
@@ -195,12 +222,14 @@ func (s *ResultStore) Guarded(g *Guard) *ResultStore {
 	return &ResultStore{state: s.state, guard: g}
 }
 
-// Put registers (or replaces) a named intermediate result.
+// Put registers (or replaces) a named intermediate result and freezes
+// the table.
 func (s *ResultStore) Put(name string, t *Table) {
 	n := normalize(name)
 	s.guard.check(s.guard == nil || s.guard.Writes[n], "put", name)
 	s.inject()
 	s.state.mu.Lock()
+	t.frozenAs = name
 	s.state.m[n] = t
 	s.state.mu.Unlock()
 }
@@ -262,6 +291,7 @@ func (s *ResultStore) Rename(old, new string) error {
 	}
 	delete(s.state.m, o)
 	t.Name = new
+	t.frozenAs = new
 	s.state.m[n] = t
 	return nil
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +193,46 @@ func TestPartitionRoutingProperties(t *testing.T) {
 		if got, want := tab.partitionFor(r), route(r[0]); got != want {
 			t.Fatalf("partitionFor(%d) = %d, Partition = %d", i*37, got, want)
 		}
+	}
+}
+
+// TestBoundTableIsFrozen: a table is writable until it is bound in a
+// result store; from then on Insert, InsertBatch and Truncate panic,
+// naming the slot it was last bound under. A clone is writable again.
+func TestBoundTableIsFrozen(t *testing.T) {
+	tb := NewTable("work", schema2(), 2)
+	tb.Insert(row(1, 1))
+	tb.InsertBatch([]sqltypes.Row{row(2, 2)})
+	s := NewResultStore()
+	s.Put("Intermediate#c", tb)
+
+	mustPanic := func(op, slot string, f func()) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, op) || !strings.Contains(msg, fmt.Sprintf("%q", slot)) {
+				t.Errorf("%s on a table bound as %s: recovered %q, want a panic naming both", op, slot, msg)
+			}
+		}()
+		f()
+	}
+	mustPanic("Insert", "Intermediate#c", func() { tb.Insert(row(3, 3)) })
+	mustPanic("InsertBatch", "Intermediate#c", func() { tb.InsertBatch(nil) })
+	mustPanic("Truncate", "Intermediate#c", func() { tb.Truncate() })
+	if err := s.Rename("Intermediate#c", "c"); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("Insert", "c", func() { tb.Insert(row(3, 3)) })
+	s.Drop("c")
+	mustPanic("Insert", "c", func() { tb.Insert(row(3, 3)) }) // aliases may still hold it
+	if tb.Len() != 2 {
+		t.Errorf("the frozen table has %d rows, want 2", tb.Len())
+	}
+
+	cp := tb.Clone()
+	cp.Insert(row(3, 3))
+	cp.Truncate()
+	if tb.Len() != 2 || cp.Len() != 0 {
+		t.Errorf("after writing to the clone: %d rows in the original, %d in the clone", tb.Len(), cp.Len())
 	}
 }

@@ -371,7 +371,7 @@ func TestExplainAnalyzeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iterLine := regexp.MustCompile(`Iteration 1: \S+ wall, \d+ rows, frontier \d+\.`)
+	iterLine := regexp.MustCompile(`Iteration 1: \S+ wall, \d+ rows, frontier \d+, scanned \d+, indexed \d+\.`)
 	if !iterLine.MatchString(out) {
 		t.Fatalf("EXPLAIN ANALYZE missing per-iteration line:\n%s", out)
 	}

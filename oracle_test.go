@@ -393,3 +393,40 @@ func TestParallelPlainSelect(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexMemoEndsWithTheQuery: the hash indexes an iterative query
+// memoizes for its loop are gone when it returns. A row inserted into
+// edges between two PageRank queries therefore shows in the second one,
+// which indexes the changed table afresh and matches the oracle over
+// the changed graph.
+func TestIndexMemoEndsWithTheQuery(t *testing.T) {
+	g := workload.PreferentialAttachment(80, 3, workload.WeightOutDegree, 17)
+	e := loadGraph(t, g, 1.0)
+	const iters = 5
+	first := mustQuery(t, e, prSQL(iters))
+	indexedFirst := e.Stats().RowsIndexed
+	nodes, edges := int64(len(first.Rows)), int64(len(g.Edges))
+	if want := edges + iters*nodes; indexedFirst != want {
+		t.Fatalf("first query: RowsIndexed = %d, want %d (edges once, the CTE per iteration)", indexedFirst, want)
+	}
+
+	mustExec(t, e, "INSERT INTO edges VALUES (1, 2, 0.5)")
+	second := mustQuery(t, e, prSQL(iters))
+	if got, want := e.Stats().RowsIndexed-indexedFirst, edges+1+iters*nodes; got != want {
+		t.Errorf("second query: RowsIndexed = %d, want %d (the new edge included)", got, want)
+	}
+	oracle := graphalgo.PageRank(append(append([]graphalgo.Edge(nil), g.Edges...), graphalgo.Edge{Src: 1, Dst: 2, Weight: 0.5}), iters)
+	changed := false
+	for i, row := range second.Rows {
+		want := oracle[row[0].Int()]
+		if got := row[1].Float(); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+			t.Errorf("node %d after the insert: SQL %v, oracle %v", row[0].Int(), got, want)
+		}
+		if row.String() != first.Rows[i].String() {
+			changed = true
+		}
+	}
+	if !changed {
+		t.Error("the inserted edge changed no rank: the second query did not see it")
+	}
+}
