@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race vet lint fuzz-seed bench-check bench-pair profile check bench-smoke clean
+.PHONY: all build test race vet lint fuzz-seed bench-check bench-pair profile loc check bench-smoke clean
 
 all: build
 
@@ -97,6 +97,31 @@ profile:
 		-cpuprofile cpu.pb.gz -memprofile mem.pb.gz -memprofilerate 4096 .
 	$(GO) tool pprof -top -cum -nodecount 40 .bench_build/profile/dbspinner.test .bench_build/profile/cpu.pb.gz
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 40 .bench_build/profile/dbspinner.test .bench_build/profile/mem.pb.gz
+
+# loc prints the non-test Go lines of every package (wc -l over *.go
+# minus *_test.go, testdata and the benchmark module left out): the
+# table a CHANGES.md entry carries. With BASE it also counts that
+# revision, exported with git archive into .bench_build/loc-base/ like
+# bench-pair's, and prints both and the difference; packages that did
+# not change are summed into one line.
+#   make loc [BASE=HEAD~1]
+loc:
+	@set -eu; \
+	count() { (cd $$1 && find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) print d, n[d] }'); }; \
+	if [ -z "$(BASE)" ]; then \
+		count . | sort | awk '{ printf "%-28s %6d\n", $$1, $$2; t += $$2 } END { printf "%-28s %6d\n", "total", t }'; \
+	else \
+		base=.bench_build/loc-base; rm -rf $$base; mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; \
+		count $$base | sort > $$base.txt; count . | sort > .bench_build/loc-tree.txt; \
+		join -a1 -a2 -e0 -o 0,1.2,2.2 $$base.txt .bench_build/loc-tree.txt | awk -v rev=$(BASE) ' \
+			BEGIN { printf "%-28s %8s %8s %7s\n", "package", rev, "tree", "diff" } \
+			{ tb += $$2; tc += $$3 } \
+			$$2 == $$3 { same += $$2; next } \
+			{ printf "%-28s %8d %8d %+7d\n", $$1, $$2, $$3, $$3 - $$2 } \
+			END { printf "%-28s %8d %8d %+7d\n", "(unchanged packages)", same, same, 0; \
+				printf "%-28s %8d %8d %+7d\n", "total", tb, tc, tc - tb }'; \
+	fi
 
 # The full gate CI runs: standard vet, spinlint, build, tests, the fuzz
 # seed corpus, the benchmark module's own check, and the race-enabled

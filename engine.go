@@ -313,7 +313,6 @@ type Stats struct {
 	RiInputRows  int64 // CTE rows actually fed to Ri's iterative reference
 	AggFullRows  int64 // CTE rows a full re-aggregation would fold (incremental-agg accounting)
 	AggInputRows int64 // CTE rows actually re-folded by maintained aggregation
-	RowsAggInput int64 // input rows drained by aggregate operators
 
 	// Fault-tolerance counters (Config.RetryPolicy): iterations re-run
 	// from a back-edge checkpoint, and rungs descended on the
@@ -323,19 +322,20 @@ type Stats struct {
 
 	// Data-movement accounting for the column-pruning experiment:
 	// cells (rows × columns) written into intermediate results by
-	// materialize/merge/copy-back steps, and cells read back out of
-	// materialized results by scans.
+	// materialize/merge/copy-back steps; the cells scans read back out
+	// of them are ExecStats.ResultCellsRead.
 	MaterializedCells int64
-	ResultCellsRead   int64
 
-	// Executor counters. RowsIndexed counts rows inserted into join hash
-	// indexes; an iterative query indexes a table its loop does not
-	// change once, not once per iteration, and RowsScanned does not count
-	// the build-side scans that therefore did not happen.
-	RowsScanned  int64
-	RowsJoined   int64
-	RowsGrouped  int64
-	RowsIndexed  int64
+	// Executor counters: RowsScanned, RowsJoined, RowsIndexed,
+	// RowsGrouped, RowsAggInput (input rows drained by aggregate
+	// operators) and ResultCellsRead. RowsIndexed counts rows inserted
+	// into join hash indexes; an iterative query indexes a table its loop
+	// does not change once, not once per iteration, and RowsScanned does
+	// not count the build-side scans that therefore did not happen. Both
+	// executors count alike: an MPP fragment is the volcano operators over
+	// one partition. Only a build side the MPP machine has to re-shuffle
+	// (its exchange was not elided) is read and indexed every iteration.
+	ExecStats
 	RowsShuffled int64 // rows moved by MPP exchanges (Parallel mode)
 
 	// Shuffle-elision accounting (internal/distprop): exchanges the
@@ -356,6 +356,9 @@ type Stats struct {
 	WALBytes      int64
 	TxnCommitted  int64
 }
+
+// ExecStats is the executor's counter set, embedded in Stats.
+type ExecStats = exec.Stats
 
 // Result is the outcome of a Query call.
 type Result struct {
@@ -547,14 +550,7 @@ func (e *Engine) absorbCoreStats(cs *core.Stats) {
 	e.absorbExecStats(&cs.Exec)
 }
 
-func (e *Engine) absorbExecStats(es *exec.Stats) {
-	e.stats.RowsScanned += es.RowsScanned
-	e.stats.RowsJoined += es.RowsJoined
-	e.stats.RowsGrouped += es.RowsGrouped
-	e.stats.RowsIndexed += es.RowsIndexed
-	e.stats.RowsAggInput += es.RowsAggInput
-	e.stats.ResultCellsRead += es.ResultCellsRead
-}
+func (e *Engine) absorbExecStats(es *exec.Stats) { e.stats.ExecStats.Add(es) }
 
 func colNames(cols []plan.ColInfo) []string {
 	out := make([]string, len(cols))

@@ -2,6 +2,7 @@ package dbspinner
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -456,5 +457,44 @@ func TestDefaultPartitions(t *testing.T) {
 	e := New(Config{Partitions: 0})
 	if e.cfg.Partitions != 4 {
 		t.Errorf("default partitions = %d", e.cfg.Partitions)
+	}
+}
+
+// TestEveryConfigKnobReachesOptions: a Config field that coreOptions
+// does not translate is a public setting that silently does nothing.
+// Each field in turn is set away from its zero value and must change
+// what the rewrite is handed — which a field that is read and then
+// dropped does not do either.
+func TestEveryConfigKnobReachesOptions(t *testing.T) {
+	zero := (&Engine{}).coreOptions()
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		var c Config
+		setNonZero(t, reflect.ValueOf(&c).Elem().Field(i))
+		if got := (&Engine{cfg: c}).coreOptions(); reflect.DeepEqual(got, zero) {
+			t.Errorf("Config.%s never reaches core.Options: coreOptions returns the zero configuration's %+v", typ.Field(i).Name, got)
+		}
+	}
+}
+
+// setNonZero sets v, and for a struct every field of it, to a value
+// that is not its zero value.
+func setNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setNonZero(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("setNonZero: no non-zero value known for a %s", v.Type())
 	}
 }

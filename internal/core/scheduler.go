@@ -177,12 +177,10 @@ func mergeTrace(ctx *Context, tr *stepTrace) {
 	ctx.Stats.RowsElided += s.RowsElided + tr.mppStats.RowsElided
 	ctx.Stats.RiFullRows += s.RiFullRows
 	ctx.Stats.RiInputRows += s.RiInputRows
+	ctx.Stats.AggFullRows += s.AggFullRows
+	ctx.Stats.AggInputRows += s.AggInputRows
 	ctx.Stats.MaterializedCells += s.MaterializedCells
-	ctx.Stats.Exec.RowsScanned += s.Exec.RowsScanned
-	ctx.Stats.Exec.RowsJoined += s.Exec.RowsJoined
-	ctx.Stats.Exec.RowsIndexed += s.Exec.RowsIndexed
-	ctx.Stats.Exec.RowsGrouped += s.Exec.RowsGrouped
-	ctx.Stats.Exec.ResultCellsRead += s.Exec.ResultCellsRead
+	ctx.Stats.Exec.Add(&s.Exec)
 	for name := range tr.created {
 		ctx.track(name)
 	}

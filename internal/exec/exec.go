@@ -28,7 +28,11 @@ type Runtime interface {
 }
 
 // Stats accumulates execution counters, used by the benchmarks and the
-// data-movement experiments.
+// data-movement experiments. Both executors count alike: the fragments
+// of an MPP run are these operators over one partition each, so their
+// sums are the volcano run's counts — except where the machine has to
+// shuffle a join's build side, which it then reads and indexes every
+// time, memo or not.
 type Stats struct {
 	// RowsScanned counts rows read from base tables and results. A join
 	// whose build side's index came out of the run's IndexCache did not
@@ -50,6 +54,18 @@ type Stats struct {
 	// column-pruning experiment's data-movement metric (the write side
 	// is core.Stats.MaterializedCells).
 	ResultCellsRead int64
+}
+
+// Add adds o's counters to s. Every counter of one plan's run ends up
+// in one Stats this way: the fragments of an MPP run count privately
+// and are summed after the fan-out, a scheduled step likewise.
+func (s *Stats) Add(o *Stats) {
+	s.RowsScanned += o.RowsScanned
+	s.RowsJoined += o.RowsJoined
+	s.RowsIndexed += o.RowsIndexed
+	s.RowsGrouped += o.RowsGrouped
+	s.RowsAggInput += o.RowsAggInput
+	s.ResultCellsRead += o.ResultCellsRead
 }
 
 // Operator is a volcano-style iterator. Next returns nil at end of
@@ -85,100 +101,112 @@ func Drain(op Operator) ([]sqltypes.Row, error) {
 // Build compiles a logical plan into an operator tree whose rows the
 // caller may keep (see rows.go for the ownership contract).
 func Build(n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, nil, false)
-}
-
-// BuildContext compiles a plan whose scan and join inner loops poll
-// ctx at a coarse row stride, so a canceled or timed-out query stops
-// mid-scan instead of finishing the operator it is inside.
-func BuildContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, NewCancelChecker(ctx), false)
+	return buildWith(n, rt, stats, nil, false, nil)
 }
 
 // buildWith is the recursive compiler; cc (possibly nil) is shared by
 // every operator of the tree — execution is single-threaded. borrow
 // says that n's consumer is done with each row before it asks for the
-// next one, so n's operator may reuse one output row (rows.go).
-func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (Operator, error) {
+// next one, so n's operator may reuse one output row (rows.go). frag is
+// nil except under the MPP machine, which builds one tree per partition
+// of each exchange-free piece of its plan (fragment.go).
+func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool, frag *fragPart) (Operator, error) {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	if frag == nil {
+		return buildNode(n, rt, stats, cc, borrow, nil)
+	}
+	return frag.build(n, rt, stats, cc, borrow)
+}
+
+// buildNode compiles n's own operator over the trees buildWith makes of
+// its inputs.
+func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool, frag *fragPart) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanOp{name: t.Table, base: true, rt: rt, stats: stats, cancel: cc}, nil
+		return &scanOp{name: t.Table, base: true, rt: rt, stats: stats, cancel: cc, frag: frag}, nil
 	case *plan.NamedResult:
-		return &scanOp{name: t.Name, base: false, rt: rt, stats: stats, cancel: cc}, nil
+		return &scanOp{name: t.Name, base: false, rt: rt, stats: stats, cancel: cc, frag: frag}, nil
 	case *plan.OneRow:
-		return &oneRowOp{}, nil
+		return &rowsOp{rows: []sqltypes.Row{{}}}, nil
 	case *plan.Alias:
-		return buildWith(t.Input, rt, stats, cc, borrow)
+		return buildWith(t.Input, rt, stats, cc, borrow, frag)
 	case *plan.Filter:
-		in, err := buildWith(t.Input, rt, stats, cc, borrow)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
-		cond, err := expr.Compile(t.Cond, planEnv(t.Input))
+		cond, err := shared(frag, n, func() (*expr.Compiled, error) {
+			return expr.Compile(t.Cond, planEnv(t.Input))
+		})
 		if err != nil {
 			return nil, err
 		}
 		return &filterOp{input: in, cond: cond}, nil
 	case *plan.Project:
-		in, err := buildWith(t.Input, rt, stats, cc, true)
+		in, err := buildWith(t.Input, rt, stats, cc, true, frag)
 		if err != nil {
 			return nil, err
 		}
-		e := planEnv(t.Input)
-		items := make([]*expr.Compiled, len(t.Items))
-		for i, it := range t.Items {
-			c, err := expr.Compile(it.Expr, e)
-			if err != nil {
-				return nil, err
+		items, err := shared(frag, n, func() ([]*expr.Compiled, error) {
+			e := planEnv(t.Input)
+			items := make([]*expr.Compiled, len(t.Items))
+			for i, it := range t.Items {
+				c, err := expr.Compile(it.Expr, e)
+				if err != nil {
+					return nil, err
+				}
+				items[i] = c
 			}
-			items[i] = c
+			return items, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return &projectOp{input: in, items: items, out: outRows{borrow: borrow}}, nil
 	case *plan.Join:
-		return buildJoin(t, rt, stats, cc, borrow)
+		return buildJoin(t, rt, stats, cc, borrow, frag)
 	case *plan.Aggregate:
-		return buildAggregate(t, rt, stats, cc)
+		return buildAggregate(t, rt, stats, cc, frag)
 	case *plan.Union:
-		l, err := buildWith(t.Left, rt, stats, cc, borrow)
+		l, err := buildWith(t.Left, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildWith(t.Right, rt, stats, cc, borrow)
+		r, err := buildWith(t.Right, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
 		return &unionOp{left: l, right: r}, nil
 	case *plan.Distinct:
-		in, err := buildWith(t.Input, rt, stats, cc, borrow)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctOp{input: in, width: len(t.Input.Columns())}, nil
 	case *plan.Sort:
-		in, err := buildWith(t.Input, rt, stats, cc, false)
+		in, err := buildWith(t.Input, rt, stats, cc, false, frag)
 		if err != nil {
 			return nil, err
 		}
 		return &sortOp{input: in, keys: t.Keys}, nil
 	case *plan.Limit:
-		in, err := buildWith(t.Input, rt, stats, cc, borrow)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
 		return &limitOp{input: in, n: t.N, offset: t.Offset}, nil
 	case *plan.TopN:
-		in, err := buildWith(t.Input, rt, stats, cc, false)
+		in, err := buildWith(t.Input, rt, stats, cc, false, frag)
 		if err != nil {
 			return nil, err
 		}
 		return &topNOp{input: in, keys: t.Keys, n: t.N, offset: t.Offset}, nil
 	case *plan.EmptyNode:
-		return emptyOp{}, nil
+		return &rowsOp{}, nil
 	case *plan.Trim:
-		in, err := buildWith(t.Input, rt, stats, cc, borrow)
+		in, err := buildWith(t.Input, rt, stats, cc, borrow, frag)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +243,7 @@ func Run(n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
 // coarse row stride; a fired context surfaces as ctx.Err(). A nil ctx
 // keeps the zero-cost uncancellable path.
 func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
-	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx), false)
+	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,6 +299,7 @@ type scanOp struct {
 	rt     Runtime
 	stats  *Stats
 	cancel *CancelChecker
+	frag   *fragPart // non-nil: read only this partition's share of the table
 
 	// parts snapshots the table's partition slices at Open; the slices
 	// themselves are stable (a table bound in the result store is frozen,
@@ -294,7 +323,14 @@ func (s *scanOp) Open() error {
 	if err != nil {
 		return err
 	}
-	s.parts = append(s.parts[:0], t.Parts...)
+	switch {
+	case s.frag == nil:
+		s.parts = append(s.parts[:0], t.Parts...)
+	case s.frag.aligned(t):
+		s.parts = append(s.parts[:0], t.Parts[s.frag.part])
+	default:
+		s.parts = append(s.parts[:0], s.frag.dealt(t))
+	}
 	s.pi, s.pos = 0, 0
 	return nil
 }
@@ -327,25 +363,20 @@ func (s *scanOp) Close() error {
 
 // --- trivial operators --------------------------------------------------
 
-type oneRowOp struct{ done bool }
-
-func (o *oneRowOp) Open() error { o.done = false; return nil }
-func (o *oneRowOp) Next() (sqltypes.Row, error) {
-	if o.done {
-		return nil, nil
-	}
-	o.done = true
-	return sqltypes.Row{}, nil
-}
-func (o *oneRowOp) Close() error { return nil }
-
+// rowsOp emits fixed rows: a VALUES list, the one empty row of a
+// FROM-less SELECT, none for a provably false filter, or what an
+// exchange delivered to a fragment.
 type rowsOp struct {
-	rows []sqltypes.Row
-	pos  int
+	rows   []sqltypes.Row
+	cancel *CancelChecker
+	pos    int
 }
 
 func (r *rowsOp) Open() error { r.pos = 0; return nil }
 func (r *rowsOp) Next() (sqltypes.Row, error) {
+	if err := r.cancel.Tick(); err != nil {
+		return nil, err
+	}
 	if r.pos >= len(r.rows) {
 		return nil, nil
 	}
@@ -497,19 +528,9 @@ func (s *sortOp) Open() error {
 	if err != nil {
 		return err
 	}
-	keys := s.keys
 	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			c := sqltypes.Compare(rows[i][k.Col], rows[j][k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+		before, _ := sortsBefore(s.keys, rows[i], rows[j])
+		return before
 	})
 	s.rows = rows
 	s.pos = 0
@@ -569,50 +590,53 @@ func (l *limitOp) Close() error { return l.input.Close() }
 type aggOp struct {
 	node  *plan.Aggregate
 	stats *Stats
+	input Operator
+	aggExprs
+	newAgg []func() expr.Aggregator // per aggregate: its accumulator constructor
 
-	input   Operator
-	groupEx []*expr.Compiled
-	argEx   []*expr.Compiled         // nil entries for COUNT(*)
-	newAgg  []func() expr.Aggregator // per aggregate: its accumulator constructor
-	out     []sqltypes.Row
-	pos     int
+	out []sqltypes.Row
+	pos int
 }
 
-func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
-	in, err := buildWith(t.Input, rt, stats, cc, true)
+// aggExprs is what an aggregate node's expressions compile to.
+type aggExprs struct {
+	groupEx []*expr.Compiled
+	argEx   []*expr.Compiled // nil entries for COUNT(*)
+}
+
+// buildAggregate compiles an aggregate node's expressions over its
+// input's rows and resolves each aggregate function once. The
+// accumulator constructors carve from chunks of their own, so unlike
+// the expressions they are the operator's alone.
+func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker, frag *fragPart) (Operator, error) {
+	input, err := buildWith(t.Input, rt, stats, cc, true, frag)
 	if err != nil {
 		return nil, err
 	}
-	return newAggOp(t, in, stats)
-}
-
-// newAggOp compiles an aggregate node's expressions over input's rows
-// and resolves each aggregate function once.
-func newAggOp(t *plan.Aggregate, input Operator, stats *Stats) (*aggOp, error) {
-	e := planEnv(t.Input)
-	op := &aggOp{node: t, stats: stats, input: input}
-	for _, g := range t.GroupBy {
-		c, err := expr.Compile(g, e)
-		if err != nil {
-			return nil, err
+	ex, err := shared(frag, t, func() (ex aggExprs, err error) {
+		if ex.groupEx, err = GroupKeyExprs(t); err != nil {
+			return ex, err
 		}
-		op.groupEx = append(op.groupEx, c)
+		e := planEnv(t.Input)
+		ex.argEx = make([]*expr.Compiled, len(t.Aggs))
+		for i, a := range t.Aggs {
+			if a.Star {
+				continue
+			}
+			if ex.argEx[i], err = expr.Compile(a.Arg, e); err != nil {
+				return ex, err
+			}
+		}
+		return ex, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range t.Aggs {
-		mk, err := expr.NewAggregators(a.Name, a.Star, a.Distinct)
-		if err != nil {
+	op := &aggOp{node: t, stats: stats, input: input, aggExprs: ex, newAgg: make([]func() expr.Aggregator, len(t.Aggs))}
+	for i, a := range t.Aggs {
+		if op.newAgg[i], err = expr.NewAggregators(a.Name, a.Star, a.Distinct); err != nil {
 			return nil, err
 		}
-		op.newAgg = append(op.newAgg, mk)
-		if a.Star {
-			op.argEx = append(op.argEx, nil)
-			continue
-		}
-		c, err := expr.Compile(a.Arg, e)
-		if err != nil {
-			return nil, err
-		}
-		op.argEx = append(op.argEx, c)
 	}
 	return op, nil
 }
@@ -702,4 +726,20 @@ func (a *aggOp) Next() (sqltypes.Row, error) {
 func (a *aggOp) Close() error {
 	a.out = nil
 	return nil
+}
+
+// GroupKeyExprs compiles the group-by expressions of an aggregate node
+// over its input's rows: what the operator groups by, and what the MPP
+// machine routes the input by.
+func GroupKeyExprs(node *plan.Aggregate) ([]*expr.Compiled, error) {
+	e := planEnv(node.Input)
+	out := make([]*expr.Compiled, len(node.GroupBy))
+	for i, g := range node.GroupBy {
+		c, err := expr.Compile(g, e)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -485,4 +486,27 @@ func ExampleDrain() {
 	rows, _ := Run(node, rt, nil)
 	fmt.Println(rows[0].String())
 	// Output: 42
+}
+
+// TestStatsAddCarriesEveryCounter: Add is what sums the MPP fragments'
+// and the scheduled steps' private counters into the query's, so a
+// counter it forgets reads zero there. Every field must be a counter it
+// carries.
+func TestStatsAddCarriesEveryCounter(t *testing.T) {
+	var one, sum Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).CanInt() {
+			t.Fatalf("Stats.%s is not an integer counter; say here how Add carries it", v.Type().Field(i).Name)
+		}
+		v.Field(i).SetInt(1)
+	}
+	sum.Add(&one)
+	sum.Add(&one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got := s.Field(i).Int(); got != 2 {
+			t.Errorf("after adding 1 twice, Stats.%s = %d: Add does not carry it", s.Type().Field(i).Name, got)
+		}
+	}
 }

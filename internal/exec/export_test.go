@@ -53,13 +53,15 @@ func (s *scribbleOp) Close() error {
 // ownership-tested.
 func inputsOf(op Operator) []*Operator {
 	switch t := op.(type) {
-	case *scanOp, *oneRowOp, *rowsOp, emptyOp:
+	case *scanOp, *rowsOp:
 		return nil
 	case *filterOp:
 		return []*Operator{&t.input}
 	case *projectOp:
 		return []*Operator{&t.input}
 	case *trimOp:
+		return []*Operator{&t.input}
+	case *tapOp:
 		return []*Operator{&t.input}
 	case *unionOp:
 		return []*Operator{&t.left, &t.right}
@@ -107,7 +109,7 @@ func rewire(op Operator, f func(Operator) Operator) Operator {
 // op itself, or what it forwards. It is how a mutant breaks a keeper.
 func lend(op Operator) {
 	switch op.(type) {
-	case *filterOp, *trimOp, *unionOp, *distinctOp, *limitOp:
+	case *filterOp, *trimOp, *tapOp, *unionOp, *distinctOp, *limitOp:
 		for _, in := range inputsOf(op) {
 			lend(*in)
 		}
@@ -136,10 +138,24 @@ const (
 // RunOwnership builds n as RunContext would, rewires it per mode and
 // drains it. It also returns how many scribbleOps it inserted.
 func RunOwnership(n plan.Node, rt Runtime, mode OwnershipMode) (rows []sqltypes.Row, scribblers int, err error) {
-	op, err := buildWith(n, rt, nil, nil, false)
+	op, err := buildWith(n, rt, nil, nil, false, nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	return runOwnership(op, mode)
+}
+
+// RunOwnershipFragment is RunOwnership of the tree BuildFragment makes of
+// partition part: the root keeps rows, as the MPP machine does.
+func RunOwnershipFragment(n plan.Node, rt Runtime, mode OwnershipMode, frag *Fragment, part int) (rows []sqltypes.Row, scribblers int, err error) {
+	op, err := BuildFragment(n, rt, nil, nil, frag, part)
+	if err != nil {
+		return nil, 0, err
+	}
+	return runOwnership(op, mode)
+}
+
+func runOwnership(op Operator, mode OwnershipMode) (rows []sqltypes.Row, scribblers int, err error) {
 	op = rewire(op, func(op Operator) Operator {
 		switch t := op.(type) {
 		case *sortOp:

@@ -1,0 +1,156 @@
+package exec
+
+import (
+	"sync"
+
+	"dbspinner/internal/expr"
+	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
+)
+
+// Fragment describes one exchange-free piece of a plan that the MPP
+// machine (internal/mpp) cut at its exchanges. The machine owns the
+// exchanges and nothing else: between two of them the plan is the
+// ordinary operators, built once per partition (BuildFragment) and
+// drained side by side. Without a fragment buildWith builds the whole
+// plan as one tree, the volcano path.
+//
+// Nodes are told apart by identity, so a plan must be a tree (the plan
+// builder expands every reference into its own nodes).
+type Fragment struct {
+	// Parts is the number of partitions. A scan in partition p reads
+	// that partition of its table, or, of a table partitioned any other
+	// way, every Parts-th row in scan order.
+	Parts int
+	// Inputs are the cuts: a node listed here is not built, partition
+	// p's tree reads Inputs[n][p] in its place — what an exchange
+	// delivered to it.
+	Inputs map[plan.Node][][]sqltypes.Row
+	// Taps show every row a node hands up to a function of the machine's:
+	// its stand-in for an exchange it elided. A tap may read the row until
+	// it returns and must not keep it.
+	Taps map[plan.Node]Tap
+
+	// compiled holds what the first tree built compiled from each node;
+	// expressions are stateless, so the other partitions' trees take them
+	// from here (shared).
+	mu       sync.Mutex
+	compiled map[plan.Node]any
+}
+
+// Tap is called with the partition and each row passing through it; an
+// error fails the fragment.
+type Tap func(part int, r sqltypes.Row) error
+
+// fragPart is buildWith's fragment argument: one partition of one.
+type fragPart struct {
+	*Fragment
+	part int
+}
+
+// BuildFragment compiles partition part's tree of the fragment of n's
+// plan that frag describes. The caller keeps the rows it drains; stats
+// and cc are the tree's own (one goroutine runs it).
+func BuildFragment(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, frag *Fragment, part int) (Operator, error) {
+	return buildWith(n, rt, stats, cc, false, &fragPart{frag, part})
+}
+
+// build is buildWith under a fragment: a cut stands in for the node, a
+// tap goes on top of either.
+func (f *fragPart) build(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (op Operator, err error) {
+	if in, cut := f.Inputs[n]; cut {
+		op = &rowsOp{rows: in[f.part], cancel: cc}
+	} else if op, err = buildNode(n, rt, stats, cc, borrow, f); err != nil {
+		return nil, err
+	}
+	if tap := f.Taps[n]; tap != nil {
+		op = &tapOp{input: op, tap: tap, part: f.part}
+	}
+	return op, nil
+}
+
+// shared returns what compile makes of n's expressions: under a
+// fragment the first result, which every partition's tree then uses
+// too; otherwise just that.
+func shared[T any](f *fragPart, n plan.Node, compile func() (T, error)) (T, error) {
+	if f == nil {
+		return compile()
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if v, ok := f.compiled[n]; ok {
+		return v.(T), nil
+	}
+	v, err := compile()
+	if err == nil {
+		if f.compiled == nil {
+			f.compiled = map[plan.Node]any{}
+		}
+		f.compiled[n] = v
+	}
+	return v, err
+}
+
+// JoinKeys is JoinKeys(t), compiled once for the fragment t is in: the
+// machine routes the join's inputs by the keys its trees then use.
+func (f *Fragment) JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, err error) {
+	k, err := joinKeysOf(&fragPart{Fragment: f}, t)
+	return k.left, k.right, err
+}
+
+// aligned reports whether t is partitioned the way the fragment is, so
+// that t's partition f.part is this tree's share of it.
+func (f *fragPart) aligned(t *storage.Table) bool { return len(t.Parts) == f.Parts }
+
+// dealt returns this tree's share of a table that is not aligned:
+// the rows are dealt round-robin in scan order.
+func (f *fragPart) dealt(t *storage.Table) []sqltypes.Row {
+	var mine []sqltypes.Row
+	i := 0
+	for _, part := range t.Parts {
+		for _, r := range part {
+			if i%f.Parts == f.part {
+				mine = append(mine, r)
+			}
+			i++
+		}
+	}
+	return mine
+}
+
+// tapOp forwards its input's rows, showing each to the tap first.
+type tapOp struct {
+	input Operator
+	tap   Tap
+	part  int
+}
+
+func (t *tapOp) see(r sqltypes.Row) error { return t.tap(t.part, r) }
+
+func (t *tapOp) Open() error { return t.input.Open() }
+func (t *tapOp) Next() (sqltypes.Row, error) {
+	r, err := t.input.Next()
+	if err != nil || r == nil {
+		return nil, err
+	}
+	if err := t.see(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+func (t *tapOp) Close() error { return t.input.Close() }
+
+// tableScan reports whether op reads a table as it stands — a scan,
+// possibly under a tap — and returns the scan and the tap (nil: none).
+func tableScan(op Operator) (*scanOp, *tapOp) {
+	tap, _ := op.(*tapOp)
+	if tap != nil {
+		op = tap.input
+	}
+	scan, _ := op.(*scanOp)
+	if scan == nil {
+		return nil, nil
+	}
+	return scan, tap
+}

@@ -13,16 +13,16 @@ import (
 // become hash keys; remaining conjuncts are evaluated as a residual
 // predicate on each candidate pair. Joins without any equi-key fall
 // back to a nested loop.
-func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (Operator, error) {
+func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool, frag *fragPart) (Operator, error) {
 	// The side a join streams is read one row at a time; the other side
 	// is drained and kept: the right input, except that a right-outer
 	// hash join builds on its left.
 	keepLeft := t.Type == ast.RightJoin
-	left, err := buildWith(t.Left, rt, stats, cc, !keepLeft)
+	left, err := buildWith(t.Left, rt, stats, cc, !keepLeft, frag)
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildWith(t.Right, rt, stats, cc, keepLeft)
+	right, err := buildWith(t.Right, rt, stats, cc, keepLeft, frag)
 	if err != nil {
 		return nil, err
 	}
@@ -32,12 +32,13 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 	if keepLeft {
 		buildOp = left
 	}
-	buildScan, _ := buildOp.(*scanOp) // the build side is a table as it stands
+	buildScan, buildTap := tableScan(buildOp)
 
-	leftKeys, rightKeys, residual, err := JoinKeys(t)
+	keys, err := joinKeysOf(frag, t)
 	if err != nil {
 		return nil, err
 	}
+	leftKeys, rightKeys, residual := keys.left, keys.right, keys.residual
 
 	switch t.Type {
 	case ast.CrossJoin:
@@ -53,8 +54,8 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			buildScan: buildScan,
-			stats:     stats, cancel: cc, out: out,
+			buildScan: buildScan, buildTap: buildTap,
+			stats: stats, cancel: cc, out: out,
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -82,6 +83,57 @@ func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok 
 		return b.R, b.L, true
 	}
 	return nil, nil, false
+}
+
+// JoinKeys compiles a join node's equi-key expressions and residual
+// predicate. Conjuncts that do not split into one-side = other-side
+// form become the residual. The key expressions are also what the MPP
+// machine routes each side's rows by, and what distprop reasons about.
+func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *expr.Compiled, err error) {
+	if t.On == nil {
+		return nil, nil, nil, nil
+	}
+	leftEnv := planEnv(t.Left)
+	rightEnv := planEnv(t.Right)
+	var resids []ast.Expr
+	for _, conj := range ast.SplitConjuncts(t.On) {
+		lk, rk, ok := splitEquiKey(conj, leftEnv, rightEnv)
+		if !ok {
+			resids = append(resids, conj)
+			continue
+		}
+		lc, err := expr.Compile(lk, leftEnv)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		rc, err := expr.Compile(rk, rightEnv)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		leftKeys = append(leftKeys, lc)
+		rightKeys = append(rightKeys, rc)
+	}
+	if rem := ast.JoinConjuncts(resids); rem != nil {
+		residual, err = expr.Compile(rem, planEnv(t))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return leftKeys, rightKeys, residual, nil
+}
+
+// joinKeys is what JoinKeys returns.
+type joinKeys struct {
+	left, right []*expr.Compiled
+	residual    *expr.Compiled
+}
+
+// joinKeysOf is JoinKeys, once per fragment (shared).
+func joinKeysOf(f *fragPart, t *plan.Join) (joinKeys, error) {
+	return shared(f, t, func() (k joinKeys, err error) {
+		k.left, k.right, k.residual, err = JoinKeys(t)
+		return k, err
+	})
 }
 
 // HashIndex is the build side of an equi-join: the build rows, chained
@@ -180,11 +232,11 @@ type hashJoinOp struct {
 	leftWidth, rightWidth int
 	stats                 *Stats
 	cancel                *CancelChecker
-	// Where the build side's index comes from when it is not drained from
-	// the build input: a table read as it stands, indexed through the
-	// run's memo, or an index the caller built (HashJoinPartition).
+	// When the build input is a table read as it stands (tableScan), the
+	// index comes from the run's memo instead of from draining the input;
+	// buildTap is the tap those rows would have passed.
 	buildScan *scanOp
-	prebuilt  *HashIndex
+	buildTap  *tapOp
 
 	build            *HashIndex
 	matched          []bool // per build row; full-outer only
@@ -213,13 +265,8 @@ func (h *hashJoinOp) Open() error {
 		h.probe, h.probeKeys = h.left, h.leftKeys
 	}
 
-	var err error
-	switch {
-	case h.prebuilt != nil:
-		h.build = h.prebuilt
-	case h.buildScan != nil:
-		err = h.indexTable(buildKeys)
-	default:
+	memoized, err := h.indexTable(buildKeys)
+	if err == nil && !memoized {
 		var rows []sqltypes.Row
 		if rows, err = Drain(buildOp); err == nil {
 			h.build, err = BuildHashIndex(rows, buildKeys)
@@ -244,28 +291,50 @@ func (h *hashJoinOp) Open() error {
 	return h.probe.Open()
 }
 
-// indexTable takes the index of the table the build side reads from the
-// run's memo. Only a call that builds it reads the table, and only that
-// call counts the read.
-func (h *hashJoinOp) indexTable(keys []*expr.Compiled) error {
+// indexTable takes the index of the table the build side reads — all of
+// it, or the fragment's partition — from the run's memo, and reports
+// whether it could: there is no such table, or a fragment's share of it
+// is not one of its partitions, and then the build input is drained.
+// Only a call that builds the index reads the table, and only that call
+// counts the read; a tap sees the rows either way.
+func (h *hashJoinOp) indexTable(keys []*expr.Compiled) (memoized bool, err error) {
 	s := h.buildScan
+	if s == nil {
+		return false, nil
+	}
 	t, err := s.table()
 	if err != nil {
-		return err
+		return false, err
+	}
+	part := allParts
+	if s.frag != nil {
+		if !s.frag.aligned(t) {
+			return false, nil
+		}
+		part = s.frag.part
 	}
 	var built bool
-	if h.build, built, err = s.rt.Indexes().Index(t, allParts, keys); err != nil || !built {
-		return err
+	if h.build, built, err = s.rt.Indexes().Index(t, part, keys); err != nil {
+		return false, err
 	}
-	n := int64(len(h.build.Rows))
-	h.stats.RowsIndexed += n
-	h.stats.RowsScanned += n
-	if !s.base {
-		for _, r := range h.build.Rows {
-			h.stats.ResultCellsRead += int64(len(r))
+	if built {
+		n := int64(len(h.build.Rows))
+		h.stats.RowsIndexed += n
+		h.stats.RowsScanned += n
+		if !s.base {
+			for _, r := range h.build.Rows {
+				h.stats.ResultCellsRead += int64(len(r))
+			}
 		}
 	}
-	return nil
+	if h.buildTap != nil {
+		for _, r := range h.build.Rows {
+			if err := h.buildTap.see(r); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
 }
 
 // joined builds the output row of a probe/build pair in left-then-right

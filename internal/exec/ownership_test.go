@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
 )
 
 // ownershipShapes are the plan shapes of exec_test.go and kernel_test.go
@@ -110,6 +112,61 @@ func TestOwnershipMutantsFail(t *testing.T) {
 		if err == nil && RowsText(got) == RowsText(want) {
 			t.Errorf("%s: the mutant's rows equal the retaining run's; the scribbling test cannot see a broken keeper", c.name)
 		}
+	}
+}
+
+// TestFusedFragmentSurvivesScribbling: an MPP fragment is the same tree
+// under the same contract. Here a join→aggregate→project pipeline runs
+// as one fragment — the probe side a cut (rows an exchange delivered),
+// the build side and the aggregate's input under the taps of two elided
+// exchanges — and the join lends its row through the tap to the
+// aggregate: scribbling over it must change nothing, and the taps, which
+// may only read, must see every row intact.
+func TestFusedFragmentSurvivesScribbling(t *testing.T) {
+	rt := ownershipRuntime(t)
+	node := planSQL(t, rt, "SELECT l.k + 1, COUNT(*), MIN(r.w) FROM l LEFT JOIN r ON l.k = r.k GROUP BY l.k")
+	j := firstJoin(t, node)
+	var joined, build int
+	frag := &Fragment{
+		Parts:  1,
+		Inputs: map[plan.Node][][]sqltypes.Row{j.Left: {rt.Catalog.Get("l").AllRows()}},
+		Taps: map[plan.Node]Tap{
+			j.Right: func(_ int, r sqltypes.Row) error { build++; return nil },
+			j: func(_ int, r sqltypes.Row) error {
+				joined++
+				for _, v := range r {
+					if sqltypes.Compare(v, scribbled) == 0 && !v.IsNull() {
+						return fmt.Errorf("the tap was shown a row already scribbled over: %v", r)
+					}
+				}
+				return nil
+			},
+		},
+	}
+	want, _, err := RunOwnershipFragment(node, rt, Retaining, frag, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(node, rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := RowsText(want), RowsText(plain); g != w || len(plain) == 0 {
+		t.Fatalf("the fragment's rows differ from the volcano run's\n got:\n%s\nwant:\n%s", g, w)
+	}
+	joined, build = 0, 0
+	got, scribblers, err := RunOwnershipFragment(node, rt, Scribbling, frag, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scribblers < 1 {
+		t.Errorf("%d operators borrow, want the join at least\n%s", scribblers, plan.ExplainTree(node))
+	}
+	if g, w := RowsText(got), RowsText(want); g != w {
+		t.Errorf("scribbled run differs from the retaining run\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if joined != 7 || build != 6 {
+		t.Errorf("the taps saw %d joined and %d build rows, want 7 and r's 6", joined, build)
 	}
 }
 

@@ -11,14 +11,16 @@ import "dbspinner/internal/sqltypes"
 //     side of a hash join, the streamed left side of a nested loop, and
 //     project — each is done with a row before it asks for the next;
 //   - forwarders (pass their own borrow on): alias, filter, trim, union,
-//     distinct, limit — they hand the input's row to their consumer;
+//     distinct, limit, and the tap of an elided MPP exchange — they hand
+//     the input's row to their consumer;
 //   - keepers (borrow = false for their input): the roots (Run,
-//     RunContext, Materialize, Build: Drain collects the rows), a hash
-//     join's build side, a nested loop's right side, sort and top-N, and
-//     the *Partition entry points, which build no tree at all.
+//     RunContext, Materialize, Build and BuildFragment: Drain collects
+//     the rows), a hash join's build side, a nested loop's right side,
+//     sort and top-N.
 //
-// Scans, VALUES and the aggregate emit rows that stay valid regardless
-// (table rows; the aggregate's one output buffer). The operators that
+// Scans, VALUES, a fragment's cut inputs and the aggregate emit rows
+// that stay valid regardless (table rows; rows an exchange delivered;
+// the aggregate's one output buffer). The operators that
 // build a row per Next — hash join, nested loop, project — take it from
 // an outRows, which is the one place the two answers differ.
 

@@ -132,19 +132,3 @@ func (t *topNOp) Close() error {
 	t.out = nil
 	return nil
 }
-
-// TopNPartition returns the first `keep` rows of the stable sorted
-// order of a row slice (all of them when keep exceeds the input). The
-// MPP layer uses it for distributed top-k: local TopN per fragment,
-// then a final TopN over the gathered candidates.
-func TopNPartition(rows []sqltypes.Row, keys []plan.SortKey, keep int64) ([]sqltypes.Row, error) {
-	op := &topNOp{input: RowsOperator(rows), keys: keys, n: keep}
-	return Drain(op)
-}
-
-// emptyOp produces no rows (a provably-false filter).
-type emptyOp struct{}
-
-func (emptyOp) Open() error                 { return nil }
-func (emptyOp) Next() (sqltypes.Row, error) { return nil, nil }
-func (emptyOp) Close() error                { return nil }

@@ -62,26 +62,6 @@ func TestTopNEqualsSortLimit(t *testing.T) {
 	}
 }
 
-func TestTopNZero(t *testing.T) {
-	rows, err := TopNPartition([]sqltypes.Row{{sqltypes.NewInt(1)}}, []plan.SortKey{{Col: 0}}, 0)
-	if err != nil || len(rows) != 0 {
-		t.Errorf("keep=0: %v, %v", rows, err)
-	}
-}
-
-func TestTopNPartitionHelper(t *testing.T) {
-	rows := []sqltypes.Row{
-		{sqltypes.NewInt(3)}, {sqltypes.NewInt(1)}, {sqltypes.NewInt(2)},
-	}
-	out, err := TopNPartition(rows, []plan.SortKey{{Col: 0}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0][0].Int() != 1 || out[1][0].Int() != 2 {
-		t.Errorf("out = %v", out)
-	}
-}
-
 func TestEmptyNode(t *testing.T) {
 	rt := testRuntime(t)
 	rows := runSQL(t, rt, "SELECT src FROM edges WHERE 1 = 0")

@@ -153,10 +153,6 @@ func TestStepEffectsFixtures(t *testing.T) {
 	runFixtures(t, StepEffects, "dbspinner/internal/core")
 }
 
-func TestOptionCfgFixtures(t *testing.T) {
-	runFixtures(t, OptionCfg, "dbspinner")
-}
-
 func TestCtxcheckFixtures(t *testing.T) {
 	runFixtures(t, Ctxcheck, "dbspinner/internal/core", "dbspinner/internal/mpp")
 }

@@ -28,9 +28,6 @@
 //     missing from it derives no effect set, so every program carrying
 //     it silently loses its schedule and the dataflow analysis never
 //     sees its reads and writes.
-//   - optioncfg: every engine Config knob must be read by the single
-//     function translating Config into core.Options; a knob missing
-//     there is a public setting that silently does nothing.
 //   - ctxcheck: every core Step.Run implementer must call the
 //     cancellation checkpoint, and every mpp.Machine method that fans
 //     out goroutines must consult the machine checkpoint first;
@@ -97,7 +94,7 @@ type Analyzer struct {
 
 // Analyzers returns every spinlint check.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{StepRun, ResultStore, StepExplain, CoreErrors, StepSwitch, StepEffects, OptionCfg, Ctxcheck, DistProp, AggDispatch, GoRecover}
+	return []*Analyzer{StepRun, ResultStore, StepExplain, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, AggDispatch, GoRecover}
 }
 
 // Check runs every analyzer over the pass, drops findings in _test.go

@@ -132,10 +132,7 @@ func peek(rt *Runtime) int {
 	return rt.Results.Len()
 }
 `
-	// The synthetic package carries no Config struct, so optioncfg's
-	// fail-closed finding rides along with the resultstore one.
 	assertFindings(t, checkSrc(t, "dbspinner", src),
-		"optioncfg|no Config struct found",
 		"resultstore|direct access to the intermediate-result store")
 }
 

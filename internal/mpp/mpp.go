@@ -1,19 +1,20 @@
 // Package mpp simulates the shared-nothing execution of the paper's
-// MPPDB substrate: plans run as per-partition fragments connected by
-// shuffle exchanges. Base tables are already hash-partitioned in
-// storage; joins repartition both sides on the join keys, aggregations
-// repartition on the group keys, and order-sensitive operators gather
-// to a single fragment. Every shuffled row is counted, making data
-// movement a first-class metric.
+// MPPDB substrate. The machine owns the exchanges and nothing else: it
+// cuts a plan where rows must change partitions — joins repartition
+// both sides on the join keys, aggregations repartition on the group
+// keys, order-sensitive operators gather to a single partition — and
+// between two exchanges runs the ordinary operators of internal/exec,
+// one tree per partition, side by side. Base tables are already
+// hash-partitioned in storage. Every shuffled row is counted, making
+// data movement a first-class metric.
 package mpp
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/exec"
@@ -38,7 +39,9 @@ type Stats struct {
 	// co-partitioned input relocates nothing; the layout-preservation
 	// tests pin that.
 	RowsRelocated int64
-	// Fragments is the number of parallel fragments executed.
+	// Fragments is the number of parallel fragments executed: one per
+	// partition for every exchange and for every exchange-free piece of
+	// a plan.
 	Fragments int64
 	// ShufflesElided counts exchange operators skipped because the
 	// static partition-property analysis proved their input already
@@ -70,7 +73,8 @@ type Elide struct {
 }
 
 // Machine evaluates plans over P partitions with up to P concurrent
-// fragment goroutines.
+// fragment goroutines. One goroutine drives a machine at a time; the
+// counters are plain fields, summed between fan-outs.
 type Machine struct {
 	RT    exec.Runtime
 	Parts int
@@ -78,9 +82,9 @@ type Machine struct {
 	Exec  *exec.Stats
 	// Ctx, when non-nil, is polled at every partition batch (the start
 	// of each parallel region) and — through per-partition
-	// exec.CancelCheckers — inside the fragments' row loops, so a
-	// canceled query stops mid-batch. A nil Ctx keeps the zero-cost
-	// uncancellable path.
+	// exec.CancelCheckers — inside the fragments' operators and the
+	// exchanges' routing loops, so a canceled query stops mid-batch. A
+	// nil Ctx keeps the zero-cost uncancellable path.
 	Ctx context.Context
 	// Elide maps plan nodes to their statically licensed exchange
 	// elisions. A nil map (the default) runs every exchange.
@@ -112,30 +116,11 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 	return &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats}
 }
 
-// relation is a partitioned intermediate result flowing between
-// fragments.
-type relation struct {
-	parts [][]sqltypes.Row
-	// src is the table whose partitions parts are, as they stand (only
-	// the aligned branch of evalScan sets it); nil for anything computed.
-	src *storage.Table
-}
+// relation is a partitioned intermediate result: what a fragment
+// produced, or what an exchange made of it.
+type relation [][]sqltypes.Row
 
-func (m *Machine) newRelation() *relation {
-	return &relation{parts: make([][]sqltypes.Row, m.Parts)}
-}
-
-func (r *relation) gather() []sqltypes.Row {
-	n := 0
-	for _, p := range r.parts {
-		n += len(p)
-	}
-	out := make([]sqltypes.Row, 0, n)
-	for _, p := range r.parts {
-		out = append(out, p...)
-	}
-	return out
-}
+func (r relation) gather() []sqltypes.Row { return slices.Concat(r...) }
 
 // Run executes a plan in parallel and returns the gathered rows.
 func (m *Machine) Run(n plan.Node) ([]sqltypes.Row, error) {
@@ -157,12 +142,237 @@ func (m *Machine) Materialize(n plan.Node, name string) (*storage.Table, error) 
 	// partitions as they were produced (no extra shuffle). The write-out
 	// is one fragment per partition, counted like Run's parallel
 	// regions even though the in-memory adoption is a slice swap.
-	for i, p := range rel.parts {
-		t.Parts[i] = p
-	}
-	atomic.AddInt64(&m.Stats.Fragments, int64(m.Parts))
+	copy(t.Parts, rel)
+	m.Stats.Fragments += int64(m.Parts)
 	return t, nil
 }
+
+// --- cutting a plan into fragments ---------------------------------------
+
+// fragment is one exchange-free piece of a plan: the cuts and taps exec
+// builds its trees with, and the counters of its taps.
+type fragment struct {
+	exec.Fragment
+	elided [][]partCount // per tap: the rows each partition showed it
+}
+
+// partCount is one partition's counter, a cache line wide so that the
+// partitions do not write to the same one.
+type partCount struct {
+	n int64
+	_ [56]byte
+}
+
+func (m *Machine) newFragment() *fragment {
+	return &fragment{Fragment: exec.Fragment{Parts: m.Parts, Inputs: map[plan.Node][][]sqltypes.Row{}}}
+}
+
+// exchange is what happens to a relation on a cut edge.
+type exchange func(relation) (relation, error)
+
+// eval evaluates n into a relation: it cuts the plan below n at its
+// exchanges, evaluates what is below each cut, and runs the piece on
+// top, the fragment rooted at n, once per partition.
+func (m *Machine) eval(n plan.Node) (relation, error) {
+	f := m.newFragment()
+	if err := m.cut(n, f); err != nil {
+		return nil, err
+	}
+	out, err := m.run(n, f, single(n))
+	if agg, ok := n.(*plan.Aggregate); ok && err == nil && m.preAggregates(agg) {
+		// One row per group and partition moves instead of the input: to
+		// where the input exchange would have sent the group, RowKey over
+		// the leading group columns being the values EvalKey computes from
+		// the group expressions, through the same Partition function.
+		// Destination, per-destination order (source-major, groups in
+		// first-seen order within each source) and float accumulation order
+		// all match the exchanged path, so results are byte-identical.
+		return m.shuffleCols(identityCols(len(agg.GroupBy)))(out)
+	}
+	return out, err
+}
+
+// single reports whether n's rows exist once rather than once per
+// partition: its fragment runs in partition 0 only.
+func single(n plan.Node) bool {
+	switch t := n.(type) {
+	case *plan.OneRow, *plan.ValuesNode:
+		return true
+	case *plan.Aggregate:
+		return len(t.GroupBy) == 0
+	}
+	return false
+}
+
+// preAggregates reports whether the analysis licensed aggregating t's
+// input where it is: every group's rows already sit in one partition,
+// so each partition aggregates exactly and the groups are exchanged
+// instead of the input.
+func (m *Machine) preAggregates(t *plan.Aggregate) bool {
+	return len(t.GroupBy) > 0 && m.Elide[plan.Node(t)].Input
+}
+
+// cut decides where the exchanges below n go — and nothing else — and
+// evaluates what is below them into f's inputs. n itself belongs to f.
+func (m *Machine) cut(n plan.Node, f *fragment) error {
+	el := m.Elide[n]
+	switch t := n.(type) {
+	case *plan.Scan, *plan.NamedResult, *plan.EmptyNode, *plan.OneRow, *plan.ValuesNode:
+		return nil
+	case *plan.Alias, *plan.Filter, *plan.Project, *plan.Trim:
+		return m.below(f, n.Children()[0])
+	case *plan.Union:
+		if err := m.below(f, t.Left); err != nil {
+			return err
+		}
+		return m.below(f, t.Right)
+	case *plan.Join:
+		leftKeys, rightKeys, err := f.JoinKeys(t)
+		if err != nil {
+			return err
+		}
+		if t.Type == ast.CrossJoin || len(leftKeys) == 0 {
+			// No equality to partition by: the right side is replicated
+			// to every partition, the left side stays put. (exec refuses
+			// an outer join of this kind when the fragment is built.)
+			if err := m.below(f, t.Left); err != nil {
+				return err
+			}
+			return m.exchanged(f, t.Right, m.broadcast)
+		}
+		// Repartition both sides on the join keys, then join partition-wise.
+		if err := m.input(f, t.Left, m.shuffle(leftKeys), el.Left, el.LeftCols, "join left"); err != nil {
+			return err
+		}
+		return m.input(f, t.Right, m.shuffle(rightKeys), el.Right, el.RightCols, "join right")
+	case *plan.Aggregate:
+		if len(t.GroupBy) == 0 {
+			return m.exchanged(f, t.Input, m.gather(false)) // one output row: aggregate in one place
+		}
+		var keys []*expr.Compiled
+		if !el.Input {
+			var err error
+			if keys, err = exec.GroupKeyExprs(t); err != nil {
+				return err
+			}
+		}
+		return m.input(f, t.Input, m.shuffle(keys), el.Input, el.InputCols, "aggregate input")
+	case *plan.Distinct:
+		// Repartition on the full row so duplicates co-locate, through the
+		// same Partition function every other placement path uses, so the
+		// partition-property analysis can equate the distinct exchange's
+		// layout with storage and shuffle layouts.
+		width := len(t.Input.Columns())
+		return m.input(f, t.Input, m.shuffleCols(identityCols(width)), el.Input, el.InputCols, "distinct input")
+	case *plan.TopN:
+		// Distributed top-k: each partition keeps its best N+Offset rows,
+		// only those are gathered (counted as movement), and n picks the
+		// answer among them.
+		lf := m.newFragment()
+		if err := m.below(lf, t.Input); err != nil {
+			return err
+		}
+		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, N: t.N + t.Offset}, lf, false)
+		if err != nil {
+			return err
+		}
+		f.Inputs[t.Input], err = m.gather(true)(local)
+		return err
+	case *plan.Sort:
+		return m.exchanged(f, t.Input, m.gather(true))
+	case *plan.Limit:
+		return m.exchanged(f, t.Input, m.gather(false))
+	}
+	return fmt.Errorf("mpp: unsupported plan node %T", n)
+}
+
+// below continues f into c, an input that reaches its consumer without
+// an exchange — unless c can only be the root of a fragment, which then
+// ends f here.
+func (m *Machine) below(f *fragment, c plan.Node) error {
+	if agg, ok := c.(*plan.Aggregate); single(c) || ok && m.preAggregates(agg) {
+		return m.exchanged(f, c, nil)
+	}
+	return m.cut(c, f)
+}
+
+// exchanged cuts f at c: c is evaluated on its own and f reads what ex
+// (nil: nothing) makes of its rows.
+func (m *Machine) exchanged(f *fragment, c plan.Node, ex exchange) error {
+	rel, err := m.eval(c)
+	if err == nil && ex != nil {
+		rel, err = ex(rel)
+	}
+	f.Inputs[c] = rel
+	return err
+}
+
+// input places the exchange ex between c and its consumer in f, unless
+// the analysis proved that c's rows already sit where ex would send
+// them, routing on cols: the exchange would reproduce its input
+// verbatim (per-source concatenation of rows that all stay put), so the
+// rows flow on inside f, byte-identically. They pass a tap instead, the
+// runtime analogue of storage.Guard for the partition-property analysis
+// — behavior never depends on it: it counts them and, under CheckElide,
+// re-hashes each one and reports an unsound claim as an error.
+func (m *Machine) input(f *fragment, c plan.Node, ex exchange, elided bool, cols []int, what string) error {
+	if !elided {
+		return m.exchanged(f, c, ex)
+	}
+	m.Stats.ShufflesElided++
+	seen := make([]partCount, m.Parts)
+	f.elided = append(f.elided, seen)
+	if f.Taps == nil {
+		f.Taps = map[plan.Node]exec.Tap{}
+	}
+	f.Taps[c] = func(p int, r sqltypes.Row) error {
+		seen[p].n++
+		if m.CheckElide {
+			if dst := sqltypes.RowKey(r, cols).Partition(m.Parts); dst != p {
+				return fmt.Errorf("mpp: elided %s exchange is unsound: row in partition %d routes to %d on cols %v", what, p, dst, cols)
+			}
+		}
+		return nil
+	}
+	return m.below(f, c)
+}
+
+// run builds the fragment rooted at root once per partition — in
+// partition 0 only when one is set — and drains the trees side by side.
+// Each tree counts into its own exec.Stats; they are summed once all
+// have finished.
+func (m *Machine) run(root plan.Node, f *fragment, one bool) (relation, error) {
+	out := make(relation, m.Parts)
+	stats := make([]*exec.Stats, m.Parts)
+	err := m.parallel(func(p int, cc *exec.CancelChecker) error {
+		if one && p != 0 {
+			return nil
+		}
+		if err := cc.Check(); err != nil {
+			return err
+		}
+		stats[p] = &exec.Stats{}
+		op, err := exec.BuildFragment(root, m.RT, stats[p], cc, &f.Fragment, p)
+		if err != nil {
+			return err
+		}
+		out[p], err = exec.Drain(op)
+		return err
+	})
+	for _, s := range stats {
+		if s != nil {
+			m.Exec.Add(s)
+		}
+	}
+	for _, seen := range f.elided {
+		for _, c := range seen {
+			m.Stats.RowsElided += c.n
+		}
+	}
+	return out, err
+}
+
+// --- the parallel region --------------------------------------------------
 
 // checkpoint polls the machine's context; it is the cooperative
 // cancellation point every parallel region consults before fanning
@@ -239,7 +449,7 @@ func (m *Machine) parallel(fn func(p int, cc *exec.CancelChecker) error) error {
 		}(p)
 	}
 	wg.Wait()
-	atomic.AddInt64(&m.Stats.Fragments, int64(m.Parts))
+	m.Stats.Fragments += int64(m.Parts)
 	if first != nil {
 		return first
 	}
@@ -251,14 +461,16 @@ func (m *Machine) parallel(fn func(p int, cc *exec.CancelChecker) error) error {
 	return nil
 }
 
+// --- exchanges ------------------------------------------------------------
+
 // shuffle redistributes a relation so that rows with equal key values
 // land in the same partition. NULL keys go to partition 0 (they never
 // match in joins but must survive for outer joins) — the same
 // destination sqltypes.CompositeKey.Partition assigns them, so the
 // exchange and the storage layer agree on one routing function.
-func (m *Machine) shuffle(in *relation, keys []*expr.Compiled) (*relation, error) {
+func (m *Machine) shuffle(keys []*expr.Compiled) exchange {
 	cols := identityCols(len(keys))
-	return m.shuffleBy(in, func() func(sqltypes.Row) (int, error) {
+	return m.shuffleBy(func() func(sqltypes.Row) (int, error) {
 		vals := make(sqltypes.Row, len(keys)) // per-fragment key scratch
 		return func(r sqltypes.Row) (int, error) {
 			null, err := exec.EvalKey(keys, r, vals)
@@ -277,13 +489,13 @@ func (m *Machine) shuffle(in *relation, keys []*expr.Compiled) (*relation, error
 
 // shuffleCols redistributes a relation routing each row by the values
 // at the given column positions — the direct-column variant of shuffle
-// used by the elided-aggregate path and the full-row distinct exchange,
+// used by the pre-aggregated groups and the full-row distinct exchange,
 // where the routing values are already materialized in the row.
-func (m *Machine) shuffleCols(in *relation, cols []int) (*relation, error) {
+func (m *Machine) shuffleCols(cols []int) exchange {
 	route := func(r sqltypes.Row) (int, error) {
 		return sqltypes.RowKey(r, cols).Partition(m.Parts), nil
 	}
-	return m.shuffleBy(in, func() func(sqltypes.Row) (int, error) { return route })
+	return m.shuffleBy(func() func(sqltypes.Row) (int, error) { return route })
 }
 
 func identityCols(n int) []int {
@@ -300,612 +512,68 @@ func identityCols(n int) []int {
 // RowsShuffled; the rows that actually change partitions additionally
 // count toward RowsRelocated. newRoute is called once per fragment, so a
 // router may own scratch state.
-func (m *Machine) shuffleBy(in *relation, newRoute func() func(sqltypes.Row) (int, error)) (*relation, error) {
-	locals := make([][][]sqltypes.Row, m.Parts)
-	routed := int64(0)
-	moved := int64(0)
-	err := m.parallel(func(p int, cc *exec.CancelChecker) error {
-		local := make([][]sqltypes.Row, m.Parts)
-		route := newRoute()
-		atomic.AddInt64(&routed, int64(len(in.parts[p])))
-		for _, r := range in.parts[p] {
-			if err := cc.Tick(); err != nil {
-				return err
-			}
-			dst, err := route(r)
-			if err != nil {
-				return err
-			}
-			local[dst] = append(local[dst], r)
-			if dst != p {
-				atomic.AddInt64(&moved, 1)
-			}
-		}
-		locals[p] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	for dst := 0; dst < m.Parts; dst++ {
-		for src := 0; src < m.Parts; src++ {
-			out.parts[dst] = append(out.parts[dst], locals[src][dst]...)
-		}
-	}
-	atomic.AddInt64(&m.Stats.RowsShuffled, routed)
-	atomic.AddInt64(&m.Stats.RowsRelocated, moved)
-	return out, nil
-}
-
-// noteElide records an elided exchange over the given input and, when
-// CheckElide is set, cross-checks the static claim dynamically: every
-// row must already live in the partition the routing columns hash it
-// to. The check is the runtime analogue of storage.Guard for the
-// partition-property analysis — behavior never depends on it, an
-// unsound claim is reported as an error.
-func (m *Machine) noteElide(in *relation, cols []int, what string) error {
-	n := int64(0)
-	for _, p := range in.parts {
-		n += int64(len(p))
-	}
-	atomic.AddInt64(&m.Stats.ShufflesElided, 1)
-	atomic.AddInt64(&m.Stats.RowsElided, n)
-	if !m.CheckElide {
-		return nil
-	}
-	return m.parallel(func(p int, cc *exec.CancelChecker) error {
-		for _, r := range in.parts[p] {
-			if err := cc.Tick(); err != nil {
-				return err
-			}
-			if dst := sqltypes.RowKey(r, cols).Partition(m.Parts); dst != p {
-				return fmt.Errorf("mpp: elided %s exchange is unsound: row in partition %d routes to %d on cols %v", what, p, dst, cols)
-			}
-		}
-		return nil
-	})
-}
-
-// eval recursively evaluates a plan node into a partitioned relation.
-func (m *Machine) eval(n plan.Node) (*relation, error) {
-	switch t := n.(type) {
-	case *plan.Scan, *plan.NamedResult:
-		return m.evalScan(n)
-	case *plan.Alias:
-		return m.eval(t.Input)
-	case *plan.Filter:
-		return m.evalFilter(t)
-	case *plan.Project:
-		return m.evalProject(t)
-	case *plan.Join:
-		return m.evalJoin(t)
-	case *plan.Aggregate:
-		return m.evalAggregate(t)
-	case *plan.Union:
-		return m.evalUnion(t)
-	case *plan.Distinct:
-		return m.evalDistinct(t)
-	case *plan.TopN:
-		return m.evalTopN(t)
-	case *plan.EmptyNode:
-		return m.newRelation(), nil
-	case *plan.Sort, *plan.Limit, *plan.Trim, *plan.OneRow, *plan.ValuesNode:
-		return m.evalSequential(n)
-	}
-	return nil, fmt.Errorf("mpp: unsupported plan node %T", n)
-}
-
-func (m *Machine) evalScan(n plan.Node) (*relation, error) {
-	var t *storage.Table
-	var err error
-	switch s := n.(type) {
-	case *plan.Scan:
-		t, err = m.RT.BaseTable(s.Table)
-	case *plan.NamedResult:
-		t, err = m.RT.Result(s.Name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	// Re-slice the table's partitions onto the machine's layout.
-	if len(t.Parts) == m.Parts {
-		out.src = t
-		for i, p := range t.Parts {
-			out.parts[i] = p
-			atomic.AddInt64(&m.Exec.RowsScanned, int64(len(p)))
-		}
-		return out, nil
-	}
-	i := 0
-	for _, p := range t.Parts {
-		for _, r := range p {
-			out.parts[i%m.Parts] = append(out.parts[i%m.Parts], r)
-			i++
-		}
-	}
-	atomic.AddInt64(&m.Exec.RowsScanned, int64(i))
-	return out, nil
-}
-
-func (m *Machine) evalFilter(t *plan.Filter) (*relation, error) {
-	in, err := m.eval(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	cond, err := expr.Compile(t.Cond, nodeEnv(t.Input))
-	if err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		kept := make([]sqltypes.Row, 0, len(in.parts[p]))
-		for _, r := range in.parts[p] {
-			if err := cc.Tick(); err != nil {
-				return err
-			}
-			v, err := cond.Eval(r)
-			if err != nil {
-				return err
-			}
-			if sqltypes.TriOf(v) == sqltypes.TriTrue {
-				kept = append(kept, r)
-			}
-		}
-		out.parts[p] = kept
-		return nil
-	})
-	return out, err
-}
-
-func (m *Machine) evalProject(t *plan.Project) (*relation, error) {
-	in, err := m.eval(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	env := nodeEnv(t.Input)
-	// Compile one evaluator set per fragment: Compiled closures are
-	// stateless, but building per fragment keeps the model honest
-	// (each node compiles its own fragment plan).
-	out := m.newRelation()
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		items := make([]*expr.Compiled, len(t.Items))
-		for i, it := range t.Items {
-			c, err := expr.Compile(it.Expr, env)
-			if err != nil {
-				return err
-			}
-			items[i] = c
-		}
-		res := sqltypes.MakeRows(len(in.parts[p]), len(items))
-		for ri, r := range in.parts[p] {
-			if err := cc.Tick(); err != nil {
-				return err
-			}
-			for i, c := range items {
-				v, err := c.Eval(r)
-				if err != nil {
-					return err
-				}
-				res[ri][i] = v
-			}
-		}
-		out.parts[p] = res
-		return nil
-	})
-	return out, err
-}
-
-func (m *Machine) evalJoin(t *plan.Join) (*relation, error) {
-	left, err := m.eval(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := m.eval(t.Right)
-	if err != nil {
-		return nil, err
-	}
-	lw, rw := len(t.Left.Columns()), len(t.Right.Columns())
-
-	leftKeys, rightKeys, residual, err := exec.JoinKeys(t)
-	if err != nil {
-		return nil, err
-	}
-
-	if t.Type == ast.CrossJoin || len(leftKeys) == 0 {
-		if t.Type != ast.CrossJoin && t.Type != ast.InnerJoin {
-			return nil, fmt.Errorf("outer join requires at least one equality condition")
-		}
-		// Broadcast join: the right side is replicated to every
-		// fragment (counted as movement), the left side stays put.
-		residual, err := exec.CompileResidual(t)
-		if err != nil {
-			return nil, err
-		}
-		bc := right.gather()
-		atomic.AddInt64(&m.Stats.RowsShuffled, int64(len(bc))*int64(m.Parts-1))
-		out := m.newRelation()
-		err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-			if e := cc.Check(); e != nil {
-				return e
-			}
-			rows, err := exec.NestedLoopPartition(left.parts[p], bc, residual, nil)
-			if err != nil {
-				return err
-			}
-			out.parts[p] = rows
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.addJoined(out)
-		return out, nil
-	}
-
-	// Repartition both sides on the join keys, then join partition-wise.
-	// A side whose input the partition-property analysis proved already
-	// hash-distributed on exactly its key columns skips the exchange:
-	// the shuffle would route every row to the partition it is already
-	// in and reproduce the input verbatim (per-source concatenation of
-	// rows that all stay put), so the elided path is byte-identical.
-	el := m.Elide[plan.Node(t)]
-	leftSh := left
-	if el.Left {
-		if err := m.noteElide(left, el.LeftCols, "join left"); err != nil {
-			return nil, err
-		}
-	} else if leftSh, err = m.shuffle(left, leftKeys); err != nil {
-		return nil, err
-	}
-	rightSh := right
-	if el.Right {
-		if err := m.noteElide(right, el.RightCols, "join right"); err != nil {
-			return nil, err
-		}
-	} else if rightSh, err = m.shuffle(right, rightKeys); err != nil {
-		return nil, err
-	}
-	// The build side (exec.HashJoinPartition's: the right input, a
-	// right-outer join's left). When it is a table's own partitions — a
-	// scan whose exchange was elided; a shuffle's output is a new relation
-	// every time — each fragment takes its partition's index from the
-	// run's memo instead of building it.
-	build, buildKeys := rightSh, rightKeys
-	if t.Type == ast.RightJoin {
-		build, buildKeys = leftSh, leftKeys
-	}
-	out := m.newRelation()
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		if e := cc.Check(); e != nil {
-			return e
-		}
-		var index *exec.HashIndex
-		built := true
-		if build.src != nil {
-			var err error
-			if index, built, err = m.RT.Indexes().Index(build.src, p, buildKeys); err != nil {
-				return err
-			}
-		}
-		if built {
-			atomic.AddInt64(&m.Exec.RowsIndexed, int64(len(build.parts[p])))
-		}
-		rows, err := exec.HashJoinPartition(t.Type, leftSh.parts[p], rightSh.parts[p],
-			leftKeys, rightKeys, residual, lw, rw, index, nil)
-		if err != nil {
-			return err
-		}
-		out.parts[p] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.addJoined(out)
-	return out, nil
-}
-
-func (m *Machine) addJoined(out *relation) {
-	n := int64(0)
-	for _, p := range out.parts {
-		n += int64(len(p))
-	}
-	atomic.AddInt64(&m.Exec.RowsJoined, n)
-}
-
-func (m *Machine) evalAggregate(t *plan.Aggregate) (*relation, error) {
-	in, err := m.eval(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	if len(t.GroupBy) == 0 {
-		// Scalar aggregate: gather and run once (cheap: one output row).
-		rows, err := exec.AggregatePartition(t, in.gather(), true, m.Exec)
-		if err != nil {
-			return nil, err
-		}
-		out := m.newRelation()
-		out.parts[0] = rows
-		return out, nil
-	}
-	if el := m.Elide[plan.Node(t)]; el.Input {
-		return m.evalAggregateElided(t, in, el.InputCols)
-	}
-	keys, err := exec.GroupKeyExprs(t)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := m.shuffle(in, keys)
-	if err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	var grouped int64
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		if e := cc.Check(); e != nil {
-			return e
-		}
-		rows, err := exec.AggregatePartition(t, sh.parts[p], false, nil)
-		if err != nil {
-			return err
-		}
-		out.parts[p] = rows
-		atomic.AddInt64(&grouped, int64(len(rows)))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Per-partition calls pass a nil stats (the shared counter would
-	// race); account their aggregate input here instead.
-	var aggIn int64
-	for _, p := range sh.parts {
-		aggIn += int64(len(p))
-	}
-	atomic.AddInt64(&m.Exec.RowsAggInput, aggIn)
-	atomic.AddInt64(&m.Exec.RowsGrouped, grouped)
-	return out, nil
-}
-
-// evalAggregateElided is the grouped-aggregate path licensed by the
-// partition-property analysis: the input is hash-distributed on
-// columns equivalent to the group keys, so every group's rows already
-// sit in one partition. Each fragment aggregates its partition exactly
-// (no merge needed), then the one-row-per-group outputs are exchanged
-// to the partitions the regular input shuffle would have used —
-// RowKey over the leading group columns, the same values EvalKey
-// computes from the group expressions, through the same Partition
-// function. Destination, per-destination order (source-major, groups
-// in first-seen order within each source) and float accumulation
-// order all match the non-elided path, so results are byte-identical;
-// only ~#groups rows move instead of ~#input rows.
-func (m *Machine) evalAggregateElided(t *plan.Aggregate, in *relation, cols []int) (*relation, error) {
-	if err := m.noteElide(in, cols, "aggregate input"); err != nil {
-		return nil, err
-	}
-	pre := m.newRelation()
-	var grouped int64
-	err := m.parallel(func(p int, cc *exec.CancelChecker) error {
-		if e := cc.Check(); e != nil {
-			return e
-		}
-		rows, err := exec.AggregatePartition(t, in.parts[p], false, nil)
-		if err != nil {
-			return err
-		}
-		pre.parts[p] = rows
-		atomic.AddInt64(&grouped, int64(len(rows)))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var aggIn int64
-	for _, p := range in.parts {
-		aggIn += int64(len(p))
-	}
-	atomic.AddInt64(&m.Exec.RowsAggInput, aggIn)
-	atomic.AddInt64(&m.Exec.RowsGrouped, grouped)
-	return m.shuffleCols(pre, identityCols(len(t.GroupBy)))
-}
-
-func (m *Machine) evalUnion(t *plan.Union) (*relation, error) {
-	left, err := m.eval(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := m.eval(t.Right)
-	if err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	for p := 0; p < m.Parts; p++ {
-		out.parts[p] = append(append([]sqltypes.Row(nil), left.parts[p]...), right.parts[p]...)
-	}
-	return out, nil
-}
-
-func (m *Machine) evalDistinct(t *plan.Distinct) (*relation, error) {
-	in, err := m.eval(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	// Repartition on the full row so duplicates co-locate, through the
-	// same Partition function every other placement path uses
-	// (NULL-bearing rows go to partition 0, single-column rows use the
-	// scalar hash), so the partition-property analysis can equate the
-	// distinct exchange's layout with storage and shuffle layouts. When
-	// it proved the input already distributed on the full row, the
-	// exchange is the identity and is skipped.
-	width := len(t.Input.Columns())
-	sh := in
-	if el := m.Elide[plan.Node(t)]; el.Input {
-		if err := m.noteElide(in, el.InputCols, "distinct input"); err != nil {
-			return nil, err
-		}
-	} else if sh, err = m.shuffleCols(in, identityCols(width)); err != nil {
-		return nil, err
-	}
-	out := m.newRelation()
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		seen := sqltypes.NewKeyTable(width, len(sh.parts[p]))
-		var kept []sqltypes.Row
-		for _, r := range sh.parts[p] {
-			if err := cc.Tick(); err != nil {
-				return err
-			}
-			if _, added := seen.Insert(r); added {
-				kept = append(kept, r)
-			}
-		}
-		out.parts[p] = kept
-		return nil
-	})
-	return out, err
-}
-
-// evalTopN implements distributed top-k: each fragment computes its
-// local top N+Offset candidates, only those are gathered (counted as
-// movement), and a final TopN over the candidates produces the answer.
-func (m *Machine) evalTopN(t *plan.TopN) (*relation, error) {
-	in, err := m.eval(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	keep := t.N + t.Offset
-	locals := make([][]sqltypes.Row, m.Parts)
-	err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-		if e := cc.Check(); e != nil {
-			return e
-		}
-		rows, err := exec.TopNPartition(in.parts[p], t.Keys, keep)
-		if err != nil {
-			return err
-		}
-		locals[p] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var candidates []sqltypes.Row
-	for _, l := range locals {
-		candidates = append(candidates, l...)
-	}
-	atomic.AddInt64(&m.Stats.RowsShuffled, int64(len(candidates)))
-	final, err := exec.TopNPartition(candidates, t.Keys, keep)
-	if err != nil {
-		return nil, err
-	}
-	if t.Offset < int64(len(final)) {
-		final = final[t.Offset:]
-	} else {
-		final = nil
-	}
-	out := m.newRelation()
-	out.parts[0] = final
-	return out, nil
-}
-
-// evalSequential handles order-sensitive nodes by evaluating the input
-// in parallel, gathering to a single fragment and finishing with the
-// volcano operators.
-func (m *Machine) evalSequential(n plan.Node) (*relation, error) {
-	out := m.newRelation()
-	switch t := n.(type) {
-	case *plan.OneRow:
-		out.parts[0] = []sqltypes.Row{{}}
-		return out, nil
-	case *plan.ValuesNode:
-		rows, err := exec.Run(t, m.RT, m.Exec)
-		if err != nil {
-			return nil, err
-		}
-		out.parts[0] = rows
-		return out, nil
-	case *plan.Sort:
-		in, err := m.eval(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		rows := in.gather()
-		atomic.AddInt64(&m.Stats.RowsShuffled, int64(len(rows)))
-		keys := t.Keys
-		sort.SliceStable(rows, func(i, j int) bool {
-			for _, k := range keys {
-				c := sqltypes.Compare(rows[i][k.Col], rows[j][k.Col])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		out.parts[0] = rows
-		return out, nil
-	case *plan.Limit:
-		in, err := m.eval(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		rows := in.gather()
-		start := t.Offset
-		if start > int64(len(rows)) {
-			start = int64(len(rows))
-		}
-		end := int64(len(rows))
-		if t.N >= 0 && start+t.N < end {
-			end = start + t.N
-		}
-		out.parts[0] = rows[start:end]
-		return out, nil
-	case *plan.Trim:
-		in, err := m.eval(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		err = m.parallel(func(p int, cc *exec.CancelChecker) error {
-			res := make([]sqltypes.Row, len(in.parts[p]))
-			for i, r := range in.parts[p] {
+func (m *Machine) shuffleBy(newRoute func() func(sqltypes.Row) (int, error)) exchange {
+	return func(in relation) (relation, error) {
+		locals := make([]relation, m.Parts)
+		moved := make([]partCount, m.Parts)
+		err := m.parallel(func(p int, cc *exec.CancelChecker) error {
+			local := make(relation, m.Parts)
+			route := newRoute()
+			for _, r := range in[p] {
 				if err := cc.Tick(); err != nil {
 					return err
 				}
-				res[i] = r[:t.Keep]
+				dst, err := route(r)
+				if err != nil {
+					return err
+				}
+				local[dst] = append(local[dst], r)
+				if dst != p {
+					moved[p].n++
+				}
 			}
-			out.parts[p] = res
+			locals[p] = local
 			return nil
 		})
-		return out, err
-	}
-	return nil, fmt.Errorf("mpp: unsupported sequential node %T", n)
-}
-
-func nodeEnv(n plan.Node) *expr.Env {
-	e := &expr.Env{}
-	for i, c := range n.Columns() {
-		e.Cols = append(e.Cols, expr.Binding{
-			Table: lower(c.Table), Name: lower(c.Name), Index: i, Type: c.Type,
-		})
-	}
-	return e
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-			changed = true
+		if err != nil {
+			return nil, err
 		}
+		out := make(relation, m.Parts)
+		for dst := range out {
+			for src := range locals {
+				out[dst] = append(out[dst], locals[src][dst]...)
+			}
+		}
+		for p := range in {
+			m.Stats.RowsShuffled += int64(len(in[p]))
+			m.Stats.RowsRelocated += moved[p].n
+		}
+		return out, nil
 	}
-	if !changed {
-		return s
+}
+
+// broadcast replicates a relation to every partition (the copies
+// count as movement).
+func (m *Machine) broadcast(in relation) (relation, error) {
+	rows := in.gather()
+	m.Stats.RowsShuffled += int64(len(rows)) * int64(m.Parts-1)
+	out := make(relation, m.Parts)
+	for p := range out {
+		out[p] = rows
 	}
-	return string(b)
+	return out, nil
+}
+
+// gather moves a relation to partition 0, in partition order. Sorts and
+// top-N count the rows as movement; the gathers in front of a LIMIT and
+// of a scalar aggregate never have.
+func (m *Machine) gather(counted bool) exchange {
+	return func(in relation) (relation, error) {
+		out := make(relation, m.Parts)
+		out[0] = in.gather()
+		if counted {
+			m.Stats.RowsShuffled += int64(len(out[0]))
+		}
+		return out, nil
+	}
 }

@@ -42,12 +42,22 @@ func TestParallelStepsParityMatrix(t *testing.T) {
 				{Partitions: 4},
 				{Partitions: 4, Parallel: true},
 			} {
-				want := queryRowsText(t, base, sql)
+				want, wantStats := queryRowsAndStats(t, base, sql)
 				sched := base
 				sched.ParallelSteps = 4
-				if got := queryRowsText(t, sched, sql); got != want {
+				got, gotStats := queryRowsAndStats(t, sched, sql)
+				if got != want {
 					t.Errorf("Partitions=%d Parallel=%v: ParallelSteps=4 diverges from the sequential pc-loop:\n got: %s\nwant: %s",
 						base.Partitions, base.Parallel, got, want)
+				}
+				// A scheduled step counts into its own Stats, merged after
+				// the region: the aggregate counters must survive the merge.
+				type aggCounters struct{ AggFullRows, AggInputRows, RowsAggInput int64 }
+				g := aggCounters{gotStats.AggFullRows, gotStats.AggInputRows, gotStats.RowsAggInput}
+				w := aggCounters{wantStats.AggFullRows, wantStats.AggInputRows, wantStats.RowsAggInput}
+				if g != w {
+					t.Errorf("Partitions=%d Parallel=%v: ParallelSteps=4 counts %+v, the sequential pc-loop %+v",
+						base.Partitions, base.Parallel, g, w)
 				}
 			}
 			// Partitioned storage without MPP must also match the
@@ -64,6 +74,14 @@ func TestParallelStepsParityMatrix(t *testing.T) {
 
 func queryRowsText(t *testing.T, cfg dbspinner.Config, sql string) string {
 	t.Helper()
+	text, _ := queryRowsAndStats(t, cfg, sql)
+	return text
+}
+
+// queryRowsAndStats runs sql on a fresh engine and returns the rendered
+// rows and the engine's counters after the query.
+func queryRowsAndStats(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinner.Stats) {
+	t.Helper()
 	e := newVerdictEngine(t, cfg)
 	res, err := e.Query(sql)
 	if err != nil {
@@ -73,7 +91,7 @@ func queryRowsText(t *testing.T, cfg dbspinner.Config, sql string) string {
 	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%v\n", r)
 	}
-	return b.String()
+	return b.String(), e.Stats()
 }
 
 var (

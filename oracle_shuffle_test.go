@@ -144,3 +144,46 @@ func TestShuffleElisionSavingsFloor(t *testing.T) {
 		})
 	}
 }
+
+// TestExecCountersAgreeAcrossExecutors pins that the two executors count
+// alike: an MPP fragment is the volcano operators over one partition,
+// reading through the same scans and taking join indexes from the same
+// memo, so rows scanned, joined, indexed, grouped, fed to aggregates and
+// cells read back agree exactly — on PR-VS and SSSP-VS (every build-side
+// exchange elided: the build sides are tables read as they stand) and on
+// FF (no join), at 2 and 4 partitions. Incremental aggregates are off on
+// both sides (the MPP machine runs the full plan either way).
+//
+// Plain PR is the stated exception: its build side edges is stored by
+// src and joined on dst, so the machine re-shuffles it every iteration —
+// it reads and indexes the table's rows once per iteration where the
+// volcano join indexes the table once per query and reads it no more.
+func TestExecCountersAgreeAcrossExecutors(t *testing.T) {
+	const iterations = 10 // schedWorkloadQueries' iteration count
+	queries := schedWorkloadQueries()
+	for _, name := range []string{"PR-VS", "SSSP-VS", "FF", "PR"} {
+		for _, parts := range []int{2, 4} {
+			cfg := dbspinner.Config{Partitions: parts, DisableIncrementalAgg: true}
+			_, volcano := shuffleRun(t, cfg, queries[name])
+			cfg.Parallel = true
+			_, mpp := shuffleRun(t, cfg, queries[name])
+			want := volcano.ExecStats
+			if name == "PR" {
+				e := newShuffleEngine(t, cfg)
+				res, err := e.Query("SELECT COUNT(*) FROM edges")
+				if err != nil {
+					t.Fatal(err)
+				}
+				reread := (iterations - 1) * res.Rows[0][0].Int()
+				want.RowsScanned += reread
+				want.RowsIndexed += reread
+			}
+			if mpp.ExecStats != want {
+				t.Errorf("%s parts=%d: MPP counts %+v, want %+v (volcano: %+v)", name, parts, mpp.ExecStats, want, volcano.ExecStats)
+			}
+			if want.RowsScanned == 0 || name != "FF" && want.RowsIndexed == 0 {
+				t.Errorf("%s parts=%d: nothing counted, the comparison is vacuous: %+v", name, parts, want)
+			}
+		}
+	}
+}
