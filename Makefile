@@ -12,9 +12,9 @@ test:
 	$(GO) test ./...
 
 # The race-enabled run covers the packages with concurrency plus the
-# ones the delta-iteration mode touches: the MPP scheduler, the
+# ones incremental evaluation touches: the MPP scheduler, the
 # executors, the step-program runner, the verifier, and the bench
-# harness that drives full-vs-delta engines side by side. The root
+# harness that drives full-plan and incremental engines side by side. The root
 # package rides along for the step-scheduler parity matrix, which must
 # hold under the race detector.
 race:
@@ -128,10 +128,13 @@ loc:
 # pass over the concurrent packages.
 check: vet lint build test fuzz-seed bench-check race
 
-# bench-smoke runs the full-vs-delta, full-vs-pruned and
+# bench-smoke runs the full-vs-incremental, full-vs-pruned and
 # sequential-vs-scheduled comparisons on small PR-VS and SSSP datasets:
-# each fails if its two modes disagree on a single row, delta prints
-# the Ri row savings, pruning asserts the materialized-cell reduction
+# each fails if its two modes disagree on a single row. incremental
+# runs PR, SSSP, PR-VS and SSSP-VS with incremental evaluation off and
+# on (cross-check armed), asserts byte-identical results, prints which
+# restricted step engaged and the Ri rows it was fed against the full
+# count, and fails if none engaged; pruning asserts the materialized-cell reduction
 # on PR-VS, and sched prints the region-DAG shape (width, critical
 # path) next to the wall-clock and asserts at least one schedule has
 # width > 1. trace runs PR and SSSP with iteration tracing on and off,
@@ -140,10 +143,7 @@ check: vet lint build test fuzz-seed bench-check race
 # runs every workload query with shuffle elision on and off, prints
 # rows shuffled next to the wall-clock, asserts identical results with
 # the dynamic co-location guard armed, and fails unless the VS
-# variants strictly reduce rows shuffled. incagg runs PR and SSSP with
-# incremental aggregate maintenance on and off (cross-check armed),
-# asserts byte-identical results, and fails unless both cut aggregate
-# input rows by at least 40%. faults runs PR and SSSP with back-edge
+# variants strictly reduce rows shuffled. faults runs PR and SSSP with back-edge
 # checkpointing off and on and once more with a deterministic fault
 # schedule injected mid-loop, asserting byte-identical rows in all
 # three runs, at least one retry per scheduled fault, and checkpointing

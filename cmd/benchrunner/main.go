@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,delta,pruning,sched,trace,shuffle,incagg,faults ('smoke' expands to the CI smoke set)")
+		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,sched,trace,shuffle,faults ('smoke' expands to the CI smoke set)")
 		preset     = flag.String("preset", "dblp-small", "workload preset (dblp-small, pokec-small, web-small, ...)")
 		iterations = flag.Int("iterations", 10, "loop iterations for PR/SSSP experiments (fig10/fig11 use 25 as in the paper)")
 		scale      = flag.Int("scale", 0, "override the preset's node count (0 keeps the preset)")
@@ -56,7 +56,7 @@ func main() {
 	// regenerates bench-smoke.md from it. Every entry must name a
 	// registered runner — the check below fails the run otherwise, so a
 	// renamed experiment cannot silently drop out of the smoke doc.
-	smokeSet := []string{"delta", "pruning", "sched", "trace", "shuffle", "incagg", "faults"}
+	smokeSet := []string{"incremental", "pruning", "sched", "trace", "shuffle", "faults"}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expList, ",") {
@@ -78,14 +78,6 @@ func main() {
 	}
 	paperCfg := cfg
 	paperCfg.Iterations = 25 // Figures 10 and 11 run 25 iterations in the paper.
-	incCfg := cfg
-	if incCfg.Iterations < 10 {
-		// PR's change frontier thins slowly (a node's delta only stops
-		// changing once every incoming path has died out), so the incagg
-		// experiment's 40% savings bar needs the full default loop even
-		// when the smoke run shortens the other experiments.
-		incCfg.Iterations = 10
-	}
 	runners := []runner{
 		{"table1", func() (*bench.Experiment, error) { return bench.TableI(cfg) }},
 		{"fig8", func() (*bench.Experiment, error) { return bench.Fig8(cfg) }},
@@ -96,12 +88,11 @@ func main() {
 		{"fig11", func() (*bench.Experiment, error) { return bench.Fig11(paperCfg) }},
 		{"middleware", func() (*bench.Experiment, error) { return bench.MiddlewareAblation(cfg) }},
 		{"parallel", func() (*bench.Experiment, error) { return bench.ParallelScaling(cfg, nil) }},
-		{"delta", func() (*bench.Experiment, error) { return bench.DeltaComparison(cfg) }},
+		{"incremental", func() (*bench.Experiment, error) { return bench.IncrementalComparison(cfg) }},
 		{"pruning", func() (*bench.Experiment, error) { return bench.PruningComparison(cfg) }},
 		{"sched", func() (*bench.Experiment, error) { return bench.SchedComparison(cfg) }},
 		{"trace", func() (*bench.Experiment, error) { return bench.TraceOverhead(cfg) }},
 		{"shuffle", func() (*bench.Experiment, error) { return bench.ShuffleComparison(cfg) }},
-		{"incagg", func() (*bench.Experiment, error) { return bench.IncAggComparison(incCfg) }},
 		{"faults", func() (*bench.Experiment, error) { return bench.FaultTolerance(cfg) }},
 	}
 
@@ -112,7 +103,7 @@ func main() {
 	ok := true
 	for id := range want {
 		if !known[id] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: table1,fig8,fig9,fig10,fig11,middleware,parallel,delta,pruning,sched,trace,shuffle,incagg,faults)\n", id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,sched,trace,shuffle,faults)\n", id)
 			ok = false
 		}
 	}

@@ -32,11 +32,10 @@ func main() {
 		load     = flag.String("load", "", "pre-load a generated dataset (dblp-small, pokec-small, web-small)")
 		parts    = flag.Int("partitions", 4, "table partitions")
 		parallel = flag.Bool("parallel", false, "execute on the MPP machine")
-		delta    = flag.Bool("delta", false, "delta iteration: evaluate merge-path iterations against the changed-row frontier when provably safe")
 	)
 	flag.Parse()
 
-	e := dbspinner.New(dbspinner.Config{Partitions: *parts, Parallel: *parallel, DeltaIteration: *delta})
+	e := dbspinner.New(dbspinner.Config{Partitions: *parts, Parallel: *parallel})
 	if *load != "" {
 		if err := loadPreset(e, *load); err != nil {
 			fmt.Fprintln(os.Stderr, err)

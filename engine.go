@@ -194,15 +194,6 @@ type Config struct {
 	// way.
 	DisableColumnPruning bool
 
-	// DeltaIteration enables delta-driven (semi-naive) evaluation of
-	// iterative CTEs on the merge path: Ri's scan of the iterative
-	// reference reads only the rows the previous iteration changed
-	// (plus the keys they reach through base-table equijoins) instead
-	// of the full CTE. Applied only when a static safety analysis of
-	// Ri proves the restriction sound; otherwise the full plan runs.
-	// Results are identical either way. Off by default.
-	DeltaIteration bool
-
 	// DisableShuffleElision turns off the shuffle-elision optimization
 	// licensed by the static partition-property analysis
 	// (internal/distprop): with elision on (the default), exchanges
@@ -221,18 +212,21 @@ type Config struct {
 	// elision saved.
 	CheckShuffleElision bool
 
-	// DisableIncrementalAgg turns off incremental aggregate maintenance
-	// (internal/aggprop): with maintenance on (the default), an
-	// iterative CTE whose aggregates the static decomposability analysis
-	// proves maintainable — and whose group keys are stable and
-	// retractions frontier-visible across the back-edge — keeps its
-	// per-group aggregate results in the result store between iterations
-	// and re-folds only the groups the changed-key frontier touched.
-	// Volcano execution only (MPP runs keep the full plan, fail closed);
-	// results are byte-identical either way, row order and float
-	// accumulation order included. The knob exists so benchmarks can
-	// measure the full re-aggregation baseline.
-	DisableIncrementalAgg bool
+	// DisableIncremental turns off incremental evaluation of iterative
+	// CTEs. With it on (the default), a CTE whose iterative part the
+	// frontier license (internal/aggprop) covers — a join chain keyed by
+	// the outer reference, stable group keys, every inner reference
+	// routed to the outer key — evaluates Ri over only the keys that
+	// changed and the keys those reach. Which step does it follows from
+	// the query: with a WHERE in Ri (merge path) the delta step
+	// restricts the scan by the keys the last merge changed; without
+	// one, when Ri aggregates (rename path), the maintenance step keeps
+	// the previous output and re-folds only the affected groups.
+	// Withheld under Parallel with more than one partition, where it
+	// measurably costs more than it saves. Results are byte-identical
+	// either way, row order and float accumulation order included. The
+	// knob exists so benchmarks can measure the full-plan baseline.
+	DisableIncremental bool
 
 	// CheckIncrementalAgg arms a dynamic cross-check on every maintained
 	// aggregate: each iteration, a deterministic sample of the groups
@@ -398,14 +392,13 @@ func (e *Engine) coreOptions() core.Options {
 		CommonResults:       !e.cfg.DisableCommonResultOpt,
 		PushDownPredicates:  !e.cfg.DisablePredicatePushdown,
 		ColumnPruning:       !e.cfg.DisableColumnPruning,
-		DeltaIteration:      e.cfg.DeltaIteration,
 		Parts:               e.cfg.Partitions,
 		Parallel:            e.cfg.Parallel,
 		ParallelSteps:       e.cfg.ParallelSteps,
 		Verify:              !e.cfg.DisableVerify,
 		ShuffleElision:      !e.cfg.DisableShuffleElision,
 		CheckShuffleElision: e.cfg.CheckShuffleElision,
-		IncrementalAgg:      !e.cfg.DisableIncrementalAgg,
+		Incremental:         !e.cfg.DisableIncremental,
 		CheckIncrementalAgg: e.cfg.CheckIncrementalAgg,
 		MaxIterations:       e.cfg.MaxIterations,
 		Trace:               e.cfg.TraceIterations,

@@ -237,32 +237,34 @@ AS (SELECT src, 9999999, CASE WHEN src = 1 THEN 0 ELSE 9999999 END
  UNTIL 5 ITERATIONS)
 SELECT Node, Distance FROM sssp ORDER BY Node`
 
-	full := newGraphEngine(t)
-	delta := New(Config{Partitions: 2, DeltaIteration: true})
-	mustExec(t, delta, "CREATE TABLE edges (src int, dst int, weight float)")
-	mustExec(t, delta, `INSERT INTO edges VALUES (1,2,0.5), (1,3,0.5), (2,3,1.0), (3,1,1.0)`)
+	// A merge-path query the frontier license covers takes the delta
+	// step by default; DisableIncremental is the full-plan baseline.
+	delta := newGraphEngine(t)
+	full := New(Config{Partitions: 2, DisableIncremental: true})
+	mustExec(t, full, "CREATE TABLE edges (src int, dst int, weight float)")
+	mustExec(t, full, `INSERT INTO edges VALUES (1,2,0.5), (1,3,0.5), (2,3,1.0), (3,1,1.0)`)
 
 	fr := mustQuery(t, full, q)
 	dr := mustQuery(t, delta, q)
 	if strings.Join(resultStrings(fr), "|") != strings.Join(resultStrings(dr), "|") {
-		t.Errorf("DeltaIteration changed the result:\n  full:  %v\n  delta: %v",
+		t.Errorf("the delta step changed the result:\n  full:  %v\n  delta: %v",
 			resultStrings(fr), resultStrings(dr))
 	}
 	fs, ds := full.Stats(), delta.Stats()
 	if fs.RiFullRows != 0 || fs.RiInputRows != 0 {
-		t.Errorf("default config must not run delta steps: %+v", fs)
+		t.Errorf("DisableIncremental must not run delta steps: %+v", fs)
 	}
 	if ds.RiFullRows == 0 || ds.RiInputRows > ds.RiFullRows {
 		t.Errorf("delta accounting: input=%d full=%d", ds.RiInputRows, ds.RiFullRows)
 	}
 
-	// EXPLAIN surfaces the restricted materialization, and the verifier
-	// accepts the delta-mode program.
+	// EXPLAIN surfaces the restricted materialization and the decision
+	// behind it, and the verifier accepts the program.
 	out, err := delta.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"changed-row frontier", "Verifier: OK"} {
+	for _, frag := range []string{"changed-row frontier", "Incremental sssp: licensed, delta step", "Verifier: OK"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("delta explain missing %q:\n%s", frag, out)
 		}

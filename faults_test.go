@@ -196,6 +196,61 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
+// TestDegradationReachesRestrictedSteps: the ladder's first rung
+// switches off everything that carries state across the back-edge, and
+// on the default (volcano) configuration that includes the delta step a
+// merge-path query runs through: it restricts Ri by the changed-key set
+// the previous merge left in the loop state. Two consecutive step faults
+// mid-loop exhaust the one same-plan retry and degrade the run at
+// iteration k; iterations before k ran restricted, every iteration from
+// k on must read the full CTE (RiInputRows == RiFullRows for those),
+// and the rows must match the unfaulted run.
+func TestDegradationReachesRestrictedSteps(t *testing.T) {
+	const iterations = 8
+	run := func(n int, cfg dbspinner.Config) (*dbspinner.Result, dbspinner.Stats) {
+		t.Helper()
+		e := lifecycleEngine(t, 4, cfg)
+		res, err := e.Query(bench.SSSPVSQuery(1, n) + " ORDER BY Node")
+		if err != nil {
+			t.Fatalf("%d iterations, %+v: %v", n, cfg, err)
+		}
+		if n := e.LiveResults(); n != 0 {
+			t.Errorf("%d intermediate results leaked", n)
+		}
+		return res, e.Stats()
+	}
+	want, clean := run(iterations, dbspinner.Config{})
+	if clean.RiInputRows >= clean.RiFullRows {
+		t.Fatalf("unfaulted run never restricted Ri (fed %d of %d rows); the test is vacuous", clean.RiInputRows, clean.RiFullRows)
+	}
+
+	sched := []dbspinner.Fault{
+		{Point: "step", Hit: 20, Mode: dbspinner.FaultModeError},
+		{Point: "step", Hit: 21, Mode: dbspinner.FaultModePanic},
+	}
+	recordScheduleOnFailure(t, sched)
+	got, s := run(iterations, dbspinner.Config{
+		FaultSchedule: sched, TraceIterations: true,
+		RetryPolicy: dbspinner.RetryPolicy{MaxAttempts: 1},
+	})
+	if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
+		t.Error("degraded query diverges from the unfaulted run")
+	}
+	if s.Degradations != 1 || len(s.IterationTrace.Retries) != 2 {
+		t.Fatalf("Degradations = %d, retries = %+v; want one rung after two retries", s.Degradations, s.IterationTrace.Retries)
+	}
+	k := s.IterationTrace.Retries[1].Iteration
+	if k < 3 || k >= iterations {
+		t.Fatalf("degraded at iteration %d; the schedule must land after a restricted iteration and before the last", k)
+	}
+	// Iterations 1..k-1 are the unfaulted run's; the rest read everything.
+	_, prefix := run(k-1, dbspinner.Config{})
+	if wantFed := prefix.RiInputRows + (clean.RiFullRows - prefix.RiFullRows); s.RiFullRows != clean.RiFullRows || s.RiInputRows != wantFed {
+		t.Errorf("degraded at iteration %d: Ri fed %d of %d rows, want %d of %d (full scans from the degradation on)",
+			k, s.RiInputRows, s.RiFullRows, wantFed, clean.RiFullRows)
+	}
+}
+
 // TestNoDegradeStaysOnPlan: with NoDegrade set, exhausted attempts
 // fail the query instead of changing its plan.
 func TestNoDegradeStaysOnPlan(t *testing.T) {

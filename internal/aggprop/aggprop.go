@@ -1,50 +1,42 @@
-// Package aggprop statically classifies the aggregate calls of an
-// iterative CTE's plan on a decomposability lattice and proves the two
-// side conditions that make incremental aggregate maintenance sound
-// across the loop back-edge. It is the licensing analysis for
-// core.MaintainAggStep, in the same mold as internal/converge
-// (termination), internal/effects (scheduling) and internal/distprop
-// (shuffle elision): a fail-closed proof whose positive outcome an
+// Package aggprop is the frontier license: the one proof that the
+// iterative part Ri of an iterative CTE may be evaluated over only the
+// keys that changed (and the keys those reach), with every other key's
+// row carried over from the previous iteration. Both incremental steps
+// of internal/core rest on it — DeltaMaterializeStep on the merge path,
+// where the merge itself carries unchanged keys forward, and
+// MaintainAggStep on the rename path, where a cached output row stands
+// in for an unchanged key. Like internal/converge (termination),
+// internal/effects (scheduling) and internal/distprop (shuffle
+// elision) it is a fail-closed proof whose positive outcome an
 // independent verifier re-derives.
 //
-// The lattice, least to greatest:
+// The proof never looks at which aggregate functions Ri calls: an
+// affected key's whole group is re-evaluated through the restricted
+// plan and an unaffected key's row is reused verbatim, which is sound
+// for any aggregate. What it does establish, on the ORIGINAL iterative
+// AST (before the common-result rewrite, because the propagation rules
+// must name catalog base tables):
 //
-//	Holistic   — nothing is known; the aggregate may depend on its
-//	             whole input multiset in ways deltas cannot patch
-//	             (MEDIAN would live here, as does any DISTINCT
-//	             aggregate). Fail closed: never maintained.
-//	Monotone   — monotone-decomposable: MIN/MAX whose group values
-//	             provably move one way along the value lattice because
-//	             the query folds the old value back into the new one
-//	             through a LEAST/GREATEST envelope (the converge
-//	             analysis' inflationary-merge evidence). Deltas can be
-//	             folded in; retractions never need to "un-extremize"
-//	             because the envelope keeps the old bound live.
-//	Invertible — invertible-decomposable: SUM and COUNT form groups
-//	             under +/-, so insertions fold in and retractions fold
-//	             out; AVG rides along as the SUM+COUNT pair.
-//
-// The two side conditions, proven on the ORIGINAL iterative AST (the
-// same left-deep chain shape internal/core's delta analysis accepts):
-//
-//	group-key stability — output column 0 is the bare key of the outer
-//	    CTE reference at the head of the chain, GROUP BY includes it,
-//	    and every GROUP BY expression references only outer columns.
+//	chain shape — Ri is a plain SELECT (no DISTINCT, ORDER BY, LIMIT,
+//	    OFFSET) over a left-deep chain of named tables under inner and
+//	    left joins, and output column 0 is the bare key of the CTE
+//	    reference at the head of the chain: never null-extended, so
+//	    restricting that scan restricts exactly the output keys.
+//	group-key stability — when Ri groups, GROUP BY includes that outer
+//	    key and every grouping expression reads only outer columns.
 //	    Each output group is then a function of exactly one outer row
-//	    (keys are unique per iteration), so a group's identity is
-//	    stable across the back-edge and "which groups changed" reduces
-//	    to "which outer keys changed".
-//	retraction visibility — every inner reference to the CTE is
-//	    equated on its key with the outer key, directly or through a
-//	    base-table equijoin (a propagation rule). A row that leaves a
-//	    group between iterations is then always a row of some CTE key
-//	    that changed, so the changed-key frontier the merge already
-//	    computes sees every retraction; nothing silently vanishes from
-//	    a group the maintainer would skip.
+//	    (keys are unique per iteration), so "which groups changed"
+//	    reduces to "which outer keys changed".
+//	routing — every inner reference to the CTE is equated on its key
+//	    with the outer key, directly or through a base-table equijoin
+//	    (a propagation rule, Prop). A row that enters or leaves some
+//	    key's input between iterations is then always a row of a
+//	    changed key, so the changed keys closed under the rules see
+//	    every such row.
 //
 // Anything the analysis cannot prove yields Licensed=false with
-// diagnostics, and the rewrite keeps the full re-aggregation plan;
-// results stay byte-identical either way.
+// diagnostics, and the rewrite keeps the full plan; results are
+// byte-identical either way.
 package aggprop
 
 import (
@@ -56,38 +48,6 @@ import (
 	"dbspinner/internal/sqltypes"
 )
 
-// Class is a rung of the decomposability lattice. Greater is stronger.
-type Class int
-
-const (
-	// Holistic means no decomposition is known: fail closed.
-	Holistic Class = iota
-	// Monotone means deltas fold in under a proven one-directional
-	// lattice merge (MIN/MAX with a LEAST/GREATEST envelope).
-	Monotone
-	// Invertible means deltas both fold in and retract out
-	// (SUM/COUNT, and AVG as the SUM+COUNT pair).
-	Invertible
-)
-
-func (c Class) String() string {
-	switch c {
-	case Invertible:
-		return "invertible"
-	case Monotone:
-		return "monotone"
-	}
-	return "holistic"
-}
-
-// AggCall is one classified aggregate call.
-type AggCall struct {
-	Name  string // uppercased function name
-	Class Class
-}
-
-func (a AggCall) String() string { return fmt.Sprintf("%s:%s", a.Name, a.Class) }
-
 // Evidence is one link of the proof chain, mirroring
 // converge.Evidence so EXPLAIN renders both the same way.
 type Evidence struct {
@@ -95,10 +55,10 @@ type Evidence struct {
 	Detail string
 }
 
-// Prop is one retraction-visibility route: a key-equijoin path from an
-// inner iterative reference through a base table back to the outer
-// key. It is structurally identical to core.DeltaProp but defined here
-// so the analysis does not import core (core imports aggprop).
+// Prop is one propagation rule: a key-equijoin path from an inner
+// iterative reference through a base table back to the outer key. When
+// a CTE row with key k changed, every row of Table whose From column
+// equals k marks its To column's value as affected.
 type Prop struct {
 	Table string // catalog base table the equijoin path crosses
 	From  int    // column equated with the inner reference's key
@@ -109,56 +69,44 @@ type Prop struct {
 type Verdict struct {
 	CTE      string
 	Licensed bool
-	// Calls lists every aggregate call found in the iterative part
-	// with its lattice class, licensed or not.
-	Calls    []AggCall
+	// Calls names every aggregate call of the iterative part in source
+	// order (uppercased, " DISTINCT" appended), licensed or not: EXPLAIN
+	// prints them, and an iterative part without any has nothing worth
+	// caching on the rename path.
+	Calls    []string
 	Evidence []Evidence
 	Diags    []string
 	// OuterAlias is the lowercased effective alias of the outer CTE
 	// reference (the restrictable scan); empty unless Licensed.
 	OuterAlias string
-	// Props are the retraction-visibility routes for the inner CTE
-	// references; empty unless Licensed.
+	// Props are the routes of the inner CTE references; empty unless
+	// Licensed.
 	Props []Prop
 }
 
-// AnalyzeCTE classifies the aggregate calls of cte's iterative part
-// and proves the side conditions. It never errors: failure is a
-// Verdict with Licensed=false and diagnostics explaining the first
-// obstruction found.
+// AnalyzeCTE decides whether cte's iterative part may be restricted to
+// the affected keys. It never errors: failure is a Verdict with
+// Licensed=false and diagnostics explaining the first obstruction
+// found.
 func AnalyzeCTE(cte *ast.CTE, schema sqltypes.Schema, lookup plan.TableLookup) Verdict {
 	v := Verdict{CTE: cte.Name}
 	if cte.Iter == nil || len(schema) == 0 {
 		v.Diags = append(v.Diags, "no iterative part")
 		return v
 	}
-	v.Calls = collectAggCalls(cte.Iter)
-	if len(v.Calls) == 0 {
-		v.Diags = append(v.Diags, "no aggregate calls in the iterative part; nothing to maintain")
-		return v
-	}
+	v.Calls = aggregateCalls(cte.Iter)
 	a := &analysis{v: &v, cte: cte, schema: schema, lookup: lookup}
-	if !a.structure() {
-		return v
+	if a.structure() && a.groupKeyStability() && a.routing() {
+		v.Licensed = true
+		v.OuterAlias = a.chain.Members[0].Alias
 	}
-	if !a.classify() {
-		return v
-	}
-	if !a.groupKeyStability() {
-		return v
-	}
-	if !a.retractionVisibility() {
-		return v
-	}
-	v.Licensed = true
-	v.OuterAlias = a.members[a.outer].alias
 	return v
 }
 
-// collectAggCalls walks every expression tree of the iterative part
-// and returns the aggregate calls in source order, classified later.
-func collectAggCalls(stmt *ast.SelectStmt) []AggCall {
-	var calls []AggCall
+// aggregateCalls walks every expression tree of the iterative part and
+// names the aggregate calls in source order.
+func aggregateCalls(stmt *ast.SelectStmt) []string {
+	var calls []string
 	ast.WalkStmtExprs(stmt, func(root ast.Expr) {
 		ast.WalkExpr(root, func(e ast.Expr) bool {
 			if f, ok := e.(*ast.FuncCall); ok && ast.IsAggregateName(f.Name) {
@@ -166,7 +114,7 @@ func collectAggCalls(stmt *ast.SelectStmt) []AggCall {
 				if f.Distinct {
 					name += " DISTINCT"
 				}
-				calls = append(calls, AggCall{Name: name})
+				calls = append(calls, name)
 			}
 			return true
 		})
@@ -174,32 +122,16 @@ func collectAggCalls(stmt *ast.SelectStmt) []AggCall {
 	return calls
 }
 
-// member is one leaf of the left-deep join chain.
-type member struct {
-	alias  string
-	name   string
-	isCTE  bool
-	schema sqltypes.Schema
-}
-
-// analysis carries the shared state of the side-condition proofs.
+// analysis carries the shared state of the three proofs. The outer CTE
+// reference is chain member 0 once structure has succeeded.
 type analysis struct {
 	v      *Verdict
 	cte    *ast.CTE
 	schema sqltypes.Schema
 	lookup plan.TableLookup
 
-	core     *ast.SelectCore
-	members  []member
-	aliasIdx map[string]int
-	joins    []joinEdge // join type + ON per member (index 0 unused)
-	outer    int        // chain index of the outer CTE reference
-	eqs      [][2]*ast.ColumnRef
-}
-
-type joinEdge struct {
-	typ ast.JoinType
-	on  ast.Expr
+	core  *ast.SelectCore
+	chain *ast.Chain
 }
 
 func (a *analysis) fail(format string, args ...any) bool {
@@ -207,56 +139,59 @@ func (a *analysis) fail(format string, args ...any) bool {
 	return false
 }
 
+func (a *analysis) isCTE(i int) bool {
+	return strings.EqualFold(a.chain.Members[i].Name, a.cte.Name)
+}
+
+// keyOf reports whether ref is the key column of chain member i.
+func (a *analysis) keyOf(ref *ast.ColumnRef, i int) bool {
+	return strings.EqualFold(ref.Name, a.schema[0].Name) && a.chain.Resolve(ref) == i
+}
+
 // structure checks the plain-SELECT, left-deep-chain shape the rest of
-// the proofs assume, and locates the outer CTE reference: output
-// column 0 must be its bare key at the head of the chain.
+// the proofs assume, and that output column 0 is the bare key of a CTE
+// reference at the head of the chain.
 func (a *analysis) structure() bool {
 	it := a.cte.Iter
 	if it.OrderBy != nil || it.Limit != nil || it.Offset != nil {
-		return a.fail("iterative part has ORDER BY/LIMIT/OFFSET; group identity across iterations unprovable")
+		return a.fail("iterative part has ORDER BY/LIMIT/OFFSET; row identity across iterations unprovable")
 	}
 	core, ok := it.Body.(*ast.SelectCore)
 	if !ok {
 		return a.fail("iterative part is not a plain SELECT")
 	}
 	if core.Distinct {
-		return a.fail("SELECT DISTINCT deduplicates across groups; maintenance unprovable")
+		return a.fail("SELECT DISTINCT deduplicates across keys; restriction unprovable")
 	}
 	if core.From == nil || len(core.Items) == 0 {
 		return a.fail("iterative part has no FROM clause")
 	}
 	a.core = core
 
-	chain, ok := flattenChain(core.From)
+	chain, ok := ast.ParseChain(core, func(name string) (sqltypes.Schema, bool) {
+		if strings.EqualFold(name, a.cte.Name) {
+			return a.schema, true
+		}
+		return a.lookup.TableSchema(name)
+	})
 	if !ok {
 		return a.fail("FROM is not a left-deep join chain")
 	}
-	a.members = make([]member, len(chain))
-	a.aliasIdx = make(map[string]int, len(chain))
-	a.joins = make([]joinEdge, len(chain))
+	a.chain = chain
 	cteRefs := 0
-	for i, c := range chain {
-		if i > 0 && c.typ != ast.InnerJoin && c.typ != ast.LeftJoin {
-			return a.fail("join %d is %s; only INNER and LEFT joins keep output keys outer-derived", i, c.typ)
+	for i, m := range chain.Members {
+		if i > 0 && m.Join != ast.InnerJoin && m.Join != ast.LeftJoin {
+			return a.fail("join %d is %s; only INNER and LEFT joins keep output keys outer-derived", i, m.Join)
 		}
-		bt, isBase := c.ref.(*ast.BaseTable)
-		if !isBase {
+		if m.Name == "" {
 			return a.fail("chain member %d is a derived table; CTE references could hide inside it", i)
 		}
-		m := member{alias: c.alias, name: bt.Name}
-		if strings.EqualFold(bt.Name, a.cte.Name) {
-			m.isCTE = true
-			m.schema = a.schema
+		if a.isCTE(i) {
 			cteRefs++
-		} else if s, found := a.lookup.TableSchema(bt.Name); found {
-			m.schema = s
 		}
-		if _, dup := a.aliasIdx[m.alias]; dup || m.alias == "" {
-			return a.fail("duplicate or empty table alias %q", m.alias)
-		}
-		a.aliasIdx[m.alias] = i
-		a.members[i] = m
-		a.joins[i] = joinEdge{typ: c.typ, on: c.on}
+	}
+	if chain.HasBadAlias {
+		return a.fail("duplicate or empty table alias %q", chain.BadAlias)
 	}
 	if cteRefs == 0 || ast.CountStmtTableRefs(it, a.cte.Name) != cteRefs {
 		return a.fail("references to %s hidden outside the join chain", a.cte.Name)
@@ -266,187 +201,44 @@ func (a *analysis) structure() bool {
 	if !ok || !strings.EqualFold(head.Name, a.schema[0].Name) {
 		return a.fail("output column 0 is not the bare key column %s", a.schema[0].Name)
 	}
-	a.outer = a.resolve(head)
-	if a.outer != 0 || !a.members[0].isCTE {
+	if !a.keyOf(head, 0) || !a.isCTE(0) {
 		return a.fail("output key does not come from a CTE reference at the head of the chain")
-	}
-
-	// Collect the top-level equality conjuncts of every join condition
-	// and the WHERE clause; both side conditions consume them.
-	add := func(e ast.Expr) {
-		for _, conj := range ast.SplitConjuncts(e) {
-			bin, isBin := conj.(*ast.BinaryExpr)
-			if !isBin || bin.Op != "=" {
-				continue
-			}
-			l, lok := bin.L.(*ast.ColumnRef)
-			r, rok := bin.R.(*ast.ColumnRef)
-			if lok && rok {
-				a.eqs = append(a.eqs, [2]*ast.ColumnRef{l, r})
-			}
-		}
-	}
-	for _, e := range a.joins {
-		if e.on != nil {
-			add(e.on)
-		}
-	}
-	if core.Where != nil {
-		add(core.Where)
 	}
 	a.v.Evidence = append(a.v.Evidence, Evidence{
 		Rule: "chain-shape",
 		Detail: fmt.Sprintf("left-deep chain of %d named tables under inner/left joins; output column 0 is "+
-			"the bare key %s.%s", len(chain), a.members[0].alias, a.schema[0].Name),
+			"the bare key %s.%s", len(chain.Members), chain.Members[0].Alias, a.schema[0].Name),
 	})
 	return true
 }
 
-// resolve maps a column reference to the chain member that owns it;
-// unqualified references must have exactly one possible owner.
-func (a *analysis) resolve(ref *ast.ColumnRef) int {
-	if ref.Table != "" {
-		i, found := a.aliasIdx[strings.ToLower(ref.Table)]
-		if !found {
-			return -1
-		}
-		return i
-	}
-	owner := -1
-	for i, m := range a.members {
-		if m.schema == nil {
-			return -1 // unknown schema: cannot prove uniqueness
-		}
-		if m.schema.ColumnIndex(ref.Name) >= 0 {
-			if owner >= 0 {
-				return -1
-			}
-			owner = i
-		}
-	}
-	return owner
-}
-
-// classify assigns every aggregate call its lattice class; any call
-// left Holistic blocks the license. The dispatch must cover every
-// function ast.IsAggregateName accepts (the aggdispatch analyzer
-// enforces this) and defaults to Holistic.
-func (a *analysis) classify() bool {
-	envDown, envUp := a.envelopes()
-	ok := true
-	for i := range a.v.Calls {
-		c := &a.v.Calls[i]
-		if strings.HasSuffix(c.Name, " DISTINCT") {
-			c.Class = Holistic
-			ok = a.fail("%s depends on the whole group multiset; deltas cannot patch a DISTINCT set", c.Name)
-			continue
-		}
-		switch c.Name {
-		case "SUM", "COUNT":
-			c.Class = Invertible
-			a.v.Evidence = append(a.v.Evidence, Evidence{
-				Rule:   "invertible",
-				Detail: c.Name + " forms a group under +/-: insertions fold in, retractions fold out",
-			})
-		case "AVG":
-			c.Class = Invertible
-			a.v.Evidence = append(a.v.Evidence, Evidence{
-				Rule:   "invertible",
-				Detail: "AVG maintained as the SUM+COUNT pair, each invertible under +/-",
-			})
-		case "MIN":
-			if envDown {
-				c.Class = Monotone
-				a.v.Evidence = append(a.v.Evidence, Evidence{
-					Rule: "monotone-envelope",
-					Detail: "MIN under a LEAST envelope that folds the outer row's old value back in: " +
-						"group values only move downward, so a retracted candidate never has to " +
-						"\"un-minimize\" a group",
-				})
-			} else {
-				c.Class = Holistic
-				ok = a.fail("MIN without a LEAST envelope over the outer reference: a retraction could " +
-					"remove the current minimum and nothing proves the old bound stays live")
-			}
-		case "MAX":
-			if envUp {
-				c.Class = Monotone
-				a.v.Evidence = append(a.v.Evidence, Evidence{
-					Rule: "monotone-envelope",
-					Detail: "MAX under a GREATEST envelope that folds the outer row's old value back in: " +
-						"group values only move upward, so a retracted candidate never has to " +
-						"\"un-maximize\" a group",
-				})
-			} else {
-				c.Class = Holistic
-				ok = a.fail("MAX without a GREATEST envelope over the outer reference: a retraction could " +
-					"remove the current maximum and nothing proves the old bound stays live")
-			}
-		default:
-			c.Class = Holistic
-			ok = a.fail("%s has no known decomposition; fail closed", c.Name)
-		}
-	}
-	return ok
-}
-
-// envelopes reports whether some select item folds an outer column
-// through LEAST (downward envelope, licensing MIN) or GREATEST
-// (upward, licensing MAX) — the same inflationary-merge shape the
-// converge analysis proves monotone.
-func (a *analysis) envelopes() (down, up bool) {
-	for _, it := range a.core.Items {
-		call, ok := it.Expr.(*ast.FuncCall)
-		if !ok || call.Star || call.Distinct {
-			continue
-		}
-		var isDown bool
-		switch strings.ToUpper(call.Name) {
-		case "LEAST":
-			isDown = true
-		case "GREATEST":
-			isDown = false
-		default:
-			continue
-		}
-		for _, arg := range call.Args {
-			ref, isRef := arg.(*ast.ColumnRef)
-			if isRef && a.resolve(ref) == a.outer {
-				if isDown {
-					down = true
-				} else {
-					up = true
-				}
-				break
-			}
-		}
-	}
-	return down, up
-}
-
 // groupKeyStability proves each output group is a function of exactly
-// one outer row: GROUP BY is present, includes the outer key, and
-// every GROUP BY expression references only outer columns. Grouping
-// then refines "one group per outer key", and since keys are unique
-// per iteration, a group's identity is stable across the back-edge.
+// one outer row: GROUP BY includes the outer key and every GROUP BY
+// expression references only outer columns. Grouping then refines "one
+// group per outer key", and since keys are unique per iteration, a
+// group's identity is stable across the back-edge. An iterative part
+// that does not group has one output row per joined outer row and
+// needs no such proof; one that aggregates without grouping folds the
+// whole iteration into one row and has no per-key groups at all.
 func (a *analysis) groupKeyStability() bool {
 	if len(a.core.GroupBy) == 0 {
-		return a.fail("no GROUP BY; scalar aggregates over the whole iteration have no per-key groups to maintain")
+		if len(a.v.Calls) > 0 {
+			return a.fail("no GROUP BY; scalar aggregates over the whole iteration have no per-key groups")
+		}
+		return true
 	}
 	keyName := a.schema[0].Name
 	grouped := false
 	for _, g := range a.core.GroupBy {
-		if ref, isRef := g.(*ast.ColumnRef); isRef &&
-			strings.EqualFold(ref.Name, keyName) && a.resolve(ref) == a.outer {
+		if ref, isRef := g.(*ast.ColumnRef); isRef && a.keyOf(ref, 0) {
 			grouped = true
 		}
 		outerOnly := true
 		ast.WalkExpr(g, func(e ast.Expr) bool {
-			if ref, isRef := e.(*ast.ColumnRef); isRef && a.resolve(ref) != a.outer {
+			if ref, isRef := e.(*ast.ColumnRef); isRef && a.chain.Resolve(ref) != 0 {
 				outerOnly = false
-				return false
 			}
-			return true
+			return outerOnly
 		})
 		if !outerOnly {
 			return a.fail("GROUP BY expression %s reads non-outer columns; group identity could shift "+
@@ -460,122 +252,83 @@ func (a *analysis) groupKeyStability() bool {
 		Rule: "group-key-stability",
 		Detail: fmt.Sprintf("GROUP BY includes the outer key %s and every grouping expression reads only "+
 			"%s columns: one group per outer key, identity stable across the back-edge",
-			keyName, a.members[a.outer].alias),
+			keyName, a.chain.Members[0].Alias),
 	})
 	return true
 }
 
-// retractionVisibility proves every inner CTE reference is routed back
-// to the outer key: directly equated, or through a base-table equijoin
-// yielding a propagation rule. Any group whose input rows change
-// between iterations is then a group of some affected key, so folding
-// only the frontier's groups misses no retraction.
-func (a *analysis) retractionVisibility() bool {
-	keyName := a.schema[0].Name
-	keyEq := func(ref *ast.ColumnRef, i int) bool {
-		return strings.EqualFold(ref.Name, keyName) && a.resolve(ref) == i
-	}
-	for i, m := range a.members {
-		if !m.isCTE || i == a.outer {
+// routing proves every inner CTE reference is routed back to the outer
+// key: directly equated, or through a base-table equijoin yielding a
+// propagation rule. Any key whose input rows change between iterations
+// is then an affected key, so evaluating only the affected keys misses
+// no change.
+func (a *analysis) routing() bool {
+	members := a.chain.Members
+	for i, m := range members {
+		if i == 0 || !a.isCTE(i) {
 			continue
 		}
-		routed := false
-		for _, eq := range a.eqs {
-			var other *ast.ColumnRef
-			switch {
-			case keyEq(eq[0], i):
-				other = eq[1]
-			case keyEq(eq[1], i):
-				other = eq[0]
-			default:
-				continue
-			}
-			if keyEq(other, a.outer) {
-				routed = true
-				a.v.Evidence = append(a.v.Evidence, Evidence{
-					Rule:   "retraction-visibility",
-					Detail: fmt.Sprintf("inner reference %s equated with the outer key directly", m.alias),
-				})
-				break
-			}
-			bi := a.resolve(other)
-			if bi < 0 || a.members[bi].isCTE || a.members[bi].schema == nil {
-				continue
-			}
-			from := a.members[bi].schema.ColumnIndex(other.Name)
-			if from < 0 {
-				continue
-			}
-			for _, eq2 := range a.eqs {
-				var bcol *ast.ColumnRef
-				switch {
-				case keyEq(eq2[0], a.outer) && a.resolve(eq2[1]) == bi:
-					bcol = eq2[1]
-				case keyEq(eq2[1], a.outer) && a.resolve(eq2[0]) == bi:
-					bcol = eq2[0]
-				default:
-					continue
-				}
-				to := a.members[bi].schema.ColumnIndex(bcol.Name)
-				if to < 0 {
-					continue
-				}
-				a.v.Props = append(a.v.Props, Prop{Table: a.members[bi].name, From: from, To: to})
-				a.v.Evidence = append(a.v.Evidence, Evidence{
-					Rule: "retraction-visibility",
-					Detail: fmt.Sprintf("inner reference %s routed to the outer key through %s[%d->%d]: "+
-						"every row leaving a group belongs to a changed key's equijoin image",
-						m.alias, a.members[bi].name, from, to),
-				})
-				routed = true
-				break
-			}
-			if routed {
-				break
-			}
-		}
-		if !routed {
+		if !a.route(i) {
 			return a.fail("inner reference %s has no key-equijoin route to the outer key; a row could "+
-				"leave one of its groups invisibly to the frontier", m.alias)
+				"enter or leave one of its keys' inputs invisibly to the frontier", m.Alias)
 		}
 	}
 	return true
 }
 
-// chainItem mirrors core's flattenChain leaf (reimplemented here so
-// the analysis does not import core).
-type chainItem struct {
-	ref   ast.TableRef
-	typ   ast.JoinType
-	on    ast.Expr
-	alias string
-}
-
-func flattenChain(t ast.TableRef) ([]chainItem, bool) {
-	switch x := t.(type) {
-	case *ast.JoinRef:
-		left, ok := flattenChain(x.Left)
-		if !ok {
-			return nil, false
+// route finds the first equality that ties inner reference i's key to
+// the outer key and records the evidence (and the rule, if the tie
+// crosses a base table).
+func (a *analysis) route(i int) bool {
+	members := a.chain.Members
+	for _, eq := range a.chain.Eqs {
+		var other *ast.ColumnRef
+		switch {
+		case a.keyOf(eq[0], i):
+			other = eq[1]
+		case a.keyOf(eq[1], i):
+			other = eq[0]
+		default:
+			continue
 		}
-		if _, isJoin := x.Right.(*ast.JoinRef); isJoin {
-			return nil, false // left-deep chains only
+		if a.keyOf(other, 0) {
+			a.v.Evidence = append(a.v.Evidence, Evidence{
+				Rule:   "routing",
+				Detail: fmt.Sprintf("inner reference %s equated with the outer key directly", members[i].Alias),
+			})
+			return true
 		}
-		return append(left, chainItem{ref: x.Right, typ: x.Type, on: x.On, alias: refAlias(x.Right)}), true
-	default:
-		return []chainItem{{ref: t, alias: refAlias(t)}}, true
+		bi := a.chain.Resolve(other)
+		if bi < 0 || a.isCTE(bi) || members[bi].Schema == nil {
+			continue
+		}
+		from := members[bi].Schema.ColumnIndex(other.Name)
+		if from < 0 {
+			continue
+		}
+		for _, eq2 := range a.chain.Eqs {
+			var bcol *ast.ColumnRef
+			switch {
+			case a.keyOf(eq2[0], 0) && a.chain.Resolve(eq2[1]) == bi:
+				bcol = eq2[1]
+			case a.keyOf(eq2[1], 0) && a.chain.Resolve(eq2[0]) == bi:
+				bcol = eq2[0]
+			default:
+				continue
+			}
+			to := members[bi].Schema.ColumnIndex(bcol.Name)
+			if to < 0 {
+				continue
+			}
+			a.v.Props = append(a.v.Props, Prop{Table: members[bi].Name, From: from, To: to})
+			a.v.Evidence = append(a.v.Evidence, Evidence{
+				Rule: "routing",
+				Detail: fmt.Sprintf("inner reference %s routed to the outer key through %s[%d->%d]: "+
+					"every row entering or leaving a key's input belongs to a changed key's equijoin image",
+					members[i].Alias, members[bi].Name, from, to),
+			})
+			return true
+		}
 	}
-}
-
-func refAlias(t ast.TableRef) string {
-	switch x := t.(type) {
-	case *ast.BaseTable:
-		if x.Alias != "" {
-			return strings.ToLower(x.Alias)
-		}
-		return strings.ToLower(x.Name)
-	case *ast.SubqueryRef:
-		return strings.ToLower(x.Alias)
-	}
-	return ""
+	return false
 }

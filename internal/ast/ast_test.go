@@ -290,3 +290,82 @@ func TestUnionString(t *testing.T) {
 		t.Errorf("UnionExpr = %q", u.String())
 	}
 }
+
+// TestParseChain pins the one chain parser: what a left-deep chain is,
+// who owns a column, and which conjuncts are column equalities.
+func TestParseChain(t *testing.T) {
+	schemas := map[string]sqltypes.Schema{
+		"pagerank": {{Name: "node"}, {Name: "rank"}},
+		"edges":    {{Name: "src"}, {Name: "dst"}, {Name: "weight"}},
+	}
+	schemaOf := func(name string) (sqltypes.Schema, bool) {
+		s, ok := schemas[strings.ToLower(name)]
+		return s, ok
+	}
+	eq := func(l, r *ColumnRef) *BinaryExpr { return &BinaryExpr{Op: "=", L: l, R: r} }
+	inner := &JoinRef{
+		Type:  LeftJoin,
+		Left:  &BaseTable{Name: "PageRank"},
+		Right: &BaseTable{Name: "edges", Alias: "E"},
+		On:    &BinaryExpr{Op: "AND", L: eq(col("PageRank", "node"), col("e", "dst")), R: &BinaryExpr{Op: "<", L: col("e", "weight"), R: lit(3)}},
+	}
+	core := &SelectCore{
+		From: &JoinRef{Type: InnerJoin, Left: inner, Right: &BaseTable{Name: "pagerank", Alias: "inc"},
+			On: eq(col("inc", "node"), col("e", "src"))},
+		Where: eq(col("", "weight"), col("inc", "rank")),
+	}
+	c, ok := ParseChain(core, schemaOf)
+	if !ok || len(c.Members) != 3 || c.HasBadAlias {
+		t.Fatalf("chain = %+v, ok = %v", c, ok)
+	}
+	if m := c.Members[1]; m.Alias != "e" || m.Name != "edges" || m.Join != LeftJoin || m.On == nil || len(m.Schema) != 3 {
+		t.Errorf("member 1 = %+v", m)
+	}
+	if m := c.Members[0]; m.Alias != "pagerank" || m.On != nil {
+		t.Errorf("member 0 = %+v", m)
+	}
+	// Two ON equalities in chain order, then the WHERE one; the
+	// inequality is not collected.
+	if len(c.Eqs) != 3 || c.Eqs[0][1].Name != "dst" || c.Eqs[1][0].Table != "inc" || c.Eqs[2][0].Name != "weight" {
+		t.Errorf("eqs = %v", c.Eqs)
+	}
+	for _, tc := range []struct {
+		ref  *ColumnRef
+		want int
+	}{
+		{col("E", "src"), 1},       // qualified, case-insensitive
+		{col("nobody", "src"), -1}, // unknown alias
+		{col("", "weight"), 1},     // unqualified, one owner
+		{col("", "node"), -1},      // unqualified, two owners
+		{col("", "ghost"), -1},     // unqualified, no owner
+	} {
+		if got := c.Resolve(tc.ref); got != tc.want {
+			t.Errorf("Resolve(%s) = %d, want %d", tc.ref, got, tc.want)
+		}
+	}
+
+	// A member of unknown schema makes every unqualified reference
+	// unresolvable: uniqueness cannot be shown.
+	core2 := &SelectCore{From: &JoinRef{Type: InnerJoin, Left: &BaseTable{Name: "edges"}, Right: &BaseTable{Name: "mystery"}}}
+	c2, ok := ParseChain(core2, schemaOf)
+	if !ok || c2.Members[1].Schema != nil || c2.Resolve(col("", "src")) != -1 {
+		t.Errorf("unknown-schema member: chain = %+v, ok = %v", c2, ok)
+	}
+
+	// Same alias twice, and a derived table without one, are reported.
+	for _, right := range []TableRef{&BaseTable{Name: "edges"}, &SubqueryRef{Select: &SelectStmt{Body: &SelectCore{}}}} {
+		dup, ok := ParseChain(&SelectCore{From: &JoinRef{Type: InnerJoin, Left: &BaseTable{Name: "edges"}, Right: right}}, schemaOf)
+		if !ok || !dup.HasBadAlias || dup.BadAlias != AliasOf(right) {
+			t.Errorf("bad alias not reported for %T: %+v", right, dup)
+		}
+	}
+
+	// A join on the right side is not a chain; neither is no FROM.
+	bushy := &SelectCore{From: &JoinRef{Type: InnerJoin, Left: &BaseTable{Name: "edges"}, Right: inner}}
+	if _, ok := ParseChain(bushy, schemaOf); ok {
+		t.Error("right-nested join accepted as a chain")
+	}
+	if _, ok := ParseChain(&SelectCore{}, schemaOf); ok {
+		t.Error("missing FROM accepted as a chain")
+	}
+}

@@ -104,32 +104,6 @@ func TestParallelScalingExperiment(t *testing.T) {
 	}
 }
 
-// TestDeltaComparisonExperiment cements the delta-iteration acceptance
-// criterion: on converging SSSP and PR-VS workloads the two modes
-// produce identical rows (DeltaComparison errors out otherwise) while
-// the restricted mode feeds strictly fewer rows to Ri.
-func TestDeltaComparisonExperiment(t *testing.T) {
-	cfg := tiny()
-	cfg.Iterations = 5
-	exp, err := DeltaComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Rows) != 2 || exp.Rows[0][0] != "SSSP" || exp.Rows[1][0] != "PR-VS" {
-		t.Fatalf("rows = %v", exp.Rows)
-	}
-	for _, row := range exp.Rows {
-		full, err1 := strconv.ParseInt(row[4], 10, 64)
-		input, err2 := strconv.ParseInt(row[5], 10, 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("row counters not numeric: %v", row)
-		}
-		if input >= full {
-			t.Errorf("%s: Ri consumed %d of %d rows; the frontier must shrink on a converging workload", row[0], input, full)
-		}
-	}
-}
-
 // TestSchedComparisonExperiment cements the step-scheduler acceptance
 // criteria: all five workload queries run byte-identical with the
 // scheduler on (SchedComparison errors out otherwise), and at least
@@ -169,32 +143,38 @@ func TestSchedComparisonExperiment(t *testing.T) {
 	}
 }
 
-// TestIncAggComparisonExperiment cements the incremental-aggregate
-// acceptance bar: PR and SSSP run byte-identical with maintenance on
-// and off (IncAggComparison errors out otherwise, with the dynamic
-// cross-check armed), and both cut aggregate input rows by at least
-// 40% once the change frontier shrinks. PR's frontier thins slowly
-// (deltas stop propagating only where every incoming path has died
-// out), so this runs the full default iteration count rather than the
-// short loop the other experiment tests use.
-func TestIncAggComparisonExperiment(t *testing.T) {
+// TestIncrementalExperiment cements the incremental-evaluation
+// acceptance bar: all four aggregate workloads run byte-identical with
+// incremental evaluation on and off (IncrementalComparison errors out
+// otherwise, with the dynamic cross-check armed), each through the step
+// its shape selects — maintenance on the rename path (PR), the delta
+// step on the merge path — and each feeds Ri strictly fewer rows than
+// the full plan reads once the change frontier shrinks. PR's frontier
+// thins slowly (deltas stop propagating only where every incoming path
+// has died out), so this runs the full default iteration count rather
+// than the short loop the other experiment tests use.
+func TestIncrementalExperiment(t *testing.T) {
 	cfg := tiny()
 	cfg.Iterations = 10
-	exp, err := IncAggComparison(cfg)
+	exp, err := IncrementalComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Rows) != 2 || exp.Rows[0][0] != "PR" || exp.Rows[1][0] != "SSSP" {
+	want := [][2]string{{"PR", "maintenance"}, {"SSSP", "delta"}, {"PR-VS", "delta"}, {"SSSP-VS", "delta"}}
+	if len(exp.Rows) != len(want) {
 		t.Fatalf("rows = %v", exp.Rows)
 	}
-	for _, row := range exp.Rows {
-		full, err1 := strconv.ParseInt(row[4], 10, 64)
-		input, err2 := strconv.ParseInt(row[5], 10, 64)
+	for i, row := range exp.Rows {
+		if row[0] != want[i][0] || row[4] != want[i][1] {
+			t.Errorf("row %d = %v, want %s through the %s step", i, row, want[i][0], want[i][1])
+		}
+		fed, err1 := strconv.ParseInt(row[5], 10, 64)
+		full, err2 := strconv.ParseInt(row[6], 10, 64)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("row counters not numeric: %v", row)
 		}
-		if input >= full {
-			t.Errorf("%s: maintenance fed %d of %d rows; the frontier must shrink on a converging workload", row[0], input, full)
+		if fed >= full {
+			t.Errorf("%s: fed %d of %d rows; the frontier must shrink on a converging workload", row[0], fed, full)
 		}
 	}
 }

@@ -275,12 +275,18 @@ func ParallelScaling(cfg Config, parts []int) (*Experiment, error) {
 	return exp, nil
 }
 
-// DeltaComparison is the experiment behind delta iteration
-// (Config.DeltaIteration): full Ri re-evaluation vs the changed-row
-// frontier on converging workloads. The run fails if the two modes
-// disagree on a single row; the interesting columns are the CTE rows
-// actually fed to Ri's iterative reference.
-func DeltaComparison(cfg Config) (*Experiment, error) {
+// IncrementalComparison is the experiment behind incremental
+// evaluation (Config.DisableIncremental): the full Ri plan every
+// iteration vs the restricted step the rewrite picks from the query's
+// shape — the delta step on the merge path (SSSP, PR-VS, SSSP-VS), the
+// maintenance step on the rename path (PR). The incremental runs
+// execute with the dynamic cross-check armed, and the run fails if the
+// two modes disagree on a single row or on row order — byte identity
+// including float accumulation order is the contract — or if no
+// restricted step engaged. The interesting column is the CTE rows
+// actually fed to Ri's outer reference against what the full plan
+// reads.
+func IncrementalComparison(cfg Config) (*Experiment, error) {
 	cfg = cfg.withDefaults()
 	g, err := dataset(cfg)
 	if err != nil {
@@ -290,39 +296,41 @@ func DeltaComparison(cfg Config) (*Experiment, error) {
 		name string
 		sql  string
 	}{
+		{"PR", PRQuery(cfg.Iterations)},
 		{"SSSP", SSSPQuery(1, cfg.Iterations)},
 		{"PR-VS", PRVSQuery(cfg.Iterations)},
+		{"SSSP-VS", SSSPVSQuery(1, cfg.Iterations)},
 	}
 	exp := &Experiment{
-		ID:      "delta",
-		Title:   fmt.Sprintf("Delta iteration vs full re-evaluation (%s, %d iterations)", cfg.Preset, cfg.Iterations),
-		Headers: []string{"query", "full", "delta", "speedup", "Ri rows (full)", "Ri rows (delta)", "rows saved"},
+		ID:      "incremental",
+		Title:   fmt.Sprintf("Incremental evaluation vs the full plan (%s, %d iterations)", cfg.Preset, cfg.Iterations),
+		Headers: []string{"query", "full", "incremental", "speedup", "step", "rows fed", "full rows"},
 	}
 	for _, query := range queries {
-		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{}, query.sql)
+		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{DisableIncremental: true}, query.sql)
 		if err != nil {
 			return nil, err
 		}
-		deltaRows, deltaTime, st, err := deltaRun(g, cfg, dbspinner.Config{DeltaIteration: true}, query.sql)
+		incRows, incTime, st, err := deltaRun(g, cfg, dbspinner.Config{CheckIncrementalAgg: true}, query.sql)
 		if err != nil {
 			return nil, err
 		}
-		if why := sameRowMultiset(fullRows, deltaRows); why != "" {
-			return nil, fmt.Errorf("delta iteration changed the %s result: %s", query.name, why)
+		if why := sameRowSequence(fullRows, incRows); why != "" {
+			return nil, fmt.Errorf("incremental evaluation changed the %s result: %s", query.name, why)
 		}
-		if st.RiFullRows == 0 {
-			return nil, fmt.Errorf("delta iteration did not engage on %s (no restricted materializations ran)", query.name)
+		step, fed, full := "delta", st.RiInputRows, st.RiFullRows
+		if st.AggFullRows > 0 {
+			step, fed, full = "maintenance", st.AggInputRows, st.AggFullRows
 		}
-		saved := "-"
-		if st.RiFullRows > 0 {
-			saved = fmt.Sprintf("%.0f%%", 100*(1-float64(st.RiInputRows)/float64(st.RiFullRows)))
+		if full == 0 {
+			return nil, fmt.Errorf("no restricted step engaged on %s", query.name)
 		}
 		exp.Rows = append(exp.Rows, []string{
-			query.name, ms(fullTime), ms(deltaTime), speedup(fullTime, deltaTime),
-			fmt.Sprint(st.RiFullRows), fmt.Sprint(st.RiInputRows), saved,
+			query.name, ms(fullTime), ms(incTime), speedup(fullTime, incTime),
+			step, fmt.Sprint(fed), fmt.Sprint(full),
 		})
 	}
-	exp.Notes = "Results are asserted identical row for row. 'Ri rows' counts the iterative-reference input summed over iterations: the full CTE every time vs the affected frontier (changed keys plus their equijoin images)."
+	exp.Notes = "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) after the first — against the full CTE every time."
 	return exp, nil
 }
 
@@ -748,64 +756,5 @@ func ShuffleComparison(cfg Config) (*Experiment, error) {
 		})
 	}
 	exp.Notes = "Results are asserted byte-identical, row order included, with the dynamic co-location guard re-hashing every row consumed through a skipped exchange. 'Rows shuffled' counts every row routed by an exchange operator; the VS variants must strictly reduce it — their loop bodies join and aggregate on the key the loop provably keeps hash-distributed across the back-edge."
-	return exp, nil
-}
-
-// IncAggComparison is the experiment behind incremental aggregate
-// maintenance (Config.DisableIncrementalAgg): the full per-iteration
-// re-fold vs group-granular maintenance on the workloads whose body
-// aggregation the decomposability analysis licenses. The maintained
-// runs execute with the dynamic cross-check armed, so a deterministic
-// sample of cached groups is recomputed from scratch every iteration;
-// the run fails if the two modes disagree on a single row or on row
-// order — byte identity including float accumulation order is the
-// maintenance contract. The interesting metric is aggregate input
-// rows: the rows actually fed through the grouping operator, which
-// maintenance must cut by at least 40% on both converging workloads
-// once the change frontier shrinks.
-func IncAggComparison(cfg Config) (*Experiment, error) {
-	cfg = cfg.withDefaults()
-	g, err := dataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	queries := []struct {
-		name string
-		sql  string
-	}{
-		{"PR", PRQuery(cfg.Iterations)},
-		{"SSSP", SSSPQuery(1, cfg.Iterations)},
-	}
-	exp := &Experiment{
-		ID:      "incagg",
-		Title:   fmt.Sprintf("Incremental aggregate maintenance vs full re-fold (%s, %d iterations)", cfg.Preset, cfg.Iterations),
-		Headers: []string{"query", "full re-fold", "maintained", "speedup", "agg rows (full)", "agg rows (maintained)", "rows saved"},
-	}
-	for _, query := range queries {
-		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{DisableIncrementalAgg: true}, query.sql)
-		if err != nil {
-			return nil, err
-		}
-		maintRows, maintTime, st, err := deltaRun(g, cfg, dbspinner.Config{CheckIncrementalAgg: true}, query.sql)
-		if err != nil {
-			return nil, err
-		}
-		if why := sameRowSequence(fullRows, maintRows); why != "" {
-			return nil, fmt.Errorf("aggregate maintenance changed the %s result: %s", query.name, why)
-		}
-		if st.AggFullRows == 0 {
-			return nil, fmt.Errorf("aggregate maintenance did not engage on %s (no maintained folds ran)", query.name)
-		}
-		saved := 100 * (1 - float64(st.AggInputRows)/float64(st.AggFullRows))
-		if saved < 40 {
-			return nil, fmt.Errorf("aggregate maintenance fed only %.1f%% fewer rows on %s, expected at least 40%%", saved, query.name)
-		}
-		exp.Rows = append(exp.Rows, []string{
-			query.name, ms(fullTime), ms(maintTime), speedup(fullTime, maintTime),
-			fmt.Sprint(st.AggFullRows), fmt.Sprint(st.AggInputRows),
-			fmt.Sprintf("%.0f%%", saved),
-		})
-	}
-	exp.Notes = "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Agg rows' counts rows fed through the body's grouping operator summed over iterations: the whole join input every time vs the frontier-affected groups only."
 	return exp, nil
 }

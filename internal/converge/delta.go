@@ -40,20 +40,14 @@ type deltaAnalysis struct {
 	lookup Lookup
 	v      *Verdict
 
-	core    *ast.SelectCore
-	members []member
-	aliases map[string]int
-	eqs     [][2]*ast.ColumnRef
+	core  *ast.SelectCore
+	chain *ast.Chain
 }
 
-// member is one FROM-chain entry: the analyzed CTE itself or a base
-// table with a known schema (schema nil when the lookup cannot see
-// it).
-type member struct {
-	alias  string
-	name   string
-	isCTE  bool
-	schema sqltypes.Schema
+// isCTE reports whether chain member i is the analyzed CTE itself
+// rather than a base table.
+func (d *deltaAnalysis) isCTE(i int) bool {
+	return strings.EqualFold(d.chain.Members[i].Name, d.cte.Name)
 }
 
 func analyzeDelta(cte *ast.CTE, lookup Lookup, v *Verdict) {
@@ -126,108 +120,52 @@ func (d *deltaAnalysis) prepare(cteRefs int) bool {
 		v.Diags = append(v.Diags, "the iterative part has no FROM clause")
 		return false
 	}
-	chain, ok := flattenChain(core.From)
+	// The CTE member's schema is its declared column list (types play no
+	// part in column ownership); base tables come from the lookup.
+	chain, ok := ast.ParseChain(core, func(name string) (sqltypes.Schema, bool) {
+		if strings.EqualFold(name, d.cte.Name) {
+			s := make(sqltypes.Schema, len(d.cols))
+			for i, c := range d.cols {
+				s[i].Name = c
+			}
+			return s, true
+		}
+		if d.lookup == nil {
+			return nil, false
+		}
+		return d.lookup.TableSchema(name)
+	})
 	if !ok {
 		v.Diags = append(v.Diags, "the FROM clause is not a left-deep join chain")
 		return false
 	}
-	d.core = core
-	d.aliases = make(map[string]int, len(chain))
+	d.core, d.chain = core, chain
 	seenCTE := 0
-	for i, it := range chain {
-		if i > 0 && it.typ != ast.InnerJoin && it.typ != ast.LeftJoin {
+	for i, m := range chain.Members {
+		if i > 0 && m.Join != ast.InnerJoin && m.Join != ast.LeftJoin {
 			v.Diags = append(v.Diags, fmt.Sprintf("%s can null-extend or emit rows for the left side; only "+
-				"inner and left joins keep row provenance", it.typ))
+				"inner and left joins keep row provenance", m.Join))
 			return false
 		}
-		bt, isBase := it.ref.(*ast.BaseTable)
-		if !isBase {
+		if m.Name == "" {
 			v.Diags = append(v.Diags, "a derived table in FROM hides which rows reach the output")
 			return false
 		}
-		m := member{alias: it.alias, name: bt.Name}
-		if strings.EqualFold(bt.Name, d.cte.Name) {
-			m.isCTE = true
+		if d.isCTE(i) {
 			seenCTE++
-		} else if d.lookup != nil {
-			if s, found := d.lookup.TableSchema(bt.Name); found {
-				m.schema = s
-			}
 		}
-		if _, dup := d.aliases[m.alias]; dup || m.alias == "" {
-			v.Diags = append(v.Diags, fmt.Sprintf("duplicate or empty FROM alias %q; column ownership is "+
-				"ambiguous", m.alias))
-			return false
-		}
-		d.aliases[m.alias] = i
-		d.members = append(d.members, m)
+	}
+	if chain.HasBadAlias {
+		v.Diags = append(v.Diags, fmt.Sprintf("duplicate or empty FROM alias %q; column ownership is "+
+			"ambiguous", chain.BadAlias))
+		return false
 	}
 	if seenCTE != cteRefs {
 		v.Diags = append(v.Diags, fmt.Sprintf("references to %s are hidden inside derived tables or set "+
 			"operations", d.cte.Name))
 		return false
 	}
-	for _, it := range chain {
-		d.addEqualities(it.on)
-	}
-	d.addEqualities(core.Where)
 	return true
-}
-
-// addEqualities collects top-level column=column conjuncts.
-func (d *deltaAnalysis) addEqualities(e ast.Expr) {
-	for _, conj := range ast.SplitConjuncts(e) {
-		bin, ok := conj.(*ast.BinaryExpr)
-		if !ok || bin.Op != "=" {
-			continue
-		}
-		l, lok := bin.L.(*ast.ColumnRef)
-		r, rok := bin.R.(*ast.ColumnRef)
-		if lok && rok {
-			d.eqs = append(d.eqs, [2]*ast.ColumnRef{l, r})
-		}
-	}
-}
-
-// resolve maps a column reference to the owning chain member, -1 when
-// ambiguous or unknown. The CTE member's columns are d.cols;
-// unqualified references must have exactly one possible owner.
-func (d *deltaAnalysis) resolve(ref *ast.ColumnRef) int {
-	if ref.Table != "" {
-		i, found := d.aliases[strings.ToLower(ref.Table)]
-		if !found {
-			return -1
-		}
-		return i
-	}
-	owner := -1
-	for i, m := range d.members {
-		var has bool
-		if m.isCTE {
-			has = columnIndex(d.cols, ref.Name) >= 0
-		} else {
-			if m.schema == nil {
-				return -1 // unknown schema: cannot prove uniqueness
-			}
-			has = m.schema.ColumnIndex(ref.Name) >= 0
-		}
-		if has {
-			if owner >= 0 {
-				return -1
-			}
-			owner = i
-		}
-	}
-	return owner
-}
-
-func columnIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
 }
 
 // identityMap proves the body re-selects the CTE verbatim: one chain
@@ -236,7 +174,7 @@ func columnIndex(cols []string, name string) int {
 // the snapshot exactly. Terminates(1).
 func (d *deltaAnalysis) identityMap() bool {
 	c := d.core
-	if len(d.members) != 1 || !d.members[0].isCTE ||
+	if len(d.chain.Members) != 1 || !d.isCTE(0) ||
 		c.Where != nil || len(c.GroupBy) > 0 || c.Having != nil || c.Distinct {
 		return false
 	}
@@ -245,7 +183,7 @@ func (d *deltaAnalysis) identityMap() bool {
 	}
 	for i, it := range c.Items {
 		ref, ok := it.Expr.(*ast.ColumnRef)
-		if !ok || !strings.EqualFold(ref.Name, d.cols[i]) || d.resolve(ref) != 0 {
+		if !ok || !strings.EqualFold(ref.Name, d.cols[i]) || d.chain.Resolve(ref) != 0 {
 			return false
 		}
 	}
@@ -278,13 +216,13 @@ func (d *deltaAnalysis) mergeRules() bool {
 			"key source is unbounded, new keys can be generated forever", cite(keyExpr)))
 		return false
 	}
-	owner := d.resolve(keyRef)
+	owner := d.chain.Resolve(keyRef)
 	if owner < 0 {
 		v.Diags = append(v.Diags, fmt.Sprintf("cannot attribute the key output %s to a single FROM member",
 			cite(keyRef)))
 		return false
 	}
-	if d.members[owner].isCTE {
+	if d.isCTE(owner) {
 		if !strings.EqualFold(keyRef.Name, d.cols[0]) {
 			v.Diags = append(v.Diags, fmt.Sprintf("the key output %s is a non-key column of %s; merged keys "+
 				"are not row identities", cite(keyRef), d.cte.Name))
@@ -292,7 +230,7 @@ func (d *deltaAnalysis) mergeRules() bool {
 		}
 		if owner != 0 {
 			v.Diags = append(v.Diags, fmt.Sprintf("the iterative reference %s is not at the head of the join "+
-				"chain; a left join can null-extend its key", d.members[owner].alias))
+				"chain; a left join can null-extend its key", d.chain.Members[owner].Alias))
 			return false
 		}
 		return d.stableFrontier(owner, refs)
@@ -309,21 +247,21 @@ func (d *deltaAnalysis) mergeRules() bool {
 func (d *deltaAnalysis) finiteKeyDomain(owner int, keyRef *ast.ColumnRef, refs []*ast.ColumnRef) bool {
 	v := d.v
 	for _, ref := range refs {
-		i := d.resolve(ref)
+		i := d.chain.Resolve(ref)
 		if i < 0 {
 			v.Diags = append(v.Diags, fmt.Sprintf("cannot attribute %s to a single FROM member", cite(ref)))
 			return false
 		}
-		if d.members[i].isCTE && !strings.EqualFold(ref.Name, d.cols[0]) {
+		if d.isCTE(i) && !strings.EqualFold(ref.Name, d.cols[0]) {
 			v.Diags = append(v.Diags, fmt.Sprintf("value column %s feeds a frontier-expanding body; recomputed "+
 				"values can keep changing while new keys appear", cite(ref)))
 			return false
 		}
 	}
 	v.Kind = Terminates
-	domain := fmt.Sprintf("%s.%s", d.members[owner].name, keyRef.Name)
+	domain := fmt.Sprintf("%s.%s", d.chain.Members[owner].Name, keyRef.Name)
 	detail := fmt.Sprintf("output keys are drawn from %s, a finite domain", cite(keyRef))
-	if card, ok := tableRowCount(d.lookup, d.members[owner].name); ok {
+	if card, ok := tableRowCount(d.lookup, d.chain.Members[owner].Name); ok {
 		v.Bound = int64(card) + 2
 		v.BoundRef = fmt.Sprintf("|distinct %s| + 2, %d rows at plan time", domain, card)
 	} else {
@@ -358,7 +296,7 @@ func (d *deltaAnalysis) stableFrontier(outer int, refs []*ast.ColumnRef) bool {
 	v := d.v
 	feedback := false
 	for _, ref := range refs {
-		if i := d.resolve(ref); i >= 0 && d.members[i].isCTE && !strings.EqualFold(ref.Name, d.cols[0]) {
+		if i := d.chain.Resolve(ref); i >= 0 && d.isCTE(i) && !strings.EqualFold(ref.Name, d.cols[0]) {
 			feedback = true
 			break
 		}
@@ -410,7 +348,7 @@ func (d *deltaAnalysis) stableFrontier(outer int, refs []*ast.ColumnRef) bool {
 // outer CTE reference (old value passed through unchanged).
 func (d *deltaAnalysis) carried(e ast.Expr, outer, j int) bool {
 	ref, ok := e.(*ast.ColumnRef)
-	return ok && strings.EqualFold(ref.Name, d.cols[j]) && d.resolve(ref) == outer
+	return ok && strings.EqualFold(ref.Name, d.cols[j]) && d.chain.Resolve(ref) == outer
 }
 
 // direction is the monotone movement of a lattice merge.
@@ -499,12 +437,12 @@ func (d *deltaAnalysis) candidate(e ast.Expr, j int) bool {
 	case *ast.Literal:
 		return true
 	case *ast.ColumnRef:
-		i := d.resolve(t)
+		i := d.chain.Resolve(t)
 		if i < 0 {
 			v.Diags = append(v.Diags, fmt.Sprintf("cannot attribute %s to a single FROM member", cite(t)))
 			return false
 		}
-		if d.members[i].isCTE && !strings.EqualFold(t.Name, d.cols[0]) {
+		if d.isCTE(i) && !strings.EqualFold(t.Name, d.cols[0]) {
 			v.Diags = append(v.Diags, fmt.Sprintf("column %d couples to the recursively-defined column %s; "+
 				"its candidates change as that column changes and the lattice argument breaks", j+1, cite(t)))
 			return false
@@ -527,52 +465,6 @@ func (d *deltaAnalysis) candidate(e ast.Expr, j int) bool {
 	v.Diags = append(v.Diags, fmt.Sprintf("candidate %s generates values outside a finite lattice (only "+
 		"selections from base-table values and constants keep it finite)", cite(e)))
 	return false
-}
-
-// ---------------------------------------------------------------------
-// Chain flattening (mirrors the optimizer's view of a FROM clause; the
-// analysis cannot import internal/core, so the walk is local)
-// ---------------------------------------------------------------------
-
-// chainItem is one member of a left-deep join chain with the join that
-// attached it.
-type chainItem struct {
-	ref   ast.TableRef
-	typ   ast.JoinType
-	on    ast.Expr
-	alias string
-}
-
-// flattenChain unrolls a left-deep join tree into its members; false
-// when the tree is not left-deep (a join on the right side).
-func flattenChain(t ast.TableRef) ([]chainItem, bool) {
-	switch x := t.(type) {
-	case *ast.JoinRef:
-		if _, nested := x.Right.(*ast.JoinRef); nested {
-			return nil, false
-		}
-		left, ok := flattenChain(x.Left)
-		if !ok {
-			return nil, false
-		}
-		return append(left, chainItem{ref: x.Right, typ: x.Type, on: x.On, alias: tableAlias(x.Right)}), true
-	default:
-		return []chainItem{{ref: t, typ: ast.InnerJoin, alias: tableAlias(t)}}, true
-	}
-}
-
-// tableAlias is the lowercased effective alias of a FROM member.
-func tableAlias(t ast.TableRef) string {
-	switch x := t.(type) {
-	case *ast.BaseTable:
-		if x.Alias != "" {
-			return strings.ToLower(x.Alias)
-		}
-		return strings.ToLower(x.Name)
-	case *ast.SubqueryRef:
-		return strings.ToLower(x.Alias)
-	}
-	return ""
 }
 
 // ---------------------------------------------------------------------

@@ -13,9 +13,12 @@ import (
 	"dbspinner/internal/storage"
 )
 
-func deltaOptions() Options {
+// fullOptions is the default configuration with incremental evaluation
+// switched off: the full Ri plan every iteration, the baseline the
+// restricted steps must match byte for byte.
+func fullOptions() Options {
 	o := DefaultOptions()
-	o.DeltaIteration = true
+	o.Incremental = false
 	return o
 }
 
@@ -51,13 +54,13 @@ func hasDeltaStep(prog *Program) bool {
 	return false
 }
 
-// TestDeltaIterationSSSPIdentical is the tentpole acceptance check at
-// the core layer: with DeltaIteration enabled the SSSP query produces
-// byte-identical rows while Ri evaluates strictly fewer input rows
-// than the full-table baseline would have.
+// TestDeltaIterationSSSPIdentical is the acceptance check at the core
+// layer: on the merge path the default rewrite takes the delta step,
+// and the SSSP query produces byte-identical rows while Ri evaluates
+// strictly fewer input rows than the full-table baseline would have.
 func TestDeltaIterationSSSPIdentical(t *testing.T) {
-	fullRows, fullStats := runIterative(t, chainRT(t), ssspQuery, DefaultOptions())
-	deltaRows, deltaStats := runIterative(t, chainRT(t), ssspQuery, deltaOptions())
+	fullRows, fullStats := runIterative(t, chainRT(t), ssspQuery, fullOptions())
+	deltaRows, deltaStats := runIterative(t, chainRT(t), ssspQuery, DefaultOptions())
 
 	if got, want := strings.Join(rowStrs(deltaRows), "|"), strings.Join(rowStrs(fullRows), "|"); got != want {
 		t.Errorf("delta mode changed the result:\n  delta: %s\n  full:  %s", got, want)
@@ -80,8 +83,8 @@ func TestDeltaIterationSSSPIdentical(t *testing.T) {
 // 1 -> 2 -> 3 -> 1, so the frontier never shrinks within the 5
 // iterations — the point here is partitioned correctness, not savings.
 func TestDeltaIterationPartitionedGraph(t *testing.T) {
-	fullRows, _ := runIterative(t, newRT(t), ssspQuery, DefaultOptions())
-	deltaRows, stats := runIterative(t, newRT(t), ssspQuery, deltaOptions())
+	fullRows, _ := runIterative(t, newRT(t), ssspQuery, fullOptions())
+	deltaRows, stats := runIterative(t, newRT(t), ssspQuery, DefaultOptions())
 	if got, want := strings.Join(rowStrs(deltaRows), "|"), strings.Join(rowStrs(fullRows), "|"); got != want {
 		t.Errorf("delta mode changed the result:\n  delta: %s\n  full:  %s", got, want)
 	}
@@ -101,7 +104,7 @@ func TestDeltaRewriteShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, deltaOptions())
+	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +116,24 @@ func TestDeltaRewriteShape(t *testing.T) {
 		"changed-row frontier of sssp",
 		"delta Delta#sssp",
 		"propagate via edges[0->1]",
-		"DeltaIn#sssp",
+		"Frontier#sssp",
 		"materialize changed rows into Delta#sssp",
+		"Incremental sssp: licensed, delta step at step 3; aggregates MIN.",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("explain missing %q:\n%s", frag, out)
 		}
 	}
 
-	plain, err := Rewrite(stmt.(*ast.SelectStmt), rt, DefaultOptions())
+	plain, err := Rewrite(stmt.(*ast.SelectStmt), rt, fullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hasDeltaStep(plain) {
-		t.Error("DeltaIteration off must not emit delta steps")
+		t.Error("Incremental off must not emit delta steps")
+	}
+	if out := plain.Explain(); !strings.Contains(out, "Incremental sssp: withheld: disabled.") {
+		t.Errorf("explain does not say why the full plan runs:\n%s", out)
 	}
 }
 
@@ -161,15 +168,18 @@ func TestDeltaFallsBackWhenUnsafe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := Rewrite(stmt.(*ast.SelectStmt), newRT(t), deltaOptions())
+			prog, err := Rewrite(stmt.(*ast.SelectStmt), newRT(t), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hasDeltaStep(prog) {
 				t.Fatal("unsafe query must fall back to the full merge path")
 			}
-			fullRows, _ := runIterative(t, newRT(t), tc.sql, DefaultOptions())
-			deltaRows, _ := runIterative(t, newRT(t), tc.sql, deltaOptions())
+			if out := prog.Explain(); !strings.Contains(out, "Incremental c: not licensed: ") {
+				t.Errorf("explain does not say why the full plan runs:\n%s", out)
+			}
+			fullRows, _ := runIterative(t, newRT(t), tc.sql, fullOptions())
+			deltaRows, _ := runIterative(t, newRT(t), tc.sql, DefaultOptions())
 			if got, want := strings.Join(rowStrs(deltaRows), "|"), strings.Join(rowStrs(fullRows), "|"); got != want {
 				t.Errorf("fallback changed the result:\n  delta: %s\n  full:  %s", got, want)
 			}
@@ -200,12 +210,12 @@ func TestUpdatesTerminationReachesFixpoint(t *testing.T) {
 			SELECT 1, 0 UNION ALL SELECT 2, 0
 		 ITERATE SELECT k, LEAST(v + 1, 3) FROM c WHERE k >= 1
 		 UNTIL 100 UPDATES)
-		 SELECT k, v FROM c ORDER BY k`, DefaultOptions()},
+		 SELECT k, v FROM c ORDER BY k`, fullOptions()},
 		{"merge path, delta iteration", `WITH ITERATIVE c (k, v) AS (
 			SELECT 1, 0 UNION ALL SELECT 2, 0
 		 ITERATE SELECT k, LEAST(v + 1, 3) FROM c WHERE k >= 1
 		 UNTIL 100 UPDATES)
-		 SELECT k, v FROM c ORDER BY k`, deltaOptions()},
+		 SELECT k, v FROM c ORDER BY k`, DefaultOptions()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,8 +263,8 @@ func TestSSSPFrontierExpansion(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"full", DefaultOptions()},
-		{"delta iteration", deltaOptions()},
+		{"full", fullOptions()},
+		{"delta iteration", DefaultOptions()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, _ := runIterative(t, newRT(t),

@@ -160,6 +160,11 @@ func (p *Program) deriveDistProps(opts Options) {
 		return a.Infer(n)
 	}
 
+	restricted := func(step int, st distState, r *Restriction) DistClaim {
+		prop := r.distProp(st, func(st distState, n plan.Node) distprop.Property { return infer(step, st, n) })
+		return DistClaim{Step: step, Slot: r.Into, Prop: prop, Desc: prop.Describe(r.Full.Columns())}
+	}
+
 	var claims []DistClaim
 	for i, s := range p.Steps {
 		st := entry[i]
@@ -174,32 +179,9 @@ func (p *Program) deriveDistProps(opts Options) {
 			prop := infer(step, st, t.Plan)
 			claims = append(claims, DistClaim{Step: step, Slot: t.Into, Prop: prop, Desc: prop.Describe(t.Plan.Columns())})
 		case *DeltaMaterializeStep:
-			full := infer(step, st, t.Full)
-			rst := st.clone()
-			if cte, ok := st[storage.NormalizeName(t.CTE)]; ok {
-				// The restricted input is a partition-preserving filter
-				// of the CTE table (exec.FilterTableByKey), so it
-				// inherits the CTE slot's property.
-				rst.set(t.DeltaIn, cte)
-			}
-			restricted := infer(step, rst, t.Restricted)
-			prop := distprop.Meet(full, restricted)
-			claims = append(claims, DistClaim{Step: step, Slot: t.Into, Prop: prop, Desc: prop.Describe(t.Full.Columns())})
+			claims = append(claims, restricted(step, st, &t.Restriction))
 		case *MaintainAggStep:
-			// The maintained output is spliced into a fresh DistCol-0
-			// table, but claim only what both constituent plans
-			// guarantee, mirroring the delta step: the full plan (first
-			// iteration, fallback) and the restricted plan over AggIn,
-			// which — like DeltaIn — is a partition-preserving filter of
-			// the CTE table and inherits its property.
-			full := infer(step, st, t.Full)
-			rst := st.clone()
-			if cte, ok := st[storage.NormalizeName(t.CTE)]; ok {
-				rst.set(t.AggIn, cte)
-			}
-			restricted := infer(step, rst, t.Restricted)
-			prop := distprop.Meet(full, restricted)
-			claims = append(claims, DistClaim{Step: step, Slot: t.Into, Prop: prop, Desc: prop.Describe(t.Full.Columns())})
+			claims = append(claims, restricted(step, st, &t.Restriction))
 		case *RenameStep:
 			prop := st[storage.NormalizeName(t.From)]
 			claims = append(claims, DistClaim{Step: step, Slot: t.To, Prop: prop, Desc: prop.String()})
@@ -247,6 +229,21 @@ func (p *Program) deriveDistProps(opts Options) {
 	}
 	// Stable EXPLAIN/verification order: by step, then exchange kind.
 	sortElisions(p.Elisions)
+}
+
+// distProp is the property a restricted step's working table is
+// guaranteed to have: only what both constituent plans guarantee — the
+// full plan (first iteration, fallback) and the restricted plan, whose
+// input In is a partition-preserving filter of the CTE table
+// (exec.FilterTableByKey) and inherits the CTE slot's property. The
+// maintenance step splices into a fresh DistCol-0 table, so the meet
+// under-approximates at worst.
+func (r *Restriction) distProp(st distState, infer func(distState, plan.Node) distprop.Property) distprop.Property {
+	rst := st.clone()
+	if cte, ok := st[storage.NormalizeName(r.CTE)]; ok {
+		rst.set(r.In, cte)
+	}
+	return distprop.Meet(infer(st, r.Full), infer(rst, r.Restricted))
 }
 
 func sortElisions(recs []ElisionRecord) {
@@ -362,29 +359,19 @@ func (p *Program) distFixpoint(td distprop.TableDist) []distState {
 // aborts the whole analysis (ok == false). Elisions are NOT licensed
 // here — only once the entry states are stable.
 func (p *Program) distTransfer(td distprop.TableDist, i int, st distState) (out distState, succs []int, ok bool) {
-	a := &distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st}
+	infer := func(st distState, n plan.Node) distprop.Property {
+		return (&distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st}).Infer(n)
+	}
 	switch t := p.Steps[i].(type) {
 	case *MaterializeStep:
 		out = st.clone()
-		out.set(t.Into, a.Infer(t.Plan))
+		out.set(t.Into, infer(st, t.Plan))
 	case *DeltaMaterializeStep:
-		full := a.Infer(t.Full)
-		rst := st.clone()
-		if cte, have := st[storage.NormalizeName(t.CTE)]; have {
-			rst.set(t.DeltaIn, cte)
-		}
-		restricted := (&distprop.Analysis{Parts: p.Parts, Tables: td, Slots: rst}).Infer(t.Restricted)
 		out = st.clone()
-		out.set(t.Into, distprop.Meet(full, restricted))
+		out.set(t.Into, t.Restriction.distProp(st, infer))
 	case *MaintainAggStep:
-		full := a.Infer(t.Full)
-		rst := st.clone()
-		if cte, have := st[storage.NormalizeName(t.CTE)]; have {
-			rst.set(t.AggIn, cte)
-		}
-		restricted := (&distprop.Analysis{Parts: p.Parts, Tables: td, Slots: rst}).Infer(t.Restricted)
 		out = st.clone()
-		out.set(t.Into, distprop.Meet(full, restricted))
+		out.set(t.Into, t.Restriction.distProp(st, infer))
 	case *RenameStep:
 		out = st.clone()
 		from := storage.NormalizeName(t.From)

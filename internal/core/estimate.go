@@ -83,29 +83,22 @@ func (e IterationEstimate) String() string {
 	}
 }
 
-// deltaInputFraction is the planning guess for how much of a full Ri
-// scan a delta-restricted evaluation costs: the changed-row frontier
-// plus the keys it reaches is typically a fraction of the CTE, but the
-// optimizer has no cardinality feedback yet, so charge half. Runtime
-// truth is reported by Stats.RiFullRows vs Stats.RiInputRows.
-const deltaInputFraction = 0.5
-
-// aggMaintFraction is the planning guess for how much of a full Ri
-// re-aggregation a maintained iteration costs: only the groups the
-// frontier touched are re-folded, but without cardinality feedback the
-// optimizer charges half. Runtime truth is reported by
-// Stats.AggFullRows vs Stats.AggInputRows.
-const aggMaintFraction = 0.5
+// restrictedFraction is the planning guess for how much of a full Ri
+// evaluation a restricted one costs: the affected keys are typically a
+// fraction of the CTE, but the optimizer has no cardinality feedback
+// yet, so charge half. Runtime truth is reported by Stats.RiFullRows vs
+// Stats.RiInputRows (delta step) and Stats.AggFullRows vs
+// Stats.AggInputRows (maintenance step).
+const restrictedFraction = 0.5
 
 // CostEstimate is a coarse per-query cost in abstract units: the cost
 // of the non-iterative part plus, per loop, that loop's estimated
 // iterations times its body cost. It exists to demonstrate how
 // iteration estimation feeds costing; the unit is "materialized
 // steps". Steps may belong to different loops (one per iterative CTE),
-// each with its own iteration estimate, and a DeltaMaterializeStep is
-// charged a full evaluation once plus deltaInputFraction of one for
-// every later iteration — the frontier restriction the §V-style
-// optimizations buy.
+// each with its own iteration estimate, and a restricted step (delta or
+// maintenance) is charged a full evaluation once plus
+// restrictedFraction of one for every later iteration.
 func (p *Program) CostEstimate() float64 {
 	// Body intervals: a LoopStep at index l with body start b means
 	// steps [b, l] run once per iteration of that loop.
@@ -127,14 +120,8 @@ func (p *Program) CostEstimate() float64 {
 	}
 	cost := 0.0
 	for i, s := range p.Steps {
-		var unit float64
 		switch s.(type) {
-		case *MaterializeStep, *MergeStep, *CopyBackStep:
-			unit = 1
-		case *DeltaMaterializeStep:
-			unit = 1
-		case *MaintainAggStep:
-			unit = 1
+		case *MaterializeStep, *MergeStep, *CopyBackStep, *DeltaMaterializeStep, *MaintainAggStep:
 		default:
 			continue
 		}
@@ -144,19 +131,13 @@ func (p *Program) CostEstimate() float64 {
 				times *= lv.iters
 			}
 		}
-		if _, isDelta := s.(*DeltaMaterializeStep); isDelta && times > 1 {
+		if restrictionOf(s) != nil && times > 1 {
 			// First iteration evaluates the full plan, later ones only
-			// the restricted frontier.
-			cost += unit * (1 + (times-1)*deltaInputFraction)
+			// the affected keys.
+			cost += 1 + (times-1)*restrictedFraction
 			continue
 		}
-		if _, isMaint := s.(*MaintainAggStep); isMaint && times > 1 {
-			// First iteration evaluates the full plan, later ones
-			// re-fold only the affected groups.
-			cost += unit * (1 + (times-1)*aggMaintFraction)
-			continue
-		}
-		cost += unit * times
+		cost += times
 	}
 	// Fold in the movement saved by licensed shuffle elisions
 	// (internal/distprop): each skipped exchange avoids re-hashing and

@@ -47,7 +47,7 @@ func TestCostEstimate(t *testing.T) {
 	stmt, _ := parser.Parse(strings.Replace(prQuery, "UNTIL 2 ITERATIONS", "UNTIL 10 ITERATIONS", 1))
 	opts := DefaultOptions()
 	opts.CommonResults = false
-	opts.IncrementalAgg = false
+	opts.Incremental = false
 	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -55,17 +55,17 @@ func TestCostEstimate(t *testing.T) {
 	if got := prog.CostEstimate(); got != 11 {
 		t.Errorf("PR cost = %v, want 11", got)
 	}
-	// With incremental aggregate maintenance (the default), the body
+	// With incremental evaluation (the default), the body
 	// materialization is charged 1 + 9*0.5 = 5.5 instead of 10:
 	// init + 5.5 = 6.5.
-	mopts := opts
-	mopts.IncrementalAgg = true
-	prog, err = Rewrite(stmt.(*ast.SelectStmt), rt, mopts)
+	iopts := opts
+	iopts.Incremental = true
+	prog, err = Rewrite(stmt.(*ast.SelectStmt), rt, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.hasMaintainStep() {
-		t.Fatal("expected a MaintainAggStep in the default PR program")
+	if !prog.hasRestrictedStep() {
+		t.Fatal("expected a restricted step in the default PR program")
 	}
 	if got := prog.CostEstimate(); got != 6.5 {
 		t.Errorf("PR maintained cost = %v, want 6.5", got)
@@ -80,8 +80,8 @@ func TestCostEstimate(t *testing.T) {
 	if got := prog.CostEstimate(); got != 21 {
 		t.Errorf("SSSP cost = %v, want 21", got)
 	}
-	// PR-VS with common block and maintenance: init + common = 2 paid
-	// once, then 3 iterations of maintained body (1 + 2*0.5 = 2) plus
+	// PR-VS with common block and the delta step: init + common = 2 paid
+	// once, then 3 iterations of restricted body (1 + 2*0.5 = 2) plus
 	// merges (3) = 7; the common block is paid once, which is the point
 	// of the Figure 9 optimization.
 	stmt, _ = parser.Parse(prVSQuery)
@@ -92,19 +92,17 @@ func TestCostEstimate(t *testing.T) {
 	if got := prog.CostEstimate(); got != 7 {
 		t.Errorf("PR-VS cost = %v, want 7", got)
 	}
-	// SSSP with delta iteration: the body materialize becomes a
+	// SSSP with the delta step: the body materialize becomes a
 	// DeltaMaterializeStep charged 1 + 9*0.5 = 5.5 instead of 10, so
-	// 1 + 5.5 + 10 = 16.5 — the estimate now reflects the frontier
+	// 1 + 5.5 + 10 = 16.5 — the estimate reflects the frontier
 	// restriction instead of charging a full Ri scan every iteration.
 	stmt, _ = parser.Parse(strings.Replace(ssspQuery, "UNTIL 5 ITERATIONS", "UNTIL 10 ITERATIONS", 1))
-	dopts := opts
-	dopts.DeltaIteration = true
-	prog, err = Rewrite(stmt.(*ast.SelectStmt), rt, dopts)
+	prog, err = Rewrite(stmt.(*ast.SelectStmt), rt, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.hasDeltaStep() {
-		t.Fatal("expected a DeltaMaterializeStep in the delta-iteration program")
+	if !hasDeltaStep(prog) {
+		t.Fatal("expected a DeltaMaterializeStep in the default SSSP program")
 	}
 	if got := prog.CostEstimate(); got != 16.5 {
 		t.Errorf("SSSP delta cost = %v, want 16.5", got)

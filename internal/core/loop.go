@@ -40,12 +40,11 @@ type LoopState struct {
 	prevCount  int
 	key        int
 
-	// Delta-iteration state (Options.DeltaIteration): the keys the last
-	// merge identified as changed, valid once the first merge of the
-	// loop has run. DeltaMaterializeStep consumes it to restrict Ri's
-	// scan of the iterative reference to the affected frontier.
+	// changedKeys are the keys the last merge identified as changed; nil
+	// until the first merge of the loop has run. DeltaMaterializeStep
+	// consumes them to restrict Ri's scan of the iterative reference to
+	// the affected frontier.
 	changedKeys *sqltypes.KeyTable
-	haveDelta   bool
 }
 
 // noteUpdates records the changed-row count of one identification pass
@@ -53,13 +52,6 @@ type LoopState struct {
 func (l *LoopState) noteUpdates(n int64) {
 	l.updates += n
 	l.lastUpdate = n
-}
-
-// noteDelta records the changed-key set of one merge pass for delta
-// iteration.
-func (l *LoopState) noteDelta(keys *sqltypes.KeyTable) {
-	l.changedKeys = keys
-	l.haveDelta = true
 }
 
 // InitLoopStep initializes the loop operator right after the
@@ -80,7 +72,6 @@ func (s *InitLoopStep) Run(ctx *Context, self int) (int, error) {
 	s.Loop.lastUpdate = 0
 	s.Loop.prev = nil
 	s.Loop.changedKeys = nil
-	s.Loop.haveDelta = false
 	s.Loop.key = s.Key
 	if s.Loop.Term.Type == ast.TermDelta {
 		if err := s.Loop.snapshot(ctx); err != nil {

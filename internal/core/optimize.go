@@ -156,14 +156,6 @@ func unqualify(e ast.Expr) ast.Expr {
 // Common-result extraction (§V-A, Figure 5)
 // ---------------------------------------------------------------------
 
-// chainItem is one element of a flattened left-deep join chain.
-type chainItem struct {
-	ref   ast.TableRef
-	typ   ast.JoinType // join that attached this item (item 0: unset)
-	on    ast.Expr
-	alias string // lowercased visible alias
-}
-
 // extractCommonResults hoists iteration-invariant join blocks out of
 // the iterative part: maximal sets of non-CTE base tables connected by
 // inner joins whose conditions only reference each other. The block is
@@ -176,25 +168,14 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 	if !ok || core.From == nil {
 		return iter, nil, nil
 	}
-	chain, ok := flattenChain(core.From)
-	if !ok || len(chain) < 2 {
-		return iter, nil, nil
+	parsed, ok := ast.ParseChain(core, r.lookup.TableSchema)
+	if !ok || len(parsed.Members) < 2 || parsed.HasBadAlias {
+		return iter, nil, nil // not a chain, or unnamed/ambiguous members: skip
 	}
-
-	aliasIdx := make(map[string]int, len(chain))
-	for i := range chain {
-		a := chain[i].alias
-		if a == "" {
-			return iter, nil, nil // unnamed derived table: skip
-		}
-		if _, dup := aliasIdx[a]; dup {
-			return iter, nil, nil // ambiguous aliases: skip
-		}
-		aliasIdx[a] = i
-	}
+	chain := parsed.Members
 
 	isCTE := func(i int) bool {
-		switch t := chain[i].ref.(type) {
+		switch t := chain[i].Ref.(type) {
 		case *ast.BaseTable:
 			return strings.EqualFold(t.Name, cteName)
 		case *ast.SubqueryRef:
@@ -202,29 +183,22 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 		}
 		return true
 	}
-	memberSchema := func(i int) (sqltypes.Schema, bool) {
-		bt, ok := chain[i].ref.(*ast.BaseTable)
-		if !ok {
-			return nil, false
-		}
-		return r.lookup.TableSchema(bt.Name)
-	}
 
 	// Find one extractable set S.
-	set := r.findCommonSet(chain, aliasIdx, isCTE, memberSchema, core.Where)
+	set := findCommonSet(chain, parsed.Aliases, isCTE, core.Where)
 	if len(set) < 2 {
 		return iter, nil, nil
 	}
 
 	// Unqualified references anywhere in the iterative part that could
 	// name a member column make the rewrite ambiguous: skip.
-	if hasUnqualifiedMemberRefs(core, chain, set, memberSchema) {
+	if hasUnqualifiedMemberRefs(core, chain, set) {
 		return iter, nil, nil
 	}
 
 	r.commons++
 	commonName := fmt.Sprintf("Common#%d", r.commons)
-	commonStmt, mapping, err := buildCommonStmt(chain, set, memberSchema, commonName)
+	commonStmt, mapping, err := buildCommonStmt(chain, set, commonName)
 	if err != nil {
 		r.commons--
 		return iter, nil, nil // unbuildable (e.g. condition ordering): skip
@@ -413,54 +387,18 @@ func pruneCommonColumns(commonStmt, newIter *ast.SelectStmt, commonName string) 
 	return pruned
 }
 
-// flattenChain decomposes a left-deep join tree into a chain.
-func flattenChain(t ast.TableRef) ([]chainItem, bool) {
-	switch x := t.(type) {
-	case *ast.JoinRef:
-		left, ok := flattenChain(x.Left)
-		if !ok {
-			return nil, false
-		}
-		// Right side must be a leaf (left-deep chains only).
-		if _, isJoin := x.Right.(*ast.JoinRef); isJoin {
-			return nil, false
-		}
-		item := chainItem{ref: x.Right, typ: x.Type, on: x.On, alias: refAlias(x.Right)}
-		return append(left, item), true
-	default:
-		return []chainItem{{ref: t, alias: refAlias(t)}}, true
-	}
-}
-
-func refAlias(t ast.TableRef) string {
-	switch x := t.(type) {
-	case *ast.BaseTable:
-		if x.Alias != "" {
-			return strings.ToLower(x.Alias)
-		}
-		return strings.ToLower(x.Name)
-	case *ast.SubqueryRef:
-		return strings.ToLower(x.Alias)
-	}
-	return ""
-}
-
 // findCommonSet picks the first maximal extractable member set.
-func (r *rewriter) findCommonSet(chain []chainItem, aliasIdx map[string]int,
-	isCTE func(int) bool, memberSchema func(int) (sqltypes.Schema, bool), where ast.Expr) map[int]bool {
+func findCommonSet(chain []ast.ChainMember, aliasIdx map[string]int, isCTE func(int) bool, where ast.Expr) map[int]bool {
 
 	for j := 1; j < len(chain); j++ {
-		if chain[j].typ != ast.InnerJoin || isCTE(j) || chain[j].on == nil {
-			continue
-		}
-		if _, ok := memberSchema(j); !ok {
+		if chain[j].Join != ast.InnerJoin || isCTE(j) || chain[j].On == nil || chain[j].Schema == nil {
 			continue
 		}
 		// All condition refs must be qualified and resolve to non-CTE
 		// base tables.
 		set := map[int]bool{j: true}
 		valid := true
-		for _, ref := range ast.ColumnRefs(chain[j].on) {
+		for _, ref := range ast.ColumnRefs(chain[j].On) {
 			if ref.Table == "" {
 				valid = false
 				break
@@ -470,7 +408,7 @@ func (r *rewriter) findCommonSet(chain []chainItem, aliasIdx map[string]int,
 				valid = false
 				break
 			}
-			if _, ok := memberSchema(idx); !ok {
+			if chain[idx].Schema == nil {
 				valid = false
 				break
 			}
@@ -484,7 +422,7 @@ func (r *rewriter) findCommonSet(chain []chainItem, aliasIdx map[string]int,
 		// conjunct over a member (which makes the original outer join
 		// behave as inner for the block).
 		anchor := minKey(set)
-		if anchor != 0 && chain[anchor].typ != ast.InnerJoin &&
+		if anchor != 0 && chain[anchor].Join != ast.InnerJoin &&
 			!whereNullRejects(where, chain, set) {
 			continue
 		}
@@ -496,11 +434,11 @@ func (r *rewriter) findCommonSet(chain []chainItem, aliasIdx map[string]int,
 			if idx == anchor || idx == j {
 				continue
 			}
-			if chain[idx].typ != ast.InnerJoin || chain[idx].on == nil {
+			if chain[idx].Join != ast.InnerJoin || chain[idx].On == nil {
 				good = false
 				break
 			}
-			for _, ref := range ast.ColumnRefs(chain[idx].on) {
+			for _, ref := range ast.ColumnRefs(chain[idx].On) {
 				k, ok := aliasIdx[strings.ToLower(ref.Table)]
 				if !ok || !set[k] {
 					good = false
@@ -528,13 +466,13 @@ func minKey(m map[int]bool) int {
 // whereNullRejects reports whether some WHERE conjunct references a
 // member of the set and is null-rejecting (no IS NULL, OR, CASE or
 // COALESCE anywhere in the conjunct).
-func whereNullRejects(where ast.Expr, chain []chainItem, set map[int]bool) bool {
+func whereNullRejects(where ast.Expr, chain []ast.ChainMember, set map[int]bool) bool {
 	if where == nil {
 		return false
 	}
 	memberAliases := map[string]bool{}
 	for idx := range set {
-		memberAliases[chain[idx].alias] = true
+		memberAliases[chain[idx].Alias] = true
 	}
 	for _, conj := range ast.SplitConjuncts(where) {
 		refsMember := false
@@ -567,13 +505,10 @@ func whereNullRejects(where ast.Expr, chain []chainItem, set map[int]bool) bool 
 
 // hasUnqualifiedMemberRefs scans the iterative part for unqualified
 // column references that could belong to a member table.
-func hasUnqualifiedMemberRefs(core *ast.SelectCore, chain []chainItem, set map[int]bool,
-	memberSchema func(int) (sqltypes.Schema, bool)) bool {
-
+func hasUnqualifiedMemberRefs(core *ast.SelectCore, chain []ast.ChainMember, set map[int]bool) bool {
 	memberCols := map[string]bool{}
 	for idx := range set {
-		s, _ := memberSchema(idx)
-		for _, c := range s {
+		for _, c := range chain[idx].Schema {
 			memberCols[strings.ToLower(c.Name)] = true
 		}
 	}
@@ -596,7 +531,7 @@ func hasUnqualifiedMemberRefs(core *ast.SelectCore, chain []chainItem, set map[i
 	check(core.Having)
 	for i := range chain {
 		if !set[i] {
-			check(chain[i].on)
+			check(chain[i].On)
 		}
 	}
 	return found
@@ -604,9 +539,7 @@ func hasUnqualifiedMemberRefs(core *ast.SelectCore, chain []chainItem, set map[i
 
 // buildCommonStmt creates the SELECT for the common block and the
 // column mapping (alias, col) -> common column name.
-func buildCommonStmt(chain []chainItem, set map[int]bool,
-	memberSchema func(int) (sqltypes.Schema, bool), commonName string) (*ast.SelectStmt, map[[2]string]string, error) {
-
+func buildCommonStmt(chain []ast.ChainMember, set map[int]bool, commonName string) (*ast.SelectStmt, map[[2]string]string, error) {
 	anchor := minKey(set)
 	var members []int
 	for i := range chain {
@@ -618,9 +551,8 @@ func buildCommonStmt(chain []chainItem, set map[int]bool,
 	mapping := make(map[[2]string]string)
 	var items []ast.SelectItem
 	for _, idx := range members {
-		schema, _ := memberSchema(idx)
-		alias := chain[idx].alias
-		for _, col := range schema {
+		alias := chain[idx].Alias
+		for _, col := range chain[idx].Schema {
 			out := alias + "_" + strings.ToLower(col.Name)
 			mapping[[2]string{alias, strings.ToLower(col.Name)}] = out
 			items = append(items, ast.SelectItem{
@@ -634,18 +566,18 @@ func buildCommonStmt(chain []chainItem, set map[int]bool,
 	// join conditions (they reference set members only).
 	var from ast.TableRef
 	for _, idx := range members {
-		bt := chain[idx].ref.(*ast.BaseTable)
-		leaf := &ast.BaseTable{Name: bt.Name, Alias: chain[idx].alias}
+		bt := chain[idx].Ref.(*ast.BaseTable)
+		leaf := &ast.BaseTable{Name: bt.Name, Alias: chain[idx].Alias}
 		if from == nil {
 			from = leaf
 			continue
 		}
 		var on ast.Expr
 		if idx != anchor {
-			on = ast.CloneExpr(chain[idx].on)
+			on = ast.CloneExpr(chain[idx].On)
 		}
 		if on == nil {
-			return nil, nil, fmt.Errorf("member %s has no usable join condition", chain[idx].alias)
+			return nil, nil, fmt.Errorf("member %s has no usable join condition", chain[idx].Alias)
 		}
 		from = &ast.JoinRef{Type: ast.InnerJoin, Left: from, Right: leaf, On: on}
 	}
@@ -656,7 +588,7 @@ func buildCommonStmt(chain []chainItem, set map[int]bool,
 
 // rewriteIterWithCommon rebuilds the iterative SELECT core around the
 // materialized common block.
-func rewriteIterWithCommon(core *ast.SelectCore, chain []chainItem, set map[int]bool,
+func rewriteIterWithCommon(core *ast.SelectCore, chain []ast.ChainMember, set map[int]bool,
 	commonName string, mapping map[[2]string]string) *ast.SelectCore {
 
 	anchor := minKey(set)
@@ -683,12 +615,12 @@ func rewriteIterWithCommon(core *ast.SelectCore, chain []chainItem, set map[int]
 			continue
 		}
 		var leaf ast.TableRef
-		typ := chain[i].typ
-		on := chain[i].on
+		typ := chain[i].Join
+		on := chain[i].On
 		if i == anchor {
 			leaf = &ast.BaseTable{Name: commonName, Alias: commonName}
 		} else {
-			leaf = chain[i].ref
+			leaf = chain[i].Ref
 		}
 		if from == nil {
 			from = leaf

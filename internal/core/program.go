@@ -37,14 +37,6 @@ type Options struct {
 	// PushDownPredicates pushes safe Qf predicates into the
 	// non-iterative part (§V-B, Figure 10).
 	PushDownPredicates bool
-	// DeltaIteration evaluates Ri's scan of the iterative reference
-	// against the rows changed by the previous merge (plus the keys
-	// they can reach through the base-table equijoins) instead of the
-	// full CTE — REX-style semi-naive evaluation on top of the merge
-	// path's identification pass. Applied only when the AST analysis
-	// proves it safe; otherwise the full plan runs and results are
-	// identical either way. Off by default.
-	DeltaIteration bool
 	// ColumnPruning enables the column-level dataflow optimizations
 	// (internal/dataflow): projection pruning — intermediate results
 	// materialize only the columns the loop body, termination
@@ -111,18 +103,16 @@ type Options struct {
 	// any sits outside its claimed partition (the storage.Guard
 	// analogue for distribution claims).
 	CheckShuffleElision bool
-	// IncrementalAgg lets the rewrite maintain per-group aggregate
-	// results across iterations instead of re-running the full Ri
-	// aggregation, when the aggprop analysis (internal/aggprop) proves
-	// every aggregate call decomposable and the group-key-stability
-	// and retraction-visibility side conditions hold. Affected groups
-	// are re-folded from their full input; unaffected groups reuse the
-	// cached output row verbatim, so results are byte-identical either
-	// way — row order and float accumulation order included. Licensed
-	// on the volcano executor only (MPP runs keep the full plan) and
-	// superseded by DeltaIteration when both would apply. On by
-	// default.
-	IncrementalAgg bool
+	// Incremental lets the rewrite evaluate Ri over the affected keys
+	// only when the frontier license (internal/aggprop) holds: on the
+	// merge path a DeltaMaterializeStep restricts the scan by the keys
+	// the last merge changed, on the rename path a MaintainAggStep
+	// re-folds the affected groups and serves the rest from the
+	// previous iteration's output (restriction.go states the selection
+	// rule). Results are byte-identical either way — row order and
+	// float accumulation order included. Withheld on parallel runs with
+	// more than one partition. On by default.
+	Incremental bool
 	// CheckIncrementalAgg arms the dynamic cross-check on aggregate
 	// maintenance: each iteration, a deterministic sample of the
 	// groups served from the cache is recomputed from scratch and any
@@ -160,7 +150,7 @@ type RetryPolicy struct {
 
 // DefaultOptions enables every optimization and the program verifier.
 func DefaultOptions() Options {
-	return Options{UseRename: true, CommonResults: true, PushDownPredicates: true, ColumnPruning: true, Parts: 1, Verify: true, ShuffleElision: true, IncrementalAgg: true}
+	return Options{UseRename: true, CommonResults: true, PushDownPredicates: true, ColumnPruning: true, Parts: 1, Verify: true, ShuffleElision: true, Incremental: true}
 }
 
 // Stats reports what the step program did, feeding the experiments.
@@ -177,17 +167,16 @@ type Stats struct {
 	// their input rows (rows that were not rehashed and routed).
 	ShufflesElided int64
 	RowsElided     int64
-	// Delta-iteration accounting: per iteration, RiFullRows counts the
-	// CTE rows a full evaluation of Ri would read from the iterative
+	// Delta-step accounting: per iteration, RiFullRows counts the CTE
+	// rows a full evaluation of Ri would read from the iterative
 	// reference and RiInputRows the rows actually fed to it (equal
 	// unless a DeltaMaterializeStep restricted the scan).
 	RiFullRows  int64
 	RiInputRows int64
-	// Incremental-aggregate accounting (Options.IncrementalAgg): per
-	// iteration, AggFullRows counts the CTE rows a full re-aggregation
-	// of Ri would read and AggInputRows the rows actually re-folded
-	// (equal unless a MaintainAggStep served unaffected groups from
-	// its cache).
+	// Maintenance-step accounting: per iteration, AggFullRows counts
+	// the CTE rows a full re-aggregation of Ri would read and
+	// AggInputRows the rows actually re-folded (equal unless a
+	// MaintainAggStep served unaffected groups from its cache).
 	AggFullRows  int64
 	AggInputRows int64
 	// MaterializedCells counts cells (rows × columns) written into
@@ -251,9 +240,9 @@ const (
 	// rungNone runs the plan as configured.
 	rungNone = iota
 	// rungSerial disables the parallel step scheduler, shuffle elision
-	// and incremental aggregate maintenance — the subsystems with
-	// cross-step or cross-iteration state — but keeps MPP partition
-	// parallelism.
+	// and incremental evaluation (both restricted steps) — the
+	// subsystems with cross-step or cross-iteration state — but keeps
+	// MPP partition parallelism.
 	rungSerial
 	// rungVolcano additionally drops the MPP machine: every step and
 	// the final query run on the single-threaded volcano executor.
@@ -293,8 +282,8 @@ func (c *Context) degradeOnce() bool {
 }
 
 // degraded reports whether the context has left the configured plan
-// (any rung below the top); MaintainAggStep consults it to force the
-// full aggregation path once the ladder has been descended.
+// (any rung below the top); Restriction.restrict consults it to force
+// the full Ri plan once the ladder has been descended.
 func (c *Context) degraded() bool { return c.degrade != rungNone }
 
 // Checkpoint is the cooperative cancellation point every step consults
@@ -395,14 +384,14 @@ type Program struct {
 	// them; the verifier re-derives every claim independently
 	// (unsound-partition-claim) rather than trusting the record.
 	DistProps []DistClaim
-	// AggClaims records the aggregate decomposability verdict the
-	// aggprop analysis derived for each iterative CTE whose plan
-	// aggregates (internal/aggprop), with the step of the
-	// MaintainAggStep a licensed verdict installed (0 when the full
-	// plan runs). EXPLAIN prints verdict, lattice classes and evidence
-	// chain; the verifier re-derives every licensed claim
-	// independently (unsound-agg-claim) and re-checks the accumulator
-	// wiring (stale-accumulator) rather than trusting the record.
+	// AggClaims records, for every iterative CTE in order, the
+	// incremental-evaluation decision: the frontier verdict
+	// (internal/aggprop) when the analysis ran, the step it installed
+	// (0 when the full plan runs) and otherwise why none was. EXPLAIN
+	// prints it; the verifier re-derives the license for every licensed
+	// claim and every installed step independently (unsound-agg-claim)
+	// and re-checks the step wiring (unsafe-delta, stale-accumulator)
+	// rather than trusting the record.
 	AggClaims []AggClaim
 	// Elisions records the exchanges the analysis licensed the MPP
 	// machine to skip (Options.ShuffleElision). The verifier must be
@@ -640,30 +629,31 @@ func (p *Program) Explain() string {
 			fmt.Fprintf(&b, "  unproved: %s\n", d)
 		}
 	}
-	// Aggregate decomposability verdicts (internal/aggprop): the
-	// lattice class of every aggregate call, the side-condition
-	// evidence, and whether maintenance was licensed.
+	// Incremental-evaluation decisions: per iterative CTE, which
+	// restricted step the frontier license (internal/aggprop) installed,
+	// or why the full plan runs.
 	for _, c := range p.AggClaims {
-		if c.Step > 0 {
-			fmt.Fprintf(&b, "AggMaintenance %s: licensed, maintained at step %d", c.CTE, c.Step)
-		} else if c.Verdict.Licensed {
-			fmt.Fprintf(&b, "AggMaintenance %s: licensed, not installed (full plan runs)", c.CTE)
+		fmt.Fprintf(&b, "Incremental %s: ", c.CTE)
+		kind := ""
+		if c.Step > 0 && c.Step <= len(p.Steps) {
+			switch p.Steps[c.Step-1].(type) {
+			case *DeltaMaterializeStep:
+				kind = "delta"
+			case *MaintainAggStep:
+				kind = "maintenance"
+			}
+		}
+		if kind != "" {
+			fmt.Fprintf(&b, "licensed, %s step at step %d", kind, c.Step)
 		} else {
-			fmt.Fprintf(&b, "AggMaintenance %s: not licensed (full plan runs)", c.CTE)
+			b.WriteString(c.Reason)
 		}
 		if len(c.Verdict.Calls) > 0 {
-			calls := make([]string, len(c.Verdict.Calls))
-			for i, call := range c.Verdict.Calls {
-				calls[i] = call.String()
-			}
-			fmt.Fprintf(&b, "; aggregates %s", strings.Join(calls, ", "))
+			fmt.Fprintf(&b, "; aggregates %s", strings.Join(c.Verdict.Calls, ", "))
 		}
 		b.WriteString(".\n")
 		for _, ev := range c.Verdict.Evidence {
 			fmt.Fprintf(&b, "  evidence [%s]: %s\n", ev.Rule, ev.Detail)
-		}
-		for _, d := range c.Verdict.Diags {
-			fmt.Fprintf(&b, "  unproved: %s\n", d)
 		}
 	}
 	// Static effect sets and the region schedule they license
@@ -723,13 +713,9 @@ func (p *Program) Explain() string {
 		if init, ok := s.(*InitLoopStep); ok {
 			fmt.Fprintf(&b, "Estimated iterations: %s; estimated cost: %g materialized steps",
 				estimateLoop(init.Loop), p.CostEstimate())
-			if p.hasDeltaStep() {
-				fmt.Fprintf(&b, " (delta frontier charged at %g%% of a full Ri scan after the first iteration)",
-					deltaInputFraction*100)
-			}
-			if p.hasMaintainStep() {
-				fmt.Fprintf(&b, " (maintained aggregation charged at %g%% of a full re-fold after the first iteration)",
-					aggMaintFraction*100)
+			if p.hasRestrictedStep() {
+				fmt.Fprintf(&b, " (restricted Ri charged at %g%% of a full evaluation after the first iteration)",
+					restrictedFraction*100)
 			}
 			b.WriteString(".\n")
 			break
@@ -749,22 +735,23 @@ func (p *Program) loopCap(cte string) int64 {
 	return 0
 }
 
-// hasDeltaStep reports whether any step evaluates Ri against the
-// changed-row frontier instead of the full CTE.
-func (p *Program) hasDeltaStep() bool {
-	for _, s := range p.Steps {
-		if _, ok := s.(*DeltaMaterializeStep); ok {
-			return true
-		}
+// restrictionOf returns the Restriction an incremental step embeds,
+// nil for every other step kind.
+func restrictionOf(s Step) *Restriction {
+	switch t := s.(type) {
+	case *DeltaMaterializeStep:
+		return &t.Restriction
+	case *MaintainAggStep:
+		return &t.Restriction
 	}
-	return false
+	return nil
 }
 
-// hasMaintainStep reports whether any step maintains aggregate
-// results across iterations instead of re-folding the full CTE.
-func (p *Program) hasMaintainStep() bool {
+// hasRestrictedStep reports whether any step evaluates Ri over the
+// affected keys instead of the full CTE.
+func (p *Program) hasRestrictedStep() bool {
 	for _, s := range p.Steps {
-		if _, ok := s.(*MaintainAggStep); ok {
+		if restrictionOf(s) != nil {
 			return true
 		}
 	}
@@ -1019,7 +1006,7 @@ type MergeStep struct {
 	// Delta, when non-empty, names the per-iteration delta table the
 	// merge materializes alongside the main result: exactly the rows
 	// it identified as changed. The loop state records the changed
-	// keys for DeltaMaterializeStep (Options.DeltaIteration).
+	// keys for the paired DeltaMaterializeStep.
 	Delta string
 }
 
@@ -1100,7 +1087,7 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 		ctx.track(m.Delta)
 		ctx.Stats.MaterializedCells += int64(delta.Len()) * int64(len(delta.Schema))
 		if m.Loop != nil {
-			m.Loop.noteDelta(changedKeys)
+			m.Loop.changedKeys = changedKeys
 		}
 	}
 	ctx.RT.Results.Put(m.Into, out)

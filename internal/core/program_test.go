@@ -90,10 +90,10 @@ func TestMergePathExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := prog.Explain()
-	// SSSP's MIN rides a LEAST envelope, so the default options maintain
-	// the body aggregation instead of re-materializing it.
+	// SSSP is licensed and on the merge path, so the default options
+	// materialize the body from the changed-row frontier.
 	wantInOrder := []string{
-		"Maintain aggregates of sssp into Intermediate#sssp",
+		"Materialize Intermediate#sssp from the changed-row frontier of sssp",
 		"Merge Intermediate#sssp into Merge#sssp over sssp",
 		"Rename Merge#sssp to sssp.",
 		"Delete tuples from Intermediate#sssp.",

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+
+	"dbspinner/internal/aggprop"
+	"dbspinner/internal/ast"
+	"dbspinner/internal/exec"
+	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
+)
+
+// Incremental evaluation (Options.Incremental) is the semi-naive idea
+// REX and DBSP build on, in the one form this engine can keep
+// byte-identical: when the frontier license (internal/aggprop) holds,
+// Ri's scan of the outer iterative reference is restricted to the
+// affected keys — the keys that changed since the previous iteration
+// plus their images under the license's propagation rules — and every
+// other key keeps the row it had. A key whose inputs did not change
+// re-derives exactly the row it produced before, so leaving it out of
+// the scan changes nothing as long as that row is carried forward.
+// Inner references keep reading the full table (restricting them would
+// corrupt aggregates over neighbours), which is why the license demands
+// every one of them be routed to the outer key.
+//
+// Which step does the carrying forward is decided by the shape of the
+// query, the way Algorithm 1 picks rename or merge:
+//
+//   - Ri has a WHERE (merge path): the merge already identifies the
+//     changed rows and keeps the previous row of every key the working
+//     table does not mention, so DeltaMaterializeStep only restricts
+//     the scan by the keys the last merge published.
+//   - Ri has no WHERE but aggregates (rename path): nothing identifies
+//     changes and the working table replaces the CTE wholesale, so
+//     MaintainAggStep diffs the CTE against a snapshot and splices the
+//     previous output row in for every unaffected key.
+//   - otherwise the full plan runs: unlicensed, switched off, or a
+//     parallel run with more than one partition (measured: on the MPP
+//     machine the restricted form costs more than it saves).
+//
+// Results are identical on every path — row order and float
+// accumulation order included.
+
+// Restriction is what the two incremental steps share: the full and
+// the restricted form of Ri and the names that tie them to the CTE.
+type Restriction struct {
+	Into       string    // working table
+	Full       plan.Node // Ri over the full CTE (first iteration, fallback)
+	Restricted plan.Node // Ri with the outer reference reading In
+	In         string    // transient restricted-input result name
+	CTE        string    // main CTE result
+	Props      []aggprop.Prop
+	Key        int // CTE key column
+	Parts      int
+}
+
+// AggClaim is the incremental-evaluation decision for one iterative
+// CTE: the frontier verdict when the analysis ran, the 1-based index of
+// the step it installed (0: the full plan runs), and when none was
+// installed the reason in one line.
+type AggClaim struct {
+	CTE     string
+	Step    int
+	Verdict aggprop.Verdict
+	Reason  string
+}
+
+// buildRestriction compiles the restricted plan for a licensed CTE: the
+// post-common iterStmt with the outer reference reading Frontier#cte. A
+// non-empty reason means the restricted plan could not be built and the
+// full plan must run.
+func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
+	full plan.Node, b *plan.Builder, verdict aggprop.Verdict, workName string, key int) (Restriction, string) {
+
+	in := "Frontier#" + cte.Name
+	r.lookup.add(in, schema)
+	sub, ok := substituteOuterRef(iterStmt, cte.Name, verdict.OuterAlias, in)
+	if !ok {
+		return Restriction{}, "outer-reference substitution failed on the rewritten iterative part"
+	}
+	rp, err := b.Build(sub)
+	if err != nil || len(rp.Columns()) != len(schema) {
+		return Restriction{}, "restricted plan failed to compile"
+	}
+	rp, err = renameTo(rp, schema)
+	if err != nil {
+		return Restriction{}, "restricted plan failed to compile"
+	}
+	return Restriction{
+		Into: workName, Full: full, Restricted: rp, In: in, CTE: cte.Name,
+		Props: verdict.Props, Key: key, Parts: r.opts.Parts,
+	}, ""
+}
+
+// substituteOuterRef returns a copy of the iterative statement with
+// the outer CTE reference reading newName instead, keeping its visible
+// alias so qualified column references still resolve. Exactly one
+// reference must match.
+func substituteOuterRef(stmt *ast.SelectStmt, cteName, outerAlias, newName string) (*ast.SelectStmt, bool) {
+	core, ok := stmt.Body.(*ast.SelectCore)
+	if !ok || core.From == nil {
+		return nil, false
+	}
+	from, n := replaceTableRef(core.From, cteName, outerAlias, newName)
+	if n != 1 {
+		return nil, false
+	}
+	nc := *core
+	nc.From = from
+	return &ast.SelectStmt{Body: &nc, OrderBy: stmt.OrderBy, Limit: stmt.Limit, Offset: stmt.Offset}, true
+}
+
+// replaceTableRef rebuilds the join tree along the path to the matched
+// base table, leaving untouched subtrees shared with the original.
+func replaceTableRef(t ast.TableRef, cteName, alias, newName string) (ast.TableRef, int) {
+	switch x := t.(type) {
+	case *ast.BaseTable:
+		if strings.EqualFold(x.Name, cteName) && ast.AliasOf(x) == alias {
+			eff := x.Alias
+			if eff == "" {
+				eff = x.Name
+			}
+			return &ast.BaseTable{Name: newName, Alias: eff}, 1
+		}
+		return x, 0
+	case *ast.JoinRef:
+		l, nl := replaceTableRef(x.Left, cteName, alias, newName)
+		r, nr := replaceTableRef(x.Right, cteName, alias, newName)
+		if nl+nr == 0 {
+			return x, 0
+		}
+		return &ast.JoinRef{Type: x.Type, Left: l, Right: r, On: x.On}, nl + nr
+	}
+	return t, 0
+}
+
+// frontier is one iteration's restriction: the CTE table Ri reads and,
+// unless the iteration must run the full plan (in == nil), the affected
+// keys with the CTE rows carrying them, bound under Restriction.In.
+type frontier struct {
+	cte      *storage.Table
+	in       *storage.Table
+	affected *sqltypes.KeyTable
+}
+
+// restrict is the run-time half of a Restriction. changed yields the
+// keys that differ from the previous iteration, or nil when the step
+// cannot tell (first iteration, uncertifiable state); the affected set
+// is their closure under Props, and the CTE rows carrying an affected
+// key are bound under In (partition layout preserved, no rehashing) for
+// the restricted plan. The caller drops In when frontier.in is set.
+//
+// A degraded context (the retry driver's graceful-degradation ladder)
+// never restricts: the ladder's first rung switches off everything that
+// carries state across the back-edge, and the full plan is
+// byte-identical by the license.
+func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *storage.Table) *sqltypes.KeyTable) (frontier, error) {
+	f := frontier{cte: ctx.RT.Results.Get(r.CTE)}
+	if f.cte == nil {
+		return f, fmt.Errorf("%s %s: result %q not found", what, r.Into, r.CTE)
+	}
+	if ctx.degraded() {
+		return f, nil
+	}
+	keys := changed(f.cte)
+	if keys == nil {
+		return f, nil
+	}
+	affected, err := affectedKeys(ctx, keys, r.Props, what)
+	if err != nil {
+		return f, err
+	}
+	f.affected = affected
+	f.in = exec.FilterTableByKey(f.cte, r.Key, affected, r.In, &ctx.Stats.Exec)
+	ctx.RT.Results.Put(r.In, f.in)
+	return f, nil
+}
+
+// affectedKeys is changed ∪ propagate(changed): for each rule, base
+// rows whose From column holds a changed key mark their To column's
+// value affected. Over-approximation is safe; missing a key is not,
+// which is what the license guarantees against. what names the caller
+// in errors.
+func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop, what string) (*sqltypes.KeyTable, error) {
+	affected := sqltypes.NewKeyTable(1, 2*changed.Len())
+	for id := 0; id < changed.Len(); id++ {
+		affected.Insert(changed.Key(id))
+	}
+	for _, p := range props {
+		bt, err := ctx.RT.BaseTable(p.Table)
+		if err != nil {
+			return nil, fmt.Errorf("%s propagation over %s: %w", what, p.Table, err)
+		}
+		for _, part := range bt.Parts {
+			for _, r := range part {
+				ctx.Stats.Exec.RowsScanned++
+				if p.From >= len(r) || p.To >= len(r) {
+					continue
+				}
+				if changed.Find(r[p.From:p.From+1]) >= 0 {
+					affected.Insert(r[p.To : p.To+1])
+				}
+			}
+		}
+	}
+	return affected, nil
+}
+
+// publish binds the iteration's working table and counts it.
+func (r *Restriction) publish(ctx *Context, out *storage.Table) {
+	ctx.RT.Results.Put(r.Into, out)
+	ctx.track(r.Into)
+	ctx.Stats.MaterializedCells += int64(out.Len()) * int64(len(out.Schema))
+	ctx.Stats.UpdatedRows += int64(out.Len())
+}
+
+// explain renders what both steps share after their own opening
+// clause: the propagation rules and the restricted plan.
+func (r *Restriction) explain(b *strings.Builder) string {
+	for _, p := range r.Props {
+		fmt.Fprintf(b, "; propagate via %s[%d->%d]", p.Table, p.From, p.To)
+	}
+	b.WriteString("; full plan on the first iteration) with:\n")
+	b.WriteString(strings.TrimRight(indent(plan.ExplainTree(r.Restricted), "  "), "\n"))
+	return b.String()
+}

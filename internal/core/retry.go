@@ -51,7 +51,7 @@ type CheckpointSpec struct {
 
 // loopSnap is the captured mutable state of one loop operator. The
 // key indexes are shared, not copied: every writer replaces them
-// wholesale (snapshot, noteDelta, InitLoop's reset), never mutates them
+// wholesale (snapshot, the merge step, InitLoop's reset), never mutates them
 // in place, so a shared reference stays frozen.
 type loopSnap struct {
 	iterations  int
@@ -61,21 +61,20 @@ type loopSnap struct {
 	prevCount   int
 	key         int
 	changedKeys *sqltypes.KeyTable
-	haveDelta   bool
 }
 
 func snapLoop(l *LoopState) loopSnap {
 	return loopSnap{
 		iterations: l.iterations, updates: l.updates, lastUpdate: l.lastUpdate,
 		prev: l.prev, prevCount: l.prevCount, key: l.key,
-		changedKeys: l.changedKeys, haveDelta: l.haveDelta,
+		changedKeys: l.changedKeys,
 	}
 }
 
 func (s loopSnap) apply(l *LoopState) {
 	l.iterations, l.updates, l.lastUpdate = s.iterations, s.updates, s.lastUpdate
 	l.prev, l.prevCount, l.key = s.prev, s.prevCount, s.key
-	l.changedKeys, l.haveDelta = s.changedKeys, s.haveDelta
+	l.changedKeys = s.changedKeys
 }
 
 // checkpoint is one captured execution state: the pc to resume at, a

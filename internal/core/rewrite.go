@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/converge"
 	"dbspinner/internal/plan"
@@ -58,6 +59,17 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	// intermediate result right after its last possible read.
 	if opts.ColumnPruning {
 		rw.insertTruncations()
+	}
+	// The step list is final: point each claim at the restricted step
+	// it installed.
+	for i, s := range prog.Steps {
+		if res := restrictionOf(s); res != nil {
+			for c := range prog.AggClaims {
+				if prog.AggClaims[c].CTE == res.CTE {
+					prog.AggClaims[c].Step = i + 1
+				}
+			}
+		}
 	}
 
 	// Static effect sets and the region schedule they license
@@ -161,7 +173,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 	// Projection pruning (Options.ColumnPruning): when the live-column
 	// analysis proves some declared columns unobservable, the whole
-	// schema family (cte, Intermediate#, Merge#, Delta#, DeltaIn#)
+	// schema family (cte, Intermediate#, Merge#, Delta#, Frontier#)
 	// carries only the live ones. hadWhere is decided on the original
 	// statement — pruning and hoisting never change the merge/rename
 	// path choice.
@@ -247,48 +259,20 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	// Line 2: initialize the loop operator.
 	*steps = append(*steps, &InitLoopStep{Loop: loop, Key: key})
 
-	// Delta iteration (Options.DeltaIteration): when the merge path is
-	// taken and the AST analysis proves it safe, Ri's scan of the
-	// iterative reference is evaluated against the affected frontier
-	// instead of the full CTE. Any failure along the way falls back to
-	// the full plan — results are identical either way.
 	countUpdates := cte.Until.Type == ast.TermMetadata && cte.Until.CountUpdates
-	var deltaStep *DeltaMaterializeStep
-	if r.opts.DeltaIteration && hadWhere {
-		deltaStep = r.buildDeltaStep(cte, cteSchema, iterStmt, ri, builder, loop, workName, key)
-	}
-
-	// Incremental aggregate maintenance (Options.IncrementalAgg): when
-	// the aggprop analysis licenses it, the working-table
-	// materialization re-folds only the groups the frontier touched
-	// and serves the rest from the previous iteration's cached output.
-	// Delta iteration takes priority when both would apply, and MPP
-	// runs keep the full plan (the ordering contract is proven for the
-	// volcano executor only). Results are identical on every path.
-	var maintainStep *MaintainAggStep
-	if deltaStep == nil && r.opts.IncrementalAgg && !(r.opts.Parallel && r.opts.Parts > 1) {
-		maintainStep = r.buildMaintainStep(cte, cteSchema, iterStmt, ri, builder, workName, key)
-	}
 
 	bodyStart := len(*steps)
 	// Line 3: materialize Ri into the working table (the §II
-	// duplicate-key check happens inside the merge step).
-	switch {
-	case deltaStep != nil:
-		*steps = append(*steps, deltaStep)
-	case maintainStep != nil:
-		*steps = append(*steps, maintainStep)
-		for i := range r.prog.AggClaims {
-			if r.prog.AggClaims[i].CTE == cte.Name {
-				r.prog.AggClaims[i].Step = len(*steps)
-			}
-		}
-	default:
-		*steps = append(*steps, &MaterializeStep{
+	// duplicate-key check happens inside the merge step) — through one of
+	// the incremental steps when the frontier license allows it.
+	work := r.chooseIncremental(cte, cteSchema, iterStmt, ri, builder, loop, workName, key, hadWhere)
+	if work == nil {
+		work = &MaterializeStep{
 			Into: workName, Plan: ri, Parts: r.opts.Parts,
 			CheckKey: -1, CountsAsUpdate: true,
-		})
+		}
 	}
+	*steps = append(*steps, work)
 
 	if !hadWhere {
 		// Lines 5-6: full update. Rename when optimized; otherwise the
@@ -305,8 +289,8 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	} else {
 		// Lines 8-10: partial update through the fused merge operator.
 		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Key: key, Parts: r.opts.Parts, Loop: loop}
-		if deltaStep != nil {
-			merge.Delta = deltaStep.Delta
+		if delta, ok := work.(*DeltaMaterializeStep); ok {
+			merge.Delta = delta.Delta
 		}
 		*steps = append(*steps, merge)
 		*steps = append(*steps, &RenameStep{From: mergeName, To: cte.Name})
@@ -317,6 +301,57 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	*steps = append(*steps, &UpdateLoopStep{Loop: loop})
 	*steps = append(*steps, &LoopStep{Loop: loop, BodyStart: bodyStart})
 	return nil
+}
+
+// chooseIncremental decides how the loop body evaluates Ri, records the
+// decision as the CTE's claim, and returns the incremental step to
+// install — nil for the full plan. The choice follows from what the
+// rewrite observes, not from a knob: a licensed merge-path query (Ri
+// has a WHERE) gets the delta step, because the merge publishes the
+// changed keys and carries every other row forward; a licensed
+// rename-path query with aggregates gets the maintenance step, because
+// there nothing identifies changes and the snapshot diff has to; and
+// everything else — unlicensed, nothing to cache, switched off, or a
+// parallel run, where the restricted form measurably loses — keeps the
+// full plan. Results are identical on every path.
+func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
+	full plan.Node, b *plan.Builder, loop *LoopState, workName string, key int, hadWhere bool) Step {
+
+	r.prog.AggClaims = append(r.prog.AggClaims, AggClaim{CTE: cte.Name})
+	claim := &r.prog.AggClaims[len(r.prog.AggClaims)-1]
+	switch {
+	case !r.opts.Incremental:
+		claim.Reason = "withheld: disabled"
+		return nil
+	case r.opts.Parallel && r.opts.Parts > 1:
+		claim.Reason = "withheld: parallel machine"
+		return nil
+	}
+	// The license is proved on the ORIGINAL iterative AST: its
+	// propagation rules must name catalog base tables, which the
+	// common-result rewrite replaces with Common#k.
+	claim.Verdict = aggprop.AnalyzeCTE(cte, schema, r.lookup)
+	switch {
+	case !claim.Verdict.Licensed:
+		claim.Reason = "not licensed: " + claim.Verdict.Diags[0]
+		return nil
+	case !hadWhere && len(claim.Verdict.Calls) == 0:
+		claim.Reason = "licensed, no aggregates on the rename path"
+		return nil
+	}
+	res, why := r.buildRestriction(cte, schema, iterStmt, full, b, claim.Verdict, workName, key)
+	if why != "" {
+		claim.Verdict.Licensed = false
+		claim.Reason = "not licensed: " + why
+		return nil
+	}
+	if hadWhere {
+		return &DeltaMaterializeStep{Restriction: res, Delta: "Delta#" + cte.Name, Loop: loop}
+	}
+	return &MaintainAggStep{
+		Restriction: res, Acc: "Agg#" + cte.Name, Snap: "AggSnap#" + cte.Name,
+		Check: r.opts.CheckIncrementalAgg,
+	}
 }
 
 // applyCTEColumns renames a plan's outputs to the CTE column list and

@@ -298,8 +298,8 @@ func TestTableIExplain(t *testing.T) {
 	rt := newRT(t)
 	stmt, _ := parser.Parse(prQuery)
 	opts := DefaultOptions()
-	opts.CommonResults = false  // plain PR has no common block
-	opts.IncrementalAgg = false // Table I shows the full re-aggregation body
+	opts.CommonResults = false // plain PR has no common block
+	opts.Incremental = false   // Table I shows the full re-aggregation body
 	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -61,26 +61,21 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		e.Writes = []string{t.Into}
 
 	case *DeltaMaterializeStep:
-		// Both plans' result reads, plus the frontier bind: the step
-		// reads the CTE table directly, consumes the delta the previous
-		// merge produced, and transiently binds and drops DeltaIn. The
-		// loop state carries the changed-key set it restricts by.
-		e.Reads = append(planResultNames(t.Full), planResultNames(t.Restricted)...)
-		e.Reads = append(e.Reads, t.CTE, t.Delta)
-		e.Writes = []string{t.Into, t.DeltaIn}
-		e.Frees = []string{t.DeltaIn}
+		// On top of the shared restriction effects the step consumes the
+		// delta the previous merge produced; the loop state carries the
+		// changed-key set it restricts by.
+		t.Restriction.effects(e)
+		e.Reads = append(e.Reads, t.Delta)
 		e.LoopReads = []string{loops.slot(t.Loop)}
 
 	case *MaintainAggStep:
-		// Both plans' result reads, plus the accumulator slots the step
-		// carries across the back-edge: the previous output (Acc) and
-		// the CTE snapshot it was computed from (Snap) are read to diff
-		// and splice, then rewritten for the next iteration; AggIn is
-		// transiently bound and dropped around the restricted plan.
-		e.Reads = append(planResultNames(t.Full), planResultNames(t.Restricted)...)
-		e.Reads = append(e.Reads, t.CTE, t.Acc, t.Snap)
-		e.Writes = []string{t.Into, t.AggIn, t.Acc, t.Snap}
-		e.Frees = []string{t.AggIn}
+		// On top of the shared restriction effects, the accumulator slots
+		// the step carries across the back-edge: the previous output (Acc)
+		// and the CTE snapshot it was computed from (Snap) are read to
+		// diff and splice, then rewritten for the next iteration.
+		t.Restriction.effects(e)
+		e.Reads = append(e.Reads, t.Acc, t.Snap)
+		e.Writes = append(e.Writes, t.Acc, t.Snap)
 
 	case *RenameStep:
 		e.Reads = []string{t.From}
@@ -148,6 +143,16 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		return info, false
 	}
 	return info, true
+}
+
+// effects is what both incremental steps do to the result store: read
+// both plans' results and the CTE table directly, write the working
+// table, and transiently bind and drop the restricted input.
+func (r *Restriction) effects(e *effects.Set) {
+	e.Reads = append(planResultNames(r.Full), planResultNames(r.Restricted)...)
+	e.Reads = append(e.Reads, r.CTE)
+	e.Writes = []string{r.Into, r.In}
+	e.Frees = []string{r.In}
 }
 
 // deriveEffects computes the per-step effect sets and the region

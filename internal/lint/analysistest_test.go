@@ -161,10 +161,6 @@ func TestDistPropFixtures(t *testing.T) {
 	runFixtures(t, DistProp, "dbspinner/internal/distprop", "dbspinner/internal/verify")
 }
 
-func TestAggDispatchFixtures(t *testing.T) {
-	runFixtures(t, AggDispatch, "dbspinner/internal/aggprop", "dbspinner/internal/verify")
-}
-
 func TestGoRecoverFixtures(t *testing.T) {
 	runFixtures(t, GoRecover, "dbspinner/internal/mpp", "dbspinner/internal/txn")
 }

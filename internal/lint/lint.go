@@ -42,12 +42,6 @@
 //     (core, exec, mpp) must run its body under faultinject.Contain;
 //     an uncontained panic in a worker goroutine crashes the whole
 //     process instead of failing the one query that caused it.
-//   - aggdispatch: the aggregate-classification dispatches — the
-//     decomposability analysis in internal/aggprop and the verifier's
-//     independent re-derivation — must each handle every name
-//     ast.IsAggregateName accepts; a name missing from one falls into
-//     the fail-closed default arm (Holistic) and silently disables
-//     incremental maintenance for every query using it.
 //
 // All checks are purely syntactic (go/ast, no go/types), which keeps
 // the tool dependency-free and fast; the cost is a small set of
@@ -94,7 +88,7 @@ type Analyzer struct {
 
 // Analyzers returns every spinlint check.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{StepRun, ResultStore, StepExplain, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, AggDispatch, GoRecover}
+	return []*Analyzer{StepRun, ResultStore, StepExplain, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, GoRecover}
 }
 
 // Check runs every analyzer over the pass, drops findings in _test.go

@@ -226,11 +226,9 @@ func onlyPartial(st core.Step) {
 	}
 }
 `
-	// The other fail-closed dispatch checks ride along: the synthetic
-	// verify package has no node-dispatch or aggregate-dispatch switch
-	// either.
+	// The other fail-closed dispatch check rides along: the synthetic
+	// verify package has no node-dispatch switch either.
 	assertFindings(t, checkSrc(t, "dbspinner/internal/verify", src),
-		"aggdispatch|no aggregate-dispatch switch found",
 		"distprop|no node-dispatch type switch found",
 		"stepswitch|no step-dispatch type switch found")
 }

@@ -4,18 +4,17 @@ import (
 	"strings"
 	"testing"
 
-	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/core"
 )
 
 // ---------------------------------------------------------------------
-// Incremental aggregate maintenance: licensed programs pass, seeded
-// mutants trip the two new invariant classes.
+// Incremental evaluation: licensed programs pass, seeded mutants trip
+// unsound-agg-claim and stale-accumulator.
 // ---------------------------------------------------------------------
 
-// prAggSQL is a PageRank-shaped query the decomposability analysis
-// licenses through the invertible rung (SUM).
+// prAggSQL is a PageRank-shaped query on the rename path: licensed, so
+// the rewrite installs the maintenance step.
 const prAggSQL = `WITH ITERATIVE pr (node, rank, delta) AS (
   SELECT src, 0, 0.15 FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
  ITERATE SELECT pr.node, pr.rank + pr.delta, 0.85 * SUM(n.delta * e.weight)
@@ -24,9 +23,8 @@ const prAggSQL = `WITH ITERATIVE pr (node, rank, delta) AS (
   GROUP BY pr.node, pr.rank + pr.delta
  UNTIL 3 ITERATIONS) SELECT node, rank FROM pr`
 
-// ssspAggSQL is an SSSP-shaped query licensed through the monotone
-// rung (MIN under a LEAST envelope); its WHERE clause sends it down
-// the merge path.
+// ssspAggSQL is an SSSP-shaped query whose WHERE clause sends it down
+// the merge path: licensed, so the rewrite installs the delta step.
 const ssspAggSQL = `WITH ITERATIVE s (node, dist, delta) AS (
   SELECT src, 9999999, CASE WHEN src = 1 THEN 0 ELSE 9999999 END
    FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
@@ -37,8 +35,9 @@ const ssspAggSQL = `WITH ITERATIVE s (node, dist, delta) AS (
   GROUP BY s.node, LEAST(s.dist, s.delta)
  UNTIL 3 ITERATIONS) SELECT node, dist FROM s`
 
-// rewriteAgg rewrites sql with maintenance on and returns the program,
-// the statement, and the index of the MaintainAggStep.
+// rewriteAgg rewrites sql under the default options and returns the
+// program, the statement, and the index of the restricted step the
+// rewrite installed (maintenance for prAggSQL, delta for ssspAggSQL).
 func rewriteAgg(t *testing.T, sql string) (*core.Program, *ast.SelectStmt, int) {
 	t.Helper()
 	rt := newRT(t)
@@ -48,11 +47,12 @@ func rewriteAgg(t *testing.T, sql string) (*core.Program, *ast.SelectStmt, int) 
 		t.Fatalf("rewrite: %v", err)
 	}
 	for i, s := range prog.Steps {
-		if _, ok := s.(*core.MaintainAggStep); ok {
+		switch s.(type) {
+		case *core.MaintainAggStep, *core.DeltaMaterializeStep:
 			return prog, stmt, i
 		}
 	}
-	t.Fatalf("no MaintainAggStep in the rewritten program:\n%s", prog.Explain())
+	t.Fatalf("no restricted step in the rewritten program:\n%s", prog.Explain())
 	return nil, nil, 0
 }
 
@@ -69,23 +69,14 @@ func TestLicensedMaintainProgramsVerifyClean(t *testing.T) {
 
 // TestRejectsUnsoundAggClaims seeds mutants of the licensing record:
 // each must trip unsound-agg-claim, because the verifier re-derives
-// the analysis with its own dispatch instead of trusting the claim.
+// the license itself instead of trusting the claim.
 func TestRejectsUnsoundAggClaims(t *testing.T) {
-	t.Run("MIN recorded as invertible", func(t *testing.T) {
-		prog, stmt, _ := rewriteAgg(t, ssspAggSQL)
-		for i := range prog.AggClaims {
-			for j := range prog.AggClaims[i].Verdict.Calls {
-				prog.AggClaims[i].Verdict.Calls[j].Class = aggprop.Invertible
-			}
-		}
-		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "stronger than the re-derived class")
-	})
 	t.Run("installed step without a licensed claim", func(t *testing.T) {
 		prog, stmt, _ := rewriteAgg(t, prAggSQL)
 		for i := range prog.AggClaims {
 			prog.AggClaims[i].Verdict.Licensed = false
 		}
-		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "without a licensed incremental-aggregate claim")
+		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "without a licensed incremental claim")
 	})
 	t.Run("licensed claim with no statement to re-prove against", func(t *testing.T) {
 		prog, _, _ := rewriteAgg(t, prAggSQL)
@@ -110,9 +101,9 @@ func TestRejectsUnsoundAggClaims(t *testing.T) {
 	})
 	t.Run("statement whose aggregate the claim does not cover", func(t *testing.T) {
 		prog, _, _ := rewriteAgg(t, ssspAggSQL)
-		// Claim says MIN; statement computes MAX (with the matching
-		// GREATEST envelope, so the re-derivation itself succeeds).
-		bad := parseStmt(t, strings.ReplaceAll(strings.ReplaceAll(ssspAggSQL, "LEAST", "GREATEST"), "MIN(", "MAX("))
+		// Claim says MIN; statement computes MAX (the re-derivation
+		// itself succeeds: the license does not depend on the function).
+		bad := parseStmt(t, strings.ReplaceAll(ssspAggSQL, "MIN(", "MAX("))
 		assertDiag(t, Check(prog, bad), ClassUnsoundAggClaim, "which the re-derivation does not find")
 	})
 }

@@ -1,142 +1,114 @@
 package verify
 
-// Incremental-aggregate cross-check: the rewrite runs the aggprop
-// analysis and acts on its verdict — recording the claim for EXPLAIN
-// and installing a MaintainAggStep whose cached groups the executor
-// then serves without re-folding. A bug in that analysis (or a
-// fabricated claim) silently produces stale aggregates. This file
-// re-derives the decomposability lattice and both side conditions from
-// the ORIGINAL statement with its own dispatch and its own
-// equivalence-closure fixpoint over column equalities — deliberately
-// NOT aggprop's direct two-hop scan — and fails closed: any licensed
-// claim or installed step the re-derivation cannot re-prove is
-// unsound-agg-claim. spinlint's aggdispatch analyzer keeps the
-// classification switch below covering every aggregate function the
-// plan builder accepts.
+// Frontier-license cross-check: the rewrite runs the aggprop analysis
+// and acts on its verdict — recording the claim for EXPLAIN and
+// installing a DeltaMaterializeStep or MaintainAggStep that evaluates
+// Ri over the affected keys only and carries every other key's row
+// forward. A bug in that analysis (or a fabricated claim) silently
+// produces stale rows. This file re-derives the license — chain shape,
+// outer key at the head, group-key stability, every inner reference
+// routed — from the ORIGINAL statement with its own chain flattening,
+// its own resolver and its own equivalence-closure fixpoint over column
+// equalities — deliberately NOT aggprop's direct two-hop scan, and
+// sharing no code with it or with the ast chain parser it uses — and
+// fails closed: any licensed claim or installed restricted step the
+// re-derivation cannot re-prove is unsound-agg-claim.
 
 import (
 	"fmt"
 	"strings"
 
-	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/core"
 )
 
-// vAggClass is this checker's own rung numbering of the
-// decomposability lattice; greater is stronger.
-type vAggClass int
-
-const (
-	vHolistic vAggClass = iota
-	vMonotone
-	vInvertible
-)
-
-// rankOf maps the producer's class onto this checker's rungs, by
-// explicit dispatch rather than shared integer values so a reordering
-// of either enum cannot silently weaken the comparison.
-func rankOf(c aggprop.Class) vAggClass {
-	switch c {
-	case aggprop.Invertible:
-		return vInvertible
-	case aggprop.Monotone:
-		return vMonotone
-	}
-	return vHolistic
-}
-
-// checkAggProps re-derives the licensing analysis for every licensed
-// incremental-aggregate claim and every installed MaintainAggStep.
-// Unlicensed claims assert nothing and are skipped.
-func checkAggProps(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
+// checkLicense re-derives the frontier license for every licensed
+// claim and for the CTE of every installed restricted step, of either
+// kind. Unlicensed claims with no step assert nothing and are skipped.
+func checkLicense(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	var diags []Diagnostic
+	bad := func(step int, format string, args ...any) {
+		diags = append(diags, Diagnostic{Step: step, Class: ClassUnsoundAggClaim, Message: fmt.Sprintf(format, args...)})
+	}
 
 	claims := map[string]*core.AggClaim{}
 	for i := range prog.AggClaims {
 		claims[norm(prog.AggClaims[i].CTE)] = &prog.AggClaims[i]
 	}
-	anyLicensed := false
-	for _, c := range claims {
+	// reprove maps each CTE whose license something relies on to the
+	// step the diagnostics cite: licensed claims first, then installed
+	// steps (which win, being where the damage would happen).
+	reprove := map[string]int{}
+	var order []string
+	need := func(cte string, step int) {
+		if _, seen := reprove[norm(cte)]; !seen {
+			order = append(order, cte)
+		}
+		reprove[norm(cte)] = step
+	}
+	for _, c := range prog.AggClaims {
 		if c.Verdict.Licensed {
-			anyLicensed = true
+			need(c.CTE, c.Step)
 		}
 	}
-
-	// An installed maintenance step without a licensed claim is unsound
-	// regardless of the statement: nothing even asserts the analysis ran.
 	for i, st := range prog.Steps {
-		t, ok := st.(*core.MaintainAggStep)
-		if !ok {
+		var res *core.Restriction
+		switch t := st.(type) {
+		case *core.DeltaMaterializeStep:
+			res = &t.Restriction
+		case *core.MaintainAggStep:
+			res = &t.Restriction
+		}
+		if res == nil {
 			continue
 		}
-		if c := claims[norm(t.CTE)]; c == nil || !c.Verdict.Licensed {
-			diags = append(diags, Diagnostic{Step: i + 1, Class: ClassUnsoundAggClaim,
-				Message: fmt.Sprintf("aggregate maintenance of %s installed without a licensed incremental-aggregate claim", t.CTE)})
+		// An installed step without a licensed claim is unsound regardless
+		// of the statement: nothing even asserts the analysis ran.
+		if c := claims[norm(res.CTE)]; c == nil || !c.Verdict.Licensed {
+			bad(i+1, "restricted evaluation of %s installed without a licensed incremental claim", res.CTE)
 		}
+		need(res.CTE, i+1)
 	}
-
-	if !anyLicensed {
-		return diags
-	}
-	if stmt == nil || stmt.With == nil {
-		// Hand-built programs carry no statement; a licensed claim then
-		// has nothing to be re-proved against. Fail closed.
-		for _, c := range prog.AggClaims {
-			if c.Verdict.Licensed {
-				diags = append(diags, Diagnostic{Step: c.Step, Class: ClassUnsoundAggClaim,
-					Message: fmt.Sprintf("licensed incremental-aggregate claim for %s cannot be re-derived: no original statement", c.CTE)})
-			}
-		}
+	if len(order) == 0 {
 		return diags
 	}
 
 	ctes := map[string]*ast.CTE{}
-	for _, cte := range stmt.With.CTEs {
-		ctes[norm(cte.Name)] = cte
+	if stmt != nil && stmt.With != nil {
+		for _, cte := range stmt.With.CTEs {
+			ctes[norm(cte.Name)] = cte
+		}
 	}
-	for i := range prog.AggClaims {
-		c := &prog.AggClaims[i]
-		if !c.Verdict.Licensed {
+	for _, name := range order {
+		step := reprove[norm(name)]
+		if stmt == nil || stmt.With == nil {
+			// Hand-built programs carry no statement; the license then has
+			// nothing to be re-proved against. Fail closed.
+			bad(step, "incremental license for %s cannot be re-derived: no original statement", name)
 			continue
 		}
-		cte := ctes[norm(c.CTE)]
+		cte := ctes[norm(name)]
 		if cte == nil {
-			diags = append(diags, Diagnostic{Step: c.Step, Class: ClassUnsoundAggClaim,
-				Message: fmt.Sprintf("licensed incremental-aggregate claim for %s, which the original statement does not define", c.CTE)})
+			bad(step, "incremental license for %s, which the original statement does not define", name)
 			continue
 		}
-		r := reproveAgg(cte, prog)
-		if r.why != "" {
-			diags = append(diags, Diagnostic{Step: c.Step, Class: ClassUnsoundAggClaim,
-				Message: fmt.Sprintf("licensed incremental-aggregate claim for %s fails the independent re-derivation: %s", c.CTE, r.why)})
+		calls, why := reproveLicense(cte, prog)
+		if why != "" {
+			bad(step, "incremental license for %s fails the independent re-derivation: %s", name, why)
 			continue
 		}
-		// The claim's per-call classes must not outrank the re-derived
-		// ones: MIN recorded as invertible would license retraction
-		// patching the monotone proof never covers.
-		for _, call := range c.Verdict.Calls {
-			got, have := r.classes[call.Name]
-			if !have {
-				diags = append(diags, Diagnostic{Step: c.Step, Class: ClassUnsoundAggClaim,
-					Message: fmt.Sprintf("claim for %s classifies %s, which the re-derivation does not find in the iterative part", c.CTE, call.Name)})
-				continue
-			}
-			if rankOf(call.Class) > got {
-				diags = append(diags, Diagnostic{Step: c.Step, Class: ClassUnsoundAggClaim,
-					Message: fmt.Sprintf("claim for %s records %s, stronger than the re-derived class", c.CTE, call)})
+		// The claim's aggregate names feed the rewrite's "nothing to cache"
+		// rule and EXPLAIN; one the statement does not contain means the
+		// claim was made about a different query.
+		if c := claims[norm(name)]; c != nil {
+			for _, call := range c.Verdict.Calls {
+				if !calls[call] {
+					bad(step, "claim for %s names aggregate %s, which the re-derivation does not find in the iterative part", name, call)
+				}
 			}
 		}
 	}
 	return diags
-}
-
-// aggReproof is the re-derivation outcome: why is the first obstruction
-// ("" when the license re-proves), classes the re-derived lattice rung
-// per aggregate-call name.
-type aggReproof struct {
-	why     string
-	classes map[string]vAggClass
 }
 
 // vChainMember is one leaf of the re-derived join chain.
@@ -147,14 +119,12 @@ type vChainMember struct {
 	cols  []string // column names; nil when unknown
 }
 
-// reproveAgg re-derives the licensing proof for one iterative CTE. It
-// shares no code with internal/aggprop beyond the ast helpers: its own
-// chain flattening, its own resolver, its own classification dispatch
-// and a union-find closure over column equalities instead of the
-// producer's direct equation scan.
-func reproveAgg(cte *ast.CTE, prog *core.Program) aggReproof {
-	bad := func(format string, args ...any) aggReproof {
-		return aggReproof{why: fmt.Sprintf(format, args...)}
+// reproveLicense re-derives the frontier license for one iterative
+// CTE. It returns the aggregate-call names found in the iterative part
+// and the first obstruction ("" when the license re-proves).
+func reproveLicense(cte *ast.CTE, prog *core.Program) (calls map[string]bool, why string) {
+	bad := func(format string, args ...any) (map[string]bool, string) {
+		return calls, fmt.Sprintf(format, args...)
 	}
 	if cte.Iter == nil {
 		return bad("no iterative part")
@@ -248,104 +218,53 @@ func reproveAgg(cte *ast.CTE, prog *core.Program) aggReproof {
 	}
 	outer := 0
 
-	// Classification, with its own envelope detection.
-	envDown, envUp := false, false
-	for _, item := range body.Items {
-		call, isCall := item.Expr.(*ast.FuncCall)
-		if !isCall || call.Star || call.Distinct {
-			continue
-		}
-		fn := strings.ToUpper(call.Name)
-		if fn != "LEAST" && fn != "GREATEST" {
-			continue
-		}
-		for _, arg := range call.Args {
-			if ref, argRef := arg.(*ast.ColumnRef); argRef && resolve(ref) == outer {
-				if fn == "LEAST" {
-					envDown = true
-				} else {
-					envUp = true
-				}
-				break
-			}
-		}
-	}
-	classes := map[string]vAggClass{}
-	obstruction := ""
+	calls = map[string]bool{}
 	ast.WalkStmtExprs(it, func(root ast.Expr) {
 		ast.WalkExpr(root, func(e ast.Expr) bool {
-			f, isCall := e.(*ast.FuncCall)
-			if !isCall || !ast.IsAggregateName(f.Name) {
-				return true
-			}
-			name := strings.ToUpper(f.Name)
-			if f.Distinct {
-				classes[name+" DISTINCT"] = vHolistic
-				obstruction = "a DISTINCT aggregate depends on the whole group multiset"
-				return true
-			}
-			cls := vHolistic
-			switch name {
-			case "SUM", "COUNT", "AVG":
-				cls = vInvertible
-			case "MIN":
-				if envDown {
-					cls = vMonotone
-				} else {
-					obstruction = "MIN has no LEAST envelope over the outer reference"
+			if f, isCall := e.(*ast.FuncCall); isCall && ast.IsAggregateName(f.Name) {
+				name := strings.ToUpper(f.Name)
+				if f.Distinct {
+					name += " DISTINCT"
 				}
-			case "MAX":
-				if envUp {
-					cls = vMonotone
-				} else {
-					obstruction = "MAX has no GREATEST envelope over the outer reference"
-				}
-			default:
-				obstruction = name + " has no known decomposition"
-			}
-			if have, seen := classes[name]; !seen || cls < have {
-				classes[name] = cls
+				calls[name] = true
 			}
 			return true
 		})
 	})
-	if len(classes) == 0 {
-		return bad("no aggregate calls in the iterative part")
-	}
-	if obstruction != "" {
-		return aggReproof{why: obstruction, classes: classes}
-	}
 
-	// Group-key stability.
-	if len(body.GroupBy) == 0 {
-		return bad("no GROUP BY")
+	// Group-key stability, whenever the iterative part groups; aggregates
+	// without grouping have no per-key groups at all.
+	if len(body.GroupBy) == 0 && len(calls) > 0 {
+		return bad("aggregates without GROUP BY")
 	}
-	grouped := false
-	for _, g := range body.GroupBy {
-		if ref, gRef := g.(*ast.ColumnRef); gRef && strings.EqualFold(ref.Name, cols[0]) && resolve(ref) == outer {
-			grouped = true
-		}
-		outerOnly := true
-		ast.WalkExpr(g, func(e ast.Expr) bool {
-			if ref, isCol := e.(*ast.ColumnRef); isCol && resolve(ref) != outer {
-				outerOnly = false
-				return false
+	if len(body.GroupBy) > 0 {
+		grouped := false
+		for _, g := range body.GroupBy {
+			if ref, gRef := g.(*ast.ColumnRef); gRef && strings.EqualFold(ref.Name, cols[0]) && resolve(ref) == outer {
+				grouped = true
 			}
-			return true
-		})
-		if !outerOnly {
-			return bad("GROUP BY expression %s reads non-outer columns", g)
+			outerOnly := true
+			ast.WalkExpr(g, func(e ast.Expr) bool {
+				if ref, isCol := e.(*ast.ColumnRef); isCol && resolve(ref) != outer {
+					outerOnly = false
+					return false
+				}
+				return true
+			})
+			if !outerOnly {
+				return bad("GROUP BY expression %s reads non-outer columns", g)
+			}
+		}
+		if !grouped {
+			return bad("GROUP BY does not include the outer key %s", cols[0])
 		}
 	}
-	if !grouped {
-		return bad("GROUP BY does not include the outer key %s", cols[0])
-	}
 
-	// Retraction visibility by equivalence closure: union the
-	// (member, column) nodes of every top-level equality conjunct, then
-	// demand each inner CTE reference's key reach the outer key —
-	// directly in one class, or through two columns of one base-table
-	// row (the equijoin image the propagation rules follow at runtime).
+	// Routing by equivalence closure: union the (member, column) nodes of
+	// every top-level equality conjunct, then demand each inner CTE
+	// reference's key reach the outer key — directly in one class, or
+	// through two columns of one base-table row (the equijoin image the
+	// propagation rules follow at runtime).
 	uf := newVColUF()
 	collect := func(e ast.Expr) {
 		for _, conj := range ast.SplitConjuncts(e) {
@@ -404,11 +323,10 @@ func reproveAgg(cte *ast.CTE, prog *core.Program) aggReproof {
 			}
 		}
 		if !routed {
-			return aggReproof{classes: classes,
-				why: fmt.Sprintf("inner reference %s has no key-equijoin route to the outer key", m.alias)}
+			return bad("inner reference %s has no key-equijoin route to the outer key", m.alias)
 		}
 	}
-	return aggReproof{classes: classes}
+	return calls, ""
 }
 
 // vCTEColumns determines the CTE's declared column names: the explicit

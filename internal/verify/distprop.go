@@ -108,10 +108,10 @@ func (d *distChecker) run() {
 			derived[i+1] = d.infer(st, t.Plan)
 			slots[i+1] = t.Into
 		case *core.DeltaMaterializeStep:
-			derived[i+1] = d.deltaResult(st, t)
+			derived[i+1] = d.restrictedResult(st, &t.Restriction)
 			slots[i+1] = t.Into
 		case *core.MaintainAggStep:
-			derived[i+1] = d.maintainResult(st, t)
+			derived[i+1] = d.restrictedResult(st, &t.Restriction)
 			slots[i+1] = t.Into
 		case *core.RenameStep:
 			derived[i+1] = vRes{prop: st[normSlot(t.From)]}
@@ -294,10 +294,10 @@ func (d *distChecker) transfer(i int, st vState) (out vState, succs []int, ok bo
 		out.bind(t.Into, d.infer(st, t.Plan).prop)
 	case *core.DeltaMaterializeStep:
 		out = cloneState(st)
-		out.bind(t.Into, d.deltaResult(st, t).prop)
+		out.bind(t.Into, d.restrictedResult(st, &t.Restriction).prop)
 	case *core.MaintainAggStep:
 		out = cloneState(st)
-		res := d.maintainResult(st, t)
+		res := d.restrictedResult(st, &t.Restriction)
 		out.bind(t.Into, res.prop)
 		// The accumulator keeps the maintained output, the snapshot keeps
 		// the CTE table — both with those tables' properties.
@@ -331,29 +331,17 @@ func (d *distChecker) transfer(i int, st vState) (out vState, succs []int, ok bo
 	return out, []int{i + 1}, true
 }
 
-// deltaResult re-derives a delta materialization: the meet of the full
-// plan and the restricted plan, whose frontier input inherits the CTE
-// slot's property (the restriction filters the CTE table in place).
-func (d *distChecker) deltaResult(st vState, t *core.DeltaMaterializeStep) vRes {
+// restrictedResult re-derives either incremental step's working table:
+// the meet of the full plan and the restricted plan, whose frontier
+// input inherits the CTE slot's property (the restriction filters the
+// CTE table partition-preservingly). The maintenance step's spliced
+// output is rebuilt with hash routing on column 0, so the meet
+// under-approximates at worst.
+func (d *distChecker) restrictedResult(st vState, t *core.Restriction) vRes {
 	full := d.infer(st, t.Full)
 	rst := cloneState(st)
 	if cte, have := st[normSlot(t.CTE)]; have {
-		rst.bind(t.DeltaIn, cte)
-	}
-	restricted := d.infer(rst, t.Restricted)
-	return vRes{prop: distprop.Meet(full.prop, restricted.prop)}
-}
-
-// maintainResult re-derives an aggregate maintenance the same way: the
-// meet of the full plan and the restricted plan, whose frontier input
-// inherits the CTE slot's property (the restriction filters the CTE
-// table partition-preservingly). The spliced output is rebuilt with
-// hash routing on column 0, so the meet under-approximates at worst.
-func (d *distChecker) maintainResult(st vState, t *core.MaintainAggStep) vRes {
-	full := d.infer(st, t.Full)
-	rst := cloneState(st)
-	if cte, have := st[normSlot(t.CTE)]; have {
-		rst.bind(t.AggIn, cte)
+		rst.bind(t.In, cte)
 	}
 	restricted := d.infer(rst, t.Restricted)
 	return vRes{prop: distprop.Meet(full.prop, restricted.prop)}

@@ -83,6 +83,19 @@ func (l loopSlotInterner) slot(ls *core.LoopState) string {
 	return id
 }
 
+// restrictionEffects is what either incremental step does to the result
+// store on account of its Restriction: both plans' reads and the CTE
+// table, the working table written, the restricted input bound and
+// dropped within the step.
+func restrictionEffects(r *core.Restriction) stepEffects {
+	reads := append(planResults(r.Full), planResults(r.Restricted)...)
+	return stepEffects{
+		reads:  append(reads, r.CTE),
+		writes: []string{r.Into, r.In},
+		frees:  []string{r.In},
+	}
+}
+
 // deriveStepEffects re-derives one step's effect set from its fields.
 // The boolean is false for step kinds this verifier does not know —
 // the caller fails closed. spinlint's stepeffects analyzer keeps this
@@ -95,17 +108,14 @@ func deriveStepEffects(st core.Step, loops loopSlotInterner) (stepEffects, bool)
 		e.writes = []string{t.Into}
 
 	case *core.DeltaMaterializeStep:
-		e.reads = append(planResults(t.Full), planResults(t.Restricted)...)
-		e.reads = append(e.reads, t.CTE, t.Delta)
-		e.writes = []string{t.Into, t.DeltaIn}
-		e.frees = []string{t.DeltaIn}
+		e = restrictionEffects(&t.Restriction)
+		e.reads = append(e.reads, t.Delta)
 		e.loopReads = []string{loops.slot(t.Loop)}
 
 	case *core.MaintainAggStep:
-		e.reads = append(planResults(t.Full), planResults(t.Restricted)...)
-		e.reads = append(e.reads, t.CTE, t.Acc, t.Snap)
-		e.writes = []string{t.Into, t.AggIn, t.Acc, t.Snap}
-		e.frees = []string{t.AggIn}
+		e = restrictionEffects(&t.Restriction)
+		e.reads = append(e.reads, t.Acc, t.Snap)
+		e.writes = append(e.writes, t.Acc, t.Snap)
 
 	case *core.RenameStep:
 		e.reads = []string{t.From}

@@ -100,13 +100,13 @@ const (
 	// happens-before edge between two steps the re-derived effect sets
 	// prove conflicting.
 	ClassUnsoundSchedule = "unsound-schedule"
-	// ClassUnsoundAggClaim: the program records a licensed
-	// incremental-aggregate claim (core.Program.AggClaims) — or installs a
-	// MaintainAggStep — that the independent re-derivation of the
-	// decomposability lattice and its side conditions (group-key
-	// stability, retraction visibility) cannot re-prove: e.g. MIN recorded
-	// as invertible, a group key that drifts across the back-edge, or an
-	// inner CTE reference whose retractions are invisible to the frontier.
+	// ClassUnsoundAggClaim: the program records a licensed incremental
+	// claim (core.Program.AggClaims) — or installs a DeltaMaterializeStep
+	// or MaintainAggStep — that the independent re-derivation of the
+	// frontier license (chain shape, outer key at the head, group-key
+	// stability, routing) cannot re-prove: e.g. a step with no claim, a
+	// group key that drifts across the back-edge, or an inner CTE
+	// reference whose changes are invisible to the frontier.
 	ClassUnsoundAggClaim = "unsound-agg-claim"
 	// ClassStaleAccumulator: a MaintainAggStep's accumulator wiring would
 	// let cached per-group rows go stale — the step sits outside a loop
@@ -205,7 +205,7 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	s.checkDeltaPairing()
 	s.checkAggWiring()
 	s.checkLeaks()
-	s.diags = append(s.diags, checkAggProps(prog, stmt)...)
+	s.diags = append(s.diags, checkLicense(prog, stmt)...)
 	s.diags = append(s.diags, checkPushdown(prog, stmt)...)
 	s.diags = append(s.diags, checkPruning(prog, stmt)...)
 	s.diags = append(s.diags, checkTermination(prog, stmt)...)
@@ -434,10 +434,34 @@ func (s *sim) step(i int, st core.Step, reEntry bool) {
 		}
 
 	case *core.DeltaMaterializeStep:
-		s.deltaMaterializeStep(i, t, reEntry, suffix)
+		s.restrictedStep(i, &t.Restriction, "delta materialize", ClassUnsafeDelta, reEntry, suffix)
+		if !reEntry && t.Loop == nil {
+			s.addf(i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
+		}
+		// By the second iteration the paired merge must have published the
+		// delta table whose changed-key set the restriction consumes.
+		if reEntry && t.Delta != "" && s.live[norm(t.Delta)] == nil {
+			s.addf(i, ClassDeltaLiveness, "delta table %q is not live when the restricted iteration consumes the changed-key set%s", t.Delta, suffix)
+		}
+		s.bind(i, t.Into, plan.Schema(t.Full))
 
 	case *core.MaintainAggStep:
-		s.maintainAggStep(i, t, reEntry, suffix)
+		s.restrictedStep(i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, reEntry, suffix)
+		// The accumulator (Acc) and snapshot (Snap) slots are absent on the
+		// first iteration by design — the step falls back to the full plan —
+		// so their liveness is not a fault here.
+		if !reEntry {
+			s.accs[norm(t.Acc)] = true
+			s.accs[norm(t.Snap)] = true
+		}
+		schema := plan.Schema(t.Full)
+		s.bind(i, t.Into, schema)
+		s.bind(i, t.Acc, schema)
+		if cte := s.live[norm(t.CTE)]; cte != nil {
+			s.bind(i, t.Snap, cte.schema)
+		} else {
+			s.bind(i, t.Snap, schema)
+		}
 
 	case *core.TruncateStep:
 		if s.live[norm(t.Name)] == nil {
@@ -452,151 +476,49 @@ func (s *sim) step(i int, st core.Step, reEntry bool) {
 	}
 }
 
-// deltaMaterializeStep interprets the restricted working-table
-// materialization of delta iteration. Its full plan is checked like an
-// ordinary materialization; its restricted plan may additionally read
-// the transient frontier input (DeltaIn), which the step binds and
-// drops internally. First-pass-only checks re-derive the substitution
-// invariant — the restricted plan must be the full plan with exactly
-// the outer CTE reference swapped for DeltaIn — independently of the
-// rewrite's own safety analysis.
-func (s *sim) deltaMaterializeStep(i int, t *core.DeltaMaterializeStep, reEntry bool, suffix string) {
-	if !reEntry {
-		s.checkParts(i, t.Parts)
-		if t.Loop == nil {
-			s.addf(i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
-		}
-	}
+// restrictedStep interprets what the two incremental steps share. The
+// full plan is checked like an ordinary materialization; the restricted
+// plan may additionally read the transient frontier input (In), which
+// the step binds and drops internally. First-pass-only checks re-derive
+// the substitution invariant — the restricted plan must be the full
+// plan with exactly the outer CTE reference swapped for In —
+// independently of the rewrite, filed under the step kind's own class.
+func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reEntry bool, suffix string) {
+	what += " " + t.Into
 	for _, name := range planResults(t.Full) {
 		if s.live[name] == nil {
-			s.readMissing(i, "delta materialize "+t.Into, "reads", name, suffix)
+			s.readMissing(i, what, "reads", name, suffix)
 		}
 	}
-	s.checkResultCols(i, "delta materialize "+t.Into, t.Full, suffix, "")
-	din := norm(t.DeltaIn)
-	readsDeltaIn := false
+	s.checkResultCols(i, what, t.Full, suffix, "")
+	in := norm(t.In)
+	readsIn := false
 	for _, name := range planResults(t.Restricted) {
-		if name == din {
-			readsDeltaIn = true // bound transiently by the step itself
+		if name == in {
+			readsIn = true // bound transiently by the step itself
 			continue
 		}
 		if s.live[name] == nil {
-			s.readMissing(i, "delta materialize "+t.Into, "reads", name, suffix)
+			s.readMissing(i, what, "reads", name, suffix)
 		}
 	}
-	s.checkResultCols(i, "delta materialize "+t.Into, t.Restricted, suffix, din)
-	if !reEntry {
-		if !readsDeltaIn {
-			s.addf(i, ClassUnsafeDelta, "restricted plan of %s never reads %s; the frontier restriction is vacuous", t.Into, t.DeltaIn)
-		}
-		if why := substitutionMismatch(t); why != "" {
-			s.addf(i, ClassUnsafeDelta, "restricted plan of %s must be the full plan with one outer %s reference reading %s: %s", t.Into, t.CTE, t.DeltaIn, why)
-		}
-		if why := schemasCompatible(plan.Schema(t.Full), plan.Schema(t.Restricted)); why != "" {
-			s.addf(i, ClassSchemaMismatch, "full and restricted plans of %s disagree: %s", t.Into, why)
-		}
-		if cte := s.live[norm(t.CTE)]; cte != nil && (t.Key < 0 || t.Key >= len(cte.schema)) {
-			s.addf(i, ClassBadKey, "delta key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
-		}
+	s.checkResultCols(i, what, t.Restricted, suffix, in)
+	if reEntry {
+		return
 	}
-	// By the second iteration the paired merge must have published the
-	// delta table whose changed-key set the restriction consumes.
-	if reEntry && t.Delta != "" && s.live[norm(t.Delta)] == nil {
-		s.addf(i, ClassDeltaLiveness, "delta table %q is not live when the restricted iteration consumes the changed-key set%s", t.Delta, suffix)
+	s.checkParts(i, t.Parts)
+	if !readsIn {
+		s.addf(i, class, "restricted plan of %s never reads %s; the frontier restriction is vacuous", t.Into, t.In)
 	}
-	s.bind(i, t.Into, plan.Schema(t.Full))
-}
-
-// maintainAggStep interprets the incremental aggregate maintenance
-// step. Its full plan is checked like an ordinary materialization; its
-// restricted plan may additionally read the transient frontier input
-// (AggIn), which the step binds and drops internally. The accumulator
-// (Acc) and snapshot (Snap) slots are absent on the first iteration by
-// design — the step falls back to the full plan — so their liveness is
-// not a fault here; what is checked is that the restriction actually
-// consumes the frontier, that the restricted plan is the full plan with
-// exactly the outer CTE reference swapped for AggIn, and that the two
-// plans agree on schema and key.
-func (s *sim) maintainAggStep(i int, t *core.MaintainAggStep, reEntry bool, suffix string) {
-	if !reEntry {
-		s.checkParts(i, t.Parts)
+	if why := substitutionMismatch(t); why != "" {
+		s.addf(i, class, "restricted plan of %s must be the full plan with one outer %s reference reading %s: %s", t.Into, t.CTE, t.In, why)
 	}
-	for _, name := range planResults(t.Full) {
-		if s.live[name] == nil {
-			s.readMissing(i, "aggregate maintenance "+t.Into, "reads", name, suffix)
-		}
+	if why := schemasCompatible(plan.Schema(t.Full), plan.Schema(t.Restricted)); why != "" {
+		s.addf(i, ClassSchemaMismatch, "full and restricted plans of %s disagree: %s", t.Into, why)
 	}
-	s.checkResultCols(i, "aggregate maintenance "+t.Into, t.Full, suffix, "")
-	ain := norm(t.AggIn)
-	readsAggIn := false
-	for _, name := range planResults(t.Restricted) {
-		if name == ain {
-			readsAggIn = true // bound transiently by the step itself
-			continue
-		}
-		if s.live[name] == nil {
-			s.readMissing(i, "aggregate maintenance "+t.Into, "reads", name, suffix)
-		}
+	if cte := s.live[norm(t.CTE)]; cte != nil && (t.Key < 0 || t.Key >= len(cte.schema)) {
+		s.addf(i, ClassBadKey, "restriction key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
 	}
-	s.checkResultCols(i, "aggregate maintenance "+t.Into, t.Restricted, suffix, ain)
-	if !reEntry {
-		if !readsAggIn {
-			s.addf(i, ClassStaleAccumulator, "restricted plan of %s never reads %s; cached groups would never be re-folded", t.Into, t.AggIn)
-		}
-		if why := maintainSubstitutionMismatch(t); why != "" {
-			s.addf(i, ClassStaleAccumulator, "restricted plan of %s must be the full plan with one outer %s reference reading %s: %s", t.Into, t.CTE, t.AggIn, why)
-		}
-		if why := schemasCompatible(plan.Schema(t.Full), plan.Schema(t.Restricted)); why != "" {
-			s.addf(i, ClassSchemaMismatch, "full and restricted plans of %s disagree: %s", t.Into, why)
-		}
-		if cte := s.live[norm(t.CTE)]; cte != nil && (t.Key < 0 || t.Key >= len(cte.schema)) {
-			s.addf(i, ClassBadKey, "aggregate-maintenance key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
-		}
-		s.accs[norm(t.Acc)] = true
-		s.accs[norm(t.Snap)] = true
-	}
-	schema := plan.Schema(t.Full)
-	s.bind(i, t.Into, schema)
-	s.bind(i, t.Acc, schema)
-	if cte := s.live[norm(t.CTE)]; cte != nil {
-		s.bind(i, t.Snap, cte.schema)
-	} else {
-		s.bind(i, t.Snap, schema)
-	}
-}
-
-// maintainSubstitutionMismatch re-derives the outer-reference-only
-// substitution invariant for aggregate maintenance: the restricted
-// plan's result reads must equal the full plan's with exactly one
-// occurrence of the CTE replaced by AggIn (inner CTE references keep
-// reading the full table — restricting them would hide the very
-// retractions the side conditions prove visible).
-func maintainSubstitutionMismatch(t *core.MaintainAggStep) string {
-	want := planResults(t.Full)
-	cte, ain := norm(t.CTE), norm(t.AggIn)
-	replaced := false
-	for i, n := range want {
-		if n == cte {
-			want[i] = ain
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		return fmt.Sprintf("full plan never reads %s", t.CTE)
-	}
-	got := planResults(t.Restricted)
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(got) != len(want) {
-		return fmt.Sprintf("restricted plan has %d result reads, expected %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Sprintf("restricted plan reads %q where %q is expected", got[i], want[i])
-		}
-	}
-	return ""
 }
 
 // checkAggWiring runs after the simulation: a MaintainAggStep's
@@ -669,16 +591,17 @@ func (s *sim) checkAggWiring() {
 
 // substitutionMismatch re-derives the outer-reference-only substitution
 // invariant: the restricted plan's result reads must equal the full
-// plan's with exactly one occurrence of the CTE replaced by DeltaIn
-// (inner CTE references keep reading the full table — restricting them
-// would corrupt aggregates over neighbours).
-func substitutionMismatch(t *core.DeltaMaterializeStep) string {
+// plan's with exactly one occurrence of the CTE replaced by In (inner
+// CTE references keep reading the full table — restricting them would
+// corrupt aggregates over neighbours and hide the very changes the
+// license proves visible).
+func substitutionMismatch(t *core.Restriction) string {
 	want := planResults(t.Full)
-	cte, din := norm(t.CTE), norm(t.DeltaIn)
+	cte, in := norm(t.CTE), norm(t.In)
 	replaced := false
 	for i, n := range want {
 		if n == cte {
-			want[i] = din
+			want[i] = in
 			replaced = true
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/catalog"
 	"dbspinner/internal/core"
@@ -103,16 +104,25 @@ func TestValidMergePathProgramVerifiesClean(t *testing.T) {
 	}
 }
 
-// deltaProgram is the merge path with delta iteration: the working
+// deltaSQL is the statement deltaProgram stands for: a merge-path loop
+// over t whose only reference to t is the outer one, so the frontier
+// license re-derives from it.
+const deltaSQL = `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges
+ ITERATE SELECT t.k, t.v FROM t WHERE t.v > 0 UNTIL 3 ITERATIONS) SELECT k, v FROM t`
+
+// deltaProgram is the merge path with the delta step: the working
 // table comes from a DeltaMaterializeStep whose restricted plan reads
-// the transient frontier DeltaIn#t, and the merge publishes Delta#t.
+// the transient frontier Frontier#t, the merge publishes Delta#t, and
+// the program carries the licensed claim the step rests on.
 func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep) {
 	loop := metaLoop("t", 3)
 	dm := &core.DeltaMaterializeStep{
-		Into: "Intermediate#t",
-		Full: result("t", "k", "v"), Restricted: result("DeltaIn#t", "k", "v"),
-		DeltaIn: "DeltaIn#t", CTE: "t", Delta: "Delta#t",
-		Loop: loop, Key: 0, Parts: 1,
+		Restriction: core.Restriction{
+			Into: "Intermediate#t",
+			Full: result("t", "k", "v"), Restricted: result("Frontier#t", "k", "v"),
+			In: "Frontier#t", CTE: "t", Key: 0, Parts: 1,
+		},
+		Delta: "Delta#t", Loop: loop,
 	}
 	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t",
 		Key: 0, Parts: 1, Loop: loop, Delta: "Delta#t"}
@@ -128,16 +138,49 @@ func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep)
 			&core.UpdateLoopStep{Loop: loop},
 			&core.LoopStep{Loop: loop, BodyStart: 2},
 		},
-		Final: result("t", "k", "v"),
+		Final:     result("t", "k", "v"),
+		AggClaims: []core.AggClaim{{CTE: "t", Step: 3, Verdict: aggprop.Verdict{CTE: "t", Licensed: true, OuterAlias: "t"}}},
 	}
 	return prog, dm, merge
 }
 
 func TestValidDeltaProgramVerifiesClean(t *testing.T) {
 	prog, _, _ := deltaProgram()
-	if diags := Check(prog, nil); len(diags) != 0 {
+	if diags := Check(prog, parseStmt(t, deltaSQL)); len(diags) != 0 {
 		t.Fatalf("valid delta program rejected: %v", diags)
 	}
+}
+
+// TestRejectsUnlicensedDeltaSteps seeds mutants of the delta step's
+// license — the half of the frontier proof the verifier used to take on
+// trust for this step kind: each hand-built program carries a
+// DeltaMaterializeStep, and the statement (or the missing claim) gives
+// the independent re-derivation nothing to license it with.
+func TestRejectsUnlicensedDeltaSteps(t *testing.T) {
+	iter := func(body string) *ast.SelectStmt {
+		return parseStmt(t, `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges ITERATE `+body+
+			` UNTIL 3 ITERATIONS) SELECT k, v FROM t`)
+	}
+	t.Run("inner reference without an equijoin route", func(t *testing.T) {
+		prog, _, _ := deltaProgram()
+		stmt := iter(`SELECT t.k, MIN(n.v) FROM t JOIN t AS n ON n.v = t.v WHERE t.v > 0 GROUP BY t.k`)
+		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "no key-equijoin route")
+	})
+	t.Run("output column 0 is not the outer key", func(t *testing.T) {
+		prog, _, _ := deltaProgram()
+		stmt := iter(`SELECT t.k + 0, t.v FROM t WHERE t.v > 0`)
+		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "output column 0 is not the bare key")
+	})
+	t.Run("RIGHT JOIN in the chain", func(t *testing.T) {
+		prog, _, _ := deltaProgram()
+		stmt := iter(`SELECT t.k, t.v FROM t RIGHT JOIN edges AS e ON e.k = t.k WHERE t.v > 0`)
+		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "RIGHT JOIN")
+	})
+	t.Run("step without a recorded claim", func(t *testing.T) {
+		prog, _, _ := deltaProgram()
+		prog.AggClaims = nil
+		assertDiag(t, Check(prog, parseStmt(t, deltaSQL)), ClassUnsoundAggClaim, "without a licensed incremental claim")
+	})
 }
 
 // TestRejectsCorruptedDeltaPrograms: one constructor per delta
@@ -221,7 +264,7 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 			name: "full and restricted plans disagree on schema",
 			build: func() *core.Program {
 				prog, dm, _ := deltaProgram()
-				dm.Restricted = &plan.NamedResult{Name: "DeltaIn#t", Alias: "DeltaIn#t",
+				dm.Restricted = &plan.NamedResult{Name: "Frontier#t", Alias: "Frontier#t",
 					Cols: intCols("k", "v", "extra")}
 				return prog
 			},
@@ -619,10 +662,10 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 	copyBack.UseRename = false
 	parted := base
 	parted.Parts = 2
-	delta := base
-	delta.DeltaIteration = true
-	deltaParted := delta
-	deltaParted.Parts = 2
+	// The default options take the delta step on a licensed merge path;
+	// full keeps the plain merge-path shape under test.
+	full := base
+	full.Incremental = false
 
 	cases := []struct {
 		name string
@@ -634,21 +677,21 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 		{"updates termination", `WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL 3 UPDATES) SELECT i FROM c`, base},
 		{"data termination", `WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL ANY (i >= 4)) SELECT i FROM c`, base},
 		{"delta termination", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v FROM c UNTIL DELTA < 1) SELECT k, v FROM c`, base},
-		{"merge path", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, base},
+		{"merge path", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, full},
 		{"partitioned", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c UNTIL 2 ITERATIONS) SELECT k FROM c`, parted},
 		{"two iterative CTEs", `WITH ITERATIVE a (x) AS (SELECT 1 ITERATE SELECT x * 2 FROM a UNTIL 3 ITERATIONS),
 			b (y) AS (SELECT 10 ITERATE SELECT y + 1 FROM b UNTIL 2 ITERATIONS)
 			SELECT x, y FROM a, b`, base},
 		{"pushdown eligible", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c UNTIL 2 ITERATIONS) SELECT k FROM c WHERE k = 1`, base},
-		{"delta iteration, identity route", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, delta},
+		{"delta iteration, identity route", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, base},
 		{"delta iteration, propagation route", `WITH ITERATIVE s (node, dist) AS (
 			SELECT src, src + 0.0 FROM edges
 		 ITERATE SELECT s.node, MIN(n.dist + e.weight)
 		  FROM s LEFT JOIN edges AS e ON s.node = e.dst
 		    LEFT JOIN s AS n ON n.node = e.src
 		  WHERE e.weight < 10 GROUP BY s.node
-		 UNTIL 2 ITERATIONS) SELECT node FROM s`, delta},
-		{"delta iteration, partitioned", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, deltaParted},
+		 UNTIL 2 ITERATIONS) SELECT node FROM s`, base},
+		{"delta iteration, partitioned", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, parted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -667,7 +710,7 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 			if diags := Check(prog, stmt); len(diags) != 0 {
 				t.Errorf("rewritten program rejected: %v", diags)
 			}
-			if tc.opts.DeltaIteration {
+			if strings.HasPrefix(tc.name, "delta iteration") {
 				found := false
 				for _, s := range prog.Steps {
 					if _, ok := s.(*core.DeltaMaterializeStep); ok {

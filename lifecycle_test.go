@@ -259,30 +259,34 @@ func TestNonFiringContextIsInvisible(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesNoAccumulatorState: with incremental aggregate
-// maintenance on (the default), a mid-iteration cancel must not leak
-// the "Agg#"/"AggSnap#" accumulator slots into the engine's result
-// store — the loop epilogue that truncates them never runs on the
-// error path, so the run-end cleanup has to. A retried query on the
-// same engine would otherwise diff its first iteration against the
-// dead query's snapshot and serve stale groups; the retry runs with
-// the dynamic cross-check armed and must be byte-identical to a fresh
-// engine's answer.
+// TestCancelLeavesNoAccumulatorState: with incremental evaluation on
+// (the default), a mid-iteration cancel must not leak the slots the
+// restricted steps keep across the back-edge — "Agg#"/"AggSnap#" for
+// the maintenance step (PR), "Delta#" and the transient "Frontier#"
+// input for the delta step (SSSP) — into the engine's result store: the
+// loop epilogue that truncates them never runs on the error path, so
+// the run-end cleanup has to. A retried query on the same engine would
+// otherwise diff its first iteration against the dead query's snapshot
+// and serve stale groups; the retry runs with the dynamic cross-check
+// armed and must be byte-identical to a fresh engine's answer.
 func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 	for _, q := range []struct {
 		name      string
 		unbounded string
 		bounded   string
+		engaged   func(dbspinner.Stats) bool
 	}{
-		{"PR", bench.PRQuery(100000), bench.PRQuery(10)},
-		{"SSSP", bench.SSSPQuery(1, 100000), bench.SSSPQuery(1, 10)},
+		{"PR", bench.PRQuery(100000), bench.PRQuery(10),
+			func(s dbspinner.Stats) bool { return s.AggFullRows > 0 }},
+		{"SSSP", bench.SSSPQuery(1, 100000), bench.SSSPQuery(1, 10),
+			func(s dbspinner.Stats) bool { return s.RiInputRows < s.RiFullRows }},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			cfg := dbspinner.Config{CheckIncrementalAgg: true}
 			e := lifecycleEngine(t, 1, cfg)
-			// The canceled run must have exercised maintenance, or the
-			// leak check below is vacuous: under the race detector the
-			// first maintained iteration can outlast a short delay, so
+			// The canceled run must have exercised the restricted step, or
+			// the leak check below is vacuous: under the race detector the
+			// first restricted iteration can outlast a short delay, so
 			// cancel later until one has finished.
 			for _, delay := range []time.Duration{20 * time.Millisecond, 200 * time.Millisecond, 2 * time.Second} {
 				ctx, cancel := context.WithCancel(context.Background())
@@ -293,12 +297,15 @@ func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 				if !errors.Is(err, dbspinner.ErrQueryCanceled) {
 					t.Fatalf("err = %v, want ErrQueryCanceled", err)
 				}
-				if e.Stats().AggFullRows > 0 {
+				if q.engaged(e.Stats()) {
 					break
 				}
 			}
-			if e.Stats().AggFullRows == 0 {
-				t.Fatal("canceled run never engaged aggregate maintenance")
+			if !q.engaged(e.Stats()) {
+				t.Fatal("canceled run never engaged its restricted step")
+			}
+			if n := e.LiveResults(); n != 0 {
+				t.Errorf("%d intermediate results survived the cancel", n)
 			}
 			// Retry on the same engine: the cross-check fails the query
 			// if a stale accumulator survived the cancel, and parity
@@ -312,7 +319,7 @@ func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
-				t.Fatal("retry after cancel diverges from a fresh engine: accumulator state leaked")
+				t.Fatal("retry after cancel diverges from a fresh engine: state leaked across the cancel")
 			}
 		})
 	}

@@ -1,14 +1,15 @@
-// Oracle tests for the static aggregate decomposability analysis and
-// the incremental aggregate maintenance it licenses (internal/aggprop):
-// every workload query must return byte-identical ordered rows with
-// maintenance on and off across partition counts — with the dynamic
-// cross-check armed so a stale accumulator fails the query instead of
-// silently reshaping results — and on the converging workloads the
-// maintained runs must feed strictly fewer rows through the grouping
-// operator.
+// Oracle tests for incremental evaluation and the frontier license
+// behind it (internal/aggprop): every workload query must return
+// byte-identical ordered rows with incremental evaluation on and off
+// across partition counts and step schedulers — with the dynamic
+// cross-check armed so a stale cached group fails the query instead of
+// silently reshaping results — through the restricted step the query's
+// shape selects, and on the converging workloads that step must feed Ri
+// strictly fewer rows than the full plan reads.
 package dbspinner_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,12 +18,12 @@ import (
 	"dbspinner/internal/workload"
 )
 
-// incaggGraph is the deterministic dataset the maintenance oracle runs
+// incaggGraph is the deterministic dataset the incremental oracle runs
 // on: a 300-node preferential-attachment graph with the dblp-small
 // shape. The cyclic generator the shuffle oracle uses would keep every
 // PageRank delta live forever (every node sits on a cycle); the
 // scale-free graph has sources whose deltas die out, which is the
-// change frontier the maintenance exploits.
+// change frontier the restricted steps exploit.
 func incaggGraph() *workload.Graph {
 	return workload.PreferentialAttachment(300, 3, workload.WeightOutDegree, 42)
 }
@@ -37,8 +38,7 @@ func incaggRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinne
 	}
 	res, err := e.Query(sql)
 	if err != nil {
-		t.Fatalf("Partitions=%d DisableIncrementalAgg=%v CheckIncrementalAgg=%v: %v",
-			cfg.Partitions, cfg.DisableIncrementalAgg, cfg.CheckIncrementalAgg, err)
+		t.Fatalf("%+v: %v", cfg, err)
 	}
 	var b strings.Builder
 	for _, r := range res.Rows {
@@ -48,70 +48,136 @@ func incaggRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinne
 	return b.String(), e.Stats()
 }
 
-// TestIncrementalAggParityMatrix is the maintenance oracle gate: all
-// five workload queries x IncrementalAgg on/off x partition counts
-// {1, 4} must return byte-identical ordered rows — row order and float
-// SUM accumulation order included, which is the maintenance contract —
-// with the dynamic cross-check (Config.CheckIncrementalAgg) armed so a
-// divergent cached group fails the query. The aggregate-bearing
-// queries must actually engage maintenance (AggFullRows > 0) and feed
-// strictly fewer rows than the full re-fold; FF has no aggregate in
-// its iterative body, so the analysis has nothing to license there and
-// parity alone is the assertion. CI runs this under -race via the
-// root-package coverage in the Makefile.
+// TestIncrementalAggParityMatrix is the incremental-evaluation oracle
+// gate: {default, DisableIncremental} x partitions {1, 2, 4} x the five
+// workload queries x ParallelSteps {0, 2} must return byte-identical
+// ordered rows — row order and float SUM accumulation order included,
+// which is the contract — with the dynamic cross-check
+// (Config.CheckIncrementalAgg) armed so a divergent cached group fails
+// the query. Per query the step its shape selects must have engaged and
+// fed strictly fewer rows than the full plan reads: PR has no WHERE in
+// Ri (rename path), so maintenance; PR-VS, SSSP and SSSP-VS have one
+// (merge path), so the delta step; FF has neither an aggregate nor a
+// WHERE, so neither. Under Parallel neither engages on any query, and
+// EXPLAIN says why. CI runs this under -race via the root-package
+// coverage in the Makefile.
 func TestIncrementalAggParityMatrix(t *testing.T) {
+	engaged := map[string]string{"PR": "maintenance", "PR-VS": "delta", "SSSP": "delta", "SSSP-VS": "delta", "FF": ""}
 	for name, sql := range schedWorkloadQueries() {
 		t.Run(name, func(t *testing.T) {
-			for _, parts := range []int{1, 4} {
-				on := dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true}
-				off := dbspinner.Config{Partitions: parts, DisableIncrementalAgg: true}
-				gotOn, statsOn := incaggRun(t, on, sql)
-				gotOff, _ := incaggRun(t, off, sql)
-				if gotOn != gotOff {
-					t.Errorf("parts=%d: maintenance changes results:\n  on: %s\n off: %s", parts, gotOn, gotOff)
-				}
-				if name == "FF" {
-					if statsOn.AggFullRows != 0 {
-						t.Errorf("parts=%d: FF has no body aggregate but maintenance engaged (AggFullRows=%d)",
-							parts, statsOn.AggFullRows)
+			for _, parts := range []int{1, 2, 4} {
+				for _, steps := range []int{0, 2} {
+					on := dbspinner.Config{Partitions: parts, ParallelSteps: steps, CheckIncrementalAgg: true}
+					off := dbspinner.Config{Partitions: parts, ParallelSteps: steps, DisableIncremental: true}
+					gotOn, st := incaggRun(t, on, sql)
+					gotOff, stOff := incaggRun(t, off, sql)
+					if gotOn != gotOff {
+						t.Errorf("parts=%d steps=%d: incremental evaluation changes results:\n  on: %s\n off: %s", parts, steps, gotOn, gotOff)
 					}
-					continue
+					if stOff.RiFullRows != 0 || stOff.AggFullRows != 0 {
+						t.Errorf("parts=%d steps=%d: DisableIncremental still ran a restricted step: %+v", parts, steps, stOff)
+					}
+					delta, maint := st.RiFullRows > 0, st.AggFullRows > 0
+					if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
+						t.Errorf("parts=%d steps=%d: want the %q step; delta engaged=%v maintenance engaged=%v", parts, steps, want, delta, maint)
+					}
+					if delta && st.RiInputRows >= st.RiFullRows {
+						t.Errorf("parts=%d steps=%d: the delta step fed %d of %d rows; the frontier must shrink", parts, steps, st.RiInputRows, st.RiFullRows)
+					}
+					if maint && st.AggInputRows >= st.AggFullRows {
+						t.Errorf("parts=%d steps=%d: maintenance fed %d of %d rows; the frontier must shrink", parts, steps, st.AggInputRows, st.AggFullRows)
+					}
 				}
-				if statsOn.AggFullRows == 0 {
-					t.Errorf("parts=%d: maintenance never engaged on %s", parts, name)
-				}
-				if statsOn.AggInputRows >= statsOn.AggFullRows {
-					t.Errorf("parts=%d: maintenance fed %d of %d rows on %s; the frontier must shrink",
-						parts, statsOn.AggInputRows, statsOn.AggFullRows, name)
-				}
+			}
+			// The parallel machine keeps the full plan, and says so.
+			par := dbspinner.Config{Partitions: 4, Parallel: true, CheckIncrementalAgg: true}
+			gotPar, st := incaggRun(t, par, sql)
+			gotOff, _ := incaggRun(t, dbspinner.Config{Partitions: 4, Parallel: true, DisableIncremental: true}, sql)
+			if gotPar != gotOff {
+				t.Errorf("parallel: the switch changes results:\n  on: %s\n off: %s", gotPar, gotOff)
+			}
+			if st.RiFullRows != 0 || st.AggFullRows != 0 {
+				t.Errorf("parallel: a restricted step engaged: %+v", st)
+			}
+			e, err := bench.NewEngine(incaggGraph(), bench.Config{Partitions: 1, AvailFrac: 0.8}, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Explain(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, ": withheld: parallel machine.") {
+				t.Errorf("parallel: EXPLAIN does not say why the full plan runs:\n%s", out)
 			}
 		})
 	}
 }
 
-// TestIncrementalAggSavingsFloor pins the headline saving the analysis
-// is designed for: on PR and SSSP at 10 iterations, maintenance feeds
-// at least 40% fewer rows through the grouping operator once the
-// change frontier shrinks.
+// TestIncrementalAggSavingsFloor pins the headline saving the license
+// is designed for: on PR (maintenance step) and SSSP (delta step) at 10
+// iterations, the restricted step feeds Ri at least 40% fewer rows than
+// the full plan reads once the change frontier shrinks.
 func TestIncrementalAggSavingsFloor(t *testing.T) {
 	queries := schedWorkloadQueries()
 	for _, name := range []string{"PR", "SSSP"} {
 		t.Run(name, func(t *testing.T) {
 			sql := queries[name]
 			got, stats := incaggRun(t, dbspinner.Config{CheckIncrementalAgg: true}, sql)
-			want, _ := incaggRun(t, dbspinner.Config{DisableIncrementalAgg: true}, sql)
+			want, _ := incaggRun(t, dbspinner.Config{DisableIncremental: true}, sql)
 			if got != want {
-				t.Fatalf("maintenance changes results:\n  on: %s\n off: %s", got, want)
+				t.Fatalf("incremental evaluation changes results:\n  on: %s\n off: %s", got, want)
 			}
-			if stats.AggFullRows == 0 {
-				t.Fatal("maintenance never engaged; the measurement is vacuous")
+			full, fed := stats.AggFullRows, stats.AggInputRows
+			if name == "SSSP" {
+				full, fed = stats.RiFullRows, stats.RiInputRows
 			}
-			saved := float64(stats.AggFullRows-stats.AggInputRows) / float64(stats.AggFullRows)
-			t.Logf("%s: AggFullRows=%d AggInputRows=%d (saved %.1f%%)",
-				name, stats.AggFullRows, stats.AggInputRows, 100*saved)
+			if full == 0 {
+				t.Fatal("the restricted step never engaged; the measurement is vacuous")
+			}
+			saved := float64(full-fed) / float64(full)
+			t.Logf("%s: full=%d fed=%d (saved %.1f%%)", name, full, fed, 100*saved)
 			if saved < 0.40 {
-				t.Errorf("maintenance saves only %.1f%% of aggregate input rows (want >= 40%%): full=%d input=%d",
-					100*saved, stats.AggFullRows, stats.AggInputRows)
+				t.Errorf("the restricted step saves only %.1f%% of Ri's input rows (want >= 40%%): full=%d fed=%d",
+					100*saved, full, fed)
+			}
+		})
+	}
+}
+
+// TestAnyAggregateEngagesMaintenance: the three shapes a
+// decomposability lattice would refuse — MIN with no LEAST envelope,
+// MAX with no GREATEST envelope under UNTIL DELTA, COUNT(DISTINCT) —
+// are licensed like any other aggregate, because an affected key's
+// whole group is re-evaluated and an unaffected key's row reused
+// verbatim. On the rename path each must engage the maintenance step
+// and match the full plan byte for byte, cross-check armed.
+func TestAnyAggregateEngagesMaintenance(t *testing.T) {
+	const body = `WITH ITERATIVE c (node, val) AS (
+  SELECT src, src %% 7 FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
+ ITERATE SELECT c.node, %s
+  FROM c LEFT JOIN edges AS e ON c.node = e.dst
+    LEFT JOIN c AS n ON n.node = e.src
+  GROUP BY c.node, c.val
+ UNTIL %s) SELECT node, val FROM c ORDER BY node`
+	for name, sql := range map[string]string{
+		"MIN without envelope": fmt.Sprintf(body, "COALESCE(MIN(n.val), c.val)", "8 ITERATIONS"),
+		"MAX under DELTA":      fmt.Sprintf(body, "COALESCE(MAX(n.val), c.val)", "DELTA < 1"),
+		"COUNT DISTINCT":       fmt.Sprintf(body, "COUNT(DISTINCT n.val)", "6 ITERATIONS"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, parts := range []int{1, 4} {
+				got, st := incaggRun(t, dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true}, sql)
+				want, _ := incaggRun(t, dbspinner.Config{Partitions: parts, DisableIncremental: true}, sql)
+				if got != want {
+					t.Errorf("parts=%d: maintenance changes results:\n  on: %s\n off: %s", parts, got, want)
+				}
+				if st.AggFullRows == 0 {
+					t.Errorf("parts=%d: the maintenance step never engaged", parts)
+				}
+				if st.AggInputRows >= st.AggFullRows {
+					t.Errorf("parts=%d: maintenance fed %d of %d rows", parts, st.AggInputRows, st.AggFullRows)
+				}
 			}
 		})
 	}

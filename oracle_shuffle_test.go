@@ -151,7 +151,7 @@ func TestShuffleElisionSavingsFloor(t *testing.T) {
 // memo, so rows scanned, joined, indexed, grouped, fed to aggregates and
 // cells read back agree exactly — on PR-VS and SSSP-VS (every build-side
 // exchange elided: the build sides are tables read as they stand) and on
-// FF (no join), at 2 and 4 partitions. Incremental aggregates are off on
+// FF (no join), at 2 and 4 partitions. Incremental evaluation is off on
 // both sides (the MPP machine runs the full plan either way).
 //
 // Plain PR is the stated exception: its build side edges is stored by
@@ -163,7 +163,7 @@ func TestExecCountersAgreeAcrossExecutors(t *testing.T) {
 	queries := schedWorkloadQueries()
 	for _, name := range []string{"PR-VS", "SSSP-VS", "FF", "PR"} {
 		for _, parts := range []int{2, 4} {
-			cfg := dbspinner.Config{Partitions: parts, DisableIncrementalAgg: true}
+			cfg := dbspinner.Config{Partitions: parts, DisableIncremental: true}
 			_, volcano := shuffleRun(t, cfg, queries[name])
 			cfg.Parallel = true
 			_, mpp := shuffleRun(t, cfg, queries[name])

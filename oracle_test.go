@@ -292,9 +292,9 @@ SELECT node, friends FROM forecast ORDER BY node`
 	}
 	configs := []Config{
 		{Partitions: 2},
-		{Partitions: 2, DeltaIteration: true},
+		{Partitions: 2, DisableIncremental: true},
 		{Partitions: 2, DisableColumnPruning: true},
-		{Partitions: 2, DeltaIteration: true, DisableColumnPruning: true},
+		{Partitions: 2, DisableIncremental: true, DisableColumnPruning: true},
 	}
 	load := func(cfg Config) *Engine {
 		e := New(cfg)
