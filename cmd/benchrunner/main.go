@@ -56,6 +56,11 @@ func main() {
 	// regenerates bench-smoke.md from it. Every entry must name a
 	// registered runner — the check below fails the run otherwise, so a
 	// renamed experiment cannot silently drop out of the smoke doc.
+	// incremental, the first of them, prints per query which restricted
+	// step ran, the rows it fed Ri and in how many iterations it
+	// restricted; it fails on a row difference, on a query with no step
+	// installed, or when no query restricted in any iteration — not on a
+	// query that chose the full plan throughout (PR-VS does).
 	smokeSet := []string{"incremental", "pruning", "sched", "trace", "shuffle", "faults"}
 
 	want := map[string]bool{}

@@ -249,6 +249,13 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 		t.Errorf("degraded at iteration %d: Ri fed %d of %d rows, want %d of %d (full scans from the degradation on)",
 			k, s.RiInputRows, s.RiFullRows, wantFed, clean.RiFullRows)
 	}
+	// The trace says the same per iteration, and says why: the abandoned
+	// attempts' decisions were rewound with their spans.
+	for _, sp := range s.IterationTrace.Spans {
+		if degraded := sp.Ri == "full: degraded"; degraded != (sp.Iteration >= k) || (degraded && sp.Fed != sp.Full) {
+			t.Errorf("iteration %d (degraded at %d): fed %d of %d (%s)", sp.Iteration, k, sp.Fed, sp.Full, sp.Ri)
+		}
+	}
 }
 
 // TestNoDegradeStaysOnPlan: with NoDegrade set, exhausted attempts

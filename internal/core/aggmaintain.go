@@ -14,17 +14,20 @@ import (
 // re-running the full Ri plan. Across the back-edge it keeps two
 // result-store slots: Acc, the cached output table of the previous
 // iteration, and Snap, the CTE table that output was computed from.
-// Per iteration it diffs the current CTE against Snap, closes the
-// changed keys under the propagation rules (the same equijoin images
-// DeltaMaterializeStep uses), re-folds exactly the affected groups
-// through the restricted plan, and splices cached rows in for every
-// unaffected group — in CTE scan order, which the ordering contract
-// proves is the full plan's output order. Anything the diff cannot
-// certify (duplicate keys, unexpected restricted output) falls back
-// to the full plan for that iteration; results are byte-identical
-// either way. Both slots are tracked on the run context, so the
-// run-end cleanup — normal, error and cancellation paths alike —
-// drops them and no accumulator state leaks into a retried query.
+// Per iteration it finds the keys whose row differs from Snap — a
+// lockstep walk that can only say "too many", then the keyed diff that
+// certifies the set — and closes them under the propagation rules (the
+// same equijoin images DeltaMaterializeStep uses). When the affected
+// keys are at most half the CTE (Restriction.restrict) it re-folds
+// exactly those groups through the restricted plan and splices cached
+// rows in for every other group — in CTE scan order, which the ordering
+// contract proves is the full plan's output order. A denser frontier,
+// and anything the diff or the splice cannot certify (duplicate keys,
+// unexpected restricted output), runs the full plan for that iteration;
+// results are byte-identical either way. Both slots are tracked on the
+// run context, so the run-end cleanup — normal, error and cancellation
+// paths alike — drops them and no accumulator state leaks into a
+// retried query.
 type MaintainAggStep struct {
 	Restriction
 	Acc  string // cached previous output (Agg#cte)
@@ -47,10 +50,10 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 		return 0, err
 	}
 	acc := ctx.RT.Results.Get(m.Acc)
-	f, err := m.restrict(ctx, "aggregate maintenance", func(cte *storage.Table) *sqltypes.KeyTable {
+	f, err := m.restrict(ctx, "aggregate maintenance", func(cte *storage.Table) (*sqltypes.KeyTable, string) {
 		snap := ctx.RT.Results.Get(m.Snap)
 		if acc == nil || snap == nil {
-			return nil // first iteration
+			return nil, riFirst
 		}
 		return m.diff(cte, snap)
 	})
@@ -67,7 +70,11 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 		input = f.in
 	}
 	if out == nil {
-		// First iteration, a degraded run, or a dynamic fallback: full plan.
+		// The full plan: restrict chose it, or the splice could not
+		// certify what the restricted one returned.
+		if f.in != nil {
+			ctx.noteRi(riUncertified)
+		}
 		out, err = exec.MaterializeContext(ctx.Ctx, m.Full, ctx.RT, &ctx.Stats.Exec, m.Into, m.Parts)
 		if err != nil {
 			return 0, err
@@ -90,13 +97,62 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 }
 
 // diff returns the keys whose row differs between the current CTE and
-// the snapshot the cached output was computed from: new keys, keys
-// whose row changed, and keys that disappeared (their rows may feed
-// other groups through the inner references, so they propagate too).
-// Group-key stability makes "which groups changed" exactly this set.
-// nil means the tables are not key-identified (short rows, duplicate
-// keys) and the iteration must run the full plan.
-func (m *MaintainAggStep) diff(cteTable, snap *storage.Table) *sqltypes.KeyTable {
+// the snapshot the cached output was computed from, or nil and the
+// reason the iteration must run the full plan. The lockstep walk goes
+// first because it is cheap and can only say "dense", which selects the
+// plan that needs no certificate; every set of changed keys — the only
+// answer that lets a cached row stand in for a recomputed one — comes
+// from the keyed diff and its duplicate-key certification.
+func (m *MaintainAggStep) diff(cte, snap *storage.Table) (*sqltypes.KeyTable, string) {
+	if lockstepDense(cte, snap, m.Key) {
+		return nil, riDense
+	}
+	if changed := keyedDiff(cte, snap, m.Key); changed != nil {
+		return changed, ""
+	}
+	return nil, riUncertified
+}
+
+// lockstepDense reports whether the CTE differs from the snapshot in
+// more rows than a restricted iteration may feed, without hashing
+// either. Both tables come out of the same plan, so they normally hold
+// the same key at the same position of the same partition: walk them
+// side by side, count the positions whose rows differ, and answer true
+// the moment the count is dense. Where the tables stop lining up — a
+// different partition count, a position whose keys differ under the key
+// table's own equality, a partition the snapshot has fewer rows of — or
+// when they line up to the end below the bound, the answer is false,
+// which decides nothing: the keyed diff runs. A duplicate key counted
+// twice can only push the answer towards the full plan.
+func lockstepDense(cte, snap *storage.Table, key int) bool {
+	if len(cte.Parts) != len(snap.Parts) {
+		return false
+	}
+	differ, of := 0, cte.Len()
+	for p, part := range cte.Parts {
+		old := snap.Parts[p]
+		for i, r := range part {
+			if i >= len(old) || key >= len(r) || key >= len(old[i]) || !sqltypes.KeyEqual(r[key], old[i][key]) {
+				return false
+			}
+			if !old[i].Equal(r) {
+				if differ++; dense(differ, of) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// keyedDiff is the certified diff: new keys, keys whose row changed,
+// and keys that disappeared (their rows may feed other groups through
+// the inner references, so they propagate too). Group-key stability
+// makes "which groups changed" exactly this set. nil means the tables
+// are not key-identified (short rows, duplicate keys) and the iteration
+// must run the full plan. A variable only so the tests can seed the
+// mutant that skips the certification; nothing else assigns it.
+var keyedDiff = func(cteTable, snap *storage.Table, key int) *sqltypes.KeyTable {
 	// One key table holds both sides: the snapshot's keys take ids
 	// 0..len(old)-1, keys only the current CTE has take the ids after.
 	// old[id] is the snapshot row of key id, cur[id] its current row
@@ -105,10 +161,10 @@ func (m *MaintainAggStep) diff(cteTable, snap *storage.Table) *sqltypes.KeyTable
 	var old []sqltypes.Row
 	for _, part := range snap.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
+			if key >= len(r) {
 				return nil
 			}
-			if id, added := keys.Insert(r[m.Key : m.Key+1]); added {
+			if id, added := keys.Insert(r[key : key+1]); added {
 				old = append(old, r)
 			} else {
 				old[id] = r
@@ -119,28 +175,28 @@ func (m *MaintainAggStep) diff(cteTable, snap *storage.Table) *sqltypes.KeyTable
 	changed := sqltypes.NewKeyTable(1, 0)
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
+			if key >= len(r) {
 				return nil
 			}
-			key := r[m.Key : m.Key+1]
-			id, added := keys.Insert(key)
+			k := r[key : key+1]
+			id, added := keys.Insert(k)
 			switch {
 			case added:
 				cur = append(cur, r)
-				changed.Insert(key)
+				changed.Insert(k)
 			case cur[id] != nil:
 				return nil // duplicate keys: groups not key-identified
 			default:
 				cur[id] = r
 				if !old[id].Equal(r) {
-					changed.Insert(key)
+					changed.Insert(k)
 				}
 			}
 		}
 	}
 	for id, r := range old {
 		if cur[id] == nil {
-			changed.Insert(r[m.Key : m.Key+1])
+			changed.Insert(r[key : key+1])
 		}
 	}
 	return changed

@@ -13,7 +13,8 @@ import (
 // iteration on the merge path. On the first iteration (and whenever no
 // changed-key set is available) it evaluates the full Ri plan;
 // afterwards it restricts Ri's outer scan to the keys the previous
-// merge changed plus their images under the propagation rules. The
+// merge changed plus their images under the propagation rules, as long
+// as those are at most half the CTE (Restriction.restrict). The
 // paired MergeStep carries every key the working table does not
 // mention forward unchanged, which is what makes leaving them out
 // sound.
@@ -28,11 +29,11 @@ func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
 	if err := ctx.Checkpoint(self); err != nil {
 		return 0, err
 	}
-	f, err := d.restrict(ctx, "delta materialize", func(*storage.Table) *sqltypes.KeyTable {
+	f, err := d.restrict(ctx, "delta materialize", func(*storage.Table) (*sqltypes.KeyTable, string) {
 		if d.Loop == nil {
-			return nil
+			return nil, riFirst
 		}
-		return d.Loop.changedKeys
+		return d.Loop.changedKeys, riFirst // nil until the first merge has run
 	})
 	if err != nil {
 		return 0, err

@@ -118,7 +118,7 @@ func TestDeltaRewriteShape(t *testing.T) {
 		"propagate via edges[0->1]",
 		"Frontier#sssp",
 		"materialize changed rows into Delta#sssp",
-		"Incremental sssp: licensed, delta step at step 3; aggregates MIN.",
+		"Incremental sssp: licensed, delta step at step 3; per iteration: restricted while the affected keys are at most half of sssp; aggregates MIN.",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("explain missing %q:\n%s", frag, out)

@@ -86,9 +86,15 @@ func (e IterationEstimate) String() string {
 // restrictedFraction is the planning guess for how much of a full Ri
 // evaluation a restricted one costs: the affected keys are typically a
 // fraction of the CTE, but the optimizer has no cardinality feedback
-// yet, so charge half. Runtime truth is reported by Stats.RiFullRows vs
-// Stats.RiInputRows (delta step) and Stats.AggFullRows vs
-// Stats.AggInputRows (maintenance step).
+// yet, so charge half. The guess is not what decides at run time: there
+// the step measures the frontier each iteration and runs the full plan
+// once more than half the keys are affected (dense, restriction.go), so
+// an installed step is never charged more than a full evaluation plus
+// the walk that found the frontier dense — the planner's half is the
+// same number read as an expectation, and stays a guess. Runtime truth
+// is reported by Stats.RiFullRows vs Stats.RiInputRows (delta step) and
+// Stats.AggFullRows vs Stats.AggInputRows (maintenance step), and per
+// iteration by IterationSpan.Fed, Full and Ri.
 const restrictedFraction = 0.5
 
 // CostEstimate is a coarse per-query cost in abstract units: the cost
@@ -132,8 +138,8 @@ func (p *Program) CostEstimate() float64 {
 			}
 		}
 		if restrictionOf(s) != nil && times > 1 {
-			// First iteration evaluates the full plan, later ones only
-			// the affected keys.
+			// First iteration evaluates the full plan, later ones the
+			// affected keys, or the full plan again when those are dense.
 			cost += 1 + (times-1)*restrictedFraction
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 // converge analysis could not prove (Unknown verdicts), and the
 // recursive-CTE fixed-point cap. Detect it with errors.Is and recover
 // the details with errors.As on *IterationCapError.
+//
 //lint:ignore coreerrors sentinel matched by errors.Is; IterationCapError carries the CTE and cap
 var ErrIterationCapExceeded = errors.New("iteration cap exceeded")
 

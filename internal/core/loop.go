@@ -124,8 +124,7 @@ func (s *UpdateLoopStep) Run(ctx *Context, self int) (int, error) {
 		// The iteration boundary: record wall clock since the previous
 		// boundary, the rows written this iteration, and the frontier
 		// the identification pass found (0 on the rename path).
-		now := traceCounts{ctx.Stats.UpdatedRows, ctx.Stats.Exec.RowsScanned, ctx.Stats.Exec.RowsIndexed}
-		ctx.Trace.noteIteration(s.Loop.iterations, now, s.Loop.lastUpdate)
+		ctx.Trace.noteIteration(s.Loop.iterations, countsOf(ctx.Stats), s.Loop.lastUpdate)
 	}
 	return self + 1, nil
 }

@@ -286,6 +286,14 @@ func (c *Context) degradeOnce() bool {
 // the full Ri plan once the ladder has been descended.
 func (c *Context) degraded() bool { return c.degrade != rungNone }
 
+// noteRi hands a restricted step's per-iteration decision to the trace;
+// untraced runs pay the nil check.
+func (c *Context) noteRi(ri string) {
+	if c.Trace != nil {
+		c.Trace.noteRi(ri)
+	}
+}
+
 // Checkpoint is the cooperative cancellation point every step consults
 // on entry: it reports a QueryLifecycleError naming the iteration and
 // step reached when the query's context has fired, nil otherwise. self
@@ -644,7 +652,8 @@ func (p *Program) Explain() string {
 			}
 		}
 		if kind != "" {
-			fmt.Fprintf(&b, "licensed, %s step at step %d", kind, c.Step)
+			fmt.Fprintf(&b, "licensed, %s step at step %d; per iteration: restricted while the affected keys are at most half of %s",
+				kind, c.Step, c.CTE)
 		} else {
 			b.WriteString(c.Reason)
 		}

@@ -40,6 +40,15 @@ import (
 //     parallel run with more than one partition (measured: on the MPP
 //     machine the restricted form costs more than it saves).
 //
+// An installed step still chooses per iteration, from the frontier it
+// has just measured: the restricted plan while the affected keys are at
+// most half the CTE's, the full plan otherwise (restrict, dense).
+// Finding and feeding the frontier costs passes whose price does not
+// shrink with it, so past that point the full plan is the cheaper way
+// to the same rows. The full plan needs no certificate, so the choice
+// needs no analysis; the step carries nothing across the back-edge for
+// it.
+//
 // Results are identical on every path — row order and float
 // accumulation order included.
 
@@ -145,45 +154,87 @@ type frontier struct {
 	affected *sqltypes.KeyTable
 }
 
-// restrict is the run-time half of a Restriction. changed yields the
-// keys that differ from the previous iteration, or nil when the step
-// cannot tell (first iteration, uncertifiable state); the affected set
-// is their closure under Props, and the CTE rows carrying an affected
-// key are bound under In (partition layout preserved, no rehashing) for
-// the restricted plan. The caller drops In when frontier.in is set.
+// What an iteration of a restricted step did with Ri, as the trace
+// reports it (IterationSpan.Ri): the restricted plan, or the full plan
+// and the one reason it ran.
+const (
+	riRestricted  = "restricted"
+	riFirst       = "full: first iteration"
+	riDense       = "full: dense frontier"
+	riUncertified = "full: not certified"
+	riDegraded    = "full: degraded"
+)
+
+// dense is the per-iteration choice between the two forms of Ri: n
+// affected keys of a CTE of `of` rows are too many to restrict when they
+// are more than half of it. Restricting costs a filter pass over the
+// CTE, a scan of each propagation table and, on the rename path, a diff
+// and a splice, whatever the frontier's size — measured at 0.3-0.5 of a
+// full Ri (PageRank on the benchmark graph fed 93% of the keys and ran
+// 1.25x a full iteration; SSSP-VS fed 71% and ran 1.18x) — so it pays
+// only below roughly half the keys, where it pays well (SSSP on
+// dblp-small feeds a tenth of the rows and runs 2.5x faster). A
+// variable only so the tests can seed the mutant that never answers
+// true; nothing else assigns it.
+var dense = func(n, of int) bool { return 2*n > of }
+
+// restrict is the run-time half of a Restriction, and the one place the
+// form of Ri is chosen. changed yields the keys that differ from the
+// previous iteration, or nil and the reason the step cannot restrict
+// (first iteration, uncertifiable state, a frontier already known to be
+// dense); the affected set is their closure under Props, and when it is
+// not dense the CTE rows carrying an affected key are bound under In
+// (partition layout preserved, no rehashing) for the restricted plan.
+// The caller drops In when frontier.in is set. Every other outcome is
+// the full-plan frontier: nothing bound, nothing cached consulted. The
+// rule is applied as soon as its answer is known — the changed keys are
+// a subset of the affected ones, so a dense changed set skips the
+// closure, and the closure stops growing at the bound.
 //
 // A degraded context (the retry driver's graceful-degradation ladder)
 // never restricts: the ladder's first rung switches off everything that
 // carries state across the back-edge, and the full plan is
 // byte-identical by the license.
-func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *storage.Table) *sqltypes.KeyTable) (frontier, error) {
+func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *storage.Table) (*sqltypes.KeyTable, string)) (frontier, error) {
 	f := frontier{cte: ctx.RT.Results.Get(r.CTE)}
 	if f.cte == nil {
 		return f, fmt.Errorf("%s %s: result %q not found", what, r.Into, r.CTE)
 	}
 	if ctx.degraded() {
+		ctx.noteRi(riDegraded)
 		return f, nil
 	}
-	keys := changed(f.cte)
-	if keys == nil {
-		return f, nil
+	affected, why := changed(f.cte)
+	if affected != nil {
+		var err error
+		if affected, err = affectedKeys(ctx, affected, r.Props, f.cte.Len(), what); err != nil {
+			return f, err
+		}
+		why = riDense // the one reason the closure comes back nil
 	}
-	affected, err := affectedKeys(ctx, keys, r.Props, what)
-	if err != nil {
-		return f, err
+	if affected == nil {
+		ctx.noteRi(why)
+		return f, nil
 	}
 	f.affected = affected
 	f.in = exec.FilterTableByKey(f.cte, r.Key, affected, r.In, &ctx.Stats.Exec)
 	ctx.RT.Results.Put(r.In, f.in)
+	ctx.noteRi(riRestricted)
 	return f, nil
 }
 
 // affectedKeys is changed ∪ propagate(changed): for each rule, base
 // rows whose From column holds a changed key mark their To column's
 // value affected. Over-approximation is safe; missing a key is not,
-// which is what the license guarantees against. what names the caller
-// in errors.
-func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop, what string) (*sqltypes.KeyTable, error) {
+// which is what the license guarantees against. It returns nil as soon
+// as the set is dense in a CTE of `of` rows: before any scan when the
+// changed keys alone are, and mid-scan when the set grows past the
+// bound — the rest could only add to it. what names the caller in
+// errors.
+func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop, of int, what string) (*sqltypes.KeyTable, error) {
+	if dense(changed.Len(), of) {
+		return nil, nil
+	}
 	affected := sqltypes.NewKeyTable(1, 2*changed.Len())
 	for id := 0; id < changed.Len(); id++ {
 		affected.Insert(changed.Key(id))
@@ -199,8 +250,11 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 				if p.From >= len(r) || p.To >= len(r) {
 					continue
 				}
-				if changed.Find(r[p.From:p.From+1]) >= 0 {
-					affected.Insert(r[p.To : p.To+1])
+				if changed.Find(r[p.From:p.From+1]) < 0 {
+					continue
+				}
+				if _, added := affected.Insert(r[p.To : p.To+1]); added && dense(affected.Len(), of) {
+					return nil, nil
 				}
 			}
 		}
@@ -222,7 +276,7 @@ func (r *Restriction) explain(b *strings.Builder) string {
 	for _, p := range r.Props {
 		fmt.Fprintf(b, "; propagate via %s[%d->%d]", p.Table, p.From, p.To)
 	}
-	b.WriteString("; full plan on the first iteration) with:\n")
+	b.WriteString("; full plan on the first iteration and on a dense frontier) with:\n")
 	b.WriteString(strings.TrimRight(indent(plan.ExplainTree(r.Restricted), "  "), "\n"))
 	return b.String()
 }

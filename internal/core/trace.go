@@ -10,8 +10,9 @@ import (
 // IterationTrace is the runtime trace of one traced execution
 // (Options.Trace, Config.TraceIterations, EXPLAIN ANALYZE): one span
 // per loop iteration — wall clock, rows written to working tables, the
-// delta-frontier size the iteration's identification pass found, and
-// the rows the executors scanned and inserted into join hash indexes —
+// delta-frontier size the iteration's identification pass found, the
+// rows the executors scanned and inserted into join hash indexes, and
+// which form of Ri an incremental step chose with the rows it fed —
 // plus the cumulative wall clock of every step. It is
 // captured on the same cooperative checkpoints the cancellation
 // plumbing polls, so tracing adds no extra synchronization points;
@@ -40,13 +41,24 @@ type IterationTrace struct {
 	started  time.Time
 	boundary time.Time
 	last     traceCounts
+	// ri is the running iteration's Ri decision, waiting for its span.
+	ri string
 }
 
 // traceCounts are the cumulative counters a span reports the growth of:
-// Stats.UpdatedRows and Exec.RowsScanned / RowsIndexed as they stood at
-// the previous iteration boundary.
+// Stats.UpdatedRows, Exec.RowsScanned / RowsIndexed and the rows the
+// incremental steps fed Ri (RiInputRows+AggInputRows) of what the full
+// plan reads (RiFullRows+AggFullRows), as they stood at the previous
+// iteration boundary.
 type traceCounts struct {
-	updated, scanned, indexed int64
+	updated, scanned, indexed, fed, full int64
+}
+
+func countsOf(s *Stats) traceCounts {
+	return traceCounts{
+		updated: s.UpdatedRows, scanned: s.Exec.RowsScanned, indexed: s.Exec.RowsIndexed,
+		fed: s.RiInputRows + s.AggInputRows, full: s.RiFullRows + s.AggFullRows,
+	}
 }
 
 // IterationSpan is the trace record of one loop iteration.
@@ -69,6 +81,17 @@ type IterationSpan struct {
 	// exec.Stats.RowsScanned and RowsIndexed): a build side the loop does
 	// not change shows in the first span only.
 	Scanned, Indexed int64
+	// Fed and Full are the CTE rows the iteration's incremental step fed
+	// Ri's outer reference and the rows the full plan reads there (the
+	// growth of Stats.RiInputRows+AggInputRows and RiFullRows+
+	// AggFullRows); both 0 when the loop has no such step.
+	Fed, Full int64
+	// Ri says which form of Ri that step chose and, for the full plan,
+	// the one reason: "restricted", "full: first iteration", "full: dense
+	// frontier" (more than half the keys affected), "full: not
+	// certified" (duplicate keys, restricted output outside the
+	// frontier), "full: degraded". Empty when the loop has no such step.
+	Ri string
 }
 
 // RetryRecord is the trace record of one checkpoint retry.
@@ -112,9 +135,22 @@ func (t *IterationTrace) noteIteration(iter int, now traceCounts, frontier int64
 		Frontier:  frontier,
 		Scanned:   now.scanned - t.last.scanned,
 		Indexed:   now.indexed - t.last.indexed,
+		Fed:       now.fed - t.last.fed,
+		Full:      now.full - t.last.full,
+		Ri:        t.ri,
 	})
+	t.ri = ""
 	t.last = now
 	t.boundary = at
+	t.mu.Unlock()
+}
+
+// noteRi records which form of Ri the running iteration's incremental
+// step chose; the last word before the boundary stands (a splice that
+// cannot certify the restricted output overrides "restricted").
+func (t *IterationTrace) noteRi(ri string) {
+	t.mu.Lock()
+	t.ri = ri
 	t.mu.Unlock()
 }
 
@@ -153,6 +189,7 @@ func (t *IterationTrace) rewind(spans int, last traceCounts) {
 		t.Spans = t.Spans[:spans]
 	}
 	t.last = last
+	t.ri = ""
 	t.boundary = time.Now()
 	t.mu.Unlock()
 }
@@ -170,8 +207,12 @@ func (t *IterationTrace) finish(rows int) {
 func (t *IterationTrace) Render() string {
 	var b strings.Builder
 	for _, s := range t.Spans {
-		fmt.Fprintf(&b, "Iteration %d: %s wall, %d rows, frontier %d, scanned %d, indexed %d.\n",
+		fmt.Fprintf(&b, "Iteration %d: %s wall, %d rows, frontier %d, scanned %d, indexed %d",
 			s.Iteration, s.Wall, s.Rows, s.Frontier, s.Scanned, s.Indexed)
+		if s.Ri != "" {
+			fmt.Fprintf(&b, ", fed %d of %d (%s)", s.Fed, s.Full, s.Ri)
+		}
+		b.WriteString(".\n")
 	}
 	for _, r := range t.Retries {
 		fmt.Fprintf(&b, "Retry iteration %d: step %d failed (%s), re-ran on the %s plan.\n", r.Iteration, r.Step, r.Err, r.Rung)

@@ -49,13 +49,13 @@ func TestBarrier(t *testing.T) {
 // a Common#k block), the loop init, and a loop body.
 func testSets() []Set {
 	return []Set{
-		{Writes: []string{"cte"}},                             // 0
-		{Writes: []string{"Common#1"}},                        // 1
-		{Control: true, LoopWrites: []string{"loop#1"}},       // 2
-		{Reads: []string{"cte", "Common#1"}, Writes: []string{"work"}}, // 3
-		{Reads: []string{"cte", "work"}, Writes: []string{"merge"}},    // 4
+		{Writes: []string{"cte"}},                                                     // 0
+		{Writes: []string{"Common#1"}},                                                // 1
+		{Control: true, LoopWrites: []string{"loop#1"}},                               // 2
+		{Reads: []string{"cte", "Common#1"}, Writes: []string{"work"}},                // 3
+		{Reads: []string{"cte", "work"}, Writes: []string{"merge"}},                   // 4
 		{Reads: []string{"merge"}, Writes: []string{"cte"}, Frees: []string{"merge"}}, // 5
-		{Control: true, LoopReads: []string{"loop#1"}},        // 6
+		{Control: true, LoopReads: []string{"loop#1"}},                                // 6
 	}
 }
 

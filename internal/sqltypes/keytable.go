@@ -122,14 +122,17 @@ func (t *KeyTable) grow() {
 
 func keysEqual(a, b []Value) bool {
 	for i := range a {
-		if !keyValueEqual(a[i], b[i]) {
+		if !KeyEqual(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-func keyValueEqual(a, b Value) bool {
+// KeyEqual is the table's equality on one key column, for code that
+// must agree with it without building a table: NULL = NULL, 1 = 1.0,
+// NaN = NaN, -0 = +0, integers compared exactly.
+func KeyEqual(a, b Value) bool {
 	if a.IsNull() || b.IsNull() {
 		return a.IsNull() && b.IsNull()
 	}
@@ -168,7 +171,7 @@ const (
 )
 
 // valueHashBits returns the pre-mix hash input of one value: equal
-// values (in keyValueEqual's sense) give equal bits.
+// values (in KeyEqual's sense) give equal bits.
 func valueHashBits(v Value) uint64 {
 	switch v.T {
 	case Int:

@@ -4,8 +4,9 @@
 // across partition counts and step schedulers — with the dynamic
 // cross-check armed so a stale cached group fails the query instead of
 // silently reshaping results — through the restricted step the query's
-// shape selects, and on the converging workloads that step must feed Ri
-// strictly fewer rows than the full plan reads.
+// shape selects, which must choose the restricted or the full plan in
+// each iteration exactly as the frontier's size dictates, the same at
+// every partition count and under both step schedulers.
 package dbspinner_test
 
 import (
@@ -48,26 +49,53 @@ func incaggRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinne
 	return b.String(), e.Stats()
 }
 
+// riDecisions renders a traced run's per-iteration choice of Ri, one
+// letter each: F the full plan on the first iteration, R the restricted
+// plan, D the full plan on a dense frontier; any other reason in full.
+func riDecisions(tr *dbspinner.IterationTrace) string {
+	if tr == nil {
+		return ""
+	}
+	letters := map[string]string{"full: first iteration": "F", "restricted": "R", "full: dense frontier": "D", "": "-"}
+	var b strings.Builder
+	for _, s := range tr.Spans {
+		l, ok := letters[s.Ri]
+		if !ok {
+			l = "[" + s.Ri + "]"
+		}
+		b.WriteString(l)
+	}
+	return b.String()
+}
+
 // TestIncrementalAggParityMatrix is the incremental-evaluation oracle
 // gate: {default, DisableIncremental} x partitions {1, 2, 4} x the five
 // workload queries x ParallelSteps {0, 2} must return byte-identical
 // ordered rows — row order and float SUM accumulation order included,
 // which is the contract — with the dynamic cross-check
 // (Config.CheckIncrementalAgg) armed so a divergent cached group fails
-// the query. Per query the step its shape selects must have engaged and
-// fed strictly fewer rows than the full plan reads: PR has no WHERE in
-// Ri (rename path), so maintenance; PR-VS, SSSP and SSSP-VS have one
-// (merge path), so the delta step; FF has neither an aggregate nor a
-// WHERE, so neither. Under Parallel neither engages on any query, and
-// EXPLAIN says why. CI runs this under -race via the root-package
-// coverage in the Makefile.
+// the query. Per query the step its shape selects must be the one that
+// ran: PR has no WHERE in Ri (rename path), so maintenance; PR-VS, SSSP
+// and SSSP-VS have one (merge path), so the delta step; FF has neither
+// an aggregate nor a WHERE, so neither. And per iteration that step
+// must have chosen as pinned below — the choice is a function of key
+// counts, never of layout, so one sequence per query holds at every
+// partition count and under both schedulers. On this graph PR's
+// frontier is dense for three iterations and thin from the fifth, and
+// SSSP's wave never reaches half the keys; PR-VS keeps most of its keys
+// changing throughout, so after the first iteration it must run the
+// full plan every time and feed every row.
+// Under Parallel neither step engages on any query, and EXPLAIN says
+// why. CI runs this under -race via the root-package coverage in the
+// Makefile.
 func TestIncrementalAggParityMatrix(t *testing.T) {
 	engaged := map[string]string{"PR": "maintenance", "PR-VS": "delta", "SSSP": "delta", "SSSP-VS": "delta", "FF": ""}
+	decisions := map[string]string{"PR": "FDDDRRRRRR", "PR-VS": "FDDDDDDDDD", "SSSP": "FRRRRRRRRR", "SSSP-VS": "FRRRRRRRRR", "FF": "----------"}
 	for name, sql := range schedWorkloadQueries() {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
 				for _, steps := range []int{0, 2} {
-					on := dbspinner.Config{Partitions: parts, ParallelSteps: steps, CheckIncrementalAgg: true}
+					on := dbspinner.Config{Partitions: parts, ParallelSteps: steps, CheckIncrementalAgg: true, TraceIterations: true}
 					off := dbspinner.Config{Partitions: parts, ParallelSteps: steps, DisableIncremental: true}
 					gotOn, st := incaggRun(t, on, sql)
 					gotOff, stOff := incaggRun(t, off, sql)
@@ -81,11 +109,15 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 					if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
 						t.Errorf("parts=%d steps=%d: want the %q step; delta engaged=%v maintenance engaged=%v", parts, steps, want, delta, maint)
 					}
-					if delta && st.RiInputRows >= st.RiFullRows {
-						t.Errorf("parts=%d steps=%d: the delta step fed %d of %d rows; the frontier must shrink", parts, steps, st.RiInputRows, st.RiFullRows)
+					got := riDecisions(st.IterationTrace)
+					if got != decisions[name] {
+						t.Errorf("parts=%d steps=%d: Ri per iteration %s, want %s", parts, steps, got, decisions[name])
 					}
-					if maint && st.AggInputRows >= st.AggFullRows {
-						t.Errorf("parts=%d steps=%d: maintenance fed %d of %d rows; the frontier must shrink", parts, steps, st.AggInputRows, st.AggFullRows)
+					// The counters must tell the same story as the trace:
+					// fewer rows fed exactly when some iteration restricted.
+					fed, full := st.RiInputRows+st.AggInputRows, st.RiFullRows+st.AggFullRows
+					if restricted := strings.Contains(got, "R"); restricted != (fed < full) {
+						t.Errorf("parts=%d steps=%d: fed %d of %d rows over %s", parts, steps, fed, full, got)
 					}
 				}
 			}
