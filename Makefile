@@ -143,10 +143,13 @@ check: fmt vet lint build test fuzz-seed bench-check race
 # restricted step ran, the Ri rows it was fed against the full count and
 # in how many iterations it restricted, and fails if a query installed
 # no step or no query restricted anywhere (one that chose the full plan
-# in every iteration, as PR-VS does, is not a failure); pruning asserts
-# the materialized-cell reduction on PR-VS, and sched prints the region-DAG shape (width, critical
-# path) next to the wall-clock and asserts at least one schedule has
-# width > 1. trace runs PR and SSSP with iteration tracing on and off,
+# in every iteration, as PR-VS does, is not a failure); pruning prints
+# the cells written into and read back from intermediate results per
+# iteration, full width and pruned, and fails if PR-VS moves less than
+# 10% fewer pruned (it measures 15%; 30% before the index memo took the
+# per-iteration re-read of Common#1 out of both arms), and sched prints
+# the region-DAG shape (width, critical path) next to the wall-clock and
+# asserts at least one schedule has width > 1. trace runs PR and SSSP with iteration tracing on and off,
 # asserts identical results plus one span per iteration, and fails if
 # the traced run leaves the noise band of the untraced one. shuffle
 # runs every workload query with shuffle elision on and off, prints

@@ -349,6 +349,14 @@ type Stats struct {
 	ShufflesElided int64
 	RowsElided     int64
 
+	// Exchange skew (Parallel mode): RowsRouted is the part of
+	// RowsShuffled that hash exchanges routed, RowsToBusiest the rows the
+	// fullest destination of each exchange received, summed.
+	// RowsToBusiest x Partitions / RowsRouted is 1 when every partition
+	// gets the same share of every exchange and Partitions when one gets
+	// it all; the traced iteration lines print it per iteration.
+	RowsRouted, RowsToBusiest int64
+
 	// IterationTrace is the runtime trace of the most recent traced
 	// iterative query (Config.TraceIterations or EXPLAIN ANALYZE); nil
 	// when no traced query has run.
@@ -522,6 +530,8 @@ func (e *Engine) querySelect(ctx context.Context, sel *ast.SelectStmt) (res *Res
 			m.Ctx = ctx
 			rows, err = m.Run(node)
 			e.stats.RowsShuffled += ms.RowsShuffled
+			e.stats.RowsRouted += ms.RowsRouted
+			e.stats.RowsToBusiest += ms.RowsToBusiest
 		} else {
 			rows, err = exec.RunContext(ctx, node, e.rt, &es)
 		}
@@ -539,6 +549,8 @@ func (e *Engine) absorbCoreStats(cs *core.Stats) {
 	e.stats.RowsShuffled += cs.RowsShuffled
 	e.stats.ShufflesElided += cs.ShufflesElided
 	e.stats.RowsElided += cs.RowsElided
+	e.stats.RowsRouted += cs.RowsRouted
+	e.stats.RowsToBusiest += cs.RowsToBusiest
 	e.stats.Renames += int64(cs.Renames)
 	e.stats.MovedRows += cs.MovedRows
 	e.stats.CommonBlocks += int64(cs.CommonBlocks)

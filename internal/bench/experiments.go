@@ -369,9 +369,9 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 // hoisting and liveness-driven truncation vs full-width
 // materialization. The run fails if the two modes disagree on a single
 // row; the interesting metric is materialized cells (rows x columns)
-// moved per iteration — written into intermediate results plus read
-// back out of them — which the pruned plans must cut by at least 20%
-// on PR-VS.
+// moved per iteration — written into intermediate results and read
+// back out of them, reported apart — which the pruned plans must cut by
+// at least 10% on PR-VS.
 func PruningComparison(cfg Config) (*Experiment, error) {
 	cfg = cfg.withDefaults()
 	g, err := dataset(cfg)
@@ -388,7 +388,7 @@ func PruningComparison(cfg Config) (*Experiment, error) {
 	exp := &Experiment{
 		ID:      "pruning",
 		Title:   fmt.Sprintf("Column pruning and liveness truncation (%s, %d iterations)", cfg.Preset, cfg.Iterations),
-		Headers: []string{"query", "full", "pruned", "speedup", "cells/iter (full)", "cells/iter (pruned)", "cells saved"},
+		Headers: []string{"query", "full", "pruned", "speedup", "written/iter (full)", "written/iter (pruned)", "read/iter (full)", "read/iter (pruned)", "cells saved"},
 	}
 	for _, query := range queries {
 		fullRows, fullTime, fullStats, err := deltaRun(g, cfg, dbspinner.Config{DisableColumnPruning: true}, query.sql)
@@ -408,17 +408,25 @@ func PruningComparison(cfg Config) (*Experiment, error) {
 			return nil, fmt.Errorf("no materialized cells counted on %s", query.name)
 		}
 		saved := 100 * (1 - float64(prunedCells)/float64(fullCells))
-		if query.name == "PR-VS" && saved < 20 {
-			return nil, fmt.Errorf("column pruning moved only %.1f%% fewer cells on PR-VS, expected at least 20%%", saved)
+		// The floor is restated from the measurement: at -scale 300 with 5
+		// iterations PR-VS moves 15.0% fewer cells pruned (14,420 → 12,255
+		// written, 14,360 → 12,195 read per query). It was 30% while the
+		// full-width arm read Common#1's build side, pruned columns and
+		// all, once per iteration; since the run-scoped index memo both
+		// arms read it once per query, so the share pruning can save
+		// shrank. Under 10% a pruned column has come back.
+		if query.name == "PR-VS" && saved < 10 {
+			return nil, fmt.Errorf("column pruning moved only %.1f%% fewer cells on PR-VS, expected at least 10%%", saved)
 		}
 		iters := int64(cfg.Iterations)
 		exp.Rows = append(exp.Rows, []string{
 			query.name, ms(fullTime), ms(prunedTime), speedup(fullTime, prunedTime),
-			fmt.Sprint(fullCells / iters), fmt.Sprint(prunedCells / iters),
+			fmt.Sprint(fullStats.MaterializedCells / iters), fmt.Sprint(prunedStats.MaterializedCells / iters),
+			fmt.Sprint(fullStats.ResultCellsRead / iters), fmt.Sprint(prunedStats.ResultCellsRead / iters),
 			fmt.Sprintf("%.0f%%", saved),
 		})
 	}
-	exp.Notes = "Results are asserted identical row for row. 'Cells' counts rows x columns written into intermediate results plus read back from them, summed over the run; the pruned plans materialize only live columns and truncate results at their last use."
+	exp.Notes = "Results are asserted identical row for row. 'Written' counts rows x columns written into intermediate results, 'read' the cells read back from them, both summed over the run and divided by the iterations; 'cells saved' is over their sum. The pruned plans materialize only live columns and truncate results at their last use. A join build side the loop does not change is read once per query (the index memo), pruned or not."
 	return exp, nil
 }
 

@@ -124,7 +124,7 @@ func (s *UpdateLoopStep) Run(ctx *Context, self int) (int, error) {
 		// The iteration boundary: record wall clock since the previous
 		// boundary, the rows written this iteration, and the frontier
 		// the identification pass found (0 on the rename path).
-		ctx.Trace.noteIteration(s.Loop.iterations, countsOf(ctx.Stats), s.Loop.lastUpdate)
+		ctx.Trace.noteIteration(s.Loop.iterations, countsOf(ctx), s.Loop.lastUpdate)
 	}
 	return self + 1, nil
 }
@@ -153,8 +153,11 @@ func (s *LoopStep) Run(ctx *Context, self int) (int, error) {
 		return 0, err
 	}
 	// The back-edge: indexes the finished iteration did not ask for are
-	// of tables it replaced (exec.IndexCache).
+	// of tables it replaced (exec.IndexCache), and exchange buffers it
+	// did not fill are those of the steps in front of the loop (mpp's
+	// sites).
 	ctx.RT.Indexes().Sweep()
+	ctx.MPP.Sweep()
 	if cont {
 		// Safety guard for Unknown termination verdicts: refuse to
 		// start an iteration past the cap. The check sits after

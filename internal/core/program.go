@@ -167,6 +167,10 @@ type Stats struct {
 	// their input rows (rows that were not rehashed and routed).
 	ShufflesElided int64
 	RowsElided     int64
+	// Exchange skew (parallel mode): RowsRouted is the part of
+	// RowsShuffled that hash exchanges routed, RowsToBusiest what the
+	// fullest destination of each received; mpp.Skew makes the ratio.
+	RowsRouted, RowsToBusiest int64
 	// Delta-step accounting: per iteration, RiFullRows counts the CTE
 	// rows a full evaluation of Ri would read from the iterative
 	// reference and RiInputRows the rows actually fed to it (equal
@@ -521,6 +525,8 @@ func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats
 			stats.RowsShuffled += mppStats.RowsShuffled
 			stats.ShufflesElided += mppStats.ShufflesElided
 			stats.RowsElided += mppStats.RowsElided
+			stats.RowsRouted += mppStats.RowsRouted
+			stats.RowsToBusiest += mppStats.RowsToBusiest
 		}()
 	}
 	defer func() {

@@ -154,6 +154,10 @@ func (p *Program) stepContext(parent *Context, global int, tr *stepTrace) *Conte
 	rt := parent.RT.Guarded(guardFor(p.Effects[global], tr))
 	sctx := &Context{RT: rt, Stats: &tr.stats, created: tr.created}
 	if parent.MPP != nil {
+		// A machine of the step's own, for this one execution of it: its
+		// exchanges route inside the producing region like the parent's,
+		// but their buffers go with it — the parent's sites are one
+		// goroutine's and are not shared with the region's workers.
 		sctx.MPP = mpp.New(rt, p.Parts, &tr.mppStats, &tr.stats.Exec)
 		sctx.MPP.Elide = p.elide
 		sctx.MPP.CheckElide = p.CheckElide
@@ -175,6 +179,8 @@ func mergeTrace(ctx *Context, tr *stepTrace) {
 	ctx.Stats.RowsShuffled += s.RowsShuffled + tr.mppStats.RowsShuffled
 	ctx.Stats.ShufflesElided += s.ShufflesElided + tr.mppStats.ShufflesElided
 	ctx.Stats.RowsElided += s.RowsElided + tr.mppStats.RowsElided
+	ctx.Stats.RowsRouted += s.RowsRouted + tr.mppStats.RowsRouted
+	ctx.Stats.RowsToBusiest += s.RowsToBusiest + tr.mppStats.RowsToBusiest
 	ctx.Stats.RiFullRows += s.RiFullRows
 	ctx.Stats.RiInputRows += s.RiInputRows
 	ctx.Stats.AggFullRows += s.AggFullRows

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dbspinner/internal/mpp"
 )
 
 // IterationTrace is the runtime trace of one traced execution
@@ -13,7 +15,8 @@ import (
 // delta-frontier size the iteration's identification pass found, the
 // rows the executors scanned and inserted into join hash indexes, and
 // which form of Ri an incremental step chose with the rows it fed —
-// plus the cumulative wall clock of every step. It is
+// and under Parallel the skew of its hash exchanges — plus the
+// cumulative wall clock of every step. It is
 // captured on the same cooperative checkpoints the cancellation
 // plumbing polls, so tracing adds no extra synchronization points;
 // when tracing is off the execution path allocates nothing and never
@@ -48,17 +51,31 @@ type IterationTrace struct {
 // traceCounts are the cumulative counters a span reports the growth of:
 // Stats.UpdatedRows, Exec.RowsScanned / RowsIndexed and the rows the
 // incremental steps fed Ri (RiInputRows+AggInputRows) of what the full
-// plan reads (RiFullRows+AggFullRows), as they stood at the previous
-// iteration boundary.
+// plan reads (RiFullRows+AggFullRows), and what the hash exchanges
+// routed and sent to their fullest destinations, as they stood at the
+// previous iteration boundary.
 type traceCounts struct {
 	updated, scanned, indexed, fed, full int64
+	routed, toBusiest                    int64
+	parts                                int // of the program's machine; 0 without one
 }
 
-func countsOf(s *Stats) traceCounts {
-	return traceCounts{
+// countsOf reads the counters at an iteration boundary. The exchange
+// counts are the merged ones of scheduled steps' machines plus the
+// program's own machine's, which reach Stats only at run end.
+func countsOf(ctx *Context) traceCounts {
+	s := ctx.Stats
+	c := traceCounts{
 		updated: s.UpdatedRows, scanned: s.Exec.RowsScanned, indexed: s.Exec.RowsIndexed,
 		fed: s.RiInputRows + s.AggInputRows, full: s.RiFullRows + s.AggFullRows,
+		routed: s.RowsRouted, toBusiest: s.RowsToBusiest,
 	}
+	if ctx.MPP != nil {
+		c.parts = ctx.MPP.Parts
+		c.routed += ctx.MPP.Stats.RowsRouted
+		c.toBusiest += ctx.MPP.Stats.RowsToBusiest
+	}
+	return c
 }
 
 // IterationSpan is the trace record of one loop iteration.
@@ -92,6 +109,11 @@ type IterationSpan struct {
 	// certified" (duplicate keys, restricted output outside the
 	// frontier), "full: degraded". Empty when the loop has no such step.
 	Ri string
+	// Skew is the exchange skew of the iteration's hash exchanges under
+	// Parallel (mpp.Skew: the fullest destination's share of the routed
+	// rows times the partition count, 1 when they spread evenly); 0 when
+	// none ran.
+	Skew float64
 }
 
 // RetryRecord is the trace record of one checkpoint retry.
@@ -138,6 +160,7 @@ func (t *IterationTrace) noteIteration(iter int, now traceCounts, frontier int64
 		Fed:       now.fed - t.last.fed,
 		Full:      now.full - t.last.full,
 		Ri:        t.ri,
+		Skew:      mpp.Skew(now.toBusiest-t.last.toBusiest, now.routed-t.last.routed, now.parts),
 	})
 	t.ri = ""
 	t.last = now
@@ -212,7 +235,11 @@ func (t *IterationTrace) Render() string {
 		if s.Ri != "" {
 			fmt.Fprintf(&b, ", fed %d of %d (%s)", s.Fed, s.Full, s.Ri)
 		}
-		b.WriteString(".\n")
+		b.WriteString(".")
+		if s.Skew > 0 {
+			fmt.Fprintf(&b, " Exchange skew %.2f.", s.Skew)
+		}
+		b.WriteString("\n")
 	}
 	for _, r := range t.Retries {
 		fmt.Fprintf(&b, "Retry iteration %d: step %d failed (%s), re-ran on the %s plan.\n", r.Iteration, r.Step, r.Err, r.Rung)

@@ -34,9 +34,11 @@ type Fragment struct {
 
 	// compiled holds what the first tree built compiled from each node;
 	// expressions are stateless, so the other partitions' trees take them
-	// from here (shared).
+	// from here (shared). kept lists the cuts some tree took for a
+	// consumer that keeps rows (Lent).
 	mu       sync.Mutex
 	compiled map[plan.Node]any
+	kept     map[plan.Node]bool
 }
 
 // Tap is called with the partition and each row passing through it; an
@@ -56,10 +58,37 @@ func BuildFragment(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, fra
 	return buildWith(n, rt, stats, cc, false, &fragPart{frag, part})
 }
 
+// BuildLendingFragment is BuildFragment for a caller that reads: it is
+// done with each row before it asks for the next (an exchange that
+// copies what it routes), so the root is built as a reader's input and
+// may hand out one row over and over (rows.go).
+func BuildLendingFragment(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, frag *Fragment, part int) (Operator, error) {
+	return buildWith(n, rt, stats, cc, true, &fragPart{frag, part})
+}
+
+// Lent reports whether every tree built so far took the cut n for a
+// reader: nothing holds on to Inputs[n]'s rows once the trees are done,
+// and whoever owns them may overwrite them. A sort, a top-N, a join's
+// build side, a nested loop's right side or a keeping root reached
+// through forwarders makes it false.
+func (f *Fragment) Lent(n plan.Node) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return !f.kept[n]
+}
+
 // build is buildWith under a fragment: a cut stands in for the node, a
 // tap goes on top of either.
 func (f *fragPart) build(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool) (op Operator, err error) {
 	if in, cut := f.Inputs[n]; cut {
+		if !borrow {
+			f.mu.Lock()
+			if f.kept == nil {
+				f.kept = map[plan.Node]bool{}
+			}
+			f.kept[n] = true
+			f.mu.Unlock()
+		}
 		op = &rowsOp{rows: in[f.part], cancel: cc}
 	} else if op, err = buildNode(n, rt, stats, cc, borrow, f); err != nil {
 		return nil, err

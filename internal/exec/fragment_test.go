@@ -350,3 +350,53 @@ func TestRowsOpReopens(t *testing.T) {
 		}
 	}
 }
+
+// TestFragmentLentWitness: Lent says of a cut whether every tree built
+// so far took it for a reader. A join reads its probe side and keeps its
+// build side; what a root does with a cut it reaches through forwarders
+// is the root's own answer — BuildFragment keeps, BuildLendingFragment
+// reads, and then a join on top hands out one row over and over.
+func TestFragmentLentWitness(t *testing.T) {
+	rt := testRuntime(t)
+	j := joinNode(t, rt, "SELECT e.src, v.status FROM edges e JOIN vertexStatus v ON e.dst = v.node")
+	left := []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewFloat(1)}, {sqltypes.NewInt(2), sqltypes.NewInt(2), sqltypes.NewFloat(1)}}
+	right := []sqltypes.Row{{sqltypes.NewInt(2), sqltypes.NewInt(1)}}
+	frag := cutInputs(map[plan.Node][]sqltypes.Row{j.Left: left, j.Right: right})
+	if !frag.Lent(j.Left) || !frag.Lent(j.Right) {
+		t.Error("a cut no tree was built over is nobody's")
+	}
+	op, err := BuildLendingFragment(j, rt, nil, nil, frag, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !frag.Lent(j.Left) || frag.Lent(j.Right) {
+		t.Errorf("join: probe side lent = %v, build side lent = %v, want true and false", frag.Lent(j.Left), frag.Lent(j.Right))
+	}
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := op.Next()
+	second, _ := op.Next()
+	if len(first) == 0 || len(second) == 0 || &first[0] != &second[0] {
+		t.Error("the lending root's join carved a row per Next: it was not built as a reader's input")
+	}
+	op.Close()
+
+	// A root that forwards: the cut is the root's to keep or to read.
+	var filter *plan.Filter
+	for n := planSQL(t, rt, "SELECT * FROM vertexStatus WHERE status = 1"); filter == nil; n = n.Children()[0] {
+		filter, _ = n.(*plan.Filter)
+	}
+	for _, c := range []struct {
+		build func(plan.Node, Runtime, *Stats, *CancelChecker, *Fragment, int) (Operator, error)
+		lent  bool
+	}{{BuildLendingFragment, true}, {BuildFragment, false}} {
+		frag := cutInputs(map[plan.Node][]sqltypes.Row{filter.Input: right})
+		if _, err := c.build(filter, rt, nil, nil, frag, 0); err != nil {
+			t.Fatal(err)
+		}
+		if frag.Lent(filter.Input) != c.lent {
+			t.Errorf("filter over a cut: lent = %v, want %v", !c.lent, c.lent)
+		}
+	}
+}

@@ -8,8 +8,10 @@ import "dbspinner/internal/sqltypes"
 // parent plan node, so buildWith passes it down as its borrow argument:
 //
 //   - readers (borrow = true for their input): the aggregate, the probe
-//     side of a hash join, the streamed left side of a nested loop, and
-//     project — each is done with a row before it asks for the next;
+//     side of a hash join, the streamed left side of a nested loop,
+//     project, and the root BuildLendingFragment builds for an MPP
+//     exchange, which copies each row it routes — each is done with a row
+//     before it asks for the next;
 //   - forwarders (pass their own borrow on): alias, filter, trim, union,
 //     distinct, limit, and the tap of an elided MPP exchange — they hand
 //     the input's row to their consumer;
@@ -18,11 +20,15 @@ import "dbspinner/internal/sqltypes"
 //     the rows), a hash join's build side, a nested loop's right side,
 //     sort and top-N.
 //
-// Scans, VALUES, a fragment's cut inputs and the aggregate emit rows
-// that stay valid regardless (table rows; rows an exchange delivered;
-// the aggregate's one output buffer). The operators that
-// build a row per Next — hash join, nested loop, project — take it from
-// an outRows, which is the one place the two answers differ.
+// Scans, VALUES and the aggregate emit rows that stay valid regardless
+// (table rows; the aggregate's one output buffer). A fragment's cut
+// input emits the rows an exchange delivered, which are the machine's:
+// valid until the consuming fragment's trees are done, and for good only
+// if one of them took the cut for a keeper (Fragment.Lent says which) —
+// the machine overwrites a lent cut's rows the next time it fills that
+// exchange. The operators that build a row per Next — hash join, nested
+// loop, project — take it from an outRows, which is the one place the
+// two answers differ.
 
 // outRows is where a row-building operator's output rows come from.
 // The zero value keeps every row alive: rows are carved from a RowSlab.

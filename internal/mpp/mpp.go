@@ -4,9 +4,11 @@
 // both sides on the join keys, aggregations repartition on the group
 // keys, order-sensitive operators gather to a single partition — and
 // between two exchanges runs the ordinary operators of internal/exec,
-// one tree per partition, side by side. Base tables are already
-// hash-partitioned in storage. Every shuffled row is counted, making
-// data movement a first-class metric.
+// one tree per partition, side by side. A hash exchange is part of the
+// region that produces its rows: each tree routes what it emits into the
+// exchange's buffers (site.go), which a loop fills again in place. Base
+// tables are already hash-partitioned in storage. Every shuffled row is
+// counted, making data movement a first-class metric.
 package mpp
 
 import (
@@ -51,6 +53,21 @@ type Stats struct {
 	// were not rehashed and routed because the analysis proved they
 	// already sit at their destination.
 	RowsElided int64
+	// RowsRouted is the subset of RowsShuffled that hash exchanges routed
+	// (no broadcast copies, no gathered rows); RowsToBusiest sums, over
+	// those exchanges, the rows the fullest destination received.
+	RowsRouted, RowsToBusiest int64
+}
+
+// Skew is the exchange skew over parts partitions: the fullest
+// destinations' share of the routed rows, times parts — 1 when every
+// exchange spreads evenly, parts when one partition gets everything, 0
+// when nothing was routed.
+func Skew(toBusiest, routed int64, parts int) float64 {
+	if routed == 0 {
+		return 0
+	}
+	return float64(toBusiest) * float64(parts) / float64(routed)
 }
 
 // Elide annotates one plan node with the exchanges the static
@@ -100,7 +117,23 @@ type Machine struct {
 	// program's top-level machine is armed — per-step machines of
 	// scheduled regions would interleave the counter nondeterministically.
 	Faults *faultinject.Registry
+
+	// sites are the buffers of the hash exchanges, kept from one
+	// evaluation to the next (site.go); made counts the ones allocated.
+	sites map[siteKey]*site
+	made  int
+	// test is zero outside tests (poison_test.go): the hook that sees every
+	// site the moment it is marked free, and the seeded mutants of that
+	// rule — every cut counts as lent; free before the consumer's region.
+	test struct {
+		freed              func(*site)
+		lentAll, freeEarly bool
+	}
 }
+
+// onNew, set by tests only, sees every machine New makes (core's are out
+// of a test's reach otherwise).
+var onNew func(*Machine)
 
 // New creates a machine. parts must be >= 1.
 func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machine {
@@ -113,18 +146,27 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 	if execStats == nil {
 		execStats = &exec.Stats{}
 	}
-	return &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats}
+	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: map[siteKey]*site{}}
+	if onNew != nil {
+		onNew(m)
+	}
+	return m
 }
 
 // relation is a partitioned intermediate result: what a fragment
-// produced, or what an exchange made of it.
-type relation [][]sqltypes.Row
+// produced, or what an exchange made of it. from is the site whose
+// buffers hold the rows (nil: they are their producer's own); a gather or
+// a broadcast copies row headers only and passes it on.
+type relation struct {
+	parts [][]sqltypes.Row
+	from  *site
+}
 
-func (r relation) gather() []sqltypes.Row { return slices.Concat(r...) }
+func (r relation) gather() []sqltypes.Row { return slices.Concat(r.parts...) }
 
 // Run executes a plan in parallel and returns the gathered rows.
 func (m *Machine) Run(n plan.Node) ([]sqltypes.Row, error) {
-	rel, err := m.eval(n)
+	rel, err := m.eval(n, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +175,7 @@ func (m *Machine) Run(n plan.Node) ([]sqltypes.Row, error) {
 
 // Materialize executes a plan in parallel into a storage table.
 func (m *Machine) Materialize(n plan.Node, name string) (*storage.Table, error) {
-	rel, err := m.eval(n)
+	rel, err := m.eval(n, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +183,9 @@ func (m *Machine) Materialize(n plan.Node, name string) (*storage.Table, error) 
 	// Keep the fragment partitioning: the next step's scans read the
 	// partitions as they were produced (no extra shuffle). The write-out
 	// is one fragment per partition, counted like Run's parallel
-	// regions even though the in-memory adoption is a slice swap.
-	copy(t.Parts, rel)
+	// regions even though the in-memory adoption is a slice swap (of a
+	// site's slices when n pre-aggregates: nobody's input, never freed).
+	copy(t.Parts, rel.parts)
 	m.Stats.Fragments += int64(m.Parts)
 	return t, nil
 }
@@ -153,7 +196,8 @@ func (m *Machine) Materialize(n plan.Node, name string) (*storage.Table, error) 
 // builds its trees with, and the counters of its taps.
 type fragment struct {
 	exec.Fragment
-	elided [][]partCount // per tap: the rows each partition showed it
+	elided [][]partCount       // per tap: the rows each partition showed it
+	sites  map[plan.Node]*site // the cuts whose rows a site holds
 }
 
 // partCount is one partition's counter, a cache line wide so that the
@@ -167,29 +211,51 @@ func (m *Machine) newFragment() *fragment {
 	return &fragment{Fragment: exec.Fragment{Parts: m.Parts, Inputs: map[plan.Node][][]sqltypes.Row{}}}
 }
 
-// exchange is what happens to a relation on a cut edge.
-type exchange func(relation) (relation, error)
+// reads makes rel what f's trees read in c's place.
+func (f *fragment) reads(c plan.Node, rel relation) {
+	f.Inputs[c] = rel.parts
+	if rel.from != nil {
+		if f.sites == nil {
+			f.sites = map[plan.Node]*site{}
+		}
+		f.sites[c] = rel.from
+	}
+}
+
+// exchange is what a gather or a broadcast makes of a relation on a cut
+// edge; a hash exchange is a router, part of the run below the edge.
+type exchange func(relation) relation
 
 // eval evaluates n into a relation: it cuts the plan below n at its
 // exchanges, evaluates what is below each cut, and runs the piece on
-// top, the fragment rooted at n, once per partition.
-func (m *Machine) eval(n plan.Node) (relation, error) {
+// top, the fragment rooted at n, once per partition, routing its rows by
+// to (nil: they stay where they are produced).
+func (m *Machine) eval(n plan.Node, to router) (relation, error) {
 	f := m.newFragment()
 	if err := m.cut(n, f); err != nil {
-		return nil, err
+		return relation{}, err
 	}
-	out, err := m.run(n, f, single(n))
-	if agg, ok := n.(*plan.Aggregate); ok && err == nil && m.preAggregates(agg) {
-		// One row per group and partition moves instead of the input: to
-		// where the input exchange would have sent the group, RowKey over
-		// the leading group columns being the values EvalKey computes from
-		// the group expressions, through the same Partition function.
-		// Destination, per-destination order (source-major, groups in
-		// first-seen order within each source) and float accumulation order
-		// all match the exchanged path, so results are byte-identical.
-		return m.shuffleCols(identityCols(len(agg.GroupBy)))(out)
+	agg, ok := n.(*plan.Aggregate)
+	if !ok || !m.preAggregates(agg) {
+		return m.run(n, f, single(n), to)
 	}
-	return out, err
+	// One row per group and partition moves instead of the input: to
+	// where the input exchange would have sent the group, RowKey over
+	// the leading group columns being the values EvalKey computes from
+	// the group expressions, through the same Partition function.
+	// Destination, per-destination order (source-major, groups in
+	// first-seen order within each source) and float accumulation order
+	// all match the exchanged path, so results are byte-identical.
+	out, err := m.run(n, f, false, m.shuffleCols(identityCols(len(agg.GroupBy))))
+	if err != nil || to == nil {
+		return out, err
+	}
+	// The regrouped rows feed a routed cut themselves: the same loop runs
+	// over a fragment whose root is the cut, into a second site (siteKey),
+	// and frees the first only when it is done.
+	f = m.newFragment()
+	f.reads(n, out)
+	return m.run(n, f, false, to)
 }
 
 // single reports whether n's rows exist once rather than once per
@@ -238,7 +304,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 			if err := m.below(f, t.Left); err != nil {
 				return err
 			}
-			return m.exchanged(f, t.Right, m.broadcast)
+			return m.exchanged(f, t.Right, nil, m.broadcast)
 		}
 		// Repartition both sides on the join keys, then join partition-wise.
 		if err := m.input(f, t.Left, m.shuffle(leftKeys), el.Left, el.LeftCols, "join left"); err != nil {
@@ -247,7 +313,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		return m.input(f, t.Right, m.shuffle(rightKeys), el.Right, el.RightCols, "join right")
 	case *plan.Aggregate:
 		if len(t.GroupBy) == 0 {
-			return m.exchanged(f, t.Input, m.gather(false)) // one output row: aggregate in one place
+			return m.exchanged(f, t.Input, nil, m.gather(false)) // one output row: aggregate in one place
 		}
 		var keys []*expr.Compiled
 		if !el.Input {
@@ -272,16 +338,16 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		if err := m.below(lf, t.Input); err != nil {
 			return err
 		}
-		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, N: t.N + t.Offset}, lf, false)
+		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, N: t.N + t.Offset}, lf, false, nil)
 		if err != nil {
 			return err
 		}
-		f.Inputs[t.Input], err = m.gather(true)(local)
-		return err
+		f.reads(t.Input, m.gather(true)(local))
+		return nil
 	case *plan.Sort:
-		return m.exchanged(f, t.Input, m.gather(true))
+		return m.exchanged(f, t.Input, nil, m.gather(true))
 	case *plan.Limit:
-		return m.exchanged(f, t.Input, m.gather(false))
+		return m.exchanged(f, t.Input, nil, m.gather(false))
 	}
 	return fmt.Errorf("mpp: unsupported plan node %T", n)
 }
@@ -291,33 +357,36 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 // ends f here.
 func (m *Machine) below(f *fragment, c plan.Node) error {
 	if agg, ok := c.(*plan.Aggregate); single(c) || ok && m.preAggregates(agg) {
-		return m.exchanged(f, c, nil)
+		return m.exchanged(f, c, nil, nil)
 	}
 	return m.cut(c, f)
 }
 
-// exchanged cuts f at c: c is evaluated on its own and f reads what ex
-// (nil: nothing) makes of its rows.
-func (m *Machine) exchanged(f *fragment, c plan.Node, ex exchange) error {
-	rel, err := m.eval(c)
-	if err == nil && ex != nil {
-		rel, err = ex(rel)
+// exchanged cuts f at c: c is evaluated on its own, routing its rows by
+// to (nil: not at all), and f reads what ex (nil: nothing) makes of them.
+func (m *Machine) exchanged(f *fragment, c plan.Node, to router, ex exchange) error {
+	rel, err := m.eval(c, to)
+	if err != nil {
+		return err
 	}
-	f.Inputs[c] = rel
-	return err
+	if ex != nil {
+		rel = ex(rel)
+	}
+	f.reads(c, rel)
+	return nil
 }
 
-// input places the exchange ex between c and its consumer in f, unless
-// the analysis proved that c's rows already sit where ex would send
-// them, routing on cols: the exchange would reproduce its input
+// input places the hash exchange to between c and its consumer in f,
+// unless the analysis proved that c's rows already sit where it would
+// send them, routing on cols: the exchange would reproduce its input
 // verbatim (per-source concatenation of rows that all stay put), so the
 // rows flow on inside f, byte-identically. They pass a tap instead, the
 // runtime analogue of storage.Guard for the partition-property analysis
 // — behavior never depends on it: it counts them and, under CheckElide,
 // re-hashes each one and reports an unsound claim as an error.
-func (m *Machine) input(f *fragment, c plan.Node, ex exchange, elided bool, cols []int, what string) error {
+func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols []int, what string) error {
 	if !elided {
-		return m.exchanged(f, c, ex)
+		return m.exchanged(f, c, to, nil)
 	}
 	m.Stats.ShufflesElided++
 	seen := make([]partCount, m.Parts)
@@ -338,11 +407,23 @@ func (m *Machine) input(f *fragment, c plan.Node, ex exchange, elided bool, cols
 }
 
 // run builds the fragment rooted at root once per partition — in
-// partition 0 only when one is set — and drains the trees side by side.
-// Each tree counts into its own exec.Stats; they are summed once all
-// have finished.
-func (m *Machine) run(root plan.Node, f *fragment, one bool) (relation, error) {
-	out := make(relation, m.Parts)
+// partition 0 only when one is set — and drains the trees side by side:
+// each into its slice of the relation or, under a router, straight into
+// the exchange's site, in the region that produced the rows (the root
+// then lends them: the site copies what it routes). Each tree counts
+// into its own exec.Stats; they are summed once all have finished. When
+// they have without an error, f's trees are done with the rows of f's
+// cuts, and those nobody kept may be overwritten.
+func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relation, error) {
+	out := relation{parts: make([][]sqltypes.Row, m.Parts)}
+	build := exec.BuildFragment
+	if to != nil {
+		_, again := f.Inputs[root]
+		out.from, build = m.site(siteKey{root, again}), exec.BuildLendingFragment
+	}
+	if m.test.freeEarly {
+		m.release(f)
+	}
 	stats := make([]*exec.Stats, m.Parts)
 	err := m.parallel(func(p int, cc *exec.CancelChecker) error {
 		if one && p != 0 {
@@ -352,11 +433,14 @@ func (m *Machine) run(root plan.Node, f *fragment, one bool) (relation, error) {
 			return err
 		}
 		stats[p] = &exec.Stats{}
-		op, err := exec.BuildFragment(root, m.RT, stats[p], cc, &f.Fragment, p)
+		op, err := build(root, m.RT, stats[p], cc, &f.Fragment, p)
 		if err != nil {
 			return err
 		}
-		out[p], err = exec.Drain(op)
+		if to != nil {
+			return out.from.fill(p, op, to(), cc)
+		}
+		out.parts[p], err = exec.Drain(op)
 		return err
 	})
 	for _, s := range stats {
@@ -369,7 +453,14 @@ func (m *Machine) run(root plan.Node, f *fragment, one bool) (relation, error) {
 			m.Stats.RowsElided += c.n
 		}
 	}
-	return out, err
+	if err != nil {
+		return relation{}, err
+	}
+	m.release(f)
+	if to != nil {
+		out.parts = out.from.deliver(m.Stats)
+	}
+	return out, nil
 }
 
 // --- the parallel region --------------------------------------------------
@@ -463,15 +554,19 @@ func (m *Machine) parallel(fn func(p int, cc *exec.CancelChecker) error) error {
 
 // --- exchanges ------------------------------------------------------------
 
-// shuffle redistributes a relation so that rows with equal key values
-// land in the same partition. NULL keys go to partition 0 (they never
-// match in joins but must survive for outer joins) — the same
-// destination sqltypes.CompositeKey.Partition assigns them, so the
-// exchange and the storage layer agree on one routing function.
-func (m *Machine) shuffle(keys []*expr.Compiled) exchange {
+// router makes the routing function of a hash exchange — the partition
+// each row goes to — once per fragment tree, so it may own scratch state.
+type router func() func(sqltypes.Row) (int, error)
+
+// shuffle routes rows so that those with equal key values land in the
+// same partition. NULL keys go to partition 0 (they never match in
+// joins but must survive for outer joins) — the same destination
+// sqltypes.CompositeKey.Partition assigns them, so the exchange and the
+// storage layer agree on one routing function.
+func (m *Machine) shuffle(keys []*expr.Compiled) router {
 	cols := identityCols(len(keys))
-	return m.shuffleBy(func() func(sqltypes.Row) (int, error) {
-		vals := make(sqltypes.Row, len(keys)) // per-fragment key scratch
+	return func() func(sqltypes.Row) (int, error) {
+		vals := make(sqltypes.Row, len(keys)) // per-tree key scratch
 		return func(r sqltypes.Row) (int, error) {
 			null, err := exec.EvalKey(keys, r, vals)
 			if err != nil {
@@ -484,18 +579,18 @@ func (m *Machine) shuffle(keys []*expr.Compiled) exchange {
 			}
 			return sqltypes.RowKey(vals, cols).Partition(m.Parts), nil
 		}
-	})
+	}
 }
 
-// shuffleCols redistributes a relation routing each row by the values
-// at the given column positions — the direct-column variant of shuffle
-// used by the pre-aggregated groups and the full-row distinct exchange,
-// where the routing values are already materialized in the row.
-func (m *Machine) shuffleCols(cols []int) exchange {
+// shuffleCols routes each row by the values at the given column
+// positions — the direct-column variant of shuffle used by the
+// pre-aggregated groups and the full-row distinct exchange, where the
+// routing values are already materialized in the row.
+func (m *Machine) shuffleCols(cols []int) router {
 	route := func(r sqltypes.Row) (int, error) {
 		return sqltypes.RowKey(r, cols).Partition(m.Parts), nil
 	}
-	return m.shuffleBy(func() func(sqltypes.Row) (int, error) { return route })
+	return func() func(sqltypes.Row) (int, error) { return route }
 }
 
 func identityCols(n int) []int {
@@ -506,74 +601,28 @@ func identityCols(n int) []int {
 	return cols
 }
 
-// shuffleBy is the exchange body shared by every shuffle variant:
-// per-source locals are concatenated in source-partition order so the
-// exchange is deterministic run to run. Every routed row counts toward
-// RowsShuffled; the rows that actually change partitions additionally
-// count toward RowsRelocated. newRoute is called once per fragment, so a
-// router may own scratch state.
-func (m *Machine) shuffleBy(newRoute func() func(sqltypes.Row) (int, error)) exchange {
-	return func(in relation) (relation, error) {
-		locals := make([]relation, m.Parts)
-		moved := make([]partCount, m.Parts)
-		err := m.parallel(func(p int, cc *exec.CancelChecker) error {
-			local := make(relation, m.Parts)
-			route := newRoute()
-			for _, r := range in[p] {
-				if err := cc.Tick(); err != nil {
-					return err
-				}
-				dst, err := route(r)
-				if err != nil {
-					return err
-				}
-				local[dst] = append(local[dst], r)
-				if dst != p {
-					moved[p].n++
-				}
-			}
-			locals[p] = local
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make(relation, m.Parts)
-		for dst := range out {
-			for src := range locals {
-				out[dst] = append(out[dst], locals[src][dst]...)
-			}
-		}
-		for p := range in {
-			m.Stats.RowsShuffled += int64(len(in[p]))
-			m.Stats.RowsRelocated += moved[p].n
-		}
-		return out, nil
-	}
-}
-
 // broadcast replicates a relation to every partition (the copies
 // count as movement).
-func (m *Machine) broadcast(in relation) (relation, error) {
+func (m *Machine) broadcast(in relation) relation {
 	rows := in.gather()
 	m.Stats.RowsShuffled += int64(len(rows)) * int64(m.Parts-1)
-	out := make(relation, m.Parts)
-	for p := range out {
-		out[p] = rows
+	out := relation{parts: make([][]sqltypes.Row, m.Parts), from: in.from}
+	for p := range out.parts {
+		out.parts[p] = rows
 	}
-	return out, nil
+	return out
 }
 
 // gather moves a relation to partition 0, in partition order. Sorts and
 // top-N count the rows as movement; the gathers in front of a LIMIT and
 // of a scalar aggregate never have.
 func (m *Machine) gather(counted bool) exchange {
-	return func(in relation) (relation, error) {
-		out := make(relation, m.Parts)
-		out[0] = in.gather()
+	return func(in relation) relation {
+		out := relation{parts: make([][]sqltypes.Row, m.Parts), from: in.from}
+		out.parts[0] = in.gather()
 		if counted {
-			m.Stats.RowsShuffled += int64(len(out[0]))
+			m.Stats.RowsShuffled += int64(len(out.parts[0]))
 		}
-		return out, nil
+		return out
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -367,6 +368,40 @@ func resultRows(r *dbspinner.Result) []string {
 		out[i] = row.String()
 	}
 	return out
+}
+
+// TestExplainAnalyzeReportsExchangeSkew: on the MPP machine every traced
+// iteration that routed rows says how evenly its hash exchanges spread
+// them, and Stats carries the two counts the ratio is made of.
+func TestExplainAnalyzeReportsExchangeSkew(t *testing.T) {
+	const parts = 2
+	e := lifecycleEngine(t, parts, dbspinner.Config{Parallel: true})
+	out, err := e.Explain("EXPLAIN ANALYZE " + bench.PRQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`Iteration (\d): [^\n]*indexed \d+\. Exchange skew (\d\.\d\d)\.\n`)
+	lines := line.FindAllStringSubmatch(out, -1)
+	if len(lines) != 3 {
+		t.Fatalf("EXPLAIN ANALYZE reports the exchange skew of %d iterations, want 3:\n%s", len(lines), out)
+	}
+	for _, m := range lines {
+		if skew, _ := strconv.ParseFloat(m[2], 64); skew < 1 || skew > parts {
+			t.Errorf("iteration %s: exchange skew %s outside [1, %d]", m[1], m[2], parts)
+		}
+	}
+	st := e.Stats()
+	if st.RowsRouted == 0 || st.RowsRouted > st.RowsShuffled || st.RowsToBusiest*parts < st.RowsRouted || st.RowsToBusiest > st.RowsRouted {
+		t.Errorf("RowsShuffled %d, RowsRouted %d, RowsToBusiest %d", st.RowsShuffled, st.RowsRouted, st.RowsToBusiest)
+	}
+	// Without the machine nothing is routed and the line ends as before.
+	serial, err := lifecycleEngine(t, parts, dbspinner.Config{}).Explain("EXPLAIN ANALYZE " + bench.PRQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(serial, "Exchange skew") {
+		t.Errorf("a volcano run reports an exchange skew:\n%s", serial)
+	}
 }
 
 // TestExplainAnalyzeTrace: EXPLAIN ANALYZE on an iterative query must
