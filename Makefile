@@ -16,9 +16,11 @@ test:
 # executors, the step-program runner, the verifier, and the bench
 # harness that drives full-plan and incremental engines side by side. The root
 # package rides along for the step-scheduler parity matrix, which must
-# hold under the race detector.
+# hold under the race detector; expr for one Compiled evaluated from
+# eight goroutines (MPP partitions share compiled expressions, so a bound
+# kernel must keep no state), and storage for the tables they read.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/mpp/... ./internal/verify/... ./internal/bench/...
+	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/mpp/... ./internal/verify/... ./internal/bench/... ./internal/expr/... ./internal/storage/...
 
 # fmt fails listing every Go file gofmt would rewrite. Build output
 # (.bench_build/ holds exported base trees) and the analyzers' testdata

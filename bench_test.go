@@ -28,7 +28,7 @@ var benchConfig = bench.Config{Preset: "dblp-small", Iterations: 10, Partitions:
 
 // engines are cached per (preset, engine-config) across benchmark
 // iterations; building the graph dominates setup otherwise.
-func newBenchEngine(b *testing.B, cfg bench.Config, ecfg dbspinner.Config) *dbspinner.Engine {
+func newBenchEngine(b testing.TB, cfg bench.Config, ecfg dbspinner.Config) *dbspinner.Engine {
 	b.Helper()
 	g, err := benchGraph(cfg)
 	if err != nil {
@@ -289,6 +289,44 @@ func TestAllocBudgetPageRank(t *testing.T) {
 			t.Logf("%s on %d nodes: %d bytes per query (budget %d)", c.name, cfg.Nodes, gotBytes, c.bytesBudget)
 		}()
 	}
+}
+
+// TestAllocBudgetForecast gates what one 10-iteration Friends Forecast
+// (Figure 8's FF) over the benchmark graph allocates. Its iterative part
+// is one projection, round(cast((friends / friendsPrev) * friends AS
+// numeric), 5), so an allocation per evaluated row — an argument slice
+// per function call, a boxed error, a partition grown by doubling —
+// multiplies by rows × iterations: the query made 30.5k objects and
+// 10.06 MB before expressions were bound at compile time and
+// materialized partitions sized once, and makes 2.1k and 7.20 MB after.
+// Both budgets are that measurement plus 25%.
+func TestAllocBudgetForecast(t *testing.T) {
+	e := newBenchEngine(t, benchConfig, dbspinner.Config{})
+	sql := bench.FFQuery(benchConfig.Iterations, 2)
+	query := func() {
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget, bytesBudget = 2_670, 8_990_000
+	got := testing.AllocsPerRun(3, query)
+	if got > budget {
+		t.Errorf("FF: %.0f allocations per query, budget %d", got, budget)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	query() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	gotBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if gotBytes > bytesBudget {
+		t.Errorf("FF: %d bytes per query, budget %d", gotBytes, bytesBudget)
+	}
+	t.Logf("FF: %.0f allocations (budget %d) and %d bytes (budget %d) per query", got, budget, gotBytes, bytesBudget)
 }
 
 // TestAllocBudgetPageRankMPP gates the bytes of PR-VS on the MPP machine

@@ -91,6 +91,20 @@ type Compiled struct {
 	// Col is the input column a bare column reference reads, -1 for any
 	// other expression.
 	Col int
+
+	// isLiteral marks a literal, whose Eval ignores the row: a function
+	// may read it once when it binds (ROUND's digits).
+	isLiteral bool
+}
+
+// literal returns the value of a compiled literal; ok is false for any
+// other expression.
+func (c *Compiled) literal() (v sqltypes.Value, ok bool) {
+	if !c.isLiteral {
+		return sqltypes.NullValue, false
+	}
+	v, _ = c.Eval(nil)
+	return v, true
 }
 
 // Compile binds an expression to the environment.
@@ -110,8 +124,9 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 	case *ast.Literal:
 		v := t.Value
 		return &Compiled{
-			Eval: func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
-			Type: v.T,
+			Eval:      func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
+			Type:      v.T,
+			isLiteral: true,
 		}, nil
 
 	case *ast.ColumnRef:
@@ -183,6 +198,9 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 				if err != nil {
 					return sqltypes.NullValue, err
 				}
+				if v.T == to {
+					return v, nil // a value of the target type casts to itself
+				}
 				return sqltypes.Cast(v, to)
 			},
 			Type: to,
@@ -232,13 +250,12 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := t.Op
-	switch op {
-	case "AND", "OR":
-		and := op == "AND"
+	le, re := l.Eval, r.Eval
+	if t.Op == "AND" || t.Op == "OR" {
+		and := t.Op == "AND"
 		return &Compiled{
 			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := l.Eval(row)
+				lv, err := le(row)
 				if err != nil {
 					return sqltypes.NullValue, err
 				}
@@ -250,7 +267,7 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 				if !and && lt == sqltypes.TriTrue {
 					return sqltypes.NewBool(true), nil
 				}
-				rv, err := r.Eval(row)
+				rv, err := re(row)
 				if err != nil {
 					return sqltypes.NullValue, err
 				}
@@ -262,105 +279,30 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 			},
 			Type: sqltypes.Bool,
 		}, nil
-
-	case "=", "!=", "<", "<=", ">", ">=":
-		return &Compiled{
-			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := l.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				rv, err := r.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				if lv.IsNull() || rv.IsNull() {
-					return sqltypes.NullValue, nil
-				}
-				c := sqltypes.Compare(lv, rv)
-				var b bool
-				switch op {
-				case "=":
-					b = c == 0
-				case "!=":
-					b = c != 0
-				case "<":
-					b = c < 0
-				case "<=":
-					b = c <= 0
-				case ">":
-					b = c > 0
-				case ">=":
-					b = c >= 0
-				}
-				return sqltypes.NewBool(b), nil
-			},
-			Type: sqltypes.Bool,
-		}, nil
-
-	case "+", "-", "*", "/", "%":
-		return &Compiled{
-			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := l.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				rv, err := r.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				switch op {
-				case "+":
-					return sqltypes.Add(lv, rv)
-				case "-":
-					return sqltypes.Sub(lv, rv)
-				case "*":
-					return sqltypes.Mul(lv, rv)
-				case "/":
-					return sqltypes.Div(lv, rv)
-				default:
-					return sqltypes.Mod(lv, rv)
-				}
-			},
-			Type: sqltypes.ResultType(l.Type, r.Type, op),
-		}, nil
-
-	case "||":
-		return &Compiled{
-			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := l.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				rv, err := r.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				return sqltypes.Concat(lv, rv)
-			},
-			Type: sqltypes.String,
-		}, nil
-
-	case "LIKE":
-		return &Compiled{
-			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := l.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				rv, err := r.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				if lv.IsNull() || rv.IsNull() {
-					return sqltypes.NullValue, nil
-				}
-				return sqltypes.NewBool(likeMatch(lv.String(), rv.String())), nil
-			},
-			Type: sqltypes.Bool,
-		}, nil
 	}
-	return nil, fmt.Errorf("unsupported binary operator %q", op)
+	k, ok := binaryKernels[t.Op]
+	if !ok {
+		return nil, fmt.Errorf("unsupported binary operator %q", t.Op)
+	}
+	typ := sqltypes.Bool
+	if !k.predicate {
+		typ = sqltypes.ResultType(l.Type, r.Type, t.Op)
+	}
+	kernel := k.eval
+	return &Compiled{
+		Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
+			lv, err := le(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			rv, err := re(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			return kernel(lv, rv)
+		},
+		Type: typ,
+	}, nil
 }
 
 func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
@@ -443,7 +385,7 @@ func compileIn(t *ast.InExpr, env *Env) (*Compiled, error) {
 					sawNull = true
 					continue
 				}
-				if sqltypes.Compare(v, iv) == 0 {
+				if compare(v, iv) == 0 {
 					return sqltypes.NewBool(!neg), nil
 				}
 			}

@@ -9,12 +9,18 @@ import (
 	"dbspinner/internal/sqltypes"
 )
 
-// scalarFunc evaluates a scalar function over already-evaluated
-// arguments.
+// evalFunc is what a compiled expression runs per row.
+type evalFunc = func(sqltypes.Row) (sqltypes.Value, error)
+
+// scalarFunc is one library function: its arity, its result type, and
+// how it binds to the compiled arguments of a call. bind runs once per
+// call site, at compile time; the evaluator it returns evaluates every
+// argument left to right, returns the first error, and allocates nothing
+// per row beyond what the function's result itself needs (a new string).
 type scalarFunc struct {
 	minArgs, maxArgs int // maxArgs < 0 means variadic
 	resultType       func(args []sqltypes.Type) sqltypes.Type
-	eval             func(args []sqltypes.Value) (sqltypes.Value, error)
+	bind             func(args []*Compiled) evalFunc
 }
 
 func fixedType(t sqltypes.Type) func([]sqltypes.Type) sqltypes.Type {
@@ -36,10 +42,41 @@ func mergedType(args []sqltypes.Type) sqltypes.Type {
 	return t
 }
 
+// unary binds a function of one argument.
+func unary(f func(sqltypes.Value) (sqltypes.Value, error)) func([]*Compiled) evalFunc {
+	return func(args []*Compiled) evalFunc {
+		x := args[0].Eval
+		return func(row sqltypes.Row) (sqltypes.Value, error) {
+			v, err := x(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			return f(v)
+		}
+	}
+}
+
+// binary binds a function of two arguments.
+func binary(f func(a, b sqltypes.Value) (sqltypes.Value, error)) func([]*Compiled) evalFunc {
+	return func(args []*Compiled) evalFunc {
+		x, y := args[0].Eval, args[1].Eval
+		return func(row sqltypes.Row) (sqltypes.Value, error) {
+			a, err := x(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			b, err := y(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			return f(a, b)
+		}
+	}
+}
+
 // numeric1 wraps a float function as a NULL-propagating unary scalar.
-func numeric1(f func(float64) float64, rt sqltypes.Type) func([]sqltypes.Value) (sqltypes.Value, error) {
-	return func(args []sqltypes.Value) (sqltypes.Value, error) {
-		v := args[0]
+func numeric1(f func(float64) float64, rt sqltypes.Type) func([]*Compiled) evalFunc {
+	return unary(func(v sqltypes.Value) (sqltypes.Value, error) {
 		if v.IsNull() {
 			return sqltypes.NullValue, nil
 		}
@@ -51,12 +88,11 @@ func numeric1(f func(float64) float64, rt sqltypes.Type) func([]sqltypes.Value) 
 			return sqltypes.NewInt(int64(r)), nil
 		}
 		return sqltypes.NewFloat(r), nil
-	}
+	})
 }
 
 var scalarFuncs = map[string]scalarFunc{
-	"ABS": {1, 1, firstArgType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		v := a[0]
+	"ABS": {1, 1, firstArgType, unary(func(v sqltypes.Value) (sqltypes.Value, error) {
 		if v.IsNull() {
 			return sqltypes.NullValue, nil
 		}
@@ -70,7 +106,7 @@ var scalarFuncs = map[string]scalarFunc{
 			return sqltypes.NewFloat(math.Abs(v.F)), nil
 		}
 		return sqltypes.NullValue, fmt.Errorf("ABS requires a numeric argument")
-	}},
+	})},
 	"CEILING": {1, 1, fixedType(sqltypes.Float), numeric1(math.Ceil, sqltypes.Float)},
 	"CEIL":    {1, 1, fixedType(sqltypes.Float), numeric1(math.Ceil, sqltypes.Float)},
 	"FLOOR":   {1, 1, fixedType(sqltypes.Float), numeric1(math.Floor, sqltypes.Float)},
@@ -86,139 +122,235 @@ var scalarFuncs = map[string]scalarFunc{
 		}
 		return 0
 	}, sqltypes.Int)},
-	"ROUND": {1, 2, firstArgType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		v := a[0]
+	"ROUND": {1, 2, firstArgType, bindRound},
+	"MOD":   {2, 2, mergedType, binary(mod)},
+	"POWER": {2, 2, fixedType(sqltypes.Float), binary(func(a, b sqltypes.Value) (sqltypes.Value, error) {
+		if a.IsNull() || b.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewFloat(math.Pow(a.Float(), b.Float())), nil
+	})},
+	"LEAST":    {1, -1, mergedType, extremum(-1)},
+	"GREATEST": {1, -1, mergedType, extremum(1)},
+	"COALESCE": {1, -1, mergedType, bindCoalesce},
+	"NULLIF": {2, 2, firstArgType, binary(func(a, b sqltypes.Value) (sqltypes.Value, error) {
+		if eq, ok := sqltypes.Equal(a, b); ok && eq {
+			return sqltypes.NullValue, nil
+		}
+		return a, nil
+	})},
+	"UPPER": {1, 1, fixedType(sqltypes.String), unary(func(v sqltypes.Value) (sqltypes.Value, error) {
 		if v.IsNull() {
 			return sqltypes.NullValue, nil
 		}
-		if v.T != sqltypes.Int && v.T != sqltypes.Float {
-			return sqltypes.NullValue, fmt.Errorf("ROUND requires a numeric argument")
-		}
-		digits := int64(0)
-		if len(a) == 2 {
-			if a[1].IsNull() {
-				return sqltypes.NullValue, nil
-			}
-			d, err := sqltypes.Cast(a[1], sqltypes.Int)
-			if err != nil {
-				return sqltypes.NullValue, err
-			}
-			digits = d.I
-		}
-		scale := math.Pow(10, float64(digits))
-		r := math.Round(v.Float()*scale) / scale
-		if v.T == sqltypes.Int && digits >= 0 {
-			return sqltypes.NewInt(int64(r)), nil
-		}
-		return sqltypes.NewFloat(r), nil
-	}},
-	"MOD": {2, 2, mergedType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		return sqltypes.Mod(a[0], a[1])
-	}},
-	"POWER": {2, 2, fixedType(sqltypes.Float), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if a[0].IsNull() || a[1].IsNull() {
+		return sqltypes.NewString(strings.ToUpper(v.String())), nil
+	})},
+	"LOWER": {1, 1, fixedType(sqltypes.String), unary(func(v sqltypes.Value) (sqltypes.Value, error) {
+		if v.IsNull() {
 			return sqltypes.NullValue, nil
 		}
-		return sqltypes.NewFloat(math.Pow(a[0].Float(), a[1].Float())), nil
-	}},
-	"LEAST": {1, -1, mergedType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		return extremum(a, -1), nil
-	}},
-	"GREATEST": {1, -1, mergedType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		return extremum(a, 1), nil
-	}},
-	"COALESCE": {1, -1, mergedType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		for _, v := range a {
-			if !v.IsNull() {
-				return v, nil
-			}
+		return sqltypes.NewString(strings.ToLower(v.String())), nil
+	})},
+	"LENGTH": {1, 1, fixedType(sqltypes.Int), unary(func(v sqltypes.Value) (sqltypes.Value, error) {
+		if v.IsNull() {
+			return sqltypes.NullValue, nil
 		}
+		return sqltypes.NewInt(int64(len(v.String()))), nil
+	})},
+	"SUBSTR": {2, 3, fixedType(sqltypes.String), bindSubstr},
+	"CONCAT": {1, -1, fixedType(sqltypes.String), bindConcat},
+}
+
+// roundDigits is ROUND's second argument once read: the digits and
+// 10^digits, or that it was NULL, or why it does not cast to INT.
+type roundDigits struct {
+	digits int64
+	scale  float64
+	null   bool
+	err    error
+}
+
+func readDigits(d sqltypes.Value) roundDigits {
+	if d.IsNull() {
+		return roundDigits{null: true}
+	}
+	c, err := sqltypes.Cast(d, sqltypes.Int)
+	if err != nil {
+		return roundDigits{err: err}
+	}
+	return roundDigits{digits: c.I, scale: math.Pow(10, float64(c.I))}
+}
+
+// round rounds v to the digits: NULL if v is NULL, an error if v is not
+// a number, then NULL or the cast error if the digits were.
+func (d roundDigits) round(v sqltypes.Value) (sqltypes.Value, error) {
+	if v.IsNull() {
 		return sqltypes.NullValue, nil
-	}},
-	"NULLIF": {2, 2, firstArgType, func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if eq, ok := sqltypes.Equal(a[0], a[1]); ok && eq {
-			return sqltypes.NullValue, nil
+	}
+	if v.T != sqltypes.Int && v.T != sqltypes.Float {
+		return sqltypes.NullValue, fmt.Errorf("ROUND requires a numeric argument")
+	}
+	if d.null || d.err != nil {
+		return sqltypes.NullValue, d.err
+	}
+	r := math.Round(v.Float()*d.scale) / d.scale
+	if v.T == sqltypes.Int && d.digits >= 0 {
+		return sqltypes.NewInt(int64(r)), nil
+	}
+	return sqltypes.NewFloat(r), nil
+}
+
+// bindRound binds ROUND(v [, digits]). Digits given as a literal (FF's
+// ROUND(..., 5)) are read once here, so a row pays for neither the cast
+// nor the power of ten; ROUND(v) is ROUND(v, 0).
+func bindRound(args []*Compiled) evalFunc {
+	x := args[0].Eval
+	d := readDigits(sqltypes.NewInt(0))
+	if len(args) == 2 {
+		lit, ok := args[1].literal()
+		if !ok {
+			y := args[1].Eval
+			return func(row sqltypes.Row) (sqltypes.Value, error) {
+				v, err := x(row)
+				if err != nil {
+					return sqltypes.NullValue, err
+				}
+				dv, err := y(row)
+				if err != nil {
+					return sqltypes.NullValue, err
+				}
+				return readDigits(dv).round(v)
+			}
 		}
-		return a[0], nil
-	}},
-	"UPPER": {1, 1, fixedType(sqltypes.String), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if a[0].IsNull() {
-			return sqltypes.NullValue, nil
-		}
-		return sqltypes.NewString(strings.ToUpper(a[0].String())), nil
-	}},
-	"LOWER": {1, 1, fixedType(sqltypes.String), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if a[0].IsNull() {
-			return sqltypes.NullValue, nil
-		}
-		return sqltypes.NewString(strings.ToLower(a[0].String())), nil
-	}},
-	"LENGTH": {1, 1, fixedType(sqltypes.Int), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if a[0].IsNull() {
-			return sqltypes.NullValue, nil
-		}
-		return sqltypes.NewInt(int64(len(a[0].String()))), nil
-	}},
-	"SUBSTR": {2, 3, fixedType(sqltypes.String), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		if a[0].IsNull() || a[1].IsNull() {
-			return sqltypes.NullValue, nil
-		}
-		s := a[0].String()
-		start, err := sqltypes.Cast(a[1], sqltypes.Int)
+		d = readDigits(lit)
+	}
+	return func(row sqltypes.Row) (sqltypes.Value, error) {
+		v, err := x(row)
 		if err != nil {
 			return sqltypes.NullValue, err
 		}
-		// SQL SUBSTR is 1-based.
-		i := int(start.I) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i > len(s) {
-			i = len(s)
-		}
-		end := len(s)
-		if len(a) == 3 {
-			if a[2].IsNull() {
-				return sqltypes.NullValue, nil
+		return d.round(v)
+	}
+}
+
+// extremum binds LEAST (dir < 0) or GREATEST (dir > 0): the least or
+// greatest non-NULL argument in Compare's order (NaN is the greatest
+// number), NULL if all are NULL. Every argument is evaluated.
+func extremum(dir int) func([]*Compiled) evalFunc {
+	return func(args []*Compiled) evalFunc {
+		return func(row sqltypes.Row) (sqltypes.Value, error) {
+			best := sqltypes.NullValue
+			for _, a := range args {
+				v, err := a.Eval(row)
+				if err != nil {
+					return sqltypes.NullValue, err
+				}
+				if !v.IsNull() && (best.IsNull() || compare(v, best)*dir > 0) {
+					best = v
+				}
 			}
-			n, err := sqltypes.Cast(a[2], sqltypes.Int)
+			return best, nil
+		}
+	}
+}
+
+// bindCoalesce binds COALESCE: the first non-NULL argument. It does not
+// short-circuit: the arguments after it are still evaluated, and an
+// error among them is still returned.
+func bindCoalesce(args []*Compiled) evalFunc {
+	return func(row sqltypes.Row) (sqltypes.Value, error) {
+		out := sqltypes.NullValue
+		for _, a := range args {
+			v, err := a.Eval(row)
 			if err != nil {
 				return sqltypes.NullValue, err
 			}
-			if n.I < 0 {
-				return sqltypes.NullValue, fmt.Errorf("negative SUBSTR length")
-			}
-			if i+int(n.I) < end {
-				end = i + int(n.I)
+			if out.IsNull() && !v.IsNull() {
+				out = v
 			}
 		}
-		return sqltypes.NewString(s[i:end]), nil
-	}},
-	"CONCAT": {1, -1, fixedType(sqltypes.String), func(a []sqltypes.Value) (sqltypes.Value, error) {
-		var b strings.Builder
-		for _, v := range a {
-			if v.IsNull() {
-				continue // CONCAT skips NULLs (PostgreSQL behaviour)
-			}
-			b.WriteString(v.String())
-		}
-		return sqltypes.NewString(b.String()), nil
-	}},
+		return out, nil
+	}
 }
 
-// extremum returns the least (dir < 0) or greatest (dir > 0) non-NULL
-// value; NULL if all arguments are NULL.
-func extremum(args []sqltypes.Value, dir int) sqltypes.Value {
-	best := sqltypes.NullValue
-	for _, v := range args {
-		if v.IsNull() {
-			continue
+// bindConcat binds CONCAT, which skips NULLs (PostgreSQL behaviour).
+func bindConcat(args []*Compiled) evalFunc {
+	return func(row sqltypes.Row) (sqltypes.Value, error) {
+		var b strings.Builder
+		for _, a := range args {
+			v, err := a.Eval(row)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			if !v.IsNull() {
+				b.WriteString(v.String())
+			}
 		}
-		if best.IsNull() || sqltypes.Compare(v, best)*dir > 0 {
-			best = v
+		return sqltypes.NewString(b.String()), nil
+	}
+}
+
+// bindSubstr binds SUBSTR(s, start [, length]).
+func bindSubstr(args []*Compiled) evalFunc {
+	x, y := args[0].Eval, args[1].Eval
+	var z evalFunc
+	if len(args) == 3 {
+		z = args[2].Eval
+	}
+	return func(row sqltypes.Row) (sqltypes.Value, error) {
+		s, err := x(row)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		start, err := y(row)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		if z == nil {
+			return substr(s, start, sqltypes.NullValue, false)
+		}
+		n, err := z(row)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		return substr(s, start, n, true)
+	}
+}
+
+func substr(sv, startv, nv sqltypes.Value, hasN bool) (sqltypes.Value, error) {
+	if sv.IsNull() || startv.IsNull() {
+		return sqltypes.NullValue, nil
+	}
+	s := sv.String()
+	start, err := sqltypes.Cast(startv, sqltypes.Int)
+	if err != nil {
+		return sqltypes.NullValue, err
+	}
+	// SQL SUBSTR is 1-based.
+	i := int(start.I) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i > len(s) {
+		i = len(s)
+	}
+	end := len(s)
+	if hasN {
+		if nv.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		n, err := sqltypes.Cast(nv, sqltypes.Int)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		if n.I < 0 {
+			return sqltypes.NullValue, fmt.Errorf("negative SUBSTR length")
+		}
+		if n.I < int64(end-i) { // not i+n < end, which overflows
+			end = i + int(n.I)
 		}
 	}
-	return best
+	return sqltypes.NewString(s[i:end]), nil
 }
 
 // IsScalarFunc reports whether the (uppercased) name is a known scalar
@@ -249,19 +381,5 @@ func compileScalarFunc(t *ast.FuncCall, env *Env) (*Compiled, error) {
 		compiled[i] = c
 		types[i] = c.Type
 	}
-	eval := f.eval
-	return &Compiled{
-		Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-			args := make([]sqltypes.Value, len(compiled))
-			for i, c := range compiled {
-				v, err := c.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				args[i] = v
-			}
-			return eval(args)
-		},
-		Type: f.resultType(types),
-	}, nil
+	return &Compiled{Eval: f.bind(compiled), Type: f.resultType(types)}, nil
 }

@@ -1,0 +1,360 @@
+package expr
+
+import (
+	"fmt"
+	"math"
+	"strings"
+
+	"dbspinner/internal/sqltypes"
+)
+
+// The reference evaluator: a test-only copy of the evaluator as it was
+// before operators, functions and casts were bound at compile time — it
+// switches on the operator per row, collects a call's arguments into a
+// fresh slice, casts ROUND's digits and takes their power of ten per
+// row. The differential test (kernels_test.go) demands that the bound
+// kernels agree with it value for value, bit for bit and error for
+// error. It differs from that evaluator only where the same change fixed
+// a bug: refCompare's NaN order (NaN equal to NaN and above every other
+// number, instead of equal to every number), and SUBSTR with a length
+// near MaxInt64, which overflowed an index and panicked.
+
+// refCompare is sqltypes.Compare as it was, with the fixed NaN order.
+func refCompare(a, b sqltypes.Value) int {
+	an, bn := a.IsNull(), b.IsNull()
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	case bn:
+		return 1
+	}
+	isNum := func(t sqltypes.Type) bool { return t == sqltypes.Int || t == sqltypes.Float }
+	if isNum(a.T) && isNum(b.T) {
+		if a.T == sqltypes.Int && b.T == sqltypes.Int {
+			switch {
+			case a.I < b.I:
+				return -1
+			case a.I > b.I:
+				return 1
+			}
+			return 0
+		}
+		af, bf := a.Float(), b.Float()
+		switch {
+		case af < bf:
+			return -1
+		case af > bf:
+			return 1
+		case af == bf:
+			return 0
+		case af != af && bf != bf:
+			return 0
+		case af != af:
+			return 1
+		}
+		return -1
+	}
+	if a.T != b.T {
+		if a.T < b.T {
+			return -1
+		}
+		return 1
+	}
+	switch a.T {
+	case sqltypes.Bool:
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		}
+		return 0
+	case sqltypes.String:
+		return strings.Compare(a.S, b.S)
+	}
+	return 0
+}
+
+// refArith is sqltypes' arithmetic as it was: one switch on the
+// operator string.
+func refArith(a, b sqltypes.Value, op string) (sqltypes.Value, error) {
+	if a.IsNull() || b.IsNull() {
+		return sqltypes.NullValue, nil
+	}
+	isNum := func(t sqltypes.Type) bool { return t == sqltypes.Int || t == sqltypes.Float }
+	if !isNum(a.T) || !isNum(b.T) {
+		return sqltypes.NullValue, fmt.Errorf("operator %s requires numeric operands, got %s and %s", op, a.T, b.T)
+	}
+	if a.T == sqltypes.Int && b.T == sqltypes.Int {
+		x, y := a.I, b.I
+		switch op {
+		case "+":
+			return sqltypes.NewInt(x + y), nil
+		case "-":
+			return sqltypes.NewInt(x - y), nil
+		case "*":
+			return sqltypes.NewInt(x * y), nil
+		case "/":
+			if y == 0 {
+				return sqltypes.NullValue, fmt.Errorf("division by zero")
+			}
+			return sqltypes.NewInt(x / y), nil
+		case "%":
+			if y == 0 {
+				return sqltypes.NullValue, fmt.Errorf("division by zero")
+			}
+			return sqltypes.NewInt(x % y), nil
+		}
+	}
+	x, y := a.Float(), b.Float()
+	switch op {
+	case "+":
+		return sqltypes.NewFloat(x + y), nil
+	case "-":
+		return sqltypes.NewFloat(x - y), nil
+	case "*":
+		return sqltypes.NewFloat(x * y), nil
+	case "/":
+		if y == 0 {
+			return sqltypes.NullValue, fmt.Errorf("division by zero")
+		}
+		return sqltypes.NewFloat(x / y), nil
+	case "%":
+		if y == 0 {
+			return sqltypes.NullValue, fmt.Errorf("division by zero")
+		}
+		return sqltypes.NewFloat(math.Mod(x, y)), nil
+	}
+	return sqltypes.NullValue, fmt.Errorf("unknown operator %s", op)
+}
+
+// refBinary is compileBinary's per-row body as it was, for every
+// operator but AND and OR.
+func refBinary(op string, lv, rv sqltypes.Value) (sqltypes.Value, error) {
+	switch op {
+	case "=", "!=", "<", "<=", ">", ">=":
+		if lv.IsNull() || rv.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		c := refCompare(lv, rv)
+		var b bool
+		switch op {
+		case "=":
+			b = c == 0
+		case "!=":
+			b = c != 0
+		case "<":
+			b = c < 0
+		case "<=":
+			b = c <= 0
+		case ">":
+			b = c > 0
+		case ">=":
+			b = c >= 0
+		}
+		return sqltypes.NewBool(b), nil
+	case "+", "-", "*", "/", "%":
+		return refArith(lv, rv, op)
+	case "||":
+		if lv.IsNull() || rv.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewString(lv.String() + rv.String()), nil
+	case "LIKE":
+		if lv.IsNull() || rv.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewBool(likeMatch(lv.String(), rv.String())), nil
+	}
+	panic("refBinary: operator " + op)
+}
+
+// refCast is CAST as it was: always through sqltypes.Cast.
+func refCast(v sqltypes.Value, to sqltypes.Type) (sqltypes.Value, error) {
+	return sqltypes.Cast(v, to)
+}
+
+func refNumeric1(f func(float64) float64, rt sqltypes.Type) func([]sqltypes.Value) (sqltypes.Value, error) {
+	return func(args []sqltypes.Value) (sqltypes.Value, error) {
+		v := args[0]
+		if v.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		if v.T != sqltypes.Int && v.T != sqltypes.Float {
+			return sqltypes.NullValue, fmt.Errorf("numeric argument required, got %s", v.T)
+		}
+		r := f(v.Float())
+		if rt == sqltypes.Int {
+			return sqltypes.NewInt(int64(r)), nil
+		}
+		return sqltypes.NewFloat(r), nil
+	}
+}
+
+func refExtremum(args []sqltypes.Value, dir int) sqltypes.Value {
+	best := sqltypes.NullValue
+	for _, v := range args {
+		if v.IsNull() {
+			continue
+		}
+		if best.IsNull() || refCompare(v, best)*dir > 0 {
+			best = v
+		}
+	}
+	return best
+}
+
+// refFuncs is the function library as it was: each function over the
+// slice of its evaluated arguments.
+var refFuncs = map[string]func([]sqltypes.Value) (sqltypes.Value, error){
+	"ABS": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		v := a[0]
+		if v.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		switch v.T {
+		case sqltypes.Int:
+			if v.I < 0 {
+				return sqltypes.NewInt(-v.I), nil
+			}
+			return v, nil
+		case sqltypes.Float:
+			return sqltypes.NewFloat(math.Abs(v.F)), nil
+		}
+		return sqltypes.NullValue, fmt.Errorf("ABS requires a numeric argument")
+	},
+	"CEILING": refNumeric1(math.Ceil, sqltypes.Float),
+	"CEIL":    refNumeric1(math.Ceil, sqltypes.Float),
+	"FLOOR":   refNumeric1(math.Floor, sqltypes.Float),
+	"SQRT":    refNumeric1(math.Sqrt, sqltypes.Float),
+	"EXP":     refNumeric1(math.Exp, sqltypes.Float),
+	"LN":      refNumeric1(math.Log, sqltypes.Float),
+	"SIGN": refNumeric1(func(f float64) float64 {
+		switch {
+		case f > 0:
+			return 1
+		case f < 0:
+			return -1
+		}
+		return 0
+	}, sqltypes.Int),
+	"ROUND": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		v := a[0]
+		if v.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		if v.T != sqltypes.Int && v.T != sqltypes.Float {
+			return sqltypes.NullValue, fmt.Errorf("ROUND requires a numeric argument")
+		}
+		digits := int64(0)
+		if len(a) == 2 {
+			if a[1].IsNull() {
+				return sqltypes.NullValue, nil
+			}
+			d, err := sqltypes.Cast(a[1], sqltypes.Int)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			digits = d.I
+		}
+		scale := math.Pow(10, float64(digits))
+		r := math.Round(v.Float()*scale) / scale
+		if v.T == sqltypes.Int && digits >= 0 {
+			return sqltypes.NewInt(int64(r)), nil
+		}
+		return sqltypes.NewFloat(r), nil
+	},
+	"MOD": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		return refArith(a[0], a[1], "%")
+	},
+	"POWER": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if a[0].IsNull() || a[1].IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewFloat(math.Pow(a[0].Float(), a[1].Float())), nil
+	},
+	"LEAST": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		return refExtremum(a, -1), nil
+	},
+	"GREATEST": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		return refExtremum(a, 1), nil
+	},
+	"COALESCE": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		for _, v := range a {
+			if !v.IsNull() {
+				return v, nil
+			}
+		}
+		return sqltypes.NullValue, nil
+	},
+	"NULLIF": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if !a[0].IsNull() && !a[1].IsNull() && refCompare(a[0], a[1]) == 0 {
+			return sqltypes.NullValue, nil
+		}
+		return a[0], nil
+	},
+	"UPPER": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if a[0].IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewString(strings.ToUpper(a[0].String())), nil
+	},
+	"LOWER": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if a[0].IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewString(strings.ToLower(a[0].String())), nil
+	},
+	"LENGTH": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if a[0].IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewInt(int64(len(a[0].String()))), nil
+	},
+	"SUBSTR": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		if a[0].IsNull() || a[1].IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		s := a[0].String()
+		start, err := sqltypes.Cast(a[1], sqltypes.Int)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		i := int(start.I) - 1
+		if i < 0 {
+			i = 0
+		}
+		if i > len(s) {
+			i = len(s)
+		}
+		end := len(s)
+		if len(a) == 3 {
+			if a[2].IsNull() {
+				return sqltypes.NullValue, nil
+			}
+			n, err := sqltypes.Cast(a[2], sqltypes.Int)
+			if err != nil {
+				return sqltypes.NullValue, err
+			}
+			if n.I < 0 {
+				return sqltypes.NullValue, fmt.Errorf("negative SUBSTR length")
+			}
+			if n.I < int64(end-i) { // fixed with the change: i+n < end overflowed and panicked
+				end = i + int(n.I)
+			}
+		}
+		return sqltypes.NewString(s[i:end]), nil
+	},
+	"CONCAT": func(a []sqltypes.Value) (sqltypes.Value, error) {
+		var b strings.Builder
+		for _, v := range a {
+			if v.IsNull() {
+				continue
+			}
+			b.WriteString(v.String())
+		}
+		return sqltypes.NewString(b.String()), nil
+	},
+}

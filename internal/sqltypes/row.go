@@ -154,9 +154,13 @@ func encodeKey(b *strings.Builder, k Key) {
 }
 
 func floatBits(f float64) uint64 {
-	// Normalize -0 to +0 so they hash identically.
+	// Normalize -0 to +0, and every NaN payload to one, so that values
+	// Compare calls equal hash identically.
 	if f == 0 {
 		f = 0
+	}
+	if f != f {
+		f = math.NaN()
 	}
 	return math.Float64bits(f)
 }
@@ -194,11 +198,7 @@ func (k CompositeKey) Hash() uint64 {
 		case keyBool:
 			mix(byte(kk.i))
 		case keyNum:
-			f := kk.f
-			if f == 0 {
-				f = 0 // normalize -0 so it hashes like +0 (== treats them equal)
-			}
-			mix64(math.Float64bits(f))
+			mix64(floatBits(kk.f))
 		case keyStr:
 			for i := 0; i < len(kk.s); i++ {
 				mix(kk.s[i])

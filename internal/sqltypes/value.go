@@ -5,6 +5,8 @@
 package sqltypes
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -153,6 +155,8 @@ func isNumeric(t Type) bool { return t == Int || t == Float }
 // NULLs are not comparable in expressions (use Equal/Less via the
 // evaluator, which handles three-valued logic); Compare is the total
 // order used by ORDER BY, where NULL sorts first and equals itself.
+// Numbers order as CompareFloat says, so NaN equals NaN and sorts after
+// every other number.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
@@ -166,22 +170,9 @@ func Compare(a, b Value) int {
 	// Numeric cross-type comparison promotes to float.
 	if isNumeric(a.T) && isNumeric(b.T) {
 		if a.T == Int && b.T == Int {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.I, b.I)
 		}
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return CompareFloat(a.Float(), b.Float())
 	}
 	if a.T != b.T {
 		// Incomparable types order by type tag so sorting is total.
@@ -203,6 +194,30 @@ func Compare(a, b Value) int {
 		return strings.Compare(a.S, b.S)
 	}
 	return 0
+}
+
+// CompareFloat is Compare's order on numbers: -0 equals +0, and NaN
+// equals NaN and is greater than every other number. That is
+// PostgreSQL's order, and the one KeyTable's equality agrees with, so a
+// filter, a hash join and a nested-loop join see the same NaN.
+func CompareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	}
+	// At least one side is NaN.
+	xn, yn := x != x, y != y
+	switch {
+	case xn && yn:
+		return 0
+	case xn:
+		return 1
+	}
+	return -1
 }
 
 // Equal reports SQL equality of two non-NULL values. If either side is
@@ -319,71 +334,96 @@ func Cast(v Value, to Type) (Value, error) {
 // FLOAT operand promotes the result to FLOAT.
 
 // Add returns a + b.
-func Add(a, b Value) (Value, error) { return arith(a, b, "+") }
+func Add(a, b Value) (Value, error) {
+	if a.T == Int && b.T == Int {
+		return NewInt(a.I + b.I), nil
+	}
+	x, y, ok, err := floatOperands(a, b, "+")
+	if !ok {
+		return NullValue, err
+	}
+	return NewFloat(x + y), nil
+}
 
 // Sub returns a - b.
-func Sub(a, b Value) (Value, error) { return arith(a, b, "-") }
+func Sub(a, b Value) (Value, error) {
+	if a.T == Int && b.T == Int {
+		return NewInt(a.I - b.I), nil
+	}
+	x, y, ok, err := floatOperands(a, b, "-")
+	if !ok {
+		return NullValue, err
+	}
+	return NewFloat(x - y), nil
+}
 
 // Mul returns a * b.
-func Mul(a, b Value) (Value, error) { return arith(a, b, "*") }
+func Mul(a, b Value) (Value, error) {
+	if a.T == Int && b.T == Int {
+		return NewInt(a.I * b.I), nil
+	}
+	x, y, ok, err := floatOperands(a, b, "*")
+	if !ok {
+		return NullValue, err
+	}
+	return NewFloat(x * y), nil
+}
 
 // Div returns a / b. Integer division of two INTs truncates toward zero,
 // matching the behaviour the FF query relies on being avoided via CAST.
-func Div(a, b Value) (Value, error) { return arith(a, b, "/") }
+func Div(a, b Value) (Value, error) {
+	if a.T == Int && b.T == Int {
+		if b.I == 0 {
+			return NullValue, errDivisionByZero
+		}
+		return NewInt(a.I / b.I), nil
+	}
+	x, y, ok, err := floatOperands(a, b, "/")
+	if !ok {
+		return NullValue, err
+	}
+	if y == 0 {
+		return NullValue, errDivisionByZero
+	}
+	return NewFloat(x / y), nil
+}
 
 // Mod returns a % b for INT operands, or math.Mod for FLOATs.
-func Mod(a, b Value) (Value, error) { return arith(a, b, "%") }
+func Mod(a, b Value) (Value, error) {
+	if a.T == Int && b.T == Int {
+		if b.I == 0 {
+			return NullValue, errDivisionByZero
+		}
+		return NewInt(a.I % b.I), nil
+	}
+	x, y, ok, err := floatOperands(a, b, "%")
+	if !ok {
+		return NullValue, err
+	}
+	if y == 0 {
+		return NullValue, errDivisionByZero
+	}
+	return NewFloat(math.Mod(x, y)), nil
+}
 
-func arith(a, b Value, op string) (Value, error) {
+// errDivisionByZero is what / and % return for a zero divisor, INT or
+// FLOAT.
+var errDivisionByZero = errors.New("division by zero")
+
+// floatOperands checks the operands of an arithmetic operator that is
+// not INT op INT and promotes both to float. ok is false when the result
+// is NULL (either side is NULL) or err is set (either side is not a
+// number).
+func floatOperands(a, b Value, op string) (x, y float64, ok bool, err error) {
 	if a.IsNull() || b.IsNull() {
-		return NullValue, nil
+		return 0, 0, false, nil
 	}
 	// String concatenation via "+" is deliberately not supported; SQL
 	// uses || which the parser maps to Concat.
 	if !isNumeric(a.T) || !isNumeric(b.T) {
-		return NullValue, fmt.Errorf("operator %s requires numeric operands, got %s and %s", op, a.T, b.T)
+		return 0, 0, false, fmt.Errorf("operator %s requires numeric operands, got %s and %s", op, a.T, b.T)
 	}
-	if a.T == Int && b.T == Int {
-		x, y := a.I, b.I
-		switch op {
-		case "+":
-			return NewInt(x + y), nil
-		case "-":
-			return NewInt(x - y), nil
-		case "*":
-			return NewInt(x * y), nil
-		case "/":
-			if y == 0 {
-				return NullValue, fmt.Errorf("division by zero")
-			}
-			return NewInt(x / y), nil
-		case "%":
-			if y == 0 {
-				return NullValue, fmt.Errorf("division by zero")
-			}
-			return NewInt(x % y), nil
-		}
-	}
-	x, y := a.Float(), b.Float()
-	switch op {
-	case "+":
-		return NewFloat(x + y), nil
-	case "-":
-		return NewFloat(x - y), nil
-	case "*":
-		return NewFloat(x * y), nil
-	case "/":
-		if y == 0 {
-			return NullValue, fmt.Errorf("division by zero")
-		}
-		return NewFloat(x / y), nil
-	case "%":
-		if y == 0 {
-			return NullValue, fmt.Errorf("division by zero")
-		}
-		return NewFloat(math.Mod(x, y)), nil
-	}
-	return NullValue, fmt.Errorf("unknown operator %s", op)
+	return a.Float(), b.Float(), true, nil
 }
 
 // Neg returns -a.

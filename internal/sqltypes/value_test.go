@@ -370,6 +370,45 @@ func TestCastRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestNaNOrder: NaN equals NaN and is greater than every other number,
+// INT or FLOAT, infinities included; Compare stays a total order with
+// NaN in it, its equality is KeyTable's, and every NaN payload routes to
+// the same partition.
+func TestNaNOrder(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	negNaN := NewFloat(math.Copysign(math.NaN(), -1))
+	for _, v := range []Value{NewInt(math.MaxInt64), NewInt(-1), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(0)} {
+		if Compare(nan, v) != 1 || Compare(v, nan) != -1 {
+			t.Errorf("Compare(NaN, %v) = %d, Compare(%v, NaN) = %d; want NaN above every number", v, Compare(nan, v), v, Compare(v, nan))
+		}
+	}
+	if Compare(nan, negNaN) != 0 || Compare(NullValue, nan) != -1 || Compare(nan, NewString("")) != -1 {
+		t.Error("NaN must equal every NaN, sort after NULL and before strings")
+	}
+	pool := []Value{NullValue, NewBool(true), NewInt(-3), NewInt(0), NewFloat(math.Copysign(0, -1)), NewFloat(2.5),
+		NewFloat(math.Inf(1)), nan, negNaN, NewFloat(math.Inf(-1)), NewString("a")}
+	for _, a := range pool {
+		for _, b := range pool {
+			if Compare(a, b) != -Compare(b, a) {
+				t.Errorf("Compare(%v, %v) is not antisymmetric", a, b)
+			}
+			if KeyEqual(a, b) != (Compare(a, b) == 0) {
+				t.Errorf("KeyEqual(%v, %v) = %v, but Compare = %d", a, b, KeyEqual(a, b), Compare(a, b))
+			}
+			for _, c := range pool {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("Compare is not transitive over %v <= %v <= %v", a, b, c)
+				}
+			}
+		}
+	}
+	route := func(v Value) int { return RowKey(Row{v}, []int{0}).Partition(7) }
+	wide := func(v Value) uint64 { return RowKey(Row{v, v, v, v}, []int{0, 1, 2, 3}).Hash() }
+	if route(nan) != route(negNaN) || RowKey(Row{nan, nan}, []int{0, 1}).Hash() != RowKey(Row{negNaN, negNaN}, []int{0, 1}).Hash() || wide(nan) != wide(negNaN) {
+		t.Error("NaN payloads must route alike")
+	}
+}
+
 func TestFloatKeyNormalization(t *testing.T) {
 	negZero := NewFloat(math.Copysign(0, -1))
 	posZero := NewFloat(0)

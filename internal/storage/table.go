@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -100,11 +101,29 @@ func (t *Table) Insert(r sqltypes.Row) {
 	t.Parts[p] = append(t.Parts[p], r)
 }
 
-// InsertBatch appends many rows.
+// InsertBatch appends many rows: the partitions and their row order are
+// exactly what one Insert per row produces. It routes every row once,
+// counting rows per partition, grows each partition once to its exact
+// size, then fills it, instead of growing each by doubling.
 func (t *Table) InsertBatch(rows []sqltypes.Row) {
 	t.mustBeWritable("InsertBatch")
-	for _, r := range rows {
-		t.Insert(r)
+	if len(t.Parts) == 1 {
+		t.Parts[0] = append(slices.Grow(t.Parts[0], len(rows)), rows...)
+		return
+	}
+	dest := make([]int32, len(rows))
+	counts := make([]int, len(t.Parts))
+	for i, r := range rows {
+		p := t.partitionFor(r)
+		dest[i] = int32(p)
+		counts[p]++
+	}
+	for p, n := range counts {
+		t.Parts[p] = slices.Grow(t.Parts[p], n)
+	}
+	for i, r := range rows {
+		p := dest[i]
+		t.Parts[p] = append(t.Parts[p], r)
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,67 @@ func TestPartitionRoutingProperties(t *testing.T) {
 		r := sqltypes.Row{sqltypes.NewInt(int64(i * 37))}
 		if got, want := tab.partitionFor(r), route(r[0]); got != want {
 			t.Fatalf("partitionFor(%d) = %d, Partition = %d", i*37, got, want)
+		}
+	}
+}
+
+// TestInsertBatchMatchesInsert: InsertBatch sizes each partition once,
+// and must still lay rows out exactly as one Insert per row does — the
+// same partitions, the same order within each, the same round-robin
+// cursor for the next write — over random rows with NULL keys, keys of
+// both numeric tags and rows too short for DistCol, at 1 to 4 partitions,
+// hash- and round-robin-distributed, into empty and non-empty tables.
+func TestInsertBatchMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	randomRows := func(n int, id *int64) []sqltypes.Row {
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			*id++
+			var key sqltypes.Value
+			switch rng.Intn(4) {
+			case 0:
+				key = sqltypes.NullValue
+			case 1:
+				key = sqltypes.NewFloat(float64(rng.Intn(20)))
+			default:
+				key = sqltypes.NewInt(int64(rng.Intn(20)))
+			}
+			rows[i] = sqltypes.Row{key, sqltypes.NewInt(*id)}
+			if rng.Intn(10) == 0 {
+				rows[i] = sqltypes.Row{} // too short for DistCol: round-robin
+			}
+		}
+		return rows
+	}
+	for parts := 1; parts <= 4; parts++ {
+		for _, dist := range []int{-1, 0} {
+			for trial := 0; trial < 20; trial++ {
+				one := NewTable("one", schema2(), parts)
+				batch := NewTable("batch", schema2(), parts)
+				one.DistCol, batch.DistCol = dist, dist
+				var id int64
+				for round := 0; round < 3; round++ {
+					rows := randomRows(rng.Intn(60), &id)
+					for _, r := range rows {
+						one.Insert(r)
+					}
+					batch.InsertBatch(rows)
+					for p := range one.Parts {
+						if fmt.Sprint(one.Parts[p]) != fmt.Sprint(batch.Parts[p]) {
+							t.Fatalf("parts %d, DistCol %d, trial %d, batch %d: partition %d is\n%v\nby InsertBatch, want\n%v",
+								parts, dist, trial, round, p, batch.Parts[p], one.Parts[p])
+						}
+						for i := range one.Parts[p] {
+							if len(one.Parts[p][i]) > 0 && &one.Parts[p][i][0] != &batch.Parts[p][i][0] {
+								t.Fatalf("partition %d row %d is a copy, not the row inserted", p, i)
+							}
+						}
+					}
+					if one.rr != batch.rr {
+						t.Fatalf("round-robin cursor %d after InsertBatch, %d after Insert", batch.rr, one.rr)
+					}
+				}
+			}
 		}
 	}
 }
