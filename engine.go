@@ -673,18 +673,9 @@ func (e *Engine) Explain(sql string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		out := prog.Explain()
-		if !e.cfg.DisableVerify {
-			if diags := verify.Check(prog, sel); len(diags) > 0 {
-				var b strings.Builder
-				b.WriteString(out)
-				for _, d := range diags {
-					fmt.Fprintf(&b, "Verifier: %s\n", d)
-				}
-				return b.String(), nil
-			}
-			out += fmt.Sprintf("Verifier: OK (%d steps, %d invariant classes checked).\n",
-				len(prog.Steps), verify.ClassCount)
+		out, ok := e.explainProgram(prog, sel)
+		if !ok {
+			return out, nil
 		}
 		if analyze {
 			prog.Trace = true
@@ -718,6 +709,29 @@ func (e *Engine) Explain(sql string) (string, error) {
 		}
 		return out, nil
 	}
+}
+
+// explainProgram renders an iterative program and the verifier's verdict
+// on it, and reports whether the program verified. The rewrite derives
+// partition properties only for a program that may elide exchanges;
+// EXPLAIN prints them for every program, so it derives the rest here,
+// before the verifier re-derives every claim recorded.
+func (e *Engine) explainProgram(prog *core.Program, sel *ast.SelectStmt) (string, bool) {
+	prog.DeriveDistProps()
+	out := prog.Explain()
+	if e.cfg.DisableVerify {
+		return out, true
+	}
+	if diags := verify.Check(prog, sel); len(diags) > 0 {
+		var b strings.Builder
+		b.WriteString(out)
+		for _, d := range diags {
+			fmt.Fprintf(&b, "Verifier: %s\n", d)
+		}
+		return b.String(), false
+	}
+	return out + fmt.Sprintf("Verifier: OK (%d steps, %d invariant classes checked).\n",
+		len(prog.Steps), verify.ClassCount), true
 }
 
 // analyzePlain times one execution of a non-iterative statement for

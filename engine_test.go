@@ -5,6 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dbspinner/internal/ast"
+	"dbspinner/internal/core"
+	"dbspinner/internal/distprop"
+	"dbspinner/internal/parser"
+	"dbspinner/internal/verify"
 )
 
 // newGraphEngine creates an engine loaded with the 4-edge test graph
@@ -334,6 +340,60 @@ func TestExplainReportsVerifier(t *testing.T) {
 	r := mustQuery(t, off, q)
 	if len(r.Rows) != 1 || r.Rows[0][0].Int() != 3 {
 		t.Errorf("rows = %v", r.Rows)
+	}
+}
+
+// TestExplainVerifiesClaimsItDerives seeds the partition-claim mutant on
+// a volcano program, whose rewrite records no claim and leaves EXPLAIN
+// to derive them: a claim widened after that derivation — hash(k)
+// recorded as hash(k, v) — must still reach the verifier through the
+// EXPLAIN path and be reported as unsound, while the claims as derived
+// verify clean.
+func TestExplainVerifiesClaimsItDerives(t *testing.T) {
+	const q = `WITH ITERATIVE c (k, v) AS (
+		SELECT src, dst FROM edges
+		ITERATE SELECT c.k, e.dst FROM c JOIN edges AS e ON c.k = e.src
+		UNTIL 2 ITERATIONS) SELECT k, v FROM c`
+	e := newGraphEngine(t)
+	rewrite := func() (*core.Program, *ast.SelectStmt) {
+		stmt, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*ast.SelectStmt)
+		opts := e.coreOptions()
+		opts.Verify = false
+		prog, err := core.Rewrite(sel, e.rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.DistProps != nil {
+			t.Fatal("the rewrite derived partition claims for a volcano program")
+		}
+		return prog, sel
+	}
+
+	prog, sel := rewrite()
+	if out, ok := e.explainProgram(prog, sel); !ok || !strings.Contains(out, "Distribution step 1: ") {
+		t.Fatalf("EXPLAIN of the unmutated program:\n%s", out)
+	}
+
+	prog, sel = rewrite()
+	prog.DeriveDistProps() // what EXPLAIN derives; it keeps claims already there
+	mutated := false
+	for i, c := range prog.DistProps {
+		if c.Prop.Kind == distprop.KindHash {
+			prog.DistProps[i].Prop = distprop.Hash(append(append([]int(nil), c.Prop.Cols...), 1)...)
+			mutated = true
+			break
+		}
+	}
+	if !mutated {
+		t.Fatal("no hash claim to widen")
+	}
+	out, ok := e.explainProgram(prog, sel)
+	if ok || !strings.Contains(out, "["+verify.ClassUnsoundDistProp+"]") {
+		t.Errorf("EXPLAIN did not report the widened claim as %s:\n%s", verify.ClassUnsoundDistProp, out)
 	}
 }
 

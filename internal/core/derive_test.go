@@ -1,0 +1,211 @@
+package core
+
+import (
+	"context"
+	"slices"
+	"strings"
+	"testing"
+
+	"dbspinner/internal/effects"
+	"dbspinner/internal/exec"
+	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
+)
+
+// TestVolcanoRewriteDerivesNoPartitionClaims: the rewrite runs the
+// partition-property analysis only for a program that may elide an
+// exchange — the machine over more than one partition with elision on.
+// Every other program records no claim and no elision until EXPLAIN asks
+// for the claims (DeriveDistProps), which licenses no elision either.
+func TestVolcanoRewriteDerivesNoPartitionClaims(t *testing.T) {
+	rt := newRT(t)
+	machine := DefaultOptions()
+	machine.Parts, machine.Parallel = 2, true
+	volcano := DefaultOptions()
+	volcano.Parts = 4
+	single := machine
+	single.Parts = 1
+	noElision := machine
+	noElision.ShuffleElision = false
+	for _, c := range []struct {
+		name    string
+		opts    Options
+		derived bool
+	}{
+		{"volcano", volcano, false},
+		{"one partition", single, false},
+		{"elision off", noElision, false},
+		{"machine", machine, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := Rewrite(mustParse(t, prVSQuery), rt, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prog.DistProps != nil; got != c.derived {
+				t.Errorf("DistProps recorded: %v, want %v", got, c.derived)
+			}
+			if got := prog.Elisions != nil; got != c.derived {
+				t.Errorf("Elisions recorded: %v, want %v", got, c.derived)
+			}
+			claims := prog.DistProps
+			prog.DeriveDistProps()
+			if len(prog.DistProps) != len(prog.Steps)+1 {
+				t.Fatalf("after DeriveDistProps %d claims for %d steps and Qf", len(prog.DistProps), len(prog.Steps))
+			}
+			if c.derived && &claims[0] != &prog.DistProps[0] {
+				t.Error("DeriveDistProps replaced the claims the rewrite recorded")
+			}
+			if !c.derived && (prog.Elisions != nil || prog.elide != nil) {
+				t.Error("DeriveDistProps licensed an elision")
+			}
+		})
+	}
+}
+
+// compiling counts the distinct nodes below roots whose operators compile
+// expressions: filters, projections, joins and aggregates.
+func compiling(roots ...plan.Node) int {
+	seen := map[plan.Node]bool{}
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		if n == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	n := 0
+	for node := range seen {
+		switch node.(type) {
+		case *plan.Filter, *plan.Project, *plan.Join, *plan.Aggregate:
+			n++
+		}
+	}
+	return n
+}
+
+// planRoots returns every plan a program can run: each step's, the
+// termination condition's and Qf.
+func planRoots(p *Program) []plan.Node {
+	roots := []plan.Node{p.Final}
+	for _, s := range p.Steps {
+		switch t := s.(type) {
+		case *MaterializeStep:
+			roots = append(roots, t.Plan)
+		case *InitLoopStep:
+			roots = append(roots, t.Loop.CondPlan)
+		}
+		if r := restrictionOf(s); r != nil {
+			roots = append(roots, r.Full, r.Restricted)
+		}
+	}
+	return roots
+}
+
+// TestExpressionsCompiledOncePerRun: under the run's compile memo a loop
+// body's expressions are compiled once per run, not once per iteration,
+// on either executor: Friends Forecast compiles exactly one entry per
+// expression-carrying plan node, at 3 iterations and at 13 alike.
+func TestExpressionsCompiledOncePerRun(t *testing.T) {
+	for _, cfg := range []struct {
+		name     string
+		parts    int
+		parallel bool
+	}{
+		{"volcano-4", 4, false},
+		{"mpp-2", 2, true},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			rt := graphRT(t, cfg.parts)
+			opts := DefaultOptions()
+			opts.Parts, opts.Parallel = cfg.parts, cfg.parallel
+			var counts []int
+			for _, n := range []int{3, 13} {
+				prog, err := Rewrite(mustParse(t, iterating(ffQuery, n)), rt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compiled := exec.NewCompileCache()
+				var stats Stats
+				if _, err := prog.run(context.Background(), rt.WithMemo(nil, compiled), &stats); err != nil {
+					t.Fatal(err)
+				}
+				if stats.Iterations != n {
+					t.Fatalf("%d iterations, want %d", stats.Iterations, n)
+				}
+				if want := compiling(planRoots(prog)...); compiled.Len() != want {
+					t.Errorf("%d iterations compiled %d nodes, the program has %d that carry expressions", n, compiled.Len(), want)
+				}
+				counts = append(counts, compiled.Len())
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("3 iterations compiled %d nodes, 13 compiled %d", counts[0], counts[1])
+			}
+		})
+	}
+}
+
+// TestConcurrentBuildsShareOneCompilation: two scheduled steps run one
+// plan at the same time, each on a machine of its own with two
+// partitions, so four trees ask the memo for the same nodes' expressions
+// concurrently; every node is compiled once (this test is in the -race
+// pass), and the rows are a volcano run's.
+func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
+	rt := newRT(t)
+	seed := storage.NewTable("seed", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}}, 2)
+	seed.DistCol = 0
+	for n := int64(1); n <= 3; n++ {
+		seed.Insert(sqltypes.Row{sqltypes.NewInt(n)})
+	}
+	rt.Results.Put("seed", seed)
+	defer rt.Results.Drop("seed")
+	node, err := plan.NewBuilder(rt).Build(mustParse(t, `SELECT seed.src, SUM(edges.dst) AS s
+		FROM seed JOIN edges ON edges.src = seed.src WHERE edges.dst > 1 GROUP BY seed.src`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.Run(node, rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []effects.Set{
+		{Reads: []string{"seed"}, Writes: []string{"a"}},
+		{Reads: []string{"seed"}, Writes: []string{"b"}},
+	}
+	prog := &Program{
+		ParallelSteps: 2,
+		Parallel:      true,
+		Parts:         2,
+		Steps: []Step{
+			&MaterializeStep{Into: "a", Plan: node, Parts: 2, CheckKey: -1},
+			&MaterializeStep{Into: "b", Plan: node, Parts: 2, CheckKey: -1},
+		},
+		Final:    namedResult("b", "src", "s"),
+		Effects:  sets,
+		Schedule: effects.Build(sets, nil),
+	}
+	compiled := exec.NewCompileCache()
+	got, err := prog.run(context.Background(), rt.WithMemo(exec.NewIndexCache(), compiled), &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := sortedRows(got), sortedRows(want); g != w {
+		t.Errorf("rows differ from a volcano run\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if n, want := compiled.Len(), compiling(node); n != want {
+		t.Errorf("the memo compiled %d nodes, the plan has %d that carry expressions", n, want)
+	}
+}
+
+func sortedRows(rows []sqltypes.Row) string {
+	strs := rowStrs(rows)
+	slices.Sort(strs)
+	return strings.Join(strs, "\n")
+}

@@ -101,12 +101,23 @@ func meetInto(dst, src distState) (distState, bool) {
 	return dst, changed
 }
 
+// DeriveDistProps records the distribution property of every step for
+// a program whose rewrite did not derive it: one the machine does not
+// run, or runs over one partition or without shuffle elision, where
+// nothing but EXPLAIN reads the claims. It licenses no elision. A
+// program that records claims already is left as it is, so the verifier
+// checks what the rewrite (or anything after it) recorded.
+func (p *Program) DeriveDistProps() {
+	if p.DistProps == nil {
+		p.deriveDistProps(false)
+	}
+}
+
 // deriveDistProps runs the analysis and attaches its results to the
-// program: DistProps always (EXPLAIN shows the inferred properties
-// whether or not the machine acts on them), Elisions and the machine
-// elide map only when the options license elision on a parallel
-// multi-partition run.
-func (p *Program) deriveDistProps(opts Options) {
+// program: DistProps always, Elisions and the machine elide map only
+// when license is set (shuffle elision on a parallel multi-partition
+// run).
+func (p *Program) deriveDistProps(license bool) {
 	td, _ := p.Lookup.(distprop.TableDist)
 	entry := p.distFixpoint(td)
 	if entry == nil {
@@ -114,7 +125,6 @@ func (p *Program) deriveDistProps(opts Options) {
 		// claim nothing, elide nothing.
 		return
 	}
-	license := opts.ShuffleElision && p.Parallel && p.Parts > 1
 
 	type exchKey struct {
 		node plan.Node

@@ -93,10 +93,9 @@ type Options struct {
 	// exchanges whose input the static partition-property analysis
 	// (internal/distprop) proved already co-partitioned on the
 	// exchange keys. Results are byte-identical either way; only
-	// Stats.RowsShuffled changes. The properties themselves are always
-	// derived (EXPLAIN prints them); this option only controls whether
-	// the machine acts on them. Effective only with Parallel and
-	// Parts > 1.
+	// Stats.RowsShuffled changes. Effective only with Parallel and
+	// Parts > 1, and only then does the rewrite derive the properties
+	// at all; EXPLAIN derives them for every program.
 	ShuffleElision bool
 	// CheckShuffleElision arms the dynamic cross-check on every elided
 	// exchange: rows are re-hashed at consumption and the run fails if
@@ -392,8 +391,10 @@ type Program struct {
 	Schedule *effects.Schedule
 	// DistProps records the distribution property the static
 	// partition-property analysis (internal/distprop) claims for each
-	// step, in step order, plus one final entry for Qf. EXPLAIN prints
-	// them; the verifier re-derives every claim independently
+	// step, in step order, plus one final entry for Qf. The rewrite
+	// derives them for a program that may elide exchanges, EXPLAIN for
+	// any other (DeriveDistProps); nil until then. EXPLAIN prints them;
+	// the verifier re-derives every claim independently
 	// (unsound-partition-claim) rather than trusting the record.
 	DistProps []DistClaim
 	// AggClaims records, for every iterative CTE in order, the
@@ -469,16 +470,18 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 // When p.QueryTimeout is set and goctx carries no deadline of its own,
 // the program arms its own deadline.
 func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
-	// The run's hash-index memo: every executor the run starts — steps,
-	// scheduled steps' guarded views, MPP machines, Qf — reaches it through
-	// this view of the runtime, and it is emptied on every exit path.
-	indexes := exec.NewIndexCache()
+	// The run memo — hash indexes and compiled expressions: every executor
+	// the run starts — steps, scheduled steps' guarded views, MPP
+	// machines, Qf — reaches it through this view of the runtime, and it
+	// is emptied on every exit path.
+	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache()
 	defer indexes.Clear()
-	return p.run(goctx, rt.WithIndexes(indexes), stats)
+	defer compiled.Clear()
+	return p.run(goctx, rt.WithMemo(indexes, compiled), stats)
 }
 
-// run is RunContext over the runtime as given: with whatever index memo
-// rt carries, or none.
+// run is RunContext over the runtime as given: with whatever run memo rt
+// carries, or none.
 func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) (rows []sqltypes.Row, err error) {
 	if stats == nil {
 		stats = &Stats{}

@@ -36,9 +36,9 @@ func ExecuteRecursive(stmt *ast.SelectStmt, rt *exec.StoreRuntime, parts int, ma
 }
 
 // ExecuteRecursiveContext is ExecuteRecursive under a cancellation
-// context: every fixed-point round polls ctx, and a fired cancellation
-// or deadline surfaces as a QueryLifecycleError naming the round
-// reached.
+// context: the base term, every fixed-point round and the final query
+// poll ctx, and a fired cancellation or deadline surfaces as a
+// QueryLifecycleError naming the round reached.
 func ExecuteRecursiveContext(ctx context.Context, stmt *ast.SelectStmt, rt *exec.StoreRuntime, parts int, maxIter int64) ([]sqltypes.Row, []plan.ColInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -53,6 +53,13 @@ func ExecuteRecursiveContext(ctx context.Context, stmt *ast.SelectStmt, rt *exec
 		//lint:ignore coreerrors statement-level error; no CTE, step or table is in scope yet
 		return nil, nil, fmt.Errorf("statement has no recursive CTE")
 	}
+	// The run memo, as a step program's run has one: each round's joins
+	// take the index of a table the recursion does not change from it
+	// instead of building it again, and every plan compiles once.
+	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache()
+	defer indexes.Clear()
+	defer compiled.Clear()
+	rt = rt.WithMemo(indexes, compiled)
 	created := make([]string, 0, len(stmt.With.CTEs))
 	defer func() {
 		for _, name := range created {
@@ -129,9 +136,9 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 	if err != nil {
 		return fmt.Errorf("base term: %w", err)
 	}
-	baseRows, err := exec.Run(basePlan, rt, nil)
+	baseRows, err := exec.RunContext(ctx, basePlan, rt, nil)
 	if err != nil {
-		return err
+		return WrapCancel(err, 0, 0, "recursive CTE base term")
 	}
 	schema := plan.Schema(basePlan)
 	if len(cte.Cols) > 0 {
@@ -212,6 +219,9 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 		}
 		working = next
 		rt.Results.Put(cte.Name, working)
+		// The round's working table is replaced: its indexes go at the
+		// next sweep, the invariant tables' stay.
+		rt.Indexes().Sweep()
 	}
 
 	rt.Results.Put(cte.Name, result)

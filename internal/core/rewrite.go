@@ -86,8 +86,13 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	// Static partition-property analysis (internal/distprop): infer the
 	// distribution property of every step's result, license shuffle
 	// elisions the machine may take, and record both for EXPLAIN and
-	// for the verifier's independent re-derivation.
-	prog.deriveDistProps(opts)
+	// for the verifier's independent re-derivation. Only an elision acts
+	// on the result, so only a program that may elide — the machine over
+	// more than one partition, elision on — derives it here; EXPLAIN
+	// derives it for any other program on demand (DeriveDistProps).
+	if opts.ShuffleElision && prog.Parallel && prog.Parts > 1 {
+		prog.deriveDistProps(true)
+	}
 	prog.CheckElide = opts.CheckShuffleElision
 
 	// Post-rewrite verification (Options.Verify): an independent pass

@@ -1,0 +1,95 @@
+package exec
+
+import (
+	"sync"
+
+	"dbspinner/internal/expr"
+	"dbspinner/internal/plan"
+)
+
+// CompileCache memoizes, for the run of one query, what the executors
+// compile from each plan node's expressions — a filter's condition, a
+// projection's items, an aggregate's group keys and arguments, a join's
+// keys and residual — so a loop body compiles them once per run instead
+// of once per iteration, and the trees an MPP machine builds per
+// partition share one compilation.
+//
+// The memo key is the node alone: plan nodes do not change once the
+// rewrite has built them, and a compiled expression keeps no state
+// (expr.Compiled), so one compilation serves every tree of every
+// executor, concurrently too.
+//
+// A nil *CompileCache is valid and compiles on every request. A cache is
+// safe for concurrent use; concurrent requests for one node compile it
+// once.
+type CompileCache struct {
+	mu      sync.Mutex
+	entries map[plan.Node]*compileEntry
+}
+
+type compileEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// NewCompileCache returns an empty cache.
+func NewCompileCache() *CompileCache {
+	return &CompileCache{entries: make(map[plan.Node]*compileEntry)}
+}
+
+// shared returns what compile makes of n's expressions, compiled once per
+// cache: every tree built under c uses the one result. Without a cache
+// it compiles.
+func shared[T any](c *CompileCache, n plan.Node, compile func() (T, error)) (T, error) {
+	if c == nil {
+		return compile()
+	}
+	c.mu.Lock()
+	e := c.entries[n]
+	if e == nil {
+		e = &compileEntry{}
+		c.entries[n] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compile() })
+	if e.err != nil {
+		var zero T
+		return zero, e.err
+	}
+	return e.v.(T), nil
+}
+
+// JoinKeys is JoinKeys(t) out of the cache: the machine routes a join's
+// inputs by the keys its trees then use.
+func (c *CompileCache) JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, err error) {
+	k, err := joinKeysOf(c, t)
+	return k.left, k.right, err
+}
+
+// GroupKeys is GroupKeyExprs(t) out of the cache: the machine routes an
+// aggregate's input by the keys its trees then group by.
+func (c *CompileCache) GroupKeys(t *plan.Aggregate) ([]*expr.Compiled, error) {
+	ex, err := aggExprsOf(c, t)
+	return ex.groupEx, err
+}
+
+// Clear drops every entry; the run-end cleanup calls it.
+func (c *CompileCache) Clear() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.entries)
+}
+
+// Len returns the number of nodes compiled.
+func (c *CompileCache) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -25,6 +25,9 @@ type Runtime interface {
 	// Indexes returns the run's hash-index memo; nil when there is none
 	// and every join builds its own.
 	Indexes() *IndexCache
+	// Compiled returns the run's compile memo; nil when there is none and
+	// every tree compiles its own expressions.
+	Compiled() *CompileCache
 }
 
 // Stats accumulates execution counters, used by the benchmarks and the
@@ -137,7 +140,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		cond, err := shared(frag, n, func() (*expr.Compiled, error) {
+		cond, err := shared(rt.Compiled(), n, func() (*expr.Compiled, error) {
 			return expr.Compile(t.Cond, planEnv(t.Input))
 		})
 		if err != nil {
@@ -149,7 +152,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		items, err := shared(frag, n, func() ([]*expr.Compiled, error) {
+		items, err := shared(rt.Compiled(), n, func() ([]*expr.Compiled, error) {
 			e := planEnv(t.Input)
 			items := make([]*expr.Compiled, len(t.Items))
 			for i, it := range t.Items {
@@ -613,22 +616,7 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 	if err != nil {
 		return nil, err
 	}
-	ex, err := shared(frag, t, func() (ex aggExprs, err error) {
-		if ex.groupEx, err = GroupKeyExprs(t); err != nil {
-			return ex, err
-		}
-		e := planEnv(t.Input)
-		ex.argEx = make([]*expr.Compiled, len(t.Aggs))
-		for i, a := range t.Aggs {
-			if a.Star {
-				continue
-			}
-			if ex.argEx[i], err = expr.Compile(a.Arg, e); err != nil {
-				return ex, err
-			}
-		}
-		return ex, nil
-	})
+	ex, err := aggExprsOf(rt.Compiled(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -726,6 +714,26 @@ func (a *aggOp) Next() (sqltypes.Row, error) {
 func (a *aggOp) Close() error {
 	a.out = nil
 	return nil
+}
+
+// aggExprsOf compiles an aggregate node's expressions, once per c.
+func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
+	return shared(c, t, func() (ex aggExprs, err error) {
+		if ex.groupEx, err = GroupKeyExprs(t); err != nil {
+			return ex, err
+		}
+		e := planEnv(t.Input)
+		ex.argEx = make([]*expr.Compiled, len(t.Aggs))
+		for i, a := range t.Aggs {
+			if a.Star {
+				continue
+			}
+			if ex.argEx[i], err = expr.Compile(a.Arg, e); err != nil {
+				return ex, err
+			}
+		}
+		return ex, nil
+	})
 }
 
 // GroupKeyExprs compiles the group-by expressions of an aggregate node

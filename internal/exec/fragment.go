@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 
-	"dbspinner/internal/expr"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
@@ -32,13 +31,10 @@ type Fragment struct {
 	// it returns and must not keep it.
 	Taps map[plan.Node]Tap
 
-	// compiled holds what the first tree built compiled from each node;
-	// expressions are stateless, so the other partitions' trees take them
-	// from here (shared). kept lists the cuts some tree took for a
-	// consumer that keeps rows (Lent).
-	mu       sync.Mutex
-	compiled map[plan.Node]any
-	kept     map[plan.Node]bool
+	// kept lists the cuts some tree took for a consumer that keeps rows
+	// (Lent).
+	mu   sync.Mutex
+	kept map[plan.Node]bool
 }
 
 // Tap is called with the partition and each row passing through it; an
@@ -97,35 +93,6 @@ func (f *fragPart) build(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecke
 		op = &tapOp{input: op, tap: tap, part: f.part}
 	}
 	return op, nil
-}
-
-// shared returns what compile makes of n's expressions: under a
-// fragment the first result, which every partition's tree then uses
-// too; otherwise just that.
-func shared[T any](f *fragPart, n plan.Node, compile func() (T, error)) (T, error) {
-	if f == nil {
-		return compile()
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if v, ok := f.compiled[n]; ok {
-		return v.(T), nil
-	}
-	v, err := compile()
-	if err == nil {
-		if f.compiled == nil {
-			f.compiled = map[plan.Node]any{}
-		}
-		f.compiled[n] = v
-	}
-	return v, err
-}
-
-// JoinKeys is JoinKeys(t), compiled once for the fragment t is in: the
-// machine routes the join's inputs by the keys its trees then use.
-func (f *Fragment) JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, err error) {
-	k, err := joinKeysOf(&fragPart{Fragment: f}, t)
-	return k.left, k.right, err
 }
 
 // aligned reports whether t is partitioned the way the fragment is, so

@@ -198,7 +198,7 @@ func TestFragmentJoinTakesPartitionIndexFromMemo(t *testing.T) {
 		parts int
 		memo  int // indexes the memo ends up with
 	}{{2, 2}, {3, 0}} {
-		rt := testRuntime(t).WithIndexes(NewIndexCache())
+		rt := testRuntime(t).WithMemo(NewIndexCache(), nil)
 		join := planSQL(t, rt, joinSQL)
 		j := firstJoin(t, join)
 		tapped := 0
@@ -301,18 +301,23 @@ func TestFragmentTopNOverCutInput(t *testing.T) {
 	expectRows(t, topN(0, 0))
 }
 
-// TestFragmentSharesCompiledExpressions: the trees of one fragment are
-// built over the same compiled expressions, whichever is built first.
+// TestFragmentSharesCompiledExpressions: under a run's compile memo the
+// trees of one fragment are built over the same compiled expressions,
+// whichever is built first, and so is a volcano tree of the same plan.
 func TestFragmentSharesCompiledExpressions(t *testing.T) {
-	rt := testRuntime(t)
+	rt := testRuntime(t).WithMemo(nil, NewCompileCache())
 	node := planSQL(t, rt, "SELECT e.src + 1, COUNT(*) FROM edges e JOIN vertexStatus v ON e.dst = v.node WHERE v.status = 1 GROUP BY e.src + 1")
 	frag := &Fragment{Parts: 2}
-	var trees [2]Operator
-	for p := range trees {
+	var trees [3]Operator
+	for p := range trees[:2] {
 		var err error
 		if trees[p], err = BuildFragment(node, rt, nil, nil, frag, p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	var err error
+	if trees[2], err = Build(node, rt, nil); err != nil {
+		t.Fatal(err)
 	}
 	var walk func(a, b Operator)
 	walk = func(a, b Operator) {
@@ -340,6 +345,10 @@ func TestFragmentSharesCompiledExpressions(t *testing.T) {
 		}
 	}
 	walk(trees[0], trees[1])
+	walk(trees[0], trees[2])
+	if n := rt.Compiled().Len(); n != 4 {
+		t.Errorf("the memo compiled %d nodes, want the project, filter, aggregate and join", n)
+	}
 }
 
 func TestRowsOpReopens(t *testing.T) {

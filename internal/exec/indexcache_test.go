@@ -193,7 +193,7 @@ func TestJoinTakesTableIndexFromCache(t *testing.T) {
 		if ref.RowsIndexed != 1000 || ref.RowsScanned != 4000 {
 			t.Fatalf("%s: without a memo RowsIndexed = %d, RowsScanned = %d; want 1000 and 4000", sql, ref.RowsIndexed, ref.RowsScanned)
 		}
-		rt := plain.WithIndexes(NewIndexCache())
+		rt := plain.WithMemo(NewIndexCache(), nil)
 		for run := 1; run <= 3; run++ {
 			var st Stats
 			got, err := Run(node, rt, &st)

@@ -34,7 +34,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 	}
 	buildScan, buildTap := tableScan(buildOp)
 
-	keys, err := joinKeysOf(frag, t)
+	keys, err := joinKeysOf(rt.Compiled(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +128,9 @@ type joinKeys struct {
 	residual    *expr.Compiled
 }
 
-// joinKeysOf is JoinKeys, once per fragment (shared).
-func joinKeysOf(f *fragPart, t *plan.Join) (joinKeys, error) {
-	return shared(f, t, func() (k joinKeys, err error) {
+// joinKeysOf is JoinKeys, once per c.
+func joinKeysOf(c *CompileCache, t *plan.Join) (joinKeys, error) {
+	return shared(c, t, func() (k joinKeys, err error) {
 		k.left, k.right, k.residual, err = JoinKeys(t)
 		return k, err
 	})

@@ -16,9 +16,11 @@ import (
 type StoreRuntime struct {
 	Catalog *catalog.Catalog
 	Results *storage.ResultStore
-	// indexes is the hash-index memo of the query run this view belongs
-	// to (WithIndexes); nil outside one.
-	indexes *IndexCache
+	// indexes and compiled are the run memo of the query run this view
+	// belongs to (WithMemo): its hash indexes and its compiled
+	// expressions. Nil outside one.
+	indexes  *IndexCache
+	compiled *CompileCache
 }
 
 // NewStoreRuntime wraps a catalog and result store.
@@ -31,18 +33,23 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 // scheduler's dynamic cross-check). The catalog is shared as-is: base
 // tables are read-only during program execution.
 func (s *StoreRuntime) Guarded(g *storage.Guard) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g), indexes: s.indexes}
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g), indexes: s.indexes, compiled: s.compiled}
 }
 
-// WithIndexes returns a view of the runtime whose joins share c for the
-// indexes of the tables they read directly. One query run owns c; its
-// guarded views inherit it.
-func (s *StoreRuntime) WithIndexes(c *IndexCache) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: c}
+// WithMemo returns a view of the runtime whose executors share a run
+// memo: joins take the indexes of the tables they read directly from
+// indexes, and every tree takes what it compiles from a plan node from
+// compiled. One query run owns both; its guarded views inherit them.
+// Either may be nil.
+func (s *StoreRuntime) WithMemo(indexes *IndexCache, compiled *CompileCache) *StoreRuntime {
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: indexes, compiled: compiled}
 }
 
 // Indexes implements Runtime.
 func (s *StoreRuntime) Indexes() *IndexCache { return s.indexes }
+
+// Compiled implements Runtime.
+func (s *StoreRuntime) Compiled() *CompileCache { return s.compiled }
 
 // ArmFaults arms (or, with nil, disarms) fault injection on the result
 // store's mutation hooks (the "storage" point of Config.FaultSchedule).

@@ -146,12 +146,27 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 	if execStats == nil {
 		execStats = &exec.Stats{}
 	}
+	if rt == nil || rt.Compiled() == nil {
+		// The partitions' trees share what they compile from each node
+		// through the run's compile memo; a machine started outside a
+		// query run (or over no tables at all) has one of its own.
+		rt = ownMemo{rt, exec.NewCompileCache()}
+	}
 	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: map[siteKey]*site{}}
 	if onNew != nil {
 		onNew(m)
 	}
 	return m
 }
+
+// ownMemo is a runtime with the compile memo of the machine it was given
+// to.
+type ownMemo struct {
+	exec.Runtime
+	compiled *exec.CompileCache
+}
+
+func (r ownMemo) Compiled() *exec.CompileCache { return r.compiled }
 
 // relation is a partitioned intermediate result: what a fragment
 // produced, or what an exchange made of it. from is the site whose
@@ -293,7 +308,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		}
 		return m.below(f, t.Right)
 	case *plan.Join:
-		leftKeys, rightKeys, err := f.JoinKeys(t)
+		leftKeys, rightKeys, err := m.RT.Compiled().JoinKeys(t)
 		if err != nil {
 			return err
 		}
@@ -318,7 +333,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		var keys []*expr.Compiled
 		if !el.Input {
 			var err error
-			if keys, err = exec.GroupKeyExprs(t); err != nil {
+			if keys, err = m.RT.Compiled().GroupKeys(t); err != nil {
 				return err
 			}
 		}

@@ -178,6 +178,48 @@ func TestCallerDeadlineWinsOverConfig(t *testing.T) {
 	}
 }
 
+// TestRecursiveBaseTermHonorsDeadline: the base term of a WITH RECURSIVE
+// query polls the deadline like every round after it. This one pairs
+// 2,000 rows with each other, about four million pairs, and keeps none,
+// so the recursion after it has nothing to do: a base term that ignored
+// the deadline would run to its end and the query would succeed.
+func TestRecursiveBaseTermHonorsDeadline(t *testing.T) {
+	e := dbspinner.New(dbspinner.Config{})
+	if _, err := e.Exec("CREATE TABLE t (a int)"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]dbspinner.Row, 2000)
+	for i := range rows {
+		rows[i] = dbspinner.Row{dbspinner.NewInt(int64(i))}
+	}
+	if err := e.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 20 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := e.QueryContext(ctx, `WITH RECURSIVE r (a) AS (
+		SELECT x.a FROM t AS x CROSS JOIN t AS y WHERE x.a + y.a < 0
+		UNION
+		SELECT a FROM r WHERE a < 0
+	) SELECT a FROM r`)
+	elapsed := time.Since(start)
+	if !errors.Is(err, dbspinner.ErrQueryTimeout) {
+		t.Fatalf("err = %v after %v, want ErrQueryTimeout", err, elapsed)
+	}
+	var le *dbspinner.QueryLifecycleError
+	if !errors.As(err, &le) || le.Where != "recursive CTE base term" {
+		t.Fatalf("err = %v is not a QueryLifecycleError of the base term", err)
+	}
+	if elapsed > 10*deadline {
+		t.Errorf("the deadline took %v to stop the base term", elapsed)
+	}
+	if n := e.LiveResults(); n != 0 {
+		t.Errorf("%d intermediate results left", n)
+	}
+}
+
 // TestPreCanceledContext: a context that is already dead fails fast,
 // before any execution work, for both queries and statements.
 func TestPreCanceledContext(t *testing.T) {
