@@ -14,10 +14,11 @@ import (
 // "adhoc") in the root package: seven short statements over a 64-node
 // graph, four iterative CTEs and Friends Forecast at three iterations, a
 // plain join-and-group SELECT and a recursive CTE. A literal changes
-// every round, so no two rounds send the same text. Most of such a
-// statement's cost is in front of its first row (lex, parse, plan,
-// rewrite, analyses, verify), which is what BenchmarkAdhocStatements
-// profiles and TestAllocBudgetAdhoc gates.
+// every round, so no two rounds send the same text, but every round has
+// the same seven shapes: after the first, each statement lexes its text,
+// binds its literals and runs the program prepared for its shape. That
+// path is what BenchmarkAdhocStatements profiles and TestAllocBudgetAdhoc
+// gates.
 
 const (
 	adhocIterations = 3
@@ -90,8 +91,41 @@ func adhocOp(tb testing.TB, e *dbspinner.Engine, round int) {
 	}
 }
 
+// TestAdhocRoundRunsPrepared: once a round of each variant has run, a
+// round with a LIMIT no round used takes all seven programs from the
+// statement cache — no literal the rounds vary is one a program was
+// built from — and answers as an engine that never saw the earlier
+// rounds. ResetStats zeroes the hit and miss counters.
+func TestAdhocRoundRunsPrepared(t *testing.T) {
+	e := adhocEngine(t, dbspinner.Config{Partitions: 4})
+	for round := 0; round < adhocVariants; round++ {
+		adhocOp(t, e, round)
+	}
+	e.ResetStats()
+	if st := e.Stats(); st.PreparedHits != 0 || st.PreparedMisses != 0 {
+		t.Fatalf("ResetStats left %d hits and %d misses", st.PreparedHits, st.PreparedMisses)
+	}
+	cold := adhocEngine(t, dbspinner.Config{Partitions: 4})
+	for _, sql := range adhocStatements(adhocVariants) {
+		got, err := e.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("the prepared program answers differently:\n%s", sql)
+		}
+	}
+	if st := e.Stats(); st.PreparedHits != 7 || st.PreparedMisses != 0 {
+		t.Errorf("round with a new LIMIT: %d of 7 statements hit, %d missed", st.PreparedHits, st.PreparedMisses)
+	}
+}
+
 // BenchmarkAdhocStatements is one op of the adhoc workload per
-// iteration, the front end's profile: make profile BENCH=AdhocStatements.
+// iteration: make profile BENCH=AdhocStatements.
 func BenchmarkAdhocStatements(b *testing.B) {
 	e := adhocEngine(b, dbspinner.Config{Partitions: 4})
 	b.ReportAllocs()
@@ -102,11 +136,10 @@ func BenchmarkAdhocStatements(b *testing.B) {
 }
 
 // TestAllocBudgetAdhoc gates what one round of the seven adhoc statements
-// allocates, most of it in front of the first row. Deriving partition
-// properties only for programs the machine runs, and compiling each plan
-// node's expressions once per run instead of once per iteration and
-// step, took the round from 18.8k objects and 1.87 MB to 12.0k and
-// 1.30 MB; both budgets are that measurement plus 25%.
+// allocates. Every statement runs a prepared program, so the round pays
+// for lexing its texts and running them, not for parsing, rewriting,
+// verifying and planning them: 12.0k objects and 1.30 MB became 4.8k and
+// 0.89 MB. Both budgets are that measurement plus 25%.
 func TestAllocBudgetAdhoc(t *testing.T) {
 	e := adhocEngine(t, dbspinner.Config{Partitions: 4})
 	round := 0
@@ -114,7 +147,7 @@ func TestAllocBudgetAdhoc(t *testing.T) {
 		adhocOp(t, e, round)
 		round++
 	}
-	const budget, bytesBudget = 14_950, 1_620_000
+	const budget, bytesBudget = 5_970, 1_110_000
 	got := testing.AllocsPerRun(adhocVariants, op)
 	if got > budget {
 		t.Errorf("adhoc: %.0f allocations per round, budget %d", got, budget)

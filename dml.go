@@ -59,6 +59,7 @@ func (e *Engine) execCreate(ct *ast.CreateTable) (int64, error) {
 	if _, err := e.cat.Create(ct.Name, schema, pk); err != nil {
 		return 0, err
 	}
+	e.stmts.clear() // a prepared plan depends on the schemas it resolved
 	tx.LogDDL(ct.Name)
 	return 0, tx.Commit()
 }
@@ -70,6 +71,7 @@ func (e *Engine) execDrop(dt *ast.DropTable) (int64, error) {
 	if err := e.cat.Drop(dt.Name, dt.IfExists); err != nil {
 		return 0, err
 	}
+	e.stmts.clear()
 	tx.LogDDL(dt.Name)
 	return 0, tx.Commit()
 }

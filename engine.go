@@ -29,6 +29,7 @@ import (
 	"dbspinner/internal/core"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/faultinject"
+	"dbspinner/internal/lexer"
 	"dbspinner/internal/mpp"
 	"dbspinner/internal/parser"
 	"dbspinner/internal/plan"
@@ -307,6 +308,11 @@ type Stats struct {
 	Queries    int64 // SELECT statements executed
 	Statements int64 // DDL/DML statements executed
 
+	// Prepared-statement counters: Query calls whose text ran a program
+	// the engine had prepared for its shape, and calls that found none,
+	// which parse and plan the text and keep the program if that works.
+	PreparedHits, PreparedMisses int64
+
 	// Iterative-CTE counters (per §VII experiments).
 	Iterations   int64 // loop iterations across iterative queries
 	Renames      int64 // rename operator executions
@@ -387,6 +393,7 @@ type Engine struct {
 	rt    *exec.StoreRuntime
 	txn   *txn.Manager
 	stats Stats
+	stmts stmtCache
 }
 
 // New creates an engine.
@@ -439,8 +446,30 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // (a QueryLifecycleError naming the iteration and step reached). When
 // Config.QueryTimeout is set and ctx carries no deadline of its own,
 // the engine arms its own deadline around the statement.
+//
+// Every SELECT runs prepared: a text is lexed into its shape (its token
+// stream with literal values left out), and a text whose shape the
+// engine has prepared before runs that program with its own literal
+// values bound, skipping parse, rewrite, verification and planning.
+// prepare.go states when a cached program may serve a text.
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	stmt, err := parser.Parse(sql)
+	shape, lits, err := lexer.Shape(sql)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := e.armTimeout(ctx)
+	defer cancel()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s, params := e.stmts.lookup(sql, shape, lits); s != nil {
+		e.stats.PreparedHits++
+		return e.querySelect(ctx, func() (*prepared, []sqltypes.Value, error) {
+			s.uses.Show(params)
+			return s.p, params, nil
+		})
+	}
+	e.stats.PreparedMisses++
+	stmt, uses, err := parser.ParseUses(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -448,11 +477,26 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) 
 	if !ok {
 		return nil, fmt.Errorf("Query expects a SELECT statement; use Exec for %T", stmt)
 	}
-	ctx, cancel := e.armTimeout(ctx)
-	defer cancel()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.querySelect(ctx, sel)
+	return e.querySelect(ctx, func() (*prepared, []sqltypes.Value, error) {
+		p, err := e.prepare(sel)
+		if err != nil {
+			return nil, nil, err
+		}
+		params, ok := e.stmts.add(sql, shape, lits, uses, p)
+		if !ok {
+			return nil, nil, fmt.Errorf("a literal of the statement cannot be bound")
+		}
+		return p, params, nil
+	})
+}
+
+// prepareOnce is the prep of a SELECT that runs once, with its literals
+// as parsed: a script's, or EXPLAIN ANALYZE's. The cache keeps neither.
+func (e *Engine) prepareOnce(sel *ast.SelectStmt) func() (*prepared, []sqltypes.Value, error) {
+	return func() (*prepared, []sqltypes.Value, error) {
+		p, err := e.prepare(sel)
+		return p, nil, err
+	}
 }
 
 // armTimeout applies Config.QueryTimeout to ctx unless the caller
@@ -469,7 +513,10 @@ func (e *Engine) armTimeout(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-func (e *Engine) querySelect(ctx context.Context, sel *ast.SelectStmt) (res *Result, err error) {
+// querySelect prepares a SELECT with prep — which returns the statement
+// and the values bound to its literal slots, nil to run the literals as
+// parsed — and runs it.
+func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqltypes.Value, error)) (res *Result, err error) {
 	if len(e.cfg.FaultSchedule) > 0 {
 		// Arm the storage mutation point for this statement only, so
 		// hit counts never leak across queries. The step, region and
@@ -491,14 +538,14 @@ func (e *Engine) querySelect(ctx context.Context, sel *ast.SelectStmt) (res *Res
 		}
 	}()
 	e.stats.Queries++
+	p, params, err := prep()
+	if err != nil {
+		return nil, err
+	}
 	switch {
-	case core.HasIterative(sel):
-		prog, err := core.Rewrite(sel, e.rt, e.coreOptions())
-		if err != nil {
-			return nil, err
-		}
+	case p.prog != nil:
 		var cs core.Stats
-		rows, err := prog.RunContext(ctx, e.rt, &cs)
+		rows, err := p.prog.RunBound(ctx, e.rt, params, &cs)
 		// Absorb counters even when the query failed: cap and
 		// cancellation diagnostics need the iterations reached.
 		e.absorbCoreStats(&cs)
@@ -508,39 +555,36 @@ func (e *Engine) querySelect(ctx context.Context, sel *ast.SelectStmt) (res *Res
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: colNames(prog.FinalColumns), Rows: rows}, nil
+		return &Result{Columns: p.cols, Rows: rows}, nil
 
-	case sel.With != nil && sel.With.Recursive:
-		rows, cols, err := core.ExecuteRecursiveContext(ctx, sel, e.rt, e.cfg.Partitions, e.cfg.MaxIterations)
+	case p.rec != nil:
+		rows, err := p.rec.RunContext(ctx, e.rt, params)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: colNames(cols), Rows: rows}, nil
+		return &Result{Columns: p.cols, Rows: rows}, nil
 
 	default:
-		node, err := plan.NewBuilder(e.rt).Build(sel)
-		if err != nil {
-			return nil, err
-		}
 		var es exec.Stats
 		var rows []Row
+		rt := e.rt.WithMemo(nil, exec.NewCompileCache(params))
 		if e.cfg.Parallel && e.cfg.Partitions > 1 {
 			var ms mpp.Stats
-			m := mpp.New(e.rt, e.cfg.Partitions, &ms, &es)
+			m := mpp.New(rt, e.cfg.Partitions, &ms, &es)
 			m.Ctx = ctx
-			rows, err = m.Run(node)
+			rows, err = m.Run(p.node)
 			e.stats.RowsShuffled += ms.RowsShuffled
 			e.stats.RowsRouted += ms.RowsRouted
 			e.stats.RowsToBusiest += ms.RowsToBusiest
 		} else {
-			rows, err = exec.RunContext(ctx, node, e.rt, &es)
+			rows, err = exec.RunContext(ctx, p.node, rt, &es)
 		}
 		// Absorb counters even when the query failed (see above).
 		e.absorbExecStats(&es)
 		if err != nil {
 			return nil, core.WrapCancel(err, 0, 0, "query")
 		}
-		return &Result{Columns: colNames(node.Columns()), Rows: rows}, nil
+		return &Result{Columns: p.cols, Rows: rows}, nil
 	}
 }
 
@@ -632,7 +676,7 @@ func (e *Engine) execScriptStmt(ctx context.Context, stmt ast.Statement) error {
 	sctx, cancel := e.armTimeout(ctx)
 	defer cancel()
 	if sel, ok := stmt.(*ast.SelectStmt); ok {
-		_, err := e.querySelect(sctx, sel)
+		_, err := e.querySelect(sctx, e.prepareOnce(sel))
 		return err
 	}
 	if err := sctx.Err(); err != nil {
@@ -739,7 +783,7 @@ func (e *Engine) explainProgram(prog *core.Program, sel *ast.SelectStmt) (string
 // EXPLAIN ANALYZE reports, it does not fail the explanation).
 func (e *Engine) analyzePlain(sel *ast.SelectStmt) string {
 	begin := time.Now()
-	res, err := e.querySelect(context.Background(), sel)
+	res, err := e.querySelect(context.Background(), e.prepareOnce(sel))
 	if err != nil {
 		return fmt.Sprintf("Execution failed: %v\n", err)
 	}

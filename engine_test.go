@@ -1,6 +1,7 @@
 package dbspinner
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -499,12 +500,19 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueries runs one shape from eight goroutines, each with
+// its own start value: they share the prepared program, and each must
+// get its own answer.
 func TestConcurrentQueries(t *testing.T) {
 	e := newGraphEngine(t)
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
+		i := i
 		go func() {
-			_, err := e.Query(`WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL 3 ITERATIONS) SELECT i FROM c`)
+			res, err := e.Query(fmt.Sprintf(`WITH ITERATIVE c (i) AS (SELECT %d ITERATE SELECT i + 1 FROM c UNTIL 3 ITERATIONS) SELECT i FROM c`, i))
+			if err == nil && (len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(i+3)) {
+				err = fmt.Errorf("start %d: got %v, want %d", i, res.Rows, i+3)
+			}
 			done <- err
 		}()
 	}

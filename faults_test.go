@@ -90,6 +90,14 @@ func TestFaultMatrixRetriesToIdenticalRows(t *testing.T) {
 						t.Errorf("%d intermediate results leaked", n)
 					}
 					settleGoroutines(t, before)
+					// The prepared program retries to the same rows, with
+					// its own literals and with another text's.
+					if d := preparedParity(t, e, func() *dbspinner.Engine { return lifecycleEngine(t, parts, cfg) }, sql, got); d != "" {
+						t.Error(d)
+					}
+					if n := e.LiveResults(); n != 0 {
+						t.Errorf("%d intermediate results leaked by the warm runs", n)
+					}
 				})
 			}
 		}

@@ -6,6 +6,7 @@ package ast
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dbspinner/internal/sqltypes"
 )
@@ -52,28 +53,111 @@ func (c *ColumnRef) String() string {
 	return c.Name
 }
 
-// Literal is a constant value.
+// Literal is a constant value. A literal the parser read from a token
+// also carries Slot, the token's 1-based position among the statement's
+// literal tokens (0 for a literal made any other way), and the
+// statement's Uses.
+//
+// The value is read through Value, which records the slot as consumed:
+// whatever decides something from a literal while the program is built
+// — folding, an ORDER BY position, a printed key — reads it that way,
+// and a prepared statement then keys on that literal's value. Only the
+// readers that take the value through the slot when the statement runs
+// (expr.Compile given bound values, a LIMIT count) use Param instead.
 type Literal struct {
-	Value sqltypes.Value
+	value sqltypes.Value
+	Slot  int
+	uses  *Uses
 }
+
+// NewLiteral returns a literal with no slot.
+func NewLiteral(v sqltypes.Value) *Literal { return &Literal{value: v} }
+
+// NewSlotLiteral returns the literal the parser read from the literal
+// token in slot, recording its reads in uses.
+func NewSlotLiteral(v sqltypes.Value, slot int, uses *Uses) *Literal {
+	return &Literal{value: v, Slot: slot, uses: uses}
+}
+
+// Value returns the literal's value and records its slot as consumed.
+func (l *Literal) Value() sqltypes.Value {
+	l.uses.Consume(l.Slot)
+	return l.value
+}
+
+// Type returns the literal's type, which the statement's shape fixes,
+// so reading it consumes nothing.
+func (l *Literal) Type() sqltypes.Type { return l.value.T }
+
+// Param returns the literal's slot and its value as parsed, consuming
+// nothing. It is for a reader that, when a run binds the statement's
+// literal values, reads the value bound to the slot instead: the parsed
+// value is then only that of the text the statement was prepared from.
+func (l *Literal) Param() (slot int, v sqltypes.Value) { return l.Slot, l.value }
 
 func (*Literal) expr() {}
 
+// String prints the literal: while a run shows its bound values
+// (Uses.Show), the value bound to its slot.
 func (l *Literal) String() string {
-	switch l.Value.T {
+	v := l.Value()
+	if l.Slot > 0 && l.uses != nil && l.uses.shown != nil {
+		v = l.uses.shown[l.Slot-1]
+	}
+	switch v.T {
 	case sqltypes.String:
-		return "'" + strings.ReplaceAll(l.Value.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case sqltypes.Float:
 		// Keep a decimal point so the literal re-parses as FLOAT (the
 		// FF query depends on 1.0 staying a float to avoid integer
 		// division).
-		s := l.Value.String()
+		s := v.String()
 		if !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
 		return s
 	}
-	return l.Value.String()
+	return v.String()
+}
+
+// Uses records, for one parsed statement, which of its literal slots
+// something read the value of while the statement was planned: the
+// consumed slots. Safe for concurrent use, except Show; a nil *Uses
+// records nothing.
+type Uses struct {
+	consumed []atomic.Bool
+	shown    []sqltypes.Value
+}
+
+// NewUses returns the record of a statement with n literal tokens.
+func NewUses(n int) *Uses { return &Uses{consumed: make([]atomic.Bool, n)} }
+
+// Consume records slot as consumed; slot 0 (no slot) is ignored.
+func (u *Uses) Consume(slot int) {
+	if u != nil && slot > 0 {
+		u.consumed[slot-1].Store(true)
+	}
+}
+
+// Show makes the statement's literals print as params, the values a run
+// of another text with the statement's shape bound to their slots, so
+// what the run prints of its plan — the step a failure names — shows
+// the text being run; nil prints them as parsed. It must not be called
+// while anything may print the statement.
+func (u *Uses) Show(params []sqltypes.Value) { u.shown = params }
+
+// Consumed lists the consumed slots, 1-based and ascending.
+func (u *Uses) Consumed() []int {
+	if u == nil {
+		return nil
+	}
+	var out []int
+	for i := range u.consumed {
+		if u.consumed[i].Load() {
+			out = append(out, i+1)
+		}
+	}
+	return out
 }
 
 // BinaryExpr is a binary operation. Op is one of + - * / % = != < <= >

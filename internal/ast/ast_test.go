@@ -9,7 +9,7 @@ import (
 
 func col(t, n string) *ColumnRef { return &ColumnRef{Table: t, Name: n} }
 
-func lit(i int64) *Literal { return &Literal{Value: sqltypes.NewInt(i)} }
+func lit(i int64) *Literal { return NewLiteral(sqltypes.NewInt(i)) }
 
 func TestExprStrings(t *testing.T) {
 	cases := []struct {
@@ -19,7 +19,7 @@ func TestExprStrings(t *testing.T) {
 		{col("t", "a"), "t.a"},
 		{col("", "a"), "a"},
 		{lit(5), "5"},
-		{&Literal{Value: sqltypes.NewString("it's")}, "'it''s'"},
+		{NewLiteral(sqltypes.NewString("it's")), "'it''s'"},
 		{&BinaryExpr{Op: "+", L: col("", "a"), R: lit(1)}, "(a + 1)"},
 		{&UnaryExpr{Op: "NOT", E: col("", "b")}, "(NOT b)"},
 		{&UnaryExpr{Op: "-", E: lit(3)}, "(-3)"},

@@ -132,7 +132,7 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compiled := exec.NewCompileCache()
+				compiled := exec.NewCompileCache(nil)
 				var stats Stats
 				if _, err := prog.run(context.Background(), rt.WithMemo(nil, compiled), &stats); err != nil {
 					t.Fatal(err)
@@ -191,7 +191,7 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 		Effects:  sets,
 		Schedule: effects.Build(sets, nil),
 	}
-	compiled := exec.NewCompileCache()
+	compiled := exec.NewCompileCache(nil)
 	got, err := prog.run(context.Background(), rt.WithMemo(exec.NewIndexCache(), compiled), &Stats{})
 	if err != nil {
 		t.Fatal(err)

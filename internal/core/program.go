@@ -470,14 +470,34 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 // When p.QueryTimeout is set and goctx carries no deadline of its own,
 // the program arms its own deadline.
 func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
+	return p.RunBound(goctx, rt, nil, stats)
+}
+
+// RunBound is RunContext with params bound to the statement's literal
+// slots (nil: every literal keeps the value it was parsed with): a
+// program prepared from one text runs for every text of its shape. The
+// program keeps no state from one run to the next, so runs may follow
+// one another but not overlap.
+func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value, stats *Stats) ([]sqltypes.Row, error) {
 	// The run memo — hash indexes and compiled expressions: every executor
 	// the run starts — steps, scheduled steps' guarded views, MPP
 	// machines, Qf — reaches it through this view of the runtime, and it
 	// is emptied on every exit path.
-	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache()
+	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache(params)
 	defer indexes.Clear()
 	defer compiled.Clear()
+	defer p.releaseLoops()
 	return p.run(goctx, rt.WithMemo(indexes, compiled), stats)
+}
+
+// releaseLoops drops what the loop operators hold of the finished run's
+// rows, so a program kept for the next run keeps none of them alive.
+func (p *Program) releaseLoops() {
+	for _, s := range p.Steps {
+		if init, ok := s.(*InitLoopStep); ok {
+			init.Loop.prev, init.Loop.changedKeys = nil, nil
+		}
+	}
 }
 
 // run is RunContext over the runtime as given: with whatever run memo rt

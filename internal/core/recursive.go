@@ -40,9 +40,41 @@ func ExecuteRecursive(stmt *ast.SelectStmt, rt *exec.StoreRuntime, parts int, ma
 // poll ctx, and a fired cancellation or deadline surfaces as a
 // QueryLifecycleError naming the round reached.
 func ExecuteRecursiveContext(ctx context.Context, stmt *ast.SelectStmt, rt *exec.StoreRuntime, parts int, maxIter int64) ([]sqltypes.Row, []plan.ColInfo, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	r, err := PrepareRecursive(stmt, rt, parts, maxIter)
+	if err != nil {
+		return nil, nil, err
 	}
+	rows, err := r.RunContext(ctx, rt, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, r.Final.Columns(), nil
+}
+
+// Recursive is a statement with recursive CTEs, planned: the base and
+// recursive terms of each recursive CTE and the final query, which
+// RunContext evaluates.
+type Recursive struct {
+	// Final is the plan of the statement's own SELECT over the CTEs.
+	Final   plan.Node
+	ctes    []recursiveCTE
+	parts   int
+	maxIter int64
+}
+
+// recursiveCTE is the plan of one recursive CTE: the base term, and the
+// recursive term, which reads the rows the previous round added under
+// the CTE's name.
+type recursiveCTE struct {
+	name      string
+	base, rec plan.Node
+	schema    sqltypes.Schema
+	all       bool // UNION ALL: rows are not deduplicated
+}
+
+// PrepareRecursive plans a statement with recursive CTEs against lookup;
+// parts and maxIter are ExecuteRecursive's.
+func PrepareRecursive(stmt *ast.SelectStmt, lookup plan.TableLookup, parts int, maxIter int64) (*Recursive, error) {
 	if parts < 1 {
 		parts = 1
 	}
@@ -51,109 +83,145 @@ func ExecuteRecursiveContext(ctx context.Context, stmt *ast.SelectStmt, rt *exec
 	}
 	if stmt.With == nil || !stmt.With.Recursive {
 		//lint:ignore coreerrors statement-level error; no CTE, step or table is in scope yet
-		return nil, nil, fmt.Errorf("statement has no recursive CTE")
+		return nil, fmt.Errorf("statement has no recursive CTE")
 	}
-	// The run memo, as a step program's run has one: each round's joins
-	// take the index of a table the recursion does not change from it
-	// instead of building it again, and every plan compiles once.
-	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache()
-	defer indexes.Clear()
-	defer compiled.Clear()
-	rt = rt.WithMemo(indexes, compiled)
-	created := make([]string, 0, len(stmt.With.CTEs))
-	defer func() {
-		for _, name := range created {
-			rt.Results.Drop(name)
-		}
-	}()
+	// The CTEs' results are bound under their names while the statement
+	// runs; the plans see their schemas through the layered lookup.
+	ll := &layeredLookup{base: lookup, extra: map[string]sqltypes.Schema{}}
+	r := &Recursive{parts: parts, maxIter: maxIter}
 	var regular []*ast.CTE
+	newBuilder := func() *plan.Builder {
+		b := plan.NewBuilder(ll)
+		for _, c := range regular {
+			_ = b.RegisterCTE(c)
+		}
+		return b
+	}
 	for _, cte := range stmt.With.CTEs {
 		if cte.Iterative {
-			return nil, nil, fmt.Errorf("WITH RECURSIVE cannot contain the iterative CTE %s", cte.Name)
+			return nil, fmt.Errorf("WITH RECURSIVE cannot contain the iterative CTE %s", cte.Name)
 		}
 		if !referencesSelf(cte) {
 			regular = append(regular, cte)
 			continue
 		}
-		if err := evalRecursiveCTE(ctx, cte, regular, rt, parts, maxIter); err != nil {
-			return nil, nil, fmt.Errorf("recursive CTE %s: %w", cte.Name, err)
+		rc, err := planRecursiveCTE(cte, ll, newBuilder)
+		if err != nil {
+			return nil, fmt.Errorf("recursive CTE %s: %w", cte.Name, err)
 		}
-		created = append(created, cte.Name)
-	}
-	b := plan.NewBuilder(rt)
-	for _, cte := range regular {
-		_ = b.RegisterCTE(cte)
+		r.ctes = append(r.ctes, rc)
 	}
 	final := &ast.SelectStmt{Body: stmt.Body, OrderBy: stmt.OrderBy, Limit: stmt.Limit, Offset: stmt.Offset}
-	node, err := b.Build(final)
+	node, err := newBuilder().Build(final)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows, err := exec.RunContext(ctx, node, rt, nil)
-	if err != nil {
-		return nil, nil, WrapCancel(err, 0, 0, "recursive CTE final query")
-	}
-	return rows, node.Columns(), nil
+	r.Final = node
+	return r, nil
 }
 
 func referencesSelf(cte *ast.CTE) bool {
 	return cte.Select != nil && ast.CountStmtTableRefs(cte.Select, cte.Name) > 0
 }
 
-// evalRecursiveCTE runs the recursive union to its fixed point and
-// stores the result under the CTE name.
-func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt *exec.StoreRuntime, parts int, maxIter int64) error {
+// planRecursiveCTE plans the base and recursive terms of one recursive
+// CTE, making its schema visible under its name in ll (which newBuilder's
+// builders plan against) in between.
+func planRecursiveCTE(cte *ast.CTE, ll *layeredLookup, newBuilder func() *plan.Builder) (recursiveCTE, error) {
+	rc := recursiveCTE{name: cte.Name}
 	union, ok := cte.Select.Body.(*ast.UnionExpr)
 	if !ok {
-		return fmt.Errorf("recursive CTE %s must be 'base UNION [ALL] recursive'", cte.Name)
+		return rc, fmt.Errorf("recursive CTE %s must be 'base UNION [ALL] recursive'", cte.Name)
 	}
 	// The recursive reference must be in the right arm only.
 	if countBody(union.Left, cte.Name) > 0 {
-		return fmt.Errorf("the non-recursive arm must not reference %s", cte.Name)
+		return rc, fmt.Errorf("the non-recursive arm must not reference %s", cte.Name)
 	}
 	nRefs := countBody(union.Right, cte.Name)
 	if nRefs == 0 {
-		return fmt.Errorf("the recursive arm does not reference %s", cte.Name)
+		return rc, fmt.Errorf("the recursive arm does not reference %s", cte.Name)
 	}
 	if nRefs > 1 {
-		return fmt.Errorf("the recursive arm may reference %s only once", cte.Name)
+		return rc, fmt.Errorf("the recursive arm may reference %s only once", cte.Name)
 	}
 	if bodyHasAggregate(union.Right) {
 		// The ANSI restriction the paper's extension removes.
-		return fmt.Errorf("aggregate functions are not allowed in the recursive part of %s; use WITH ITERATIVE", cte.Name)
+		return rc, fmt.Errorf("aggregate functions are not allowed in the recursive part of %s; use WITH ITERATIVE", cte.Name)
 	}
+	rc.all = union.All
 
-	newBuilder := func() *plan.Builder {
-		b := plan.NewBuilder(rt)
-		for _, r := range regular {
-			_ = b.RegisterCTE(r)
-		}
-		return b
-	}
-
-	// Base step.
-	basePlan, err := newBuilder().Build(&ast.SelectStmt{Body: union.Left})
+	base, err := newBuilder().Build(&ast.SelectStmt{Body: union.Left})
 	if err != nil {
-		return fmt.Errorf("base term: %w", err)
+		return rc, fmt.Errorf("base term: %w", err)
 	}
-	baseRows, err := exec.RunContext(ctx, basePlan, rt, nil)
+	rc.base = base
+	rc.schema = plan.Schema(base)
+	if len(cte.Cols) > 0 {
+		if len(cte.Cols) != len(rc.schema) {
+			return rc, fmt.Errorf("CTE declares %d columns but the base term produces %d", len(cte.Cols), len(rc.schema))
+		}
+		for i := range rc.schema {
+			rc.schema[i].Name = cte.Cols[i]
+		}
+	}
+	// The recursive term reads the CTE under its name: the working table
+	// of the round (standard semi-naive evaluation).
+	ll.add(cte.Name, rc.schema)
+	rc.rec, err = newBuilder().Build(&ast.SelectStmt{Body: union.Right})
+	if err != nil {
+		return rc, fmt.Errorf("recursive term: %w", err)
+	}
+	if len(rc.rec.Columns()) != len(rc.schema) {
+		return rc, fmt.Errorf("recursive term produces %d columns, base term %d", len(rc.rec.Columns()), len(rc.schema))
+	}
+	return rc, nil
+}
+
+// RunContext evaluates the statement under ctx with params bound to its
+// literal slots (nil: as parsed): each recursive CTE to its fixed point,
+// then the final query. The CTEs' results are dropped when it returns.
+func (r *Recursive) RunContext(ctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value) ([]sqltypes.Row, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// The run memo, as a step program's run has one: each round's joins
+	// take the index of a table the recursion does not change from it
+	// instead of building it again, and every plan compiles once.
+	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache(params)
+	defer indexes.Clear()
+	defer compiled.Clear()
+	rt = rt.WithMemo(indexes, compiled)
+	created := make([]string, 0, len(r.ctes))
+	defer func() {
+		for _, name := range created {
+			rt.Results.Drop(name)
+		}
+	}()
+	for _, rc := range r.ctes {
+		created = append(created, rc.name)
+		if err := rc.eval(ctx, rt, r.parts, r.maxIter); err != nil {
+			return nil, fmt.Errorf("recursive CTE %s: %w", rc.name, err)
+		}
+	}
+	rows, err := exec.RunContext(ctx, r.Final, rt, nil)
+	if err != nil {
+		return nil, WrapCancel(err, 0, 0, "recursive CTE final query")
+	}
+	return rows, nil
+}
+
+// eval runs the recursive union to its fixed point and stores the
+// result under the CTE name.
+func (rc recursiveCTE) eval(ctx context.Context, rt *exec.StoreRuntime, parts int, maxIter int64) error {
+	baseRows, err := exec.RunContext(ctx, rc.base, rt, nil)
 	if err != nil {
 		return WrapCancel(err, 0, 0, "recursive CTE base term")
 	}
-	schema := plan.Schema(basePlan)
-	if len(cte.Cols) > 0 {
-		if len(cte.Cols) != len(schema) {
-			return fmt.Errorf("CTE declares %d columns but the base term produces %d", len(cte.Cols), len(schema))
-		}
-		for i := range schema {
-			schema[i].Name = cte.Cols[i]
-		}
-	}
-
-	dedup := !union.All
+	schema := rc.schema
+	dedup := !rc.all
 	seen := sqltypes.NewKeyTable(len(schema), 0)
-	result := storage.NewTable(cte.Name, schema, parts)
-	working := storage.NewTable(cte.Name, schema, parts)
+	result := storage.NewTable(rc.name, schema, parts)
+	working := storage.NewTable(rc.name, schema, parts)
 	appendRow := func(dst ...*storage.Table) func(r sqltypes.Row) {
 		return func(r sqltypes.Row) {
 			if dedup {
@@ -173,14 +241,7 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 
 	// The recursive term sees only the working table (rows produced by
 	// the previous step) — standard semi-naive evaluation.
-	rt.Results.Put(cte.Name, working)
-	recPlan, err := newBuilder().Build(&ast.SelectStmt{Body: union.Right})
-	if err != nil {
-		return fmt.Errorf("recursive term: %w", err)
-	}
-	if len(recPlan.Columns()) != len(schema) {
-		return fmt.Errorf("recursive term produces %d columns, base term %d", len(recPlan.Columns()), len(schema))
-	}
+	rt.Results.Put(rc.name, working)
 
 	// For UNION ALL, a repeating working set means the recursion cycles
 	// forever; fingerprints of past working sets detect that early.
@@ -193,14 +254,14 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 			return WrapCancel(err, int(iter), 0, "recursive CTE")
 		}
 		if iter >= maxIter {
-			return &IterationCapError{CTE: cte.Name, Cap: maxIter,
+			return &IterationCapError{CTE: rc.name, Cap: maxIter,
 				Diags: []string{"recursive UNION did not reach a fixed point (implicit termination has no static bound)"}}
 		}
-		rows, err := exec.RunContext(ctx, recPlan, rt, nil)
+		rows, err := exec.RunContext(ctx, rc.rec, rt, nil)
 		if err != nil {
 			return WrapCancel(err, int(iter), 0, "recursive CTE")
 		}
-		next := storage.NewTable(cte.Name, schema, parts)
+		next := storage.NewTable(rc.name, schema, parts)
 		add := appendRow(result, next)
 		for _, r := range rows {
 			add(r)
@@ -218,13 +279,13 @@ func evalRecursiveCTE(ctx context.Context, cte *ast.CTE, regular []*ast.CTE, rt 
 			return fmt.Errorf("recursive CTE exceeded %d rows without terminating; use UNION to deduplicate cyclic data", MaxRecursionRows)
 		}
 		working = next
-		rt.Results.Put(cte.Name, working)
+		rt.Results.Put(rc.name, working)
 		// The round's working table is replaced: its indexes go at the
 		// next sweep, the invariant tables' stay.
 		rt.Indexes().Sweep()
 	}
 
-	rt.Results.Put(cte.Name, result)
+	rt.Results.Put(rc.name, result)
 	return nil
 }
 

@@ -444,7 +444,7 @@ func buildDataCondPlan(cteName string, cond ast.Expr, b *plan.Builder) (plan.Nod
 	stmt := &ast.SelectStmt{Body: &ast.SelectCore{
 		Items: []ast.SelectItem{
 			{Expr: &ast.FuncCall{Name: "COUNT", Args: []ast.Expr{
-				&ast.CaseExpr{Whens: []ast.WhenClause{{Cond: ast.CloneExpr(cond), Result: &ast.Literal{Value: sqltypes.NewInt(1)}}}},
+				&ast.CaseExpr{Whens: []ast.WhenClause{{Cond: ast.CloneExpr(cond), Result: ast.NewLiteral(sqltypes.NewInt(1))}}},
 			}}, Alias: "matching"},
 			{Expr: &ast.FuncCall{Name: "COUNT", Star: true}, Alias: "total"},
 		},

@@ -572,7 +572,7 @@ func sideCols(pairs []keyPair, right bool) ([]int, bool) {
 }
 
 // joinKeyCols mirrors the executor's equi-key extraction
-// (exec.JoinKeys): conjuncts of the ON clause, in order, split into
+// (exec's compileJoinKeys): conjuncts of the ON clause, in order, split into
 // (left expr, right expr) pairs when one side compiles against each
 // input; everything else is residual. Each pair is reduced to bare
 // column positions where possible.

@@ -320,8 +320,8 @@ func TestGatherNodesAreSingleton(t *testing.T) {
 	in := scan("t", "a", "b")
 	for _, n := range []plan.Node{
 		&plan.Sort{Input: in, Keys: []plan.SortKey{{Col: 0}}},
-		&plan.Limit{Input: in, N: 5},
-		&plan.TopN{Input: in, Keys: []plan.SortKey{{Col: 0}}, N: 5},
+		&plan.Limit{Input: in, Counts: plan.Counts{N: 5}},
+		&plan.TopN{Input: in, Keys: []plan.SortKey{{Col: 0}}, Counts: plan.Counts{N: 5}},
 		&plan.OneRow{},
 		&plan.ValuesNode{Cols: cols("v", "a")},
 		&plan.EmptyNode{Cols: cols("e", "a")},

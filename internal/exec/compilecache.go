@@ -5,6 +5,7 @@ import (
 
 	"dbspinner/internal/expr"
 	"dbspinner/internal/plan"
+	"dbspinner/internal/sqltypes"
 )
 
 // CompileCache memoizes, for the run of one query, what the executors
@@ -19,12 +20,18 @@ import (
 // (expr.Compiled), so one compilation serves every tree of every
 // executor, concurrently too.
 //
-// A nil *CompileCache is valid and compiles on every request. A cache is
-// safe for concurrent use; concurrent requests for one node compile it
-// once.
+// The cache also carries the values the run bound to the statement's
+// literal slots, which every expression it compiles reads
+// (expr.Env.Params): a plan prepared once runs with the literals of each
+// text that has its shape.
+//
+// A nil *CompileCache is valid and compiles on every request, with no
+// bound values. A cache is safe for concurrent use; concurrent requests
+// for one node compile it once.
 type CompileCache struct {
 	mu      sync.Mutex
 	entries map[plan.Node]*compileEntry
+	params  []sqltypes.Value
 }
 
 type compileEntry struct {
@@ -33,9 +40,18 @@ type compileEntry struct {
 	err  error
 }
 
-// NewCompileCache returns an empty cache.
-func NewCompileCache() *CompileCache {
-	return &CompileCache{entries: make(map[plan.Node]*compileEntry)}
+// NewCompileCache returns an empty cache for a run that bound params to
+// the statement's literal slots (nil: none bound).
+func NewCompileCache(params []sqltypes.Value) *CompileCache {
+	return &CompileCache{entries: make(map[plan.Node]*compileEntry), params: params}
+}
+
+// Params returns the run's bound literal values; nil for a nil cache.
+func (c *CompileCache) Params() []sqltypes.Value {
+	if c == nil {
+		return nil
+	}
+	return c.params
 }
 
 // shared returns what compile makes of n's expressions, compiled once per
@@ -60,14 +76,14 @@ func shared[T any](c *CompileCache, n plan.Node, compile func() (T, error)) (T, 
 	return e.v.(T), nil
 }
 
-// JoinKeys is JoinKeys(t) out of the cache: the machine routes a join's
+// JoinKeys is compileJoinKeys(t) out of the cache: the machine routes a join's
 // inputs by the keys its trees then use.
 func (c *CompileCache) JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, err error) {
 	k, err := joinKeysOf(c, t)
 	return k.left, k.right, err
 }
 
-// GroupKeys is GroupKeyExprs(t) out of the cache: the machine routes an
+// GroupKeys is groupKeyExprs(t) out of the cache: the machine routes an
 // aggregate's input by the keys its trees then group by.
 func (c *CompileCache) GroupKeys(t *plan.Aggregate) ([]*expr.Compiled, error) {
 	ex, err := aggExprsOf(c, t)

@@ -141,7 +141,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 			return nil, err
 		}
 		cond, err := shared(rt.Compiled(), n, func() (*expr.Compiled, error) {
-			return expr.Compile(t.Cond, planEnv(t.Input))
+			return expr.Compile(t.Cond, planEnv(t.Input, rt.Compiled().Params()))
 		})
 		if err != nil {
 			return nil, err
@@ -153,7 +153,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 			return nil, err
 		}
 		items, err := shared(rt.Compiled(), n, func() ([]*expr.Compiled, error) {
-			e := planEnv(t.Input)
+			e := planEnv(t.Input, rt.Compiled().Params())
 			items := make([]*expr.Compiled, len(t.Items))
 			for i, it := range t.Items {
 				c, err := expr.Compile(it.Expr, e)
@@ -199,13 +199,15 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		return &limitOp{input: in, n: t.N, offset: t.Offset}, nil
+		n, offset := t.Bound(rt.Compiled().Params())
+		return &limitOp{input: in, n: n, offset: offset}, nil
 	case *plan.TopN:
 		in, err := buildWith(t.Input, rt, stats, cc, false, frag)
 		if err != nil {
 			return nil, err
 		}
-		return &topNOp{input: in, keys: t.Keys, n: t.N, offset: t.Offset}, nil
+		n, offset := t.Bound(rt.Compiled().Params())
+		return &topNOp{input: in, keys: t.Keys, n: n, offset: offset}, nil
 	case *plan.EmptyNode:
 		return &rowsOp{}, nil
 	case *plan.Trim:
@@ -280,9 +282,10 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 	return t, nil
 }
 
-// planEnv builds the expression environment for a node's output.
-func planEnv(n plan.Node) *expr.Env {
-	e := &expr.Env{}
+// planEnv builds the expression environment for a node's output under a
+// run's bound literal values.
+func planEnv(n plan.Node, params []sqltypes.Value) *expr.Env {
+	e := &expr.Env{Params: params}
 	for i, c := range n.Columns() {
 		e.Cols = append(e.Cols, expr.Binding{
 			Table: strings.ToLower(c.Table),
@@ -719,10 +722,10 @@ func (a *aggOp) Close() error {
 // aggExprsOf compiles an aggregate node's expressions, once per c.
 func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
 	return shared(c, t, func() (ex aggExprs, err error) {
-		if ex.groupEx, err = GroupKeyExprs(t); err != nil {
+		if ex.groupEx, err = groupKeyExprs(t, c.Params()); err != nil {
 			return ex, err
 		}
-		e := planEnv(t.Input)
+		e := planEnv(t.Input, c.Params())
 		ex.argEx = make([]*expr.Compiled, len(t.Aggs))
 		for i, a := range t.Aggs {
 			if a.Star {
@@ -736,11 +739,11 @@ func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
 	})
 }
 
-// GroupKeyExprs compiles the group-by expressions of an aggregate node
+// groupKeyExprs compiles the group-by expressions of an aggregate node
 // over its input's rows: what the operator groups by, and what the MPP
 // machine routes the input by.
-func GroupKeyExprs(node *plan.Aggregate) ([]*expr.Compiled, error) {
-	e := planEnv(node.Input)
+func groupKeyExprs(node *plan.Aggregate, params []sqltypes.Value) ([]*expr.Compiled, error) {
+	e := planEnv(node.Input, params)
 	out := make([]*expr.Compiled, len(node.GroupBy))
 	for i, g := range node.GroupBy {
 		c, err := expr.Compile(g, e)

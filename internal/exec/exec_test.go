@@ -463,8 +463,8 @@ func TestManyGroups(t *testing.T) {
 
 func TestValuesNode(t *testing.T) {
 	rows := [][]ast.Expr{
-		{&ast.Literal{Value: sqltypes.NewInt(1)}, &ast.Literal{Value: sqltypes.NewString("a")}},
-		{&ast.Literal{Value: sqltypes.NewInt(2)}, &ast.Literal{Value: sqltypes.NewString("b")}},
+		{ast.NewLiteral(sqltypes.NewInt(1)), ast.NewLiteral(sqltypes.NewString("a"))},
+		{ast.NewLiteral(sqltypes.NewInt(2)), ast.NewLiteral(sqltypes.NewString("b"))},
 	}
 	n := &plan.ValuesNode{Rows: rows, Cols: []plan.ColInfo{
 		{Name: "x", Type: sqltypes.Int}, {Name: "s", Type: sqltypes.String},

@@ -62,7 +62,7 @@ func cutInputs(inputs map[plan.Node][]sqltypes.Row) *Fragment {
 func TestJoinKeysExtraction(t *testing.T) {
 	rt := testRuntime(t)
 	j := joinNode(t, rt, `SELECT * FROM edges e JOIN vertexStatus v ON e.dst = v.node AND e.weight > 0.5`)
-	lk, rk, residual, err := JoinKeys(j)
+	lk, rk, residual, err := compileJoinKeys(j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestJoinKeysExtraction(t *testing.T) {
 	}
 	// Reversed operand order also extracts.
 	j = joinNode(t, rt, `SELECT * FROM edges e JOIN vertexStatus v ON v.node = e.dst`)
-	lk, _, residual, err = JoinKeys(j)
+	lk, _, residual, err = compileJoinKeys(j, nil)
 	if err != nil || len(lk) != 1 || residual != nil {
 		t.Errorf("reversed equi: %d keys, residual %v, err %v", len(lk), residual, err)
 	}
@@ -83,7 +83,7 @@ func TestJoinKeysExtraction(t *testing.T) {
 func TestHashIndexKeys(t *testing.T) {
 	rt := testRuntime(t)
 	j := joinNode(t, rt, `SELECT * FROM edges e JOIN vertexStatus v ON e.dst = v.node`)
-	lk, _, _, err := JoinKeys(j)
+	lk, _, _, err := compileJoinKeys(j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHashIndexKeys(t *testing.T) {
 func TestGroupKeyExprs(t *testing.T) {
 	rt := testRuntime(t)
 	agg := planSQL(t, rt, "SELECT src, COUNT(*) FROM edges GROUP BY src").(*plan.Project).Input.(*plan.Aggregate)
-	keys, err := GroupKeyExprs(agg)
+	keys, err := groupKeyExprs(agg, nil)
 	if err != nil || len(keys) != 1 {
 		t.Fatalf("keys = %d, %v", len(keys), err)
 	}
@@ -293,7 +293,7 @@ func TestFragmentTopNOverCutInput(t *testing.T) {
 	rows := []sqltypes.Row{{sqltypes.NewInt(3)}, {sqltypes.NewInt(1)}, {sqltypes.NewInt(2)}}
 	keys := []plan.SortKey{{Col: 0}}
 	topN := func(n, offset int64) []sqltypes.Row {
-		return runFragment(t, &plan.TopN{Input: in, Keys: keys, N: n, Offset: offset}, rt, nil,
+		return runFragment(t, &plan.TopN{Input: in, Keys: keys, Counts: plan.Counts{N: n, Offset: offset}}, rt, nil,
 			cutInputs(map[plan.Node][]sqltypes.Row{in: rows}), 0)
 	}
 	expectRows(t, topN(2, 0), "1", "2")
@@ -305,7 +305,7 @@ func TestFragmentTopNOverCutInput(t *testing.T) {
 // trees of one fragment are built over the same compiled expressions,
 // whichever is built first, and so is a volcano tree of the same plan.
 func TestFragmentSharesCompiledExpressions(t *testing.T) {
-	rt := testRuntime(t).WithMemo(nil, NewCompileCache())
+	rt := testRuntime(t).WithMemo(nil, NewCompileCache(nil))
 	node := planSQL(t, rt, "SELECT e.src + 1, COUNT(*) FROM edges e JOIN vertexStatus v ON e.dst = v.node WHERE v.status = 1 GROUP BY e.src + 1")
 	frag := &Fragment{Parts: 2}
 	var trees [3]Operator

@@ -12,7 +12,7 @@ import (
 // keysOf compiles a join's build-side (right) key expressions.
 func keysOf(t *testing.T, rt *StoreRuntime, sql string) []*expr.Compiled {
 	t.Helper()
-	_, rk, _, err := JoinKeys(joinNode(t, rt, sql))
+	_, rk, _, err := compileJoinKeys(joinNode(t, rt, sql), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,16 +85,17 @@ func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok 
 	return nil, nil, false
 }
 
-// JoinKeys compiles a join node's equi-key expressions and residual
-// predicate. Conjuncts that do not split into one-side = other-side
-// form become the residual. The key expressions are also what the MPP
-// machine routes each side's rows by, and what distprop reasons about.
-func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *expr.Compiled, err error) {
+// compileJoinKeys compiles a join node's equi-key expressions and
+// residual predicate under a run's bound literal values. Conjuncts that
+// do not split into one-side = other-side form become the residual. The
+// key expressions are also what the MPP machine routes each side's rows
+// by, and what distprop reasons about.
+func compileJoinKeys(t *plan.Join, params []sqltypes.Value) (leftKeys, rightKeys []*expr.Compiled, residual *expr.Compiled, err error) {
 	if t.On == nil {
 		return nil, nil, nil, nil
 	}
-	leftEnv := planEnv(t.Left)
-	rightEnv := planEnv(t.Right)
+	leftEnv := planEnv(t.Left, params)
+	rightEnv := planEnv(t.Right, params)
 	var resids []ast.Expr
 	for _, conj := range ast.SplitConjuncts(t.On) {
 		lk, rk, ok := splitEquiKey(conj, leftEnv, rightEnv)
@@ -114,7 +115,7 @@ func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *exp
 		rightKeys = append(rightKeys, rc)
 	}
 	if rem := ast.JoinConjuncts(resids); rem != nil {
-		residual, err = expr.Compile(rem, planEnv(t))
+		residual, err = expr.Compile(rem, planEnv(t, params))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -122,16 +123,16 @@ func JoinKeys(t *plan.Join) (leftKeys, rightKeys []*expr.Compiled, residual *exp
 	return leftKeys, rightKeys, residual, nil
 }
 
-// joinKeys is what JoinKeys returns.
+// joinKeys is what compileJoinKeys returns.
 type joinKeys struct {
 	left, right []*expr.Compiled
 	residual    *expr.Compiled
 }
 
-// joinKeysOf is JoinKeys, once per c.
+// joinKeysOf is compileJoinKeys, once per c.
 func joinKeysOf(c *CompileCache, t *plan.Join) (joinKeys, error) {
 	return shared(c, t, func() (k joinKeys, err error) {
-		k.left, k.right, k.residual, err = JoinKeys(t)
+		k.left, k.right, k.residual, err = compileJoinKeys(t, c.Params())
 		return k, err
 	})
 }

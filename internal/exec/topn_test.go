@@ -45,8 +45,8 @@ func TestTopNEqualsSortLimit(t *testing.T) {
 		}
 		// Reference: full stable sort + slice.
 		ref, err := Run(&plan.Limit{
-			Input: &plan.Sort{Input: top.Input, Keys: top.Keys},
-			N:     top.N, Offset: top.Offset,
+			Input:  &plan.Sort{Input: top.Input, Keys: top.Keys},
+			Counts: top.Counts,
 		}, rt, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -128,9 +128,13 @@ func (s *sumAgg) Add(v sqltypes.Value) error {
 	case sqltypes.Int:
 		if s.isFloat {
 			s.f += float64(v.I)
-		} else {
-			s.i += v.I
+			break
 		}
+		sum, err := sqltypes.AddInt(s.i, v.I)
+		if err != nil {
+			return err
+		}
+		s.i = sum.I
 	case sqltypes.Float:
 		if !s.isFloat {
 			s.f = float64(s.i)

@@ -27,9 +27,15 @@ type Binding struct {
 }
 
 // Env is the name-resolution environment for compilation: the ordered
-// list of visible columns.
+// list of visible columns, and the values a run bound to the
+// statement's literal slots.
 type Env struct {
 	Cols []Binding
+	// Params holds the bound value of every literal slot (slot s at
+	// s-1): a literal with a slot compiles to the value bound to it. Nil
+	// compiles each literal to its own value, which is how the program is
+	// compiled while it is built and how a statement runs unprepared.
+	Params []sqltypes.Value
 }
 
 // NewEnv builds an Env from a schema, attributing every column to the
@@ -122,10 +128,18 @@ func Compile(e ast.Expr, env *Env) (*Compiled, error) {
 func compile(e ast.Expr, env *Env) (*Compiled, error) {
 	switch t := e.(type) {
 	case *ast.Literal:
-		v := t.Value
+		// A literal with a slot compiles to the value the run bound to the
+		// slot. Compiling consumes nothing: a run compiles its plan with its
+		// own values, so what a compiled expression makes of a literal —
+		// ROUND's digits too — lasts one run. Whatever evaluates one while
+		// the program is built must consume the literals (FoldConstants).
+		slot, v := t.Param()
+		if slot > 0 && env.Params != nil {
+			v = env.Params[slot-1]
+		}
 		return &Compiled{
 			Eval:      func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
-			Type:      v.T,
+			Type:      t.Type(),
 			isLiteral: true,
 		}, nil
 

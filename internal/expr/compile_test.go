@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -195,6 +196,44 @@ func TestScalarFuncsEval(t *testing.T) {
 		got := evalStr(t, src)
 		if got != want {
 			t.Errorf("%s = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// TestSubstrWindow pins SUBSTR(s, start, length) as PostgreSQL computes
+// it: the positions [start, start+length) clipped to the string. A start
+// below 1 still counts towards the end — SUBSTR('xyz', 0, 2) is 'x', not
+// 'xy', as it was when the start was clamped to 1 first — and no start or
+// length of the INT pool overflows.
+func TestSubstrWindow(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	cases := []struct {
+		start, n int64
+		noN      bool
+		want     string
+	}{
+		{start: 0, n: 2, want: "x"},
+		{start: -1, n: 3, want: "x"},
+		{start: -5, n: 3, want: ""},
+		{start: -maxI, n: 3, want: ""},
+		{start: 1, n: 0, want: ""},
+		{start: 2, n: 1, want: "y"},
+		{start: 3, n: 5, want: "z"},
+		{start: 4, n: 1, want: ""},
+		{start: 1, n: maxI, want: "xyz"},
+		{start: -1, n: maxI, want: "xyz"},
+		{start: maxI, n: maxI, want: ""},
+		{start: minI, n: maxI, want: ""}, // ends at -1
+		{start: minI, n: 0, want: ""},
+		{start: minI, noN: true, want: "xyz"},
+		{start: 0, noN: true, want: "xyz"},
+		{start: 3, noN: true, want: "z"},
+		{start: maxI, noN: true, want: ""},
+	}
+	for _, c := range cases {
+		got, err := substr(sqltypes.NewString("xyz"), sqltypes.NewInt(c.start), sqltypes.NewInt(c.n), !c.noN)
+		if err != nil || got != sqltypes.NewString(c.want) {
+			t.Errorf("SUBSTR('xyz', %d, %d) (length given: %v) = %v, %v; want %q", c.start, c.n, !c.noN, got, err, c.want)
 		}
 	}
 }

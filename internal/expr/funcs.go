@@ -99,7 +99,7 @@ var scalarFuncs = map[string]scalarFunc{
 		switch v.T {
 		case sqltypes.Int:
 			if v.I < 0 {
-				return sqltypes.NewInt(-v.I), nil
+				return sqltypes.SubInt(0, v.I)
 			}
 			return v, nil
 		case sqltypes.Float:
@@ -326,15 +326,9 @@ func substr(sv, startv, nv sqltypes.Value, hasN bool) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.NullValue, err
 	}
-	// SQL SUBSTR is 1-based.
-	i := int(start.I) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i > len(s) {
-		i = len(s)
-	}
-	end := len(s)
+	// SQL SUBSTR is 1-based: the result is the window of positions
+	// [start, start+length), clipped to the string's [1, len+1).
+	end := int64(len(s)) + 1
 	if hasN {
 		if nv.IsNull() {
 			return sqltypes.NullValue, nil
@@ -346,11 +340,16 @@ func substr(sv, startv, nv sqltypes.Value, hasN bool) (sqltypes.Value, error) {
 		if n.I < 0 {
 			return sqltypes.NullValue, fmt.Errorf("negative SUBSTR length")
 		}
-		if n.I < int64(end-i) { // not i+n < end, which overflows
-			end = i + int(n.I)
+		// start+length only overflows for a positive start, past any end.
+		if start.I <= 0 || n.I <= math.MaxInt64-start.I {
+			end = min(end, start.I+n.I)
 		}
 	}
-	return sqltypes.NewString(s[i:end]), nil
+	lo := max(start.I, 1)
+	if lo >= end {
+		return sqltypes.NewString(""), nil
+	}
+	return sqltypes.NewString(s[lo-1 : end-1]), nil
 }
 
 // IsScalarFunc reports whether the (uppercased) name is a known scalar

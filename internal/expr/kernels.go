@@ -35,16 +35,17 @@ var binaryKernels = map[string]binaryKernel{
 	"LIKE": {eval: like, predicate: true},
 }
 
-// The arithmetic kernels compute INT op INT and FLOAT op FLOAT inline,
-// with exactly the arithmetic of the sqltypes function, and hand
-// everything else — mixed tags, NULL, non-numbers, a zero divisor — to
-// that function, which also reports the errors.
+// The arithmetic kernels compute INT op INT (through the checked sqltypes
+// INT functions) and FLOAT op FLOAT inline, with exactly the arithmetic of
+// the sqltypes function, and hand everything else — mixed tags, NULL,
+// non-numbers, a zero FLOAT divisor — to that function, which also
+// reports the errors.
 
 func add(a, b sqltypes.Value) (sqltypes.Value, error) {
 	if a.T == b.T {
 		switch a.T {
 		case sqltypes.Int:
-			return sqltypes.NewInt(a.I + b.I), nil
+			return sqltypes.AddInt(a.I, b.I)
 		case sqltypes.Float:
 			return sqltypes.NewFloat(a.F + b.F), nil
 		}
@@ -56,7 +57,7 @@ func sub(a, b sqltypes.Value) (sqltypes.Value, error) {
 	if a.T == b.T {
 		switch a.T {
 		case sqltypes.Int:
-			return sqltypes.NewInt(a.I - b.I), nil
+			return sqltypes.SubInt(a.I, b.I)
 		case sqltypes.Float:
 			return sqltypes.NewFloat(a.F - b.F), nil
 		}
@@ -68,7 +69,7 @@ func mul(a, b sqltypes.Value) (sqltypes.Value, error) {
 	if a.T == b.T {
 		switch a.T {
 		case sqltypes.Int:
-			return sqltypes.NewInt(a.I * b.I), nil
+			return sqltypes.MulInt(a.I, b.I)
 		case sqltypes.Float:
 			return sqltypes.NewFloat(a.F * b.F), nil
 		}
@@ -79,8 +80,8 @@ func mul(a, b sqltypes.Value) (sqltypes.Value, error) {
 func div(a, b sqltypes.Value) (sqltypes.Value, error) {
 	if a.T == b.T {
 		switch {
-		case a.T == sqltypes.Int && b.I != 0:
-			return sqltypes.NewInt(a.I / b.I), nil
+		case a.T == sqltypes.Int:
+			return sqltypes.DivInt(a.I, b.I)
 		case a.T == sqltypes.Float && b.F != 0:
 			return sqltypes.NewFloat(a.F / b.F), nil
 		}

@@ -46,9 +46,9 @@ func operand(v sqltypes.Value, p placement, i int) ast.Expr {
 	col := &ast.ColumnRef{Name: fmt.Sprintf("c%d", i)}
 	switch p {
 	case asLiteral:
-		return &ast.Literal{Value: v}
+		return ast.NewLiteral(v)
 	case asNested:
-		return &ast.CaseExpr{Whens: []ast.WhenClause{{Cond: &ast.Literal{Value: sqltypes.NewBool(true)}, Result: col}}}
+		return &ast.CaseExpr{Whens: []ast.WhenClause{{Cond: ast.NewLiteral(sqltypes.NewBool(true)), Result: col}}}
 	}
 	return col
 }
@@ -232,14 +232,14 @@ func TestKernelMutantIsCaught(t *testing.T) {
 func TestArgumentErrorsComeFirst(t *testing.T) {
 	env := &Env{}
 	failing := func(i int) ast.Expr {
-		return &ast.CastExpr{E: &ast.Literal{Value: sqltypes.NewString(fmt.Sprintf("bad%d", i))}, To: sqltypes.Int}
+		return &ast.CastExpr{E: ast.NewLiteral(sqltypes.NewString(fmt.Sprintf("bad%d", i))), To: sqltypes.Int}
 	}
 	check := func(name string, n int, build func([]ast.Expr) ast.Expr) {
 		for mask := 1; mask < 1<<n; mask++ {
 			args := make([]ast.Expr, n)
 			firstBad := -1
 			for i := range args {
-				args[i] = &ast.Literal{Value: sqltypes.NewInt(1)}
+				args[i] = ast.NewLiteral(sqltypes.NewInt(1))
 				if mask&(1<<i) != 0 {
 					args[i] = failing(i)
 					if firstBad < 0 {

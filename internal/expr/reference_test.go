@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"strings"
 
 	"dbspinner/internal/sqltypes"
@@ -14,10 +15,13 @@ import (
 // fresh slice, casts ROUND's digits and takes their power of ten per
 // row. The differential test (kernels_test.go) demands that the bound
 // kernels agree with it value for value, bit for bit and error for
-// error. It differs from that evaluator only where the same change fixed
+// error. It differs from that evaluator only where a later change fixed
 // a bug: refCompare's NaN order (NaN equal to NaN and above every other
-// number, instead of equal to every number), and SUBSTR with a length
-// near MaxInt64, which overflowed an index and panicked.
+// number, instead of equal to every number); SUBSTR, which overflowed an
+// index and panicked on a length near MaxInt64, and clamped a start
+// below 1 before it computed the end (SUBSTR('xyz', 0, 2) was 'xy'); and
+// INT arithmetic and ABS, which wrapped around instead of failing with
+// "integer out of range".
 
 // refCompare is sqltypes.Compare as it was, with the fixed NaN order.
 func refCompare(a, b sqltypes.Value) int {
@@ -88,24 +92,26 @@ func refArith(a, b sqltypes.Value, op string) (sqltypes.Value, error) {
 		return sqltypes.NullValue, fmt.Errorf("operator %s requires numeric operands, got %s and %s", op, a.T, b.T)
 	}
 	if a.T == sqltypes.Int && b.T == sqltypes.Int {
-		x, y := a.I, b.I
+		// Exact arithmetic: a result outside 64 bits is the fixed error.
+		x, y := big.NewInt(a.I), big.NewInt(b.I)
+		var r big.Int
 		switch op {
 		case "+":
-			return sqltypes.NewInt(x + y), nil
+			return refExactInt(r.Add(x, y))
 		case "-":
-			return sqltypes.NewInt(x - y), nil
+			return refExactInt(r.Sub(x, y))
 		case "*":
-			return sqltypes.NewInt(x * y), nil
+			return refExactInt(r.Mul(x, y))
 		case "/":
-			if y == 0 {
+			if b.I == 0 {
 				return sqltypes.NullValue, fmt.Errorf("division by zero")
 			}
-			return sqltypes.NewInt(x / y), nil
+			return refExactInt(r.Quo(x, y))
 		case "%":
-			if y == 0 {
+			if b.I == 0 {
 				return sqltypes.NullValue, fmt.Errorf("division by zero")
 			}
-			return sqltypes.NewInt(x % y), nil
+			return refExactInt(r.Rem(x, y))
 		}
 	}
 	x, y := a.Float(), b.Float()
@@ -128,6 +134,15 @@ func refArith(a, b sqltypes.Value, op string) (sqltypes.Value, error) {
 		return sqltypes.NewFloat(math.Mod(x, y)), nil
 	}
 	return sqltypes.NullValue, fmt.Errorf("unknown operator %s", op)
+}
+
+// refExactInt is an exact integer result as an INT, or the out-of-range
+// error.
+func refExactInt(r *big.Int) (sqltypes.Value, error) {
+	if !r.IsInt64() {
+		return sqltypes.NullValue, fmt.Errorf("integer out of range")
+	}
+	return sqltypes.NewInt(r.Int64()), nil
 }
 
 // refBinary is compileBinary's per-row body as it was, for every
@@ -216,10 +231,7 @@ var refFuncs = map[string]func([]sqltypes.Value) (sqltypes.Value, error){
 		}
 		switch v.T {
 		case sqltypes.Int:
-			if v.I < 0 {
-				return sqltypes.NewInt(-v.I), nil
-			}
-			return v, nil
+			return refExactInt(new(big.Int).Abs(big.NewInt(v.I)))
 		case sqltypes.Float:
 			return sqltypes.NewFloat(math.Abs(v.F)), nil
 		}
@@ -322,14 +334,10 @@ var refFuncs = map[string]func([]sqltypes.Value) (sqltypes.Value, error){
 		if err != nil {
 			return sqltypes.NullValue, err
 		}
-		i := int(start.I) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i > len(s) {
-			i = len(s)
-		}
-		end := len(s)
+		// Positions [start, start+length) in exact arithmetic, clipped to
+		// the string's [1, len+1).
+		lo := new(big.Int).SetInt64(start.I)
+		end := big.NewInt(int64(len(s)) + 1)
 		if len(a) == 3 {
 			if a[2].IsNull() {
 				return sqltypes.NullValue, nil
@@ -341,11 +349,17 @@ var refFuncs = map[string]func([]sqltypes.Value) (sqltypes.Value, error){
 			if n.I < 0 {
 				return sqltypes.NullValue, fmt.Errorf("negative SUBSTR length")
 			}
-			if n.I < int64(end-i) { // fixed with the change: i+n < end overflowed and panicked
-				end = i + int(n.I)
+			if hi := new(big.Int).Add(lo, big.NewInt(n.I)); hi.Cmp(end) < 0 {
+				end = hi
 			}
 		}
-		return sqltypes.NewString(s[i:end]), nil
+		if lo.Cmp(big.NewInt(1)) < 0 {
+			lo.SetInt64(1)
+		}
+		if lo.Cmp(end) >= 0 {
+			return sqltypes.NewString(""), nil
+		}
+		return sqltypes.NewString(s[lo.Int64()-1 : end.Int64()-1]), nil
 	},
 	"CONCAT": func(a []sqltypes.Value) (sqltypes.Value, error) {
 		var b strings.Builder

@@ -6,6 +6,7 @@ package lexer
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -103,6 +104,67 @@ func Tokenize(src string) ([]Token, error) {
 			return out, nil
 		}
 	}
+}
+
+// IsLiteral reports whether t is a literal token: a number, a string,
+// TRUE, FALSE or NULL. The parser numbers these in order, and a
+// statement's shape leaves their values out.
+func (t Token) IsLiteral() bool {
+	switch t.Kind {
+	case IntLit, FloatLit, StringLit:
+		return true
+	case Keyword:
+		return t.Text == "TRUE" || t.Text == "FALSE" || t.Text == "NULL"
+	}
+	return false
+}
+
+// Shape scans src into its shape and its literal tokens, in order. The
+// shape is the token stream with every literal replaced by its kind —
+// INT, FLOAT, STRING, BOOL or NULL — so two texts have equal shapes
+// exactly when they differ, apart from spacing and comments, in the
+// values of their literals alone. The error is Tokenize's.
+//
+// Each token is encoded in turn: a literal as one letter, D, E or F for
+// an INT, FLOAT or STRING token, B for TRUE or FALSE, N for NULL; any
+// other token as its Kind's byte, the decimal length of its text, a
+// colon and the text.
+func Shape(src string) (shape string, lits []Token, err error) {
+	l := New(src)
+	var b strings.Builder
+	b.Grow(2 * len(src)) // a token's kind and length cost about as much as its text
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return "", nil, err
+		}
+		if t.Kind == EOF {
+			return b.String(), lits, nil
+		}
+		if t.IsLiteral() {
+			lits = append(lits, t)
+			b.WriteByte(shapeKind(t))
+			continue
+		}
+		// The length in front of the text: no token's text can run into
+		// the next one's.
+		b.WriteByte(byte(t.Kind))
+		b.WriteString(strconv.Itoa(len(t.Text)))
+		b.WriteByte(':')
+		b.WriteString(t.Text)
+	}
+}
+
+// shapeKind is the letter a literal token leaves in a shape; no Kind's
+// byte is a letter.
+func shapeKind(t Token) byte {
+	switch {
+	case t.Kind != Keyword:
+		return 'A' + byte(t.Kind) // INT, FLOAT or STRING
+	case t.Text == "NULL":
+		return 'N'
+	}
+	return 'B'
 }
 
 // Next returns the next token.

@@ -150,7 +150,7 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 		// The partitions' trees share what they compile from each node
 		// through the run's compile memo; a machine started outside a
 		// query run (or over no tables at all) has one of its own.
-		rt = ownMemo{rt, exec.NewCompileCache()}
+		rt = ownMemo{rt, exec.NewCompileCache(nil)}
 	}
 	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: map[siteKey]*site{}}
 	if onNew != nil {
@@ -353,7 +353,8 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		if err := m.below(lf, t.Input); err != nil {
 			return err
 		}
-		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, N: t.N + t.Offset}, lf, false, nil)
+		n, offset := t.Bound(m.RT.Compiled().Params())
+		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, Counts: plan.Counts{N: n + offset}}, lf, false, nil)
 		if err != nil {
 			return err
 		}

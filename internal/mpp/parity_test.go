@@ -55,7 +55,7 @@ type parityShape struct {
 func values(rows ...int64) *plan.ValuesNode {
 	v := &plan.ValuesNode{Cols: []plan.ColInfo{{Name: "v", Type: sqltypes.Int}}}
 	for _, r := range rows {
-		v.Rows = append(v.Rows, []ast.Expr{&ast.Literal{Value: sqltypes.NewInt(r)}})
+		v.Rows = append(v.Rows, []ast.Expr{ast.NewLiteral(sqltypes.NewInt(r))})
 	}
 	return v
 }
@@ -75,7 +75,7 @@ var parityShapes = []parityShape{
 	{name: "limit above everything", sql: "SELECT s FROM a LIMIT 1000 OFFSET 0", kind: (*plan.Limit)(nil)},
 	{name: "limit over a sort", kind: (*plan.Limit)(nil), ordered: true, build: func(rt *exec.StoreRuntime) plan.Node {
 		sorted := planOf(rt, "SELECT s, x FROM a ORDER BY s")
-		return &plan.Limit{Input: sorted, N: 4, Offset: 3}
+		return &plan.Limit{Input: sorted, Counts: plan.Counts{N: 4, Offset: 3}}
 	}},
 	{name: "top-N with offset", sql: "SELECT s FROM a ORDER BY s DESC LIMIT 3 OFFSET 2", kind: (*plan.TopN)(nil), ordered: true},
 	{name: "top-N with offset past the end", sql: "SELECT s FROM a ORDER BY s LIMIT 3 OFFSET 100", kind: (*plan.TopN)(nil), ordered: true},

@@ -102,7 +102,7 @@ var witnessShapes = []struct {
 		return &plan.Sort{Input: c, Keys: []plan.SortKey{{Col: 1, Desc: true}}}
 	}},
 	{name: "top-N", lent: false, aliases: true, ordered: true, over: func(c, _ plan.Node) plan.Node {
-		return &plan.TopN{Input: c, Keys: []plan.SortKey{{Col: 1}}, N: 9, Offset: 1}
+		return &plan.TopN{Input: c, Keys: []plan.SortKey{{Col: 1}}, Counts: plan.Counts{N: 9, Offset: 1}}
 	}},
 	{name: "distinct under a keeping root", lent: false, aliases: true, over: func(c, _ plan.Node) plan.Node {
 		return &plan.Distinct{Input: c}
@@ -117,7 +117,7 @@ var witnessShapes = []struct {
 		return &plan.Join{Type: ast.CrossJoin, Left: o, Right: c}
 	}},
 	{name: "keeping root over filter, alias and trim", lent: false, aliases: true, over: func(c, _ plan.Node) plan.Node {
-		return &plan.Filter{Cond: &ast.BinaryExpr{Op: ">=", L: col("q", "v"), R: &ast.Literal{Value: sqltypes.NewInt(0)}},
+		return &plan.Filter{Cond: &ast.BinaryExpr{Op: ">=", L: col("q", "v"), R: ast.NewLiteral(sqltypes.NewInt(0))},
 			Input: &plan.Alias{Name: "q", Input: &plan.Trim{Input: c, Keep: 2}}}
 	}},
 	{name: "aggregate", lent: true, over: func(c, _ plan.Node) plan.Node {
@@ -126,7 +126,7 @@ var witnessShapes = []struct {
 	}},
 	{name: "project over a filter", lent: true, over: func(c, _ plan.Node) plan.Node {
 		return &plan.Project{Items: []plan.ProjItem{{Expr: col("c", "v"), Name: "v", Type: sqltypes.Int}},
-			Input: &plan.Filter{Input: c, Cond: &ast.BinaryExpr{Op: ">", L: col("c", "k"), R: &ast.Literal{Value: sqltypes.NewInt(2)}}}}
+			Input: &plan.Filter{Input: c, Cond: &ast.BinaryExpr{Op: ">", L: col("c", "k"), R: ast.NewLiteral(sqltypes.NewInt(2))}}}
 	}},
 	{name: "hash join probe side", lent: true, over: func(c, o plan.Node) plan.Node {
 		return &plan.Join{Type: ast.LeftJoin, Left: c, Right: o, On: &ast.BinaryExpr{Op: "=", L: col("c", "k"), R: col("o", "k")}}

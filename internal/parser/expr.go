@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -201,14 +202,22 @@ func (p *Parser) parseMul() (ast.Expr, error) {
 
 func (p *Parser) parseUnary() (ast.Expr, error) {
 	if p.acceptOp("-") {
+		if t := p.peek(); t.Kind == lexer.IntLit {
+			// -9223372036854775808 is an INT although its magnitude is not.
+			if i, err := strconv.ParseInt("-"+t.Text, 10, 64); err == nil && i == math.MinInt64 {
+				p.next()
+				p.uses.Consume(p.lastSlot())
+				return ast.NewLiteral(sqltypes.NewInt(i)), nil
+			}
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		// Fold negation of numeric literals for cleaner plans.
 		if l, ok := e.(*ast.Literal); ok {
-			if v, err := sqltypes.Neg(l.Value); err == nil {
-				return &ast.Literal{Value: v}, nil
+			if v, err := sqltypes.Neg(l.Value()); err == nil {
+				return ast.NewLiteral(v), nil
 			}
 		}
 		return &ast.UnaryExpr{Op: "-", E: e}, nil
@@ -219,37 +228,47 @@ func (p *Parser) parseUnary() (ast.Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() (ast.Expr, error) {
-	t := p.peek()
+// LiteralValue is the value of a literal token (lexer.Token.IsLiteral)
+// as the parser reads it.
+func LiteralValue(t lexer.Token) (sqltypes.Value, error) {
 	switch t.Kind {
 	case lexer.IntLit:
-		p.next()
 		i, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer literal %q", t.Text)
+			return sqltypes.NullValue, fmt.Errorf("bad integer literal %q", t.Text)
 		}
-		return &ast.Literal{Value: sqltypes.NewInt(i)}, nil
+		return sqltypes.NewInt(i), nil
 	case lexer.FloatLit:
-		p.next()
 		f, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad float literal %q", t.Text)
+			return sqltypes.NullValue, fmt.Errorf("bad float literal %q", t.Text)
 		}
-		return &ast.Literal{Value: sqltypes.NewFloat(f)}, nil
+		return sqltypes.NewFloat(f), nil
 	case lexer.StringLit:
+		return sqltypes.NewString(t.Text), nil
+	}
+	switch t.Text {
+	case "TRUE":
+		return sqltypes.NewBool(true), nil
+	case "FALSE":
+		return sqltypes.NewBool(false), nil
+	}
+	return sqltypes.NullValue, nil
+}
+
+func (p *Parser) parsePrimary() (ast.Expr, error) {
+	t := p.peek()
+	if t.IsLiteral() {
 		p.next()
-		return &ast.Literal{Value: sqltypes.NewString(t.Text)}, nil
+		v, err := LiteralValue(t)
+		if err != nil {
+			return nil, err
+		}
+		return ast.NewSlotLiteral(v, p.lastSlot(), p.uses), nil
+	}
+	switch t.Kind {
 	case lexer.Keyword:
 		switch t.Text {
-		case "NULL":
-			p.next()
-			return &ast.Literal{Value: sqltypes.NullValue}, nil
-		case "TRUE":
-			p.next()
-			return &ast.Literal{Value: sqltypes.NewBool(true)}, nil
-		case "FALSE":
-			p.next()
-			return &ast.Literal{Value: sqltypes.NewBool(false)}, nil
 		case "CASE":
 			return p.parseCase()
 		case "CAST":

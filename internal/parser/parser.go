@@ -20,19 +20,50 @@ type Parser struct {
 	toks []lexer.Token
 	pos  int
 	src  string
+	// slots numbers the literal tokens (lexer.Token.IsLiteral) from 1 in
+	// the order lexer.Shape lists them, 0 for every other token; uses
+	// records which of them planning reads.
+	slots []int
+	uses  *ast.Uses
+}
+
+func newParser(toks []lexer.Token, src string) *Parser {
+	p := &Parser{toks: toks, src: src, slots: make([]int, len(toks))}
+	n := 0
+	for i, t := range toks {
+		if t.IsLiteral() {
+			n++
+			p.slots[i] = n
+		}
+	}
+	p.uses = ast.NewUses(n)
+	return p
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(src string) (ast.Statement, error) {
-	stmts, err := ParseAll(src)
+	stmt, _, err := ParseUses(src)
+	return stmt, err
+}
+
+// ParseUses is Parse that also returns the record of the statement's
+// literal slots: after the statement is planned it says which literal
+// values the plan depends on.
+func ParseUses(src string) (ast.Statement, *ast.Uses, error) {
+	toks, err := lexer.Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	p := newParser(toks, src)
+	stmts, err := p.parseAll()
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected a single statement, got %d", len(stmts))
+		return nil, nil, fmt.Errorf("expected a single statement, got %d", len(stmts))
 	}
-	return stmts[0], nil
+	return stmts[0], p.uses, nil
 }
 
 // ParseAll parses a semicolon-separated script into statements.
@@ -41,7 +72,10 @@ func ParseAll(src string) ([]ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: src}
+	return newParser(toks, src).parseAll()
+}
+
+func (p *Parser) parseAll() ([]ast.Statement, error) {
 	var out []ast.Statement
 	for {
 		for p.acceptOp(";") {
@@ -71,7 +105,7 @@ func ParseExpr(src string) (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: src}
+	p := newParser(toks, src)
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -100,6 +134,10 @@ func (p *Parser) next() lexer.Token {
 	}
 	return t
 }
+
+// lastSlot is the literal slot of the token next returned (0 when it is
+// not a literal).
+func (p *Parser) lastSlot() int { return p.slots[p.pos-1] }
 
 func (p *Parser) acceptKw(kw string) bool {
 	t := p.peek()
@@ -377,6 +415,7 @@ func (p *Parser) parseTermination() (ast.Termination, error) {
 	switch {
 	case t.Kind == lexer.IntLit:
 		p.next()
+		p.uses.Consume(p.lastSlot()) // the count is part of the loop operator
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return tc, fmt.Errorf("bad iteration count %q: %v", t.Text, err)
@@ -420,6 +459,7 @@ func (p *Parser) parseTermination() (ast.Termination, error) {
 		if nt.Kind != lexer.IntLit {
 			return tc, fmt.Errorf("expected integer after DELTA <, got %q", nt.Text)
 		}
+		p.uses.Consume(p.lastSlot())
 		n, err := strconv.ParseInt(nt.Text, 10, 64)
 		if err != nil || n <= 0 {
 			return tc, fmt.Errorf("DELTA threshold must be a positive integer")

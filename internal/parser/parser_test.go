@@ -190,13 +190,13 @@ func TestExpressionPrecedence(t *testing.T) {
 func TestNegativeLiteralFolding(t *testing.T) {
 	sel := mustSelect(t, "SELECT -5, -2.5, +3")
 	items := sel.Body.(*ast.SelectCore).Items
-	if l, ok := items[0].Expr.(*ast.Literal); !ok || l.Value != sqltypes.NewInt(-5) {
+	if l, ok := items[0].Expr.(*ast.Literal); !ok || l.Value() != sqltypes.NewInt(-5) {
 		t.Errorf("-5 not folded: %s", items[0].Expr)
 	}
-	if l, ok := items[1].Expr.(*ast.Literal); !ok || l.Value != sqltypes.NewFloat(-2.5) {
+	if l, ok := items[1].Expr.(*ast.Literal); !ok || l.Value() != sqltypes.NewFloat(-2.5) {
 		t.Errorf("-2.5 not folded: %s", items[1].Expr)
 	}
-	if l, ok := items[2].Expr.(*ast.Literal); !ok || l.Value != sqltypes.NewInt(3) {
+	if l, ok := items[2].Expr.(*ast.Literal); !ok || l.Value() != sqltypes.NewInt(3) {
 		t.Errorf("+3: %s", items[2].Expr)
 	}
 }

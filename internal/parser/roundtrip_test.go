@@ -14,9 +14,9 @@ func randExpr(rng *rand.Rand, depth int) ast.Expr {
 	if depth <= 0 {
 		switch rng.Intn(4) {
 		case 0:
-			return &ast.Literal{Value: sqltypes.NewInt(int64(rng.Intn(100)))}
+			return ast.NewLiteral(sqltypes.NewInt(int64(rng.Intn(100))))
 		case 1:
-			return &ast.Literal{Value: sqltypes.NewFloat(float64(rng.Intn(100)) / 4)}
+			return ast.NewLiteral(sqltypes.NewFloat(float64(rng.Intn(100)) / 4))
 		case 2:
 			return &ast.ColumnRef{Name: "c" + string(rune('a'+rng.Intn(4)))}
 		default:

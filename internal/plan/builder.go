@@ -93,44 +93,40 @@ func (b *Builder) Build(sel *ast.SelectStmt) (Node, error) {
 	}
 sorted:
 	if sel.Limit != nil || sel.Offset != nil {
-		n := int64(-1)
-		var off int64
+		c := Counts{N: -1}
+		var err error
 		if sel.Limit != nil {
-			v, err := constInt(sel.Limit)
-			if err != nil {
+			if c.N, c.NSlot, err = constCount(sel.Limit); err != nil {
 				return nil, fmt.Errorf("LIMIT: %w", err)
 			}
-			n = v
 		}
 		if sel.Offset != nil {
-			v, err := constInt(sel.Offset)
-			if err != nil {
+			if c.Offset, c.OffsetSlot, err = constCount(sel.Offset); err != nil {
 				return nil, fmt.Errorf("OFFSET: %w", err)
 			}
-			off = v
 		}
-		node = fuseTopN(node, n, off)
+		node = fuseTopN(node, c)
 	}
 	return node, nil
 }
 
 // fuseTopN turns Limit(Sort(x)) — also through a Trim added for hidden
 // sort columns — into a TopN that keeps only the needed rows.
-func fuseTopN(node Node, n, off int64) Node {
-	if n >= 0 {
+func fuseTopN(node Node, c Counts) Node {
+	if c.N >= 0 {
 		switch t := node.(type) {
 		case *Sort:
-			return &TopN{Input: t.Input, Keys: t.Keys, N: n, Offset: off}
+			return &TopN{Input: t.Input, Keys: t.Keys, Counts: c}
 		case *Trim:
 			if s, ok := t.Input.(*Sort); ok {
 				return &Trim{
-					Input: &TopN{Input: s.Input, Keys: s.Keys, N: n, Offset: off},
+					Input: &TopN{Input: s.Input, Keys: s.Keys, Counts: c},
 					Keep:  t.Keep,
 				}
 			}
 		}
 	}
-	return &Limit{Input: node, N: n, Offset: off}
+	return &Limit{Input: node, Counts: c}
 }
 
 // buildHiddenSort re-plans a select core with the unresolvable ORDER
@@ -194,15 +190,20 @@ func (b *Builder) buildHiddenSort(core *ast.SelectCore, orderBy []ast.OrderItem,
 	return &Trim{Input: &Sort{Input: node, Keys: keys}, Keep: visible}, nil
 }
 
-func constInt(e ast.Expr) (int64, error) {
+// constCount reads a LIMIT or OFFSET count: an integer literal, which a
+// run with bound values reads from its slot. The count's value decides
+// nothing here — a slotted INT literal is a digit string, never
+// negative — so the slot stays bound.
+func constCount(e ast.Expr) (n int64, slot int, err error) {
 	l, ok := e.(*ast.Literal)
-	if !ok || l.Value.T != sqltypes.Int {
-		return 0, fmt.Errorf("expected an integer constant, got %s", e)
+	if !ok || l.Type() != sqltypes.Int {
+		return 0, 0, fmt.Errorf("expected an integer constant, got %s", e)
 	}
-	if l.Value.I < 0 {
-		return 0, fmt.Errorf("must not be negative")
+	slot, v := l.Param()
+	if v.I < 0 {
+		return 0, 0, fmt.Errorf("must not be negative")
 	}
-	return l.Value.I, nil
+	return v.I, slot, nil
 }
 
 func resolveOrderBy(items []ast.OrderItem, cols []ColInfo) ([]SortKey, error) {
@@ -211,10 +212,11 @@ func resolveOrderBy(items []ast.OrderItem, cols []ColInfo) ([]SortKey, error) {
 		idx := -1
 		switch e := it.Expr.(type) {
 		case *ast.Literal:
-			if e.Value.T != sqltypes.Int {
+			v := e.Value()
+			if v.T != sqltypes.Int {
 				return nil, fmt.Errorf("ORDER BY position must be an integer")
 			}
-			p := int(e.Value.I)
+			p := int(v.I)
 			if p < 1 || p > len(cols) {
 				return nil, fmt.Errorf("ORDER BY position %d is out of range", p)
 			}

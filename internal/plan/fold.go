@@ -9,9 +9,11 @@ import (
 // FoldConstants evaluates constant sub-expressions at plan time:
 // any subtree without column references that evaluates cleanly is
 // replaced by its literal value. Expressions that would error at
-// runtime (1/0) are left untouched so the error surfaces with the
-// usual semantics — a filter that is never evaluated must not fail the
-// query.
+// runtime (1/0, an INT overflow) are left untouched so the error
+// surfaces with the usual semantics — a filter that is never evaluated
+// must not fail the query. Whether a subtree folds, and to what, depends
+// on its literals' values, so every literal of an evaluated subtree is
+// consumed.
 func FoldConstants(e ast.Expr) ast.Expr {
 	if e == nil {
 		return nil
@@ -29,11 +31,17 @@ func FoldConstants(e ast.Expr) ast.Expr {
 		if err != nil {
 			return x
 		}
+		ast.WalkExpr(x, func(y ast.Expr) bool {
+			if l, ok := y.(*ast.Literal); ok {
+				l.Value()
+			}
+			return true
+		})
 		v, err := c.Eval(nil)
 		if err != nil {
 			return x
 		}
-		return &ast.Literal{Value: v}
+		return ast.NewLiteral(v)
 	})
 }
 
@@ -51,7 +59,7 @@ func foldItems(items []ast.SelectItem) []ast.SelectItem {
 // empty result of the same shape.
 func simplifyFilter(input Node, cond ast.Expr) Node {
 	if lit, ok := cond.(*ast.Literal); ok {
-		switch sqltypes.TriOf(lit.Value) {
+		switch sqltypes.TriOf(lit.Value()) {
 		case sqltypes.TriTrue:
 			return input
 		default:

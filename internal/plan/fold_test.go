@@ -77,7 +77,7 @@ func TestSimplifyFilterFalse(t *testing.T) {
 func TestFoldInProjection(t *testing.T) {
 	n := buildSQL(t, "SELECT 1 + 2 FROM edges")
 	p := n.(*Project)
-	if lit, ok := p.Items[0].Expr.(*ast.Literal); !ok || lit.Value != sqltypes.NewInt(3) {
+	if lit, ok := p.Items[0].Expr.(*ast.Literal); !ok || lit.Value() != sqltypes.NewInt(3) {
 		t.Errorf("projection not folded: %s", p.Items[0].Expr)
 	}
 }

@@ -298,11 +298,34 @@ func (s *Sort) Explain() string {
 	return "Sort by " + strings.Join(parts, ", ")
 }
 
+// Counts are the row counts of a Limit or TopN: at most N rows (-1: no
+// limit) after skipping Offset. A count the statement gave as a literal
+// also names the literal's slot, and a run that binds the statement's
+// literal values reads the count from there.
+type Counts struct {
+	N, Offset         int64
+	NSlot, OffsetSlot int
+}
+
+// Bound returns the counts under the run's bound literal values (nil:
+// the counts as planned).
+func (c Counts) Bound(params []sqltypes.Value) (n, offset int64) {
+	n, offset = c.N, c.Offset
+	if params != nil {
+		if c.NSlot > 0 {
+			n = params[c.NSlot-1].I
+		}
+		if c.OffsetSlot > 0 {
+			offset = params[c.OffsetSlot-1].I
+		}
+	}
+	return n, offset
+}
+
 // Limit keeps at most N rows after skipping Offset.
 type Limit struct {
-	Input  Node
-	N      int64
-	Offset int64
+	Input Node
+	Counts
 }
 
 func (l *Limit) Columns() []ColInfo { return l.Input.Columns() }
@@ -319,10 +342,9 @@ func (l *Limit) Explain() string {
 // whole input. The builder creates it whenever ORDER BY and LIMIT
 // appear together.
 type TopN struct {
-	Input  Node
-	Keys   []SortKey
-	N      int64
-	Offset int64
+	Input Node
+	Keys  []SortKey
+	Counts
 }
 
 func (t *TopN) Columns() []ColInfo { return t.Input.Columns() }

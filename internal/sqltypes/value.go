@@ -282,6 +282,10 @@ func Cast(v Value, to Type) (Value, error) {
 		case Int:
 			return v, nil
 		case Float:
+			// Truncates toward zero; NaN fails both comparisons.
+			if !(v.F >= -0x1p63 && v.F < 0x1p63) {
+				return NullValue, ErrIntegerOutOfRange
+			}
 			return NewInt(int64(v.F)), nil
 		case Bool:
 			return NewInt(v.I), nil
@@ -336,7 +340,7 @@ func Cast(v Value, to Type) (Value, error) {
 // Add returns a + b.
 func Add(a, b Value) (Value, error) {
 	if a.T == Int && b.T == Int {
-		return NewInt(a.I + b.I), nil
+		return AddInt(a.I, b.I)
 	}
 	x, y, ok, err := floatOperands(a, b, "+")
 	if !ok {
@@ -348,7 +352,7 @@ func Add(a, b Value) (Value, error) {
 // Sub returns a - b.
 func Sub(a, b Value) (Value, error) {
 	if a.T == Int && b.T == Int {
-		return NewInt(a.I - b.I), nil
+		return SubInt(a.I, b.I)
 	}
 	x, y, ok, err := floatOperands(a, b, "-")
 	if !ok {
@@ -360,7 +364,7 @@ func Sub(a, b Value) (Value, error) {
 // Mul returns a * b.
 func Mul(a, b Value) (Value, error) {
 	if a.T == Int && b.T == Int {
-		return NewInt(a.I * b.I), nil
+		return MulInt(a.I, b.I)
 	}
 	x, y, ok, err := floatOperands(a, b, "*")
 	if !ok {
@@ -373,10 +377,7 @@ func Mul(a, b Value) (Value, error) {
 // matching the behaviour the FF query relies on being avoided via CAST.
 func Div(a, b Value) (Value, error) {
 	if a.T == Int && b.T == Int {
-		if b.I == 0 {
-			return NullValue, errDivisionByZero
-		}
-		return NewInt(a.I / b.I), nil
+		return DivInt(a.I, b.I)
 	}
 	x, y, ok, err := floatOperands(a, b, "/")
 	if !ok {
@@ -410,6 +411,48 @@ func Mod(a, b Value) (Value, error) {
 // FLOAT.
 var errDivisionByZero = errors.New("division by zero")
 
+// ErrIntegerOutOfRange is what INT arithmetic, negation and a cast to
+// INT return when the exact result does not fit in 64 bits.
+var ErrIntegerOutOfRange = errors.New("integer out of range")
+
+// AddInt returns the INT a + b.
+func AddInt(a, b int64) (Value, error) {
+	c := a + b
+	if (a^c)&(b^c) < 0 { // both operands' signs differ from the sum's
+		return NullValue, ErrIntegerOutOfRange
+	}
+	return NewInt(c), nil
+}
+
+// SubInt returns the INT a - b.
+func SubInt(a, b int64) (Value, error) {
+	c := a - b
+	if (a^b)&(a^c) < 0 { // the operands' signs differ, and a's from the difference's
+		return NullValue, ErrIntegerOutOfRange
+	}
+	return NewInt(c), nil
+}
+
+// MulInt returns the INT a * b.
+func MulInt(a, b int64) (Value, error) {
+	c := a * b
+	if a != 0 && (c/a != b || a == -1 && b == math.MinInt64) {
+		return NullValue, ErrIntegerOutOfRange
+	}
+	return NewInt(c), nil
+}
+
+// DivInt returns the INT a / b, truncated toward zero.
+func DivInt(a, b int64) (Value, error) {
+	switch {
+	case b == 0:
+		return NullValue, errDivisionByZero
+	case b == -1 && a == math.MinInt64:
+		return NullValue, ErrIntegerOutOfRange
+	}
+	return NewInt(a / b), nil
+}
+
 // floatOperands checks the operands of an arithmetic operator that is
 // not INT op INT and promotes both to float. ok is false when the result
 // is NULL (either side is NULL) or err is set (either side is not a
@@ -433,7 +476,7 @@ func Neg(a Value) (Value, error) {
 	}
 	switch a.T {
 	case Int:
-		return NewInt(-a.I), nil
+		return SubInt(0, a.I)
 	case Float:
 		return NewFloat(-a.F), nil
 	}

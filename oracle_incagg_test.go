@@ -30,23 +30,32 @@ func incaggGraph() *workload.Graph {
 }
 
 // incaggRun executes sql on a fresh engine over the oracle dataset and
-// returns the rendered rows plus the engine stats after the query.
+// returns the rendered rows plus the engine stats after the query; the
+// statement cache must then reproduce the rows (preparedParity).
 func incaggRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinner.Stats) {
 	t.Helper()
-	e, err := bench.NewEngine(incaggGraph(), bench.Config{Partitions: 1, AvailFrac: 0.8}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	fresh := func() *dbspinner.Engine {
+		e, err := bench.NewEngine(incaggGraph(), bench.Config{Partitions: 1, AvailFrac: 0.8}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
+	e := fresh()
 	res, err := e.Query(sql)
 	if err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
+	}
+	stats := e.Stats()
+	if d := preparedParity(t, e, fresh, sql, res); d != "" {
+		t.Errorf("%+v: %s", cfg, d)
 	}
 	var b strings.Builder
 	for _, r := range res.Rows {
 		b.WriteString(r.String())
 		b.WriteByte('\n')
 	}
-	return b.String(), e.Stats()
+	return b.String(), stats
 }
 
 // riDecisions renders a traced run's per-iteration choice of Ri, one

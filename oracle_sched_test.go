@@ -79,7 +79,8 @@ func queryRowsText(t *testing.T, cfg dbspinner.Config, sql string) string {
 }
 
 // queryRowsAndStats runs sql on a fresh engine and returns the rendered
-// rows and the engine's counters after the query.
+// rows and the engine's counters after the query; the statement cache
+// must then reproduce the rows (preparedParity).
 func queryRowsAndStats(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinner.Stats) {
 	t.Helper()
 	e := newVerdictEngine(t, cfg)
@@ -87,11 +88,15 @@ func queryRowsAndStats(t *testing.T, cfg dbspinner.Config, sql string) (string, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := e.Stats()
+	if d := preparedParity(t, e, func() *dbspinner.Engine { return newVerdictEngine(t, cfg) }, sql, res); d != "" {
+		t.Errorf("%+v: %s", cfg, d)
+	}
 	var b strings.Builder
 	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%v\n", r)
 	}
-	return b.String(), e.Stats()
+	return b.String(), stats
 }
 
 var (

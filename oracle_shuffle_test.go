@@ -56,7 +56,8 @@ func newShuffleEngine(t *testing.T, cfg dbspinner.Config) *dbspinner.Engine {
 }
 
 // shuffleRun executes sql on a fresh engine and returns the rendered
-// rows plus the engine stats after the query.
+// rows plus the engine stats after the query; the statement cache must
+// then reproduce the rows (preparedParity).
 func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinner.Stats) {
 	t.Helper()
 	e := newShuffleEngine(t, cfg)
@@ -65,11 +66,16 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 		t.Fatalf("Partitions=%d Parallel=%v DisableShuffleElision=%v: %v",
 			cfg.Partitions, cfg.Parallel, cfg.DisableShuffleElision, err)
 	}
+	stats := e.Stats()
+	if d := preparedParity(t, e, func() *dbspinner.Engine { return newShuffleEngine(t, cfg) }, sql, res); d != "" {
+		t.Errorf("Partitions=%d Parallel=%v DisableShuffleElision=%v: %s",
+			cfg.Partitions, cfg.Parallel, cfg.DisableShuffleElision, d)
+	}
 	var b strings.Builder
 	for _, r := range res.Rows {
 		fmt.Fprintf(&b, "%v\n", r)
 	}
-	return b.String(), e.Stats()
+	return b.String(), stats
 }
 
 // TestShuffleElisionParityMatrix is the elision oracle gate: all five

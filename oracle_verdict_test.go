@@ -34,9 +34,11 @@ func newVerdictEngine(t *testing.T, cfg dbspinner.Config) *dbspinner.Engine {
 // TestWorkloadQueriesGetProvenVerdicts is the verdict-regression gate:
 // every evaluation query (PR, PR-VS, SSSP, SSSP-VS, FF) must EXPLAIN
 // with a proved Terminates/Converges verdict and an evidence chain —
-// never Unknown.
+// never Unknown — and its prepared program must reproduce its rows
+// (preparedParity).
 func TestWorkloadQueriesGetProvenVerdicts(t *testing.T) {
-	e := newVerdictEngine(t, dbspinner.Config{Partitions: 2})
+	cfg := dbspinner.Config{Partitions: 2}
+	e := newVerdictEngine(t, cfg)
 	queries := map[string]string{
 		"PR":      bench.PRQuery(10),
 		"PR-VS":   bench.PRVSQuery(10),
@@ -61,6 +63,13 @@ func TestWorkloadQueriesGetProvenVerdicts(t *testing.T) {
 			}
 			if !strings.Contains(out, "evidence [") {
 				t.Errorf("%s verdict carries no evidence chain:\n%s", name, out)
+			}
+			cold, err := e.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := preparedParity(t, e, func() *dbspinner.Engine { return newVerdictEngine(t, cfg) }, sql, cold); d != "" {
+				t.Error(d)
 			}
 		})
 	}
