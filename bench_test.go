@@ -329,6 +329,42 @@ func TestAllocBudgetForecast(t *testing.T) {
 	t.Logf("FF: %.0f allocations (budget %d) and %d bytes (budget %d) per query", got, budget, gotBytes, bytesBudget)
 }
 
+// TestAllocBudgetSSSPVS gates what one 10-iteration SSSP-VS over the
+// benchmark graph allocates. Its WHERE conjunct on IncomingDistance.delta
+// is placed on the join's build side and makes both left joins inner, and
+// the join indexes only the rows of sssp that pass it, straight from the
+// table: the query makes 1.87k objects and 4.83 MB. Filtering above the
+// outer join, after indexing all of sssp every iteration, made 1.88k and
+// 8.97 MB. Both budgets are the measurement plus 25%.
+func TestAllocBudgetSSSPVS(t *testing.T) {
+	e := newBenchEngine(t, benchConfig, dbspinner.Config{})
+	sql := bench.SSSPVSQuery(1, benchConfig.Iterations)
+	query := func() {
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget, bytesBudget = 2_330, 6_030_000
+	got := testing.AllocsPerRun(3, query)
+	if got > budget {
+		t.Errorf("SSSP-VS: %.0f allocations per query, budget %d", got, budget)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	query() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	gotBytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if gotBytes > bytesBudget {
+		t.Errorf("SSSP-VS: %d bytes per query, budget %d", gotBytes, bytesBudget)
+	}
+	t.Logf("SSSP-VS: %.0f allocations (budget %d) and %d bytes (budget %d) per query", got, budget, gotBytes, bytesBudget)
+}
+
 // TestAllocBudgetPageRankMPP gates the bytes of PR-VS on the MPP machine
 // (2 partitions, 10 iterations) on a 1,300-node graph with four fifths
 // of the vertices available, where every iteration routes the outputs of

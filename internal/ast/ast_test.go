@@ -268,6 +268,37 @@ func TestConjuncts(t *testing.T) {
 	}
 }
 
+func TestStrict(t *testing.T) {
+	x := col("e", "w")
+	call := func(name string) Expr { return &FuncCall{Name: name, Args: []Expr{x, lit(5)}} }
+	cmp := func(l Expr) Expr { return &BinaryExpr{Op: "<", L: l, R: lit(10)} }
+	for _, c := range []struct {
+		e      Expr
+		strict bool
+	}{
+		{x, true},
+		{cmp(x), true},
+		{cmp(&BinaryExpr{Op: "+", L: x, R: &UnaryExpr{Op: "-", E: lit(1)}}), true},
+		{&BinaryExpr{Op: "=", L: x, R: NewLiteral(sqltypes.NullValue)}, true},
+		// Each of these can make something of a NULL argument.
+		{cmp(call("LEAST")), false},
+		{cmp(call("GREATEST")), false},
+		{cmp(call("CONCAT")), false},
+		{cmp(call("NULLIF")), false},
+		{cmp(call("COALESCE")), false},
+		{&IsNullExpr{E: x}, false},
+		{&UnaryExpr{Op: "NOT", E: cmp(x)}, false},
+		{&BinaryExpr{Op: "OR", L: cmp(x), R: lit(1)}, false},
+		{&CaseExpr{Whens: []WhenClause{{Cond: cmp(x), Result: lit(1)}}, Else: lit(0)}, false},
+		// A non-strict operand is not hidden by a strict sibling.
+		{&BinaryExpr{Op: "=", L: call("LEAST"), R: &BinaryExpr{Op: "+", L: x, R: lit(1)}}, false},
+	} {
+		if got := Strict(c.e); got != c.strict {
+			t.Errorf("Strict(%s) = %v, want %v", c.e, got, c.strict)
+		}
+	}
+}
+
 func TestJoinTypeString(t *testing.T) {
 	want := map[JoinType]string{
 		InnerJoin: "JOIN", LeftJoin: "LEFT JOIN", RightJoin: "RIGHT JOIN",

@@ -346,10 +346,48 @@ func SplitConjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(make([]Expr, 0, 4), e)
+}
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && strings.EqualFold(b.Op, "AND") {
-		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
-	return []Expr{e}
+	if e == nil {
+		return dst
+	}
+	return append(dst, e)
+}
+
+// Strict reports whether e is never TRUE when any column it reads is
+// NULL: it is built only of column references, literals, comparisons and
+// arithmetic, each of which yields NULL from a NULL operand. A WHERE
+// conjunct that is strict and reads the nullable side of an outer join
+// rejects that join's NULL-extended rows. The test is a whitelist:
+// IS NULL, CASE, OR, NOT, and functions such as COALESCE, LEAST,
+// GREATEST, CONCAT and NULLIF can make something of a NULL argument.
+func Strict(e Expr) bool {
+	strict := true
+	WalkExpr(e, func(x Expr) bool {
+		switch t := x.(type) {
+		case *ColumnRef, *Literal:
+		case *BinaryExpr:
+			strict = strict && strictOps[t.Op]
+		case *UnaryExpr:
+			strict = strict && t.Op == "-"
+		default:
+			strict = false
+		}
+		return strict
+	})
+	return strict
+}
+
+// strictOps are the binary operators that yield NULL from a NULL
+// operand.
+var strictOps = map[string]bool{
+	"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true,
+	"+": true, "-": true, "*": true, "/": true, "%": true,
 }
 
 // JoinConjuncts rebuilds a conjunction from a list of predicates (nil

@@ -64,6 +64,27 @@ func graphRT(t *testing.T, parts int) *exec.StoreRuntime {
 	return exec.NewStoreRuntime(cat, storage.NewResultStore())
 }
 
+// reachedRows sums, over the first n iterations of SSSP-VS, the rows of
+// sssp whose Delta is not 9999999 when the iteration starts: what its
+// filtered IncomingDistance build side indexes.
+func reachedRows(t *testing.T, rt *exec.StoreRuntime, n int) int64 {
+	t.Helper()
+	sum := countRows(t, rt, "SELECT COUNT(*) FROM (SELECT src FROM edges UNION SELECT dst FROM edges) AS v WHERE v.src = 150")
+	for i := 1; i < n; i++ {
+		q := strings.Replace(iterating(ssspVSQuery, i), "SELECT Node, Distance FROM sssp ORDER BY Node", "SELECT COUNT(*) FROM sssp WHERE Delta != 9999999", 1)
+		prog, err := Rewrite(mustParse(t, q), rt, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := prog.Run(rt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += rows[0][0].Int()
+	}
+	return sum
+}
+
 // countRows runs a SELECT COUNT(*) over the base tables.
 func countRows(t *testing.T, rt *exec.StoreRuntime, sql string) int64 {
 	t.Helper()
@@ -81,10 +102,11 @@ func countRows(t *testing.T, rt *exec.StoreRuntime, sql string) int64 {
 // TestIndexBuiltOncePerQuery: with the run's index memo, a 10-iteration
 // query inserts into join hash indexes the rows of each build table its
 // loop does not change once, plus the rows of each build side it does
-// change once per iteration — exactly; and it returns, byte for byte and
-// in order, the rows of a run without a memo, which indexes everything
-// once per iteration and differs in no other counter except the build
-// scans that did not happen.
+// change once per iteration — exactly, and of a filtered build side only
+// the rows that pass; and it returns, byte for byte and in order, the
+// rows of a run without a memo, which indexes everything once per
+// iteration and differs in no other counter except the build scans that
+// did not happen.
 func TestIndexBuiltOncePerQuery(t *testing.T) {
 	const n = 10
 	for _, cfg := range []struct {
@@ -98,10 +120,13 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 	} {
 		rt := graphRT(t, cfg.parts)
 		edges := countRows(t, rt, "SELECT COUNT(*) FROM edges")
-		status := countRows(t, rt, "SELECT COUNT(*) FROM vertexStatus")
+		// The available vertices: Common#1's build side is vertexStatus
+		// under the pushed-down status filter.
+		avail := countRows(t, rt, "SELECT COUNT(*) FROM vertexStatus WHERE status != 0")
 		vertices := countRows(t, rt, "SELECT COUNT(*) FROM (SELECT src FROM edges UNION SELECT dst FROM edges)")
 		// Common#1: the edges into available vertices.
 		common := countRows(t, rt, "SELECT COUNT(*) FROM edges JOIN vertexStatus v ON v.node = edges.dst WHERE v.status != 0")
+		reached := reachedRows(t, rt, n)
 
 		for _, q := range []struct {
 			name, sql string
@@ -113,11 +138,12 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 			// shuffles both (edges is stored by src), and a shuffle's
 			// output is new rows every iteration.
 			{"PR", prQuery, edges + n*vertices, n * (edges + vertices), (n - 1) * edges},
-			// Build sides: vertexStatus (once, for Common#1), then
-			// Common#1 on dst and the CTE on node; both exchanges are
-			// elided under MPP, so both executors behave alike.
-			{"PR-VS", prVSQuery, status + common + n*vertices, status + n*(common+vertices), (n - 1) * common},
-			{"SSSP-VS", ssspVSQuery, status + common + n*vertices, status + n*(common+vertices), (n - 1) * common},
+			// Build sides: the available vertices (once, for Common#1),
+			// then Common#1 on dst and the CTE on node; both exchanges
+			// are elided under MPP, so both executors behave alike.
+			{"PR-VS", prVSQuery, avail + common + n*vertices, avail + n*(common+vertices), (n - 1) * common},
+			// The CTE's build side is filtered to the reached vertices.
+			{"SSSP-VS", ssspVSQuery, avail + common + reached, avail + n*common + reached, (n - 1) * common},
 		} {
 			t.Run(cfg.name+"/"+q.name, func(t *testing.T) {
 				if cfg.parallel && q.name == "PR" {
@@ -325,5 +351,40 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 	}
 	if stats.Exec.RowsIndexed != 4 {
 		t.Errorf("RowsIndexed = %d: two steps joining edges on src must build one index of its 4 rows", stats.Exec.RowsIndexed)
+	}
+}
+
+// TestFilteredInvariantIndexedOncePerRun: without common results,
+// SSSP-VS joins vertexStatus under its pushed-down status filter inside
+// the loop. That build side does not change, and the memo keys it on the
+// filter the run compiled for its plan node, so a run indexes the
+// available vertices once for the whole loop — once per plan that reads
+// them: the incremental step's full and restricted plans are two.
+func TestFilteredInvariantIndexedOncePerRun(t *testing.T) {
+	const n = 10
+	rt := graphRT(t, 1)
+	edges := countRows(t, rt, "SELECT COUNT(*) FROM edges")
+	avail := countRows(t, rt, "SELECT COUNT(*) FROM vertexStatus WHERE status != 0")
+	reached := reachedRows(t, rt, n)
+	for _, c := range []struct {
+		incremental bool
+		plans       int64
+	}{{false, 1}, {true, 2}} {
+		opts := DefaultOptions()
+		opts.CommonResults, opts.Incremental = false, c.incremental
+		prog, err := Rewrite(mustParse(t, iterating(ssspVSQuery, n)), rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats Stats
+		if _, err := prog.RunContext(context.Background(), rt, &stats); err != nil {
+			t.Fatal(err)
+		}
+		// edges on dst and the available vertices once, the reached
+		// vertices of sssp every iteration.
+		if want := edges + c.plans*avail + reached; stats.Exec.RowsIndexed != want {
+			t.Errorf("incremental %v: RowsIndexed = %d, want %d (edges %d, available vertices %d per plan, reached %d)",
+				c.incremental, stats.Exec.RowsIndexed, want, edges, avail, reached)
+		}
 	}
 }

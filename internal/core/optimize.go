@@ -464,40 +464,21 @@ func minKey(m map[int]bool) int {
 }
 
 // whereNullRejects reports whether some WHERE conjunct references a
-// member of the set and is null-rejecting (no IS NULL, OR, CASE or
-// COALESCE anywhere in the conjunct).
+// member of the set and is strict (ast.Strict), so that it rejects the
+// rows an outer join NULL-extends on the members' side.
 func whereNullRejects(where ast.Expr, chain []ast.ChainMember, set map[int]bool) bool {
-	if where == nil {
-		return false
-	}
 	memberAliases := map[string]bool{}
 	for idx := range set {
 		memberAliases[chain[idx].Alias] = true
 	}
 	for _, conj := range ast.SplitConjuncts(where) {
-		refsMember := false
-		rejecting := true
-		ast.WalkExpr(conj, func(e ast.Expr) bool {
-			switch t := e.(type) {
-			case *ast.ColumnRef:
-				if memberAliases[strings.ToLower(t.Table)] {
-					refsMember = true
-				}
-			case *ast.IsNullExpr, *ast.CaseExpr:
-				rejecting = false
-			case *ast.BinaryExpr:
-				if strings.EqualFold(t.Op, "OR") {
-					rejecting = false
-				}
-			case *ast.FuncCall:
-				if strings.EqualFold(t.Name, "COALESCE") {
-					rejecting = false
-				}
+		if !ast.Strict(conj) {
+			continue
+		}
+		for _, ref := range ast.ColumnRefs(conj) {
+			if memberAliases[strings.ToLower(ref.Table)] {
+				return true
 			}
-			return rejecting
-		})
-		if refsMember && rejecting {
-			return true
 		}
 	}
 	return false

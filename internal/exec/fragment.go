@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"dbspinner/internal/expr"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
@@ -137,16 +138,24 @@ func (t *tapOp) Next() (sqltypes.Row, error) {
 }
 func (t *tapOp) Close() error { return t.input.Close() }
 
-// tableScan reports whether op reads a table as it stands — a scan,
-// possibly under a tap — and returns the scan and the tap (nil: none).
-func tableScan(op Operator) (*scanOp, *tapOp) {
-	tap, _ := op.(*tapOp)
-	if tap != nil {
-		op = tap.input
+// tableRead is a join's build input that reads a table as it stands or
+// filtered: a scan, possibly under a filter, possibly under a tap.
+type tableRead struct {
+	scan   *scanOp
+	filter *expr.Compiled // nil: no filter
+	tap    *tapOp         // nil: no tap
+}
+
+// tableScan reports how op reads a table as it stands or filtered; the
+// scan is nil when op does not.
+func tableScan(op Operator) tableRead {
+	var r tableRead
+	if r.tap, _ = op.(*tapOp); r.tap != nil {
+		op = r.tap.input
 	}
-	scan, _ := op.(*scanOp)
-	if scan == nil {
-		return nil, nil
+	if f, ok := op.(*filterOp); ok {
+		r.filter, op = f.cond, f.input
 	}
-	return scan, tap
+	r.scan, _ = op.(*scanOp)
+	return r
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dbspinner/internal/expr"
+	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
@@ -35,7 +36,7 @@ func TestIndexCacheIdentity(t *testing.T) {
 	c := NewIndexCache()
 	ask := func(tb *storage.Table, part int, keys []*expr.Compiled) (*HashIndex, bool) {
 		t.Helper()
-		x, built, err := c.Index(tb, part, keys)
+		x, built, err := c.Index(tb, part, keys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +82,8 @@ func TestIndexCacheIdentity(t *testing.T) {
 
 	// A nil cache builds, every time.
 	var none *IndexCache
-	a, builtA, _ := none.Index(edges, allParts, byDst)
-	b, builtB, _ := none.Index(edges, allParts, byDst)
+	a, builtA, _ := none.Index(edges, allParts, byDst, nil)
+	b, builtB, _ := none.Index(edges, allParts, byDst, nil)
 	if !builtA || !builtB || a == b || none.Len() != 0 {
 		t.Error("a nil cache must build a fresh index per request")
 	}
@@ -98,21 +99,21 @@ func TestIndexCacheSweep(t *testing.T) {
 	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
 	byNode := keysOf(t, rt, "SELECT * FROM edges e JOIN vertexStatus v ON v.node = e.dst")
 	c := NewIndexCache()
-	kept, _, _ := c.Index(edges, allParts, byDst)
-	c.Index(vs, allParts, byNode)
+	kept, _, _ := c.Index(edges, allParts, byDst, nil)
+	c.Index(vs, allParts, byNode, nil)
 	c.Sweep() // both were asked for
 	if c.Len() != 2 {
 		t.Fatalf("Len after the first sweep = %d, want 2", c.Len())
 	}
-	c.Index(edges, allParts, byDst)
+	c.Index(edges, allParts, byDst, nil)
 	c.Sweep() // vertexStatus was not
 	if c.Len() != 1 {
 		t.Fatalf("Len after the second sweep = %d, want 1", c.Len())
 	}
-	if x, built, _ := c.Index(edges, allParts, byDst); built || x != kept {
+	if x, built, _ := c.Index(edges, allParts, byDst, nil); built || x != kept {
 		t.Error("the entry used every round was rebuilt")
 	}
-	if _, built, _ := c.Index(vs, allParts, byNode); !built {
+	if _, built, _ := c.Index(vs, allParts, byNode, nil); !built {
 		t.Error("the swept entry was served")
 	}
 	c.Clear()
@@ -136,7 +137,7 @@ func TestIndexCacheSharedByProbers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			x, built, err := c.Index(dim, allParts, keys)
+			x, built, err := c.Index(dim, allParts, keys, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -233,6 +234,51 @@ func TestJoinTakesTableIndexFromCache(t *testing.T) {
 		}
 		if st.RowsIndexed != 1001 || len(got) != len(want)+3 {
 			t.Errorf("%s: after replacing dim RowsIndexed = %d and %d rows, want 1001 and %d", sql, st.RowsIndexed, len(got), len(want)+3)
+		}
+	}
+}
+
+// TestJoinIndexesFilteredBuildSide: a build side that filters a table
+// read is indexed from the rows of the table that pass, with no drain:
+// each build scans all 1000 rows of dim and indexes the 500 with w >= 250.
+// The memo keys the index on the filter the run's compile memo gave out,
+// so under one compile memo only the first run builds; without one every
+// run does. All return the rows of the plan that tests w in the join.
+func TestJoinIndexesFilteredBuildSide(t *testing.T) {
+	node, plain := kernelPlan(t, "SELECT fact.v, dim.w FROM fact JOIN dim ON fact.k = dim.k WHERE dim.w >= 250")
+	if f, ok := firstJoin(t, node).Right.(*plan.Filter); !ok || f.Input.(*plan.Scan).Table != "dim" {
+		t.Fatalf("the build side is not a filtered read of dim:\n%s", plan.ExplainTree(node))
+	}
+	want, err := Run(planSQL(t, plain, "SELECT fact.v, dim.w FROM fact JOIN dim ON fact.k = dim.k AND dim.w >= 250"), plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		rt       *StoreRuntime
+		memoized bool
+	}{
+		{"no memo", plain, false},
+		{"index memo alone", plain.WithMemo(NewIndexCache(), nil), false},
+		{"index and compile memo", plain.WithMemo(NewIndexCache(), NewCompileCache(nil)), true},
+	} {
+		for run := 1; run <= 3; run++ {
+			var st Stats
+			got, err := Run(node, c.rt, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if RowsText(got) != RowsText(want) {
+				t.Errorf("%s, run %d: rows differ from the join that tests w itself", c.name, run)
+			}
+			wantIndexed, wantScanned := int64(500), int64(4000)
+			if c.memoized && run > 1 {
+				wantIndexed, wantScanned = 0, 3000
+			}
+			if st.RowsIndexed != wantIndexed || st.RowsScanned != wantScanned || st.RowsJoined != 1500 {
+				t.Errorf("%s, run %d: RowsIndexed = %d, RowsScanned = %d, RowsJoined = %d; want %d, %d, 1500",
+					c.name, run, st.RowsIndexed, st.RowsScanned, st.RowsJoined, wantIndexed, wantScanned)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 	if keepLeft {
 		buildOp = left
 	}
-	buildScan, buildTap := tableScan(buildOp)
+	build := tableScan(buildOp)
 
 	keys, err := joinKeysOf(rt.Compiled(), t)
 	if err != nil {
@@ -54,8 +54,8 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			buildScan: buildScan, buildTap: buildTap,
-			stats: stats, cancel: cc, out: out,
+			buildRead: build,
+			stats:     stats, cancel: cc, out: out,
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -233,11 +233,10 @@ type hashJoinOp struct {
 	leftWidth, rightWidth int
 	stats                 *Stats
 	cancel                *CancelChecker
-	// When the build input is a table read as it stands (tableScan), the
-	// index comes from the run's memo instead of from draining the input;
-	// buildTap is the tap those rows would have passed.
-	buildScan *scanOp
-	buildTap  *tapOp
+	// When the build input reads a table as it stands or filtered
+	// (tableScan), the index comes from the run's memo instead of from
+	// draining the input.
+	buildRead tableRead
 
 	build            *HashIndex
 	matched          []bool // per build row; full-outer only
@@ -293,13 +292,14 @@ func (h *hashJoinOp) Open() error {
 }
 
 // indexTable takes the index of the table the build side reads — all of
-// it, or the fragment's partition — from the run's memo, and reports
-// whether it could: there is no such table, or a fragment's share of it
-// is not one of its partitions, and then the build input is drained.
-// Only a call that builds the index reads the table, and only that call
-// counts the read; a tap sees the rows either way.
+// it, or the fragment's partition, filtered if the read is — from the
+// run's memo, and reports whether it could: there is no such table, or a
+// fragment's share of it is not one of its partitions, and then the build
+// input is drained. Only a call that builds the index reads the table,
+// and only that call counts the read; a tap sees the indexed rows either
+// way.
 func (h *hashJoinOp) indexTable(keys []*expr.Compiled) (memoized bool, err error) {
-	s := h.buildScan
+	s := h.buildRead.scan
 	if s == nil {
 		return false, nil
 	}
@@ -307,30 +307,33 @@ func (h *hashJoinOp) indexTable(keys []*expr.Compiled) (memoized bool, err error
 	if err != nil {
 		return false, err
 	}
+	read := t.Parts
 	part := allParts
 	if s.frag != nil {
 		if !s.frag.aligned(t) {
 			return false, nil
 		}
 		part = s.frag.part
+		read = read[part : part+1]
 	}
 	var built bool
-	if h.build, built, err = s.rt.Indexes().Index(t, part, keys); err != nil {
+	if h.build, built, err = s.rt.Indexes().Index(t, part, keys, h.buildRead.filter); err != nil {
 		return false, err
 	}
 	if built {
-		n := int64(len(h.build.Rows))
-		h.stats.RowsIndexed += n
-		h.stats.RowsScanned += n
-		if !s.base {
-			for _, r := range h.build.Rows {
-				h.stats.ResultCellsRead += int64(len(r))
+		h.stats.RowsIndexed += int64(len(h.build.Rows))
+		for _, p := range read {
+			h.stats.RowsScanned += int64(len(p))
+			if !s.base {
+				for _, r := range p {
+					h.stats.ResultCellsRead += int64(len(r))
+				}
 			}
 		}
 	}
-	if h.buildTap != nil {
+	if tap := h.buildRead.tap; tap != nil {
 		for _, r := range h.build.Rows {
-			if err := h.buildTap.see(r); err != nil {
+			if err := tap.see(r); err != nil {
 				return false, err
 			}
 		}

@@ -309,8 +309,8 @@ func (b *Builder) buildCore(core *ast.SelectCore) (Node, error) {
 		if _, err := expr.Compile(core.Where, env(node.Columns())); err != nil {
 			return nil, fmt.Errorf("WHERE: %w", err)
 		}
-		node = simplifyFilter(node, FoldConstants(core.Where))
 	}
+	node = placeWhere(node, FoldConstants(core.Where))
 
 	// Expand * select items against the pre-aggregation columns, then
 	// fold constant sub-expressions.

@@ -103,6 +103,57 @@ func TestBuildFilter(t *testing.T) {
 	}
 }
 
+// TestPlaceWhere pins the placement rules on SSSP's join chain and its
+// variants: what each WHERE makes of the plan below the projection.
+func TestPlaceWhere(t *testing.T) {
+	const chain = "SELECT pagerank.node FROM pagerank LEFT JOIN edges AS e ON pagerank.node = e.dst LEFT JOIN pagerank AS d ON d.node = e.src "
+	for _, c := range []struct{ where, want string }{
+		// A strict conjunct over the nullable input goes down and makes
+		// the join inner; the enclosing inner join's key reads edges, the
+		// nullable input of the first join, which becomes inner too.
+		{"WHERE d.delta != 1", `HashJoin Inner on (d.node = e.src)
+  HashJoin Inner on (pagerank.node = e.dst)
+    Result pagerank
+    Scan edges AS e
+  Filter (d.delta != 1)
+    Result pagerank AS d
+`},
+		// A non-strict one stays above the join that NULL-extends it.
+		{"WHERE COALESCE(d.delta, 0) != 1 AND e.weight > 0", `Filter (COALESCE(d.delta, 0) != 1)
+  HashJoin LeftOuter on (d.node = e.src)
+    HashJoin Inner on (pagerank.node = e.dst)
+      Result pagerank
+      Filter (e.weight > 0)
+        Scan edges AS e
+    Result pagerank AS d
+`},
+		// The preserved input takes any conjunct; one over both inputs
+		// stays above the join it needs.
+		{"WHERE pagerank.rank IS NULL AND pagerank.rank < d.rank", `Filter (pagerank.rank < d.rank)
+  HashJoin Inner on (d.node = e.src)
+    HashJoin Inner on (pagerank.node = e.dst)
+      Filter (pagerank.rank IS NULL)
+        Result pagerank
+      Scan edges AS e
+    Result pagerank AS d
+`},
+	} {
+		got := ExplainTree(buildSQL(t, chain+c.where).(*Project).Input)
+		if got != c.want {
+			t.Errorf("%s:\n got:\n%s\nwant:\n%s", c.where, got, c.want)
+		}
+	}
+	// A full join passes nothing down.
+	n := buildSQL(t, "SELECT e.src FROM edges AS e FULL JOIN vertexStatus AS v ON v.node = e.dst WHERE v.status != 0 AND e.weight > 0")
+	if got, want := ExplainTree(n.(*Project).Input), `Filter ((v.status != 0) AND (e.weight > 0))
+  HashJoin FullOuter on (v.node = e.dst)
+    Scan edges AS e
+    Scan vertexStatus AS v
+`; got != want {
+		t.Errorf("full join:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestBuildStar(t *testing.T) {
 	n := buildSQL(t, "SELECT * FROM edges")
 	cols := n.Columns()

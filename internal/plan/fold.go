@@ -55,9 +55,12 @@ func foldItems(items []ast.SelectItem) []ast.SelectItem {
 }
 
 // simplifyFilter drops filters whose condition folded to a constant:
-// TRUE removes the filter, FALSE (or NULL) replaces the input with an
-// empty result of the same shape.
+// TRUE (or no condition) removes the filter, FALSE (or NULL) replaces the
+// input with an empty result of the same shape.
 func simplifyFilter(input Node, cond ast.Expr) Node {
+	if cond == nil {
+		return input
+	}
 	if lit, ok := cond.(*ast.Literal); ok {
 		switch sqltypes.TriOf(lit.Value()) {
 		case sqltypes.TriTrue:
