@@ -171,10 +171,8 @@ func (e *Engine) execDelete(del *ast.Delete) (int64, error) {
 
 	var cond *expr.Compiled
 	if del.Where != nil {
-		env := expr.NewEnv(del.Table, t.Schema)
 		var err error
-		cond, err = expr.Compile(del.Where, env)
-		if err != nil {
+		if cond, err = compileWhere(del.Where, expr.NewEnv(del.Table, t.Schema)); err != nil {
 			return 0, err
 		}
 	}
@@ -184,11 +182,10 @@ func (e *Engine) execDelete(del *ast.Delete) (int64, error) {
 		for _, r := range part {
 			del := true
 			if cond != nil {
-				v, err := cond.Eval(r)
-				if err != nil {
+				var err error
+				if del, err = cond.Holds(r); err != nil {
 					return 0, err
 				}
-				del = sqltypes.TriOf(v) == sqltypes.TriTrue
 			}
 			if del {
 				tx.LogDelete(t.Name, r)
@@ -242,8 +239,7 @@ func (e *Engine) updateInPlace(tx *txn.Txn, t *storage.Table, u *ast.Update, env
 	var cond *expr.Compiled
 	var err error
 	if u.Where != nil {
-		cond, err = expr.Compile(u.Where, env)
-		if err != nil {
+		if cond, err = compileWhere(u.Where, env); err != nil {
 			return 0, err
 		}
 	}
@@ -258,25 +254,17 @@ func (e *Engine) updateInPlace(tx *txn.Txn, t *storage.Table, u *ast.Update, env
 	for _, part := range t.Parts {
 		for ri, r := range part {
 			if cond != nil {
-				v, err := cond.Eval(r)
+				ok, err := cond.Holds(r)
 				if err != nil {
 					return 0, err
 				}
-				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+				if !ok {
 					continue
 				}
 			}
-			nr := r.Clone()
-			for i, c := range setEx {
-				v, err := c.Eval(r)
-				if err != nil {
-					return 0, err
-				}
-				cv, err := sqltypes.Cast(v, t.Schema[setIdx[i]].Type)
-				if err != nil {
-					return 0, err
-				}
-				nr[setIdx[i]] = cv
+			nr, err := setRow(r, r, setEx, setIdx, t.Schema)
+			if err != nil {
+				return 0, err
 			}
 			tx.LogUpdate(t.Name, r, nr)
 			part[ri] = nr
@@ -356,8 +344,7 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 	var residual *expr.Compiled
 	if rem := ast.JoinConjuncts(resids); rem != nil {
 		var err error
-		residual, err = expr.Compile(rem, combined)
-		if err != nil {
+		if residual, err = compileWhere(rem, combined); err != nil {
 			return 0, err
 		}
 	}
@@ -387,25 +374,17 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 			for ; fi >= 0; fi = build.Next(fi) {
 				combinedRow = append(append(combinedRow[:0], r...), build.Rows[fi]...)
 				if residual != nil {
-					v, err := residual.Eval(combinedRow)
+					ok, err := residual.Holds(combinedRow)
 					if err != nil {
 						return 0, err
 					}
-					if sqltypes.TriOf(v) != sqltypes.TriTrue {
+					if !ok {
 						continue
 					}
 				}
-				nr := r.Clone()
-				for i, c := range setEx {
-					v, err := c.Eval(combinedRow)
-					if err != nil {
-						return 0, err
-					}
-					cv, err := sqltypes.Cast(v, t.Schema[setIdx[i]].Type)
-					if err != nil {
-						return 0, err
-					}
-					nr[setIdx[i]] = cv
+				nr, err := setRow(r, combinedRow, setEx, setIdx, t.Schema)
+				if err != nil {
+					return 0, err
 				}
 				tx.LogUpdate(t.Name, r, nr)
 				part[ri] = nr
@@ -415,6 +394,42 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 		}
 	}
 	return updated, tx.Commit()
+}
+
+// compileWhere compiles the WHERE of an UPDATE or a DELETE.
+func compileWhere(where ast.Expr, env *expr.Env) (*expr.Compiled, error) {
+	c, err := expr.Compile(where, env)
+	if err != nil {
+		return nil, err
+	}
+	if err := expr.Condition(c, "WHERE"); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// setRow returns a copy of the target row r with the SET expressions,
+// evaluated over in, cast into their columns; a bare column is read in
+// place.
+func setRow(r, in sqltypes.Row, setEx []*expr.Compiled, setIdx []int, schema sqltypes.Schema) (sqltypes.Row, error) {
+	nr := r.Clone()
+	for i, c := range setEx {
+		var v sqltypes.Value
+		if col := c.Col; col >= 0 && col < len(in) {
+			v = in[col]
+		} else {
+			var err error
+			if v, err = c.Eval(in); err != nil {
+				return nil, err
+			}
+		}
+		cv, err := sqltypes.Cast(v, schema[setIdx[i]].Type)
+		if err != nil {
+			return nil, err
+		}
+		nr[setIdx[i]] = cv
+	}
+	return nr, nil
 }
 
 // fromColumnBindings derives qualified bindings for the FROM side of

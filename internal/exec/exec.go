@@ -404,11 +404,11 @@ func (f *filterOp) Next() (sqltypes.Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		v, err := f.cond.Eval(r)
+		ok, err := f.cond.Holds(r)
 		if err != nil {
 			return nil, err
 		}
-		if sqltypes.TriOf(v) == sqltypes.TriTrue {
+		if ok {
 			return r, nil
 		}
 	}
@@ -431,16 +431,30 @@ func (p *projectOp) Next() (sqltypes.Row, error) {
 		return nil, err
 	}
 	out := p.out.next(len(p.items))
-	for i, it := range p.items {
-		v, err := it.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	if err := evalInto(p.items, r, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 func (p *projectOp) Close() error { return p.input.Close() }
+
+// evalInto evaluates exprs over r into out (len(out) must be
+// len(exprs)). A bare column is copied in place: its Eval is called only
+// for a row too short for it, to fail as it would.
+func evalInto(exprs []*expr.Compiled, r sqltypes.Row, out []sqltypes.Value) error {
+	for i, e := range exprs {
+		if c := e.Col; c >= 0 && c < len(r) {
+			out[i] = r[c]
+			continue
+		}
+		v, err := e.Eval(r)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
 
 type trimOp struct {
 	input Operator
@@ -660,12 +674,8 @@ func (a *aggOp) Open() error {
 			break
 		}
 		a.stats.RowsAggInput++
-		for i, g := range a.groupEx {
-			v, err := g.Eval(r)
-			if err != nil {
-				return err
-			}
-			groupVals[i] = v
+		if err := evalInto(a.groupEx, r, groupVals); err != nil {
+			return err
 		}
 		id, added := groups.Insert(groupVals)
 		if added {
@@ -673,11 +683,13 @@ func (a *aggOp) Open() error {
 		}
 		for i, spec := range a.node.Aggs {
 			var v sqltypes.Value
-			if spec.Star {
+			switch arg := a.argEx[i]; {
+			case spec.Star:
 				v = sqltypes.NewBool(true) // any non-null marker
-			} else {
-				v, err = a.argEx[i].Eval(r)
-				if err != nil {
+			case arg.Col >= 0 && arg.Col < len(r):
+				v = r[arg.Col] // a bare column, read in place
+			default:
+				if v, err = arg.Eval(r); err != nil {
 					return err
 				}
 			}

@@ -106,11 +106,11 @@ func indexRows(t *storage.Table, part int, filter *expr.Compiled) ([]sqltypes.Ro
 	i, count := 0, 0
 	for _, p := range parts {
 		for _, r := range p {
-			v, err := filter.Eval(r)
+			ok, err := filter.Holds(r)
 			if err != nil {
 				return nil, err
 			}
-			if sqltypes.TriOf(v) == sqltypes.TriTrue {
+			if ok {
 				pass[i/64] |= 1 << (i % 64)
 				count++
 			}

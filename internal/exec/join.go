@@ -62,9 +62,10 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 }
 
 // splitEquiKey recognizes conjuncts of the form leftExpr = rightExpr
-// where each side resolves entirely against one input (in either
-// order). It returns the key expression for the left and right inputs.
-func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok bool) {
+// where each side compiles against one input (in either order). It
+// returns the key expressions of the left and right inputs, as the check
+// compiled them.
+func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk *expr.Compiled, ok bool) {
 	b, isBin := e.(*ast.BinaryExpr)
 	if !isBin || b.Op != "=" {
 		return nil, nil, false
@@ -72,15 +73,12 @@ func splitEquiKey(e ast.Expr, leftEnv, rightEnv *expr.Env) (lk, rk ast.Expr, ok 
 	if ast.HasAggregate(b.L) || ast.HasAggregate(b.R) {
 		return nil, nil, false
 	}
-	resolves := func(x ast.Expr, env *expr.Env) bool {
-		_, err := expr.Compile(x, env)
-		return err == nil
-	}
-	switch {
-	case resolves(b.L, leftEnv) && resolves(b.R, rightEnv):
-		return b.L, b.R, true
-	case resolves(b.R, leftEnv) && resolves(b.L, rightEnv):
-		return b.R, b.L, true
+	for _, x := range [2][2]ast.Expr{{b.L, b.R}, {b.R, b.L}} {
+		if lk, err := expr.Compile(x[0], leftEnv); err == nil {
+			if rk, err := expr.Compile(x[1], rightEnv); err == nil {
+				return lk, rk, true
+			}
+		}
 	}
 	return nil, nil, false
 }
@@ -103,16 +101,8 @@ func compileJoinKeys(t *plan.Join, params []sqltypes.Value) (leftKeys, rightKeys
 			resids = append(resids, conj)
 			continue
 		}
-		lc, err := expr.Compile(lk, leftEnv)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		rc, err := expr.Compile(rk, rightEnv)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		leftKeys = append(leftKeys, lc)
-		rightKeys = append(rightKeys, rc)
+		leftKeys = append(leftKeys, lk)
+		rightKeys = append(rightKeys, rk)
 	}
 	if rem := ast.JoinConjuncts(resids); rem != nil {
 		residual, err = expr.Compile(rem, planEnv(t, params))
@@ -207,11 +197,14 @@ func (x *HashIndex) Next(i int32) int32 { return x.next[i] }
 
 // EvalKey evaluates the key expressions over r into buf (len(buf) must
 // be len(keys)), reporting whether a component was NULL; evaluation
-// stops at the first NULL, buf is then partly written.
+// stops at the first NULL, buf is then partly written. A bare-column key
+// is read in place (see evalInto).
 func EvalKey(keys []*expr.Compiled, r sqltypes.Row, buf []sqltypes.Value) (null bool, err error) {
 	for i, k := range keys {
-		v, err := k.Eval(r)
-		if err != nil {
+		var v sqltypes.Value
+		if c := k.Col; c >= 0 && c < len(r) {
+			v = r[c]
+		} else if v, err = k.Eval(r); err != nil {
 			return false, err
 		}
 		if v.IsNull() {
@@ -389,11 +382,11 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 			h.match = h.build.Next(bi)
 			out := h.joined(h.probeRow, h.build.Rows[bi])
 			if h.residual != nil {
-				v, err := h.residual.Eval(out)
+				ok, err := h.residual.Holds(out)
 				if err != nil {
 					return nil, err
 				}
-				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+				if !ok {
 					h.out.discard(out)
 					continue
 				}
@@ -487,11 +480,11 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 			copy(out, n.leftRow)
 			copy(out[len(n.leftRow):], rr)
 			if n.residual != nil {
-				v, err := n.residual.Eval(out)
+				ok, err := n.residual.Holds(out)
 				if err != nil {
 					return nil, err
 				}
-				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+				if !ok {
 					n.out.discard(out)
 					continue
 				}

@@ -5,6 +5,7 @@ import (
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/catalog"
+	"dbspinner/internal/expr"
 	"dbspinner/internal/parser"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -203,5 +204,37 @@ func TestAllocBudgets(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per run, budget %.0f", c.name, got, c.budget)
 		}
 		t.Logf("%s: %.0f allocations per run (budget %.0f)", c.name, got, c.budget)
+	}
+}
+
+// TestEvalKeyDoesNotAllocate: a key of bare columns, read in place, and
+// one of computed expressions, through their Eval, both fill the caller's
+// scratch without allocating — as a probe, an index build and the MPP
+// router call EvalKey once per row.
+func TestEvalKeyDoesNotAllocate(t *testing.T) {
+	env := planEnv(planSQL(t, orderRuntime(t), "SELECT k, v FROM l"), nil)
+	row := sqltypes.Row{i64(4), str("a")}
+	for _, src := range [][]string{{"k", "v"}, {"k + 1", "-k", "CASE WHEN v = 'a' THEN k END"}} {
+		var keys []*expr.Compiled
+		for _, s := range src {
+			e, err := parser.ParseExpr(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := expr.Compile(e, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, k)
+		}
+		buf := make([]sqltypes.Value, len(keys))
+		got := testing.AllocsPerRun(100, func() {
+			if null, err := EvalKey(keys, row, buf); null || err != nil {
+				t.Fatal(null, err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("EvalKey over %v: %.1f allocations per row, want 0", src, got)
+		}
 	}
 }

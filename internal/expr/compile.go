@@ -62,30 +62,26 @@ func (e *Env) Add(table string, schema sqltypes.Schema) {
 }
 
 // Resolve finds the unique column matching an optionally-qualified
-// reference.
+// reference: the first match, unless a second one makes it ambiguous.
 func (e *Env) Resolve(table, name string) (Binding, error) {
 	lt, ln := strings.ToLower(table), strings.ToLower(name)
-	var found []Binding
+	found, n := Binding{}, 0
 	for _, b := range e.Cols {
-		if b.Name != ln {
+		if b.Name != ln || (lt != "" && b.Table != lt) {
 			continue
 		}
-		if lt != "" && b.Table != lt {
-			continue
+		if n++; n > 1 {
+			return Binding{}, fmt.Errorf("column reference %q is ambiguous", name)
 		}
-		found = append(found, b)
+		found = b
 	}
-	switch len(found) {
-	case 0:
+	if n == 0 {
 		if table != "" {
 			return Binding{}, fmt.Errorf("column %s.%s does not exist", table, name)
 		}
 		return Binding{}, fmt.Errorf("column %s does not exist", name)
-	case 1:
-		return found[0], nil
-	default:
-		return Binding{}, fmt.Errorf("column reference %q is ambiguous", name)
 	}
+	return found, nil
 }
 
 // Compiled is an executable expression.
@@ -95,22 +91,66 @@ type Compiled struct {
 	// Type is the statically inferred result type.
 	Type sqltypes.Type
 	// Col is the input column a bare column reference reads, -1 for any
-	// other expression.
+	// other expression — a literal too. Eval then returns row[Col], or
+	// fails for a row too short for it, so a consumer may copy row[Col]
+	// in place where Col < len(row) and call Eval otherwise.
 	Col int
 
-	// isLiteral marks a literal, whose Eval ignores the row: a function
-	// may read it once when it binds (ROUND's digits).
-	isLiteral bool
+	// lit is the literal a literal compiled from, nil for any other
+	// expression. Its Eval ignores the row, so an operator reads it once,
+	// when it binds (literal).
+	lit *ast.Literal
 }
 
 // literal returns the value of a compiled literal; ok is false for any
 // other expression.
 func (c *Compiled) literal() (v sqltypes.Value, ok bool) {
-	if !c.isLiteral {
+	if c.lit == nil {
 		return sqltypes.NullValue, false
 	}
-	v, _ = c.Eval(nil)
-	return v, true
+	return literalValue(c), true
+}
+
+// literalValue is the value an operator reads a literal operand as: the
+// one its Eval returns, bound for the run. A variable only so the tests
+// can seed the mutant that reads the literal as parsed instead; nothing
+// else assigns it.
+var literalValue = func(c *Compiled) sqltypes.Value {
+	v, _ := c.Eval(nil)
+	return v
+}
+
+// Condition checks that c can be the argument of clause (WHERE, ON,
+// AND, ...): a VARCHAR cannot (sqltypes.Truth), and where its static
+// type says so the compiler rejects it before it runs.
+func Condition(c *Compiled, clause string) error {
+	if c.Type == sqltypes.String {
+		return fmt.Errorf("argument of %s must be BOOLEAN, not VARCHAR", clause)
+	}
+	return nil
+}
+
+// Holds evaluates c as a condition over row: whether it is TRUE
+// (sqltypes.Truth).
+func (c *Compiled) Holds(row sqltypes.Row) (bool, error) {
+	v, err := c.Eval(row)
+	if err != nil {
+		return false, err
+	}
+	t, err := sqltypes.Truth(v)
+	return t == sqltypes.TriTrue, err
+}
+
+// compileCondition compiles e as the argument of clause.
+func compileCondition(e ast.Expr, env *Env, clause string) (*Compiled, error) {
+	c, err := Compile(e, env)
+	if err != nil {
+		return nil, err
+	}
+	if err := Condition(c, clause); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Compile binds an expression to the environment.
@@ -131,16 +171,17 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		// A literal with a slot compiles to the value the run bound to the
 		// slot. Compiling consumes nothing: a run compiles its plan with its
 		// own values, so what a compiled expression makes of a literal —
-		// ROUND's digits too — lasts one run. Whatever evaluates one while
-		// the program is built must consume the literals (FoldConstants).
+		// ROUND's digits, an operator's literal operand — lasts one run.
+		// Whatever evaluates one while the program is built must consume the
+		// literals (FoldConstants).
 		slot, v := t.Param()
 		if slot > 0 && env.Params != nil {
 			v = env.Params[slot-1]
 		}
 		return &Compiled{
-			Eval:      func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
-			Type:      t.Type(),
-			isLiteral: true,
+			Eval: func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
+			Type: t.Type(),
+			lit:  t,
 		}, nil
 
 	case *ast.ColumnRef:
@@ -164,27 +205,43 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		return compileBinary(t, env)
 
 	case *ast.UnaryExpr:
-		inner, err := Compile(t.E, env)
-		if err != nil {
-			return nil, err
-		}
 		if t.Op == "NOT" {
+			inner, err := compileCondition(t.E, env, "NOT")
+			if err != nil {
+				return nil, err
+			}
+			x := operandOf(inner)
 			return &Compiled{
 				Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-					v, err := inner.Eval(row)
+					v, ok := x.leaf(row)
+					if !ok {
+						var err error
+						if v, err = x.eval(row); err != nil {
+							return sqltypes.NullValue, err
+						}
+					}
+					tv, err := sqltypes.Truth(v)
 					if err != nil {
 						return sqltypes.NullValue, err
 					}
-					return sqltypes.TriOf(v).Not().Value(), nil
+					return tv.Not().Value(), nil
 				},
 				Type: sqltypes.Bool,
 			}, nil
 		}
+		inner, err := Compile(t.E, env)
+		if err != nil {
+			return nil, err
+		}
+		x := operandOf(inner)
 		return &Compiled{
 			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := inner.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
+				v, ok := x.leaf(row)
+				if !ok {
+					var err error
+					if v, err = x.eval(row); err != nil {
+						return sqltypes.NullValue, err
+					}
 				}
 				return sqltypes.Neg(v)
 			},
@@ -205,12 +262,15 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		to := t.To
+		x, to := operandOf(inner), t.To
 		return &Compiled{
 			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := inner.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
+				v, ok := x.leaf(row)
+				if !ok {
+					var err error
+					if v, err = x.eval(row); err != nil {
+						return sqltypes.NullValue, err
+					}
 				}
 				if v.T == to {
 					return v, nil // a value of the target type casts to itself
@@ -225,12 +285,15 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		neg := t.Negate
+		x, neg := operandOf(inner), t.Negate
 		return &Compiled{
 			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := inner.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
+				v, ok := x.leaf(row)
+				if !ok {
+					var err error
+					if v, err = x.eval(row); err != nil {
+						return sqltypes.NullValue, err
+					}
 				}
 				return sqltypes.NewBool(v.IsNull() != neg), nil
 			},
@@ -256,6 +319,9 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 }
 
 func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
+	if t.Op == "AND" || t.Op == "OR" {
+		return compileLogic(t, env)
+	}
 	l, err := Compile(t.L, env)
 	if err != nil {
 		return nil, err
@@ -263,36 +329,6 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 	r, err := Compile(t.R, env)
 	if err != nil {
 		return nil, err
-	}
-	le, re := l.Eval, r.Eval
-	if t.Op == "AND" || t.Op == "OR" {
-		and := t.Op == "AND"
-		return &Compiled{
-			Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-				lv, err := le(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				lt := sqltypes.TriOf(lv)
-				// Short-circuit where three-valued logic allows.
-				if and && lt == sqltypes.TriFalse {
-					return sqltypes.NewBool(false), nil
-				}
-				if !and && lt == sqltypes.TriTrue {
-					return sqltypes.NewBool(true), nil
-				}
-				rv, err := re(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				rt := sqltypes.TriOf(rv)
-				if and {
-					return lt.And(rt).Value(), nil
-				}
-				return lt.Or(rt).Value(), nil
-			},
-			Type: sqltypes.Bool,
-		}, nil
 	}
 	k, ok := binaryKernels[t.Op]
 	if !ok {
@@ -302,20 +338,60 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 	if !k.predicate {
 		typ = sqltypes.ResultType(l.Type, r.Type, t.Op)
 	}
-	kernel := k.eval
+	return &Compiled{Eval: bindBinary(k.eval, l, r), Type: typ}, nil
+}
+
+// compileLogic compiles AND and OR, which short-circuit where
+// three-valued logic allows, so they read their right operand
+// themselves.
+func compileLogic(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
+	l, err := compileCondition(t.L, env, t.Op)
+	if err != nil {
+		return nil, err
+	}
+	r, err := compileCondition(t.R, env, t.Op)
+	if err != nil {
+		return nil, err
+	}
+	x, y := operandOf(l), operandOf(r)
+	// stop is the left truth that decides the result alone.
+	and, stop := t.Op == "AND", sqltypes.TriTrue
+	if and {
+		stop = sqltypes.TriFalse
+	}
 	return &Compiled{
 		Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-			lv, err := le(row)
+			lv, ok := x.leaf(row)
+			if !ok {
+				var err error
+				if lv, err = x.eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
+			}
+			lt, err := sqltypes.Truth(lv)
 			if err != nil {
 				return sqltypes.NullValue, err
 			}
-			rv, err := re(row)
+			if lt == stop {
+				return lt.Value(), nil
+			}
+			rv, ok := y.leaf(row)
+			if !ok {
+				var err error
+				if rv, err = y.eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
+			}
+			rt, err := sqltypes.Truth(rv)
 			if err != nil {
 				return sqltypes.NullValue, err
 			}
-			return kernel(lv, rv)
+			if and {
+				return lt.And(rt).Value(), nil
+			}
+			return lt.Or(rt).Value(), nil
 		},
-		Type: typ,
+		Type: sqltypes.Bool,
 	}, nil
 }
 
@@ -326,7 +402,7 @@ func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
 	arms := make([]arm, len(t.Whens))
 	resultType := sqltypes.Unknown
 	for i, w := range t.Whens {
-		c, err := Compile(w.Cond, env)
+		c, err := compileCondition(w.Cond, env, "CASE WHEN")
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +429,11 @@ func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
 				if err != nil {
 					return sqltypes.NullValue, err
 				}
-				if sqltypes.TriOf(cv) == sqltypes.TriTrue {
+				ct, err := sqltypes.Truth(cv)
+				if err != nil {
+					return sqltypes.NullValue, err
+				}
+				if ct == sqltypes.TriTrue {
 					return a.res.Eval(row)
 				}
 			}
@@ -379,21 +459,27 @@ func compileIn(t *ast.InExpr, env *Env) (*Compiled, error) {
 		}
 		items[i] = c
 	}
-	neg := t.Negate
+	probe, list, neg := operandOf(e), operandsOf(items), t.Negate
 	return &Compiled{
 		Eval: func(row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := e.Eval(row)
-			if err != nil {
-				return sqltypes.NullValue, err
+			v, ok := probe.leaf(row)
+			if !ok {
+				var err error
+				if v, err = probe.eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
 			}
 			if v.IsNull() {
 				return sqltypes.NullValue, nil
 			}
 			sawNull := false
-			for _, it := range items {
-				iv, err := it.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
+			for i := range list {
+				iv, ok := list[i].leaf(row)
+				if !ok {
+					var err error
+					if iv, err = list[i].eval(row); err != nil {
+						return sqltypes.NullValue, err
+					}
 				}
 				if iv.IsNull() {
 					sawNull = true

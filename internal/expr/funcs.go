@@ -45,33 +45,24 @@ func mergedType(args []sqltypes.Type) sqltypes.Type {
 // unary binds a function of one argument.
 func unary(f func(sqltypes.Value) (sqltypes.Value, error)) func([]*Compiled) evalFunc {
 	return func(args []*Compiled) evalFunc {
-		x := args[0].Eval
+		x := operandOf(args[0])
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := x(row)
-			if err != nil {
-				return sqltypes.NullValue, err
+			v, ok := x.leaf(row)
+			if !ok {
+				var err error
+				if v, err = x.eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
 			}
 			return f(v)
 		}
 	}
 }
 
-// binary binds a function of two arguments.
-func binary(f func(a, b sqltypes.Value) (sqltypes.Value, error)) func([]*Compiled) evalFunc {
-	return func(args []*Compiled) evalFunc {
-		x, y := args[0].Eval, args[1].Eval
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			a, err := x(row)
-			if err != nil {
-				return sqltypes.NullValue, err
-			}
-			b, err := y(row)
-			if err != nil {
-				return sqltypes.NullValue, err
-			}
-			return f(a, b)
-		}
-	}
+// binary binds a function of two arguments, with the binary operators'
+// operand shapes.
+func binary(f binaryFn) func([]*Compiled) evalFunc {
+	return func(args []*Compiled) evalFunc { return bindBinary(f, args[0], args[1]) }
 }
 
 // numeric1 wraps a float function as a NULL-propagating unary scalar.
@@ -202,32 +193,27 @@ func (d roundDigits) round(v sqltypes.Value) (sqltypes.Value, error) {
 
 // bindRound binds ROUND(v [, digits]). Digits given as a literal (FF's
 // ROUND(..., 5)) are read once here, so a row pays for neither the cast
-// nor the power of ten; ROUND(v) is ROUND(v, 0).
+// nor the power of ten; ROUND(v) is ROUND(v, 0). Other digits are an
+// operand like v, evaluated after it.
 func bindRound(args []*Compiled) evalFunc {
-	x := args[0].Eval
 	d := readDigits(sqltypes.NewInt(0))
 	if len(args) == 2 {
 		lit, ok := args[1].literal()
 		if !ok {
-			y := args[1].Eval
-			return func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := x(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
-				dv, err := y(row)
-				if err != nil {
-					return sqltypes.NullValue, err
-				}
+			return bindBinary(func(v, dv sqltypes.Value) (sqltypes.Value, error) {
 				return readDigits(dv).round(v)
-			}
+			}, args[0], args[1])
 		}
 		d = readDigits(lit)
 	}
+	x := operandOf(args[0])
 	return func(row sqltypes.Row) (sqltypes.Value, error) {
-		v, err := x(row)
-		if err != nil {
-			return sqltypes.NullValue, err
+		v, ok := x.leaf(row)
+		if !ok {
+			var err error
+			if v, err = x.eval(row); err != nil {
+				return sqltypes.NullValue, err
+			}
 		}
 		return d.round(v)
 	}
@@ -238,12 +224,16 @@ func bindRound(args []*Compiled) evalFunc {
 // number), NULL if all are NULL. Every argument is evaluated.
 func extremum(dir int) func([]*Compiled) evalFunc {
 	return func(args []*Compiled) evalFunc {
+		ops := operandsOf(args)
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
 			best := sqltypes.NullValue
-			for _, a := range args {
-				v, err := a.Eval(row)
-				if err != nil {
-					return sqltypes.NullValue, err
+			for i := range ops {
+				v, ok := ops[i].leaf(row)
+				if !ok {
+					var err error
+					if v, err = ops[i].eval(row); err != nil {
+						return sqltypes.NullValue, err
+					}
 				}
 				if !v.IsNull() && (best.IsNull() || compare(v, best)*dir > 0) {
 					best = v
@@ -258,12 +248,16 @@ func extremum(dir int) func([]*Compiled) evalFunc {
 // short-circuit: the arguments after it are still evaluated, and an
 // error among them is still returned.
 func bindCoalesce(args []*Compiled) evalFunc {
+	ops := operandsOf(args)
 	return func(row sqltypes.Row) (sqltypes.Value, error) {
 		out := sqltypes.NullValue
-		for _, a := range args {
-			v, err := a.Eval(row)
-			if err != nil {
-				return sqltypes.NullValue, err
+		for i := range ops {
+			v, ok := ops[i].leaf(row)
+			if !ok {
+				var err error
+				if v, err = ops[i].eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
 			}
 			if out.IsNull() && !v.IsNull() {
 				out = v
@@ -275,12 +269,16 @@ func bindCoalesce(args []*Compiled) evalFunc {
 
 // bindConcat binds CONCAT, which skips NULLs (PostgreSQL behaviour).
 func bindConcat(args []*Compiled) evalFunc {
+	ops := operandsOf(args)
 	return func(row sqltypes.Row) (sqltypes.Value, error) {
 		var b strings.Builder
-		for _, a := range args {
-			v, err := a.Eval(row)
-			if err != nil {
-				return sqltypes.NullValue, err
+		for i := range ops {
+			v, ok := ops[i].leaf(row)
+			if !ok {
+				var err error
+				if v, err = ops[i].eval(row); err != nil {
+					return sqltypes.NullValue, err
+				}
 			}
 			if !v.IsNull() {
 				b.WriteString(v.String())

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -29,28 +30,60 @@ var kernelPool = []sqltypes.Value{
 }
 
 // Where an operand sits: it decides what the compiler sees (a column
-// read, a literal a function may fold, or an expression around a column).
+// read, a literal bound for the run, an expression around a column, or a
+// column past the end of the row).
 type placement int
 
 const (
 	asColumn placement = iota
 	asLiteral
 	asNested
+	asShort
+	placements
 )
 
-func (p placement) String() string { return [...]string{"column", "literal", "nested"}[p] }
+func (p placement) String() string { return [...]string{"column", "literal", "nested", "short"}[p] }
 
-// operand places v as operand i: column ci of the row, a literal, or a
-// CASE that yields column ci.
-func operand(v sqltypes.Value, p placement, i int) ast.Expr {
+// placed places v as operand i of n: column ci of the row, the literal of
+// slot i+1 — parsed as a decoy of v's type, with v bound to the slot, as
+// a prepared statement runs another text's literals — a CASE that yields
+// column ci, or column si, which lies past the end of the n-value row.
+func placed(v sqltypes.Value, p placement, i int) ast.Expr {
 	col := &ast.ColumnRef{Name: fmt.Sprintf("c%d", i)}
 	switch p {
 	case asLiteral:
-		return ast.NewLiteral(v)
+		return ast.NewSlotLiteral(decoy(v), i+1, nil)
 	case asNested:
 		return &ast.CaseExpr{Whens: []ast.WhenClause{{Cond: ast.NewLiteral(sqltypes.NewBool(true)), Result: col}}}
+	case asShort:
+		return &ast.ColumnRef{Name: fmt.Sprintf("s%d", i)}
 	}
 	return col
+}
+
+// decoy returns a value of v's type that is not v, where the type has
+// another value: what a literal reads as if it ignores the run's binding.
+func decoy(v sqltypes.Value) sqltypes.Value {
+	switch v.T {
+	case sqltypes.Bool:
+		return sqltypes.NewBool(v.I == 0)
+	case sqltypes.Int:
+		if v.I == 7 {
+			return sqltypes.NewInt(8)
+		}
+		return sqltypes.NewInt(7)
+	case sqltypes.Float:
+		if sameValue(v, sqltypes.NewFloat(7)) {
+			return sqltypes.NewFloat(8)
+		}
+		return sqltypes.NewFloat(7)
+	case sqltypes.String:
+		if v.S == "decoy" {
+			return sqltypes.NewString("other decoy")
+		}
+		return sqltypes.NewString("decoy")
+	}
+	return v
 }
 
 // sameValue compares two values exactly: tag, payloads, and a float's
@@ -74,43 +107,54 @@ func showResult(v sqltypes.Value, err error) string {
 }
 
 // sweep compiles build over every n-tuple of kernelPool, each operand in
-// every placement (for n = 3, the three rotations of column, literal and
-// nested, so that each operand takes each), evaluates it, and returns
-// how many results differ from ref's, with the first few described.
-func sweep(t *testing.T, name string, n int, build func([]ast.Expr) ast.Expr, ref func([]sqltypes.Value) (sqltypes.Value, error)) (mismatches int, first []string) {
+// every placement (for n = 3, the four rotations of column, literal,
+// nested and short, so that each operand takes each), evaluates it over
+// the n-value row, and returns how many results differ from ref's, with
+// the first few described. A compile error is a result like an
+// evaluation error.
+func sweep(t *testing.T, name string, n int, build func([]ast.Expr) ast.Expr, ref refFunc) (mismatches int, first []string) {
 	t.Helper()
-	var placements [][]placement
+	var layouts [][]placement
 	if n == 3 {
-		for k := 0; k < 3; k++ {
-			placements = append(placements, []placement{placement(k), placement((k + 1) % 3), placement((k + 2) % 3)})
+		for k := placement(0); k < placements; k++ {
+			layouts = append(layouts, []placement{k, (k + 1) % placements, (k + 2) % placements})
 		}
 	} else {
-		for k := 0; k < pow(3, n); k++ {
+		for k := 0; k < pow(int(placements), n); k++ {
 			ps := make([]placement, n)
-			for i, c := 0, k; i < n; i, c = i+1, c/3 {
-				ps[i] = placement(c % 3)
+			for i, c := 0, k; i < n; i, c = i+1, c/int(placements) {
+				ps[i] = placement(c % int(placements))
 			}
-			placements = append(placements, ps)
+			layouts = append(layouts, ps)
 		}
 	}
 	vals := make([]sqltypes.Value, n)
 	args := make([]ast.Expr, n)
+	refArgs := make([]refArg, n)
 	for tuple := 0; tuple < pow(len(kernelPool), n); tuple++ {
-		env := &Env{}
+		env := &Env{Params: make([]sqltypes.Value, n)}
 		for i, c := 0, tuple; i < n; i, c = i+1, c/len(kernelPool) {
 			vals[i] = kernelPool[c%len(kernelPool)]
+			env.Params[i] = vals[i]
 			env.Add("t", sqltypes.Schema{{Name: fmt.Sprintf("c%d", i), Type: vals[i].T}})
 		}
-		want, wantErr := ref(vals)
-		for _, ps := range placements {
+		for i := range vals {
+			env.Add("t", sqltypes.Schema{{Name: fmt.Sprintf("s%d", i), Type: vals[i].T}})
+		}
+		for _, ps := range layouts {
 			for i := range args {
-				args[i] = operand(vals[i], ps[i], i)
+				args[i] = placed(vals[i], ps[i], i)
+				refArgs[i] = refArg{v: vals[i]}
+				if ps[i] == asShort {
+					refArgs[i].err = fmt.Errorf("row too short for column s%d (index %d)", i, n+i)
+				}
 			}
-			c, err := Compile(build(args), env)
-			if err != nil {
-				t.Fatalf("%s over %v placed %v: compile: %v", name, vals, ps, err)
+			want, wantErr := ref(refArgs)
+			got := sqltypes.NullValue
+			c, gotErr := Compile(build(args), env)
+			if gotErr == nil {
+				got, gotErr = c.Eval(sqltypes.Row(vals))
 			}
-			got, gotErr := c.Eval(sqltypes.Row(vals))
 			if !sameResult(got, gotErr, want, wantErr) {
 				mismatches++
 				if len(first) < 5 {
@@ -143,7 +187,29 @@ func binaryOps() []string {
 func sweepBinary(t *testing.T, op string) (int, []string) {
 	return sweep(t, op, 2,
 		func(a []ast.Expr) ast.Expr { return &ast.BinaryExpr{Op: op, L: a[0], R: a[1]} },
-		func(v []sqltypes.Value) (sqltypes.Value, error) { return refBinary(op, v[0], v[1]) })
+		strict(func(v []sqltypes.Value) (sqltypes.Value, error) { return refBinary(op, v[0], v[1]) }))
+}
+
+// operators are the operators besides the binary kernels, each with its
+// reference: the connectives, which skip what three-valued logic lets
+// them, and the unary and list operators.
+var operators = []struct {
+	name  string
+	n     int
+	build func([]ast.Expr) ast.Expr
+	ref   refFunc
+}{
+	{"AND", 2, func(a []ast.Expr) ast.Expr { return &ast.BinaryExpr{Op: "AND", L: a[0], R: a[1]} }, refLogic(true)},
+	{"OR", 2, func(a []ast.Expr) ast.Expr { return &ast.BinaryExpr{Op: "OR", L: a[0], R: a[1]} }, refLogic(false)},
+	{"NOT", 1, func(a []ast.Expr) ast.Expr { return &ast.UnaryExpr{Op: "NOT", E: a[0]} }, refNot},
+	{"unary -", 1, func(a []ast.Expr) ast.Expr { return &ast.UnaryExpr{Op: "-", E: a[0]} }, strict(refNeg)},
+	{"IS NULL", 1, func(a []ast.Expr) ast.Expr { return &ast.IsNullExpr{E: a[0]} }, strict(refIsNull(false))},
+	{"IS NOT NULL", 1, func(a []ast.Expr) ast.Expr { return &ast.IsNullExpr{E: a[0], Negate: true} }, strict(refIsNull(true))},
+	{"IN", 3, func(a []ast.Expr) ast.Expr { return &ast.InExpr{E: a[0], List: a[1:]} }, refIn(false)},
+	{"NOT IN", 3, func(a []ast.Expr) ast.Expr { return &ast.InExpr{E: a[0], List: a[1:], Negate: true} }, refIn(true)},
+	{"CASE WHEN", 3, func(a []ast.Expr) ast.Expr {
+		return &ast.CaseExpr{Whens: []ast.WhenClause{{Cond: a[0], Result: a[1]}}, Else: a[2]}
+	}, refCase},
 }
 
 // arities lists the argument counts a function accepts, variadic ones up
@@ -170,10 +236,12 @@ func funcNames() []string {
 }
 
 // TestKernelsMatchReference is the differential test of the bound
-// kernels: every binary operator, every CAST target and every library
-// function at every arity it accepts, over kernelPool with operands as
-// columns, literals and nested expressions, must give the reference
-// evaluator's value (floats bit for bit) and error (reference_test.go).
+// kernels: every operator, every CAST target and every library function
+// at every arity it accepts, over kernelPool with operands as columns,
+// bound literals, nested expressions and columns the row is too short
+// for, must give the reference evaluator's value (floats bit for bit)
+// and error (reference_test.go) — so also its bound check, and its
+// order: operands evaluate left to right and the first error wins.
 func TestKernelsMatchReference(t *testing.T) {
 	report := func(n int, first []string) {
 		t.Helper()
@@ -190,7 +258,10 @@ func TestKernelsMatchReference(t *testing.T) {
 	for _, to := range []sqltypes.Type{sqltypes.Int, sqltypes.Float, sqltypes.String, sqltypes.Bool} {
 		report(sweep(t, "CAST AS "+to.String(), 1,
 			func(a []ast.Expr) ast.Expr { return &ast.CastExpr{E: a[0], To: to} },
-			func(v []sqltypes.Value) (sqltypes.Value, error) { return refCast(v[0], to) }))
+			strict(func(v []sqltypes.Value) (sqltypes.Value, error) { return refCast(v[0], to) })))
+	}
+	for _, op := range operators {
+		report(sweep(t, op.name, op.n, op.build, op.ref))
 	}
 	for _, name := range funcNames() {
 		ref, ok := refFuncs[name]
@@ -201,7 +272,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		for _, n := range arities(scalarFuncs[name]) {
 			report(sweep(t, fmt.Sprintf("%s/%d", name, n), n,
 				func(a []ast.Expr) ast.Expr { return &ast.FuncCall{Name: name, Args: append([]ast.Expr(nil), a...)} },
-				ref))
+				strict(ref)))
 		}
 	}
 }
@@ -220,6 +291,49 @@ func TestKernelMutantIsCaught(t *testing.T) {
 	}}
 	if n, first := sweepBinary(t, "/"); n == 0 {
 		t.Fatal("a FLOAT / without the zero check passed the differential sweep")
+	} else {
+		t.Logf("the mutant fails %d cases, e.g. %s", n, first[0])
+	}
+}
+
+// TestShapeMutantIsCaught seeds an operand shape that reads its two
+// columns swapped — the column∘column closure of every binary operator
+// and two-argument function — and requires the differential sweep to see
+// it.
+func TestShapeMutantIsCaught(t *testing.T) {
+	defer func(orig func(binaryFn, *Compiled, *Compiled) evalFunc) { bindBinary = orig }(bindBinary)
+	orig := bindBinary
+	bindBinary = func(f binaryFn, l, r *Compiled) evalFunc {
+		if li, ri := l.Col, r.Col; li >= 0 && ri >= 0 {
+			return func(row sqltypes.Row) (sqltypes.Value, error) {
+				if li >= len(row) || ri >= len(row) {
+					return orig(f, l, r)(row)
+				}
+				return f(row[ri], row[li])
+			}
+		}
+		return orig(f, l, r)
+	}
+	if n, first := sweepBinary(t, "-"); n == 0 {
+		t.Fatal("a column∘column shape with its operands swapped passed the differential sweep")
+	} else {
+		t.Logf("the mutant fails %d cases, e.g. %s", n, first[0])
+	}
+}
+
+// TestLiteralLeafMutantIsCaught seeds the literal leaf that reads a
+// literal as parsed instead of as the run bound it — what a prepared
+// statement would then run with: the literals of the text it was
+// prepared from. The sweep places every literal operand as a slot
+// parsed with a decoy value and bound to the real one, and must see it.
+func TestLiteralLeafMutantIsCaught(t *testing.T) {
+	defer func(orig func(*Compiled) sqltypes.Value) { literalValue = orig }(literalValue)
+	literalValue = func(c *Compiled) sqltypes.Value {
+		_, v := c.lit.Param()
+		return v
+	}
+	if n, first := sweepBinary(t, "+"); n == 0 {
+		t.Fatal("a literal leaf that reads the parsed value passed the differential sweep")
 	} else {
 		t.Logf("the mutant fails %d cases, e.g. %s", n, first[0])
 	}
@@ -278,6 +392,30 @@ var workloadExprs = map[string]string{
 	"comparison": "delta != 9999999",
 }
 
+// One expression per operand shape the bound evaluators tell apart, over
+// the same row: the binary operators' closures, and the operators and
+// functions that read leaves in place through an operand.
+var shapeExprs = map[string]string{
+	"col∘col":      "friends / friendsPrev",
+	"col∘lit":      "distance < 5",
+	"lit∘col":      "2 * delta",
+	"col∘expr":     "distance - (delta + 1)",
+	"expr∘col":     "(delta + 1) - distance",
+	"lit∘expr":     "3 - (delta + 1)",
+	"expr∘lit":     "(delta + 1) % 4",
+	"expr∘expr":    "(delta + 1) * (distance + 1)",
+	"AND, OR":      "distance > 3 AND (delta < 4 OR m IS NULL)",
+	"NOT":          "NOT (distance = delta)",
+	"unary -":      "-x",
+	"CAST":         "CAST(distance AS float)",
+	"IS NULL":      "m IS NOT NULL",
+	"IN":           "delta IN (1, m, 3)",
+	"ROUND digits": "ROUND(x, distance % 3)",
+	"GREATEST":     "GREATEST(x, 1.5, friends)",
+	"MOD":          "MOD(distance, 7)",
+	"ABS":          "ABS(delta)",
+}
+
 var workloadSchema = sqltypes.Schema{
 	{Name: "friends", Type: sqltypes.Float}, {Name: "friendsPrev", Type: sqltypes.Float},
 	{Name: "distance", Type: sqltypes.Int}, {Name: "delta", Type: sqltypes.Int},
@@ -311,11 +449,14 @@ func compileWorkload(tb testing.TB, src string) *Compiled {
 
 var evalSink sqltypes.Value
 
-// TestEvalDoesNotAllocate: evaluating a workload expression allocates
-// nothing per row — no argument slice, no boxed error, no cast.
+// TestEvalDoesNotAllocate: evaluating a workload expression, or one of
+// each operand shape, allocates nothing per row — no argument slice, no
+// boxed error, no cast.
 func TestEvalDoesNotAllocate(t *testing.T) {
 	row := workloadRow(4)
-	for name, src := range workloadExprs {
+	all := maps.Clone(workloadExprs)
+	maps.Copy(all, shapeExprs)
+	for name, src := range all {
 		c := compileWorkload(t, src)
 		got := testing.AllocsPerRun(100, func() {
 			v, err := c.Eval(row)

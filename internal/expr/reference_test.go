@@ -21,7 +21,185 @@ import (
 // index and panicked on a length near MaxInt64, and clamped a start
 // below 1 before it computed the end (SUBSTR('xyz', 0, 2) was 'xy'); and
 // INT arithmetic and ABS, which wrapped around instead of failing with
-// "integer out of range".
+// "integer out of range"; and a condition, whose value a FLOAT or a
+// VARCHAR was read as FALSE (refTruth).
+
+// refArg is an operand as a reference evaluator receives it: its value,
+// whose type is also the static type it compiles to, and for a column
+// the row is too short for, the error reading it gives.
+type refArg struct {
+	v   sqltypes.Value
+	err error
+}
+
+// refFunc is a reference evaluator over operands it reads itself, so it
+// can leave unread the ones it does not evaluate.
+type refFunc func([]refArg) (sqltypes.Value, error)
+
+// strict is ref over operands that are all read, left to right, before
+// it runs: the first one's error, or ref of their values.
+func strict(ref func([]sqltypes.Value) (sqltypes.Value, error)) refFunc {
+	return func(args []refArg) (sqltypes.Value, error) {
+		vals := make([]sqltypes.Value, len(args))
+		for i, a := range args {
+			if a.err != nil {
+				return sqltypes.NullValue, a.err
+			}
+			vals[i] = a.v
+		}
+		return ref(vals)
+	}
+}
+
+// refTruth is a value as a condition: NULL is UNKNOWN, a VARCHAR fails,
+// and anything else is what CAST to BOOLEAN makes it.
+func refTruth(v sqltypes.Value) (sqltypes.Tri, error) {
+	if v.IsNull() {
+		return sqltypes.TriUnknown, nil
+	}
+	if v.T == sqltypes.String {
+		return sqltypes.TriUnknown, fmt.Errorf("argument of a condition must be BOOLEAN, not VARCHAR %q", v.S)
+	}
+	b, err := sqltypes.Cast(v, sqltypes.Bool)
+	if err != nil {
+		return sqltypes.TriUnknown, err
+	}
+	if b.I != 0 {
+		return sqltypes.TriTrue, nil
+	}
+	return sqltypes.TriFalse, nil
+}
+
+// refConditions is the compile-time check of the condition operands of
+// clause: a VARCHAR among them fails before anything runs.
+func refConditions(clause string, args ...refArg) error {
+	for _, a := range args {
+		if a.v.T == sqltypes.String {
+			return fmt.Errorf("argument of %s must be BOOLEAN, not VARCHAR", clause)
+		}
+	}
+	return nil
+}
+
+// refLogic is AND (and) or OR: the right operand is read only when the
+// left one does not decide.
+func refLogic(and bool) refFunc {
+	op := "OR"
+	if and {
+		op = "AND"
+	}
+	return func(a []refArg) (sqltypes.Value, error) {
+		if err := refConditions(op, a...); err != nil {
+			return sqltypes.NullValue, err
+		}
+		if a[0].err != nil {
+			return sqltypes.NullValue, a[0].err
+		}
+		l, err := refTruth(a[0].v)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		if and && l == sqltypes.TriFalse || !and && l == sqltypes.TriTrue {
+			return l.Value(), nil
+		}
+		if a[1].err != nil {
+			return sqltypes.NullValue, a[1].err
+		}
+		r, err := refTruth(a[1].v)
+		if err != nil {
+			return sqltypes.NullValue, err
+		}
+		if and {
+			return l.And(r).Value(), nil
+		}
+		return l.Or(r).Value(), nil
+	}
+}
+
+func refNot(a []refArg) (sqltypes.Value, error) {
+	if err := refConditions("NOT", a...); err != nil {
+		return sqltypes.NullValue, err
+	}
+	if a[0].err != nil {
+		return sqltypes.NullValue, a[0].err
+	}
+	t, err := refTruth(a[0].v)
+	if err != nil {
+		return sqltypes.NullValue, err
+	}
+	return t.Not().Value(), nil
+}
+
+// refNeg is unary minus, in exact arithmetic for an INT.
+func refNeg(a []sqltypes.Value) (sqltypes.Value, error) {
+	v := a[0]
+	switch {
+	case v.IsNull():
+		return sqltypes.NullValue, nil
+	case v.T == sqltypes.Int:
+		return refExactInt(new(big.Int).Neg(big.NewInt(v.I)))
+	case v.T == sqltypes.Float:
+		return sqltypes.NewFloat(-v.F), nil
+	}
+	return sqltypes.NullValue, fmt.Errorf("operator - requires a numeric operand, got %s", v.T)
+}
+
+func refIsNull(negate bool) func([]sqltypes.Value) (sqltypes.Value, error) {
+	return func(a []sqltypes.Value) (sqltypes.Value, error) {
+		return sqltypes.NewBool(a[0].IsNull() != negate), nil
+	}
+}
+
+// refIn is a[0] IN (a[1:]...), or NOT IN: a NULL probe reads no item,
+// and a match reads no further one.
+func refIn(negate bool) refFunc {
+	return func(a []refArg) (sqltypes.Value, error) {
+		if a[0].err != nil {
+			return sqltypes.NullValue, a[0].err
+		}
+		if a[0].v.IsNull() {
+			return sqltypes.NullValue, nil
+		}
+		sawNull := false
+		for _, it := range a[1:] {
+			switch {
+			case it.err != nil:
+				return sqltypes.NullValue, it.err
+			case it.v.IsNull():
+				sawNull = true
+			case refCompare(a[0].v, it.v) == 0:
+				return sqltypes.NewBool(!negate), nil
+			}
+		}
+		if sawNull {
+			return sqltypes.NullValue, nil
+		}
+		return sqltypes.NewBool(negate), nil
+	}
+}
+
+// refCase is CASE WHEN a[0] THEN a[1] ELSE a[2] END: only the chosen
+// result is read.
+func refCase(a []refArg) (sqltypes.Value, error) {
+	if err := refConditions("CASE WHEN", a[0]); err != nil {
+		return sqltypes.NullValue, err
+	}
+	if a[0].err != nil {
+		return sqltypes.NullValue, a[0].err
+	}
+	t, err := refTruth(a[0].v)
+	if err != nil {
+		return sqltypes.NullValue, err
+	}
+	pick := a[2]
+	if t == sqltypes.TriTrue {
+		pick = a[1]
+	}
+	if pick.err != nil {
+		return sqltypes.NullValue, pick.err
+	}
+	return pick.v, nil
+}
 
 // refCompare is sqltypes.Compare as it was, with the fixed NaN order.
 func refCompare(a, b sqltypes.Value) int {

@@ -306,8 +306,12 @@ func (b *Builder) buildCore(core *ast.SelectCore) (Node, error) {
 		if ast.HasAggregate(core.Where) {
 			return nil, fmt.Errorf("aggregates are not allowed in WHERE")
 		}
-		if _, err := expr.Compile(core.Where, env(node.Columns())); err != nil {
+		c, err := expr.Compile(core.Where, env(node.Columns()))
+		if err != nil {
 			return nil, fmt.Errorf("WHERE: %w", err)
+		}
+		if err := expr.Condition(c, "WHERE"); err != nil {
+			return nil, err
 		}
 	}
 	node = placeWhere(node, FoldConstants(core.Where))
@@ -341,8 +345,12 @@ func (b *Builder) buildCore(core *ast.SelectCore) (Node, error) {
 			return nil, err
 		}
 		if having != nil {
-			if _, err := expr.Compile(having, env(node.Columns())); err != nil {
+			c, err := expr.Compile(having, env(node.Columns()))
+			if err != nil {
 				return nil, fmt.Errorf("HAVING: %w", err)
+			}
+			if err := expr.Condition(c, "HAVING"); err != nil {
+				return nil, err
 			}
 			node = &Filter{Input: node, Cond: having}
 		}
@@ -632,8 +640,12 @@ func (b *Builder) buildFrom(tr ast.TableRef) (Node, error) {
 			if ast.HasAggregate(t.On) {
 				return nil, fmt.Errorf("aggregates are not allowed in JOIN conditions")
 			}
-			if _, err := expr.Compile(t.On, env(j.Columns())); err != nil {
+			c, err := expr.Compile(t.On, env(j.Columns()))
+			if err != nil {
 				return nil, fmt.Errorf("JOIN ON: %w", err)
+			}
+			if err := expr.Condition(c, "ON"); err != nil {
+				return nil, err
 			}
 		}
 		return j, nil

@@ -56,14 +56,16 @@ func foldItems(items []ast.SelectItem) []ast.SelectItem {
 
 // simplifyFilter drops filters whose condition folded to a constant:
 // TRUE (or no condition) removes the filter, FALSE (or NULL) replaces the
-// input with an empty result of the same shape.
+// input with an empty result of the same shape. A constant that is no
+// condition (sqltypes.Truth) stays, to fail the filter if it runs.
 func simplifyFilter(input Node, cond ast.Expr) Node {
 	if cond == nil {
 		return input
 	}
 	if lit, ok := cond.(*ast.Literal); ok {
-		switch sqltypes.TriOf(lit.Value()) {
-		case sqltypes.TriTrue:
+		switch t, err := sqltypes.Truth(lit.Value()); {
+		case err != nil:
+		case t == sqltypes.TriTrue:
 			return input
 		default:
 			return &EmptyNode{Cols: input.Columns()}

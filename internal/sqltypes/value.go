@@ -523,15 +523,31 @@ const (
 	TriTrue
 )
 
-// TriOf converts a BOOLEAN Value to a Tri (NULL maps to TriUnknown).
-func TriOf(v Value) Tri {
-	if v.IsNull() {
-		return TriUnknown
+// Truth is v as a condition — of a WHERE, an ON, a HAVING, AND, OR, NOT
+// or CASE WHEN: NULL is UNKNOWN, and any other value is TRUE or FALSE as
+// CAST(v AS BOOLEAN) makes it, so a number is TRUE when it is not zero.
+// A VARCHAR is no condition: Truth fails rather than read it as FALSE.
+func Truth(v Value) (Tri, error) {
+	switch v.T {
+	case Bool, Int:
+		if v.I != 0 {
+			return TriTrue, nil
+		}
+		return TriFalse, nil
+	case Float:
+		if v.F != 0 { // NaN too, as CAST says
+			return TriTrue, nil
+		}
+		return TriFalse, nil
+	case String:
+		return TriUnknown, notCondition(v)
 	}
-	if v.Bool() {
-		return TriTrue
-	}
-	return TriFalse
+	return TriUnknown, nil
+}
+
+// notCondition is Truth's error for a VARCHAR.
+func notCondition(v Value) error {
+	return fmt.Errorf("argument of a condition must be BOOLEAN, not VARCHAR %q", v.S)
 }
 
 // Value converts a Tri back to a SQL BOOLEAN Value.

@@ -264,8 +264,22 @@ func TestTriLogic(t *testing.T) {
 	if T.Not() != F || F.Not() != T || U.Not() != U {
 		t.Error("NOT table wrong")
 	}
-	if TriOf(NewBool(true)) != T || TriOf(NewBool(false)) != F || TriOf(NullValue) != U {
-		t.Error("TriOf wrong")
+	for _, c := range []struct {
+		v    Value
+		want Tri
+	}{
+		{NewBool(true), T}, {NewBool(false), F}, {NullValue, U}, {Value{}, U},
+		{NewInt(0), F}, {NewInt(-3), T}, {NewFloat(0.5), T}, {NewFloat(math.Copysign(0, -1)), F}, {NewFloat(math.NaN()), T},
+	} {
+		// The truth of a value is its CAST to BOOLEAN.
+		got, err := Truth(c.v)
+		cast, _ := Cast(c.v, Bool)
+		if err != nil || got != c.want || (!c.v.IsNull() && got.Value() != cast) {
+			t.Errorf("Truth(%v) = %v, %v; want %v, the CAST %v", c.v, got, err, c.want, cast)
+		}
+	}
+	if _, err := Truth(NewString("true")); err == nil {
+		t.Error("Truth('true') did not fail: a VARCHAR is no condition")
 	}
 	if T.Value() != NewBool(true) || F.Value() != NewBool(false) || !U.Value().IsNull() {
 		t.Error("Tri.Value wrong")
