@@ -12,13 +12,14 @@ test:
 	$(GO) test ./...
 
 # The race-enabled run covers the packages with concurrency plus the
-# ones incremental evaluation touches: the MPP scheduler, the
-# executors, the step-program runner, the verifier, and the bench
-# harness that drives full-plan and incremental engines side by side. The root
-# package rides along for the step-scheduler parity matrix, which must
-# hold under the race detector; expr for one Compiled evaluated from
-# eight goroutines (MPP partitions share compiled expressions, so a bound
-# kernel must keep no state), and storage for the tables they read.
+# ones incremental evaluation touches: the MPP machine, the executors,
+# the step-program runner, the verifier, and the bench harness that
+# drives full-plan and incremental engines side by side. The root
+# package rides along for the shuffle-elision and incremental parity
+# matrices and the fault matrix, which run the MPP machine's partition
+# workers; expr for one Compiled evaluated from eight goroutines (MPP
+# partitions share compiled expressions, so a bound kernel must keep no
+# state), and storage for the tables they read.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/mpp/... ./internal/verify/... ./internal/bench/... ./internal/expr/... ./internal/storage/...
 
@@ -137,34 +138,32 @@ loc:
 # race-enabled pass over the concurrent packages.
 check: fmt vet lint build test fuzz-seed bench-check race
 
-# bench-smoke runs the full-vs-incremental, full-vs-pruned and
-# sequential-vs-scheduled comparisons on small PR-VS and SSSP datasets:
-# each fails if its two modes disagree on a single row. incremental
-# runs PR, SSSP, PR-VS and SSSP-VS with incremental evaluation off and
-# on (cross-check armed), asserts byte-identical results, prints which
-# restricted step ran, the Ri rows it was fed against the full count and
-# in how many iterations it restricted, and fails if a query installed
-# no step or no query restricted anywhere (one that chose the full plan
-# in every iteration, as PR-VS does, is not a failure); pruning prints
-# the cells written into and read back from intermediate results per
-# iteration, full width and pruned, and fails if PR-VS moves less than
-# 10% fewer pruned (it measures 15%; 30% before the index memo took the
-# per-iteration re-read of Common#1 out of both arms), and sched prints
-# the region-DAG shape (width, critical path) next to the wall-clock and
-# asserts at least one schedule has width > 1. trace runs PR and SSSP with iteration tracing on and off,
-# asserts identical results plus one span per iteration, and fails if
-# the traced run leaves the noise band of the untraced one. shuffle
-# runs every workload query with shuffle elision on and off, prints
-# rows shuffled next to the wall-clock, asserts identical results with
-# the dynamic co-location guard armed, and fails unless the VS
-# variants strictly reduce rows shuffled. faults runs PR and SSSP with back-edge
-# checkpointing off and on and once more with a deterministic fault
-# schedule injected mid-loop, asserting byte-identical rows in all
-# three runs, at least one retry per scheduled fault, and checkpointing
-# overhead inside the noise band. The smoke set is declared once in
-# cmd/benchrunner; the runner fails if any smoke experiment writes no
-# section to bench-smoke.md, so the committed doc cannot silently go
-# stale when an experiment is added or renamed.
+# bench-smoke runs the full-vs-incremental and full-vs-pruned
+# comparisons on small PR-VS and SSSP datasets: each fails if its two
+# modes disagree on a single row. incremental runs PR, SSSP, PR-VS and
+# SSSP-VS with incremental evaluation off and on (cross-check armed),
+# asserts byte-identical results, prints which restricted step ran, the
+# Ri rows it was fed against the full count and in how many iterations
+# it restricted, and fails if a query installed no step or no query
+# restricted anywhere (one that chose the full plan in every iteration,
+# as PR-VS does, is not a failure); pruning prints the cells written
+# into and read back from intermediate results per iteration, full width
+# and pruned, and fails if PR-VS moves less than 10% fewer pruned (it
+# measures 15%; 30% before the index memo took the per-iteration re-read
+# of Common#1 out of both arms). trace runs PR and SSSP with iteration
+# tracing on and off, asserts identical results plus one span per
+# iteration, and fails if the traced run leaves the noise band of the
+# untraced one. shuffle runs every workload query with shuffle elision
+# on and off, prints rows shuffled next to the wall-clock, asserts
+# identical results with the dynamic co-location guard armed, and fails
+# unless the VS variants strictly reduce rows shuffled. faults runs PR
+# and SSSP with back-edge checkpointing off and on and once more with a
+# deterministic fault schedule injected mid-loop, asserting
+# byte-identical rows in all three runs, at least one retry per
+# scheduled fault, and checkpointing overhead inside the noise band. The
+# smoke set is declared once in cmd/benchrunner; the runner fails if any
+# smoke experiment writes no section to bench-smoke.md, so the committed
+# doc cannot silently go stale when an experiment is added or renamed.
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp smoke -scale 300 -iterations 5 -reps 1 -partitions 2 -md bench-smoke.md
 

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,sched,trace,shuffle,faults ('smoke' expands to the CI smoke set)")
+		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,trace,shuffle,faults ('smoke' expands to the CI smoke set)")
 		preset     = flag.String("preset", "dblp-small", "workload preset (dblp-small, pokec-small, web-small, ...)")
 		iterations = flag.Int("iterations", 10, "loop iterations for PR/SSSP experiments (fig10/fig11 use 25 as in the paper)")
 		scale      = flag.Int("scale", 0, "override the preset's node count (0 keeps the preset)")
@@ -61,7 +61,7 @@ func main() {
 	// restricted; it fails on a row difference, on a query with no step
 	// installed, or when no query restricted in any iteration — not on a
 	// query that chose the full plan throughout (PR-VS does).
-	smokeSet := []string{"incremental", "pruning", "sched", "trace", "shuffle", "faults"}
+	smokeSet := []string{"incremental", "pruning", "trace", "shuffle", "faults"}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expList, ",") {
@@ -95,20 +95,21 @@ func main() {
 		{"parallel", func() (*bench.Experiment, error) { return bench.ParallelScaling(cfg, nil) }},
 		{"incremental", func() (*bench.Experiment, error) { return bench.IncrementalComparison(cfg) }},
 		{"pruning", func() (*bench.Experiment, error) { return bench.PruningComparison(cfg) }},
-		{"sched", func() (*bench.Experiment, error) { return bench.SchedComparison(cfg) }},
 		{"trace", func() (*bench.Experiment, error) { return bench.TraceOverhead(cfg) }},
 		{"shuffle", func() (*bench.Experiment, error) { return bench.ShuffleComparison(cfg) }},
 		{"faults", func() (*bench.Experiment, error) { return bench.FaultTolerance(cfg) }},
 	}
 
 	known := map[string]bool{}
+	var ids []string
 	for _, r := range runners {
 		known[r.id] = true
+		ids = append(ids, r.id)
 	}
 	ok := true
 	for id := range want {
 		if !known[id] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,sched,trace,shuffle,faults)\n", id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", id, strings.Join(ids, ","))
 			ok = false
 		}
 	}

@@ -89,9 +89,9 @@ var ErrQueryTimeout = core.ErrQueryTimeout
 type QueryLifecycleError = core.QueryLifecycleError
 
 // ErrInternalPanic is the sentinel wrapped by every contained panic: a
-// step, scheduler-region worker or MPP partition worker panicked and
-// the containment layer converted the panic into a query failure
-// instead of a process crash. Match with errors.Is.
+// step or an MPP partition worker panicked and the containment layer
+// converted the panic into a query failure instead of a process crash.
+// Match with errors.Is.
 var ErrInternalPanic = core.ErrInternalPanic
 
 // InternalPanicError is the structured error behind ErrInternalPanic:
@@ -128,7 +128,7 @@ const (
 
 // Schedule helpers: ParseFaultSchedule parses the textual
 // "point@hit:mode[,...]" form, FormatFaultSchedule renders it back,
-// and FaultPoints lists the registered point names ("step", "region",
+// and FaultPoints lists the registered point names ("step",
 // "partition", "storage") so tests can enumerate the full matrix.
 var (
 	ParseFaultSchedule  = faultinject.ParseSchedule
@@ -139,7 +139,7 @@ var (
 // RetryPolicy bounds the iteration-granular retry of failed iterative
 // queries (Config.RetryPolicy): MaxAttempts retries per checkpoint
 // with exponential Backoff, descending the graceful-degradation ladder
-// (same plan, then serial, then volcano) between exhausted rungs
+// (same plan, then volcano) when the same plan's attempts are exhausted
 // unless NoDegrade is set.
 type RetryPolicy = core.RetryPolicy
 
@@ -168,16 +168,6 @@ type Config struct {
 	// between stages. Off by default (single-threaded volcano
 	// execution); results are identical either way.
 	Parallel bool
-
-	// ParallelSteps bounds the worker pool of the dependency-DAG step
-	// scheduler: within each straight-line region of a rewritten step
-	// program, steps whose statically derived effect sets are disjoint
-	// (internal/effects, re-verified by internal/verify) execute
-	// concurrently, up to this many at once. 0 or 1 keeps the
-	// sequential step loop. Composes with Parallel, which parallelizes
-	// within a step across partitions; results are byte-identical
-	// either way.
-	ParallelSteps int
 
 	// The paper's optimizations are on by default; the Disable knobs
 	// exist so benchmarks can measure the non-optimized baselines of
@@ -285,17 +275,16 @@ type Config struct {
 	// iteration cap), restores the checkpoint and re-runs it — up to
 	// MaxAttempts times per checkpoint, with exponential Backoff
 	// between attempts. When a checkpoint's attempts are exhausted the
-	// engine degrades gracefully and tries again: first disabling the
-	// parallel step scheduler, shuffle elision and incremental
-	// aggregate maintenance, then falling back to single-threaded
-	// volcano execution; NoDegrade fails instead. A query that retries
+	// engine degrades gracefully and tries again on single-threaded
+	// volcano execution, with shuffle elision and the restricted
+	// incremental steps off; NoDegrade fails instead. A query that retries
 	// to success returns byte-identical rows. The zero value disables
 	// checkpointing entirely (no snapshot cost on the hot path).
 	RetryPolicy RetryPolicy
 
 	// FaultSchedule arms deterministic fault injection for testing the
 	// fault-tolerance machinery: each entry fires an error or panic at
-	// the Hit-th arrival at a registered fault point ("step", "region",
+	// the Hit-th arrival at a registered fault point ("step",
 	// "partition", "storage"). No wall clock or randomness is involved,
 	// so a failing schedule replays bit-for-bit; see ParseFaultSchedule
 	// for the textual form. Empty (the default) costs one nil check
@@ -419,7 +408,6 @@ func (e *Engine) coreOptions() core.Options {
 		ColumnPruning:       !e.cfg.DisableColumnPruning,
 		Parts:               e.cfg.Partitions,
 		Parallel:            e.cfg.Parallel,
-		ParallelSteps:       e.cfg.ParallelSteps,
 		Verify:              !e.cfg.DisableVerify,
 		ShuffleElision:      !e.cfg.DisableShuffleElision,
 		CheckShuffleElision: e.cfg.CheckShuffleElision,
@@ -440,12 +428,12 @@ func (e *Engine) Query(sql string) (*Result, error) {
 }
 
 // QueryContext is Query under a cancellation context: the statement
-// polls ctx at every iteration boundary, scheduler region, MPP
-// partition batch and executor inner loop, and a fired cancellation or
-// deadline fails the query with ErrQueryCanceled or ErrQueryTimeout
-// (a QueryLifecycleError naming the iteration and step reached). When
-// Config.QueryTimeout is set and ctx carries no deadline of its own,
-// the engine arms its own deadline around the statement.
+// polls ctx at every iteration boundary, MPP partition batch and
+// executor inner loop, and a fired cancellation or deadline fails the
+// query with ErrQueryCanceled or ErrQueryTimeout (a QueryLifecycleError
+// naming the iteration and step reached). When Config.QueryTimeout is
+// set and ctx carries no deadline of its own, the engine arms its own
+// deadline around the statement.
 //
 // Every SELECT runs prepared: a text is lexed into its shape (its token
 // stream with literal values left out), and a text whose shape the
@@ -519,8 +507,8 @@ func (e *Engine) armTimeout(ctx context.Context) (context.Context, context.Cance
 func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqltypes.Value, error)) (res *Result, err error) {
 	if len(e.cfg.FaultSchedule) > 0 {
 		// Arm the storage mutation point for this statement only, so
-		// hit counts never leak across queries. The step, region and
-		// partition points are armed inside Program.RunContext.
+		// hit counts never leak across queries. The step and partition
+		// points are armed inside Program.RunContext.
 		e.rt.ArmFaults(faultinject.NewRegistry(e.cfg.FaultSchedule))
 		defer e.rt.ArmFaults(nil)
 	}

@@ -19,15 +19,20 @@ import (
 	"dbspinner/internal/bench"
 )
 
-// faultCfg is the common fault-test configuration: the parallel step
-// scheduler armed (so region faults are reachable) and MPP execution
-// when partitioned (so partition faults are reachable).
+// faultCfg is the common fault-test configuration: MPP execution when
+// partitioned, so partition faults are reachable.
 func faultCfg(parts int) dbspinner.Config {
-	cfg := dbspinner.Config{ParallelSteps: 4}
-	if parts > 1 {
-		cfg.Parallel = true
-	}
-	return cfg
+	return dbspinner.Config{Parallel: parts > 1}
+}
+
+// exchangeCounts are the Stats counters the MPP machine's exchanges
+// feed.
+type exchangeCounts struct {
+	RowsShuffled, RowsRouted, RowsToBusiest, ShufflesElided, RowsElided int64
+}
+
+func exchangesOf(s dbspinner.Stats) exchangeCounts {
+	return exchangeCounts{s.RowsShuffled, s.RowsRouted, s.RowsToBusiest, s.ShufflesElided, s.RowsElided}
 }
 
 // recordScheduleOnFailure appends the failing fault schedule to
@@ -55,14 +60,18 @@ var faultModes = []dbspinner.FaultMode{dbspinner.FaultModeError, dbspinner.Fault
 // registered point, in both modes, at both partition counts, with
 // retry armed: the query must succeed with rows byte-identical to an
 // unfaulted run, leave zero live result slots and settle its
-// goroutines.
+// goroutines. On the machine the retried run's exchange counters must
+// be the unfaulted run's too: the restore rolls back the rows the
+// abandoned attempt shuffled, as it rolls back every other counter.
 func TestFaultMatrixRetriesToIdenticalRows(t *testing.T) {
 	sql := bench.SSSPQuery(1, 8)
 	for _, parts := range []int{1, 4} {
-		want, err := lifecycleEngine(t, parts, faultCfg(parts)).Query(sql)
+		clean := lifecycleEngine(t, parts, faultCfg(parts))
+		want, err := clean.Query(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantExchanges := exchangesOf(clean.Stats())
 		for _, point := range dbspinner.FaultPoints() {
 			for _, mode := range faultModes {
 				t.Run(fmt.Sprintf("%s/%s/parts=%d", point, mode, parts), func(t *testing.T) {
@@ -85,6 +94,11 @@ func TestFaultMatrixRetriesToIdenticalRows(t *testing.T) {
 					// a fault that fired must have been retried.
 					if mustFire := point != "partition" || parts > 1; mustFire && e.Stats().Retries == 0 {
 						t.Errorf("fault at %s never caused a retry; the injection never fired", point)
+					}
+					if parts > 1 {
+						if g := exchangesOf(e.Stats()); g != wantExchanges {
+							t.Errorf("retried run counts exchanges %+v, the unfaulted run %+v", g, wantExchanges)
+						}
 					}
 					if n := e.LiveResults(); n != 0 {
 						t.Errorf("%d intermediate results leaked", n)
@@ -162,8 +176,8 @@ func TestFaultWithoutRetryFailsStructured(t *testing.T) {
 }
 
 // TestDegradationLadderReachesVolcano schedules enough consecutive
-// partition panics that the same-plan retries and the serial rung both
-// keep failing: the engine must descend to volcano execution and still
+// partition panics that the same-plan retries keep failing: the engine
+// must descend to volcano execution, the ladder's one rung, and still
 // produce byte-identical rows. The final query carries an ORDER BY:
 // crossing rungs changes the physical plan, and only an ordered result
 // is comparable across plans (the same contract the cross-config
@@ -192,8 +206,8 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 		t.Error("degraded query diverges from the unfaulted run")
 	}
 	s := e.Stats()
-	if s.Degradations < 2 {
-		t.Errorf("Degradations = %d, want the full ladder (serial then volcano)", s.Degradations)
+	if s.Degradations != 1 {
+		t.Errorf("Degradations = %d, want 1 (same plan, then volcano)", s.Degradations)
 	}
 	if s.Retries == 0 {
 		t.Error("degraded run recorded no retries")
@@ -204,10 +218,10 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestDegradationReachesRestrictedSteps: the ladder's first rung
-// switches off everything that carries state across the back-edge, and
-// on the default (volcano) configuration that includes the delta step a
-// merge-path query runs through: it restricts Ri by the changed-key set
+// TestDegradationReachesRestrictedSteps: the volcano rung switches off
+// everything that carries state across the back-edge, and on the default
+// (volcano) configuration that includes the delta step a merge-path
+// query runs through: it restricts Ri by the changed-key set
 // the previous merge left in the loop state. Two consecutive step faults
 // mid-loop exhaust the one same-plan retry and degrade the run at
 // iteration k; iterations before k ran restricted, every iteration from

@@ -104,45 +104,6 @@ func TestParallelScalingExperiment(t *testing.T) {
 	}
 }
 
-// TestSchedComparisonExperiment cements the step-scheduler acceptance
-// criteria: all five workload queries run byte-identical with the
-// scheduler on (SchedComparison errors out otherwise), and at least
-// one schedule exposes a region of width > 1 — the common-result
-// queries materialize the seed and the Common#1 block independently.
-func TestSchedComparisonExperiment(t *testing.T) {
-	cfg := tiny()
-	cfg.Iterations = 5
-	exp, err := SchedComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"PR", "PR-VS", "SSSP", "SSSP-VS", "FF (50%)"}
-	if len(exp.Rows) != len(names) {
-		t.Fatalf("rows = %v", exp.Rows)
-	}
-	widest := 0
-	for i, row := range exp.Rows {
-		if row[0] != names[i] {
-			t.Errorf("row %d = %v, want %s", i, row, names[i])
-		}
-		w, err := strconv.Atoi(row[5])
-		if err != nil {
-			t.Fatalf("width not numeric: %v", row)
-		}
-		if w > widest {
-			widest = w
-		}
-	}
-	if widest < 2 {
-		t.Errorf("no schedule wider than 1: %v", exp.Rows)
-	}
-	for _, vs := range []int{1, 3} { // PR-VS, SSSP-VS
-		if exp.Rows[vs][5] == "1" {
-			t.Errorf("%s schedule should have width > 1: %v", names[vs], exp.Rows[vs])
-		}
-	}
-}
-
 // TestIncrementalExperiment cements the incremental-evaluation
 // acceptance bar: all four aggregate workloads run byte-identical with
 // incremental evaluation on and off (IncrementalComparison errors out

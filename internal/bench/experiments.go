@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"dbspinner"
@@ -430,97 +429,10 @@ func PruningComparison(cfg Config) (*Experiment, error) {
 	return exp, nil
 }
 
-// SchedComparison is the experiment behind the effect-set licensed
-// step scheduler (Config.ParallelSteps): the sequential pc-loop vs the
-// region-DAG scheduler on every workload query, alongside the static
-// shape of each schedule (region count, max width, critical path) as
-// EXPLAIN reports it. The run fails if the two modes disagree on a
-// single row or on row order — the scheduler's contract is byte
-// identity, so the ordered comparator is deliberate.
-func SchedComparison(cfg Config) (*Experiment, error) {
-	cfg = cfg.withDefaults()
-	g, err := dataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	queries := []struct {
-		name string
-		sql  string
-	}{
-		{"PR", PRQuery(cfg.Iterations)},
-		{"PR-VS", PRVSQuery(cfg.Iterations)},
-		{"SSSP", SSSPQuery(1, cfg.Iterations)},
-		{"SSSP-VS", SSSPVSQuery(1, cfg.Iterations)},
-		{"FF (50%)", FFQuery(cfg.Iterations, 2)},
-	}
-	exp := &Experiment{
-		ID:      "sched",
-		Title:   fmt.Sprintf("Effect-licensed step scheduling (%s, %d iterations, %d workers)", cfg.Preset, cfg.Iterations, schedWorkers),
-		Headers: []string{"query", "sequential", "scheduled", "speedup", "regions", "max width", "critical path"},
-	}
-	sawWidth := false
-	for _, query := range queries {
-		seqRows, seqTime, _, err := deltaRun(g, cfg, dbspinner.Config{}, query.sql)
-		if err != nil {
-			return nil, err
-		}
-		scfg := dbspinner.Config{ParallelSteps: schedWorkers}
-		schedRows, schedTime, _, err := deltaRun(g, cfg, scfg, query.sql)
-		if err != nil {
-			return nil, err
-		}
-		if why := sameRowSequence(seqRows, schedRows); why != "" {
-			return nil, fmt.Errorf("step scheduling changed the %s result: %s", query.name, why)
-		}
-		e, err := NewEngine(g, cfg, scfg)
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.Explain(query.sql)
-		if err != nil {
-			return nil, err
-		}
-		regions, width, crit, total, err := parseScheduleSummary(out)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", query.name, err)
-		}
-		if width > 1 {
-			sawWidth = true
-		}
-		exp.Rows = append(exp.Rows, []string{
-			query.name, ms(seqTime), ms(schedTime), speedup(seqTime, schedTime),
-			fmt.Sprint(regions), fmt.Sprint(width), fmt.Sprintf("%d of %d steps", crit, total),
-		})
-	}
-	if !sawWidth {
-		return nil, fmt.Errorf("no workload schedule exposes a region of width > 1; the analysis licenses nothing")
-	}
-	exp.Notes = "Results are asserted byte-identical, row order included. 'Regions' counts the barrier-delimited straight-line regions of the step program; 'max width' is the widest antichain of the happens-before DAG the effect sets license; loop-control and stats-observing steps are barriers, so the loop body itself bounds the win."
-	return exp, nil
-}
-
-// schedWorkers is the worker-pool bound the sched experiment runs
-// with; it matches the oracle parity matrix.
-const schedWorkers = 4
-
-// parseScheduleSummary extracts the region-DAG shape from an EXPLAIN's
-// "Schedule: R regions; max width W; critical path C of N steps." line.
-func parseScheduleSummary(explain string) (regions, width, crit, total int, err error) {
-	i := strings.Index(explain, "Schedule: ")
-	if i < 0 {
-		return 0, 0, 0, 0, fmt.Errorf("EXPLAIN prints no schedule summary")
-	}
-	if _, err := fmt.Sscanf(explain[i:], "Schedule: %d regions; max width %d; critical path %d of %d steps.",
-		&regions, &width, &crit, &total); err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("malformed schedule summary: %w", err)
-	}
-	return regions, width, crit, total, nil
-}
-
 // sameRowSequence compares two row slices in order and returns a
 // description of the first difference ("" when equal). Unlike
-// sameRowMultiset it does not sort: the scheduler must preserve the
-// sequential pc-loop's output exactly.
+// sameRowMultiset it does not sort: the modes an experiment compares
+// must return the same rows in the same order.
 func sameRowSequence(a, b []dbspinner.Row) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("%d rows vs %d", len(a), len(b))

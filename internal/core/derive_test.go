@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dbspinner/internal/effects"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -152,14 +151,14 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildsShareOneCompilation: two scheduled steps run one
-// plan at the same time, each on a machine of its own with two
-// partitions, so four trees ask the memo for the same nodes' expressions
-// concurrently; every node is compiled once (this test is in the -race
-// pass), and the rows are a volcano run's.
+// TestConcurrentBuildsShareOneCompilation: two steps run one plan, each
+// on the program's machine with four partitions, so four trees ask the
+// memo for the same nodes' expressions concurrently; every node is
+// compiled once across both steps (this test is in the -race pass), and
+// the rows are a volcano run's.
 func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 	rt := newRT(t)
-	seed := storage.NewTable("seed", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}}, 2)
+	seed := storage.NewTable("seed", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}}, 4)
 	seed.DistCol = 0
 	for n := int64(1); n <= 3; n++ {
 		seed.Insert(sqltypes.Row{sqltypes.NewInt(n)})
@@ -175,21 +174,14 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := []effects.Set{
-		{Reads: []string{"seed"}, Writes: []string{"a"}},
-		{Reads: []string{"seed"}, Writes: []string{"b"}},
-	}
 	prog := &Program{
-		ParallelSteps: 2,
-		Parallel:      true,
-		Parts:         2,
+		Parallel: true,
+		Parts:    4,
 		Steps: []Step{
-			&MaterializeStep{Into: "a", Plan: node, Parts: 2, CheckKey: -1},
-			&MaterializeStep{Into: "b", Plan: node, Parts: 2, CheckKey: -1},
+			&MaterializeStep{Into: "a", Plan: node, Parts: 4, CheckKey: -1},
+			&MaterializeStep{Into: "b", Plan: node, Parts: 4, CheckKey: -1},
 		},
-		Final:    namedResult("b", "src", "s"),
-		Effects:  sets,
-		Schedule: effects.Build(sets, nil),
+		Final: namedResult("b", "src", "s"),
 	}
 	compiled := exec.NewCompileCache(nil)
 	got, err := prog.run(context.Background(), rt.WithMemo(exec.NewIndexCache(), compiled), &Stats{})

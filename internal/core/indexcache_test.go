@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dbspinner/internal/catalog"
-	"dbspinner/internal/effects"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -306,11 +305,10 @@ func TestIndexCacheGoneAfterStatement(t *testing.T) {
 	}
 }
 
-// TestScheduledStepsShareOneIndex runs two independent materializations
-// that join the same base table on the same column as one scheduled
-// region: the guarded views share the run's memo, edges is indexed once,
-// and both steps probe that one index at the same time (this test is in
-// the -race pass).
+// TestScheduledStepsShareOneIndex runs two materializations that join
+// the same base table on the same column, one after the other: both
+// steps reach the run's memo, so edges is indexed once and the second
+// step probes the index the first built.
 func TestScheduledStepsShareOneIndex(t *testing.T) {
 	rt := newRT(t)
 	seed := storage.NewTable("seed", sqltypes.Schema{{Name: "src", Type: sqltypes.Int}}, 1)
@@ -326,20 +324,13 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 		}
 		return node
 	}
-	sets := []effects.Set{
-		{Reads: []string{"seed"}, Writes: []string{"a"}},
-		{Reads: []string{"seed"}, Writes: []string{"b"}},
-	}
 	prog := &Program{
-		ParallelSteps: 2,
-		Parts:         1,
+		Parts: 1,
 		Steps: []Step{
 			&MaterializeStep{Into: "a", Plan: join(), Parts: 1, CheckKey: -1},
 			&MaterializeStep{Into: "b", Plan: join(), Parts: 1, CheckKey: -1},
 		},
-		Final:    namedResult("b", "src", "dst"),
-		Effects:  sets,
-		Schedule: effects.Build(sets, nil),
+		Final: namedResult("b", "src", "dst"),
 	}
 	var stats Stats
 	rows, err := prog.Run(rt, &stats)

@@ -9,9 +9,9 @@ import (
 
 // Query lifecycle errors: a running step program polls its
 // context.Context at every cooperative checkpoint — each step boundary,
-// each scheduler region, each MPP partition batch, and the executor's
-// scan/join inner loops at a coarse row stride — and a fired context
-// surfaces as one of the two sentinels below, wrapped in a
+// each MPP partition batch, and the executor's scan/join inner loops at
+// a coarse row stride — and a fired context surfaces as one of the two
+// sentinels below, wrapped in a
 // QueryLifecycleError that names the iteration and step reached. The
 // iteration boundary is the natural cancellation unit (the paper's
 // loop operator makes a single statement run unboundedly long), but

@@ -10,11 +10,11 @@ import (
 
 // Panic containment: no query may take down the engine. Panics are
 // recovered at three nested layers — worker goroutines
-// (faultinject.Contain around every spawn in the scheduler and the MPP
-// machine), the step dispatcher (dispatch), and RunContext itself as
-// the last resort — and converted into an InternalPanicError carrying
-// the step, iteration and partition reached, the same provenance shape
-// QueryLifecycleError gives cancellations.
+// (faultinject.Contain around every spawn in the MPP machine), the step
+// dispatcher (dispatch), and RunContext itself as the last resort — and
+// converted into an InternalPanicError carrying the step, iteration and
+// partition reached, the same provenance shape QueryLifecycleError gives
+// cancellations.
 
 // ErrInternalPanic is the sentinel wrapped by every contained panic: a
 // step, worker goroutine or the final query panicked and the engine

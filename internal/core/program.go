@@ -63,15 +63,6 @@ type Options struct {
 	// shared-nothing MPP machine (one fragment per partition) instead
 	// of the single-threaded volcano executor.
 	Parallel bool
-	// ParallelSteps bounds the worker pool of the dependency-DAG step
-	// scheduler: within each straight-line region between loop-control
-	// steps, steps whose statically derived effect sets are disjoint
-	// (Bernstein's conditions, internal/effects) run concurrently, up
-	// to this many at once. 0 or 1 keeps the sequential pc-loop. The
-	// scheduler only runs a schedule the verifier has re-derived and
-	// accepted, and composes with Parallel's per-step partition
-	// parallelism (each scheduled step gets its own MPP machine).
-	ParallelSteps int
 	// Trace records a per-iteration runtime trace (wall clock, rows,
 	// delta-frontier size) plus per-step timings into Stats.Trace. Off
 	// by default: the untraced path allocates nothing and never reads
@@ -99,8 +90,7 @@ type Options struct {
 	ShuffleElision bool
 	// CheckShuffleElision arms the dynamic cross-check on every elided
 	// exchange: rows are re-hashed at consumption and the run fails if
-	// any sits outside its claimed partition (the storage.Guard
-	// analogue for distribution claims).
+	// any sits outside its claimed partition.
 	CheckShuffleElision bool
 	// Incremental lets the rewrite evaluate Ri over the affected keys
 	// only when the frontier license (internal/aggprop) holds: on the
@@ -143,7 +133,7 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// NoDegrade pins the plan: when the attempts for a checkpoint are
 	// exhausted the query fails instead of descending the
-	// graceful-degradation ladder (parallel → serial steps → volcano).
+	// graceful-degradation ladder (same plan → volcano).
 	NoDegrade bool
 }
 
@@ -190,7 +180,7 @@ type Stats struct {
 	// Fault-tolerance accounting (Options.Retry): Retries counts the
 	// iteration re-attempts taken from back-edge checkpoints,
 	// Degradations the rungs descended on the graceful-degradation
-	// ladder (parallel → serial steps → volcano).
+	// ladder (same plan → volcano).
 	Retries      int
 	Degradations int
 	Exec         exec.Stats
@@ -214,8 +204,11 @@ type Context struct {
 	RT    *exec.StoreRuntime
 	Stats *Stats
 	// MPP, when set, executes materialize steps on the shared-nothing
-	// machine.
-	MPP *mpp.Machine
+	// machine. mppStats are that machine's counters, kept here so they
+	// outlive the machine the volcano rung drops: a checkpoint restore
+	// rolls them back with the rest of Stats.
+	MPP      *mpp.Machine
+	mppStats mpp.Stats
 	// Ctx is the caller's cancellation context; every step polls it
 	// through Checkpoint before running. Nil keeps the zero-cost
 	// uncancellable path.
@@ -228,66 +221,43 @@ type Context struct {
 	Faults *faultinject.Registry
 	// created tracks intermediate results to drop when the query ends.
 	created map[string]bool
-	// degrade is the graceful-degradation rung the retry driver has
-	// descended to; retries and degradations count what the run cost
-	// (folded into Stats when RunContext returns, so checkpoint
-	// restores cannot roll them back).
-	degrade      int
+	// volcano is set once the retry driver has descended the
+	// graceful-degradation ladder; retries and degradations count what
+	// the run cost (folded into Stats when RunContext returns, so
+	// checkpoint restores cannot roll them back).
+	volcano      bool
 	retries      int
 	degradations int
 }
 
-// Graceful-degradation ladder rungs: each retry exhaustion descends
-// one rung, trading optimization for isolation, and never climbs back.
-const (
-	// rungNone runs the plan as configured.
-	rungNone = iota
-	// rungSerial disables the parallel step scheduler, shuffle elision
-	// and incremental evaluation (both restricted steps) — the
-	// subsystems with cross-step or cross-iteration state — but keeps
-	// MPP partition parallelism.
-	rungSerial
-	// rungVolcano additionally drops the MPP machine: every step and
-	// the final query run on the single-threaded volcano executor.
-	rungVolcano
-)
-
 // rungName renders the current ladder position for traces.
 func (c *Context) rungName() string {
-	switch c.degrade {
-	case rungSerial:
-		return "serial"
-	case rungVolcano:
+	if c.volcano {
 		return "volcano"
 	}
 	return "same-plan"
 }
 
-// degradeOnce descends one ladder rung, applying its plan changes to
-// the context. It reports false when the ladder is exhausted (already
-// at the bottom rung).
+// degradeOnce descends the graceful-degradation ladder to its one rung
+// below the configured plan, trading optimization for isolation, and
+// reports false when the context already stands on it. The volcano rung
+// drops the MPP machine, and with it every elided exchange: every step
+// and the final query run on the single-threaded volcano executor, and
+// the restricted incremental steps run the full plan.
 func (c *Context) degradeOnce() bool {
-	switch c.degrade {
-	case rungNone:
-		c.degrade = rungSerial
-		c.degradations++
-		if c.MPP != nil {
-			c.MPP.Elide = nil // no elided exchanges on the degraded path
-		}
-		return true
-	case rungSerial:
-		c.degrade = rungVolcano
-		c.degradations++
-		c.MPP = nil // single-threaded volcano from here on
-		return true
+	if c.volcano {
+		return false
 	}
-	return false
+	c.volcano = true
+	c.degradations++
+	c.MPP = nil
+	return true
 }
 
-// degraded reports whether the context has left the configured plan
-// (any rung below the top); Restriction.restrict consults it to force
-// the full Ri plan once the ladder has been descended.
-func (c *Context) degraded() bool { return c.degrade != rungNone }
+// degraded reports whether the context has left the configured plan;
+// Restriction.restrict consults it to force the full Ri plan once the
+// ladder has been descended.
+func (c *Context) degraded() bool { return c.volcano }
 
 // noteRi hands a restricted step's per-iteration decision to the trace;
 // untraced runs pay the nil check.
@@ -376,19 +346,13 @@ type Program struct {
 	// nil for hand-built programs, which makes the re-derivation
 	// conservative.
 	Lookup plan.TableLookup
-	// ParallelSteps is the scheduler's worker bound (Options.
-	// ParallelSteps); the schedule is executed only when it is > 1.
-	ParallelSteps int
 	// Effects records the statically derived effect set of each step
-	// (one entry per step, in step order), and Schedule the region
-	// decomposition with the happens-before DAG of each straight-line
-	// region. Both are derived through the step registry (stepinfo.go)
-	// after the step list is final; EXPLAIN prints them and the
-	// verifier re-derives both independently (effect-violation,
-	// unsound-schedule) rather than trusting these records. Nil for
-	// hand-built programs.
-	Effects  []effects.Set
-	Schedule *effects.Schedule
+	// (one entry per step, in step order), derived through the step
+	// registry (stepinfo.go) after the step list is final. The
+	// checkpoint specs are built from them; EXPLAIN prints them and the
+	// verifier re-derives them independently (effect-violation) rather
+	// than trusting this record. Nil for hand-built programs.
+	Effects []effects.Set
 	// DistProps records the distribution property the static
 	// partition-property analysis (internal/distprop) claims for each
 	// step, in step order, plus one final entry for Qf. The rewrite
@@ -464,11 +428,11 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 }
 
 // RunContext executes the program under goctx: every step boundary,
-// scheduler region, MPP partition batch and executor inner loop polls
-// the context, and a fired cancellation or deadline surfaces as a
-// QueryLifecycleError wrapping ErrQueryCanceled or ErrQueryTimeout.
-// When p.QueryTimeout is set and goctx carries no deadline of its own,
-// the program arms its own deadline.
+// MPP partition batch and executor inner loop polls the context, and a
+// fired cancellation or deadline surfaces as a QueryLifecycleError
+// wrapping ErrQueryCanceled or ErrQueryTimeout. When p.QueryTimeout is
+// set and goctx carries no deadline of its own, the program arms its
+// own deadline.
 func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
 	return p.RunBound(goctx, rt, nil, stats)
 }
@@ -480,9 +444,8 @@ func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats
 // one another but not overlap.
 func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value, stats *Stats) ([]sqltypes.Row, error) {
 	// The run memo — hash indexes and compiled expressions: every executor
-	// the run starts — steps, scheduled steps' guarded views, MPP
-	// machines, Qf — reaches it through this view of the runtime, and it
-	// is emptied on every exit path.
+	// the run starts — steps, the MPP machine, Qf — reaches it through
+	// this view of the runtime, and it is emptied on every exit path.
 	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache(params)
 	defer indexes.Clear()
 	defer compiled.Clear()
@@ -534,22 +497,19 @@ func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats
 		ctx.Trace = newIterationTrace(len(p.Steps))
 		stats.Trace = ctx.Trace
 	}
-	var mppStats mpp.Stats
 	if p.Parallel && p.Parts > 1 {
-		ctx.MPP = mpp.New(rt, p.Parts, &mppStats, &stats.Exec)
+		ctx.MPP = mpp.New(rt, p.Parts, &ctx.mppStats, &stats.Exec)
 		ctx.MPP.Ctx = goctx
 		ctx.MPP.Elide = p.elide
 		ctx.MPP.CheckElide = p.CheckElide
-		// The top-level machine is the only one that takes partition
-		// faults: scheduled steps run on private machines whose counter
-		// interleaving would not be deterministic.
 		ctx.MPP.Faults = ctx.Faults
 		defer func() {
-			stats.RowsShuffled += mppStats.RowsShuffled
-			stats.ShufflesElided += mppStats.ShufflesElided
-			stats.RowsElided += mppStats.RowsElided
-			stats.RowsRouted += mppStats.RowsRouted
-			stats.RowsToBusiest += mppStats.RowsToBusiest
+			m := &ctx.mppStats
+			stats.RowsShuffled += m.RowsShuffled
+			stats.ShufflesElided += m.ShufflesElided
+			stats.RowsElided += m.RowsElided
+			stats.RowsRouted += m.RowsRouted
+			stats.RowsToBusiest += m.RowsToBusiest
 		}()
 	}
 	defer func() {
@@ -694,9 +654,8 @@ func (p *Program) Explain() string {
 			fmt.Fprintf(&b, "  evidence [%s]: %s\n", ev.Rule, ev.Detail)
 		}
 	}
-	// Static effect sets and the region schedule they license
-	// (internal/effects): what each step reads, writes and frees, and
-	// how wide the dependency DAG of each straight-line region is.
+	// Static effect sets (internal/effects): what each step reads,
+	// writes and frees.
 	if len(p.Effects) == len(p.Steps) {
 		for i, e := range p.Effects {
 			fmt.Fprintf(&b, "Effects step %d: %s.\n", i+1, e)
@@ -731,19 +690,6 @@ func (p *Program) Explain() string {
 			fmt.Fprintf(&b, "Elided exchange (final): %s.\n", el.Desc)
 		} else {
 			fmt.Fprintf(&b, "Elided exchange step %d: %s.\n", el.Step, el.Desc)
-		}
-	}
-	if p.Schedule != nil {
-		fmt.Fprintf(&b, "Schedule: %d regions; max width %d; critical path %d of %d steps.\n",
-			len(p.Schedule.Regions), p.Schedule.MaxWidth(), p.Schedule.CritPathSteps(), len(p.Steps))
-		for i := range p.Schedule.Regions {
-			r := &p.Schedule.Regions[i]
-			if r.Barrier {
-				fmt.Fprintf(&b, "Schedule region %d: barrier step %d (%s).\n", i+1, r.Start+1, r.BarrierReason)
-			} else {
-				fmt.Fprintf(&b, "Schedule region %d: steps %d-%d; width %d; critical path %d.\n",
-					i+1, r.Start+1, r.End(), r.Width, r.CritPath)
-			}
 		}
 	}
 	// Iteration estimation (paper §IX future work) feeds costing.

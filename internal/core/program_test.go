@@ -6,6 +6,7 @@ import (
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/parser"
+	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
@@ -145,4 +146,42 @@ func TestProgramStepErrorIncludesStepNumber(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "step 1") {
 		t.Errorf("error should name the failing step: %v", err)
 	}
+}
+
+// TestHandBuiltProgramRunsSequentially: a program with no recorded
+// effect sets runs on the step loop like any other.
+func TestHandBuiltProgramRunsSequentially(t *testing.T) {
+	rt := newRT(t)
+	prog := &Program{
+		Parts: 1,
+		Steps: []Step{
+			&MaterializeStep{Into: "t", Plan: &plan.Scan{Table: "edges", Alias: "edges",
+				Cols: []plan.ColInfo{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}}}, Parts: 1, CheckKey: -1},
+		},
+		Final: namedResult("t", "src", "dst"),
+	}
+	rows, err := prog.Run(rt, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
+	}
+}
+
+func mustParse(t *testing.T, sql string) *ast.SelectStmt {
+	t.Helper()
+	stmt, err := parser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return stmt.(*ast.SelectStmt)
+}
+
+func namedResult(name string, cols ...string) *plan.NamedResult {
+	ci := make([]plan.ColInfo, len(cols))
+	for i, c := range cols {
+		ci[i] = plan.ColInfo{Name: c, Type: sqltypes.Int}
+	}
+	return &plan.NamedResult{Name: name, Alias: name, Cols: ci}
 }

@@ -192,7 +192,7 @@ var dense = func(n, of int) bool { return 2*n > of }
 // closure, and the closure stops growing at the bound.
 //
 // A degraded context (the retry driver's graceful-degradation ladder)
-// never restricts: the ladder's first rung switches off everything that
+// never restricts: the volcano rung switches off everything that
 // carries state across the back-edge, and the full plan is
 // byte-identical by the license.
 func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *storage.Table) (*sqltypes.KeyTable, string)) (frontier, error) {

@@ -168,7 +168,7 @@ type stepCase struct {
 	snap, acc, cte *storage.Table // nil snap and acc: the first iteration
 	wantRi         string
 	wantFed        int64
-	rung           int // the degradation rung the context stands on
+	degraded       bool // the context stands on the volcano rung
 }
 
 // dupCase holds a duplicate key that lines up with its snapshot row
@@ -189,7 +189,7 @@ func stepCases() []stepCase {
 			cte: kvTable("c", 1, 1, 11, 2, 21, 3, 31, 4, 40), wantRi: riDense, wantFed: 4},
 		{name: "first iteration", cte: one(), wantRi: riFirst, wantFed: 4},
 		{name: "degraded context", snap: prev("s"), acc: prev("a"),
-			cte: one(), wantRi: riDegraded, wantFed: 4, rung: rungSerial},
+			cte: one(), wantRi: riDegraded, wantFed: 4, degraded: true},
 		{name: "empty CTE after an empty CTE", snap: kvTable("s", 1), acc: kvTable("a", 1),
 			cte: kvTable("c", 1), wantRi: riRestricted, wantFed: 0},
 		{name: "every key disappeared", snap: prev("s"), acc: prev("a"),
@@ -213,7 +213,7 @@ func stepCases() []stepCase {
 // identity plans, so whichever ran, the output must be the CTE itself.
 func (c stepCase) check(t *testing.T) error {
 	rt := newRT(t)
-	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1), degrade: c.rung}
+	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1), volcano: c.degraded}
 	step := maintainFixture()
 	step.Check = true
 	if c.snap != nil {

@@ -15,17 +15,17 @@ package core
 // checkpoint.
 //
 // On repeated failure the driver descends the graceful-degradation
-// ladder: retry on the same plan, then with the parallel step
-// scheduler / shuffle elision / incremental aggregate maintenance
-// disabled, then single-threaded volcano. Every rung is byte-identical
-// to the configured plan by the engine's cross-config oracles, so a
-// degraded success returns exactly the rows the unfaulted run would
-// have.
+// ladder: retry on the same plan, then on single-threaded volcano with
+// shuffle elision and the restricted incremental steps off. Both rungs
+// are byte-identical to the configured plan by the engine's
+// cross-config oracles, so a degraded success returns exactly the rows
+// the unfaulted run would have.
 
 import (
 	"context"
 	"time"
 
+	"dbspinner/internal/mpp"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
@@ -79,13 +79,14 @@ func (s loopSnap) apply(l *LoopState) {
 
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
-// capture, e.g. a rename source), the loop-operator states, the stats,
-// and the trace watermark.
+// capture, e.g. a rename source), the loop-operator states, the stats
+// and the program machine's exchange counters, and the trace watermark.
 type checkpoint struct {
 	pc        int
 	tables    map[string]*storage.Table
 	loops     map[*LoopState]loopSnap
 	stats     Stats
+	mppStats  mpp.Stats
 	spans     int
 	traceLast traceCounts
 }
@@ -138,7 +139,7 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 	for _, l := range p.loopStates() {
 		cp.loops[l] = snapLoop(l)
 	}
-	cp.stats = *ctx.Stats
+	cp.stats, cp.mppStats = *ctx.Stats, ctx.mppStats
 	if ctx.Trace != nil {
 		cp.spans, cp.traceLast = ctx.Trace.mark()
 	}
@@ -148,8 +149,9 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 // restore rewinds the execution to a checkpoint: slots created after
 // the capture are dropped, every captured slot is re-bound to a fresh
 // clone (Rename mutates Table.Name in place, so the checkpoint's own
-// clone must never be handed to the store), loop operators and stats
-// roll back, and the trace discards the abandoned attempt's spans.
+// clone must never be handed to the store), loop operators, stats and
+// exchange counters roll back, and the trace discards the abandoned
+// attempt's spans.
 func (p *Program) restore(ctx *Context, cp *checkpoint) {
 	for name := range ctx.created {
 		if _, tracked := cp.tables[name]; !tracked {
@@ -171,12 +173,13 @@ func (p *Program) restore(ctx *Context, cp *checkpoint) {
 	trace := ctx.Stats.Trace
 	*ctx.Stats = cp.stats
 	ctx.Stats.Trace = trace
+	ctx.mppStats = cp.mppStats
 	if ctx.Trace != nil {
 		ctx.Trace.rewind(cp.spans, cp.traceLast)
 	}
 }
 
-// runCheckpointed is the retry-enabled step driver: advance as usual,
+// runCheckpointed is the retry-enabled step driver: run steps as usual,
 // capture at every loop back-edge, and on a retryable failure restore
 // the newest checkpoint and re-run from it — up to Retry.MaxAttempts
 // times per checkpoint with doubling backoff, then one degradation
@@ -189,7 +192,7 @@ func (p *Program) runCheckpointed(ctx *Context) error {
 	backoff := p.Retry.Backoff
 	pc := 0
 	for pc < len(p.Steps) {
-		next, err := p.advance(ctx, pc)
+		next, err := p.runStep(ctx, pc)
 		if err != nil {
 			if !retryable(err) {
 				return err

@@ -72,11 +72,10 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 		}
 	}
 
-	// Static effect sets and the region schedule they license
-	// (internal/effects), derived once the step list is final —
+	// Static effect sets (internal/effects) and the checkpoint specs
+	// built from them, derived once the step list is final —
 	// insertTruncations above both adds steps and shifts loop jump
-	// targets, and the schedule must see the executed shape.
-	prog.ParallelSteps = opts.ParallelSteps
+	// targets, and the specs must see the executed shape.
 	prog.Trace = opts.Trace
 	prog.QueryTimeout = opts.QueryTimeout
 	prog.Retry = opts.Retry

@@ -1,13 +1,13 @@
 package core
 
 // The step registry: the single dispatch over every concrete Step kind
-// that the in-core consumers — the effect-set derivation feeding the
-// parallel scheduler, the dataflow live-range analysis, and EXPLAIN's
-// effect rendering — all read from, so adding a Step has one place to
-// forget instead of three. It deliberately does NOT feed
+// that the in-core consumers — the effect sets the checkpoint specs are
+// built from, the dataflow live-range analysis that places truncations,
+// and EXPLAIN's effect rendering — all read from, so adding a Step has
+// one place to forget instead of three. It deliberately does NOT feed
 // internal/verify: the verifier keeps its own dispatches (simulation
-// and effect re-derivation) so the producer and the checker of a
-// schedule fail independently; spinlint's stepswitch and stepeffects
+// and effect re-derivation) so the producer and the checker of an
+// effect set fail independently; spinlint's stepswitch and stepeffects
 // analyzers enforce full Step coverage on both sides.
 
 import (
@@ -51,7 +51,8 @@ type stepInfo struct {
 
 // infoFor derives the registry entry for one step. The boolean is
 // false for step kinds the registry does not know — callers fail
-// closed (no schedule is built, the dataflow analysis sees no IO).
+// closed (no effect sets are recorded, the dataflow analysis sees no
+// IO).
 func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 	info := stepInfo{LoopBodyStart: -1}
 	e := &info.Effects
@@ -104,7 +105,6 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		e.Frees = []string{t.Name}
 
 	case *InitLoopStep:
-		e.Control = true
 		if t.Loop != nil {
 			e.LoopWrites = []string{loops.slot(t.Loop)}
 			if t.Loop.Term.Type == ast.TermDelta {
@@ -113,10 +113,6 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		}
 
 	case *UpdateLoopStep:
-		e.Control = true
-		// Publishes the iteration count into the global stats as an
-		// absolute value — not a mergeable counter.
-		e.ObservesStats = true
 		if t.Loop != nil {
 			slot := loops.slot(t.Loop)
 			e.LoopReads = []string{slot}
@@ -124,7 +120,6 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		}
 
 	case *LoopStep:
-		e.Control = true
 		info.LoopBodyStart = t.BodyStart
 		if t.Loop != nil {
 			slot := loops.slot(t.Loop)
@@ -155,30 +150,24 @@ func (r *Restriction) effects(e *effects.Set) {
 	e.Frees = []string{r.In}
 }
 
-// deriveEffects computes the per-step effect sets and the region
-// schedule for the program and records them for the scheduler, the
-// verifier and EXPLAIN. It must run after every step-list mutation
-// (insertTruncations shifts jump targets). A step kind the registry
-// does not know leaves both records nil: the scheduler then refuses to
-// parallelize and the verifier's unknown-step diagnostic names the
+// deriveEffects computes the per-step effect sets and the checkpoint
+// specs built from them, and records both for the verifier and EXPLAIN.
+// It must run after every step-list mutation (insertTruncations shifts
+// jump targets). A step kind the registry does not know leaves the
+// effect record nil: the verifier's unknown-step diagnostic names the
 // step.
 func (p *Program) deriveEffects() {
 	loops := newLoopSlots()
 	sets := make([]effects.Set, len(p.Steps))
-	var targets []int
 	for i, s := range p.Steps {
 		info, ok := infoFor(s, loops)
 		if !ok {
-			p.Effects, p.Schedule = nil, nil
+			p.Effects = nil
 			return
 		}
 		sets[i] = info.Effects
-		if info.LoopBodyStart >= 0 {
-			targets = append(targets, info.LoopBodyStart)
-		}
 	}
 	p.Effects = sets
-	p.Schedule = effects.Build(sets, targets)
 	p.deriveCheckpoints(sets)
 }
 

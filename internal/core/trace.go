@@ -38,8 +38,7 @@ type IterationTrace struct {
 	// get there.
 	Retries []RetryRecord
 
-	// mu guards concurrent recording: scheduled steps of one region
-	// report their timings from worker goroutines.
+	// mu guards the fields the recording methods write.
 	mu       sync.Mutex
 	started  time.Time
 	boundary time.Time
@@ -61,19 +60,17 @@ type traceCounts struct {
 }
 
 // countsOf reads the counters at an iteration boundary. The exchange
-// counts are the merged ones of scheduled steps' machines plus the
-// program's own machine's, which reach Stats only at run end.
+// counts are the program machine's, which reach Stats only at run end.
 func countsOf(ctx *Context) traceCounts {
 	s := ctx.Stats
 	c := traceCounts{
 		updated: s.UpdatedRows, scanned: s.Exec.RowsScanned, indexed: s.Exec.RowsIndexed,
 		fed: s.RiInputRows + s.AggInputRows, full: s.RiFullRows + s.AggFullRows,
-		routed: s.RowsRouted, toBusiest: s.RowsToBusiest,
 	}
 	if ctx.MPP != nil {
 		c.parts = ctx.MPP.Parts
-		c.routed += ctx.MPP.Stats.RowsRouted
-		c.toBusiest += ctx.MPP.Stats.RowsToBusiest
+		c.routed = ctx.MPP.Stats.RowsRouted
+		c.toBusiest = ctx.MPP.Stats.RowsToBusiest
 	}
 	return c
 }
@@ -123,8 +120,8 @@ type RetryRecord struct {
 	Iteration int
 	// Step is the 1-based step index whose failure triggered the retry.
 	Step int
-	// Rung names the plan variant the retry runs under ("same-plan",
-	// "serial", "volcano") — the graceful-degradation ladder position.
+	// Rung names the plan variant the retry runs under ("same-plan" or
+	// "volcano") — the graceful-degradation ladder position.
 	Rung string
 	// Err is the failure that was retried, rendered.
 	Err string
@@ -177,8 +174,7 @@ func (t *IterationTrace) noteRi(ri string) {
 	t.mu.Unlock()
 }
 
-// noteStep accumulates one step execution's wall clock. Safe for
-// concurrent use (scheduled regions report from worker goroutines).
+// noteStep accumulates one step execution's wall clock.
 func (t *IterationTrace) noteStep(step int, d time.Duration) {
 	t.mu.Lock()
 	if step >= 0 && step < len(t.Steps) {

@@ -1,17 +1,14 @@
 // Package effects is the static effect-set analysis over step
 // programs: for every step of a rewritten plan it models which
-// result-store slots the step reads, writes and frees, which
-// loop-control states it touches, and whether it observes global
-// statistics. From the per-step sets it builds the happens-before DAG
-// of each straight-line region between loop-control steps (Bernstein's
-// conditions on the slot sets), which licenses the parallel step
-// scheduler in internal/core and is independently re-derived by
-// internal/verify before any parallel execution is allowed.
+// result-store slots the step reads, writes and frees, and which
+// loop-control states it touches. internal/core builds each loop
+// back-edge's checkpoint specification from the sets and EXPLAIN prints
+// them; internal/verify re-derives them independently.
 //
 // The package is pure: it knows nothing about concrete step types.
 // internal/core derives a Set per step through its step registry, and
 // internal/verify re-derives them through its own dispatch, so the
-// producer and the checker of a schedule fail independently.
+// producer and the checker of an effect set fail independently.
 package effects
 
 import (
@@ -25,9 +22,7 @@ import (
 // ("loop#1", "loop#2", ... in program order).
 type Set struct {
 	// Reads, Writes and Frees are the result-store slots the step
-	// consumes, (re)binds and releases. A freed slot is treated as
-	// written for conflict purposes: freeing under a concurrent reader
-	// is as unsound as overwriting it.
+	// consumes, (re)binds and releases.
 	Reads  []string
 	Writes []string
 	Frees  []string
@@ -36,78 +31,10 @@ type Set struct {
 	// snapshots).
 	LoopReads  []string
 	LoopWrites []string
-	// ObservesStats marks steps whose behavior depends on (or
-	// non-commutatively mutates) the global statistics — such a step
-	// cannot be reordered against anything and is a barrier.
-	ObservesStats bool
-	// Control marks loop-control steps (initialize/update/jump): they
-	// delimit the straight-line regions and are always barriers.
-	Control bool
-}
-
-// Barrier reports whether the step must be a scheduling barrier:
-// loop-control steps and stats-observing steps are never reordered or
-// run concurrently with anything.
-func (s Set) Barrier() bool { return s.Control || s.ObservesStats }
-
-// BarrierReason names why a set is a barrier, for EXPLAIN and
-// diagnostics ("" when it is not one).
-func (s Set) BarrierReason() string {
-	switch {
-	case s.Control:
-		return "loop control"
-	case s.ObservesStats:
-		return "observes stats"
-	}
-	return ""
 }
 
 // norm lowercases a slot name for comparison.
 func norm(name string) string { return strings.ToLower(name) }
-
-// normSet folds name slices into one case-normalized membership set.
-func normSet(groups ...[]string) map[string]bool {
-	out := make(map[string]bool)
-	for _, g := range groups {
-		for _, n := range g {
-			out[norm(n)] = true
-		}
-	}
-	return out
-}
-
-func intersects(a map[string]bool, groups ...[]string) bool {
-	for _, g := range groups {
-		for _, n := range g {
-			if a[norm(n)] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Conflicts applies Bernstein's conditions to two effect sets: the
-// steps conflict (must keep their program order) unless their write
-// sets are disjoint from each other's read and write sets. Frees count
-// as writes, and loop-control slots are checked exactly like
-// result-store slots.
-func Conflicts(a, b Set) bool {
-	aw := normSet(a.Writes, a.Frees)
-	bw := normSet(b.Writes, b.Frees)
-	if intersects(aw, b.Reads, b.Writes, b.Frees) {
-		return true
-	}
-	if intersects(bw, a.Reads) {
-		return true
-	}
-	alw := normSet(a.LoopWrites)
-	blw := normSet(b.LoopWrites)
-	if intersects(alw, b.LoopReads, b.LoopWrites) {
-		return true
-	}
-	return intersects(blw, a.LoopReads)
-}
 
 // names renders a slot group as "{a, b}", sorted case-insensitively and
 // deduplicated, keeping the first spelling seen.
@@ -155,12 +82,6 @@ func (s Set) String() string {
 	}
 	if len(s.LoopWrites) > 0 {
 		parts = append(parts, "loop-writes "+names(s.LoopWrites))
-	}
-	if s.ObservesStats {
-		parts = append(parts, "observes stats")
-	}
-	if s.Control {
-		parts = append(parts, "control")
 	}
 	if len(parts) == 0 {
 		return "none"

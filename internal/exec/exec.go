@@ -61,7 +61,7 @@ type Stats struct {
 
 // Add adds o's counters to s. Every counter of one plan's run ends up
 // in one Stats this way: the fragments of an MPP run count privately
-// and are summed after the fan-out, a scheduled step likewise.
+// and are summed after the fan-out.
 func (s *Stats) Add(o *Stats) {
 	s.RowsScanned += o.RowsScanned
 	s.RowsJoined += o.RowsJoined

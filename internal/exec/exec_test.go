@@ -489,9 +489,8 @@ func ExampleDrain() {
 }
 
 // TestStatsAddCarriesEveryCounter: Add is what sums the MPP fragments'
-// and the scheduled steps' private counters into the query's, so a
-// counter it forgets reads zero there. Every field must be a counter it
-// carries.
+// private counters into the query's, so a counter it forgets reads zero
+// there. Every field must be a counter it carries.
 func TestStatsAddCarriesEveryCounter(t *testing.T) {
 	var one, sum Stats
 	v := reflect.ValueOf(&one).Elem()

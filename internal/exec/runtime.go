@@ -28,19 +28,10 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 	return &StoreRuntime{Catalog: cat, Results: res}
 }
 
-// Guarded returns a view of the runtime whose result store checks every
-// access against the guard's declared effect set (the parallel step
-// scheduler's dynamic cross-check). The catalog is shared as-is: base
-// tables are read-only during program execution.
-func (s *StoreRuntime) Guarded(g *storage.Guard) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g), indexes: s.indexes, compiled: s.compiled}
-}
-
 // WithMemo returns a view of the runtime whose executors share a run
 // memo: joins take the indexes of the tables they read directly from
 // indexes, and every tree takes what it compiles from a plan node from
-// compiled. One query run owns both; its guarded views inherit them.
-// Either may be nil.
+// compiled. One query run owns both. Either may be nil.
 func (s *StoreRuntime) WithMemo(indexes *IndexCache, compiled *CompileCache) *StoreRuntime {
 	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: indexes, compiled: compiled}
 }

@@ -4,9 +4,9 @@
 // times each named point is reached and fires the scheduled fault
 // exactly when the count matches — no wall clock, no randomness, so a
 // failing schedule replays bit-for-bit. The registered points sit at
-// every step boundary (core), scheduler region (core), MPP partition
-// batch (mpp) and storage mutation (storage); injection is off by
-// default and costs one nil check per point when disarmed.
+// every step boundary (core), MPP partition batch (mpp) and storage
+// mutation (storage); injection is off by default and costs one nil
+// check per point when disarmed.
 //
 // The package also owns the panic-containment primitive, Contain: a
 // recover wrapper for worker goroutines that converts a panic into a
@@ -41,10 +41,6 @@ const (
 	// PointStep fires at the step-boundary hook of the sequential
 	// step dispatcher, counted once per dispatched step.
 	PointStep = "step"
-	// PointRegion fires at the entry of a scheduled region
-	// (Options.ParallelSteps), injected into the region's first
-	// worker so the failure is deterministic.
-	PointRegion = "region"
 	// PointPartition fires at an MPP partition batch, injected into
 	// partition 0's worker; the fault is taken serially before the
 	// fan-out so the hit count is deterministic.
@@ -57,7 +53,7 @@ const (
 // Points lists every registered fault point, in a stable order, so
 // tests can enumerate the full matrix.
 func Points() []string {
-	return []string{PointStep, PointRegion, PointPartition, PointStorage}
+	return []string{PointStep, PointPartition, PointStorage}
 }
 
 // Fault is one schedule entry: fire at the Hit-th arrival (1-based) at

@@ -26,8 +26,8 @@
 //   - stepeffects: the core step registry's effect dispatch
 //     (stepinfo.go) must handle every core.Step implementer; a step
 //     missing from it derives no effect set, so every program carrying
-//     it silently loses its schedule and the dataflow analysis never
-//     sees its reads and writes.
+//     it silently loses its checkpoint specs and the dataflow analysis
+//     never sees its reads and writes.
 //   - ctxcheck: every core Step.Run implementer must call the
 //     cancellation checkpoint, and every mpp.Machine method that fans
 //     out goroutines must consult the machine checkpoint first;

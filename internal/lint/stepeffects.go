@@ -9,12 +9,13 @@ import (
 
 // StepEffects checks that the step registry's effect dispatch in
 // internal/core handles every type implementing core.Step. The
-// registry (stepinfo.go) is the single source the effect-set
-// derivation, the dataflow analysis and EXPLAIN all read from; a step
-// type added to core but missing from it falls into the fail-closed
-// default arm — the program then runs sequentially and unverified
-// rather than incorrectly, but the omission should be caught at lint
-// time, not discovered as a silently disabled optimization. The check
+// registry (stepinfo.go) is the single source the effect sets (and the
+// checkpoint specs built from them), the dataflow analysis and EXPLAIN
+// all read from; a step type added to core but missing from it falls
+// into the fail-closed default arm — the program then records no effect
+// sets or checkpoint specs, and the verifier's unknown-step diagnostic
+// rejects it — but the omission should be caught at lint time, not
+// discovered as a failing query. The check
 // mirrors stepswitch (which guards the verifier's independent
 // dispatches) and is syntactic:
 //

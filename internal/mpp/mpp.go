@@ -113,9 +113,7 @@ type Machine struct {
 	// Faults, when non-nil, arms the partition-batch fault-injection
 	// hook (internal/faultinject): each parallel region takes the
 	// point serially before fanning out and fires it inside partition
-	// 0's worker, keeping the hit count deterministic. Only the
-	// program's top-level machine is armed — per-step machines of
-	// scheduled regions would interleave the counter nondeterministically.
+	// 0's worker, keeping the hit count deterministic.
 	Faults *faultinject.Registry
 
 	// sites are the buffers of the hash exchanges, kept from one
@@ -397,9 +395,9 @@ func (m *Machine) exchanged(f *fragment, c plan.Node, to router, ex exchange) er
 // send them, routing on cols: the exchange would reproduce its input
 // verbatim (per-source concatenation of rows that all stay put), so the
 // rows flow on inside f, byte-identically. They pass a tap instead, the
-// runtime analogue of storage.Guard for the partition-property analysis
-// — behavior never depends on it: it counts them and, under CheckElide,
-// re-hashes each one and reports an unsound claim as an error.
+// runtime check of the partition-property analysis — behavior never
+// depends on it: it counts them and, under CheckElide, re-hashes each one
+// and reports an unsound claim as an error.
 func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols []int, what string) error {
 	if !elided {
 		return m.exchanged(f, c, to, nil)

@@ -158,57 +158,19 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Guard declares the result-store effect set of one scheduled step:
-// the (normalized) slot names it may read, (re)bind and release. A
-// guarded view calls Violation for any access outside the declared
-// sets — the dynamic cross-check of the static effect analysis
-// (internal/effects) — but still performs the access, so behavior
-// never depends on the guard; an unsound schedule is reported, and the
-// race detector sees the underlying conflict too.
-type Guard struct {
-	Reads  map[string]bool
-	Writes map[string]bool
-	Frees  map[string]bool
-	// Violation receives the operation ("get", "put", "drop",
-	// "rename") and the offending slot name. It may be called from
-	// concurrent MPP fragments and must be safe for concurrent use.
-	Violation func(op, name string)
-}
-
-func (g *Guard) check(allowed bool, op, name string) {
-	if g != nil && !allowed && g.Violation != nil {
-		g.Violation(op, name)
-	}
-}
-
-// resultState is the storage shared by every view of one result store:
-// the name-to-table map and the freed counter, behind one lock so
-// concurrently scheduled steps can touch disjoint slots safely.
-type resultState struct {
-	mu    sync.RWMutex
-	m     map[string]*Table
-	freed int
-	// faults is the armed fault-injection registry (Config.
-	// FaultSchedule): every mutation — put, drop, rename — fires the
-	// storage point before taking the state lock. An atomic pointer so
-	// the disarmed path costs one load and a nil check; shared by every
-	// view of the store, guarded or not.
-	faults atomic.Pointer[faultinject.Registry]
-}
-
 // SetFaults arms (or, with nil, disarms) fault injection on the
 // store's mutation hooks. The engine arms it around one statement and
 // disarms it after, so registries never leak across queries.
 func (s *ResultStore) SetFaults(r *faultinject.Registry) {
-	s.state.faults.Store(r)
+	s.faults.Store(r)
 }
 
 // inject fires the storage mutation fault point when armed. It must
-// run before the state lock is taken: error-mode injection panics with
+// run before the lock is taken: error-mode injection panics with
 // a carrier the containment layer unwraps, and unwinding past a held
 // mutex would deadlock the store.
 func (s *ResultStore) inject() {
-	if r := s.state.faults.Load(); r != nil {
+	if r := s.faults.Load(); r != nil {
 		r.Mutation(faultinject.PointStorage)
 	}
 }
@@ -216,9 +178,8 @@ func (s *ResultStore) inject() {
 // ResultStore is the execution engine's lookup table for intermediate
 // results (paper §VI-A): a name to (schema, rows) map. The rename
 // operator re-points a name at another result and releases whatever the
-// destination name previously referenced. Views created by Guarded
-// share the underlying state; the store itself is safe for concurrent
-// use on distinct slots (the parallel step scheduler's case).
+// destination name previously referenced. The store is safe for
+// concurrent use.
 //
 // Binding freezes: a table handed to Put, or re-bound by Rename, must
 // not be written again (see Table). Every step therefore builds its
@@ -226,66 +187,65 @@ func (s *ResultStore) inject() {
 // only by pointing at a different table — which is what lets a table's
 // address stand for its content for as long as the table is reachable.
 type ResultStore struct {
-	state *resultState
-	guard *Guard
+	// mu guards the name-to-table map and the freed counter. A query's
+	// steps run one at a time, but within a step the MPP machine's
+	// partition workers may read the store concurrently.
+	mu    sync.RWMutex
+	m     map[string]*Table
+	freed int
+	// faults is the armed fault-injection registry (Config.
+	// FaultSchedule): every mutation — put, drop, rename — fires the
+	// storage point before taking the lock. An atomic pointer so the
+	// disarmed path costs one load and a nil check.
+	faults atomic.Pointer[faultinject.Registry]
 }
 
 // NewResultStore returns an empty store.
 func NewResultStore() *ResultStore {
-	return &ResultStore{state: &resultState{m: make(map[string]*Table)}}
-}
-
-// Guarded returns a view of the same store that checks every access
-// against the guard's declared effect set.
-func (s *ResultStore) Guarded(g *Guard) *ResultStore {
-	return &ResultStore{state: s.state, guard: g}
+	return &ResultStore{m: make(map[string]*Table)}
 }
 
 // Put registers (or replaces) a named intermediate result and freezes
 // the table.
 func (s *ResultStore) Put(name string, t *Table) {
 	n := normalize(name)
-	s.guard.check(s.guard == nil || s.guard.Writes[n], "put", name)
 	s.inject()
-	s.state.mu.Lock()
+	s.mu.Lock()
 	t.frozenAs = name
-	s.state.m[n] = t
-	s.state.mu.Unlock()
+	s.m[n] = t
+	s.mu.Unlock()
 }
 
-// Get returns the named result, or nil. Re-reading a slot the guard
-// allows writing is fine: steps like copy-back read their own target.
+// Get returns the named result, or nil.
 func (s *ResultStore) Get(name string) *Table {
 	n := normalize(name)
-	s.guard.check(s.guard == nil || s.guard.Reads[n] || s.guard.Writes[n], "get", name)
-	s.state.mu.RLock()
-	t := s.state.m[n]
-	s.state.mu.RUnlock()
+	s.mu.RLock()
+	t := s.m[n]
+	s.mu.RUnlock()
 	return t
 }
 
 // Drop removes the named result.
 func (s *ResultStore) Drop(name string) {
 	n := normalize(name)
-	s.guard.check(s.guard == nil || s.guard.Frees[n], "drop", name)
 	s.inject()
-	s.state.mu.Lock()
-	delete(s.state.m, n)
-	s.state.mu.Unlock()
+	s.mu.Lock()
+	delete(s.m, n)
+	s.mu.Unlock()
 }
 
 // Len returns the number of live results.
 func (s *ResultStore) Len() int {
-	s.state.mu.RLock()
-	defer s.state.mu.RUnlock()
-	return len(s.state.m)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.m)
 }
 
 // Freed counts results released by rename, for stats/tests.
 func (s *ResultStore) Freed() int {
-	s.state.mu.RLock()
-	defer s.state.mu.RUnlock()
-	return s.state.freed
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.freed
 }
 
 // Rename implements the rename operator: the entry for old is
@@ -294,30 +254,26 @@ func (s *ResultStore) Freed() int {
 // §VI-A. Renaming a missing result is an error.
 func (s *ResultStore) Rename(old, new string) error {
 	o, n := normalize(old), normalize(new)
-	if s.guard != nil {
-		s.guard.check(s.guard.Frees[o], "rename", old)
-		s.guard.check(s.guard.Writes[n], "rename", new)
-	}
 	s.inject()
-	s.state.mu.Lock()
-	defer s.state.mu.Unlock()
-	t, ok := s.state.m[o]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.m[o]
 	if !ok {
 		return fmt.Errorf("rename: intermediate result %q not found", old)
 	}
-	if _, exists := s.state.m[n]; exists {
-		s.state.freed++
+	if _, exists := s.m[n]; exists {
+		s.freed++
 	}
-	delete(s.state.m, o)
+	delete(s.m, o)
 	t.Name = new
 	t.frozenAs = new
-	s.state.m[n] = t
+	s.m[n] = t
 	return nil
 }
 
 // NormalizeName exposes the store's name normalization (lowercasing,
-// SQL identifier semantics) so effect guards can be keyed exactly the
-// way the store keys its slots.
+// SQL identifier semantics) so checkpoint specs name slots exactly the
+// way the store keys them.
 func NormalizeName(name string) string { return normalize(name) }
 
 func normalize(name string) string {

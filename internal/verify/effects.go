@@ -1,16 +1,14 @@
 package verify
 
 // Independent re-derivation of the static effect analysis
-// (internal/effects) that licenses the parallel step scheduler. The
-// rewrite records, per step, the result-store slots it reads, writes
-// and frees plus its loop-control accesses (core.Program.Effects), and
-// the region schedule built from them (core.Program.Schedule); the
-// scheduler trusts both. This file re-derives the effect sets from the
-// steps themselves — its own type switch, its own loop-state interner,
-// its own conflict test, deliberately NOT the core registry — and fails
-// closed: a recorded set missing a proved access is effect-violation,
-// and a schedule that would admit an interleaving the re-derived
-// conflicts forbid is unsound-schedule.
+// (internal/effects). The rewrite records, per step, the result-store
+// slots it reads, writes and frees plus its loop-control accesses
+// (core.Program.Effects), and builds the back-edge checkpoint specs
+// from them. This file re-derives the effect sets from the steps
+// themselves — its own type switch and its own loop-state interner,
+// deliberately NOT the core registry — and fails closed: a recorded set
+// missing a proved access is effect-violation. retry.go checks the
+// checkpoint specs against the same re-derivation.
 
 import (
 	"fmt"
@@ -22,33 +20,11 @@ import (
 
 // stepEffects is the verifier's own effect record for one step.
 type stepEffects struct {
-	reads, writes, frees   []string
-	loopReads, loopWrites  []string
-	control, observesStats bool
+	reads, writes, frees  []string
+	loopReads, loopWrites []string
 }
 
-func (e stepEffects) barrier() bool { return e.control || e.observesStats }
-
-// conflictsWith is Bernstein's conditions over result-store slots and
-// loop states: two steps conflict when either touches, by write or
-// free, anything the other accesses at all — and likewise over loop
-// slots, where any loop write against any loop access conflicts.
-func (e stepEffects) conflictsWith(o stepEffects) bool {
-	wa := concat(e.writes, e.frees)
-	wb := concat(o.writes, o.frees)
-	if hits(wa, concat(o.reads, wb)) || hits(e.reads, wb) {
-		return true
-	}
-	lwa, lwb := e.loopWrites, o.loopWrites
-	return hits(lwa, concat(o.loopReads, lwb)) || hits(e.loopReads, lwb)
-}
-
-func concat(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
+// hits reports whether a and b share a slot name, case-insensitively.
 func hits(a, b []string) bool {
 	if len(a) == 0 || len(b) == 0 {
 		return false
@@ -144,7 +120,6 @@ func deriveStepEffects(st core.Step, loops loopSlotInterner) (stepEffects, bool)
 		e.frees = []string{t.Name}
 
 	case *core.InitLoopStep:
-		e.control = true
 		if t.Loop != nil {
 			e.loopWrites = []string{loops.slot(t.Loop)}
 			if t.Loop.Term.Type == ast.TermDelta {
@@ -153,8 +128,6 @@ func deriveStepEffects(st core.Step, loops loopSlotInterner) (stepEffects, bool)
 		}
 
 	case *core.UpdateLoopStep:
-		e.control = true
-		e.observesStats = true
 		if t.Loop != nil {
 			slot := loops.slot(t.Loop)
 			e.loopReads = []string{slot}
@@ -162,7 +135,6 @@ func deriveStepEffects(st core.Step, loops loopSlotInterner) (stepEffects, bool)
 		}
 
 	case *core.LoopStep:
-		e.control = true
 		if t.Loop != nil {
 			slot := loops.slot(t.Loop)
 			e.loopReads = []string{slot}
@@ -182,8 +154,8 @@ func deriveStepEffects(st core.Step, loops loopSlotInterner) (stepEffects, bool)
 }
 
 // reDerive re-derives every step's effect set, or reports which step
-// kind blocked it (fail closed: a program we cannot re-derive must not
-// carry a schedule).
+// kind blocked it (fail closed: a program we cannot re-derive has no
+// checkable checkpoint specs).
 func reDerive(prog *core.Program) ([]stepEffects, int, bool) {
 	loops := loopSlotInterner{}
 	out := make([]stepEffects, len(prog.Steps))
@@ -217,22 +189,16 @@ func missingFrom(recorded, derived []string) []string {
 }
 
 // checkEffects verifies the recorded per-step effect sets against the
-// re-derivation: recorded sets may over-approximate (that only loses
-// parallelism) but must never miss a proved access or barrier flag.
-// Hand-built programs record neither effects nor a schedule and are
-// skipped — they always execute sequentially.
+// re-derivation: recorded sets may over-approximate (that only widens a
+// checkpoint or holds a result longer) but must never miss a proved
+// access. Hand-built programs record no effects and are skipped.
 func checkEffects(prog *core.Program) []Diagnostic {
-	if prog.Effects == nil && prog.Schedule == nil {
+	if prog.Effects == nil {
 		return nil
 	}
 	var diags []Diagnostic
 	addf := func(step int, format string, args ...interface{}) {
 		diags = append(diags, Diagnostic{Step: step, Class: ClassEffectViolation, Message: fmt.Sprintf(format, args...)})
-	}
-	if prog.Effects == nil {
-		diags = append(diags, Diagnostic{Class: ClassUnsoundSchedule,
-			Message: "program records a schedule but no effect sets to justify it"})
-		return diags
 	}
 	if len(prog.Effects) != len(prog.Steps) {
 		addf(0, "program records %d effect sets for %d steps", len(prog.Effects), len(prog.Steps))
@@ -261,83 +227,6 @@ func checkEffects(prog *core.Program) []Diagnostic {
 		} {
 			for _, name := range missingFrom(m.recorded, m.derived) {
 				addf(i+1, "recorded effect set omits %s of %q, which the re-derivation proves", m.kind, name)
-			}
-		}
-		if d.control && !rec.Control {
-			addf(i+1, "recorded effect set omits the loop-control barrier flag")
-		}
-		if d.observesStats && !rec.ObservesStats {
-			addf(i+1, "recorded effect set omits the observes-stats barrier flag")
-		}
-	}
-	return diags
-}
-
-// checkSchedule verifies the recorded region schedule against the
-// re-derived effects: regions must partition the step list, barrier
-// steps must run alone, every loop jump must land on a region start,
-// edges must be well-formed and forward-only, and every re-derived
-// conflict inside a region must be ordered by a happens-before path.
-func checkSchedule(prog *core.Program) []Diagnostic {
-	if prog.Schedule == nil {
-		return nil
-	}
-	var diags []Diagnostic
-	addf := func(step int, format string, args ...interface{}) {
-		diags = append(diags, Diagnostic{Step: step, Class: ClassUnsoundSchedule, Message: fmt.Sprintf(format, args...)})
-	}
-	sched := prog.Schedule
-	if !sched.Covers(len(prog.Steps)) {
-		addf(0, "regions do not partition the %d-step program contiguously", len(prog.Steps))
-		return diags
-	}
-	derived, at, ok := reDerive(prog)
-	if !ok {
-		addf(at+1, "schedule cannot be checked: step type %T has no re-derivable effect set", prog.Steps[at])
-		return diags
-	}
-	for ri := range sched.Regions {
-		r := &sched.Regions[ri]
-		if r.Barrier && r.N != 1 {
-			addf(r.Start+1, "barrier region spans %d steps; barriers must run alone", r.N)
-			continue
-		}
-		if r.Barrier {
-			continue
-		}
-		// Malformed edges first: Ordered assumes forward, in-range edges.
-		wellFormed := true
-		if len(r.Succs) != r.N {
-			addf(r.Start+1, "region records %d edge lists for %d steps", len(r.Succs), r.N)
-			continue
-		}
-		for a := 0; a < r.N; a++ {
-			for _, b := range r.Succs[a] {
-				if b <= a || b >= r.N {
-					addf(r.Start+a+1, "edge to local step %d is not a forward edge inside the %d-step region", b, r.N)
-					wellFormed = false
-				}
-			}
-		}
-		if !wellFormed {
-			continue
-		}
-		for a := 0; a < r.N; a++ {
-			ga := r.Start + a
-			if derived[ga].barrier() {
-				addf(ga+1, "step re-derives as a barrier (loop control or stats) but sits inside a %d-step parallel region", r.N)
-			}
-			for b := a + 1; b < r.N; b++ {
-				if derived[ga].conflictsWith(derived[r.Start+b]) && !r.Ordered(a, b) {
-					addf(ga+1, "no happens-before path orders step %d before conflicting step %d", ga+1, r.Start+b+1)
-				}
-			}
-		}
-	}
-	for i, st := range prog.Steps {
-		if l, isLoop := st.(*core.LoopStep); isLoop {
-			if sched.RegionAt(l.BodyStart) == nil {
-				addf(i+1, "loop jump target step %d is not a region start; the scheduler would re-enter mid-region", l.BodyStart+1)
 			}
 		}
 	}

@@ -1,26 +1,20 @@
 package verify
 
-// Seeded-mutant tests for the effect-set and schedule re-derivation:
-// each test rewrites a real query (so Effects and Schedule are the
-// records the scheduler would actually trust), tampers with one record
-// the way a buggy optimizer pass or a stale plan cache would, and
-// checks the verifier fails closed with the right class.
+// Seeded-mutant tests for the effect-set re-derivation: each test
+// rewrites a real query (so Effects is the record the checkpoint specs
+// are built from), tampers with one set the way a buggy optimizer pass
+// or a stale plan cache would, and checks the verifier fails closed
+// with the right class.
 
 import (
 	"strings"
 	"testing"
-
-	"dbspinner/internal/core"
-	"dbspinner/internal/effects"
 )
 
-func TestRewrittenProgramRecordsEffectsAndSchedule(t *testing.T) {
+func TestRewrittenProgramRecordsEffects(t *testing.T) {
 	prog, _ := rewriteQuery(t, unknownQuery)
 	if len(prog.Effects) != len(prog.Steps) {
 		t.Fatalf("rewrite recorded %d effect sets for %d steps", len(prog.Effects), len(prog.Steps))
-	}
-	if prog.Schedule == nil || !prog.Schedule.Covers(len(prog.Steps)) {
-		t.Fatalf("rewrite did not record a covering schedule: %+v", prog.Schedule)
 	}
 	if diags := Check(prog, parseStmt(t, unknownQuery)); len(diags) != 0 {
 		t.Fatalf("honest program rejected: %v", diags)
@@ -29,9 +23,8 @@ func TestRewrittenProgramRecordsEffectsAndSchedule(t *testing.T) {
 
 func TestUnderDeclaredReadFailsClosed(t *testing.T) {
 	prog, _ := rewriteQuery(t, unknownQuery)
-	// A "leaner" effect record drops a step's reads — exactly the
-	// under-declaration that would let the scheduler run it before its
-	// producer.
+	// A "leaner" effect record drops a step's reads: the record would no
+	// longer say what the step depends on.
 	tampered := -1
 	for i := range prog.Effects {
 		if len(prog.Effects[i].Reads) > 0 {
@@ -52,157 +45,37 @@ func TestUnderDeclaredReadFailsClosed(t *testing.T) {
 	}
 }
 
-func TestStrippedBarrierFlagFailsClosed(t *testing.T) {
+// TestUnderDeclaredLoopWriteFailsClosed: a step whose record drops the
+// loop state it advances would leave that state out of the back-edge
+// checkpoint built from the records.
+func TestUnderDeclaredLoopWriteFailsClosed(t *testing.T) {
 	prog, _ := rewriteQuery(t, unknownQuery)
 	tampered := -1
 	for i := range prog.Effects {
-		if prog.Effects[i].Control {
-			prog.Effects[i].Control = false
+		if len(prog.Effects[i].LoopWrites) > 0 {
+			prog.Effects[i].LoopWrites = nil
 			tampered = i
 			break
 		}
 	}
 	if tampered < 0 {
-		t.Fatal("no control step to tamper with")
+		t.Fatal("no step with recorded loop writes to tamper with")
 	}
 	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassEffectViolation)
 	if len(diags) == 0 {
-		t.Fatal("stripped loop-control flag not rejected")
+		t.Fatal("under-declared loop write not rejected")
 	}
-	if !strings.Contains(diags[0].Message, "loop-control barrier flag") {
-		t.Errorf("unexpected diagnostic wording: %s", diags[0].Message)
-	}
-}
-
-func TestScheduleWithoutEffectsFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	prog.Effects = nil // schedule survives, its justification does not
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no effect sets") {
-		t.Fatalf("schedule without effect sets not rejected: %v", diags)
-	}
-}
-
-func TestBarrierInsideParallelRegionFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	// Collapse the whole program into one edge-free "parallel" region:
-	// every conflict loses its ordering and every barrier lands inside.
-	n := len(prog.Steps)
-	prog.Schedule = &effects.Schedule{Regions: []effects.Region{
-		{Start: 0, N: n, Succs: make([][]int, n), Width: n, CritPath: 1},
-	}}
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	var barrier, order bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "re-derives as a barrier") {
-			barrier = true
-		}
-		if strings.Contains(d.Message, "no happens-before path") {
-			order = true
-		}
-	}
-	if !barrier || !order {
-		t.Fatalf("collapsed schedule must report both barrier placement and missing ordering: %v", diags)
-	}
-}
-
-func TestDroppedEdgeFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	// Strip the happens-before edges of a multi-step region that has
-	// some: the re-derived conflicts are then unordered.
-	tampered := false
-	for i := range prog.Schedule.Regions {
-		r := &prog.Schedule.Regions[i]
-		if r.Barrier || r.N < 2 {
-			continue
-		}
-		for a := range r.Succs {
-			if len(r.Succs[a]) > 0 {
-				r.Succs[a] = nil
-				tampered = true
-			}
-		}
-		if tampered {
-			break
-		}
-	}
-	if !tampered {
-		t.Fatal("no multi-step region with edges to tamper with")
-	}
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	if len(diags) == 0 || !strings.Contains(diags[0].Message, "no happens-before path") {
-		t.Fatalf("dropped edge not rejected: %v", diags)
-	}
-}
-
-func TestBackwardEdgeFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	tampered := false
-	for i := range prog.Schedule.Regions {
-		r := &prog.Schedule.Regions[i]
-		if !r.Barrier && r.N >= 2 {
-			r.Succs[r.N-1] = append(r.Succs[r.N-1], 0) // backward edge
-			tampered = true
-			break
-		}
-	}
-	if !tampered {
-		t.Fatal("no multi-step region to tamper with")
-	}
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	if len(diags) == 0 || !strings.Contains(diags[0].Message, "not a forward edge") {
-		t.Fatalf("backward edge not rejected: %v", diags)
-	}
-}
-
-func TestNonCoveringScheduleFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	prog.Schedule.Regions = prog.Schedule.Regions[:len(prog.Schedule.Regions)-1]
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "do not partition") {
-		t.Fatalf("non-covering schedule not rejected: %v", diags)
-	}
-}
-
-func TestJumpIntoRegionMiddleFailsClosed(t *testing.T) {
-	prog, _ := rewriteQuery(t, unknownQuery)
-	// Re-wire the loop to jump one step into the body region: the
-	// schedule no longer has a region starting there, so the scheduler
-	// would re-enter the middle of an already-executed DAG.
-	var loopStep *core.LoopStep
-	for _, s := range prog.Steps {
-		if l, ok := s.(*core.LoopStep); ok {
-			loopStep = l
-		}
-	}
-	if loopStep == nil {
-		t.Fatal("no loop step")
-	}
-	if r := prog.Schedule.RegionAt(loopStep.BodyStart); r == nil || r.N < 2 {
-		t.Fatalf("test premise: body region must start at the jump target and span several steps")
-	}
-	loopStep.BodyStart++
-	diags := classDiags(Check(prog, parseStmt(t, unknownQuery)), ClassUnsoundSchedule)
-	if len(diags) == 0 {
-		t.Fatal("mid-region jump target not rejected")
-	}
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "not a region start") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("diagnostic should name the mid-region jump: %v", diags)
+	if diags[0].Step != tampered+1 || !strings.Contains(diags[0].Message, "omits loop-write") {
+		t.Errorf("diagnostic should cite the tampered step's missing loop write: %v", diags[0])
 	}
 }
 
 func TestHandBuiltProgramWithoutRecordsIsSkipped(t *testing.T) {
 	prog, _ := validProgram()
-	if prog.Effects != nil || prog.Schedule != nil {
-		t.Fatal("hand-built program should record neither effects nor schedule")
+	if prog.Effects != nil {
+		t.Fatal("hand-built program should record no effects")
 	}
-	if diags := append(checkEffects(prog), checkSchedule(prog)...); len(diags) != 0 {
+	if diags := checkEffects(prog); len(diags) != 0 {
 		t.Fatalf("hand-built program must be skipped: %v", diags)
 	}
 }

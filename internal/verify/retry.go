@@ -22,11 +22,11 @@ import (
 // against the re-derived loop-body effect sets. Recorded specs may
 // over-approximate (the runtime capture snapshots every tracked slot
 // anyway) but must never miss a slot the body provably writes or
-// frees. Hand-built programs record neither effects nor a schedule and
-// are skipped — they also record no checkpoint specs, and their
-// runtime checkpoints capture the dynamic superset.
+// frees. Hand-built programs record no effects and are skipped — they
+// also record no checkpoint specs, and their runtime checkpoints capture
+// the dynamic superset.
 func checkCheckpoints(prog *core.Program) []Diagnostic {
-	if prog.Effects == nil && prog.Schedule == nil {
+	if prog.Effects == nil {
 		return nil
 	}
 	var diags []Diagnostic

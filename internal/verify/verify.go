@@ -89,17 +89,11 @@ const (
 	// stops it from spinning forever.
 	ClassMissingGuard = "missing-iteration-guard"
 	// ClassEffectViolation: a step's recorded effect set (core.Program.
-	// Effects, the record the parallel scheduler trusts) is missing a
-	// read, write, free, loop access or barrier flag the independent
+	// Effects, the record the checkpoint specs are built from) is
+	// missing a read, write, free or loop access the independent
 	// re-derivation proves the step has — an under-declared set would
-	// license an unsound interleaving.
+	// leave the slot out of a back-edge checkpoint.
 	ClassEffectViolation = "effect-violation"
-	// ClassUnsoundSchedule: the recorded region schedule does not cover
-	// the program, runs a barrier step inside a parallel region, lets a
-	// jump land mid-region, has malformed edges, or omits a
-	// happens-before edge between two steps the re-derived effect sets
-	// prove conflicting.
-	ClassUnsoundSchedule = "unsound-schedule"
 	// ClassUnsoundAggClaim: the program records a licensed incremental
 	// claim (core.Program.AggClaims) — or installs a DeltaMaterializeStep
 	// or MaintainAggStep — that the independent re-derivation of the
@@ -140,7 +134,7 @@ var Classes = []string{
 	ClassDeltaLiveness, ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundTermination, ClassMissingGuard,
-	ClassEffectViolation, ClassUnsoundSchedule,
+	ClassEffectViolation,
 	ClassUnsoundDistProp, ClassMissingExchange,
 	ClassUnsoundAggClaim, ClassStaleAccumulator,
 	ClassUnsafeRetry, ClassStaleCheckpoint,
@@ -210,7 +204,6 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	s.diags = append(s.diags, checkPruning(prog, stmt)...)
 	s.diags = append(s.diags, checkTermination(prog, stmt)...)
 	s.diags = append(s.diags, checkEffects(prog)...)
-	s.diags = append(s.diags, checkSchedule(prog)...)
 	s.diags = append(s.diags, checkDistProps(prog)...)
 	s.diags = append(s.diags, checkCheckpoints(prog)...)
 	sort.SliceStable(s.diags, func(i, j int) bool { return s.diags[i].Step < s.diags[j].Step })

@@ -2,10 +2,9 @@
 // deadlines, goroutine hygiene, and the guarantee that a context that
 // never fires (and iteration tracing itself) leaves results
 // byte-identical. The matrix crosses SSSP and PageRank with
-// single-partition vs MPP execution and the sequential vs scheduled
-// step loop, since each combination exercises a different set of
-// checkpoint sites (step boundaries, scheduler regions, partition
-// batches, scan strides).
+// single-partition vs MPP execution, since each exercises a different
+// set of checkpoint sites (step boundaries, partition batches, scan
+// strides).
 package dbspinner_test
 
 import (
@@ -43,8 +42,8 @@ func lifecycleEngine(t testing.TB, parts int, cfg dbspinner.Config) *dbspinner.E
 }
 
 // settleGoroutines retries until the goroutine count returns to within
-// slack of before, tolerating runtime bookkeeping goroutines; workers
-// from a canceled region need a moment to observe the context.
+// slack of before, tolerating runtime bookkeeping goroutines; partition
+// workers of a canceled batch need a moment to observe the context.
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -78,18 +77,12 @@ func lifecycleCases(iterations int) []lifecycleCase {
 	var cases []lifecycleCase
 	for _, q := range queries {
 		for _, parts := range []int{1, 4} {
-			for _, sched := range []int{0, 4} {
-				cfg := dbspinner.Config{ParallelSteps: sched}
-				if parts > 1 {
-					cfg.Parallel = true
-				}
-				cases = append(cases, lifecycleCase{
-					name:  fmt.Sprintf("%s/parts=%d/sched=%d", q.name, parts, sched),
-					sql:   q.sql,
-					parts: parts,
-					cfg:   cfg,
-				})
-			}
+			cases = append(cases, lifecycleCase{
+				name:  fmt.Sprintf("%s/parts=%d", q.name, parts),
+				sql:   q.sql,
+				parts: parts,
+				cfg:   dbspinner.Config{Parallel: parts > 1},
+			})
 		}
 	}
 	return cases

@@ -1,12 +1,12 @@
 // Oracle tests for incremental evaluation and the frontier license
 // behind it (internal/aggprop): every workload query must return
 // byte-identical ordered rows with incremental evaluation on and off
-// across partition counts and step schedulers — with the dynamic
-// cross-check armed so a stale cached group fails the query instead of
-// silently reshaping results — through the restricted step the query's
-// shape selects, which must choose the restricted or the full plan in
-// each iteration exactly as the frontier's size dictates, the same at
-// every partition count and under both step schedulers.
+// across partition counts — with the dynamic cross-check armed so a
+// stale cached group fails the query instead of silently reshaping
+// results — through the restricted step the query's shape selects,
+// which must choose the restricted or the full plan in each iteration
+// exactly as the frontier's size dictates, the same at every partition
+// count.
 package dbspinner_test
 
 import (
@@ -79,17 +79,16 @@ func riDecisions(tr *dbspinner.IterationTrace) string {
 
 // TestIncrementalAggParityMatrix is the incremental-evaluation oracle
 // gate: {default, DisableIncremental} x partitions {1, 2, 4} x the five
-// workload queries x ParallelSteps {0, 2} must return byte-identical
-// ordered rows — row order and float SUM accumulation order included,
-// which is the contract — with the dynamic cross-check
-// (Config.CheckIncrementalAgg) armed so a divergent cached group fails
-// the query. Per query the step its shape selects must be the one that
+// workload queries must return byte-identical ordered rows — row order
+// and float SUM accumulation order included, which is the contract —
+// with the dynamic cross-check (Config.CheckIncrementalAgg) armed so a
+// divergent cached group fails the query. Per query the step its shape selects must be the one that
 // ran: PR has no WHERE in Ri (rename path), so maintenance; PR-VS, SSSP
 // and SSSP-VS have one (merge path), so the delta step; FF has neither
 // an aggregate nor a WHERE, so neither. And per iteration that step
 // must have chosen as pinned below — the choice is a function of key
 // counts, never of layout, so one sequence per query holds at every
-// partition count and under both schedulers. On this graph PR's
+// partition count. On this graph PR's
 // frontier is dense for three iterations and thin from the fifth, and
 // SSSP's wave never reaches half the keys; PR-VS keeps most of its keys
 // changing throughout, so after the first iteration it must run the
@@ -100,34 +99,32 @@ func riDecisions(tr *dbspinner.IterationTrace) string {
 func TestIncrementalAggParityMatrix(t *testing.T) {
 	engaged := map[string]string{"PR": "maintenance", "PR-VS": "delta", "SSSP": "delta", "SSSP-VS": "delta", "FF": ""}
 	decisions := map[string]string{"PR": "FDDDRRRRRR", "PR-VS": "FDDDDDDDDD", "SSSP": "FRRRRRRRRR", "SSSP-VS": "FRRRRRRRRR", "FF": "----------"}
-	for name, sql := range schedWorkloadQueries() {
+	for name, sql := range workloadQueries() {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
-				for _, steps := range []int{0, 2} {
-					on := dbspinner.Config{Partitions: parts, ParallelSteps: steps, CheckIncrementalAgg: true, TraceIterations: true}
-					off := dbspinner.Config{Partitions: parts, ParallelSteps: steps, DisableIncremental: true}
-					gotOn, st := incaggRun(t, on, sql)
-					gotOff, stOff := incaggRun(t, off, sql)
-					if gotOn != gotOff {
-						t.Errorf("parts=%d steps=%d: incremental evaluation changes results:\n  on: %s\n off: %s", parts, steps, gotOn, gotOff)
-					}
-					if stOff.RiFullRows != 0 || stOff.AggFullRows != 0 {
-						t.Errorf("parts=%d steps=%d: DisableIncremental still ran a restricted step: %+v", parts, steps, stOff)
-					}
-					delta, maint := st.RiFullRows > 0, st.AggFullRows > 0
-					if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
-						t.Errorf("parts=%d steps=%d: want the %q step; delta engaged=%v maintenance engaged=%v", parts, steps, want, delta, maint)
-					}
-					got := riDecisions(st.IterationTrace)
-					if got != decisions[name] {
-						t.Errorf("parts=%d steps=%d: Ri per iteration %s, want %s", parts, steps, got, decisions[name])
-					}
-					// The counters must tell the same story as the trace:
-					// fewer rows fed exactly when some iteration restricted.
-					fed, full := st.RiInputRows+st.AggInputRows, st.RiFullRows+st.AggFullRows
-					if restricted := strings.Contains(got, "R"); restricted != (fed < full) {
-						t.Errorf("parts=%d steps=%d: fed %d of %d rows over %s", parts, steps, fed, full, got)
-					}
+				on := dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true, TraceIterations: true}
+				off := dbspinner.Config{Partitions: parts, DisableIncremental: true}
+				gotOn, st := incaggRun(t, on, sql)
+				gotOff, stOff := incaggRun(t, off, sql)
+				if gotOn != gotOff {
+					t.Errorf("parts=%d: incremental evaluation changes results:\n  on: %s\n off: %s", parts, gotOn, gotOff)
+				}
+				if stOff.RiFullRows != 0 || stOff.AggFullRows != 0 {
+					t.Errorf("parts=%d: DisableIncremental still ran a restricted step: %+v", parts, stOff)
+				}
+				delta, maint := st.RiFullRows > 0, st.AggFullRows > 0
+				if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
+					t.Errorf("parts=%d: want the %q step; delta engaged=%v maintenance engaged=%v", parts, want, delta, maint)
+				}
+				got := riDecisions(st.IterationTrace)
+				if got != decisions[name] {
+					t.Errorf("parts=%d: Ri per iteration %s, want %s", parts, got, decisions[name])
+				}
+				// The counters must tell the same story as the trace:
+				// fewer rows fed exactly when some iteration restricted.
+				fed, full := st.RiInputRows+st.AggInputRows, st.RiFullRows+st.AggFullRows
+				if restricted := strings.Contains(got, "R"); restricted != (fed < full) {
+					t.Errorf("parts=%d: fed %d of %d rows over %s", parts, fed, full, got)
 				}
 			}
 			// The parallel machine keeps the full plan, and says so.
@@ -160,7 +157,7 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 // iterations, the restricted step feeds Ri at least 40% fewer rows than
 // the full plan reads once the change frontier shrinks.
 func TestIncrementalAggSavingsFloor(t *testing.T) {
-	queries := schedWorkloadQueries()
+	queries := workloadQueries()
 	for _, name := range []string{"PR", "SSSP"} {
 		t.Run(name, func(t *testing.T) {
 			sql := queries[name]

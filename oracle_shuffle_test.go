@@ -88,7 +88,7 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 // machine actually shuffles (Parallel, parts > 1). CI runs this under
 // -race via the root-package coverage in the Makefile.
 func TestShuffleElisionParityMatrix(t *testing.T) {
-	for name, sql := range schedWorkloadQueries() {
+	for name, sql := range workloadQueries() {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
 				on := dbspinner.Config{Partitions: parts, Parallel: true, CheckShuffleElision: true}
@@ -126,7 +126,7 @@ func TestShuffleElisionParityMatrix(t *testing.T) {
 // is designed for: on PR-VS and SSSP-VS at 4 partitions, elision cuts
 // RowsShuffled by at least 30%.
 func TestShuffleElisionSavingsFloor(t *testing.T) {
-	queries := schedWorkloadQueries()
+	queries := workloadQueries()
 	for _, name := range []string{"PR-VS", "SSSP-VS"} {
 		t.Run(name, func(t *testing.T) {
 			sql := queries[name]
@@ -165,8 +165,8 @@ func TestShuffleElisionSavingsFloor(t *testing.T) {
 // it reads and indexes the table's rows once per iteration where the
 // volcano join indexes the table once per query and reads it no more.
 func TestExecCountersAgreeAcrossExecutors(t *testing.T) {
-	const iterations = 10 // schedWorkloadQueries' iteration count
-	queries := schedWorkloadQueries()
+	const iterations = 10 // workloadQueries' iteration count
+	queries := workloadQueries()
 	for _, name := range []string{"PR-VS", "SSSP-VS", "FF", "PR"} {
 		for _, parts := range []int{2, 4} {
 			cfg := dbspinner.Config{Partitions: parts, DisableIncremental: true}

@@ -7,6 +7,7 @@ package dbspinner_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,7 +36,9 @@ func newVerdictEngine(t *testing.T, cfg dbspinner.Config) *dbspinner.Engine {
 // every evaluation query (PR, PR-VS, SSSP, SSSP-VS, FF) must EXPLAIN
 // with a proved Terminates/Converges verdict and an evidence chain —
 // never Unknown — and its prepared program must reproduce its rows
-// (preparedParity).
+// (preparedParity). On this graph partitioned storage must not show in
+// the answer: one and four partitions return the two partitions' rows
+// byte for byte.
 func TestWorkloadQueriesGetProvenVerdicts(t *testing.T) {
 	cfg := dbspinner.Config{Partitions: 2}
 	e := newVerdictEngine(t, cfg)
@@ -70,6 +73,15 @@ func TestWorkloadQueriesGetProvenVerdicts(t *testing.T) {
 			}
 			if d := preparedParity(t, e, func() *dbspinner.Engine { return newVerdictEngine(t, cfg) }, sql, cold); d != "" {
 				t.Error(d)
+			}
+			for _, parts := range []int{1, 4} {
+				res, err := newVerdictEngine(t, dbspinner.Config{Partitions: parts}).Query(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fmt.Sprint(resultRows(res)), fmt.Sprint(resultRows(cold)); got != want {
+					t.Errorf("Partitions=%d diverges from Partitions=2:\n got: %s\nwant: %s", parts, got, want)
+				}
 			}
 		})
 	}

@@ -69,7 +69,7 @@ func preparedParity(t *testing.T, e *dbspinner.Engine, fresh func() *dbspinner.E
 // prepared program with the literals it was prepared from: the matrices'
 // check must see the run with a changed bound literal diverge.
 func TestPreparedParityCatchesUnboundRuns(t *testing.T) {
-	sql := schedWorkloadQueries()["SSSP"]
+	sql := workloadQueries()["SSSP"]
 	fresh := func() *dbspinner.Engine { return newVerdictEngine(t, dbspinner.Config{Partitions: 2}) }
 	e := fresh()
 	dbspinner.SeedUnboundRuns(e)
