@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -114,6 +116,128 @@ func TestFaultMatrixRetriesToIdenticalRows(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// loopWork are the Stats counters a step program's iterations feed.
+type loopWork struct {
+	Iterations, Renames, MovedRows, CommonBlocks, UpdatedRows int64
+	RiFullRows, RiInputRows, AggFullRows, AggInputRows        int64
+	MaterializedCells                                         int64
+}
+
+func loopWorkOf(s dbspinner.Stats) loopWork {
+	return loopWork{s.Iterations, s.Renames, s.MovedRows, s.CommonBlocks, s.UpdatedRows,
+		s.RiFullRows, s.RiInputRows, s.AggFullRows, s.AggInputRows, s.MaterializedCells}
+}
+
+// spanWork is what one traced iteration did, without its timing and
+// without the index work, which a restore's fresh table clones redo.
+type spanWork struct {
+	Iteration                 int
+	Rows, Frontier, Fed, Full int64
+	Ri                        string
+}
+
+func spanWorkOf(tr *dbspinner.IterationTrace) []spanWork {
+	var out []spanWork
+	for _, sp := range tr.Spans {
+		out = append(out, spanWork{sp.Iteration, sp.Rows, sp.Frontier, sp.Fed, sp.Full, sp.Ri})
+	}
+	return out
+}
+
+// loopStepHit returns the step-fault hit at which sql's one loop step
+// runs in the given iteration: the steps in front of the loop body run
+// once, then every iteration runs the body, which ends at the loop step.
+func loopStepHit(t *testing.T, e *dbspinner.Engine, sql string, iteration int) int {
+	t.Helper()
+	out, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`Step (\d+): Go to step (\d+) if`).FindAllStringSubmatch(out, -1)
+	if len(m) != 1 {
+		t.Fatalf("want one loop step, EXPLAIN shows %d:\n%s", len(m), out)
+	}
+	loop, _ := strconv.Atoi(m[0][1])
+	body, _ := strconv.Atoi(m[0][2])
+	return body - 1 + iteration*(loop-body+1)
+}
+
+// TestFaultMidLoopRetryResumesAtBackEdge injects one step fault in the
+// third iteration, at its loop step, after the body has rebound every
+// slot it owns: the retry must restore the back-edge checkpoint of
+// iteration 2, not the one taken before the first step. Each program
+// carries different state across the back-edge: PR's maintenance step
+// (rename plus its Acc and Snap slots), SSSP-VS's merge (Delta# and the
+// changed keys its delta step restricts by) and PR on the copy-back
+// baseline. The retried run must return byte-identical rows, leak no
+// slot, and redo the iteration exactly as the unfaulted run did: the
+// same counters and, per iteration, the same rows, frontier and choice
+// of Ri. A restore that loses a slot can still return the same rows,
+// since the restricted steps fall back to the full plan, so the rows
+// alone would not show it.
+func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
+	const parts, iteration = 4, 3
+	// Four in five vertices available, so SSSP-VS reaches past its source.
+	engine := func(cfg dbspinner.Config) *dbspinner.Engine {
+		cfg.Partitions = parts
+		e, err := bench.NewEngine(lifecycleGraph(t), bench.Config{Partitions: parts, AvailFrac: 0.8}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name, sql string
+		cfg       dbspinner.Config
+	}{
+		{"PR", bench.PRQuery(6), dbspinner.Config{}},
+		{"SSSP-VS", bench.SSSPVSQuery(500, 8), dbspinner.Config{}},
+		{"PR-copy-back", bench.PRQuery(6), dbspinner.Config{DisableRenameOpt: true}},
+	} {
+		c.cfg.TraceIterations = true
+		clean := engine(c.cfg)
+		want, err := clean.Query(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWork, wantSpans := loopWorkOf(clean.Stats()), spanWorkOf(clean.Stats().IterationTrace)
+		hit := loopStepHit(t, clean, c.sql, iteration)
+		for _, mode := range faultModes {
+			t.Run(fmt.Sprintf("%s/%s", c.name, mode), func(t *testing.T) {
+				sched := []dbspinner.Fault{{Point: "step", Hit: hit, Mode: mode}}
+				recordScheduleOnFailure(t, sched)
+				cfg := c.cfg
+				cfg.FaultSchedule = sched
+				cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 2}
+				e := engine(cfg)
+				got, err := e.Query(c.sql)
+				if err != nil {
+					t.Fatalf("faulted query did not retry to success: %v", err)
+				}
+				if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
+					t.Error("retried query diverges from the unfaulted run")
+				}
+				s := e.Stats()
+				if s.Retries < 1 {
+					t.Fatal("the fault never caused a retry")
+				}
+				if r := s.IterationTrace.Retries[0]; r.Iteration != iteration {
+					t.Errorf("the retry re-ran iteration %d, want %d (resumed from the back-edge of iteration %d)", r.Iteration, iteration, iteration-1)
+				}
+				if g := loopWorkOf(s); g != wantWork {
+					t.Errorf("retried run counts %+v, the unfaulted run %+v", g, wantWork)
+				}
+				if g := spanWorkOf(s.IterationTrace); fmt.Sprint(g) != fmt.Sprint(wantSpans) {
+					t.Errorf("retried run's iterations\n  %+v\nthe unfaulted run's\n  %+v", g, wantSpans)
+				}
+				if n := e.LiveResults(); n != 0 {
+					t.Errorf("%d intermediate results leaked", n)
+				}
+			})
 		}
 	}
 }

@@ -5,10 +5,9 @@
 // of internal/core rest on it — DeltaMaterializeStep on the merge path,
 // where the merge itself carries unchanged keys forward, and
 // MaintainAggStep on the rename path, where a cached output row stands
-// in for an unchanged key. Like internal/converge (termination),
-// internal/effects (scheduling) and internal/distprop (shuffle
-// elision) it is a fail-closed proof whose positive outcome an
-// independent verifier re-derives.
+// in for an unchanged key. Like internal/converge (termination) and
+// internal/distprop (shuffle elision) it is a fail-closed proof whose
+// positive outcome an independent verifier re-derives.
 //
 // The proof never looks at which aggregate functions Ri calls: an
 // affected key's whole group is re-evaluated through the restricted

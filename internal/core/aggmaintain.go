@@ -45,10 +45,7 @@ type MaintainAggStep struct {
 const checkSampleStride = 7
 
 // Run implements Step.
-func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (m *MaintainAggStep) Run(ctx *Context) error {
 	acc := ctx.RT.Results.Get(m.Acc)
 	f, err := m.restrict(ctx, "aggregate maintenance", func(cte *storage.Table) (*sqltypes.KeyTable, string) {
 		snap := ctx.RT.Results.Get(m.Snap)
@@ -58,14 +55,14 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 		return m.diff(cte, snap)
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var out *storage.Table
 	input := f.cte
 	if f.in != nil {
 		defer ctx.RT.Results.Drop(m.In)
 		if out, err = m.splice(ctx, f, acc); err != nil {
-			return 0, err
+			return err
 		}
 		input = f.in
 	}
@@ -77,7 +74,7 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 		}
 		out, err = exec.MaterializeContext(ctx.Ctx, m.Full, ctx.RT, &ctx.Stats.Exec, m.Into, m.Parts)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		input = f.cte
 	}
@@ -93,7 +90,7 @@ func (m *MaintainAggStep) Run(ctx *Context, self int) (int, error) {
 	ctx.track(m.Snap)
 	ctx.Stats.AggFullRows += int64(f.cte.Len())
 	ctx.Stats.AggInputRows += int64(input.Len())
-	return self + 1, nil
+	return nil
 }
 
 // diff returns the keys whose row differs between the current CTE and

@@ -90,18 +90,14 @@ func TestMaintainStepDirect(t *testing.T) {
 	step := maintainFixture()
 
 	// Missing CTE is an error.
-	if _, err := step.Run(ctx, 0); err == nil || !strings.Contains(err.Error(), "not found") {
+	if err := step.Run(ctx); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("missing CTE: err = %v", err)
 	}
 
 	// First iteration: no accumulator yet, full path.
 	rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))
-	next, err := step.Run(ctx, 4)
-	if err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if next != 5 {
-		t.Errorf("next = %d", next)
 	}
 	if got := ctx.Stats.AggFullRows; got != 3 {
 		t.Errorf("AggFullRows = %d, want 3", got)
@@ -116,7 +112,7 @@ func TestMaintainStepDirect(t *testing.T) {
 	// Second iteration: key 1 changed, keys 2 and 3 must be served from
 	// the cache; only the one affected row feeds the restricted plan.
 	rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
-	if _, err := step.Run(ctx, 4); err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Stats.AggInputRows; got != 4 {
@@ -143,7 +139,7 @@ func TestMaintainStepDirect(t *testing.T) {
 	// must fall back to the full plan, not certify a wrong cache.
 	rt.Results.Put("c", kvTable("c", 1, 1, 12, 2, 20, 3, 30, 3, 31))
 	before := ctx.Stats.AggInputRows
-	if _, err := step.Run(ctx, 4); err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Stats.AggInputRows - before; got != 4 {
@@ -165,13 +161,13 @@ func TestMaintainFallsBackOnDuplicateCachedKeys(t *testing.T) {
 		ctx := &Context{RT: rt, Stats: &Stats{}}
 		step := maintainFixture()
 		rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))
-		if _, err := step.Run(ctx, 0); err != nil {
+		if err := step.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
 		rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 20, 3, 30, dupKey, 77))
 		rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
 		before := ctx.Stats.AggInputRows
-		if _, err := step.Run(ctx, 0); err != nil {
+		if err := step.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if got := ctx.Stats.AggInputRows - before; got != 3 {
@@ -191,14 +187,14 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	step.Check = true
 
 	rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))
-	if _, err := step.Run(ctx, 0); err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Poison the cached output for key 2 — the first unaffected key in
 	// scan order, which the deterministic sample always covers.
 	rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 99, 3, 30))
 	rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
-	if _, err := step.Run(ctx, 0); err == nil || !strings.Contains(err.Error(), "cross-check") {
+	if err := step.Run(ctx); err == nil || !strings.Contains(err.Error(), "cross-check") {
 		t.Fatalf("poisoned accumulator not caught: err = %v", err)
 	}
 
@@ -209,7 +205,7 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 99, 3, 30))
 	rt.Results.Put("AggSnap#c", kvTable("AggSnap#c", 1, 1, 11, 2, 20, 3, 30))
 	rt.Results.Put("c", kvTable("c", 1, 1, 12, 2, 20, 3, 30))
-	if _, err := step.Run(ctx, 0); err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rt.Results.Get("m").AllRows() {

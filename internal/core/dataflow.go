@@ -101,27 +101,6 @@ func planResultNames(n plan.Node) []string {
 	return out
 }
 
-// stepIO abstracts one step's reads, writes and drops for the
-// live-range analysis, derived from the step registry (stepinfo.go):
-// result-store reads, writes and frees map one-to-one onto the
-// analysis' reads, writes and drops. DeltaIn# is written and dropped
-// by the delta step itself within one Run, so it arrives pre-managed
-// and never grows a cross-step live range. Unknown step kinds
-// contribute no IO — the registry fails closed and the verifier's
-// unknown-step diagnostic names them.
-func stepIO(s Step, loops *loopSlots) dataflow.StepIO {
-	io := dataflow.StepIO{LoopBodyStart: -1}
-	info, ok := infoFor(s, loops)
-	if !ok {
-		return io
-	}
-	io.Reads = info.Effects.Reads
-	io.Writes = info.Effects.Writes
-	io.Drops = info.Effects.Frees
-	io.LoopBodyStart = info.LoopBodyStart
-	return io
-}
-
 // insertTruncations runs the live-range analysis over the finished step
 // list and inserts a TruncateStep right after each result's last
 // possible read, so Common#k blocks, delta tables and earlier CTE
@@ -135,9 +114,8 @@ func (r *rewriter) insertTruncations() {
 	steps := r.prog.Steps
 	ios := make([]dataflow.StepIO, len(steps))
 	display := map[string]string{}
-	loops := newLoopSlots()
 	for i, s := range steps {
-		ios[i] = stepIO(s, loops)
+		ios[i] = stepIO(s)
 		for _, w := range ios[i].Writes {
 			display[strings.ToLower(w)] = w
 		}

@@ -25,10 +25,7 @@ type DeltaMaterializeStep struct {
 }
 
 // Run implements Step.
-func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 	f, err := d.restrict(ctx, "delta materialize", func(*storage.Table) (*sqltypes.KeyTable, string) {
 		if d.Loop == nil {
 			return nil, riFirst
@@ -36,7 +33,7 @@ func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
 		return d.Loop.changedKeys, riFirst // nil until the first merge has run
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	node, input := d.Full, f.cte
 	if f.in != nil {
@@ -45,12 +42,12 @@ func (d *DeltaMaterializeStep) Run(ctx *Context, self int) (int, error) {
 	}
 	t, err := exec.MaterializeContext(ctx.Ctx, node, ctx.RT, &ctx.Stats.Exec, d.Into, d.Parts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	d.publish(ctx, t)
 	ctx.Stats.RiFullRows += int64(f.cte.Len())
 	ctx.Stats.RiInputRows += int64(input.Len())
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.

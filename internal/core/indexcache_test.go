@@ -193,8 +193,11 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 }
 
 // indexProbe watches the index memo of the run that executes a program:
-// watchIndexes wraps every step, and after each one the probe notes the
-// memo (a run has exactly one) and the most entries it has held.
+// watchIndexes wraps every step but the loop steps, and after each one
+// the probe notes the memo (a run has exactly one) and the most entries
+// it has held. A loop step stays bare because the step loop takes the
+// back-edge only through a *LoopStep; it adds no index, and the sweep it
+// runs only lowers the count.
 type indexProbe struct {
 	cache *exec.IndexCache
 	peak  int
@@ -206,21 +209,23 @@ type probedStep struct {
 	probe *indexProbe
 }
 
-func (s probedStep) Run(ctx *Context, self int) (int, error) {
-	next, err := s.Step.Run(ctx, self)
+func (s probedStep) Run(ctx *Context) error {
+	err := s.Step.Run(ctx)
 	p := s.probe
 	p.cache = ctx.RT.Indexes()
 	p.peak = max(p.peak, p.cache.Len())
 	if p.after != nil {
 		p.after(ctx)
 	}
-	return next, err
+	return err
 }
 
 func watchIndexes(p *Program) *indexProbe {
 	probe := &indexProbe{}
 	for i, s := range p.Steps {
-		p.Steps[i] = probedStep{s, probe}
+		if _, loop := s.(*LoopStep); !loop {
+			p.Steps[i] = probedStep{s, probe}
+		}
 	}
 	return probe
 }

@@ -45,6 +45,10 @@ type LoopState struct {
 	// consumes them to restrict Ri's scan of the iterative reference to
 	// the affected frontier.
 	changedKeys *sqltypes.KeyTable
+
+	// cont is the continue variable (§VI-B) the last LoopStep.Run
+	// computed; the step loop reads it to take the back-edge.
+	cont bool
 }
 
 // noteUpdates records the changed-row count of one identification pass
@@ -63,10 +67,7 @@ type InitLoopStep struct {
 }
 
 // Run implements Step.
-func (s *InitLoopStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (s *InitLoopStep) Run(ctx *Context) error {
 	s.Loop.iterations = 0
 	s.Loop.updates = 0
 	s.Loop.lastUpdate = 0
@@ -74,11 +75,9 @@ func (s *InitLoopStep) Run(ctx *Context, self int) (int, error) {
 	s.Loop.changedKeys = nil
 	s.Loop.key = s.Key
 	if s.Loop.Term.Type == ast.TermDelta {
-		if err := s.Loop.snapshot(ctx); err != nil {
-			return 0, err
-		}
+		return s.Loop.snapshot(ctx)
 	}
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -114,10 +113,7 @@ type UpdateLoopStep struct {
 }
 
 // Run implements Step.
-func (s *UpdateLoopStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (s *UpdateLoopStep) Run(ctx *Context) error {
 	s.Loop.iterations++
 	ctx.Stats.Iterations = s.Loop.iterations
 	if ctx.Trace != nil {
@@ -126,7 +122,7 @@ func (s *UpdateLoopStep) Run(ctx *Context, self int) (int, error) {
 		// the identification pass found (0 on the rename path).
 		ctx.Trace.noteIteration(s.Loop.iterations, countsOf(ctx), s.Loop.lastUpdate)
 	}
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -135,7 +131,8 @@ func (s *UpdateLoopStep) Explain() string {
 }
 
 // LoopStep is the new loop operator (§VI-B): evaluate the continue
-// variable and jump back to the first iterative step or fall through.
+// variable; the step loop then jumps back to the first iterative step or
+// falls through.
 type LoopStep struct {
 	Loop *LoopState
 	// BodyStart is the step index of the first iterative step (Table I
@@ -144,13 +141,10 @@ type LoopStep struct {
 }
 
 // Run implements Step.
-func (s *LoopStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (s *LoopStep) Run(ctx *Context) error {
 	cont, err := s.Loop.shouldContinue(ctx)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// The back-edge: indexes the finished iteration did not ask for are
 	// of tables it replaced (exec.IndexCache), and exchange buffers it
@@ -158,17 +152,14 @@ func (s *LoopStep) Run(ctx *Context, self int) (int, error) {
 	// sites).
 	ctx.RT.Indexes().Sweep()
 	ctx.MPP.Sweep()
-	if cont {
-		// Safety guard for Unknown termination verdicts: refuse to
-		// start an iteration past the cap. The check sits after
-		// shouldContinue so a loop whose own condition fires exactly at
-		// the cap still succeeds.
-		if s.Loop.Cap > 0 && int64(s.Loop.iterations) >= s.Loop.Cap {
-			return 0, &IterationCapError{CTE: s.Loop.CTEName, Cap: s.Loop.Cap, Diags: s.Loop.CapDiags}
-		}
-		return s.BodyStart, nil
+	// Safety guard for Unknown termination verdicts: refuse to start an
+	// iteration past the cap. The check sits after shouldContinue so a
+	// loop whose own condition fires exactly at the cap still succeeds.
+	if cont && s.Loop.Cap > 0 && int64(s.Loop.iterations) >= s.Loop.Cap {
+		return &IterationCapError{CTE: s.Loop.CTEName, Cap: s.Loop.Cap, Diags: s.Loop.CapDiags}
 	}
-	return self + 1, nil
+	s.Loop.cont = cont
+	return nil
 }
 
 // Explain implements Step.

@@ -14,7 +14,6 @@ import (
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/converge"
-	"dbspinner/internal/effects"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/faultinject"
 	"dbspinner/internal/mpp"
@@ -189,12 +188,14 @@ type Stats struct {
 	Trace *IterationTrace
 }
 
-// Step is one instruction of the rewritten plan. Steps execute
-// sequentially except for Loop, which may jump backwards.
+// Step is one instruction of the rewritten plan. The step loop
+// (steploop.go) runs the steps in program order: it polls cancellation
+// before each one and falls through to the next when Run returns. The
+// loop operator, LoopStep, is the one instruction that jumps (§VI-B),
+// and the step loop reads its continue variable to take the back-edge.
 type Step interface {
-	// Run executes the step. It returns the index of the next step to
-	// execute, allowing Loop to jump.
-	Run(ctx *Context, self int) (int, error)
+	// Run executes the step.
+	Run(ctx *Context) error
 	// Explain renders the step like Table I of the paper.
 	Explain() string
 }
@@ -209,9 +210,8 @@ type Context struct {
 	// rolls them back with the rest of Stats.
 	MPP      *mpp.Machine
 	mppStats mpp.Stats
-	// Ctx is the caller's cancellation context; every step polls it
-	// through Checkpoint before running. Nil keeps the zero-cost
-	// uncancellable path.
+	// Ctx is the caller's cancellation context; the step loop polls it
+	// before every step. Nil keeps the zero-cost uncancellable path.
 	Ctx context.Context
 	// Trace, when set, collects the per-iteration runtime trace.
 	Trace *IterationTrace
@@ -267,16 +267,16 @@ func (c *Context) noteRi(ri string) {
 	}
 }
 
-// Checkpoint is the cooperative cancellation point every step consults
-// on entry: it reports a QueryLifecycleError naming the iteration and
-// step reached when the query's context has fired, nil otherwise. self
-// is the step's 0-based index.
-func (c *Context) Checkpoint(self int) error {
+// checkpoint is the cooperative cancellation point the step loop
+// consults before every step: it reports a QueryLifecycleError naming
+// the iteration and step reached when the query's context has fired,
+// nil otherwise. pc is the step's 0-based index.
+func (c *Context) checkpoint(pc int) error {
 	if c.Ctx == nil {
 		return nil
 	}
 	if err := c.Ctx.Err(); err != nil {
-		return WrapCancel(err, c.Stats.Iterations, self+1, "")
+		return WrapCancel(err, c.Stats.Iterations, pc+1, "")
 	}
 	return nil
 }
@@ -310,16 +310,6 @@ type Program struct {
 	// injection for the execution (Options.FaultSchedule).
 	Retry         RetryPolicy
 	FaultSchedule []faultinject.Fault
-	// Checkpoints records the static checkpoint specification of each
-	// loop back-edge: which result-store slots and loop operators the
-	// loop body can touch, hence what a back-edge checkpoint must cover
-	// for a retry to be sound. Derived through the step registry
-	// (stepinfo.go) alongside Effects; EXPLAIN prints it and the
-	// verifier re-derives it independently (unsafe-retry,
-	// stale-checkpoint) rather than trusting the record. Nil for
-	// hand-built programs, whose runtime checkpoints still capture
-	// every tracked slot (the dynamic superset).
-	Checkpoints []CheckpointSpec
 	// Pushed records the Qf conjuncts the optimizer moved into the
 	// non-iterative part of each iterative CTE (§V-B), in their
 	// original qualified form, so the verifier can re-derive the
@@ -346,13 +336,6 @@ type Program struct {
 	// nil for hand-built programs, which makes the re-derivation
 	// conservative.
 	Lookup plan.TableLookup
-	// Effects records the statically derived effect set of each step
-	// (one entry per step, in step order), derived through the step
-	// registry (stepinfo.go) after the step list is final. The
-	// checkpoint specs are built from them; EXPLAIN prints them and the
-	// verifier re-derives them independently (effect-violation) rather
-	// than trusting this record. Nil for hand-built programs.
-	Effects []effects.Set
 	// DistProps records the distribution property the static
 	// partition-property analysis (internal/distprop) claims for each
 	// step, in step order, plus one final entry for Qf. The rewrite
@@ -654,23 +637,6 @@ func (p *Program) Explain() string {
 			fmt.Fprintf(&b, "  evidence [%s]: %s\n", ev.Rule, ev.Detail)
 		}
 	}
-	// Static effect sets (internal/effects): what each step reads,
-	// writes and frees.
-	if len(p.Effects) == len(p.Steps) {
-		for i, e := range p.Effects {
-			fmt.Fprintf(&b, "Effects step %d: %s.\n", i+1, e)
-		}
-	}
-	// Checkpoint specifications (retry.go): what each loop back-edge
-	// checkpoint must cover for an iteration retry to be sound.
-	for _, cp := range p.Checkpoints {
-		fmt.Fprintf(&b, "Checkpoint loop step %d: body from step %d; covers slots (%s)",
-			cp.Loop, cp.Body, strings.Join(cp.Slots, ", "))
-		if len(cp.LoopSlots) > 0 {
-			fmt.Fprintf(&b, "; loop state (%s)", strings.Join(cp.LoopSlots, ", "))
-		}
-		b.WriteString(".\n")
-	}
 	// Partition-property analysis (internal/distprop): the distribution
 	// property each step's result provably satisfies, and the shuffle
 	// exchanges that property licensed the machine to skip.
@@ -769,10 +735,7 @@ type MaterializeStep struct {
 }
 
 // Run implements Step.
-func (m *MaterializeStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (m *MaterializeStep) Run(ctx *Context) error {
 	var t *storage.Table
 	var err error
 	if ctx.MPP != nil {
@@ -781,11 +744,11 @@ func (m *MaterializeStep) Run(ctx *Context, self int) (int, error) {
 		t, err = exec.MaterializeContext(ctx.Ctx, m.Plan, ctx.RT, &ctx.Stats.Exec, m.Into, m.Parts)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if m.CheckKey >= 0 {
 		if err := checkUniqueKey(t, m.CheckKey); err != nil {
-			return 0, err
+			return err
 		}
 		t.PK = m.CheckKey
 	}
@@ -798,7 +761,7 @@ func (m *MaterializeStep) Run(ctx *Context, self int) (int, error) {
 	if m.CountsAsUpdate {
 		ctx.Stats.UpdatedRows += int64(t.Len())
 	}
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -874,16 +837,13 @@ type RenameStep struct {
 }
 
 // Run implements Step.
-func (r *RenameStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (r *RenameStep) Run(ctx *Context) error {
 	if err := ctx.RT.Results.Rename(r.From, r.To); err != nil {
-		return 0, err
+		return err
 	}
 	ctx.track(r.To)
 	ctx.Stats.Renames++
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -904,17 +864,14 @@ type CopyBackStep struct {
 }
 
 // Run implements Step.
-func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (c *CopyBackStep) Run(ctx *Context) error {
 	src := ctx.RT.Results.Get(c.From)
 	if src == nil {
-		return 0, fmt.Errorf("copy-back: result %q not found", c.From)
+		return fmt.Errorf("copy-back: result %q not found", c.From)
 	}
 	dst := ctx.RT.Results.Get(c.To)
 	if dst == nil {
-		return 0, fmt.Errorf("copy-back: result %q not found", c.To)
+		return fmt.Errorf("copy-back: result %q not found", c.To)
 	}
 	// Changed-row identification pass (redundant for full updates, as
 	// §VII-B explains — that is the point of the baseline).
@@ -934,7 +891,7 @@ func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
 	for _, part := range src.Parts {
 		for _, r := range part {
 			if c.Key >= len(r) {
-				return 0, fmt.Errorf("copy-back into %s: key column %d out of range", c.To, c.Key)
+				return fmt.Errorf("copy-back into %s: key column %d out of range", c.To, c.Key)
 			}
 			seen++
 			if prev, ok := old.get(r); !ok || !prev.Equal(r) {
@@ -961,7 +918,7 @@ func (c *CopyBackStep) Run(ctx *Context, self int) (int, error) {
 	ctx.track(c.To)
 	// The working table is cleared for the next iteration.
 	ctx.RT.Results.Drop(c.From)
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -995,17 +952,14 @@ type MergeStep struct {
 }
 
 // Run implements Step.
-func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (m *MergeStep) Run(ctx *Context) error {
 	cte := ctx.RT.Results.Get(m.CTE)
 	if cte == nil {
-		return 0, fmt.Errorf("merge: result %q not found", m.CTE)
+		return fmt.Errorf("merge: result %q not found", m.CTE)
 	}
 	work := ctx.RT.Results.Get(m.Work)
 	if work == nil {
-		return 0, fmt.Errorf("merge: result %q not found", m.Work)
+		return fmt.Errorf("merge: result %q not found", m.Work)
 	}
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
@@ -1013,10 +967,10 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
-				return 0, fmt.Errorf("merge: key column %d out of range", m.Key)
+				return fmt.Errorf("merge: key column %d out of range", m.Key)
 			}
 			if !updated.put(r) {
-				return 0, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
+				return fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
 			}
 		}
 	}
@@ -1030,7 +984,7 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 	for _, part := range cte.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
-				return 0, fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
+				return fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
 			}
 			id := updated.find(r)
 			if id < 0 {
@@ -1077,7 +1031,7 @@ func (m *MergeStep) Run(ctx *Context, self int) (int, error) {
 	ctx.RT.Results.Put(m.Into, out)
 	ctx.track(m.Into)
 	ctx.Stats.MaterializedCells += int64(out.Len()) * int64(len(out.Schema))
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.
@@ -1096,12 +1050,9 @@ type TruncateStep struct {
 }
 
 // Run implements Step.
-func (t *TruncateStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
+func (t *TruncateStep) Run(ctx *Context) error {
 	ctx.RT.Results.Drop(t.Name)
-	return self + 1, nil
+	return nil
 }
 
 // Explain implements Step.

@@ -45,12 +45,8 @@ func TestMergeStepDirect(t *testing.T) {
 
 	ctx := &Context{RT: rt, Stats: &Stats{}}
 	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Key: 0, Parts: 2}
-	next, err := step.Run(ctx, 4)
-	if err != nil {
+	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if next != 5 {
-		t.Errorf("next = %d", next)
 	}
 	m := rt.Results.Get("m")
 	if m == nil || m.Len() != 3 {
@@ -67,10 +63,10 @@ func TestMergeStepDirect(t *testing.T) {
 		t.Errorf("explain = %q", step.Explain())
 	}
 	// Missing inputs are errors.
-	if _, err := (&MergeStep{CTE: "zz", Work: "w", Into: "m", Parts: 1}).Run(ctx, 0); err == nil {
+	if err := (&MergeStep{CTE: "zz", Work: "w", Into: "m", Parts: 1}).Run(ctx); err == nil {
 		t.Error("missing cte should fail")
 	}
-	if _, err := (&MergeStep{CTE: "c", Work: "zz", Into: "m", Parts: 1}).Run(ctx, 0); err == nil {
+	if err := (&MergeStep{CTE: "c", Work: "zz", Into: "m", Parts: 1}).Run(ctx); err == nil {
 		t.Error("missing working table should fail")
 	}
 	// Duplicate keys in the working table are the §II run-time error. A
@@ -78,7 +74,7 @@ func TestMergeStepDirect(t *testing.T) {
 	work = work.Clone()
 	work.Insert(sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(77)})
 	rt.Results.Put("w", work)
-	if _, err := step.Run(ctx, 4); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := step.Run(ctx); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate-key merge should fail, got %v", err)
 	}
 }
@@ -117,13 +113,13 @@ func TestMergePathExplain(t *testing.T) {
 func TestCopyBackStepErrors(t *testing.T) {
 	rt := newRT(t)
 	ctx := &Context{RT: rt, Stats: &Stats{}}
-	if _, err := (&CopyBackStep{From: "missing", To: "alsoMissing", Parts: 1}).Run(ctx, 0); err == nil {
+	if err := (&CopyBackStep{From: "missing", To: "alsoMissing", Parts: 1}).Run(ctx); err == nil {
 		t.Error("missing source should fail")
 	}
 	schema := sqltypes.Schema{{Name: "k", Type: sqltypes.Int}}
 	src := storage.NewTable("s", schema, 1)
 	rt.Results.Put("s", src)
-	if _, err := (&CopyBackStep{From: "s", To: "missing", Parts: 1}).Run(ctx, 0); err == nil {
+	if err := (&CopyBackStep{From: "s", To: "missing", Parts: 1}).Run(ctx); err == nil {
 		t.Error("missing destination should fail")
 	}
 }
@@ -131,7 +127,7 @@ func TestCopyBackStepErrors(t *testing.T) {
 func TestRenameStepErrors(t *testing.T) {
 	rt := newRT(t)
 	ctx := &Context{RT: rt, Stats: &Stats{}}
-	if _, err := (&RenameStep{From: "missing", To: "x"}).Run(ctx, 0); err == nil {
+	if err := (&RenameStep{From: "missing", To: "x"}).Run(ctx); err == nil {
 		t.Error("renaming a missing result should fail")
 	}
 }
@@ -148,8 +144,8 @@ func TestProgramStepErrorIncludesStepNumber(t *testing.T) {
 	}
 }
 
-// TestHandBuiltProgramRunsSequentially: a program with no recorded
-// effect sets runs on the step loop like any other.
+// TestHandBuiltProgramRunsSequentially: a program the rewrite did not
+// build runs on the step loop like any other.
 func TestHandBuiltProgramRunsSequentially(t *testing.T) {
 	rt := newRT(t)
 	prog := &Program{

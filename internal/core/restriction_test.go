@@ -221,7 +221,7 @@ func (c stepCase) check(t *testing.T) error {
 		rt.Results.Put(step.Acc, c.acc)
 	}
 	rt.Results.Put(step.CTE, c.cte)
-	if _, err := step.Run(ctx, 0); err != nil {
+	if err := step.Run(ctx); err != nil {
 		return err
 	}
 	if ctx.Trace.ri != c.wantRi {

@@ -6,13 +6,11 @@ package core
 // state, so snapshotting that state at the back-edge lets a failed
 // iteration be re-run in place instead of restarting the query from
 // iteration zero (the REX / Spinning Fast Iterative Data Flows
-// argument applied inside the database). The runtime checkpoint
-// captures the dynamic superset — every tracked result slot plus every
-// loop operator's mutable state — while the static CheckpointSpec
-// (stepinfo.go) records what the loop body can actually touch; the
-// verifier re-derives the spec independently (unsafe-retry,
-// stale-checkpoint) so a rewrite bug cannot silently under-cover a
-// checkpoint.
+// argument applied inside the database). The checkpoint captures every
+// tracked result slot plus every loop operator's mutable state, so it
+// covers whatever the loop body touches without a static record of
+// what that is; the fault matrix's mid-loop retry cells are the guard
+// that a restore resumes exactly where the committed iteration left off.
 //
 // On repeated failure the driver descends the graceful-degradation
 // ladder: retry on the same plan, then on single-threaded volcano with
@@ -29,25 +27,6 @@ import (
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
-
-// CheckpointSpec is the static record of one loop back-edge
-// checkpoint: the result-store slots and loop operators the loop body
-// (including the back-edge steps themselves) may rebind, free or
-// advance — exactly the state a retry must restore.
-type CheckpointSpec struct {
-	// Loop is the 1-based step index of the LoopStep whose back-edge
-	// the checkpoint guards.
-	Loop int
-	// Body is the 1-based step index the back-edge jumps to (the first
-	// step of the loop body).
-	Body int
-	// Slots are the normalized result-store slots the body writes or
-	// frees, sorted.
-	Slots []string
-	// LoopSlots are the loop-operator slots ("loop#1", ...) the body
-	// advances, in first-encounter order of the program's loop states.
-	LoopSlots []string
-}
 
 // loopSnap is the captured mutable state of one loop operator. The
 // key indexes are shared, not copied: every writer replaces them

@@ -72,15 +72,10 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 		}
 	}
 
-	// Static effect sets (internal/effects) and the checkpoint specs
-	// built from them, derived once the step list is final —
-	// insertTruncations above both adds steps and shifts loop jump
-	// targets, and the specs must see the executed shape.
 	prog.Trace = opts.Trace
 	prog.QueryTimeout = opts.QueryTimeout
 	prog.Retry = opts.Retry
 	prog.FaultSchedule = opts.FaultSchedule
-	prog.deriveEffects()
 
 	// Static partition-property analysis (internal/distprop): infer the
 	// distribution property of every step's result, license shuffle

@@ -4,6 +4,8 @@ package core
 // program order, with loop steps jumping back to their body. The paper
 // parallelizes within a step, across the MPP machine's partitions, and
 // never across steps; DESIGN.md §5c says why this engine does the same.
+// The loop owns the step contract: it polls cancellation before each
+// step and picks the next one, so a step only does its own work.
 
 import (
 	"fmt"
@@ -50,11 +52,13 @@ func (p *Program) runStep(ctx *Context, pc int) (int, error) {
 }
 
 // dispatch is the contained Step.Run call: the step-boundary fault
-// hook fires first, and a panic anywhere below — the step itself, a
-// storage mutation hook, the volcano executor — converts into a
-// structured error carrying iteration and step instead of unwinding
-// the process. Contained partition-worker panics travelling up as
-// errors are promoted to the same shape.
+// hook fires first, then the cancellation poll, and a panic anywhere
+// below — the step itself, a storage mutation hook, the volcano
+// executor — converts into a structured error carrying iteration and
+// step instead of unwinding the process. Contained partition-worker
+// panics travelling up as errors are promoted to the same shape. On
+// success it returns the next pc: the loop body's first step when a
+// loop step's continue variable is set, the following step otherwise.
 func (p *Program) dispatch(ctx *Context, pc int) (next int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -64,6 +68,15 @@ func (p *Program) dispatch(ctx *Context, pc int) (next int, err error) {
 	if ferr := faultinject.Trigger(ctx.Faults.Take(faultinject.PointStep)); ferr != nil {
 		return 0, ferr
 	}
-	next, err = p.Steps[pc].Run(ctx, pc)
-	return next, promotePanic(err, ctx.Stats.Iterations, pc+1)
+	step := p.Steps[pc]
+	if err = ctx.checkpoint(pc); err == nil {
+		err = step.Run(ctx)
+	}
+	if err != nil {
+		return 0, promotePanic(err, ctx.Stats.Iterations, pc+1)
+	}
+	if l, ok := step.(*LoopStep); ok && l.Loop.cont {
+		return l.BodyStart, nil
+	}
+	return pc + 1, nil
 }

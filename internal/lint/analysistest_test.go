@@ -129,16 +129,8 @@ func parseWants(t *testing.T, file string, line int, comment string) []*regexp.R
 
 var wantTokenRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-func TestStepRunFixtures(t *testing.T) {
-	runFixtures(t, StepRun, "dbspinner/internal/core")
-}
-
 func TestResultStoreFixtures(t *testing.T) {
 	runFixtures(t, ResultStore, "dbspinner", "dbspinner/internal/exec")
-}
-
-func TestStepExplainFixtures(t *testing.T) {
-	runFixtures(t, StepExplain, "dbspinner/internal/core")
 }
 
 func TestCoreErrorsFixtures(t *testing.T) {
@@ -154,7 +146,7 @@ func TestStepEffectsFixtures(t *testing.T) {
 }
 
 func TestCtxcheckFixtures(t *testing.T) {
-	runFixtures(t, Ctxcheck, "dbspinner/internal/core", "dbspinner/internal/mpp")
+	runFixtures(t, Ctxcheck, "dbspinner/internal/mpp")
 }
 
 func TestDistPropFixtures(t *testing.T) {

@@ -4,69 +4,28 @@ import (
 	"go/ast"
 )
 
-// Ctxcheck enforces the query-lifecycle contract: cooperative
-// cancellation only works if every long-running execution site actually
-// polls the context.
+// Ctxcheck enforces the query-lifecycle contract on the MPP machine:
+// cooperative cancellation only works if every long-running execution
+// site actually polls the context. Every Machine method in
+// internal/mpp that launches goroutines (contains a `go` statement) must
+// call the machine's checkpoint method before fanning out — otherwise a
+// canceled query still pays a full partition batch. (Step boundaries
+// need no check: the step loop polls before every step.)
 //
-//   - In internal/core, every Step.Run implementation (a method named
-//     Run whose last parameter is named "self", the same convention
-//     steprun keys on) must call ctx.Checkpoint — the step boundary is
-//     the engine's primary cancellation point, and a step that skips
-//     the call silently extends kill latency by its whole runtime.
-//   - In internal/mpp, every Machine method that launches goroutines
-//     (contains a `go` statement) must call the machine's checkpoint
-//     method before fanning out — otherwise a canceled query still
-//     pays a full partition batch.
-//
-// The check is syntactic and fail-closed: a Run/parallel entry point
-// with no reachable Checkpoint/checkpoint call is flagged even if it
-// "obviously" finishes quickly; suppress deliberate exceptions with
+// The check is syntactic and fail-closed: a fan-out method with no
+// reachable checkpoint call is flagged even if it "obviously" finishes
+// quickly; suppress deliberate exceptions with
 // //lint:ignore ctxcheck <reason>.
 var Ctxcheck = &Analyzer{
 	Name: "ctxcheck",
-	Doc:  "Step.Run implementers and mpp.Machine fan-out methods must consult the cancellation checkpoint",
+	Doc:  "mpp.Machine fan-out methods must consult the cancellation checkpoint",
 	Run:  runCtxcheck,
 }
 
 func runCtxcheck(pass *Pass) []Diagnostic {
-	switch normImportPath(pass.ImportPath) {
-	case "dbspinner/internal/core":
-		return ctxcheckCore(pass)
-	case "dbspinner/internal/mpp":
-		return ctxcheckMPP(pass)
+	if normImportPath(pass.ImportPath) != "dbspinner/internal/mpp" {
+		return nil
 	}
-	return nil
-}
-
-// ctxcheckCore flags Step.Run implementations that never call
-// Checkpoint.
-func ctxcheckCore(pass *Pass) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "Run" || fn.Recv == nil || fn.Body == nil {
-				continue
-			}
-			if !hasSelfParam(fn) {
-				continue
-			}
-			if callsSelector(fn.Body, "Checkpoint") {
-				continue
-			}
-			diags = append(diags, Diagnostic{
-				Pos: pass.Fset.Position(fn.Pos()),
-				Message: "(" + receiverTypeName(fn) + ").Run never calls ctx.Checkpoint; " +
-					"every step must poll the cancellation context at its boundary",
-			})
-		}
-	}
-	return diags
-}
-
-// ctxcheckMPP flags Machine methods that start goroutines without
-// consulting the machine checkpoint.
-func ctxcheckMPP(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

@@ -6,16 +6,10 @@
 // The analyzers encode invariants of this codebase that ordinary vet
 // cannot know:
 //
-//   - steprun: a core.Step's Run must return self+1 on fall-through;
-//     only the loop operator computes jump targets. A step that returns
-//     anything else silently re-executes or skips program steps.
 //   - resultstore: the intermediate-result store (StoreRuntime.Results)
 //     may only be touched by the executor layers; everything else must
 //     go through plans or the engine API, or result lifetimes and the
 //     verifier's model of them diverge.
-//   - stepexplain: every exported step type must implement Explain —
-//     EXPLAIN output and verifier diagnostics cite step indices, which
-//     is useless if a step renders as nothing.
 //   - coreerrors: errors raised inside internal/core must carry the
 //     step, CTE or table name; a bare message is undebuggable once the
 //     rewrite has expanded several CTEs.
@@ -23,16 +17,14 @@
 //     every core.Step implementer; a step type missing from it falls
 //     into the fail-closed default arm and its reads and writes are
 //     never simulated.
-//   - stepeffects: the core step registry's effect dispatch
-//     (stepinfo.go) must handle every core.Step implementer; a step
-//     missing from it derives no effect set, so every program carrying
-//     it silently loses its checkpoint specs and the dataflow analysis
-//     never sees its reads and writes.
-//   - ctxcheck: every core Step.Run implementer must call the
-//     cancellation checkpoint, and every mpp.Machine method that fans
-//     out goroutines must consult the machine checkpoint first;
-//     cooperative cancellation is only as good as its least
-//     cooperative site.
+//   - stepeffects: core's step-IO dispatch (stepinfo.go) must handle
+//     every core.Step implementer; a step missing from it contributes
+//     no reads, writes or frees, so liveness-driven truncation cannot
+//     see what it reads.
+//   - ctxcheck: every mpp.Machine method that fans out goroutines must
+//     consult the machine checkpoint first; cooperative cancellation is
+//     only as good as its least cooperative site. (The step loop polls
+//     before every step, so steps need no check.)
 //   - distprop: the partition-property dispatches — the producer's in
 //     internal/distprop and the verifier's independent re-derivation —
 //     must each handle every plan.Node implementer; a node type missing
@@ -88,7 +80,7 @@ type Analyzer struct {
 
 // Analyzers returns every spinlint check.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{StepRun, ResultStore, StepExplain, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, GoRecover}
+	return []*Analyzer{ResultStore, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, GoRecover}
 }
 
 // Check runs every analyzer over the pass, drops findings in _test.go
@@ -171,4 +163,18 @@ func isCorePackage(pass *Pass) bool {
 
 func position(pass *Pass, n ast.Node) token.Position {
 	return pass.Fset.Position(n.Pos())
+}
+
+func receiverTypeName(fn *ast.FuncDecl) string {
+	if len(fn.Recv.List) == 0 {
+		return ""
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if ident, ok := t.(*ast.Ident); ok {
+		return ident.Name
+	}
+	return ""
 }

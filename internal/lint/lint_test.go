@@ -47,84 +47,6 @@ func assertFindings(t *testing.T, diags []Diagnostic, want ...string) {
 
 const corePath = "dbspinner/internal/core"
 
-func TestStepRunFlagsNonFallThroughReturn(t *testing.T) {
-	src := `package core
-
-type SkipStep struct{}
-
-func (s *SkipStep) Explain() string { return "skip" }
-
-func (s *SkipStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
-	if bad() {
-		return self + 2, nil
-	}
-	return self + 1, nil
-}
-`
-	diags := checkSrc(t, corePath, src)
-	// The synthetic core package declares a step implementer but no
-	// registry switch, so stepeffects' fail-closed finding rides along.
-	assertFindings(t, diags,
-		"stepeffects|no step-registry type switch found",
-		"steprun|(SkipStep).Run must return self+1")
-	if diags[1].Pos.Line != 12 {
-		t.Errorf("finding at line %d, want 12", diags[1].Pos.Line)
-	}
-}
-
-func TestStepRunAcceptsErrorReturnsJumpStepsAndFuncLits(t *testing.T) {
-	src := `package core
-
-type GoodStep struct{}
-
-func (s *GoodStep) Explain() string { return "good" }
-
-func (s *GoodStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
-	f := func() (int, error) { return 99, nil } // not a step return
-	if _, err := f(); err != nil {
-		return 0, err // error path: next-step value unused
-	}
-	return self + 1, nil
-}
-
-type LoopStep struct{}
-
-func (s *LoopStep) Explain() string { return "loop" }
-
-func (s *LoopStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
-	return s.BodyStart, nil // the loop operator computes jumps
-}
-
-// Run without a self parameter is not a step implementation.
-func (s *GoodStep) helper() {}
-
-func Run(self int) (int, error) { return 5, nil } // no receiver
-`
-	// steprun is clean; stepeffects' fail-closed finding rides along
-	// because the synthetic step implementers have no registry switch.
-	assertFindings(t, checkSrc(t, corePath, src),
-		"stepeffects|no step-registry type switch found")
-}
-
-func TestStepRunIgnoresOtherPackages(t *testing.T) {
-	src := `package other
-
-type S struct{}
-
-func (s *S) Run(ctx int, self int) (int, error) { return 7, nil }
-`
-	assertFindings(t, checkSrc(t, "dbspinner/internal/other", src))
-}
-
 func TestResultStoreFlagsOutsideAccess(t *testing.T) {
 	src := `package engine
 
@@ -151,34 +73,6 @@ func get(rt *StoreRuntime, name string) any { return rt.Results.Get(name) }
 	} {
 		assertFindings(t, checkSrc(t, path, src))
 	}
-}
-
-func TestStepExplainFlagsMissingMethod(t *testing.T) {
-	src := `package core
-
-type NoExplainStep struct{}
-
-func (s *NoExplainStep) Run(ctx *Context, self int) (int, error) {
-	if err := ctx.Checkpoint(self); err != nil {
-		return 0, err
-	}
-	return self + 1, nil
-}
-
-type FineStep struct{}
-
-func (s *FineStep) Explain() string { return "fine" }
-
-// Interfaces declare Explain rather than implementing it.
-type Step interface {
-	Explain() string
-}
-
-// Unexported types are not part of the EXPLAIN surface.
-type innerStep struct{}
-`
-	assertFindings(t, checkSrc(t, corePath, src),
-		"stepexplain|NoExplainStep does not implement Explain")
 }
 
 func TestCoreErrors(t *testing.T) {
@@ -231,6 +125,30 @@ func onlyPartial(st core.Step) {
 	assertFindings(t, checkSrc(t, "dbspinner/internal/verify", src),
 		"distprop|no node-dispatch type switch found",
 		"stepswitch|no step-dispatch type switch found")
+}
+
+// TestStepEffectsFailsClosedWithoutDispatch: a core package with step
+// implementers but no binding type switch over them has no step-IO
+// dispatch at all, and that is a finding, not a pass.
+func TestStepEffectsFailsClosedWithoutDispatch(t *testing.T) {
+	src := `package core
+
+type MaterializeStep struct{}
+
+func (s *MaterializeStep) Run(ctx *Context) error { return nil }
+func (s *MaterializeStep) Explain() string        { return "materialize" }
+
+func kind(s Step) int {
+	switch s.(type) {
+	case *MaterializeStep:
+		return 1
+	default:
+		return 0
+	}
+}
+`
+	assertFindings(t, checkSrc(t, corePath, src),
+		"stepeffects|no step-IO type switch found")
 }
 
 func TestDistPropFailsClosedWithoutDispatch(t *testing.T) {
@@ -299,7 +217,7 @@ func h() error {
 }
 
 func k() error {
-	//lint:ignore steprun wrong check name does not suppress
+	//lint:ignore stepswitch wrong check name does not suppress
 	return errors.New("flagged")
 }
 `
@@ -359,10 +277,10 @@ var errA2 = errors.New("a2")
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Pos:     token.Position{Filename: "x.go", Line: 3, Column: 9},
-		Check:   "steprun",
+		Check:   "stepswitch",
 		Message: "boom",
 	}
-	if got, want := d.String(), "x.go:3:9: boom (steprun)"; got != want {
+	if got, want := d.String(), "x.go:3:9: boom (stepswitch)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -7,34 +7,33 @@ import (
 	"strings"
 )
 
-// StepEffects checks that the step registry's effect dispatch in
-// internal/core handles every type implementing core.Step. The
-// registry (stepinfo.go) is the single source the effect sets (and the
-// checkpoint specs built from them), the dataflow analysis and EXPLAIN
-// all read from; a step type added to core but missing from it falls
-// into the fail-closed default arm — the program then records no effect
-// sets or checkpoint specs, and the verifier's unknown-step diagnostic
-// rejects it — but the omission should be caught at lint time, not
-// discovered as a failing query. The check
-// mirrors stepswitch (which guards the verifier's independent
-// dispatches) and is syntactic:
+// StepEffects checks that core's step-IO dispatch (stepIO in
+// stepinfo.go) handles every type implementing core.Step. It says which
+// intermediate results a step reads, writes and frees and where a loop
+// step jumps, and liveness-driven truncation places its truncate steps
+// from it. A step type added to core but missing from it falls into the
+// default arm and contributes no IO, so truncation cannot see what the
+// step reads — the verifier's unknown-step diagnostic rejects the
+// program — and the omission should be caught at lint time, not
+// discovered as a failing query. The check mirrors stepswitch (which
+// guards the verifier's independent dispatches) and is syntactic:
 //
 //   - A Step implementer is a type in the analyzed core package with a
-//     Run method of two parameters (the second named self) and two
-//     results, and an Explain method of no parameters and one result.
-//   - A registry dispatch is a binding type switch (`switch t :=
+//     Run(*Context) error method and an Explain method of no parameters
+//     and one result (stepTypes).
+//   - The IO dispatch is a binding type switch (`switch t :=
 //     s.(type)`) in internal/core with a default clause and at least
 //     two `*X` case types whose names are Step implementers. The
-//     binding separates the registry — which reads every step's fields
-//     — from core's expression- and plan-walking switches and from
-//     deliberately partial kind tests like the cost estimator's, which
-//     switch without binding.
+//     binding separates it — it reads every step's fields — from core's
+//     expression- and plan-walking switches and from deliberately
+//     partial kind tests like the cost estimator's, which switch
+//     without binding.
 //
 // Unlike stepswitch, the implementers come from the files under
 // analysis themselves: the dispatch lives in the same package.
 var StepEffects = &Analyzer{
 	Name: "stepeffects",
-	Doc:  "the core step registry's effect dispatch must handle every core.Step implementer",
+	Doc:  "core's step-IO dispatch must handle every core.Step implementer",
 	Run:  runStepEffects,
 }
 
@@ -42,41 +41,13 @@ func runStepEffects(pass *Pass) []Diagnostic {
 	if !isCorePackage(pass) {
 		return nil
 	}
-
-	steps := map[string]bool{}
-	runs := map[string]bool{}
-	explains := map[string]bool{}
+	var files []*ast.File
 	for _, f := range pass.Files {
-		pos := pass.Fset.Position(f.Pos())
-		if strings.HasSuffix(pos.Filename, "_test.go") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil {
-				continue
-			}
-			recv := receiverTypeName(fn)
-			if recv == "" {
-				continue
-			}
-			switch fn.Name.Name {
-			case "Run":
-				if fieldCount(fn.Type.Params) == 2 && fieldCount(fn.Type.Results) == 2 && hasSelfParam(fn) {
-					runs[recv] = true
-				}
-			case "Explain":
-				if fieldCount(fn.Type.Params) == 0 && fieldCount(fn.Type.Results) == 1 {
-					explains[recv] = true
-				}
-			}
+		if !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			files = append(files, f)
 		}
 	}
-	for recv := range runs {
-		if explains[recv] {
-			steps[recv] = true
-		}
-	}
+	steps := stepTypes(files)
 	if len(steps) == 0 {
 		return nil
 	}
@@ -86,11 +57,7 @@ func runStepEffects(pass *Pass) []Diagnostic {
 		cases map[string]bool
 	}
 	var dispatches []dispatch
-	for _, f := range pass.Files {
-		pos := pass.Fset.Position(f.Pos())
-		if strings.HasSuffix(pos.Filename, "_test.go") {
-			continue
-		}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.TypeSwitchStmt)
 			if !ok {
@@ -107,13 +74,10 @@ func runStepEffects(pass *Pass) []Diagnostic {
 		})
 	}
 	if len(dispatches) == 0 {
-		if len(pass.Files) == 0 {
-			return nil
-		}
 		return []Diagnostic{{
-			Pos: pass.Fset.Position(pass.Files[0].Pos()),
-			Message: "no step-registry type switch found (a type switch over *Step types with a " +
-				"default clause); effect sets cannot be derived and every program runs sequentially",
+			Pos: pass.Fset.Position(files[0].Pos()),
+			Message: "no step-IO type switch found (a binding type switch over *Step types with a " +
+				"default clause); truncation cannot see what any step reads, writes or frees",
 		}}
 	}
 
@@ -129,8 +93,8 @@ func runStepEffects(pass *Pass) []Diagnostic {
 			sort.Strings(missing)
 			diags = append(diags, Diagnostic{
 				Pos: d.pos,
-				Message: "step registry does not handle core.Step implementer(s) " +
-					strings.Join(missing, ", ") + "; their effect sets would never be derived",
+				Message: "step-IO dispatch does not handle core.Step implementer(s) " +
+					strings.Join(missing, ", ") + "; truncation would not see their reads, writes and frees",
 			})
 		}
 	}

@@ -23,11 +23,9 @@ import (
 //     fail-closed arm). Partial switches without a default — helpers
 //     that deliberately look at a step subset — are not dispatches.
 //   - A Step implementer is a type in internal/core with both a
-//     Run method of two parameters (the second named self, the step
-//     counter convention steprun also keys on) and two results, and an
-//     Explain method of no parameters and one result (the Step
-//     interface, matched shape-wise because spinlint does not
-//     type-check).
+//     Run(*Context) error method and an Explain method of no parameters
+//     and one result (the Step interface, matched shape-wise because
+//     spinlint does not type-check; see stepTypes).
 //
 // The core sources are located on disk relative to the verify files
 // being analyzed; if they cannot be read the analyzer fails closed
@@ -138,7 +136,7 @@ func coreCaseTypes(sw *ast.TypeSwitchStmt) (map[string]bool, bool) {
 
 // coreStepImplementers parses the internal/core package (located as a
 // sibling of the directory holding the files under analysis) and
-// returns every type with Step-shaped Run and Explain methods, sorted.
+// returns every Step implementer, sorted.
 func coreStepImplementers(pass *Pass) ([]string, error) {
 	if len(pass.Files) == 0 {
 		return nil, nil
@@ -150,8 +148,7 @@ func coreStepImplementers(pass *Pass) ([]string, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	runs := map[string]bool{}
-	explains := map[string]bool{}
+	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -161,38 +158,64 @@ func coreStepImplementers(pass *Pass) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		files = append(files, f)
+	}
+	var out []string
+	for recv := range stepTypes(files) {
+		out = append(out, recv)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// stepTypes returns the receiver type names in files that implement
+// core.Step: a Run method shaped Run(*Context) error — the step loop
+// polls cancellation and picks the next step, so a step's Run takes
+// nothing else and returns only its error — and an Explain method of no
+// parameters and one result.
+func stepTypes(files []*ast.File) map[string]bool {
+	runs, explains := map[string]bool{}, map[string]bool{}
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv == nil {
 				continue
 			}
 			recv := receiverTypeName(fn)
-			if recv == "" {
-				continue
-			}
-			switch fn.Name.Name {
-			case "Run":
-				// The self parameter (the step-program counter) separates
-				// step Run methods from other two-argument Runs, the same
-				// convention the steprun analyzer keys on.
-				if fieldCount(fn.Type.Params) == 2 && fieldCount(fn.Type.Results) == 2 && hasSelfParam(fn) {
-					runs[recv] = true
-				}
-			case "Explain":
-				if fieldCount(fn.Type.Params) == 0 && fieldCount(fn.Type.Results) == 1 {
-					explains[recv] = true
-				}
+			switch {
+			case recv == "":
+			case fn.Name.Name == "Run" && isStepRun(fn.Type):
+				runs[recv] = true
+			case fn.Name.Name == "Explain" && fieldCount(fn.Type.Params) == 0 && fieldCount(fn.Type.Results) == 1:
+				explains[recv] = true
 			}
 		}
 	}
-	var out []string
+	steps := map[string]bool{}
 	for recv := range runs {
 		if explains[recv] {
-			out = append(out, recv)
+			steps[recv] = true
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	return steps
+}
+
+// isStepRun reports whether a Run signature is Step's: one *Context
+// parameter and one error result.
+func isStepRun(ft *ast.FuncType) bool {
+	if fieldCount(ft.Params) != 1 || fieldCount(ft.Results) != 1 {
+		return false
+	}
+	star, ok := ft.Params.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	ctx, ok := star.X.(*ast.Ident)
+	if !ok || ctx.Name != "Context" {
+		return false
+	}
+	res, ok := ft.Results.List[0].Type.(*ast.Ident)
+	return ok && res.Name == "error"
 }
 
 // fieldCount counts the values of a field list (a field with n names

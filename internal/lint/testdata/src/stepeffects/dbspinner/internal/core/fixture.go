@@ -3,38 +3,38 @@ package core
 type Context struct{}
 
 type Step interface {
-	Run(ctx *Context, self int) (int, error)
+	Run(ctx *Context) error
 	Explain() string
 }
 
 type MaterializeStep struct{}
 
-func (s *MaterializeStep) Run(ctx *Context, self int) (int, error) { return self + 1, nil }
-func (s *MaterializeStep) Explain() string                         { return "materialize" }
+func (s *MaterializeStep) Run(ctx *Context) error { return nil }
+func (s *MaterializeStep) Explain() string        { return "materialize" }
 
 type RenameStep struct{}
 
-func (s *RenameStep) Run(ctx *Context, self int) (int, error) { return self + 1, nil }
-func (s *RenameStep) Explain() string                         { return "rename" }
+func (s *RenameStep) Run(ctx *Context) error { return nil }
+func (s *RenameStep) Explain() string        { return "rename" }
 
-// ForgottenStep implements Step but the registry switch below does not
+// ForgottenStep implements Step but the IO dispatch below does not
 // handle it.
 type ForgottenStep struct{}
 
-func (s *ForgottenStep) Run(ctx *Context, self int) (int, error) { return self + 1, nil }
-func (s *ForgottenStep) Explain() string                         { return "forgotten" }
+func (s *ForgottenStep) Run(ctx *Context) error { return nil }
+func (s *ForgottenStep) Explain() string        { return "forgotten" }
 
-// Program has a two-argument Run and an Explain, but no self
-// parameter: it is not a step and needs no registry case.
+// Program has a Run and an Explain, but its Run is not shaped
+// Run(*Context) error: it is not a step and needs no dispatch case.
 type Program struct{}
 
 func (p *Program) Run(a, b int) (int, error) { return 0, nil }
 func (p *Program) Explain() string           { return "program" }
 
-// infoFor is the registry dispatch: a binding type switch over step
-// pointer types with a fail-closed default arm.
-func infoFor(s Step) bool {
-	switch t := s.(type) { // want `step registry does not handle core\.Step implementer\(s\) ForgottenStep`
+// stepIO is the IO dispatch: a binding type switch over step pointer
+// types with a fail-closed default arm.
+func stepIO(s Step) bool {
+	switch t := s.(type) { // want `step-IO dispatch does not handle core\.Step implementer\(s\) ForgottenStep`
 	case *MaterializeStep:
 		_ = t
 	case *RenameStep:
@@ -46,7 +46,7 @@ func infoFor(s Step) bool {
 }
 
 // Helper switches over a step subset without a fail-closed default arm
-// are deliberately partial, not registry dispatches.
+// are deliberately partial, not the IO dispatch.
 func helper(s Step) bool {
 	switch s.(type) {
 	case *MaterializeStep:
@@ -56,7 +56,7 @@ func helper(s Step) bool {
 }
 
 // Non-binding switches with a default are kind tests (the cost
-// estimator's shape), not the registry: they read no step fields.
+// estimator's shape), not the IO dispatch: they read no step fields.
 func kindTest(s Step) int {
 	switch s.(type) {
 	case *MaterializeStep, *RenameStep:
@@ -67,8 +67,8 @@ func kindTest(s Step) int {
 }
 
 // Switches over non-step types (core walks expression and plan trees
-// the same way) are not registry dispatches either, even with a
-// default arm.
+// the same way) are not the IO dispatch either, even with a default
+// arm.
 type scanNode struct{}
 type joinNode struct{}
 

@@ -272,8 +272,8 @@ func (s *ResultStore) Rename(old, new string) error {
 }
 
 // NormalizeName exposes the store's name normalization (lowercasing,
-// SQL identifier semantics) so checkpoint specs name slots exactly the
-// way the store keys them.
+// SQL identifier semantics) so the partition-property analyses name
+// slots exactly the way the store keys them.
 func NormalizeName(name string) string { return normalize(name) }
 
 func normalize(name string) string {

@@ -88,12 +88,6 @@ const (
 	// as Unknown runs without the iteration-cap safety guard — nothing
 	// stops it from spinning forever.
 	ClassMissingGuard = "missing-iteration-guard"
-	// ClassEffectViolation: a step's recorded effect set (core.Program.
-	// Effects, the record the checkpoint specs are built from) is
-	// missing a read, write, free or loop access the independent
-	// re-derivation proves the step has — an under-declared set would
-	// leave the slot out of a back-edge checkpoint.
-	ClassEffectViolation = "effect-violation"
 	// ClassUnsoundAggClaim: the program records a licensed incremental
 	// claim (core.Program.AggClaims) — or installs a DeltaMaterializeStep
 	// or MaintainAggStep — that the independent re-derivation of the
@@ -110,20 +104,6 @@ const (
 	// feeds the frontier into its restricted plan, or restricts an inner
 	// reference instead of the outer one.
 	ClassStaleAccumulator = "stale-accumulator"
-	// ClassUnsafeRetry: a recorded checkpoint specification
-	// (core.Program.Checkpoints, the record the retry driver and
-	// EXPLAIN trust) is structurally wrong — its Loop index does not
-	// name a LoopStep, its Body disagrees with the loop's actual jump
-	// target, the body range is inverted, or one loop carries more
-	// than one spec.
-	ClassUnsafeRetry = "unsafe-retry"
-	// ClassStaleCheckpoint: a loop back-edge's checkpoint coverage is
-	// stale — a LoopStep has no checkpoint spec, or the spec omits a
-	// result-store slot or loop-operator slot the independent effect
-	// re-derivation proves the loop body writes or frees. A retry
-	// restoring an under-covered checkpoint would resume from a state
-	// the abandoned attempt already mutated.
-	ClassStaleCheckpoint = "stale-checkpoint"
 )
 
 // Classes lists every diagnostic class the verifier can report.
@@ -134,10 +114,8 @@ var Classes = []string{
 	ClassDeltaLiveness, ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundTermination, ClassMissingGuard,
-	ClassEffectViolation,
 	ClassUnsoundDistProp, ClassMissingExchange,
 	ClassUnsoundAggClaim, ClassStaleAccumulator,
-	ClassUnsafeRetry, ClassStaleCheckpoint,
 }
 
 // ClassCount is the number of distinct diagnostic classes.
@@ -203,9 +181,7 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	s.diags = append(s.diags, checkPushdown(prog, stmt)...)
 	s.diags = append(s.diags, checkPruning(prog, stmt)...)
 	s.diags = append(s.diags, checkTermination(prog, stmt)...)
-	s.diags = append(s.diags, checkEffects(prog)...)
 	s.diags = append(s.diags, checkDistProps(prog)...)
-	s.diags = append(s.diags, checkCheckpoints(prog)...)
 	sort.SliceStable(s.diags, func(i, j int) bool { return s.diags[i].Step < s.diags[j].Step })
 	return s.diags
 }
@@ -531,7 +507,6 @@ func (s *sim) checkAggWiring() {
 			bodies = append(bodies, [2]int{l.BodyStart, i})
 		}
 	}
-	loops := loopSlotInterner{}
 	for i, st := range s.prog.Steps {
 		t, ok := st.(*core.MaintainAggStep)
 		if !ok {
@@ -553,7 +528,7 @@ func (s *sim) checkAggWiring() {
 		// publishes its CTE: the diff needs the previous iteration's
 		// table, not the one this iteration just merged.
 		for j := body[0]; j < i; j++ {
-			e, known := deriveStepEffects(s.prog.Steps[j], loops)
+			e, known := deriveStepEffects(s.prog.Steps[j])
 			if known && hits(e.writes, []string{t.CTE}) {
 				s.addf(i, ClassStaleAccumulator, "step %d publishes %s before the aggregate maintenance diffs it; the frontier would always be empty and cached groups would be served stale", j+1, t.CTE)
 			}
@@ -566,7 +541,7 @@ func (s *sim) checkAggWiring() {
 			if j == i {
 				continue
 			}
-			e, known := deriveStepEffects(other, loops)
+			e, known := deriveStepEffects(other)
 			if !known {
 				continue
 			}

@@ -497,8 +497,8 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 // bogusStep is a step type internal/verify has never heard of.
 type bogusStep struct{}
 
-func (bogusStep) Run(ctx *core.Context, self int) (int, error) { return self + 1, nil }
-func (bogusStep) Explain() string                              { return "Bogus." }
+func (bogusStep) Run(ctx *core.Context) error { return nil }
+func (bogusStep) Explain() string             { return "Bogus." }
 
 // TestSecondIterationFaultDetected: the body renames the CTE away and
 // nothing re-materializes it, so the first iteration succeeds and the

@@ -1,6 +1,6 @@
-// Oracle tests for what EXPLAIN reports about every workload query:
-// the static effect set of each step and the distribution property the
-// partition-property analysis claims for it.
+// Oracle tests for what EXPLAIN reports about every workload query: the
+// distribution property the partition-property analysis claims for each
+// step.
 package dbspinner_test
 
 import (
@@ -24,12 +24,12 @@ func workloadQueries() map[string]string {
 	}
 }
 
-// TestExplainShowsEffectsAndDistribution: every workload query's
-// EXPLAIN must render one effect line and one distribution line per
-// step plus the final query's distribution, and under a parallel
-// configuration the common-result queries (PR-VS, SSSP-VS) must list
-// the exchanges the analysis licensed the machine to skip.
-func TestExplainShowsEffectsAndDistribution(t *testing.T) {
+// TestExplainShowsDistribution: every workload query's EXPLAIN must
+// render one distribution line per step plus the final query's
+// distribution, and under a parallel configuration the common-result
+// queries (PR-VS, SSSP-VS) must list the exchanges the analysis
+// licensed the machine to skip.
+func TestExplainShowsDistribution(t *testing.T) {
 	e := newVerdictEngine(t, dbspinner.Config{Partitions: 2})
 	for name, sql := range workloadQueries() {
 		t.Run(name, func(t *testing.T) {
@@ -38,15 +38,6 @@ func TestExplainShowsEffectsAndDistribution(t *testing.T) {
 				t.Fatal(err)
 			}
 			steps := strings.Count(out, "\nStep ") + 1 // "Step 1:" opens the output
-			effectLines := 0
-			for i := 1; i <= steps; i++ {
-				if strings.Contains(out, fmt.Sprintf("Effects step %d: ", i)) {
-					effectLines++
-				}
-			}
-			if effectLines != steps {
-				t.Errorf("%d steps but %d effect lines:\n%s", steps, effectLines, out)
-			}
 			distLines := 0
 			for i := 1; i <= steps; i++ {
 				if strings.Contains(out, fmt.Sprintf("Distribution step %d: ", i)) {
@@ -71,11 +62,6 @@ func TestExplainShowsEffectsAndDistribution(t *testing.T) {
 				if !strings.Contains(pout, "Elided exchange step ") {
 					t.Errorf("%s under a parallel config lists no elided exchanges:\n%s", name, pout)
 				}
-			}
-			// Spot-check the effect vocabulary: materializations write,
-			// the loop steps advance their loop state.
-			if !strings.Contains(out, "writes {") || !strings.Contains(out, "loop-writes {") {
-				t.Errorf("effect lines miss expected verbs:\n%s", out)
 			}
 		})
 	}
