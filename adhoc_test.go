@@ -141,7 +141,11 @@ func BenchmarkAdhocStatements(b *testing.B) {
 // verifying and planning them: 12.0k objects and 1.30 MB became 4.8k and
 // 0.89 MB. Compiling each join key once and resolving a column without a
 // slice then took it to 4,458 objects and 0.81 MB, with the larger
-// closures of operands read in place counted. Both budgets are that
+// closures of operands read in place counted. With four fifths of the
+// vertices loaded as available, as the benchmark loads them, instead of
+// none, the round made 4,876 objects and 1.22 MB; routing each step's
+// rows straight into their partitions, instead of draining them into one
+// slice and copying them, makes 4,461 and 1.16 MB. Both budgets are that
 // measurement plus 25%.
 func TestAllocBudgetAdhoc(t *testing.T) {
 	e := adhocEngine(t, dbspinner.Config{Partitions: 4})
@@ -150,7 +154,7 @@ func TestAllocBudgetAdhoc(t *testing.T) {
 		adhocOp(t, e, round)
 		round++
 	}
-	const budget, bytesBudget = 5_570, 1_020_000
+	const budget, bytesBudget = 5_570, 1_450_000
 	got := testing.AllocsPerRun(adhocVariants, op)
 	if got > budget {
 		t.Errorf("adhoc: %.0f allocations per round, budget %d", got, budget)

@@ -350,13 +350,16 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 // mid-loop exhaust the one same-plan retry and degrade the run at
 // iteration k; iterations before k ran restricted, every iteration from
 // k on must read the full CTE (RiInputRows == RiFullRows for those),
-// and the rows must match the unfaulted run.
+// and the rows must match the unfaulted run. Edges point from newer
+// vertices to older ones, so the search starts at a late vertex, from
+// which the frontier reaches dozens within the iterations; from vertex 1
+// it reaches none, and every restricted iteration would feed no row.
 func TestDegradationReachesRestrictedSteps(t *testing.T) {
-	const iterations = 8
+	const iterations, source = 8, 450
 	run := func(n int, cfg dbspinner.Config) (*dbspinner.Result, dbspinner.Stats) {
 		t.Helper()
 		e := lifecycleEngine(t, 4, cfg)
-		res, err := e.Query(bench.SSSPVSQuery(1, n) + " ORDER BY Node")
+		res, err := e.Query(bench.SSSPVSQuery(source, n) + " ORDER BY Node")
 		if err != nil {
 			t.Fatalf("%d iterations, %+v: %v", n, cfg, err)
 		}
@@ -368,6 +371,11 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 	want, clean := run(iterations, dbspinner.Config{})
 	if clean.RiInputRows >= clean.RiFullRows {
 		t.Fatalf("unfaulted run never restricted Ri (fed %d of %d rows); the test is vacuous", clean.RiInputRows, clean.RiFullRows)
+	}
+	// The first iteration reads the whole CTE; the restricted ones must
+	// feed Ri something too, or checking what they fed proves nothing.
+	if first := clean.RiFullRows / iterations; clean.RiInputRows <= first {
+		t.Fatalf("the restricted iterations fed Ri no row (%d fed in all, %d of them by the first, full iteration); the test is vacuous", clean.RiInputRows, first)
 	}
 
 	sched := []dbspinner.Fault{

@@ -128,8 +128,10 @@ func dataset(cfg Config) (*workload.Graph, error) {
 }
 
 // NewEngine builds an engine loaded with the dataset's edges and
-// vertexStatus tables.
+// vertexStatus tables, with cfg's zero fields at their defaults: an
+// AvailFrac of 0 would load every vertex unavailable.
 func NewEngine(g *workload.Graph, cfg Config, engineCfg dbspinner.Config) (*dbspinner.Engine, error) {
+	cfg = cfg.withDefaults()
 	if engineCfg.Partitions == 0 {
 		engineCfg.Partitions = cfg.Partitions
 	}

@@ -72,7 +72,7 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 		if f.in != nil {
 			ctx.noteRi(riUncertified)
 		}
-		out, err = exec.MaterializeContext(ctx.Ctx, m.Full, ctx.RT, &ctx.Stats.Exec, m.Into, m.Parts)
+		out, err = ctx.materialize(m.Full, m.Into, m.Parts)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dbspinner/internal/exec"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
@@ -40,7 +39,7 @@ func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 		defer ctx.RT.Results.Drop(d.In)
 		node, input = d.Restricted, f.in
 	}
-	t, err := exec.MaterializeContext(ctx.Ctx, node, ctx.RT, &ctx.Stats.Exec, d.Into, d.Parts)
+	t, err := ctx.materialize(node, d.Into, d.Parts)
 	if err != nil {
 		return err
 	}

@@ -221,6 +221,16 @@ type Context struct {
 	Faults *faultinject.Registry
 	// created tracks intermediate results to drop when the query ends.
 	created map[string]bool
+	// pc is the index of the running step. sizes holds, for every step
+	// and each of the run's parts partitions, the capacity that step's
+	// next materialization presizes the partition with: what its last one
+	// wrote there, plus slack (sizeHint, noteSizes). It is run state,
+	// allocated once per run, because a prepared Program serves many
+	// runs; and it is advisory, so a checkpoint neither captures nor
+	// restores it — a stale hint changes capacity, never rows.
+	pc    int
+	sizes []int
+	parts int
 	// volcano is set once the retry driver has descended the
 	// graceful-degradation ladder; retries and degradations count what
 	// the run cost (folded into Stats when RunContext returns, so
@@ -286,6 +296,35 @@ func (c *Context) track(name string) {
 		c.created = make(map[string]bool)
 	}
 	c.created[strings.ToLower(name)] = true
+}
+
+// sizeHint returns the running step's per-partition capacities for a
+// materialization into parts partitions — zeros before its first — or
+// nil when the run keeps none (a context built outside Program.run, or a
+// partition count not the run's).
+func (c *Context) sizeHint(parts int) []int {
+	if parts = max(parts, 1); parts != c.parts {
+		return nil
+	}
+	return c.sizes[c.pc*parts : (c.pc+1)*parts]
+}
+
+// noteSizes records the running step's next size hint from t: each
+// partition's row count plus a sixteenth, so that a partition which gets
+// a few more rows than last time — an exchange's output moves by a few
+// percent between iterations — is not grown to twice its size.
+func (c *Context) noteSizes(t *storage.Table) {
+	if hint := c.sizeHint(len(t.Parts)); hint != nil {
+		for p, rows := range t.Parts {
+			hint[p] = len(rows) + len(rows)/16
+		}
+	}
+}
+
+// materialize runs n on the volcano executor into a fresh table named
+// into, presized from the running step's size hint.
+func (c *Context) materialize(n plan.Node, into string, parts int) (*storage.Table, error) {
+	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.Exec, into, parts, c.sizeHint(parts))
 }
 
 // Program is the rewritten form of a query with iterative CTEs: the
@@ -471,7 +510,9 @@ func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats
 			defer cancel()
 		}
 	}
-	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule)}
+	parts := max(p.Parts, 1)
+	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule),
+		sizes: make([]int, len(p.Steps)*parts), parts: parts}
 	defer func() {
 		stats.Retries = ctx.retries
 		stats.Degradations = ctx.degradations
@@ -739,13 +780,14 @@ func (m *MaterializeStep) Run(ctx *Context) error {
 	var t *storage.Table
 	var err error
 	if ctx.MPP != nil {
-		t, err = ctx.MPP.Materialize(m.Plan, m.Into)
+		t, err = ctx.MPP.Materialize(m.Plan, m.Into, ctx.sizeHint(m.Parts))
 	} else {
-		t, err = exec.MaterializeContext(ctx.Ctx, m.Plan, ctx.RT, &ctx.Stats.Exec, m.Into, m.Parts)
+		t, err = ctx.materialize(m.Plan, m.Into, m.Parts)
 	}
 	if err != nil {
 		return err
 	}
+	ctx.noteSizes(t)
 	if m.CheckKey >= 0 {
 		if err := checkUniqueKey(t, m.CheckKey); err != nil {
 			return err

@@ -262,8 +262,10 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 	return affected, nil
 }
 
-// publish binds the iteration's working table and counts it.
+// publish binds the iteration's working table, counts it and records
+// its partition sizes as the step's next size hint.
 func (r *Restriction) publish(ctx *Context, out *storage.Table) {
+	ctx.noteSizes(out)
 	ctx.RT.Results.Put(r.Into, out)
 	ctx.track(r.Into)
 	ctx.Stats.MaterializedCells += int64(out.Len()) * int64(len(out.Schema))

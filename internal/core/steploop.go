@@ -69,6 +69,7 @@ func (p *Program) dispatch(ctx *Context, pc int) (next int, err error) {
 		return 0, ferr
 	}
 	step := p.Steps[pc]
+	ctx.pc = pc
 	if err = ctx.checkpoint(pc); err == nil {
 		err = step.Run(ctx)
 	}

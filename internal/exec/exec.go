@@ -83,12 +83,15 @@ type Operator interface {
 
 // Drain runs an operator to completion and returns all rows. It keeps
 // them, so op must not have been built to lend its rows.
-func Drain(op Operator) ([]sqltypes.Row, error) {
+func Drain(op Operator) ([]sqltypes.Row, error) { return DrainInto(nil, op) }
+
+// DrainInto is Drain appending to out, which a caller that knows about
+// how many rows will come can presize.
+func DrainInto(out []sqltypes.Row, op Operator) ([]sqltypes.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	var out []sqltypes.Row
 	for {
 		r, err := op.Next()
 		if err != nil {
@@ -255,22 +258,23 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 	return Drain(op)
 }
 
-// Materialize executes a plan into a fresh storage table with the
+// MaterializeContext executes a plan into a fresh storage table with the
 // given name and partition count. Like base tables, intermediate
 // results are hash-distributed on their first column: the physical
 // layout is then a function of row content alone, so a plan rewrite
 // that adds or removes rows cannot permute the scan-back order of the
 // rows both plans produce (order-sensitive float aggregation stays
 // bit-identical across optimizer variants).
-func Materialize(n plan.Node, rt Runtime, stats *Stats, name string, parts int) (*storage.Table, error) {
-	return MaterializeContext(nil, n, rt, stats, name, parts)
-}
-
-// MaterializeContext is Materialize over a cancelable context: the
-// plan's hot loops poll ctx at a coarse row stride. A nil ctx keeps
-// the zero-cost uncancellable path.
-func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats, name string, parts int) (*storage.Table, error) {
-	rows, err := RunContext(ctx, n, rt, stats)
+//
+// Each row goes into its partition as the plan produces it, so the
+// partitions and their order are what InsertBatch makes of the drained
+// rows, without the drained slice. hint, when it has one count per
+// partition, presizes each partition to hold that many rows: a step
+// passes about what it wrote there last iteration. It is advisory and
+// changes capacity, never rows. The plan's hot loops poll ctx at a
+// coarse row stride; a nil ctx keeps the zero-cost uncancellable path.
+func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats, name string, parts int, hint []int) (*storage.Table, error) {
+	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,8 +282,27 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 	if len(t.Schema) > 0 {
 		t.DistCol = 0
 	}
-	t.InsertBatch(rows)
-	return t, nil
+	if len(hint) == len(t.Parts) {
+		for p, rows := range hint {
+			if rows > 0 {
+				t.Parts[p] = make([]sqltypes.Row, 0, rows)
+			}
+		}
+	}
+	if err := op.Open(); err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	for {
+		r, err := op.Next()
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			return t, nil
+		}
+		t.Insert(r)
+	}
 }
 
 // planEnv builds the expression environment for a node's output under a

@@ -336,7 +336,7 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Materialize(node, rt, nil, "counts", 2)
+	tbl, err := MaterializeContext(nil, node, rt, nil, "counts", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,16 +179,19 @@ func (r relation) gather() []sqltypes.Row { return slices.Concat(r.parts...) }
 
 // Run executes a plan in parallel and returns the gathered rows.
 func (m *Machine) Run(n plan.Node) ([]sqltypes.Row, error) {
-	rel, err := m.eval(n, nil)
+	rel, err := m.eval(n, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return rel.gather(), nil
 }
 
-// Materialize executes a plan in parallel into a storage table.
-func (m *Machine) Materialize(n plan.Node, name string) (*storage.Table, error) {
-	rel, err := m.eval(n, nil)
+// Materialize executes a plan in parallel into a storage table. hint,
+// when it has one count per partition, presizes the slice each
+// partition's fragment drains into, as exec.MaterializeContext presizes
+// its partitions: advisory, it changes capacity, never rows.
+func (m *Machine) Materialize(n plan.Node, name string, hint []int) (*storage.Table, error) {
+	rel, err := m.eval(n, nil, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +214,9 @@ type fragment struct {
 	exec.Fragment
 	elided [][]partCount       // per tap: the rows each partition showed it
 	sites  map[plan.Node]*site // the cuts whose rows a site holds
+	// presize, when it has one count per partition, is the capacity of
+	// the slice each partition's rows drain into (Materialize's hint).
+	presize []int
 }
 
 // partCount is one partition's counter, a cache line wide so that the
@@ -242,14 +248,16 @@ type exchange func(relation) relation
 // eval evaluates n into a relation: it cuts the plan below n at its
 // exchanges, evaluates what is below each cut, and runs the piece on
 // top, the fragment rooted at n, once per partition, routing its rows by
-// to (nil: they stay where they are produced).
-func (m *Machine) eval(n plan.Node, to router) (relation, error) {
+// to (nil: they stay where they are produced) or, when they stay, into
+// slices presized from hint (nil: not presized; see run).
+func (m *Machine) eval(n plan.Node, to router, hint []int) (relation, error) {
 	f := m.newFragment()
 	if err := m.cut(n, f); err != nil {
 		return relation{}, err
 	}
 	agg, ok := n.(*plan.Aggregate)
 	if !ok || !m.preAggregates(agg) {
+		f.presize = hint
 		return m.run(n, f, single(n), to)
 	}
 	// One row per group and partition moves instead of the input: to
@@ -379,7 +387,7 @@ func (m *Machine) below(f *fragment, c plan.Node) error {
 // exchanged cuts f at c: c is evaluated on its own, routing its rows by
 // to (nil: not at all), and f reads what ex (nil: nothing) makes of them.
 func (m *Machine) exchanged(f *fragment, c plan.Node, to router, ex exchange) error {
-	rel, err := m.eval(c, to)
+	rel, err := m.eval(c, to, nil)
 	if err != nil {
 		return err
 	}
@@ -411,7 +419,7 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 	f.Taps[c] = func(p int, r sqltypes.Row) error {
 		seen[p].n++
 		if m.CheckElide {
-			if dst := sqltypes.RowKey(r, cols).Partition(m.Parts); dst != p {
+			if dst := partitionOf(r, cols, m.Parts); dst != p {
 				return fmt.Errorf("mpp: elided %s exchange is unsound: row in partition %d routes to %d on cols %v", what, p, dst, cols)
 			}
 		}
@@ -422,12 +430,13 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 
 // run builds the fragment rooted at root once per partition — in
 // partition 0 only when one is set — and drains the trees side by side:
-// each into its slice of the relation or, under a router, straight into
-// the exchange's site, in the region that produced the rows (the root
-// then lends them: the site copies what it routes). Each tree counts
-// into its own exec.Stats; they are summed once all have finished. When
-// they have without an error, f's trees are done with the rows of f's
-// cuts, and those nobody kept may be overwritten.
+// each into its slice of the relation (presized from f.presize) or,
+// under a router, straight into the exchange's site, in the region that
+// produced the rows (the root then lends them: the site copies what it
+// routes). Each tree counts into its own exec.Stats; they are summed
+// once all have finished. When they have without an error, f's trees
+// are done with the rows of f's cuts, and those nobody kept may be
+// overwritten.
 func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relation, error) {
 	out := relation{parts: make([][]sqltypes.Row, m.Parts)}
 	build := exec.BuildFragment
@@ -454,7 +463,11 @@ func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relatio
 		if to != nil {
 			return out.from.fill(p, op, to(), cc)
 		}
-		out.parts[p], err = exec.Drain(op)
+		var rows []sqltypes.Row
+		if len(f.presize) == m.Parts && f.presize[p] > 0 {
+			rows = make([]sqltypes.Row, 0, f.presize[p])
+		}
+		out.parts[p], err = exec.DrainInto(rows, op)
 		return err
 	})
 	for _, s := range stats {
@@ -591,7 +604,7 @@ func (m *Machine) shuffle(keys []*expr.Compiled) router {
 				// Partition sends NULL-bearing keys to 0 too.
 				return 0, nil
 			}
-			return sqltypes.RowKey(vals, cols).Partition(m.Parts), nil
+			return partitionOf(vals, cols, m.Parts), nil
 		}
 	}
 }
@@ -602,9 +615,19 @@ func (m *Machine) shuffle(keys []*expr.Compiled) router {
 // routing values are already materialized in the row.
 func (m *Machine) shuffleCols(cols []int) router {
 	route := func(r sqltypes.Row) (int, error) {
-		return sqltypes.RowKey(r, cols).Partition(m.Parts), nil
+		return partitionOf(r, cols, m.Parts), nil
 	}
 	return func() func(sqltypes.Row) (int, error) { return route }
+}
+
+// partitionOf is RowKey(r, cols).Partition(parts), the one routing
+// function, with a one-column key hashed in place (sqltypes.PartitionOf)
+// instead of through a CompositeKey.
+func partitionOf(r sqltypes.Row, cols []int, parts int) int {
+	if len(cols) == 1 {
+		return sqltypes.PartitionOf(r[cols[0]], parts)
+	}
+	return sqltypes.RowKey(r, cols).Partition(parts)
 }
 
 func identityCols(n int) []int {

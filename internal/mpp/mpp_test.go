@@ -208,7 +208,7 @@ func TestMaterializeParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(rt, 4, nil, nil)
-	tbl, err := m.Materialize(node, "counts")
+	tbl, err := m.Materialize(node, "counts", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMaterializePartitionKeyJoin(t *testing.T) {
 		}
 		stats := &Stats{}
 		m := New(rt, parts, stats, nil)
-		tbl, err := m.Materialize(node, "working")
+		tbl, err := m.Materialize(node, "working", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

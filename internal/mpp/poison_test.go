@@ -272,7 +272,7 @@ func TestMaterializedSitesAreNeverReused(t *testing.T) {
 	m := New(rt, parts, nil, nil)
 	m.Elide = map[plan.Node]Elide{agg: {Input: true, InputCols: []int{0}}}
 	Poison(m)
-	first, err := m.Materialize(agg, "t1")
+	first, err := m.Materialize(agg, "t1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestMaterializedSitesAreNeverReused(t *testing.T) {
 	if volcano, _ := exec.Run(agg, rt, nil); canon(volcano, false) != want {
 		t.Fatalf("materialized rows differ from volcano:\n%s", want)
 	}
-	second, err := m.Materialize(agg, "t2")
+	second, err := m.Materialize(agg, "t2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

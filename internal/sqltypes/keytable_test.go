@@ -1,7 +1,9 @@
 package sqltypes
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -17,6 +19,77 @@ func TestKernelSizes(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(keySlot{}); got != 8 {
 		t.Errorf("sizeof(keySlot) = %d, want 8", got)
+	}
+}
+
+// routingPool is the expression kernels' value pool (internal/expr's
+// kernelPool): NULL and the zero Value, both booleans, the zeros, ±1 as
+// INT and FLOAT, integers a float cannot hold, the INT extremes, the
+// infinities, NaN, a fraction and two strings.
+var routingPool = []Value{
+	NullValue, {},
+	NewBool(true), NewBool(false),
+	NewInt(0), NewFloat(math.Copysign(0, -1)),
+	NewInt(1), NewInt(-1), NewFloat(1), NewFloat(-1),
+	NewInt(1<<53 + 1), NewInt(-(1<<53 + 1)),
+	NewInt(math.MaxInt64), NewInt(math.MinInt64),
+	NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+	NewFloat(1.5),
+	NewString("x"), NewString(""),
+}
+
+// legacyPartition is the single-value routing hash as storage has always
+// computed it, written out independently: NULL and a single partition go
+// to 0, anything else is FNV-1a over the value's bytes with no type tag —
+// a number's normalized float bits, a string's bytes, a boolean's 0/1.
+func legacyPartition(v Value, parts int) int {
+	if parts <= 1 || v.IsNull() {
+		return 0
+	}
+	var b []byte
+	switch v.T {
+	case Bool:
+		b = []byte{byte(v.I)}
+	case String:
+		b = []byte(v.S)
+	default:
+		f := v.Float()
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
+		}
+		b = binary.LittleEndian.AppendUint64(nil, math.Float64bits(f))
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return int(h.Sum64() % uint64(parts))
+}
+
+// TestPartitionOfIsTheRoutingFunction: PartitionOf, which storage and the
+// MPP exchanges route one-column keys through without a CompositeKey,
+// sends every value where RowKey(Row{v}, []int{0}).Partition does, and
+// both keep the layout the historical hash gave base tables — over the
+// value pool and 5k random INTs and FLOATs, at every partition count a
+// caller passes, 0 and 1 included.
+func TestPartitionOfIsTheRoutingFunction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := append([]Value(nil), routingPool...)
+	for i := 0; i < 2500; i++ {
+		vals = append(vals, NewInt(rng.Int63n(1<<40)-1<<39), NewFloat(rng.NormFloat64()*1e6))
+	}
+	vals = append(vals, NewFloat(3), NewInt(3)) // 3 and 3.0 co-locate
+	for _, parts := range []int{0, 1, 2, 3, 4, 7} {
+		for _, v := range vals {
+			got := PartitionOf(v, parts)
+			if want := RowKey(Row{v}, []int{0}).Partition(parts); got != want {
+				t.Fatalf("PartitionOf(%s %v, %d) = %d, RowKey(...).Partition = %d", v.T, v, parts, got, want)
+			}
+			if want := legacyPartition(v, parts); got != want {
+				t.Fatalf("PartitionOf(%s %v, %d) = %d, the historical hash = %d", v.T, v, parts, got, want)
+			}
+		}
 	}
 }
 

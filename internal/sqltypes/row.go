@@ -236,53 +236,54 @@ func (k CompositeKey) Hash() uint64 {
 //   - any NULL component: partition 0 (NULL never matches in SQL
 //     equality, so co-locating all NULLs is always safe and keeps the
 //     routing total).
-//   - a single non-NULL component: the legacy scalar FNV-1a hash
-//     (untagged, numeric values via their float bits so 1 and 1.0
-//     co-locate) — the same function storage has always used for
-//     DistCol inserts, so base-table layouts are unchanged.
+//   - a single component: PartitionOf's single-value hash (untagged,
+//     numeric values via their float bits so 1 and 1.0 co-locate) — the
+//     same function storage has always used for DistCol inserts, so
+//     base-table layouts are unchanged.
 //   - wider keys: the composite Hash().
 func (k CompositeKey) Partition(parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	if k.HasNull() {
-		return 0
-	}
 	if k.N == 1 && k.Wide == "" {
-		return int(k.K1.partitionHash() % uint64(parts))
+		return k.K1.partition(parts)
+	}
+	if parts <= 1 || k.HasNull() {
+		return 0
 	}
 	return int(k.Hash() % uint64(parts))
 }
 
-// partitionHash is the single-value routing hash: FNV-1a over the
-// normalized scalar without a type tag, matching the historical
-// storage-layer hash so existing base-table layouts are preserved.
-// Callers must not pass a NULL key (Partition routes those to 0 before
-// hashing).
-func (k Key) partitionHash() uint64 {
+// PartitionOf is Partition for the one-column key of v — what
+// RowKey(Row{v}, []int{0}).Partition(parts) returns — computed from v in
+// place, without building a CompositeKey. Storage routes DistCol inserts
+// and the MPP exchanges route one-column keys through it.
+func PartitionOf(v Value, parts int) int { return v.Key().partition(parts) }
+
+// partition is the single-value routing function: partition 0 for NULL
+// or a single partition, otherwise FNV-1a over the normalized scalar
+// without a type tag, matching the historical storage-layer hash so
+// existing base-table layouts are preserved.
+func (k Key) partition(parts int) int {
+	if parts <= 1 || k.k == keyNull {
+		return 0
+	}
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
 	switch k.k {
 	case keyNum:
 		u := floatBits(k.f)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ (u >> i & 0xff)) * prime
 		}
 	case keyStr:
 		for i := 0; i < len(k.s); i++ {
-			mix(k.s[i])
+			h = (h ^ uint64(k.s[i])) * prime
 		}
 	case keyBool:
-		mix(byte(k.i))
+		h = (h ^ uint64(byte(k.i))) * prime
 	}
-	return h
+	return int(h % uint64(parts))
 }
 
 // HasNull reports whether any component of the key is NULL; hash joins

@@ -70,16 +70,17 @@ func (t *Table) Len() int {
 }
 
 // partitionFor picks the destination partition of a row. Hash
-// distribution routes through sqltypes.CompositeKey.Partition — the
-// one routing function shared with the MPP exchange operators — so the
-// static partition-property analysis (internal/distprop) can reason
-// about storage layout and shuffle destinations with a single hash.
+// distribution routes through sqltypes.PartitionOf — the one-column
+// case of the routing function shared with the MPP exchange operators —
+// so the static partition-property analysis (internal/distprop) can
+// reason about storage layout and shuffle destinations with a single
+// hash.
 func (t *Table) partitionFor(r sqltypes.Row) int {
 	if len(t.Parts) == 1 {
 		return 0
 	}
 	if t.DistCol >= 0 && t.DistCol < len(r) {
-		return sqltypes.RowKey(r, []int{t.DistCol}).Partition(len(t.Parts))
+		return sqltypes.PartitionOf(r[t.DistCol], len(t.Parts))
 	}
 	p := t.rr
 	t.rr = (t.rr + 1) % len(t.Parts)
@@ -94,10 +95,19 @@ func (t *Table) mustBeWritable(op string) {
 	}
 }
 
+// firstRoom is the capacity a partition that has none gets on its first
+// Insert: room for this many rows at once, instead of growing through 1,
+// 2, 4 and 8. A step materializes most of its tables one row at a time
+// and, without a size hint, into partitions that start empty.
+const firstRoom = 16
+
 // Insert appends one row.
 func (t *Table) Insert(r sqltypes.Row) {
 	t.mustBeWritable("Insert")
 	p := t.partitionFor(r)
+	if cap(t.Parts[p]) == 0 {
+		t.Parts[p] = make([]sqltypes.Row, 0, firstRoom)
+	}
 	t.Parts[p] = append(t.Parts[p], r)
 }
 
