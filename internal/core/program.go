@@ -1020,6 +1020,13 @@ func (m *MergeStep) Run(ctx *Context) error {
 	out := storage.NewTable(m.Into, cte.Schema.Clone(), m.Parts)
 	out.PK = cte.PK
 	out.DistCol = 0
+	// out holds the CTE's keys plus the new ones: each partition starts
+	// at its CTE partition's length and a sixteenth more.
+	if len(cte.Parts) == len(out.Parts) {
+		for p, part := range cte.Parts {
+			out.Parts[p] = make([]sqltypes.Row, 0, len(part)+len(part)/16)
+		}
+	}
 	// deltaRows are exactly the rows identified as changed; their keys
 	// are the changed-key set delta iteration consumes.
 	var deltaRows []sqltypes.Row
@@ -1058,9 +1065,9 @@ func (m *MergeStep) Run(ctx *Context) error {
 		delta := storage.NewTable(m.Delta, cte.Schema.Clone(), m.Parts)
 		delta.PK = cte.PK
 		delta.DistCol = 0
+		delta.InsertBatch(deltaRows)
 		changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
 		for _, r := range deltaRows {
-			delta.Insert(r)
 			changedKeys.Insert(r[m.Key : m.Key+1])
 		}
 		ctx.RT.Results.Put(m.Delta, delta)

@@ -20,6 +20,14 @@ import (
 // (expr.Compiled), so one compilation serves every tree of every
 // executor, concurrently too.
 //
+// One entry does keep state, advisory only: an aggregate's entry counts
+// the groups the node produced the last time it ran in this run, which
+// the next run presizes its group table from (aggExprs.lastGroups). It
+// is an atomic the partitions of an MPP machine overwrite freely; a
+// stale or another partition's count changes capacity, never rows. It
+// lives here, not on the plan or the prepared program, because runs of
+// one prepared statement share those.
+//
 // The cache also carries the values the run bound to the statement's
 // literal slots, which every expression it compiles reads
 // (expr.Env.Params): a plan prepared once runs with the literals of each

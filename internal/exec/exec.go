@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"dbspinner/internal/expr"
 	"dbspinner/internal/plan"
@@ -637,14 +638,24 @@ type aggOp struct {
 	aggExprs
 	newAgg []func() expr.Aggregator // per aggregate: its accumulator constructor
 
-	out []sqltypes.Row
-	pos int
+	// groups holds, once open, one row per group in first-encounter
+	// order: the group key, then one cell per aggregate holding its
+	// result. Those rows are the operator's output, its one buffer.
+	groups *sqltypes.KeyTable
+	pos    int
 }
 
-// aggExprs is what an aggregate node's expressions compile to.
+// aggExprs is what an aggregate node's expressions compile to, plus the
+// node's one piece of run state.
 type aggExprs struct {
 	groupEx []*expr.Compiled
 	argEx   []*expr.Compiled // nil entries for COUNT(*)
+	// lastGroups is how many groups the node produced the last time it
+	// ran in this run, in whichever partition finished last: what the
+	// next run presizes its group table and accumulators to. It is
+	// advisory: a stale or another partition's count changes capacity,
+	// never rows.
+	lastGroups *atomic.Int64
 }
 
 // buildAggregate compiles an aggregate node's expressions over its
@@ -676,11 +687,13 @@ func (a *aggOp) Open() error {
 	defer a.input.Close()
 
 	// Group ids are dense and in first-encounter order, so the
-	// accumulators of group id sit at aggs[id*nAggs:] and the output
-	// below is one pass over the ids.
+	// accumulators of group id sit at aggs[id*nAggs:], and its output
+	// row is the table's row id: the key, then a payload cell per
+	// aggregate that the pass below fills with the result.
 	nAggs := len(a.node.Aggs)
-	groups := sqltypes.NewKeyTable(len(a.groupEx), 0)
-	var aggs []expr.Aggregator
+	hint := int(a.lastGroups.Load())
+	groups := sqltypes.NewPayloadKeyTable(len(a.groupEx), nAggs, hint)
+	aggs := make([]expr.Aggregator, 0, hint*nAggs)
 	newGroup := func() {
 		for _, mk := range a.newAgg {
 			aggs = append(aggs, mk())
@@ -728,35 +741,36 @@ func (a *aggOp) Open() error {
 		newGroup()
 	}
 
-	a.out = sqltypes.MakeRows(groups.Len(), len(a.groupEx)+nAggs)
-	for id, row := range a.out {
-		copy(row, groups.Key(id))
+	for id := range groups.Len() {
+		row := groups.Row(id)
 		for i, ag := range aggs[id*nAggs : (id+1)*nAggs] {
 			row[len(a.groupEx)+i] = ag.Result()
 		}
 	}
-	a.stats.RowsGrouped += int64(len(a.out))
-	a.pos = 0
+	a.lastGroups.Store(int64(groups.Len()))
+	a.stats.RowsGrouped += int64(groups.Len())
+	a.groups, a.pos = groups, 0
 	return nil
 }
 
 func (a *aggOp) Next() (sqltypes.Row, error) {
-	if a.pos >= len(a.out) {
+	if a.groups == nil || a.pos >= a.groups.Len() {
 		return nil, nil
 	}
-	r := a.out[a.pos]
+	r := a.groups.Row(a.pos)
 	a.pos++
 	return r, nil
 }
 
 func (a *aggOp) Close() error {
-	a.out = nil
+	a.groups = nil
 	return nil
 }
 
 // aggExprsOf compiles an aggregate node's expressions, once per c.
 func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
 	return shared(c, t, func() (ex aggExprs, err error) {
+		ex.lastGroups = new(atomic.Int64)
 		if ex.groupEx, err = groupKeyExprs(t, c.Params()); err != nil {
 			return ex, err
 		}

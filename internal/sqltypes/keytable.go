@@ -6,7 +6,10 @@ import "math"
 // a fixed width to dense ids handed out in first-insertion order. Hash
 // join, hash aggregate, distinct and the keyed step maps of the step
 // program all sit on it; what they keep per key (chains, accumulators,
-// rows) lives in their own slices indexed by id.
+// rows) lives in their own slices indexed by id. A table may also
+// reserve payload cells after each key (NewPayloadKeyTable): the hash
+// aggregate writes its results there and emits each id's cells, key
+// then payload, as its output row.
 //
 // Two keys are equal when every column is: NULL equals NULL (grouping
 // semantics — joins reject NULL keys before they get here), INT and
@@ -19,10 +22,12 @@ import "math"
 // Slot order is an implementation detail: nothing may iterate the slots.
 // Iterate ids 0..Len()-1, which is insertion order.
 type KeyTable struct {
-	width int
-	n     int
-	// vals holds each key's values once, id-major: key id occupies
-	// vals[id*width : (id+1)*width].
+	width  int
+	stride int // cells per id: the key's width, then the payload cells
+	n      int
+	// vals holds each id's cells once, id-major: id occupies
+	// vals[id*stride : (id+1)*stride], its key first. Its length is
+	// n*stride; its capacity grows with the slots (growVals).
 	vals  []Value
 	slots []keySlot // open addressing, linear probing; len is a power of two
 }
@@ -39,14 +44,20 @@ const minKeySlots = 8
 
 // NewKeyTable returns an empty table for keys of the given width, sized
 // so that hint keys fit without growing. A hint of 0 starts small.
-func NewKeyTable(width, hint int) *KeyTable {
+func NewKeyTable(width, hint int) *KeyTable { return NewPayloadKeyTable(width, 0, hint) }
+
+// NewPayloadKeyTable is NewKeyTable for ids that carry payload cells
+// after the key: they start zeroed (NULL), belong to the caller (Row),
+// and take no part in hashing or equality. With a hint the key storage
+// is exactly hint ids; without one it doubles with the slots.
+func NewPayloadKeyTable(width, payload, hint int) *KeyTable {
 	slots := minKeySlots
 	for slots < 2*hint {
 		slots *= 2
 	}
-	t := &KeyTable{width: width, slots: make([]keySlot, slots)}
+	t := &KeyTable{width: width, stride: width + payload, slots: make([]keySlot, slots)}
 	if hint > 0 {
-		t.vals = make([]Value, 0, hint*width)
+		t.vals = make([]Value, 0, hint*t.stride)
 	}
 	return t
 }
@@ -54,10 +65,21 @@ func NewKeyTable(width, hint int) *KeyTable {
 // Len returns the number of distinct keys inserted.
 func (t *KeyTable) Len() int { return t.n }
 
-// Key returns the stored values of key id. The slice is capped; callers
-// must not modify it.
+// Key returns the stored values of key id: the first width cells of its
+// stride. The slice is capped; callers must not modify it.
 func (t *KeyTable) Key(id int) []Value {
-	lo, hi := id*t.width, (id+1)*t.width
+	lo := id * t.stride
+	return t.vals[lo : lo+t.width : lo+t.width]
+}
+
+// Row returns every cell of id, key then payload, capped. The caller
+// may write the payload cells, never the key's. A zero-width row is
+// non-nil: a nil row means end of stream to operators.
+func (t *KeyTable) Row(id int) Row {
+	if t.stride == 0 {
+		return Row{}
+	}
+	lo, hi := id*t.stride, (id+1)*t.stride
 	return t.vals[lo:hi:hi]
 }
 
@@ -75,7 +97,12 @@ func (t *KeyTable) Insert(key []Value) (id int, added bool) {
 		return id, false
 	}
 	t.slots[slot] = keySlot{hash: h, id1: int32(t.n + 1)}
-	t.vals = append(t.vals, key...)
+	lo := t.n * t.stride
+	if lo+t.stride > cap(t.vals) {
+		t.growVals()
+	}
+	t.vals = t.vals[:lo+t.stride]
+	copy(t.vals[lo:], key)
 	t.n++
 	return t.n - 1, true
 }
@@ -118,6 +145,18 @@ func (t *KeyTable) grow() {
 		}
 		t.slots[i] = s
 	}
+}
+
+// growVals moves the cells into room for len(slots)/2 ids, as many as
+// the slots take before they double again (Insert has just made room
+// for the next id there). So key storage doubles with the slots instead
+// of growing by append, whose steps shrink toward 1.25x past 256
+// elements and allocate several times the final size over a table's
+// life. Cells past the copy start zeroed.
+func (t *KeyTable) growVals() {
+	vals := make([]Value, len(t.vals), len(t.slots)/2*t.stride)
+	copy(vals, t.vals)
+	t.vals = vals
 }
 
 func keysEqual(a, b []Value) bool {

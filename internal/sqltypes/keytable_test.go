@@ -269,6 +269,112 @@ func TestKeyTableZeroWidthAndHint(t *testing.T) {
 	}
 }
 
+// TestKeyTablePayloadCells: a table with payload cells after each key
+// hands them out zeroed, and what the caller writes there — here values
+// equal to other keys of the pool — changes no Key, no Find and no
+// equality, across several resizes; every Row is the full stride,
+// capped, and survives the growth that moves it.
+func TestKeyTablePayloadCells(t *testing.T) {
+	for width := 0; width <= 3; width++ {
+		for _, payload := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(int64(10*width + payload)))
+			table := NewPayloadKeyTable(width, payload, 0)
+			model := map[string]int{}
+			var first [][]Value
+			key := make([]Value, width)
+			for op := 0; op < 3000; op++ {
+				for i := range key {
+					key[i] = randomKeyValue(rng, 200)
+				}
+				id, added := table.Insert(key)
+				mk := modelKey(key)
+				wantID, present := model[mk]
+				if added == present || (present && id != wantID) {
+					t.Fatalf("width %d payload %d: Insert(%v) = %d, %v; model has %d, %v", width, payload, key, id, added, wantID, present)
+				}
+				if !added {
+					continue
+				}
+				model[mk] = id
+				first = append(first, append([]Value(nil), key...))
+				row := table.Row(id)
+				if len(row) != width+payload || cap(row) != width+payload {
+					t.Fatalf("Row(%d) has len %d cap %d, want %d/%d", id, len(row), cap(row), width+payload, width+payload)
+				}
+				for i, v := range row[width:] {
+					if v != (Value{}) {
+						t.Fatalf("width %d: payload cell %d of new id %d is %#v, want zeroed", width, i, id, v)
+					}
+					row[width+i] = routingPool[(id+i)%len(routingPool)]
+				}
+			}
+			for id, want := range first {
+				if got := table.Key(id); len(got) != width || cap(got) != width || modelKey(got) != modelKey(want) {
+					t.Fatalf("width %d payload %d: Key(%d) = %v (cap %d), first inserted %v", width, payload, id, got, cap(got), want)
+				}
+				if got := table.Find(want); got != id {
+					t.Fatalf("width %d payload %d: Find(Key(%d)) = %d", width, payload, id, got)
+				}
+				row := table.Row(id)
+				for i, v := range row[width:] {
+					if w := routingPool[(id+i)%len(routingPool)]; modelKey([]Value{v}) != modelKey([]Value{w}) {
+						t.Fatalf("width %d payload %d: payload cell %d of id %d is %v after growth, wrote %v", width, payload, i, id, v, w)
+					}
+				}
+			}
+		}
+	}
+	empty := NewKeyTable(0, 0)
+	empty.Insert(nil)
+	if r := empty.Row(0); r == nil || len(r) != 0 {
+		t.Errorf("zero-width Row = %#v, want non-nil and empty: nil means end of stream", r)
+	}
+	narrow := NewPayloadKeyTable(1, 1, 0)
+	narrow.Insert([]Value{NewInt(1)})
+	narrow.Insert([]Value{NewInt(2)})
+	grown := append(narrow.Row(0), NewString("overflow"))
+	grown[0] = NewString("scribble")
+	if narrow.Find([]Value{NewInt(1)}) != 0 || narrow.Key(1)[0].I != 2 || !narrow.Row(1)[1].IsNull() {
+		t.Error("an append to Row(0) wrote into the table")
+	}
+}
+
+// TestKeyTableStorageBytes: key storage doubles with the slots and never
+// grows by append. Over 1 to 5,000 keys without a hint, the cells it
+// ever allocated stay within twice what it holds at the end, and that
+// within twice what the keys fill (or the first step's room); with a
+// hint it allocates once, exactly the hint's cells, and keeps them while
+// the keys fit.
+func TestKeyTableStorageBytes(t *testing.T) {
+	for _, payload := range []int{0, 2} {
+		const width = 2
+		stride := width + payload
+		table := NewPayloadKeyTable(width, payload, 0)
+		var seen *Value
+		allocated := 0
+		for n := 1; n <= 5000; n++ {
+			table.Insert([]Value{NewInt(int64(n)), NewString("k")})
+			if p := unsafe.SliceData(table.vals); p != seen {
+				seen, allocated = p, allocated+cap(table.vals)
+			}
+			final := cap(table.vals)
+			if allocated > 2*final || final > 2*max(n, minKeySlots/2)*stride {
+				t.Fatalf("payload %d, %d keys: %d cells allocated in all, %d held, %d filled", payload, n, allocated, final, n*stride)
+			}
+		}
+		for _, hint := range []int{1, 7, 100, 4096, 5000} {
+			hinted := NewPayloadKeyTable(width, payload, hint)
+			data := unsafe.SliceData(hinted.vals)
+			for n := 1; n <= hint; n++ {
+				hinted.Insert([]Value{NewInt(int64(n)), NewString("k")})
+			}
+			if cap(hinted.vals) != hint*stride || unsafe.SliceData(hinted.vals) != data {
+				t.Errorf("payload %d, hint %d: %d keys hold %d cells, want one allocation of %d", payload, hint, hint, cap(hinted.vals), hint*stride)
+			}
+		}
+	}
+}
+
 // TestRowSlabRowsAreCapped is the ownership half of the kernel: a row
 // carved from a slab has no spare capacity, so appending to it copies
 // instead of writing into the next row.
@@ -283,9 +389,6 @@ func TestRowSlabRowsAreCapped(t *testing.T) {
 			}
 			rows[i][j] = NewInt(int64(10*i + j))
 		}
-	}
-	for _, fresh := range MakeRows(5, 3) {
-		rows = append(rows, fresh)
 	}
 	for i, r := range rows {
 		if len(r) != 3 || cap(r) != 3 {

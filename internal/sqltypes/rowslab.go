@@ -45,15 +45,3 @@ func (s *RowSlab) Recycle(r Row) {
 	s.pos -= len(r)
 	s.rows--
 }
-
-// MakeRows returns n zeroed rows of the given width carved from one
-// exactly sized buffer, each capped like a slab row: for callers that
-// know the row count up front and hold all the rows at once anyway.
-func MakeRows(n, width int) []Row {
-	buf := make([]Value, n*width)
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = buf[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
-}
