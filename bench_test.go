@@ -233,19 +233,24 @@ func BenchmarkRecursive(b *testing.B) {
 // multiplies into thousands of objects (the Go-map kernels made 109k; the
 // query makes 1.5k, gated at 9.2k), and a join that materializes the rows
 // its aggregate folds into megabytes (10.3 MB before rows were borrowed).
-// PageRank allocates 2.18 MB and PR-VS 1.93 MB with the aggregate's
-// output rows the group table's own cells, in a table presized from the
-// node's group count in the previous iteration; 2.37 MB and 2.35 MB
-// while it grew the table from empty every iteration and copied every
-// group into rows from MakeRows, and 2.44 MB and 2.45 MB when each step's
-// rows were drained into one slice and copied into the partitions after.
-// The counts repeat to within 100 bytes (0.1% more under -race for
-// PageRank, 2.2% for PR-VS). The byte budgets are the new measurements
-// plus 2% and 5%, below the old ones, so going back to either copy fails
-// here, as does indexing edges once per iteration instead of once per
-// query (4.54 MB before the run-scoped index memo, exec.IndexCache) or
-// paying for a diff, a closure and a splice on every dense iteration
-// (3.14 MB). Any of these fails go test, not a benchmark run.
+// PageRank allocates 1.42 MB and PR-VS 1.36 MB when every iteration
+// takes back the hash tables the one before let go: the aggregate resets
+// and fills its node's group table and accumulators, a join indexes the
+// new CTE table in the storage of the index the memo swept, and the
+// maintenance step's diff, affected keys and row indexes reuse the run's
+// key tables. Building them anew every iteration, with the aggregate's
+// output rows its group table's own cells in a table presized from the
+// node's previous group count, made 2.18 MB and 1.93 MB; growing that
+// table from empty and copying every group into rows from MakeRows, 2.37
+// MB and 2.35 MB; draining each step's rows into one slice and copying
+// them into the partitions after, 2.44 MB and 2.45 MB. The counts repeat
+// to within 100 bytes (0.1% more under -race for PageRank, 3.8% for
+// PR-VS). The byte budgets are the new measurements plus 3.2% and 5.7%,
+// below the old ones, so building the tables anew fails here, as does
+// indexing edges once per iteration instead of once per query (4.54 MB
+// before the run-scoped index memo, exec.IndexCache) or paying for a
+// diff, a closure and a splice on every dense iteration (3.14 MB). Any
+// of these fails go test, not a benchmark run.
 func TestAllocBudgetPageRank(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
 	g, err := benchGraph(cfg)
@@ -261,8 +266,8 @@ func TestAllocBudgetPageRank(t *testing.T) {
 		budget      float64 // objects; 0: not gated
 		bytesBudget uint64
 	}{
-		{"PageRank", bench.PRQuery(cfg.Iterations), 9200, 2_225_000},
-		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 2_030_000},
+		{"PageRank", bench.PRQuery(cfg.Iterations), 9200, 1_465_000},
+		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 1_440_000},
 	} {
 		query := func() {
 			if _, err := e.Query(c.sql); err != nil {
@@ -395,14 +400,17 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 // them into buffers the machine keeps across the back-edge, so the loop
 // pays for them once, each partition's output slice starts at the size
 // the step wrote there last iteration, and each partition's aggregate
-// builds its output rows in its group table, presized from the node's
-// previous group count: 13.00 MB per query (repeats to within 100 bytes;
-// 4-5% more under -race, where it varies by 1%). Copying every group out of a table grown from
-// empty was 14.22 MB; letting the step's output slice grow by doubling
-// besides, 14.36 MB. Materializing the joins' output for the exchange to
-// walk a second time, and building the exchange's memory anew every
-// iteration, was 45.55 MB. The budget is the measurement plus 7.3%, so
-// that the race run fits under it and the copy does not.
+// builds its output rows in its group table, and every partition's
+// aggregate and shuffled-build join take back the tables the iteration
+// before let go: 10.03 MB per query (repeats to within 100 bytes; 5.8%
+// more under -race). Building those tables anew every iteration, the
+// aggregate's presized from the node's previous group count, was 13.00
+// MB; copying every group out of a table grown from empty, 14.22 MB;
+// letting the step's output slice grow by doubling besides, 14.36 MB.
+// Materializing the joins' output for the exchange to walk a second
+// time, and building the exchange's memory anew every iteration, was
+// 45.55 MB. The budget is the measurement plus 8.2%, so that the race
+// run fits under it and building the tables anew does not.
 func TestAllocBudgetPageRankMPP(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 1300, Iterations: 10, Partitions: 2, AvailFrac: 0.8}
 	g, err := benchGraph(cfg)
@@ -419,7 +427,7 @@ func TestAllocBudgetPageRankMPP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const bytesBudget = 13_950_000
+	const bytesBudget = 10_850_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 3
 	query() // warm-up

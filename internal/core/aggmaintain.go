@@ -47,16 +47,23 @@ const checkSampleStride = 7
 // Run implements Step.
 func (m *MaintainAggStep) Run(ctx *Context) error {
 	acc := ctx.RT.Results.Get(m.Acc)
+	var changed *sqltypes.KeyTable
 	f, err := m.restrict(ctx, "aggregate maintenance", func(cte *storage.Table) (*sqltypes.KeyTable, string) {
 		snap := ctx.RT.Results.Get(m.Snap)
 		if acc == nil || snap == nil {
 			return nil, riFirst
 		}
-		return m.diff(cte, snap)
+		var why string
+		changed, why = m.diff(ctx, cte, snap)
+		return changed, why
 	})
+	// The diff's keys are closed into f.affected, which the splice reads
+	// until the step ends; neither outlives it.
+	ctx.letGo(changed)
 	if err != nil {
 		return err
 	}
+	defer ctx.letGo(f.affected)
 	var out *storage.Table
 	input := f.cte
 	if f.in != nil {
@@ -100,11 +107,11 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 // plan that needs no certificate; every set of changed keys — the only
 // answer that lets a cached row stand in for a recomputed one — comes
 // from the keyed diff and its duplicate-key certification.
-func (m *MaintainAggStep) diff(cte, snap *storage.Table) (*sqltypes.KeyTable, string) {
+func (m *MaintainAggStep) diff(ctx *Context, cte, snap *storage.Table) (*sqltypes.KeyTable, string) {
 	if lockstepDense(cte, snap, m.Key) {
 		return nil, riDense
 	}
-	if changed := keyedDiff(cte, snap, m.Key); changed != nil {
+	if changed := keyedDiff(ctx, cte, snap, m.Key); changed != nil {
 		return changed, ""
 	}
 	return nil, riUncertified
@@ -147,15 +154,17 @@ func lockstepDense(cte, snap *storage.Table, key int) bool {
 // the inner references, so they propagate too). Group-key stability
 // makes "which groups changed" exactly this set. nil means the tables
 // are not key-identified (short rows, duplicate keys) and the iteration
-// must run the full plan. A variable only so the tests can seed the
-// mutant that skips the certification; nothing else assigns it.
-var keyedDiff = func(cteTable, snap *storage.Table, key int) *sqltypes.KeyTable {
+// must run the full plan. Both tables are the run's (ctx.keyTable); the
+// caller lets go of the one it gets. A variable only so the tests can
+// seed the mutant that skips the certification; nothing else assigns it.
+var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqltypes.KeyTable {
 	// One key table holds both sides: the snapshot's keys take ids
 	// 0..len(old)-1, keys only the current CTE has take the ids after.
 	// old[id] is the snapshot row of key id, cur[id] its current row
 	// (nil: the key disappeared).
-	keys := sqltypes.NewKeyTable(1, snap.Len())
-	var old []sqltypes.Row
+	keys := ctx.keyTable(snap.Len())
+	defer ctx.letGo(keys)
+	old := make([]sqltypes.Row, 0, snap.Len())
 	for _, part := range snap.Parts {
 		for _, r := range part {
 			if key >= len(r) {
@@ -169,10 +178,11 @@ var keyedDiff = func(cteTable, snap *storage.Table, key int) *sqltypes.KeyTable 
 		}
 	}
 	cur := make([]sqltypes.Row, len(old))
-	changed := sqltypes.NewKeyTable(1, 0)
+	changed := ctx.keyTable(0)
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
 			if key >= len(r) {
+				ctx.letGo(changed)
 				return nil
 			}
 			k := r[key : key+1]
@@ -182,6 +192,7 @@ var keyedDiff = func(cteTable, snap *storage.Table, key int) *sqltypes.KeyTable 
 				cur = append(cur, r)
 				changed.Insert(k)
 			case cur[id] != nil:
+				ctx.letGo(changed)
 				return nil // duplicate keys: groups not key-identified
 			default:
 				cur[id] = r
@@ -209,7 +220,8 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 	if err != nil {
 		return nil, err
 	}
-	refolded := newRowIndex(m.Key, len(rows))
+	refolded := ctx.rowIndex(m.Key, len(rows))
+	defer ctx.letGo(refolded.keys)
 	for _, r := range rows {
 		if m.Key >= len(r) {
 			return nil, nil
@@ -221,7 +233,8 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 	// The cache is consulted (splice and cross-check alike) only for
 	// keys outside the affected set, so only those rows are indexed; an
 	// affected key's cached row is merely checked for being the only one.
-	cached := newRowIndex(m.Key, max(acc.Len()-affected.Len(), 0))
+	cached := ctx.rowIndex(m.Key, max(acc.Len()-affected.Len(), 0))
+	defer ctx.letGo(cached.keys)
 	seenAffected := make([]bool, affected.Len())
 	for _, part := range acc.Parts {
 		for _, r := range part {
@@ -296,7 +309,8 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 	if err != nil {
 		return err
 	}
-	recomputed := newRowIndex(m.Key, len(rows))
+	recomputed := ctx.rowIndex(m.Key, len(rows))
+	defer ctx.letGo(recomputed.keys)
 	for _, r := range rows {
 		recomputed.put(r)
 	}

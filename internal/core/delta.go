@@ -31,6 +31,9 @@ func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 		}
 		return d.Loop.changedKeys, riFirst // nil until the first merge has run
 	})
+	// The affected keys served the filter that bound In; the changed keys
+	// stay the loop's.
+	ctx.letGo(f.affected)
 	if err != nil {
 		return err
 	}

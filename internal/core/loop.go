@@ -147,10 +147,12 @@ func (s *LoopStep) Run(ctx *Context) error {
 		return err
 	}
 	// The back-edge: indexes the finished iteration did not ask for are
-	// of tables it replaced (exec.IndexCache), and exchange buffers it
-	// did not fill are those of the steps in front of the loop (mpp's
-	// sites).
+	// of tables it replaced (exec.IndexCache), exchange buffers it did
+	// not fill are those of the steps in front of the loop (mpp's sites),
+	// and hash tables no run took since the last back-edge were let go
+	// outside the loop (the spares of both memos).
 	ctx.RT.Indexes().Sweep()
+	ctx.RT.Compiled().Sweep()
 	ctx.MPP.Sweep()
 	// Safety guard for Unknown termination verdicts: refuse to start an
 	// iteration past the cap. The check sits after shouldContinue so a
@@ -228,7 +230,7 @@ func (l *LoopState) snapshot(ctx *Context) error {
 	// prevCount, so the disappeared-row adjustment in changedRows only
 	// accounts for keyed rows (a short row can neither match nor
 	// disappear).
-	l.prev = newRowIndex(l.key, t.Len())
+	l.prev = ctx.rowIndex(l.key, t.Len())
 	l.prevCount = 0
 	for _, part := range t.Parts {
 		for _, r := range part {

@@ -231,6 +231,13 @@ type Context struct {
 	pc    int
 	sizes []int
 	parts int
+	// spareKeys holds the one-column key tables this run's keyed passes
+	// let go (letGo), for the next pass to reset and fill (keyTable)
+	// instead of allocating: the diff, the affected keys and the row
+	// indexes of one iteration are the next iteration's. Every pass takes
+	// one if there is one, so it never holds more than were alive at
+	// once; steps run one at a time, so it needs no lock.
+	spareKeys []*sqltypes.KeyTable
 	// volcano is set once the retry driver has descended the
 	// graceful-degradation ladder; retries and degradations count what
 	// the run cost (folded into Stats when RunContext returns, so
@@ -318,6 +325,30 @@ func (c *Context) noteSizes(t *storage.Table) {
 		for p, rows := range t.Parts {
 			hint[p] = len(rows) + len(rows)/16
 		}
+	}
+}
+
+// keyTable returns an empty table for one-column keys, sized for hint: a
+// table an earlier keyed pass of the run let go, reset, if there is one.
+func (c *Context) keyTable(hint int) *sqltypes.KeyTable {
+	n := len(c.spareKeys)
+	if n == 0 {
+		return sqltypes.NewKeyTable(1, hint)
+	}
+	t := c.spareKeys[n-1]
+	c.spareKeys[n-1] = nil
+	c.spareKeys = c.spareKeys[:n-1]
+	t.Reset(1, 0, hint)
+	return t
+}
+
+// letGo takes back a key table a keyed pass is done with (nil: none),
+// for keyTable to hand out again: nothing may read it afterwards. A table
+// that outlives its step — a loop's changed keys or its UNTIL DELTA
+// snapshot, which a checkpoint captures — is never let go.
+func (c *Context) letGo(t *sqltypes.KeyTable) {
+	if t != nil {
+		c.spareKeys = append(c.spareKeys, t)
 	}
 }
 
@@ -789,7 +820,7 @@ func (m *MaterializeStep) Run(ctx *Context) error {
 	}
 	ctx.noteSizes(t)
 	if m.CheckKey >= 0 {
-		if err := checkUniqueKey(t, m.CheckKey); err != nil {
+		if err := checkUniqueKey(ctx, t, m.CheckKey); err != nil {
 			return err
 		}
 		t.PK = m.CheckKey
@@ -820,8 +851,9 @@ func indent(s, pad string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-func checkUniqueKey(t *storage.Table, key int) error {
-	seen := sqltypes.NewKeyTable(1, t.Len())
+func checkUniqueKey(ctx *Context, t *storage.Table, key int) error {
+	seen := ctx.keyTable(t.Len())
+	defer ctx.letGo(seen)
 	for _, part := range t.Parts {
 		for _, r := range part {
 			if key >= len(r) {
@@ -844,8 +876,11 @@ type rowIndex struct {
 	rows []sqltypes.Row
 }
 
-func newRowIndex(col, hint int) *rowIndex {
-	return &rowIndex{col: col, keys: sqltypes.NewKeyTable(1, hint), rows: make([]sqltypes.Row, 0, hint)}
+// rowIndex returns an empty row index on column col, sized for hint, over
+// a key table the run's keyed passes let go when there is one (keyTable).
+// A caller done with it gives the table back with letGo(x.keys).
+func (c *Context) rowIndex(col, hint int) *rowIndex {
+	return &rowIndex{col: col, keys: c.keyTable(hint), rows: make([]sqltypes.Row, 0, hint)}
 }
 
 // put files r under its key and reports whether the key was new; an
@@ -917,7 +952,8 @@ func (c *CopyBackStep) Run(ctx *Context) error {
 	}
 	// Changed-row identification pass (redundant for full updates, as
 	// §VII-B explains — that is the point of the baseline).
-	old := newRowIndex(c.Key, dst.Len())
+	old := ctx.rowIndex(c.Key, dst.Len())
+	defer ctx.letGo(old.keys)
 	for _, part := range dst.Parts {
 		for _, r := range part {
 			if c.Key < len(r) {
@@ -1005,7 +1041,8 @@ func (m *MergeStep) Run(ctx *Context) error {
 	}
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
-	updated := newRowIndex(m.Key, work.Len())
+	updated := ctx.rowIndex(m.Key, work.Len())
+	defer ctx.letGo(updated.keys)
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {

@@ -235,7 +235,7 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 	if dense(changed.Len(), of) {
 		return nil, nil
 	}
-	affected := sqltypes.NewKeyTable(1, 2*changed.Len())
+	affected := ctx.keyTable(2 * changed.Len())
 	for id := 0; id < changed.Len(); id++ {
 		affected.Insert(changed.Key(id))
 	}
@@ -254,6 +254,7 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 					continue
 				}
 				if _, added := affected.Insert(r[p.To : p.To+1]); added && dense(affected.Len(), of) {
+					ctx.letGo(affected)
 					return nil, nil
 				}
 			}

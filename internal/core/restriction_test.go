@@ -307,7 +307,7 @@ func TestSeededRuleMutantsFailClosed(t *testing.T) {
 	realDiff, realDense := keyedDiff, dense
 	defer func() { keyedDiff, dense = realDiff, realDense }()
 
-	keyedDiff = func(cte, snap *storage.Table, key int) *sqltypes.KeyTable {
+	keyedDiff = func(_ *Context, cte, snap *storage.Table, key int) *sqltypes.KeyTable {
 		changed := sqltypes.NewKeyTable(1, 0)
 		for p, part := range cte.Parts {
 			for i, r := range part {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dbspinner/internal/catalog"
 	"dbspinner/internal/expr"
@@ -141,7 +142,10 @@ func sameCells(t *testing.T, what string, got, want []sqltypes.Row) {
 // their own made — with no hint, an exact one, one too small, one too large, and
 // one another partition left — over NULL, NaN, ±0 and 2^53±1 group
 // keys, a scalar aggregate over empty input, and GROUP BY without
-// aggregates.
+// aggregates. Runs for a lending consumer give their table and
+// accumulators back when they close, and the next run resets and fills
+// them: those runs must match too, and a keeping run after them must
+// not see its rows change when a lending one takes the storage back.
 func TestAggregateRowsMatchCopy(t *testing.T) {
 	rt := groupRuntime(t)
 	nodes := map[string]*plan.Aggregate{}
@@ -176,15 +180,55 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex.lastGroups.Store(int64(hint))
+			ex.run.lastGroups.Store(int64(hint))
 			for run := 0; run < 2; run++ { // the second run takes the first's count
 				got, err := Run(node, memo, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				sameCells(t, fmt.Sprintf("%s, run %d", what, run+1), got, want)
-				if n := ex.lastGroups.Load(); n != int64(len(want)) {
+				if n := ex.run.lastGroups.Load(); n != int64(len(want)) {
 					t.Fatalf("%s: the node noted %d groups, it made %d", what, n, len(want))
+				}
+			}
+			// Lending runs, each after the hint is set again: the first
+			// leaves its table behind, the ones after fill it again — but
+			// never the one a keeping run between them filled, whose rows
+			// its consumer still holds.
+			var kept []sqltypes.Row
+			keptCells := map[*sqltypes.Value]bool{}
+			for run := 0; run < 4; run++ {
+				ex.run.lastGroups.Store(int64(hint))
+				op, err := buildWith(node, memo, nil, nil, true, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := drainCopies(op, func(r sqltypes.Row) {
+					if len(r) > 0 && keptCells[unsafe.SliceData(r)] {
+						t.Fatalf("%s, lending run %d: fills a row a keeping run handed out", what, run+1)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCells(t, fmt.Sprintf("%s, lending run %d", what, run+1), got, want)
+				if run == 1 {
+					if kept, err = Run(node, memo, nil); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range kept {
+						keptCells[unsafe.SliceData(r)] = len(r) > 0
+					}
+				}
+			}
+			sameCells(t, what+", keeping run between lending ones", kept, want)
+
+			// The last lending run's table stays through one back-edge
+			// and is dropped at the next if no run takes it.
+			for sweep, spares := range []int{1, 0} {
+				memo.Compiled().Sweep()
+				if n := len(ex.run.spare.items); n != spares {
+					t.Fatalf("%s: %d spare tables after sweep %d, want %d", what, n, sweep+1, spares)
 				}
 			}
 		}
@@ -210,8 +254,10 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 
 // TestAggregateHintSharedByConcurrentPartitions: the partitions of an
 // MPP machine run one aggregate node at once, and all of them read and
-// overwrite its group count in the run memo; each must still return its
-// own groups, as the copying aggregate made them.
+// overwrite its group count in the run memo, and, when they lend their
+// rows, give their group tables back to the node and take one another's;
+// each must still return its own groups, as the copying aggregate made
+// them.
 func TestAggregateHintSharedByConcurrentPartitions(t *testing.T) {
 	rt := groupRuntime(t)
 	node := aggregateIn(planSQL(t, rt, "SELECT k, COUNT(*), SUM(v) FROM g GROUP BY k"))
@@ -250,6 +296,27 @@ func TestAggregateHintSharedByConcurrentPartitions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// drainCopies is Drain for a tree built for a consumer that lends its
+// rows: it copies each row before asking for the next, as a reader
+// would, and shows each row as handed out to see (nil: none).
+func drainCopies(op Operator, see func(sqltypes.Row)) ([]sqltypes.Row, error) {
+	if err := op.Open(); err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	var out []sqltypes.Row
+	for {
+		r, err := op.Next()
+		if err != nil || r == nil {
+			return out, err
+		}
+		if see != nil {
+			see(r)
+		}
+		out = append(out, r.Clone())
+	}
 }
 
 func mustBuildFragment(t *testing.T, n plan.Node, rt Runtime, frag *Fragment, part int) Operator {

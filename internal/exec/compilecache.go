@@ -20,11 +20,14 @@ import (
 // (expr.Compiled), so one compilation serves every tree of every
 // executor, concurrently too.
 //
-// One entry does keep state, advisory only: an aggregate's entry counts
-// the groups the node produced the last time it ran in this run, which
-// the next run presizes its group table from (aggExprs.lastGroups). It
-// is an atomic the partitions of an MPP machine overwrite freely; a
-// stale or another partition's count changes capacity, never rows. It
+// One entry does keep state, advisory only: an aggregate's (aggRun). It
+// counts the groups the node produced the last time it ran in this run,
+// which the next run presizes its group table from, and it holds the
+// group tables and accumulators the node's lending runs gave back, which
+// the next run resets and fills. The partitions of an MPP machine
+// overwrite the count and trade the spares freely; a stale or another
+// partition's count, or another partition's spare, changes capacity,
+// never rows; Sweep drops a spare no run took for a whole iteration. It
 // lives here, not on the plan or the prepared program, because runs of
 // one prepared statement share those.
 //
@@ -40,6 +43,7 @@ type CompileCache struct {
 	mu      sync.Mutex
 	entries map[plan.Node]*compileEntry
 	params  []sqltypes.Value
+	aggRuns []*aggRun // every aggregate entry's run state, for Sweep
 }
 
 type compileEntry struct {
@@ -98,6 +102,32 @@ func (c *CompileCache) GroupKeys(t *plan.Aggregate) ([]*expr.Compiled, error) {
 	return ex.groupEx, err
 }
 
+// newAggRun returns the run state of an aggregate node compiled under c,
+// which Sweep reaches; without a cache, one that nothing sweeps.
+func (c *CompileCache) newAggRun() *aggRun {
+	r := new(aggRun)
+	if c != nil {
+		c.mu.Lock()
+		c.aggRuns = append(c.aggRuns, r)
+		c.mu.Unlock()
+	}
+	return r
+}
+
+// Sweep drops the group tables no run of their aggregate took since the
+// previous Sweep; the loop operator calls it at the back-edge, beside
+// IndexCache.Sweep.
+func (c *CompileCache) Sweep() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.aggRuns {
+		r.spare.sweep()
+	}
+}
+
 // Clear drops every entry; the run-end cleanup calls it.
 func (c *CompileCache) Clear() {
 	if c == nil {
@@ -106,6 +136,7 @@ func (c *CompileCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.entries)
+	c.aggRuns = nil
 }
 
 // Len returns the number of nodes compiled.

@@ -175,7 +175,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 	case *plan.Join:
 		return buildJoin(t, rt, stats, cc, borrow, frag)
 	case *plan.Aggregate:
-		return buildAggregate(t, rt, stats, cc, frag)
+		return buildAggregate(t, rt, stats, cc, borrow, frag)
 	case *plan.Union:
 		l, err := buildWith(t.Left, rt, stats, cc, borrow, frag)
 		if err != nil {
@@ -637,32 +637,56 @@ type aggOp struct {
 	input Operator
 	aggExprs
 	newAgg []func() expr.Aggregator // per aggregate: its accumulator constructor
+	// lend: the consumer is done with each row before it asks for the
+	// next (rows.go), so once closed the operator's table and
+	// accumulators can go back to the node's run state for its next run.
+	lend bool
 
 	// groups holds, once open, one row per group in first-encounter
 	// order: the group key, then one cell per aggregate holding its
-	// result. Those rows are the operator's output, its one buffer.
+	// result. Those rows are the operator's output, its one buffer. aggs
+	// holds the groups' accumulators, nAggs per group.
 	groups *sqltypes.KeyTable
+	aggs   []expr.Aggregator
 	pos    int
 }
 
 // aggExprs is what an aggregate node's expressions compile to, plus the
-// node's one piece of run state.
+// node's run state.
 type aggExprs struct {
 	groupEx []*expr.Compiled
 	argEx   []*expr.Compiled // nil entries for COUNT(*)
+	run     *aggRun
+}
+
+// aggRun is what one aggregate node carries from one of its runs to the
+// next within the run of a query. All of it is advisory: it changes
+// capacity and who allocates, never rows.
+type aggRun struct {
 	// lastGroups is how many groups the node produced the last time it
-	// ran in this run, in whichever partition finished last: what the
-	// next run presizes its group table and accumulators to. It is
-	// advisory: a stale or another partition's count changes capacity,
-	// never rows.
-	lastGroups *atomic.Int64
+	// ran, in whichever partition finished last: what the next run
+	// presizes its group table and accumulators to. A stale or another
+	// partition's count changes capacity, never rows.
+	lastGroups atomic.Int64
+
+	// spare holds the group tables and accumulators of lending runs that
+	// closed, for the next run to reset and fill instead of allocating:
+	// at most one per run of the node open at the same time (the
+	// partitions of an MPP machine).
+	spare spares[aggSpare]
+}
+
+type aggSpare struct {
+	groups *sqltypes.KeyTable
+	aggs   []expr.Aggregator
 }
 
 // buildAggregate compiles an aggregate node's expressions over its
 // input's rows and resolves each aggregate function once. The
 // accumulator constructors carve from chunks of their own, so unlike
-// the expressions they are the operator's alone.
-func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker, frag *fragPart) (Operator, error) {
+// the expressions they are the operator's alone. borrow says whether the
+// consumer lends the operator's rows (rows.go).
+func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker, borrow bool, frag *fragPart) (Operator, error) {
 	input, err := buildWith(t.Input, rt, stats, cc, true, frag)
 	if err != nil {
 		return nil, err
@@ -671,7 +695,7 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 	if err != nil {
 		return nil, err
 	}
-	op := &aggOp{node: t, stats: stats, input: input, aggExprs: ex, newAgg: make([]func() expr.Aggregator, len(t.Aggs))}
+	op := &aggOp{node: t, stats: stats, input: input, aggExprs: ex, newAgg: make([]func() expr.Aggregator, len(t.Aggs)), lend: borrow}
 	for i, a := range t.Aggs {
 		if op.newAgg[i], err = expr.NewAggregators(a.Name, a.Star, a.Distinct); err != nil {
 			return nil, err
@@ -689,12 +713,32 @@ func (a *aggOp) Open() error {
 	// Group ids are dense and in first-encounter order, so the
 	// accumulators of group id sit at aggs[id*nAggs:], and its output
 	// row is the table's row id: the key, then a payload cell per
-	// aggregate that the pass below fills with the result.
+	// aggregate that the pass below fills with the result. Both come
+	// from a closed run of the node if one left them, emptied.
 	nAggs := len(a.node.Aggs)
-	hint := int(a.lastGroups.Load())
-	groups := sqltypes.NewPayloadKeyTable(len(a.groupEx), nAggs, hint)
-	aggs := make([]expr.Aggregator, 0, hint*nAggs)
+	hint := int(a.run.lastGroups.Load())
+	s := a.run.spare.take()
+	groups, aggs := s.groups, s.aggs
+	if groups == nil {
+		groups = new(sqltypes.KeyTable)
+	}
+	groups.Reset(len(a.groupEx), nAggs, hint)
+	if cap(aggs) < hint*nAggs {
+		aggs = make([]expr.Aggregator, 0, hint*nAggs)
+	}
+	aggs = aggs[:0]
 	newGroup := func() {
+		// Past len, aggs still holds the accumulators of the run that
+		// left it, a group's worth at a time: reset them, or carve new
+		// ones where there are none.
+		n := len(aggs)
+		if nAggs > 0 && n+nAggs <= cap(aggs) && aggs[:n+1][n] != nil {
+			aggs = aggs[:n+nAggs]
+			for _, ag := range aggs[n:] {
+				ag.Reset()
+			}
+			return
+		}
 		for _, mk := range a.newAgg {
 			aggs = append(aggs, mk())
 		}
@@ -747,9 +791,9 @@ func (a *aggOp) Open() error {
 			row[len(a.groupEx)+i] = ag.Result()
 		}
 	}
-	a.lastGroups.Store(int64(groups.Len()))
+	a.run.lastGroups.Store(int64(groups.Len()))
 	a.stats.RowsGrouped += int64(groups.Len())
-	a.groups, a.pos = groups, 0
+	a.groups, a.aggs, a.pos = groups, aggs, 0
 	return nil
 }
 
@@ -762,15 +806,21 @@ func (a *aggOp) Next() (sqltypes.Row, error) {
 	return r, nil
 }
 
+// Close lets the rows go. A lending operator's consumer is done with
+// them, so the table and the accumulators go back to the node's run
+// state; a keeping one's rows are its consumer's from now on.
 func (a *aggOp) Close() error {
-	a.groups = nil
+	if a.lend && a.groups != nil {
+		a.run.spare.give(aggSpare{a.groups, a.aggs})
+	}
+	a.groups, a.aggs = nil, nil
 	return nil
 }
 
 // aggExprsOf compiles an aggregate node's expressions, once per c.
 func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
 	return shared(c, t, func() (ex aggExprs, err error) {
-		ex.lastGroups = new(atomic.Int64)
+		ex.run = c.newAggRun()
 		if ex.groupEx, err = groupKeyExprs(t, c.Params()); err != nil {
 			return ex, err
 		}

@@ -83,16 +83,19 @@ func inputsOf(op Operator) []*Operator {
 	panic(fmt.Sprintf("inputsOf: unknown operator %T", op))
 }
 
-// outRowsOf returns the output-row source of a row-building operator,
-// nil for the others.
-func outRowsOf(op Operator) *outRows {
+// borrowOf returns the flag that says whether a row-building operator,
+// or an aggregate, hands out rows its consumer only reads: nil for the
+// others.
+func borrowOf(op Operator) *bool {
 	switch t := op.(type) {
 	case *projectOp:
-		return &t.out
+		return &t.out.borrow
 	case *hashJoinOp:
-		return &t.out
+		return &t.out.borrow
 	case *nestedLoopOp:
-		return &t.out
+		return &t.out.borrow
+	case *aggOp:
+		return &t.lend
 	}
 	return nil
 }
@@ -114,8 +117,8 @@ func lend(op Operator) {
 			lend(*in)
 		}
 	}
-	if o := outRowsOf(op); o != nil {
-		o.borrow = true
+	if b := borrowOf(op); b != nil {
+		*b = true
 	}
 }
 
@@ -174,12 +177,12 @@ func runOwnership(op Operator, mode OwnershipMode) (rows []sqltypes.Row, scribbl
 		return op
 	})
 	op = rewire(op, func(op Operator) Operator {
-		o := outRowsOf(op)
+		b := borrowOf(op)
 		switch {
-		case o == nil:
+		case b == nil:
 		case mode == Retaining:
-			o.borrow = false
-		case o.borrow:
+			*b = false
+		case *b:
 			scribblers++
 			return &scribbleOp{input: op}
 		}
@@ -204,6 +207,26 @@ func (c *IndexCache) AliasByName(resolve func(name string) *storage.Table) {
 		if now := resolve(t.Name); now != nil && now != t {
 			c.entries[now] = append(c.entries[now], es...)
 			delete(c.entries, t)
+		}
+	}
+}
+
+// Spares returns how many let-go indexes the cache holds for reuse.
+func (c *IndexCache) Spares() int {
+	c.spare.mu.Lock()
+	defer c.spare.mu.Unlock()
+	return len(c.spare.items)
+}
+
+// RecycleLive is the seeded mutant of the cache's reuse: it files the
+// index of every entry for reuse while the entry still serves it, as a
+// Sweep that recycled what the last iteration used would.
+func (c *IndexCache) RecycleLive() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, es := range c.entries {
+		for _, e := range es {
+			c.Recycle(e.x)
 		}
 	}
 }

@@ -30,12 +30,20 @@ const allParts = -1
 // indexed once per run too. Without a CompileCache every request brings
 // a new predicate and misses.
 //
-// A nil *IndexCache is valid and builds every index it is asked for. A
-// cache is safe for concurrent use; the indexes it hands out are shared
-// and read-only.
+// The cache also takes back the storage of indexes nobody reads any
+// more — its own entries when Sweep drops them, and the indexes joins
+// built for themselves alone once they close (Recycle) — and the next
+// build, memoized or not, fills that storage again instead of
+// allocating: a loop that replaces a table every iteration indexes each
+// new one in the memory of an index of a table it replaced before.
+//
+// A nil *IndexCache is valid, builds every index it is asked for and
+// keeps nothing. A cache is safe for concurrent use; the indexes it
+// hands out are shared and read-only.
 type IndexCache struct {
 	mu      sync.Mutex
 	entries map[*storage.Table][]*indexEntry
+	spare   spares[*HashIndex] // indexes let go
 }
 
 type indexEntry struct {
@@ -60,11 +68,15 @@ func NewIndexCache() *IndexCache {
 // memoized; any other is built and not kept.
 func (c *IndexCache) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) (x *HashIndex, built bool, err error) {
 	build := func() (*HashIndex, error) {
-		rows, err := indexRows(t, part, filter)
+		x := c.spareIndex()
+		rows, owned, err := indexRows(x.rowStorage(), t, part, filter)
 		if err != nil {
 			return nil, err
 		}
-		return BuildHashIndex(rows, keys)
+		if x, err = buildHashIndex(x, rows, keys); err == nil && owned {
+			x.rowBuf = rows
+		}
+		return x, err
 	}
 	var e *indexEntry
 	if c != nil {
@@ -82,25 +94,31 @@ func (c *IndexCache) Index(t *storage.Table, part int, keys []*expr.Compiled, fi
 }
 
 // indexRows returns the rows of t's partition part (allParts: all of
-// them, in scan order) that pass filter (nil: every row). Unfiltered,
-// they are the partition itself. Filtered, one pass marks the rows that
-// pass in a bitset and the slice is cut to their count: the build side
-// of a selective filter costs a bit per row read, not the growing slice
-// of a drain.
-func indexRows(t *storage.Table, part int, filter *expr.Compiled) ([]sqltypes.Row, error) {
+// them, in scan order) that pass filter (nil: every row), and whether
+// they are in buf's storage, which a gathered or filtered read fills
+// from its start (nil: a new slice). Unfiltered over one partition, they
+// are the partition itself. Filtered, one pass marks the rows that pass
+// in a bitset and the slice is cut to their count: the build side of a
+// selective filter costs a bit per row read, not the growing slice of a
+// drain.
+func indexRows(buf []sqltypes.Row, t *storage.Table, part int, filter *expr.Compiled) (rows []sqltypes.Row, inBuf bool, err error) {
 	parts := t.Parts
 	if part != allParts {
 		parts = parts[part : part+1]
 	}
-	if filter == nil {
-		if len(parts) == 1 {
-			return parts[0], nil
-		}
-		return t.AllRows(), nil
+	if filter == nil && len(parts) == 1 {
+		return parts[0], false, nil
 	}
 	n := 0
 	for _, p := range parts {
 		n += len(p)
+	}
+	if filter == nil {
+		rows = sized(buf, n)
+		for _, p := range parts {
+			rows = append(rows, p...)
+		}
+		return rows, true, nil
 	}
 	pass := make([]uint64, (n+63)/64)
 	i, count := 0, 0
@@ -108,7 +126,7 @@ func indexRows(t *storage.Table, part int, filter *expr.Compiled) ([]sqltypes.Ro
 		for _, r := range p {
 			ok, err := filter.Holds(r)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if ok {
 				pass[i/64] |= 1 << (i % 64)
@@ -117,7 +135,7 @@ func indexRows(t *storage.Table, part int, filter *expr.Compiled) ([]sqltypes.Ro
 			i++
 		}
 	}
-	rows := make([]sqltypes.Row, 0, count)
+	rows = sized(buf, count)
 	i = 0
 	for _, p := range parts {
 		for _, r := range p {
@@ -127,17 +145,25 @@ func indexRows(t *storage.Table, part int, filter *expr.Compiled) ([]sqltypes.Ro
 			i++
 		}
 	}
-	return rows, nil
+	return rows, true, nil
+}
+
+// sized returns buf emptied, or a new slice if buf cannot hold n rows.
+func sized(buf []sqltypes.Row, n int) []sqltypes.Row {
+	if cap(buf) < n {
+		return make([]sqltypes.Row, 0, n)
+	}
+	return buf[:0]
 }
 
 // entry returns the memo entry for the request, new or existing, marked
 // used; nil when a key is not a bare column.
 func (c *IndexCache) entry(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) *indexEntry {
+	if !memoizable(keys) {
+		return nil
+	}
 	cols := make([]int, len(keys))
 	for i, k := range keys {
-		if k.Col < 0 {
-			return nil
-		}
 		cols[i] = k.Col
 	}
 	c.mu.Lock()
@@ -153,20 +179,38 @@ func (c *IndexCache) entry(t *storage.Table, part int, keys []*expr.Compiled, fi
 	return e
 }
 
-// Sweep drops the entries nobody asked for since the previous Sweep. The
-// loop operator calls it at the back-edge, so an index survives exactly
-// as long as every iteration uses it, and the tables of a finished
-// iteration are held for at most one more.
+// memoizable reports whether an index on keys is kept: all of them are
+// bare columns. An index on any other keys is its requester's alone.
+func memoizable(keys []*expr.Compiled) bool {
+	for _, k := range keys {
+		if k.Col < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Sweep drops the entries nobody asked for since the previous Sweep, and
+// takes back their indexes' storage. The loop operator calls it at the
+// back-edge, between steps, when no join holds an index open: so an
+// index survives exactly as long as every iteration uses it, the tables
+// of a finished iteration are held for at most one more, and nobody
+// reads a dropped index again. Spares no build took since the previous
+// Sweep go too.
 func (c *IndexCache) Sweep() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.spare.sweep()
 	for t, es := range c.entries {
 		es = slices.DeleteFunc(es, func(e *indexEntry) bool {
 			unused := !e.used
 			e.used = false
+			if unused && e.err == nil {
+				c.Recycle(e.x)
+			}
 			return unused
 		})
 		if len(es) == 0 {
@@ -177,7 +221,8 @@ func (c *IndexCache) Sweep() {
 	}
 }
 
-// Clear drops every entry; the run-end cleanup calls it.
+// Clear drops every entry and every index held for reuse; the run-end
+// cleanup calls it.
 func (c *IndexCache) Clear() {
 	if c == nil {
 		return
@@ -185,6 +230,37 @@ func (c *IndexCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.entries)
+	c.spare.clear()
+}
+
+// Recycle takes back an index its one holder is done with — one that
+// holder built for itself, never one the cache handed out as an entry —
+// for the next build to fill again. Nobody may probe it or read its Rows
+// afterwards; the rows it gathered are let go now, so that they do not
+// outlive their tables. A nil cache or index is a no-op.
+func (c *IndexCache) Recycle(x *HashIndex) {
+	if c != nil && x != nil {
+		clear(x.rowBuf)
+		c.spare.give(x)
+	}
+}
+
+// spareIndex returns an index that was let go, for a build to fill
+// again, or nil.
+func (c *IndexCache) spareIndex() *HashIndex {
+	if c == nil {
+		return nil
+	}
+	return c.spare.take()
+}
+
+// rowStorage returns the row slice x owns, empty, for a build to gather
+// its rows into; nil for a nil x.
+func (x *HashIndex) rowStorage() []sqltypes.Row {
+	if x == nil {
+		return nil
+	}
+	return x.rowBuf[:0]
 }
 
 // Len returns the number of indexes held.

@@ -26,6 +26,31 @@ func (s aliasingStep) Run(ctx *core.Context) error {
 	return s.Step.Run(ctx)
 }
 
+// recyclingStep runs the reuse's seeded mutant (exec.RecycleLive) before
+// the step it wraps.
+type recyclingStep struct{ core.Step }
+
+func (s recyclingStep) Run(ctx *core.Context) error {
+	ctx.RT.Indexes().RecycleLive()
+	return s.Step.Run(ctx)
+}
+
+// wrapSteps runs prog with every step but the loop steps wrapped, and
+// returns its rows, or the error as text.
+func wrapSteps(t *testing.T, prog *core.Program, rt *exec.StoreRuntime, wrap func(core.Step) core.Step) string {
+	t.Helper()
+	for i, s := range prog.Steps {
+		if _, loop := s.(*core.LoopStep); !loop {
+			prog.Steps[i] = wrap(s)
+		}
+	}
+	rows, err := prog.Run(rt, nil)
+	if err != nil {
+		return err.Error()
+	}
+	return exec.RowsText(rows)
+}
+
 // TestNameKeyedIndexMemoFailsParity seeds the bug the memo's key exists
 // to exclude: identify a build side by the name it is read under, not by
 // the table. A slot that is re-bound every iteration (PageRank AS
@@ -85,6 +110,45 @@ func TestNameKeyedIndexMemoFailsParity(t *testing.T) {
 			}
 			if run(byName) == want {
 				t.Error("a memo keyed on the slot name returns the same rows: the parity check cannot see a stale index")
+			}
+		})
+	}
+}
+
+// TestRecyclingLiveIndexFailsParity seeds the bug the reuse must never
+// have: take back the storage of an index the memo still serves, as a
+// Sweep that recycled the entries the last iteration used would. The
+// next build then fills an index some join is about to probe — the
+// loop-invariant edges index, or the CTE's — and every workload query
+// must stop matching the unmutated run (wrong rows or a failed run).
+func TestRecyclingLiveIndexFailsParity(t *testing.T) {
+	const nodes = 120
+	g := workload.PreferentialAttachment(nodes, 3, workload.WeightOutDegree, 5)
+	rt := graphRuntime(t, g)
+	for _, c := range []struct{ name, sql string }{
+		{"pr", bench.PRQuery(5)},
+		{"pr-vs", bench.PRVSQuery(5)},
+		{"sssp", bench.SSSPQuery(nodes, 5)},
+		{"sssp-vs", bench.SSSPVSQuery(nodes, 5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stmt, err := parser.Parse(c.sql + " ORDER BY Node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(wrap func(core.Step) core.Step) string {
+				prog, err := core.Rewrite(stmt.(*ast.SelectStmt), rt, core.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wrapSteps(t, prog, rt, wrap)
+			}
+			want := run(func(s core.Step) core.Step { return s })
+			if strings.Count(want, "\n") < nodes/2 {
+				t.Fatalf("the query returns too few rows to compare:\n%s", want)
+			}
+			if run(func(s core.Step) core.Step { return recyclingStep{s} }) == want {
+				t.Error("taking back the indexes the memo still serves returns the same rows: the parity check cannot see a live index refilled")
 			}
 		})
 	}

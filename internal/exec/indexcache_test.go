@@ -282,3 +282,108 @@ func TestJoinIndexesFilteredBuildSide(t *testing.T) {
 		}
 	}
 }
+
+// probeAll renders, for every probe row, the build rows x matches it with
+// in chain order: what a join sees of an index.
+func probeAll(t *testing.T, x *HashIndex, probe []sqltypes.Row, keys []*expr.Compiled) string {
+	t.Helper()
+	buf := make([]sqltypes.Value, len(keys))
+	var out []sqltypes.Row
+	for _, r := range probe {
+		i, err := x.First(r, keys, buf)
+		for ; i >= 0; i = x.Next(i) {
+			out = append(out, x.Rows[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sqltypes.Row{})
+	}
+	return RowsText(out)
+}
+
+// TestIndexCacheTakesBackWhatItLetGo: the storage of an index Sweep drops,
+// or a join's own index Recycle gets, is what the next build fills, and
+// what that build then serves is what a fresh index over the same rows
+// serves; an index in use is never taken back, a spare no build took
+// between two sweeps is dropped at the second, and Clear drops them all.
+func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
+	rt := testRuntime(t)
+	edges := rt.Catalog.Get("edges")
+	if len(edges.Parts) < 2 {
+		t.Fatal("edges must span partitions, so that its index gathers its rows")
+	}
+	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
+	probe := append(edges.AllRows(), sqltypes.Row{i64(99), i64(99), f64(0)})
+	before := RowsText(edges.AllRows())
+	c := NewIndexCache()
+	first, _, _ := c.Index(edges, allParts, byDst, nil)
+	c.Sweep() // used
+	if c.Spares() != 0 {
+		t.Fatal("an index used since the last sweep was taken back")
+	}
+	c.Sweep() // not used: dropped and taken back
+	if c.Len() != 0 || c.Spares() != 1 {
+		t.Fatalf("after a sweep that drops the entry: Len = %d, Spares = %d; want 0 and 1", c.Len(), c.Spares())
+	}
+
+	// The same rows at another address, one row more: a miss, built in
+	// the storage the sweep took back.
+	other := edges.Clone()
+	other.Insert(sqltypes.Row{i64(7), i64(2), f64(0.5)})
+	x, built, err := c.Index(other, allParts, byDst, nil)
+	if err != nil || !built || x != first || c.Spares() != 0 {
+		t.Fatalf("build after the sweep: built = %v, reused = %v, Spares = %d, err = %v", built, x == first, c.Spares(), err)
+	}
+	fresh, err := BuildHashIndex(other.AllRows(), byDst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := probeAll(t, x, probe, byDst), probeAll(t, fresh, probe, byDst); got != want {
+		t.Errorf("the refilled index serves\n%s\nwant\n%s", got, want)
+	}
+	if RowsText(edges.AllRows()) != before {
+		t.Error("taking the index back changed the rows of the table it indexed")
+	}
+
+	// A join's own index (a computed key is never memoized) goes back
+	// when the join closes, and the next run's build takes it.
+	node, plain := kernelPlan(t, "SELECT fact.v, dim.w FROM fact JOIN dim ON fact.k = dim.k + 0")
+	want, err := Run(node, plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := plain.WithMemo(NewIndexCache(), nil)
+	for run := 1; run <= 3; run++ {
+		got, err := Run(node, memo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if RowsText(got) != RowsText(want) {
+			t.Errorf("run %d: rows differ from the run without a memo", run)
+		}
+		if n := memo.Indexes().Spares(); n != 1 {
+			t.Errorf("run %d: %d indexes taken back after the join closed, want 1", run, n)
+		}
+	}
+
+	// A spare no build takes between two back-edges goes at the second.
+	d := NewIndexCache()
+	d.Recycle(fresh)
+	d.Recycle(nil)
+	for sweep, want := range []int{1, 1, 0} {
+		if sweep > 0 {
+			d.Sweep()
+		}
+		if d.Spares() != want {
+			t.Errorf("after %d sweeps: Spares = %d, want %d", sweep, d.Spares(), want)
+		}
+	}
+	d.Recycle(fresh)
+	d.Clear()
+	if d.Spares() != 0 {
+		t.Errorf("Spares after Clear = %d", d.Spares())
+	}
+	var none *IndexCache
+	none.Recycle(first) // a nil cache keeps nothing
+}

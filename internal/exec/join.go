@@ -54,8 +54,8 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			buildRead: build,
-			stats:     stats, cancel: cc, out: out,
+			buildRead: build, indexes: rt.Indexes(),
+			stats: stats, cancel: cc, out: out,
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -141,20 +141,37 @@ type HashIndex struct {
 	keys *sqltypes.KeyTable
 	head []int32
 	next []int32
+
+	// What a later build may fill again once this index is let go
+	// (IndexCache.Recycle): links backs head, next and the build's
+	// per-key tail, and rowBuf is the row slice the index owns — Rows
+	// itself when the rows were drained, gathered or filtered into it,
+	// never a table's own partition, which Rows may be instead.
+	links  []int32
+	rowBuf []sqltypes.Row
 }
 
 // BuildHashIndex indexes rows by the values of the key expressions.
 func BuildHashIndex(rows []sqltypes.Row, keyEx []*expr.Compiled) (*HashIndex, error) {
+	return buildHashIndex(nil, rows, keyEx)
+}
+
+// buildHashIndex is BuildHashIndex into the storage of x, an index that
+// was let go (nil: none), which it returns filled.
+func buildHashIndex(x *HashIndex, rows []sqltypes.Row, keyEx []*expr.Compiled) (*HashIndex, error) {
+	if x == nil {
+		x = &HashIndex{keys: new(sqltypes.KeyTable)}
+	}
 	// There are at most as many keys as rows, so head and tail are sized
 	// once; head is cut to the key count at the end.
-	links := make([]int32, 2*len(rows))
-	x := &HashIndex{
-		Rows: rows,
-		keys: sqltypes.NewKeyTable(len(keyEx), len(rows)),
-		next: links[:len(rows)],
-		head: links[len(rows):],
+	n := len(rows)
+	if cap(x.links) < 3*n {
+		x.links = make([]int32, 3*n)
 	}
-	tail := make([]int32, len(rows)) // per key id: the last row of its chain so far
+	links := x.links[:3*n]
+	x.Rows, x.next, x.head = rows, links[:n:n], links[n:2*n]
+	tail := links[2*n:] // per key id: the last row of its chain so far
+	x.keys.Reset(len(keyEx), 0, n)
 	buf := make([]sqltypes.Value, len(keyEx))
 	for i, r := range rows {
 		x.next[i] = -1
@@ -230,8 +247,12 @@ type hashJoinOp struct {
 	// (tableScan), the index comes from the run's memo instead of from
 	// draining the input.
 	buildRead tableRead
+	// indexes is the run's memo, which takes back an index the join
+	// built for itself alone (own) when it closes.
+	indexes *IndexCache
 
 	build            *HashIndex
+	own              bool
 	matched          []bool // per build row; full-outer only
 	probe            Operator
 	probeKeys        []*expr.Compiled
@@ -260,9 +281,14 @@ func (h *hashJoinOp) Open() error {
 
 	memoized, err := h.indexTable(buildKeys)
 	if err == nil && !memoized {
+		// A drained build side is indexed in the storage of an index some
+		// join let go, if the run's memo holds one.
+		x := h.indexes.spareIndex()
 		var rows []sqltypes.Row
-		if rows, err = Drain(buildOp); err == nil {
-			h.build, err = BuildHashIndex(rows, buildKeys)
+		if rows, err = DrainInto(x.rowStorage(), buildOp); err == nil {
+			if h.build, err = buildHashIndex(x, rows, buildKeys); err == nil {
+				h.build.rowBuf, h.own = rows, true
+			}
 			h.stats.RowsIndexed += int64(len(rows))
 		}
 	}
@@ -313,6 +339,7 @@ func (h *hashJoinOp) indexTable(keys []*expr.Compiled) (memoized bool, err error
 	if h.build, built, err = s.rt.Indexes().Index(t, part, keys, h.buildRead.filter); err != nil {
 		return false, err
 	}
+	h.own = built && !memoizable(keys)
 	if built {
 		h.stats.RowsIndexed += int64(len(h.build.Rows))
 		for _, p := range read {
@@ -429,7 +456,12 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 }
 
 func (h *hashJoinOp) Close() error {
-	h.build = nil
+	if h.own {
+		// No probe reads the index after Close, and its output rows are
+		// copies: the index's storage can go to the next build.
+		h.indexes.Recycle(h.build)
+	}
+	h.build, h.own = nil, false
 	h.matched = nil
 	return h.probe.Close()
 }

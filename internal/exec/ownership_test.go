@@ -90,20 +90,29 @@ func TestBorrowedRowsSurviveScribbling(t *testing.T) {
 	}
 }
 
-// TestOwnershipMutantsFail seeds the two bugs the contract exists to
-// prevent — a sort, and a hash join's build side, whose input was told
-// it may reuse its row — and demands that the scribbling run catches
-// each: a test that passes them would pass anything.
+// TestOwnershipMutantsFail seeds the bugs the contract exists to prevent
+// — a sort, and a hash join's build side, whose input was told it may
+// reuse its row, and a sort over an aggregate told it may give its group
+// table back for the next run to fill — and demands that the scribbling
+// run catches each: a test that passes them would pass anything.
 func TestOwnershipMutantsFail(t *testing.T) {
 	rt := ownershipRuntime(t)
 	for _, c := range []struct {
 		name, sql string
 		mode      OwnershipMode
+		// sortAggregate replaces the plan by a sort straight over its
+		// aggregate: the planner renames an aggregate's columns in a
+		// projection, which copies them, so only such a plan keeps its rows.
+		sortAggregate bool
 	}{
-		{"sort input lent", "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k ORDER BY r.w DESC, l.v", MutantSort},
-		{"build side lent", "SELECT a.v, b.w FROM l AS a JOIN (SELECT l.k AS k, r.w AS w FROM l JOIN r ON l.k = r.k) AS b ON a.k = b.k", MutantBuildSide},
+		{"sort input lent", "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k ORDER BY r.w DESC, l.v", MutantSort, false},
+		{"build side lent", "SELECT a.v, b.w FROM l AS a JOIN (SELECT l.k AS k, r.w AS w FROM l JOIN r ON l.k = r.k) AS b ON a.k = b.k", MutantBuildSide, false},
+		{"aggregate under a sort lent", "SELECT l.k, COUNT(*), MIN(r.w) FROM l LEFT JOIN r ON l.k = r.k GROUP BY l.k", MutantSort, true},
 	} {
 		node := planSQL(t, rt, c.sql)
+		if c.sortAggregate {
+			node = &plan.Sort{Input: aggregateIn(node), Keys: []plan.SortKey{{Col: 0}}}
+		}
 		want, _, err := RunOwnership(node, rt, Retaining)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -14,6 +14,9 @@ import (
 type Aggregator interface {
 	Add(v sqltypes.Value) error
 	Result() sqltypes.Value
+	// Reset empties the accumulator, as its constructor made it, so that
+	// another group can take it over.
+	Reset()
 }
 
 // NewAggregators resolves the named aggregate once and returns the
@@ -113,6 +116,8 @@ func (c *countAgg) Add(v sqltypes.Value) error {
 
 func (c *countAgg) Result() sqltypes.Value { return sqltypes.NewInt(c.n) }
 
+func (c *countAgg) Reset() { c.n = 0 }
+
 type sumAgg struct {
 	any     bool
 	isFloat bool
@@ -158,6 +163,8 @@ func (s *sumAgg) Result() sqltypes.Value {
 	return sqltypes.NewInt(s.i)
 }
 
+func (s *sumAgg) Reset() { *s = sumAgg{} }
+
 type extremumAgg struct {
 	dir  int
 	best sqltypes.Value // starts NULL
@@ -174,6 +181,8 @@ func (e *extremumAgg) Add(v sqltypes.Value) error {
 }
 
 func (e *extremumAgg) Result() sqltypes.Value { return e.best }
+
+func (e *extremumAgg) Reset() { e.best = sqltypes.Value{} }
 
 type avgAgg struct {
 	n   int64
@@ -199,6 +208,8 @@ func (a *avgAgg) Result() sqltypes.Value {
 	return sqltypes.NewFloat(a.sum / float64(a.n))
 }
 
+func (a *avgAgg) Reset() { *a = avgAgg{} }
+
 type distinctAgg struct {
 	inner Aggregator
 	seen  *sqltypes.KeyTable
@@ -217,3 +228,8 @@ func (d *distinctAgg) Add(v sqltypes.Value) error {
 }
 
 func (d *distinctAgg) Result() sqltypes.Value { return d.inner.Result() }
+
+func (d *distinctAgg) Reset() {
+	d.inner.Reset()
+	d.seen.Reset(1, 0, 0)
+}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"dbspinner/internal/sqltypes"
@@ -149,6 +150,52 @@ func TestAccumulatorsAreIndependent(t *testing.T) {
 	feed(t, mk(), sqltypes.NewInt(7))
 	if got := mk().Result(); !got.IsNull() {
 		t.Errorf("a new MAX accumulator starts at %v, want NULL", got)
+	}
+}
+
+// TestAccumulatorReset: an accumulator that folded some values and was
+// reset folds the next ones exactly as a new one does — the same errors
+// and the same result, bit for bit — for every aggregate, with and
+// without DISTINCT, over runs of the kernel pool's values.
+func TestAccumulatorReset(t *testing.T) {
+	same := func(a, b sqltypes.Value) bool {
+		return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	run := func(a Aggregator, vals []sqltypes.Value) (errs string) {
+		for _, v := range vals {
+			if err := a.Add(v); err != nil {
+				errs += err.Error() + ";"
+			}
+		}
+		return errs
+	}
+	n := len(kernelPool)
+	for _, name := range []string{"COUNT", "SUM", "MIN", "MAX", "AVG"} {
+		for _, star := range []bool{false, name == "COUNT"} {
+			for _, distinct := range []bool{false, true} {
+				mk, err := NewAggregators(name, star, distinct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range n {
+					before := []sqltypes.Value{kernelPool[i], kernelPool[(i+1)%n], kernelPool[(i+5)%n]}
+					for j := range n + 1 {
+						after := []sqltypes.Value{kernelPool[j%n], kernelPool[(j+3)%n], kernelPool[j%n]}
+						if j == n {
+							after = nil // the empty group
+						}
+						reused, fresh := mk(), mk()
+						run(reused, before)
+						reused.Reset()
+						gotErrs, wantErrs := run(reused, after), run(fresh, after)
+						if got, want := reused.Result(), fresh.Result(); gotErrs != wantErrs || !same(got, want) {
+							t.Fatalf("%s star=%v distinct=%v over %v, reset, then %v: %#v (errors %q), a new one %#v (errors %q)",
+								name, star, distinct, before, after, got, gotErrs, want, wantErrs)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -166,6 +166,14 @@ type ownMemo struct {
 
 func (r ownMemo) Compiled() *exec.CompileCache { return r.compiled }
 
+// Indexes is the given runtime's memo; over no tables at all, none.
+func (r ownMemo) Indexes() *exec.IndexCache {
+	if r.Runtime == nil {
+		return nil
+	}
+	return r.Runtime.Indexes()
+}
+
 // relation is a partitioned intermediate result: what a fragment
 // produced, or what an exchange made of it. from is the site whose
 // buffers hold the rows (nil: they are their producer's own); a gather or

@@ -51,15 +51,36 @@ func NewKeyTable(width, hint int) *KeyTable { return NewPayloadKeyTable(width, 0
 // and take no part in hashing or equality. With a hint the key storage
 // is exactly hint ids; without one it doubles with the slots.
 func NewPayloadKeyTable(width, payload, hint int) *KeyTable {
+	t := &KeyTable{}
+	t.Reset(width, payload, hint)
+	return t
+}
+
+// Reset makes t what NewPayloadKeyTable(width, payload, hint) returns,
+// over t's own storage: the slot array is cleared and kept if it takes
+// hint keys, the cells are cleared and kept if they hold hint ids, and
+// only what is too small is allocated again, at the hint. Nothing of the
+// old keys survives, and every payload cell starts zeroed. The caller
+// must be done with everything Key and Row returned before: those cells
+// are the ones the table fills next.
+func (t *KeyTable) Reset(width, payload, hint int) {
 	slots := minKeySlots
 	for slots < 2*hint {
 		slots *= 2
 	}
-	t := &KeyTable{width: width, stride: width + payload, slots: make([]keySlot, slots)}
-	if hint > 0 {
+	if len(t.slots) >= slots {
+		clear(t.slots)
+	} else {
+		t.slots = make([]keySlot, slots)
+	}
+	// Every cell past len(vals) is zero (growVals copies only the filled
+	// ones, and this clears them), which is what makes payload start NULL.
+	clear(t.vals)
+	t.vals = t.vals[:0]
+	t.width, t.stride, t.n = width, width+payload, 0
+	if hint > 0 && cap(t.vals) < hint*t.stride {
 		t.vals = make([]Value, 0, hint*t.stride)
 	}
-	return t
 }
 
 // Len returns the number of distinct keys inserted.

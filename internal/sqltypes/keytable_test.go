@@ -339,6 +339,74 @@ func TestKeyTablePayloadCells(t *testing.T) {
 	}
 }
 
+// TestKeyTableReset: a table reset for another use is, to every caller,
+// the table NewPayloadKeyTable makes for it — the same ids in the same
+// order, the same Find answers, payload cells zeroed, nothing of the
+// previous keys found — over uses that change width, payload and hint;
+// and a use whose keys fit the storage the previous ones grew allocates
+// nothing.
+func TestKeyTableReset(t *testing.T) {
+	reused := NewKeyTable(1, 0)
+	for use, u := range []struct{ width, payload, hint, keys, spread int }{
+		{1, 0, 0, 3000, 2000}, {1, 0, 0, 50, 40}, {2, 1, 50, 400, 40}, {0, 2, 0, 5, 3},
+		{1, 0, 3000, 2500, 2000}, {3, 0, 10, 900, 40}, {1, 2, 0, 3000, 2000},
+	} {
+		reused.Reset(u.width, u.payload, u.hint)
+		fresh := NewPayloadKeyTable(u.width, u.payload, u.hint)
+		rng := rand.New(rand.NewSource(int64(use)))
+		key := make([]Value, u.width)
+		for op := 0; op < u.keys; op++ {
+			for i := range key {
+				key[i] = randomKeyValue(rng, u.spread)
+			}
+			if op%4 == 0 {
+				if got, want := reused.Find(key), fresh.Find(key); got != want {
+					t.Fatalf("use %d: Find(%v) = %d after Reset, %d in a new table", use, key, got, want)
+				}
+				continue
+			}
+			id, added := reused.Insert(key)
+			wantID, wantAdded := fresh.Insert(key)
+			if id != wantID || added != wantAdded {
+				t.Fatalf("use %d: Insert(%v) = %d, %v after Reset; %d, %v in a new table", use, key, id, added, wantID, wantAdded)
+			}
+			if !added {
+				continue
+			}
+			row := reused.Row(id)
+			for i, v := range row[u.width:] {
+				if v != (Value{}) {
+					t.Fatalf("use %d: payload cell %d of id %d is %#v after Reset, want zeroed", use, i, id, v)
+				}
+				row[u.width+i] = NewString("payload") // what the next Reset must clear
+			}
+		}
+		for id := range fresh.Len() {
+			if got, want := reused.Key(id), fresh.Key(id); modelKey(got) != modelKey(want) || cap(got) != u.width {
+				t.Fatalf("use %d: Key(%d) = %v after Reset, %v in a new table", use, id, got, want)
+			}
+		}
+	}
+
+	// Storage the earlier uses grew is kept: filling it again allocates
+	// nothing.
+	keys := make([][]Value, 2000)
+	for i := range keys {
+		keys[i] = []Value{NewInt(int64(i)), NewString("k")}
+	}
+	table := NewPayloadKeyTable(2, 1, 0)
+	fill := func() {
+		table.Reset(2, 1, 0)
+		for _, k := range keys {
+			table.Insert(k)
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(5, fill); n != 0 {
+		t.Errorf("refilling a reset table with as many keys allocated %.0f times, want 0", n)
+	}
+}
+
 // TestKeyTableStorageBytes: key storage doubles with the slots and never
 // grows by append. Over 1 to 5,000 keys without a hint, the cells it
 // ever allocated stay within twice what it holds at the end, and that
