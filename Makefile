@@ -62,34 +62,37 @@ bench-check:
 # (§8) asks: PAIRS alternating runs of one workload's end-to-end pass on
 # BASE and on this tree, each built from its own sources by its own
 # benchmark/run.sh, on a seed the change was not written against. It
-# prints op_ms_p50 of every run, each side's median and quartiles, how
-# many pairs the change won, and the verdict: a gain needs at least nine
-# wins in ten and a median gap above the spread (IQR) of BASE's own runs.
-# BASE is exported with git archive into .bench_build/pair-base/ (which
-# is git-ignored), so nothing is registered in .git and the working tree
-# is measured as it stands, uncommitted edits included.
-#   make bench-pair BASE=HEAD~1 [WORKLOAD=pr] [PAIRS=10] [SEED=11]
+# prints METRIC (default op_ms_p50; any end-to-end metric of
+# BENCHMARK.json, all of which are better lower — alloc_mb_per_op,
+# allocs_per_op, ...) of every run, each side's median and quartiles,
+# how many pairs the change won, and the verdict: a gain needs at least
+# nine wins in ten and a median gap above the spread (IQR) of BASE's own
+# runs. BASE is exported with git archive into .bench_build/pair-base/
+# (which is git-ignored), so nothing is registered in .git and the
+# working tree is measured as it stands, uncommitted edits included.
+#   make bench-pair BASE=HEAD~1 [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50]
 WORKLOAD ?= pr
 PAIRS ?= 10
 SEED ?= 11
+METRIC ?= op_ms_p50
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=pr] [PAIRS=10] [SEED=11]" >&2; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50]" >&2; exit 2; }
 	@set -eu; base=.bench_build/pair-base; res=.bench_build/pair-$(WORKLOAD).txt; \
 	rm -rf $$base; mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; : > $$res; \
-	p50() { (cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0) \
-		| tail -n 1 | sed -n 's/.*"op_ms_p50":{"value":\([0-9.eE+-]*\).*/\1/p'; }; \
+	metric() { (cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0) \
+		| tail -n 1 | sed -n 's/.*"$(METRIC)":{"value":\([0-9.eE+-]*\).*/\1/p'; }; \
 	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then b=$$(p50 $$base); c=$$(p50 .); else c=$$(p50 .); b=$$(p50 $$base); fi; \
-		test -n "$$b" -a -n "$$c" || { echo "pair $$i: a run printed no op_ms_p50" >&2; exit 1; }; \
-		printf 'pair %2d  base %8.2f ms  change %8.2f ms\n' $$i $$b $$c; echo "$$b $$c" >> $$res; \
+		if [ $$((i % 2)) -eq 1 ]; then b=$$(metric $$base); c=$$(metric .); else c=$$(metric .); b=$$(metric $$base); fi; \
+		test -n "$$b" -a -n "$$c" || { echo "pair $$i: a run printed no $(METRIC)" >&2; exit 1; }; \
+		printf 'pair %2d  base %10.4f  change %10.4f  %s\n' $$i $$b $$c $(METRIC); echo "$$b $$c" >> $$res; \
 	done; \
 	quart() { cut -d' ' -f$$1 $$res | sort -g | awk '{ v[NR] = $$1 } END { \
 		for (k = 1; k <= 3; k++) { h = (NR - 1) * k / 4; lo = int(h); hi = lo + 1 < NR ? lo + 1 : lo; \
-			printf "%s%.2f", (k > 1 ? " " : ""), v[lo + 1] + (h - lo) * (v[hi + 1] - v[lo + 1]) } }'; }; \
-	echo "$$(quart 1) $$(quart 2) $$(awk '$$2 < $$1 { w++ } END { print w + 0 }' $$res)" | awk -v n=$(PAIRS) -v base=$(BASE) -v w=$(WORKLOAD) '{ \
-		printf "%s op_ms_p50, %d pairs: %s q1 %.2f median %.2f q3 %.2f | change q1 %.2f median %.2f q3 %.2f\n", w, n, base, $$1, $$2, $$3, $$4, $$5, $$6; \
+			printf "%s%.4f", (k > 1 ? " " : ""), v[lo + 1] + (h - lo) * (v[hi + 1] - v[lo + 1]) } }'; }; \
+	echo "$$(quart 1) $$(quart 2) $$(awk '$$2 < $$1 { w++ } END { print w + 0 }' $$res)" | awk -v n=$(PAIRS) -v base=$(BASE) -v w=$(WORKLOAD) -v m=$(METRIC) '{ \
+		printf "%s %s, %d pairs: %s q1 %.4f median %.4f q3 %.4f | change q1 %.4f median %.4f q3 %.4f\n", w, m, n, base, $$1, $$2, $$3, $$4, $$5, $$6; \
 		gap = $$2 - $$5; iqr = $$3 - $$1; \
-		printf "change wins %d of %d; median gap %.2f ms (%.1f%%) against a base IQR of %.2f ms: %s\n", $$7, n, gap, 100 * gap / $$2, iqr, \
+		printf "change wins %d of %d; median gap %.4f (%.1f%%) against a base IQR of %.4f: %s\n", $$7, n, gap, 100 * gap / $$2, iqr, \
 			(10 * $$7 >= 9 * n && gap > iqr) ? "GAIN" : "NO GAIN SHOWN" }'
 
 # profile runs one root benchmark (bench_test.go) at a fixed iteration

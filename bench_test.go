@@ -233,24 +233,27 @@ func BenchmarkRecursive(b *testing.B) {
 // multiplies into thousands of objects (the Go-map kernels made 109k; the
 // query makes 1.5k, gated at 9.2k), and a join that materializes the rows
 // its aggregate folds into megabytes (10.3 MB before rows were borrowed).
-// PageRank allocates 1.42 MB and PR-VS 1.36 MB when every iteration
-// takes back the hash tables the one before let go: the aggregate resets
+// PageRank allocates 1.01 MB and PR-VS 1.15–1.17 MB when every iteration
+// takes back the hash tables the one before let go — the aggregate resets
 // and fills its node's group table and accumulators, a join indexes the
 // new CTE table in the storage of the index the memo swept, and the
 // maintenance step's diff, affected keys and row indexes reuse the run's
-// key tables. Building them anew every iteration, with the aggregate's
-// output rows its group table's own cells in a table presized from the
-// node's previous group count, made 2.18 MB and 1.93 MB; growing that
-// table from empty and copying every group into rows from MakeRows, 2.37
-// MB and 2.35 MB; draining each step's rows into one slice and copying
-// them into the partitions after, 2.44 MB and 2.45 MB. The counts repeat
-// to within 100 bytes (0.1% more under -race for PageRank, 3.8% for
-// PR-VS). The byte budgets are the new measurements plus 3.2% and 5.7%,
-// below the old ones, so building the tables anew fails here, as does
-// indexing edges once per iteration instead of once per query (4.54 MB
-// before the run-scoped index memo, exec.IndexCache) or paying for a
-// diff, a closure and a splice on every dense iteration (3.14 MB). Any
-// of these fails go test, not a benchmark run.
+// key tables — and the first iteration of each query takes back what the
+// statement's last query let go (core.RunState). Starting each query from
+// empty made 1.42 MB and 1.36 MB; building the tables anew every
+// iteration, with the aggregate's output rows its group table's own cells
+// in a table presized from the node's previous group count, 2.18 MB and
+// 1.93 MB; growing that table from empty and copying every group into
+// rows from MakeRows, 2.37 MB and 2.35 MB; draining each step's rows into
+// one slice and copying them into the partitions after, 2.44 MB and 2.45
+// MB. PageRank repeats to within 100 bytes; under -race it measured up to
+// 1.05 MB and PR-VS 1.22 MB. The byte budgets are those -race
+// measurements plus 5%, below 1.42 and 1.36 MB, so starting each query
+// from empty fails here, as does building the tables anew every
+// iteration, indexing edges once per iteration instead of once per query
+// (4.54 MB before the run-scoped index memo, exec.IndexCache) or paying
+// for a diff, a closure and a splice on every dense iteration (3.14 MB).
+// Any of these fails go test, not a benchmark run.
 func TestAllocBudgetPageRank(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
 	g, err := benchGraph(cfg)
@@ -266,8 +269,8 @@ func TestAllocBudgetPageRank(t *testing.T) {
 		budget      float64 // objects; 0: not gated
 		bytesBudget uint64
 	}{
-		{"PageRank", bench.PRQuery(cfg.Iterations), 9200, 1_465_000},
-		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 1_440_000},
+		{"PageRank", bench.PRQuery(cfg.Iterations), 9200, 1_107_000},
+		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 1_276_000},
 	} {
 		query := func() {
 			if _, err := e.Query(c.sql); err != nil {
@@ -314,9 +317,10 @@ func TestAllocBudgetPageRank(t *testing.T) {
 // 7.13 MB; routing each row straight into its partition, presized from
 // what the step wrote there last iteration, made 718 and 5.47 MB. Its one
 // aggregate, which runs once per query, building its rows in its group
-// table instead of copying them out of it makes 714 and 5.17 MB. The
-// object budget is that measurement plus 25%, the byte budget plus 4%,
-// below the copy's 5.47 MB.
+// table instead of copying them out of it made 714 and 5.17 MB. The
+// statement's run filling the tables its last run let go (core.RunState)
+// makes 640 and 4.45 MB, the same under -race. The object budget is the
+// 714 plus 25%, the byte budget 4.45 MB plus 5%, below the 5.17 MB.
 func TestAllocBudgetForecast(t *testing.T) {
 	e := newBenchEngine(t, benchConfig, dbspinner.Config{})
 	sql := bench.FFQuery(benchConfig.Iterations, 2)
@@ -325,7 +329,7 @@ func TestAllocBudgetForecast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget, bytesBudget = 900, 5_375_000
+	const budget, bytesBudget = 900, 4_672_000
 	got := testing.AllocsPerRun(3, query)
 	if got > budget {
 		t.Errorf("FF: %.0f allocations per query, budget %d", got, budget)
@@ -356,9 +360,12 @@ func TestAllocBudgetForecast(t *testing.T) {
 // into its partition, and giving an empty partition room for 16 rows at
 // once, it made 1.72k and 7.95 MB. With the aggregates' output rows their
 // group tables' own cells, presized from the previous iteration, and the
-// merge's partitions presized from the CTE's, it makes 1.50k and 6.48
-// MB. The object budget is that measurement plus 25%, the byte budget
-// plus 5%, below the 7.95 MB. (With every vertex unavailable, as the engine was loaded before
+// merge's partitions presized from the CTE's, it made 1.50k and 6.48 MB.
+// With the first iteration filling the tables the statement's last run
+// let go (core.RunState), it makes 1.31k and 5.26–5.49 MB (5.49 MB under
+// -race). The object budget is the 1.50k plus 25%, the byte budget the
+// 5.49 MB plus 5%, below the 6.47 MB of a run that starts from empty.
+// (With every vertex unavailable, as the engine was loaded before
 // the harness applied its defaults, filtering above the outer join after
 // indexing all of sssp every iteration made 8.97 MB against placement's
 // 4.83.)
@@ -370,7 +377,7 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget, bytesBudget = 2_150, 6_800_000
+	const budget, bytesBudget = 2_150, 5_769_000
 	got := testing.AllocsPerRun(3, query)
 	if got > budget {
 		t.Errorf("SSSP-VS: %.0f allocations per query, budget %d", got, budget)
@@ -402,15 +409,18 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 // the step wrote there last iteration, and each partition's aggregate
 // builds its output rows in its group table, and every partition's
 // aggregate and shuffled-build join take back the tables the iteration
-// before let go: 10.03 MB per query (repeats to within 100 bytes; 5.8%
-// more under -race). Building those tables anew every iteration, the
-// aggregate's presized from the node's previous group count, was 13.00
-// MB; copying every group out of a table grown from empty, 14.22 MB;
-// letting the step's output slice grow by doubling besides, 14.36 MB.
+// before let go; and each query's first iteration fills the exchange
+// buffers, hash tables and key tables the statement's last query let go
+// (core.RunState): 6.06–6.12 MB per query (up to 6.67 MB under -race).
+// Starting each query from empty was 10.03 MB; building those tables
+// anew every iteration, the aggregate's presized from the node's previous
+// group count, 13.00 MB; copying every group out of a table grown from
+// empty, 14.22 MB; letting the step's output slice grow by doubling
+// besides, 14.36 MB.
 // Materializing the joins' output for the exchange to walk a second
 // time, and building the exchange's memory anew every iteration, was
-// 45.55 MB. The budget is the measurement plus 8.2%, so that the race
-// run fits under it and building the tables anew does not.
+// 45.55 MB. The budget is the -race measurement plus 5%, so that the
+// race run fits under it and starting each query from empty does not.
 func TestAllocBudgetPageRankMPP(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 1300, Iterations: 10, Partitions: 2, AvailFrac: 0.8}
 	g, err := benchGraph(cfg)
@@ -427,7 +437,7 @@ func TestAllocBudgetPageRankMPP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const bytesBudget = 10_850_000
+	const bytesBudget = 7_000_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 3
 	query() // warm-up

@@ -530,10 +530,28 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 	if err != nil {
 		return nil, err
 	}
+	// The statement's run state goes to this run and comes back only if
+	// the run succeeds: a failure, and a panic above all, leaves the
+	// statement with none, and its next run starts from a fresh one.
+	st := p.state
+	p.state = nil
+	if st == nil {
+		st = new(core.RunState)
+	}
+	res, err = e.run(ctx, p, params, st)
+	if err == nil || e.stmts.test.keepFailed {
+		p.state = st
+	}
+	return res, err
+}
+
+// run runs the prepared statement p with params bound, over its run
+// state st.
+func (e *Engine) run(ctx context.Context, p *prepared, params []sqltypes.Value, st *core.RunState) (*Result, error) {
 	switch {
 	case p.prog != nil:
 		var cs core.Stats
-		rows, err := p.prog.RunBound(ctx, e.rt, params, &cs)
+		rows, err := p.prog.RunBound(ctx, e.rt, params, st, &cs)
 		// Absorb counters even when the query failed: cap and
 		// cancellation diagnostics need the iterations reached.
 		e.absorbCoreStats(&cs)
@@ -546,7 +564,7 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 		return &Result{Columns: p.cols, Rows: rows}, nil
 
 	case p.rec != nil:
-		rows, err := p.rec.RunContext(ctx, e.rt, params)
+		rows, err := p.rec.RunContext(ctx, e.rt, params, st)
 		if err != nil {
 			return nil, err
 		}
@@ -555,18 +573,20 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 	default:
 		var es exec.Stats
 		var rows []Row
-		rt := e.rt.WithMemo(nil, exec.NewCompileCache(params))
+		var err error
+		run := st.Begin(e.rt, params)
 		if e.cfg.Parallel && e.cfg.Partitions > 1 {
 			var ms mpp.Stats
-			m := mpp.New(rt, e.cfg.Partitions, &ms, &es)
+			m := run.Machine(e.cfg.Partitions, &ms, &es)
 			m.Ctx = ctx
 			rows, err = m.Run(p.node)
 			e.stats.RowsShuffled += ms.RowsShuffled
 			e.stats.RowsRouted += ms.RowsRouted
 			e.stats.RowsToBusiest += ms.RowsToBusiest
 		} else {
-			rows, err = exec.RunContext(ctx, p.node, rt, &es)
+			rows, err = exec.RunContext(ctx, p.node, run.RT, &es)
 		}
+		run.End(err == nil)
 		// Absorb counters even when the query failed (see above).
 		e.absorbExecStats(&es)
 		if err != nil {

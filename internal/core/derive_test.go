@@ -133,7 +133,7 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 				}
 				compiled := exec.NewCompileCache(nil)
 				var stats Stats
-				if _, err := prog.run(context.Background(), rt.WithMemo(nil, compiled), &stats); err != nil {
+				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(nil, compiled)}, &stats); err != nil {
 					t.Fatal(err)
 				}
 				if stats.Iterations != n {
@@ -184,7 +184,7 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 		Final: namedResult("b", "src", "s"),
 	}
 	compiled := exec.NewCompileCache(nil)
-	got, err := prog.run(context.Background(), rt.WithMemo(exec.NewIndexCache(), compiled), &Stats{})
+	got, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(exec.NewIndexCache(), compiled)}, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := prog.run(context.Background(), rt, &without) // rt carries no memo
+				want, err := prog.run(context.Background(), &Run{RT: rt}, &without) // rt carries no memo
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -224,20 +224,16 @@ type Context struct {
 	// pc is the index of the running step. sizes holds, for every step
 	// and each of the run's parts partitions, the capacity that step's
 	// next materialization presizes the partition with: what its last one
-	// wrote there, plus slack (sizeHint, noteSizes). It is run state,
-	// allocated once per run, because a prepared Program serves many
-	// runs; and it is advisory, so a checkpoint neither captures nor
-	// restores it — a stale hint changes capacity, never rows.
+	// wrote there, plus slack (sizeHint, noteSizes). It is the statement's
+	// (RunState), so a run starts from the sizes its last run left; and
+	// it is advisory, so a checkpoint neither captures nor restores it —
+	// a stale hint changes capacity, never rows.
 	pc    int
 	sizes []int
 	parts int
-	// spareKeys holds the one-column key tables this run's keyed passes
-	// let go (letGo), for the next pass to reset and fill (keyTable)
-	// instead of allocating: the diff, the affected keys and the row
-	// indexes of one iteration are the next iteration's. Every pass takes
-	// one if there is one, so it never holds more than were alive at
-	// once; steps run one at a time, so it needs no lock.
-	spareKeys []*sqltypes.KeyTable
+	// state is the statement's run state: its key tables are the ones the
+	// keyed passes of this run and the last let go (keyTable, letGo).
+	state *RunState
 	// volcano is set once the retry driver has descended the
 	// graceful-degradation ladder; retries and degradations count what
 	// the run cost (folded into Stats when RunContext returns, so
@@ -329,15 +325,16 @@ func (c *Context) noteSizes(t *storage.Table) {
 }
 
 // keyTable returns an empty table for one-column keys, sized for hint: a
-// table an earlier keyed pass of the run let go, reset, if there is one.
+// table an earlier keyed pass of the run, or of the statement's last run,
+// let go, reset, if there is one. Every pass takes one if there is one,
+// so the state never holds more than were alive at once: the diff, the
+// affected keys and the row indexes of one iteration are the next
+// iteration's.
 func (c *Context) keyTable(hint int) *sqltypes.KeyTable {
-	n := len(c.spareKeys)
-	if n == 0 {
+	t := c.runState().keys.Take()
+	if t == nil {
 		return sqltypes.NewKeyTable(1, hint)
 	}
-	t := c.spareKeys[n-1]
-	c.spareKeys[n-1] = nil
-	c.spareKeys = c.spareKeys[:n-1]
 	t.Reset(1, 0, hint)
 	return t
 }
@@ -348,8 +345,17 @@ func (c *Context) keyTable(hint int) *sqltypes.KeyTable {
 // snapshot, which a checkpoint captures — is never let go.
 func (c *Context) letGo(t *sqltypes.KeyTable) {
 	if t != nil {
-		c.spareKeys = append(c.spareKeys, t)
+		c.runState().keys.Give(t)
 	}
+}
+
+// runState returns the statement's run state, a fresh one for a context
+// built outside Program.run.
+func (c *Context) runState() *RunState {
+	if c.state == nil {
+		c.state = new(RunState)
+	}
+	return c.state
 }
 
 // materialize runs n on the volcano executor into a fresh table named
@@ -485,25 +491,33 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 // fired cancellation or deadline surfaces as a QueryLifecycleError
 // wrapping ErrQueryCanceled or ErrQueryTimeout. When p.QueryTimeout is
 // set and goctx carries no deadline of its own, the program arms its
-// own deadline.
+// own deadline. The run starts from a fresh RunState, which nothing
+// keeps.
 func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
-	return p.RunBound(goctx, rt, nil, stats)
+	return p.RunBound(goctx, rt, nil, nil, stats)
 }
 
 // RunBound is RunContext with params bound to the statement's literal
-// slots (nil: every literal keeps the value it was parsed with): a
-// program prepared from one text runs for every text of its shape. The
-// program keeps no state from one run to the next, so runs may follow
-// one another but not overlap.
-func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value, stats *Stats) ([]sqltypes.Row, error) {
+// slots (nil: every literal keeps the value it was parsed with), over
+// the statement's run state st (nil: a fresh one): a program prepared
+// from one text runs for every text of its shape, each run in the
+// storage the last clean one let go. The program itself keeps nothing
+// from one run to the next — the loop state goes when the run ends — so
+// runs may follow one another but not overlap, and neither may two runs
+// over one state.
+func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value, st *RunState, stats *Stats) ([]sqltypes.Row, error) {
+	if stats == nil {
+		stats = &Stats{}
+	}
 	// The run memo — hash indexes and compiled expressions: every executor
 	// the run starts — steps, the MPP machine, Qf — reaches it through
-	// this view of the runtime, and it is emptied on every exit path.
-	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache(params)
-	defer indexes.Clear()
-	defer compiled.Clear()
+	// this view of the runtime. It goes on every exit path; what the run
+	// let go stays in st only if the run neither failed nor degraded.
+	r := st.Begin(rt, params)
 	defer p.releaseLoops()
-	return p.run(goctx, rt.WithMemo(indexes, compiled), stats)
+	rows, err := p.run(goctx, r, stats)
+	r.End(err == nil && stats.Degradations == 0)
+	return rows, err
 }
 
 // releaseLoops drops what the loop operators hold of the finished run's
@@ -516,9 +530,9 @@ func (p *Program) releaseLoops() {
 	}
 }
 
-// run is RunContext over the runtime as given: with whatever run memo rt
-// carries, or none.
-func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) (rows []sqltypes.Row, err error) {
+// run is RunBound within r, which it neither begins nor ends.
+func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqltypes.Row, err error) {
+	rt, st := r.RT, r.runState()
 	if stats == nil {
 		stats = &Stats{}
 	}
@@ -543,7 +557,7 @@ func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats
 	}
 	parts := max(p.Parts, 1)
 	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule),
-		sizes: make([]int, len(p.Steps)*parts), parts: parts}
+		sizes: st.sizesFor(len(p.Steps) * parts), parts: parts, state: st}
 	defer func() {
 		stats.Retries = ctx.retries
 		stats.Degradations = ctx.degradations
@@ -553,7 +567,7 @@ func (p *Program) run(goctx context.Context, rt *exec.StoreRuntime, stats *Stats
 		stats.Trace = ctx.Trace
 	}
 	if p.Parallel && p.Parts > 1 {
-		ctx.MPP = mpp.New(rt, p.Parts, &ctx.mppStats, &stats.Exec)
+		ctx.MPP = r.Machine(p.Parts, &ctx.mppStats, &stats.Exec)
 		ctx.MPP.Ctx = goctx
 		ctx.MPP.Elide = p.elide
 		ctx.MPP.CheckElide = p.CheckElide

@@ -44,7 +44,7 @@ func ExecuteRecursiveContext(ctx context.Context, stmt *ast.SelectStmt, rt *exec
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := r.RunContext(ctx, rt, nil)
+	rows, err := r.RunContext(ctx, rt, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,19 +178,24 @@ func planRecursiveCTE(cte *ast.CTE, ll *layeredLookup, newBuilder func() *plan.B
 }
 
 // RunContext evaluates the statement under ctx with params bound to its
-// literal slots (nil: as parsed): each recursive CTE to its fixed point,
-// then the final query. The CTEs' results are dropped when it returns.
-func (r *Recursive) RunContext(ctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value) ([]sqltypes.Row, error) {
+// literal slots (nil: as parsed), over the statement's run state st (nil:
+// a fresh one): each recursive CTE to its fixed point, then the final
+// query. The CTEs' results are dropped when it returns.
+func (r *Recursive) RunContext(ctx context.Context, rt *exec.StoreRuntime, params []sqltypes.Value, st *RunState) ([]sqltypes.Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// The run memo, as a step program's run has one: each round's joins
 	// take the index of a table the recursion does not change from it
 	// instead of building it again, and every plan compiles once.
-	indexes, compiled := exec.NewIndexCache(), exec.NewCompileCache(params)
-	defer indexes.Clear()
-	defer compiled.Clear()
-	rt = rt.WithMemo(indexes, compiled)
+	run := st.Begin(rt, params)
+	rows, err := r.run(ctx, run.RT)
+	run.End(err == nil)
+	return rows, err
+}
+
+// run is RunContext over rt, which carries the run memo.
+func (r *Recursive) run(ctx context.Context, rt *exec.StoreRuntime) ([]sqltypes.Row, error) {
 	created := make([]string, 0, len(r.ctes))
 	defer func() {
 		for _, name := range created {

@@ -327,3 +327,49 @@ func mustBuildFragment(t *testing.T, n plan.Node, rt Runtime, frag *Fragment, pa
 	}
 	return op
 }
+
+// TestLeftoversCarryOnlyLentTables: the group tables a statement's run
+// hands its next run (Leftovers) are the ones lending runs of a node gave
+// back. The next run of a lending aggregate fills the table the last
+// run's left instead of making one; a keeping aggregate — the root, whose
+// rows the run returns — gives nothing back, so the next run never writes
+// into the rows the last one returned. Giving it back (the seeded mutant)
+// does.
+func TestLeftoversCarryOnlyLentTables(t *testing.T) {
+	rt := groupRuntime(t)
+	node := aggregateIn(planSQL(t, rt, "SELECT k, COUNT(*), SUM(v) FROM g GROUP BY k"))
+	// runs runs node in two runs of one statement: the first lending or
+	// keeping, the second lending; it reports whether the second filled
+	// the first's cells.
+	runs := func(firstLends bool) (shared bool) {
+		var l Leftovers
+		cells := map[*sqltypes.Value]bool{}
+		for run := 0; run < 2; run++ {
+			x, c := l.Memo(nil)
+			op, err := buildWith(node, rt.WithMemo(x, c), nil, nil, run > 0 || firstLends, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := drainCopies(op, func(r sqltypes.Row) {
+				if len(r) > 0 {
+					shared = shared || cells[unsafe.SliceData(r)]
+					cells[unsafe.SliceData(r)] = true
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			l.End(x, c, true)
+		}
+		return shared
+	}
+	if !runs(true) {
+		t.Error("the next run of a lending aggregate did not fill the table the last run left")
+	}
+	if runs(false) {
+		t.Error("the next run filled the table of a keeping aggregate, whose rows the last run returned")
+	}
+	defer SeedKeepingGivesBack()()
+	if !runs(false) {
+		t.Error("a keeping aggregate that gives its table back goes unseen: the test cannot see it")
+	}
+}

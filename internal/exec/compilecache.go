@@ -21,15 +21,17 @@ import (
 // executor, concurrently too.
 //
 // One entry does keep state, advisory only: an aggregate's (aggRun). It
-// counts the groups the node produced the last time it ran in this run,
-// which the next run presizes its group table from, and it holds the
-// group tables and accumulators the node's lending runs gave back, which
-// the next run resets and fills. The partitions of an MPP machine
-// overwrite the count and trade the spares freely; a stale or another
-// partition's count, or another partition's spare, changes capacity,
-// never rows; Sweep drops a spare no run took for a whole iteration. It
-// lives here, not on the plan or the prepared program, because runs of
-// one prepared statement share those.
+// counts the groups the node produced the last time it ran, which the
+// next run presizes its group table from, and it holds the group tables
+// and accumulators the node's lending runs gave back, which the next run
+// resets and fills. The partitions of an MPP machine overwrite the count
+// and trade the spares freely; a stale or another partition's count, or
+// another partition's spare, changes capacity, never rows; Sweep drops a
+// spare no run took for a whole iteration. That state is not the cache's:
+// it is the statement's (Leftovers), which the cache was built over, and
+// it outlives the run — the next run of the statement starts from the
+// count and the tables this one left — while the compiled expressions,
+// bound to this run's literals, go with the run.
 //
 // The cache also carries the values the run bound to the statement's
 // literal slots, which every expression it compiles reads
@@ -43,7 +45,8 @@ type CompileCache struct {
 	mu      sync.Mutex
 	entries map[plan.Node]*compileEntry
 	params  []sqltypes.Value
-	aggRuns []*aggRun // every aggregate entry's run state, for Sweep
+	left    *Leftovers // where the aggregates' run state lives
+	aggRuns []*aggRun  // every aggregate entry's run state, for Sweep
 }
 
 type compileEntry struct {
@@ -53,9 +56,14 @@ type compileEntry struct {
 }
 
 // NewCompileCache returns an empty cache for a run that bound params to
-// the statement's literal slots (nil: none bound).
+// the statement's literal slots (nil: none bound), whose aggregates keep
+// their run state to the cache.
 func NewCompileCache(params []sqltypes.Value) *CompileCache {
-	return &CompileCache{entries: make(map[plan.Node]*compileEntry), params: params}
+	return newCompileCache(params, new(Leftovers))
+}
+
+func newCompileCache(params []sqltypes.Value, left *Leftovers) *CompileCache {
+	return &CompileCache{entries: make(map[plan.Node]*compileEntry), params: params, left: left}
 }
 
 // Params returns the run's bound literal values; nil for a nil cache.
@@ -102,15 +110,17 @@ func (c *CompileCache) GroupKeys(t *plan.Aggregate) ([]*expr.Compiled, error) {
 	return ex.groupEx, err
 }
 
-// newAggRun returns the run state of an aggregate node compiled under c,
-// which Sweep reaches; without a cache, one that nothing sweeps.
-func (c *CompileCache) newAggRun() *aggRun {
-	r := new(aggRun)
-	if c != nil {
-		c.mu.Lock()
-		c.aggRuns = append(c.aggRuns, r)
-		c.mu.Unlock()
+// aggRunOf returns the run state of aggregate node n compiled under c —
+// what the statement's earlier runs of n left, if any — which Sweep
+// reaches; without a cache, a new one that nothing sweeps.
+func (c *CompileCache) aggRunOf(n *plan.Aggregate) *aggRun {
+	if c == nil {
+		return new(aggRun)
 	}
+	r := c.left.aggRun(n)
+	c.mu.Lock()
+	c.aggRuns = append(c.aggRuns, r)
+	c.mu.Unlock()
 	return r
 }
 
@@ -124,11 +134,11 @@ func (c *CompileCache) Sweep() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range c.aggRuns {
-		r.spare.sweep()
+		r.spare.Sweep()
 	}
 }
 
-// Clear drops every entry; the run-end cleanup calls it.
+// Clear drops every entry.
 func (c *CompileCache) Clear() {
 	if c == nil {
 		return

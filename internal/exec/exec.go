@@ -660,8 +660,9 @@ type aggExprs struct {
 }
 
 // aggRun is what one aggregate node carries from one of its runs to the
-// next within the run of a query. All of it is advisory: it changes
-// capacity and who allocates, never rows.
+// next, within the run of a statement and from that run to the next
+// (Leftovers). All of it is advisory: it changes capacity and who
+// allocates, never rows.
 type aggRun struct {
 	// lastGroups is how many groups the node produced the last time it
 	// ran, in whichever partition finished last: what the next run
@@ -673,7 +674,7 @@ type aggRun struct {
 	// closed, for the next run to reset and fill instead of allocating:
 	// at most one per run of the node open at the same time (the
 	// partitions of an MPP machine).
-	spare spares[aggSpare]
+	spare Spares[aggSpare]
 }
 
 type aggSpare struct {
@@ -717,7 +718,7 @@ func (a *aggOp) Open() error {
 	// from a closed run of the node if one left them, emptied.
 	nAggs := len(a.node.Aggs)
 	hint := int(a.run.lastGroups.Load())
-	s := a.run.spare.take()
+	s := a.run.spare.Take()
 	groups, aggs := s.groups, s.aggs
 	if groups == nil {
 		groups = new(sqltypes.KeyTable)
@@ -810,8 +811,8 @@ func (a *aggOp) Next() (sqltypes.Row, error) {
 // them, so the table and the accumulators go back to the node's run
 // state; a keeping one's rows are its consumer's from now on.
 func (a *aggOp) Close() error {
-	if a.lend && a.groups != nil {
-		a.run.spare.give(aggSpare{a.groups, a.aggs})
+	if (a.lend || test.keepingGivesBack) && a.groups != nil {
+		a.run.spare.Give(aggSpare{a.groups, a.aggs})
 	}
 	a.groups, a.aggs = nil, nil
 	return nil
@@ -820,7 +821,7 @@ func (a *aggOp) Close() error {
 // aggExprsOf compiles an aggregate node's expressions, once per c.
 func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
 	return shared(c, t, func() (ex aggExprs, err error) {
-		ex.run = c.newAggRun()
+		ex.run = c.aggRunOf(t)
 		if ex.groupEx, err = groupKeyExprs(t, c.Params()); err != nil {
 			return ex, err
 		}

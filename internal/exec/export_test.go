@@ -230,3 +230,22 @@ func (c *IndexCache) RecycleLive() {
 		}
 	}
 }
+
+// SeedKeepingGivesBack arms, until the returned function is called, the
+// seeded mutant of the aggregate's lending rule: a keeping aggregate gives
+// its group table back at Close, so the node's next run — in the
+// statement's next run, for the final query's — fills the rows its
+// consumer kept.
+func SeedKeepingGivesBack() (restore func()) {
+	test.keepingGivesBack = true
+	return func() { test.keepingGivesBack = false }
+}
+
+// SeedCarryEntries arms, until the returned function is called, the
+// seeded mutant of Leftovers.End: the index memo's entries outlive the
+// run, and the statement's next run is served the indexes of tables DML
+// has changed since under the same address.
+func SeedCarryEntries() (restore func()) {
+	test.carryEntries = true
+	return func() { test.carryEntries = false }
+}

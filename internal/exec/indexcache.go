@@ -35,7 +35,11 @@ const allParts = -1
 // built for themselves alone once they close (Recycle) — and the next
 // build, memoized or not, fills that storage again instead of
 // allocating: a loop that replaces a table every iteration indexes each
-// new one in the memory of an index of a table it replaced before.
+// new one in the memory of an index of a table it replaced before. That
+// storage is the statement's (Leftovers): when a run ends its entries go
+// — the next run may read a base table DML changed in place under the
+// same address — and their indexes join the spares the statement's next
+// run builds into.
 //
 // A nil *IndexCache is valid, builds every index it is asked for and
 // keeps nothing. A cache is safe for concurrent use; the indexes it
@@ -43,7 +47,7 @@ const allParts = -1
 type IndexCache struct {
 	mu      sync.Mutex
 	entries map[*storage.Table][]*indexEntry
-	spare   spares[*HashIndex] // indexes let go
+	spare   *Spares[*HashIndex] // indexes let go: the statement's (Leftovers)
 }
 
 type indexEntry struct {
@@ -57,9 +61,13 @@ type indexEntry struct {
 	err  error
 }
 
-// NewIndexCache returns an empty cache.
+// NewIndexCache returns an empty cache that keeps its spares to itself.
 func NewIndexCache() *IndexCache {
-	return &IndexCache{entries: make(map[*storage.Table][]*indexEntry)}
+	return newIndexCache(new(Spares[*HashIndex]))
+}
+
+func newIndexCache(spare *Spares[*HashIndex]) *IndexCache {
+	return &IndexCache{entries: make(map[*storage.Table][]*indexEntry), spare: spare}
 }
 
 // Index returns the hash index on keys of the rows of t's partition part
@@ -203,7 +211,7 @@ func (c *IndexCache) Sweep() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.spare.sweep()
+	c.spare.Sweep()
 	for t, es := range c.entries {
 		es = slices.DeleteFunc(es, func(e *indexEntry) bool {
 			unused := !e.used
@@ -221,8 +229,7 @@ func (c *IndexCache) Sweep() {
 	}
 }
 
-// Clear drops every entry and every index held for reuse; the run-end
-// cleanup calls it.
+// Clear drops every entry and every index held for reuse.
 func (c *IndexCache) Clear() {
 	if c == nil {
 		return
@@ -230,7 +237,29 @@ func (c *IndexCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.entries)
-	c.spare.clear()
+	c.spare.Clear()
+}
+
+// end ends the run the cache belongs to: every entry goes, since the
+// next run may read a table changed in place under the same address.
+// After a clean run their indexes join the spares and the spares are
+// handed back (Spares.HandBack); after any other, nothing is kept.
+func (c *IndexCache) end(clean bool) {
+	if c == nil || !clean {
+		c.Clear()
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, es := range c.entries {
+		for _, e := range es {
+			if e.err == nil {
+				c.Recycle(e.x)
+			}
+		}
+	}
+	clear(c.entries)
+	c.spare.HandBack()
 }
 
 // Recycle takes back an index its one holder is done with — one that
@@ -241,7 +270,7 @@ func (c *IndexCache) Clear() {
 func (c *IndexCache) Recycle(x *HashIndex) {
 	if c != nil && x != nil {
 		clear(x.rowBuf)
-		c.spare.give(x)
+		c.spare.Give(x)
 	}
 }
 
@@ -251,7 +280,7 @@ func (c *IndexCache) spareIndex() *HashIndex {
 	if c == nil {
 		return nil
 	}
-	return c.spare.take()
+	return c.spare.Take()
 }
 
 // rowStorage returns the row slice x owns, empty, for a build to gather

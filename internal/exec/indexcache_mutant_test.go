@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"dbspinner/internal/core"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/parser"
+	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 	"dbspinner/internal/workload"
 )
@@ -149,6 +151,65 @@ func TestRecyclingLiveIndexFailsParity(t *testing.T) {
 			}
 			if run(func(s core.Step) core.Step { return recyclingStep{s} }) == want {
 				t.Error("taking back the indexes the memo still serves returns the same rows: the parity check cannot see a live index refilled")
+			}
+		})
+	}
+}
+
+// TestCarriedIndexEntriesFailDataChanges seeds the bug a statement's run
+// state must never have: carry the index memo's entries into the
+// statement's next run (exec.SeedCarryEntries). Between runs a base table
+// changes in place — rows added to edges under the same address, as
+// INSERT adds them — so an entry's witness still holds and its index no
+// longer lists the table's rows. Run after the change over the run state
+// of two earlier runs, PR and SSSP, which join edges unfiltered in the
+// loop body, must return what a fresh run does, and with the mutant they
+// must not.
+func TestCarriedIndexEntriesFailDataChanges(t *testing.T) {
+	const nodes = 120
+	g := workload.PreferentialAttachment(nodes, 3, workload.WeightOutDegree, 5)
+	added := []sqltypes.Row{
+		{sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewFloat(0.5)},
+		{sqltypes.NewInt(2), sqltypes.NewInt(1), sqltypes.NewFloat(0.5)},
+		{sqltypes.NewInt(7), sqltypes.NewInt(nodes - 1), sqltypes.NewFloat(0.25)},
+	}
+	for _, c := range []struct{ name, sql string }{
+		{"pr", bench.PRQuery(5)},
+		{"sssp", bench.SSSPQuery(1, 5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stmt, err := parser.Parse(c.sql + " ORDER BY Node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(rt *exec.StoreRuntime, st *core.RunState) string {
+				prog, err := core.Rewrite(stmt.(*ast.SelectStmt), rt, core.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rows []sqltypes.Row
+				for i := 0; i < 3; i++ {
+					if i == 2 {
+						for _, r := range added {
+							rt.Catalog.Get("edges").Insert(r)
+						}
+					}
+					if rows, err = prog.RunBound(context.Background(), rt, nil, st, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return exec.RowsText(rows)
+			}
+			// The third run of each is after the change: over the run state
+			// of the two before, and over a fresh state every time.
+			want := run(graphRuntime(t, g), nil)
+			if got := run(graphRuntime(t, g), new(core.RunState)); got != want {
+				t.Error("the run after the data change returns other rows than a fresh run")
+			}
+			restore := exec.SeedCarryEntries()
+			defer restore()
+			if run(graphRuntime(t, g), new(core.RunState)) == want {
+				t.Error("carrying the index memo's entries into the next run returns the same rows: the test cannot see a stale index")
 			}
 		})
 	}

@@ -117,15 +117,17 @@ type Machine struct {
 	Faults *faultinject.Registry
 
 	// sites are the buffers of the hash exchanges, kept from one
-	// evaluation to the next (site.go); made counts the ones allocated.
-	sites map[siteKey]*site
+	// evaluation to the next and, through Resume, from one run of a
+	// statement to the next (site.go); made counts the ones allocated.
+	sites Sites
 	made  int
 	// test is zero outside tests (poison_test.go): the hook that sees every
 	// site the moment it is marked free, and the seeded mutants of that
-	// rule — every cut counts as lent; free before the consumer's region.
+	// rule — every cut counts as lent; free before the consumer's region;
+	// hand back a kept site for the statement's next run.
 	test struct {
-		freed              func(*site)
-		lentAll, freeEarly bool
+		freed                            func(*site)
+		lentAll, freeEarly, handBackKept bool
 	}
 }
 
@@ -150,7 +152,7 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 		// query run (or over no tables at all) has one of its own.
 		rt = ownMemo{rt, exec.NewCompileCache(nil)}
 	}
-	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: map[siteKey]*site{}}
+	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: Sites{}}
 	if onNew != nil {
 		onNew(m)
 	}

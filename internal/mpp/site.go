@@ -9,19 +9,51 @@ import (
 )
 
 // A site is the memory of one hash exchange: what a loop would otherwise
-// build again on every pass. Partition p's tree copies each row it
-// produces into bucket [p][dst] while it runs; deliver then lists every
-// destination's rows. The machine keeps the site under the exchange's
-// key, and the next evaluation of the same plan node fills it again in
-// place — if the fragment that read the rows is done and kept none of
-// them (free, set by release). Otherwise the rows are somebody's — a
-// sort's, a join's build side, a table Materialize made of them — and
-// the exchange gets a new site.
+// build again on every pass, and a prepared statement on every run.
+// Partition p's tree copies each row it produces into bucket [p][dst]
+// while it runs; deliver then lists every destination's rows. The
+// machine keeps the site under the exchange's key, and the next
+// evaluation of the same plan node — in this run, or in the statement's
+// next (Sites) — fills it again in place, if the fragment that read the
+// rows is done and kept none of them (free, set by release). Otherwise
+// the rows are somebody's — a sort's, a join's build side, a table
+// Materialize made of them, the rows a run returned — and the exchange
+// gets a new site.
 type site struct {
 	buckets []bucket         // source-major: [source*parts+destination]
 	out     [][]sqltypes.Row // per destination, the buckets' rows
 	free    bool
 	filled  bool // since the last Sweep
+	carried bool // handed to the run by the statement's previous one, and not filled since
+}
+
+// Sites are a machine's exchange sites, by the exchange they serve. A
+// statement keeps the ones its last clean run left free (HandBack), and
+// the machine of its next run starts from them (Resume), so that a
+// prepared statement's exchanges fill the buffers of its previous run
+// instead of allocating: plan nodes are the statement's, the same in
+// every run.
+type Sites map[siteKey]*site
+
+// Resume makes s, which must not be nil, the map the machine keeps its
+// sites in: its exchanges fill again the sites of s that are free, as
+// they would the machine's own from an earlier evaluation.
+func (m *Machine) Resume(s Sites) { m.sites = s }
+
+// HandBack ends a clean run of the machine: of its sites it keeps those
+// whose readers let go of them (free) and drops the rest — those whose
+// rows somebody kept, which may be in the rows the run returned — and
+// those it was handed (Resume) and did not fill.
+func (m *Machine) HandBack() {
+	for k, s := range m.sites {
+		if m.test.handBackKept {
+			s.free = true
+		}
+		if !s.free || s.carried {
+			delete(m.sites, k)
+		}
+		s.carried = true
+	}
 }
 
 // siteKey names an exchange by the plan node whose rows it routes, as
@@ -77,7 +109,7 @@ func (m *Machine) site(k siteKey) *site {
 		b := &s.buckets[i]
 		b.rows, b.next, b.room = b.rows[:0], 0, nil
 	}
-	s.free, s.filled = false, true
+	s.free, s.filled, s.carried = false, true, false
 	return s
 }
 

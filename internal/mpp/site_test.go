@@ -273,3 +273,64 @@ func TestSweepDropsIdleSites(t *testing.T) {
 	}
 	(*Machine)(nil).Sweep()
 }
+
+// handBackRuns runs root twice, as two runs of one statement: each on a
+// machine of its own that starts from the sites the last one handed back
+// (Resume, HandBack), with every string of table a changed in place in
+// between. handBackKept arms the seeded mutant on both machines. It
+// returns the first run's rows as they read after each run, and the
+// number of sites the second machine made.
+func handBackRuns(t *testing.T, root plan.Node, handBackKept bool) (before, after string, made int) {
+	t.Helper()
+	const parts = 2
+	rt := parityRT(t, parts)
+	sites := Sites{}
+	run := func() ([]sqltypes.Row, *Machine) {
+		m := New(rt, parts, nil, nil)
+		m.test.handBackKept = handBackKept
+		m.Resume(sites)
+		rows, err := m.Run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.HandBack()
+		return rows, m
+	}
+	first, _ := run()
+	before = fmt.Sprint(first)
+	for _, p := range rt.Catalog.Get("a").Parts {
+		for _, r := range p {
+			r[1] = sqltypes.NewString(r[1].S + "'")
+		}
+	}
+	_, m := run()
+	return before, fmt.Sprint(first), SitesMade(m)
+}
+
+// TestHandBackKeepsOnlyFreeSites: the sites a statement's run hands its
+// next run are the ones their readers let go. A grouped input's site is
+// free once the aggregate has read it, and the next run fills it again
+// instead of making one; a site whose reader kept its rows — a DISTINCT's
+// input, whose rows are the run's result — is not handed back, so the
+// next run does not write into the rows the last one returned. Handing
+// it back (the seeded mutant) does.
+func TestHandBackKeepsOnlyFreeSites(t *testing.T) {
+	rt := parityRT(t, 2)
+	grouped := planOf(rt, "SELECT s, COUNT(*) FROM a GROUP BY s")
+	if _, _, made := handBackRuns(t, grouped, false); made != 0 {
+		t.Errorf("the second run of a grouping made %d sites, want the first run's filled again", made)
+	}
+	distinct := planOf(rt, "SELECT DISTINCT x, s FROM a")
+	if !hasKind(distinct, &plan.Distinct{}) {
+		t.Fatal("no DISTINCT in the plan")
+	}
+	if p, ok := distinct.(*plan.Project); ok {
+		distinct = p.Input // the rows the DISTINCT keeps are the result
+	}
+	if before, after, _ := handBackRuns(t, distinct, false); after != before {
+		t.Errorf("the second run wrote into the rows the first returned:\n%s\nwere\n%s", after, before)
+	}
+	if before, after, _ := handBackRuns(t, distinct, true); after == before {
+		t.Error("handing back a kept site leaves the rows the first run returned as they were: the test cannot see it")
+	}
+}

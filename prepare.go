@@ -11,12 +11,15 @@ import (
 
 // prepared is a SELECT planned and ready to run: its iterative step
 // program, its recursive plan or its plain plan — exactly one is set —
-// and its output column names.
+// its output column names, and its run state: the storage its last clean
+// run let go, which its next run fills again (core.RunState). The state
+// is nil while a run holds it, and after a run that failed.
 type prepared struct {
-	prog *core.Program
-	rec  *core.Recursive
-	node plan.Node
-	cols []string
+	prog  *core.Program
+	rec   *core.Recursive
+	node  plan.Node
+	cols  []string
+	state *core.RunState
 }
 
 // prepare plans sel: an iterative CTE is rewritten (and verified) into a
@@ -71,7 +74,9 @@ const stmtCacheCap = 64
 // program was built from. DDL empties the cache: a program depends on
 // the catalog's schemas. Data changes do not: nothing a program runs
 // by was derived from the rows (the one data-dependent fact, converge's
-// |rows|+2 bound, feeds only EXPLAIN and the cost estimate).
+// |rows|+2 bound, feeds only EXPLAIN and the cost estimate), and a
+// statement's run state holds storage and size hints, never an index or
+// a row. A statement dropped from the cache takes its run state with it.
 type stmtCache struct {
 	byShape map[string][]*cachedStmt
 	n       int
@@ -83,6 +88,9 @@ type stmtCache struct {
 	test struct {
 		dropSlot                      int
 		keepOnDDL, ignoreText, noBind bool
+		// keepFailed hands a statement's run state back after a run
+		// that failed.
+		keepFailed bool
 	}
 }
 

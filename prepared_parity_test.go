@@ -36,16 +36,24 @@ func boundVariant(t *testing.T, sql string) string {
 // what a cold run of it on fresh() does — through the prepared program
 // with the variant's value bound, unless the program cites source
 // offsets (an unproved termination), which keys it on its whole text.
-// It says what differs, "" when nothing does.
+// The rows a run returned are the caller's: the runs after it, which
+// fill again the storage it let go, must not write into them, so cold
+// and the warm run's rows must read as they did when returned after
+// every later run. It says what differs, "" when nothing does.
 func preparedParity(t *testing.T, e *dbspinner.Engine, fresh func() *dbspinner.Engine, sql string, cold *dbspinner.Result) string {
 	t.Helper()
+	coldRows := fmt.Sprint(resultRows(cold))
 	hits := e.Stats().PreparedHits
 	warm, err := e.Query(sql)
 	if err != nil {
 		return fmt.Sprintf("warm run: %v", err)
 	}
-	if fmt.Sprint(resultRows(warm)) != fmt.Sprint(resultRows(cold)) {
+	warmRows := fmt.Sprint(resultRows(warm))
+	if warmRows != coldRows {
 		return "the warm run diverges from the cold one"
+	}
+	if fmt.Sprint(resultRows(cold)) != coldRows {
+		return "the warm run wrote into the rows the cold run returned"
 	}
 	if e.Stats().PreparedHits != hits+1 {
 		return "the warm run did not take the prepared program"
@@ -61,6 +69,9 @@ func preparedParity(t *testing.T, e *dbspinner.Engine, fresh func() *dbspinner.E
 	}
 	if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
 		return "the warm run with a changed bound literal diverges from a cold run of it"
+	}
+	if fmt.Sprint(resultRows(cold)) != coldRows || fmt.Sprint(resultRows(warm)) != warmRows {
+		return "the run with a changed bound literal wrote into the rows an earlier run returned"
 	}
 	return ""
 }
