@@ -84,7 +84,6 @@ func colContractRuntime(t *testing.T) *exec.StoreRuntime {
 		"vertexStatus": {{Name: "node", Type: sqltypes.Int}, {Name: "status", Type: sqltypes.Int}},
 		"__sssp":       {{Name: "node", Type: sqltypes.Int}, {Name: "distance", Type: sqltypes.Float}, {Name: "delta", Type: sqltypes.Float}},
 		"__sssp_inter": {{Name: "node", Type: sqltypes.Int}, {Name: "distance", Type: sqltypes.Float}, {Name: "delta", Type: sqltypes.Float}},
-		"reach":        {{Name: "node", Type: sqltypes.Int}},
 	} {
 		if _, err := cat.Create(name, schema, -1); err != nil {
 			t.Fatal(err)
@@ -94,8 +93,8 @@ func colContractRuntime(t *testing.T) *exec.StoreRuntime {
 }
 
 // statementPlans returns the plans a statement runs: every plan of the
-// step program of an iterative query, the final plan and the terms of a
-// recursive one, the plan of a SELECT and of an INSERT's SELECT.
+// step program of an iterative or recursive query, the plan of a SELECT
+// and of an INSERT's SELECT.
 func statementPlans(t *testing.T, rt *exec.StoreRuntime, stmt ast.Statement, multi bool) []plan.Node {
 	t.Helper()
 	sel, ok := stmt.(*ast.SelectStmt)
@@ -105,47 +104,28 @@ func statementPlans(t *testing.T, rt *exec.StoreRuntime, stmt ast.Statement, mul
 	if !ok {
 		return nil
 	}
-	build := func(s *ast.SelectStmt) plan.Node {
-		n, err := plan.NewBuilder(rt).Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+	opts := core.DefaultOptions()
+	if multi {
+		opts.Parallel, opts.Parts = true, 2
 	}
-	switch {
-	case sel.With != nil && sel.With.Recursive:
-		r, err := core.PrepareRecursive(sel, rt, 2, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The terms read the CTE as the table of that name.
-		union := sel.With.CTEs[0].Select.Body.(*ast.UnionExpr)
-		return []plan.Node{r.Final, build(&ast.SelectStmt{Body: union.Left}), build(&ast.SelectStmt{Body: union.Right})}
-	case sel.With != nil:
-		opts := core.DefaultOptions()
-		if multi {
-			opts.Parallel, opts.Parts = true, 2
-		}
-		p, err := core.Rewrite(sel, rt, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := []plan.Node{p.Final}
-		for _, s := range p.Steps {
-			switch st := s.(type) {
-			case *core.MaterializeStep:
-				out = append(out, st.Plan)
-			case *core.DeltaMaterializeStep:
-				out = append(out, st.Full, st.Restricted)
-			case *core.MaintainAggStep:
-				out = append(out, st.Full, st.Restricted)
-			case *core.LoopStep:
-				out = append(out, st.Loop.CondPlan)
-			}
-		}
-		return out
+	p, err := core.Rewrite(sel, rt, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return []plan.Node{build(sel)}
+	out := []plan.Node{p.Final}
+	for _, s := range p.Steps {
+		switch st := s.(type) {
+		case *core.MaterializeStep:
+			out = append(out, st.Plan)
+		case *core.DeltaMaterializeStep:
+			out = append(out, st.Full, st.Restricted)
+		case *core.MaintainAggStep:
+			out = append(out, st.Full, st.Restricted)
+		case *core.LoopStep:
+			out = append(out, st.Loop.CondPlan)
+		}
+	}
+	return out
 }
 
 // walkPlanExprs calls check with every expression n's tree compiles and

@@ -13,7 +13,10 @@
 // The engine also supports ordinary SQL (SELECT with joins, grouping
 // and set operations; CREATE/DROP/INSERT/UPDATE/DELETE; regular and
 // recursive CTEs), which the baselines in the paper's evaluation are
-// built from.
+// built from. Every SELECT runs as a step program: a recursive CTE is
+// rewritten into the same loop as an iterative one, its rounds merging
+// into the CTE and stopping when one adds no row, and a SELECT with
+// neither is a program with no steps.
 package dbspinner
 
 import (
@@ -30,7 +33,6 @@ import (
 	"dbspinner/internal/exec"
 	"dbspinner/internal/faultinject"
 	"dbspinner/internal/lexer"
-	"dbspinner/internal/mpp"
 	"dbspinner/internal/parser"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -252,8 +254,9 @@ type Config struct {
 	QueryTimeout time.Duration
 
 	// TraceIterations records a per-iteration runtime trace for every
-	// iterative query: wall clock, rows written and delta-frontier size
-	// per iteration, plus per-step timings, exposed as
+	// query: wall clock, rows written and delta-frontier size per
+	// iteration (a recursive CTE's rounds are iterations; a query with
+	// neither kind of CTE has none), plus per-step timings, exposed as
 	// Stats.IterationTrace and rendered by EXPLAIN ANALYZE. Off by
 	// default; the untraced path allocates nothing and never reads the
 	// clock.
@@ -264,8 +267,9 @@ type Config struct {
 	// prove (Unknown verdicts in EXPLAIN): such a loop fails with
 	// ErrIterationCapExceeded instead of spinning forever. Loops with
 	// a Terminates or Converges verdict never carry the guard. The
-	// same value caps recursive-CTE fixed-point evaluation. Zero means
-	// the default (100000); the guard cannot be disabled, only sized.
+	// same value caps the rounds of every recursive CTE, whose loop has
+	// no termination proof at all. Zero means the default (100000); the
+	// guard cannot be disabled, only sized.
 	MaxIterations int64
 
 	// RetryPolicy enables iteration-granular fault tolerance for
@@ -302,8 +306,10 @@ type Stats struct {
 	// which parse and plan the text and keep the program if that works.
 	PreparedHits, PreparedMisses int64
 
-	// Iterative-CTE counters (per §VII experiments).
-	Iterations   int64 // loop iterations across iterative queries
+	// Loop counters (per §VII experiments). Iterations and UpdatedRows
+	// count a recursive CTE's rounds too: each round is an iteration,
+	// and its working rows are rows written.
+	Iterations   int64 // loop iterations across queries
 	Renames      int64 // rename operator executions
 	MovedRows    int64 // rows physically copied back (baseline path)
 	CommonBlocks int64 // common results materialized
@@ -353,8 +359,8 @@ type Stats struct {
 	RowsRouted, RowsToBusiest int64
 
 	// IterationTrace is the runtime trace of the most recent traced
-	// iterative query (Config.TraceIterations or EXPLAIN ANALYZE); nil
-	// when no traced query has run.
+	// query (Config.TraceIterations or EXPLAIN ANALYZE); nil when no
+	// traced query has run.
 	IterationTrace *IterationTrace
 
 	// DML overhead counters (what single-plan execution avoids).
@@ -548,52 +554,18 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 // run runs the prepared statement p with params bound, over its run
 // state st.
 func (e *Engine) run(ctx context.Context, p *prepared, params []sqltypes.Value, st *core.RunState) (*Result, error) {
-	switch {
-	case p.prog != nil:
-		var cs core.Stats
-		rows, err := p.prog.RunBound(ctx, e.rt, params, st, &cs)
-		// Absorb counters even when the query failed: cap and
-		// cancellation diagnostics need the iterations reached.
-		e.absorbCoreStats(&cs)
-		if cs.Trace != nil {
-			e.stats.IterationTrace = cs.Trace
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Columns: p.cols, Rows: rows}, nil
-
-	case p.rec != nil:
-		rows, err := p.rec.RunContext(ctx, e.rt, params, st)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Columns: p.cols, Rows: rows}, nil
-
-	default:
-		var es exec.Stats
-		var rows []Row
-		var err error
-		run := st.Begin(e.rt, params)
-		if e.cfg.Parallel && e.cfg.Partitions > 1 {
-			var ms mpp.Stats
-			m := run.Machine(e.cfg.Partitions, &ms, &es)
-			m.Ctx = ctx
-			rows, err = m.Run(p.node)
-			e.stats.RowsShuffled += ms.RowsShuffled
-			e.stats.RowsRouted += ms.RowsRouted
-			e.stats.RowsToBusiest += ms.RowsToBusiest
-		} else {
-			rows, err = exec.RunContext(ctx, p.node, run.RT, &es)
-		}
-		run.End(err == nil)
-		// Absorb counters even when the query failed (see above).
-		e.absorbExecStats(&es)
-		if err != nil {
-			return nil, core.WrapCancel(err, 0, 0, "query")
-		}
-		return &Result{Columns: p.cols, Rows: rows}, nil
+	var cs core.Stats
+	rows, err := p.prog.RunBound(ctx, e.rt, params, st, &cs)
+	// Absorb counters even when the query failed: cap and cancellation
+	// diagnostics need the iterations reached.
+	e.absorbCoreStats(&cs)
+	if cs.Trace != nil {
+		e.stats.IterationTrace = cs.Trace
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: p.cols, Rows: rows}, nil
 }
 
 func (e *Engine) absorbCoreStats(cs *core.Stats) {
@@ -694,11 +666,12 @@ func (e *Engine) execScriptStmt(ctx context.Context, stmt ast.Statement) error {
 	return err
 }
 
-// Explain returns the plan of a statement. For iterative-CTE queries
-// this is the rewritten step program of Table I; for ordinary SELECTs
-// the logical plan tree. EXPLAIN ANALYZE additionally executes the
-// statement and appends the runtime trace: per-iteration wall clock,
-// rows and delta-frontier size, per-step timings, and the total.
+// Explain returns the plan of a statement. For a query with iterative
+// or recursive CTEs this is the rewritten step program of Table I; for
+// an ordinary SELECT, a program with no steps, the logical plan tree.
+// EXPLAIN ANALYZE additionally executes the statement and appends the
+// runtime trace: per-iteration wall clock, rows and delta-frontier
+// size, per-step timings, and the total.
 func (e *Engine) Explain(sql string) (string, error) {
 	stmt, err := parser.Parse(sql)
 	if err != nil {
@@ -715,60 +688,41 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch {
-	case core.HasIterative(sel):
-		// EXPLAIN reports verifier findings instead of failing on them,
-		// so the rewrite runs unverified and the check happens here.
-		opts := e.coreOptions()
-		opts.Verify = false
-		prog, err := core.Rewrite(sel, e.rt, opts)
-		if err != nil {
-			return "", err
-		}
-		out, ok := e.explainProgram(prog, sel)
-		if !ok {
-			return out, nil
-		}
-		if analyze {
-			prog.Trace = true
-			var cs core.Stats
-			e.stats.Queries++
-			_, err := prog.RunContext(context.Background(), e.rt, &cs)
-			e.absorbCoreStats(&cs)
-			if cs.Trace != nil {
-				e.stats.IterationTrace = cs.Trace
-			}
-			if err != nil {
-				return "", err
-			}
-			out += cs.Trace.Render()
-		}
-		return out, nil
-	case sel.With != nil && sel.With.Recursive:
-		out := "RecursiveUnion " + sel.With.CTEs[0].Name + "\n"
-		if analyze {
-			out += e.analyzePlain(sel)
-		}
-		return out, nil
-	default:
-		node, err := plan.NewBuilder(e.rt).Build(sel)
-		if err != nil {
-			return "", err
-		}
-		out := plan.ExplainTree(node)
-		if analyze {
-			out += e.analyzePlain(sel)
-		}
+	// EXPLAIN reports verifier findings instead of failing on them, so
+	// the rewrite runs unverified and the check happens here.
+	opts := e.coreOptions()
+	opts.Verify = false
+	prog, err := core.Rewrite(sel, e.rt, opts)
+	if err != nil {
+		return "", err
+	}
+	out, ok := e.explainProgram(prog, sel)
+	if !ok || !analyze {
 		return out, nil
 	}
+	prog.Trace = true
+	var cs core.Stats
+	e.stats.Queries++
+	_, err = prog.RunContext(context.Background(), e.rt, &cs)
+	e.absorbCoreStats(&cs)
+	e.stats.IterationTrace = cs.Trace
+	if err != nil {
+		return "", err
+	}
+	return out + cs.Trace.Render(), nil
 }
 
-// explainProgram renders an iterative program and the verifier's verdict
+// explainProgram renders a step program and the verifier's verdict
 // on it, and reports whether the program verified. The rewrite derives
 // partition properties only for a program that may elide exchanges;
 // EXPLAIN prints them for every program, so it derives the rest here,
 // before the verifier re-derives every claim recorded.
 func (e *Engine) explainProgram(prog *core.Program, sel *ast.SelectStmt) (string, bool) {
+	if len(prog.Steps) == 0 {
+		// The statement is its own final query: nothing was derived and
+		// there is nothing to verify.
+		return prog.Explain(), true
+	}
 	prog.DeriveDistProps()
 	out := prog.Explain()
 	if e.cfg.DisableVerify {
@@ -784,18 +738,6 @@ func (e *Engine) explainProgram(prog *core.Program, sel *ast.SelectStmt) (string
 	}
 	return out + fmt.Sprintf("Verifier: OK (%d steps, %d invariant classes checked).\n",
 		len(prog.Steps), verify.ClassCount), true
-}
-
-// analyzePlain times one execution of a non-iterative statement for
-// EXPLAIN ANALYZE and renders its total line (errors render inline:
-// EXPLAIN ANALYZE reports, it does not fail the explanation).
-func (e *Engine) analyzePlain(sel *ast.SelectStmt) string {
-	begin := time.Now()
-	res, err := e.querySelect(context.Background(), e.prepareOnce(sel))
-	if err != nil {
-		return fmt.Sprintf("Execution failed: %v\n", err)
-	}
-	return fmt.Sprintf("Total: %s wall, %d rows.\n", time.Since(begin), len(res.Rows))
 }
 
 // Stats returns a snapshot of the engine counters (WAL/lock counters

@@ -87,3 +87,42 @@ func firstDiff(got, want string) string {
 	}
 	return "(no line differs)"
 }
+
+// TestExplainGoldenRecursive pins EXPLAIN of a recursive CTE's step
+// program byte for byte, verifier verdict included, in the same three
+// configurations: the CTE it expands is r, the one that references
+// itself, not seed, the regular CTE in front of it.
+func TestExplainGoldenRecursive(t *testing.T) {
+	const sql = `WITH RECURSIVE seed (s) AS (SELECT 2),
+ r (n) AS (SELECT s FROM seed UNION ALL SELECT n * 2 FROM r WHERE n < 10)
+SELECT n FROM r ORDER BY n`
+	var b strings.Builder
+	for _, c := range []struct {
+		name string
+		cfg  dbspinner.Config
+	}{
+		{"volcano-1", dbspinner.Config{Partitions: 1}},
+		{"volcano-4", dbspinner.Config{Partitions: 4}},
+		{"mpp-2", dbspinner.Config{Partitions: 2, Parallel: true}},
+	} {
+		out, err := adhocEngine(t, c.cfg).Explain(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "=== %s\n%s", c.name, out)
+	}
+	path := filepath.Join("testdata", "explain", "recursive.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("EXPLAIN differs from %s:\n%s", path, firstDiff(got, string(want)))
+	}
+}

@@ -5,6 +5,9 @@ import (
 	"dbspinner/internal/lexer"
 )
 
+// RecursiveQueries is recursiveQueries, for the external tests.
+var RecursiveQueries = recursiveQueries
+
 // SeedUnboundRuns arms the statement cache's seeded mutant on e: every
 // prepared program runs with the literal values it was prepared from,
 // whatever the text that ran it.

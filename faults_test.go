@@ -65,57 +65,70 @@ var faultModes = []dbspinner.FaultMode{dbspinner.FaultModeError, dbspinner.Fault
 // goroutines. On the machine the retried run's exchange counters must
 // be the unfaulted run's too: the restore rolls back the rows the
 // abandoned attempt shuffled, as it rolls back every other counter.
+// The query is SSSP and, under the subtests named after them, the
+// recursive ones (RecursiveQueries).
 func TestFaultMatrixRetriesToIdenticalRows(t *testing.T) {
-	sql := bench.SSSPQuery(1, 8)
-	for _, parts := range []int{1, 4} {
-		clean := lifecycleEngine(t, parts, faultCfg(parts))
-		want, err := clean.Query(sql)
-		if err != nil {
-			t.Fatal(err)
+	queries := map[string]string{"": bench.SSSPQuery(1, 8)}
+	for name, sql := range dbspinner.RecursiveQueries() {
+		queries[name+"/"] = sql
+	}
+	for prefix, sql := range queries {
+		for _, parts := range []int{1, 4} {
+			faultMatrixCells(t, prefix, sql, parts)
 		}
-		wantExchanges := exchangesOf(clean.Stats())
-		for _, point := range dbspinner.FaultPoints() {
-			for _, mode := range faultModes {
-				t.Run(fmt.Sprintf("%s/%s/parts=%d", point, mode, parts), func(t *testing.T) {
-					sched := []dbspinner.Fault{{Point: point, Hit: 2, Mode: mode}}
-					recordScheduleOnFailure(t, sched)
-					cfg := faultCfg(parts)
-					cfg.FaultSchedule = sched
-					cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 2}
-					e := lifecycleEngine(t, parts, cfg)
-					before := runtime.NumGoroutine()
-					got, err := e.Query(sql)
-					if err != nil {
-						t.Fatalf("faulted query did not retry to success: %v", err)
+	}
+}
+
+// faultMatrixCells runs TestFaultMatrixRetriesToIdenticalRows' cells of
+// sql at parts partitions, as subtests named prefix+point/mode/parts.
+func faultMatrixCells(t *testing.T, prefix, sql string, parts int) {
+	clean := lifecycleEngine(t, parts, faultCfg(parts))
+	want, err := clean.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantExchanges := exchangesOf(clean.Stats())
+	for _, point := range dbspinner.FaultPoints() {
+		for _, mode := range faultModes {
+			t.Run(fmt.Sprintf("%s%s/%s/parts=%d", prefix, point, mode, parts), func(t *testing.T) {
+				sched := []dbspinner.Fault{{Point: point, Hit: 2, Mode: mode}}
+				recordScheduleOnFailure(t, sched)
+				cfg := faultCfg(parts)
+				cfg.FaultSchedule = sched
+				cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 2}
+				e := lifecycleEngine(t, parts, cfg)
+				before := runtime.NumGoroutine()
+				got, err := e.Query(sql)
+				if err != nil {
+					t.Fatalf("faulted query did not retry to success: %v", err)
+				}
+				if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
+					t.Error("retried query diverges from the unfaulted run")
+				}
+				// A partition fault needs partitions to fire; every
+				// other point is reachable in every configuration, and
+				// a fault that fired must have been retried.
+				if mustFire := point != "partition" || parts > 1; mustFire && e.Stats().Retries == 0 {
+					t.Errorf("fault at %s never caused a retry; the injection never fired", point)
+				}
+				if parts > 1 {
+					if g := exchangesOf(e.Stats()); g != wantExchanges {
+						t.Errorf("retried run counts exchanges %+v, the unfaulted run %+v", g, wantExchanges)
 					}
-					if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
-						t.Error("retried query diverges from the unfaulted run")
-					}
-					// A partition fault needs partitions to fire; every
-					// other point is reachable in every configuration, and
-					// a fault that fired must have been retried.
-					if mustFire := point != "partition" || parts > 1; mustFire && e.Stats().Retries == 0 {
-						t.Errorf("fault at %s never caused a retry; the injection never fired", point)
-					}
-					if parts > 1 {
-						if g := exchangesOf(e.Stats()); g != wantExchanges {
-							t.Errorf("retried run counts exchanges %+v, the unfaulted run %+v", g, wantExchanges)
-						}
-					}
-					if n := e.LiveResults(); n != 0 {
-						t.Errorf("%d intermediate results leaked", n)
-					}
-					settleGoroutines(t, before)
-					// The prepared program retries to the same rows, with
-					// its own literals and with another text's.
-					if d := preparedParity(t, e, func() *dbspinner.Engine { return lifecycleEngine(t, parts, cfg) }, sql, got); d != "" {
-						t.Error(d)
-					}
-					if n := e.LiveResults(); n != 0 {
-						t.Errorf("%d intermediate results leaked by the warm runs", n)
-					}
-				})
-			}
+				}
+				if n := e.LiveResults(); n != 0 {
+					t.Errorf("%d intermediate results leaked", n)
+				}
+				settleGoroutines(t, before)
+				// The prepared program retries to the same rows, with
+				// its own literals and with another text's.
+				if d := preparedParity(t, e, func() *dbspinner.Engine { return lifecycleEngine(t, parts, cfg) }, sql, got); d != "" {
+					t.Error(d)
+				}
+				if n := e.LiveResults(); n != 0 {
+					t.Errorf("%d intermediate results leaked by the warm runs", n)
+				}
+			})
 		}
 	}
 }
@@ -172,8 +185,10 @@ func loopStepHit(t *testing.T, e *dbspinner.Engine, sql string, iteration int) i
 // iteration 2, not the one taken before the first step. Each program
 // carries different state across the back-edge: PR's maintenance step
 // (rename plus its Acc and Snap slots), SSSP-VS's merge (Delta# and the
-// changed keys its delta step restricts by) and PR on the copy-back
-// baseline. The retried run must return byte-identical rows, leak no
+// changed keys its delta step restricts by), PR on the copy-back
+// baseline, and the two recursive merges (RecursiveQueries): Delta#,
+// the row set a UNION merge keeps from round to round, and the working
+// sets a UNION ALL one has seen. The retried run must return byte-identical rows, leak no
 // slot, and redo the iteration exactly as the unfaulted run did: the
 // same counters and, per iteration, the same rows, frontier and choice
 // of Ri. A restore that loses a slot can still return the same rows,
@@ -197,6 +212,8 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 		{"PR", bench.PRQuery(6), dbspinner.Config{}},
 		{"SSSP-VS", bench.SSSPVSQuery(500, 8), dbspinner.Config{}},
 		{"PR-copy-back", bench.PRQuery(6), dbspinner.Config{DisableRenameOpt: true}},
+		{"Reach", dbspinner.RecursiveQueries()["Reach"], dbspinner.Config{}},
+		{"Series", dbspinner.RecursiveQueries()["Series"], dbspinner.Config{}},
 	} {
 		c.cfg.TraceIterations = true
 		clean := engine(c.cfg)

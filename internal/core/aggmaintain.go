@@ -162,7 +162,7 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 	// 0..len(old)-1, keys only the current CTE has take the ids after.
 	// old[id] is the snapshot row of key id, cur[id] its current row
 	// (nil: the key disappeared).
-	keys := ctx.keyTable(snap.Len())
+	keys := ctx.keyTable(1, snap.Len())
 	defer ctx.letGo(keys)
 	old := make([]sqltypes.Row, 0, snap.Len())
 	for _, part := range snap.Parts {
@@ -178,7 +178,7 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 		}
 	}
 	cur := make([]sqltypes.Row, len(old))
-	changed := ctx.keyTable(0)
+	changed := ctx.keyTable(1, 0)
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
 			if key >= len(r) {

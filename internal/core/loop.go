@@ -7,6 +7,7 @@ import (
 	"dbspinner/internal/exec"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
+	"dbspinner/internal/storage"
 )
 
 // LoopState is the mutable state of one loop operator: the iteration
@@ -32,6 +33,10 @@ type LoopState struct {
 	// verdicts with a numeric bound) for termination types the
 	// metadata estimate cannot see; it feeds CostEstimate.
 	BoundHint int64
+	// Counted marks a Delta loop whose merge counts the rows each
+	// iteration changes (a recursive CTE's): the condition reads that
+	// count instead of comparing the CTE with a snapshot of it.
+	Counted bool
 
 	iterations int
 	updates    int64
@@ -45,6 +50,19 @@ type LoopState struct {
 	// consumes them to restrict Ri's scan of the iterative reference to
 	// the affected frontier.
 	changedKeys *sqltypes.KeyTable
+
+	// workingSets stamps the fingerprint of every working set a UNION
+	// ALL recursion has had with the iteration that added it (0: the
+	// base term), for repeats. A checkpoint shares it rather than copy
+	// it: a restored loop reads only stamps below the iteration it runs
+	// again, which the abandoned attempt cannot have written.
+	workingSets map[string]int
+
+	// seen is a UNION recursion's set of the CTE's rows, trusted only for
+	// seenOf, the CTE table it describes (rowSet), so a checkpoint, which
+	// restores a clone, needs no copy of it.
+	seen   *sqltypes.KeyTable
+	seenOf *storage.Table
 
 	// cont is the continue variable (§VI-B) the last LoopStep.Run
 	// computed; the step loop reads it to take the back-edge.
@@ -73,8 +91,10 @@ func (s *InitLoopStep) Run(ctx *Context) error {
 	s.Loop.lastUpdate = 0
 	s.Loop.prev = nil
 	s.Loop.changedKeys = nil
+	s.Loop.workingSets = nil
+	s.Loop.dropRowSet(ctx)
 	s.Loop.key = s.Key
-	if s.Loop.Term.Type == ast.TermDelta {
+	if s.Loop.Term.Type == ast.TermDelta && !s.Loop.Counted {
 		return s.Loop.snapshot(ctx)
 	}
 	return nil
@@ -207,6 +227,9 @@ func (l *LoopState) shouldContinue(ctx *Context) (bool, error) {
 		return matching < total, nil // stop when all rows satisfy
 
 	case ast.TermDelta:
+		if l.Counted {
+			return l.lastUpdate >= l.Term.N, nil
+		}
 		changed, err := l.changedRows(ctx)
 		if err != nil {
 			return false, err
@@ -217,6 +240,48 @@ func (l *LoopState) shouldContinue(ctx *Context) (bool, error) {
 		return changed >= l.Term.N, nil
 	}
 	return false, fmt.Errorf("loop for %s: unknown termination type %v", l.CTEName, l.Term.Type)
+}
+
+// rowSet returns the set of cte's rows for a UNION merge: the last
+// round's when it describes cte, else built anew. It describes no table
+// until the merge sets seenOf to its output.
+func (l *LoopState) rowSet(ctx *Context, cte *storage.Table) *sqltypes.KeyTable {
+	if l.seen == nil || l.seenOf != cte {
+		ctx.letGo(l.seen)
+		l.seen = ctx.keyTable(len(cte.Schema), cte.Len())
+		for _, part := range cte.Parts {
+			for _, r := range part {
+				l.seen.Insert(r)
+			}
+		}
+	}
+	l.seenOf = nil
+	return l.seen
+}
+
+// dropRowSet lets the row set go, for the next run or the next loop.
+func (l *LoopState) dropRowSet(ctx *Context) {
+	ctx.letGo(l.seen)
+	l.seen, l.seenOf = nil, nil
+}
+
+// repeats records rows, the working set the running iteration of a
+// UNION ALL recursion added, and reports whether an earlier iteration,
+// or base, the set the loop started from, had it: then it cycles.
+func (l *LoopState) repeats(rows []sqltypes.Row, base func() []sqltypes.Row) bool {
+	iter := l.iterations + 1
+	if l.workingSets == nil {
+		l.workingSets = map[string]int{}
+	}
+	if iter == 1 {
+		l.workingSets[fingerprint(base())] = 0
+	}
+	fp := fingerprint(rows)
+	if at, ok := l.workingSets[fp]; ok && at < iter {
+		return true
+	}
+	l.workingSets[fp] = iter
+	return false
 }
 
 // snapshot captures the CTE table for the next Delta comparison.

@@ -3,7 +3,9 @@
 // UNTIL) into a flat step program of ordinary SQL operators plus the
 // two new executor operators, rename and loop (paper §IV and §VI), and
 // the optimizer extensions — common-result materialization and
-// restricted predicate push down (paper §V).
+// restricted predicate push down (paper §V). Recursive CTEs rewrite
+// into the same form (recursive.go), and a SELECT with neither kind is
+// a program with no steps: every SELECT runs as a Program.
 package core
 
 import (
@@ -53,7 +55,7 @@ type Options struct {
 	// spinning forever. Zero (or negative) means DefaultMaxIterations;
 	// the guard itself cannot be disabled, only sized. Provably
 	// terminating or converging loops never carry the guard. The same
-	// value caps recursive CTEs (ExecuteRecursive).
+	// value caps every recursive CTE's loop.
 	MaxIterations int64
 	// Parts is the partition count for materialized intermediate
 	// results.
@@ -143,8 +145,8 @@ func DefaultOptions() Options {
 
 // Stats reports what the step program did, feeding the experiments.
 type Stats struct {
-	Iterations   int   // loop iterations executed
-	UpdatedRows  int64 // cumulative rows written to working tables
+	Iterations   int   // loop iterations executed, a recursive CTE's rounds included
+	UpdatedRows  int64 // cumulative rows written to working tables, a recursive round's included
 	MovedRows    int64 // rows physically copied back (baseline path)
 	Renames      int   // rename operator executions
 	CommonBlocks int   // common results materialized before the loop
@@ -298,7 +300,7 @@ func (c *Context) track(name string) {
 	if c.created == nil {
 		c.created = make(map[string]bool)
 	}
-	c.created[strings.ToLower(name)] = true
+	c.created[storage.NormalizeName(name)] = true
 }
 
 // sizeHint returns the running step's per-partition capacities for a
@@ -324,18 +326,18 @@ func (c *Context) noteSizes(t *storage.Table) {
 	}
 }
 
-// keyTable returns an empty table for one-column keys, sized for hint: a
-// table an earlier keyed pass of the run, or of the statement's last run,
-// let go, reset, if there is one. Every pass takes one if there is one,
-// so the state never holds more than were alive at once: the diff, the
-// affected keys and the row indexes of one iteration are the next
-// iteration's.
-func (c *Context) keyTable(hint int) *sqltypes.KeyTable {
+// keyTable returns an empty table for keys of width columns, sized for
+// hint: a table an earlier keyed pass of the run, or of the statement's
+// last run, let go, reset, if there is one. Every pass takes one if there
+// is one, so the state never holds more than were alive at once: the
+// diff, the affected keys and the row indexes of one iteration are the
+// next iteration's.
+func (c *Context) keyTable(width, hint int) *sqltypes.KeyTable {
 	t := c.runState().keys.Take()
 	if t == nil {
-		return sqltypes.NewKeyTable(1, hint)
+		return sqltypes.NewKeyTable(width, hint)
 	}
-	t.Reset(1, 0, hint)
+	t.Reset(width, 0, hint)
 	return t
 }
 
@@ -364,8 +366,9 @@ func (c *Context) materialize(n plan.Node, into string, parts int) (*storage.Tab
 	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.Exec, into, parts, c.sizeHint(parts))
 }
 
-// Program is the rewritten form of a query with iterative CTEs: the
-// step list followed by the final query Qf.
+// Program is the rewritten form of a SELECT (Rewrite): the step list of
+// its iterative and recursive CTEs — none for a SELECT with neither —
+// followed by the final query Qf.
 type Program struct {
 	Steps []Step
 	// Final is the plan of Qf, executed after the steps complete.
@@ -525,7 +528,8 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 func (p *Program) releaseLoops() {
 	for _, s := range p.Steps {
 		if init, ok := s.(*InitLoopStep); ok {
-			init.Loop.prev, init.Loop.changedKeys = nil, nil
+			l := init.Loop
+			l.prev, l.changedKeys, l.workingSets, l.seen, l.seenOf = nil, nil, nil, nil, nil
 		}
 	}
 }
@@ -650,8 +654,12 @@ func (p *Program) runFinal(ctx *Context, goctx context.Context, rt *exec.StoreRu
 	return rows, err
 }
 
-// Explain renders the whole program in the style of Table I.
+// Explain renders the whole program in the style of Table I; a
+// program with no steps is its final query's plan tree.
 func (p *Program) Explain() string {
+	if len(p.Steps) == 0 {
+		return plan.ExplainTree(p.Final)
+	}
 	var b strings.Builder
 	for i, s := range p.Steps {
 		fmt.Fprintf(&b, "Step %d: %s\n", i+1, s.Explain())
@@ -866,7 +874,7 @@ func indent(s, pad string) string {
 }
 
 func checkUniqueKey(ctx *Context, t *storage.Table, key int) error {
-	seen := ctx.keyTable(t.Len())
+	seen := ctx.keyTable(1, t.Len())
 	defer ctx.letGo(seen)
 	for _, part := range t.Parts {
 		for _, r := range part {
@@ -894,7 +902,7 @@ type rowIndex struct {
 // a key table the run's keyed passes let go when there is one (keyTable).
 // A caller done with it gives the table back with letGo(x.keys).
 func (c *Context) rowIndex(col, hint int) *rowIndex {
-	return &rowIndex{col: col, keys: c.keyTable(hint), rows: make([]sqltypes.Row, 0, hint)}
+	return &rowIndex{col: col, keys: c.keyTable(1, hint), rows: make([]sqltypes.Row, 0, hint)}
 }
 
 // put files r under its key and reports whether the key was new; an
@@ -1028,6 +1036,7 @@ func (c *CopyBackStep) Explain() string {
 // time — visible in the result, see DESIGN.md). It is executed as one
 // operator the way MPPDB's code generation would fuse it; it also
 // performs the §II duplicate-key check while building the hash table.
+// A recursive CTE's round merges in one of the append forms (Form).
 type MergeStep struct {
 	CTE, Work, Into string
 	Key             int
@@ -1038,10 +1047,29 @@ type MergeStep struct {
 	Loop *LoopState
 	// Delta, when non-empty, names the per-iteration delta table the
 	// merge materializes alongside the main result: exactly the rows
-	// it identified as changed. The loop state records the changed
-	// keys for the paired DeltaMaterializeStep.
+	// it identified as changed. A keyed merge's loop state records the
+	// changed keys for the paired DeltaMaterializeStep.
 	Delta string
+	// Form is how the working rows combine with the CTE's; the zero
+	// value is the keyed merge above.
+	Form MergeForm
 }
+
+// MergeForm is how a merge combines the working rows with the CTE's.
+type MergeForm uint8
+
+const (
+	// MergeByKey is Algorithm 1's partial update: a working row replaces
+	// the CTE row with its key, and a new key appends.
+	MergeByKey MergeForm = iota
+	// MergeUnion is a round of WITH RECURSIVE ... UNION: the key is the
+	// whole row, so a row the CTE already has is no change and a new one
+	// appends.
+	MergeUnion
+	// MergeUnionAll is a round of WITH RECURSIVE ... UNION ALL: every
+	// working row appends.
+	MergeUnionAll
+)
 
 // Run implements Step.
 func (m *MergeStep) Run(ctx *Context) error {
@@ -1053,6 +1081,44 @@ func (m *MergeStep) Run(ctx *Context) error {
 	if work == nil {
 		return fmt.Errorf("merge: result %q not found", m.Work)
 	}
+	// A table's schema is never written after planning: out and the
+	// delta share the CTE's.
+	out := storage.NewTable(m.Into, cte.Schema, m.Parts)
+	out.PK = cte.PK
+	out.DistCol = 0
+	var delta *storage.Table
+	if m.Delta != "" {
+		delta = storage.NewTable(m.Delta, cte.Schema, m.Parts)
+		delta.PK = cte.PK
+		delta.DistCol = 0
+	}
+	merge := m.replace
+	if m.Form != MergeByKey {
+		merge = m.append
+	}
+	changed, err := merge(ctx, cte, work, out, delta)
+	if err != nil {
+		return err
+	}
+	if m.Loop != nil {
+		m.Loop.noteUpdates(changed)
+	}
+	if delta != nil {
+		ctx.RT.Results.Put(m.Delta, delta)
+		ctx.track(m.Delta)
+		ctx.Stats.MaterializedCells += int64(delta.Len()) * int64(len(delta.Schema))
+	}
+	ctx.RT.Results.Put(m.Into, out)
+	ctx.track(m.Into)
+	ctx.Stats.MaterializedCells += int64(out.Len()) * int64(len(out.Schema))
+	return nil
+}
+
+// replace is the keyed merge of cte and work into out. It counts the
+// rows that changed — replaced with different values, or appended —
+// and puts them into delta (nil: none), whose keys the loop state
+// records for the paired DeltaMaterializeStep.
+func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
 	updated := ctx.rowIndex(m.Key, work.Len())
@@ -1060,17 +1126,14 @@ func (m *MergeStep) Run(ctx *Context) error {
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
-				return fmt.Errorf("merge: key column %d out of range", m.Key)
+				return 0, fmt.Errorf("merge: key column %d out of range", m.Key)
 			}
 			if !updated.put(r) {
-				return fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
+				return 0, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
 			}
 		}
 	}
 	inCTE := make([]bool, len(updated.rows))
-	out := storage.NewTable(m.Into, cte.Schema.Clone(), m.Parts)
-	out.PK = cte.PK
-	out.DistCol = 0
 	// out holds the CTE's keys plus the new ones: each partition starts
 	// at its CTE partition's length and a sixteenth more.
 	if len(cte.Parts) == len(out.Parts) {
@@ -1084,7 +1147,7 @@ func (m *MergeStep) Run(ctx *Context) error {
 	for _, part := range cte.Parts {
 		for _, r := range part {
 			if m.Key >= len(r) {
-				return fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
+				return 0, fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
 			}
 			id := updated.find(r)
 			if id < 0 {
@@ -1108,40 +1171,91 @@ func (m *MergeStep) Run(ctx *Context) error {
 		out.Insert(r)
 		deltaRows = append(deltaRows, r)
 	}
-	changed := int64(len(deltaRows))
-	if m.Loop != nil {
-		m.Loop.noteUpdates(changed)
-	}
-	if m.Delta != "" {
-		delta := storage.NewTable(m.Delta, cte.Schema.Clone(), m.Parts)
-		delta.PK = cte.PK
-		delta.DistCol = 0
+	if delta != nil {
 		delta.InsertBatch(deltaRows)
-		changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
-		for _, r := range deltaRows {
-			changedKeys.Insert(r[m.Key : m.Key+1])
-		}
-		ctx.RT.Results.Put(m.Delta, delta)
-		ctx.track(m.Delta)
-		ctx.Stats.MaterializedCells += int64(delta.Len()) * int64(len(delta.Schema))
 		if m.Loop != nil {
+			changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
+			for _, r := range deltaRows {
+				changedKeys.Insert(r[m.Key : m.Key+1])
+			}
 			m.Loop.changedKeys = changedKeys
 		}
 	}
-	ctx.RT.Results.Put(m.Into, out)
-	ctx.track(m.Into)
-	ctx.Stats.MaterializedCells += int64(out.Len()) * int64(len(out.Schema))
-	return nil
+	return int64(len(deltaRows)), nil
+}
+
+// append is the recursive merge of cte and work into out: every CTE
+// row, then the working rows that are new — under UNION those neither
+// the CTE nor an earlier working row has, under UNION ALL all — which
+// also go into delta. It returns how many it added. The two guards
+// against a UNION ALL over a cycle sit here: a round repeating an
+// earlier round's rows, and a CTE past MaxRecursionRows, fail the query.
+// A round costs its new rows: a CTE routed by its first column, as out
+// is, lends its partitions as out's prefixes, extended past their ends
+// only, where no reader of the bound CTE looks. Each CTE table is merged
+// once: the next round merges out, and a checkpoint restore binds a
+// clone.
+func (m *MergeStep) append(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
+	if cte.DistCol == 0 && len(cte.Parts) == len(out.Parts) {
+		copy(out.Parts, cte.Parts)
+	} else {
+		for _, part := range cte.Parts {
+			for _, r := range part {
+				out.Insert(r)
+			}
+		}
+	}
+	var seen *sqltypes.KeyTable
+	if m.Form == MergeUnion {
+		seen = m.Loop.rowSet(ctx, cte)
+	}
+	for _, part := range work.Parts {
+		for _, r := range part {
+			if seen != nil {
+				if _, isNew := seen.Insert(r); !isNew {
+					continue
+				}
+			}
+			out.Insert(r)
+			delta.Insert(r)
+		}
+	}
+	added := delta.Len()
+	// The first round's working set was the base term's, the delta the
+	// CTE started with.
+	base := func() []sqltypes.Row { return ctx.RT.Results.Get(m.Delta).AllRows() }
+	if m.Form == MergeUnionAll && added > 0 && m.Loop.repeats(delta.AllRows(), base) {
+		return 0, fmt.Errorf("recursive UNION ALL does not converge (iteration %d revisits an earlier state); use UNION to deduplicate",
+			m.Loop.iterations+1)
+	}
+	if out.Len() > MaxRecursionRows {
+		return 0, fmt.Errorf("recursive CTE %s exceeded %d rows without terminating; use UNION to deduplicate cyclic data", m.CTE, MaxRecursionRows)
+	}
+	if seen != nil {
+		m.Loop.seenOf = out
+		if added == 0 {
+			// The loop stops here; a restore that runs the round again
+			// builds the set anew.
+			m.Loop.dropRowSet(ctx)
+		}
+	}
+	return int64(added), nil
 }
 
 // Explain implements Step.
 func (m *MergeStep) Explain() string {
-	if m.Delta != "" {
-		return fmt.Sprintf("Merge %s into %s over %s on the key column (updated rows replace previous values, new keys append); materialize changed rows into %s.",
-			m.Work, m.Into, m.CTE, m.Delta)
+	how := "on the key column (updated rows replace previous values, new keys append)"
+	switch m.Form {
+	case MergeUnion:
+		how = "on whole rows (rows it already has are dropped, new rows append)"
+	case MergeUnionAll:
+		how = "appending every row"
 	}
-	return fmt.Sprintf("Merge %s into %s over %s on the key column (updated rows replace previous values, new keys append).",
-		m.Work, m.Into, m.CTE)
+	if m.Delta != "" {
+		return fmt.Sprintf("Merge %s into %s over %s %s; materialize changed rows into %s.",
+			m.Work, m.Into, m.CTE, how, m.Delta)
+	}
+	return fmt.Sprintf("Merge %s into %s over %s %s.", m.Work, m.Into, m.CTE, how)
 }
 
 // TruncateStep clears a working result (Algorithm 1 line 10).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func runRecursive(t *testing.T, rt *exec.StoreRuntime, sql string) ([]sqltypes.R
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	rows, _, err := ExecuteRecursive(stmt.(*ast.SelectStmt), rt, 1, 0)
+	rows, _, err := ExecuteRecursiveContext(context.Background(), stmt.(*ast.SelectStmt), rt, 1, 0)
 	return rows, err
 }
 
@@ -78,8 +79,24 @@ func TestRecursiveCycleWithoutDedupFails(t *testing.T) {
 			UNION ALL
 			SELECT edges.dst FROM r JOIN edges ON edges.src = r.node
 		) SELECT node FROM r`)
-	if err == nil {
-		t.Error("cyclic UNION ALL should be detected as non-converging")
+	if err == nil || !strings.Contains(err.Error(), "exceeded 5000 rows") {
+		t.Errorf("cyclic UNION ALL should be stopped by the row cap, got %v", err)
+	}
+}
+
+// TestRecursiveRepeatedWorkingSetFails: a UNION ALL whose round adds the
+// rows an earlier round added cycles forever, and the merge says so at
+// the first repeat instead of running to the row cap.
+func TestRecursiveRepeatedWorkingSetFails(t *testing.T) {
+	rt := newRT(t)
+	_, err := runRecursive(t, rt, `WITH RECURSIVE r (n) AS (
+			SELECT 1 UNION ALL SELECT n FROM r
+		) SELECT n FROM r`)
+	if err == nil || !strings.Contains(err.Error(), "iteration 1 revisits an earlier state") {
+		t.Errorf("a repeated working set should fail the query, got %v", err)
+	}
+	if rt.Results.Len() != 0 {
+		t.Errorf("%d results leaked", rt.Results.Len())
 	}
 }
 
@@ -102,8 +119,8 @@ func TestRecursiveErrors(t *testing.T) {
 	}
 	// Non-recursive statement.
 	stmt, _ := parser.Parse("SELECT 1")
-	if _, _, err := ExecuteRecursive(stmt.(*ast.SelectStmt), rt, 1, 0); err == nil {
-		t.Error("ExecuteRecursive without RECURSIVE should fail")
+	if _, _, err := ExecuteRecursiveContext(context.Background(), stmt.(*ast.SelectStmt), rt, 1, 0); err == nil {
+		t.Error("ExecuteRecursiveContext without RECURSIVE should fail")
 	}
 }
 

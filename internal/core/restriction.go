@@ -235,7 +235,7 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 	if dense(changed.Len(), of) {
 		return nil, nil
 	}
-	affected := ctx.keyTable(2 * changed.Len())
+	affected := ctx.keyTable(1, 2*changed.Len())
 	for id := 0; id < changed.Len(); id++ {
 		affected.Insert(changed.Key(id))
 	}

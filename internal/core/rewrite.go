@@ -11,40 +11,47 @@ import (
 	"dbspinner/internal/sqltypes"
 )
 
-// Rewrite is the functional rewrite of Algorithm 1: it expands every
-// iterative CTE of the statement into a step program and plans the
-// final query Qf against the materialized CTE results.
+// Rewrite turns a SELECT into its step program. It is the functional
+// rewrite of Algorithm 1 for every iterative CTE, and the same form for
+// every recursive CTE of a WITH RECURSIVE (expandRecursive); Qf is
+// planned against the materialized CTE results. A statement with
+// neither is its own final query: a program with no steps, built with
+// no analysis and not verified.
 func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Program, error) {
 	if opts.Parts < 1 {
 		opts.Parts = 1
 	}
-	if stmt.With == nil {
-		//lint:ignore coreerrors statement-level error; no CTE, step or table is in scope yet
-		return nil, fmt.Errorf("statement has no WITH clause")
+	prog := &Program{Parallel: opts.Parallel, Parts: opts.Parts, Lookup: lookup,
+		Trace: opts.Trace, QueryTimeout: opts.QueryTimeout, Retry: opts.Retry, FaultSchedule: opts.FaultSchedule}
+	if !HasIterative(stmt) && (stmt.With == nil || !stmt.With.Recursive) {
+		fp, err := plan.NewBuilder(lookup).Build(stmt)
+		if err != nil {
+			return nil, err
+		}
+		prog.Final, prog.FinalColumns = fp, fp.Columns()
+		return prog, nil
 	}
 
 	ll := &layeredLookup{base: lookup, extra: map[string]sqltypes.Schema{}}
-	prog := &Program{Parallel: opts.Parallel, Parts: opts.Parts, Lookup: lookup}
 	rw := &rewriter{lookup: ll, opts: opts, prog: prog}
 
 	// Qf is the statement without its WITH clause; regular CTEs are
 	// registered on the builders instead.
 	final := &ast.SelectStmt{Body: stmt.Body, OrderBy: stmt.OrderBy, Limit: stmt.Limit, Offset: stmt.Offset}
 	var regular []*ast.CTE
-	sawIterative := false
 	for _, cte := range stmt.With.CTEs {
-		if cte.Iterative {
-			sawIterative = true
+		switch {
+		case cte.Iterative:
 			if err := rw.expandCTE(cte, regular, final, stmt.With.CTEs); err != nil {
 				return nil, fmt.Errorf("iterative CTE %s: %w", cte.Name, err)
 			}
-			continue
+		case stmt.With.Recursive && referencesSelf(cte):
+			if err := rw.expandRecursive(cte, regular); err != nil {
+				return nil, fmt.Errorf("recursive CTE %s: %w", cte.Name, err)
+			}
+		default:
+			regular = append(regular, cte)
 		}
-		regular = append(regular, cte)
-	}
-	if !sawIterative {
-		//lint:ignore coreerrors statement-level error; no CTE, step or table is in scope yet
-		return nil, fmt.Errorf("statement has no iterative CTE")
 	}
 
 	fb := rw.newBuilder(regular)
@@ -71,11 +78,6 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 			}
 		}
 	}
-
-	prog.Trace = opts.Trace
-	prog.QueryTimeout = opts.QueryTimeout
-	prog.Retry = opts.Retry
-	prog.FaultSchedule = opts.FaultSchedule
 
 	// Static partition-property analysis (internal/distprop): infer the
 	// distribution property of every step's result, license shuffle
@@ -445,4 +447,18 @@ func buildDataCondPlan(cteName string, cond ast.Expr, b *plan.Builder) (plan.Nod
 		From: &ast.BaseTable{Name: cteName},
 	}}
 	return b.Build(stmt)
+}
+
+// HasIterative reports whether a statement's WITH clause contains an
+// iterative CTE.
+func HasIterative(stmt *ast.SelectStmt) bool {
+	if stmt.With == nil {
+		return false
+	}
+	for _, cte := range stmt.With.CTEs {
+		if cte.Iterative {
+			return true
+		}
+	}
+	return false
 }

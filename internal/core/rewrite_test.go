@@ -594,14 +594,33 @@ func TestRewriteErrors(t *testing.T) {
 			t.Errorf("Rewrite(%q) should fail", q)
 		}
 	}
-	// No iterative CTE at all.
-	stmt, _ := parser.Parse("WITH x AS (SELECT 1) SELECT * FROM x")
-	if _, err := Rewrite(stmt.(*ast.SelectStmt), rt, DefaultOptions()); err == nil {
-		t.Error("Rewrite without iterative CTE should fail")
-	}
-	stmt, _ = parser.Parse("SELECT 1")
-	if _, err := Rewrite(stmt.(*ast.SelectStmt), rt, DefaultOptions()); err == nil {
-		t.Error("Rewrite without WITH should fail")
+}
+
+// TestRewritePlainHasNoSteps: a statement with no iterative or recursive
+// CTE — with regular CTEs or no WITH at all — is its own final query, a
+// program with no steps that answers it.
+func TestRewritePlainHasNoSteps(t *testing.T) {
+	rt := newRT(t)
+	for q, want := range map[string]string{
+		"WITH x AS (SELECT 1) SELECT * FROM x": "1",
+		"SELECT 1":                             "1",
+		"SELECT dst FROM edges WHERE src = 1 ORDER BY dst": "2|3",
+	} {
+		stmt, _ := parser.Parse(q)
+		prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(prog.Steps) != 0 {
+			t.Errorf("%s: %d steps, want none", q, len(prog.Steps))
+		}
+		rows, err := prog.Run(rt, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := strings.Join(rowStrs(rows), "|"); got != want {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
 	}
 }
 

@@ -286,15 +286,45 @@ func (s *ResultStore) Rename(old, new string) error {
 // slots exactly the way the store keys them.
 func NormalizeName(name string) string { return normalize(name) }
 
+// normalize lowercases name: names are case-insensitive, matching SQL
+// identifier semantics. A name with no upper-case letter is its own key,
+// and the others' keys are memoized: a program binds, reads and drops
+// the same few names, Delta#cte and the like, in every iteration. The
+// memo is emptied at loweredCap names, so names of statements long gone
+// do not pile up.
 func normalize(name string) string {
-	// Case-insensitive names, matching SQL identifier semantics.
-	b := make([]byte, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b[i] = c
+	i := 0
+	for i < len(name) && (name[i] < 'A' || name[i] > 'Z') {
+		i++
 	}
-	return string(b)
+	if i == len(name) {
+		return name
+	}
+	loweredMu.RLock()
+	key, ok := lowered[name]
+	loweredMu.RUnlock()
+	if ok {
+		return key
+	}
+	b := []byte(name)
+	for ; i < len(b); i++ {
+		if b[i] >= 'A' && b[i] <= 'Z' {
+			b[i] += 'a' - 'A'
+		}
+	}
+	key = string(b)
+	loweredMu.Lock()
+	if len(lowered) >= loweredCap {
+		clear(lowered)
+	}
+	lowered[name] = key
+	loweredMu.Unlock()
+	return key
 }
+
+const loweredCap = 1024
+
+var (
+	loweredMu sync.RWMutex
+	lowered   = map[string]string{}
+)

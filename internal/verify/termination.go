@@ -44,6 +44,12 @@ func checkTermination(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	var diags []Diagnostic
 	for _, cte := range stmt.With.CTEs {
 		if !cte.Iterative {
+			// A recursive CTE has no termination proof: its loop, if the
+			// rewrite made one, must carry the cap.
+			if l := loops[strings.ToLower(cte.Name)]; stmt.With.Recursive && l != nil && l.Cap <= 0 {
+				diags = append(diags, Diagnostic{Class: ClassMissingGuard,
+					Message: fmt.Sprintf("recursive CTE %s has no termination proof, but its loop carries no iteration-cap guard", cte.Name)})
+			}
 			continue
 		}
 		derived := converge.AnalyzeCTE(cte, prog.Lookup)

@@ -125,3 +125,22 @@ func TestNilStatementSkipsTerminationCheck(t *testing.T) {
 		t.Fatalf("nil-stmt check should skip termination re-derivation: %v", diags)
 	}
 }
+
+// TestRecursiveLoopNeedsItsGuard: a recursive CTE's step program verifies
+// clean with the cap the rewrite installs — its merge publishes Delta#r
+// to a plain materialization, which is a consumer — and fails closed
+// without the cap, since recursion has no termination proof.
+func TestRecursiveLoopNeedsItsGuard(t *testing.T) {
+	const sql = `WITH RECURSIVE r (n) AS (
+		SELECT 1 UNION SELECT n + 1 FROM r WHERE n < 4
+	) SELECT n FROM r`
+	prog, loop := rewriteQuery(t, sql)
+	stmt := parseStmt(t, sql)
+	if diags := Check(prog, stmt); len(diags) != 0 {
+		t.Fatalf("recursive program rejected: %v", diags)
+	}
+	loop.Cap = 0
+	if got := classDiags(Check(prog, stmt), ClassMissingGuard); len(got) != 1 || !strings.Contains(got[0].Message, "recursive CTE r") {
+		t.Errorf("a recursive loop without its cap must be diagnosed, got %v", got)
+	}
+}

@@ -15,6 +15,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -365,7 +366,7 @@ func (s *sim) step(i int, st core.Step, reEntry bool) {
 			if why := schemasCompatible(cte.schema, work.schema); why != "" {
 				s.addf(i, ClassSchemaMismatch, "merge pairs %s and %s with incompatible schemas: %s%s", t.CTE, t.Work, why, suffix)
 			}
-			if t.Key < 0 || t.Key >= len(cte.schema) {
+			if t.Form == core.MergeByKey && (t.Key < 0 || t.Key >= len(cte.schema)) {
 				s.addf(i, ClassBadKey, "merge key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
 			}
 			s.bind(i, t.Into, cte.schema)
@@ -595,7 +596,8 @@ func substitutionMismatch(t *core.Restriction) string {
 // materialization needs a later merge on the same loop publishing its
 // delta table (that merge's identification pass produces the changed
 // keys the restriction consumes next iteration), and every published
-// delta table needs a consumer.
+// delta table needs a consumer: a restricted materialization, or a
+// materialization whose plan reads it (a recursive CTE's round).
 func (s *sim) checkDeltaPairing() {
 	for i, st := range s.prog.Steps {
 		switch t := st.(type) {
@@ -614,13 +616,16 @@ func (s *sim) checkDeltaPairing() {
 				continue
 			}
 			found := false
-			for j := 0; j < i && !found; j++ {
-				if d, ok := s.prog.Steps[j].(*core.DeltaMaterializeStep); ok && d.Loop == t.Loop && norm(d.Delta) == norm(t.Delta) {
-					found = true
+			for j := 0; j < len(s.prog.Steps) && !found; j++ {
+				switch d := s.prog.Steps[j].(type) {
+				case *core.DeltaMaterializeStep:
+					found = j < i && d.Loop == t.Loop && norm(d.Delta) == norm(t.Delta)
+				case *core.MaterializeStep:
+					found = slices.Contains(planResults(d.Plan), norm(t.Delta))
 				}
 			}
 			if !found {
-				s.addf(i, ClassDeltaLiveness, "merge %s publishes delta table %q but no restricted materialization consumes it", t.Into, t.Delta)
+				s.addf(i, ClassDeltaLiveness, "merge %s publishes delta table %q but no restricted materialization consumes it and no plan reads it", t.Into, t.Delta)
 			}
 		}
 	}

@@ -172,7 +172,8 @@ func TestCallerDeadlineWinsOverConfig(t *testing.T) {
 }
 
 // TestRecursiveBaseTermHonorsDeadline: the base term of a WITH RECURSIVE
-// query polls the deadline like every round after it. This one pairs
+// query, step 1 of its program, polls the deadline like every round
+// after it. This one pairs
 // 2,000 rows with each other, about four million pairs, and keeps none,
 // so the recursion after it has nothing to do: a base term that ignored
 // the deadline would run to its end and the query would succeed.
@@ -202,7 +203,7 @@ func TestRecursiveBaseTermHonorsDeadline(t *testing.T) {
 		t.Fatalf("err = %v after %v, want ErrQueryTimeout", err, elapsed)
 	}
 	var le *dbspinner.QueryLifecycleError
-	if !errors.As(err, &le) || le.Where != "recursive CTE base term" {
+	if !errors.As(err, &le) || le.Step != 1 || le.Iteration != 0 {
 		t.Fatalf("err = %v is not a QueryLifecycleError of the base term", err)
 	}
 	if elapsed > 10*deadline {

@@ -11,6 +11,7 @@ package dbspinner_test
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -79,7 +80,9 @@ func riDecisions(tr *dbspinner.IterationTrace) string {
 
 // TestIncrementalAggParityMatrix is the incremental-evaluation oracle
 // gate: {default, DisableIncremental} x partitions {1, 2, 4} x the five
-// workload queries must return byte-identical ordered rows — row order
+// workload queries and the two recursive ones (RecursiveQueries, which
+// engage neither step and trace one span per round) must return
+// byte-identical ordered rows — row order
 // and float SUM accumulation order included, which is the contract —
 // with the dynamic cross-check (Config.CheckIncrementalAgg) armed so a
 // divergent cached group fails the query. Per query the step its shape selects must be the one that
@@ -98,8 +101,12 @@ func riDecisions(tr *dbspinner.IterationTrace) string {
 // Makefile.
 func TestIncrementalAggParityMatrix(t *testing.T) {
 	engaged := map[string]string{"PR": "maintenance", "PR-VS": "delta", "SSSP": "delta", "SSSP-VS": "delta", "FF": ""}
-	decisions := map[string]string{"PR": "FDDDRRRRRR", "PR-VS": "FDDDDDDDDD", "SSSP": "FRRRRRRRRR", "SSSP-VS": "FRRRRRRRRR", "FF": "----------"}
-	for name, sql := range workloadQueries() {
+	decisions := map[string]string{"PR": "FDDDRRRRRR", "PR-VS": "FDDDDDDDDD", "SSSP": "FRRRRRRRRR", "SSSP-VS": "FRRRRRRRRR", "FF": "----------",
+		"Reach": "------", "Series": "------------"}
+	recursive := dbspinner.RecursiveQueries()
+	queries := workloadQueries()
+	maps.Copy(queries, recursive)
+	for name, sql := range queries {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
 				on := dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true, TraceIterations: true}
@@ -145,7 +152,8 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(out, ": withheld: parallel machine.") {
+			// A recursive CTE has no incremental form to withhold.
+			if _, rec := recursive[name]; !rec && !strings.Contains(out, ": withheld: parallel machine.") {
 				t.Errorf("parallel: EXPLAIN does not say why the full plan runs:\n%s", out)
 			}
 		})

@@ -8,6 +8,7 @@ package dbspinner_test
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -79,7 +80,8 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 }
 
 // TestShuffleElisionParityMatrix is the elision oracle gate: all five
-// workload queries x elision on/off x partition counts {1, 2, 4} must
+// workload queries and the two recursive ones (RecursiveQueries) x
+// elision on/off x partition counts {1, 2, 4} must
 // return byte-identical ordered rows, with the dynamic co-location
 // check (Config.CheckShuffleElision) armed so an unsound elision fails
 // the query instead of silently reshaping results. On the vertexStatus
@@ -88,7 +90,9 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 // machine actually shuffles (Parallel, parts > 1). CI runs this under
 // -race via the root-package coverage in the Makefile.
 func TestShuffleElisionParityMatrix(t *testing.T) {
-	for name, sql := range workloadQueries() {
+	queries := workloadQueries()
+	maps.Copy(queries, dbspinner.RecursiveQueries())
+	for name, sql := range queries {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
 				on := dbspinner.Config{Partitions: parts, Parallel: true, CheckShuffleElision: true}

@@ -41,6 +41,21 @@ AS ( SELECT src, 0, 0.15
 SELECT Node, Rank FROM PageRank ORDER BY Node`, iterations)
 }
 
+// recursiveQueries are the WITH RECURSIVE statements the oracle matrices
+// run beside the workload queries, one per form of the recursive merge:
+// the nodes reachable from node 25 under UNION, and a series under
+// UNION ALL.
+func recursiveQueries() map[string]string {
+	return map[string]string{
+		"Reach": `WITH RECURSIVE reach (node) AS (
+  SELECT 25 UNION SELECT edges.dst FROM reach JOIN edges ON edges.src = reach.node
+) SELECT node FROM reach ORDER BY node`,
+		"Series": `WITH RECURSIVE series (n, x) AS (
+  SELECT 1, 0.5 UNION ALL SELECT n + 1, x * 2 FROM series WHERE n < 12
+) SELECT n, x FROM series ORDER BY n`,
+	}
+}
+
 func ssspSQL(source, iterations int) string {
 	return fmt.Sprintf(`WITH ITERATIVE sssp (Node, Distance, Delta)
 AS (SELECT src, 9999999, CASE WHEN src = %d THEN 0 ELSE 9999999 END
@@ -368,6 +383,24 @@ func TestParallelModeMatchesSequential(t *testing.T) {
 		}
 		if st := par.Stats(); st.RowsShuffled == 0 {
 			t.Errorf("parallel run of %q shuffled nothing", q[:40])
+		}
+	}
+	// The recursive queries run on the machine as step programs too, at
+	// two and at four partitions, and answer byte for byte as volcano.
+	for name, q := range recursiveQueries() {
+		for _, parts := range []int{2, 4} {
+			rs := mustQuery(t, load(Config{Partitions: parts}), q)
+			par := load(Config{Partitions: parts, Parallel: true})
+			rp := mustQuery(t, par, q)
+			if got, want := fmt.Sprint(rp.Rows), fmt.Sprint(rs.Rows); got != want {
+				t.Errorf("%s, %d partitions: parallel rows\n%s\nsequential rows\n%s", name, parts, got, want)
+			}
+			if len(rs.Rows) < 2 {
+				t.Errorf("%s answers %d rows; the recursion never ran", name, len(rs.Rows))
+			}
+			if st := par.Stats(); st.RowsShuffled == 0 {
+				t.Errorf("parallel run of %s at %d partitions shuffled nothing", name, parts)
+			}
 		}
 	}
 }

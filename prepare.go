@@ -5,56 +5,36 @@ import (
 	"dbspinner/internal/core"
 	"dbspinner/internal/lexer"
 	"dbspinner/internal/parser"
-	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 )
 
-// prepared is a SELECT planned and ready to run: its iterative step
-// program, its recursive plan or its plain plan — exactly one is set —
-// its output column names, and its run state: the storage its last clean
-// run let go, which its next run fills again (core.RunState). The state
-// is nil while a run holds it, and after a run that failed.
+// prepared is a SELECT planned and ready to run: its step program —
+// the rewrite of its iterative and recursive CTEs, or no steps and the
+// statement as the final query — its output column names, and its run
+// state: the storage its last clean run let go, which its next run
+// fills again (core.RunState). The state is nil while a run holds it,
+// and after a run that failed.
 type prepared struct {
 	prog  *core.Program
-	rec   *core.Recursive
-	node  plan.Node
 	cols  []string
 	state *core.RunState
 }
 
-// prepare plans sel: an iterative CTE is rewritten (and verified) into a
-// step program, a recursive CTE planned for the fixed-point evaluator,
-// anything else planned as one tree.
+// prepare plans sel into its step program (core.Rewrite), verified
+// unless the config says otherwise.
 func (e *Engine) prepare(sel *ast.SelectStmt) (*prepared, error) {
-	switch {
-	case core.HasIterative(sel):
-		prog, err := core.Rewrite(sel, e.rt, e.coreOptions())
-		if err != nil {
-			return nil, err
-		}
-		return &prepared{prog: prog, cols: colNames(prog.FinalColumns)}, nil
-	case sel.With != nil && sel.With.Recursive:
-		rec, err := core.PrepareRecursive(sel, e.rt, e.cfg.Partitions, e.cfg.MaxIterations)
-		if err != nil {
-			return nil, err
-		}
-		return &prepared{rec: rec, cols: colNames(rec.Final.Columns())}, nil
-	default:
-		node, err := plan.NewBuilder(e.rt).Build(sel)
-		if err != nil {
-			return nil, err
-		}
-		return &prepared{node: node, cols: colNames(node.Columns())}, nil
+	prog, err := core.Rewrite(sel, e.rt, e.coreOptions())
+	if err != nil {
+		return nil, err
 	}
+	return &prepared{prog: prog, cols: colNames(prog.FinalColumns)}, nil
 }
 
 // citesSource reports whether running p can report text that cites
 // source offsets: the termination diagnostics an iteration-cap failure
-// carries, which point into the text the program was prepared from.
+// carries, which point into the text the program was prepared from. A
+// recursive CTE's cap diagnostic cites none, and records no verdict.
 func (p *prepared) citesSource() bool {
-	if p.prog == nil {
-		return false
-	}
 	for _, v := range p.prog.Verdicts {
 		if len(v.Diags) > 0 {
 			return true

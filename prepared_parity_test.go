@@ -10,8 +10,8 @@ import (
 
 // boundVariant is sql with one literal changed that the prepared program
 // binds rather than consumes: the SSSP source, the FF modulus,
-// PageRank's initial delta or the seed of the aggregate-maintenance
-// queries.
+// PageRank's initial delta, the seed of the aggregate-maintenance
+// queries or the base term of a recursive one (RecursiveQueries).
 func boundVariant(t *testing.T, sql string) string {
 	t.Helper()
 	for _, c := range []struct{ from, to string }{
@@ -19,6 +19,8 @@ func boundVariant(t *testing.T, sql string) string {
 		{"MOD(node, 2)", "MOD(node, 3)"},
 		{"SELECT src, 0, 0.15", "SELECT src, 0, 0.25"},
 		{"SELECT src, src % 7", "SELECT src, src % 5"},
+		{"SELECT 25 UNION", "SELECT 26 UNION"},
+		{"SELECT 1, 0.5 UNION", "SELECT 1, 0.25 UNION"},
 	} {
 		if strings.Contains(sql, c.from) {
 			return strings.Replace(sql, c.from, c.to, 1)
