@@ -36,9 +36,8 @@ vet:
 $(BIN)/spinlint: $(wildcard cmd/spinlint/*.go internal/lint/*.go)
 	$(GO) build -o $(BIN)/spinlint ./cmd/spinlint
 
-# Repo-specific analyzers (result-store access, error context, step and
-# plan-node dispatch coverage, MPP cancellation, goroutine containment)
-# running under the go vet driver.
+# Repo-specific analyzers (result-store access, error context, MPP
+# cancellation, goroutine containment) running under the go vet driver.
 lint: $(BIN)/spinlint
 	$(GO) vet -vettool=$(CURDIR)/$(BIN)/spinlint ./...
 

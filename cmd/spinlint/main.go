@@ -1,8 +1,7 @@
 // Command spinlint runs this repository's custom static analyzers
 // (internal/lint): result-store access boundaries, error-context
-// requirements in internal/core, step and plan-node coverage of the
-// hand-written dispatches, cancellation polls before MPP fan-out, and
-// panic containment of spawned goroutines.
+// requirements in internal/core, cancellation polls before MPP fan-out,
+// and panic containment of spawned goroutines.
 //
 // It speaks the `go vet -vettool=` protocol, so the usual invocation is
 //

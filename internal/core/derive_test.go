@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -60,6 +61,39 @@ func TestVolcanoRewriteDerivesNoPartitionClaims(t *testing.T) {
 				t.Error("DeriveDistProps licensed an elision")
 			}
 		})
+	}
+}
+
+// TestWrappedStepsDeriveAsTheirKind: a step that embeds another, as
+// watchIndexes' probedStep does, dispatches as the step it embeds, so
+// wrapping every step but the loop steps changes no claim and no
+// elision.
+func TestWrappedStepsDeriveAsTheirKind(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Parts, opts.Parallel = 2, true
+	licensed := 0
+	for _, q := range []string{prVSQuery, `WITH ITERATIVE c (k, v) AS (
+		SELECT src, dst FROM edges
+		ITERATE SELECT c.k, e.dst FROM c JOIN edges AS e ON c.k = e.src
+		UNTIL 2 ITERATIONS) SELECT k, v FROM c`} {
+		prog, err := Rewrite(mustParse(t, q), newRT(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		licensed += len(prog.Elisions)
+		claims, elisions := prog.DistProps, prog.Elisions
+		watchIndexes(prog)
+		prog.DistProps, prog.Elisions, prog.elide = nil, nil, nil
+		prog.deriveDistProps(true)
+		if !reflect.DeepEqual(prog.DistProps, claims) {
+			t.Errorf("wrapped claims\n%v\nwant\n%v", prog.DistProps, claims)
+		}
+		if !reflect.DeepEqual(prog.Elisions, elisions) {
+			t.Errorf("wrapped elisions\n%v\nwant\n%v", prog.Elisions, elisions)
+		}
+	}
+	if licensed == 0 {
+		t.Error("no elision licensed; the comparison is vacuous")
 	}
 }
 

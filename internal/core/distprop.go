@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 
 	"dbspinner/internal/distprop"
@@ -12,8 +16,8 @@ import (
 
 // This file drives the static partition-property analysis
 // (internal/distprop) over a rewritten step program: a dataflow
-// fixpoint over the step control-flow graph (including the loop
-// back-edge) computes, for every step, the distribution property each
+// fixpoint over the step control-flow graph (Forward, which follows the
+// loop back-edge) computes, for every step, the distribution property each
 // live result slot is guaranteed to satisfy on entry; a second pass
 // then records per-step claims for EXPLAIN/verification and licenses
 // shuffle elisions. Properties cross the back-edge only when they
@@ -56,14 +60,6 @@ type ElisionRecord struct {
 // are never stored, so map equality is canonical.
 type distState map[string]distprop.Property
 
-func (s distState) clone() distState {
-	out := make(distState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 func (s distState) set(slot string, p distprop.Property) {
 	key := storage.NormalizeName(slot)
 	if p.Kind == distprop.KindUnknown {
@@ -71,34 +67,6 @@ func (s distState) set(slot string, p distprop.Property) {
 		return
 	}
 	s[key] = p
-}
-
-// meetInto merges src into dst (dst may be nil, meaning "not yet
-// reached"), returning the merged state and whether it changed.
-// Slot-wise meet: a property survives only if both states guarantee
-// it.
-func meetInto(dst, src distState) (distState, bool) {
-	if dst == nil {
-		return src.clone(), true
-	}
-	changed := false
-	for k, dv := range dst {
-		sv, ok := src[k]
-		if !ok {
-			delete(dst, k)
-			changed = true
-			continue
-		}
-		if m := distprop.Meet(dv, sv); !m.Equal(dv) {
-			if m.Kind == distprop.KindUnknown {
-				delete(dst, k)
-			} else {
-				dst[k] = m
-			}
-			changed = true
-		}
-	}
-	return dst, changed
 }
 
 // DeriveDistProps records the distribution property of every step for
@@ -119,12 +87,13 @@ func (p *Program) DeriveDistProps() {
 // run).
 func (p *Program) deriveDistProps(license bool) {
 	td, _ := p.Lookup.(distprop.TableDist)
-	entry := p.distFixpoint(td)
-	if entry == nil {
-		// A step kind the transfer function does not know: fail closed,
-		// claim nothing, elide nothing.
-		return
+	infer := func(st distState, n plan.Node) distprop.Property {
+		return (&distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st}).Infer(n)
 	}
+	// Elisions are licensed only once the entry states are stable.
+	entry := Forward(p.Steps, distState{}, func(i int, in distState) distState {
+		return VisitStep[distStep](p.Steps[i], distCases{in: in, infer: infer}).out
+	}, distprop.MeetSlots[distState])
 
 	type exchKey struct {
 		node plan.Node
@@ -135,7 +104,7 @@ func (p *Program) deriveDistProps(license bool) {
 		licensed bool
 	}
 	verdicts := make(map[exchKey]*exchVerdict)
-	collect := func(step int, node plan.Node) func(distprop.Decision) {
+	collect := func(step int) func(distprop.Decision) {
 		return func(d distprop.Decision) {
 			key := exchKey{node: d.Node, exch: d.Exch}
 			v, seen := verdicts[key]
@@ -156,60 +125,32 @@ func (p *Program) deriveDistProps(license bool) {
 			// subtree shared between the full and restricted delta
 			// plans) elides only if every context licenses the same
 			// claim.
-			if !d.Licensed || !sameCols(v.rec.Cols, d.Cols) {
+			if !d.Licensed || !slices.Equal(v.rec.Cols, d.Cols) {
 				v.licensed = false
 			}
 		}
 	}
-
-	infer := func(step int, st distState, n plan.Node) distprop.Property {
-		a := &distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st}
-		if license {
-			a.OnExchange = collect(step, n)
+	inferAt := func(step int) func(distState, plan.Node) distprop.Property {
+		if !license {
+			return infer
 		}
-		return a.Infer(n)
+		return func(st distState, n plan.Node) distprop.Property {
+			a := &distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st, OnExchange: collect(step)}
+			return a.Infer(n)
+		}
 	}
 
-	restricted := func(step int, st distState, r *Restriction) DistClaim {
-		prop := r.distProp(st, func(st distState, n plan.Node) distprop.Property { return infer(step, st, n) })
-		return DistClaim{Step: step, Slot: r.Into, Prop: prop, Desc: prop.Describe(r.Full.Columns())}
-	}
-
-	var claims []DistClaim
+	claims := make([]DistClaim, 0, len(p.Steps)+1)
 	for i, s := range p.Steps {
-		st := entry[i]
-		if st == nil {
-			// Unreachable step (defensive): claim nothing for it.
-			claims = append(claims, DistClaim{Step: i + 1, Desc: "unreachable"})
-			continue
+		r := VisitStep[distStep](s, distCases{in: entry[i], infer: inferAt(i + 1)})
+		c := DistClaim{Step: i + 1, Slot: r.slot, Prop: r.prop, Desc: "no result bound"}
+		if r.slot != "" {
+			c.Desc = r.prop.Describe(r.cols)
 		}
-		step := i + 1
-		switch t := s.(type) {
-		case *MaterializeStep:
-			prop := infer(step, st, t.Plan)
-			claims = append(claims, DistClaim{Step: step, Slot: t.Into, Prop: prop, Desc: prop.Describe(t.Plan.Columns())})
-		case *DeltaMaterializeStep:
-			claims = append(claims, restricted(step, st, &t.Restriction))
-		case *MaintainAggStep:
-			claims = append(claims, restricted(step, st, &t.Restriction))
-		case *RenameStep:
-			prop := st[storage.NormalizeName(t.From)]
-			claims = append(claims, DistClaim{Step: step, Slot: t.To, Prop: prop, Desc: prop.String()})
-		case *CopyBackStep:
-			prop := distprop.Hash(0)
-			claims = append(claims, DistClaim{Step: step, Slot: t.To, Prop: prop, Desc: prop.String()})
-		case *MergeStep:
-			prop := distprop.Hash(0)
-			claims = append(claims, DistClaim{Step: step, Slot: t.Into, Prop: prop, Desc: prop.String()})
-		case *TruncateStep, *InitLoopStep, *UpdateLoopStep, *LoopStep:
-			// Truncation and loop bookkeeping bind no result slot.
-			claims = append(claims, DistClaim{Step: step, Desc: "no result bound"})
-		default:
-			claims = append(claims, DistClaim{Step: step, Desc: "no result bound"})
-		}
+		claims = append(claims, c)
 	}
-	if p.Final != nil && entry[len(p.Steps)] != nil {
-		prop := infer(0, entry[len(p.Steps)], p.Final)
+	if p.Final != nil {
+		prop := inferAt(0)(entry[len(p.Steps)], p.Final)
 		claims = append(claims, DistClaim{Step: 0, Prop: prop, Desc: prop.Describe(p.Final.Columns())})
 	}
 	p.DistProps = claims
@@ -237,9 +178,102 @@ func (p *Program) deriveDistProps(license bool) {
 	if len(elide) > 0 {
 		p.elide = elide
 	}
-	// Stable EXPLAIN/verification order: by step, then exchange kind.
-	sortElisions(p.Elisions)
+	// Stable EXPLAIN/verification order: by step with the final query
+	// last, then by exchange kind, then by description.
+	slices.SortStableFunc(p.Elisions, func(a, b ElisionRecord) int {
+		return cmp.Or(
+			cmp.Compare(finalLast(a.Step), finalLast(b.Step)),
+			cmp.Compare(a.Exch, b.Exch),
+			strings.Compare(a.Desc, b.Desc))
+	})
 }
+
+// finalLast orders step indexes with the final query (0) after every
+// step.
+func finalLast(step int) int {
+	if step == 0 {
+		return math.MaxInt
+	}
+	return step
+}
+
+// distStep is what one step does to the slot properties: the state
+// after it, and the slot it binds (empty for a step that binds none)
+// with the property claimed for it. cols name the property's columns
+// for EXPLAIN.
+type distStep struct {
+	out  distState
+	slot string
+	prop distprop.Property
+	cols []plan.ColInfo
+}
+
+// distCases is the analysis's transfer function, one case per step
+// kind, applied to the entry state in.
+type distCases struct {
+	in    distState
+	infer func(distState, plan.Node) distprop.Property
+}
+
+func (c distCases) bind(slot string, prop distprop.Property, cols []plan.ColInfo) distStep {
+	out := maps.Clone(c.in)
+	out.set(slot, prop)
+	return distStep{out: out, slot: slot, prop: prop, cols: cols}
+}
+
+func (c distCases) Materialize(t *MaterializeStep) distStep {
+	return c.bind(t.Into, c.infer(c.in, t.Plan), t.Plan.Columns())
+}
+
+func (c distCases) DeltaMaterialize(t *DeltaMaterializeStep) distStep {
+	return c.restricted(&t.Restriction)
+}
+
+func (c distCases) MaintainAgg(t *MaintainAggStep) distStep {
+	return c.restricted(&t.Restriction)
+}
+
+func (c distCases) restricted(r *Restriction) distStep {
+	return c.bind(r.Into, r.distProp(c.in, c.infer), r.Full.Columns())
+}
+
+func (c distCases) Rename(t *RenameStep) distStep {
+	from := storage.NormalizeName(t.From)
+	r := c.bind(t.To, c.in[from], nil)
+	delete(r.out, from)
+	return r
+}
+
+// CopyBack leaves a fresh copy, hash-distributed on column 0 (the fresh
+// table's DistCol), and drops the source working table.
+func (c distCases) CopyBack(t *CopyBackStep) distStep {
+	r := c.bind(t.To, distprop.Hash(0), nil)
+	delete(r.out, storage.NormalizeName(t.From))
+	return r
+}
+
+// Merge builds the merged table, and the delta when it materializes
+// one, with DistCol 0.
+func (c distCases) Merge(t *MergeStep) distStep {
+	r := c.bind(t.Into, distprop.Hash(0), nil)
+	if t.Delta != "" {
+		r.out.set(t.Delta, distprop.Hash(0))
+	}
+	return r
+}
+
+func (c distCases) Truncate(t *TruncateStep) distStep {
+	out := maps.Clone(c.in)
+	delete(out, storage.NormalizeName(t.Name))
+	return distStep{out: out}
+}
+
+// The loop bookkeeping binds no slot. A LoopStep's back-edge and its
+// fall-through see the same state; the meet at BodyStart is what keeps
+// only iteration-invariant properties across the back-edge.
+func (c distCases) InitLoop(*InitLoopStep) distStep     { return distStep{out: c.in} }
+func (c distCases) UpdateLoop(*UpdateLoopStep) distStep { return distStep{out: c.in} }
+func (c distCases) Loop(*LoopStep) distStep             { return distStep{out: c.in} }
 
 // distProp is the property a restricted step's working table is
 // guaranteed to have: only what both constituent plans guarantee — the
@@ -249,48 +283,11 @@ func (p *Program) deriveDistProps(license bool) {
 // maintenance step splices into a fresh DistCol-0 table, so the meet
 // under-approximates at worst.
 func (r *Restriction) distProp(st distState, infer func(distState, plan.Node) distprop.Property) distprop.Property {
-	rst := st.clone()
+	rst := maps.Clone(st)
 	if cte, ok := st[storage.NormalizeName(r.CTE)]; ok {
 		rst.set(r.In, cte)
 	}
 	return distprop.Meet(infer(st, r.Full), infer(rst, r.Restricted))
-}
-
-func sortElisions(recs []ElisionRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && elisionLess(recs[j], recs[j-1]); j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
-}
-
-func elisionLess(a, b ElisionRecord) bool {
-	as, bs := a.Step, b.Step
-	if as == 0 {
-		as = int(^uint(0) >> 1) // final sorts last
-	}
-	if bs == 0 {
-		bs = int(^uint(0) >> 1)
-	}
-	if as != bs {
-		return as < bs
-	}
-	if a.Exch != b.Exch {
-		return a.Exch < b.Exch
-	}
-	return a.Desc < b.Desc
-}
-
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func describeExchange(d distprop.Decision) string {
@@ -319,104 +316,4 @@ func describeExchange(d distprop.Decision) string {
 		}
 	}
 	return fmt.Sprintf("%s co-partitioned on (%s)", d.Exch, strings.Join(names, ","))
-}
-
-// distFixpoint propagates slot properties over the step CFG to a
-// fixpoint and returns the entry state of every step plus, at index
-// len(Steps), the program exit state (what the final query sees). A
-// nil return means a step kind the transfer function does not handle
-// (fail closed).
-func (p *Program) distFixpoint(td distprop.TableDist) []distState {
-	n := len(p.Steps)
-	entry := make([]distState, n+1)
-	entry[0] = distState{}
-	if n == 0 {
-		return entry
-	}
-	work := []int{0}
-	for iter := 0; len(work) > 0; iter++ {
-		if iter > 10000 {
-			return nil // defensive: the lattice is finite, but fail closed
-		}
-		i := work[0]
-		work = work[1:]
-		if i >= n {
-			continue
-		}
-		out, succs, ok := p.distTransfer(td, i, entry[i])
-		if !ok {
-			return nil
-		}
-		for _, succ := range succs {
-			if succ < 0 || succ > n {
-				continue
-			}
-			merged, changed := meetInto(entry[succ], out)
-			entry[succ] = merged
-			if changed && succ < n {
-				work = append(work, succ)
-			}
-		}
-	}
-	if entry[n] == nil {
-		entry[n] = distState{}
-	}
-	return entry
-}
-
-// distTransfer is the per-step transfer function of the fixpoint. It
-// must handle every step kind the rewrite can emit; an unknown kind
-// aborts the whole analysis (ok == false). Elisions are NOT licensed
-// here — only once the entry states are stable.
-func (p *Program) distTransfer(td distprop.TableDist, i int, st distState) (out distState, succs []int, ok bool) {
-	infer := func(st distState, n plan.Node) distprop.Property {
-		return (&distprop.Analysis{Parts: p.Parts, Tables: td, Slots: st}).Infer(n)
-	}
-	switch t := p.Steps[i].(type) {
-	case *MaterializeStep:
-		out = st.clone()
-		out.set(t.Into, infer(st, t.Plan))
-	case *DeltaMaterializeStep:
-		out = st.clone()
-		out.set(t.Into, t.Restriction.distProp(st, infer))
-	case *MaintainAggStep:
-		out = st.clone()
-		out.set(t.Into, t.Restriction.distProp(st, infer))
-	case *RenameStep:
-		out = st.clone()
-		from := storage.NormalizeName(t.From)
-		if prop, have := out[from]; have {
-			out.set(t.To, prop)
-		} else {
-			out.set(t.To, distprop.Unknown())
-		}
-		delete(out, from)
-	case *CopyBackStep:
-		// The fresh copy is hash-distributed on column 0 (the fresh
-		// table's DistCol); the source working table is dropped.
-		out = st.clone()
-		out.set(t.To, distprop.Hash(0))
-		delete(out, storage.NormalizeName(t.From))
-	case *MergeStep:
-		// The merged table (and the delta, when materialized) are
-		// built with DistCol 0.
-		out = st.clone()
-		out.set(t.Into, distprop.Hash(0))
-		if t.Delta != "" {
-			out.set(t.Delta, distprop.Hash(0))
-		}
-	case *TruncateStep:
-		out = st.clone()
-		delete(out, storage.NormalizeName(t.Name))
-	case *InitLoopStep, *UpdateLoopStep:
-		out = st
-	case *LoopStep:
-		// Both the back-edge and the fall-through observe the same
-		// state; the meet at BodyStart is what enforces the
-		// iteration-invariance rule.
-		return st, []int{t.BodyStart, i + 1}, true
-	default:
-		return nil, nil, false
-	}
-	return out, []int{i + 1}, true
 }

@@ -195,11 +195,16 @@ type Stats struct {
 // before each one and falls through to the next when Run returns. The
 // loop operator, LoopStep, is the one instruction that jumps (§VI-B),
 // and the step loop reads its continue variable to take the back-edge.
+//
+// The set of step kinds is closed: only this package's ten kinds
+// implement accept, so a type outside it is a Step only by embedding
+// one, and then dispatches as the step it embeds (VisitStep).
 type Step interface {
 	// Run executes the step.
 	Run(ctx *Context) error
 	// Explain renders the step like Table I of the paper.
 	Explain() string
+	accept(v stepVisitor)
 }
 
 // Context carries the runtime state of a program execution.

@@ -1,13 +1,11 @@
 package core
 
-// Per-step IO: the single dispatch over every concrete Step kind that
-// says which intermediate results a step reads, writes and frees, and
-// where a loop step jumps. Liveness-driven truncation (dataflow.go) is
-// its one reader. It deliberately does NOT feed internal/verify: the
-// verifier keeps its own dispatches (simulation and the accumulator
-// wiring check) so the producer and the checker of a step's IO fail
-// independently; spinlint's stepswitch and stepeffects analyzers
-// enforce full Step coverage on both sides.
+// Per-step IO: which intermediate results a step reads, writes and
+// frees, and where a loop step jumps. Liveness-driven truncation
+// (dataflow.go) is its one reader. It deliberately does NOT feed
+// internal/verify: the verifier derives each step's effects with its
+// own StepCases, so the producer and the checker of a step's IO fail
+// independently.
 
 import (
 	"dbspinner/internal/ast"
@@ -18,67 +16,74 @@ import (
 // analysis. Frontier# is written and freed by an incremental step
 // within one Run, so it never grows a cross-step live range.
 func stepIO(s Step) dataflow.StepIO {
+	return VisitStep[dataflow.StepIO](s, ioCases{})
+}
+
+type ioCases struct{}
+
+func (ioCases) Materialize(t *MaterializeStep) dataflow.StepIO {
+	return dataflow.StepIO{Reads: planResultNames(t.Plan), Writes: []string{t.Into}, LoopBodyStart: -1}
+}
+
+// DeltaMaterialize consumes, on top of the shared restriction IO, the
+// delta the previous merge produced.
+func (ioCases) DeltaMaterialize(t *DeltaMaterializeStep) dataflow.StepIO {
+	io := t.Restriction.io()
+	io.Reads = append(io.Reads, t.Delta)
+	return io
+}
+
+// MaintainAgg adds to the shared restriction IO the accumulator slots
+// the step carries across the back-edge: the previous output (Acc) and
+// the CTE snapshot it was computed from (Snap) are read to diff and
+// splice, then rewritten for the next iteration.
+func (ioCases) MaintainAgg(t *MaintainAggStep) dataflow.StepIO {
+	io := t.Restriction.io()
+	io.Reads = append(io.Reads, t.Acc, t.Snap)
+	io.Writes = append(io.Writes, t.Acc, t.Snap)
+	return io
+}
+
+func (ioCases) Rename(t *RenameStep) dataflow.StepIO {
+	return dataflow.StepIO{Reads: []string{t.From}, Writes: []string{t.To}, Drops: []string{t.From}, LoopBodyStart: -1}
+}
+
+func (ioCases) CopyBack(t *CopyBackStep) dataflow.StepIO {
+	return dataflow.StepIO{Reads: []string{t.From, t.To}, Writes: []string{t.To}, Drops: []string{t.From}, LoopBodyStart: -1}
+}
+
+func (ioCases) Merge(t *MergeStep) dataflow.StepIO {
+	io := dataflow.StepIO{Reads: []string{t.CTE, t.Work}, Writes: []string{t.Into}, LoopBodyStart: -1}
+	if t.Delta != "" {
+		io.Writes = append(io.Writes, t.Delta)
+	}
+	return io
+}
+
+func (ioCases) Truncate(t *TruncateStep) dataflow.StepIO {
+	return dataflow.StepIO{Drops: []string{t.Name}, LoopBodyStart: -1}
+}
+
+func (ioCases) InitLoop(t *InitLoopStep) dataflow.StepIO {
 	io := dataflow.StepIO{LoopBodyStart: -1}
-	switch t := s.(type) {
-	case *MaterializeStep:
-		io.Reads = planResultNames(t.Plan)
-		io.Writes = []string{t.Into}
+	if t.Loop != nil && t.Loop.Term.Type == ast.TermDelta {
+		io.Reads = []string{t.Loop.CTEName} // snapshot for the delta check
+	}
+	return io
+}
 
-	case *DeltaMaterializeStep:
-		// On top of the shared restriction IO the step consumes the delta
-		// the previous merge produced.
-		t.Restriction.io(&io)
-		io.Reads = append(io.Reads, t.Delta)
+// UpdateLoop touches loop state only.
+func (ioCases) UpdateLoop(*UpdateLoopStep) dataflow.StepIO {
+	return dataflow.StepIO{LoopBodyStart: -1}
+}
 
-	case *MaintainAggStep:
-		// On top of the shared restriction IO, the accumulator slots the
-		// step carries across the back-edge: the previous output (Acc) and
-		// the CTE snapshot it was computed from (Snap) are read to diff and
-		// splice, then rewritten for the next iteration.
-		t.Restriction.io(&io)
-		io.Reads = append(io.Reads, t.Acc, t.Snap)
-		io.Writes = append(io.Writes, t.Acc, t.Snap)
-
-	case *RenameStep:
-		io.Reads = []string{t.From}
-		io.Writes = []string{t.To}
-		io.Drops = []string{t.From}
-
-	case *CopyBackStep:
-		io.Reads = []string{t.From, t.To}
-		io.Writes = []string{t.To}
-		io.Drops = []string{t.From}
-
-	case *MergeStep:
-		io.Reads = []string{t.CTE, t.Work}
-		io.Writes = []string{t.Into}
-		if t.Delta != "" {
-			io.Writes = append(io.Writes, t.Delta)
+func (ioCases) Loop(t *LoopStep) dataflow.StepIO {
+	io := dataflow.StepIO{LoopBodyStart: t.BodyStart}
+	if t.Loop != nil {
+		io.Reads = planResultNames(t.Loop.CondPlan)
+		if t.Loop.Term.Type == ast.TermDelta {
+			io.Reads = append(io.Reads, t.Loop.CTEName)
 		}
-
-	case *TruncateStep:
-		io.Drops = []string{t.Name}
-
-	case *InitLoopStep:
-		if t.Loop != nil && t.Loop.Term.Type == ast.TermDelta {
-			io.Reads = []string{t.Loop.CTEName} // snapshot for the delta check
-		}
-
-	case *UpdateLoopStep:
-		// Loop state only.
-
-	case *LoopStep:
-		io.LoopBodyStart = t.BodyStart
-		if t.Loop != nil {
-			io.Reads = planResultNames(t.Loop.CondPlan)
-			if t.Loop.Term.Type == ast.TermDelta {
-				io.Reads = append(io.Reads, t.Loop.CTEName)
-			}
-		}
-
-	default:
-		// A step kind this dispatch does not know contributes no IO; the
-		// verifier's unknown-step diagnostic names it.
 	}
 	return io
 }
@@ -86,9 +91,12 @@ func stepIO(s Step) dataflow.StepIO {
 // io is what both incremental steps do to the result store: read both
 // plans' results and the CTE table directly, write the working table,
 // and transiently bind and drop the restricted input.
-func (r *Restriction) io(out *dataflow.StepIO) {
-	out.Reads = append(planResultNames(r.Full), planResultNames(r.Restricted)...)
-	out.Reads = append(out.Reads, r.CTE)
-	out.Writes = []string{r.Into, r.In}
-	out.Drops = []string{r.In}
+func (r *Restriction) io() dataflow.StepIO {
+	reads := append(planResultNames(r.Full), planResultNames(r.Restricted)...)
+	return dataflow.StepIO{
+		Reads:         append(reads, r.CTE),
+		Writes:        []string{r.Into, r.In},
+		Drops:         []string{r.In},
+		LoopBodyStart: -1,
+	}
 }

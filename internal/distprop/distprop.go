@@ -31,6 +31,7 @@ package distprop
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"dbspinner/internal/ast"
@@ -94,6 +95,36 @@ func Meet(p, q Property) Property {
 		return p
 	}
 	return Unknown()
+}
+
+// MeetSlots is the meet of two states that map result slots to the
+// properties their tables satisfy, a slot absent meaning Unknown: each
+// slot keeps the property both states guarantee. It reports whether
+// the meet differs from acc, and returns acc itself when it does not.
+// It modifies neither map.
+func MeetSlots[M ~map[string]Property](acc, in M) (M, bool) {
+	var out M
+	for k, a := range acc {
+		m := Unknown()
+		if b, ok := in[k]; ok {
+			m = Meet(a, b)
+		}
+		if m.Equal(a) {
+			continue
+		}
+		if out == nil {
+			out = maps.Clone(acc)
+		}
+		if m.Kind == KindUnknown {
+			delete(out, k)
+		} else {
+			out[k] = m
+		}
+	}
+	if out == nil {
+		return acc, false
+	}
+	return out, true
 }
 
 // String renders the property: "hash(0,2)", "singleton", "unknown".
@@ -204,7 +235,6 @@ func (a *Analysis) SlotProp(name string) (Property, bool) {
 
 // Infer computes the distribution property of a plan node's output,
 // reporting exchange decisions through OnExchange along the way.
-// Unsupported node kinds are Unknown (fail closed).
 func (a *Analysis) Infer(n plan.Node) Property {
 	return a.infer(n).prop
 }
@@ -216,71 +246,54 @@ type result struct {
 	eq   *eqRel
 }
 
-func unknownOf(n plan.Node) result {
-	return result{prop: Unknown(), eq: newEqRel(len(n.Columns()))}
-}
-
-// infer is the canonical dispatch of the analysis: every plan.Node
-// implementer must be handled here (the distprop spinlint analyzer
-// checks the switch against the plan package), with the default
-// falling through to Unknown.
 func (a *Analysis) infer(n plan.Node) result {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return a.inferScan(t)
-	case *plan.NamedResult:
-		eq := newEqRel(len(t.Cols))
-		if p, ok := a.SlotProp(t.Name); ok {
-			return result{prop: p, eq: eq}
-		}
-		return result{prop: Unknown(), eq: eq}
-	case *plan.OneRow:
-		// A single row in fragment 0.
-		return result{prop: Singleton(), eq: newEqRel(0)}
-	case *plan.Filter:
-		// Filtering never moves rows.
-		return a.infer(t.Input)
-	case *plan.Project:
-		return a.inferProject(t)
-	case *plan.Alias:
-		// Renaming changes name resolution only.
-		return a.infer(t.Input)
-	case *plan.Join:
-		return a.inferJoin(t)
-	case *plan.Aggregate:
-		return a.inferAggregate(t)
-	case *plan.Union:
-		return a.inferUnion(t)
-	case *plan.Distinct:
-		return a.inferDistinct(t)
-	case *plan.Sort:
-		// Order-sensitive operators gather to fragment 0, keeping
-		// column identities.
-		in := a.infer(t.Input)
-		return result{prop: Singleton(), eq: in.eq}
-	case *plan.Limit:
-		in := a.infer(t.Input)
-		return result{prop: Singleton(), eq: in.eq}
-	case *plan.TopN:
-		in := a.infer(t.Input)
-		return result{prop: Singleton(), eq: in.eq}
-	case *plan.Trim:
-		return a.inferTrim(t)
-	case *plan.ValuesNode:
-		// Literal rows are produced in fragment 0.
-		return result{prop: Singleton(), eq: newEqRel(len(t.Cols))}
-	case *plan.EmptyNode:
-		// No rows: every property holds vacuously; Singleton is the
-		// most broadly useful.
-		return result{prop: Singleton(), eq: newEqRel(len(t.Cols))}
-	default:
-		// Fail closed: a node kind this dispatch does not know claims
-		// nothing.
-		return unknownOf(n)
-	}
+	return plan.Visit[result](n, inferCases{a})
 }
 
-func (a *Analysis) inferScan(t *plan.Scan) result {
+// inferCases is the analysis's inference rule for each plan node kind.
+type inferCases struct{ *Analysis }
+
+func (a inferCases) NamedResult(t *plan.NamedResult) result {
+	eq := newEqRel(len(t.Cols))
+	if p, ok := a.SlotProp(t.Name); ok {
+		return result{prop: p, eq: eq}
+	}
+	return result{prop: Unknown(), eq: eq}
+}
+
+// OneRow is a single row in fragment 0.
+func (a inferCases) OneRow(*plan.OneRow) result {
+	return result{prop: Singleton(), eq: newEqRel(0)}
+}
+
+// Filter never moves rows.
+func (a inferCases) Filter(t *plan.Filter) result { return a.infer(t.Input) }
+
+// Alias changes name resolution only.
+func (a inferCases) Alias(t *plan.Alias) result { return a.infer(t.Input) }
+
+// Sort, Limit and TopN are order-sensitive: they gather to fragment 0,
+// keeping column identities.
+func (a inferCases) Sort(t *plan.Sort) result   { return a.gather(t.Input) }
+func (a inferCases) Limit(t *plan.Limit) result { return a.gather(t.Input) }
+func (a inferCases) TopN(t *plan.TopN) result   { return a.gather(t.Input) }
+
+func (a inferCases) gather(input plan.Node) result {
+	return result{prop: Singleton(), eq: a.infer(input).eq}
+}
+
+// Values produces its literal rows in fragment 0.
+func (a inferCases) Values(t *plan.ValuesNode) result {
+	return result{prop: Singleton(), eq: newEqRel(len(t.Cols))}
+}
+
+// Empty has no rows: every property holds vacuously, and Singleton is
+// the most broadly useful.
+func (a inferCases) Empty(t *plan.EmptyNode) result {
+	return result{prop: Singleton(), eq: newEqRel(len(t.Cols))}
+}
+
+func (a inferCases) Scan(t *plan.Scan) result {
 	eq := newEqRel(len(t.Cols))
 	if a.Tables != nil {
 		dc, parts, ok := a.Tables.TableDistribution(t.Table)
@@ -293,7 +306,7 @@ func (a *Analysis) inferScan(t *plan.Scan) result {
 	return result{prop: Unknown(), eq: eq}
 }
 
-func (a *Analysis) inferProject(t *plan.Project) result {
+func (a inferCases) Project(t *plan.Project) result {
 	in := a.infer(t.Input)
 	inW := len(t.Input.Columns())
 	env := nodeEnv(t.Input)
@@ -309,7 +322,7 @@ func (a *Analysis) inferProject(t *plan.Project) result {
 	return result{prop: remapProp(in.prop, images), eq: in.eq.remap(images, len(t.Items))}
 }
 
-func (a *Analysis) inferTrim(t *plan.Trim) result {
+func (a inferCases) Trim(t *plan.Trim) result {
 	in := a.infer(t.Input)
 	inW := len(t.Input.Columns())
 	images := make([][]int, inW)
@@ -319,7 +332,7 @@ func (a *Analysis) inferTrim(t *plan.Trim) result {
 	return result{prop: remapProp(in.prop, images), eq: in.eq.remap(images, t.Keep)}
 }
 
-func (a *Analysis) inferUnion(t *plan.Union) result {
+func (a inferCases) Union(t *plan.Union) result {
 	l := a.infer(t.Left)
 	r := a.infer(t.Right)
 	w := len(t.Left.Columns())
@@ -336,7 +349,7 @@ func (a *Analysis) inferUnion(t *plan.Union) result {
 	return out
 }
 
-func (a *Analysis) inferDistinct(t *plan.Distinct) result {
+func (a inferCases) Distinct(t *plan.Distinct) result {
 	in := a.infer(t.Input)
 	w := len(t.Input.Columns())
 	all := make([]int, w)
@@ -351,7 +364,7 @@ func (a *Analysis) inferDistinct(t *plan.Distinct) result {
 	return result{prop: Hash(all...), eq: in.eq}
 }
 
-func (a *Analysis) inferAggregate(t *plan.Aggregate) result {
+func (a inferCases) Aggregate(t *plan.Aggregate) result {
 	in := a.infer(t.Input)
 	k := len(t.GroupBy)
 	outW := k + len(t.Aggs)
@@ -404,7 +417,7 @@ func (a *Analysis) inferAggregate(t *plan.Aggregate) result {
 	return result{prop: Hash(outCols...), eq: in.eq.remap(images, outW)}
 }
 
-func (a *Analysis) inferJoin(t *plan.Join) result {
+func (a inferCases) Join(t *plan.Join) result {
 	l := a.infer(t.Left)
 	r := a.infer(t.Right)
 	lw := len(t.Left.Columns())

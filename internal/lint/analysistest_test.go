@@ -137,20 +137,8 @@ func TestCoreErrorsFixtures(t *testing.T) {
 	runFixtures(t, CoreErrors, "dbspinner/internal/core")
 }
 
-func TestStepSwitchFixtures(t *testing.T) {
-	runFixtures(t, StepSwitch, "dbspinner/internal/verify")
-}
-
-func TestStepEffectsFixtures(t *testing.T) {
-	runFixtures(t, StepEffects, "dbspinner/internal/core")
-}
-
 func TestCtxcheckFixtures(t *testing.T) {
 	runFixtures(t, Ctxcheck, "dbspinner/internal/mpp")
-}
-
-func TestDistPropFixtures(t *testing.T) {
-	runFixtures(t, DistProp, "dbspinner/internal/distprop", "dbspinner/internal/verify")
 }
 
 func TestGoRecoverFixtures(t *testing.T) {

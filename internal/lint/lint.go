@@ -13,27 +13,18 @@
 //   - coreerrors: errors raised inside internal/core must carry the
 //     step, CTE or table name; a bare message is undebuggable once the
 //     rewrite has expanded several CTEs.
-//   - stepswitch: the verifier's step-dispatch switch must handle
-//     every core.Step implementer; a step type missing from it falls
-//     into the fail-closed default arm and its reads and writes are
-//     never simulated.
-//   - stepeffects: core's step-IO dispatch (stepinfo.go) must handle
-//     every core.Step implementer; a step missing from it contributes
-//     no reads, writes or frees, so liveness-driven truncation cannot
-//     see what it reads.
 //   - ctxcheck: every mpp.Machine method that fans out goroutines must
 //     consult the machine checkpoint first; cooperative cancellation is
 //     only as good as its least cooperative site. (The step loop polls
 //     before every step, so steps need no check.)
-//   - distprop: the partition-property dispatches — the producer's in
-//     internal/distprop and the verifier's independent re-derivation —
-//     must each handle every plan.Node implementer; a node type missing
-//     from one falls into the fail-closed default arm and silently
-//     drops every property flowing through it.
 //   - gorecover: every goroutine spawned in the executor layers
 //     (core, exec, mpp) must run its body under faultinject.Contain;
 //     an uncontained panic in a worker goroutine crashes the whole
 //     process instead of failing the one query that caused it.
+//
+// That every step and plan-node kind is handled where it must be is not
+// a lint matter: core.StepCases and plan.NodeCases make each such
+// dispatch total, and the compiler rejects one that misses a kind.
 //
 // All checks are purely syntactic (go/ast, no go/types), which keeps
 // the tool dependency-free and fast; the cost is a small set of
@@ -80,7 +71,7 @@ type Analyzer struct {
 
 // Analyzers returns every spinlint check.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ResultStore, CoreErrors, StepSwitch, StepEffects, Ctxcheck, DistProp, GoRecover}
+	return []*Analyzer{ResultStore, CoreErrors, Ctxcheck, GoRecover}
 }
 
 // Check runs every analyzer over the pass, drops findings in _test.go

@@ -108,95 +108,6 @@ func f() error { return errors.New("plain") }
 	assertFindings(t, checkSrc(t, "dbspinner/internal/exec", src))
 }
 
-func TestStepSwitchFailsClosedWithoutDispatch(t *testing.T) {
-	src := `package verify
-
-import "dbspinner/internal/core"
-
-func onlyPartial(st core.Step) {
-	switch st.(type) {
-	case *core.MaterializeStep:
-	case *core.LoopStep:
-	}
-}
-`
-	// The other fail-closed dispatch check rides along: the synthetic
-	// verify package has no node-dispatch switch either.
-	assertFindings(t, checkSrc(t, "dbspinner/internal/verify", src),
-		"distprop|no node-dispatch type switch found",
-		"stepswitch|no step-dispatch type switch found")
-}
-
-// TestStepEffectsFailsClosedWithoutDispatch: a core package with step
-// implementers but no binding type switch over them has no step-IO
-// dispatch at all, and that is a finding, not a pass.
-func TestStepEffectsFailsClosedWithoutDispatch(t *testing.T) {
-	src := `package core
-
-type MaterializeStep struct{}
-
-func (s *MaterializeStep) Run(ctx *Context) error { return nil }
-func (s *MaterializeStep) Explain() string        { return "materialize" }
-
-func kind(s Step) int {
-	switch s.(type) {
-	case *MaterializeStep:
-		return 1
-	default:
-		return 0
-	}
-}
-`
-	assertFindings(t, checkSrc(t, corePath, src),
-		"stepeffects|no step-IO type switch found")
-}
-
-func TestDistPropFailsClosedWithoutDispatch(t *testing.T) {
-	src := `package distprop
-
-import "dbspinner/internal/plan"
-
-func onlyPartial(n plan.Node) {
-	switch n.(type) {
-	case *plan.Scan:
-	case *plan.Join:
-	}
-}
-`
-	assertFindings(t, checkSrc(t, "dbspinner/internal/distprop", src),
-		"distprop|no node-dispatch type switch found")
-}
-
-func TestDistPropIgnoresOtherPackages(t *testing.T) {
-	src := `package plan
-
-import "dbspinner/internal/plan"
-
-func f(n plan.Node) {
-	switch n.(type) {
-	case *plan.Scan:
-	case *plan.Join:
-	default:
-	}
-}
-`
-	assertFindings(t, checkSrc(t, "dbspinner/internal/plan", src))
-}
-
-func TestStepSwitchIgnoresOtherPackages(t *testing.T) {
-	src := `package core
-
-func f(x any) {
-	switch x.(type) {
-	case *core.MaterializeStep:
-	case *core.LoopStep:
-	default:
-	}
-}
-`
-	assertFindings(t, checkSrc(t, corePath, src))
-}
-
 func TestIgnoreDirectiveSuppresses(t *testing.T) {
 	src := `package core
 
@@ -217,7 +128,7 @@ func h() error {
 }
 
 func k() error {
-	//lint:ignore stepswitch wrong check name does not suppress
+	//lint:ignore gorecover wrong check name does not suppress
 	return errors.New("flagged")
 }
 `
@@ -277,10 +188,10 @@ var errA2 = errors.New("a2")
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Pos:     token.Position{Filename: "x.go", Line: 3, Column: 9},
-		Check:   "stepswitch",
+		Check:   "gorecover",
 		Message: "boom",
 	}
-	if got, want := d.String(), "x.go:3:9: boom (stepswitch)"; got != want {
+	if got, want := d.String(), "x.go:3:9: boom (gorecover)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

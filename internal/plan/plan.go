@@ -28,13 +28,15 @@ type ColInfo struct {
 }
 
 // Node is a logical plan operator. Columns() describes the output row
-// layout.
+// layout. The set of node kinds is closed: only this package's kinds
+// implement accept, and Visit dispatches over them.
 type Node interface {
 	Columns() []ColInfo
 	// Explain renders the node (without children) for plan display.
 	Explain() string
 	// Children returns input nodes (for traversal/printing).
 	Children() []Node
+	accept(v nodeVisitor)
 }
 
 // Schema converts a node's columns into a storage schema.

@@ -5,16 +5,21 @@ package verify
 // DistClaim and every licensed shuffle elision of a compiled program.
 // The producer infers properties with expression-compiler-based key
 // resolution and a union-find equivalence relation; this checker walks
-// the same plans with its own dispatch, its own AST key splitter
+// the same plans with its own inference, its own AST key splitter
 // (schema-based resolution, no expression compiler) and its own
 // equivalence tracking, so a bug in the producer's inference cannot
-// hide in an identical re-run. Fail closed throughout: anything this
-// pass cannot prove is Unknown, any claim stronger than the re-derived
-// property is reported, and any elision the re-derivation does not
-// license is reported.
+// hide in an identical re-run. It shares with the producer only the
+// traversal of the step CFG (core.Forward) and the slot meet
+// (distprop.MeetSlots); its transfer function is its own, and
+// bad-jump checks the loop wiring that traversal follows. Fail closed
+// throughout: anything this pass cannot prove is Unknown, any claim
+// stronger than the re-derived property is reported, and any elision
+// the re-derivation does not license is reported.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"dbspinner/internal/ast"
@@ -77,55 +82,21 @@ func (d *distChecker) addDiag(step int, class, format string, args ...any) {
 }
 
 func (d *distChecker) run() {
-	entry, ok := d.fixpoint()
-	if !ok {
-		// A step kind this checker does not understand: the producer
-		// must have claimed nothing (its own transfer fails closed the
-		// same way). Any surviving claim or elision is unsound.
-		for _, c := range d.prog.DistProps {
-			if c.Prop.Kind != distprop.KindUnknown {
-				d.addDiag(c.Step, ClassUnsoundDistProp,
-					"property %s claimed in a program with unanalyzable steps", c.Prop)
-			}
-		}
-		for _, el := range d.prog.Elisions {
-			d.addDiag(el.Step, ClassMissingExchange,
-				"%s elided in a program with unanalyzable steps", el.Exch)
-		}
-		return
-	}
+	entry := core.Forward(d.prog.Steps, vState{}, func(i int, in vState) vState {
+		return core.VisitStep[vStep](d.prog.Steps[i], vCases{d: d, in: in}).out
+	}, distprop.MeetSlots[vState])
 
+	// Only now, with the entry states stable, does inference record its
+	// elision verdicts.
 	d.licensed = make(map[vExchKey]*vVerdict)
-	derived := make(map[int]vRes) // step (1-based; 0 = final) -> re-derived slot result
-	slots := make(map[int]string)
+	derived := make(map[int]vStep) // step (1-based; 0 = final) -> re-derived bound slot
 	for i, s := range d.prog.Steps {
-		st := entry[i]
-		if st == nil {
-			continue
-		}
-		switch t := s.(type) {
-		case *core.MaterializeStep:
-			derived[i+1] = d.infer(st, t.Plan)
-			slots[i+1] = t.Into
-		case *core.DeltaMaterializeStep:
-			derived[i+1] = d.restrictedResult(st, &t.Restriction)
-			slots[i+1] = t.Into
-		case *core.MaintainAggStep:
-			derived[i+1] = d.restrictedResult(st, &t.Restriction)
-			slots[i+1] = t.Into
-		case *core.RenameStep:
-			derived[i+1] = vRes{prop: st[normSlot(t.From)]}
-			slots[i+1] = t.To
-		case *core.CopyBackStep:
-			derived[i+1] = vRes{prop: distprop.Hash(0)}
-			slots[i+1] = t.To
-		case *core.MergeStep:
-			derived[i+1] = vRes{prop: distprop.Hash(0)}
-			slots[i+1] = t.Into
+		if r := core.VisitStep[vStep](s, vCases{d: d, in: entry[i]}); r.slot != "" {
+			derived[i+1] = r
 		}
 	}
-	if d.prog.Final != nil && entry[len(d.prog.Steps)] != nil {
-		derived[0] = d.infer(entry[len(d.prog.Steps)], d.prog.Final)
+	if d.prog.Final != nil {
+		derived[0] = vStep{res: d.infer(entry[len(d.prog.Steps)], d.prog.Final)}
 	}
 
 	for _, c := range d.prog.DistProps {
@@ -138,14 +109,14 @@ func (d *distChecker) run() {
 				"property %s claimed for a step that binds no result", c.Prop)
 			continue
 		}
-		if c.Step != 0 && normSlot(c.Slot) != normSlot(slots[c.Step]) {
+		if c.Step != 0 && normSlot(c.Slot) != normSlot(dr.slot) {
 			d.addDiag(c.Step, ClassUnsoundDistProp,
-				"claim names slot %q but the step binds %q", c.Slot, slots[c.Step])
+				"claim names slot %q but the step binds %q", c.Slot, dr.slot)
 			continue
 		}
-		if !dr.satisfies(c.Prop) {
+		if !dr.res.satisfies(c.Prop) {
 			d.addDiag(c.Step, ClassUnsoundDistProp,
-				"claimed %s, re-derivation proves only %s", c.Prop, dr.prop)
+				"claimed %s, re-derivation proves only %s", c.Prop, dr.res.prop)
 		}
 	}
 
@@ -163,7 +134,7 @@ func (d *distChecker) run() {
 				"%s elided on cols %v but the re-derivation does not prove the input co-partitioned", el.Exch, el.Cols)
 			continue
 		}
-		if !equalCols(v.cols, el.Cols) {
+		if !slices.Equal(v.cols, el.Cols) {
 			d.addDiag(el.Step, ClassMissingExchange,
 				"%s elided on cols %v but the re-derivation licenses only cols %v", el.Exch, el.Cols, v.cols)
 		}
@@ -179,7 +150,7 @@ func (d *distChecker) note(n plan.Node, ex distprop.Exchange, cols []int, ok boo
 	}
 	key := vExchKey{node: n, exch: ex}
 	if v, seen := d.licensed[key]; seen {
-		if !ok || !equalCols(v.cols, cols) {
+		if !ok || !slices.Equal(v.cols, cols) {
 			v.ok = false
 		}
 		return
@@ -187,31 +158,11 @@ func (d *distChecker) note(n plan.Node, ex distprop.Exchange, cols []int, ok boo
 	d.licensed[key] = &vVerdict{cols: append([]int(nil), cols...), ok: ok}
 }
 
-func equalCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func normSlot(name string) string { return storage.NormalizeName(name) }
 
 // vState maps normalized slot names to re-derived properties; absent
 // means Unknown.
 type vState map[string]distprop.Property
-
-func cloneState(s vState) vState {
-	out := make(vState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
 
 func (s vState) bind(slot string, p distprop.Property) {
 	if p.Kind == distprop.KindUnknown {
@@ -221,115 +172,77 @@ func (s vState) bind(slot string, p distprop.Property) {
 	}
 }
 
-// fixpoint re-derives the entry state of every step (index len(Steps)
-// is the exit state the final query sees) by iterating the per-step
-// transfer over the step CFG until nothing changes. ok is false when a
-// step kind is not handled.
-func (d *distChecker) fixpoint() (entry []vState, ok bool) {
-	n := len(d.prog.Steps)
-	entry = make([]vState, n+1)
-	entry[0] = vState{}
-	if n == 0 {
-		return entry, true
-	}
-	for changed, rounds := true, 0; changed; rounds++ {
-		if rounds > n*64 {
-			return nil, false // defensive bound; the lattice is finite
-		}
-		changed = false
-		for i := 0; i < n; i++ {
-			if entry[i] == nil {
-				continue
-			}
-			out, succs, handled := d.transfer(i, entry[i])
-			if !handled {
-				return nil, false
-			}
-			for _, succ := range succs {
-				if succ < 0 || succ > n {
-					continue
-				}
-				if mergeState(&entry[succ], out) {
-					changed = true
-				}
-			}
-		}
-	}
-	if entry[n] == nil {
-		entry[n] = vState{}
-	}
-	return entry, true
+// vStep is what one step does to the re-derived slot properties: the
+// state after it, and the slot it binds (empty for a step that binds
+// none) with the result re-derived for it.
+type vStep struct {
+	out  vState
+	slot string
+	res  vRes
 }
 
-// mergeState meets src into *dst, reporting change. A slot survives
-// only with the property both paths guarantee.
-func mergeState(dst *vState, src vState) bool {
-	if *dst == nil {
-		*dst = cloneState(src)
-		return true
-	}
-	changed := false
-	for k, have := range *dst {
-		got, present := src[k]
-		if present {
-			got = distprop.Meet(have, got)
-		}
-		if !present || got.Kind == distprop.KindUnknown {
-			delete(*dst, k)
-			changed = true
-			continue
-		}
-		if !got.Equal(have) {
-			(*dst)[k] = got
-			changed = true
-		}
-	}
-	return changed
+// vCases is this checker's own transfer function, one case per step
+// kind, applied to the entry state in.
+type vCases struct {
+	d  *distChecker
+	in vState
 }
 
-func (d *distChecker) transfer(i int, st vState) (out vState, succs []int, ok bool) {
-	switch t := d.prog.Steps[i].(type) {
-	case *core.MaterializeStep:
-		out = cloneState(st)
-		out.bind(t.Into, d.infer(st, t.Plan).prop)
-	case *core.DeltaMaterializeStep:
-		out = cloneState(st)
-		out.bind(t.Into, d.restrictedResult(st, &t.Restriction).prop)
-	case *core.MaintainAggStep:
-		out = cloneState(st)
-		res := d.restrictedResult(st, &t.Restriction)
-		out.bind(t.Into, res.prop)
-		// The accumulator keeps the maintained output, the snapshot keeps
-		// the CTE table — both with those tables' properties.
-		out.bind(t.Acc, res.prop)
-		out.bind(t.Snap, st[normSlot(t.CTE)])
-	case *core.RenameStep:
-		out = cloneState(st)
-		prop := out[normSlot(t.From)]
-		delete(out, normSlot(t.From))
-		out.bind(t.To, prop)
-	case *core.CopyBackStep:
-		out = cloneState(st)
-		out.bind(t.To, distprop.Hash(0))
-		delete(out, normSlot(t.From))
-	case *core.MergeStep:
-		out = cloneState(st)
-		out.bind(t.Into, distprop.Hash(0))
-		if t.Delta != "" {
-			out.bind(t.Delta, distprop.Hash(0))
-		}
-	case *core.TruncateStep:
-		out = cloneState(st)
-		delete(out, normSlot(t.Name))
-	case *core.InitLoopStep, *core.UpdateLoopStep:
-		out = st
-	case *core.LoopStep:
-		return st, []int{t.BodyStart, i + 1}, true
-	default:
-		return nil, nil, false
-	}
-	return out, []int{i + 1}, true
+func (c vCases) bind(slot string, res vRes) vStep {
+	out := maps.Clone(c.in)
+	out.bind(slot, res.prop)
+	return vStep{out: out, slot: slot, res: res}
 }
+
+func (c vCases) Materialize(t *core.MaterializeStep) vStep {
+	return c.bind(t.Into, c.d.infer(c.in, t.Plan))
+}
+
+func (c vCases) DeltaMaterialize(t *core.DeltaMaterializeStep) vStep {
+	return c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
+}
+
+// MaintainAgg also rebinds the accumulator, which keeps the maintained
+// output, and the snapshot, which keeps the CTE table: both with those
+// tables' properties.
+func (c vCases) MaintainAgg(t *core.MaintainAggStep) vStep {
+	r := c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
+	r.out.bind(t.Acc, r.res.prop)
+	r.out.bind(t.Snap, c.in[normSlot(t.CTE)])
+	return r
+}
+
+func (c vCases) Rename(t *core.RenameStep) vStep {
+	prop := c.in[normSlot(t.From)]
+	out := maps.Clone(c.in)
+	delete(out, normSlot(t.From))
+	out.bind(t.To, prop)
+	return vStep{out: out, slot: t.To, res: vRes{prop: prop}}
+}
+
+func (c vCases) CopyBack(t *core.CopyBackStep) vStep {
+	r := c.bind(t.To, vRes{prop: distprop.Hash(0)})
+	delete(r.out, normSlot(t.From))
+	return r
+}
+
+func (c vCases) Merge(t *core.MergeStep) vStep {
+	r := c.bind(t.Into, vRes{prop: distprop.Hash(0)})
+	if t.Delta != "" {
+		r.out.bind(t.Delta, distprop.Hash(0))
+	}
+	return r
+}
+
+func (c vCases) Truncate(t *core.TruncateStep) vStep {
+	out := maps.Clone(c.in)
+	delete(out, normSlot(t.Name))
+	return vStep{out: out}
+}
+
+func (c vCases) InitLoop(*core.InitLoopStep) vStep     { return vStep{out: c.in} }
+func (c vCases) UpdateLoop(*core.UpdateLoopStep) vStep { return vStep{out: c.in} }
+func (c vCases) Loop(*core.LoopStep) vStep             { return vStep{out: c.in} }
 
 // restrictedResult re-derives either incremental step's working table:
 // the meet of the full plan and the restricted plan, whose frontier
@@ -339,7 +252,7 @@ func (d *distChecker) transfer(i int, st vState) (out vState, succs []int, ok bo
 // under-approximates at worst.
 func (d *distChecker) restrictedResult(st vState, t *core.Restriction) vRes {
 	full := d.infer(st, t.Full)
-	rst := cloneState(st)
+	rst := maps.Clone(st)
 	if cte, have := st[normSlot(t.CTE)]; have {
 		rst.bind(t.In, cte)
 	}
@@ -375,82 +288,92 @@ func (r vRes) satisfies(p distprop.Property) bool {
 	return true
 }
 
-// infer is this checker's own inference dispatch over plan nodes. Every
-// plan.Node implementer must be handled here (the distprop spinlint
-// analyzer checks this switch against the plan package); the default
-// falls through to Unknown.
+// infer is this checker's own inference over plan nodes.
 func (d *distChecker) infer(st vState, n plan.Node) vRes {
-	switch t := n.(type) {
-	case *plan.Scan:
-		if d.td != nil {
-			if dc, parts, ok := d.td.TableDistribution(t.Table); ok && dc >= 0 && parts == d.prog.Parts {
-				return vRes{prop: distprop.Hash(dc)}
-			}
-		}
-		return vRes{}
-	case *plan.NamedResult:
-		return vRes{prop: st[normSlot(t.Name)]}
-	case *plan.OneRow:
-		return vRes{prop: distprop.Singleton()}
-	case *plan.Filter:
-		return d.infer(st, t.Input)
-	case *plan.Project:
-		in := d.infer(st, t.Input)
-		images := make(map[int][]int)
-		for i, it := range t.Items {
-			if c := schemaCol(it.Expr, t.Input.Columns()); c >= 0 {
-				images[c] = append(images[c], i)
-			}
-		}
-		return vRes{prop: projectProp(in.prop, images), eq: in.eq.project(images)}
-	case *plan.Alias:
-		return d.infer(st, t.Input)
-	case *plan.Join:
-		return d.inferJoin(st, t)
-	case *plan.Aggregate:
-		return d.inferAggregate(st, t)
-	case *plan.Union:
-		l := d.infer(st, t.Left)
-		r := d.infer(st, t.Right)
-		for _, cand := range []distprop.Property{l.prop, r.prop} {
-			if l.satisfies(cand) && r.satisfies(cand) {
-				return vRes{prop: cand}
-			}
-		}
-		return vRes{}
-	case *plan.Distinct:
-		in := d.infer(st, t.Input)
-		all := make([]int, len(t.Input.Columns()))
-		for i := range all {
-			all[i] = i
-		}
-		d.note(t, distprop.DistinctInput, all, in.satisfies(distprop.Hash(all...)))
-		return vRes{prop: distprop.Hash(all...), eq: in.eq}
-	case *plan.Sort:
-		in := d.infer(st, t.Input)
-		return vRes{prop: distprop.Singleton(), eq: in.eq}
-	case *plan.Limit:
-		in := d.infer(st, t.Input)
-		return vRes{prop: distprop.Singleton(), eq: in.eq}
-	case *plan.TopN:
-		in := d.infer(st, t.Input)
-		return vRes{prop: distprop.Singleton(), eq: in.eq}
-	case *plan.Trim:
-		in := d.infer(st, t.Input)
-		images := make(map[int][]int)
-		for c := 0; c < t.Keep && c < len(t.Input.Columns()); c++ {
-			images[c] = []int{c}
-		}
-		return vRes{prop: projectProp(in.prop, images), eq: in.eq.project(images)}
-	case *plan.ValuesNode:
-		return vRes{prop: distprop.Singleton()}
-	case *plan.EmptyNode:
-		return vRes{prop: distprop.Singleton()}
-	default:
-		// Fail closed: unknown node kinds prove nothing.
-		return vRes{}
-	}
+	return plan.Visit[vRes](n, vInfer{d: d, st: st})
 }
+
+// vInfer is this checker's inference rule for each plan node kind,
+// under the slot properties st.
+type vInfer struct {
+	d  *distChecker
+	st vState
+}
+
+func (v vInfer) Scan(t *plan.Scan) vRes {
+	if td := v.d.td; td != nil {
+		if dc, parts, ok := td.TableDistribution(t.Table); ok && dc >= 0 && parts == v.d.prog.Parts {
+			return vRes{prop: distprop.Hash(dc)}
+		}
+	}
+	return vRes{}
+}
+
+func (v vInfer) NamedResult(t *plan.NamedResult) vRes {
+	return vRes{prop: v.st[normSlot(t.Name)]}
+}
+
+func (v vInfer) OneRow(*plan.OneRow) vRes { return vRes{prop: distprop.Singleton()} }
+
+func (v vInfer) Filter(t *plan.Filter) vRes { return v.d.infer(v.st, t.Input) }
+
+func (v vInfer) Project(t *plan.Project) vRes {
+	in := v.d.infer(v.st, t.Input)
+	images := make(map[int][]int)
+	for i, it := range t.Items {
+		if c := schemaCol(it.Expr, t.Input.Columns()); c >= 0 {
+			images[c] = append(images[c], i)
+		}
+	}
+	return vRes{prop: projectProp(in.prop, images), eq: in.eq.project(images)}
+}
+
+func (v vInfer) Alias(t *plan.Alias) vRes { return v.d.infer(v.st, t.Input) }
+
+func (v vInfer) Join(t *plan.Join) vRes { return v.d.inferJoin(v.st, t) }
+
+func (v vInfer) Aggregate(t *plan.Aggregate) vRes { return v.d.inferAggregate(v.st, t) }
+
+func (v vInfer) Union(t *plan.Union) vRes {
+	l := v.d.infer(v.st, t.Left)
+	r := v.d.infer(v.st, t.Right)
+	for _, cand := range []distprop.Property{l.prop, r.prop} {
+		if l.satisfies(cand) && r.satisfies(cand) {
+			return vRes{prop: cand}
+		}
+	}
+	return vRes{}
+}
+
+func (v vInfer) Distinct(t *plan.Distinct) vRes {
+	in := v.d.infer(v.st, t.Input)
+	all := make([]int, len(t.Input.Columns()))
+	for i := range all {
+		all[i] = i
+	}
+	v.d.note(t, distprop.DistinctInput, all, in.satisfies(distprop.Hash(all...)))
+	return vRes{prop: distprop.Hash(all...), eq: in.eq}
+}
+
+func (v vInfer) Sort(t *plan.Sort) vRes   { return v.singleton(t.Input) }
+func (v vInfer) Limit(t *plan.Limit) vRes { return v.singleton(t.Input) }
+func (v vInfer) TopN(t *plan.TopN) vRes   { return v.singleton(t.Input) }
+
+func (v vInfer) singleton(input plan.Node) vRes {
+	return vRes{prop: distprop.Singleton(), eq: v.d.infer(v.st, input).eq}
+}
+
+func (v vInfer) Trim(t *plan.Trim) vRes {
+	in := v.d.infer(v.st, t.Input)
+	images := make(map[int][]int)
+	for c := 0; c < t.Keep && c < len(t.Input.Columns()); c++ {
+		images[c] = []int{c}
+	}
+	return vRes{prop: projectProp(in.prop, images), eq: in.eq.project(images)}
+}
+
+func (v vInfer) Values(*plan.ValuesNode) vRes { return vRes{prop: distprop.Singleton()} }
+func (v vInfer) Empty(*plan.EmptyNode) vRes   { return vRes{prop: distprop.Singleton()} }
 
 func (d *distChecker) inferAggregate(st vState, t *plan.Aggregate) vRes {
 	in := d.infer(st, t.Input)

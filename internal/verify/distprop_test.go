@@ -8,6 +8,7 @@ package verify
 import (
 	"testing"
 
+	"dbspinner/internal/ast"
 	"dbspinner/internal/core"
 	"dbspinner/internal/distprop"
 )
@@ -17,6 +18,12 @@ import (
 // iteration-invariant through the rename) with the edges scan
 // (hash(src)), so both join-side exchanges are licensed and recorded.
 func elisionProgram(t *testing.T) *core.Program {
+	t.Helper()
+	prog, _ := elisionRewrite(t)
+	return prog
+}
+
+func elisionRewrite(t *testing.T) (*core.Program, *ast.SelectStmt) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Parts = 2
@@ -35,7 +42,7 @@ func elisionProgram(t *testing.T) *core.Program {
 	if len(prog.Elisions) == 0 {
 		t.Fatal("rewrite licensed no elisions; the mutants below would be vacuous")
 	}
-	return prog
+	return prog, stmt
 }
 
 func requireClass(t *testing.T, diags []Diagnostic, class string) {
@@ -62,6 +69,21 @@ func TestRecordedDistPropsReverify(t *testing.T) {
 	prog := elisionProgram(t)
 	requireClean(t, checkDistProps(prog))
 }
+
+// TestWrappedStepsVerifyClean: a step that embeds another dispatches as
+// the step it embeds, so a program whose every step but the loop steps
+// is wrapped passes every check, its claims and elisions included.
+func TestWrappedStepsVerifyClean(t *testing.T) {
+	prog, stmt := elisionRewrite(t)
+	for i, s := range prog.Steps {
+		if _, loop := s.(*core.LoopStep); !loop {
+			prog.Steps[i] = wrappedStep{s}
+		}
+	}
+	requireClean(t, Check(prog, stmt))
+}
+
+type wrappedStep struct{ core.Step }
 
 // TestRejectsWidenedPropertyClaim: a producer bug that widens a claimed
 // key set — hash(k) recorded as hash(k, v) — claims placement the

@@ -1,7 +1,7 @@
 package verify
 
 // The result-store slots each step rebinds and releases, re-derived from
-// the step's own fields — its own type switch, deliberately NOT core's
+// the step's own fields — its own StepCases, deliberately NOT core's
 // stepIO — for the accumulator-wiring check (checkAggWiring,
 // stale-accumulator).
 
@@ -38,45 +38,48 @@ func restrictionEffects(r *core.Restriction) stepEffects {
 }
 
 // deriveStepEffects re-derives one step's writes and frees from its
-// fields. The boolean is false for step kinds this verifier does not
-// know — the caller skips them, and the simulation's unknown-step
-// diagnostic fails the program. spinlint's stepswitch analyzer keeps
-// this switch covering every core.Step implementer.
-func deriveStepEffects(st core.Step) (stepEffects, bool) {
-	var e stepEffects
-	switch t := st.(type) {
-	case *core.MaterializeStep:
-		e.writes = []string{t.Into}
-
-	case *core.DeltaMaterializeStep:
-		e = restrictionEffects(&t.Restriction)
-
-	case *core.MaintainAggStep:
-		e = restrictionEffects(&t.Restriction)
-		e.writes = append(e.writes, t.Acc, t.Snap)
-
-	case *core.RenameStep:
-		e.writes = []string{t.To}
-		e.frees = []string{t.From}
-
-	case *core.CopyBackStep:
-		e.writes = []string{t.To}
-		e.frees = []string{t.From}
-
-	case *core.MergeStep:
-		e.writes = []string{t.Into}
-		if t.Delta != "" {
-			e.writes = append(e.writes, t.Delta)
-		}
-
-	case *core.TruncateStep:
-		e.frees = []string{t.Name}
-
-	case *core.InitLoopStep, *core.UpdateLoopStep, *core.LoopStep:
-		// Loop state only.
-
-	default:
-		return e, false
-	}
-	return e, true
+// fields.
+func deriveStepEffects(st core.Step) stepEffects {
+	return core.VisitStep[stepEffects](st, effectCases{})
 }
+
+type effectCases struct{}
+
+func (effectCases) Materialize(t *core.MaterializeStep) stepEffects {
+	return stepEffects{writes: []string{t.Into}}
+}
+
+func (effectCases) DeltaMaterialize(t *core.DeltaMaterializeStep) stepEffects {
+	return restrictionEffects(&t.Restriction)
+}
+
+func (effectCases) MaintainAgg(t *core.MaintainAggStep) stepEffects {
+	e := restrictionEffects(&t.Restriction)
+	e.writes = append(e.writes, t.Acc, t.Snap)
+	return e
+}
+
+func (effectCases) Rename(t *core.RenameStep) stepEffects {
+	return stepEffects{writes: []string{t.To}, frees: []string{t.From}}
+}
+
+func (effectCases) CopyBack(t *core.CopyBackStep) stepEffects {
+	return stepEffects{writes: []string{t.To}, frees: []string{t.From}}
+}
+
+func (effectCases) Merge(t *core.MergeStep) stepEffects {
+	e := stepEffects{writes: []string{t.Into}}
+	if t.Delta != "" {
+		e.writes = append(e.writes, t.Delta)
+	}
+	return e
+}
+
+func (effectCases) Truncate(t *core.TruncateStep) stepEffects {
+	return stepEffects{frees: []string{t.Name}}
+}
+
+// The loop steps touch loop state only.
+func (effectCases) InitLoop(*core.InitLoopStep) stepEffects     { return stepEffects{} }
+func (effectCases) UpdateLoop(*core.UpdateLoopStep) stepEffects { return stepEffects{} }
+func (effectCases) Loop(*core.LoopStep) stepEffects             { return stepEffects{} }

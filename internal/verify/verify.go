@@ -54,9 +54,6 @@ const (
 	// ClassBadKey: a key column index is outside the schema of the
 	// result it keys.
 	ClassBadKey = "bad-key"
-	// ClassUnknownStep: the program contains a step type this verifier
-	// does not understand; the verifier fails closed.
-	ClassUnknownStep = "unknown-step"
 	// ClassDeltaLiveness: delta iteration's producer/consumer pairing is
 	// broken — a restricted materialization has no later merge (same
 	// loop) publishing the delta table it consumes, a merge materializes
@@ -111,7 +108,7 @@ const (
 var Classes = []string{
 	ClassBadJump, ClassUseBeforeMaterialize, ClassSchemaMismatch,
 	ClassDeadTermination, ClassLeak, ClassUnsafePush,
-	ClassInconsistentParts, ClassBadKey, ClassUnknownStep,
+	ClassInconsistentParts, ClassBadKey,
 	ClassDeltaLiveness, ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundTermination, ClassMissingGuard,
@@ -291,159 +288,185 @@ func (s *sim) run() {
 // structural wiring was already checked — but state transitions still
 // apply so the re-entry view is accurate.
 func (s *sim) step(i int, st core.Step, reEntry bool) {
-	suffix := ""
+	c := simCases{sim: s, i: i, reEntry: reEntry}
 	if reEntry {
-		suffix = " (on loop re-entry)"
+		c.suffix = " (on loop re-entry)"
 	}
-	switch t := st.(type) {
-	case *core.MaterializeStep:
-		if !reEntry {
-			s.checkParts(i, t.Parts)
-		}
-		for _, name := range planResults(t.Plan) {
-			if s.live[name] == nil {
-				s.readMissing(i, "materialize "+t.Into, "reads", name, suffix)
-			}
-		}
-		s.checkResultCols(i, "materialize "+t.Into, t.Plan, suffix, "")
-		schema := plan.Schema(t.Plan)
-		if t.CheckKey >= len(schema) {
-			s.addf(i, ClassBadKey, "check-key column %d is outside the %d-column schema of %s", t.CheckKey, len(schema), t.Into)
-		}
-		s.bind(i, t.Into, schema)
+	core.VisitStep[struct{}](st, c)
+}
 
-	case *core.InitLoopStep:
-		if t.Loop == nil {
-			s.addf(i, ClassBadJump, "loop initialization has no loop state")
-			return
-		}
-		if !reEntry {
-			s.inits[t.Loop] = i
-		}
-		if t.Loop.Term.Type == ast.TermDelta && s.live[norm(t.Loop.CTEName)] == nil {
-			if at, ok := s.truncated[norm(t.Loop.CTEName)]; ok {
-				s.addf(i, ClassPrematureTruncate, "Delta termination snapshots result %q after step %d truncated it%s", t.Loop.CTEName, at+1, suffix)
-			} else {
-				s.addf(i, ClassDeadTermination, "Delta termination snapshots result %q, which is not live at loop initialization%s", t.Loop.CTEName, suffix)
-			}
-		}
+// simCases interprets step i of each kind; suffix marks the diagnostics
+// of the reEntry pass.
+type simCases struct {
+	*sim
+	i       int
+	reEntry bool
+	suffix  string
+}
 
-	case *core.UpdateLoopStep:
-		if t.Loop == nil {
-			s.addf(i, ClassBadJump, "loop-counter update has no loop state")
+func (s simCases) Materialize(t *core.MaterializeStep) (_ struct{}) {
+	if !s.reEntry {
+		s.checkParts(s.i, t.Parts)
+	}
+	for _, name := range planResults(t.Plan) {
+		if s.live[name] == nil {
+			s.readMissing(s.i, "materialize "+t.Into, "reads", name, s.suffix)
 		}
+	}
+	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix, "")
+	schema := plan.Schema(t.Plan)
+	if t.CheckKey >= len(schema) {
+		s.addf(s.i, ClassBadKey, "check-key column %d is outside the %d-column schema of %s", t.CheckKey, len(schema), t.Into)
+	}
+	s.bind(s.i, t.Into, schema)
+	return
+}
 
-	case *core.LoopStep:
-		s.loopStep(i, t, reEntry)
+func (s simCases) DeltaMaterialize(t *core.DeltaMaterializeStep) (_ struct{}) {
+	s.restrictedStep(s.i, &t.Restriction, "delta materialize", ClassUnsafeDelta, s.reEntry, s.suffix)
+	if !s.reEntry && t.Loop == nil {
+		s.addf(s.i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
+	}
+	// By the second iteration the paired merge must have published the
+	// delta table whose changed-key set the restriction consumes.
+	if s.reEntry && t.Delta != "" && s.live[norm(t.Delta)] == nil {
+		s.addf(s.i, ClassDeltaLiveness, "delta table %q is not live when the restricted iteration consumes the changed-key set%s", t.Delta, s.suffix)
+	}
+	s.bind(s.i, t.Into, plan.Schema(t.Full))
+	return
+}
 
-	case *core.RenameStep:
-		from, to := norm(t.From), norm(t.To)
-		src := s.live[from]
-		if src == nil {
-			s.readMissing(i, "rename", "consumes", t.From, suffix)
-			return
-		}
-		if dst := s.live[to]; dst != nil {
-			if why := schemasCompatible(src.schema, dst.schema); why != "" {
-				s.addf(i, ClassSchemaMismatch, "rename %s to %s replaces a result with an incompatible schema: %s%s", t.From, t.To, why, suffix)
-			}
-		}
-		delete(s.live, from)
-		s.bindInfo(t.To, src.schema, src.createdAt)
+func (s simCases) MaintainAgg(t *core.MaintainAggStep) (_ struct{}) {
+	s.restrictedStep(s.i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, s.reEntry, s.suffix)
+	// The accumulator (Acc) and snapshot (Snap) slots are absent on the
+	// first iteration by design — the step falls back to the full plan —
+	// so their liveness is not a fault here.
+	if !s.reEntry {
+		s.accs[norm(t.Acc)] = true
+		s.accs[norm(t.Snap)] = true
+	}
+	schema := plan.Schema(t.Full)
+	s.bind(s.i, t.Into, schema)
+	s.bind(s.i, t.Acc, schema)
+	if cte := s.live[norm(t.CTE)]; cte != nil {
+		s.bind(s.i, t.Snap, cte.schema)
+	} else {
+		s.bind(s.i, t.Snap, schema)
+	}
+	return
+}
 
-	case *core.MergeStep:
-		if !reEntry {
-			s.checkParts(i, t.Parts)
+func (s simCases) Rename(t *core.RenameStep) (_ struct{}) {
+	from, to := norm(t.From), norm(t.To)
+	src := s.live[from]
+	if src == nil {
+		s.readMissing(s.i, "rename", "consumes", t.From, s.suffix)
+		return
+	}
+	if dst := s.live[to]; dst != nil {
+		if why := schemasCompatible(src.schema, dst.schema); why != "" {
+			s.addf(s.i, ClassSchemaMismatch, "rename %s to %s replaces a result with an incompatible schema: %s%s", t.From, t.To, why, s.suffix)
 		}
-		cte, work := s.live[norm(t.CTE)], s.live[norm(t.Work)]
-		if cte == nil {
-			s.readMissing(i, "merge", "consumes", t.CTE, suffix)
-		}
-		if work == nil {
-			s.readMissing(i, "merge", "consumes", t.Work, suffix)
-		}
-		if cte != nil && work != nil {
-			if why := schemasCompatible(cte.schema, work.schema); why != "" {
-				s.addf(i, ClassSchemaMismatch, "merge pairs %s and %s with incompatible schemas: %s%s", t.CTE, t.Work, why, suffix)
-			}
-			if t.Form == core.MergeByKey && (t.Key < 0 || t.Key >= len(cte.schema)) {
-				s.addf(i, ClassBadKey, "merge key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
-			}
-			s.bind(i, t.Into, cte.schema)
-			if t.Delta != "" {
-				s.deltas[norm(t.Delta)] = true
-				s.bind(i, t.Delta, cte.schema)
-			}
-		}
-		if t.Delta != "" && t.Loop == nil && !reEntry {
-			s.addf(i, ClassDeltaLiveness, "merge %s materializes delta table %q without a loop state to publish the changed keys", t.Into, t.Delta)
-		}
+	}
+	delete(s.live, from)
+	s.bindInfo(t.To, src.schema, src.createdAt)
+	return
+}
 
-	case *core.CopyBackStep:
-		if !reEntry {
-			s.checkParts(i, t.Parts)
+func (s simCases) CopyBack(t *core.CopyBackStep) (_ struct{}) {
+	if !s.reEntry {
+		s.checkParts(s.i, t.Parts)
+	}
+	from, to := s.live[norm(t.From)], s.live[norm(t.To)]
+	if from == nil {
+		s.readMissing(s.i, "copy-back", "consumes", t.From, s.suffix)
+	}
+	if to == nil {
+		s.readMissing(s.i, "copy-back", "targets", t.To, s.suffix)
+	}
+	if from != nil && to != nil {
+		if why := schemasCompatible(from.schema, to.schema); why != "" {
+			s.addf(s.i, ClassSchemaMismatch, "copy-back pairs %s and %s with incompatible schemas: %s%s", t.From, t.To, why, s.suffix)
 		}
-		from, to := s.live[norm(t.From)], s.live[norm(t.To)]
-		if from == nil {
-			s.readMissing(i, "copy-back", "consumes", t.From, suffix)
+		if t.Key < 0 || t.Key >= len(from.schema) {
+			s.addf(s.i, ClassBadKey, "copy-back key column %d is outside the %d-column schema of %s", t.Key, len(from.schema), t.From)
 		}
-		if to == nil {
-			s.readMissing(i, "copy-back", "targets", t.To, suffix)
-		}
-		if from != nil && to != nil {
-			if why := schemasCompatible(from.schema, to.schema); why != "" {
-				s.addf(i, ClassSchemaMismatch, "copy-back pairs %s and %s with incompatible schemas: %s%s", t.From, t.To, why, suffix)
-			}
-			if t.Key < 0 || t.Key >= len(from.schema) {
-				s.addf(i, ClassBadKey, "copy-back key column %d is outside the %d-column schema of %s", t.Key, len(from.schema), t.From)
-			}
-		}
-		if from != nil {
-			delete(s.live, norm(t.From))
-			s.bindInfo(t.To, from.schema, i)
-		}
+	}
+	if from != nil {
+		delete(s.live, norm(t.From))
+		s.bindInfo(t.To, from.schema, s.i)
+	}
+	return
+}
 
-	case *core.DeltaMaterializeStep:
-		s.restrictedStep(i, &t.Restriction, "delta materialize", ClassUnsafeDelta, reEntry, suffix)
-		if !reEntry && t.Loop == nil {
-			s.addf(i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
+func (s simCases) Merge(t *core.MergeStep) (_ struct{}) {
+	if !s.reEntry {
+		s.checkParts(s.i, t.Parts)
+	}
+	cte, work := s.live[norm(t.CTE)], s.live[norm(t.Work)]
+	if cte == nil {
+		s.readMissing(s.i, "merge", "consumes", t.CTE, s.suffix)
+	}
+	if work == nil {
+		s.readMissing(s.i, "merge", "consumes", t.Work, s.suffix)
+	}
+	if cte != nil && work != nil {
+		if why := schemasCompatible(cte.schema, work.schema); why != "" {
+			s.addf(s.i, ClassSchemaMismatch, "merge pairs %s and %s with incompatible schemas: %s%s", t.CTE, t.Work, why, s.suffix)
 		}
-		// By the second iteration the paired merge must have published the
-		// delta table whose changed-key set the restriction consumes.
-		if reEntry && t.Delta != "" && s.live[norm(t.Delta)] == nil {
-			s.addf(i, ClassDeltaLiveness, "delta table %q is not live when the restricted iteration consumes the changed-key set%s", t.Delta, suffix)
+		if t.Form == core.MergeByKey && (t.Key < 0 || t.Key >= len(cte.schema)) {
+			s.addf(s.i, ClassBadKey, "merge key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
 		}
-		s.bind(i, t.Into, plan.Schema(t.Full))
+		s.bind(s.i, t.Into, cte.schema)
+		if t.Delta != "" {
+			s.deltas[norm(t.Delta)] = true
+			s.bind(s.i, t.Delta, cte.schema)
+		}
+	}
+	if t.Delta != "" && t.Loop == nil && !s.reEntry {
+		s.addf(s.i, ClassDeltaLiveness, "merge %s materializes delta table %q without a loop state to publish the changed keys", t.Into, t.Delta)
+	}
+	return
+}
 
-	case *core.MaintainAggStep:
-		s.restrictedStep(i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, reEntry, suffix)
-		// The accumulator (Acc) and snapshot (Snap) slots are absent on the
-		// first iteration by design — the step falls back to the full plan —
-		// so their liveness is not a fault here.
-		if !reEntry {
-			s.accs[norm(t.Acc)] = true
-			s.accs[norm(t.Snap)] = true
-		}
-		schema := plan.Schema(t.Full)
-		s.bind(i, t.Into, schema)
-		s.bind(i, t.Acc, schema)
-		if cte := s.live[norm(t.CTE)]; cte != nil {
-			s.bind(i, t.Snap, cte.schema)
+func (s simCases) Truncate(t *core.TruncateStep) (_ struct{}) {
+	if s.live[norm(t.Name)] == nil {
+		s.readMissing(s.i, "truncate", "targets", t.Name, s.suffix)
+		return
+	}
+	delete(s.live, norm(t.Name))
+	s.truncated[norm(t.Name)] = s.i
+	return
+}
+
+func (s simCases) InitLoop(t *core.InitLoopStep) (_ struct{}) {
+	if t.Loop == nil {
+		s.addf(s.i, ClassBadJump, "loop initialization has no loop state")
+		return
+	}
+	if !s.reEntry {
+		s.inits[t.Loop] = s.i
+	}
+	if t.Loop.Term.Type == ast.TermDelta && s.live[norm(t.Loop.CTEName)] == nil {
+		if at, ok := s.truncated[norm(t.Loop.CTEName)]; ok {
+			s.addf(s.i, ClassPrematureTruncate, "Delta termination snapshots result %q after step %d truncated it%s", t.Loop.CTEName, at+1, s.suffix)
 		} else {
-			s.bind(i, t.Snap, schema)
+			s.addf(s.i, ClassDeadTermination, "Delta termination snapshots result %q, which is not live at loop initialization%s", t.Loop.CTEName, s.suffix)
 		}
-
-	case *core.TruncateStep:
-		if s.live[norm(t.Name)] == nil {
-			s.readMissing(i, "truncate", "targets", t.Name, suffix)
-			return
-		}
-		delete(s.live, norm(t.Name))
-		s.truncated[norm(t.Name)] = i
-
-	default:
-		s.addf(i, ClassUnknownStep, "step type %T is unknown to the verifier; teach internal/verify its reads and writes", st)
 	}
+	return
+}
+
+func (s simCases) UpdateLoop(t *core.UpdateLoopStep) (_ struct{}) {
+	if t.Loop == nil {
+		s.addf(s.i, ClassBadJump, "loop-counter update has no loop state")
+	}
+	return
+}
+
+func (s simCases) Loop(t *core.LoopStep) (_ struct{}) {
+	s.loopStep(s.i, t, s.reEntry)
+	return
 }
 
 // restrictedStep interprets what the two incremental steps share. The
@@ -529,8 +552,7 @@ func (s *sim) checkAggWiring() {
 		// publishes its CTE: the diff needs the previous iteration's
 		// table, not the one this iteration just merged.
 		for j := body[0]; j < i; j++ {
-			e, known := deriveStepEffects(s.prog.Steps[j])
-			if known && hits(e.writes, []string{t.CTE}) {
+			if hits(deriveStepEffects(s.prog.Steps[j]).writes, []string{t.CTE}) {
 				s.addf(i, ClassStaleAccumulator, "step %d publishes %s before the aggregate maintenance diffs it; the frontier would always be empty and cached groups would be served stale", j+1, t.CTE)
 			}
 		}
@@ -542,10 +564,7 @@ func (s *sim) checkAggWiring() {
 			if j == i {
 				continue
 			}
-			e, known := deriveStepEffects(other)
-			if !known {
-				continue
-			}
+			e := deriveStepEffects(other)
 			inBody := j >= body[0] && j <= body[1]
 			for _, slot := range []string{t.Acc, t.Snap} {
 				if hits(e.writes, []string{slot}) {

@@ -457,15 +457,6 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 			},
 			class: ClassUseBeforeMaterialize, step: 0, message: "final query",
 		},
-		{
-			name: "unknown step type fails closed",
-			build: func() *core.Program {
-				prog, _ := validProgram()
-				prog.Steps = append(prog.Steps, bogusStep{})
-				return prog
-			},
-			class: ClassUnknownStep, step: 7, message: "unknown to the verifier",
-		},
 	}
 
 	for _, tc := range cases {
@@ -493,12 +484,6 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 		})
 	}
 }
-
-// bogusStep is a step type internal/verify has never heard of.
-type bogusStep struct{}
-
-func (bogusStep) Run(ctx *core.Context) error { return nil }
-func (bogusStep) Explain() string             { return "Bogus." }
 
 // TestSecondIterationFaultDetected: the body renames the CTE away and
 // nothing re-materializes it, so the first iteration succeeds and the
