@@ -94,7 +94,7 @@ func BenchmarkFig8(b *testing.B) {
 	}
 	for name, sql := range queries {
 		b.Run(name+"/copyback", func(b *testing.B) {
-			e := newBenchEngine(b, benchConfig, dbspinner.Config{DisableRenameOpt: true})
+			e := newBenchEngine(b, benchConfig, dbspinner.Config{Baseline: dbspinner.OptRename})
 			runQuery(b, e, sql)
 		})
 		b.Run(name+"/rename", func(b *testing.B) {
@@ -116,7 +116,7 @@ func BenchmarkFig9(b *testing.B) {
 		cfg.Preset = preset
 		for name, sql := range queries {
 			b.Run(fmt.Sprintf("%s/%s/baseline", name, preset), func(b *testing.B) {
-				e := newBenchEngine(b, cfg, dbspinner.Config{DisableCommonResultOpt: true})
+				e := newBenchEngine(b, cfg, dbspinner.Config{Baseline: dbspinner.OptCommonResults})
 				runQuery(b, e, sql)
 			})
 			b.Run(fmt.Sprintf("%s/%s/common", name, preset), func(b *testing.B) {
@@ -135,7 +135,7 @@ func BenchmarkFig10(b *testing.B) {
 	for _, mod := range []int{2, 10, 100} {
 		sql := bench.FFQuery(cfg.Iterations, mod)
 		b.Run(fmt.Sprintf("sel=1of%d/baseline", mod), func(b *testing.B) {
-			e := newBenchEngine(b, cfg, dbspinner.Config{DisablePredicatePushdown: true})
+			e := newBenchEngine(b, cfg, dbspinner.Config{Baseline: dbspinner.OptPushdown})
 			runQuery(b, e, sql)
 		})
 		b.Run(fmt.Sprintf("sel=1of%d/pushed", mod), func(b *testing.B) {

@@ -81,8 +81,9 @@ var ErrQueryCanceled = core.ErrQueryCanceled
 
 // ErrQueryTimeout is the sentinel wrapped by every deadline failure:
 // the caller's context deadline or Config.QueryTimeout expired while
-// the statement was running. Match with errors.Is; errors.As on
-// *QueryLifecycleError recovers the iteration and step reached.
+// the statement, or the run of an EXPLAIN ANALYZE, was running. Match
+// with errors.Is; errors.As on *QueryLifecycleError recovers the
+// iteration and step reached.
 var ErrQueryTimeout = core.ErrQueryTimeout
 
 // QueryLifecycleError is the structured error behind ErrQueryCanceled
@@ -138,6 +139,20 @@ var (
 	FaultPoints         = faultinject.Points
 )
 
+// Opt is a set of the engine's optimizations, one bit each; as
+// Config.Baseline it names the ones the engine withholds.
+type Opt = core.Opt
+
+// The optimizations, each documented at its internal/core constant.
+const (
+	OptRename         = core.OptRename         // Figure 8 baseline: copy-back instead of rename
+	OptCommonResults  = core.OptCommonResults  // Figure 9 baseline: no common-result blocks
+	OptPushdown       = core.OptPushdown       // Figure 10 baseline: Qf predicates stay in Qf
+	OptColumnPruning  = core.OptColumnPruning  // live-column pruning and last-use truncation
+	OptShuffleElision = core.OptShuffleElision // skip exchanges proven co-partitioned (Parallel)
+	OptIncremental    = core.OptIncremental    // Ri over the affected keys only
+)
+
 // RetryPolicy bounds the iteration-granular retry of failed iterative
 // queries (Config.RetryPolicy): MaxAttempts retries per checkpoint
 // with exponential Backoff, descending the graceful-degradation ladder
@@ -171,80 +186,21 @@ type Config struct {
 	// execution); results are identical either way.
 	Parallel bool
 
-	// The paper's optimizations are on by default; the Disable knobs
-	// exist so benchmarks can measure the non-optimized baselines of
-	// §VII.
-	DisableRenameOpt         bool // Figure 8 baseline: copy-back instead of rename
-	DisableCommonResultOpt   bool // Figure 9 baseline
-	DisablePredicatePushdown bool // Figure 10 baseline
+	// Baseline is the set of optimizations the engine withholds, so
+	// benchmarks can measure the non-optimized baselines of §VII; the
+	// zero set runs every one. The Opt constants name them. Results
+	// are byte-identical under every set.
+	Baseline Opt
 
-	// DisableColumnPruning turns off the column-level dataflow
-	// optimizations (internal/dataflow): projection pruning of
-	// intermediate results down to their live columns, filter hoisting
-	// into common blocks, and liveness-driven truncation at each
-	// result's last use. On by default; pruning is automatically
-	// withheld wherever it could be observed (UNTIL DELTA / UNTIL n
-	// UPDATES compare whole rows), so results are byte-identical either
-	// way.
-	DisableColumnPruning bool
-
-	// DisableShuffleElision turns off the shuffle-elision optimization
-	// licensed by the static partition-property analysis
-	// (internal/distprop): with elision on (the default), exchanges
-	// whose input is statically proven to be already partitioned on
-	// compatible keys are skipped by the MPP machine. Effective only
-	// with Parallel and Partitions > 1; results are byte-identical
-	// either way. The knob exists so benchmarks can measure the
-	// always-shuffle baseline.
-	DisableShuffleElision bool
-
-	// CheckShuffleElision arms a dynamic cross-check on every elided
-	// exchange: the machine re-hashes each consumed row and fails the
-	// query if any row sits on a partition the claimed routing columns
-	// do not map it to. A belt-and-braces guard for the static
-	// analysis; off by default because it re-does the hashing the
-	// elision saved.
-	CheckShuffleElision bool
-
-	// DisableIncremental turns off incremental evaluation of iterative
-	// CTEs. With it on (the default), a CTE whose iterative part the
-	// frontier license (internal/aggprop) covers — a join chain keyed by
-	// the outer reference, stable group keys, every inner reference
-	// routed to the outer key — evaluates Ri over only the keys that
-	// changed and the keys those reach. Which step does it follows from
-	// the query: with a WHERE in Ri (merge path) the delta step
-	// restricts the scan by the keys the last merge changed; without
-	// one, when Ri aggregates (rename path), the maintenance step keeps
-	// the previous output and re-folds only the affected groups.
-	// Either step chooses again in every iteration, from the frontier it
-	// has just measured: the restricted plan while the affected keys are
-	// at most half the CTE's, the full plan otherwise. Half is a
-	// constant, not a setting: finding and feeding the frontier was
-	// measured at 0.3-0.5 of a full Ri whatever the frontier's size
-	// (PageRank with 93% of its keys affected ran 1.25x a full
-	// iteration), so restricting pays only below about half. EXPLAIN
-	// ANALYZE prints the choice per iteration. Withheld under Parallel
-	// with more than one partition, where it measurably costs more than
-	// it saves. Results are byte-identical either way, row order and
-	// float accumulation order included. The knob remains the
-	// measurement baseline: the full plan in every iteration, with no
-	// frontier found at all.
-	DisableIncremental bool
-
-	// CheckIncrementalAgg arms a dynamic cross-check on every maintained
-	// aggregate: each iteration, a deterministic sample of the groups
-	// served from the cache is recomputed from scratch through the
-	// restricted plan and any divergence fails the query. A
-	// belt-and-braces guard for the static analysis; off by default
-	// because it re-does part of the folding the maintenance saved.
-	CheckIncrementalAgg bool
-
-	// DisableVerify turns off the structural program verifier that
-	// checks every rewritten step program against the Table I
-	// invariants before execution (internal/verify). On by default; the
-	// knob exists for benchmarks that want rewrite time without the
-	// verification pass.
-	DisableVerify bool
+	// Paranoid arms the dynamic cross-checks of what the static
+	// analyses licensed: every row consumed through an elided exchange
+	// is re-hashed, and the query fails if it sits on a partition its
+	// claimed routing columns do not map it to; every iteration of
+	// aggregate maintenance recomputes a deterministic sample of the
+	// cached groups from scratch and fails the query on a divergence.
+	// Off by default, because each re-does part of the work its
+	// optimization saved. A belt-and-braces guard for the analyses.
+	Paranoid bool
 
 	// QueryTimeout, when > 0, bounds the wall clock of every statement:
 	// a statement still running when it expires fails with
@@ -408,22 +364,15 @@ func New(cfg Config) *Engine {
 // coreOptions maps the config to the rewrite options.
 func (e *Engine) coreOptions() core.Options {
 	return core.Options{
-		UseRename:           !e.cfg.DisableRenameOpt,
-		CommonResults:       !e.cfg.DisableCommonResultOpt,
-		PushDownPredicates:  !e.cfg.DisablePredicatePushdown,
-		ColumnPruning:       !e.cfg.DisableColumnPruning,
-		Parts:               e.cfg.Partitions,
-		Parallel:            e.cfg.Parallel,
-		Verify:              !e.cfg.DisableVerify,
-		ShuffleElision:      !e.cfg.DisableShuffleElision,
-		CheckShuffleElision: e.cfg.CheckShuffleElision,
-		Incremental:         !e.cfg.DisableIncremental,
-		CheckIncrementalAgg: e.cfg.CheckIncrementalAgg,
-		MaxIterations:       e.cfg.MaxIterations,
-		Trace:               e.cfg.TraceIterations,
-		QueryTimeout:        e.cfg.QueryTimeout,
-		Retry:               e.cfg.RetryPolicy,
-		FaultSchedule:       e.cfg.FaultSchedule,
+		Baseline:      e.cfg.Baseline,
+		Paranoid:      e.cfg.Paranoid,
+		MaxIterations: e.cfg.MaxIterations,
+		Parts:         e.cfg.Partitions,
+		Parallel:      e.cfg.Parallel,
+		Trace:         e.cfg.TraceIterations,
+		Verify:        true,
+		Retry:         e.cfg.RetryPolicy,
+		FaultSchedule: e.cfg.FaultSchedule,
 	}
 }
 
@@ -494,7 +443,8 @@ func (e *Engine) prepareOnce(sel *ast.SelectStmt) func() (*prepared, []sqltypes.
 }
 
 // armTimeout applies Config.QueryTimeout to ctx unless the caller
-// already set a deadline. The returned cancel func is always non-nil.
+// already set a deadline. It is the only place the engine arms a
+// statement deadline. The returned cancel func is always non-nil.
 func (e *Engine) armTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -669,9 +619,10 @@ func (e *Engine) execScriptStmt(ctx context.Context, stmt ast.Statement) error {
 // Explain returns the plan of a statement. For a query with iterative
 // or recursive CTEs this is the rewritten step program of Table I; for
 // an ordinary SELECT, a program with no steps, the logical plan tree.
-// EXPLAIN ANALYZE additionally executes the statement and appends the
-// runtime trace: per-iteration wall clock, rows and delta-frontier
-// size, per-step timings, and the total.
+// EXPLAIN ANALYZE additionally executes the statement, under
+// Config.QueryTimeout like any query, and appends the runtime trace:
+// per-iteration wall clock, rows and delta-frontier size, per-step
+// timings, and the total.
 func (e *Engine) Explain(sql string) (string, error) {
 	stmt, err := parser.Parse(sql)
 	if err != nil {
@@ -701,9 +652,11 @@ func (e *Engine) Explain(sql string) (string, error) {
 		return out, nil
 	}
 	prog.Trace = true
+	ctx, cancel := e.armTimeout(context.Background())
+	defer cancel()
 	var cs core.Stats
 	e.stats.Queries++
-	_, err = prog.RunContext(context.Background(), e.rt, &cs)
+	_, err = prog.RunContext(ctx, e.rt, &cs)
 	e.absorbCoreStats(&cs)
 	e.stats.IterationTrace = cs.Trace
 	if err != nil {
@@ -725,9 +678,6 @@ func (e *Engine) explainProgram(prog *core.Program, sel *ast.SelectStmt) (string
 	}
 	prog.DeriveDistProps()
 	out := prog.Explain()
-	if e.cfg.DisableVerify {
-		return out, true
-	}
 	if diags := verify.Check(prog, sel); len(diags) > 0 {
 		var b strings.Builder
 		b.WriteString(out)

@@ -1,9 +1,12 @@
 package dbspinner
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,7 +215,7 @@ func TestPageRankEndToEnd(t *testing.T) {
 func TestIterativeStatsBaselines(t *testing.T) {
 	q := `WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL 3 ITERATIONS) SELECT i FROM c`
 	opt := New(Config{})
-	base := New(Config{DisableRenameOpt: true})
+	base := New(Config{Baseline: OptRename})
 	if _, err := opt.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +248,9 @@ AS (SELECT src, 9999999, CASE WHEN src = 1 THEN 0 ELSE 9999999 END
 SELECT Node, Distance FROM sssp ORDER BY Node`
 
 	// A merge-path query the frontier license covers takes the delta
-	// step by default; DisableIncremental is the full-plan baseline.
+	// step by default; OptIncremental is the full-plan baseline.
 	delta := newGraphEngine(t)
-	full := New(Config{Partitions: 2, DisableIncremental: true})
+	full := New(Config{Partitions: 2, Baseline: OptIncremental})
 	mustExec(t, full, "CREATE TABLE edges (src int, dst int, weight float)")
 	mustExec(t, full, `INSERT INTO edges VALUES (1,2,0.5), (1,3,0.5), (2,3,1.0), (3,1,1.0)`)
 
@@ -259,7 +262,7 @@ SELECT Node, Distance FROM sssp ORDER BY Node`
 	}
 	fs, ds := full.Stats(), delta.Stats()
 	if fs.RiFullRows != 0 || fs.RiInputRows != 0 {
-		t.Errorf("DisableIncremental must not run delta steps: %+v", fs)
+		t.Errorf("the OptIncremental baseline must not run delta steps: %+v", fs)
 	}
 	if ds.RiFullRows == 0 || ds.RiInputRows > ds.RiFullRows {
 		t.Errorf("delta accounting: input=%d full=%d", ds.RiInputRows, ds.RiFullRows)
@@ -324,23 +327,6 @@ func TestExplainReportsVerifier(t *testing.T) {
 	}
 	if !strings.Contains(out, "Verifier: OK") {
 		t.Errorf("explain misses the verifier verdict:\n%s", out)
-	}
-
-	// The knob removes the verifier pass (and its output).
-	off := New(Config{DisableVerify: true})
-	mustExec(t, off, "CREATE TABLE edges (src int, dst int, weight float)")
-	mustExec(t, off, "INSERT INTO edges VALUES (1,2,0.5)")
-	out, err = off.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "Verifier") {
-		t.Errorf("DisableVerify should suppress verifier output:\n%s", out)
-	}
-	// Queries still execute with verification off.
-	r := mustQuery(t, off, q)
-	if len(r.Rows) != 1 || r.Rows[0][0].Int() != 3 {
-		t.Errorf("rows = %v", r.Rows)
 	}
 }
 
@@ -530,20 +516,56 @@ func TestDefaultPartitions(t *testing.T) {
 	}
 }
 
-// TestEveryConfigKnobReachesOptions: a Config field that coreOptions
-// does not translate is a public setting that silently does nothing.
-// Each field in turn is set away from its zero value and must change
-// what the rewrite is handed — which a field that is read and then
-// dropped does not do either.
+// TestEveryConfigKnobReachesOptions: a Config field that reaches
+// neither the rewrite nor the statement's context is a public setting
+// that silently does nothing. Each field in turn is set away from its
+// zero value and must change what coreOptions hands the rewrite or
+// arm the deadline armTimeout puts on the context — which a field that
+// is read and then dropped does not do either.
 func TestEveryConfigKnobReachesOptions(t *testing.T) {
 	zero := (&Engine{}).coreOptions()
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
 		var c Config
 		setNonZero(t, reflect.ValueOf(&c).Elem().Field(i))
-		if got := (&Engine{cfg: c}).coreOptions(); reflect.DeepEqual(got, zero) {
-			t.Errorf("Config.%s never reaches core.Options: coreOptions returns the zero configuration's %+v", typ.Field(i).Name, got)
+		e := &Engine{cfg: c}
+		ctx, cancel := e.armTimeout(context.Background())
+		_, deadline := ctx.Deadline()
+		cancel()
+		if got := e.coreOptions(); reflect.DeepEqual(got, zero) && !deadline {
+			t.Errorf("Config.%s reaches neither core.Options nor the statement deadline: coreOptions returns the zero configuration's %+v", typ.Field(i).Name, got)
 		}
+	}
+}
+
+// TestReadmeConfigBlockNamesEveryField: the dbspinner.Config{…} block
+// in README.md names every field of Config and no field Config lacks.
+func TestReadmeConfigBlockNamesEveryField(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "\ndbspinner.Config{\n")
+	if !ok {
+		t.Fatal("README.md has no dbspinner.Config{ block")
+	}
+	block, _, _ = strings.Cut(block, "\n}")
+	var named []string
+	for _, line := range strings.Split(block, "\n") {
+		// A field of Config is indented one level; a deeper line is a
+		// field of a nested literal.
+		if field, _, ok := strings.Cut(strings.TrimPrefix(line, "    "), ":"); ok && !strings.HasPrefix(field, " ") {
+			named = append(named, field)
+		}
+	}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		fields = append(fields, f.Name)
+	}
+	slices.Sort(named)
+	slices.Sort(fields)
+	if !slices.Equal(named, fields) {
+		t.Errorf("README.md's Config block names %v; Config has %v", named, fields)
 	}
 }
 
@@ -556,6 +578,8 @@ func setNonZero(t *testing.T, v reflect.Value) {
 		v.SetBool(true)
 	case reflect.Int, reflect.Int64:
 		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
 	case reflect.String:
 		v.SetString("x")
 	case reflect.Slice:

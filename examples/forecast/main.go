@@ -52,7 +52,7 @@ func main() {
 		g.NumNodes, len(g.Edges), iterations, mod)
 
 	optimized := dbspinner.New(dbspinner.Config{})
-	baseline := dbspinner.New(dbspinner.Config{DisablePredicatePushdown: true})
+	baseline := dbspinner.New(dbspinner.Config{Baseline: dbspinner.OptPushdown})
 	load(optimized, g)
 	load(baseline, g)
 

@@ -211,7 +211,7 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 	}{
 		{"PR", bench.PRQuery(6), dbspinner.Config{}},
 		{"SSSP-VS", bench.SSSPVSQuery(500, 8), dbspinner.Config{}},
-		{"PR-copy-back", bench.PRQuery(6), dbspinner.Config{DisableRenameOpt: true}},
+		{"PR-copy-back", bench.PRQuery(6), dbspinner.Config{Baseline: dbspinner.OptRename}},
 		{"Reach", dbspinner.RecursiveQueries()["Reach"], dbspinner.Config{}},
 		{"Series", dbspinner.RecursiveQueries()["Series"], dbspinner.Config{}},
 	} {

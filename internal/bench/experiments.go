@@ -19,7 +19,7 @@ func TableI(cfg Config) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := NewEngine(g, cfg, dbspinner.Config{DisableCommonResultOpt: true})
+	e, err := NewEngine(g, cfg, dbspinner.Config{Baseline: dbspinner.OptCommonResults})
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func Fig8(cfg Config) (*Experiment, error) {
 		Headers: []string{"query", "baseline (copy-back)", "optimized (rename)", "improvement"},
 	}
 	for _, query := range queries {
-		base, err := runTimed(g, cfg, dbspinner.Config{DisableRenameOpt: true}, query.sql)
+		base, err := runTimed(g, cfg, dbspinner.Config{Baseline: dbspinner.OptRename}, query.sql)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func Fig9(cfg Config, presets []string) (*Experiment, error) {
 			{"PR-VS", PRVSQuery(cfg.Iterations)},
 			{"SSSP-VS", SSSPVSQuery(1, cfg.Iterations)},
 		} {
-			base, err := runTimed(g, pcfg, dbspinner.Config{DisableCommonResultOpt: true}, query.sql)
+			base, err := runTimed(g, pcfg, dbspinner.Config{Baseline: dbspinner.OptCommonResults}, query.sql)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +131,7 @@ func Fig10(cfg Config, mods []int) (*Experiment, error) {
 	}
 	for _, mod := range mods {
 		sql := FFQuery(cfg.Iterations, mod)
-		base, err := runTimed(g, cfg, dbspinner.Config{DisablePredicatePushdown: true}, sql)
+		base, err := runTimed(g, cfg, dbspinner.Config{Baseline: dbspinner.OptPushdown}, sql)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +275,7 @@ func ParallelScaling(cfg Config, parts []int) (*Experiment, error) {
 }
 
 // IncrementalComparison is the experiment behind incremental
-// evaluation (Config.DisableIncremental): the full Ri plan every
+// evaluation (OptIncremental): the full Ri plan every
 // iteration vs the restricted step the rewrite picks from the query's
 // shape — the delta step on the merge path (SSSP, PR-VS, SSSP-VS), the
 // maintenance step on the rename path (PR) — which in turn picks the
@@ -311,11 +311,11 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 	}
 	anyRestricted := false
 	for _, query := range queries {
-		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{DisableIncremental: true}, query.sql)
+		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{Baseline: dbspinner.OptIncremental}, query.sql)
 		if err != nil {
 			return nil, err
 		}
-		incRows, incTime, st, err := deltaRun(g, cfg, dbspinner.Config{CheckIncrementalAgg: true}, query.sql)
+		incRows, incTime, st, err := deltaRun(g, cfg, dbspinner.Config{Paranoid: true}, query.sql)
 		if err != nil {
 			return nil, err
 		}
@@ -359,12 +359,12 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 	if !anyRestricted {
 		return nil, fmt.Errorf("no query restricted Ri in any iteration")
 	}
-	exp.Notes = "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) in an iteration that restricted, the whole CTE in one that did not — against the full CTE every time. 'Restricted iters' counts the iterations after the first (which always runs the full plan) whose affected keys were at most half the CTE's; in the others the step ran the full plan, as DisableIncremental does."
+	exp.Notes = "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) in an iteration that restricted, the whole CTE in one that did not — against the full CTE every time. 'Restricted iters' counts the iterations after the first (which always runs the full plan) whose affected keys were at most half the CTE's; in the others the step ran the full plan, as the OptIncremental baseline does."
 	return exp, nil
 }
 
 // PruningComparison is the experiment behind column-level dataflow
-// (Config.DisableColumnPruning): projection pruning, common-block filter
+// (OptColumnPruning): projection pruning, common-block filter
 // hoisting and liveness-driven truncation vs full-width
 // materialization. The run fails if the two modes disagree on a single
 // row; the interesting metric is materialized cells (rows x columns)
@@ -390,7 +390,7 @@ func PruningComparison(cfg Config) (*Experiment, error) {
 		Headers: []string{"query", "full", "pruned", "speedup", "written/iter (full)", "written/iter (pruned)", "read/iter (full)", "read/iter (pruned)", "cells saved"},
 	}
 	for _, query := range queries {
-		fullRows, fullTime, fullStats, err := deltaRun(g, cfg, dbspinner.Config{DisableColumnPruning: true}, query.sql)
+		fullRows, fullTime, fullStats, err := deltaRun(g, cfg, dbspinner.Config{Baseline: dbspinner.OptColumnPruning}, query.sql)
 		if err != nil {
 			return nil, err
 		}
@@ -640,7 +640,7 @@ func FaultTolerance(cfg Config) (*Experiment, error) {
 }
 
 // ShuffleComparison is the experiment behind partition-property
-// analysis (Config.DisableShuffleElision): every exchange materialized
+// analysis (OptShuffleElision): every exchange materialized
 // vs the property-licensed elisions, on every workload query, over the
 // same parallel plans and partition count. The elided runs execute
 // with the dynamic co-location guard armed, so each skipped exchange
@@ -673,12 +673,12 @@ func ShuffleComparison(cfg Config) (*Experiment, error) {
 		Headers: []string{"query", "all exchanges", "elided", "speedup", "rows shuffled", "with elision", "saved", "exchanges skipped"},
 	}
 	for _, query := range queries {
-		offCfg := dbspinner.Config{Parallel: true, DisableShuffleElision: true}
+		offCfg := dbspinner.Config{Parallel: true, Baseline: dbspinner.OptShuffleElision}
 		offRows, offTime, offStats, err := deltaRun(g, cfg, offCfg, query.sql)
 		if err != nil {
 			return nil, err
 		}
-		onCfg := dbspinner.Config{Parallel: true, CheckShuffleElision: true}
+		onCfg := dbspinner.Config{Parallel: true, Paranoid: true}
 		onRows, onTime, onStats, err := deltaRun(g, cfg, onCfg, query.sql)
 		if err != nil {
 			return nil, err

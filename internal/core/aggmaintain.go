@@ -32,7 +32,7 @@ type MaintainAggStep struct {
 	Restriction
 	Acc  string // cached previous output (Agg#cte)
 	Snap string // previous CTE snapshot (AggSnap#cte)
-	// Check arms the dynamic cross-check (Config.CheckIncrementalAgg):
+	// Check arms the dynamic cross-check (Options.Paranoid):
 	// a deterministic sample of the groups served from the cache is
 	// recomputed from scratch each iteration and any divergence fails
 	// the query.

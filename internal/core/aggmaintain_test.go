@@ -24,9 +24,9 @@ func TestIncAggOrderingContract(t *testing.T) {
 	for name, sql := range queries {
 		t.Run(name, func(t *testing.T) {
 			on := DefaultOptions()
-			on.CheckIncrementalAgg = true
+			on.Paranoid = true
 			off := DefaultOptions()
-			off.Incremental = false
+			off.Baseline = OptIncremental
 			gotRows, stats := runIterative(t, newRT(t), sql, on)
 			wantRows, _ := runIterative(t, newRT(t), sql, off)
 			got, want := rowStrs(gotRows), rowStrs(wantRows)
@@ -177,7 +177,7 @@ func TestMaintainFallsBackOnDuplicateCachedKeys(t *testing.T) {
 }
 
 // TestMaintainCrossCheckCatchesPoisonedAccumulator proves the dynamic
-// cross-check (Config.CheckIncrementalAgg) is a real oracle: corrupt
+// cross-check (Options.Paranoid) is a real oracle: corrupt
 // one cached group between iterations and the next maintained fold
 // must fail the query instead of serving the stale row.
 func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {

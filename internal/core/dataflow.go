@@ -1,6 +1,6 @@
 package core
 
-// Column-level dataflow consumers (Options.ColumnPruning). The analysis
+// Column-level dataflow consumers (OptColumnPruning). The analysis
 // itself lives in internal/dataflow; this file applies its two results
 // to the rewrite: projection pruning of the CTE schema family, and
 // liveness-driven truncation of finished intermediate results. Both are

@@ -18,7 +18,7 @@ import (
 // restricted steps must match byte for byte.
 func fullOptions() Options {
 	o := DefaultOptions()
-	o.Incremental = false
+	o.Baseline = OptIncremental
 	return o
 }
 

@@ -27,7 +27,7 @@ func TestVolcanoRewriteDerivesNoPartitionClaims(t *testing.T) {
 	single := machine
 	single.Parts = 1
 	noElision := machine
-	noElision.ShuffleElision = false
+	noElision.Baseline = OptShuffleElision
 	for _, c := range []struct {
 		name    string
 		opts    Options
@@ -209,8 +209,7 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := &Program{
-		Parallel: true,
-		Parts:    4,
+		Options: Options{Parallel: true, Parts: 4},
 		Steps: []Step{
 			&MaterializeStep{Into: "a", Plan: node, Parts: 4, CheckKey: -1},
 			&MaterializeStep{Into: "b", Plan: node, Parts: 4, CheckKey: -1},
@@ -234,4 +233,43 @@ func sortedRows(rows []sqltypes.Row) string {
 	strs := rowStrs(rows)
 	slices.Sort(strs)
 	return strings.Join(strs, "\n")
+}
+
+// TestParanoidArmsBothCrossChecks: Options.Paranoid is the one switch
+// for both dynamic cross-checks. On the machine over two partitions,
+// PR-VS elides exchanges, and a run whose elision claims are poisoned
+// must fail on the re-hash; on the rename path, PR's maintenance step
+// must recompute its sample of cached groups.
+func TestParanoidArmsBothCrossChecks(t *testing.T) {
+	rt := newRT(t)
+	prog, err := Rewrite(mustParse(t, prVSQuery), rt, Options{Paranoid: true, Parallel: true, Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Elisions) == 0 || !prog.Paranoid {
+		t.Fatalf("PR-VS on the machine: %d elisions, Paranoid %v; want elisions and Paranoid", len(prog.Elisions), prog.Paranoid)
+	}
+	// Claiming that rows sit by no column at all puts every row in one
+	// partition; rows of the other one then fail the re-hash.
+	for n, el := range prog.elide {
+		el.LeftCols, el.RightCols, el.InputCols = nil, nil, nil
+		prog.elide[n] = el
+	}
+	if _, err := prog.Run(rt, nil); err == nil || !strings.Contains(err.Error(), "is unsound") {
+		t.Errorf("a poisoned elision under Paranoid returned %v, want the re-hash to fail the run", err)
+	}
+
+	prog, err = Rewrite(mustParse(t, prQuery), rt, Options{Paranoid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maintain *MaintainAggStep
+	for _, s := range prog.Steps {
+		if m, ok := s.(*MaintainAggStep); ok {
+			maintain = m
+		}
+	}
+	if maintain == nil || !maintain.Check {
+		t.Error("PR on the rename path: no maintenance step with Check set")
+	}
 }

@@ -46,8 +46,7 @@ func TestCostEstimate(t *testing.T) {
 	// x 1 body materialize = 11.
 	stmt, _ := parser.Parse(strings.Replace(prQuery, "UNTIL 2 ITERATIONS", "UNTIL 10 ITERATIONS", 1))
 	opts := DefaultOptions()
-	opts.CommonResults = false
-	opts.Incremental = false
+	opts.Baseline = OptCommonResults | OptIncremental
 	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestCostEstimate(t *testing.T) {
 	// materialization is charged 1 + 9*0.5 = 5.5 instead of 10:
 	// init + 5.5 = 6.5.
 	iopts := opts
-	iopts.Incremental = true
+	iopts.Baseline = OptCommonResults
 	prog, err = Rewrite(stmt.(*ast.SelectStmt), rt, iopts)
 	if err != nil {
 		t.Fatal(err)

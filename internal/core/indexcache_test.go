@@ -330,7 +330,7 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 		return node
 	}
 	prog := &Program{
-		Parts: 1,
+		Options: Options{Parts: 1},
 		Steps: []Step{
 			&MaterializeStep{Into: "a", Plan: join(), Parts: 1, CheckKey: -1},
 			&MaterializeStep{Into: "b", Plan: join(), Parts: 1, CheckKey: -1},
@@ -367,7 +367,10 @@ func TestFilteredInvariantIndexedOncePerRun(t *testing.T) {
 		plans       int64
 	}{{false, 1}, {true, 2}} {
 		opts := DefaultOptions()
-		opts.CommonResults, opts.Incremental = false, c.incremental
+		opts.Baseline = OptCommonResults
+		if !c.incremental {
+			opts.Baseline |= OptIncremental
+		}
 		prog, err := Rewrite(mustParse(t, iterating(ssspVSQuery, n)), rt, opts)
 		if err != nil {
 			t.Fatal(err)

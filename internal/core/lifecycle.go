@@ -27,8 +27,9 @@ import (
 var ErrQueryCanceled = errors.New("query canceled")
 
 // ErrQueryTimeout is the sentinel wrapped by every deadline failure:
-// the caller's context deadline (or the engine's Config.QueryTimeout)
-// expired while the query was running. Detect it with errors.Is and
+// the deadline on the context the run was given — the caller's, or
+// the one the engine arms from Config.QueryTimeout — expired while the
+// query was running. Detect it with errors.Is and
 // recover the iteration and step reached with errors.As on
 // *QueryLifecycleError.
 //

@@ -207,12 +207,12 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 	rewritten := rewriteIterWithCommon(core, chain, set, commonName, mapping)
 	newIter := &ast.SelectStmt{Body: rewritten, OrderBy: iter.OrderBy, Limit: iter.Limit, Offset: iter.Offset}
 
-	// Column-level dataflow over the common block (ColumnPruning): WHERE
+	// Column-level dataflow over the common block (OptColumnPruning): WHERE
 	// conjuncts over common columns alone are evaluated once before the
 	// loop instead of on every iteration, and member columns nothing
 	// references after that are never materialized at all.
 	var prunedCols []string
-	if r.opts.ColumnPruning {
+	if r.prog.runs(OptColumnPruning) {
 		hoistCommonFilters(commonStmt, newIter, commonName, mapping)
 		prunedCols = pruneCommonColumns(commonStmt, newIter, commonName)
 	}
@@ -224,7 +224,7 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 	}
 	commonSchema := plan.Schema(commonPlan)
 	r.lookup.add(commonName, commonSchema)
-	if r.opts.ColumnPruning {
+	if r.prog.runs(OptColumnPruning) {
 		live := make([]string, len(commonSchema))
 		for i, c := range commonSchema {
 			live[i] = c.Name
@@ -232,7 +232,7 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 		r.noteDataflow(commonName, live, prunedCols)
 	}
 
-	step := &MaterializeStep{Into: commonName, Plan: commonPlan, Parts: r.opts.Parts, CheckKey: -1, IsCommon: true}
+	step := &MaterializeStep{Into: commonName, Plan: commonPlan, Parts: r.prog.Parts, CheckKey: -1, IsCommon: true}
 	return newIter, []Step{step}, nil
 }
 

@@ -24,31 +24,65 @@ import (
 	"dbspinner/internal/storage"
 )
 
-// Options toggle the optimizations so benchmarks can compare against
-// the non-optimized baselines described in §VII.
-type Options struct {
-	// UseRename enables the rename operator for full-update queries
-	// (§VII-B). When false, the engine copies the working table back
-	// into the main table and runs a changed-row identification pass,
-	// the baseline of Figure 8.
-	UseRename bool
-	// CommonResults materializes iteration-invariant join subtrees
+// Opt is a set of the rewrite's optimizations, one bit each. As
+// Options.Baseline it names the ones a run goes without, the
+// non-optimized baselines of §VII, so the zero set runs them all.
+// Results are byte-identical under every set, row order and float
+// accumulation order included.
+type Opt uint8
+
+const (
+	// OptRename swaps a full update's working table in with the rename
+	// operator (§VII-B). Without it the working table is copied back
+	// into the main table behind a changed-row identification pass, the
+	// baseline of Figure 8.
+	OptRename Opt = 1 << iota
+	// OptCommonResults materializes iteration-invariant join subtrees
 	// before the loop (§V-A, Figure 9).
-	CommonResults bool
-	// PushDownPredicates pushes safe Qf predicates into the
-	// non-iterative part (§V-B, Figure 10).
-	PushDownPredicates bool
-	// ColumnPruning enables the column-level dataflow optimizations
-	// (internal/dataflow): projection pruning — intermediate results
-	// materialize only the columns the loop body, termination
-	// condition, key identification, delta frontier or final query can
-	// observe — and liveness-driven truncation, which inserts truncate
-	// steps at each result's last use so Common#k blocks and delta
-	// tables do not sit at full size after their loop exits. Pruning is
-	// automatically withheld where it could be observed (UNTIL DELTA
-	// and UNTIL n UPDATES compare whole rows), so results are identical
-	// either way.
-	ColumnPruning bool
+	OptCommonResults
+	// OptPushdown pushes safe Qf predicates into the non-iterative part
+	// (§V-B, Figure 10).
+	OptPushdown
+	// OptColumnPruning runs the column-level dataflow optimizations
+	// (internal/dataflow): intermediate results materialize only the
+	// columns the loop body, termination condition, key
+	// identification, delta frontier or final query can observe, and
+	// truncate steps free each result at its last use. Pruning is
+	// withheld where it could be observed (UNTIL DELTA and UNTIL n
+	// UPDATES compare whole rows).
+	OptColumnPruning
+	// OptShuffleElision lets the MPP machine skip join, aggregate and
+	// distinct exchanges whose input the static partition-property
+	// analysis (internal/distprop) proved already co-partitioned on the
+	// exchange keys. It acts only with Parallel and Parts > 1, and only
+	// then does the rewrite derive the properties; EXPLAIN derives them
+	// for every program.
+	OptShuffleElision
+	// OptIncremental evaluates Ri over the affected keys only when the
+	// frontier license (internal/aggprop) holds: on the merge path a
+	// DeltaMaterializeStep restricts the scan by the keys the last merge
+	// changed, on the rename path a MaintainAggStep re-folds the
+	// affected groups and serves the rest from the previous iteration's
+	// output. Either step chooses again every iteration, restricting
+	// while the affected keys are at most half the CTE's (restriction.go
+	// states the rule). Withheld under Parallel with more than one
+	// partition, where it measurably costs more than it saves.
+	OptIncremental
+)
+
+// Options configure the rewrite of a SELECT and the runs of the
+// program it returns, which embeds them.
+type Options struct {
+	// Baseline is the set of optimizations the rewrite withholds; the
+	// zero set runs every one.
+	Baseline Opt
+	// Paranoid arms both dynamic cross-checks of what the static
+	// analyses licensed: every row consumed through an elided exchange
+	// is re-hashed and the run fails if it sits outside its claimed
+	// partition, and every iteration of aggregate maintenance recomputes
+	// a deterministic sample of the cached groups from scratch and fails
+	// the run on a divergence.
+	Paranoid bool
 	// MaxIterations is the safety cap installed on loops whose
 	// termination the converge analysis cannot prove (Unknown
 	// verdicts): the loop fails with ErrIterationCapExceeded instead of
@@ -69,11 +103,6 @@ type Options struct {
 	// by default: the untraced path allocates nothing and never reads
 	// the clock.
 	Trace bool
-	// QueryTimeout, when > 0, bounds the wall clock of one program
-	// execution: the run fails with ErrQueryTimeout once it expires. A
-	// deadline already present on the caller's context takes
-	// precedence.
-	QueryTimeout time.Duration
 	// Verify runs the structural program verifier (internal/verify)
 	// over the rewritten step program before it is returned. The
 	// verifier re-checks the Table I invariants — jump targets,
@@ -81,33 +110,6 @@ type Options struct {
 	// liveness, intermediate-result leaks and push-down safety —
 	// independently of the rewrite that produced them.
 	Verify bool
-	// ShuffleElision lets the MPP machine skip join/aggregate/distinct
-	// exchanges whose input the static partition-property analysis
-	// (internal/distprop) proved already co-partitioned on the
-	// exchange keys. Results are byte-identical either way; only
-	// Stats.RowsShuffled changes. Effective only with Parallel and
-	// Parts > 1, and only then does the rewrite derive the properties
-	// at all; EXPLAIN derives them for every program.
-	ShuffleElision bool
-	// CheckShuffleElision arms the dynamic cross-check on every elided
-	// exchange: rows are re-hashed at consumption and the run fails if
-	// any sits outside its claimed partition.
-	CheckShuffleElision bool
-	// Incremental lets the rewrite evaluate Ri over the affected keys
-	// only when the frontier license (internal/aggprop) holds: on the
-	// merge path a DeltaMaterializeStep restricts the scan by the keys
-	// the last merge changed, on the rename path a MaintainAggStep
-	// re-folds the affected groups and serves the rest from the
-	// previous iteration's output (restriction.go states the selection
-	// rule). Results are byte-identical either way — row order and
-	// float accumulation order included. Withheld on parallel runs with
-	// more than one partition. On by default.
-	Incremental bool
-	// CheckIncrementalAgg arms the dynamic cross-check on aggregate
-	// maintenance: each iteration, a deterministic sample of the
-	// groups served from the cache is recomputed from scratch and any
-	// divergence fails the query.
-	CheckIncrementalAgg bool
 	// Retry bounds the in-process retry of failed loop iterations from
 	// their back-edge checkpoints (retry.go). The zero value disables
 	// checkpointing entirely: no state is captured and a failure aborts
@@ -119,6 +121,9 @@ type Options struct {
 	// the injection hooks cost one nil check each.
 	FaultSchedule []faultinject.Fault
 }
+
+// runs reports whether the options run optimization x.
+func (o *Options) runs(x Opt) bool { return o.Baseline&x == 0 }
 
 // RetryPolicy bounds the iteration-granular retry of a failed step
 // program (Options.Retry, Config.RetryPolicy).
@@ -138,9 +143,10 @@ type RetryPolicy struct {
 	NoDegrade bool
 }
 
-// DefaultOptions enables every optimization and the program verifier.
+// DefaultOptions runs every optimization and the program verifier over
+// one partition.
 func DefaultOptions() Options {
-	return Options{UseRename: true, CommonResults: true, PushDownPredicates: true, ColumnPruning: true, Parts: 1, Verify: true, ShuffleElision: true, Incremental: true}
+	return Options{Parts: 1, Verify: true}
 }
 
 // Stats reports what the step program did, feeding the experiments.
@@ -151,7 +157,7 @@ type Stats struct {
 	Renames      int   // rename operator executions
 	CommonBlocks int   // common results materialized before the loop
 	RowsShuffled int64 // rows moved by MPP exchanges (parallel mode)
-	// Shuffle-elision accounting (Options.ShuffleElision):
+	// Shuffle-elision accounting (OptShuffleElision):
 	// ShufflesElided counts exchange operators skipped because the
 	// partition-property analysis proved them redundant, RowsElided
 	// their input rows (rows that were not rehashed and routed).
@@ -380,20 +386,9 @@ type Program struct {
 	Final plan.Node
 	// FinalColumns are Qf's output columns.
 	FinalColumns []plan.ColInfo
-	// Parallel and Parts configure MPP execution of the program.
-	Parallel bool
-	Parts    int
-	// Trace enables the per-iteration runtime trace (Options.Trace);
-	// QueryTimeout bounds the execution wall clock (Options.
-	// QueryTimeout) unless the caller's context already has a deadline.
-	Trace        bool
-	QueryTimeout time.Duration
-	// Retry bounds the iteration-granular retry of failed iterations
-	// from their back-edge checkpoints (Options.Retry); the zero value
-	// disables checkpointing. FaultSchedule arms deterministic fault
-	// injection for the execution (Options.FaultSchedule).
-	Retry         RetryPolicy
-	FaultSchedule []faultinject.Fault
+	// Options are those the program was rewritten under; Parts, Parallel,
+	// Trace, Paranoid, Retry and FaultSchedule also configure its runs.
+	Options
 	// Pushed records the Qf conjuncts the optimizer moved into the
 	// non-iterative part of each iterative CTE (§V-B), in their
 	// original qualified form, so the verifier can re-derive the
@@ -401,7 +396,7 @@ type Program struct {
 	// independently of the optimizer's own check.
 	Pushed []PushedPredicate
 	// Dataflow is the column-level dataflow analysis result
-	// (Options.ColumnPruning): per intermediate result, the live
+	// (OptColumnPruning): per intermediate result, the live
 	// columns it materializes, the declared columns pruned away, and
 	// the step that frees it. EXPLAIN prints it; the verifier
 	// re-derives the underlying safety independently rather than
@@ -438,12 +433,10 @@ type Program struct {
 	// rather than trusting the record.
 	AggClaims []AggClaim
 	// Elisions records the exchanges the analysis licensed the MPP
-	// machine to skip (Options.ShuffleElision). The verifier must be
-	// able to re-license each one from its own derivation
-	// (missing-exchange), and CheckElide arms the row-level runtime
-	// cross-check.
-	Elisions   []ElisionRecord
-	CheckElide bool
+	// machine to skip (OptShuffleElision). The verifier must be able to
+	// re-license each one from its own derivation (missing-exchange),
+	// and Paranoid arms the row-level runtime cross-check.
+	Elisions []ElisionRecord
 	// elide is the node-keyed elision map handed to every MPP machine
 	// the program creates (built from Elisions by deriveDistProps).
 	elide map[plan.Node]mpp.Elide
@@ -497,10 +490,8 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 // RunContext executes the program under goctx: every step boundary,
 // MPP partition batch and executor inner loop polls the context, and a
 // fired cancellation or deadline surfaces as a QueryLifecycleError
-// wrapping ErrQueryCanceled or ErrQueryTimeout. When p.QueryTimeout is
-// set and goctx carries no deadline of its own, the program arms its
-// own deadline. The run starts from a fresh RunState, which nothing
-// keeps.
+// wrapping ErrQueryCanceled or ErrQueryTimeout. The run starts from a
+// fresh RunState, which nothing keeps.
 func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
 	return p.RunBound(goctx, rt, nil, nil, stats)
 }
@@ -557,13 +548,6 @@ func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqlty
 			rows, err = nil, containPanic(v, stats.Iterations, 0)
 		}
 	}()
-	if p.QueryTimeout > 0 {
-		if _, has := goctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			goctx, cancel = context.WithTimeout(goctx, p.QueryTimeout)
-			defer cancel()
-		}
-	}
 	parts := max(p.Parts, 1)
 	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule),
 		sizes: st.sizesFor(len(p.Steps) * parts), parts: parts, state: st}
@@ -579,7 +563,7 @@ func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqlty
 		ctx.MPP = r.Machine(p.Parts, &ctx.mppStats, &stats.Exec)
 		ctx.MPP.Ctx = goctx
 		ctx.MPP.Elide = p.elide
-		ctx.MPP.CheckElide = p.CheckElide
+		ctx.MPP.CheckElide = p.Paranoid
 		ctx.MPP.Faults = ctx.Faults
 		defer func() {
 			m := &ctx.mppStats
@@ -672,7 +656,7 @@ func (p *Program) Explain() string {
 	b.WriteString("Final: ")
 	b.WriteString(strings.TrimRight(strings.ReplaceAll(plan.ExplainTree(p.Final), "\n", "\n       "), " \n"))
 	b.WriteByte('\n')
-	// Column-level dataflow analysis (Options.ColumnPruning).
+	// Column-level dataflow analysis (OptColumnPruning).
 	for _, e := range p.Dataflow {
 		fmt.Fprintf(&b, "Dataflow %s:", e.Result)
 		if e.Live != nil {

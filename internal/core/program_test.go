@@ -135,8 +135,8 @@ func TestRenameStepErrors(t *testing.T) {
 func TestProgramStepErrorIncludesStepNumber(t *testing.T) {
 	rt := newRT(t)
 	prog := &Program{
-		Steps: []Step{&RenameStep{From: "missing", To: "x"}},
-		Parts: 1,
+		Steps:   []Step{&RenameStep{From: "missing", To: "x"}},
+		Options: Options{Parts: 1},
 	}
 	_, err := prog.Run(rt, nil)
 	if err == nil || !strings.Contains(err.Error(), "step 1") {
@@ -149,7 +149,7 @@ func TestProgramStepErrorIncludesStepNumber(t *testing.T) {
 func TestHandBuiltProgramRunsSequentially(t *testing.T) {
 	rt := newRT(t)
 	prog := &Program{
-		Parts: 1,
+		Options: Options{Parts: 1},
 		Steps: []Step{
 			&MaterializeStep{Into: "t", Plan: &plan.Scan{Table: "edges", Alias: "edges",
 				Cols: []plan.ColInfo{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}}}, Parts: 1, CheckKey: -1},

@@ -94,7 +94,7 @@ func TestRandomLinearRecurrences(t *testing.T) {
 		rt := exec.NewStoreRuntime(cat, storage.NewResultStore())
 		for _, opts := range []Options{
 			DefaultOptions(),
-			{UseRename: false, CommonResults: true, PushDownPredicates: true, Parts: 2},
+			{Baseline: OptRename | OptColumnPruning | OptShuffleElision | OptIncremental, Parts: 2},
 		} {
 			prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 			if err != nil {
@@ -111,8 +111,8 @@ func TestRandomLinearRecurrences(t *testing.T) {
 			for i, row := range rows {
 				got := row[1].Float()
 				if math.Abs(got-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Fatalf("trial %d row %d: got %v want %v (rename=%v)\n%s",
-						trial, i, got, want[i], opts.UseRename, sql)
+					t.Fatalf("trial %d row %d: got %v want %v (baseline=%06b)\n%s",
+						trial, i, got, want[i], opts.Baseline, sql)
 				}
 			}
 			if rt.Results.Len() != 0 {

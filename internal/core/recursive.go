@@ -95,7 +95,7 @@ func (r *rewriter) expandRecursive(cte *ast.CTE, regular []*ast.CTE) error {
 	r.lookup.add(delta, schema)
 	retarget(rec, cte.Name, delta)
 
-	maxIter := r.opts.MaxIterations
+	maxIter := r.prog.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
@@ -107,7 +107,7 @@ func (r *rewriter) expandRecursive(cte *ast.CTE, regular []*ast.CTE) error {
 	if union.All {
 		form = MergeUnionAll
 	}
-	parts := r.opts.Parts
+	parts := r.prog.Parts
 	steps := &r.prog.Steps
 	*steps = append(*steps,
 		&MaterializeStep{Into: cte.Name, Plan: base, Parts: parts, CheckKey: -1},

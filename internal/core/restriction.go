@@ -12,7 +12,7 @@ import (
 	"dbspinner/internal/storage"
 )
 
-// Incremental evaluation (Options.Incremental) is the semi-naive idea
+// Incremental evaluation (OptIncremental) is the semi-naive idea
 // REX and DBSP build on, in the one form this engine can keep
 // byte-identical: when the frontier license (internal/aggprop) holds,
 // Ri's scan of the outer iterative reference is restricted to the
@@ -99,7 +99,7 @@ func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterSt
 	}
 	return Restriction{
 		Into: workName, Full: full, Restricted: rp, In: in, CTE: cte.Name,
-		Props: verdict.Props, Key: key, Parts: r.opts.Parts,
+		Props: verdict.Props, Key: key, Parts: r.prog.Parts,
 	}, ""
 }
 

@@ -113,7 +113,7 @@ func ruleCases() []ruleCase {
 // every expectation that does not hold.
 func (c ruleCase) check(t *testing.T, parts int) error {
 	on := DefaultOptions()
-	on.Trace, on.CheckIncrementalAgg, on.Parts = true, true, parts
+	on.Trace, on.Paranoid, on.Parts = true, true, parts
 	off := fullOptions()
 	off.Parts = parts
 	got, st := runIterative(t, edgeRT(t, parts, c.edges), c.sql, on)

@@ -21,8 +21,7 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	if opts.Parts < 1 {
 		opts.Parts = 1
 	}
-	prog := &Program{Parallel: opts.Parallel, Parts: opts.Parts, Lookup: lookup,
-		Trace: opts.Trace, QueryTimeout: opts.QueryTimeout, Retry: opts.Retry, FaultSchedule: opts.FaultSchedule}
+	prog := &Program{Options: opts, Lookup: lookup}
 	if !HasIterative(stmt) && (stmt.With == nil || !stmt.With.Recursive) {
 		fp, err := plan.NewBuilder(lookup).Build(stmt)
 		if err != nil {
@@ -33,7 +32,7 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	}
 
 	ll := &layeredLookup{base: lookup, extra: map[string]sqltypes.Schema{}}
-	rw := &rewriter{lookup: ll, opts: opts, prog: prog}
+	rw := &rewriter{lookup: ll, prog: prog}
 
 	// Qf is the statement without its WITH clause; regular CTEs are
 	// registered on the builders instead.
@@ -62,9 +61,9 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	prog.Final = fp
 	prog.FinalColumns = fp.Columns()
 
-	// Liveness-driven truncation (Options.ColumnPruning): free each
+	// Liveness-driven truncation (OptColumnPruning): free each
 	// intermediate result right after its last possible read.
-	if opts.ColumnPruning {
+	if opts.runs(OptColumnPruning) {
 		rw.insertTruncations()
 	}
 	// The step list is final: point each claim at the restricted step
@@ -86,10 +85,9 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	// on the result, so only a program that may elide — the machine over
 	// more than one partition, elision on — derives it here; EXPLAIN
 	// derives it for any other program on demand (DeriveDistProps).
-	if opts.ShuffleElision && prog.Parallel && prog.Parts > 1 {
+	if opts.runs(OptShuffleElision) && opts.Parallel && opts.Parts > 1 {
 		prog.deriveDistProps(true)
 	}
-	prog.CheckElide = opts.CheckShuffleElision
 
 	// Post-rewrite verification (Options.Verify): an independent pass
 	// over the finished step program that rejects structurally invalid
@@ -126,9 +124,8 @@ func (l *layeredLookup) add(name string, s sqltypes.Schema) {
 
 type rewriter struct {
 	lookup  *layeredLookup
-	opts    Options
-	prog    *Program
-	commons int // counter for Common#k names
+	prog    *Program // the program under construction, and its Options
+	commons int      // counter for Common#k names
 }
 
 func (r *rewriter) newBuilder(regular []*ast.CTE) *plan.Builder {
@@ -164,7 +161,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	// Predicate push down (§V-B): move safe Qf predicates into R0. The
 	// pushed conjuncts are recorded on the program so the verifier can
 	// re-derive the safety conditions independently.
-	if r.opts.PushDownPredicates {
+	if r.prog.runs(OptPushdown) {
 		var pushed []ast.Expr
 		r0, pushed = pushDownPredicates(r0, cte, cteSchema, final)
 		for _, conj := range pushed {
@@ -172,7 +169,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		}
 	}
 
-	// Projection pruning (Options.ColumnPruning): when the live-column
+	// Projection pruning (OptColumnPruning): when the live-column
 	// analysis proves some declared columns unobservable, the whole
 	// schema family (cte, Intermediate#, Merge#, Delta#, Frontier#)
 	// carries only the live ones. hadWhere is decided on the original
@@ -181,7 +178,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	iterStmt := cte.Iter
 	hadWhere := stmtHasWhere(cte.Iter)
 	var prunedCols []string
-	if r.opts.ColumnPruning {
+	if r.prog.runs(OptColumnPruning) {
 		r0, cteSchema, iterStmt, prunedCols = r.pruneCTEColumns(cte, r0, cteSchema, final, allCTEs)
 		live := make([]string, len(cteSchema))
 		for i, c := range cteSchema {
@@ -194,7 +191,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	r.lookup.add(cte.Name, cteSchema)
 
 	var commonSteps []Step
-	if r.opts.CommonResults {
+	if r.prog.runs(OptCommonResults) {
 		var rewritten *ast.SelectStmt
 		rewritten, commonSteps, err = r.extractCommonResults(iterStmt, cte.Name, builder)
 		if err != nil {
@@ -235,7 +232,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	loop := &LoopState{Term: cte.Until, CTEName: cte.Name}
 	switch verdict.Kind {
 	case converge.Unknown:
-		loop.Cap = r.opts.MaxIterations
+		loop.Cap = r.prog.MaxIterations
 		if loop.Cap <= 0 {
 			loop.Cap = DefaultMaxIterations
 		}
@@ -255,7 +252,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 	// Algorithm 1 line 1: materialize R0 into cteTable. Common results
 	// are materialized before the loop as well (Figure 5 step 2).
-	*steps = append(*steps, &MaterializeStep{Into: cte.Name, Plan: r0, Parts: r.opts.Parts, CheckKey: -1})
+	*steps = append(*steps, &MaterializeStep{Into: cte.Name, Plan: r0, Parts: r.prog.Parts, CheckKey: -1})
 	*steps = append(*steps, commonSteps...)
 	// Line 2: initialize the loop operator.
 	*steps = append(*steps, &InitLoopStep{Loop: loop, Key: key})
@@ -269,7 +266,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	work := r.chooseIncremental(cte, cteSchema, iterStmt, ri, builder, loop, workName, key, hadWhere)
 	if work == nil {
 		work = &MaterializeStep{
-			Into: workName, Plan: ri, Parts: r.opts.Parts,
+			Into: workName, Plan: ri, Parts: r.prog.Parts,
 			CheckKey: -1, CountsAsUpdate: true,
 		}
 	}
@@ -282,14 +279,14 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		// copy-back performs — rename just swaps pointers — so the
 		// rename optimization is skipped for it (same reasoning that
 		// refuses predicate push down under UPDATES termination).
-		if r.opts.UseRename && !countUpdates {
+		if r.prog.runs(OptRename) && !countUpdates {
 			*steps = append(*steps, &RenameStep{From: workName, To: cte.Name})
 		} else {
-			*steps = append(*steps, &CopyBackStep{From: workName, To: cte.Name, Parts: r.opts.Parts, Key: key, Loop: loop})
+			*steps = append(*steps, &CopyBackStep{From: workName, To: cte.Name, Parts: r.prog.Parts, Key: key, Loop: loop})
 		}
 	} else {
 		// Lines 8-10: partial update through the fused merge operator.
-		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Key: key, Parts: r.opts.Parts, Loop: loop}
+		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Key: key, Parts: r.prog.Parts, Loop: loop}
 		if delta, ok := work.(*DeltaMaterializeStep); ok {
 			merge.Delta = delta.Delta
 		}
@@ -321,10 +318,10 @@ func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterS
 	r.prog.AggClaims = append(r.prog.AggClaims, AggClaim{CTE: cte.Name})
 	claim := &r.prog.AggClaims[len(r.prog.AggClaims)-1]
 	switch {
-	case !r.opts.Incremental:
+	case !r.prog.runs(OptIncremental):
 		claim.Reason = "withheld: disabled"
 		return nil
-	case r.opts.Parallel && r.opts.Parts > 1:
+	case r.prog.Parallel && r.prog.Parts > 1:
 		claim.Reason = "withheld: parallel machine"
 		return nil
 	}
@@ -351,7 +348,7 @@ func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterS
 	}
 	return &MaintainAggStep{
 		Restriction: res, Acc: "Agg#" + cte.Name, Snap: "AggSnap#" + cte.Name,
-		Check: r.opts.CheckIncrementalAgg,
+		Check: r.prog.Paranoid,
 	}
 }
 

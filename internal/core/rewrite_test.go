@@ -201,7 +201,7 @@ func TestPageRankHandTraced(t *testing.T) {
 func TestPageRankRenameVsCopyBackEquivalence(t *testing.T) {
 	opt := DefaultOptions()
 	noRename := DefaultOptions()
-	noRename.UseRename = false
+	noRename.Baseline = OptRename
 
 	r1, s1 := runIterative(t, newRT(t), prQuery, opt)
 	r2, s2 := runIterative(t, newRT(t), prQuery, noRename)
@@ -298,8 +298,9 @@ func TestTableIExplain(t *testing.T) {
 	rt := newRT(t)
 	stmt, _ := parser.Parse(prQuery)
 	opts := DefaultOptions()
-	opts.CommonResults = false // plain PR has no common block
-	opts.Incremental = false   // Table I shows the full re-aggregation body
+	// Plain PR has no common block, and Table I shows the full
+	// re-aggregation body.
+	opts.Baseline = OptCommonResults | OptIncremental
 	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +349,7 @@ SELECT Node, Rank FROM PageRank ORDER BY Node`
 func TestCommonResultExtraction(t *testing.T) {
 	withOpt := DefaultOptions()
 	withoutOpt := DefaultOptions()
-	withoutOpt.CommonResults = false
+	withoutOpt.Baseline = OptCommonResults
 
 	r1, s1 := runIterative(t, newRT(t), prVSQuery, withOpt)
 	r2, s2 := runIterative(t, newRT(t), prVSQuery, withoutOpt)
@@ -408,7 +409,7 @@ ORDER BY friends DESC LIMIT 10`
 func TestFFPushdownEquivalence(t *testing.T) {
 	withOpt := DefaultOptions()
 	withoutOpt := DefaultOptions()
-	withoutOpt.PushDownPredicates = false
+	withoutOpt.Baseline = OptPushdown
 
 	r1, _ := runIterative(t, newRT(t), ffQuery, withOpt)
 	r2, _ := runIterative(t, newRT(t), ffQuery, withoutOpt)
@@ -519,7 +520,7 @@ func TestPushdownRefusedForUpdatesTermination(t *testing.T) {
 	 SELECT k, x FROM c WHERE flag = 1 ORDER BY k`
 	withOpt := DefaultOptions()
 	withoutOpt := DefaultOptions()
-	withoutOpt.PushDownPredicates = false
+	withoutOpt.Baseline = OptPushdown
 
 	r1, s1 := runIterative(t, newRT(t), q, withOpt)
 	r2, s2 := runIterative(t, newRT(t), q, withoutOpt)

@@ -44,7 +44,7 @@ func runParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int, wat
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	opts.Parallel, opts.Parts, opts.CheckShuffleElision = true, parts, true
+	opts.Parallel, opts.Parts, opts.Paranoid = true, parts, true
 	prog, err := core.Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func metaLoop(cte string, n int64) *core.LoopState {
 func validProgram() (*core.Program, *core.LoopState) {
 	loop := metaLoop("t", 3)
 	prog := &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loop, Key: 0},
@@ -72,7 +72,7 @@ func validProgram() (*core.Program, *core.LoopState) {
 func mergeProgram(key int) *core.Program {
 	loop := metaLoop("t", 3)
 	return &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loop, Key: 0},
@@ -127,7 +127,7 @@ func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep)
 	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t",
 		Key: 0, Parts: 1, Loop: loop, Delta: "Delta#t"}
 	prog := &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loop, Key: 0},
@@ -406,7 +406,7 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 			build: func() *core.Program {
 				loop := metaLoop("t", 3)
 				return &core.Program{
-					Parts: 1,
+					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
 						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 						&core.InitLoopStep{Loop: loop, Key: 0},
@@ -491,7 +491,7 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 func TestSecondIterationFaultDetected(t *testing.T) {
 	loop := metaLoop("t", 3)
 	prog := &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loop, Key: 0},
@@ -644,13 +644,13 @@ func newRT(t *testing.T) *exec.StoreRuntime {
 func TestRewrittenProgramsVerifyClean(t *testing.T) {
 	base := core.DefaultOptions()
 	copyBack := base
-	copyBack.UseRename = false
+	copyBack.Baseline = core.OptRename
 	parted := base
 	parted.Parts = 2
 	// The default options take the delta step on a licensed merge path;
 	// full keeps the plain merge-path shape under test.
 	full := base
-	full.Incremental = false
+	full.Baseline = core.OptIncremental
 
 	cases := []struct {
 		name string
@@ -740,7 +740,7 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 				// loop re-entry pass sees the next iteration's read of t.
 				loop := metaLoop("t", 3)
 				return &core.Program{
-					Parts: 1,
+					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
 						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 						&core.InitLoopStep{Loop: loop, Key: 0},
@@ -761,7 +761,7 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 				loop := &core.LoopState{Term: ast.Termination{Type: ast.TermData}, CTEName: "t",
 					CondPlan: result("cond", "matching", "total")}
 				return &core.Program{
-					Parts: 1,
+					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
 						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 						&core.MaterializeStep{Into: "cond", Plan: scan("edges", "matching", "total"), Parts: 1, CheckKey: -1},
@@ -782,7 +782,7 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 			build: func() *core.Program {
 				loop := &core.LoopState{Term: ast.Termination{Type: ast.TermDelta, N: 1}, CTEName: "t"}
 				return &core.Program{
-					Parts: 1,
+					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
 						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 						&core.TruncateStep{Name: "t"},
@@ -823,7 +823,7 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 func pruneProgram(cols ...string) *core.Program {
 	loop := metaLoop("c", 3)
 	return &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "c", Plan: scan("edges", cols...), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loop, Key: 0},
@@ -984,7 +984,7 @@ func allKindsProgram() *core.Program {
 	loopA := metaLoop("a", 3)
 	loopB := metaLoop("b", 2)
 	return &core.Program{
-		Parts: 1,
+		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
 			&core.MaterializeStep{Into: "a", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
 			&core.InitLoopStep{Loop: loopA, Key: 0},

@@ -158,6 +158,20 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeHonorsQueryTimeout: EXPLAIN ANALYZE runs the
+// statement it explains under Config.QueryTimeout like any query. The
+// PageRank loop here finishes in about 1.6 s on a 2-vCPU x86-64 machine
+// when nothing stops it, sixty times the deadline, so an EXPLAIN ANALYZE
+// that ignored the deadline would return its trace instead of an error.
+func TestExplainAnalyzeHonorsQueryTimeout(t *testing.T) {
+	e := lifecycleEngine(t, 1, dbspinner.Config{QueryTimeout: 25 * time.Millisecond})
+	start := time.Now()
+	_, err := e.Explain("EXPLAIN ANALYZE " + bench.PRQuery(10000))
+	if !errors.Is(err, dbspinner.ErrQueryTimeout) {
+		t.Fatalf("err = %v after %v, want ErrQueryTimeout", err, time.Since(start))
+	}
+}
+
 // TestCallerDeadlineWinsOverConfig: an explicit context deadline is
 // respected even when Config.QueryTimeout is longer — the knob is a
 // default, not an override.
@@ -319,7 +333,7 @@ func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 			func(s dbspinner.Stats) bool { return s.RiInputRows < s.RiFullRows }},
 	} {
 		t.Run(q.name, func(t *testing.T) {
-			cfg := dbspinner.Config{CheckIncrementalAgg: true}
+			cfg := dbspinner.Config{Paranoid: true}
 			e := lifecycleEngine(t, 1, cfg)
 			// The canceled run must have exercised the restricted step, or
 			// the leak check below is vacuous: under the race detector the

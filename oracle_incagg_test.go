@@ -79,12 +79,12 @@ func riDecisions(tr *dbspinner.IterationTrace) string {
 }
 
 // TestIncrementalAggParityMatrix is the incremental-evaluation oracle
-// gate: {default, DisableIncremental} x partitions {1, 2, 4} x the five
+// gate: {default, OptIncremental baseline} x partitions {1, 2, 4} x the five
 // workload queries and the two recursive ones (RecursiveQueries, which
 // engage neither step and trace one span per round) must return
 // byte-identical ordered rows — row order
 // and float SUM accumulation order included, which is the contract —
-// with the dynamic cross-check (Config.CheckIncrementalAgg) armed so a
+// with the dynamic cross-check (Config.Paranoid) armed so a
 // divergent cached group fails the query. Per query the step its shape selects must be the one that
 // ran: PR has no WHERE in Ri (rename path), so maintenance; PR-VS, SSSP
 // and SSSP-VS have one (merge path), so the delta step; FF has neither
@@ -109,15 +109,15 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 	for name, sql := range queries {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
-				on := dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true, TraceIterations: true}
-				off := dbspinner.Config{Partitions: parts, DisableIncremental: true}
+				on := dbspinner.Config{Partitions: parts, Paranoid: true, TraceIterations: true}
+				off := dbspinner.Config{Partitions: parts, Baseline: dbspinner.OptIncremental}
 				gotOn, st := incaggRun(t, on, sql)
 				gotOff, stOff := incaggRun(t, off, sql)
 				if gotOn != gotOff {
 					t.Errorf("parts=%d: incremental evaluation changes results:\n  on: %s\n off: %s", parts, gotOn, gotOff)
 				}
 				if stOff.RiFullRows != 0 || stOff.AggFullRows != 0 {
-					t.Errorf("parts=%d: DisableIncremental still ran a restricted step: %+v", parts, stOff)
+					t.Errorf("parts=%d: the OptIncremental baseline still ran a restricted step: %+v", parts, stOff)
 				}
 				delta, maint := st.RiFullRows > 0, st.AggFullRows > 0
 				if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
@@ -135,9 +135,9 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 				}
 			}
 			// The parallel machine keeps the full plan, and says so.
-			par := dbspinner.Config{Partitions: 4, Parallel: true, CheckIncrementalAgg: true}
+			par := dbspinner.Config{Partitions: 4, Parallel: true, Paranoid: true}
 			gotPar, st := incaggRun(t, par, sql)
-			gotOff, _ := incaggRun(t, dbspinner.Config{Partitions: 4, Parallel: true, DisableIncremental: true}, sql)
+			gotOff, _ := incaggRun(t, dbspinner.Config{Partitions: 4, Parallel: true, Baseline: dbspinner.OptIncremental}, sql)
 			if gotPar != gotOff {
 				t.Errorf("parallel: the switch changes results:\n  on: %s\n off: %s", gotPar, gotOff)
 			}
@@ -169,8 +169,8 @@ func TestIncrementalAggSavingsFloor(t *testing.T) {
 	for _, name := range []string{"PR", "SSSP"} {
 		t.Run(name, func(t *testing.T) {
 			sql := queries[name]
-			got, stats := incaggRun(t, dbspinner.Config{CheckIncrementalAgg: true}, sql)
-			want, _ := incaggRun(t, dbspinner.Config{DisableIncremental: true}, sql)
+			got, stats := incaggRun(t, dbspinner.Config{Paranoid: true}, sql)
+			want, _ := incaggRun(t, dbspinner.Config{Baseline: dbspinner.OptIncremental}, sql)
 			if got != want {
 				t.Fatalf("incremental evaluation changes results:\n  on: %s\n off: %s", got, want)
 			}
@@ -213,8 +213,8 @@ func TestAnyAggregateEngagesMaintenance(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 4} {
-				got, st := incaggRun(t, dbspinner.Config{Partitions: parts, CheckIncrementalAgg: true}, sql)
-				want, _ := incaggRun(t, dbspinner.Config{Partitions: parts, DisableIncremental: true}, sql)
+				got, st := incaggRun(t, dbspinner.Config{Partitions: parts, Paranoid: true}, sql)
+				want, _ := incaggRun(t, dbspinner.Config{Partitions: parts, Baseline: dbspinner.OptIncremental}, sql)
 				if got != want {
 					t.Errorf("parts=%d: maintenance changes results:\n  on: %s\n off: %s", parts, got, want)
 				}

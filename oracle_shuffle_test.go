@@ -64,13 +64,13 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 	e := newShuffleEngine(t, cfg)
 	res, err := e.Query(sql)
 	if err != nil {
-		t.Fatalf("Partitions=%d Parallel=%v DisableShuffleElision=%v: %v",
-			cfg.Partitions, cfg.Parallel, cfg.DisableShuffleElision, err)
+		t.Fatalf("Partitions=%d Parallel=%v Baseline=%06b: %v",
+			cfg.Partitions, cfg.Parallel, cfg.Baseline, err)
 	}
 	stats := e.Stats()
 	if d := preparedParity(t, e, func() *dbspinner.Engine { return newShuffleEngine(t, cfg) }, sql, res); d != "" {
-		t.Errorf("Partitions=%d Parallel=%v DisableShuffleElision=%v: %s",
-			cfg.Partitions, cfg.Parallel, cfg.DisableShuffleElision, d)
+		t.Errorf("Partitions=%d Parallel=%v Baseline=%06b: %s",
+			cfg.Partitions, cfg.Parallel, cfg.Baseline, d)
 	}
 	var b strings.Builder
 	for _, r := range res.Rows {
@@ -83,7 +83,7 @@ func shuffleRun(t *testing.T, cfg dbspinner.Config, sql string) (string, dbspinn
 // workload queries and the two recursive ones (RecursiveQueries) x
 // elision on/off x partition counts {1, 2, 4} must
 // return byte-identical ordered rows, with the dynamic co-location
-// check (Config.CheckShuffleElision) armed so an unsound elision fails
+// check (Config.Paranoid) armed so an unsound elision fails
 // the query instead of silently reshaping results. On the vertexStatus
 // variants — whose joins and aggregate group on the distribution
 // column — elision must strictly reduce RowsShuffled whenever the
@@ -95,8 +95,8 @@ func TestShuffleElisionParityMatrix(t *testing.T) {
 	for name, sql := range queries {
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, 2, 4} {
-				on := dbspinner.Config{Partitions: parts, Parallel: true, CheckShuffleElision: true}
-				off := dbspinner.Config{Partitions: parts, Parallel: true, DisableShuffleElision: true}
+				on := dbspinner.Config{Partitions: parts, Parallel: true, Paranoid: true}
+				off := dbspinner.Config{Partitions: parts, Parallel: true, Baseline: dbspinner.OptShuffleElision}
 				gotOn, statsOn := shuffleRun(t, on, sql)
 				gotOff, statsOff := shuffleRun(t, off, sql)
 				if gotOn != gotOff {
@@ -134,8 +134,8 @@ func TestShuffleElisionSavingsFloor(t *testing.T) {
 	for _, name := range []string{"PR-VS", "SSSP-VS"} {
 		t.Run(name, func(t *testing.T) {
 			sql := queries[name]
-			on := dbspinner.Config{Partitions: 4, Parallel: true, CheckShuffleElision: true}
-			off := dbspinner.Config{Partitions: 4, Parallel: true, DisableShuffleElision: true}
+			on := dbspinner.Config{Partitions: 4, Parallel: true, Paranoid: true}
+			off := dbspinner.Config{Partitions: 4, Parallel: true, Baseline: dbspinner.OptShuffleElision}
 			gotOn, statsOn := shuffleRun(t, on, sql)
 			gotOff, statsOff := shuffleRun(t, off, sql)
 			if gotOn != gotOff {
@@ -173,7 +173,7 @@ func TestExecCountersAgreeAcrossExecutors(t *testing.T) {
 	queries := workloadQueries()
 	for _, name := range []string{"PR-VS", "SSSP-VS", "FF", "PR"} {
 		for _, parts := range []int{2, 4} {
-			cfg := dbspinner.Config{Partitions: parts, DisableIncremental: true}
+			cfg := dbspinner.Config{Partitions: parts, Baseline: dbspinner.OptIncremental}
 			_, volcano := shuffleRun(t, cfg, queries[name])
 			cfg.Parallel = true
 			_, mpp := shuffleRun(t, cfg, queries[name])

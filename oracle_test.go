@@ -211,52 +211,24 @@ SELECT Node, Rank FROM PageRank ORDER BY Node`
 	}
 }
 
+// TestOptimizationsPreserveResultsOnGeneratedGraphs runs the three
+// paper queries over the optimization lattice (see
+// checkOptimizationLattice).
 func TestOptimizationsPreserveResultsOnGeneratedGraphs(t *testing.T) {
-	// Every optimization combination must return identical rows for
-	// all three paper queries.
 	g := workload.PreferentialAttachment(150, 3, workload.WeightOutDegree, 31)
-	queries := []string{prSQL(4), ssspSQL(1, 6), ffSQL(4, 2)}
-	configs := []Config{
-		{},
-		{DisableRenameOpt: true},
-		{DisableCommonResultOpt: true},
-		{DisablePredicatePushdown: true},
-		{DisableRenameOpt: true, DisableCommonResultOpt: true, DisablePredicatePushdown: true},
-	}
-	for qi, q := range queries {
-		var baseline []string
-		for ci, cfg := range configs {
-			e := New(cfg)
-			mustExec(t, e, "CREATE TABLE edges (src int, dst int, weight float)")
-			if err := e.BulkInsert("edges", workload.EdgeRows(g)); err != nil {
-				t.Fatal(err)
-			}
-			r := mustQuery(t, e, q)
-			got := resultStrings(r)
-			if ci == 0 {
-				baseline = got
-				continue
-			}
-			if len(got) != len(baseline) {
-				t.Fatalf("query %d config %d: %d rows vs %d", qi, ci, len(got), len(baseline))
-			}
-			for i := range got {
-				if got[i] != baseline[i] {
-					t.Errorf("query %d config %d row %d: %q vs %q", qi, ci, i, got[i], baseline[i])
-					break
-				}
-			}
-		}
-	}
+	checkOptimizationLattice(t, g, []latticeQuery{
+		{"PR", prSQL(4)},
+		{"SSSP", ssspSQL(1, 6)},
+		{"FF", ffSQL(4, 2)},
+	})
 }
 
+// TestTerminationFormsPreserveResultsAcrossConfigs runs the three
+// data-dependent termination forms over the optimization lattice (see
+// checkOptimizationLattice). Data and delta termination observe whole
+// rows, so this doubles as the check that column pruning withholds
+// correctly under every termination form.
 func TestTerminationFormsPreserveResultsAcrossConfigs(t *testing.T) {
-	// UNTIL ANY, UNTIL ALL and UNTIL DELTA each must return
-	// byte-identical rows with delta iteration on, with column pruning
-	// off, and with both toggled. Data and delta termination observe
-	// whole rows, so this doubles as the acceptance check that
-	// liveness-driven pruning withholds correctly under every
-	// termination form.
 	g := workload.PreferentialAttachment(150, 3, workload.WeightOutDegree, 43)
 
 	// PageRank over available vertices, with an explicit iteration
@@ -297,55 +269,71 @@ SELECT node, friends FROM forecast ORDER BY node`
 	// converge, so UNTIL DELTA < 1 terminates on its own.
 	deltaQ := strings.Replace(ssspSQL(1, 999), "UNTIL 999 ITERATIONS", "UNTIL DELTA < 1", 1)
 
-	queries := []struct {
-		name string
-		sql  string
-	}{
+	checkOptimizationLattice(t, g, []latticeQuery{
 		{"until-any", anyQ},
 		{"until-all", allQ},
 		{"until-delta", deltaQ},
-	}
-	configs := []Config{
-		{Partitions: 2},
-		{Partitions: 2, DisableIncremental: true},
-		{Partitions: 2, DisableColumnPruning: true},
-		{Partitions: 2, DisableIncremental: true, DisableColumnPruning: true},
-	}
-	load := func(cfg Config) *Engine {
-		e := New(cfg)
-		mustExec(t, e, "CREATE TABLE edges (src int, dst int, weight float)")
-		if err := e.BulkInsert("edges", workload.EdgeRows(g)); err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, e, "CREATE TABLE vertexStatus (node int PRIMARY KEY, status int)")
-		if err := e.BulkInsert("vertexStatus", workload.VertexStatus(g, 0.8, 99)); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	for _, q := range queries {
-		var baseline []string
-		for ci, cfg := range configs {
-			r := mustQuery(t, load(cfg), q.sql)
-			got := resultStrings(r)
-			if ci == 0 {
-				if len(got) == 0 {
-					t.Fatalf("%s: baseline returned no rows", q.name)
+	})
+}
+
+type latticeQuery struct {
+	name string
+	sql  string
+}
+
+// checkOptimizationLattice: every subset of the six optimizations
+// Config.Baseline can withhold — all 64 — returns the rows the default
+// returns on the same machine, byte for byte (MPP partitions sum floats
+// in another order), for each query, on volcano over one and four
+// partitions and on the MPP machine over two, always with the Paranoid
+// cross-checks armed. Each engine holds g's edges and vertex status.
+func checkOptimizationLattice(t *testing.T, g *workload.Graph, queries []latticeQuery) {
+	t.Helper()
+	machines := []Config{{Partitions: 1}, {Partitions: 4}, {Partitions: 2, Parallel: true}}
+	all := OptRename | OptCommonResults | OptPushdown | OptColumnPruning | OptShuffleElision | OptIncremental
+	for _, m := range machines {
+		want := make([][]string, len(queries))
+		for b := Opt(0); b <= all; b++ {
+			cfg := m
+			cfg.Baseline, cfg.Paranoid = b, true
+			e := New(cfg)
+			mustExec(t, e, "CREATE TABLE edges (src int, dst int, weight float)")
+			if err := e.BulkInsert("edges", workload.EdgeRows(g)); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, e, "CREATE TABLE vertexStatus (node int PRIMARY KEY, status int)")
+			if err := e.BulkInsert("vertexStatus", workload.VertexStatus(g, 0.8, 99)); err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				got := resultStrings(mustQuery(t, e, q.sql))
+				if b == 0 {
+					if len(got) == 0 {
+						t.Fatalf("%s partitions=%d parallel=%v: the default returned no rows", q.name, m.Partitions, m.Parallel)
+					}
+					want[qi] = got
+					continue
 				}
-				baseline = got
-				continue
-			}
-			if len(got) != len(baseline) {
-				t.Fatalf("%s config %d: %d rows vs %d", q.name, ci, len(got), len(baseline))
-			}
-			for i := range got {
-				if got[i] != baseline[i] {
-					t.Errorf("%s config %d row %d: %q vs %q", q.name, ci, i, got[i], baseline[i])
-					break
+				if d := rowsDiff(got, want[qi]); d != "" {
+					t.Errorf("%s partitions=%d parallel=%v baseline=%06b: %s", q.name, m.Partitions, m.Parallel, b, d)
 				}
 			}
 		}
 	}
+}
+
+// rowsDiff describes the first difference between two rendered row
+// lists, or returns "" when they are identical.
+func rowsDiff(got, want []string) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("row %d: %q, want %q", i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 func TestParallelModeMatchesSequential(t *testing.T) {

@@ -24,7 +24,7 @@ func TestCommonResultNeedsStrictWhere(t *testing.T) {
 	GROUP BY c.k
  UNTIL 2 ITERATIONS)
 SELECT k, m FROM c ORDER BY k`
-	for _, cfg := range []dbspinner.Config{{}, {DisableCommonResultOpt: true}} {
+	for _, cfg := range []dbspinner.Config{{}, {Baseline: dbspinner.OptCommonResults}} {
 		e := dbspinner.New(cfg)
 		for _, sql := range []string{
 			"CREATE TABLE t (k int)",
@@ -47,7 +47,7 @@ SELECT k, m FROM c ORDER BY k`
 			got = append(got, r.String())
 		}
 		if g := strings.Join(got, "; "); g != "1, 1; 2, 1" {
-			t.Errorf("common results disabled = %v: rows %s, want 1, 1; 2, 1", cfg.DisableCommonResultOpt, g)
+			t.Errorf("baseline %06b: rows %s, want 1, 1; 2, 1", cfg.Baseline, g)
 		}
 	}
 }
