@@ -64,6 +64,12 @@ type LoopState struct {
 	seen   *sqltypes.KeyTable
 	seenOf *storage.Table
 
+	// index is a keyed merge's key index, trusted only for indexOf, the
+	// table that merge last produced (trusts), so a checkpoint, which
+	// restores a clone, needs no copy of it either.
+	index   *keyIndex
+	indexOf *storage.Table
+
 	// cont is the continue variable (§VI-B) the last LoopStep.Run
 	// computed; the step loop reads it to take the back-edge.
 	cont bool
@@ -93,6 +99,7 @@ func (s *InitLoopStep) Run(ctx *Context) error {
 	s.Loop.changedKeys = nil
 	s.Loop.workingSets = nil
 	s.Loop.dropRowSet(ctx)
+	s.Loop.indexOf = nil
 	s.Loop.key = s.Key
 	if s.Loop.Term.Type == ast.TermDelta && !s.Loop.Counted {
 		return s.Loop.snapshot(ctx)

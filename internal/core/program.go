@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -513,19 +514,21 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 	// this view of the runtime. It goes on every exit path; what the run
 	// let go stays in st only if the run neither failed nor degraded.
 	r := st.Begin(rt, params)
-	defer p.releaseLoops()
-	rows, err := p.run(goctx, r, stats)
+	rows, err := p.run(goctx, r, stats) // contains its panics
+	p.releaseLoops(r.runState())
 	r.End(err == nil && stats.Degradations == 0)
 	return rows, err
 }
 
 // releaseLoops drops what the loop operators hold of the finished run's
-// rows, so a program kept for the next run keeps none of them alive.
-func (p *Program) releaseLoops() {
+// rows, so a program kept for the next run keeps none of them alive, and
+// gives the keyed merges' key indexes to st, the run's state.
+func (p *Program) releaseLoops(st *RunState) {
 	for _, s := range p.Steps {
 		if init, ok := s.(*InitLoopStep); ok {
 			l := init.Loop
 			l.prev, l.changedKeys, l.workingSets, l.seen, l.seenOf = nil, nil, nil, nil, nil
+			l.giveBackIndex(st)
 		}
 	}
 }
@@ -1106,8 +1109,42 @@ func (m *MergeStep) Run(ctx *Context) error {
 // replace is the keyed merge of cte and work into out. It counts the
 // rows that changed — replaced with different values, or appended —
 // and puts them into delta (nil: none), whose keys the loop state
-// records for the paired DeltaMaterializeStep.
+// records for the paired DeltaMaterializeStep. Into the table its loop's
+// key index describes it patches (patch); into any other — the run's
+// first merge, a checkpoint's clone, a new loop's table — it rebuilds,
+// filing out's rows in the index on the way. Both give the same tables,
+// counts, changed keys and errors; the index describes out once the
+// merge has succeeded, and no table after one that failed.
 func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
+	l := m.Loop
+	if l == nil || m.Key != out.DistCol {
+		// No loop to carry an index, or out is not placed by the key.
+		return m.rebuild(ctx, nil, cte, work, out, delta)
+	}
+	trusted := trusts(l, cte)
+	l.indexOf = nil
+	if trusted {
+		changed, exact, err := m.patch(l.index, cte, work, out, delta)
+		if exact {
+			if err == nil {
+				l.indexOf = out
+			}
+			return changed, err
+		}
+		clear(out.Parts)
+	}
+	x := l.freshIndex(ctx, cte.Len()+work.Len())
+	changed, err := m.rebuild(ctx, x, cte, work, out, delta)
+	if err == nil && !x.inexact {
+		l.indexOf = out
+	}
+	return changed, err
+}
+
+// rebuild is replace over any cte: it indexes the working rows, looks
+// each CTE row up in that, and places every row of out, filing it in x
+// (nil: no index).
+func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *storage.Table) (int64, error) {
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
 	updated := ctx.rowIndex(m.Key, work.Len())
@@ -1130,6 +1167,12 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 			out.Parts[p] = make([]sqltypes.Row, 0, len(part)+len(part)/16)
 		}
 	}
+	place := func(r sqltypes.Row) {
+		p, i := out.Place(r)
+		if x != nil {
+			x.fileRow(r, m.Key, p, i)
+		}
+	}
 	// deltaRows are exactly the rows identified as changed; their keys
 	// are the changed-key set delta iteration consumes.
 	var deltaRows []sqltypes.Row
@@ -1140,12 +1183,12 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 			}
 			id := updated.find(r)
 			if id < 0 {
-				out.Insert(r)
+				place(r)
 				continue
 			}
 			inCTE[id] = true
 			nr := updated.rows[id]
-			out.Insert(nr)
+			place(nr)
 			if !r.Equal(nr) {
 				deltaRows = append(deltaRows, nr)
 			}
@@ -1157,7 +1200,7 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 		if inCTE[id] {
 			continue
 		}
-		out.Insert(r)
+		place(r)
 		deltaRows = append(deltaRows, r)
 	}
 	if delta != nil {
@@ -1171,6 +1214,85 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 		}
 	}
 	return int64(len(deltaRows)), nil
+}
+
+// patch is replace into cte, the table x describes, whose rows sit
+// where they route: out starts as a copy of cte's partitions, and each
+// working row, looked up once, overwrites every position carrying its
+// key or, under a new key, is placed as an insert places it. No CTE row
+// is hashed or routed. The delta is the changed positions in cte's scan
+// order, which is position order, then the new rows in working order —
+// rebuild's order — each in the partition it has in out, which is where
+// the delta routes it. A working key exactKey rejects stops it with
+// exact false, and the caller rebuilds.
+func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n int64, exact bool, err error) {
+	for p, part := range cte.Parts {
+		out.Parts[p] = append(make([]sqltypes.Row, 0, len(part)+len(part)/16), part...)
+	}
+	x.nextMerge()
+	changed, fresh := x.changed[:0], x.fresh[:0]
+	for _, part := range work.Parts {
+		for _, r := range part {
+			if m.Key >= len(r) {
+				return 0, true, fmt.Errorf("merge: key column %d out of range", m.Key)
+			}
+			key := r[m.Key : m.Key+1]
+			if !exactKey(key[0]) {
+				return 0, false, nil
+			}
+			id, added := x.keys.Insert(key)
+			if added {
+				p, i := out.Place(r)
+				x.file(id, true, p, i)
+				fresh = append(fresh, pos(p, i))
+				continue
+			}
+			if x.hit[id] == x.gen {
+				return 0, true, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
+			}
+			x.hit[id] = x.gen
+			for at := x.head[id]; at >= 0; at = x.at[at].prev {
+				p, i := x.at[at].part, x.at[at].row
+				if !out.Parts[p][i].Equal(r) {
+					changed = append(changed, pos(int(p), int(i)))
+				}
+				out.Parts[p][i] = r
+			}
+		}
+	}
+	x.changed, x.fresh = changed, fresh
+	n = int64(len(changed) + len(fresh))
+	if delta == nil {
+		return n, true, nil
+	}
+	slices.Sort(changed)
+	// Each delta partition is sized once, as InsertBatch sizes it.
+	counts := x.counts[:0]
+	for range delta.Parts {
+		counts = append(counts, 0)
+	}
+	for _, at := range changed {
+		counts[at>>32]++
+	}
+	for _, at := range fresh {
+		counts[at>>32]++
+	}
+	for p, c := range counts {
+		if c > 0 {
+			delta.Parts[p] = make([]sqltypes.Row, 0, c)
+		}
+	}
+	x.counts = counts
+	changedKeys := sqltypes.NewKeyTable(1, int(n))
+	for _, ps := range [...][]uint64{changed, fresh} {
+		for _, at := range ps {
+			r := out.Parts[at>>32][uint32(at)]
+			delta.Parts[at>>32] = append(delta.Parts[at>>32], r)
+			changedKeys.Insert(r[m.Key : m.Key+1])
+		}
+	}
+	m.Loop.changedKeys = changedKeys
+	return n, true, nil
 }
 
 // append is the recursive merge of cte and work into out: every CTE

@@ -31,7 +31,9 @@ import (
 // loopSnap is the captured mutable state of one loop operator. The
 // key indexes are shared, not copied: every writer replaces them
 // wholesale (snapshot, the merge step, InitLoop's reset), never mutates them
-// in place, so a shared reference stays frozen.
+// in place, so a shared reference stays frozen. The keyed merge's key
+// index, which its merges do change in place, is not captured at all: it
+// is trusted only for the table it describes, and a restore binds clones.
 type loopSnap struct {
 	iterations  int
 	updates     int64

@@ -14,6 +14,8 @@ import (
 //   - The MPP machine's free exchange sites, by plan node (mpp.Sites).
 //   - The step program's size hints (Context.sizeHint) and the key
 //     tables its keyed passes let go (Context.keyTable).
+//   - The keyed merges' key indexes (keyIndex), emptied by the first
+//     merge of the next run, which rebuilds.
 //
 // Nothing a run computed is in it. The index memo's entries (witnessed
 // by a table's address, and DML changes base tables in place), the
@@ -27,10 +29,11 @@ import (
 // statement outside the statement cache runs with. One run at a time
 // may use a state.
 type RunState struct {
-	memo  exec.Leftovers
-	sites mpp.Sites
-	sizes []int
-	keys  exec.Spares[*sqltypes.KeyTable]
+	memo   exec.Leftovers
+	sites  mpp.Sites
+	sizes  []int
+	keys   exec.Spares[*sqltypes.KeyTable]
+	merges exec.Spares[*keyIndex]
 }
 
 // Run is one run of a statement over its RunState. RT is the view of
@@ -78,6 +81,7 @@ func (r *Run) End(clean bool) {
 	if !clean {
 		st.sites, st.sizes = nil, nil
 		st.keys.Clear()
+		st.merges.Clear()
 		return
 	}
 	if r.machine != nil {
@@ -86,6 +90,7 @@ func (r *Run) End(clean bool) {
 		st.sites = nil
 	}
 	st.keys.HandBack()
+	st.merges.HandBack()
 }
 
 // runState returns the state the run is over, a fresh one for a Run

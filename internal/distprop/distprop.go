@@ -50,10 +50,11 @@ const (
 	// KindSingleton means every row lives in partition 0.
 	KindSingleton
 	// KindHash means every row r lives in partition
+	// sqltypes.PartitionOf(r, Cols, parts), which is
 	// RowKey(r, Cols).Partition(parts) — the machine's one routing
-	// function, shared with storage DistCol inserts and both shuffle
-	// exchanges (NULL-bearing keys route to partition 0 in all of
-	// them).
+	// function, shared with storage DistCol inserts, both shuffle
+	// exchanges and the keyed merge (NULL-bearing keys route to
+	// partition 0 in all of them).
 	KindHash
 )
 

@@ -429,7 +429,7 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 	f.Taps[c] = func(p int, r sqltypes.Row) error {
 		seen[p].n++
 		if m.CheckElide {
-			if dst := partitionOf(r, cols, m.Parts); dst != p {
+			if dst := sqltypes.PartitionOf(r, cols, m.Parts); dst != p {
 				return fmt.Errorf("mpp: elided %s exchange is unsound: row in partition %d routes to %d on cols %v", what, p, dst, cols)
 			}
 		}
@@ -598,13 +598,29 @@ type router func() func(sqltypes.Row) (int, error)
 // shuffle routes rows so that those with equal key values land in the
 // same partition. NULL keys go to partition 0 (they never match in
 // joins but must survive for outer joins) — the same destination
-// sqltypes.CompositeKey.Partition assigns them, so the exchange and the
-// storage layer agree on one routing function.
+// sqltypes.PartitionOf assigns them, so the exchange and the storage
+// layer agree on one routing function.
 func (m *Machine) shuffle(keys []*expr.Compiled) router {
-	cols := identityCols(len(keys))
+	// Keys that are all bare columns route on the row itself, at their
+	// positions; a row too short for one takes EvalKey, which fails as
+	// evaluating it does. Other keys route on the values EvalKey puts in
+	// the scratch row, at positions 0..len(keys)-1.
+	cols, width, inRow := make([]int, len(keys)), 0, true
+	for i, k := range keys {
+		cols[i], width = k.Col, max(width, k.Col+1)
+		inRow = inRow && k.Col >= 0
+	}
+	if !inRow {
+		for i := range cols {
+			cols[i] = i
+		}
+	}
 	return func() func(sqltypes.Row) (int, error) {
 		vals := make(sqltypes.Row, len(keys)) // per-tree key scratch
 		return func(r sqltypes.Row) (int, error) {
+			if inRow && len(r) >= width {
+				return sqltypes.PartitionOf(r, cols, m.Parts), nil
+			}
 			null, err := exec.EvalKey(keys, r, vals)
 			if err != nil {
 				return 0, err
@@ -614,7 +630,7 @@ func (m *Machine) shuffle(keys []*expr.Compiled) router {
 				// Partition sends NULL-bearing keys to 0 too.
 				return 0, nil
 			}
-			return partitionOf(vals, cols, m.Parts), nil
+			return sqltypes.PartitionOf(vals, cols, m.Parts), nil
 		}
 	}
 }
@@ -625,19 +641,9 @@ func (m *Machine) shuffle(keys []*expr.Compiled) router {
 // routing values are already materialized in the row.
 func (m *Machine) shuffleCols(cols []int) router {
 	route := func(r sqltypes.Row) (int, error) {
-		return partitionOf(r, cols, m.Parts), nil
+		return sqltypes.PartitionOf(r, cols, m.Parts), nil
 	}
 	return func() func(sqltypes.Row) (int, error) { return route }
-}
-
-// partitionOf is RowKey(r, cols).Partition(parts), the one routing
-// function, with a one-column key hashed in place (sqltypes.PartitionOf)
-// instead of through a CompositeKey.
-func partitionOf(r sqltypes.Row, cols []int, parts int) int {
-	if len(cols) == 1 {
-		return sqltypes.PartitionOf(r[cols[0]], parts)
-	}
-	return sqltypes.RowKey(r, cols).Partition(parts)
 }
 
 func identityCols(n int) []int {

@@ -68,8 +68,8 @@ func legacyPartition(v Value, parts int) int {
 }
 
 // TestPartitionOfIsTheRoutingFunction: PartitionOf, which storage and the
-// MPP exchanges route one-column keys through without a CompositeKey,
-// sends every value where RowKey(Row{v}, []int{0}).Partition does, and
+// MPP exchanges route through without a CompositeKey, sends every
+// one-column key where RowKey(Row{v}, []int{0}).Partition does, and
 // both keep the layout the historical hash gave base tables — over the
 // value pool and 5k random INTs and FLOATs, at every partition count a
 // caller passes, 0 and 1 included.
@@ -82,7 +82,7 @@ func TestPartitionOfIsTheRoutingFunction(t *testing.T) {
 	vals = append(vals, NewFloat(3), NewInt(3)) // 3 and 3.0 co-locate
 	for _, parts := range []int{0, 1, 2, 3, 4, 7} {
 		for _, v := range vals {
-			got := PartitionOf(v, parts)
+			got := PartitionOf(Row{v}, []int{0}, parts)
 			if want := RowKey(Row{v}, []int{0}).Partition(parts); got != want {
 				t.Fatalf("PartitionOf(%s %v, %d) = %d, RowKey(...).Partition = %d", v.T, v, parts, got, want)
 			}

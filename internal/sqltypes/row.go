@@ -102,8 +102,10 @@ func (s Schema) String() string {
 }
 
 // RowKey builds the routing key of a row from the given column
-// positions: what storage and the MPP exchanges hand to Partition.
-// (Joins, grouping and the keyed steps hash through KeyTable instead.)
+// positions. Nothing in the engine routes through it any more: it is
+// the reference PartitionOf is tested against (RowKey(...).Partition),
+// and the benchmark's key probe times it. (Joins, grouping and the keyed
+// steps hash through KeyTable.)
 func RowKey(r Row, cols []int) CompositeKey {
 	switch len(cols) {
 	case 0:
@@ -223,11 +225,12 @@ func (k CompositeKey) Hash() uint64 {
 	return h
 }
 
-// Partition is THE routing function of the simulated MPP engine: it
+// Partition defines THE routing function of the simulated MPP engine: it
 // maps a key to the partition that owns rows with that key, and every
 // layer that places rows — storage inserts on a table's DistCol, the
-// MPP shuffle exchange, the full-row distinct exchange — must agree on
-// it, because the static partition-property analysis
+// MPP shuffle exchange, the full-row distinct exchange, the keyed merge
+// — must agree on it (they all call PartitionOf, its in-place form),
+// because the static partition-property analysis
 // (internal/distprop) licenses shuffle elision exactly on the claim
 // "rows keyed k already live in partition k.Partition(parts)".
 //
@@ -236,7 +239,7 @@ func (k CompositeKey) Hash() uint64 {
 //   - any NULL component: partition 0 (NULL never matches in SQL
 //     equality, so co-locating all NULLs is always safe and keeps the
 //     routing total).
-//   - a single component: PartitionOf's single-value hash (untagged,
+//   - a single component: the single-value hash (untagged,
 //     numeric values via their float bits so 1 and 1.0 co-locate) — the
 //     same function storage has always used for DistCol inserts, so
 //     base-table layouts are unchanged.
@@ -251,11 +254,106 @@ func (k CompositeKey) Partition(parts int) int {
 	return int(k.Hash() % uint64(parts))
 }
 
-// PartitionOf is Partition for the one-column key of v — what
-// RowKey(Row{v}, []int{0}).Partition(parts) returns — computed from v in
-// place, without building a CompositeKey. Storage routes DistCol inserts
-// and the MPP exchanges route one-column keys through it.
-func PartitionOf(v Value, parts int) int { return v.Key().partition(parts) }
+// PartitionOf is THE routing function, computed from r's values at cols
+// in place: it returns RowKey(r, cols).Partition(parts) — the contract
+// above — without building a Key, a CompositeKey or a wide key's string.
+// Storage routes DistCol inserts through it, and so do the MPP exchanges
+// and the keyed merge's new keys. A power-of-two partition count masks
+// the hash instead of dividing it, which picks the same partition.
+func PartitionOf(r Row, cols []int, parts int) int {
+	if parts <= 1 {
+		return 0
+	}
+	h := uint64(fnvOffset)
+	switch len(cols) {
+	case 1:
+		// Untagged: the historical single-value hash.
+		v := r[cols[0]]
+		switch v.T {
+		case Int:
+			h = fnvNum(h, float64(v.I))
+		case Float:
+			h = fnvNum(h, v.F)
+		case String:
+			h = fnvString(h, v.S)
+		case Bool:
+			h = fnvByte(h, byte(v.I))
+		default:
+			return 0
+		}
+	case 2, 3, 0:
+		// CompositeKey.Hash: each component's kind, then its payload.
+		for _, c := range cols {
+			v := r[c]
+			switch v.T {
+			case Int:
+				h = fnvNum(fnvByte(h, byte(keyNum)), float64(v.I))
+			case Float:
+				h = fnvNum(fnvByte(h, byte(keyNum)), v.F)
+			case String:
+				h = fnvString(fnvByte(h, byte(keyStr)), v.S)
+			case Bool:
+				h = fnvByte(fnvByte(h, byte(keyBool)), byte(v.I))
+			default:
+				return 0
+			}
+		}
+	default:
+		// The hash of the wide key's string (encodeKey), byte for byte.
+		for _, c := range cols {
+			v := r[c]
+			switch v.T {
+			case Int:
+				h = fnvNum(fnvByte(h, 'f'), float64(v.I))
+			case Float:
+				h = fnvNum(fnvByte(h, 'f'), v.F)
+			case String:
+				h = fnvString(fnvByte(h, 's'), v.S)
+			case Bool:
+				b := byte('0')
+				if v.I != 0 {
+					b = '1'
+				}
+				h = fnvByte(fnvByte(h, 'b'), b)
+			default:
+				return 0
+			}
+			h = fnvByte(h, 0)
+		}
+	}
+	if parts&(parts-1) == 0 {
+		return int(h & uint64(parts-1))
+	}
+	return int(h % uint64(parts))
+}
+
+// FNV-1a, the routing hash, a byte at a time.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// fnvNum folds in a number's normalized float bits, low byte first.
+func fnvNum(h uint64, f float64) uint64 {
+	u := floatBits(f)
+	h = (h ^ u&0xff) * fnvPrime
+	h = (h ^ u>>8&0xff) * fnvPrime
+	h = (h ^ u>>16&0xff) * fnvPrime
+	h = (h ^ u>>24&0xff) * fnvPrime
+	h = (h ^ u>>32&0xff) * fnvPrime
+	h = (h ^ u>>40&0xff) * fnvPrime
+	h = (h ^ u>>48&0xff) * fnvPrime
+	return (h ^ u>>56) * fnvPrime
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
 
 // partition is the single-value routing function: partition 0 for NULL
 // or a single partition, otherwise FNV-1a over the normalized scalar

@@ -70,8 +70,8 @@ func (t *Table) Len() int {
 }
 
 // partitionFor picks the destination partition of a row. Hash
-// distribution routes through sqltypes.PartitionOf — the one-column
-// case of the routing function shared with the MPP exchange operators —
+// distribution routes through sqltypes.PartitionOf — the routing
+// function shared with the MPP exchange operators, here on one column —
 // so the static partition-property analysis (internal/distprop) can
 // reason about storage layout and shuffle destinations with a single
 // hash.
@@ -80,7 +80,8 @@ func (t *Table) partitionFor(r sqltypes.Row) int {
 		return 0
 	}
 	if t.DistCol >= 0 && t.DistCol < len(r) {
-		return sqltypes.PartitionOf(r[t.DistCol], len(t.Parts))
+		col := [1]int{t.DistCol}
+		return sqltypes.PartitionOf(r, col[:], len(t.Parts))
 	}
 	p := t.rr
 	t.rr = (t.rr + 1) % len(t.Parts)
@@ -102,13 +103,18 @@ func (t *Table) mustBeWritable(op string) {
 const firstRoom = 16
 
 // Insert appends one row.
-func (t *Table) Insert(r sqltypes.Row) {
+func (t *Table) Insert(r sqltypes.Row) { t.Place(r) }
+
+// Place is Insert that says where the row went: its partition, and its
+// position in that partition.
+func (t *Table) Place(r sqltypes.Row) (part, pos int) {
 	t.mustBeWritable("Insert")
 	p := t.partitionFor(r)
 	if cap(t.Parts[p]) == 0 {
 		t.Parts[p] = make([]sqltypes.Row, 0, firstRoom)
 	}
 	t.Parts[p] = append(t.Parts[p], r)
+	return p, len(t.Parts[p]) - 1
 }
 
 // InsertBatch appends many rows: the partitions and their row order are

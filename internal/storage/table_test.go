@@ -173,7 +173,7 @@ func TestResultStore(t *testing.T) {
 func TestPartitionRoutingProperties(t *testing.T) {
 	const parts = 7
 	route := func(v sqltypes.Value) int {
-		return sqltypes.RowKey(sqltypes.Row{v}, []int{0}).Partition(parts)
+		return sqltypes.PartitionOf(sqltypes.Row{v}, []int{0}, parts)
 	}
 	// Values that normalize to the same key route identically.
 	f := func(i int32) bool {

@@ -11,7 +11,8 @@ import (
 // boundVariant is sql with one literal changed that the prepared program
 // binds rather than consumes: the SSSP source, the FF modulus,
 // PageRank's initial delta, the seed of the aggregate-maintenance
-// queries or the base term of a recursive one (RecursiveQueries).
+// queries, the base term of a recursive one (RecursiveQueries) or the
+// filter of a plain SELECT (storedRowFinals).
 func boundVariant(t *testing.T, sql string) string {
 	t.Helper()
 	for _, c := range []struct{ from, to string }{
@@ -21,6 +22,7 @@ func boundVariant(t *testing.T, sql string) string {
 		{"SELECT src, src % 7", "SELECT src, src % 5"},
 		{"SELECT 25 UNION", "SELECT 26 UNION"},
 		{"SELECT 1, 0.5 UNION", "SELECT 1, 0.25 UNION"},
+		{"WHERE src > 3", "WHERE src > 9"},
 	} {
 		if strings.Contains(sql, c.from) {
 			return strings.Replace(sql, c.from, c.to, 1)
