@@ -8,9 +8,7 @@
 //	go build -o bin/spinlint ./cmd/spinlint
 //	go vet -vettool=bin/spinlint ./...
 //
-// (also wired up as `make lint`). It can run standalone too:
-//
-//	spinlint ./...
+// (also wired up as `make lint`).
 package main
 
 import (

@@ -107,12 +107,10 @@ func (e *Engine) execInsert(ins *ast.Insert) (int64, error) {
 		if len(node.Columns()) != len(colIdx) {
 			return 0, fmt.Errorf("INSERT has %d target columns but the query produces %d", len(colIdx), len(node.Columns()))
 		}
-		var es exec.Stats
-		srcRows, err = exec.Run(node, e.rt, &es)
+		srcRows, err = exec.Run(node, e.rt, &e.stats.ExecStats)
 		if err != nil {
 			return 0, err
 		}
-		e.absorbExecStats(&es)
 	default:
 		emptyEnv := &expr.Env{}
 		for _, exprRow := range ins.Rows {
@@ -284,12 +282,10 @@ func (e *Engine) updateFromJoin(tx *txn.Txn, t *storage.Table, u *ast.Update, al
 	if err != nil {
 		return 0, err
 	}
-	var es exec.Stats
-	fromRows, err := exec.Run(node, e.rt, &es)
+	fromRows, err := exec.Run(node, e.rt, &e.stats.ExecStats)
 	if err != nil {
 		return 0, err
 	}
-	e.absorbExecStats(&es)
 
 	// Combined environment: target columns then FROM columns (the FROM
 	// plan's own qualifiers are preserved through the projection names,

@@ -213,7 +213,7 @@ type Config struct {
 	// query: wall clock, rows written and delta-frontier size per
 	// iteration (a recursive CTE's rounds are iterations; a query with
 	// neither kind of CTE has none), plus per-step timings, exposed as
-	// Stats.IterationTrace and rendered by EXPLAIN ANALYZE. Off by
+	// Stats.Trace and rendered by EXPLAIN ANALYZE. Off by
 	// default; the untraced path allocates nothing and never reads the
 	// clock.
 	TraceIterations bool
@@ -262,62 +262,12 @@ type Stats struct {
 	// which parse and plan the text and keep the program if that works.
 	PreparedHits, PreparedMisses int64
 
-	// Loop counters (per §VII experiments). Iterations and UpdatedRows
-	// count a recursive CTE's rounds too: each round is an iteration,
-	// and its working rows are rows written.
-	Iterations   int64 // loop iterations across queries
-	Renames      int64 // rename operator executions
-	MovedRows    int64 // rows physically copied back (baseline path)
-	CommonBlocks int64 // common results materialized
-	UpdatedRows  int64 // rows written to working tables
-	RiFullRows   int64 // CTE rows a full Ri evaluation would read (delta accounting)
-	RiInputRows  int64 // CTE rows actually fed to Ri's iterative reference
-	AggFullRows  int64 // CTE rows a full re-aggregation would fold (incremental-agg accounting)
-	AggInputRows int64 // CTE rows actually re-folded by maintained aggregation
-
-	// Fault-tolerance counters (Config.RetryPolicy): iterations re-run
-	// from a back-edge checkpoint, and rungs descended on the
-	// graceful-degradation ladder.
-	Retries      int64
-	Degradations int64
-
-	// Data-movement accounting for the column-pruning experiment:
-	// cells (rows × columns) written into intermediate results by
-	// materialize/merge/copy-back steps; the cells scans read back out
-	// of them are ExecStats.ResultCellsRead.
-	MaterializedCells int64
-
-	// Executor counters: RowsScanned, RowsJoined, RowsIndexed,
-	// RowsGrouped, RowsAggInput (input rows drained by aggregate
-	// operators) and ResultCellsRead. RowsIndexed counts rows inserted
-	// into join hash indexes; an iterative query indexes a table its loop
-	// does not change once, not once per iteration, and RowsScanned does
-	// not count the build-side scans that therefore did not happen. Both
-	// executors count alike: an MPP fragment is the volcano operators over
-	// one partition. Only a build side the MPP machine has to re-shuffle
-	// (its exchange was not elided) is read and indexed every iteration.
-	ExecStats
-	RowsShuffled int64 // rows moved by MPP exchanges (Parallel mode)
-
-	// Shuffle-elision accounting (internal/distprop): exchanges the
-	// static partition-property analysis proved unnecessary and the
-	// machine skipped, and the input rows those skipped exchanges
-	// would otherwise have re-hashed.
-	ShufflesElided int64
-	RowsElided     int64
-
-	// Exchange skew (Parallel mode): RowsRouted is the part of
-	// RowsShuffled that hash exchanges routed, RowsToBusiest the rows the
-	// fullest destination of each exchange received, summed.
-	// RowsToBusiest x Partitions / RowsRouted is 1 when every partition
-	// gets the same share of every exchange and Partitions when one gets
-	// it all; the traced iteration lines print it per iteration.
-	RowsRouted, RowsToBusiest int64
-
-	// IterationTrace is the runtime trace of the most recent traced
-	// query (Config.TraceIterations or EXPLAIN ANALYZE); nil when no
-	// traced query has run.
-	IterationTrace *IterationTrace
+	// The run counters of every SELECT, summed (core.Stats): the loop
+	// counters of the §VII experiments, the executor's (ExecStats) and,
+	// in Parallel mode, the MPP machine's (MPPStats), and the Trace of
+	// the most recent traced query (Config.TraceIterations or EXPLAIN
+	// ANALYZE; nil when none has run).
+	core.Stats
 
 	// DML overhead counters (what single-plan execution avoids).
 	LocksAcquired int64
@@ -325,9 +275,6 @@ type Stats struct {
 	WALBytes      int64
 	TxnCommitted  int64
 }
-
-// ExecStats is the executor's counter set, embedded in Stats.
-type ExecStats = exec.Stats
 
 // Result is the outcome of a Query call.
 type Result struct {
@@ -506,40 +453,14 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 func (e *Engine) run(ctx context.Context, p *prepared, params []sqltypes.Value, st *core.RunState) (*Result, error) {
 	var cs core.Stats
 	rows, err := p.prog.RunBound(ctx, e.rt, params, st, &cs)
-	// Absorb counters even when the query failed: cap and cancellation
+	// Add counters even when the query failed: cap and cancellation
 	// diagnostics need the iterations reached.
-	e.absorbCoreStats(&cs)
-	if cs.Trace != nil {
-		e.stats.IterationTrace = cs.Trace
-	}
+	e.stats.Add(&cs)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Columns: p.cols, Rows: rows}, nil
 }
-
-func (e *Engine) absorbCoreStats(cs *core.Stats) {
-	e.stats.Iterations += int64(cs.Iterations)
-	e.stats.RowsShuffled += cs.RowsShuffled
-	e.stats.ShufflesElided += cs.ShufflesElided
-	e.stats.RowsElided += cs.RowsElided
-	e.stats.RowsRouted += cs.RowsRouted
-	e.stats.RowsToBusiest += cs.RowsToBusiest
-	e.stats.Renames += int64(cs.Renames)
-	e.stats.MovedRows += cs.MovedRows
-	e.stats.CommonBlocks += int64(cs.CommonBlocks)
-	e.stats.UpdatedRows += cs.UpdatedRows
-	e.stats.RiFullRows += cs.RiFullRows
-	e.stats.RiInputRows += cs.RiInputRows
-	e.stats.AggFullRows += cs.AggFullRows
-	e.stats.AggInputRows += cs.AggInputRows
-	e.stats.Retries += int64(cs.Retries)
-	e.stats.Degradations += int64(cs.Degradations)
-	e.stats.MaterializedCells += cs.MaterializedCells
-	e.absorbExecStats(&cs.Exec)
-}
-
-func (e *Engine) absorbExecStats(es *exec.Stats) { e.stats.ExecStats.Add(es) }
 
 func colNames(cols []plan.ColInfo) []string {
 	out := make([]string, len(cols))
@@ -657,8 +578,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 	var cs core.Stats
 	e.stats.Queries++
 	_, err = prog.RunContext(ctx, e.rt, &cs)
-	e.absorbCoreStats(&cs)
-	e.stats.IterationTrace = cs.Trace
+	e.stats.Add(&cs)
 	if err != nil {
 		return "", err
 	}

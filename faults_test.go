@@ -221,7 +221,7 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantWork, wantSpans := loopWorkOf(clean.Stats()), spanWorkOf(clean.Stats().IterationTrace)
+		wantWork, wantSpans := loopWorkOf(clean.Stats()), spanWorkOf(clean.Stats().Trace)
 		hit := loopStepHit(t, clean, c.sql, iteration)
 		for _, mode := range faultModes {
 			t.Run(fmt.Sprintf("%s/%s", c.name, mode), func(t *testing.T) {
@@ -242,13 +242,13 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 				if s.Retries < 1 {
 					t.Fatal("the fault never caused a retry")
 				}
-				if r := s.IterationTrace.Retries[0]; r.Iteration != iteration {
+				if r := s.Trace.Retries[0]; r.Iteration != iteration {
 					t.Errorf("the retry re-ran iteration %d, want %d (resumed from the back-edge of iteration %d)", r.Iteration, iteration, iteration-1)
 				}
 				if g := loopWorkOf(s); g != wantWork {
 					t.Errorf("retried run counts %+v, the unfaulted run %+v", g, wantWork)
 				}
-				if g := spanWorkOf(s.IterationTrace); fmt.Sprint(g) != fmt.Sprint(wantSpans) {
+				if g := spanWorkOf(s.Trace); fmt.Sprint(g) != fmt.Sprint(wantSpans) {
 					t.Errorf("retried run's iterations\n  %+v\nthe unfaulted run's\n  %+v", g, wantSpans)
 				}
 				if n := e.LiveResults(); n != 0 {
@@ -407,10 +407,10 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 	if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
 		t.Error("degraded query diverges from the unfaulted run")
 	}
-	if s.Degradations != 1 || len(s.IterationTrace.Retries) != 2 {
-		t.Fatalf("Degradations = %d, retries = %+v; want one rung after two retries", s.Degradations, s.IterationTrace.Retries)
+	if s.Degradations != 1 || len(s.Trace.Retries) != 2 {
+		t.Fatalf("Degradations = %d, retries = %+v; want one rung after two retries", s.Degradations, s.Trace.Retries)
 	}
-	k := s.IterationTrace.Retries[1].Iteration
+	k := s.Trace.Retries[1].Iteration
 	if k < 3 || k >= iterations {
 		t.Fatalf("degraded at iteration %d; the schedule must land after a restricted iteration and before the last", k)
 	}
@@ -422,7 +422,7 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 	}
 	// The trace says the same per iteration, and says why: the abandoned
 	// attempts' decisions were rewound with their spans.
-	for _, sp := range s.IterationTrace.Spans {
+	for _, sp := range s.Trace.Spans {
 		if degraded := sp.Ri == "full: degraded"; degraded != (sp.Iteration >= k) || (degraded && sp.Fed != sp.Full) {
 			t.Errorf("iteration %d (degraded at %d): fed %d of %d (%s)", sp.Iteration, k, sp.Fed, sp.Full, sp.Ri)
 		}

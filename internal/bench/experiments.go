@@ -339,7 +339,7 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 			return nil, err
 		}
 		restricted, after := 0, 0
-		if tr := e.Stats().IterationTrace; tr != nil {
+		if tr := e.Stats().Trace; tr != nil {
 			for _, s := range tr.Spans {
 				if s.Iteration == 1 {
 					continue
@@ -538,7 +538,7 @@ func TraceOverhead(cfg Config) (*Experiment, error) {
 		if why := sameRowSequence(offRows, onRows); why != "" {
 			return nil, fmt.Errorf("tracing changed the %s result: %s", query.name, why)
 		}
-		tr := onStats.IterationTrace
+		tr := onStats.Trace
 		if tr == nil {
 			return nil, fmt.Errorf("%s: TraceIterations produced no IterationTrace", query.name)
 		}

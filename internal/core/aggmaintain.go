@@ -216,7 +216,7 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 // full plan for this iteration.
 func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (*storage.Table, error) {
 	cteTable, affected := f.cte, f.affected
-	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.Exec)
+	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 		din.Insert(r)
 	}
 	ctx.RT.Results.Put(m.In, din)
-	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.Exec)
+	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return err
 	}

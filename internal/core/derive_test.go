@@ -170,7 +170,7 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(nil, compiled)}, &stats); err != nil {
 					t.Fatal(err)
 				}
-				if stats.Iterations != n {
+				if stats.Iterations != int64(n) {
 					t.Fatalf("%d iterations, want %d", stats.Iterations, n)
 				}
 				if want := compiling(planRoots(prog)...); compiled.Len() != want {

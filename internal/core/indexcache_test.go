@@ -171,19 +171,19 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 				if int64(len(got)) != vertices || with.Iterations != n {
 					t.Fatalf("%d rows after %d iterations, want %d after %d", len(got), with.Iterations, vertices, n)
 				}
-				if with.Exec.RowsIndexed != q.with {
-					t.Errorf("RowsIndexed = %d, want %d", with.Exec.RowsIndexed, q.with)
+				if with.ExecStats.RowsIndexed != q.with {
+					t.Errorf("RowsIndexed = %d, want %d", with.ExecStats.RowsIndexed, q.with)
 				}
-				if without.Exec.RowsIndexed != q.without {
-					t.Errorf("without a memo RowsIndexed = %d, want %d", without.Exec.RowsIndexed, q.without)
+				if without.ExecStats.RowsIndexed != q.without {
+					t.Errorf("without a memo RowsIndexed = %d, want %d", without.ExecStats.RowsIndexed, q.without)
 				}
-				if saved := without.Exec.RowsScanned - with.Exec.RowsScanned; saved != q.skipped {
-					t.Errorf("RowsScanned %d with the memo, %d without: %d saved, want %d", with.Exec.RowsScanned, without.Exec.RowsScanned, saved, q.skipped)
+				if saved := without.ExecStats.RowsScanned - with.ExecStats.RowsScanned; saved != q.skipped {
+					t.Errorf("RowsScanned %d with the memo, %d without: %d saved, want %d", with.ExecStats.RowsScanned, without.ExecStats.RowsScanned, saved, q.skipped)
 				}
 				// The work that was not removed is the same work.
 				a, b := with, without
-				a.Exec.RowsIndexed, a.Exec.RowsScanned, a.Exec.ResultCellsRead = 0, 0, 0
-				b.Exec.RowsIndexed, b.Exec.RowsScanned, b.Exec.ResultCellsRead = 0, 0, 0
+				a.ExecStats.RowsIndexed, a.ExecStats.RowsScanned, a.ExecStats.ResultCellsRead = 0, 0, 0
+				b.ExecStats.RowsIndexed, b.ExecStats.RowsScanned, b.ExecStats.ResultCellsRead = 0, 0, 0
 				if a != b {
 					t.Errorf("other counters moved:\n   with %+v\nwithout %+v", a, b)
 				}
@@ -251,8 +251,8 @@ func TestIndexCacheStaysBounded(t *testing.T) {
 		t.Errorf("the memo held up to %d indexes over 200 iterations, want 2 or 3 (edges, PageRank of this and the previous iteration)", probe.peak)
 	}
 	// 4 edges once, 3 vertices per iteration.
-	if want := int64(4 + 200*3); stats.Exec.RowsIndexed != want {
-		t.Errorf("RowsIndexed = %d, want %d", stats.Exec.RowsIndexed, want)
+	if want := int64(4 + 200*3); stats.ExecStats.RowsIndexed != want {
+		t.Errorf("RowsIndexed = %d, want %d", stats.ExecStats.RowsIndexed, want)
 	}
 }
 
@@ -342,11 +342,11 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || stats.Exec.RowsJoined != 8 {
-		t.Errorf("%d rows, %d joined; want 4 and 8", len(rows), stats.Exec.RowsJoined)
+	if len(rows) != 4 || stats.ExecStats.RowsJoined != 8 {
+		t.Errorf("%d rows, %d joined; want 4 and 8", len(rows), stats.ExecStats.RowsJoined)
 	}
-	if stats.Exec.RowsIndexed != 4 {
-		t.Errorf("RowsIndexed = %d: two steps joining edges on src must build one index of its 4 rows", stats.Exec.RowsIndexed)
+	if stats.ExecStats.RowsIndexed != 4 {
+		t.Errorf("RowsIndexed = %d: two steps joining edges on src must build one index of its 4 rows", stats.ExecStats.RowsIndexed)
 	}
 }
 
@@ -381,9 +381,9 @@ func TestFilteredInvariantIndexedOncePerRun(t *testing.T) {
 		}
 		// edges on dst and the available vertices once, the reached
 		// vertices of sssp every iteration.
-		if want := edges + c.plans*avail + reached; stats.Exec.RowsIndexed != want {
+		if want := edges + c.plans*avail + reached; stats.ExecStats.RowsIndexed != want {
 			t.Errorf("incremental %v: RowsIndexed = %d, want %d (edges %d, available vertices %d per plan, reached %d)",
-				c.incremental, stats.Exec.RowsIndexed, want, edges, avail, reached)
+				c.incremental, stats.ExecStats.RowsIndexed, want, edges, avail, reached)
 		}
 	}
 }

@@ -46,7 +46,8 @@ type QueryLifecycleError struct {
 	// context.DeadlineExceeded).
 	Cause error
 	// Iteration is the number of completed loop iterations when the
-	// query stopped (0 when it stopped before or outside a loop).
+	// query stopped, every loop's of the statement (0 when it stopped
+	// before any loop).
 	Iteration int
 	// Step is the 1-based index of the step that observed the
 	// cancellation; 0 when the query stopped outside the step program

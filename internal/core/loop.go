@@ -142,12 +142,12 @@ type UpdateLoopStep struct {
 // Run implements Step.
 func (s *UpdateLoopStep) Run(ctx *Context) error {
 	s.Loop.iterations++
-	ctx.Stats.Iterations = s.Loop.iterations
+	ctx.Stats.Iterations++
 	if ctx.Trace != nil {
 		// The iteration boundary: record wall clock since the previous
 		// boundary, the rows written this iteration, and the frontier
 		// the identification pass found (0 on the rename path).
-		ctx.Trace.noteIteration(s.Loop.iterations, countsOf(ctx), s.Loop.lastUpdate)
+		ctx.Trace.noteIteration(s.Loop.iterations, ctx.Stats, s.Loop.lastUpdate)
 	}
 	return nil
 }
@@ -219,7 +219,7 @@ func (l *LoopState) shouldContinue(ctx *Context) (bool, error) {
 
 	case ast.TermData:
 		// SELECT count(*) FROM cteTable WHERE expr (§VI-B).
-		rows, err := exec.RunContext(ctx.Ctx, l.CondPlan, ctx.RT, &ctx.Stats.Exec)
+		rows, err := exec.RunContext(ctx.Ctx, l.CondPlan, ctx.RT, &ctx.Stats.ExecStats)
 		if err != nil {
 			return false, err
 		}

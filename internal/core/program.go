@@ -151,23 +151,15 @@ func DefaultOptions() Options {
 }
 
 // Stats reports what the step program did, feeding the experiments.
+// It is the one declaration of every run counter: the executor's and
+// the MPP machine's count straight into the embedded sets, and the
+// engine's Stats embeds this one and sums it with Add.
 type Stats struct {
-	Iterations   int   // loop iterations executed, a recursive CTE's rounds included
+	Iterations   int64 // loop iterations executed, every loop's and a recursive CTE's rounds included
 	UpdatedRows  int64 // cumulative rows written to working tables, a recursive round's included
 	MovedRows    int64 // rows physically copied back (baseline path)
-	Renames      int   // rename operator executions
-	CommonBlocks int   // common results materialized before the loop
-	RowsShuffled int64 // rows moved by MPP exchanges (parallel mode)
-	// Shuffle-elision accounting (OptShuffleElision):
-	// ShufflesElided counts exchange operators skipped because the
-	// partition-property analysis proved them redundant, RowsElided
-	// their input rows (rows that were not rehashed and routed).
-	ShufflesElided int64
-	RowsElided     int64
-	// Exchange skew (parallel mode): RowsRouted is the part of
-	// RowsShuffled that hash exchanges routed, RowsToBusiest what the
-	// fullest destination of each received; mpp.Skew makes the ratio.
-	RowsRouted, RowsToBusiest int64
+	Renames      int64 // rename operator executions
+	CommonBlocks int64 // common results materialized before the loop
 	// Delta-step accounting: per iteration, RiFullRows counts the CTE
 	// rows a full evaluation of Ri would read from the iterative
 	// reference and RiInputRows the rows actually fed to it (equal
@@ -188,13 +180,42 @@ type Stats struct {
 	// Fault-tolerance accounting (Options.Retry): Retries counts the
 	// iteration re-attempts taken from back-edge checkpoints,
 	// Degradations the rungs descended on the graceful-degradation
-	// ladder (same plan → volcano).
-	Retries      int
-	Degradations int
-	Exec         exec.Stats
+	// ladder (same plan → volcano). A checkpoint restore keeps them.
+	Retries      int64
+	Degradations int64
+	ExecStats
+	MPPStats // parallel mode only
 	// Trace is the per-iteration runtime trace, populated only when
 	// Options.Trace was set for the run.
 	Trace *IterationTrace
+}
+
+// ExecStats and MPPStats are the executor's and the MPP machine's
+// counter sets, embedded in Stats.
+type (
+	ExecStats = exec.Stats
+	MPPStats  = mpp.Stats
+)
+
+// Add adds o's counters to s, and takes o's trace if it has one.
+func (s *Stats) Add(o *Stats) {
+	s.Iterations += o.Iterations
+	s.UpdatedRows += o.UpdatedRows
+	s.MovedRows += o.MovedRows
+	s.Renames += o.Renames
+	s.CommonBlocks += o.CommonBlocks
+	s.RiFullRows += o.RiFullRows
+	s.RiInputRows += o.RiInputRows
+	s.AggFullRows += o.AggFullRows
+	s.AggInputRows += o.AggInputRows
+	s.MaterializedCells += o.MaterializedCells
+	s.Retries += o.Retries
+	s.Degradations += o.Degradations
+	s.ExecStats.Add(&o.ExecStats)
+	s.MPPStats.Add(&o.MPPStats)
+	if o.Trace != nil {
+		s.Trace = o.Trace
+	}
 }
 
 // Step is one instruction of the rewritten plan. The step loop
@@ -219,11 +240,8 @@ type Context struct {
 	RT    *exec.StoreRuntime
 	Stats *Stats
 	// MPP, when set, executes materialize steps on the shared-nothing
-	// machine. mppStats are that machine's counters, kept here so they
-	// outlive the machine the volcano rung drops: a checkpoint restore
-	// rolls them back with the rest of Stats.
-	MPP      *mpp.Machine
-	mppStats mpp.Stats
+	// machine, which counts into Stats.MPPStats.
+	MPP *mpp.Machine
 	// Ctx is the caller's cancellation context; the step loop polls it
 	// before every step. Nil keeps the zero-cost uncancellable path.
 	Ctx context.Context
@@ -249,12 +267,8 @@ type Context struct {
 	// keyed passes of this run and the last let go (keyTable, letGo).
 	state *RunState
 	// volcano is set once the retry driver has descended the
-	// graceful-degradation ladder; retries and degradations count what
-	// the run cost (folded into Stats when RunContext returns, so
-	// checkpoint restores cannot roll them back).
-	volcano      bool
-	retries      int
-	degradations int
+	// graceful-degradation ladder.
+	volcano bool
 }
 
 // rungName renders the current ladder position for traces.
@@ -276,7 +290,7 @@ func (c *Context) degradeOnce() bool {
 		return false
 	}
 	c.volcano = true
-	c.degradations++
+	c.Stats.Degradations++
 	c.MPP = nil
 	return true
 }
@@ -303,7 +317,7 @@ func (c *Context) checkpoint(pc int) error {
 		return nil
 	}
 	if err := c.Ctx.Err(); err != nil {
-		return WrapCancel(err, c.Stats.Iterations, pc+1, "")
+		return WrapCancel(err, int(c.Stats.Iterations), pc+1, "")
 	}
 	return nil
 }
@@ -375,7 +389,7 @@ func (c *Context) runState() *RunState {
 // materialize runs n on the volcano executor into a fresh table named
 // into, presized from the running step's size hint.
 func (c *Context) materialize(n plan.Node, into string, parts int) (*storage.Table, error) {
-	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.Exec, into, parts, c.sizeHint(parts))
+	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.ExecStats, into, parts, c.sizeHint(parts))
 }
 
 // Program is the rewritten form of a SELECT (Rewrite): the step list of
@@ -483,7 +497,9 @@ func RegisterVerifier(fn func(*Program, *ast.SelectStmt) error) { verifier = fn 
 // Run executes the step program and then Qf, returning its rows. All
 // intermediate results created by the program are dropped afterwards,
 // mirroring the single-plan execution the paper advocates (no DDL
-// residue).
+// residue). The run counts into stats, which should be zero: the
+// iteration an error reports and the trace's first span are read from
+// it; sum runs with Stats.Add.
 func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
 	return p.RunContext(context.Background(), rt, stats)
 }
@@ -543,39 +559,27 @@ func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqlty
 		goctx = context.Background()
 	}
 	// Last-resort panic containment. Installed before the cleanup
-	// defers below so that, during a panic unwind, the created-slot
-	// drop and stats merges have already run by the time the recover
-	// here converts the panic into a structured error.
+	// defer below so that, during a panic unwind, the created-slot
+	// drop has already run by the time the recover here converts the
+	// panic into a structured error.
 	defer func() {
 		if v := recover(); v != nil {
-			rows, err = nil, containPanic(v, stats.Iterations, 0)
+			rows, err = nil, containPanic(v, int(stats.Iterations), 0)
 		}
 	}()
 	parts := max(p.Parts, 1)
 	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule),
 		sizes: st.sizesFor(len(p.Steps) * parts), parts: parts, state: st}
-	defer func() {
-		stats.Retries = ctx.retries
-		stats.Degradations = ctx.degradations
-	}()
 	if p.Trace {
-		ctx.Trace = newIterationTrace(len(p.Steps))
+		ctx.Trace = newIterationTrace(len(p.Steps), parts)
 		stats.Trace = ctx.Trace
 	}
 	if p.Parallel && p.Parts > 1 {
-		ctx.MPP = r.Machine(p.Parts, &ctx.mppStats, &stats.Exec)
+		ctx.MPP = r.Machine(p.Parts, &stats.MPPStats, &stats.ExecStats)
 		ctx.MPP.Ctx = goctx
 		ctx.MPP.Elide = p.elide
 		ctx.MPP.CheckElide = p.Paranoid
 		ctx.MPP.Faults = ctx.Faults
-		defer func() {
-			m := &ctx.mppStats
-			stats.RowsShuffled += m.RowsShuffled
-			stats.ShufflesElided += m.ShufflesElided
-			stats.RowsElided += m.RowsElided
-			stats.RowsRouted += m.RowsRouted
-			stats.RowsToBusiest += m.RowsToBusiest
-		}()
 	}
 	defer func() {
 		// Leak-freedom on every exit path: each drop runs contained, so
@@ -595,7 +599,7 @@ func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqlty
 	}
 	rows, err = p.runFinal(ctx, goctx, rt, stats)
 	if err != nil {
-		return nil, WrapCancel(err, stats.Iterations, 0, "final query")
+		return nil, WrapCancel(err, int(stats.Iterations), 0, "final query")
 	}
 	if ctx.Trace != nil {
 		ctx.Trace.finish(len(rows))
@@ -615,11 +619,11 @@ func (p *Program) runFinal(ctx *Context, goctx context.Context, rt *exec.StoreRu
 			if ctx.MPP != nil {
 				rs, e = ctx.MPP.Run(p.Final)
 			} else {
-				rs, e = exec.RunContext(goctx, p.Final, rt, &stats.Exec)
+				rs, e = exec.RunContext(goctx, p.Final, rt, &stats.ExecStats)
 			}
 			return e
 		})
-		return rs, promotePanic(ferr, stats.Iterations, 0)
+		return rs, promotePanic(ferr, int(stats.Iterations), 0)
 	}
 	rows, err := attempt()
 	attempts := 0
@@ -633,9 +637,9 @@ func (p *Program) runFinal(ctx *Context, goctx context.Context, rt *exec.StoreRu
 			backoff = p.Retry.Backoff
 		}
 		attempts++
-		ctx.retries++
+		stats.Retries++
 		if ctx.Trace != nil {
-			ctx.Trace.noteRetry(stats.Iterations, 0, ctx.rungName(), err)
+			ctx.Trace.noteRetry(int(stats.Iterations), 0, ctx.rungName(), err)
 		}
 		if werr := waitBackoff(ctx.Ctx, backoff); werr != nil {
 			return nil, err // context fired during backoff: report the original failure

@@ -217,7 +217,7 @@ func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *stor
 		return f, nil
 	}
 	f.affected = affected
-	f.in = exec.FilterTableByKey(f.cte, r.Key, affected, r.In, &ctx.Stats.Exec)
+	f.in = exec.FilterTableByKey(f.cte, r.Key, affected, r.In, &ctx.Stats.ExecStats)
 	ctx.RT.Results.Put(r.In, f.in)
 	ctx.noteRi(riRestricted)
 	return f, nil
@@ -246,7 +246,7 @@ func affectedKeys(ctx *Context, changed *sqltypes.KeyTable, props []aggprop.Prop
 		}
 		for _, part := range bt.Parts {
 			for _, r := range part {
-				ctx.Stats.Exec.RowsScanned++
+				ctx.Stats.RowsScanned++
 				if p.From >= len(r) || p.To >= len(r) {
 					continue
 				}

@@ -136,9 +136,9 @@ func (c ruleCase) check(t *testing.T, parts int) error {
 	if g, w := strings.Join(seq, ", "), strings.Join(c.want, ", "); g != w {
 		bad = append(bad, fmt.Sprintf("decisions per iteration:\n  got  %s\n  want %s", g, w))
 	}
-	if c.sameScans && st.Exec.RowsScanned != stOff.Exec.RowsScanned {
+	if c.sameScans && st.ExecStats.RowsScanned != stOff.ExecStats.RowsScanned {
 		bad = append(bad, fmt.Sprintf("scanned %d rows, the full plan's run %d: a dense iteration paid for an identification pass",
-			st.Exec.RowsScanned, stOff.Exec.RowsScanned))
+			st.ExecStats.RowsScanned, stOff.ExecStats.RowsScanned))
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("%s", strings.Join(bad, "; "))
@@ -213,7 +213,7 @@ func stepCases() []stepCase {
 // identity plans, so whichever ran, the output must be the CTE itself.
 func (c stepCase) check(t *testing.T) error {
 	rt := newRT(t)
-	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1), volcano: c.degraded}
+	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1, 1), volcano: c.degraded}
 	step := maintainFixture()
 	step.Check = true
 	if c.snap != nil {

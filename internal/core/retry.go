@@ -23,7 +23,6 @@ import (
 	"context"
 	"time"
 
-	"dbspinner/internal/mpp"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
 )
@@ -61,15 +60,14 @@ func (s loopSnap) apply(l *LoopState) {
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
 // capture, e.g. a rename source), the loop-operator states, the stats
-// and the program machine's exchange counters, and the trace watermark.
+// and the trace watermark.
 type checkpoint struct {
 	pc        int
 	tables    map[string]*storage.Table
 	loops     map[*LoopState]loopSnap
 	stats     Stats
-	mppStats  mpp.Stats
 	spans     int
-	traceLast traceCounts
+	traceLast Stats
 }
 
 // loopStates collects the distinct loop operators of the program, in
@@ -120,7 +118,7 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 	for _, l := range p.loopStates() {
 		cp.loops[l] = snapLoop(l)
 	}
-	cp.stats, cp.mppStats = *ctx.Stats, ctx.mppStats
+	cp.stats = *ctx.Stats
 	if ctx.Trace != nil {
 		cp.spans, cp.traceLast = ctx.Trace.mark()
 	}
@@ -130,9 +128,9 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 // restore rewinds the execution to a checkpoint: slots created after
 // the capture are dropped, every captured slot is re-bound to a fresh
 // clone (Rename mutates Table.Name in place, so the checkpoint's own
-// clone must never be handed to the store), loop operators, stats and
-// exchange counters roll back, and the trace discards the abandoned
-// attempt's spans.
+// clone must never be handed to the store), loop operators and stats
+// roll back — all but the retry counters and the trace — and the trace
+// discards the abandoned attempt's spans.
 func (p *Program) restore(ctx *Context, cp *checkpoint) {
 	for name := range ctx.created {
 		if _, tracked := cp.tables[name]; !tracked {
@@ -151,10 +149,10 @@ func (p *Program) restore(ctx *Context, cp *checkpoint) {
 	for l, s := range cp.loops {
 		s.apply(l)
 	}
-	trace := ctx.Stats.Trace
-	*ctx.Stats = cp.stats
-	ctx.Stats.Trace = trace
-	ctx.mppStats = cp.mppStats
+	s := ctx.Stats
+	retries, degradations, trace := s.Retries, s.Degradations, s.Trace
+	*s = cp.stats
+	s.Retries, s.Degradations, s.Trace = retries, degradations, trace
 	if ctx.Trace != nil {
 		ctx.Trace.rewind(cp.spans, cp.traceLast)
 	}
@@ -186,9 +184,9 @@ func (p *Program) runCheckpointed(ctx *Context) error {
 				backoff = p.Retry.Backoff
 			}
 			attempts++
-			ctx.retries++
+			ctx.Stats.Retries++
 			if ctx.Trace != nil {
-				ctx.Trace.noteRetry(cp.stats.Iterations+1, pc+1, ctx.rungName(), err)
+				ctx.Trace.noteRetry(int(cp.stats.Iterations)+1, pc+1, ctx.rungName(), err)
 			}
 			if werr := waitBackoff(ctx.Ctx, backoff); werr != nil {
 				return err // context fired during backoff: report the original failure

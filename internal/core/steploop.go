@@ -45,7 +45,7 @@ func (p *Program) runStep(ctx *Context, pc int) (int, error) {
 		ctx.Trace.noteStep(pc, time.Since(begin))
 	}
 	if err != nil {
-		err = WrapCancel(err, ctx.Stats.Iterations, pc+1, "")
+		err = WrapCancel(err, int(ctx.Stats.Iterations), pc+1, "")
 		return 0, fmt.Errorf("step %d (%s): %w", pc+1, p.Steps[pc].Explain(), err)
 	}
 	return next, nil
@@ -62,7 +62,7 @@ func (p *Program) runStep(ctx *Context, pc int) (int, error) {
 func (p *Program) dispatch(ctx *Context, pc int) (next int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			next, err = 0, containPanic(v, ctx.Stats.Iterations, pc+1)
+			next, err = 0, containPanic(v, int(ctx.Stats.Iterations), pc+1)
 		}
 	}()
 	if ferr := faultinject.Trigger(ctx.Faults.Take(faultinject.PointStep)); ferr != nil {
@@ -74,7 +74,7 @@ func (p *Program) dispatch(ctx *Context, pc int) (next int, err error) {
 		err = step.Run(ctx)
 	}
 	if err != nil {
-		return 0, promotePanic(err, ctx.Stats.Iterations, pc+1)
+		return 0, promotePanic(err, int(ctx.Stats.Iterations), pc+1)
 	}
 	if l, ok := step.(*LoopStep); ok && l.Loop.cont {
 		return l.BodyStart, nil

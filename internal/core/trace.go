@@ -38,41 +38,17 @@ type IterationTrace struct {
 	// get there.
 	Retries []RetryRecord
 
-	// mu guards the fields the recording methods write.
+	// mu guards the fields the recording methods write. last is the
+	// run's Stats at the previous iteration boundary; a span reports the
+	// counters' growth since then. parts is the run's partition count,
+	// for the exchange skew.
 	mu       sync.Mutex
 	started  time.Time
 	boundary time.Time
-	last     traceCounts
+	last     Stats
+	parts    int
 	// ri is the running iteration's Ri decision, waiting for its span.
 	ri string
-}
-
-// traceCounts are the cumulative counters a span reports the growth of:
-// Stats.UpdatedRows, Exec.RowsScanned / RowsIndexed and the rows the
-// incremental steps fed Ri (RiInputRows+AggInputRows) of what the full
-// plan reads (RiFullRows+AggFullRows), and what the hash exchanges
-// routed and sent to their fullest destinations, as they stood at the
-// previous iteration boundary.
-type traceCounts struct {
-	updated, scanned, indexed, fed, full int64
-	routed, toBusiest                    int64
-	parts                                int // of the program's machine; 0 without one
-}
-
-// countsOf reads the counters at an iteration boundary. The exchange
-// counts are the program machine's, which reach Stats only at run end.
-func countsOf(ctx *Context) traceCounts {
-	s := ctx.Stats
-	c := traceCounts{
-		updated: s.UpdatedRows, scanned: s.Exec.RowsScanned, indexed: s.Exec.RowsIndexed,
-		fed: s.RiInputRows + s.AggInputRows, full: s.RiFullRows + s.AggFullRows,
-	}
-	if ctx.MPP != nil {
-		c.parts = ctx.MPP.Parts
-		c.routed = ctx.MPP.Stats.RowsRouted
-		c.toBusiest = ctx.MPP.Stats.RowsToBusiest
-	}
-	return c
 }
 
 // IterationSpan is the trace record of one loop iteration.
@@ -136,31 +112,32 @@ type StepTiming struct {
 	Wall time.Duration
 }
 
-func newIterationTrace(steps int) *IterationTrace {
+func newIterationTrace(steps, parts int) *IterationTrace {
 	now := time.Now()
-	return &IterationTrace{Steps: make([]StepTiming, steps), started: now, boundary: now}
+	return &IterationTrace{Steps: make([]StepTiming, steps), started: now, boundary: now, parts: parts}
 }
 
 // noteIteration records one completed iteration at its loop boundary.
 // now holds the cumulative counters; the span stores their growth since
 // the previous boundary.
-func (t *IterationTrace) noteIteration(iter int, now traceCounts, frontier int64) {
+func (t *IterationTrace) noteIteration(iter int, now *Stats, frontier int64) {
 	at := time.Now()
 	t.mu.Lock()
+	l := &t.last
 	t.Spans = append(t.Spans, IterationSpan{
 		Iteration: iter,
 		Wall:      at.Sub(t.boundary),
-		Rows:      now.updated - t.last.updated,
+		Rows:      now.UpdatedRows - l.UpdatedRows,
 		Frontier:  frontier,
-		Scanned:   now.scanned - t.last.scanned,
-		Indexed:   now.indexed - t.last.indexed,
-		Fed:       now.fed - t.last.fed,
-		Full:      now.full - t.last.full,
+		Scanned:   now.RowsScanned - l.RowsScanned,
+		Indexed:   now.RowsIndexed - l.RowsIndexed,
+		Fed:       now.RiInputRows + now.AggInputRows - l.RiInputRows - l.AggInputRows,
+		Full:      now.RiFullRows + now.AggFullRows - l.RiFullRows - l.AggFullRows,
 		Ri:        t.ri,
-		Skew:      mpp.Skew(now.toBusiest-t.last.toBusiest, now.routed-t.last.routed, now.parts),
+		Skew:      mpp.Skew(now.RowsToBusiest-l.RowsToBusiest, now.RowsRouted-l.RowsRouted, t.parts),
 	})
 	t.ri = ""
-	t.last = now
+	t.last = *now
 	t.boundary = at
 	t.mu.Unlock()
 }
@@ -193,7 +170,7 @@ func (t *IterationTrace) noteRetry(iter, step int, rung string, err error) {
 
 // mark returns the restore point of the trace — the span count and the
 // counters at the last boundary — for checkpoint capture.
-func (t *IterationTrace) mark() (spans int, last traceCounts) {
+func (t *IterationTrace) mark() (spans int, last Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.Spans), t.last
@@ -202,7 +179,7 @@ func (t *IterationTrace) mark() (spans int, last traceCounts) {
 // rewind discards the spans of an abandoned attempt, restoring the
 // trace to a captured mark. The iteration boundary resets to now: the
 // retried iteration's span will time the retry that produced it.
-func (t *IterationTrace) rewind(spans int, last traceCounts) {
+func (t *IterationTrace) rewind(spans int, last Stats) {
 	t.mu.Lock()
 	if spans >= 0 && spans <= len(t.Spans) {
 		t.Spans = t.Spans[:spans]

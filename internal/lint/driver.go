@@ -9,7 +9,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -24,8 +23,7 @@ import (
 //	spinlint unit.cfg     analyze the compilation unit described by
 //	                      the JSON config the go command wrote
 //
-// plus a standalone mode for humans: `spinlint ./...` or
-// `spinlint dir...` walks the module and analyzes every package.
+// Each finding prints as Diagnostic.String, "pos: message (check)".
 
 // unitConfig is the subset of the go command's vet config this tool
 // consumes (the file contains more fields; unknown ones are ignored).
@@ -52,10 +50,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			return runUnit(args[0], stderr)
 		}
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	return runStandalone(args, stderr)
+	fmt.Fprintln(stderr, "usage: go vet -vettool=<path to spinlint> [packages]")
+	return 2
 }
 
 // printVersion emits the -V=full line: the executable path and a hash
@@ -117,7 +113,7 @@ func runUnit(cfgPath string, stderr io.Writer) int {
 		return 1
 	}
 	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
+		fmt.Fprintln(stderr, d)
 	}
 	if len(diags) > 0 {
 		return 1
@@ -137,133 +133,4 @@ func analyzeFiles(importPath string, goFiles []string) ([]Diagnostic, error) {
 		files = append(files, f)
 	}
 	return Check(&Pass{Fset: fset, Files: files, ImportPath: importPath}), nil
-}
-
-// ---------------------------------------------------------------------
-// Standalone mode
-// ---------------------------------------------------------------------
-
-// runStandalone analyzes package directories directly (no go command).
-// Arguments are directories; the pattern "dir/..." recurses.
-func runStandalone(args []string, stderr io.Writer) int {
-	module, root, err := moduleInfo()
-	if err != nil {
-		fmt.Fprintln(stderr, "spinlint:", err)
-		return 1
-	}
-	dirSet := map[string]bool{}
-	for _, arg := range args {
-		recursive := false
-		if strings.HasSuffix(arg, "/...") || arg == "..." {
-			recursive = true
-			arg = strings.TrimSuffix(strings.TrimSuffix(arg, "..."), "/")
-			if arg == "" {
-				arg = "."
-			}
-		}
-		if !recursive {
-			dirSet[filepath.Clean(arg)] = true
-			continue
-		}
-		err := filepath.WalkDir(arg, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				dirSet[filepath.Clean(path)] = true
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "spinlint:", err)
-			return 1
-		}
-	}
-
-	exit := 0
-	for _, dir := range sortedKeys(dirSet) {
-		diags, err := analyzeDir(module, root, dir)
-		if err != nil {
-			fmt.Fprintln(stderr, "spinlint:", err)
-			exit = 1
-			continue
-		}
-		for _, d := range diags {
-			fmt.Fprintf(stderr, "%s: %s (%s)\n", d.Pos, d.Message, d.Check)
-			exit = 1
-		}
-	}
-	return exit
-}
-
-// analyzeDir lints the package in one directory (if any).
-func analyzeDir(module, root, dir string) ([]Diagnostic, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var goFiles []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			goFiles = append(goFiles, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(goFiles) == 0 {
-		return nil, nil
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil {
-		return nil, err
-	}
-	importPath := module
-	if rel != "." {
-		importPath = module + "/" + filepath.ToSlash(rel)
-	}
-	return analyzeFiles(importPath, goFiles)
-}
-
-// moduleInfo finds the enclosing go.mod and returns (module path,
-// module root directory).
-func moduleInfo() (string, string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return strings.TrimSpace(rest), dir, nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -69,8 +69,9 @@ func TestMainUnitModeReportsDiagnostics(t *testing.T) {
 	if code := Main([]string{cfg}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "core.go:5:") || !strings.Contains(errb.String(), "errors.New") {
-		t.Errorf("diagnostic missing position or message: %q", errb.String())
+	if !strings.Contains(errb.String(), "core.go:5:") || !strings.Contains(errb.String(), "errors.New") ||
+		!strings.HasSuffix(errb.String(), " (coreerrors)\n") {
+		t.Errorf("diagnostic missing position, message or check name: %q", errb.String())
 	}
 	// The facts file must exist even though no facts are produced, or
 	// the go command reports the tool as failed.
@@ -141,15 +142,11 @@ func TestMainUnitModeSucceedOnTypecheckFailure(t *testing.T) {
 	}
 }
 
-func TestModuleInfoFindsRepoModule(t *testing.T) {
-	module, root, err := moduleInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if module != "dbspinner" {
-		t.Errorf("module = %q, want dbspinner", module)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Errorf("root %q has no go.mod: %v", root, err)
+func TestMainWithoutUnitConfigPrintsUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"./..."}} {
+		var out, errb bytes.Buffer
+		if code := Main(args, &out, &errb); code != 2 || !strings.HasPrefix(errb.String(), "usage: ") {
+			t.Errorf("Main(%q): exit %d, stderr %q; want 2 and the usage", args, code, errb.String())
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package lint implements spinlint, the repository's custom static
-// analyzers, plus the minimal driver machinery needed to run them both
-// standalone and under `go vet -vettool=` (the unitchecker command-line
-// protocol), without depending on golang.org/x/tools.
+// analyzers, plus the minimal driver machinery needed to run them under
+// `go vet -vettool=` (the unitchecker command-line protocol), without
+// depending on golang.org/x/tools.
 //
 // The analyzers encode invariants of this codebase that ordinary vet
 // cannot know:

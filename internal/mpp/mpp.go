@@ -59,6 +59,17 @@ type Stats struct {
 	RowsRouted, RowsToBusiest int64
 }
 
+// Add adds o's counters to s.
+func (s *Stats) Add(o *Stats) {
+	s.RowsShuffled += o.RowsShuffled
+	s.RowsRelocated += o.RowsRelocated
+	s.Fragments += o.Fragments
+	s.ShufflesElided += o.ShufflesElided
+	s.RowsElided += o.RowsElided
+	s.RowsRouted += o.RowsRouted
+	s.RowsToBusiest += o.RowsToBusiest
+}
+
 // Skew is the exchange skew over parts partitions: the fullest
 // destinations' share of the routed rows, times parts — 1 when every
 // exchange spreads evenly, parts when one partition gets everything, 0

@@ -300,7 +300,7 @@ func TestNonFiringContextIsInvisible(t *testing.T) {
 					t.Fatalf("%s: results diverge from plain run", variant.name)
 				}
 				if variant.cfg.TraceIterations {
-					tr := e.Stats().IterationTrace
+					tr := e.Stats().Trace
 					if tr == nil || len(tr.Spans) != 5 {
 						t.Fatalf("traced run has trace %+v, want 5 spans", tr)
 					}

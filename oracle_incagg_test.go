@@ -123,7 +123,7 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 				if want := engaged[name]; delta != (want == "delta") || maint != (want == "maintenance") {
 					t.Errorf("parts=%d: want the %q step; delta engaged=%v maintenance engaged=%v", parts, want, delta, maint)
 				}
-				got := riDecisions(st.IterationTrace)
+				got := riDecisions(st.Trace)
 				if got != decisions[name] {
 					t.Errorf("parts=%d: Ri per iteration %s, want %s", parts, got, decisions[name])
 				}
