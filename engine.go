@@ -62,14 +62,13 @@ var (
 )
 
 // ErrIterationCapExceeded is the sentinel wrapped by every iteration
-// safety-cap failure: an iterative CTE whose termination the static
-// analysis could not prove hit Config.MaxIterations, or a recursive
-// CTE never reached its fixed point. Match with errors.Is.
+// safety-cap failure: an iterative or recursive CTE's loop still wanted
+// to continue after Config.MaxIterations iterations. Match with
+// errors.Is.
 var ErrIterationCapExceeded = core.ErrIterationCapExceeded
 
 // IterationCapError is the structured error behind
-// ErrIterationCapExceeded: which CTE hit the cap, the cap value, and
-// the analysis diagnostics explaining why termination was unprovable.
+// ErrIterationCapExceeded: which CTE hit the cap, and the cap value.
 // Match with errors.As.
 type IterationCapError = core.IterationCapError
 
@@ -218,14 +217,12 @@ type Config struct {
 	// clock.
 	TraceIterations bool
 
-	// MaxIterations sizes the safety cap installed on iterative-CTE
-	// loops whose termination the static converge analysis cannot
-	// prove (Unknown verdicts in EXPLAIN): such a loop fails with
-	// ErrIterationCapExceeded instead of spinning forever. Loops with
-	// a Terminates or Converges verdict never carry the guard. The
-	// same value caps the rounds of every recursive CTE, whose loop has
-	// no termination proof at all. Zero means the default (100000); the
-	// guard cannot be disabled, only sized.
+	// MaxIterations sizes the safety cap every loop carries, iterative
+	// or recursive: a loop still running after that many iterations
+	// fails with ErrIterationCapExceeded instead of spinning forever.
+	// An UNTIL n ITERATIONS or UNTIL n UPDATES loop is capped at n when
+	// n is larger, so a declared count never trips it. Zero means the
+	// default (100000); the guard cannot be disabled, only sized.
 	MaxIterations int64
 
 	// RetryPolicy enables iteration-granular fault tolerance for
@@ -351,7 +348,7 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) 
 	defer cancel()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if s, params := e.stmts.lookup(sql, shape, lits); s != nil {
+	if s, params := e.stmts.lookup(shape, lits); s != nil {
 		e.stats.PreparedHits++
 		return e.querySelect(ctx, func() (*prepared, []sqltypes.Value, error) {
 			s.uses.Show(params)
@@ -372,7 +369,7 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*Result, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		params, ok := e.stmts.add(sql, shape, lits, uses, p)
+		params, ok := e.stmts.add(shape, lits, uses, p)
 		if !ok {
 			return nil, nil, fmt.Errorf("a literal of the statement cannot be bound")
 		}

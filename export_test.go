@@ -28,7 +28,7 @@ func RunStateOf(e *Engine, sql string) *core.RunState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, s := range e.stmts.byShape[shape] {
-		if s.matches(sql, lits) {
+		if s.matches(lits) {
 			return s.p.state
 		}
 	}

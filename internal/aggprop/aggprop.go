@@ -5,9 +5,9 @@
 // of internal/core rest on it — DeltaMaterializeStep on the merge path,
 // where the merge itself carries unchanged keys forward, and
 // MaintainAggStep on the rename path, where a cached output row stands
-// in for an unchanged key. Like internal/converge (termination) and
-// internal/distprop (shuffle elision) it is a fail-closed proof whose
-// positive outcome an independent verifier re-derives.
+// in for an unchanged key. Like internal/distprop (shuffle elision) it
+// is a fail-closed proof whose positive outcome an independent verifier
+// re-derives.
 //
 // The proof never looks at which aggregate functions Ri calls: an
 // affected key's whole group is re-evaluated through the restricted
@@ -47,8 +47,8 @@ import (
 	"dbspinner/internal/sqltypes"
 )
 
-// Evidence is one link of the proof chain, mirroring
-// converge.Evidence so EXPLAIN renders both the same way.
+// Evidence is one link of the proof chain: the rule that fired and
+// what it saw. EXPLAIN prints each under its Incremental line.
 type Evidence struct {
 	Rule   string
 	Detail string

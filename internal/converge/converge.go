@@ -17,15 +17,13 @@
 //	    oscillate below the comparison precision, frontier-expanding
 //	    merges with computed key sources, Data conditions no fixpoint
 //	    forces, non-monotone feedback through the iterative
-//	    reference). The rewrite injects an iteration-cap guard into
-//	    Unknown loops so they fail with a structured error instead of
-//	    spinning forever.
+//	    reference).
 //
-// The analysis is deliberately deterministic in its inputs (the CTE
-// AST and the base-table lookup): internal/core runs it during the
-// rewrite to record verdicts and install guards, and internal/verify
-// re-runs it on the same inputs to fail-close on any recorded claim
-// the analysis cannot reprove.
+// No engine code calls it: every loop carries the iteration cap
+// whatever this analysis would prove, so its verdict changed nothing
+// but EXPLAIN text. The package stays only because the benchmark's
+// converge.analyze_us probe (benchmark/probes.go) times AnalyzeCTE; it
+// goes when that probe does.
 package converge
 
 import (

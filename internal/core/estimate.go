@@ -25,9 +25,6 @@ type IterationEstimate struct {
 	// has converged, so the loop runs at most n iterations... the
 	// bound assumes every iteration updates at least one row).
 	Bounded bool
-	// Proved is true when the bound comes from the converge analysis'
-	// termination proof rather than the termination condition itself.
-	Proved bool
 }
 
 // DefaultDataIterations is the planning default for Data and Delta
@@ -52,30 +49,11 @@ func EstimateIterations(t ast.Termination) IterationEstimate {
 	}
 }
 
-// estimateLoop refines the termination-condition estimate with the
-// converge analysis' proved bound (LoopState.BoundHint): a
-// data-dependent loop whose verdict pins the iteration count below
-// the planning default is costed at the proved bound instead — e.g.
-// an iteration-invariant body under UNTIL DELTA runs twice, not the
-// default ten times.
-func estimateLoop(l *LoopState) IterationEstimate {
-	if l == nil {
-		return IterationEstimate{N: DefaultDataIterations}
-	}
-	est := EstimateIterations(l.Term)
-	if !est.Exact && l.BoundHint > 0 && l.BoundHint < est.N {
-		return IterationEstimate{N: l.BoundHint, Bounded: true, Proved: true}
-	}
-	return est
-}
-
 // String renders the estimate for EXPLAIN.
 func (e IterationEstimate) String() string {
 	switch {
 	case e.Exact:
 		return fmt.Sprintf("%d (exact)", e.N)
-	case e.Proved:
-		return fmt.Sprintf("<= %d (proved termination bound)", e.N)
 	case e.Bounded:
 		return fmt.Sprintf("<= %d (update bound)", e.N)
 	default:
@@ -120,7 +98,7 @@ func (p *Program) CostEstimate() float64 {
 		}
 		iters := float64(1)
 		if l.Loop != nil {
-			iters = float64(estimateLoop(l.Loop).N)
+			iters = float64(EstimateIterations(l.Loop.Term).N)
 		}
 		loops = append(loops, interval{start: l.BodyStart, end: i, iters: iters})
 	}

@@ -21,18 +21,11 @@ type LoopState struct {
 	// CTE rows satisfying the user expression (built by the rewrite).
 	CondPlan plan.Node
 
-	// Cap, when positive, is the planner-installed safety guard for
-	// loops whose termination the converge analysis could not prove
-	// (Unknown verdicts): a loop that still wants to continue after Cap
-	// completed iterations fails with ErrIterationCapExceeded instead
-	// of spinning forever. CapDiags carries the analysis' diagnostics
-	// into that error.
-	Cap      int64
-	CapDiags []string
-	// BoundHint is a proved upper bound on iterations (Terminates
-	// verdicts with a numeric bound) for termination types the
-	// metadata estimate cannot see; it feeds CostEstimate.
-	BoundHint int64
+	// Cap, when positive, is the safety guard the rewrite installs on
+	// every loop (Options.loopCap): a loop that still wants to continue
+	// after Cap completed iterations fails with ErrIterationCapExceeded
+	// instead of spinning forever.
+	Cap int64
 	// Counted marks a Delta loop whose merge counts the rows each
 	// iteration changes (a recursive CTE's): the condition reads that
 	// count instead of comparing the CTE with a snapshot of it.
@@ -181,11 +174,11 @@ func (s *LoopStep) Run(ctx *Context) error {
 	ctx.RT.Indexes().Sweep()
 	ctx.RT.Compiled().Sweep()
 	ctx.MPP.Sweep()
-	// Safety guard for Unknown termination verdicts: refuse to start an
-	// iteration past the cap. The check sits after shouldContinue so a
-	// loop whose own condition fires exactly at the cap still succeeds.
+	// The safety guard: refuse to start an iteration past the cap. The
+	// check sits after shouldContinue so a loop whose own condition fires
+	// exactly at the cap still succeeds.
 	if cont && s.Loop.Cap > 0 && int64(s.Loop.iterations) >= s.Loop.Cap {
-		return &IterationCapError{CTE: s.Loop.CTEName, Cap: s.Loop.Cap, Diags: s.Loop.CapDiags}
+		return &IterationCapError{CTE: s.Loop.CTEName, Cap: s.Loop.Cap}
 	}
 	s.Loop.cont = cont
 	return nil
@@ -194,7 +187,7 @@ func (s *LoopStep) Run(ctx *Context) error {
 // Explain implements Step.
 func (s *LoopStep) Explain() string {
 	if s.Loop.Cap > 0 {
-		return fmt.Sprintf("Go to step %d if continue (%s); guard: fail after %d iterations (termination Unknown).",
+		return fmt.Sprintf("Go to step %d if continue (%s); guard: fail after %d iterations.",
 			s.BodyStart+1, s.Loop.Term, s.Loop.Cap)
 	}
 	return fmt.Sprintf("Go to step %d if continue (%s).", s.BodyStart+1, s.Loop.Term)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dbspinner/internal/ast"
-	"dbspinner/internal/converge"
 	"dbspinner/internal/exec"
 	"dbspinner/internal/faultinject"
 	"dbspinner/internal/mpp"
@@ -84,13 +83,12 @@ type Options struct {
 	// a deterministic sample of the cached groups from scratch and fails
 	// the run on a divergence.
 	Paranoid bool
-	// MaxIterations is the safety cap installed on loops whose
-	// termination the converge analysis cannot prove (Unknown
-	// verdicts): the loop fails with ErrIterationCapExceeded instead of
-	// spinning forever. Zero (or negative) means DefaultMaxIterations;
-	// the guard itself cannot be disabled, only sized. Provably
-	// terminating or converging loops never carry the guard. The same
-	// value caps every recursive CTE's loop.
+	// MaxIterations is the safety cap installed on every loop, iterative
+	// or recursive: a loop still running after that many iterations fails
+	// with ErrIterationCapExceeded instead of spinning forever. An UNTIL
+	// n ITERATIONS or UNTIL n UPDATES loop is capped at n when n is
+	// larger. Zero (or negative) means DefaultMaxIterations; the guard
+	// itself cannot be disabled, only sized.
 	MaxIterations int64
 	// Parts is the partition count for materialized intermediate
 	// results.
@@ -417,18 +415,11 @@ type Program struct {
 	// re-derives the underlying safety independently rather than
 	// trusting this record.
 	Dataflow []DataflowEntry
-	// Verdicts records the termination/convergence verdict the rewrite
-	// derived for each iterative CTE (internal/converge), in CTE
-	// order. EXPLAIN prints verdict, bound and evidence chain; the
-	// verifier re-runs the analysis on the same inputs and fail-closes
-	// when a recorded claim is stronger than it can reprove or an
-	// Unknown loop lacks its iteration-cap guard.
-	Verdicts []converge.Verdict
 	// Lookup is the base-table lookup the program was planned against.
-	// The verifier's termination re-derivation consumes it so both
-	// analysis passes see identical schemas and cardinalities; it is
-	// nil for hand-built programs, which makes the re-derivation
-	// conservative.
+	// The verifier's re-derivations of the frontier license and of the
+	// partition properties read base-table schemas and distributions
+	// from it, so they see what the rewrite saw; it is nil for
+	// hand-built programs, which makes them conservative.
 	Lookup plan.TableLookup
 	// DistProps records the distribution property the static
 	// partition-property analysis (internal/distprop) claims for each
@@ -679,26 +670,6 @@ func (p *Program) Explain() string {
 			b.WriteString(" held to end of program.\n")
 		}
 	}
-	// Termination/convergence verdicts (internal/converge): what the
-	// static analysis proved about each loop, with its evidence chain.
-	for _, v := range p.Verdicts {
-		fmt.Fprintf(&b, "Termination %s: %s", v.CTE, v.Kind)
-		if bs := v.BoundString(); bs != "" {
-			fmt.Fprintf(&b, ", %s", bs)
-		}
-		if v.Kind == converge.Unknown {
-			if cap := p.loopCap(v.CTE); cap > 0 {
-				fmt.Fprintf(&b, "; guard: fail after %d iterations with ErrIterationCapExceeded", cap)
-			}
-		}
-		b.WriteString(".\n")
-		for _, ev := range v.Evidence {
-			fmt.Fprintf(&b, "  evidence [%s]: %s\n", ev.Rule, ev.Detail)
-		}
-		for _, d := range v.Diags {
-			fmt.Fprintf(&b, "  unproved: %s\n", d)
-		}
-	}
 	// Incremental-evaluation decisions: per iterative CTE, which
 	// restricted step the frontier license (internal/aggprop) installed,
 	// or why the full plan runs.
@@ -752,7 +723,7 @@ func (p *Program) Explain() string {
 	for _, s := range p.Steps {
 		if init, ok := s.(*InitLoopStep); ok {
 			fmt.Fprintf(&b, "Estimated iterations: %s; estimated cost: %g materialized steps",
-				estimateLoop(init.Loop), p.CostEstimate())
+				EstimateIterations(init.Loop.Term), p.CostEstimate())
 			if p.hasRestrictedStep() {
 				fmt.Fprintf(&b, " (restricted Ri charged at %g%% of a full evaluation after the first iteration)",
 					restrictedFraction*100)
@@ -762,17 +733,6 @@ func (p *Program) Explain() string {
 		}
 	}
 	return b.String()
-}
-
-// loopCap returns the iteration cap installed on the named CTE's loop
-// step, 0 when none.
-func (p *Program) loopCap(cte string) int64 {
-	for _, s := range p.Steps {
-		if l, ok := s.(*LoopStep); ok && l.Loop != nil && strings.EqualFold(l.Loop.CTEName, cte) {
-			return l.Loop.Cap
-		}
-	}
-	return 0
 }
 
 // restrictionOf returns the Restriction an incremental step embeds,

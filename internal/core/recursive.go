@@ -17,11 +17,6 @@ import (
 // and the recursive merge's check of this cap is what catches it.
 var MaxRecursionRows = 10_000_000
 
-// recursiveCapDiag is what a recursive CTE's iteration cap reports. It
-// cites no source offset, so the statement cache does not key the
-// statement on its whole text.
-const recursiveCapDiag = "recursive UNION did not reach a fixed point (implicit termination has no static bound)"
-
 // ExecuteRecursiveContext rewrites a statement with recursive CTEs (§II)
 // into its step program over parts partitions and runs it under ctx.
 // maxIter caps the loop (Config.MaxIterations; zero or negative means
@@ -95,14 +90,8 @@ func (r *rewriter) expandRecursive(cte *ast.CTE, regular []*ast.CTE) error {
 	r.lookup.add(delta, schema)
 	retarget(rec, cte.Name, delta)
 
-	maxIter := r.prog.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	loop := &LoopState{
-		Term: ast.Termination{Type: ast.TermDelta, N: 1}, CTEName: cte.Name, Counted: true,
-		Cap: maxIter, CapDiags: []string{recursiveCapDiag},
-	}
+	term := ast.Termination{Type: ast.TermDelta, N: 1}
+	loop := &LoopState{Term: term, CTEName: cte.Name, Counted: true, Cap: r.prog.loopCap(term)}
 	form := MergeUnion
 	if union.All {
 		form = MergeUnionAll

@@ -6,7 +6,6 @@ import (
 
 	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
-	"dbspinner/internal/converge"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 )
@@ -221,25 +220,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	r.lookup.add(workName, cteSchema)
 	r.lookup.add(mergeName, cteSchema)
 
-	// Static termination/convergence analysis (internal/converge), run
-	// on the ORIGINAL AST against the base lookup so the verifier's
-	// re-derivation sees identical inputs. The verdict is recorded for
-	// EXPLAIN; Unknown loops get the iteration-cap guard and Terminates
-	// bounds feed the cost estimate.
-	verdict := converge.AnalyzeCTE(cte, r.prog.Lookup)
-	r.prog.Verdicts = append(r.prog.Verdicts, verdict)
-
-	loop := &LoopState{Term: cte.Until, CTEName: cte.Name}
-	switch verdict.Kind {
-	case converge.Unknown:
-		loop.Cap = r.prog.MaxIterations
-		if loop.Cap <= 0 {
-			loop.Cap = DefaultMaxIterations
-		}
-		loop.CapDiags = verdict.Diags
-	case converge.Terminates:
-		loop.BoundHint = verdict.Bound
-	}
+	loop := &LoopState{Term: cte.Until, CTEName: cte.Name, Cap: r.prog.loopCap(cte.Until)}
 	if cte.Until.Type == ast.TermData {
 		condPlan, err := buildDataCondPlan(cte.Name, cte.Until.Expr, builder)
 		if err != nil {

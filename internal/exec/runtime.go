@@ -85,8 +85,9 @@ func (s *StoreRuntime) ResultSchema(name string) (sqltypes.Schema, bool) {
 }
 
 // TableRowCount implements converge.CardinalityLookup: the current row
-// count of a base table, used to turn a finite-key-domain termination
-// argument into a numeric iteration bound.
+// count of a base table. The engine does not call it; the benchmark's
+// converge.analyze_us probe, its only caller, times converge.AnalyzeCTE
+// over this runtime.
 func (s *StoreRuntime) TableRowCount(name string) (int, bool) {
 	if t := s.Catalog.Get(name); t != nil {
 		return t.Len(), true

@@ -76,16 +76,6 @@ const (
 	// statement still observes — the projection pruning dropped a live
 	// column.
 	ClassPrunedColumnUse = "pruned-column-use"
-	// ClassUnsoundTermination: the program records a termination
-	// verdict (or a numeric iteration bound) for an iterative CTE that
-	// is stronger than what the independent re-run of the converge
-	// analysis can prove — e.g. Terminates claimed where only Unknown
-	// is derivable, or a tighter bound than the provable one.
-	ClassUnsoundTermination = "unsound-termination-claim"
-	// ClassMissingGuard: an iterative CTE whose termination re-derives
-	// as Unknown runs without the iteration-cap safety guard — nothing
-	// stops it from spinning forever.
-	ClassMissingGuard = "missing-iteration-guard"
 	// ClassUnsoundAggClaim: the program records a licensed incremental
 	// claim (core.Program.AggClaims) — or installs a DeltaMaterializeStep
 	// or MaintainAggStep — that the independent re-derivation of the
@@ -111,7 +101,6 @@ var Classes = []string{
 	ClassInconsistentParts, ClassBadKey,
 	ClassDeltaLiveness, ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
-	ClassUnsoundTermination, ClassMissingGuard,
 	ClassUnsoundDistProp, ClassMissingExchange,
 	ClassUnsoundAggClaim, ClassStaleAccumulator,
 }
@@ -178,7 +167,6 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 	s.diags = append(s.diags, checkLicense(prog, stmt)...)
 	s.diags = append(s.diags, checkPushdown(prog, stmt)...)
 	s.diags = append(s.diags, checkPruning(prog, stmt)...)
-	s.diags = append(s.diags, checkTermination(prog, stmt)...)
 	s.diags = append(s.diags, checkDistProps(prog)...)
 	sort.SliceStable(s.diags, func(i, j int) bool { return s.diags[i].Step < s.diags[j].Step })
 	return s.diags

@@ -30,7 +30,7 @@ func workloadQueries() map[string]string {
 // queries (PR-VS, SSSP-VS) must list the exchanges the analysis
 // licensed the machine to skip.
 func TestExplainShowsDistribution(t *testing.T) {
-	e := newVerdictEngine(t, dbspinner.Config{Partitions: 2})
+	e := newWorkloadEngine(t, dbspinner.Config{Partitions: 2})
 	for name, sql := range workloadQueries() {
 		t.Run(name, func(t *testing.T) {
 			out, err := e.Explain(sql)
@@ -54,7 +54,7 @@ func TestExplainShowsDistribution(t *testing.T) {
 				// Under a parallel configuration the VS loop bodies
 				// join on the loop-invariant CTE key, so EXPLAIN must
 				// list the licensed elided exchanges.
-				pe := newVerdictEngine(t, dbspinner.Config{Partitions: 2, Parallel: true})
+				pe := newWorkloadEngine(t, dbspinner.Config{Partitions: 2, Parallel: true})
 				pout, err := pe.Explain(sql)
 				if err != nil {
 					t.Fatal(err)

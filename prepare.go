@@ -30,19 +30,6 @@ func (e *Engine) prepare(sel *ast.SelectStmt) (*prepared, error) {
 	return &prepared{prog: prog, cols: colNames(prog.FinalColumns)}, nil
 }
 
-// citesSource reports whether running p can report text that cites
-// source offsets: the termination diagnostics an iteration-cap failure
-// carries, which point into the text the program was prepared from. A
-// recursive CTE's cap diagnostic cites none, and records no verdict.
-func (p *prepared) citesSource() bool {
-	for _, v := range p.prog.Verdicts {
-		if len(v.Diags) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // stmtCacheCap is how many prepared SELECTs an engine keeps. A full
 // cache drops the one used least recently.
 const stmtCacheCap = 64
@@ -52,22 +39,20 @@ const stmtCacheCap = 64
 // values bound, provided it agrees with the text the program was
 // prepared from on every consumed literal (ast.Uses): those values the
 // program was built from. DDL empties the cache: a program depends on
-// the catalog's schemas. Data changes do not: nothing a program runs
-// by was derived from the rows (the one data-dependent fact, converge's
-// |rows|+2 bound, feeds only EXPLAIN and the cost estimate), and a
-// statement's run state holds storage and size hints, never an index or
-// a row. A statement dropped from the cache takes its run state with it.
+// the catalog's schemas. Data changes do not: a program derives nothing
+// from the rows, and a statement's run state holds storage and size
+// hints, never an index or a row. A statement dropped from the cache
+// takes its run state with it.
 type stmtCache struct {
 	byShape map[string][]*cachedStmt
 	n       int
 	clock   uint64
 	// test is zero outside tests: the seeded mutants of the rules above
 	// — a consumed literal left out of the key, the cache kept across
-	// DDL, an offset-citing program not keyed on its text, runs with no
-	// values bound.
+	// DDL, runs with no values bound.
 	test struct {
-		dropSlot                      int
-		keepOnDDL, ignoreText, noBind bool
+		dropSlot          int
+		keepOnDDL, noBind bool
 		// keepFailed hands a statement's run state back after a run
 		// that failed.
 		keepFailed bool
@@ -84,18 +69,16 @@ type cachedStmt struct {
 	// tokens, of the consumed literals, and texts their token texts.
 	consumed []int
 	texts    []string
-	// text is the whole SQL text when p cites source offsets: only that
-	// text may run it, since any other could place its tokens elsewhere.
-	text  string
-	shape string
-	used  uint64
+	shape    string
+	used     uint64
 }
 
-// lookup returns the prepared statement sql runs and the values it binds
-// to its literal slots, or nil.
-func (c *stmtCache) lookup(sql, shape string, lits []lexer.Token) (*cachedStmt, []sqltypes.Value) {
+// lookup returns the prepared statement a text of shape whose literal
+// tokens are lits runs, and the values it binds to its literal slots, or
+// nil.
+func (c *stmtCache) lookup(shape string, lits []lexer.Token) (*cachedStmt, []sqltypes.Value) {
 	for _, s := range c.byShape[shape] {
-		if !s.matches(sql, lits) {
+		if !s.matches(lits) {
 			continue
 		}
 		params, ok := c.bind(s, lits)
@@ -109,10 +92,7 @@ func (c *stmtCache) lookup(sql, shape string, lits []lexer.Token) (*cachedStmt, 
 	return nil, nil
 }
 
-func (s *cachedStmt) matches(sql string, lits []lexer.Token) bool {
-	if s.text != "" {
-		return sql == s.text
-	}
+func (s *cachedStmt) matches(lits []lexer.Token) bool {
 	for i, at := range s.consumed {
 		if lits[at].Text != s.texts[i] {
 			return false
@@ -146,9 +126,10 @@ func (c *stmtCache) bind(s *cachedStmt, lits []lexer.Token) (params []sqltypes.V
 	return params, true
 }
 
-// add caches p, prepared from sql, whose literal record after planning
-// is uses, and binds sql's literals as lookup would.
-func (c *stmtCache) add(sql, shape string, lits []lexer.Token, uses *ast.Uses, p *prepared) (params []sqltypes.Value, ok bool) {
+// add caches p, prepared from a text of shape whose literal tokens are
+// lits and whose literal record after planning is uses, and binds lits
+// as lookup would.
+func (c *stmtCache) add(shape string, lits []lexer.Token, uses *ast.Uses, p *prepared) (params []sqltypes.Value, ok bool) {
 	s := &cachedStmt{p: p, uses: uses, shape: shape}
 	for _, slot := range uses.Consumed() {
 		if slot == c.test.dropSlot {
@@ -156,9 +137,6 @@ func (c *stmtCache) add(sql, shape string, lits []lexer.Token, uses *ast.Uses, p
 		}
 		s.consumed = append(s.consumed, slot-1)
 		s.texts = append(s.texts, lits[slot-1].Text)
-	}
-	if p.citesSource() && !c.test.ignoreText {
-		s.text = sql
 	}
 	if c.n >= stmtCacheCap {
 		c.evict()

@@ -157,10 +157,10 @@ func TestDDLEmptiesTheStatementCache(t *testing.T) {
 	}
 }
 
-// oscillatingAbove is an iterative query whose termination the analysis
-// cannot prove, so a cap failure cites source offsets of its body. Its
-// argument is a literal of the non-iterative part, in front of everything
-// cited, whose length moves every offset after it.
+// oscillatingAbove is an iterative query that never meets its condition,
+// so it fails at the iteration cap. Its argument is a literal of the
+// non-iterative part, in front of the loop, whose length moves every
+// token after it.
 const oscillatingAbove = `WITH ITERATIVE osc (node, val) AS (
 	SELECT node, val FROM vals WHERE node < %d
  ITERATE
@@ -168,11 +168,10 @@ const oscillatingAbove = `WITH ITERATIVE osc (node, val) AS (
  UNTIL DELTA < 1)
 SELECT node, val FROM osc`
 
-// TestCachedCapErrorCitesItsOwnOffsets: a prepared Unknown-verdict query
-// run for a text whose tokens sit elsewhere must fail citing that text's
-// offsets, as a cold run does. Under the seeded mutant that serves such a
-// program to any text of its shape, it cites the first text's.
-func TestCachedCapErrorCitesItsOwnOffsets(t *testing.T) {
+// TestCachedCapErrorMatchesColdRun: a prepared query that fails at the
+// iteration cap, run for a text whose tokens sit elsewhere, must fail
+// with the error a cold run of that text returns.
+func TestCachedCapErrorMatchesColdRun(t *testing.T) {
 	mk := func(t *testing.T) *Engine {
 		e := New(Config{Partitions: 2, MaxIterations: 5})
 		mustExec(t, e, "CREATE TABLE vals (node int, val float)")
@@ -183,14 +182,11 @@ func TestCachedCapErrorCitesItsOwnOffsets(t *testing.T) {
 	}
 	a, b := fmt.Sprintf(oscillatingAbove, 1000), fmt.Sprintf(oscillatingAbove, 10000)
 	warm, cold := secondText(t, mk, func(*stmtCache) {}, a, b)
-	if !strings.Contains(cold, "exceeded the 5-iteration safety cap") || !strings.Contains(cold, " @") {
-		t.Fatalf("the query no longer fails citing offsets: %s", cold)
+	if !strings.Contains(cold, "exceeded the 5-iteration safety cap") {
+		t.Fatalf("the query no longer fails at the cap: %s", cold)
 	}
 	if warm != cold {
-		t.Errorf("the cached program cites other offsets:\n got: %s\nwant: %s", warm, cold)
-	}
-	if warm, cold := secondText(t, mk, func(s *stmtCache) { s.test.ignoreText = true }, a, b); warm == cold {
-		t.Error("served to a text of its shape, the program still cites that text's offsets; the test does not see the shift")
+		t.Errorf("the cached program fails otherwise than a cold run:\n got: %s\nwant: %s", warm, cold)
 	}
 }
 

@@ -38,8 +38,7 @@ func boundVariant(t *testing.T, sql string) string {
 // Running sql again on e must take the prepared program and return
 // cold's rows byte for byte. Running boundVariant(sql) on e must return
 // what a cold run of it on fresh() does — through the prepared program
-// with the variant's value bound, unless the program cites source
-// offsets (an unproved termination), which keys it on its whole text.
+// with the variant's value bound.
 // The rows a run returned are the caller's: the runs after it, which
 // fill again the storage it let go, must not write into them, so cold
 // and the warm run's rows must read as they did when returned after
@@ -85,7 +84,7 @@ func preparedParity(t *testing.T, e *dbspinner.Engine, fresh func() *dbspinner.E
 // check must see the run with a changed bound literal diverge.
 func TestPreparedParityCatchesUnboundRuns(t *testing.T) {
 	sql := workloadQueries()["SSSP"]
-	fresh := func() *dbspinner.Engine { return newVerdictEngine(t, dbspinner.Config{Partitions: 2}) }
+	fresh := func() *dbspinner.Engine { return newWorkloadEngine(t, dbspinner.Config{Partitions: 2}) }
 	e := fresh()
 	dbspinner.SeedUnboundRuns(e)
 	cold, err := e.Query(sql)
