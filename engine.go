@@ -152,13 +152,6 @@ const (
 	OptIncremental    = core.OptIncremental    // Ri over the affected keys only
 )
 
-// RetryPolicy bounds the iteration-granular retry of failed iterative
-// queries (Config.RetryPolicy): MaxAttempts retries per checkpoint
-// with exponential Backoff, descending the graceful-degradation ladder
-// (same plan, then volcano) when the same plan's attempts are exhausted
-// unless NoDegrade is set.
-type RetryPolicy = core.RetryPolicy
-
 // IterationTrace is the per-iteration runtime trace recorded when
 // Config.TraceIterations is set (or EXPLAIN ANALYZE runs): one span
 // per loop iteration — wall clock, rows written, delta-frontier size,
@@ -225,19 +218,18 @@ type Config struct {
 	// default (100000); the guard cannot be disabled, only sized.
 	MaxIterations int64
 
-	// RetryPolicy enables iteration-granular fault tolerance for
-	// iterative-CTE queries: the engine checkpoints the loop-carried
-	// state at every back-edge and, when an iteration fails with a
-	// retryable error (anything but cancellation, deadline or the
-	// iteration cap), restores the checkpoint and re-runs it — up to
-	// MaxAttempts times per checkpoint, with exponential Backoff
-	// between attempts. When a checkpoint's attempts are exhausted the
-	// engine degrades gracefully and tries again on single-threaded
-	// volcano execution, with shuffle elision and the restricted
-	// incremental steps off; NoDegrade fails instead. A query that retries
-	// to success returns byte-identical rows. The zero value disables
+	// MaxRetries enables iteration-granular fault tolerance: the engine
+	// checkpoints the loop-carried state at every back-edge and, when a
+	// step or the final query fails with a retryable error (anything but
+	// cancellation, deadline or the iteration cap), restores the newest
+	// checkpoint and runs on from it, up to MaxRetries times per
+	// checkpoint. When a checkpoint's retries are spent the engine
+	// degrades gracefully and tries as many times again on
+	// single-threaded volcano execution, with shuffle elision and the
+	// restricted incremental steps off, before the query fails. A query
+	// that retries to success returns byte-identical rows. Zero disables
 	// checkpointing entirely (no snapshot cost on the hot path).
-	RetryPolicy RetryPolicy
+	MaxRetries int
 
 	// FaultSchedule arms deterministic fault injection for testing the
 	// fault-tolerance machinery: each entry fires an error or panic at
@@ -315,7 +307,7 @@ func (e *Engine) coreOptions() core.Options {
 		Parallel:      e.cfg.Parallel,
 		Trace:         e.cfg.TraceIterations,
 		Verify:        true,
-		Retry:         e.cfg.RetryPolicy,
+		MaxRetries:    e.cfg.MaxRetries,
 		FaultSchedule: e.cfg.FaultSchedule,
 	}
 }

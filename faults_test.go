@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -95,7 +96,7 @@ func faultMatrixCells(t *testing.T, prefix, sql string, parts int) {
 				recordScheduleOnFailure(t, sched)
 				cfg := faultCfg(parts)
 				cfg.FaultSchedule = sched
-				cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 2}
+				cfg.MaxRetries = 2
 				e := lifecycleEngine(t, parts, cfg)
 				before := runtime.NumGoroutine()
 				got, err := e.Query(sql)
@@ -229,7 +230,7 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 				recordScheduleOnFailure(t, sched)
 				cfg := c.cfg
 				cfg.FaultSchedule = sched
-				cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 2}
+				cfg.MaxRetries = 2
 				e := engine(cfg)
 				got, err := e.Query(c.sql)
 				if err != nil {
@@ -257,6 +258,67 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFaultInFinalQueryKeepsUnfaultedCounters walks every hit of the
+// step, storage and partition points, one error per run, with retries
+// armed, until a hit no longer fires: every fault that fires must retry
+// to the unfaulted rows and end with the unfaulted run's counters, all
+// but Retries and the trace. The last partition hits land inside Qf,
+// whose retry restores the newest checkpoint like any step's. The runs
+// are partitioned: over one partition a restore's fresh clones are
+// indexed anew (DESIGN.md §5i), which this test does not cover.
+func TestFaultInFinalQueryKeepsUnfaultedCounters(t *testing.T) {
+	const parts = 4
+	for name, sql := range map[string]string{"SSSP": bench.SSSPQuery(1, 8), "PR": bench.PRQuery(5)} {
+		clean := lifecycleEngine(t, parts, faultCfg(parts))
+		want, err := clean.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStats := clean.Stats()
+		for _, point := range []string{"step", "storage", "partition"} {
+			t.Run(name+"/"+point, func(t *testing.T) {
+				for hit := 1; ; hit++ {
+					sched := []dbspinner.Fault{{Point: point, Hit: hit, Mode: dbspinner.FaultModeError}}
+					cfg := faultCfg(parts)
+					cfg.FaultSchedule = sched
+					cfg.MaxRetries = 2
+					e := lifecycleEngine(t, parts, cfg)
+					got, err := e.Query(sql)
+					if err != nil {
+						t.Fatalf("%s: faulted query did not retry to success: %v", dbspinner.FormatFaultSchedule(sched), err)
+					}
+					s := e.Stats()
+					if s.Retries == 0 {
+						return // the point has fewer hits: the fault never fired
+					}
+					if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
+						t.Errorf("%s: retried query diverges from the unfaulted run", dbspinner.FormatFaultSchedule(sched))
+					}
+					if d := countersDiff(s, wantStats); d != "" {
+						t.Errorf("%s: retried run counts %s", dbspinner.FormatFaultSchedule(sched), d)
+					}
+				}
+			})
+		}
+	}
+}
+
+// countersDiff lists the counters in which got differs from want, as
+// "Name got (want w)", leaving out Retries and Trace.
+func countersDiff(got, want dbspinner.Stats) string {
+	var out []string
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for _, f := range reflect.VisibleFields(g.Type()) {
+		if f.Anonymous || f.Name == "Retries" || f.Name == "Trace" {
+			continue
+		}
+		if gv, wv := g.FieldByIndex(f.Index).Interface(), w.FieldByIndex(f.Index).Interface(); gv != wv {
+			out = append(out, fmt.Sprintf("%s %v (want %v)", f.Name, gv, wv))
+		}
+	}
+	return strings.Join(out, ", ")
 }
 
 // TestFaultWithoutRetryFailsStructured runs the same matrix with
@@ -336,7 +398,7 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 	recordScheduleOnFailure(t, sched)
 	cfg := faultCfg(4)
 	cfg.FaultSchedule = sched
-	cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 1}
+	cfg.MaxRetries = 1
 	e := lifecycleEngine(t, 4, cfg)
 	before := runtime.NumGoroutine()
 	got, err := e.Query(sql)
@@ -402,7 +464,7 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 	recordScheduleOnFailure(t, sched)
 	got, s := run(iterations, dbspinner.Config{
 		FaultSchedule: sched, TraceIterations: true,
-		RetryPolicy: dbspinner.RetryPolicy{MaxAttempts: 1},
+		MaxRetries: 1,
 	})
 	if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
 		t.Error("degraded query diverges from the unfaulted run")
@@ -426,30 +488,6 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 		if degraded := sp.Ri == "full: degraded"; degraded != (sp.Iteration >= k) || (degraded && sp.Fed != sp.Full) {
 			t.Errorf("iteration %d (degraded at %d): fed %d of %d (%s)", sp.Iteration, k, sp.Fed, sp.Full, sp.Ri)
 		}
-	}
-}
-
-// TestNoDegradeStaysOnPlan: with NoDegrade set, exhausted attempts
-// fail the query instead of changing its plan.
-func TestNoDegradeStaysOnPlan(t *testing.T) {
-	var sched []dbspinner.Fault
-	for h := 1; h <= 50; h++ {
-		sched = append(sched, dbspinner.Fault{Point: "partition", Hit: h, Mode: dbspinner.FaultModePanic})
-	}
-	recordScheduleOnFailure(t, sched)
-	cfg := faultCfg(4)
-	cfg.FaultSchedule = sched
-	cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 1, NoDegrade: true}
-	e := lifecycleEngine(t, 4, cfg)
-	_, err := e.Query(bench.SSSPQuery(1, 8))
-	if !errors.Is(err, dbspinner.ErrInternalPanic) {
-		t.Fatalf("err = %v, want ErrInternalPanic after exhausted same-plan retries", err)
-	}
-	if s := e.Stats(); s.Degradations != 0 {
-		t.Errorf("Degradations = %d with NoDegrade set", s.Degradations)
-	}
-	if n := e.LiveResults(); n != 0 {
-		t.Errorf("%d intermediate results leaked", n)
 	}
 }
 
@@ -485,7 +523,7 @@ func TestCheckpointOverheadIsInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := faultCfg(4)
-			cfg.RetryPolicy = dbspinner.RetryPolicy{MaxAttempts: 3}
+			cfg.MaxRetries = 3
 			e := lifecycleEngine(t, 4, cfg)
 			got, err := e.Query(q.sql)
 			if err != nil {

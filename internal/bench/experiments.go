@@ -566,7 +566,7 @@ func TraceOverhead(cfg Config) (*Experiment, error) {
 }
 
 // FaultTolerance is the experiment behind iteration-granular fault
-// tolerance (Config.RetryPolicy / Config.FaultSchedule): the
+// tolerance (Config.MaxRetries / Config.FaultSchedule): the
 // checkpointing-off and checkpointing-on runs must return
 // byte-identical rows with the on-run's cost inside a noise band (the
 // back-edge snapshot clones slice headers, not rows), and a run with
@@ -599,7 +599,7 @@ func FaultTolerance(cfg Config) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		onCfg := dbspinner.Config{RetryPolicy: dbspinner.RetryPolicy{MaxAttempts: 2}}
+		onCfg := dbspinner.Config{MaxRetries: 2}
 		onRows, onTime, onStats, err := deltaRun(g, cfg, onCfg, query.sql)
 		if err != nil {
 			return nil, err

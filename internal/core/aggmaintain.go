@@ -79,7 +79,7 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 		if f.in != nil {
 			ctx.noteRi(riUncertified)
 		}
-		out, err = ctx.materialize(m.Full, m.Into, m.Parts)
+		out, err = ctx.materialize(m.Full, m.Into)
 		if err != nil {
 			return err
 		}
@@ -108,10 +108,10 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 // answer that lets a cached row stand in for a recomputed one — comes
 // from the keyed diff and its duplicate-key certification.
 func (m *MaintainAggStep) diff(ctx *Context, cte, snap *storage.Table) (*sqltypes.KeyTable, string) {
-	if lockstepDense(cte, snap, m.Key) {
+	if lockstepDense(cte, snap, keyCol) {
 		return nil, riDense
 	}
-	if changed := keyedDiff(ctx, cte, snap, m.Key); changed != nil {
+	if changed := keyedDiff(ctx, cte, snap, keyCol); changed != nil {
 		return changed, ""
 	}
 	return nil, riUncertified
@@ -220,28 +220,28 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 	if err != nil {
 		return nil, err
 	}
-	refolded := ctx.rowIndex(m.Key, len(rows))
+	refolded := ctx.rowIndex(keyCol, len(rows))
 	defer ctx.letGo(refolded.keys)
 	for _, r := range rows {
-		if m.Key >= len(r) {
+		if keyCol >= len(r) {
 			return nil, nil
 		}
-		if affected.Find(r[m.Key:m.Key+1]) < 0 || !refolded.put(r) {
+		if affected.Find(r[keyCol:keyCol+1]) < 0 || !refolded.put(r) {
 			return nil, nil // restricted plan escaped its frontier
 		}
 	}
 	// The cache is consulted (splice and cross-check alike) only for
 	// keys outside the affected set, so only those rows are indexed; an
 	// affected key's cached row is merely checked for being the only one.
-	cached := ctx.rowIndex(m.Key, max(acc.Len()-affected.Len(), 0))
+	cached := ctx.rowIndex(keyCol, max(acc.Len()-affected.Len(), 0))
 	defer ctx.letGo(cached.keys)
 	seenAffected := make([]bool, affected.Len())
 	for _, part := range acc.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
+			if keyCol >= len(r) {
 				return nil, nil
 			}
-			if id := affected.Find(r[m.Key : m.Key+1]); id >= 0 {
+			if id := affected.Find(r[keyCol : keyCol+1]); id >= 0 {
 				if seenAffected[id] {
 					return nil, nil
 				}
@@ -257,11 +257,11 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 	// content-addressed materialization) makes this the full plan's
 	// output order. A key absent from both indexes was filtered out by
 	// Ri's WHERE clause — absent then, absent now.
-	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), m.Parts)
+	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), ctx.parts)
 	out.DistCol = 0
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			if affected.Find(r[m.Key:m.Key+1]) >= 0 {
+			if affected.Find(r[keyCol:keyCol+1]) >= 0 {
 				if nr, ok := refolded.get(r); ok {
 					out.Insert(nr)
 				}
@@ -286,7 +286,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 	i := 0
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			if affected.Find(r[m.Key:m.Key+1]) >= 0 {
+			if affected.Find(r[keyCol:keyCol+1]) >= 0 {
 				continue
 			}
 			if i%checkSampleStride == 0 {
@@ -298,7 +298,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 	if len(sampleRows) == 0 {
 		return nil
 	}
-	din := storage.NewTable(m.In, cteTable.Schema.Clone(), m.Parts)
+	din := storage.NewTable(m.In, cteTable.Schema.Clone(), ctx.parts)
 	din.DistCol = 0
 	din.PK = cteTable.PK
 	for _, r := range sampleRows {
@@ -309,7 +309,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 	if err != nil {
 		return err
 	}
-	recomputed := ctx.rowIndex(m.Key, len(rows))
+	recomputed := ctx.rowIndex(keyCol, len(rows))
 	defer ctx.letGo(recomputed.keys)
 	for _, r := range rows {
 		recomputed.put(r)
@@ -318,7 +318,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 		want, haveWant := recomputed.get(r)
 		got, haveGot := cached.get(r)
 		if haveWant != haveGot || (haveWant && !want.Equal(got)) {
-			return fmt.Errorf("incremental-aggregate cross-check failed on %s: cached group %v diverges from scratch recomputation", m.CTE, r[m.Key])
+			return fmt.Errorf("incremental-aggregate cross-check failed on %s: cached group %v diverges from scratch recomputation", m.CTE, r[keyCol])
 		}
 	}
 	return nil

@@ -74,7 +74,7 @@ func maintainFixture() *MaintainAggStep {
 	return &MaintainAggStep{
 		Restriction: Restriction{
 			Into: "m", Full: idResult("c", schema), Restricted: idResult("AggIn#c", schema),
-			In: "AggIn#c", CTE: "c", Key: 0, Parts: 1,
+			In: "AggIn#c", CTE: "c",
 		},
 		Acc: "Agg#c", Snap: "AggSnap#c",
 	}

@@ -42,7 +42,7 @@ func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 		defer ctx.RT.Results.Drop(d.In)
 		node, input = d.Restricted, f.in
 	}
-	t, err := ctx.materialize(node, d.Into, d.Parts)
+	t, err := ctx.materialize(node, d.Into)
 	if err != nil {
 		return err
 	}

@@ -299,19 +299,19 @@ func TestSSSPFrontierExpansion(t *testing.T) {
 // phantom disappearance every iteration.
 func TestDeltaTerminationRaggedRows(t *testing.T) {
 	rt := newRT(t)
-	schema := sqltypes.Schema{{Name: "v", Type: sqltypes.Int}, {Name: "k", Type: sqltypes.Int}}
+	schema := sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Int}}
 	mk := func(rows ...sqltypes.Row) {
 		tbl := storage.NewTable("c", schema, 1)
 		tbl.InsertBatch(rows)
 		rt.Results.Put("c", tbl)
 	}
-	l := &LoopState{Term: ast.Termination{Type: ast.TermDelta, N: 1}, CTEName: "c", key: 1}
+	l := &LoopState{Term: ast.Termination{Type: ast.TermDelta, N: 1}, CTEName: "c"}
 	ctx := &Context{RT: rt, Stats: &Stats{}}
 
 	mk(
-		sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewInt(1)},
-		sqltypes.Row{sqltypes.NewInt(20), sqltypes.NewInt(2)},
-		sqltypes.Row{sqltypes.NewInt(99)}, // short: no key column
+		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(10)},
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(20)},
+		sqltypes.Row{}, // short: no key column
 	)
 	if err := l.snapshot(ctx); err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestDeltaTerminationRaggedRows(t *testing.T) {
 		t.Errorf("stable ragged table: changed = %d, err = %v, want 0", n, err)
 	}
 	// Dropping a keyed row is one change; dropping the short row is not.
-	mk(sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewInt(1)})
+	mk(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(10)})
 	if n, err := l.changedRows(ctx); err != nil || n != 1 {
 		t.Errorf("one keyed row disappeared: changed = %d, err = %v, want 1", n, err)
 	}

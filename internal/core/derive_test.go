@@ -211,8 +211,8 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 	prog := &Program{
 		Options: Options{Parallel: true, Parts: 4},
 		Steps: []Step{
-			&MaterializeStep{Into: "a", Plan: node, Parts: 4, CheckKey: -1},
-			&MaterializeStep{Into: "b", Plan: node, Parts: 4, CheckKey: -1},
+			&MaterializeStep{Into: "a", Plan: node},
+			&MaterializeStep{Into: "b", Plan: node},
 		},
 		Final: namedResult("b", "src", "s"),
 	}

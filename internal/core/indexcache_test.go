@@ -332,8 +332,8 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 	prog := &Program{
 		Options: Options{Parts: 1},
 		Steps: []Step{
-			&MaterializeStep{Into: "a", Plan: join(), Parts: 1, CheckKey: -1},
-			&MaterializeStep{Into: "b", Plan: join(), Parts: 1, CheckKey: -1},
+			&MaterializeStep{Into: "a", Plan: join()},
+			&MaterializeStep{Into: "b", Plan: join()},
 		},
 		Final: namedResult("b", "src", "dst"),
 	}

@@ -68,8 +68,8 @@ func mergeInto(rt *exec.StoreRuntime, loop *LoopState, cte, work *storage.Table,
 	rt.Results.Put("w", work)
 	rt.Results.Drop("m")
 	rt.Results.Drop("d")
-	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Key: 0, Parts: parts, Loop: loop, Delta: "d"}
-	if err := step.Run(&Context{RT: rt, Stats: &Stats{}}); err != nil {
+	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Loop: loop, Delta: "d"}
+	if err := step.Run(&Context{RT: rt, Stats: &Stats{}, parts: parts}); err != nil {
 		return mergeResult{err: err.Error()}, nil
 	}
 	out, delta := rt.Results.Get("m"), rt.Results.Get("d")

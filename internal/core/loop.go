@@ -31,41 +31,46 @@ type LoopState struct {
 	// count instead of comparing the CTE with a snapshot of it.
 	Counted bool
 
-	iterations int
-	updates    int64
-	lastUpdate int64
-	prev       *rowIndex // Delta: previous iteration by key
-	prevCount  int
-	key        int
+	loopRun
 
-	// changedKeys are the keys the last merge identified as changed; nil
-	// until the first merge of the loop has run. DeltaMaterializeStep
-	// consumes them to restrict Ri's scan of the iterative reference to
-	// the affected frontier.
-	changedKeys *sqltypes.KeyTable
-
-	// workingSets stamps the fingerprint of every working set a UNION
-	// ALL recursion has had with the iteration that added it (0: the
-	// base term), for repeats. A checkpoint shares it rather than copy
-	// it: a restored loop reads only stamps below the iteration it runs
-	// again, which the abandoned attempt cannot have written.
+	// The handles below stay out of loopRun, so a checkpoint neither
+	// copies nor restores them. seen is a UNION recursion's set of the
+	// CTE's rows (rowSet) and index a keyed merge's key index (trusts);
+	// each is trusted only for the table it describes, seenOf and
+	// indexOf, and a restore binds clones, which neither describes.
+	// workingSets stamps the fingerprint of every working set a UNION ALL
+	// recursion has had with the iteration that added it (0: the base
+	// term), for repeats; it is shared, because a restored loop reads
+	// only stamps below the iteration it runs again, which the abandoned
+	// attempt cannot have written.
+	seen        *sqltypes.KeyTable
+	seenOf      *storage.Table
+	index       *keyIndex
+	indexOf     *storage.Table
 	workingSets map[string]int
-
-	// seen is a UNION recursion's set of the CTE's rows, trusted only for
-	// seenOf, the CTE table it describes (rowSet), so a checkpoint, which
-	// restores a clone, needs no copy of it.
-	seen   *sqltypes.KeyTable
-	seenOf *storage.Table
-
-	// index is a keyed merge's key index, trusted only for indexOf, the
-	// table that merge last produced (trusts), so a checkpoint, which
-	// restores a clone, needs no copy of it either.
-	index   *keyIndex
-	indexOf *storage.Table
 
 	// cont is the continue variable (§VI-B) the last LoopStep.Run
 	// computed; the step loop reads it to take the back-edge.
 	cont bool
+}
+
+// loopRun is the per-run state of one loop operator, which InitLoopStep
+// resets, a checkpoint captures and restores whole, and releaseLoops
+// clears: its counters, the Delta condition's snapshot of the previous
+// iteration by key, and the keys the last merge identified as changed —
+// nil until the first merge of the loop has run — which
+// DeltaMaterializeStep consumes to restrict Ri's scan of the iterative
+// reference to the affected frontier. A checkpoint shares its key tables
+// rather than copy them: every writer replaces them wholesale (snapshot,
+// the merge step), never mutates or lets them go, so a shared reference
+// stays frozen.
+type loopRun struct {
+	iterations  int
+	updates     int64
+	lastUpdate  int64
+	prev        *rowIndex // Delta: previous iteration by key
+	prevCount   int
+	changedKeys *sqltypes.KeyTable
 }
 
 // noteUpdates records the changed-row count of one identification pass
@@ -79,21 +84,14 @@ func (l *LoopState) noteUpdates(n int64) {
 // non-iterative part (Table I step 2).
 type InitLoopStep struct {
 	Loop *LoopState
-	// Key is the row-identifier column used by Delta comparisons.
-	Key int
 }
 
 // Run implements Step.
 func (s *InitLoopStep) Run(ctx *Context) error {
-	s.Loop.iterations = 0
-	s.Loop.updates = 0
-	s.Loop.lastUpdate = 0
-	s.Loop.prev = nil
-	s.Loop.changedKeys = nil
+	s.Loop.loopRun = loopRun{}
 	s.Loop.workingSets = nil
 	s.Loop.dropRowSet(ctx)
 	s.Loop.indexOf = nil
-	s.Loop.key = s.Key
 	if s.Loop.Term.Type == ast.TermDelta && !s.Loop.Counted {
 		return s.Loop.snapshot(ctx)
 	}
@@ -295,11 +293,11 @@ func (l *LoopState) snapshot(ctx *Context) error {
 	// prevCount, so the disappeared-row adjustment in changedRows only
 	// accounts for keyed rows (a short row can neither match nor
 	// disappear).
-	l.prev = ctx.rowIndex(l.key, t.Len())
+	l.prev = ctx.rowIndex(keyCol, t.Len())
 	l.prevCount = 0
 	for _, part := range t.Parts {
 		for _, r := range part {
-			if l.key < len(r) {
+			if keyCol < len(r) {
 				l.prev.put(r)
 				l.prevCount++
 			}
@@ -318,7 +316,7 @@ func (l *LoopState) changedRows(ctx *Context) (int64, error) {
 	seen := 0
 	for _, part := range t.Parts {
 		for _, r := range part {
-			if l.key >= len(r) {
+			if keyCol >= len(r) {
 				continue // short rows are skipped by snapshot too
 			}
 			seen++

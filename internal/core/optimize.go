@@ -232,7 +232,7 @@ func (r *rewriter) extractCommonResults(iter *ast.SelectStmt, cteName string, b 
 		r.noteDataflow(commonName, live, prunedCols)
 	}
 
-	step := &MaterializeStep{Into: commonName, Plan: commonPlan, Parts: r.prog.Parts, CheckKey: -1, IsCommon: true}
+	step := &MaterializeStep{Into: commonName, Plan: commonPlan, IsCommon: true}
 	return newIter, []Step{step}, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/exec"
@@ -109,11 +108,12 @@ type Options struct {
 	// liveness, intermediate-result leaks and push-down safety —
 	// independently of the rewrite that produced them.
 	Verify bool
-	// Retry bounds the in-process retry of failed loop iterations from
-	// their back-edge checkpoints (retry.go). The zero value disables
-	// checkpointing entirely: no state is captured and a failure aborts
-	// the query, exactly as before the fault-tolerance layer existed.
-	Retry RetryPolicy
+	// MaxRetries bounds the retry of a failed run (retry.go): a failed
+	// step or Qf re-runs from the newest loop back-edge checkpoint, up to
+	// MaxRetries times per checkpoint on the configured plan and as many
+	// again on the volcano rung, before the query fails. Zero disables
+	// checkpointing: nothing is captured and a failure aborts the query.
+	MaxRetries int
 	// FaultSchedule arms deterministic fault injection
 	// (internal/faultinject) for this execution: each entry fires once,
 	// at the named point's scheduled hit count. Empty means disarmed —
@@ -123,24 +123,6 @@ type Options struct {
 
 // runs reports whether the options run optimization x.
 func (o *Options) runs(x Opt) bool { return o.Baseline&x == 0 }
-
-// RetryPolicy bounds the iteration-granular retry of a failed step
-// program (Options.Retry, Config.RetryPolicy).
-type RetryPolicy struct {
-	// MaxAttempts is the number of retries allowed per checkpoint
-	// before the degradation ladder advances (or, with NoDegrade, the
-	// query fails). 0 disables checkpointing and retry.
-	MaxAttempts int
-	// Backoff is the wait before the first retry of a checkpoint; it
-	// doubles on each subsequent attempt. The wait is context-aware: a
-	// cancellation or deadline firing during backoff fails the query
-	// with the original error. Zero means retry immediately.
-	Backoff time.Duration
-	// NoDegrade pins the plan: when the attempts for a checkpoint are
-	// exhausted the query fails instead of descending the
-	// graceful-degradation ladder (same plan → volcano).
-	NoDegrade bool
-}
 
 // DefaultOptions runs every optimization and the program verifier over
 // one partition.
@@ -175,8 +157,8 @@ type Stats struct {
 	// copy-back steps — the data-movement currency the column-pruning
 	// experiment reports.
 	MaterializedCells int64
-	// Fault-tolerance accounting (Options.Retry): Retries counts the
-	// iteration re-attempts taken from back-edge checkpoints,
+	// Fault-tolerance accounting (Options.MaxRetries): Retries counts the
+	// re-attempts taken from back-edge checkpoints,
 	// Degradations the rungs descended on the graceful-degradation
 	// ladder (same plan → volcano). A checkpoint restore keeps them.
 	Retries      int64
@@ -251,7 +233,8 @@ type Context struct {
 	Faults *faultinject.Registry
 	// created tracks intermediate results to drop when the query ends.
 	created map[string]bool
-	// pc is the index of the running step. sizes holds, for every step
+	// pc is the index of the running instruction, len(Steps) for Qf, and
+	// rows are Qf's once it has run. sizes holds, for every step
 	// and each of the run's parts partitions, the capacity that step's
 	// next materialization presizes the partition with: what its last one
 	// wrote there, plus slack (sizeHint, noteSizes). It is the statement's
@@ -259,12 +242,13 @@ type Context struct {
 	// it is advisory, so a checkpoint neither captures nor restores it —
 	// a stale hint changes capacity, never rows.
 	pc    int
+	rows  []sqltypes.Row
 	sizes []int
 	parts int
 	// state is the statement's run state: its key tables are the ones the
 	// keyed passes of this run and the last let go (keyTable, letGo).
 	state *RunState
-	// volcano is set once the retry driver has descended the
+	// volcano is set once the step loop has descended the
 	// graceful-degradation ladder.
 	volcano bool
 }
@@ -307,17 +291,14 @@ func (c *Context) noteRi(ri string) {
 }
 
 // checkpoint is the cooperative cancellation point the step loop
-// consults before every step: it reports a QueryLifecycleError naming
-// the iteration and step reached when the query's context has fired,
-// nil otherwise. pc is the step's 0-based index.
-func (c *Context) checkpoint(pc int) error {
+// consults before every instruction: the query context's error once it
+// has fired, nil otherwise. The step loop stamps it with the iteration
+// and step reached.
+func (c *Context) checkpoint() error {
 	if c.Ctx == nil {
 		return nil
 	}
-	if err := c.Ctx.Err(); err != nil {
-		return WrapCancel(err, int(c.Stats.Iterations), pc+1, "")
-	}
-	return nil
+	return c.Ctx.Err()
 }
 
 func (c *Context) track(name string) {
@@ -327,15 +308,14 @@ func (c *Context) track(name string) {
 	c.created[storage.NormalizeName(name)] = true
 }
 
-// sizeHint returns the running step's per-partition capacities for a
-// materialization into parts partitions — zeros before its first — or
-// nil when the run keeps none (a context built outside Program.run, or a
-// partition count not the run's).
-func (c *Context) sizeHint(parts int) []int {
-	if parts = max(parts, 1); parts != c.parts {
+// sizeHint returns the running step's capacity for each of the run's
+// partitions — zeros before its first materialization — or nil when the
+// run keeps none (a context built outside Program.run).
+func (c *Context) sizeHint() []int {
+	if c.sizes == nil {
 		return nil
 	}
-	return c.sizes[c.pc*parts : (c.pc+1)*parts]
+	return c.sizes[c.pc*c.parts : (c.pc+1)*c.parts]
 }
 
 // noteSizes records the running step's next size hint from t: each
@@ -343,7 +323,7 @@ func (c *Context) sizeHint(parts int) []int {
 // a few more rows than last time — an exchange's output moves by a few
 // percent between iterations — is not grown to twice its size.
 func (c *Context) noteSizes(t *storage.Table) {
-	if hint := c.sizeHint(len(t.Parts)); hint != nil {
+	if hint := c.sizeHint(); hint != nil {
 		for p, rows := range t.Parts {
 			hint[p] = len(rows) + len(rows)/16
 		}
@@ -385,9 +365,10 @@ func (c *Context) runState() *RunState {
 }
 
 // materialize runs n on the volcano executor into a fresh table named
-// into, presized from the running step's size hint.
-func (c *Context) materialize(n plan.Node, into string, parts int) (*storage.Table, error) {
-	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.ExecStats, into, parts, c.sizeHint(parts))
+// into over the run's partitions, presized from the running step's size
+// hint.
+func (c *Context) materialize(n plan.Node, into string) (*storage.Table, error) {
+	return exec.MaterializeContext(c.Ctx, n, c.RT, &c.Stats.ExecStats, into, c.parts, c.sizeHint())
 }
 
 // Program is the rewritten form of a SELECT (Rewrite): the step list of
@@ -395,12 +376,15 @@ func (c *Context) materialize(n plan.Node, into string, parts int) (*storage.Tab
 // followed by the final query Qf.
 type Program struct {
 	Steps []Step
-	// Final is the plan of Qf, executed after the steps complete.
+	// Final is the plan of Qf, the step loop's last instruction: it runs
+	// after the steps complete, at pc len(Steps).
 	Final plan.Node
 	// FinalColumns are Qf's output columns.
 	FinalColumns []plan.ColInfo
 	// Options are those the program was rewritten under; Parts, Parallel,
-	// Trace, Paranoid, Retry and FaultSchedule also configure its runs.
+	// Trace, Paranoid, MaxRetries and FaultSchedule also configure its
+	// runs. Parts is stated here only: every step runs over the run's
+	// partition count, and every keyed step keys on keyCol.
 	Options
 	// Pushed records the Qf conjuncts the optimizer moved into the
 	// non-iterative part of each iterative CTE (§V-B), in their
@@ -531,13 +515,10 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 // rows, so a program kept for the next run keeps none of them alive, and
 // gives the keyed merges' key indexes to st, the run's state.
 func (p *Program) releaseLoops(st *RunState) {
-	for _, s := range p.Steps {
-		if init, ok := s.(*InitLoopStep); ok {
-			l := init.Loop
-			l.prev, l.changedKeys, l.workingSets, l.seen, l.seenOf = nil, nil, nil, nil, nil
-			l.giveBackIndex(st)
-		}
-	}
+	p.loopStates(func(l *LoopState) {
+		l.loopRun, l.workingSets, l.seen, l.seenOf = loopRun{}, nil, nil, nil
+		l.giveBackIndex(st)
+	})
 }
 
 // run is RunBound within r, which it neither begins nor ends.
@@ -585,60 +566,13 @@ func (p *Program) run(goctx context.Context, r *Run, stats *Stats) (rows []sqlty
 			})
 		}
 	}()
-	if err := p.runSteps(ctx); err != nil {
+	if rows, err = p.runSteps(ctx); err != nil {
 		return nil, err
-	}
-	rows, err = p.runFinal(ctx, goctx, rt, stats)
-	if err != nil {
-		return nil, WrapCancel(err, int(stats.Iterations), 0, "final query")
 	}
 	if ctx.Trace != nil {
 		ctx.Trace.finish(len(rows))
 	}
 	return rows, nil
-}
-
-// runFinal executes Qf under panic containment, retrying under the
-// same policy as the step program: Qf is read-only over the finished
-// loop state, so a failed attempt needs no restore — re-run, and on
-// exhausted attempts descend the degradation ladder (the volcano rung
-// re-runs it single-threaded).
-func (p *Program) runFinal(ctx *Context, goctx context.Context, rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, error) {
-	attempt := func() (rs []sqltypes.Row, ferr error) {
-		ferr = faultinject.Contain(-1, func() error {
-			var e error
-			if ctx.MPP != nil {
-				rs, e = ctx.MPP.Run(p.Final)
-			} else {
-				rs, e = exec.RunContext(goctx, p.Final, rt, &stats.ExecStats)
-			}
-			return e
-		})
-		return rs, promotePanic(ferr, int(stats.Iterations), 0)
-	}
-	rows, err := attempt()
-	attempts := 0
-	backoff := p.Retry.Backoff
-	for err != nil && p.Retry.MaxAttempts > 0 && retryable(err) {
-		if attempts >= p.Retry.MaxAttempts {
-			if p.Retry.NoDegrade || !ctx.degradeOnce() {
-				break
-			}
-			attempts = 0
-			backoff = p.Retry.Backoff
-		}
-		attempts++
-		stats.Retries++
-		if ctx.Trace != nil {
-			ctx.Trace.noteRetry(int(stats.Iterations), 0, ctx.rungName(), err)
-		}
-		if werr := waitBackoff(ctx.Ctx, backoff); werr != nil {
-			return nil, err // context fired during backoff: report the original failure
-		}
-		backoff *= 2
-		rows, err = attempt()
-	}
-	return rows, err
 }
 
 // Explain renders the whole program in the style of Table I; a
@@ -765,13 +699,8 @@ func (p *Program) hasRestrictedStep() bool {
 // MaterializeStep executes a plan and stores the rows under a result
 // name (the insert logic of §III implemented as materialization).
 type MaterializeStep struct {
-	Into  string
-	Plan  plan.Node
-	Parts int
-	// CheckKey, when >= 0, verifies the materialized rows have unique
-	// values in that column; the merge path requires a unique row
-	// identifier and duplicates are a run-time error (§II).
-	CheckKey int
+	Into string
+	Plan plan.Node
 	// CountsAsUpdate marks working-table materializations whose row
 	// count feeds the UpdatedRows statistic. The UNTIL n UPDATES
 	// termination counter is NOT fed here: materialized row counts
@@ -789,20 +718,14 @@ func (m *MaterializeStep) Run(ctx *Context) error {
 	var t *storage.Table
 	var err error
 	if ctx.MPP != nil {
-		t, err = ctx.MPP.Materialize(m.Plan, m.Into, ctx.sizeHint(m.Parts))
+		t, err = ctx.MPP.Materialize(m.Plan, m.Into, ctx.sizeHint())
 	} else {
-		t, err = ctx.materialize(m.Plan, m.Into, m.Parts)
+		t, err = ctx.materialize(m.Plan, m.Into)
 	}
 	if err != nil {
 		return err
 	}
 	ctx.noteSizes(t)
-	if m.CheckKey >= 0 {
-		if err := checkUniqueKey(ctx, t, m.CheckKey); err != nil {
-			return err
-		}
-		t.PK = m.CheckKey
-	}
 	ctx.RT.Results.Put(m.Into, t)
 	ctx.track(m.Into)
 	ctx.Stats.MaterializedCells += int64(t.Len()) * int64(len(t.Schema))
@@ -827,22 +750,6 @@ func indent(s, pad string) string {
 		lines[i] = pad + lines[i]
 	}
 	return strings.Join(lines, "\n") + "\n"
-}
-
-func checkUniqueKey(ctx *Context, t *storage.Table, key int) error {
-	seen := ctx.keyTable(1, t.Len())
-	defer ctx.letGo(seen)
-	for _, part := range t.Parts {
-		for _, r := range part {
-			if key >= len(r) {
-				return fmt.Errorf("key column %d out of range", key)
-			}
-			if _, added := seen.Insert(r[key : key+1]); !added {
-				return fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[key])
-			}
-		}
-	}
-	return nil
 }
 
 // rowIndex maps the values of one key column to the row carrying them:
@@ -911,8 +818,6 @@ func (r *RenameStep) Explain() string {
 // changed, even though a full-update query replaces everything.
 type CopyBackStep struct {
 	From, To string
-	Parts    int
-	Key      int // key column used for the changed-row identification
 	// Loop, when set, receives the changed-row count of the
 	// identification pass, driving UNTIL n UPDATES termination.
 	Loop *LoopState
@@ -930,24 +835,24 @@ func (c *CopyBackStep) Run(ctx *Context) error {
 	}
 	// Changed-row identification pass (redundant for full updates, as
 	// §VII-B explains — that is the point of the baseline).
-	old := ctx.rowIndex(c.Key, dst.Len())
+	old := ctx.rowIndex(keyCol, dst.Len())
 	defer ctx.letGo(old.keys)
 	for _, part := range dst.Parts {
 		for _, r := range part {
-			if c.Key < len(r) {
+			if keyCol < len(r) {
 				old.put(r)
 			}
 		}
 	}
 	changed := int64(0)
 	seen := 0
-	fresh := storage.NewTable(c.To, src.Schema.Clone(), c.Parts)
+	fresh := storage.NewTable(c.To, src.Schema.Clone(), ctx.parts)
 	fresh.PK = src.PK
 	fresh.DistCol = 0
 	for _, part := range src.Parts {
 		for _, r := range part {
-			if c.Key >= len(r) {
-				return fmt.Errorf("copy-back into %s: key column %d out of range", c.To, c.Key)
+			if keyCol >= len(r) {
+				return fmt.Errorf("copy-back into %s: key column %d out of range", c.To, keyCol)
 			}
 			seen++
 			if prev, ok := old.get(r); !ok || !prev.Equal(r) {
@@ -995,8 +900,6 @@ func (c *CopyBackStep) Explain() string {
 // A recursive CTE's round merges in one of the append forms (Form).
 type MergeStep struct {
 	CTE, Work, Into string
-	Key             int
-	Parts           int
 	// Loop, when set, receives the changed-row count (replaced rows
 	// with different values, appended rows, both directions of the
 	// identification pass), driving UNTIL n UPDATES termination.
@@ -1039,12 +942,12 @@ func (m *MergeStep) Run(ctx *Context) error {
 	}
 	// A table's schema is never written after planning: out and the
 	// delta share the CTE's.
-	out := storage.NewTable(m.Into, cte.Schema, m.Parts)
+	out := storage.NewTable(m.Into, cte.Schema, ctx.parts)
 	out.PK = cte.PK
 	out.DistCol = 0
 	var delta *storage.Table
 	if m.Delta != "" {
-		delta = storage.NewTable(m.Delta, cte.Schema, m.Parts)
+		delta = storage.NewTable(m.Delta, cte.Schema, ctx.parts)
 		delta.PK = cte.PK
 		delta.DistCol = 0
 	}
@@ -1081,8 +984,8 @@ func (m *MergeStep) Run(ctx *Context) error {
 // merge has succeeded, and no table after one that failed.
 func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
 	l := m.Loop
-	if l == nil || m.Key != out.DistCol {
-		// No loop to carry an index, or out is not placed by the key.
+	if l == nil {
+		// No loop to carry an index.
 		return m.rebuild(ctx, nil, cte, work, out, delta)
 	}
 	trusted := trusts(l, cte)
@@ -1111,15 +1014,15 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *storage.Table) (int64, error) {
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
-	updated := ctx.rowIndex(m.Key, work.Len())
+	updated := ctx.rowIndex(keyCol, work.Len())
 	defer ctx.letGo(updated.keys)
 	for _, part := range work.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
-				return 0, fmt.Errorf("merge: key column %d out of range", m.Key)
+			if keyCol >= len(r) {
+				return 0, fmt.Errorf("merge: key column %d out of range", keyCol)
 			}
 			if !updated.put(r) {
-				return 0, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
+				return 0, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[keyCol])
 			}
 		}
 	}
@@ -1134,7 +1037,7 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 	place := func(r sqltypes.Row) {
 		p, i := out.Place(r)
 		if x != nil {
-			x.fileRow(r, m.Key, p, i)
+			x.fileRow(r, keyCol, p, i)
 		}
 	}
 	// deltaRows are exactly the rows identified as changed; their keys
@@ -1142,8 +1045,8 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 	var deltaRows []sqltypes.Row
 	for _, part := range cte.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
-				return 0, fmt.Errorf("merge over %s: key column %d out of range", m.CTE, m.Key)
+			if keyCol >= len(r) {
+				return 0, fmt.Errorf("merge over %s: key column %d out of range", m.CTE, keyCol)
 			}
 			id := updated.find(r)
 			if id < 0 {
@@ -1172,7 +1075,7 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 		if m.Loop != nil {
 			changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
 			for _, r := range deltaRows {
-				changedKeys.Insert(r[m.Key : m.Key+1])
+				changedKeys.Insert(r[keyCol : keyCol+1])
 			}
 			m.Loop.changedKeys = changedKeys
 		}
@@ -1197,10 +1100,10 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 	changed, fresh := x.changed[:0], x.fresh[:0]
 	for _, part := range work.Parts {
 		for _, r := range part {
-			if m.Key >= len(r) {
-				return 0, true, fmt.Errorf("merge: key column %d out of range", m.Key)
+			if keyCol >= len(r) {
+				return 0, true, fmt.Errorf("merge: key column %d out of range", keyCol)
 			}
-			key := r[m.Key : m.Key+1]
+			key := r[keyCol : keyCol+1]
 			if !exactKey(key[0]) {
 				return 0, false, nil
 			}
@@ -1212,7 +1115,7 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 				continue
 			}
 			if x.hit[id] == x.gen {
-				return 0, true, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[m.Key])
+				return 0, true, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[keyCol])
 			}
 			x.hit[id] = x.gen
 			for at := x.head[id]; at >= 0; at = x.at[at].prev {
@@ -1252,7 +1155,7 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 		for _, at := range ps {
 			r := out.Parts[at>>32][uint32(at)]
 			delta.Parts[at>>32] = append(delta.Parts[at>>32], r)
-			changedKeys.Insert(r[m.Key : m.Key+1])
+			changedKeys.Insert(r[keyCol : keyCol+1])
 		}
 	}
 	m.Loop.changedKeys = changedKeys

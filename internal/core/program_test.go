@@ -43,8 +43,8 @@ func TestMergeStepDirect(t *testing.T) {
 	rt.Results.Put("c", cte)
 	rt.Results.Put("w", work)
 
-	ctx := &Context{RT: rt, Stats: &Stats{}}
-	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Key: 0, Parts: 2}
+	ctx := &Context{RT: rt, Stats: &Stats{}, parts: 2}
+	step := &MergeStep{CTE: "c", Work: "w", Into: "m"}
 	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestMergeStepDirect(t *testing.T) {
 		t.Errorf("explain = %q", step.Explain())
 	}
 	// Missing inputs are errors.
-	if err := (&MergeStep{CTE: "zz", Work: "w", Into: "m", Parts: 1}).Run(ctx); err == nil {
+	if err := (&MergeStep{CTE: "zz", Work: "w", Into: "m"}).Run(ctx); err == nil {
 		t.Error("missing cte should fail")
 	}
-	if err := (&MergeStep{CTE: "c", Work: "zz", Into: "m", Parts: 1}).Run(ctx); err == nil {
+	if err := (&MergeStep{CTE: "c", Work: "zz", Into: "m"}).Run(ctx); err == nil {
 		t.Error("missing working table should fail")
 	}
 	// Duplicate keys in the working table are the §II run-time error. A
@@ -113,13 +113,13 @@ func TestMergePathExplain(t *testing.T) {
 func TestCopyBackStepErrors(t *testing.T) {
 	rt := newRT(t)
 	ctx := &Context{RT: rt, Stats: &Stats{}}
-	if err := (&CopyBackStep{From: "missing", To: "alsoMissing", Parts: 1}).Run(ctx); err == nil {
+	if err := (&CopyBackStep{From: "missing", To: "alsoMissing"}).Run(ctx); err == nil {
 		t.Error("missing source should fail")
 	}
 	schema := sqltypes.Schema{{Name: "k", Type: sqltypes.Int}}
 	src := storage.NewTable("s", schema, 1)
 	rt.Results.Put("s", src)
-	if err := (&CopyBackStep{From: "s", To: "missing", Parts: 1}).Run(ctx); err == nil {
+	if err := (&CopyBackStep{From: "s", To: "missing"}).Run(ctx); err == nil {
 		t.Error("missing destination should fail")
 	}
 }
@@ -152,7 +152,7 @@ func TestHandBuiltProgramRunsSequentially(t *testing.T) {
 		Options: Options{Parts: 1},
 		Steps: []Step{
 			&MaterializeStep{Into: "t", Plan: &plan.Scan{Table: "edges", Alias: "edges",
-				Cols: []plan.ColInfo{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}}}, Parts: 1, CheckKey: -1},
+				Cols: []plan.ColInfo{{Name: "src", Type: sqltypes.Int}, {Name: "dst", Type: sqltypes.Int}}}},
 		},
 		Final: namedResult("t", "src", "dst"),
 	}

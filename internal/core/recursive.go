@@ -96,16 +96,15 @@ func (r *rewriter) expandRecursive(cte *ast.CTE, regular []*ast.CTE) error {
 	if union.All {
 		form = MergeUnionAll
 	}
-	parts := r.prog.Parts
 	steps := &r.prog.Steps
 	*steps = append(*steps,
-		&MaterializeStep{Into: cte.Name, Plan: base, Parts: parts, CheckKey: -1},
-		&MaterializeStep{Into: delta, Plan: readResult(cte.Name, schema), Parts: parts, CheckKey: -1},
+		&MaterializeStep{Into: cte.Name, Plan: base},
+		&MaterializeStep{Into: delta, Plan: readResult(cte.Name, schema)},
 		&InitLoopStep{Loop: loop})
 	bodyStart := len(*steps)
 	*steps = append(*steps,
-		&MaterializeStep{Into: work, Plan: rec, Parts: parts, CheckKey: -1, CountsAsUpdate: true},
-		&MergeStep{CTE: cte.Name, Work: work, Into: merged, Parts: parts, Loop: loop, Delta: delta, Form: form},
+		&MaterializeStep{Into: work, Plan: rec, CountsAsUpdate: true},
+		&MergeStep{CTE: cte.Name, Work: work, Into: merged, Loop: loop, Delta: delta, Form: form},
 		&RenameStep{From: merged, To: cte.Name},
 		&TruncateStep{Name: work},
 		&UpdateLoopStep{Loop: loop},

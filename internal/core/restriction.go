@@ -61,8 +61,6 @@ type Restriction struct {
 	In         string    // transient restricted-input result name
 	CTE        string    // main CTE result
 	Props      []aggprop.Prop
-	Key        int // CTE key column
-	Parts      int
 }
 
 // AggClaim is the incremental-evaluation decision for one iterative
@@ -81,7 +79,7 @@ type AggClaim struct {
 // non-empty reason means the restricted plan could not be built and the
 // full plan must run.
 func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
-	full plan.Node, b *plan.Builder, verdict aggprop.Verdict, workName string, key int) (Restriction, string) {
+	full plan.Node, b *plan.Builder, verdict aggprop.Verdict, workName string) (Restriction, string) {
 
 	in := "Frontier#" + cte.Name
 	r.lookup.add(in, schema)
@@ -99,7 +97,7 @@ func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterSt
 	}
 	return Restriction{
 		Into: workName, Full: full, Restricted: rp, In: in, CTE: cte.Name,
-		Props: verdict.Props, Key: key, Parts: r.prog.Parts,
+		Props: verdict.Props,
 	}, ""
 }
 
@@ -191,7 +189,7 @@ var dense = func(n, of int) bool { return 2*n > of }
 // a subset of the affected ones, so a dense changed set skips the
 // closure, and the closure stops growing at the bound.
 //
-// A degraded context (the retry driver's graceful-degradation ladder)
+// A degraded context (the step loop's graceful-degradation ladder)
 // never restricts: the volcano rung switches off everything that
 // carries state across the back-edge, and the full plan is
 // byte-identical by the license.
@@ -217,7 +215,7 @@ func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *stor
 		return f, nil
 	}
 	f.affected = affected
-	f.in = exec.FilterTableByKey(f.cte, r.Key, affected, r.In, &ctx.Stats.ExecStats)
+	f.in = exec.FilterTableByKey(f.cte, keyCol, affected, r.In, &ctx.Stats.ExecStats)
 	ctx.RT.Results.Put(r.In, f.in)
 	ctx.noteRi(riRestricted)
 	return f, nil

@@ -137,6 +137,14 @@ func (r *rewriter) newBuilder(regular []*ast.CTE) *plan.Builder {
 	return b
 }
 
+// keyCol is the unique row identifier of every iterative CTE: its first
+// column. The paper uses a user primary key or generates row IDs; our
+// schemas key on the first column, which holds the node in every
+// evaluation query. The keyed merge, the copy-back's identification
+// pass, the Delta condition's snapshot and the restricted steps all key
+// on it, and it is stated nowhere else.
+const keyCol = 0
+
 // expandCTE appends the step program of one iterative CTE (Algorithm 1).
 // allCTEs is the statement's full WITH list: sibling CTE bodies are
 // observers for the live-column analysis.
@@ -211,10 +219,6 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		return err
 	}
 
-	// The unique row identifier: the first CTE column (the paper uses a
-	// user primary key or generates row IDs; our schemas key on the
-	// first column, which holds node in all evaluation queries).
-	const key = 0
 	workName := "Intermediate#" + cte.Name
 	mergeName := "Merge#" + cte.Name
 	r.lookup.add(workName, cteSchema)
@@ -233,10 +237,10 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 	// Algorithm 1 line 1: materialize R0 into cteTable. Common results
 	// are materialized before the loop as well (Figure 5 step 2).
-	*steps = append(*steps, &MaterializeStep{Into: cte.Name, Plan: r0, Parts: r.prog.Parts, CheckKey: -1})
+	*steps = append(*steps, &MaterializeStep{Into: cte.Name, Plan: r0})
 	*steps = append(*steps, commonSteps...)
 	// Line 2: initialize the loop operator.
-	*steps = append(*steps, &InitLoopStep{Loop: loop, Key: key})
+	*steps = append(*steps, &InitLoopStep{Loop: loop})
 
 	countUpdates := cte.Until.Type == ast.TermMetadata && cte.Until.CountUpdates
 
@@ -244,12 +248,9 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	// Line 3: materialize Ri into the working table (the §II
 	// duplicate-key check happens inside the merge step) — through one of
 	// the incremental steps when the frontier license allows it.
-	work := r.chooseIncremental(cte, cteSchema, iterStmt, ri, builder, loop, workName, key, hadWhere)
+	work := r.chooseIncremental(cte, cteSchema, iterStmt, ri, builder, loop, workName, hadWhere)
 	if work == nil {
-		work = &MaterializeStep{
-			Into: workName, Plan: ri, Parts: r.prog.Parts,
-			CheckKey: -1, CountsAsUpdate: true,
-		}
+		work = &MaterializeStep{Into: workName, Plan: ri, CountsAsUpdate: true}
 	}
 	*steps = append(*steps, work)
 
@@ -263,11 +264,11 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		if r.prog.runs(OptRename) && !countUpdates {
 			*steps = append(*steps, &RenameStep{From: workName, To: cte.Name})
 		} else {
-			*steps = append(*steps, &CopyBackStep{From: workName, To: cte.Name, Parts: r.prog.Parts, Key: key, Loop: loop})
+			*steps = append(*steps, &CopyBackStep{From: workName, To: cte.Name, Loop: loop})
 		}
 	} else {
 		// Lines 8-10: partial update through the fused merge operator.
-		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Key: key, Parts: r.prog.Parts, Loop: loop}
+		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Loop: loop}
 		if delta, ok := work.(*DeltaMaterializeStep); ok {
 			merge.Delta = delta.Delta
 		}
@@ -294,7 +295,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 // parallel run, where the restricted form measurably loses — keeps the
 // full plan. Results are identical on every path.
 func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
-	full plan.Node, b *plan.Builder, loop *LoopState, workName string, key int, hadWhere bool) Step {
+	full plan.Node, b *plan.Builder, loop *LoopState, workName string, hadWhere bool) Step {
 
 	r.prog.AggClaims = append(r.prog.AggClaims, AggClaim{CTE: cte.Name})
 	claim := &r.prog.AggClaims[len(r.prog.AggClaims)-1]
@@ -318,7 +319,7 @@ func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterS
 		claim.Reason = "licensed, no aggregates on the rename path"
 		return nil
 	}
-	res, why := r.buildRestriction(cte, schema, iterStmt, full, b, claim.Verdict, workName, key)
+	res, why := r.buildRestriction(cte, schema, iterStmt, full, b, claim.Verdict, workName)
 	if why != "" {
 		claim.Verdict.Licensed = false
 		claim.Reason = "not licensed: " + why

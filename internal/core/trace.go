@@ -31,7 +31,7 @@ type IterationTrace struct {
 	// the final query; FinalRows is the row count it returned.
 	TotalWall time.Duration
 	FinalRows int
-	// Retries holds one entry per iteration retry (Options.Retry), in
+	// Retries holds one entry per retry (Options.MaxRetries), in
 	// the order the retries fired. Spans of an abandoned attempt are
 	// rewound at restore, so Spans only ever describes work that
 	// contributed to the final result; Retries records what it cost to
@@ -92,9 +92,11 @@ type IterationSpan struct {
 // RetryRecord is the trace record of one checkpoint retry.
 type RetryRecord struct {
 	// Iteration is the 1-based iteration being re-attempted (the
-	// iteration the failed attempt was executing).
+	// iteration the failed attempt was executing); for a failure of Qf,
+	// the iterations completed.
 	Iteration int
-	// Step is the 1-based step index whose failure triggered the retry.
+	// Step is the 1-based step index whose failure triggered the retry,
+	// 0 for Qf.
 	Step int
 	// Rung names the plan variant the retry runs under ("same-plan" or
 	// "volcano") — the graceful-degradation ladder position.

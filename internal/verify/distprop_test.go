@@ -142,7 +142,7 @@ func TestRejectsClaimOnNonInvariantLoopSlot(t *testing.T) {
 // merged table is distributed on some other column survives no
 // re-derivation.
 func TestRejectsClaimPastFrontierExpandingMerge(t *testing.T) {
-	prog := mergeProgram(0)
+	prog := mergeProgram()
 	prog.DistProps = []core.DistClaim{
 		{Step: 4, Slot: "Merge#t", Prop: distprop.Hash(1), Desc: "hash(v)"},
 	}

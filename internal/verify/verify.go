@@ -48,12 +48,6 @@ const (
 	// ClassUnsafePush: a predicate recorded as pushed below the loop
 	// fails the independent re-derivation of the §V-B safety conditions.
 	ClassUnsafePush = "unsafe-pushdown"
-	// ClassInconsistentParts: a step's partition count disagrees with
-	// the program's.
-	ClassInconsistentParts = "inconsistent-parts"
-	// ClassBadKey: a key column index is outside the schema of the
-	// result it keys.
-	ClassBadKey = "bad-key"
 	// ClassDeltaLiveness: delta iteration's producer/consumer pairing is
 	// broken — a restricted materialization has no later merge (same
 	// loop) publishing the delta table it consumes, a merge materializes
@@ -98,7 +92,6 @@ const (
 var Classes = []string{
 	ClassBadJump, ClassUseBeforeMaterialize, ClassSchemaMismatch,
 	ClassDeadTermination, ClassLeak, ClassUnsafePush,
-	ClassInconsistentParts, ClassBadKey,
 	ClassDeltaLiveness, ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundDistProp, ClassMissingExchange,
@@ -293,20 +286,13 @@ type simCases struct {
 }
 
 func (s simCases) Materialize(t *core.MaterializeStep) (_ struct{}) {
-	if !s.reEntry {
-		s.checkParts(s.i, t.Parts)
-	}
 	for _, name := range planResults(t.Plan) {
 		if s.live[name] == nil {
 			s.readMissing(s.i, "materialize "+t.Into, "reads", name, s.suffix)
 		}
 	}
 	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix, "")
-	schema := plan.Schema(t.Plan)
-	if t.CheckKey >= len(schema) {
-		s.addf(s.i, ClassBadKey, "check-key column %d is outside the %d-column schema of %s", t.CheckKey, len(schema), t.Into)
-	}
-	s.bind(s.i, t.Into, schema)
+	s.bind(s.i, t.Into, plan.Schema(t.Plan))
 	return
 }
 
@@ -362,9 +348,6 @@ func (s simCases) Rename(t *core.RenameStep) (_ struct{}) {
 }
 
 func (s simCases) CopyBack(t *core.CopyBackStep) (_ struct{}) {
-	if !s.reEntry {
-		s.checkParts(s.i, t.Parts)
-	}
 	from, to := s.live[norm(t.From)], s.live[norm(t.To)]
 	if from == nil {
 		s.readMissing(s.i, "copy-back", "consumes", t.From, s.suffix)
@@ -376,9 +359,6 @@ func (s simCases) CopyBack(t *core.CopyBackStep) (_ struct{}) {
 		if why := schemasCompatible(from.schema, to.schema); why != "" {
 			s.addf(s.i, ClassSchemaMismatch, "copy-back pairs %s and %s with incompatible schemas: %s%s", t.From, t.To, why, s.suffix)
 		}
-		if t.Key < 0 || t.Key >= len(from.schema) {
-			s.addf(s.i, ClassBadKey, "copy-back key column %d is outside the %d-column schema of %s", t.Key, len(from.schema), t.From)
-		}
 	}
 	if from != nil {
 		delete(s.live, norm(t.From))
@@ -388,9 +368,6 @@ func (s simCases) CopyBack(t *core.CopyBackStep) (_ struct{}) {
 }
 
 func (s simCases) Merge(t *core.MergeStep) (_ struct{}) {
-	if !s.reEntry {
-		s.checkParts(s.i, t.Parts)
-	}
 	cte, work := s.live[norm(t.CTE)], s.live[norm(t.Work)]
 	if cte == nil {
 		s.readMissing(s.i, "merge", "consumes", t.CTE, s.suffix)
@@ -401,9 +378,6 @@ func (s simCases) Merge(t *core.MergeStep) (_ struct{}) {
 	if cte != nil && work != nil {
 		if why := schemasCompatible(cte.schema, work.schema); why != "" {
 			s.addf(s.i, ClassSchemaMismatch, "merge pairs %s and %s with incompatible schemas: %s%s", t.CTE, t.Work, why, s.suffix)
-		}
-		if t.Form == core.MergeByKey && (t.Key < 0 || t.Key >= len(cte.schema)) {
-			s.addf(s.i, ClassBadKey, "merge key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
 		}
 		s.bind(s.i, t.Into, cte.schema)
 		if t.Delta != "" {
@@ -487,7 +461,6 @@ func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reE
 	if reEntry {
 		return
 	}
-	s.checkParts(i, t.Parts)
 	if !readsIn {
 		s.addf(i, class, "restricted plan of %s never reads %s; the frontier restriction is vacuous", t.Into, t.In)
 	}
@@ -496,9 +469,6 @@ func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reE
 	}
 	if why := schemasCompatible(plan.Schema(t.Full), plan.Schema(t.Restricted)); why != "" {
 		s.addf(i, ClassSchemaMismatch, "full and restricted plans of %s disagree: %s", t.Into, why)
-	}
-	if cte := s.live[norm(t.CTE)]; cte != nil && (t.Key < 0 || t.Key >= len(cte.schema)) {
-		s.addf(i, ClassBadKey, "restriction key column %d is outside the %d-column schema of %s", t.Key, len(cte.schema), t.CTE)
 	}
 }
 
@@ -772,19 +742,6 @@ func (s *sim) bindInfo(name string, schema sqltypes.Schema, createdAt int) {
 	}
 	s.live[norm(name)] = &resultInfo{schema: schema, display: display, createdAt: createdAt}
 	delete(s.truncated, norm(name))
-}
-
-func (s *sim) checkParts(i, parts int) {
-	if normParts(parts) != normParts(s.prog.Parts) {
-		s.addf(i, ClassInconsistentParts, "step uses %d partitions but the program declares %d", normParts(parts), normParts(s.prog.Parts))
-	}
-}
-
-func normParts(p int) int {
-	if p < 1 {
-		return 1
-	}
-	return p
 }
 
 func norm(name string) string { return strings.ToLower(name) }

@@ -56,9 +56,9 @@ func validProgram() (*core.Program, *core.LoopState) {
 	prog := &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loop, Key: 0},
-			&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
+			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loop},
+			&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), CountsAsUpdate: true},
 			&core.RenameStep{From: "Intermediate#t", To: "t"},
 			&core.UpdateLoopStep{Loop: loop},
 			&core.LoopStep{Loop: loop, BodyStart: 2},
@@ -69,15 +69,15 @@ func validProgram() (*core.Program, *core.LoopState) {
 }
 
 // mergeProgram is the merge-path variant (Algorithm 1 lines 8-10).
-func mergeProgram(key int) *core.Program {
+func mergeProgram() *core.Program {
 	loop := metaLoop("t", 3)
 	return &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loop, Key: 0},
-			&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
-			&core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t", Key: key, Parts: 1},
+			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loop},
+			&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), CountsAsUpdate: true},
+			&core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t"},
 			&core.RenameStep{From: "Merge#t", To: "t"},
 			&core.TruncateStep{Name: "Intermediate#t"},
 			&core.UpdateLoopStep{Loop: loop},
@@ -99,7 +99,7 @@ func TestValidRenamePathProgramVerifiesClean(t *testing.T) {
 }
 
 func TestValidMergePathProgramVerifiesClean(t *testing.T) {
-	if diags := Check(mergeProgram(0), nil); len(diags) != 0 {
+	if diags := Check(mergeProgram(), nil); len(diags) != 0 {
 		t.Fatalf("valid merge program rejected: %v", diags)
 	}
 }
@@ -120,17 +120,17 @@ func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep)
 		Restriction: core.Restriction{
 			Into: "Intermediate#t",
 			Full: result("t", "k", "v"), Restricted: result("Frontier#t", "k", "v"),
-			In: "Frontier#t", CTE: "t", Key: 0, Parts: 1,
+			In: "Frontier#t", CTE: "t",
 		},
 		Delta: "Delta#t", Loop: loop,
 	}
 	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t",
-		Key: 0, Parts: 1, Loop: loop, Delta: "Delta#t"}
+		Loop: loop, Delta: "Delta#t"}
 	prog := &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loop, Key: 0},
+			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loop},
 			dm,
 			merge,
 			&core.RenameStep{From: "Merge#t", To: "t"},
@@ -226,7 +226,7 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 				// Replace the delta materialization with a plain one; the
 				// merge still publishes Delta#t for nobody.
 				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t",
-					Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1}
+					Plan: result("t", "k", "v")}
 				return prog
 			},
 			class: ClassDeltaLiveness, message: "no restricted materialization consumes",
@@ -269,15 +269,6 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 				return prog
 			},
 			class: ClassSchemaMismatch, message: "disagree",
-		},
-		{
-			name: "delta key outside the CTE schema",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Key = 9
-				return prog
-			},
-			class: ClassBadKey, message: "key column 9",
 		},
 	}
 	for _, tc := range cases {
@@ -348,7 +339,7 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 			name: "step consumes a result never materialized",
 			build: func() *core.Program {
 				prog, _ := validProgram()
-				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: result("ghost", "k", "v"), Parts: 1, CheckKey: -1}
+				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: result("ghost", "k", "v")}
 				return prog
 			},
 			class: ClassUseBeforeMaterialize, step: 3, message: "ghost",
@@ -366,7 +357,7 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 			name: "rename replaces a result with an incompatible schema",
 			build: func() *core.Program {
 				prog, _ := validProgram()
-				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: scan("edges", "a", "b", "c"), Parts: 1, CheckKey: -1}
+				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: scan("edges", "a", "b", "c")}
 				return prog
 			},
 			class: ClassSchemaMismatch, step: 4, message: "3 columns",
@@ -376,7 +367,7 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 			build: func() *core.Program {
 				prog, _ := validProgram()
 				cols := []plan.ColInfo{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.String}}
-				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: &plan.Scan{Table: "edges", Alias: "edges", Cols: cols}, Parts: 1, CheckKey: -1}
+				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t", Plan: &plan.Scan{Table: "edges", Alias: "edges", Cols: cols}}
 				return prog
 			},
 			class: ClassSchemaMismatch, step: 4, message: "VARCHAR",
@@ -408,12 +399,12 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 				return &core.Program{
 					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
-						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-						&core.InitLoopStep{Loop: loop, Key: 0},
-						&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1},
+						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+						&core.InitLoopStep{Loop: loop},
+						&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v")},
 						// The per-iteration scratch result is never renamed,
 						// merged or dropped.
-						&core.MaterializeStep{Into: "Scratch#t", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1},
+						&core.MaterializeStep{Into: "Scratch#t", Plan: result("t", "k", "v")},
 						&core.RenameStep{From: "Intermediate#t", To: "t"},
 						&core.UpdateLoopStep{Loop: loop},
 						&core.LoopStep{Loop: loop, BodyStart: 2},
@@ -422,31 +413,6 @@ func TestRejectsCorruptedPrograms(t *testing.T) {
 				}
 			},
 			class: ClassLeak, step: 4, message: "Scratch#t",
-		},
-		{
-			name: "step partition count disagrees with the program",
-			build: func() *core.Program {
-				prog, _ := validProgram()
-				prog.Parts = 2
-				return prog
-			},
-			class: ClassInconsistentParts, step: 1, message: "1 partitions",
-		},
-		{
-			name: "merge key outside the schema",
-			build: func() *core.Program {
-				return mergeProgram(5)
-			},
-			class: ClassBadKey, step: 4, message: "key column 5",
-		},
-		{
-			name: "materialize check-key outside the schema",
-			build: func() *core.Program {
-				prog, _ := validProgram()
-				prog.Steps[0] = &core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: 7}
-				return prog
-			},
-			class: ClassBadKey, step: 1, message: "check-key column 7",
 		},
 		{
 			name: "final query reads a result the steps never leave behind",
@@ -493,8 +459,8 @@ func TestSecondIterationFaultDetected(t *testing.T) {
 	prog := &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loop, Key: 0},
+			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loop},
 			&core.RenameStep{From: "t", To: "u"},
 			&core.UpdateLoopStep{Loop: loop},
 			&core.LoopStep{Loop: loop, BodyStart: 2},
@@ -742,9 +708,9 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 				return &core.Program{
 					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
-						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-						&core.InitLoopStep{Loop: loop, Key: 0},
-						&core.MaterializeStep{Into: "u", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
+						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+						&core.InitLoopStep{Loop: loop},
+						&core.MaterializeStep{Into: "u", Plan: result("t", "k", "v"), CountsAsUpdate: true},
 						&core.TruncateStep{Name: "t"},
 						&core.RenameStep{From: "u", To: "w"},
 						&core.UpdateLoopStep{Loop: loop},
@@ -763,10 +729,10 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 				return &core.Program{
 					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
-						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-						&core.MaterializeStep{Into: "cond", Plan: scan("edges", "matching", "total"), Parts: 1, CheckKey: -1},
-						&core.InitLoopStep{Loop: loop, Key: 0},
-						&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
+						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
+						&core.MaterializeStep{Into: "cond", Plan: scan("edges", "matching", "total")},
+						&core.InitLoopStep{Loop: loop},
+						&core.MaterializeStep{Into: "Intermediate#t", Plan: result("t", "k", "v"), CountsAsUpdate: true},
 						&core.RenameStep{From: "Intermediate#t", To: "t"},
 						&core.TruncateStep{Name: "cond"},
 						&core.UpdateLoopStep{Loop: loop},
@@ -784,10 +750,10 @@ func TestRejectsPrematureTruncation(t *testing.T) {
 				return &core.Program{
 					Options: core.Options{Parts: 1},
 					Steps: []core.Step{
-						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
+						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
 						&core.TruncateStep{Name: "t"},
-						&core.InitLoopStep{Loop: loop, Key: 0},
-						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
+						&core.InitLoopStep{Loop: loop},
+						&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v"), CountsAsUpdate: true},
 						&core.UpdateLoopStep{Loop: loop},
 						&core.LoopStep{Loop: loop, BodyStart: 3},
 					},
@@ -825,9 +791,9 @@ func pruneProgram(cols ...string) *core.Program {
 	return &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "c", Plan: scan("edges", cols...), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loop, Key: 0},
-			&core.MaterializeStep{Into: "Intermediate#c", Plan: result("c", cols...), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
+			&core.MaterializeStep{Into: "c", Plan: scan("edges", cols...)},
+			&core.InitLoopStep{Loop: loop},
+			&core.MaterializeStep{Into: "Intermediate#c", Plan: result("c", cols...), CountsAsUpdate: true},
 			&core.RenameStep{From: "Intermediate#c", To: "c"},
 			&core.UpdateLoopStep{Loop: loop},
 			&core.LoopStep{Loop: loop, BodyStart: 2},
@@ -852,7 +818,7 @@ func TestRejectsPrunedColumnUse(t *testing.T) {
 			build: func() *core.Program {
 				prog, _ := validProgram()
 				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t",
-					Plan: result("t", "k", "v", "w"), Parts: 1, CheckKey: -1, CountsAsUpdate: true}
+					Plan: result("t", "k", "v", "w"), CountsAsUpdate: true}
 				return prog
 			},
 			message: `materialize Intermediate#t reads column "w" of result "t"`,
@@ -986,18 +952,18 @@ func allKindsProgram() *core.Program {
 	return &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
-			&core.MaterializeStep{Into: "a", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loopA, Key: 0},
-			&core.MaterializeStep{Into: "Intermediate#a", Plan: result("a", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
-			&core.MergeStep{CTE: "a", Work: "Intermediate#a", Into: "Merge#a", Key: 0, Parts: 1},
+			&core.MaterializeStep{Into: "a", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loopA},
+			&core.MaterializeStep{Into: "Intermediate#a", Plan: result("a", "k", "v"), CountsAsUpdate: true},
+			&core.MergeStep{CTE: "a", Work: "Intermediate#a", Into: "Merge#a"},
 			&core.RenameStep{From: "Merge#a", To: "a"},
 			&core.TruncateStep{Name: "Intermediate#a"},
 			&core.UpdateLoopStep{Loop: loopA},
 			&core.LoopStep{Loop: loopA, BodyStart: 2},
-			&core.MaterializeStep{Into: "b", Plan: scan("edges", "k", "v"), Parts: 1, CheckKey: -1},
-			&core.InitLoopStep{Loop: loopB, Key: 0},
-			&core.MaterializeStep{Into: "Intermediate#b", Plan: result("b", "k", "v"), Parts: 1, CheckKey: -1, CountsAsUpdate: true},
-			&core.CopyBackStep{From: "Intermediate#b", To: "b", Parts: 1, Key: 0},
+			&core.MaterializeStep{Into: "b", Plan: scan("edges", "k", "v")},
+			&core.InitLoopStep{Loop: loopB},
+			&core.MaterializeStep{Into: "Intermediate#b", Plan: result("b", "k", "v"), CountsAsUpdate: true},
+			&core.CopyBackStep{From: "Intermediate#b", To: "b"},
 			&core.UpdateLoopStep{Loop: loopB},
 			&core.LoopStep{Loop: loopB, BodyStart: 10},
 		},
@@ -1035,8 +1001,8 @@ func TestExplainRoundTrip(t *testing.T) {
 	// Corrupt steps at known positions and match diagnostics to the
 	// Explain lines they cite.
 	prog = allKindsProgram()
-	prog.Steps[4] = &core.RenameStep{From: "ghost", To: "a"}                               // Step 5
-	prog.Steps[11] = &core.CopyBackStep{From: "Intermediate#b", To: "b", Parts: 1, Key: 9} // Step 12
+	prog.Steps[4] = &core.RenameStep{From: "ghost", To: "a"}    // Step 5
+	prog.Steps[11] = &core.CopyBackStep{From: "ghost", To: "b"} // Step 12
 	explainLines := map[int]string{}
 	for _, line := range strings.Split(prog.Explain(), "\n") {
 		var n int

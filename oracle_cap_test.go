@@ -155,7 +155,7 @@ const capWalk = `WITH ITERATIVE r (n) AS (SELECT src FROM edges WHERE src = 1
 // point fails at the cap, and a cap failure is not retried.
 func TestEveryLoopIsCapped(t *testing.T) {
 	capped := dbspinner.Config{MaxIterations: 3}
-	retried := dbspinner.Config{MaxIterations: 3, RetryPolicy: dbspinner.RetryPolicy{MaxAttempts: 2}}
+	retried := dbspinner.Config{MaxIterations: 3, MaxRetries: 2}
 	for _, c := range []struct {
 		name string
 		cfg  dbspinner.Config
@@ -166,7 +166,7 @@ func TestEveryLoopIsCapped(t *testing.T) {
 		{"declared count above the cap", capped, fmt.Sprintf(capWalk, "5 ITERATIONS"), "[1 2 3 4 5 6]"},
 		{"recursion without a fixed point", capped,
 			"WITH RECURSIVE r (n) AS (SELECT 1 UNION SELECT n + 1 FROM r) SELECT n FROM r", ""},
-		{"cap failure under RetryPolicy", retried, fmt.Sprintf(capWalk, "DELTA < 1"), ""},
+		{"cap failure under MaxRetries", retried, fmt.Sprintf(capWalk, "DELTA < 1"), ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := dbspinner.New(c.cfg)
