@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race fmt vet lint fuzz-seed bench-check bench-pair profile loc check bench-smoke clean
+.PHONY: all build test race fmt vet lint fuzz-seed bench-check bench-eval bench-pair profile loc check bench-smoke clean
 
 all: build
 
@@ -56,6 +56,13 @@ fuzz-seed:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# bench-eval runs each expression microbenchmark once (BenchmarkEvalFF and
+# one BenchmarkEvalWorkloads entry per workload expression), so the
+# benchmarks the typed FLOAT path is measured by compile and run on every
+# change. For numbers, run them with -benchtime 2000000x -count 5.
+bench-eval:
+	$(GO) test -run '^$$' -bench '^BenchmarkEval' -benchtime 1x ./internal/expr
 
 # bench-pair measures a claimed gain the way the choosing-metrics guide
 # (§8) asks: PAIRS alternating runs of one workload's end-to-end pass on
@@ -137,9 +144,10 @@ loc:
 	fi
 
 # The full gate CI runs: gofmt, standard vet, spinlint, build, tests,
-# the fuzz seed corpus, the benchmark module's own check, and the
-# race-enabled pass over the concurrent packages.
-check: fmt vet lint build test fuzz-seed bench-check race
+# the fuzz seed corpus, the benchmark module's own check, one run of each
+# expression microbenchmark, and the race-enabled pass over the
+# concurrent packages.
+check: fmt vet lint build test fuzz-seed bench-check bench-eval race
 
 # bench-smoke runs the full-vs-incremental and full-vs-pruned
 # comparisons on small PR-VS and SSSP datasets: each fails if its two

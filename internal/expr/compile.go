@@ -3,6 +3,14 @@
 // by the paper's queries (LEAST, COALESCE, CEILING, ROUND, MOD, SUM,
 // MIN, COUNT, ...).
 //
+// Compiling resolves everything but the row: operators and functions are
+// bound to their kernels (kernels.go, funcs.go), and leaf operands are
+// read in place (operands.go). An expression whose root is a FLOAT
+// arithmetic tree of two operators or more — FF's ROUND(CAST((a / b) * a
+// AS FLOAT), 5) — also gets a typed program that computes it as float64
+// with no Value per node, and falls back to the generic evaluator on any
+// row it cannot reproduce exactly (float.go).
+//
 // Aggregate function calls are not compiled here: the planner extracts
 // them into aggregate-output columns first (see internal/plan), so the
 // compiler treats a remaining aggregate call as an error.
@@ -11,6 +19,7 @@ package expr
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/sqltypes"
@@ -64,10 +73,9 @@ func (e *Env) Add(table string, schema sqltypes.Schema) {
 // Resolve finds the unique column matching an optionally-qualified
 // reference: the first match, unless a second one makes it ambiguous.
 func (e *Env) Resolve(table, name string) (Binding, error) {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
 	found, n := Binding{}, 0
 	for _, b := range e.Cols {
-		if b.Name != ln || (lt != "" && b.Table != lt) {
+		if !lowerIs(name, b.Name) || (table != "" && !lowerIs(table, b.Table)) {
 			continue
 		}
 		if n++; n > 1 {
@@ -82,6 +90,36 @@ func (e *Env) Resolve(table, name string) (Binding, error) {
 		return Binding{}, fmt.Errorf("column %s does not exist", name)
 	}
 	return found, nil
+}
+
+// lowerIs reports whether strings.ToLower(s) == lower, allocating
+// nothing where s is ASCII: the typed path (float.go) resolves its leaves
+// a second time, and must cost an expression that takes no typed path no
+// allocation.
+func lowerIs(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.ToLower(s) == lower
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if i >= len(lower) || c != lower[i] {
+			return false
+		}
+	}
+	return len(s) == len(lower)
+}
+
+// bound is the value a literal compiles to: the one the run bound to its
+// slot, or its own.
+func (e *Env) bound(t *ast.Literal) sqltypes.Value {
+	slot, v := t.Param()
+	if slot > 0 && e.Params != nil {
+		v = e.Params[slot-1]
+	}
+	return v
 }
 
 // Compiled is an executable expression.
@@ -143,7 +181,7 @@ func (c *Compiled) Holds(row sqltypes.Row) (bool, error) {
 
 // compileCondition compiles e as the argument of clause.
 func compileCondition(e ast.Expr, env *Env, clause string) (*Compiled, error) {
-	c, err := Compile(e, env)
+	c, err := compileOperand(e, env)
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +191,20 @@ func compileCondition(e ast.Expr, env *Env, clause string) (*Compiled, error) {
 	return c, nil
 }
 
-// Compile binds an expression to the environment.
+// Compile binds an expression to the environment. Where e is a FLOAT
+// arithmetic tree of two operators or more, its Eval tries the typed path
+// first (float.go).
 func Compile(e ast.Expr, env *Env) (*Compiled, error) {
+	c, err := compileOperand(e, env)
+	if err != nil {
+		return nil, err
+	}
+	return withFloat(c, e, env), nil
+}
+
+// compileOperand is Compile without the typed path: every operand
+// compiles through it, so a row tries the typed path at the root alone.
+func compileOperand(e ast.Expr, env *Env) (*Compiled, error) {
 	c, err := compile(e, env)
 	if err != nil {
 		return nil, err
@@ -174,10 +224,7 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		// ROUND's digits, an operator's literal operand — lasts one run.
 		// Whatever evaluates one while the program is built must consume the
 		// literals (FoldConstants).
-		slot, v := t.Param()
-		if slot > 0 && env.Params != nil {
-			v = env.Params[slot-1]
-		}
+		v := env.bound(t)
 		return &Compiled{
 			Eval: func(sqltypes.Row) (sqltypes.Value, error) { return v, nil },
 			Type: t.Type(),
@@ -229,7 +276,7 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 				Type: sqltypes.Bool,
 			}, nil
 		}
-		inner, err := Compile(t.E, env)
+		inner, err := compileOperand(t.E, env)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +305,7 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		return compileCase(t, env)
 
 	case *ast.CastExpr:
-		inner, err := Compile(t.E, env)
+		inner, err := compileOperand(t.E, env)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +328,7 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		}, nil
 
 	case *ast.IsNullExpr:
-		inner, err := Compile(t.E, env)
+		inner, err := compileOperand(t.E, env)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +357,7 @@ func compile(e ast.Expr, env *Env) (*Compiled, error) {
 		if t.Negate {
 			both = &ast.UnaryExpr{Op: "NOT", E: both}
 		}
-		return Compile(both, env)
+		return compileOperand(both, env)
 
 	case *ast.Star:
 		return nil, fmt.Errorf("* is only valid in a select list or COUNT(*)")
@@ -322,11 +369,11 @@ func compileBinary(t *ast.BinaryExpr, env *Env) (*Compiled, error) {
 	if t.Op == "AND" || t.Op == "OR" {
 		return compileLogic(t, env)
 	}
-	l, err := Compile(t.L, env)
+	l, err := compileOperand(t.L, env)
 	if err != nil {
 		return nil, err
 	}
-	r, err := Compile(t.R, env)
+	r, err := compileOperand(t.R, env)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +453,7 @@ func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := Compile(w.Result, env)
+		r, err := compileOperand(w.Result, env)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +463,7 @@ func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
 	var els *Compiled
 	if t.Else != nil {
 		var err error
-		els, err = Compile(t.Else, env)
+		els, err = compileOperand(t.Else, env)
 		if err != nil {
 			return nil, err
 		}
@@ -447,13 +494,13 @@ func compileCase(t *ast.CaseExpr, env *Env) (*Compiled, error) {
 }
 
 func compileIn(t *ast.InExpr, env *Env) (*Compiled, error) {
-	e, err := Compile(t.E, env)
+	e, err := compileOperand(t.E, env)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]*Compiled, len(t.List))
 	for i, x := range t.List {
-		c, err := Compile(x, env)
+		c, err := compileOperand(x, env)
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +595,7 @@ func likeMatch(s, pattern string) bool {
 // an evaluator (used by the planner for schema inference where
 // aggregates have already been replaced by column refs).
 func InferType(e ast.Expr, env *Env) sqltypes.Type {
-	c, err := Compile(e, env)
+	c, err := compileOperand(e, env)
 	if err != nil {
 		return sqltypes.Unknown
 	}

@@ -342,3 +342,16 @@ func TestLikeMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerIsToLower: lowerIs(s, l), which Resolve matches names with,
+// is strings.ToLower(s) == l, for non-ASCII names too.
+func TestLowerIsToLower(t *testing.T) {
+	names := []string{"", "a", "A", "ab", "aB", "abc", "friendsPrev", "friendsprev", "İx", "i̇x", "ÄB", "äb", "xÄ", "xä", "K", "k", "K"}
+	for _, s := range names {
+		for _, l := range names {
+			if got, want := lowerIs(s, l), strings.ToLower(s) == l; got != want {
+				t.Errorf("lowerIs(%q, %q) = %v, want %v", s, l, got, want)
+			}
+		}
+	}
+}

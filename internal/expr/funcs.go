@@ -184,7 +184,7 @@ func (d roundDigits) round(v sqltypes.Value) (sqltypes.Value, error) {
 	if d.null || d.err != nil {
 		return sqltypes.NullValue, d.err
 	}
-	r := math.Round(v.Float()*d.scale) / d.scale
+	r := roundFloat(v.Float(), d.scale)
 	if v.T == sqltypes.Int && d.digits >= 0 {
 		return sqltypes.NewInt(int64(r)), nil
 	}
@@ -371,7 +371,7 @@ func compileScalarFunc(t *ast.FuncCall, env *Env) (*Compiled, error) {
 	compiled := make([]*Compiled, len(t.Args))
 	types := make([]sqltypes.Type, len(t.Args))
 	for i, a := range t.Args {
-		c, err := Compile(a, env)
+		c, err := compileOperand(a, env)
 		if err != nil {
 			return nil, err
 		}

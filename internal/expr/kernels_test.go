@@ -393,8 +393,9 @@ var workloadExprs = map[string]string{
 }
 
 // One expression per operand shape the bound evaluators tell apart, over
-// the same row: the binary operators' closures, and the operators and
-// functions that read leaves in place through an operand.
+// the same row: the binary operators' closures, the operators and
+// functions that read leaves in place through an operand, and a FLOAT
+// tree over INT and FLOAT columns, which takes the typed path.
 var shapeExprs = map[string]string{
 	"col∘col":      "friends / friendsPrev",
 	"col∘lit":      "distance < 5",
@@ -414,6 +415,7 @@ var shapeExprs = map[string]string{
 	"GREATEST":     "GREATEST(x, 1.5, friends)",
 	"MOD":          "MOD(distance, 7)",
 	"ABS":          "ABS(delta)",
+	"typed root":   "(distance + x) * friends",
 }
 
 var workloadSchema = sqltypes.Schema{
@@ -471,13 +473,16 @@ func TestEvalDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCompiledEvalConcurrent evaluates each compiled workload expression
-// from 8 goroutines at once, as the MPP machine's partitions do with the
-// one Compiled they share, and demands the sequential results; run it
-// under -race (make race) to see that a bound evaluator keeps no state.
+// TestCompiledEvalConcurrent evaluates each compiled workload and shape
+// expression from 8 goroutines at once, as the MPP machine's partitions
+// do with the one Compiled they share, and demands the sequential
+// results; run it under -race (make race) to see that a bound evaluator
+// keeps no state.
 func TestCompiledEvalConcurrent(t *testing.T) {
 	const rows, workers = 500, 8
-	for name, src := range workloadExprs {
+	all := maps.Clone(workloadExprs)
+	maps.Copy(all, shapeExprs)
+	for name, src := range all {
 		c := compileWorkload(t, src)
 		want := make([]sqltypes.Value, rows)
 		for i := range want {
@@ -512,8 +517,24 @@ func TestCompiledEvalConcurrent(t *testing.T) {
 
 // BenchmarkEvalFF evaluates FF's projection, the whole iterative part of
 // the friends-forecast query, over one row.
-func BenchmarkEvalFF(b *testing.B) {
-	c := compileWorkload(b, workloadExprs["ff"])
+func BenchmarkEvalFF(b *testing.B) { benchEval(b, workloadExprs["ff"]) }
+
+// BenchmarkEvalWorkloads evaluates each workload expression over one row:
+// ff takes the typed path, the single operators their bindLeaves
+// closures.
+func BenchmarkEvalWorkloads(b *testing.B) {
+	var names []string
+	for name := range workloadExprs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b.Run(name, func(b *testing.B) { benchEval(b, workloadExprs[name]) })
+	}
+}
+
+func benchEval(b *testing.B, src string) {
+	c := compileWorkload(b, src)
 	row := workloadRow(4)
 	b.ReportAllocs()
 	b.ResetTimer()

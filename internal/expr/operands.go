@@ -17,6 +17,11 @@ import (
 // shape of their operands, chosen at compile time (bindLeaves). The rest
 // read each operand through an operand value: an inlined check, and the
 // operand's Eval only where it is no leaf.
+//
+// Operands compile through compileOperand, which never attaches the typed
+// path (float.go): a FLOAT tree is tried as one program at the root that
+// Compile returns, once per row, and a row it bails on runs these
+// closures alone.
 
 // binaryFn is a function of two evaluated operands: a binary operator's
 // kernel or a library function of two arguments.

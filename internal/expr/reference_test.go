@@ -21,8 +21,10 @@ import (
 // index and panicked on a length near MaxInt64, and clamped a start
 // below 1 before it computed the end (SUBSTR('xyz', 0, 2) was 'xy'); and
 // INT arithmetic and ABS, which wrapped around instead of failing with
-// "integer out of range"; and a condition, whose value a FLOAT or a
-// VARCHAR was read as FALSE (refTruth).
+// "integer out of range"; a condition, whose value a FLOAT or a
+// VARCHAR was read as FALSE (refTruth); and ROUND, whose 10^digits or
+// v·10^digits overflowed to +Inf or NaN (ROUND(1e300, 10) was +Inf,
+// ROUND(1.5, 400) and ROUND(2.5, -400) NaN).
 
 // refArg is an operand as a reference evaluator receives it: its value,
 // whose type is also the static type it compiles to, and for a column
@@ -449,8 +451,16 @@ var refFuncs = map[string]func([]sqltypes.Value) (sqltypes.Value, error){
 			}
 			digits = d.I
 		}
+		// The overflow guard of roundFloat: an infinite scale or product
+		// leaves v as it is, and a scale that underflowed to 0 gives v·0.
 		scale := math.Pow(10, float64(digits))
 		r := math.Round(v.Float()*scale) / scale
+		switch x := v.Float() * scale; {
+		case math.IsInf(v.Float(), 0) || math.IsInf(scale, 0) || math.IsInf(x, 0):
+			r = v.Float()
+		case scale == 0:
+			r = x
+		}
 		if v.T == sqltypes.Int && digits >= 0 {
 			return sqltypes.NewInt(int64(r)), nil
 		}
