@@ -216,6 +216,7 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 // full plan for this iteration.
 func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (*storage.Table, error) {
 	cteTable, affected := f.cte, f.affected
+	acc.Pin() // out serves the cached groups with acc's rows
 	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return nil, err

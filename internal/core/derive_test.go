@@ -167,7 +167,7 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 				}
 				compiled := exec.NewCompileCache(nil)
 				var stats Stats
-				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(nil, compiled)}, &stats); err != nil {
+				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(nil, compiled, nil)}, &stats); err != nil {
 					t.Fatal(err)
 				}
 				if stats.Iterations != int64(n) {
@@ -217,7 +217,7 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 		Final: namedResult("b", "src", "s"),
 	}
 	compiled := exec.NewCompileCache(nil)
-	got, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(exec.NewIndexCache(), compiled)}, &Stats{})
+	got, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(exec.NewIndexCache(), compiled, nil)}, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

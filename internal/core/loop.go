@@ -167,10 +167,11 @@ func (s *LoopStep) Run(ctx *Context) error {
 	// The back-edge: indexes the finished iteration did not ask for are
 	// of tables it replaced (exec.IndexCache), exchange buffers it did
 	// not fill are those of the steps in front of the loop (mpp's sites),
-	// and hash tables no run took since the last back-edge were let go
-	// outside the loop (the spares of both memos).
+	// and hash tables and row chunks no run took since the last back-edge
+	// were let go outside the loop (the memos' spares, the free list).
 	ctx.RT.Indexes().Sweep()
 	ctx.RT.Compiled().Sweep()
+	ctx.RT.Chunks().Sweep()
 	ctx.MPP.Sweep()
 	// The safety guard: refuse to start an iteration past the cap. The
 	// check sits after shouldContinue so a loop whose own condition fires
@@ -292,7 +293,8 @@ func (l *LoopState) snapshot(ctx *Context) error {
 	// comparison on both sides: they are skipped here AND excluded from
 	// prevCount, so the disappeared-row adjustment in changedRows only
 	// accounts for keyed rows (a short row can neither match nor
-	// disappear).
+	// disappear). The snapshot keeps t's rows past its release.
+	t.Pin()
 	l.prev = ctx.rowIndex(keyCol, t.Len())
 	l.prevCount = 0
 	for _, part := range t.Parts {

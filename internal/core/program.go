@@ -157,6 +157,10 @@ type Stats struct {
 	// copy-back steps — the data-movement currency the column-pruning
 	// experiment reports.
 	MaterializedCells int64
+	// FreedCells counts the cells of the results whose rows a rename, a
+	// rebinding or a drop handed back to the run (storage.ResultStore):
+	// unpinned tables the volcano executor carved every row of.
+	FreedCells int64
 	// Fault-tolerance accounting (Options.MaxRetries): Retries counts the
 	// re-attempts taken from back-edge checkpoints,
 	// Degradations the rungs descended on the graceful-degradation
@@ -189,6 +193,7 @@ func (s *Stats) Add(o *Stats) {
 	s.AggFullRows += o.AggFullRows
 	s.AggInputRows += o.AggInputRows
 	s.MaterializedCells += o.MaterializedCells
+	s.FreedCells += o.FreedCells
 	s.Retries += o.Retries
 	s.Degradations += o.Degradations
 	s.ExecStats.Add(&o.ExecStats)
@@ -504,7 +509,7 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 	// the run starts — steps, the MPP machine, Qf — reaches it through
 	// this view of the runtime. It goes on every exit path; what the run
 	// let go stays in st only if the run neither failed nor degraded.
-	r := st.Begin(rt, params)
+	r := st.Begin(rt, params, &stats.FreedCells)
 	rows, err := p.run(goctx, r, stats) // contains its panics
 	p.releaseLoops(r.runState())
 	r.End(err == nil && stats.Degradations == 0)
@@ -940,6 +945,9 @@ func (m *MergeStep) Run(ctx *Context) error {
 	if work == nil {
 		return fmt.Errorf("merge: result %q not found", m.Work)
 	}
+	// out keeps rows of both, and the append forms the CTE's partitions.
+	cte.Pin()
+	work.Pin()
 	// A table's schema is never written after planning: out and the
 	// delta share the CTE's.
 	out := storage.NewTable(m.Into, cte.Schema, ctx.parts)

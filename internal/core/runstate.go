@@ -16,6 +16,8 @@ import (
 //     tables its keyed passes let go (Context.keyTable).
 //   - The keyed merges' key indexes (keyIndex), emptied by the first
 //     merge of the next run, which rebuilds.
+//   - The bookkeeping of the free list of row chunks (sqltypes.
+//     ChunkPool), emptied: the chunks themselves go when the run ends.
 //
 // Nothing a run computed is in it. The index memo's entries (witnessed
 // by a table's address, and DML changes base tables in place), the
@@ -34,12 +36,15 @@ type RunState struct {
 	sizes  []int
 	keys   exec.Spares[*sqltypes.KeyTable]
 	merges exec.Spares[*keyIndex]
+	chunks sqltypes.ChunkPool
 }
 
 // Run is one run of a statement over its RunState. RT is the view of
 // the runtime every executor the run starts — the steps, the MPP
 // machine, the final query — reaches the run memo through: hash indexes
-// and compiled expressions, built for this run over the state's storage.
+// and compiled expressions, built for this run over the state's storage,
+// and the free list of the row chunks the run's released tables hand
+// back, which is emptied when the run ends.
 type Run struct {
 	RT       *exec.StoreRuntime
 	state    *RunState
@@ -50,14 +55,16 @@ type Run struct {
 
 // Begin starts a run of the statement st belongs to (nil: a fresh
 // state) that bound params to the statement's literal slots (nil: every
-// literal keeps the value it was parsed with). It is how every SELECT
-// path builds its run memo.
-func (st *RunState) Begin(rt *exec.StoreRuntime, params []sqltypes.Value) *Run {
+// literal keeps the value it was parsed with), counting the cells its
+// released tables hand back into freed. It is how every SELECT path
+// builds its run memo.
+func (st *RunState) Begin(rt *exec.StoreRuntime, params []sqltypes.Value, freed *int64) *Run {
 	if st == nil {
 		st = new(RunState)
 	}
 	indexes, compiled := st.memo.Memo(params)
-	return &Run{RT: rt.WithMemo(indexes, compiled), state: st, indexes: indexes, compiled: compiled}
+	st.chunks.Reset(freed)
+	return &Run{RT: rt.WithMemo(indexes, compiled, &st.chunks), state: st, indexes: indexes, compiled: compiled}
 }
 
 // Machine returns an MPP machine over parts partitions for the run,
@@ -78,6 +85,7 @@ func (r *Run) Machine(parts int, stats *mpp.Stats, execStats *exec.Stats) *mpp.M
 func (r *Run) End(clean bool) {
 	st := r.runState()
 	st.memo.End(r.indexes, r.compiled, clean)
+	st.chunks.Reset(nil)
 	if !clean {
 		st.sites, st.sizes = nil, nil
 		st.keys.Clear()

@@ -175,7 +175,7 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 		hints := map[string]int{"none": 0, "exact": len(want), "too small": len(want) / 2, "too large": 2*len(want) + 3}
 		for hname, hint := range hints {
 			what := fmt.Sprintf("%s, %s hint", name, hname)
-			memo := rt.WithMemo(nil, NewCompileCache(nil))
+			memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
 			ex, err := aggExprsOf(memo.Compiled(), node)
 			if err != nil {
 				t.Fatal(err)
@@ -235,7 +235,7 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 
 		// Two partitions of an MPP machine share the node's count: each
 		// starts from the one the other left.
-		memo := rt.WithMemo(nil, NewCompileCache(nil))
+		memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
 		frag := &Fragment{Parts: 2}
 		for _, part := range []int{0, 1, 0} {
 			what := fmt.Sprintf("%s, partition %d, other partition's hint", name, part)
@@ -271,7 +271,7 @@ func TestAggregateHintSharedByConcurrentPartitions(t *testing.T) {
 		}
 		want[p] = RowsText(copyAggregate(t, node, in))
 	}
-	memo := rt.WithMemo(nil, NewCompileCache(nil))
+	memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
 	var wg sync.WaitGroup
 	for p := range parts {
 		wg.Add(1)
@@ -346,7 +346,7 @@ func TestLeftoversCarryOnlyLentTables(t *testing.T) {
 		cells := map[*sqltypes.Value]bool{}
 		for run := 0; run < 2; run++ {
 			x, c := l.Memo(nil)
-			op, err := buildWith(node, rt.WithMemo(x, c), nil, nil, run > 0 || firstLends, nil)
+			op, err := buildWith(node, rt.WithMemo(x, c, nil), nil, nil, run > 0 || firstLends, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,10 @@ import (
 // rehashing — so downstream scans (including the MPP machine's aligned
 // re-slicing) read the partitions exactly as the source produced them.
 // Rows too short to carry the key column are dropped, matching the loop
-// operator's treatment of ragged rows.
+// operator's treatment of ragged rows. The restriction holds t's rows,
+// so t is pinned (storage.Table.Pin).
 func FilterTableByKey(t *storage.Table, key int, keep *sqltypes.KeyTable, name string, stats *Stats) *storage.Table {
+	t.Pin()
 	out := storage.NewTable(name, t.Schema.Clone(), t.NumParts())
 	out.PK = t.PK
 	out.DistCol = t.DistCol

@@ -29,6 +29,8 @@ type Runtime interface {
 	// Compiled returns the run's compile memo; nil when there is none and
 	// every tree compiles its own expressions.
 	Compiled() *CompileCache
+	// Chunks returns the run's free list of row chunks (nil: none).
+	Chunks() *sqltypes.ChunkPool
 }
 
 // Stats accumulates execution counters, used by the benchmarks and the
@@ -134,7 +136,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 	case *plan.Scan:
 		return &scanOp{name: t.Table, base: true, rt: rt, stats: stats, cancel: cc, frag: frag}, nil
 	case *plan.NamedResult:
-		return &scanOp{name: t.Name, base: false, rt: rt, stats: stats, cancel: cc, frag: frag}, nil
+		return &scanOp{name: t.Name, base: false, keep: !borrow, rt: rt, stats: stats, cancel: cc, frag: frag}, nil
 	case *plan.OneRow:
 		return &rowsOp{rows: []sqltypes.Row{{}}}, nil
 	case *plan.Alias:
@@ -274,6 +276,9 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 // passes about what it wrote there last iteration. It is advisory and
 // changes capacity, never rows. The plan's hot loops poll ctx at a
 // coarse row stride; a nil ctx keeps the zero-cost uncancellable path.
+// The partitions come from the run's free list (Runtime.Chunks), and a
+// table whose every row the root builds (rowSource) owns them: they are
+// carved from its chunks (storage.Table.OwnRows).
 func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats, name string, parts int, hint []int) (*storage.Table, error) {
 	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx), false, nil)
 	if err != nil {
@@ -283,10 +288,14 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 	if len(t.Schema) > 0 {
 		t.DistCol = 0
 	}
+	chunks := rt.Chunks()
+	if out := rowSource(op); out != nil {
+		out.slab.CarveFor(t.OwnRows(chunks))
+	}
 	if len(hint) == len(t.Parts) {
 		for p, rows := range hint {
 			if rows > 0 {
-				t.Parts[p] = make([]sqltypes.Row, 0, rows)
+				t.Parts[p] = chunks.Part(rows)
 			}
 		}
 	}
@@ -303,6 +312,26 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 			return t, nil
 		}
 		t.Insert(r)
+	}
+}
+
+// rowSource returns the outRows of the project every row op emits
+// comes from, under filters, trims and limits; nil when op may pass on
+// a row it did not build (a scan's, an aggregate's, a join's).
+func rowSource(op Operator) *outRows {
+	for {
+		switch o := op.(type) {
+		case *filterOp:
+			op = o.input
+		case *trimOp:
+			op = o.input
+		case *limitOp:
+			op = o.input
+		case *projectOp:
+			return &o.out
+		default:
+			return nil
+		}
 	}
 }
 
@@ -326,6 +355,7 @@ func planEnv(n plan.Node, params []sqltypes.Value) *expr.Env {
 type scanOp struct {
 	name   string
 	base   bool
+	keep   bool // the consumer keeps rows: pin the result, as fragments do
 	rt     Runtime
 	stats  *Stats
 	cancel *CancelChecker
@@ -352,6 +382,9 @@ func (s *scanOp) Open() error {
 	t, err := s.table()
 	if err != nil {
 		return err
+	}
+	if !s.base && (s.keep || s.frag != nil) {
+		t.Pin()
 	}
 	switch {
 	case s.frag == nil:

@@ -198,7 +198,7 @@ func TestFragmentJoinTakesPartitionIndexFromMemo(t *testing.T) {
 		parts int
 		memo  int // indexes the memo ends up with
 	}{{2, 2}, {3, 0}} {
-		rt := testRuntime(t).WithMemo(NewIndexCache(), nil)
+		rt := testRuntime(t).WithMemo(NewIndexCache(), nil, nil)
 		join := planSQL(t, rt, joinSQL)
 		j := firstJoin(t, join)
 		tapped := 0
@@ -305,7 +305,7 @@ func TestFragmentTopNOverCutInput(t *testing.T) {
 // trees of one fragment are built over the same compiled expressions,
 // whichever is built first, and so is a volcano tree of the same plan.
 func TestFragmentSharesCompiledExpressions(t *testing.T) {
-	rt := testRuntime(t).WithMemo(nil, NewCompileCache(nil))
+	rt := testRuntime(t).WithMemo(nil, NewCompileCache(nil), nil)
 	node := planSQL(t, rt, "SELECT e.src + 1, COUNT(*) FROM edges e JOIN vertexStatus v ON e.dst = v.node WHERE v.status = 1 GROUP BY e.src + 1")
 	frag := &Fragment{Parts: 2}
 	var trees [3]Operator

@@ -73,8 +73,10 @@ func newIndexCache(spare *Spares[*HashIndex]) *IndexCache {
 // Index returns the hash index on keys of the rows of t's partition part
 // (allParts: all of them) that pass filter (nil: every row), and whether
 // this call built it. Only indexes whose keys are all bare columns are
-// memoized; any other is built and not kept.
+// memoized; any other is built and not kept. An index holds t's rows, and
+// may hold a partition slice of it, so t is pinned (storage.Table.Pin).
 func (c *IndexCache) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) (x *HashIndex, built bool, err error) {
+	t.Pin()
 	build := func() (*HashIndex, error) {
 		x := c.spareIndex()
 		rows, owned, err := indexRows(x.rowStorage(), t, part, filter)

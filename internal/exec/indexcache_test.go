@@ -194,7 +194,7 @@ func TestJoinTakesTableIndexFromCache(t *testing.T) {
 		if ref.RowsIndexed != 1000 || ref.RowsScanned != 4000 {
 			t.Fatalf("%s: without a memo RowsIndexed = %d, RowsScanned = %d; want 1000 and 4000", sql, ref.RowsIndexed, ref.RowsScanned)
 		}
-		rt := plain.WithMemo(NewIndexCache(), nil)
+		rt := plain.WithMemo(NewIndexCache(), nil, nil)
 		for run := 1; run <= 3; run++ {
 			var st Stats
 			got, err := Run(node, rt, &st)
@@ -259,8 +259,8 @@ func TestJoinIndexesFilteredBuildSide(t *testing.T) {
 		memoized bool
 	}{
 		{"no memo", plain, false},
-		{"index memo alone", plain.WithMemo(NewIndexCache(), nil), false},
-		{"index and compile memo", plain.WithMemo(NewIndexCache(), NewCompileCache(nil)), true},
+		{"index memo alone", plain.WithMemo(NewIndexCache(), nil, nil), false},
+		{"index and compile memo", plain.WithMemo(NewIndexCache(), NewCompileCache(nil), nil), true},
 	} {
 		for run := 1; run <= 3; run++ {
 			var st Stats
@@ -353,7 +353,7 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := plain.WithMemo(NewIndexCache(), nil)
+	memo := plain.WithMemo(NewIndexCache(), nil, nil)
 	for run := 1; run <= 3; run++ {
 		got, err := Run(node, memo, nil)
 		if err != nil {

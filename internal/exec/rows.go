@@ -40,7 +40,8 @@ type outRows struct {
 }
 
 // reset drops the rows handed out so far; operators call it from Open.
-func (o *outRows) reset() { o.slab = sqltypes.RowSlab{} }
+// A slab carving for a table's arena (MaterializeContext) keeps doing so.
+func (o *outRows) reset() { o.slab.Reset() }
 
 // next returns the row to fill, capped at width. A slab row starts
 // NULL; the borrowed row still holds the previous row's values, so the

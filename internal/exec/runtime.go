@@ -16,11 +16,12 @@ import (
 type StoreRuntime struct {
 	Catalog *catalog.Catalog
 	Results *storage.ResultStore
-	// indexes and compiled are the run memo of the query run this view
-	// belongs to (WithMemo): its hash indexes and its compiled
-	// expressions. Nil outside one.
+	// indexes, compiled and chunks are the run memo of the query run
+	// this view belongs to (WithMemo): its hash indexes, its compiled
+	// expressions and its free list of row chunks. Nil outside one.
 	indexes  *IndexCache
 	compiled *CompileCache
+	chunks   *sqltypes.ChunkPool
 }
 
 // NewStoreRuntime wraps a catalog and result store.
@@ -30,10 +31,11 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 
 // WithMemo returns a view of the runtime whose executors share a run
 // memo: joins take the indexes of the tables they read directly from
-// indexes, and every tree takes what it compiles from a plan node from
-// compiled. One query run owns both. Either may be nil.
-func (s *StoreRuntime) WithMemo(indexes *IndexCache, compiled *CompileCache) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: indexes, compiled: compiled}
+// indexes, every tree takes what it compiles from a plan node from
+// compiled, and materializations carve their rows from chunks. One
+// query run owns all three. Any may be nil.
+func (s *StoreRuntime) WithMemo(indexes *IndexCache, compiled *CompileCache, chunks *sqltypes.ChunkPool) *StoreRuntime {
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: indexes, compiled: compiled, chunks: chunks}
 }
 
 // Indexes implements Runtime.
@@ -41,6 +43,9 @@ func (s *StoreRuntime) Indexes() *IndexCache { return s.indexes }
 
 // Compiled implements Runtime.
 func (s *StoreRuntime) Compiled() *CompileCache { return s.compiled }
+
+// Chunks implements Runtime.
+func (s *StoreRuntime) Chunks() *sqltypes.ChunkPool { return s.chunks }
 
 // ArmFaults arms (or, with nil, disarms) fault injection on the result
 // store's mutation hooks (the "storage" point of Config.FaultSchedule).

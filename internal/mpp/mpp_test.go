@@ -468,7 +468,7 @@ func TestJoinTakesPartitionIndexesFromMemo(t *testing.T) {
 	if indexed != 50 {
 		t.Fatalf("no memo, shuffled: RowsIndexed = %d, want kv's 50 rows", indexed)
 	}
-	memo := plain.WithMemo(exec.NewIndexCache(), nil)
+	memo := plain.WithMemo(exec.NewIndexCache(), nil, nil)
 	for i, c := range []struct {
 		name    string
 		rt      *exec.StoreRuntime

@@ -1,5 +1,10 @@
 package sqltypes
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // RowSlab hands out rows carved from shared chunks instead of one
 // allocation per row. A row is a three-index slice (len == cap), so an
 // append to it reallocates instead of running into its neighbour, and
@@ -7,14 +12,19 @@ package sqltypes
 // rows: a small result pays for a small chunk. The zero RowSlab is ready
 // to use.
 //
-// A chunk lives as long as any row carved from it. That is the contract
-// emitted rows already obey — immutable once emitted, and tables replace
-// rows, never write into them — plus a bound on what one surviving row
-// can pin (maxSlabRows rows).
+// A chunk lives as long as any row carved from it: emitted rows are
+// immutable, and tables replace rows, never write into them. Without an
+// arena that is the garbage collector's to tell, with a bound on what
+// one surviving row can pin (maxSlabRows rows). A slab carving for an
+// arena (CarveFor) takes its chunks from the arena's pool and records
+// them; they are carved again only after the table owning the arena
+// handed them back (Arena.Release), which the result store does only
+// for a table no slot binds and no reader kept rows of.
 type RowSlab struct {
-	buf  []Value // current chunk
-	pos  int     // first free cell of buf
-	rows int     // rows handed out so far; sizes the next chunk
+	buf   []Value // current chunk
+	pos   int     // first free cell of buf
+	rows  int     // rows handed out so far; sizes the next chunk
+	arena *Arena  // where chunks come from and are recorded; nil: make
 }
 
 const (
@@ -22,14 +32,26 @@ const (
 	maxSlabRows = 256
 )
 
+// CarveFor makes s take its chunks from a's pool and record them in a
+// (nil: allocate them).
+func (s *RowSlab) CarveFor(a *Arena) { s.arena = a }
+
+// Reset drops the rows handed out so far; s keeps carving for its arena.
+func (s *RowSlab) Reset() { *s = RowSlab{arena: s.arena} }
+
 // Alloc returns a zeroed row of the given width.
 func (s *RowSlab) Alloc(width int) Row {
 	if width == 0 {
 		return Row{} // non-nil: a nil row means end of stream to operators
 	}
 	if s.pos+width > len(s.buf) {
-		n := min(max(s.rows, minSlabRows), maxSlabRows)
-		s.buf, s.pos = make([]Value, n*width), 0
+		n := min(max(s.rows, minSlabRows), maxSlabRows) * width
+		if s.arena != nil {
+			s.buf = s.arena.chunk(n)
+		} else {
+			s.buf = make([]Value, n)
+		}
+		s.pos = 0
 	}
 	r := s.buf[s.pos : s.pos+width : s.pos+width]
 	s.pos += width
@@ -44,4 +66,170 @@ func (s *RowSlab) Recycle(r Row) {
 	clear(r)
 	s.pos -= len(r)
 	s.rows--
+}
+
+// Arena records the chunks one table's rows were carved from, for the
+// table to hand back to their pool. The zero Arena owns nothing.
+type Arena struct {
+	pool   *ChunkPool
+	chunks [][]Value
+}
+
+// NewArena returns an empty arena over pool's chunks.
+func NewArena(pool *ChunkPool) Arena { return Arena{pool: pool} }
+
+// Owned reports whether the arena carves from a pool.
+func (a *Arena) Owned() bool { return a.pool != nil }
+
+// chunk returns a zeroed chunk of n cells from the pool, recorded in a
+// list an earlier arena gave back or one with room for 16 (2,560 rows).
+func (a *Arena) chunk(n int) []Value {
+	p := a.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if a.chunks == nil {
+		if l, ok := p.lists.take(func([][]Value) bool { return true }); ok {
+			a.chunks = l
+		} else {
+			a.chunks = make([][]Value, 0, 16)
+		}
+	}
+	c, ok := p.chunks.take(func(c []Value) bool { return len(c) == n })
+	if clear(c); !ok {
+		c = make([]Value, n)
+	}
+	a.chunks = append(a.chunks, c)
+	return c
+}
+
+// Release hands the arena's chunks and parts, its table's partition
+// slices, back to the pool, counting cells as freed: nothing may read
+// them afterwards. With keep set the rows outlive the arena and only its
+// list goes back. The arena owns nothing after.
+func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
+	p := a.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !keep {
+		poison := poisoning.Load() > 0
+		for _, c := range a.chunks {
+			if poison {
+				for i := range c {
+					c[i] = Poisoned
+				}
+			}
+			p.chunks.give(c)
+		}
+		for _, s := range parts {
+			if cap(s) > 0 {
+				clear(s)
+				p.parts.give(s[:0])
+			}
+		}
+		if p.freed != nil {
+			*p.freed += cells
+		}
+	}
+	if cap(a.chunks) > 0 {
+		clear(a.chunks)
+		p.lists.give(a.chunks[:0])
+	}
+	*a = Arena{}
+}
+
+// ChunkPool is a query run's free list of what arenas hand back: row
+// chunks, partition slices and chunk lists. A table of the last one's
+// shape is carved from exactly its chunks. A chunk or partition slice
+// nobody took between two back-edges is dropped at the second (Sweep),
+// as exec.Spares does, and all of them when the run ends (Reset). The
+// zero value is empty; it is safe for concurrent use.
+type ChunkPool struct {
+	mu     sync.Mutex
+	chunks freeList[[]Value]
+	parts  freeList[[]Row]
+	lists  freeList[[][]Value]
+	freed  *int64
+}
+
+// Part returns an empty partition slice with room for n rows, one handed
+// back if the pool (nil: none) has one that large.
+func (p *ChunkPool) Part(n int) []Row {
+	if p == nil {
+		return make([]Row, 0, n)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s, ok := p.parts.take(func(s []Row) bool { return cap(s) >= n }); ok {
+		return s
+	}
+	return make([]Row, 0, n)
+}
+
+// Sweep drops the chunks and partition slices no one took since the
+// previous sweep; the loop operator calls it at the back-edge.
+func (p *ChunkPool) Sweep() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.chunks.drop(p.chunks.aged)
+	p.parts.drop(p.parts.aged)
+}
+
+// Reset drops every chunk and partition slice, and counts the cells of
+// the tables released from now on into freed (nil: nowhere).
+func (p *ChunkPool) Reset(freed *int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.chunks.drop(len(p.chunks.items))
+	p.parts.drop(len(p.parts.items))
+	p.freed = freed
+}
+
+// freeList is a stack of spares, newest last.
+type freeList[T any] struct {
+	items []T
+	aged  int // items[:aged] were there at the last drop
+}
+
+func (f *freeList[T]) give(x T) { f.items = append(f.items, x) }
+
+// take removes and returns the newest item that fits.
+func (f *freeList[T]) take(fits func(T) bool) (x T, ok bool) {
+	for i := len(f.items) - 1; i >= 0; i-- {
+		if x = f.items[i]; fits(x) {
+			n := len(f.items) - 1
+			copy(f.items[i:], f.items[i+1:])
+			clear(f.items[n:])
+			f.items = f.items[:n]
+			if i < f.aged {
+				f.aged--
+			}
+			return x, true
+		}
+	}
+	return *new(T), false
+}
+
+// drop drops items[:n] and marks the rest aged.
+func (f *freeList[T]) drop(n int) {
+	m := copy(f.items, f.items[n:])
+	clear(f.items[m:])
+	f.items, f.aged = f.items[:m], m
+}
+
+// Poisoned is what a chunk handed back holds while Poison is armed: a
+// value no test table holds, so a reader that kept a row of it shows it.
+var Poisoned = NewString("<reused>")
+
+var poisoning atomic.Int32
+
+// Poison arms the lifetime guard of row chunks until the returned
+// function is called: a chunk handed back is filled with Poisoned at
+// once, so a reader that kept its rows reads a wrong value in every run,
+// not only in those that carve it again first. Tests arm it.
+func Poison() (disarm func()) {
+	poisoning.Add(1)
+	return func() { poisoning.Add(-1) }
 }

@@ -24,6 +24,9 @@ import (
 // partition slices, aliases of it under other slots, checkpoints and the
 // run's hash-index memo (exec.IndexCache) all rely on that. Base tables
 // in the catalog are never frozen; they change only between statements.
+//
+// A table may own its rows (OwnRows), which go back to their run once
+// no slot binds it, unless a reader that keeps rows pinned it (Pin).
 type Table struct {
 	Name   string
 	Schema sqltypes.Schema
@@ -40,6 +43,10 @@ type Table struct {
 	// frozenAs is the result-store slot the table was last bound under;
 	// empty while the table may still be written.
 	frozenAs string
+	// arena holds the chunks the rows were carved from when the table
+	// owns them (OwnRows); pinned records that a reader kept some.
+	arena  sqltypes.Arena
+	pinned atomic.Bool
 }
 
 // NewTable creates an empty table with the given partition count
@@ -162,10 +169,29 @@ func (t *Table) Truncate() {
 	t.rr = 0
 }
 
+// OwnRows makes t own the rows a slab carves into the returned arena
+// (sqltypes.RowSlab.CarveFor); every row t holds must come from there.
+// With a nil pool it returns nil, and t owns nothing.
+func (t *Table) OwnRows(pool *sqltypes.ChunkPool) *sqltypes.Arena {
+	if pool == nil {
+		return nil
+	}
+	t.arena = sqltypes.NewArena(pool)
+	return &t.arena
+}
+
+// Pin records that a reader keeps rows or partition slices of t past
+// its step, so t's rows are never handed back. It is safe for
+// concurrent use.
+func (t *Table) Pin() { t.pinned.Store(true) }
+
 // Clone returns a deep-enough copy: new partition slices sharing the
-// row values (rows are treated as immutable once stored). The copy is
-// writable whether or not t is frozen.
+// row values (rows are treated as immutable once stored), so it pins t.
+// The copy owns no rows, and is writable whether or not t is frozen.
 func (t *Table) Clone() *Table {
+	if !test.unpinnedClones {
+		t.Pin()
+	}
 	c := &Table{Name: t.Name, Schema: t.Schema.Clone(), PK: t.PK, DistCol: t.DistCol}
 	c.Parts = make([][]sqltypes.Row, len(t.Parts))
 	for i, p := range t.Parts {
@@ -202,13 +228,13 @@ func (s *ResultStore) inject() {
 // output in a fresh table and binds it last, and a slot changes content
 // only by pointing at a different table — which is what lets a table's
 // address stand for its content for as long as the table is reachable.
+// A table Put, Rename or Drop unbinds is released (release).
 type ResultStore struct {
-	// mu guards the name-to-table map and the freed counter. A query's
-	// steps run one at a time, but within a step the MPP machine's
-	// partition workers may read the store concurrently.
-	mu    sync.RWMutex
-	m     map[string]*Table
-	freed int
+	// mu guards the name-to-table map. A query's steps run one at a time,
+	// but within a step the MPP machine's partition workers may read the
+	// store concurrently.
+	mu sync.RWMutex
+	m  map[string]*Table
 	// faults is the armed fault-injection registry (Config.
 	// FaultSchedule): every mutation — put, drop, rename — fires the
 	// storage point before taking the lock. An atomic pointer so the
@@ -222,14 +248,16 @@ func NewResultStore() *ResultStore {
 }
 
 // Put registers (or replaces) a named intermediate result and freezes
-// the table.
+// the table. A table it displaces is released.
 func (s *ResultStore) Put(name string, t *Table) {
 	n := normalize(name)
 	s.inject()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	t.frozenAs = name
+	old := s.m[n]
 	s.m[n] = t
-	s.mu.Unlock()
+	s.release(old)
 }
 
 // Get returns the named result, or nil.
@@ -241,13 +269,15 @@ func (s *ResultStore) Get(name string) *Table {
 	return t
 }
 
-// Drop removes the named result.
+// Drop removes the named result and releases it.
 func (s *ResultStore) Drop(name string) {
 	n := normalize(name)
 	s.inject()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.m[n]
 	delete(s.m, n)
-	s.mu.Unlock()
+	s.release(old)
 }
 
 // Len returns the number of live results.
@@ -257,17 +287,11 @@ func (s *ResultStore) Len() int {
 	return len(s.m)
 }
 
-// Freed counts results released by rename, for stats/tests.
-func (s *ResultStore) Freed() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.freed
-}
-
 // Rename implements the rename operator: the entry for old is
-// re-registered under new. If new already points at a result, that
-// result is released (its memory freed), exactly as described in
-// §VI-A. Renaming a missing result is an error.
+// re-registered under new. If new already points at another result,
+// that result is released (its memory freed), exactly as described in
+// §VI-A; two names of one slot displace nothing. Renaming a missing
+// result is an error.
 func (s *ResultStore) Rename(old, new string) error {
 	o, n := normalize(old), normalize(new)
 	s.inject()
@@ -277,15 +301,40 @@ func (s *ResultStore) Rename(old, new string) error {
 	if !ok {
 		return fmt.Errorf("rename: intermediate result %q not found", old)
 	}
-	if _, exists := s.m[n]; exists {
-		s.freed++
-	}
-	delete(s.m, o)
 	t.Name = new
 	t.frozenAs = new
+	if o == n {
+		return nil
+	}
+	displaced := s.m[n]
+	delete(s.m, o)
 	s.m[n] = t
+	s.release(displaced)
 	return nil
 }
+
+// release is the path of every table the store stops binding under a
+// slot: one it binds under no other slot that owns its rows hands them
+// back to its run (sqltypes.Arena.Release) and reads empty, unless a
+// reader pinned it. s.mu is held.
+func (s *ResultStore) release(t *Table) {
+	if t == nil || !t.arena.Owned() {
+		return
+	}
+	for _, u := range s.m {
+		if u == t && !test.ignoreAliases {
+			return
+		}
+	}
+	pinned := t.pinned.Load() && !test.ignorePins
+	t.arena.Release(t.Parts, int64(t.Len())*int64(len(t.Schema)), pinned)
+	if !pinned {
+		clear(t.Parts)
+	}
+}
+
+// test holds the seeded mutants of the release path (export_test.go).
+var test struct{ ignorePins, unpinnedClones, ignoreAliases bool }
 
 // NormalizeName exposes the store's name normalization (lowercasing,
 // SQL identifier semantics) so the partition-property analyses name

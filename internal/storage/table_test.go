@@ -121,10 +121,26 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// carved returns a table owning its rows, each carved from pool's chunks
+// as exec.MaterializeContext carves them, with a copy of rows' values.
+func carved(name string, pool *sqltypes.ChunkPool, rows ...sqltypes.Row) *Table {
+	t := NewTable(name, schema2(), 1)
+	var slab sqltypes.RowSlab
+	slab.CarveFor(t.OwnRows(pool))
+	for _, r := range rows {
+		c := slab.Alloc(len(r))
+		copy(c, r)
+		t.Insert(c)
+	}
+	return t
+}
+
 func TestResultStore(t *testing.T) {
 	s := NewResultStore()
-	a := NewTable("a", schema2(), 1)
-	a.Insert(row(1, 1))
+	var pool sqltypes.ChunkPool
+	var freed int64
+	pool.Reset(&freed)
+	a := carved("a", &pool, row(1, 1))
 	s.Put("Working", a)
 	if s.Get("working") != a {
 		t.Error("case-insensitive get")
@@ -142,11 +158,11 @@ func TestResultStore(t *testing.T) {
 	if a.Name != "cte" {
 		t.Error("rename should update the table's name")
 	}
-	if s.Freed() != 0 {
+	if freed != 0 {
 		t.Error("no result was displaced")
 	}
 	// Rename over an existing entry frees it.
-	b := NewTable("b", schema2(), 1)
+	b := carved("b", &pool, row(2, 2))
 	s.Put("working", b)
 	if err := s.Rename("working", "cte"); err != nil {
 		t.Fatal(err)
@@ -154,8 +170,8 @@ func TestResultStore(t *testing.T) {
 	if s.Get("cte") != b {
 		t.Error("rename should displace old target")
 	}
-	if s.Freed() != 1 {
-		t.Errorf("Freed = %d, want 1", s.Freed())
+	if freed != 2 {
+		t.Errorf("%d cells freed, want a's 2", freed)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d after displacing rename", s.Len())
