@@ -19,9 +19,11 @@ test:
 # matrices and the fault matrix, which run the MPP machine's partition
 # workers; expr for one Compiled evaluated from eight goroutines (MPP
 # partitions share compiled expressions, so a bound kernel must keep no
-# state), and storage for the tables they read.
+# state), storage for the tables they read, and sqltypes for Spares, the
+# free list whose mutex the partitions share (an aggregate's spare
+# tables, the run's row chunks).
 race:
-	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/mpp/... ./internal/verify/... ./internal/bench/... ./internal/expr/... ./internal/storage/...
+	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/mpp/... ./internal/verify/... ./internal/bench/... ./internal/expr/... ./internal/storage/... ./internal/sqltypes/...
 
 # fmt fails listing every Go file gofmt would rewrite. Build output
 # (.bench_build/ holds exported base trees) and the analyzers' testdata

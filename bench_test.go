@@ -251,7 +251,7 @@ func BenchmarkRecursive(b *testing.B) {
 // measurements plus 5%, below 1.42 and 1.36 MB, so starting each query
 // from empty fails here, as does building the tables anew every
 // iteration, indexing edges once per iteration instead of once per query
-// (4.54 MB before the run-scoped index memo, exec.IndexCache) or paying
+// (4.54 MB before the run memo kept join indexes, exec.Memo) or paying
 // for a diff, a closure and a splice on every dense iteration (3.14 MB).
 // Any of these fails go test, not a benchmark run.
 func TestAllocBudgetPageRank(t *testing.T) {
@@ -321,10 +321,10 @@ func TestAllocBudgetPageRank(t *testing.T) {
 // statement's run filling the tables its last run let go (core.RunState)
 // made 640 and 4.45 MB. Each iteration carving its rows from the chunks
 // of the table the last rename released, instead of allocating them
-// (storage.ResultStore, sqltypes.ChunkPool), makes 405 and 1.639 MB, the
-// same under -race. The object budget is the 714 plus 25%, the byte
-// budget 1.639 MB plus 5%: a loop that stops recycling its rows makes
-// 4.45 MB again and fails it.
+// (storage.ResultStore, the run memo's sqltypes.ChunkPool), makes 405 and
+// 1.639 MB, the same under -race. The object budget is the 714 plus 25%,
+// the byte budget 1.639 MB plus 5%: a loop that stops recycling its rows
+// makes 4.45 MB again and fails it.
 func TestAllocBudgetForecast(t *testing.T) {
 	e := newBenchEngine(t, benchConfig, dbspinner.Config{})
 	sql := bench.FFQuery(benchConfig.Iterations, 2)

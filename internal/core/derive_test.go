@@ -142,7 +142,7 @@ func planRoots(p *Program) []plan.Node {
 	return roots
 }
 
-// TestExpressionsCompiledOncePerRun: under the run's compile memo a loop
+// TestExpressionsCompiledOncePerRun: under the run memo a loop
 // body's expressions are compiled once per run, not once per iteration,
 // on either executor: Friends Forecast compiles exactly one entry per
 // expression-carrying plan node, at 3 iterations and at 13 alike.
@@ -165,18 +165,18 @@ func TestExpressionsCompiledOncePerRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compiled := exec.NewCompileCache(nil)
+				memo := exec.NewMemo(nil)
 				var stats Stats
-				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(nil, compiled, nil)}, &stats); err != nil {
+				if _, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(memo)}, &stats); err != nil {
 					t.Fatal(err)
 				}
 				if stats.Iterations != int64(n) {
 					t.Fatalf("%d iterations, want %d", stats.Iterations, n)
 				}
-				if want := compiling(planRoots(prog)...); compiled.Len() != want {
-					t.Errorf("%d iterations compiled %d nodes, the program has %d that carry expressions", n, compiled.Len(), want)
+				if want := compiling(planRoots(prog)...); memo.Nodes() != want {
+					t.Errorf("%d iterations compiled %d nodes, the program has %d that carry expressions", n, memo.Nodes(), want)
 				}
-				counts = append(counts, compiled.Len())
+				counts = append(counts, memo.Nodes())
 			}
 			if counts[0] != counts[1] {
 				t.Errorf("3 iterations compiled %d nodes, 13 compiled %d", counts[0], counts[1])
@@ -216,15 +216,15 @@ func TestConcurrentBuildsShareOneCompilation(t *testing.T) {
 		},
 		Final: namedResult("b", "src", "s"),
 	}
-	compiled := exec.NewCompileCache(nil)
-	got, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(exec.NewIndexCache(), compiled, nil)}, &Stats{})
+	memo := exec.NewMemo(nil)
+	got, err := prog.run(context.Background(), &Run{RT: rt.WithMemo(memo)}, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g, w := sortedRows(got), sortedRows(want); g != w {
 		t.Errorf("rows differ from a volcano run\n got:\n%s\nwant:\n%s", g, w)
 	}
-	if n, want := compiled.Len(), compiling(node); n != want {
+	if n, want := memo.Nodes(), compiling(node); n != want {
 		t.Errorf("the memo compiled %d nodes, the plan has %d that carry expressions", n, want)
 	}
 }

@@ -103,9 +103,9 @@ func countRows(t *testing.T, rt *exec.StoreRuntime, sql string) int64 {
 // loop does not change once, plus the rows of each build side it does
 // change once per iteration — exactly, and of a filtered build side only
 // the rows that pass; and it returns, byte for byte and in order, the
-// rows of a run without a memo, which indexes everything once per
-// iteration and differs in no other counter except the build scans that
-// did not happen.
+// rows of a run without a memo (on the MPP machine, a memo per step),
+// which indexes everything once per iteration and differs in no other
+// counter except the build scans that did not happen.
 func TestIndexBuiltOncePerQuery(t *testing.T) {
 	const n = 10
 	for _, cfg := range []struct {
@@ -161,7 +161,11 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := prog.run(context.Background(), &Run{RT: rt}, &without) // rt carries no memo
+				// rt carries no memo. An MPP machine always has one (its
+				// own over such a runtime), so there each step runs on a
+				// fresh one: nothing it indexes outlives the step.
+				forgetful(prog)
+				want, err := prog.run(context.Background(), &Run{RT: rt}, &without)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,6 +196,26 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 	}
 }
 
+// forgetfulStep runs its step with the MPP machine, if the run has one,
+// on a run memo of the step's own.
+type forgetfulStep struct{ Step }
+
+func (s forgetfulStep) Run(ctx *Context) error {
+	if ctx.MPP != nil {
+		ctx.MPP.RT = ctx.RT.WithMemo(exec.NewMemo(nil))
+	}
+	return s.Step.Run(ctx)
+}
+
+// forgetful wraps every step of p but the loop steps in a forgetfulStep.
+func forgetful(p *Program) {
+	for i, s := range p.Steps {
+		if _, loop := s.(*LoopStep); !loop {
+			p.Steps[i] = forgetfulStep{s}
+		}
+	}
+}
+
 // indexProbe watches the index memo of the run that executes a program:
 // watchIndexes wraps every step but the loop steps, and after each one
 // the probe notes the memo (a run has exactly one) and the most entries
@@ -199,7 +223,7 @@ func TestIndexBuiltOncePerQuery(t *testing.T) {
 // back-edge only through a *LoopStep; it adds no index, and the sweep it
 // runs only lowers the count.
 type indexProbe struct {
-	cache *exec.IndexCache
+	cache *exec.Memo
 	peak  int
 	after func(ctx *Context) // optional, called after each step
 }
@@ -212,7 +236,7 @@ type probedStep struct {
 func (s probedStep) Run(ctx *Context) error {
 	err := s.Step.Run(ctx)
 	p := s.probe
-	p.cache = ctx.RT.Indexes()
+	p.cache = ctx.RT.Memo()
 	p.peak = max(p.peak, p.cache.Len())
 	if p.after != nil {
 		p.after(ctx)
@@ -303,7 +327,7 @@ func TestIndexCacheGoneAfterStatement(t *testing.T) {
 			if n := rt.Results.Len(); n != 0 {
 				t.Errorf("%d intermediate results left", n)
 			}
-			if rt.Indexes() != nil {
+			if rt.Memo() != nil {
 				t.Error("the caller's runtime acquired a memo")
 			}
 		})

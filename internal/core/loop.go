@@ -158,20 +158,20 @@ type LoopStep struct {
 	BodyStart int
 }
 
-// Run implements Step.
+// Run implements Step: it decides whether the loop goes on and sweeps,
+// at the back-edge, the run memo (exec.Memo.Sweep) and the MPP machine's
+// exchange sites (mpp.Machine.Sweep).
 func (s *LoopStep) Run(ctx *Context) error {
 	cont, err := s.Loop.shouldContinue(ctx)
 	if err != nil {
 		return err
 	}
 	// The back-edge: indexes the finished iteration did not ask for are
-	// of tables it replaced (exec.IndexCache), exchange buffers it did
-	// not fill are those of the steps in front of the loop (mpp's sites),
-	// and hash tables and row chunks no run took since the last back-edge
-	// were let go outside the loop (the memos' spares, the free list).
-	ctx.RT.Indexes().Sweep()
-	ctx.RT.Compiled().Sweep()
-	ctx.RT.Chunks().Sweep()
+	// of tables it replaced (exec.Memo), exchange buffers it did not fill
+	// are those of the steps in front of the loop (mpp's sites), and hash
+	// tables and row chunks no run took since the last back-edge were let
+	// go outside the loop (the memo's spares and free list).
+	ctx.RT.Memo().Sweep()
 	ctx.MPP.Sweep()
 	// The safety guard: refuse to start an iteration past the cap. The
 	// check sits after shouldContinue so a loop whose own condition fires

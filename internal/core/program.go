@@ -505,10 +505,11 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 	if stats == nil {
 		stats = &Stats{}
 	}
-	// The run memo — hash indexes and compiled expressions: every executor
-	// the run starts — steps, the MPP machine, Qf — reaches it through
-	// this view of the runtime. It goes on every exit path; what the run
-	// let go stays in st only if the run neither failed nor degraded.
+	// The run memo — hash indexes, compiled expressions, row chunks: every
+	// executor the run starts — steps, the MPP machine, Qf — reaches it
+	// through this view of the runtime. It goes on every exit path; what
+	// the run let go stays in st only if the run neither failed nor
+	// degraded.
 	r := st.Begin(rt, params, &stats.FreedCells)
 	rows, err := p.run(goctx, r, stats) // contains its panics
 	p.releaseLoops(r.runState())

@@ -9,17 +9,17 @@ import (
 // RunState is what the runs of one statement carry from one to the
 // next, as §VI-A's rename re-points storage instead of rebuilding it:
 // the storage a clean run let go, and the advisory size hints it left.
-//   - The index memo's spare indexes, and each aggregate node's group
-//     count, spare group tables and accumulators (exec.Leftovers).
+//   - The run memo's spare indexes, each aggregate node's group count,
+//     spare group tables and accumulators, and the bookkeeping of the
+//     free list of row chunks, emptied: the chunks themselves go when the
+//     run ends (exec.Leftovers).
 //   - The MPP machine's free exchange sites, by plan node (mpp.Sites).
 //   - The step program's size hints (Context.sizeHint) and the key
 //     tables its keyed passes let go (Context.keyTable).
 //   - The keyed merges' key indexes (keyIndex), emptied by the first
 //     merge of the next run, which rebuilds.
-//   - The bookkeeping of the free list of row chunks (sqltypes.
-//     ChunkPool), emptied: the chunks themselves go when the run ends.
 //
-// Nothing a run computed is in it. The index memo's entries (witnessed
+// Nothing a run computed is in it. The run memo's index entries (witnessed
 // by a table's address, and DML changes base tables in place), the
 // compiled expressions (bound to the run's literals) and the loop state
 // go when the run ends, their storage recycled. A statement takes its
@@ -31,12 +31,11 @@ import (
 // statement outside the statement cache runs with. One run at a time
 // may use a state.
 type RunState struct {
-	memo   exec.Leftovers
+	left   exec.Leftovers
 	sites  mpp.Sites
 	sizes  []int
-	keys   exec.Spares[*sqltypes.KeyTable]
-	merges exec.Spares[*keyIndex]
-	chunks sqltypes.ChunkPool
+	keys   sqltypes.Spares[*sqltypes.KeyTable]
+	merges sqltypes.Spares[*keyIndex]
 }
 
 // Run is one run of a statement over its RunState. RT is the view of
@@ -46,11 +45,10 @@ type RunState struct {
 // and the free list of the row chunks the run's released tables hand
 // back, which is emptied when the run ends.
 type Run struct {
-	RT       *exec.StoreRuntime
-	state    *RunState
-	indexes  *exec.IndexCache
-	compiled *exec.CompileCache
-	machine  *mpp.Machine
+	RT      *exec.StoreRuntime
+	state   *RunState
+	memo    *exec.Memo
+	machine *mpp.Machine
 }
 
 // Begin starts a run of the statement st belongs to (nil: a fresh
@@ -62,9 +60,8 @@ func (st *RunState) Begin(rt *exec.StoreRuntime, params []sqltypes.Value, freed 
 	if st == nil {
 		st = new(RunState)
 	}
-	indexes, compiled := st.memo.Memo(params)
-	st.chunks.Reset(freed)
-	return &Run{RT: rt.WithMemo(indexes, compiled, &st.chunks), state: st, indexes: indexes, compiled: compiled}
+	memo := st.left.Begin(params, freed)
+	return &Run{RT: rt.WithMemo(memo), state: st, memo: memo}
 }
 
 // Machine returns an MPP machine over parts partitions for the run,
@@ -84,8 +81,7 @@ func (r *Run) Machine(parts int, stats *mpp.Stats, execStats *exec.Stats) *mpp.M
 // keeps nothing.
 func (r *Run) End(clean bool) {
 	st := r.runState()
-	st.memo.End(r.indexes, r.compiled, clean)
-	st.chunks.Reset(nil)
+	st.left.End(r.memo, clean)
 	if !clean {
 		st.sites, st.sizes = nil, nil
 		st.keys.Clear()

@@ -175,8 +175,8 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 		hints := map[string]int{"none": 0, "exact": len(want), "too small": len(want) / 2, "too large": 2*len(want) + 3}
 		for hname, hint := range hints {
 			what := fmt.Sprintf("%s, %s hint", name, hname)
-			memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
-			ex, err := aggExprsOf(memo.Compiled(), node)
+			memo := rt.WithMemo(NewMemo(nil))
+			ex, err := aggExprsOf(memo.Memo(), node)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,8 +226,8 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 			// The last lending run's table stays through one back-edge
 			// and is dropped at the next if no run takes it.
 			for sweep, spares := range []int{1, 0} {
-				memo.Compiled().Sweep()
-				if n := len(ex.run.spare.items); n != spares {
+				memo.Memo().Sweep()
+				if n := ex.run.spare.Len(); n != spares {
 					t.Fatalf("%s: %d spare tables after sweep %d, want %d", what, n, sweep+1, spares)
 				}
 			}
@@ -235,7 +235,7 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 
 		// Two partitions of an MPP machine share the node's count: each
 		// starts from the one the other left.
-		memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
+		memo := rt.WithMemo(NewMemo(nil))
 		frag := &Fragment{Parts: 2}
 		for _, part := range []int{0, 1, 0} {
 			what := fmt.Sprintf("%s, partition %d, other partition's hint", name, part)
@@ -271,7 +271,7 @@ func TestAggregateHintSharedByConcurrentPartitions(t *testing.T) {
 		}
 		want[p] = RowsText(copyAggregate(t, node, in))
 	}
-	memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
+	memo := rt.WithMemo(NewMemo(nil))
 	var wg sync.WaitGroup
 	for p := range parts {
 		wg.Add(1)
@@ -345,8 +345,8 @@ func TestLeftoversCarryOnlyLentTables(t *testing.T) {
 		var l Leftovers
 		cells := map[*sqltypes.Value]bool{}
 		for run := 0; run < 2; run++ {
-			x, c := l.Memo(nil)
-			op, err := buildWith(node, rt.WithMemo(x, c, nil), nil, nil, run > 0 || firstLends, nil)
+			m := l.Begin(nil, nil)
+			op, err := buildWith(node, rt.WithMemo(m), nil, nil, run > 0 || firstLends, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +358,7 @@ func TestLeftoversCarryOnlyLentTables(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			l.End(x, c, true)
+			l.End(m, true)
 		}
 		return shared
 	}

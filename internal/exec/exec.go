@@ -23,14 +23,10 @@ type Runtime interface {
 	BaseTable(name string) (*storage.Table, error)
 	// Result resolves a named intermediate result.
 	Result(name string) (*storage.Table, error)
-	// Indexes returns the run's hash-index memo; nil when there is none
-	// and every join builds its own.
-	Indexes() *IndexCache
-	// Compiled returns the run's compile memo; nil when there is none and
-	// every tree compiles its own expressions.
-	Compiled() *CompileCache
-	// Chunks returns the run's free list of row chunks (nil: none).
-	Chunks() *sqltypes.ChunkPool
+	// Memo returns the run memo; nil when there is none, and every join
+	// builds its own index, every tree compiles its own expressions and
+	// every table allocates its own rows.
+	Memo() *Memo
 }
 
 // Stats accumulates execution counters, used by the benchmarks and the
@@ -41,8 +37,8 @@ type Runtime interface {
 // time, memo or not.
 type Stats struct {
 	// RowsScanned counts rows read from base tables and results. A join
-	// whose build side's index came out of the run's IndexCache did not
-	// read that table again and counts nothing for it.
+	// whose build side's index came out of the run memo (Memo.Index) did
+	// not read that table again and counts nothing for it.
 	RowsScanned int64
 	RowsJoined  int64 // rows emitted by joins
 	// RowsIndexed counts rows inserted into join hash indexes: every
@@ -146,8 +142,8 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		cond, err := shared(rt.Compiled(), n, func() (*expr.Compiled, error) {
-			return expr.Compile(t.Cond, planEnv(t.Input, rt.Compiled().Params()))
+		cond, err := shared(rt.Memo(), n, func() (*expr.Compiled, error) {
+			return expr.Compile(t.Cond, planEnv(t.Input, rt.Memo().Params()))
 		})
 		if err != nil {
 			return nil, err
@@ -158,8 +154,8 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		items, err := shared(rt.Compiled(), n, func() ([]*expr.Compiled, error) {
-			e := planEnv(t.Input, rt.Compiled().Params())
+		items, err := shared(rt.Memo(), n, func() ([]*expr.Compiled, error) {
+			e := planEnv(t.Input, rt.Memo().Params())
 			items := make([]*expr.Compiled, len(t.Items))
 			for i, it := range t.Items {
 				c, err := expr.Compile(it.Expr, e)
@@ -205,14 +201,14 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		n, offset := t.Bound(rt.Compiled().Params())
+		n, offset := t.Bound(rt.Memo().Params())
 		return &limitOp{input: in, n: n, offset: offset}, nil
 	case *plan.TopN:
 		in, err := buildWith(t.Input, rt, stats, cc, false, frag)
 		if err != nil {
 			return nil, err
 		}
-		n, offset := t.Bound(rt.Compiled().Params())
+		n, offset := t.Bound(rt.Memo().Params())
 		return &topNOp{input: in, keys: t.Keys, n: n, offset: offset}, nil
 	case *plan.EmptyNode:
 		return &rowsOp{}, nil
@@ -276,7 +272,7 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 // passes about what it wrote there last iteration. It is advisory and
 // changes capacity, never rows. The plan's hot loops poll ctx at a
 // coarse row stride; a nil ctx keeps the zero-cost uncancellable path.
-// The partitions come from the run's free list (Runtime.Chunks), and a
+// The partitions come from the run's free list (Memo.Chunks), and a
 // table whose every row the root builds (rowSource) owns them: they are
 // carved from its chunks (storage.Table.OwnRows).
 func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats, name string, parts int, hint []int) (*storage.Table, error) {
@@ -288,7 +284,7 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 	if len(t.Schema) > 0 {
 		t.DistCol = 0
 	}
-	chunks := rt.Chunks()
+	chunks := rt.Memo().Chunks()
 	if out := rowSource(op); out != nil {
 		out.slab.CarveFor(t.OwnRows(chunks))
 	}
@@ -707,7 +703,7 @@ type aggRun struct {
 	// closed, for the next run to reset and fill instead of allocating:
 	// at most one per run of the node open at the same time (the
 	// partitions of an MPP machine).
-	spare Spares[aggSpare]
+	spare sqltypes.Spares[aggSpare]
 }
 
 type aggSpare struct {
@@ -725,7 +721,7 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 	if err != nil {
 		return nil, err
 	}
-	ex, err := aggExprsOf(rt.Compiled(), t)
+	ex, err := aggExprsOf(rt.Memo(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -851,14 +847,14 @@ func (a *aggOp) Close() error {
 	return nil
 }
 
-// aggExprsOf compiles an aggregate node's expressions, once per c.
-func aggExprsOf(c *CompileCache, t *plan.Aggregate) (aggExprs, error) {
-	return shared(c, t, func() (ex aggExprs, err error) {
-		ex.run = c.aggRunOf(t)
-		if ex.groupEx, err = groupKeyExprs(t, c.Params()); err != nil {
+// aggExprsOf compiles an aggregate node's expressions, once per m.
+func aggExprsOf(m *Memo, t *plan.Aggregate) (aggExprs, error) {
+	return shared(m, t, func() (ex aggExprs, err error) {
+		ex.run = m.aggRunOf(t)
+		if ex.groupEx, err = groupKeyExprs(t, m.Params()); err != nil {
 			return ex, err
 		}
-		e := planEnv(t.Input, c.Params())
+		e := planEnv(t.Input, m.Params())
 		ex.argEx = make([]*expr.Compiled, len(t.Aggs))
 		for i, a := range t.Aggs {
 			if a.Star {

@@ -200,33 +200,29 @@ func RowsText(rows []sqltypes.Row) string { return strings.Join(rowStrings(rows)
 // (nil: leave it), so the next request for that table is served the
 // index of whichever table had the name first — what a memo keyed on the
 // slot name instead of the table's address would do.
-func (c *IndexCache) AliasByName(resolve func(name string) *storage.Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for t, es := range c.entries {
+func (m *Memo) AliasByName(resolve func(name string) *storage.Table) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for t, es := range m.indexes {
 		if now := resolve(t.Name); now != nil && now != t {
-			c.entries[now] = append(c.entries[now], es...)
-			delete(c.entries, t)
+			m.indexes[now] = append(m.indexes[now], es...)
+			delete(m.indexes, t)
 		}
 	}
 }
 
-// Spares returns how many let-go indexes the cache holds for reuse.
-func (c *IndexCache) Spares() int {
-	c.spare.mu.Lock()
-	defer c.spare.mu.Unlock()
-	return len(c.spare.items)
-}
+// Spares returns how many let-go indexes the memo holds for reuse.
+func (m *Memo) Spares() int { return m.left.indexes.Len() }
 
-// RecycleLive is the seeded mutant of the cache's reuse: it files the
+// RecycleLive is the seeded mutant of the memo's reuse: it files the
 // index of every entry for reuse while the entry still serves it, as a
 // Sweep that recycled what the last iteration used would.
-func (c *IndexCache) RecycleLive() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, es := range c.entries {
+func (m *Memo) RecycleLive() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, es := range m.indexes {
 		for _, e := range es {
-			c.Recycle(e.x)
+			m.Recycle(e.x)
 		}
 	}
 }
@@ -242,9 +238,9 @@ func SeedKeepingGivesBack() (restore func()) {
 }
 
 // SeedCarryEntries arms, until the returned function is called, the
-// seeded mutant of Leftovers.End: the index memo's entries outlive the
-// run, and the statement's next run is served the indexes of tables DML
-// has changed since under the same address.
+// seeded mutant of Leftovers.End: the run memo's index entries outlive
+// the run, and the statement's next run is served the indexes of tables
+// DML has changed since under the same address.
 func SeedCarryEntries() (restore func()) {
 	test.carryEntries = true
 	return func() { test.carryEntries = false }

@@ -198,7 +198,7 @@ func TestFragmentJoinTakesPartitionIndexFromMemo(t *testing.T) {
 		parts int
 		memo  int // indexes the memo ends up with
 	}{{2, 2}, {3, 0}} {
-		rt := testRuntime(t).WithMemo(NewIndexCache(), nil, nil)
+		rt := testRuntime(t).WithMemo(NewMemo(nil))
 		join := planSQL(t, rt, joinSQL)
 		j := firstJoin(t, join)
 		tapped := 0
@@ -231,7 +231,7 @@ func TestFragmentJoinTakesPartitionIndexFromMemo(t *testing.T) {
 				t.Errorf("parts=%d run %d: the build side's tap saw %d rows, want vertexStatus's 4", c.parts, run, tapped)
 			}
 		}
-		if n := rt.Indexes().Len(); n != c.memo {
+		if n := rt.Memo().Len(); n != c.memo {
 			t.Errorf("parts=%d: the memo holds %d indexes, want %d", c.parts, n, c.memo)
 		}
 	}
@@ -301,11 +301,11 @@ func TestFragmentTopNOverCutInput(t *testing.T) {
 	expectRows(t, topN(0, 0))
 }
 
-// TestFragmentSharesCompiledExpressions: under a run's compile memo the
-// trees of one fragment are built over the same compiled expressions,
+// TestFragmentSharesCompiledExpressions: under a run memo the trees of
+// one fragment are built over the same compiled expressions,
 // whichever is built first, and so is a volcano tree of the same plan.
 func TestFragmentSharesCompiledExpressions(t *testing.T) {
-	rt := testRuntime(t).WithMemo(nil, NewCompileCache(nil), nil)
+	rt := testRuntime(t).WithMemo(NewMemo(nil))
 	node := planSQL(t, rt, "SELECT e.src + 1, COUNT(*) FROM edges e JOIN vertexStatus v ON e.dst = v.node WHERE v.status = 1 GROUP BY e.src + 1")
 	frag := &Fragment{Parts: 2}
 	var trees [3]Operator
@@ -346,7 +346,7 @@ func TestFragmentSharesCompiledExpressions(t *testing.T) {
 	}
 	walk(trees[0], trees[1])
 	walk(trees[0], trees[2])
-	if n := rt.Compiled().Len(); n != 4 {
+	if n := rt.Memo().Nodes(); n != 4 {
 		t.Errorf("the memo compiled %d nodes, want the project, filter, aggregate and join", n)
 	}
 }

@@ -24,7 +24,7 @@ type aliasingStep struct {
 }
 
 func (s aliasingStep) Run(ctx *core.Context) error {
-	ctx.RT.Indexes().AliasByName(func(name string) *storage.Table { return s.resolve(ctx.RT, name) })
+	ctx.RT.Memo().AliasByName(func(name string) *storage.Table { return s.resolve(ctx.RT, name) })
 	return s.Step.Run(ctx)
 }
 
@@ -33,7 +33,7 @@ func (s aliasingStep) Run(ctx *core.Context) error {
 type recyclingStep struct{ core.Step }
 
 func (s recyclingStep) Run(ctx *core.Context) error {
-	ctx.RT.Indexes().RecycleLive()
+	ctx.RT.Memo().RecycleLive()
 	return s.Step.Run(ctx)
 }
 

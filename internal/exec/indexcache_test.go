@@ -33,7 +33,7 @@ func TestIndexCacheIdentity(t *testing.T) {
 		t.Fatalf("Col of e.dst, e.src, e.dst + 0 = %d, %d, %d; want 1, 0, -1", byDst[0].Col, bySrc[0].Col, computed[0].Col)
 	}
 
-	c := NewIndexCache()
+	c := NewMemo(nil)
 	ask := func(tb *storage.Table, part int, keys []*expr.Compiled) (*HashIndex, bool) {
 		t.Helper()
 		x, built, err := c.Index(tb, part, keys, nil)
@@ -81,14 +81,14 @@ func TestIndexCacheIdentity(t *testing.T) {
 	}
 
 	// A nil cache builds, every time.
-	var none *IndexCache
+	var none *Memo
 	a, builtA, _ := none.Index(edges, allParts, byDst, nil)
 	b, builtB, _ := none.Index(edges, allParts, byDst, nil)
 	if !builtA || !builtB || a == b || none.Len() != 0 {
 		t.Error("a nil cache must build a fresh index per request")
 	}
 	none.Sweep()
-	none.Clear()
+	none.end(false)
 }
 
 // TestIndexCacheSweep: an entry lives as long as every sweep finds it
@@ -98,7 +98,7 @@ func TestIndexCacheSweep(t *testing.T) {
 	edges, vs := rt.Catalog.Get("edges"), rt.Catalog.Get("vertexStatus")
 	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
 	byNode := keysOf(t, rt, "SELECT * FROM edges e JOIN vertexStatus v ON v.node = e.dst")
-	c := NewIndexCache()
+	c := NewMemo(nil)
 	kept, _, _ := c.Index(edges, allParts, byDst, nil)
 	c.Index(vs, allParts, byNode, nil)
 	c.Sweep() // both were asked for
@@ -116,9 +116,9 @@ func TestIndexCacheSweep(t *testing.T) {
 	if _, built, _ := c.Index(vs, allParts, byNode, nil); !built {
 		t.Error("the swept entry was served")
 	}
-	c.Clear()
+	c.end(false)
 	if c.Len() != 0 {
-		t.Errorf("Len after Clear = %d", c.Len())
+		t.Errorf("Len after the run ends = %d", c.Len())
 	}
 }
 
@@ -129,7 +129,7 @@ func TestIndexCacheSharedByProbers(t *testing.T) {
 	_, rt := kernelPlan(t, benchJoinSQL)
 	dim := rt.Catalog.Get("dim")
 	keys := keysOf(t, rt, benchJoinSQL)
-	c := NewIndexCache()
+	c := NewMemo(nil)
 	const probers = 8
 	var wg sync.WaitGroup
 	var builds, found [probers]int
@@ -194,7 +194,7 @@ func TestJoinTakesTableIndexFromCache(t *testing.T) {
 		if ref.RowsIndexed != 1000 || ref.RowsScanned != 4000 {
 			t.Fatalf("%s: without a memo RowsIndexed = %d, RowsScanned = %d; want 1000 and 4000", sql, ref.RowsIndexed, ref.RowsScanned)
 		}
-		rt := plain.WithMemo(NewIndexCache(), nil, nil)
+		rt := plain.WithMemo(NewMemo(nil))
 		for run := 1; run <= 3; run++ {
 			var st Stats
 			got, err := Run(node, rt, &st)
@@ -241,9 +241,9 @@ func TestJoinTakesTableIndexFromCache(t *testing.T) {
 // TestJoinIndexesFilteredBuildSide: a build side that filters a table
 // read is indexed from the rows of the table that pass, with no drain:
 // each build scans all 1000 rows of dim and indexes the 500 with w >= 250.
-// The memo keys the index on the filter the run's compile memo gave out,
-// so under one compile memo only the first run builds; without one every
-// run does. All return the rows of the plan that tests w in the join.
+// The memo keys the index on the filter it gave out itself, so under one
+// memo only the first run builds; without one every run does. All return
+// the rows of the plan that tests w in the join.
 func TestJoinIndexesFilteredBuildSide(t *testing.T) {
 	node, plain := kernelPlan(t, "SELECT fact.v, dim.w FROM fact JOIN dim ON fact.k = dim.k WHERE dim.w >= 250")
 	if f, ok := firstJoin(t, node).Right.(*plan.Filter); !ok || f.Input.(*plan.Scan).Table != "dim" {
@@ -259,8 +259,7 @@ func TestJoinIndexesFilteredBuildSide(t *testing.T) {
 		memoized bool
 	}{
 		{"no memo", plain, false},
-		{"index memo alone", plain.WithMemo(NewIndexCache(), nil, nil), false},
-		{"index and compile memo", plain.WithMemo(NewIndexCache(), NewCompileCache(nil), nil), true},
+		{"memo", plain.WithMemo(NewMemo(nil)), true},
 	} {
 		for run := 1; run <= 3; run++ {
 			var st Stats
@@ -306,7 +305,8 @@ func probeAll(t *testing.T, x *HashIndex, probe []sqltypes.Row, keys []*expr.Com
 // or a join's own index Recycle gets, is what the next build fills, and
 // what that build then serves is what a fresh index over the same rows
 // serves; an index in use is never taken back, a spare no build took
-// between two sweeps is dropped at the second, and Clear drops them all.
+// between two sweeps is dropped at the second, and the end of a run that
+// failed drops them all.
 func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	rt := testRuntime(t)
 	edges := rt.Catalog.Get("edges")
@@ -316,7 +316,7 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	byDst := keysOf(t, rt, "SELECT * FROM vertexStatus v JOIN edges e ON v.node = e.dst")
 	probe := append(edges.AllRows(), sqltypes.Row{i64(99), i64(99), f64(0)})
 	before := RowsText(edges.AllRows())
-	c := NewIndexCache()
+	c := NewMemo(nil)
 	first, _, _ := c.Index(edges, allParts, byDst, nil)
 	c.Sweep() // used
 	if c.Spares() != 0 {
@@ -353,7 +353,7 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := plain.WithMemo(NewIndexCache(), nil, nil)
+	memo := plain.WithMemo(NewMemo(nil))
 	for run := 1; run <= 3; run++ {
 		got, err := Run(node, memo, nil)
 		if err != nil {
@@ -362,13 +362,13 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 		if RowsText(got) != RowsText(want) {
 			t.Errorf("run %d: rows differ from the run without a memo", run)
 		}
-		if n := memo.Indexes().Spares(); n != 1 {
+		if n := memo.Memo().Spares(); n != 1 {
 			t.Errorf("run %d: %d indexes taken back after the join closed, want 1", run, n)
 		}
 	}
 
 	// A spare no build takes between two back-edges goes at the second.
-	d := NewIndexCache()
+	d := NewMemo(nil)
 	d.Recycle(fresh)
 	d.Recycle(nil)
 	for sweep, want := range []int{1, 1, 0} {
@@ -380,10 +380,10 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 		}
 	}
 	d.Recycle(fresh)
-	d.Clear()
+	d.end(false)
 	if d.Spares() != 0 {
-		t.Errorf("Spares after Clear = %d", d.Spares())
+		t.Errorf("Spares after a run that failed = %d", d.Spares())
 	}
-	var none *IndexCache
-	none.Recycle(first) // a nil cache keeps nothing
+	var none *Memo
+	none.Recycle(first) // a nil memo keeps nothing
 }

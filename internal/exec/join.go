@@ -34,7 +34,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 	}
 	build := tableScan(buildOp)
 
-	keys, err := joinKeysOf(rt.Compiled(), t)
+	keys, err := joinKeysOf(rt.Memo(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			buildRead: build, indexes: rt.Indexes(),
+			buildRead: build, memo: rt.Memo(),
 			stats: stats, cancel: cc, out: out,
 		}, nil
 	}
@@ -120,9 +120,9 @@ type joinKeys struct {
 }
 
 // joinKeysOf is compileJoinKeys, once per c.
-func joinKeysOf(c *CompileCache, t *plan.Join) (joinKeys, error) {
-	return shared(c, t, func() (k joinKeys, err error) {
-		k.left, k.right, k.residual, err = compileJoinKeys(t, c.Params())
+func joinKeysOf(m *Memo, t *plan.Join) (joinKeys, error) {
+	return shared(m, t, func() (k joinKeys, err error) {
+		k.left, k.right, k.residual, err = compileJoinKeys(t, m.Params())
 		return k, err
 	})
 }
@@ -134,7 +134,7 @@ func joinKeysOf(c *CompileCache, t *plan.Join) (joinKeys, error) {
 // build side produced them. Rows with a NULL key component are
 // kept (outer joins emit them) but chained nowhere: NULL never matches.
 // An index is read-only once built, so any number of probers may share
-// it (IndexCache); each brings its own key scratch.
+// it (Memo.Index); each brings its own key scratch.
 type HashIndex struct {
 	Rows []sqltypes.Row
 
@@ -143,7 +143,7 @@ type HashIndex struct {
 	next []int32
 
 	// What a later build may fill again once this index is let go
-	// (IndexCache.Recycle): links backs head, next and the build's
+	// (Memo.Recycle): links backs head, next and the build's
 	// per-key tail, and rowBuf is the row slice the index owns — Rows
 	// itself when the rows were drained, gathered or filtered into it,
 	// never a table's own partition, which Rows may be instead.
@@ -247,9 +247,9 @@ type hashJoinOp struct {
 	// (tableScan), the index comes from the run's memo instead of from
 	// draining the input.
 	buildRead tableRead
-	// indexes is the run's memo, which takes back an index the join
-	// built for itself alone (own) when it closes.
-	indexes *IndexCache
+	// memo is the run's, which takes back an index the join built for
+	// itself alone (own) when it closes.
+	memo *Memo
 
 	build            *HashIndex
 	own              bool
@@ -283,7 +283,7 @@ func (h *hashJoinOp) Open() error {
 	if err == nil && !memoized {
 		// A drained build side is indexed in the storage of an index some
 		// join let go, if the run's memo holds one.
-		x := h.indexes.spareIndex()
+		x := h.memo.spareIndex()
 		var rows []sqltypes.Row
 		if rows, err = DrainInto(x.rowStorage(), buildOp); err == nil {
 			if h.build, err = buildHashIndex(x, rows, buildKeys); err == nil {
@@ -336,7 +336,7 @@ func (h *hashJoinOp) indexTable(keys []*expr.Compiled) (memoized bool, err error
 		read = read[part : part+1]
 	}
 	var built bool
-	if h.build, built, err = s.rt.Indexes().Index(t, part, keys, h.buildRead.filter); err != nil {
+	if h.build, built, err = s.rt.Memo().Index(t, part, keys, h.buildRead.filter); err != nil {
 		return false, err
 	}
 	h.own = built && !memoizable(keys)
@@ -459,7 +459,7 @@ func (h *hashJoinOp) Close() error {
 	if h.own {
 		// No probe reads the index after Close, and its output rows are
 		// copies: the index's storage can go to the next build.
-		h.indexes.Recycle(h.build)
+		h.memo.Recycle(h.build)
 	}
 	h.build, h.own = nil, false
 	h.matched = nil

@@ -217,7 +217,7 @@ func TestAllocBudgets(t *testing.T) {
 		if c.bytesBudget > 0 {
 			// As a loop body runs it: again and again under one run memo,
 			// each run presized from the one before.
-			memo := rt.WithMemo(nil, NewCompileCache(nil), nil)
+			memo := rt.WithMemo(NewMemo(nil))
 			gotBytes := bytesPerRun(5, func() {
 				if _, err := Run(node, memo, nil); err != nil {
 					t.Fatal(err)

@@ -16,12 +16,9 @@ import (
 type StoreRuntime struct {
 	Catalog *catalog.Catalog
 	Results *storage.ResultStore
-	// indexes, compiled and chunks are the run memo of the query run
-	// this view belongs to (WithMemo): its hash indexes, its compiled
-	// expressions and its free list of row chunks. Nil outside one.
-	indexes  *IndexCache
-	compiled *CompileCache
-	chunks   *sqltypes.ChunkPool
+	// memo is the run memo of the query run this view belongs to
+	// (WithMemo); nil outside one.
+	memo *Memo
 }
 
 // NewStoreRuntime wraps a catalog and result store.
@@ -29,23 +26,16 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 	return &StoreRuntime{Catalog: cat, Results: res}
 }
 
-// WithMemo returns a view of the runtime whose executors share a run
-// memo: joins take the indexes of the tables they read directly from
-// indexes, every tree takes what it compiles from a plan node from
-// compiled, and materializations carve their rows from chunks. One
-// query run owns all three. Any may be nil.
-func (s *StoreRuntime) WithMemo(indexes *IndexCache, compiled *CompileCache, chunks *sqltypes.ChunkPool) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, indexes: indexes, compiled: compiled, chunks: chunks}
+// WithMemo returns a view of the runtime whose executors share the run
+// memo m (nil: none): joins take the indexes of the tables they read
+// directly from it, every tree takes what it compiles from a plan node
+// from it, and materializations carve their rows from its chunks.
+func (s *StoreRuntime) WithMemo(m *Memo) *StoreRuntime {
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, memo: m}
 }
 
-// Indexes implements Runtime.
-func (s *StoreRuntime) Indexes() *IndexCache { return s.indexes }
-
-// Compiled implements Runtime.
-func (s *StoreRuntime) Compiled() *CompileCache { return s.compiled }
-
-// Chunks implements Runtime.
-func (s *StoreRuntime) Chunks() *sqltypes.ChunkPool { return s.chunks }
+// Memo implements Runtime.
+func (s *StoreRuntime) Memo() *Memo { return s.memo }
 
 // ArmFaults arms (or, with nil, disarms) fault injection on the result
 // store's mutation hooks (the "storage" point of Config.FaultSchedule).

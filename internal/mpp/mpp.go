@@ -146,7 +146,12 @@ type Machine struct {
 // of a test's reach otherwise).
 var onNew func(*Machine)
 
-// New creates a machine. parts must be >= 1.
+// New creates a machine over rt's tables and run memo (Runtime.Memo),
+// which its partitions share: each plan node is compiled once for all of
+// them, and each partition of a table a join reads directly is indexed
+// once per run. Over a runtime with no memo (nil rt: no tables either)
+// the machine has a memo of its own (exec.NewMemo), which nothing sweeps
+// and which lives as long as the machine. parts must be >= 1.
 func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machine {
 	if parts < 1 {
 		parts = 1
@@ -157,11 +162,8 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 	if execStats == nil {
 		execStats = &exec.Stats{}
 	}
-	if rt == nil || rt.Compiled() == nil {
-		// The partitions' trees share what they compile from each node
-		// through the run's compile memo; a machine started outside a
-		// query run (or over no tables at all) has one of its own.
-		rt = ownMemo{rt, exec.NewCompileCache(nil)}
+	if rt == nil || rt.Memo() == nil {
+		rt = ownMemo{rt, exec.NewMemo(nil)}
 	}
 	m := &Machine{RT: rt, Parts: parts, Stats: stats, Exec: execStats, sites: Sites{}}
 	if onNew != nil {
@@ -170,22 +172,13 @@ func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machi
 	return m
 }
 
-// ownMemo is a runtime with the compile memo of the machine it was given
-// to.
+// ownMemo is a runtime with the run memo of the machine it was given to.
 type ownMemo struct {
 	exec.Runtime
-	compiled *exec.CompileCache
+	memo *exec.Memo
 }
 
-func (r ownMemo) Compiled() *exec.CompileCache { return r.compiled }
-
-// Indexes is the given runtime's memo; over no tables at all, none.
-func (r ownMemo) Indexes() *exec.IndexCache {
-	if r.Runtime == nil {
-		return nil
-	}
-	return r.Runtime.Indexes()
-}
+func (r ownMemo) Memo() *exec.Memo { return r.memo }
 
 // relation is a partitioned intermediate result: what a fragment
 // produced, or what an exchange made of it. from is the site whose
@@ -335,7 +328,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		}
 		return m.below(f, t.Right)
 	case *plan.Join:
-		leftKeys, rightKeys, err := m.RT.Compiled().JoinKeys(t)
+		leftKeys, rightKeys, err := m.RT.Memo().JoinKeys(t)
 		if err != nil {
 			return err
 		}
@@ -360,7 +353,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		var keys []*expr.Compiled
 		if !el.Input {
 			var err error
-			if keys, err = m.RT.Compiled().GroupKeys(t); err != nil {
+			if keys, err = m.RT.Memo().GroupKeys(t); err != nil {
 				return err
 			}
 		}
@@ -380,7 +373,7 @@ func (m *Machine) cut(n plan.Node, f *fragment) error {
 		if err := m.below(lf, t.Input); err != nil {
 			return err
 		}
-		n, offset := t.Bound(m.RT.Compiled().Params())
+		n, offset := t.Bound(m.RT.Memo().Params())
 		local, err := m.run(&plan.TopN{Input: t.Input, Keys: t.Keys, Counts: plan.Counts{N: n + offset}}, lf, false, nil)
 		if err != nil {
 			return err

@@ -468,7 +468,7 @@ func TestJoinTakesPartitionIndexesFromMemo(t *testing.T) {
 	if indexed != 50 {
 		t.Fatalf("no memo, shuffled: RowsIndexed = %d, want kv's 50 rows", indexed)
 	}
-	memo := plain.WithMemo(exec.NewIndexCache(), nil, nil)
+	memo := plain.WithMemo(exec.NewMemo(nil))
 	for i, c := range []struct {
 		name    string
 		rt      *exec.StoreRuntime
@@ -489,7 +489,7 @@ func TestJoinTakesPartitionIndexesFromMemo(t *testing.T) {
 			t.Errorf("%d %s: RowsIndexed = %d, want %d", i, c.name, indexed, c.indexed)
 		}
 	}
-	if n := memo.Indexes().Len(); n != parts {
+	if n := memo.Memo().Len(); n != parts {
 		t.Errorf("the memo holds %d indexes, want one per partition of kv", n)
 	}
 }

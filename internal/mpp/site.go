@@ -183,7 +183,7 @@ func (m *Machine) release(f *fragment) {
 }
 
 // Sweep drops the sites not filled since the previous Sweep. The loop
-// operator calls it at the back-edge, beside the index memo's, so the
+// operator calls it at the back-edge, beside the run memo's, so the
 // exchanges in front of a loop do not hold their buffers while it runs;
 // the rest goes with the machine.
 func (m *Machine) Sweep() {

@@ -85,16 +85,12 @@ func (a *Arena) Owned() bool { return a.pool != nil }
 // list an earlier arena gave back or one with room for 16 (2,560 rows).
 func (a *Arena) chunk(n int) []Value {
 	p := a.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if a.chunks == nil {
-		if l, ok := p.lists.take(func([][]Value) bool { return true }); ok {
-			a.chunks = l
-		} else {
+		if a.chunks = p.lists.Take(); a.chunks == nil {
 			a.chunks = make([][]Value, 0, 16)
 		}
 	}
-	c, ok := p.chunks.take(func(c []Value) bool { return len(c) == n })
+	c, ok := p.chunks.TakeFit(func(c []Value) bool { return len(c) == n })
 	if clear(c); !ok {
 		c = make([]Value, n)
 	}
@@ -108,8 +104,6 @@ func (a *Arena) chunk(n int) []Value {
 // list goes back. The arena owns nothing after.
 func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 	p := a.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !keep {
 		poison := poisoning.Load() > 0
 		for _, c := range a.chunks {
@@ -118,36 +112,39 @@ func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 					c[i] = Poisoned
 				}
 			}
-			p.chunks.give(c)
+			p.chunks.Give(c)
 		}
 		for _, s := range parts {
 			if cap(s) > 0 {
 				clear(s)
-				p.parts.give(s[:0])
+				p.parts.Give(s[:0])
 			}
 		}
+		p.mu.Lock()
 		if p.freed != nil {
 			*p.freed += cells
 		}
+		p.mu.Unlock()
 	}
 	if cap(a.chunks) > 0 {
 		clear(a.chunks)
-		p.lists.give(a.chunks[:0])
+		p.lists.Give(a.chunks[:0])
 	}
 	*a = Arena{}
 }
 
 // ChunkPool is a query run's free list of what arenas hand back: row
-// chunks, partition slices and chunk lists. A table of the last one's
-// shape is carved from exactly its chunks. A chunk or partition slice
-// nobody took between two back-edges is dropped at the second (Sweep),
-// as exec.Spares does, and all of them when the run ends (Reset). The
-// zero value is empty; it is safe for concurrent use.
+// chunks, partition slices and chunk lists, each kept by the rules of
+// Spares. A table of the last one's shape is carved from exactly its
+// chunks. A chunk or partition slice nobody took between two back-edges
+// is dropped at the second (Sweep), and all of them when the run ends
+// (Reset); the chunk lists, a few headers each, stay. The zero value is
+// empty; it is safe for concurrent use.
 type ChunkPool struct {
-	mu     sync.Mutex
-	chunks freeList[[]Value]
-	parts  freeList[[]Row]
-	lists  freeList[[][]Value]
+	chunks Spares[[]Value]
+	parts  Spares[[]Row]
+	lists  Spares[[][]Value]
+	mu     sync.Mutex // guards freed
 	freed  *int64
 }
 
@@ -157,9 +154,7 @@ func (p *ChunkPool) Part(n int) []Row {
 	if p == nil {
 		return make([]Row, 0, n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s, ok := p.parts.take(func(s []Row) bool { return cap(s) >= n }); ok {
+	if s, ok := p.parts.TakeFit(func(s []Row) bool { return cap(s) >= n }); ok {
 		return s
 	}
 	return make([]Row, 0, n)
@@ -171,52 +166,18 @@ func (p *ChunkPool) Sweep() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.chunks.drop(p.chunks.aged)
-	p.parts.drop(p.parts.aged)
+	p.chunks.Sweep()
+	p.parts.Sweep()
 }
 
 // Reset drops every chunk and partition slice, and counts the cells of
 // the tables released from now on into freed (nil: nowhere).
 func (p *ChunkPool) Reset(freed *int64) {
+	p.chunks.Clear()
+	p.parts.Clear()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.chunks.drop(len(p.chunks.items))
-	p.parts.drop(len(p.parts.items))
 	p.freed = freed
-}
-
-// freeList is a stack of spares, newest last.
-type freeList[T any] struct {
-	items []T
-	aged  int // items[:aged] were there at the last drop
-}
-
-func (f *freeList[T]) give(x T) { f.items = append(f.items, x) }
-
-// take removes and returns the newest item that fits.
-func (f *freeList[T]) take(fits func(T) bool) (x T, ok bool) {
-	for i := len(f.items) - 1; i >= 0; i-- {
-		if x = f.items[i]; fits(x) {
-			n := len(f.items) - 1
-			copy(f.items[i:], f.items[i+1:])
-			clear(f.items[n:])
-			f.items = f.items[:n]
-			if i < f.aged {
-				f.aged--
-			}
-			return x, true
-		}
-	}
-	return *new(T), false
-}
-
-// drop drops items[:n] and marks the rest aged.
-func (f *freeList[T]) drop(n int) {
-	m := copy(f.items, f.items[n:])
-	clear(f.items[m:])
-	f.items, f.aged = f.items[:m], m
 }
 
 // Poisoned is what a chunk handed back holds while Poison is armed: a

@@ -22,7 +22,7 @@ import (
 // A table is mutable until it is bound in a ResultStore and frozen from
 // then on: Insert, InsertBatch and Truncate panic. Scans that hold its
 // partition slices, aliases of it under other slots, checkpoints and the
-// run's hash-index memo (exec.IndexCache) all rely on that. Base tables
+// hash indexes of the run memo (exec.Memo) all rely on that. Base tables
 // in the catalog are never frozen; they change only between statements.
 //
 // A table may own its rows (OwnRows), which go back to their run once
