@@ -11,27 +11,27 @@ import (
 
 // MaintainAggStep materializes the working table for one iteration by
 // maintaining the previous iteration's aggregate output instead of
-// re-running the full Ri plan. Across the back-edge it keeps two
-// result-store slots: Acc, the cached output table of the previous
-// iteration, and Snap, the CTE table that output was computed from.
-// Per iteration it finds the keys whose row differs from Snap — a
-// lockstep walk that can only say "too many", then the keyed diff that
+// re-running the full Ri plan. On the rename path the CTE an iteration
+// starts from is the previous iteration's output (renamed, or copied
+// back row for row), so the CTE itself is the cache; across the
+// back-edge the step keeps only the CTE table that output was computed
+// from, its snapshot, on its loop's per-run state (loopRun.aggSnap).
+// Per iteration it finds the keys whose row differs from the snapshot —
+// a lockstep walk that can only say "too many", then the keyed diff that
 // certifies the set — and closes them under the propagation rules (the
 // same equijoin images DeltaMaterializeStep uses). When the affected
 // keys are at most half the CTE (Restriction.restrict) it re-folds
-// exactly those groups through the restricted plan and splices cached
-// rows in for every other group — in CTE scan order, which the ordering
+// exactly those groups through the restricted plan and keeps the CTE's
+// row for every other group — in CTE scan order, which the ordering
 // contract proves is the full plan's output order. A denser frontier,
 // and anything the diff or the splice cannot certify (duplicate keys,
 // unexpected restricted output), runs the full plan for that iteration;
-// results are byte-identical either way. Both slots are tracked on the
-// run context, so the run-end cleanup — normal, error and cancellation
-// paths alike — drops them and no accumulator state leaks into a
-// retried query.
+// results are byte-identical either way. The loop state goes with the
+// run on every exit path — normal, error and cancellation alike
+// (releaseLoops) — so no snapshot leaks into a retried query.
 type MaintainAggStep struct {
 	Restriction
-	Acc  string // cached previous output (Agg#cte)
-	Snap string // previous CTE snapshot (AggSnap#cte)
+	Loop *LoopState
 	// Check arms the dynamic cross-check (Options.Paranoid):
 	// a deterministic sample of the groups served from the cache is
 	// recomputed from scratch each iteration and any divergence fails
@@ -46,29 +46,22 @@ const checkSampleStride = 7
 
 // Run implements Step.
 func (m *MaintainAggStep) Run(ctx *Context) error {
-	acc := ctx.RT.Results.Get(m.Acc)
-	var changed *sqltypes.KeyTable
 	f, err := m.restrict(ctx, "aggregate maintenance", func(cte *storage.Table) (*sqltypes.KeyTable, string) {
-		snap := ctx.RT.Results.Get(m.Snap)
-		if acc == nil || snap == nil {
+		if m.Loop == nil || m.Loop.aggSnap == nil {
 			return nil, riFirst
 		}
-		var why string
-		changed, why = m.diff(ctx, cte, snap)
-		return changed, why
+		return m.diff(ctx, cte, m.Loop.aggSnap)
 	})
-	// The diff's keys are closed into f.affected, which the splice reads
-	// until the step ends; neither outlives it.
-	ctx.letGo(changed)
 	if err != nil {
 		return err
 	}
+	// The splice reads the affected keys until the step ends.
 	defer ctx.letGo(f.affected)
 	var out *storage.Table
 	input := f.cte
 	if f.in != nil {
 		defer ctx.RT.Results.Drop(m.In)
-		if out, err = m.splice(ctx, f, acc); err != nil {
+		if out, err = m.splice(ctx, f); err != nil {
 			return err
 		}
 		input = f.in
@@ -86,15 +79,14 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 		input = f.cte
 	}
 	m.publish(ctx, out)
-	// The accumulator state for the next iteration: the output just
-	// produced and the CTE table it was computed from. Plain aliases —
-	// result tables are never mutated in place, and the rename/merge
-	// ahead only re-points names — tracked so the run-end cleanup
-	// drops them on every exit path.
-	ctx.RT.Results.Put(m.Acc, out)
-	ctx.track(m.Acc)
-	ctx.RT.Results.Put(m.Snap, f.cte)
-	ctx.track(m.Snap)
+	// The next iteration diffs the CTE the rename is about to make of
+	// out against the table out was computed from. The pin keeps that
+	// table's rows, which out may share, past the rename that displaces
+	// it.
+	if m.Loop != nil {
+		f.cte.Pin()
+		m.Loop.aggSnap = f.cte
+	}
 	ctx.Stats.AggFullRows += int64(f.cte.Len())
 	ctx.Stats.AggInputRows += int64(input.Len())
 	return nil
@@ -211,12 +203,12 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 }
 
 // splice re-folds the affected groups through the restricted plan and
-// serves every other group from the cache. A nil table (with nil error)
-// means a certification failed and the caller must fall back to the
-// full plan for this iteration.
-func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (*storage.Table, error) {
+// keeps the CTE's row, the cached one, for every other group. The keyed
+// diff has certified that the CTE carries each key once. A nil table
+// (with nil error) means the restricted plan escaped its frontier and
+// the caller must fall back to the full plan for this iteration.
+func (m *MaintainAggStep) splice(ctx *Context, f frontier) (*storage.Table, error) {
 	cteTable, affected := f.cte, f.affected
-	acc.Pin() // out serves the cached groups with acc's rows
 	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return nil, err
@@ -231,48 +223,25 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 			return nil, nil // restricted plan escaped its frontier
 		}
 	}
-	// The cache is consulted (splice and cross-check alike) only for
-	// keys outside the affected set, so only those rows are indexed; an
-	// affected key's cached row is merely checked for being the only one.
-	cached := ctx.rowIndex(keyCol, max(acc.Len()-affected.Len(), 0))
-	defer ctx.letGo(cached.keys)
-	seenAffected := make([]bool, affected.Len())
-	for _, part := range acc.Parts {
-		for _, r := range part {
-			if keyCol >= len(r) {
-				return nil, nil
-			}
-			if id := affected.Find(r[keyCol : keyCol+1]); id >= 0 {
-				if seenAffected[id] {
-					return nil, nil
-				}
-				seenAffected[id] = true
-			} else if !cached.put(r) {
-				return nil, nil
-			}
-		}
-	}
 
 	// Splice in CTE scan order: the ordering contract (group-key
 	// stability + left-probe joins + first-encounter aggregation +
 	// content-addressed materialization) makes this the full plan's
-	// output order. A key absent from both indexes was filtered out by
-	// Ri's WHERE clause — absent then, absent now.
+	// output order. An affected key the restricted plan did not return
+	// was filtered out by Ri.
 	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), ctx.parts)
 	out.DistCol = 0
 	for _, part := range cteTable.Parts {
 		for _, r := range part {
-			if affected.Find(r[keyCol:keyCol+1]) >= 0 {
-				if nr, ok := refolded.get(r); ok {
-					out.Insert(nr)
-				}
-			} else if cr, ok := cached.get(r); ok {
-				out.Insert(cr)
+			if affected.Find(r[keyCol:keyCol+1]) < 0 {
+				out.Insert(r)
+			} else if nr, ok := refolded.get(r); ok {
+				out.Insert(nr)
 			}
 		}
 	}
 	if m.Check {
-		if err := m.crossCheck(ctx, cteTable, affected, cached); err != nil {
+		if err := m.crossCheck(ctx, cteTable, affected); err != nil {
 			return nil, err
 		}
 	}
@@ -281,8 +250,8 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier, acc *storage.Table) (
 
 // crossCheck recomputes a deterministic sample of the cache-served
 // groups from scratch and fails the query if any diverges from the
-// row about to be emitted (or from its absence).
-func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affected *sqltypes.KeyTable, cached *rowIndex) error {
+// CTE row about to be emitted for it (or the recomputation drops it).
+func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affected *sqltypes.KeyTable) error {
 	var sampleRows []sqltypes.Row
 	i := 0
 	for _, part := range cteTable.Parts {
@@ -316,9 +285,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 		recomputed.put(r)
 	}
 	for _, r := range sampleRows {
-		want, haveWant := recomputed.get(r)
-		got, haveGot := cached.get(r)
-		if haveWant != haveGot || (haveWant && !want.Equal(got)) {
+		if want, ok := recomputed.get(r); !ok || !want.Equal(r) {
 			return fmt.Errorf("incremental-aggregate cross-check failed on %s: cached group %v diverges from scratch recomputation", m.CTE, r[keyCol])
 		}
 	}
@@ -328,7 +295,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 // Explain implements Step.
 func (m *MaintainAggStep) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Maintain aggregates of %s into %s (cached groups %s over snapshot %s; re-fold only keys the frontier touched",
-		m.CTE, m.Into, m.Acc, m.Snap)
+	fmt.Fprintf(&b, "Maintain aggregates of %s into %s (diff %s against its snapshot; re-fold only keys the frontier touched",
+		m.CTE, m.Into, m.CTE)
 	return m.explain(&b)
 }

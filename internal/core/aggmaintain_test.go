@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbspinner/internal/ast"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
 	"dbspinner/internal/storage"
@@ -76,7 +77,7 @@ func maintainFixture() *MaintainAggStep {
 			Into: "m", Full: idResult("c", schema), Restricted: idResult("AggIn#c", schema),
 			In: "AggIn#c", CTE: "c",
 		},
-		Acc: "Agg#c", Snap: "AggSnap#c",
+		Loop: &LoopState{},
 	}
 }
 
@@ -105,8 +106,8 @@ func TestMaintainStepDirect(t *testing.T) {
 	if got := ctx.Stats.AggInputRows; got != 3 {
 		t.Errorf("AggInputRows = %d, want 3 (first iteration is a full fold)", got)
 	}
-	if rt.Results.Get("Agg#c") == nil || rt.Results.Get("AggSnap#c") == nil {
-		t.Fatal("accumulator slots not cached")
+	if step.Loop.aggSnap != rt.Results.Get("c") {
+		t.Fatal("the loop state does not keep the CTE as the snapshot")
 	}
 
 	// Second iteration: key 1 changed, keys 2 and 3 must be served from
@@ -151,10 +152,10 @@ func TestMaintainStepDirect(t *testing.T) {
 	}
 }
 
-// TestMaintainFallsBackOnDuplicateCachedKeys: a cached output with two
-// rows for one key cannot be spliced from, whether the key is affected
-// this iteration (its cached rows are not indexed) or served from the
-// cache — the step must run the full plan either way.
+// TestMaintainFallsBackOnDuplicateCachedKeys: the cached groups are the
+// CTE's rows, so a CTE with two rows for one key cannot be spliced from,
+// whether the key is affected this iteration or served from the cache —
+// the keyed diff refuses it and the step runs the full plan either way.
 func TestMaintainFallsBackOnDuplicateCachedKeys(t *testing.T) {
 	for _, dupKey := range []int64{1, 2} { // 1 changes below, 2 does not
 		rt := newRT(t)
@@ -164,36 +165,51 @@ func TestMaintainFallsBackOnDuplicateCachedKeys(t *testing.T) {
 		if err := step.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
-		rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 20, 3, 30, dupKey, 77))
-		rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
+		rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30, dupKey, 77))
 		before := ctx.Stats.AggInputRows
 		if err := step.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if got := ctx.Stats.AggInputRows - before; got != 3 {
-			t.Errorf("duplicate cached key %d: fed %d rows, want 3 (full-plan fallback)", dupKey, got)
+		if got := ctx.Stats.AggInputRows - before; got != 4 {
+			t.Errorf("duplicate cached key %d: fed %d rows, want 4 (full-plan fallback)", dupKey, got)
 		}
 	}
 }
 
+// tenfold is the plan SELECT k, k * 10 FROM name: what a fixture's Ri
+// derives for every group, whatever the CTE's row for it says.
+func tenfold(name string) plan.Node {
+	schema := sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Int}}
+	k := &ast.ColumnRef{Name: "k"}
+	return &plan.Project{Input: idResult(name, schema), Items: []plan.ProjItem{
+		{Expr: k, Name: "k", Type: sqltypes.Int},
+		{Expr: &ast.BinaryExpr{Op: "*", L: k, R: ast.NewLiteral(sqltypes.NewInt(10))}, Name: "v", Type: sqltypes.Int},
+	}}
+}
+
 // TestMaintainCrossCheckCatchesPoisonedAccumulator proves the dynamic
-// cross-check (Options.Paranoid) is a real oracle: corrupt
-// one cached group between iterations and the next maintained fold
-// must fail the query instead of serving the stale row.
+// cross-check (Options.Paranoid) is a real oracle: corrupt one cached
+// group between iterations — the CTE's row and the snapshot's alike, so
+// the diff cannot see it — and the next maintained fold must fail the
+// query instead of serving the stale row.
 func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	rt := newRT(t)
 	ctx := &Context{RT: rt, Stats: &Stats{}}
 	step := maintainFixture()
+	step.Full, step.Restricted = tenfold("c"), tenfold("AggIn#c")
 	step.Check = true
 
 	rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))
 	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the cached output for key 2 — the first unaffected key in
+	// Poison the cached group of key 2 — the first unaffected key in
 	// scan order, which the deterministic sample always covers.
-	rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 99, 3, 30))
-	rt.Results.Put("c", kvTable("c", 1, 1, 11, 2, 20, 3, 30))
+	poison := func(v int64) {
+		step.Loop.aggSnap = kvTable("c", 1, 1, 10, 2, 99, 3, 30)
+		rt.Results.Put("c", kvTable("c", 1, 1, v, 2, 99, 3, 30))
+	}
+	poison(11)
 	if err := step.Run(ctx); err == nil || !strings.Contains(err.Error(), "cross-check") {
 		t.Fatalf("poisoned accumulator not caught: err = %v", err)
 	}
@@ -202,9 +218,7 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	// which is exactly why the verifier proves the one-writer rule
 	// statically and CI arms the check dynamically.
 	step.Check = false
-	rt.Results.Put("Agg#c", kvTable("Agg#c", 1, 1, 10, 2, 99, 3, 30))
-	rt.Results.Put("AggSnap#c", kvTable("AggSnap#c", 1, 1, 11, 2, 20, 3, 30))
-	rt.Results.Put("c", kvTable("c", 1, 1, 12, 2, 20, 3, 30))
+	poison(12)
 	if err := step.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -214,4 +228,36 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 		}
 	}
 	t.Error("expected the unchecked run to serve the poisoned row (documents what the check defends against)")
+}
+
+// capQuery raises every node's value by the largest weight into it, up
+// to 5: a node at 5 stops changing, so the frontier thins and later
+// iterations restrict. Ri reads the CTE only through its outer scan, so
+// no join index pins the CTE table a rename displaces.
+const capQuery = `WITH ITERATIVE c (node, val) AS (
+  SELECT src, src - 1 FROM (SELECT src FROM edges UNION SELECT dst FROM edges)
+ ITERATE SELECT c.node, LEAST(c.val + COALESCE(MAX(e.weight), 1), 5)
+  FROM c LEFT JOIN edges AS e ON c.node = e.dst
+  GROUP BY c.node, c.val
+ UNTIL 6 ITERATIONS) SELECT node, val FROM c`
+
+// TestMaintainSnapshotOutlivesTheRename: the snapshot the maintenance
+// step keeps on its loop is the CTE table the next rename displaces, and
+// the rows it serves unaffected groups from are that table's. With row
+// chunks poisoned the moment a released table hands them back
+// (sqltypes.Poison), a snapshot the store released would read <reused>:
+// every diff would come out dense, and a splice would serve poisoned
+// rows. The maintained run must return the full plan's rows and
+// restrict.
+func TestMaintainSnapshotOutlivesTheRename(t *testing.T) {
+	defer sqltypes.Poison()()
+	edges := pathEdges(12)
+	got, st := runIterative(t, edgeRT(t, 1, edges), capQuery, DefaultOptions())
+	want, _ := runIterative(t, edgeRT(t, 1, edges), capQuery, fullOptions())
+	if g, w := strings.Join(rowStrs(got), "|"), strings.Join(rowStrs(want), "|"); g != w {
+		t.Errorf("rows differ from the full plan's:\n  got  %s\n  want %s", g, w)
+	}
+	if st.AggInputRows >= st.AggFullRows {
+		t.Errorf("fed %d of %d rows: no iteration restricted", st.AggInputRows, st.AggFullRows)
+	}
 }

@@ -10,29 +10,25 @@ import (
 
 // DeltaMaterializeStep materializes the working table for one
 // iteration on the merge path. On the first iteration (and whenever no
-// changed-key set is available) it evaluates the full Ri plan;
-// afterwards it restricts Ri's outer scan to the keys the previous
-// merge changed plus their images under the propagation rules, as long
-// as those are at most half the CTE (Restriction.restrict). The
+// keyed merge of its loop has published a change set) it evaluates the
+// full Ri plan; afterwards it restricts Ri's outer scan to the keys the
+// previous merge changed plus their images under the propagation rules,
+// as long as those are at most half the CTE (Restriction.restrict). The
 // paired MergeStep carries every key the working table does not
 // mention forward unchanged, which is what makes leaving them out
-// sound.
+// sound. A loop with no keyed merge never publishes one, so there the
+// step runs the full plan every iteration.
 type DeltaMaterializeStep struct {
 	Restriction
-	Delta string // delta table the paired MergeStep materializes
-	Loop  *LoopState
+	Loop *LoopState
 }
 
 // Run implements Step.
 func (d *DeltaMaterializeStep) Run(ctx *Context) error {
-	f, err := d.restrict(ctx, "delta materialize", func(*storage.Table) (*sqltypes.KeyTable, string) {
-		if d.Loop == nil {
-			return nil, riFirst
-		}
-		return d.Loop.changedKeys, riFirst // nil until the first merge has run
+	f, err := d.restrict(ctx, "delta materialize", func(cte *storage.Table) (*sqltypes.KeyTable, string) {
+		return d.changedKeys(ctx, cte.Len())
 	})
-	// The affected keys served the filter that bound In; the changed keys
-	// stay the loop's.
+	// The affected keys served the filter that bound In.
 	ctx.letGo(f.affected)
 	if err != nil {
 		return err
@@ -52,9 +48,36 @@ func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 	return nil
 }
 
+// changedKeys is the step's half of the per-iteration decision: the keys
+// the loop's last keyed merge changed, or nil and why the iteration runs
+// the full plan — no merge has published a change set yet, or its keys
+// alone are dense in a CTE of `of` rows, which the published count tells
+// without building a key set. A merge that found its set dense in the
+// table it produced keeps no rows (changeSet), which reads dense here
+// too. The set is one of the run's spare key tables. The first call asks
+// the loop's merges to publish.
+func (d *DeltaMaterializeStep) changedKeys(ctx *Context, of int) (*sqltypes.KeyTable, string) {
+	if d.Loop == nil {
+		return nil, riFirst
+	}
+	c := &d.Loop.changes
+	c.wanted = true
+	switch {
+	case !c.merged:
+		return nil, riFirst
+	case dense(c.keys, of) || c.rows == nil && c.keys > 0:
+		return nil, riDense
+	}
+	keys := ctx.keyTable(1, c.keys)
+	for _, r := range c.rows {
+		keys.Insert(r[keyCol : keyCol+1])
+	}
+	return keys, ""
+}
+
 // Explain implements Step.
 func (d *DeltaMaterializeStep) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Materialize %s from the changed-row frontier of %s (delta %s", d.Into, d.CTE, d.Delta)
+	fmt.Fprintf(&b, "Materialize %s from the changed-row frontier of %s (keys the last merge changed", d.Into, d.CTE)
 	return d.explain(&b)
 }

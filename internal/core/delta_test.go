@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -113,11 +114,9 @@ func TestDeltaRewriteShape(t *testing.T) {
 	}
 	out := prog.Explain()
 	for _, frag := range []string{
-		"changed-row frontier of sssp",
-		"delta Delta#sssp",
+		"changed-row frontier of sssp (keys the last merge changed",
 		"propagate via edges[0->1]",
 		"Frontier#sssp",
-		"materialize changed rows into Delta#sssp",
 		"Incremental sssp: licensed, delta step at step 3; per iteration: restricted while the affected keys are at most half of sssp; aggregates MIN.",
 	} {
 		if !strings.Contains(out, frag) {
@@ -329,4 +328,67 @@ func TestDeltaTerminationRaggedRows(t *testing.T) {
 	if n, err := l.changedRows(ctx); err != nil || n != 1 {
 		t.Errorf("one keyed row disappeared: changed = %d, err = %v, want 1", n, err)
 	}
+}
+
+// TestDeltaStepWithoutKeyedMergeRunsFullPlan: a delta step restricts by
+// the change sets its loop's keyed merges publish, so on a loop with no
+// keyed merge — here the rename path, whose maintenance step is swapped
+// for a delta step over the same restriction — it runs the full plan
+// every iteration, and the rows are the unlicensed run's.
+func TestDeltaStepWithoutKeyedMergeRunsFullPlan(t *testing.T) {
+	edges := pathEdges(8)
+	prog, err := Rewrite(mustParse(t, minPathQuery), edgeRT(t, 1, edges), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := false
+	for i, s := range prog.Steps {
+		if m, ok := s.(*MaintainAggStep); ok {
+			prog.Steps[i] = &DeltaMaterializeStep{Restriction: m.Restriction, Loop: m.Loop}
+			swapped = true
+		}
+	}
+	if !swapped {
+		t.Fatalf("no maintenance step to swap:\n%s", prog.Explain())
+	}
+	stats := &Stats{}
+	got, err := prog.RunContext(context.Background(), edgeRT(t, 1, edges), stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := runIterative(t, edgeRT(t, 1, edges), minPathQuery, fullOptions())
+	if g, w := strings.Join(rowStrs(got), "|"), strings.Join(rowStrs(want), "|"); g != w {
+		t.Errorf("rows differ from the unlicensed run's:\n  got  %s\n  want %s", g, w)
+	}
+	if stats.RiFullRows == 0 || stats.RiInputRows != stats.RiFullRows {
+		t.Errorf("fed %d of %d rows, want every row of every iteration", stats.RiInputRows, stats.RiFullRows)
+	}
+}
+
+// TestDenseChangeSetBuildsNoKeyTable: the delta step decides "dense"
+// from the count its loop's merge published, before building any key
+// set, so a dense iteration allocates nothing for the decision; a sparse
+// one gets exactly the published keys.
+func TestDenseChangeSetBuildsNoKeyTable(t *testing.T) {
+	var rows []sqltypes.Row
+	for k := int64(1); k <= 6; k++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(k)})
+	}
+	rows = append(rows, rows[0]) // a key the CTE repeats changes twice
+	loop := &LoopState{}
+	loop.changes = changeSet{wanted: true, merged: true, rows: rows, keys: 6}
+	d := &DeltaMaterializeStep{Loop: loop}
+	ctx := &Context{Stats: &Stats{}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if keys, why := d.changedKeys(ctx, 11); keys != nil || why != riDense {
+			t.Fatalf("6 changed keys of 11 rows: %v, %q, want the dense verdict", keys, why)
+		}
+	}); allocs != 0 {
+		t.Errorf("the dense decision made %v allocations, want 0", allocs)
+	}
+	keys, why := d.changedKeys(ctx, 12)
+	if keys == nil || why != "" || keys.Len() != 6 {
+		t.Fatalf("6 changed keys of 12 rows: %v, %q, want the 6 keys", keys, why)
+	}
+	ctx.letGo(keys)
 }

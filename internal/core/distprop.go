@@ -252,8 +252,8 @@ func (c distCases) CopyBack(t *CopyBackStep) distStep {
 	return r
 }
 
-// Merge builds the merged table, and the delta when it materializes
-// one, with DistCol 0.
+// Merge builds the merged table, and a recursive round's delta table,
+// with DistCol 0.
 func (c distCases) Merge(t *MergeStep) distStep {
 	r := c.bind(t.Into, distprop.Hash(0), nil)
 	if t.Delta != "" {

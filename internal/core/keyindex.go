@@ -28,10 +28,8 @@ type keyIndex struct {
 	// gives the merge's answer: such a table is never trusted.
 	inexact bool
 	// changed and fresh are the running patch's changed positions and
-	// new rows' positions (pos), and counts its delta's rows per
-	// partition; each is kept for the next patch's storage.
+	// new rows' positions (pos), each kept for the next patch's storage.
 	changed, fresh []uint64
-	counts         []int
 }
 
 // keyPos is one filed position: a row of partition part, and the

@@ -12,12 +12,14 @@ import (
 	"dbspinner/internal/storage"
 )
 
-// mergeResult is what one keyed merge leaves behind: out's and the
-// delta's partitions, the changed keys in id order, the changed count,
-// or the error.
+// mergeResult is what one keyed merge leaves behind: out's partitions,
+// the change set it published — its rows routed as out is (delta), the
+// keys they carry in order, none when the set is dense in out, and the
+// count of changed keys — the changed row count, or the error.
 type mergeResult struct {
 	out, delta [][]sqltypes.Row
 	keys       []sqltypes.Value
+	nkeys      int // the distinct keys the change set says it carries
 	changed    int64
 	err        string
 }
@@ -50,6 +52,12 @@ func (a mergeResult) same(b mergeResult) error {
 			}
 		}
 	}
+	if a.nkeys != b.nkeys {
+		return fmt.Errorf("%d changed keys published, want %d", a.nkeys, b.nkeys)
+	}
+	if len(a.keys) > 0 && len(a.keys) != a.nkeys {
+		return fmt.Errorf("%d changed keys published for rows carrying %d", a.nkeys, len(a.keys))
+	}
 	if len(a.keys) != len(b.keys) {
 		return fmt.Errorf("changed keys %v, want %v", a.keys, b.keys)
 	}
@@ -61,21 +69,28 @@ func (a mergeResult) same(b mergeResult) error {
 	return nil
 }
 
-// mergeInto runs the keyed merge of work into cte over loop, with a delta,
-// and returns what it left and out.
+// mergeInto runs the keyed merge of work into cte over loop, whose delta
+// step has asked for change sets, and returns what it left and out.
 func mergeInto(rt *exec.StoreRuntime, loop *LoopState, cte, work *storage.Table, parts int) (mergeResult, *storage.Table) {
 	rt.Results.Put("c", cte)
 	rt.Results.Put("w", work)
 	rt.Results.Drop("m")
-	rt.Results.Drop("d")
-	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Loop: loop, Delta: "d"}
+	loop.changes.wanted = true
+	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Loop: loop}
 	if err := step.Run(&Context{RT: rt, Stats: &Stats{}, parts: parts}); err != nil {
 		return mergeResult{err: err.Error()}, nil
 	}
-	out, delta := rt.Results.Get("m"), rt.Results.Get("d")
-	res := mergeResult{out: out.Parts, delta: delta.Parts, changed: loop.lastUpdate}
-	for id := 0; id < loop.changedKeys.Len(); id++ {
-		res.keys = append(res.keys, loop.changedKeys.Key(id)[0])
+	out, set := rt.Results.Get("m"), loop.changes
+	delta := storage.NewTable("d", cte.Schema, parts)
+	delta.DistCol = 0
+	delta.InsertBatch(set.rows)
+	keys := sqltypes.NewKeyTable(1, len(set.rows))
+	for _, r := range set.rows {
+		keys.Insert(r[0:1])
+	}
+	res := mergeResult{out: out.Parts, delta: delta.Parts, nkeys: set.keys, changed: loop.lastUpdate}
+	for id := 0; id < keys.Len(); id++ {
+		res.keys = append(res.keys, keys.Key(id)[0])
 	}
 	return res, out
 }

@@ -57,20 +57,33 @@ type LoopState struct {
 // loopRun is the per-run state of one loop operator, which InitLoopStep
 // resets, a checkpoint captures and restores whole, and releaseLoops
 // clears: its counters, the Delta condition's snapshot of the previous
-// iteration by key, and the keys the last merge identified as changed —
-// nil until the first merge of the loop has run — which
-// DeltaMaterializeStep consumes to restrict Ri's scan of the iterative
-// reference to the affected frontier. A checkpoint shares its key tables
-// rather than copy them: every writer replaces them wholesale (snapshot,
-// the merge step), never mutates or lets them go, so a shared reference
-// stays frozen.
+// iteration by key, and what the loop's incremental step carries across
+// the back-edge (changeSet, aggSnap). A checkpoint shares what it
+// captures rather than copy it: every writer replaces these wholesale,
+// never mutates or lets them go, so a shared reference stays frozen.
 type loopRun struct {
-	iterations  int
-	updates     int64
-	lastUpdate  int64
-	prev        *rowIndex // Delta: previous iteration by key
-	prevCount   int
-	changedKeys *sqltypes.KeyTable
+	iterations int
+	updates    int64
+	lastUpdate int64
+	prev       *rowIndex // Delta: previous iteration by key
+	prevCount  int
+	changes    changeSet
+	// aggSnap is the CTE table MaintainAggStep last computed its output
+	// from (nil: it has not run yet), pinned, since the rename that
+	// displaces it from the CTE's slot would otherwise hand its rows back.
+	aggSnap *storage.Table
+}
+
+// changeSet is what a keyed merge identified as changed, for the loop's
+// DeltaMaterializeStep, which asks for it (wanted) the first time it
+// runs: from then on every keyed merge of the loop publishes how many
+// distinct keys it changed and, unless they are dense in the table it
+// produced (keepsRows), the rows it replaced with different values or
+// appended. Until one has (merged), there is nothing to restrict by.
+type changeSet struct {
+	wanted, merged bool
+	rows           []sqltypes.Row
+	keys           int
 }
 
 // noteUpdates records the changed-row count of one identification pass

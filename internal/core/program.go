@@ -352,8 +352,8 @@ func (c *Context) keyTable(width, hint int) *sqltypes.KeyTable {
 
 // letGo takes back a key table a keyed pass is done with (nil: none),
 // for keyTable to hand out again: nothing may read it afterwards. A table
-// that outlives its step — a loop's changed keys or its UNTIL DELTA
-// snapshot, which a checkpoint captures — is never let go.
+// that outlives its step — a loop's UNTIL DELTA snapshot, which a
+// checkpoint captures — is never let go.
 func (c *Context) letGo(t *sqltypes.KeyTable) {
 	if t != nil {
 		c.runState().keys.Give(t)
@@ -439,8 +439,8 @@ type Program struct {
 
 // DataflowEntry is the analysis record for one intermediate result.
 type DataflowEntry struct {
-	// Result is the intermediate result name (CTE table, Common#k,
-	// Delta#cte, ...).
+	// Result is the intermediate result name (CTE table, Common#k, a
+	// recursive CTE's Delta#cte, ...).
 	Result string
 	// Live are the materialized column names, nil when the entry only
 	// records a live range.
@@ -910,10 +910,11 @@ type MergeStep struct {
 	// with different values, appended rows, both directions of the
 	// identification pass), driving UNTIL n UPDATES termination.
 	Loop *LoopState
-	// Delta, when non-empty, names the per-iteration delta table the
-	// merge materializes alongside the main result: exactly the rows
-	// it identified as changed. A keyed merge's loop state records the
-	// changed keys for the paired DeltaMaterializeStep.
+	// Delta names the table a recursive round materializes alongside
+	// the main result: the rows it added, which the next round's
+	// recursive term reads. A keyed merge publishes what it changed on
+	// its loop state instead, when the loop's DeltaMaterializeStep asks
+	// (changeSet).
 	Delta string
 	// Form is how the working rows combine with the CTE's; the zero
 	// value is the keyed merge above.
@@ -954,27 +955,18 @@ func (m *MergeStep) Run(ctx *Context) error {
 	out := storage.NewTable(m.Into, cte.Schema, ctx.parts)
 	out.PK = cte.PK
 	out.DistCol = 0
-	var delta *storage.Table
-	if m.Delta != "" {
-		delta = storage.NewTable(m.Delta, cte.Schema, ctx.parts)
-		delta.PK = cte.PK
-		delta.DistCol = 0
+	var changed int64
+	var err error
+	if m.Form == MergeByKey {
+		changed, err = m.replace(ctx, cte, work, out)
+	} else {
+		changed, err = m.append(ctx, cte, work, out)
 	}
-	merge := m.replace
-	if m.Form != MergeByKey {
-		merge = m.append
-	}
-	changed, err := merge(ctx, cte, work, out, delta)
 	if err != nil {
 		return err
 	}
 	if m.Loop != nil {
 		m.Loop.noteUpdates(changed)
-	}
-	if delta != nil {
-		ctx.RT.Results.Put(m.Delta, delta)
-		ctx.track(m.Delta)
-		ctx.Stats.MaterializedCells += int64(delta.Len()) * int64(len(delta.Schema))
 	}
 	ctx.RT.Results.Put(m.Into, out)
 	ctx.track(m.Into)
@@ -984,23 +976,23 @@ func (m *MergeStep) Run(ctx *Context) error {
 
 // replace is the keyed merge of cte and work into out. It counts the
 // rows that changed — replaced with different values, or appended —
-// and puts them into delta (nil: none), whose keys the loop state
-// records for the paired DeltaMaterializeStep. Into the table its loop's
-// key index describes it patches (patch); into any other — the run's
-// first merge, a checkpoint's clone, a new loop's table — it rebuilds,
-// filing out's rows in the index on the way. Both give the same tables,
-// counts, changed keys and errors; the index describes out once the
-// merge has succeeded, and no table after one that failed.
-func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
+// and, when the loop's delta step has asked, publishes them with the
+// number of keys they carry (changeSet). Into the table its loop's key
+// index describes it patches (patch); into any other — the run's first
+// merge, a checkpoint's clone, a new loop's table — it rebuilds, filing
+// out's rows in the index on the way. Both give the same tables, counts,
+// change sets and errors; the index describes out once the merge has
+// succeeded, and no table after one that failed.
+func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table) (int64, error) {
 	l := m.Loop
 	if l == nil {
 		// No loop to carry an index.
-		return m.rebuild(ctx, nil, cte, work, out, delta)
+		return m.rebuild(ctx, nil, cte, work, out)
 	}
 	trusted := trusts(l, cte)
 	l.indexOf = nil
 	if trusted {
-		changed, exact, err := m.patch(l.index, cte, work, out, delta)
+		changed, exact, err := m.patch(l.index, cte, work, out)
 		if exact {
 			if err == nil {
 				l.indexOf = out
@@ -1010,7 +1002,7 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 		clear(out.Parts)
 	}
 	x := l.freshIndex(ctx, cte.Len()+work.Len())
-	changed, err := m.rebuild(ctx, x, cte, work, out, delta)
+	changed, err := m.rebuild(ctx, x, cte, work, out)
 	if err == nil && !x.inexact {
 		l.indexOf = out
 	}
@@ -1020,7 +1012,7 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out, delta *storage.Table) 
 // rebuild is replace over any cte: it indexes the working rows, looks
 // each CTE row up in that, and places every row of out, filing it in x
 // (nil: no index).
-func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *storage.Table) (int64, error) {
+func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.Table) (int64, error) {
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
 	updated := ctx.rowIndex(keyCol, work.Len())
@@ -1035,7 +1027,11 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 			}
 		}
 	}
-	inCTE := make([]bool, len(updated.rows))
+	// seen[id] marks a working row some CTE row carries (inCTE) and one
+	// that replaced a row with different values (differs): a key the CTE
+	// repeats is one changed key, however many rows it changed.
+	const inCTE, differs = 1, 2
+	seen := make([]uint8, len(updated.rows))
 	// out holds the CTE's keys plus the new ones: each partition starts
 	// at its CTE partition's length and a sixteenth more.
 	if len(cte.Parts) == len(out.Parts) {
@@ -1049,9 +1045,10 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 			x.fileRow(r, keyCol, p, i)
 		}
 	}
-	// deltaRows are exactly the rows identified as changed; their keys
-	// are the changed-key set delta iteration consumes.
-	var deltaRows []sqltypes.Row
+	// changed are exactly the rows identified as changed, keys the
+	// distinct keys among them.
+	var changed []sqltypes.Row
+	keys := 0
 	for _, part := range cte.Parts {
 		for _, r := range part {
 			if keyCol >= len(r) {
@@ -1062,51 +1059,51 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out, delta *st
 				place(r)
 				continue
 			}
-			inCTE[id] = true
+			seen[id] |= inCTE
 			nr := updated.rows[id]
 			place(nr)
 			if !r.Equal(nr) {
-				deltaRows = append(deltaRows, nr)
+				changed = append(changed, nr)
+				if seen[id]&differs == 0 {
+					seen[id] |= differs
+					keys++
+				}
 			}
 		}
 	}
 	// Working rows with keys the CTE has never produced: appended, and
 	// by definition changed.
 	for id, r := range updated.rows {
-		if inCTE[id] {
+		if seen[id]&inCTE != 0 {
 			continue
 		}
 		place(r)
-		deltaRows = append(deltaRows, r)
+		changed = append(changed, r)
+		keys++
 	}
-	if delta != nil {
-		delta.InsertBatch(deltaRows)
-		if m.Loop != nil {
-			changedKeys := sqltypes.NewKeyTable(1, len(deltaRows))
-			for _, r := range deltaRows {
-				changedKeys.Insert(r[keyCol : keyCol+1])
-			}
-			m.Loop.changedKeys = changedKeys
-		}
+	n := int64(len(changed))
+	if !m.Loop.keepsRows(keys, out) {
+		changed = nil
 	}
-	return int64(len(deltaRows)), nil
+	m.Loop.publish(changed, keys)
+	return n, nil
 }
 
 // patch is replace into cte, the table x describes, whose rows sit
 // where they route: out starts as a copy of cte's partitions, and each
 // working row, looked up once, overwrites every position carrying its
 // key or, under a new key, is placed as an insert places it. No CTE row
-// is hashed or routed. The delta is the changed positions in cte's scan
-// order, which is position order, then the new rows in working order —
-// rebuild's order — each in the partition it has in out, which is where
-// the delta routes it. A working key exactKey rejects stops it with
-// exact false, and the caller rebuilds.
-func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n int64, exact bool, err error) {
+// is hashed or routed. The change set it publishes is the changed
+// positions' rows in cte's scan order, which is position order, then the
+// new rows in working order: rebuild's order. A working key exactKey
+// rejects stops it with exact false, and the caller rebuilds.
+func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table) (n int64, exact bool, err error) {
 	for p, part := range cte.Parts {
 		out.Parts[p] = append(make([]sqltypes.Row, 0, len(part)+len(part)/16), part...)
 	}
 	x.nextMerge()
 	changed, fresh := x.changed[:0], x.fresh[:0]
+	keys := 0
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if keyCol >= len(r) {
@@ -1127,6 +1124,7 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 				return 0, true, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[keyCol])
 			}
 			x.hit[id] = x.gen
+			before := len(changed)
 			for at := x.head[id]; at >= 0; at = x.at[at].prev {
 				p, i := x.at[at].part, x.at[at].row
 				if !out.Parts[p][i].Equal(r) {
@@ -1134,47 +1132,52 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 				}
 				out.Parts[p][i] = r
 			}
+			if len(changed) > before {
+				keys++
+			}
 		}
 	}
 	x.changed, x.fresh = changed, fresh
 	n = int64(len(changed) + len(fresh))
-	if delta == nil {
-		return n, true, nil
-	}
-	slices.Sort(changed)
-	// Each delta partition is sized once, as InsertBatch sizes it.
-	counts := x.counts[:0]
-	for range delta.Parts {
-		counts = append(counts, 0)
-	}
-	for _, at := range changed {
-		counts[at>>32]++
-	}
-	for _, at := range fresh {
-		counts[at>>32]++
-	}
-	for p, c := range counts {
-		if c > 0 {
-			delta.Parts[p] = make([]sqltypes.Row, 0, c)
+	keys += len(fresh)
+	var rows []sqltypes.Row
+	if m.Loop.keepsRows(keys, out) {
+		slices.Sort(changed)
+		rows = make([]sqltypes.Row, 0, n)
+		for _, ps := range [...][]uint64{changed, fresh} {
+			for _, at := range ps {
+				rows = append(rows, out.Parts[at>>32][uint32(at)])
+			}
 		}
 	}
-	x.counts = counts
-	changedKeys := sqltypes.NewKeyTable(1, int(n))
-	for _, ps := range [...][]uint64{changed, fresh} {
-		for _, at := range ps {
-			r := out.Parts[at>>32][uint32(at)]
-			delta.Parts[at>>32] = append(delta.Parts[at>>32], r)
-			changedKeys.Insert(r[keyCol : keyCol+1])
-		}
-	}
-	m.Loop.changedKeys = changedKeys
+	m.Loop.publish(rows, keys)
 	return n, true, nil
+}
+
+// keepsRows reports whether a keyed merge that changed keys distinct
+// keys, producing out, publishes the rows it changed: when the loop's
+// delta step has asked for change sets, and the keys are not dense in
+// out, the CTE that step reads next. A dense set makes that step run
+// the full plan, which reads only the count.
+func (l *LoopState) keepsRows(keys int, out *storage.Table) bool {
+	return l != nil && l.changes.wanted && !dense(keys, out.Len())
+}
+
+// publish records a keyed merge's change set for the loop's delta step,
+// if it has asked for one (l nil: no loop, no step). rows is the
+// merge's own, nil when it keeps none (keepsRows): the set replaces the
+// last one whole.
+func (l *LoopState) publish(rows []sqltypes.Row, keys int) {
+	if l != nil && l.changes.wanted {
+		l.changes = changeSet{wanted: true, merged: true, rows: rows, keys: keys}
+	}
 }
 
 // append is the recursive merge of cte and work into out: every CTE
 // row, then the working rows that are new — under UNION those neither
 // the CTE nor an earlier working row has, under UNION ALL all — which
-// also go into delta. It returns how many it added. The two guards
+// also go into the round's delta table, bound under Delta. It returns
+// how many it added. The two guards
 // against a UNION ALL over a cycle sit here: a round repeating an
 // earlier round's rows, and a CTE past MaxRecursionRows, fail the query.
 // A round costs its new rows: a CTE routed by its first column, as out
@@ -1182,7 +1185,10 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out, delta *storage.Table) (n 
 // only, where no reader of the bound CTE looks. Each CTE table is merged
 // once: the next round merges out, and a checkpoint restore binds a
 // clone.
-func (m *MergeStep) append(ctx *Context, cte, work, out, delta *storage.Table) (int64, error) {
+func (m *MergeStep) append(ctx *Context, cte, work, out *storage.Table) (int64, error) {
+	delta := storage.NewTable(m.Delta, cte.Schema, ctx.parts)
+	delta.PK = cte.PK
+	delta.DistCol = 0
 	if cte.DistCol == 0 && len(cte.Parts) == len(out.Parts) {
 		copy(out.Parts, cte.Parts)
 	} else {
@@ -1226,6 +1232,9 @@ func (m *MergeStep) append(ctx *Context, cte, work, out, delta *storage.Table) (
 			m.Loop.dropRowSet(ctx)
 		}
 	}
+	ctx.RT.Results.Put(m.Delta, delta)
+	ctx.track(m.Delta)
+	ctx.Stats.MaterializedCells += int64(added) * int64(len(delta.Schema))
 	return int64(added), nil
 }
 

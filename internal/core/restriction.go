@@ -34,8 +34,8 @@ import (
 //     the scan by the keys the last merge published.
 //   - Ri has no WHERE but aggregates (rename path): nothing identifies
 //     changes and the working table replaces the CTE wholesale, so
-//     MaintainAggStep diffs the CTE against a snapshot and splices the
-//     previous output row in for every unaffected key.
+//     MaintainAggStep diffs the CTE against a snapshot and, for every
+//     unaffected key, keeps the CTE's own row: the previous output.
 //   - otherwise the full plan runs: unlicensed, switched off, or a
 //     parallel run with more than one partition (measured: on the MPP
 //     machine the restricted form costs more than it saves).
@@ -46,8 +46,9 @@ import (
 // Finding and feeding the frontier costs passes whose price does not
 // shrink with it, so past that point the full plan is the cheaper way
 // to the same rows. The full plan needs no certificate, so the choice
-// needs no analysis; the step carries nothing across the back-edge for
-// it.
+// needs no analysis. What either step carries across the back-edge —
+// the merge's change set, the maintenance step's snapshot — lives on its
+// loop's per-run state (loopRun), not in the result store.
 //
 // Results are identical on every path — row order and float
 // accumulation order included.
@@ -178,16 +179,17 @@ var dense = func(n, of int) bool { return 2*n > of }
 
 // restrict is the run-time half of a Restriction, and the one place the
 // form of Ri is chosen. changed yields the keys that differ from the
-// previous iteration, or nil and the reason the step cannot restrict
-// (first iteration, uncertifiable state, a frontier already known to be
-// dense); the affected set is their closure under Props, and when it is
-// not dense the CTE rows carrying an affected key are bound under In
-// (partition layout preserved, no rehashing) for the restricted plan.
-// The caller drops In when frontier.in is set. Every other outcome is
-// the full-plan frontier: nothing bound, nothing cached consulted. The
-// rule is applied as soon as its answer is known — the changed keys are
-// a subset of the affected ones, so a dense changed set skips the
-// closure, and the closure stops growing at the bound.
+// previous iteration, in a key table of the run's that restrict lets go,
+// or nil and the reason the step cannot restrict (first iteration,
+// uncertifiable state, a frontier already known to be dense); the
+// affected set is their closure under Props, and when it is not dense
+// the CTE rows carrying an affected key are bound under In (partition
+// layout preserved, no rehashing) for the restricted plan. The caller
+// drops In when frontier.in is set and lets frontier.affected go. Every
+// other outcome is the full-plan frontier: nothing bound, nothing cached
+// consulted. The rule is applied as soon as its answer is known — the
+// changed keys are a subset of the affected ones, so a dense changed set
+// skips the closure, and the closure stops growing at the bound.
 //
 // A degraded context (the step loop's graceful-degradation ladder)
 // never restricts: the volcano rung switches off everything that
@@ -202,10 +204,13 @@ func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *stor
 		ctx.noteRi(riDegraded)
 		return f, nil
 	}
-	affected, why := changed(f.cte)
-	if affected != nil {
+	keys, why := changed(f.cte)
+	var affected *sqltypes.KeyTable
+	if keys != nil {
 		var err error
-		if affected, err = affectedKeys(ctx, affected, r.Props, f.cte.Len(), what); err != nil {
+		affected, err = affectedKeys(ctx, keys, r.Props, f.cte.Len(), what)
+		ctx.letGo(keys)
+		if err != nil {
 			return f, err
 		}
 		why = riDense // the one reason the closure comes back nil

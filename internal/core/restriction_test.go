@@ -161,49 +161,49 @@ func TestPerIterationRule(t *testing.T) {
 }
 
 // stepCase drives MaintainAggStep by hand over identity plans: the
-// snapshot and cached output of the previous iteration, the current
-// CTE, and what the step must decide and feed.
+// snapshot of the previous iteration, the current CTE — which is the
+// cache — and what the step must decide and feed.
 type stepCase struct {
-	name           string
-	snap, acc, cte *storage.Table // nil snap and acc: the first iteration
-	wantRi         string
-	wantFed        int64
-	degraded       bool // the context stands on the volcano rung
+	name      string
+	snap, cte *storage.Table // nil snap: the first iteration
+	wantRi    string
+	wantFed   int64
+	degraded  bool // the context stands on the volcano rung
 }
 
-// dupCase holds a duplicate key that lines up with its snapshot row
-// while the cached output is clean, so only the keyed diff can see it.
+// dupCase holds a duplicate key that lines up with its snapshot row, so
+// only the keyed diff can see it.
 func dupCase() stepCase {
 	return stepCase{name: "duplicate key lined up with its snapshot",
-		snap: kvTable("s", 1, 1, 10, 2, 20, 3, 30, 3, 30), acc: kvTable("a", 1, 1, 10, 2, 20, 3, 30),
-		cte: kvTable("c", 1, 1, 11, 2, 20, 3, 30, 3, 30), wantRi: riUncertified, wantFed: 4}
+		snap: kvTable("s", 1, 1, 10, 2, 20, 3, 30, 3, 30),
+		cte:  kvTable("c", 1, 1, 11, 2, 20, 3, 30, 3, 30), wantRi: riUncertified, wantFed: 4}
 }
 
 func stepCases() []stepCase {
 	prev := func(name string) *storage.Table { return kvTable(name, 1, 1, 10, 2, 20, 3, 30, 4, 40) }
 	one := func() *storage.Table { return kvTable("c", 1, 1, 11, 2, 20, 3, 30, 4, 40) } // key 1 changed
 	return []stepCase{
-		{name: "2*affected == |CTE| restricts", snap: prev("s"), acc: prev("a"),
+		{name: "2*affected == |CTE| restricts", snap: prev("s"),
 			cte: kvTable("c", 1, 1, 11, 2, 21, 3, 30, 4, 40), wantRi: riRestricted, wantFed: 2},
-		{name: "one more key does not", snap: prev("s"), acc: prev("a"),
+		{name: "one more key does not", snap: prev("s"),
 			cte: kvTable("c", 1, 1, 11, 2, 21, 3, 31, 4, 40), wantRi: riDense, wantFed: 4},
 		{name: "first iteration", cte: one(), wantRi: riFirst, wantFed: 4},
-		{name: "degraded context", snap: prev("s"), acc: prev("a"),
+		{name: "degraded context", snap: prev("s"),
 			cte: one(), wantRi: riDegraded, wantFed: 4, degraded: true},
-		{name: "empty CTE after an empty CTE", snap: kvTable("s", 1), acc: kvTable("a", 1),
+		{name: "empty CTE after an empty CTE", snap: kvTable("s", 1),
 			cte: kvTable("c", 1), wantRi: riRestricted, wantFed: 0},
-		{name: "every key disappeared", snap: prev("s"), acc: prev("a"),
+		{name: "every key disappeared", snap: prev("s"),
 			cte: kvTable("c", 1), wantRi: riDense, wantFed: 0},
-		{name: "row order differs from the snapshot's", snap: prev("s"), acc: prev("a"),
+		{name: "row order differs from the snapshot's", snap: prev("s"),
 			cte: kvTable("c", 1, 4, 40, 3, 30, 2, 20, 1, 11), wantRi: riRestricted, wantFed: 1},
-		{name: "row order differs, dense", snap: prev("s"), acc: prev("a"),
+		{name: "row order differs, dense", snap: prev("s"),
 			cte: kvTable("c", 1, 4, 41, 3, 31, 2, 21, 1, 10), wantRi: riDense, wantFed: 4},
-		{name: "partition count differs from the snapshot's", snap: prev("s"), acc: prev("a"),
+		{name: "partition count differs from the snapshot's", snap: prev("s"),
 			cte: kvTable("c", 2, 1, 11, 2, 20, 3, 30, 4, 40), wantRi: riRestricted, wantFed: 1},
-		// The splice's own certification: the frontier was sparse, the
-		// cache cannot be served from.
-		{name: "duplicate cached key", snap: prev("s"), acc: kvTable("a", 1, 1, 10, 2, 20, 3, 30, 4, 40, 2, 77),
-			cte: one(), wantRi: riUncertified, wantFed: 4},
+		// The frontier is sparse, but the cache — the CTE — repeats a
+		// key it did not change, and cannot be served from.
+		{name: "duplicate cached key", snap: prev("s"),
+			cte: kvTable("c", 1, 1, 11, 2, 20, 3, 30, 4, 40, 2, 77), wantRi: riUncertified, wantFed: 5},
 		dupCase(),
 	}
 }
@@ -216,10 +216,7 @@ func (c stepCase) check(t *testing.T) error {
 	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1, 1), volcano: c.degraded}
 	step := maintainFixture()
 	step.Check = true
-	if c.snap != nil {
-		rt.Results.Put(step.Snap, c.snap)
-		rt.Results.Put(step.Acc, c.acc)
-	}
+	step.Loop.aggSnap = c.snap
 	rt.Results.Put(step.CTE, c.cte)
 	if err := step.Run(ctx); err != nil {
 		return err

@@ -178,7 +178,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 	// Projection pruning (OptColumnPruning): when the live-column
 	// analysis proves some declared columns unobservable, the whole
-	// schema family (cte, Intermediate#, Merge#, Delta#, Frontier#)
+	// schema family (cte, Intermediate#, Merge#, Frontier#)
 	// carries only the live ones. hadWhere is decided on the original
 	// statement — pruning and hoisting never change the merge/rename
 	// path choice.
@@ -268,11 +268,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		}
 	} else {
 		// Lines 8-10: partial update through the fused merge operator.
-		merge := &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Loop: loop}
-		if delta, ok := work.(*DeltaMaterializeStep); ok {
-			merge.Delta = delta.Delta
-		}
-		*steps = append(*steps, merge)
+		*steps = append(*steps, &MergeStep{CTE: cte.Name, Work: workName, Into: mergeName, Loop: loop})
 		*steps = append(*steps, &RenameStep{From: mergeName, To: cte.Name})
 		*steps = append(*steps, &TruncateStep{Name: workName})
 	}
@@ -326,12 +322,9 @@ func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterS
 		return nil
 	}
 	if hadWhere {
-		return &DeltaMaterializeStep{Restriction: res, Delta: "Delta#" + cte.Name, Loop: loop}
+		return &DeltaMaterializeStep{Restriction: res, Loop: loop}
 	}
-	return &MaintainAggStep{
-		Restriction: res, Acc: "Agg#" + cte.Name, Snap: "AggSnap#" + cte.Name,
-		Check: r.prog.Paranoid,
-	}
+	return &MaintainAggStep{Restriction: res, Loop: loop, Check: r.prog.Paranoid}
 }
 
 // applyCTEColumns renames a plan's outputs to the CTE column list and

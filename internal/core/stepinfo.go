@@ -25,23 +25,14 @@ func (ioCases) Materialize(t *MaterializeStep) dataflow.StepIO {
 	return dataflow.StepIO{Reads: planResultNames(t.Plan), Writes: []string{t.Into}, LoopBodyStart: -1}
 }
 
-// DeltaMaterialize consumes, on top of the shared restriction IO, the
-// delta the previous merge produced.
+// What the incremental steps carry across the back-edge lives on their
+// loop's state, not in the result store: their IO is the restriction's.
 func (ioCases) DeltaMaterialize(t *DeltaMaterializeStep) dataflow.StepIO {
-	io := t.Restriction.io()
-	io.Reads = append(io.Reads, t.Delta)
-	return io
+	return t.Restriction.io()
 }
 
-// MaintainAgg adds to the shared restriction IO the accumulator slots
-// the step carries across the back-edge: the previous output (Acc) and
-// the CTE snapshot it was computed from (Snap) are read to diff and
-// splice, then rewritten for the next iteration.
 func (ioCases) MaintainAgg(t *MaintainAggStep) dataflow.StepIO {
-	io := t.Restriction.io()
-	io.Reads = append(io.Reads, t.Acc, t.Snap)
-	io.Writes = append(io.Writes, t.Acc, t.Snap)
-	return io
+	return t.Restriction.io()
 }
 
 func (ioCases) Rename(t *RenameStep) dataflow.StepIO {

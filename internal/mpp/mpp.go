@@ -150,8 +150,8 @@ var onNew func(*Machine)
 // which its partitions share: each plan node is compiled once for all of
 // them, and each partition of a table a join reads directly is indexed
 // once per run. Over a runtime with no memo (nil rt: no tables either)
-// the machine has a memo of its own (exec.NewMemo), which nothing sweeps
-// and which lives as long as the machine. parts must be >= 1.
+// the machine has a memo of its own (exec.NewMemo), which lives as long
+// as the machine and which its Sweep sweeps. parts must be >= 1.
 func New(rt exec.Runtime, parts int, stats *Stats, execStats *exec.Stats) *Machine {
 	if parts < 1 {
 		parts = 1

@@ -493,3 +493,49 @@ func TestJoinTakesPartitionIndexesFromMemo(t *testing.T) {
 		t.Errorf("the memo holds %d indexes, want one per partition of kv", n)
 	}
 }
+
+// TestMemoLessMachineSweepsItsOwnMemo: a machine over a runtime with no
+// memo indexes in a memo of its own, and its Sweep — the loop's
+// back-edge — drops what the run memo's Sweep drops: the index of a
+// per-iteration table the next iteration replaced does not outlive the
+// next sweep, so it pins that table no longer.
+func TestMemoLessMachineSweepsItsOwnMemo(t *testing.T) {
+	const parts = 2
+	rt := newRT(t, parts)
+	bind := func(scale int64) {
+		w := storage.NewTable("w", sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Int}}, parts)
+		w.DistCol = 0
+		for i := int64(0); i < 50; i++ {
+			w.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * scale)})
+		}
+		rt.Results.Put("w", w)
+	}
+	bind(1)
+	stmt, err := parser.Parse("SELECT e.dst, w.v FROM edges AS e JOIN w ON e.src = w.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := plan.NewBuilder(rt).Build(stmt.(*ast.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join *plan.Join
+	for n := plan.Node(node); join == nil; n = n.Children()[0] {
+		join, _ = n.(*plan.Join)
+	}
+	m := New(rt, parts, nil, nil)
+	m.Elide = map[plan.Node]Elide{join: {Left: true, LeftCols: []int{0}, Right: true, RightCols: []int{0}}}
+	memo := m.RT.Memo()
+	for iteration, want := range []int{parts, parts} {
+		if iteration > 0 {
+			bind(int64(iteration + 1)) // the iteration's own w
+		}
+		if _, err := m.Run(node); err != nil {
+			t.Fatal(err)
+		}
+		m.Sweep()
+		if n := memo.Len(); n != want {
+			t.Errorf("after iteration %d's back-edge the machine's memo holds %d indexes, want %d: one per partition of the w it read", iteration+1, n, want)
+		}
+	}
+}

@@ -185,10 +185,15 @@ func (m *Machine) release(f *fragment) {
 // Sweep drops the sites not filled since the previous Sweep. The loop
 // operator calls it at the back-edge, beside the run memo's, so the
 // exchanges in front of a loop do not hold their buffers while it runs;
-// the rest goes with the machine.
+// the rest goes with the machine. A memo of the machine's own (New) is
+// swept with them, as the run memo is: an index no evaluation asked for
+// since the last sweep — of a table an iteration replaced — goes.
 func (m *Machine) Sweep() {
 	if m == nil {
 		return
+	}
+	if own, ok := m.RT.(ownMemo); ok {
+		own.memo.Sweep()
 	}
 	for k, s := range m.sites {
 		if !s.filled {

@@ -344,7 +344,7 @@ func NormalizeName(name string) string { return normalize(name) }
 // normalize lowercases name: names are case-insensitive, matching SQL
 // identifier semantics. A name with no upper-case letter is its own key,
 // and the others' keys are memoized: a program binds, reads and drops
-// the same few names, Delta#cte and the like, in every iteration. The
+// the same few names, Intermediate#cte and the like, in every iteration. The
 // memo is emptied at loweredCap names, so names of statements long gone
 // do not pile up.
 func normalize(name string) string {

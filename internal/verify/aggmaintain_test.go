@@ -128,26 +128,34 @@ func TestRejectsStaleAccumulatorWiring(t *testing.T) {
 		}
 		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "outside every loop body")
 	})
-	t.Run("accumulator freed inside the loop body", func(t *testing.T) {
+	// insertAfterRename puts st into the body right after the rename that
+	// publishes the maintenance step's output.
+	insertAfterRename := func(prog *core.Program, i int, st core.Step) {
+		rest := append([]core.Step{st}, prog.Steps[i+2:]...)
+		prog.Steps = append(prog.Steps[:i+2:i+2], rest...)
+	}
+	t.Run("CTE freed inside the loop body", func(t *testing.T) {
 		prog, stmt, i := rewriteAgg(t, prAggSQL)
 		ma := prog.Steps[i].(*core.MaintainAggStep)
-		// Wipe the cache right after it is written, still inside the
-		// body: every iteration would start cold and the one-writer rule
-		// must say so.
-		rest := append([]core.Step{&core.TruncateStep{Name: ma.Acc}}, prog.Steps[i+1:]...)
-		prog.Steps = append(prog.Steps[:i+1:i+1], rest...)
-		for _, s := range prog.Steps {
-			if l, ok := s.(*core.LoopStep); ok && l.BodyStart > i {
-				l.BodyStart = i
-			}
-		}
-		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "frees accumulator slot")
+		// Drop the CTE right after the rename, still inside the body:
+		// the next iteration would have nothing to serve cached groups
+		// from.
+		insertAfterRename(prog, i, &core.TruncateStep{Name: ma.CTE})
+		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "frees "+ma.CTE)
 	})
-	t.Run("foreign writer into the accumulator slot", func(t *testing.T) {
+	t.Run("CTE written again after the rename", func(t *testing.T) {
 		prog, stmt, i := rewriteAgg(t, prAggSQL)
 		ma := prog.Steps[i].(*core.MaintainAggStep)
-		prog.Steps = append(prog.Steps, &core.RenameStep{From: ma.Into, To: ma.Acc})
-		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "also writes accumulator slot")
+		// A second writer of the CTE inside the body: the next iteration
+		// would serve its rows as groups the maintenance computed.
+		insertAfterRename(prog, i, &core.MaterializeStep{Into: ma.CTE, Plan: ma.Full})
+		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "also writes "+ma.CTE)
+	})
+	t.Run("output not renamed into the CTE", func(t *testing.T) {
+		prog, stmt, i := rewriteAgg(t, prAggSQL)
+		ma := prog.Steps[i].(*core.MaintainAggStep)
+		prog.Steps[i+1] = &core.TruncateStep{Name: ma.Into}
+		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "no rename or copy-back")
 	})
 	t.Run("restricted plan never reads the frontier input", func(t *testing.T) {
 		prog, stmt, i := rewriteAgg(t, prAggSQL)

@@ -202,14 +202,8 @@ func (c vCases) DeltaMaterialize(t *core.DeltaMaterializeStep) vStep {
 	return c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
 }
 
-// MaintainAgg also rebinds the accumulator, which keeps the maintained
-// output, and the snapshot, which keeps the CTE table: both with those
-// tables' properties.
 func (c vCases) MaintainAgg(t *core.MaintainAggStep) vStep {
-	r := c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
-	r.out.bind(t.Acc, r.res.prop)
-	r.out.bind(t.Snap, c.in[normSlot(t.CTE)])
-	return r
+	return c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
 }
 
 func (c vCases) Rename(t *core.RenameStep) vStep {

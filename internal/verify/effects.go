@@ -2,7 +2,7 @@ package verify
 
 // The result-store slots each step rebinds and releases, re-derived from
 // the step's own fields — its own StepCases, deliberately NOT core's
-// stepIO — for the accumulator-wiring check (checkAggWiring,
+// stepIO — for the maintenance step's one-writer rule (checkCacheWriters,
 // stale-accumulator).
 
 import "dbspinner/internal/core"
@@ -54,9 +54,7 @@ func (effectCases) DeltaMaterialize(t *core.DeltaMaterializeStep) stepEffects {
 }
 
 func (effectCases) MaintainAgg(t *core.MaintainAggStep) stepEffects {
-	e := restrictionEffects(&t.Restriction)
-	e.writes = append(e.writes, t.Acc, t.Snap)
-	return e
+	return restrictionEffects(&t.Restriction)
 }
 
 func (effectCases) Rename(t *core.RenameStep) stepEffects {

@@ -15,7 +15,6 @@ package verify
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -48,16 +47,12 @@ const (
 	// ClassUnsafePush: a predicate recorded as pushed below the loop
 	// fails the independent re-derivation of the §V-B safety conditions.
 	ClassUnsafePush = "unsafe-pushdown"
-	// ClassDeltaLiveness: delta iteration's producer/consumer pairing is
-	// broken — a restricted materialization has no later merge (same
-	// loop) publishing the delta table it consumes, a merge materializes
-	// a delta table nothing consumes, or the delta table is dead when a
-	// second iteration would read the changed-key set.
-	ClassDeltaLiveness = "delta-liveness"
 	// ClassUnsafeDelta: a DeltaMaterializeStep's restricted plan is not
 	// the full plan with exactly the outer CTE reference swapped for the
 	// frontier input — inner references must keep reading the full CTE,
-	// and the restriction must not be vacuous.
+	// and the restriction must not be vacuous — or the step does not sit
+	// in the body of its own loop, whose keyed merges publish the change
+	// sets it restricts by.
 	ClassUnsafeDelta = "unsafe-delta"
 	// ClassPrematureTruncate: a step (or the final query, or a
 	// termination condition) reads a result after a TruncateStep dropped
@@ -78,13 +73,15 @@ const (
 	// group key that drifts across the back-edge, or an inner CTE
 	// reference whose changes are invisible to the frontier.
 	ClassUnsoundAggClaim = "unsound-agg-claim"
-	// ClassStaleAccumulator: a MaintainAggStep's accumulator wiring would
-	// let cached per-group rows go stale — the step sits outside a loop
-	// body, runs after the step that publishes its CTE within the body
-	// (diffing against an already-merged table sees an empty frontier),
-	// shares its accumulator or snapshot slot with another writer, never
-	// feeds the frontier into its restricted plan, or restricts an inner
-	// reference instead of the outer one.
+	// ClassStaleAccumulator: a MaintainAggStep's wiring would let the
+	// cached per-group rows go stale. The cache is the CTE itself, the
+	// previous iteration's output, so inside the body of the step's loop
+	// the CTE's only writer must be the rename or copy-back of the step's
+	// working table, after the step (a CTE published before the diff
+	// compares the already-merged table with itself), and nothing else
+	// may write that working table. The step must also sit in that body,
+	// feed the frontier into its restricted plan, and restrict the outer
+	// reference, not an inner one.
 	ClassStaleAccumulator = "stale-accumulator"
 )
 
@@ -92,7 +89,7 @@ const (
 var Classes = []string{
 	ClassBadJump, ClassUseBeforeMaterialize, ClassSchemaMismatch,
 	ClassDeadTermination, ClassLeak, ClassUnsafePush,
-	ClassDeltaLiveness, ClassUnsafeDelta,
+	ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundDistProp, ClassMissingExchange,
 	ClassUnsoundAggClaim, ClassStaleAccumulator,
@@ -150,12 +147,10 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 		live:      map[string]*resultInfo{},
 		inits:     map[*core.LoopState]int{},
 		deltas:    map[string]bool{},
-		accs:      map[string]bool{},
 		truncated: map[string]int{},
 	}
 	s.run()
-	s.checkDeltaPairing()
-	s.checkAggWiring()
+	s.checkLoopState()
 	s.checkLeaks()
 	s.diags = append(s.diags, checkLicense(prog, stmt)...)
 	s.diags = append(s.diags, checkPushdown(prog, stmt)...)
@@ -192,17 +187,10 @@ type sim struct {
 	// bodies are the [start, loopStep] intervals of verified loops,
 	// used by the leak check.
 	bodies [][2]int
-	// deltas are the (normalized) delta-table names MergeSteps publish;
-	// they live across iterations by design and are released by the
-	// program cleanup, so the leak check exempts them (the pairing
-	// check guards against unconsumed ones instead).
+	// deltas are the (normalized) delta-table names recursive rounds'
+	// MergeSteps publish; they live across iterations by design and are
+	// released by the program cleanup, so the leak check exempts them.
 	deltas map[string]bool
-	// accs are the (normalized) accumulator and snapshot slot names
-	// MaintainAggSteps carry across the loop back-edge; like deltas they
-	// survive the loop by design and are released by the program
-	// cleanup, so the leak check exempts them (checkAggWiring guards
-	// their ownership instead).
-	accs map[string]bool
 	// truncated maps (normalized) result names to the 0-based index of
 	// the TruncateStep that most recently dropped them, so a later read
 	// is diagnosed as premature truncation rather than a result that
@@ -301,32 +289,13 @@ func (s simCases) DeltaMaterialize(t *core.DeltaMaterializeStep) (_ struct{}) {
 	if !s.reEntry && t.Loop == nil {
 		s.addf(s.i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
 	}
-	// By the second iteration the paired merge must have published the
-	// delta table whose changed-key set the restriction consumes.
-	if s.reEntry && t.Delta != "" && s.live[norm(t.Delta)] == nil {
-		s.addf(s.i, ClassDeltaLiveness, "delta table %q is not live when the restricted iteration consumes the changed-key set%s", t.Delta, s.suffix)
-	}
 	s.bind(s.i, t.Into, plan.Schema(t.Full))
 	return
 }
 
 func (s simCases) MaintainAgg(t *core.MaintainAggStep) (_ struct{}) {
 	s.restrictedStep(s.i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, s.reEntry, s.suffix)
-	// The accumulator (Acc) and snapshot (Snap) slots are absent on the
-	// first iteration by design — the step falls back to the full plan —
-	// so their liveness is not a fault here.
-	if !s.reEntry {
-		s.accs[norm(t.Acc)] = true
-		s.accs[norm(t.Snap)] = true
-	}
-	schema := plan.Schema(t.Full)
-	s.bind(s.i, t.Into, schema)
-	s.bind(s.i, t.Acc, schema)
-	if cte := s.live[norm(t.CTE)]; cte != nil {
-		s.bind(s.i, t.Snap, cte.schema)
-	} else {
-		s.bind(s.i, t.Snap, schema)
-	}
+	s.bind(s.i, t.Into, plan.Schema(t.Full))
 	return
 }
 
@@ -384,9 +353,6 @@ func (s simCases) Merge(t *core.MergeStep) (_ struct{}) {
 			s.deltas[norm(t.Delta)] = true
 			s.bind(s.i, t.Delta, cte.schema)
 		}
-	}
-	if t.Delta != "" && t.Loop == nil && !s.reEntry {
-		s.addf(s.i, ClassDeltaLiveness, "merge %s materializes delta table %q without a loop state to publish the changed keys", t.Into, t.Delta)
 	}
 	return
 }
@@ -472,67 +438,85 @@ func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reE
 	}
 }
 
-// checkAggWiring runs after the simulation: a MaintainAggStep's
-// accumulators only stay fresh if the step sits inside a loop body and
-// runs before the step that publishes its CTE in that body — otherwise
-// the diff against the snapshot compares the already-merged table with
-// itself, sees an empty frontier, and serves every cached group stale.
-// The Acc/Snap slots must also have exactly one writer: another step
-// binding them would splice foreign rows into maintained output.
-func (s *sim) checkAggWiring() {
+// checkLoopState runs after the simulation: each incremental step keeps
+// what it carries across the back-edge on its loop's state, so it must
+// sit in the body of the LoopStep over that state — elsewhere a delta
+// step would restrict by another loop's changes, and a maintenance step
+// would never see a second iteration. A MaintainAggStep serves its
+// cached groups from the CTE, so inside that body the CTE must change
+// only by the rename or copy-back of the step's output, after the step,
+// and nothing else may write that output: any other writer would hand
+// the next iteration rows the step did not compute, and a CTE published
+// before the diff compares the already-merged table with itself.
+func (s *sim) checkLoopState() {
 	// Body intervals from LoopSteps directly — s.bodies only records
 	// loops that passed the jump checks, and this check should not be
 	// masked by an unrelated jump fault.
-	var bodies [][2]int
+	bodies := map[*core.LoopState][2]int{}
 	for i, st := range s.prog.Steps {
-		if l, ok := st.(*core.LoopStep); ok && l.BodyStart >= 0 && l.BodyStart < i {
-			bodies = append(bodies, [2]int{l.BodyStart, i})
+		if l, ok := st.(*core.LoopStep); ok && l.Loop != nil && l.BodyStart >= 0 && l.BodyStart < i {
+			bodies[l.Loop] = [2]int{l.BodyStart, i}
 		}
 	}
+	inBody := func(i int, l *core.LoopState) ([2]int, bool) {
+		b, ok := bodies[l]
+		return b, ok && i >= b[0] && i <= b[1]
+	}
 	for i, st := range s.prog.Steps {
-		t, ok := st.(*core.MaintainAggStep)
-		if !ok {
-			continue
-		}
-		var body [2]int
-		inBody := false
-		for _, b := range bodies {
-			if i >= b[0] && i <= b[1] {
-				body, inBody = b, true
-				break
+		switch t := st.(type) {
+		case *core.DeltaMaterializeStep:
+			if _, ok := inBody(i, t.Loop); !ok && t.Loop != nil {
+				s.addf(i, ClassUnsafeDelta, "delta materialize %s sits outside the body of its loop; it would restrict by changes its own loop's merges did not make", t.Into)
 			}
-		}
-		if !inBody {
-			s.addf(i, ClassStaleAccumulator, "aggregate maintenance of %s sits outside every loop body; its accumulator would never see a second iteration", t.CTE)
-			continue
-		}
-		// Within the body, the maintenance must run before anything
-		// publishes its CTE: the diff needs the previous iteration's
-		// table, not the one this iteration just merged.
-		for j := body[0]; j < i; j++ {
-			if hits(deriveStepEffects(s.prog.Steps[j]).writes, []string{t.CTE}) {
-				s.addf(i, ClassStaleAccumulator, "step %d publishes %s before the aggregate maintenance diffs it; the frontier would always be empty and cached groups would be served stale", j+1, t.CTE)
-			}
-		}
-		// Exactly one writer per accumulator slot. Frees are fine after
-		// the loop (the dataflow pass truncates dead slots), but a free
-		// inside the body would wipe the cache every iteration and a
-		// foreign write anywhere would splice foreign rows in.
-		for j, other := range s.prog.Steps {
-			if j == i {
+		case *core.MaintainAggStep:
+			body, ok := inBody(i, t.Loop)
+			if !ok {
+				s.addf(i, ClassStaleAccumulator, "aggregate maintenance of %s sits outside every loop body over its loop state; its snapshot would never see a second iteration", t.CTE)
 				continue
 			}
-			e := deriveStepEffects(other)
-			inBody := j >= body[0] && j <= body[1]
-			for _, slot := range []string{t.Acc, t.Snap} {
-				if hits(e.writes, []string{slot}) {
-					s.addf(i, ClassStaleAccumulator, "step %d also writes accumulator slot %q; maintained groups would mix foreign rows", j+1, slot)
-				} else if inBody && hits(e.frees, []string{slot}) {
-					s.addf(i, ClassStaleAccumulator, "step %d frees accumulator slot %q inside the loop body; the cache would be wiped every iteration", j+1, slot)
-				}
-			}
+			s.checkCacheWriters(i, t, body)
 		}
 	}
+}
+
+// checkCacheWriters enforces the one-writer rule of a MaintainAggStep
+// at step i of body: the CTE changes only by the rename or copy-back of
+// the step's output that follows it, and only the step writes that
+// output.
+func (s *sim) checkCacheWriters(i int, t *core.MaintainAggStep, body [2]int) {
+	published := false
+	for j := body[0]; j <= body[1]; j++ {
+		if j == i {
+			continue
+		}
+		e := deriveStepEffects(s.prog.Steps[j])
+		switch {
+		case hits(e.writes, []string{t.CTE}) && j < i:
+			s.addf(i, ClassStaleAccumulator, "step %d publishes %s before the aggregate maintenance diffs it; the frontier would always be empty and cached groups would be served stale", j+1, t.CTE)
+		case hits(e.writes, []string{t.CTE}) && publishes(s.prog.Steps[j], t) && !published:
+			published = true
+		case hits(e.writes, []string{t.CTE}):
+			s.addf(i, ClassStaleAccumulator, "step %d also writes %s inside the loop body; its rows would be served as groups the maintenance computed", j+1, t.CTE)
+		case hits(e.frees, []string{t.CTE}):
+			s.addf(i, ClassStaleAccumulator, "step %d frees %s inside the loop body; the next iteration would have no cached groups to serve", j+1, t.CTE)
+		case hits(e.writes, []string{t.Into}):
+			s.addf(i, ClassStaleAccumulator, "step %d also writes %s inside the loop body; the CTE would not be the maintained output", j+1, t.Into)
+		}
+	}
+	if !published {
+		s.addf(i, ClassStaleAccumulator, "no rename or copy-back of %s into %s follows the aggregate maintenance in the loop body; the CTE it serves cached groups from would not be its output", t.Into, t.CTE)
+	}
+}
+
+// publishes reports whether st moves t's output into its CTE.
+func publishes(st core.Step, t *core.MaintainAggStep) bool {
+	switch p := st.(type) {
+	case *core.RenameStep:
+		return norm(p.From) == norm(t.Into) && norm(p.To) == norm(t.CTE)
+	case *core.CopyBackStep:
+		return norm(p.From) == norm(t.Into) && norm(p.To) == norm(t.CTE)
+	}
+	return false
 }
 
 // substitutionMismatch re-derives the outer-reference-only substitution
@@ -567,45 +551,6 @@ func substitutionMismatch(t *core.Restriction) string {
 		}
 	}
 	return ""
-}
-
-// checkDeltaPairing runs after the simulation: every restricted
-// materialization needs a later merge on the same loop publishing its
-// delta table (that merge's identification pass produces the changed
-// keys the restriction consumes next iteration), and every published
-// delta table needs a consumer: a restricted materialization, or a
-// materialization whose plan reads it (a recursive CTE's round).
-func (s *sim) checkDeltaPairing() {
-	for i, st := range s.prog.Steps {
-		switch t := st.(type) {
-		case *core.DeltaMaterializeStep:
-			found := false
-			for j := i + 1; j < len(s.prog.Steps) && !found; j++ {
-				if m, ok := s.prog.Steps[j].(*core.MergeStep); ok && m.Loop == t.Loop && norm(m.Delta) == norm(t.Delta) {
-					found = true
-				}
-			}
-			if !found {
-				s.addf(i, ClassDeltaLiveness, "no later merge on the same loop publishes delta table %q for the restricted materialization of %s", t.Delta, t.Into)
-			}
-		case *core.MergeStep:
-			if t.Delta == "" {
-				continue
-			}
-			found := false
-			for j := 0; j < len(s.prog.Steps) && !found; j++ {
-				switch d := s.prog.Steps[j].(type) {
-				case *core.DeltaMaterializeStep:
-					found = j < i && d.Loop == t.Loop && norm(d.Delta) == norm(t.Delta)
-				case *core.MaterializeStep:
-					found = slices.Contains(planResults(d.Plan), norm(t.Delta))
-				}
-			}
-			if !found {
-				s.addf(i, ClassDeltaLiveness, "merge %s publishes delta table %q but no restricted materialization consumes it and no plan reads it", t.Into, t.Delta)
-			}
-		}
-	}
 }
 
 // loopStep verifies the loop operator's wiring: jump target, counter
@@ -716,7 +661,7 @@ func (s *sim) checkLeaks() {
 		}
 	}
 	for name, info := range s.live {
-		if finalRefs[name] || s.deltas[name] || s.accs[name] {
+		if finalRefs[name] || s.deltas[name] {
 			continue
 		}
 		for _, b := range s.bodies {

@@ -112,8 +112,9 @@ const deltaSQL = `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges
 
 // deltaProgram is the merge path with the delta step: the working
 // table comes from a DeltaMaterializeStep whose restricted plan reads
-// the transient frontier Frontier#t, the merge publishes Delta#t, and
-// the program carries the licensed claim the step rests on.
+// the transient frontier Frontier#t, the merge on the same loop
+// publishes the change set it restricts by, and the program carries the
+// licensed claim the step rests on.
 func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep) {
 	loop := metaLoop("t", 3)
 	dm := &core.DeltaMaterializeStep{
@@ -122,10 +123,9 @@ func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep)
 			Full: result("t", "k", "v"), Restricted: result("Frontier#t", "k", "v"),
 			In: "Frontier#t", CTE: "t",
 		},
-		Delta: "Delta#t", Loop: loop,
+		Loop: loop,
 	}
-	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t",
-		Loop: loop, Delta: "Delta#t"}
+	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t", Loop: loop}
 	prog := &core.Program{
 		Options: core.Options{Parts: 1},
 		Steps: []core.Step{
@@ -193,45 +193,6 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 		message string
 	}{
 		{
-			name: "merge does not publish the delta table",
-			build: func() *core.Program {
-				prog, _, merge := deltaProgram()
-				merge.Delta = ""
-				return prog
-			},
-			class: ClassDeltaLiveness, message: "no later merge",
-		},
-		{
-			name: "merge publishes a differently named delta table",
-			build: func() *core.Program {
-				prog, _, merge := deltaProgram()
-				merge.Delta = "Delta#other"
-				return prog
-			},
-			class: ClassDeltaLiveness, message: "Delta#t",
-		},
-		{
-			name: "merge publishes a delta without a loop state",
-			build: func() *core.Program {
-				prog, _, merge := deltaProgram()
-				merge.Loop = nil
-				return prog
-			},
-			class: ClassDeltaLiveness, message: "without a loop state",
-		},
-		{
-			name: "published delta has no restricted consumer",
-			build: func() *core.Program {
-				prog, _, _ := deltaProgram()
-				// Replace the delta materialization with a plain one; the
-				// merge still publishes Delta#t for nobody.
-				prog.Steps[2] = &core.MaterializeStep{Into: "Intermediate#t",
-					Plan: result("t", "k", "v")}
-				return prog
-			},
-			class: ClassDeltaLiveness, message: "no restricted materialization consumes",
-		},
-		{
 			name: "restricted materialization without a loop state",
 			build: func() *core.Program {
 				prog, dm, _ := deltaProgram()
@@ -239,6 +200,15 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 				return prog
 			},
 			class: ClassUnsafeDelta, message: "no loop state",
+		},
+		{
+			name: "restricted materialization on another loop",
+			build: func() *core.Program {
+				prog, dm, _ := deltaProgram()
+				dm.Loop = metaLoop("t", 3)
+				return prog
+			},
+			class: ClassUnsafeDelta, message: "outside the body of its loop",
 		},
 		{
 			name: "restricted plan ignores the frontier",

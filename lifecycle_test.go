@@ -311,15 +311,16 @@ func TestNonFiringContextIsInvisible(t *testing.T) {
 }
 
 // TestCancelLeavesNoAccumulatorState: with incremental evaluation on
-// (the default), a mid-iteration cancel must not leak the slots the
-// restricted steps keep across the back-edge — "Agg#"/"AggSnap#" for
-// the maintenance step (PR), "Delta#" and the transient "Frontier#"
-// input for the delta step (SSSP) — into the engine's result store: the
-// loop epilogue that truncates them never runs on the error path, so
-// the run-end cleanup has to. A retried query on the same engine would
-// otherwise diff its first iteration against the dead query's snapshot
-// and serve stale groups; the retry runs with the dynamic cross-check
-// armed and must be byte-identical to a fresh engine's answer.
+// (the default), a mid-iteration cancel must leak neither what the
+// restricted steps keep across the back-edge — the maintenance step's
+// snapshot (PR) and the merge's change set the delta step restricts by
+// (SSSP), both on the loop's per-run state — nor the transient
+// "Frontier#" input, which lives in the engine's result store: the
+// steps that clear them never run on the error path, so the run-end
+// cleanup has to. A retried query on the same engine would otherwise
+// diff its first iteration against the dead query's snapshot and serve
+// stale groups; the retry runs with the dynamic cross-check armed and
+// must be byte-identical to a fresh engine's answer.
 func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 	for _, q := range []struct {
 		name      string
