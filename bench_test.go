@@ -368,12 +368,20 @@ func TestAllocBudgetForecast(t *testing.T) {
 // With the first iteration filling the tables the statement's last run
 // let go (core.RunState), it made 1.31k and 5.26–5.49 MB (5.49 MB under
 // -race). With the incremental steps' state on the loop instead of in
-// the result store — no Delta# table, no per-merge key table — it makes
-// 999–1,002 objects (1,007 under -race; 1,039–1,044 with the two tables)
-// and 4.81–5.59 MB, the same spread as with them. The object budget is
-// the 1,007 plus 2%, not this file's usual 25%, which would let the two
-// tables come back unnoticed; the byte budget stays the 5.49 MB plus 5%,
-// below the 6.47 MB of a run that starts from empty.
+// the result store — no Delta# table, no per-merge key table — it made
+// 999–1,002 objects (1,039–1,044 with the two tables) and 4.81–5.59 MB,
+// the same spread as with them: an index build took the newest spare
+// index, and which one that was followed the map order the memo gave
+// them back in, so the delta step's build of the reached vertices often
+// grew a key table in storage too small for it. With the delta step
+// running one plan, not a full and a restricted one with an aggregate
+// group table and a filtered vertexStatus index each, and each index
+// build taking a spare large enough for its rows, it makes 869–870
+// objects (873 under -race) and 4.457 MB, the same from run to run
+// (4.458 MB under -race). The object budget is the 873 plus 2%, not
+// this file's usual 25%, and the byte budget the 4.458 MB plus 5%, so
+// that a second plan, or a build taking the newest spare again, fails
+// it.
 // (With every vertex unavailable, as the engine was loaded before
 // the harness applied its defaults, filtering above the outer join after
 // indexing all of sssp every iteration made 8.97 MB against placement's
@@ -386,7 +394,7 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget, bytesBudget = 1_030, 5_769_000
+	const budget, bytesBudget = 890, 4_681_000
 	got := testing.AllocsPerRun(3, query)
 	if got > budget {
 		t.Errorf("SSSP-VS: %.0f allocations per query, budget %d", got, budget)

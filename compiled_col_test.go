@@ -118,9 +118,9 @@ func statementPlans(t *testing.T, rt *exec.StoreRuntime, stmt ast.Statement, mul
 		case *core.MaterializeStep:
 			out = append(out, st.Plan)
 		case *core.DeltaMaterializeStep:
-			out = append(out, st.Full, st.Restricted)
+			out = append(out, st.Plan)
 		case *core.MaintainAggStep:
-			out = append(out, st.Full, st.Restricted)
+			out = append(out, st.Plan)
 		case *core.LoopStep:
 			out = append(out, st.Loop.CondPlan)
 		}

@@ -185,15 +185,16 @@ func loopStepHit(t *testing.T, e *dbspinner.Engine, sql string, iteration int) i
 // slot it owns: the retry must restore the back-edge checkpoint of
 // iteration 2, not the one taken before the first step. Each program
 // carries different state across the back-edge: PR's maintenance step
-// (rename plus its Acc and Snap slots), SSSP-VS's merge (Delta# and the
-// changed keys its delta step restricts by), PR on the copy-back
-// baseline, and the two recursive merges (RecursiveQueries): Delta#,
-// the row set a UNION merge keeps from round to round, and the working
-// sets a UNION ALL one has seen. The retried run must return byte-identical rows, leak no
-// slot, and redo the iteration exactly as the unfaulted run did: the
-// same counters and, per iteration, the same rows, frontier and choice
-// of Ri. A restore that loses a slot can still return the same rows,
-// since the restricted steps fall back to the full plan, so the rows
+// (the rename, and the snapshot it diffs against on its loop's state),
+// SSSP-VS's merge (the change set its delta step restricts by, on the
+// loop's state), PR on the copy-back baseline, and the two recursive
+// merges (RecursiveQueries): Delta#, the row set a UNION merge keeps
+// from round to round, and the working sets a UNION ALL one has seen.
+// The retried run must return byte-identical rows, leak no slot, and
+// redo the iteration exactly as the unfaulted run did: the same counters
+// and, per iteration, the same rows, frontier and choice of Ri. A
+// restore that loses loop state can still return the same rows, since
+// the restricted steps fall back to reading the whole CTE, so the rows
 // alone would not show it.
 func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 	const parts, iteration = 4, 3

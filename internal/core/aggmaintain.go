@@ -21,14 +21,15 @@ import (
 // certifies the set — and closes them under the propagation rules (the
 // same equijoin images DeltaMaterializeStep uses). When the affected
 // keys are at most half the CTE (Restriction.restrict) it re-folds
-// exactly those groups through the restricted plan and keeps the CTE's
-// row for every other group — in CTE scan order, which the ordering
-// contract proves is the full plan's output order. A denser frontier,
-// and anything the diff or the splice cannot certify (duplicate keys,
-// unexpected restricted output), runs the full plan for that iteration;
-// results are byte-identical either way. The loop state goes with the
-// run on every exit path — normal, error and cancellation alike
-// (releaseLoops) — so no snapshot leaks into a retried query.
+// exactly those groups through Ri over their CTE rows and keeps the
+// CTE's row for every other group — in CTE scan order, which the
+// ordering contract proves is the order of Ri over the whole CTE. A
+// denser frontier, and anything the diff or the splice cannot certify
+// (duplicate keys, unexpected restricted output), has Ri read the whole
+// CTE for that iteration; results are byte-identical either way. The
+// loop state goes with the run on every exit path — normal, error and
+// cancellation alike (releaseLoops) — so no snapshot leaks into a
+// retried query.
 type MaintainAggStep struct {
 	Restriction
 	Loop *LoopState
@@ -55,28 +56,26 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 	if err != nil {
 		return err
 	}
+	defer ctx.RT.Results.Drop(m.In)
 	// The splice reads the affected keys until the step ends.
 	defer ctx.letGo(f.affected)
 	var out *storage.Table
-	input := f.cte
-	if f.in != nil {
-		defer ctx.RT.Results.Drop(m.In)
+	if f.affected != nil {
 		if out, err = m.splice(ctx, f); err != nil {
 			return err
 		}
-		input = f.in
+		if out == nil {
+			// The splice could not certify what Ri returned over the
+			// affected rows: Ri reads the whole CTE instead.
+			ctx.noteRi(riUncertified)
+			f.in = f.cte
+			ctx.RT.Results.Put(m.In, f.in)
+		}
 	}
 	if out == nil {
-		// The full plan: restrict chose it, or the splice could not
-		// certify what the restricted one returned.
-		if f.in != nil {
-			ctx.noteRi(riUncertified)
-		}
-		out, err = ctx.materialize(m.Full, m.Into)
-		if err != nil {
+		if out, err = ctx.materialize(m.Plan, m.Into); err != nil {
 			return err
 		}
-		input = f.cte
 	}
 	m.publish(ctx, out)
 	// The next iteration diffs the CTE the rename is about to make of
@@ -88,17 +87,17 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 		m.Loop.aggSnap = f.cte
 	}
 	ctx.Stats.AggFullRows += int64(f.cte.Len())
-	ctx.Stats.AggInputRows += int64(input.Len())
+	ctx.Stats.AggInputRows += int64(f.in.Len())
 	return nil
 }
 
 // diff returns the keys whose row differs between the current CTE and
 // the snapshot the cached output was computed from, or nil and the
-// reason the iteration must run the full plan. The lockstep walk goes
-// first because it is cheap and can only say "dense", which selects the
-// plan that needs no certificate; every set of changed keys — the only
-// answer that lets a cached row stand in for a recomputed one — comes
-// from the keyed diff and its duplicate-key certification.
+// reason Ri must read the whole CTE this iteration. The lockstep walk
+// goes first because it is cheap and can only say "dense", which selects
+// the input that needs no certificate; every set of changed keys — the
+// only answer that lets a cached row stand in for a recomputed one —
+// comes from the keyed diff and its duplicate-key certification.
 func (m *MaintainAggStep) diff(ctx *Context, cte, snap *storage.Table) (*sqltypes.KeyTable, string) {
 	if lockstepDense(cte, snap, keyCol) {
 		return nil, riDense
@@ -119,7 +118,7 @@ func (m *MaintainAggStep) diff(ctx *Context, cte, snap *storage.Table) (*sqltype
 // table's own equality, a partition the snapshot has fewer rows of — or
 // when they line up to the end below the bound, the answer is false,
 // which decides nothing: the keyed diff runs. A duplicate key counted
-// twice can only push the answer towards the full plan.
+// twice can only push the answer towards reading the whole CTE.
 func lockstepDense(cte, snap *storage.Table, key int) bool {
 	if len(cte.Parts) != len(snap.Parts) {
 		return false
@@ -145,8 +144,8 @@ func lockstepDense(cte, snap *storage.Table, key int) bool {
 // and keys that disappeared (their rows may feed other groups through
 // the inner references, so they propagate too). Group-key stability
 // makes "which groups changed" exactly this set. nil means the tables
-// are not key-identified (short rows, duplicate keys) and the iteration
-// must run the full plan. Both tables are the run's (ctx.keyTable); the
+// are not key-identified (short rows, duplicate keys) and Ri must read
+// the whole CTE. Both tables are the run's (ctx.keyTable); the
 // caller lets go of the one it gets. A variable only so the tests can
 // seed the mutant that skips the certification; nothing else assigns it.
 var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqltypes.KeyTable {
@@ -202,14 +201,14 @@ var keyedDiff = func(ctx *Context, cteTable, snap *storage.Table, key int) *sqlt
 	return changed
 }
 
-// splice re-folds the affected groups through the restricted plan and
-// keeps the CTE's row, the cached one, for every other group. The keyed
-// diff has certified that the CTE carries each key once. A nil table
-// (with nil error) means the restricted plan escaped its frontier and
-// the caller must fall back to the full plan for this iteration.
+// splice re-folds the affected groups through Ri over their CTE rows
+// (In) and keeps the CTE's row, the cached one, for every other group.
+// The keyed diff has certified that the CTE carries each key once. A nil
+// table (with nil error) means Ri escaped its frontier and the caller
+// must have it read the whole CTE for this iteration.
 func (m *MaintainAggStep) splice(ctx *Context, f frontier) (*storage.Table, error) {
 	cteTable, affected := f.cte, f.affected
-	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
+	rows, err := exec.RunContext(ctx.Ctx, m.Plan, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return nil, err
 	}
@@ -220,15 +219,15 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier) (*storage.Table, erro
 			return nil, nil
 		}
 		if affected.Find(r[keyCol:keyCol+1]) < 0 || !refolded.put(r) {
-			return nil, nil // restricted plan escaped its frontier
+			return nil, nil // Ri escaped its frontier
 		}
 	}
 
 	// Splice in CTE scan order: the ordering contract (group-key
 	// stability + left-probe joins + first-encounter aggregation +
-	// content-addressed materialization) makes this the full plan's
-	// output order. An affected key the restricted plan did not return
-	// was filtered out by Ri.
+	// content-addressed materialization) makes this the order of Ri over
+	// the whole CTE. An affected key Ri did not return was filtered out
+	// by it.
 	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), ctx.parts)
 	out.DistCol = 0
 	for _, part := range cteTable.Parts {
@@ -275,7 +274,7 @@ func (m *MaintainAggStep) crossCheck(ctx *Context, cteTable *storage.Table, affe
 		din.Insert(r)
 	}
 	ctx.RT.Results.Put(m.In, din)
-	rows, err := exec.RunContext(ctx.Ctx, m.Restricted, ctx.RT, &ctx.Stats.ExecStats)
+	rows, err := exec.RunContext(ctx.Ctx, m.Plan, ctx.RT, &ctx.Stats.ExecStats)
 	if err != nil {
 		return err
 	}

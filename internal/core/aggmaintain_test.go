@@ -74,8 +74,7 @@ func maintainFixture() *MaintainAggStep {
 	schema := sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Int}}
 	return &MaintainAggStep{
 		Restriction: Restriction{
-			Into: "m", Full: idResult("c", schema), Restricted: idResult("AggIn#c", schema),
-			In: "AggIn#c", CTE: "c",
+			Into: "m", Plan: idResult("AggIn#c", schema), In: "AggIn#c", CTE: "c",
 		},
 		Loop: &LoopState{},
 	}
@@ -196,7 +195,7 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	rt := newRT(t)
 	ctx := &Context{RT: rt, Stats: &Stats{}}
 	step := maintainFixture()
-	step.Full, step.Restricted = tenfold("c"), tenfold("AggIn#c")
+	step.Plan = tenfold("AggIn#c")
 	step.Check = true
 
 	rt.Results.Put("c", kvTable("c", 1, 1, 10, 2, 20, 3, 30))

@@ -10,14 +10,14 @@ import (
 
 // DeltaMaterializeStep materializes the working table for one
 // iteration on the merge path. On the first iteration (and whenever no
-// keyed merge of its loop has published a change set) it evaluates the
-// full Ri plan; afterwards it restricts Ri's outer scan to the keys the
-// previous merge changed plus their images under the propagation rules,
-// as long as those are at most half the CTE (Restriction.restrict). The
-// paired MergeStep carries every key the working table does not
-// mention forward unchanged, which is what makes leaving them out
-// sound. A loop with no keyed merge never publishes one, so there the
-// step runs the full plan every iteration.
+// keyed merge of its loop has published a change set) Ri reads the
+// whole CTE; afterwards its outer scan reads only the rows of the keys
+// the previous merge changed plus their images under the propagation
+// rules, as long as those are at most half the CTE
+// (Restriction.restrict). The paired MergeStep carries every key the
+// working table does not mention forward unchanged, which is what makes
+// leaving them out sound. A loop with no keyed merge never publishes
+// one, so there Ri reads the whole CTE every iteration.
 type DeltaMaterializeStep struct {
 	Restriction
 	Loop *LoopState
@@ -33,24 +33,20 @@ func (d *DeltaMaterializeStep) Run(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	node, input := d.Full, f.cte
-	if f.in != nil {
-		defer ctx.RT.Results.Drop(d.In)
-		node, input = d.Restricted, f.in
-	}
-	t, err := ctx.materialize(node, d.Into)
+	defer ctx.RT.Results.Drop(d.In)
+	t, err := ctx.materialize(d.Plan, d.Into)
 	if err != nil {
 		return err
 	}
 	d.publish(ctx, t)
 	ctx.Stats.RiFullRows += int64(f.cte.Len())
-	ctx.Stats.RiInputRows += int64(input.Len())
+	ctx.Stats.RiInputRows += int64(f.in.Len())
 	return nil
 }
 
 // changedKeys is the step's half of the per-iteration decision: the keys
-// the loop's last keyed merge changed, or nil and why the iteration runs
-// the full plan — no merge has published a change set yet, or its keys
+// the loop's last keyed merge changed, or nil and why Ri reads the whole
+// CTE — no merge has published a change set yet, or its keys
 // alone are dense in a CTE of `of` rows, which the published count tells
 // without building a key set. A merge that found its set dense in the
 // table it produced keeps no rows (changeSet), which reads dense here

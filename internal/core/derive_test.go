@@ -136,7 +136,7 @@ func planRoots(p *Program) []plan.Node {
 			roots = append(roots, t.Loop.CondPlan)
 		}
 		if r := restrictionOf(s); r != nil {
-			roots = append(roots, r.Full, r.Restricted)
+			roots = append(roots, r.Plan)
 		}
 	}
 	return roots

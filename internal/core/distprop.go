@@ -234,7 +234,7 @@ func (c distCases) MaintainAgg(t *MaintainAggStep) distStep {
 }
 
 func (c distCases) restricted(r *Restriction) distStep {
-	return c.bind(r.Into, r.distProp(c.in, c.infer), r.Full.Columns())
+	return c.bind(r.Into, r.distProp(c.in, c.infer), r.Plan.Columns())
 }
 
 func (c distCases) Rename(t *RenameStep) distStep {
@@ -276,18 +276,16 @@ func (c distCases) UpdateLoop(*UpdateLoopStep) distStep { return distStep{out: c
 func (c distCases) Loop(*LoopStep) distStep             { return distStep{out: c.in} }
 
 // distProp is the property a restricted step's working table is
-// guaranteed to have: only what both constituent plans guarantee — the
-// full plan (first iteration, fallback) and the restricted plan, whose
-// input In is a partition-preserving filter of the CTE table
-// (exec.FilterTableByKey) and inherits the CTE slot's property. The
-// maintenance step splices into a fresh DistCol-0 table, so the meet
-// under-approximates at worst.
+// guaranteed to have: Ri's, with In taking the CTE slot's property — In
+// is the CTE table or a partition-preserving filter of it
+// (exec.FilterTableByKey). The maintenance step splices into a fresh
+// DistCol-0 table, so the property under-approximates at worst.
 func (r *Restriction) distProp(st distState, infer func(distState, plan.Node) distprop.Property) distprop.Property {
 	rst := maps.Clone(st)
 	if cte, ok := st[storage.NormalizeName(r.CTE)]; ok {
 		rst.set(r.In, cte)
 	}
-	return distprop.Meet(infer(st, r.Full), infer(rst, r.Restricted))
+	return infer(rst, r.Plan)
 }
 
 func describeExchange(d distprop.Decision) string {

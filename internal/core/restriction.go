@@ -40,28 +40,29 @@ import (
 //     parallel run with more than one partition (measured: on the MPP
 //     machine the restricted form costs more than it saves).
 //
-// An installed step still chooses per iteration, from the frontier it
-// has just measured: the restricted plan while the affected keys are at
-// most half the CTE's, the full plan otherwise (restrict, dense).
-// Finding and feeding the frontier costs passes whose price does not
-// shrink with it, so past that point the full plan is the cheaper way
-// to the same rows. The full plan needs no certificate, so the choice
-// needs no analysis. What either step carries across the back-edge —
-// the merge's change set, the maintenance step's snapshot — lives on its
-// loop's per-run state (loopRun), not in the result store.
+// An installed step runs one plan, Ri with its outer reference reading
+// In, and still chooses per iteration, from the frontier it has just
+// measured, what In holds: the CTE rows of the affected keys while those
+// are at most half the CTE's, the CTE table itself otherwise (restrict,
+// dense). Finding and feeding the frontier costs passes whose price
+// does not shrink with it, so past that point reading the whole CTE is
+// the cheaper way to the same rows. Ri over the whole CTE needs no
+// certificate, so the choice needs no analysis. What either step
+// carries across the back-edge — the merge's change set, the
+// maintenance step's snapshot — lives on its loop's per-run state
+// (loopRun), not in the result store.
 //
 // Results are identical on every path — row order and float
 // accumulation order included.
 
-// Restriction is what the two incremental steps share: the full and
-// the restricted form of Ri and the names that tie them to the CTE.
+// Restriction is what the two incremental steps share: Ri and the names
+// that tie it to the CTE.
 type Restriction struct {
-	Into       string    // working table
-	Full       plan.Node // Ri over the full CTE (first iteration, fallback)
-	Restricted plan.Node // Ri with the outer reference reading In
-	In         string    // transient restricted-input result name
-	CTE        string    // main CTE result
-	Props      []aggprop.Prop
+	Into  string    // working table
+	Plan  plan.Node // Ri with its outer reference reading In
+	In    string    // transient input of the outer reference
+	CTE   string    // main CTE result
+	Props []aggprop.Prop
 }
 
 // AggClaim is the incremental-evaluation decision for one iterative
@@ -75,12 +76,11 @@ type AggClaim struct {
 	Reason  string
 }
 
-// buildRestriction compiles the restricted plan for a licensed CTE: the
-// post-common iterStmt with the outer reference reading Frontier#cte. A
-// non-empty reason means the restricted plan could not be built and the
-// full plan must run.
+// buildRestriction compiles Ri for a licensed CTE: the post-common
+// iterStmt with the outer reference reading Frontier#cte. A non-empty
+// reason means it could not be built and the CTE runs unlicensed.
 func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
-	full plan.Node, b *plan.Builder, verdict aggprop.Verdict, workName string) (Restriction, string) {
+	b *plan.Builder, verdict aggprop.Verdict, workName string) (Restriction, string) {
 
 	in := "Frontier#" + cte.Name
 	r.lookup.add(in, schema)
@@ -96,10 +96,7 @@ func (r *rewriter) buildRestriction(cte *ast.CTE, schema sqltypes.Schema, iterSt
 	if err != nil {
 		return Restriction{}, "restricted plan failed to compile"
 	}
-	return Restriction{
-		Into: workName, Full: full, Restricted: rp, In: in, CTE: cte.Name,
-		Props: verdict.Props,
-	}, ""
+	return Restriction{Into: workName, Plan: rp, In: in, CTE: cte.Name, Props: verdict.Props}, ""
 }
 
 // substituteOuterRef returns a copy of the iterative statement with
@@ -144,18 +141,19 @@ func replaceTableRef(t ast.TableRef, cteName, alias, newName string) (ast.TableR
 	return t, 0
 }
 
-// frontier is one iteration's restriction: the CTE table Ri reads and,
-// unless the iteration must run the full plan (in == nil), the affected
-// keys with the CTE rows carrying them, bound under Restriction.In.
+// frontier is one iteration's restriction: the CTE table, the table
+// bound under Restriction.In for Ri's outer reference to read, and,
+// when the iteration restricts, the affected keys, whose CTE rows are
+// what In holds (nil: In holds the CTE table itself).
 type frontier struct {
 	cte      *storage.Table
 	in       *storage.Table
 	affected *sqltypes.KeyTable
 }
 
-// What an iteration of a restricted step did with Ri, as the trace
-// reports it (IterationSpan.Ri): the restricted plan, or the full plan
-// and the one reason it ran.
+// What an iteration of a restricted step fed Ri, as the trace reports
+// it (IterationSpan.Ri): the affected rows, or the full CTE and the one
+// reason it was fed.
 const (
 	riRestricted  = "restricted"
 	riFirst       = "full: first iteration"
@@ -164,65 +162,62 @@ const (
 	riDegraded    = "full: degraded"
 )
 
-// dense is the per-iteration choice between the two forms of Ri: n
-// affected keys of a CTE of `of` rows are too many to restrict when they
-// are more than half of it. Restricting costs a filter pass over the
-// CTE, a scan of each propagation table and, on the rename path, a diff
-// and a splice, whatever the frontier's size — measured at 0.3-0.5 of a
-// full Ri (PageRank on the benchmark graph fed 93% of the keys and ran
-// 1.25x a full iteration; SSSP-VS fed 71% and ran 1.18x) — so it pays
-// only below roughly half the keys, where it pays well (SSSP on
-// dblp-small feeds a tenth of the rows and runs 2.5x faster). A
-// variable only so the tests can seed the mutant that never answers
-// true; nothing else assigns it.
+// dense is the per-iteration choice of what Ri reads: n affected keys
+// of a CTE of `of` rows are too many to restrict when they are more than
+// half of it. Restricting costs a filter pass over the CTE, a scan of
+// each propagation table and, on the rename path, a diff and a splice,
+// whatever the frontier's size — measured at 0.3-0.5 of a full Ri
+// (PageRank on the benchmark graph fed 93% of the keys and ran 1.25x a
+// full iteration; SSSP-VS fed 71% and ran 1.18x) — so it pays only below
+// roughly half the keys, where it pays well (SSSP on dblp-small feeds a
+// tenth of the rows and runs 2.5x faster). A variable only so the tests
+// can seed the mutant that never answers true; nothing else assigns it.
 var dense = func(n, of int) bool { return 2*n > of }
 
-// restrict is the run-time half of a Restriction, and the one place the
-// form of Ri is chosen. changed yields the keys that differ from the
-// previous iteration, in a key table of the run's that restrict lets go,
-// or nil and the reason the step cannot restrict (first iteration,
+// restrict is the run-time half of a Restriction, and the one place
+// what Ri reads is chosen. changed yields the keys that differ from the
+// previous iteration, in a key table of the run's that restrict lets
+// go, or nil and the reason the step cannot restrict (first iteration,
 // uncertifiable state, a frontier already known to be dense); the
 // affected set is their closure under Props, and when it is not dense
-// the CTE rows carrying an affected key are bound under In (partition
-// layout preserved, no rehashing) for the restricted plan. The caller
-// drops In when frontier.in is set and lets frontier.affected go. Every
-// other outcome is the full-plan frontier: nothing bound, nothing cached
-// consulted. The rule is applied as soon as its answer is known — the
-// changed keys are a subset of the affected ones, so a dense changed set
-// skips the closure, and the closure stops growing at the bound.
+// In is bound to the CTE rows carrying an affected key (partition
+// layout preserved, no rehashing). Every other outcome binds In to the
+// CTE table itself, and consults nothing cached. On success the caller
+// drops In once Ri has run, and lets frontier.affected go. The rule is
+// applied as soon as its answer is known — the changed keys are a
+// subset of the affected ones, so a dense changed set skips the
+// closure, and the closure stops growing at the bound.
 //
 // A degraded context (the step loop's graceful-degradation ladder)
 // never restricts: the volcano rung switches off everything that
-// carries state across the back-edge, and the full plan is
+// carries state across the back-edge, and Ri over the whole CTE is
 // byte-identical by the license.
 func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *storage.Table) (*sqltypes.KeyTable, string)) (frontier, error) {
 	f := frontier{cte: ctx.RT.Results.Get(r.CTE)}
 	if f.cte == nil {
 		return f, fmt.Errorf("%s %s: result %q not found", what, r.Into, r.CTE)
 	}
-	if ctx.degraded() {
-		ctx.noteRi(riDegraded)
-		return f, nil
-	}
-	keys, why := changed(f.cte)
-	var affected *sqltypes.KeyTable
-	if keys != nil {
-		var err error
-		affected, err = affectedKeys(ctx, keys, r.Props, f.cte.Len(), what)
-		ctx.letGo(keys)
-		if err != nil {
-			return f, err
+	f.in = f.cte
+	why := riDegraded
+	if !ctx.degraded() {
+		var keys *sqltypes.KeyTable
+		keys, why = changed(f.cte)
+		if keys != nil {
+			var err error
+			f.affected, err = affectedKeys(ctx, keys, r.Props, f.cte.Len(), what)
+			ctx.letGo(keys)
+			if err != nil {
+				return f, err
+			}
+			why = riDense // the one reason the closure comes back nil
 		}
-		why = riDense // the one reason the closure comes back nil
 	}
-	if affected == nil {
-		ctx.noteRi(why)
-		return f, nil
+	if f.affected != nil {
+		f.in = exec.FilterTableByKey(f.cte, keyCol, f.affected, r.In, &ctx.Stats.ExecStats)
+		why = riRestricted
 	}
-	f.affected = affected
-	f.in = exec.FilterTableByKey(f.cte, keyCol, affected, r.In, &ctx.Stats.ExecStats)
 	ctx.RT.Results.Put(r.In, f.in)
-	ctx.noteRi(riRestricted)
+	ctx.noteRi(why)
 	return f, nil
 }
 
@@ -277,12 +272,12 @@ func (r *Restriction) publish(ctx *Context, out *storage.Table) {
 }
 
 // explain renders what both steps share after their own opening
-// clause: the propagation rules and the restricted plan.
+// clause: the propagation rules and Ri.
 func (r *Restriction) explain(b *strings.Builder) string {
 	for _, p := range r.Props {
 		fmt.Fprintf(b, "; propagate via %s[%d->%d]", p.Table, p.From, p.To)
 	}
 	b.WriteString("; full plan on the first iteration and on a dense frontier) with:\n")
-	b.WriteString(strings.TrimRight(indent(plan.ExplainTree(r.Restricted), "  "), "\n"))
+	b.WriteString(strings.TrimRight(indent(plan.ExplainTree(r.Plan), "  "), "\n"))
 	return b.String()
 }

@@ -207,24 +207,31 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 		iterStmt = rewritten
 	}
 
-	ri, err := builder.Build(iterStmt)
-	if err != nil {
-		return fmt.Errorf("iterative part: %w", err)
-	}
-	if len(ri.Columns()) != len(cteSchema) {
-		return fmt.Errorf("iterative part produces %d columns, CTE has %d", len(ri.Columns()), len(cteSchema))
-	}
-	ri, err = renameTo(ri, cteSchema)
-	if err != nil {
-		return err
-	}
-
 	workName := "Intermediate#" + cte.Name
 	mergeName := "Merge#" + cte.Name
+	loop := &LoopState{Term: cte.Until, CTEName: cte.Name, Cap: r.prog.loopCap(cte.Until)}
+
+	// Algorithm 1 line 3 materializes Ri into the working table (the §II
+	// duplicate-key check happens inside the merge step). Ri is built
+	// once: with its outer reference reading the frontier, inside one of
+	// the incremental steps, when the frontier license allows it, and as
+	// written otherwise.
+	work := r.chooseIncremental(cte, cteSchema, iterStmt, builder, loop, workName, hadWhere)
+	if work == nil {
+		ri, err := builder.Build(iterStmt)
+		if err != nil {
+			return fmt.Errorf("iterative part: %w", err)
+		}
+		if len(ri.Columns()) != len(cteSchema) {
+			return fmt.Errorf("iterative part produces %d columns, CTE has %d", len(ri.Columns()), len(cteSchema))
+		}
+		if ri, err = renameTo(ri, cteSchema); err != nil {
+			return err
+		}
+		work = &MaterializeStep{Into: workName, Plan: ri, CountsAsUpdate: true}
+	}
 	r.lookup.add(workName, cteSchema)
 	r.lookup.add(mergeName, cteSchema)
-
-	loop := &LoopState{Term: cte.Until, CTEName: cte.Name, Cap: r.prog.loopCap(cte.Until)}
 	if cte.Until.Type == ast.TermData {
 		condPlan, err := buildDataCondPlan(cte.Name, cte.Until.Expr, builder)
 		if err != nil {
@@ -245,13 +252,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	countUpdates := cte.Until.Type == ast.TermMetadata && cte.Until.CountUpdates
 
 	bodyStart := len(*steps)
-	// Line 3: materialize Ri into the working table (the §II
-	// duplicate-key check happens inside the merge step) — through one of
-	// the incremental steps when the frontier license allows it.
-	work := r.chooseIncremental(cte, cteSchema, iterStmt, ri, builder, loop, workName, hadWhere)
-	if work == nil {
-		work = &MaterializeStep{Into: workName, Plan: ri, CountsAsUpdate: true}
-	}
+	// Line 3: materialize Ri into the working table.
 	*steps = append(*steps, work)
 
 	if !hadWhere {
@@ -281,7 +282,8 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 // chooseIncremental decides how the loop body evaluates Ri, records the
 // decision as the CTE's claim, and returns the incremental step to
-// install — nil for the full plan. The choice follows from what the
+// install, with Ri built into it — nil for the full plan, which the
+// caller builds. The choice follows from what the
 // rewrite observes, not from a knob: a licensed merge-path query (Ri
 // has a WHERE) gets the delta step, because the merge publishes the
 // changed keys and carries every other row forward; a licensed
@@ -291,7 +293,7 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 // parallel run, where the restricted form measurably loses — keeps the
 // full plan. Results are identical on every path.
 func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
-	full plan.Node, b *plan.Builder, loop *LoopState, workName string, hadWhere bool) Step {
+	b *plan.Builder, loop *LoopState, workName string, hadWhere bool) Step {
 
 	r.prog.AggClaims = append(r.prog.AggClaims, AggClaim{CTE: cte.Name})
 	claim := &r.prog.AggClaims[len(r.prog.AggClaims)-1]
@@ -315,7 +317,7 @@ func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterS
 		claim.Reason = "licensed, no aggregates on the rename path"
 		return nil
 	}
-	res, why := r.buildRestriction(cte, schema, iterStmt, full, b, claim.Verdict, workName)
+	res, why := r.buildRestriction(cte, schema, iterStmt, b, claim.Verdict, workName)
 	if why != "" {
 		claim.Verdict.Licensed = false
 		claim.Reason = "not licensed: " + why

@@ -79,13 +79,12 @@ func (ioCases) Loop(t *LoopStep) dataflow.StepIO {
 	return io
 }
 
-// io is what both incremental steps do to the result store: read both
-// plans' results and the CTE table directly, write the working table,
-// and transiently bind and drop the restricted input.
+// io is what both incremental steps do to the result store: read Ri's
+// results and the CTE table directly, write the working table, and
+// transiently bind and drop In.
 func (r *Restriction) io() dataflow.StepIO {
-	reads := append(planResultNames(r.Full), planResultNames(r.Restricted)...)
 	return dataflow.StepIO{
-		Reads:         append(reads, r.CTE),
+		Reads:         append(planResultNames(r.Plan), r.CTE),
 		Writes:        []string{r.Into, r.In},
 		Drops:         []string{r.In},
 		LoopBodyStart: -1,

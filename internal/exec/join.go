@@ -282,8 +282,9 @@ func (h *hashJoinOp) Open() error {
 	memoized, err := h.indexTable(buildKeys)
 	if err == nil && !memoized {
 		// A drained build side is indexed in the storage of an index some
-		// join let go, if the run's memo holds one.
-		x := h.memo.spareIndex()
+		// join let go, if the run's memo holds one; its size is not known
+		// before the drain, so any spare fits.
+		x := h.memo.spareIndex(0)
 		var rows []sqltypes.Row
 		if rows, err = DrainInto(x.rowStorage(), buildOp); err == nil {
 			if h.build, err = buildHashIndex(x, rows, buildKeys); err == nil {

@@ -31,13 +31,18 @@ type indexEntry struct {
 // memoized; any other is built and not kept. An index holds t's rows, and
 // may hold a partition slice of it, so t is pinned (storage.Table.Pin).
 // Every build, memoized or not, fills the storage of an index let go
-// (Recycle) if the memo holds one: a loop that replaces a table every
-// iteration indexes each new one in the memory of an index of a table it
-// replaced before.
+// (Recycle) if the memo holds one, one large enough for the rows read
+// when it holds such: a loop that replaces a table every iteration
+// indexes each new one in the memory of an index of a table it replaced
+// before.
 func (m *Memo) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) (x *HashIndex, built bool, err error) {
 	t.Pin()
 	build := func() (*HashIndex, error) {
-		x := m.spareIndex()
+		n := t.Len()
+		if part != allParts {
+			n = len(t.Parts[part])
+		}
+		x := m.spareIndex(n)
 		rows, owned, err := indexRows(x.rowStorage(), t, part, filter)
 		if err != nil {
 			return nil, err
@@ -171,11 +176,18 @@ func (m *Memo) Recycle(x *HashIndex) {
 	}
 }
 
-// spareIndex returns an index that was let go, for a build to fill
-// again, or nil.
-func (m *Memo) spareIndex() *HashIndex {
+// spareIndex returns an index that was let go, for a build of at most n
+// rows to fill again, or nil: one whose storage holds n rows if there is
+// one (buildHashIndex), the newest otherwise. Which spares a loop's
+// builds find depends on the order Sweep and end give them back in, so
+// taking the newest alone would hand a large build a small index, and
+// its storage to a small one, at random.
+func (m *Memo) spareIndex(n int) *HashIndex {
 	if m == nil {
 		return nil
+	}
+	if x, ok := m.left.indexes.TakeFit(func(x *HashIndex) bool { return cap(x.links) >= 3*n }); ok {
+		return x
 	}
 	return m.left.indexes.Take()
 }

@@ -6,6 +6,7 @@ import (
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/core"
+	"dbspinner/internal/plan"
 )
 
 // ---------------------------------------------------------------------
@@ -148,7 +149,7 @@ func TestRejectsStaleAccumulatorWiring(t *testing.T) {
 		ma := prog.Steps[i].(*core.MaintainAggStep)
 		// A second writer of the CTE inside the body: the next iteration
 		// would serve its rows as groups the maintenance computed.
-		insertAfterRename(prog, i, &core.MaterializeStep{Into: ma.CTE, Plan: ma.Full})
+		insertAfterRename(prog, i, &core.MaterializeStep{Into: ma.CTE, Plan: ma.Plan})
 		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "also writes "+ma.CTE)
 	})
 	t.Run("output not renamed into the CTE", func(t *testing.T) {
@@ -157,15 +158,59 @@ func TestRejectsStaleAccumulatorWiring(t *testing.T) {
 		prog.Steps[i+1] = &core.TruncateStep{Name: ma.Into}
 		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "no rename or copy-back")
 	})
-	t.Run("restricted plan never reads the frontier input", func(t *testing.T) {
-		prog, stmt, i := rewriteAgg(t, prAggSQL)
-		ma := prog.Steps[i].(*core.MaintainAggStep)
-		// Point the restricted plan at the full one: it re-folds the
-		// whole CTE but never consumes AggIn, so the maintained splice
-		// would serve cached groups that nothing re-validates.
-		ma.Restricted = ma.Full
-		assertDiag(t, Check(prog, stmt), ClassStaleAccumulator, "never reads")
-	})
+}
+
+// TestRejectsMisreadFrontier seeds the two ways Ri can misread the
+// frontier into each incremental step's rewritten program. Never read:
+// the outer reference reads the CTE again, so the step re-derives every
+// key while the splice or the merge keeps rows nothing re-validated.
+// Read twice: the inner reference reads it too, so an aggregate over
+// neighbours sees only the affected ones.
+func TestRejectsMisreadFrontier(t *testing.T) {
+	for _, c := range []struct{ name, sql, class string }{
+		{"maintenance", prAggSQL, ClassStaleAccumulator},
+		{"delta", ssspAggSQL, ClassUnsafeDelta},
+	} {
+		restriction := func(t *testing.T) (*core.Program, *ast.SelectStmt, *core.Restriction) {
+			prog, stmt, i := rewriteAgg(t, c.sql)
+			switch s := prog.Steps[i].(type) {
+			case *core.MaintainAggStep:
+				return prog, stmt, &s.Restriction
+			case *core.DeltaMaterializeStep:
+				return prog, stmt, &s.Restriction
+			}
+			panic("rewriteAgg returned no restricted step")
+		}
+		t.Run(c.name+"/frontier never read", func(t *testing.T) {
+			prog, stmt, r := restriction(t)
+			if n := repoint(r.Plan, r.In, "", r.CTE); n != 1 {
+				t.Fatalf("%d reads of %s repointed, want 1", n, r.In)
+			}
+			assertDiag(t, Check(prog, stmt), c.class, "never reads")
+		})
+		t.Run(c.name+"/frontier read twice", func(t *testing.T) {
+			prog, stmt, r := restriction(t)
+			// Both statements alias their inner reference n.
+			if n := repoint(r.Plan, r.CTE, "n", r.In); n != 1 {
+				t.Fatalf("%d inner reads of %s repointed, want 1", n, r.CTE)
+			}
+			assertDiag(t, Check(prog, stmt), c.class, "reads "+r.In+" 2 times")
+		})
+	}
+}
+
+// repoint points every read of result from in n under alias (""
+// matches any) at result to, and returns how many it repointed.
+func repoint(n plan.Node, from, alias, to string) int {
+	count := 0
+	if r, ok := n.(*plan.NamedResult); ok && norm(r.Name) == norm(from) && (alias == "" || r.Alias == alias) {
+		r.Name = to
+		count++
+	}
+	for _, ch := range n.Children() {
+		count += repoint(ch, from, alias, to)
+	}
+	return count
 }
 
 func assertDiag(t *testing.T, diags []Diagnostic, class, frag string) {

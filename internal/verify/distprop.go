@@ -239,19 +239,16 @@ func (c vCases) UpdateLoop(*core.UpdateLoopStep) vStep { return vStep{out: c.in}
 func (c vCases) Loop(*core.LoopStep) vStep             { return vStep{out: c.in} }
 
 // restrictedResult re-derives either incremental step's working table:
-// the meet of the full plan and the restricted plan, whose frontier
-// input inherits the CTE slot's property (the restriction filters the
-// CTE table partition-preservingly). The maintenance step's spliced
-// output is rebuilt with hash routing on column 0, so the meet
-// under-approximates at worst.
+// Ri's property, its frontier input inheriting the CTE slot's (In is the
+// CTE table or a partition-preserving filter of it). The maintenance
+// step's spliced output is rebuilt with hash routing on column 0, so
+// the property under-approximates at worst.
 func (d *distChecker) restrictedResult(st vState, t *core.Restriction) vRes {
-	full := d.infer(st, t.Full)
 	rst := maps.Clone(st)
 	if cte, have := st[normSlot(t.CTE)]; have {
 		rst.bind(t.In, cte)
 	}
-	restricted := d.infer(rst, t.Restricted)
-	return vRes{prop: distprop.Meet(full.prop, restricted.prop)}
+	return vRes{prop: d.infer(rst, t.Plan).prop}
 }
 
 // vRes is a re-derived property plus the column-equality knowledge

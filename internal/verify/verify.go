@@ -47,10 +47,10 @@ const (
 	// ClassUnsafePush: a predicate recorded as pushed below the loop
 	// fails the independent re-derivation of the §V-B safety conditions.
 	ClassUnsafePush = "unsafe-pushdown"
-	// ClassUnsafeDelta: a DeltaMaterializeStep's restricted plan is not
-	// the full plan with exactly the outer CTE reference swapped for the
-	// frontier input — inner references must keep reading the full CTE,
-	// and the restriction must not be vacuous — or the step does not sit
+	// ClassUnsafeDelta: a DeltaMaterializeStep's Ri does not read the
+	// frontier input exactly once — never, and the restriction is
+	// vacuous; more than once, and an inner reference, which must keep
+	// reading the full CTE, is restricted too — or the step does not sit
 	// in the body of its own loop, whose keyed merges publish the change
 	// sets it restricts by.
 	ClassUnsafeDelta = "unsafe-delta"
@@ -80,8 +80,8 @@ const (
 	// working table, after the step (a CTE published before the diff
 	// compares the already-merged table with itself), and nothing else
 	// may write that working table. The step must also sit in that body,
-	// feed the frontier into its restricted plan, and restrict the outer
-	// reference, not an inner one.
+	// and its Ri must read the frontier input exactly once, in place of
+	// the outer reference, not an inner one.
 	ClassStaleAccumulator = "stale-accumulator"
 )
 
@@ -215,13 +215,15 @@ func (s *sim) readMissing(i int, what, verb, name, suffix string) {
 // plan only names columns the producing step actually materialized.
 // Projection pruning narrows producer schemas; a reader still resolving
 // a pruned column means the liveness analysis and the plan disagree.
-// skip exempts one (normalized) transient name the step binds itself.
-func (s *sim) checkResultCols(i int, what string, n plan.Node, suffix, skip string) {
+// Reads of in, a (normalized) transient name the step binds to as, are
+// resolved against as's materialization.
+func (s *sim) checkResultCols(i int, what string, n plan.Node, suffix, in, as string) {
 	for _, r := range planResultNodes(n) {
-		if norm(r.Name) == skip {
-			continue
+		name := norm(r.Name)
+		if name == in {
+			name = norm(as)
 		}
-		info := s.live[norm(r.Name)]
+		info := s.live[name]
 		if info == nil {
 			continue // the liveness fault is reported separately
 		}
@@ -279,7 +281,7 @@ func (s simCases) Materialize(t *core.MaterializeStep) (_ struct{}) {
 			s.readMissing(s.i, "materialize "+t.Into, "reads", name, s.suffix)
 		}
 	}
-	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix, "")
+	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix, "", "")
 	s.bind(s.i, t.Into, plan.Schema(t.Plan))
 	return
 }
@@ -289,13 +291,13 @@ func (s simCases) DeltaMaterialize(t *core.DeltaMaterializeStep) (_ struct{}) {
 	if !s.reEntry && t.Loop == nil {
 		s.addf(s.i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
 	}
-	s.bind(s.i, t.Into, plan.Schema(t.Full))
+	s.bind(s.i, t.Into, plan.Schema(t.Plan))
 	return
 }
 
 func (s simCases) MaintainAgg(t *core.MaintainAggStep) (_ struct{}) {
 	s.restrictedStep(s.i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, s.reEntry, s.suffix)
-	s.bind(s.i, t.Into, plan.Schema(t.Full))
+	s.bind(s.i, t.Into, plan.Schema(t.Plan))
 	return
 }
 
@@ -398,43 +400,33 @@ func (s simCases) Loop(t *core.LoopStep) (_ struct{}) {
 }
 
 // restrictedStep interprets what the two incremental steps share. The
-// full plan is checked like an ordinary materialization; the restricted
-// plan may additionally read the transient frontier input (In), which
-// the step binds and drops internally. First-pass-only checks re-derive
-// the substitution invariant — the restricted plan must be the full
-// plan with exactly the outer CTE reference swapped for In —
-// independently of the rewrite, filed under the step kind's own class.
+// step reads the CTE itself and binds In to it, or to a filter of it,
+// for Ri's outer reference; Ri is otherwise checked like an ordinary
+// materialization, its reads of In resolving against the CTE's columns.
+// The first pass re-derives the substitution invariant independently of
+// the rewrite — In stands for exactly one reference, the outer one the
+// rewrite swapped out — filed under the step kind's own class.
 func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reEntry bool, suffix string) {
 	what += " " + t.Into
-	for _, name := range planResults(t.Full) {
-		if s.live[name] == nil {
-			s.readMissing(i, what, "reads", name, suffix)
-		}
-	}
-	s.checkResultCols(i, what, t.Full, suffix, "")
 	in := norm(t.In)
-	readsIn := false
-	for _, name := range planResults(t.Restricted) {
+	if s.live[norm(t.CTE)] == nil {
+		s.readMissing(i, what, "reads", t.CTE, suffix)
+	}
+	reads := 0
+	for _, name := range planResults(t.Plan) {
 		if name == in {
-			readsIn = true // bound transiently by the step itself
-			continue
-		}
-		if s.live[name] == nil {
+			reads++ // bound transiently by the step itself
+		} else if s.live[name] == nil {
 			s.readMissing(i, what, "reads", name, suffix)
 		}
 	}
-	s.checkResultCols(i, what, t.Restricted, suffix, in)
-	if reEntry {
-		return
-	}
-	if !readsIn {
-		s.addf(i, class, "restricted plan of %s never reads %s; the frontier restriction is vacuous", t.Into, t.In)
-	}
-	if why := substitutionMismatch(t); why != "" {
-		s.addf(i, class, "restricted plan of %s must be the full plan with one outer %s reference reading %s: %s", t.Into, t.CTE, t.In, why)
-	}
-	if why := schemasCompatible(plan.Schema(t.Full), plan.Schema(t.Restricted)); why != "" {
-		s.addf(i, ClassSchemaMismatch, "full and restricted plans of %s disagree: %s", t.Into, why)
+	s.checkResultCols(i, what, t.Plan, suffix, in, t.CTE)
+	switch {
+	case reEntry:
+	case reads == 0:
+		s.addf(i, class, "Ri of %s never reads %s; the frontier restriction is vacuous", t.Into, t.In)
+	case reads > 1:
+		s.addf(i, class, "Ri of %s reads %s %d times; only the one outer %s reference may read the frontier", t.Into, t.In, reads, t.CTE)
 	}
 }
 
@@ -519,40 +511,6 @@ func publishes(st core.Step, t *core.MaintainAggStep) bool {
 	return false
 }
 
-// substitutionMismatch re-derives the outer-reference-only substitution
-// invariant: the restricted plan's result reads must equal the full
-// plan's with exactly one occurrence of the CTE replaced by In (inner
-// CTE references keep reading the full table — restricting them would
-// corrupt aggregates over neighbours and hide the very changes the
-// license proves visible).
-func substitutionMismatch(t *core.Restriction) string {
-	want := planResults(t.Full)
-	cte, in := norm(t.CTE), norm(t.In)
-	replaced := false
-	for i, n := range want {
-		if n == cte {
-			want[i] = in
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		return fmt.Sprintf("full plan never reads %s", t.CTE)
-	}
-	got := planResults(t.Restricted)
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(got) != len(want) {
-		return fmt.Sprintf("restricted plan has %d result reads, expected %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Sprintf("restricted plan reads %q where %q is expected", got[i], want[i])
-		}
-	}
-	return ""
-}
-
 // loopStep verifies the loop operator's wiring: jump target, counter
 // initialization and termination-condition liveness, then walks the
 // body once more to catch second-iteration faults.
@@ -582,7 +540,7 @@ func (s *sim) loopStep(i int, t *core.LoopStep, reEntry bool) {
 					}
 				}
 			}
-			s.checkResultCols(i, "termination condition", t.Loop.CondPlan, suffix, "")
+			s.checkResultCols(i, "termination condition", t.Loop.CondPlan, suffix, "", "")
 		}
 	case ast.TermDelta:
 		if s.live[norm(t.Loop.CTEName)] == nil {

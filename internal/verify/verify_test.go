@@ -111,16 +111,15 @@ const deltaSQL = `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges
  ITERATE SELECT t.k, t.v FROM t WHERE t.v > 0 UNTIL 3 ITERATIONS) SELECT k, v FROM t`
 
 // deltaProgram is the merge path with the delta step: the working
-// table comes from a DeltaMaterializeStep whose restricted plan reads
-// the transient frontier Frontier#t, the merge on the same loop
+// table comes from a DeltaMaterializeStep whose Ri reads the transient
+// frontier Frontier#t, the merge on the same loop
 // publishes the change set it restricts by, and the program carries the
 // licensed claim the step rests on.
 func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep) {
 	loop := metaLoop("t", 3)
 	dm := &core.DeltaMaterializeStep{
 		Restriction: core.Restriction{
-			Into: "Intermediate#t",
-			Full: result("t", "k", "v"), Restricted: result("Frontier#t", "k", "v"),
+			Into: "Intermediate#t", Plan: result("Frontier#t", "k", "v"),
 			In: "Frontier#t", CTE: "t",
 		},
 		Loop: loop,
@@ -211,34 +210,24 @@ func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
 			class: ClassUnsafeDelta, message: "outside the body of its loop",
 		},
 		{
-			name: "restricted plan ignores the frontier",
+			name: "frontier never read",
 			build: func() *core.Program {
 				prog, dm, _ := deltaProgram()
-				dm.Restricted = result("t", "k", "v") // reads the full CTE
+				dm.Plan = result("t", "k", "v") // reads the full CTE
 				return prog
 			},
 			class: ClassUnsafeDelta, message: "vacuous",
 		},
 		{
-			name: "restricted plan is not the substituted full plan",
+			// The frontier stands for the CTE, so its reads resolve
+			// against the CTE's columns, which have no "extra".
+			name: "frontier read for a column the CTE does not provide",
 			build: func() *core.Program {
 				prog, dm, _ := deltaProgram()
-				// Full never reads the CTE at all, so no single-occurrence
-				// substitution can produce the restricted plan.
-				dm.Full = scan("edges", "k", "v")
+				dm.Plan = result("Frontier#t", "k", "v", "extra")
 				return prog
 			},
-			class: ClassUnsafeDelta, message: "never reads t",
-		},
-		{
-			name: "full and restricted plans disagree on schema",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Restricted = &plan.NamedResult{Name: "Frontier#t", Alias: "Frontier#t",
-					Cols: intCols("k", "v", "extra")}
-				return prog
-			},
-			class: ClassSchemaMismatch, message: "disagree",
+			class: ClassPrunedColumnUse, message: `column "extra" of result "Frontier#t"`,
 		},
 	}
 	for _, tc := range cases {

@@ -160,6 +160,61 @@ func TestIncrementalAggParityMatrix(t *testing.T) {
 	}
 }
 
+// TestSwitchingFeedKeepsOneGroupTable: a licensed SSSP-VS whose delta
+// step feeds Ri the affected rows, then the whole CTE, then the affected
+// rows again — from a source along a chain into a hub of 36 leaves, one
+// of which leads on down a second chain: the hub's wave is dense, the
+// chains are thin — runs one plan in every iteration, so its aggregate
+// fills one group table across the switches and its vertexStatus index
+// is built once. Warm, the query allocates within a few objects of
+// itself under the OptIncremental baseline (772 against 763). With a
+// second plan for the whole CTE, whose aggregate's spare group table
+// the back-edge sweep dropped while the other plan ran, it made 947
+// against 773.
+func TestSwitchingFeedKeepsOneGroupTable(t *testing.T) {
+	edges := []string{"(1, 2, 1.0)", "(2, 3, 1.0)", "(4, 41, 1.0)", "(41, 42, 1.0)", "(42, 43, 1.0)", "(43, 44, 1.0)"}
+	status := []string{"(1, 1)", "(2, 1)", "(3, 1)", "(41, 1)", "(42, 1)", "(43, 1)", "(44, 1)"}
+	for leaf := 4; leaf < 40; leaf++ {
+		edges = append(edges, fmt.Sprintf("(3, %d, 1.0)", leaf))
+		status = append(status, fmt.Sprintf("(%d, 1)", leaf))
+	}
+	sql := bench.SSSPVSQuery(1, 8)
+	engine := func(cfg dbspinner.Config) *dbspinner.Engine {
+		e := dbspinner.New(cfg)
+		execAll(t, e, []string{
+			"CREATE TABLE edges (src int, dst int, weight float)",
+			"CREATE TABLE vertexStatus (node int PRIMARY KEY, status int)",
+			"INSERT INTO edges VALUES " + strings.Join(edges, ", "),
+			"INSERT INTO vertexStatus VALUES " + strings.Join(status, ", "),
+		})
+		return e
+	}
+	traced := engine(dbspinner.Config{Partitions: 4, TraceIterations: true})
+	if _, err := traced.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := riDecisions(traced.Stats().Trace), "FRDDDRRR"; got != want {
+		t.Fatalf("Ri per iteration %s, want %s", got, want)
+	}
+	warmAllocs := func(cfg dbspinner.Config) float64 {
+		e := engine(cfg)
+		query := func() {
+			if _, err := e.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query()
+		return testing.AllocsPerRun(5, query)
+	}
+	const slack = 16
+	licensed := warmAllocs(dbspinner.Config{Partitions: 4})
+	baseline := warmAllocs(dbspinner.Config{Partitions: 4, Baseline: dbspinner.OptIncremental})
+	if licensed > baseline+slack {
+		t.Errorf("%.0f objects per warm query, %.0f under the OptIncremental baseline: more than %d apart", licensed, baseline, slack)
+	}
+	t.Logf("%.0f objects per warm query, %.0f under the OptIncremental baseline", licensed, baseline)
+}
+
 // TestIncrementalAggSavingsFloor pins the headline saving the license
 // is designed for: on PR (maintenance step) and SSSP (delta step) at 10
 // iterations, the restricted step feeds Ri at least 40% fewer rows than
