@@ -288,7 +288,10 @@ func ParallelScaling(cfg Config, parts []int) (*Experiment, error) {
 // full plan is not a failure: its frontier is dense, and the row says
 // so. The interesting columns are the CTE rows actually fed to Ri's
 // outer reference against what the full plan reads, and in how many of
-// the iterations after the first the step restricted.
+// the iterations after the first the step restricted. The two arms are
+// timed in alternating pairs on two loaded engines (timePairs), at least
+// minPairs of them, and each prints its median and quartiles next to
+// how many pairs the incremental arm won.
 func IncrementalComparison(cfg Config) (*Experiment, error) {
 	cfg = cfg.withDefaults()
 	g, err := dataset(cfg)
@@ -307,19 +310,34 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 	exp := &Experiment{
 		ID:      "incremental",
 		Title:   fmt.Sprintf("Incremental evaluation vs the full plan (%s, %d iterations)", cfg.Preset, cfg.Iterations),
-		Headers: []string{"query", "full", "incremental", "speedup", "step", "rows fed", "full rows", "restricted iters"},
+		Headers: []string{"query", "full", "incremental", "speedup", "step", "rows fed", "full rows", "restricted iters", "incremental won"},
 	}
 	anyRestricted := false
+	pairs := max(cfg.Reps, minPairs)
 	for _, query := range queries {
-		fullRows, fullTime, _, err := deltaRun(g, cfg, dbspinner.Config{Baseline: dbspinner.OptIncremental}, query.sql)
+		fullEngine, err := NewEngine(g, cfg, dbspinner.Config{Baseline: dbspinner.OptIncremental})
 		if err != nil {
 			return nil, err
 		}
-		incRows, incTime, st, err := deltaRun(g, cfg, dbspinner.Config{Paranoid: true}, query.sql)
+		incEngine, err := NewEngine(g, cfg, dbspinner.Config{Paranoid: true})
 		if err != nil {
 			return nil, err
 		}
-		if why := sameRowSequence(fullRows, incRows); why != "" {
+		fullTimes, incTimes, err := timePairs(pairs, fullEngine, incEngine, query.sql)
+		if err != nil {
+			return nil, err
+		}
+		fullRes, err := fullEngine.Query(query.sql)
+		if err != nil {
+			return nil, err
+		}
+		incEngine.ResetStats()
+		incRes, err := incEngine.Query(query.sql)
+		if err != nil {
+			return nil, err
+		}
+		st := incEngine.Stats()
+		if why := sameRowSequence(fullRes.Rows, incRes.Rows); why != "" {
 			return nil, fmt.Errorf("incremental evaluation changed the %s result: %s", query.name, why)
 		}
 		step, fed, full := "delta", st.RiInputRows, st.RiFullRows
@@ -351,17 +369,30 @@ func IncrementalComparison(cfg Config) (*Experiment, error) {
 			}
 		}
 		anyRestricted = anyRestricted || restricted > 0
+		won := 0
+		for i := range incTimes {
+			if incTimes[i] < fullTimes[i] {
+				won++
+			}
+		}
+		fq, iq := quartiles(fullTimes), quartiles(incTimes)
 		exp.Rows = append(exp.Rows, []string{
-			query.name, ms(fullTime), ms(incTime), speedup(fullTime, incTime),
+			query.name, withIQR(fq), withIQR(iq), speedup(fq[1], iq[1]),
 			step, fmt.Sprint(fed), fmt.Sprint(full), fmt.Sprintf("%d of %d", restricted, after),
+			fmt.Sprintf("%d of %d", won, pairs),
 		})
 	}
 	if !anyRestricted {
 		return nil, fmt.Errorf("no query restricted Ri in any iteration")
 	}
-	exp.Notes = "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) in an iteration that restricted, the whole CTE in one that did not — against the full CTE every time. 'Restricted iters' counts the iterations after the first (which always runs the full plan) whose affected keys were at most half the CTE's; in the others the step ran the full plan, as the OptIncremental baseline does."
+	exp.Notes = fmt.Sprintf("Each arm ran %d times, in pairs alternating which arm goes first, on two engines loaded once; 'full' and 'incremental' are medians with their interquartile range, 'speedup' is the ratio of the medians, and 'incremental won' counts the pairs whose incremental run was the faster. ", pairs) + "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) in an iteration that restricted, the whole CTE in one that did not — against the full CTE every time. 'Restricted iters' counts the iterations after the first (which always runs the full plan) whose affected keys were at most half the CTE's; in the others the step ran the full plan, as the OptIncremental baseline does."
 	return exp, nil
 }
+
+// minPairs is the fewest pairs IncrementalComparison times each query
+// in: the medians of three repetitions of one binary spread wider than
+// any difference between its arms.
+const minPairs = 11
 
 // PruningComparison is the experiment behind column-level dataflow
 // (OptColumnPruning): projection pruning, common-block filter

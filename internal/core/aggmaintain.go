@@ -79,12 +79,10 @@ func (m *MaintainAggStep) Run(ctx *Context) error {
 	}
 	m.publish(ctx, out)
 	// The next iteration diffs the CTE the rename is about to make of
-	// out against the table out was computed from. The pin keeps that
-	// table's rows, which out may share, past the rename that displaces
-	// it.
+	// out against the table out was computed from, which the loop holds
+	// past the rename that displaces it.
 	if m.Loop != nil {
-		f.cte.Pin()
-		m.Loop.aggSnap = f.cte
+		m.Loop.keepSnap(f.cte)
 	}
 	ctx.Stats.AggFullRows += int64(f.cte.Len())
 	ctx.Stats.AggInputRows += int64(f.in.Len())
@@ -227,7 +225,8 @@ func (m *MaintainAggStep) splice(ctx *Context, f frontier) (*storage.Table, erro
 	// stability + left-probe joins + first-encounter aggregation +
 	// content-addressed materialization) makes this the order of Ri over
 	// the whole CTE. An affected key Ri did not return was filtered out
-	// by it.
+	// by it. out keeps the CTE's rows for its life, so the CTE is pinned.
+	cteTable.Pin()
 	out := storage.NewTable(m.Into, cteTable.Schema.Clone(), ctx.parts)
 	out.DistCol = 0
 	for _, part := range cteTable.Parts {

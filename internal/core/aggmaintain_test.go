@@ -205,7 +205,7 @@ func TestMaintainCrossCheckCatchesPoisonedAccumulator(t *testing.T) {
 	// Poison the cached group of key 2 — the first unaffected key in
 	// scan order, which the deterministic sample always covers.
 	poison := func(v int64) {
-		step.Loop.aggSnap = kvTable("c", 1, 1, 10, 2, 99, 3, 30)
+		step.Loop.keepSnap(kvTable("c", 1, 1, 10, 2, 99, 3, 30))
 		rt.Results.Put("c", kvTable("c", 1, 1, v, 2, 99, 3, 30))
 	}
 	poison(11)

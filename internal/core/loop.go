@@ -60,7 +60,8 @@ type LoopState struct {
 // iteration by key, and what the loop's incremental step carries across
 // the back-edge (changeSet, aggSnap). A checkpoint shares what it
 // captures rather than copy it: every writer replaces these wholesale,
-// never mutates or lets them go, so a shared reference stays frozen.
+// never mutates or lets them go, so a shared reference stays frozen; the
+// snapshot table, which the store releases, the checkpoint holds too.
 type loopRun struct {
 	iterations int
 	updates    int64
@@ -69,10 +70,30 @@ type loopRun struct {
 	prevCount  int
 	changes    changeSet
 	// aggSnap is the CTE table MaintainAggStep last computed its output
-	// from (nil: it has not run yet), pinned, since the rename that
-	// displaces it from the CTE's slot would otherwise hand its rows back.
+	// from (nil: it has not run yet), held (keepSnap), since the rename
+	// that displaces it from the CTE's slot would otherwise hand its rows
+	// back before the next iteration diffs against them.
 	aggSnap *storage.Table
 }
+
+// keepSnap makes t (nil: none) the maintenance snapshot and holds it,
+// and lets go of the snapshot it replaces.
+func (r *loopRun) keepSnap(t *storage.Table) {
+	if !test.unheldSnapshot {
+		if t != nil {
+			t.Hold()
+		}
+		if r.aggSnap != nil {
+			r.aggSnap.Unhold()
+		}
+	}
+	r.aggSnap = t
+}
+
+// test is zero outside tests: the seeded mutants of the snapshot's
+// holds (export_test.go), a snapshot the loop does not hold and one a
+// checkpoint does not.
+var test struct{ unheldSnapshot, unheldCheckpoint bool }
 
 // changeSet is what a keyed merge identified as changed, for the loop's
 // DeltaMaterializeStep, which asks for it (wanted) the first time it
@@ -101,6 +122,7 @@ type InitLoopStep struct {
 
 // Run implements Step.
 func (s *InitLoopStep) Run(ctx *Context) error {
+	s.Loop.keepSnap(nil)
 	s.Loop.loopRun = loopRun{}
 	s.Loop.workingSets = nil
 	s.Loop.dropRowSet(ctx)

@@ -522,6 +522,7 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 // gives the keyed merges' key indexes to st, the run's state.
 func (p *Program) releaseLoops(st *RunState) {
 	p.loopStates(func(l *LoopState) {
+		l.keepSnap(nil)
 		l.loopRun, l.workingSets, l.seen, l.seenOf = loopRun{}, nil, nil, nil
 		l.giveBackIndex(st)
 	})

@@ -216,7 +216,7 @@ func (c stepCase) check(t *testing.T) error {
 	ctx := &Context{RT: rt, Stats: &Stats{}, Trace: newIterationTrace(1, 1), volcano: c.degraded}
 	step := maintainFixture()
 	step.Check = true
-	step.Loop.aggSnap = c.snap
+	step.Loop.keepSnap(c.snap)
 	rt.Results.Put(step.CTE, c.cte)
 	if err := step.Run(ctx); err != nil {
 		return err

@@ -27,7 +27,8 @@ import "dbspinner/internal/storage"
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
 // capture, e.g. a rename source), the loop operators' per-run states,
-// the stats and the trace watermark.
+// the stats and the trace watermark. It holds each loop's maintenance
+// snapshot (loopRun.aggSnap) until it is released.
 type checkpoint struct {
 	pc        int
 	tables    map[string]*storage.Table
@@ -64,12 +65,30 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 			cp.tables[name] = nil
 		}
 	}
-	p.loopStates(func(l *LoopState) { cp.loops[l] = l.loopRun })
+	p.loopStates(func(l *LoopState) {
+		cp.loops[l] = l.loopRun
+		if l.aggSnap != nil && !test.unheldCheckpoint {
+			l.aggSnap.Hold()
+		}
+	})
 	cp.stats = *ctx.Stats
 	if ctx.Trace != nil {
 		cp.spans, cp.traceLast = ctx.Trace.mark()
 	}
 	return cp
+}
+
+// release lets go of the snapshot tables cp holds (nil: none); the step
+// loop calls it when a newer checkpoint replaces cp and when it returns.
+func (cp *checkpoint) release() {
+	if cp == nil || test.unheldCheckpoint {
+		return
+	}
+	for _, run := range cp.loops {
+		if run.aggSnap != nil {
+			run.aggSnap.Unhold()
+		}
+	}
 }
 
 // restore rewinds the execution to a checkpoint: slots created after
@@ -94,6 +113,7 @@ func (p *Program) restore(ctx *Context, cp *checkpoint) {
 		ctx.track(name)
 	}
 	for l, run := range cp.loops {
+		l.keepSnap(run.aggSnap)
 		l.loopRun = run
 	}
 	s := ctx.Stats

@@ -29,6 +29,7 @@ import (
 // surface immediately. Without retries it captures nothing.
 func (p *Program) runSteps(ctx *Context) ([]sqltypes.Row, error) {
 	var cp *checkpoint
+	defer func() { cp.release() }()
 	if p.MaxRetries > 0 {
 		cp = p.capture(ctx, 0)
 	}
@@ -43,7 +44,9 @@ func (p *Program) runSteps(ctx *Context) ([]sqltypes.Row, error) {
 				// The back-edge: one iteration (or the pre-loop prefix)
 				// committed. Checkpoint whatever comes next — another
 				// iteration or the fall-through — with a fresh budget.
+				old := cp
 				cp = p.capture(ctx, next)
+				old.release()
 				attempts = 0
 			}
 			pc = next

@@ -207,6 +207,10 @@ func (m *Memo) AliasByName(resolve func(name string) *storage.Table) {
 		if now := resolve(t.Name); now != nil && now != t {
 			m.indexes[now] = append(m.indexes[now], es...)
 			delete(m.indexes, t)
+			for range es {
+				now.Hold()
+				t.Unhold()
+			}
 		}
 	}
 }
@@ -244,4 +248,13 @@ func SeedKeepingGivesBack() (restore func()) {
 func SeedCarryEntries() (restore func()) {
 	test.carryEntries = true
 	return func() { test.carryEntries = false }
+}
+
+// SeedUnheldEntries arms, until the returned function is called, the
+// seeded mutant of the index entries' hold: an entry does not hold its
+// table, so a table the store releases while an entry still serves its
+// index hands its rows back under the index.
+func SeedUnheldEntries() (restore func()) {
+	test.unheldEntries = true
+	return func() { test.unheldEntries = false }
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -386,4 +387,65 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	}
 	var none *Memo
 	none.Recycle(first) // a nil memo keeps nothing
+}
+
+// checkEntryHoldsItsTable indexes a table carved from the run's chunks
+// and has the store release it, as the rename releases the CTE table a
+// loop body indexed: the index must read the table's rows until the sweep
+// that drops its entry, which hands them back. It says what differs, ""
+// when nothing does.
+func checkEntryHoldsItsTable(t *testing.T) string {
+	t.Helper()
+	defer sqltypes.Poison()()
+	rt := testRuntime(t)
+	byNode := keysOf(t, rt, "SELECT * FROM edges e JOIN vertexStatus v ON v.node = e.dst")
+	var freed int64
+	var left Leftovers
+	m := left.Begin(nil, &freed)
+	defer left.End(m, true)
+	c := storage.NewTable("c", rt.Catalog.Get("vertexStatus").Schema, 1)
+	var slab sqltypes.RowSlab
+	slab.CarveFor(c.OwnRows(m.Chunks()))
+	for i := int64(1); i <= 3; i++ {
+		r := slab.Alloc(2)
+		r[0], r[1] = sqltypes.NewInt(i), sqltypes.NewInt(10*i)
+		c.Insert(r)
+	}
+	store := storage.NewResultStore()
+	store.Put("c", c)
+	x, _, err := m.Index(c, allParts, byNode, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RowsText(x.Rows)
+	store.Drop("c")
+	m.Sweep() // the entry was asked for: it stays
+	if freed != 0 || RowsText(x.Rows) != want {
+		return fmt.Sprintf("%d cells freed while the entry serves the index, which reads %q", freed, RowsText(x.Rows))
+	}
+	m.Sweep() // it was not: it goes, and the table's rows with it
+	if freed != 6 {
+		return fmt.Sprintf("%d cells freed once the sweep dropped the entry, want the table's 6", freed)
+	}
+	return ""
+}
+
+// TestIndexEntryHoldsItsTable: a memo entry holds its table until the
+// sweep drops it.
+func TestIndexEntryHoldsItsTable(t *testing.T) {
+	if d := checkEntryHoldsItsTable(t); d != "" {
+		t.Error(d)
+	}
+}
+
+// TestIndexEntryHoldsItsTableCatchesMutant seeds the entry that does not
+// hold its table (SeedUnheldEntries): the check must see the release hand
+// back the rows its index reads.
+func TestIndexEntryHoldsItsTableCatchesMutant(t *testing.T) {
+	defer SeedUnheldEntries()()
+	d := checkEntryHoldsItsTable(t)
+	if d == "" {
+		t.Fatal("an index entry that does not hold its table passes the check")
+	}
+	t.Log("caught: " + d)
 }

@@ -38,8 +38,10 @@ import (
 // ones indexed: a table bound in the result store is frozen
 // (storage.Table), base tables do not change while a statement runs, and
 // an entry references its table, so the address cannot be reused while
-// the entry lives. A slot whose content changes points at another table
-// and misses. The filter is the compiled predicate of a Filter directly
+// the entry lives. The entry holds its table (storage.Table.Hold) until
+// Sweep drops it or the run ends, so a table the store releases hands
+// its rows back only then. A slot whose content changes points at
+// another table and misses. The filter is the compiled predicate of a Filter directly
 // over the build side's read, which the memo gives out once per plan
 // node, so a loop-invariant filtered read is indexed once per run too.
 //
@@ -102,11 +104,11 @@ func (m *Memo) Chunks() *sqltypes.ChunkPool {
 
 // Sweep drops what the run stopped using. The loop operator calls it at
 // the back-edge, between steps, when no join holds an index open.
-//   - The index entries nobody asked for since the previous Sweep go, and
-//     their indexes' storage is taken back: an index survives exactly as
-//     long as every iteration uses it, the tables of a finished iteration
-//     are held for at most one more, and nobody reads a dropped index
-//     again.
+//   - The index entries nobody asked for since the previous Sweep go,
+//     their indexes' storage is taken back and they let go of their
+//     tables: an index survives exactly as long as every iteration uses
+//     it, the tables of a finished iteration are held for at most one
+//     more, and nobody reads a dropped index again.
 //   - The spare indexes, the aggregates' spare group tables and the row
 //     chunks and partition slices no one took since the previous Sweep
 //     go (sqltypes.Spares.Sweep).
@@ -121,8 +123,8 @@ func (m *Memo) Sweep() {
 		es = slices.DeleteFunc(es, func(e *indexEntry) bool {
 			unused := !e.used
 			e.used = false
-			if unused && e.err == nil {
-				m.Recycle(e.x)
+			if unused {
+				m.drop(t, e, true)
 			}
 			return unused
 		})
@@ -138,12 +140,12 @@ func (m *Memo) Sweep() {
 	m.left.chunks.Sweep()
 }
 
-// end ends the run. Every entry goes: an index's witness is its table's
-// address, and the next run may read a base table DML changed in place
-// under the same address; a compiled expression is bound to this run's
-// literals. After a clean run the entries' indexes join the spares and
-// the spares are handed back (sqltypes.Spares.HandBack); after any
-// other, no index is kept.
+// end ends the run. Every entry goes, and lets go of its table: an
+// index's witness is its table's address, and the next run may read a
+// base table DML changed in place under the same address; a compiled
+// expression is bound to this run's literals. After a clean run the
+// entries' indexes join the spares and the spares are handed back
+// (sqltypes.Spares.HandBack); after any other, no index is kept.
 func (m *Memo) end(clean bool) {
 	if m == nil {
 		return
@@ -155,21 +157,17 @@ func (m *Memo) end(clean bool) {
 	if test.carryEntries {
 		return
 	}
-	spare := &m.left.indexes
-	if !clean {
-		clear(m.indexes)
-		spare.Clear()
-		return
-	}
-	for _, es := range m.indexes {
+	for t, es := range m.indexes {
 		for _, e := range es {
-			if e.err == nil {
-				m.Recycle(e.x)
-			}
+			m.drop(t, e, clean)
 		}
 	}
 	clear(m.indexes)
-	spare.HandBack()
+	if clean {
+		m.left.indexes.HandBack()
+	} else {
+		m.left.indexes.Clear()
+	}
 }
 
 // Len returns the number of indexes held.
@@ -249,9 +247,10 @@ func (m *Memo) aggRunOf(n *plan.Aggregate) *aggRun {
 // test is zero outside tests: the seeded mutants of the aggregate's
 // lending rule — a keeping aggregate giving its table back at Close,
 // which for the final query's aggregate, whose rows the run returns,
-// only the statement's next run shows — and of End, the index entries
-// carried into the next run.
-var test struct{ keepingGivesBack, carryEntries bool }
+// only the statement's next run shows — of End, the index entries
+// carried into the next run, and of the entries' hold, an entry that
+// does not hold its table.
+var test struct{ keepingGivesBack, carryEntries, unheldEntries bool }
 
 // Leftovers is what the runs of one statement carry from one to the
 // next: the hash indexes they let go, each aggregate node's run state

@@ -29,14 +29,15 @@ type indexEntry struct {
 // (allParts: all of them) that pass filter (nil: every row), and whether
 // this call built it. Only indexes whose keys are all bare columns are
 // memoized; any other is built and not kept. An index holds t's rows, and
-// may hold a partition slice of it, so t is pinned (storage.Table.Pin).
+// may hold a partition slice of it: its memo entry holds t until the
+// entry goes (storage.Table.Hold), and an index the memo does not keep
+// pins t (storage.Table.Pin).
 // Every build, memoized or not, fills the storage of an index let go
 // (Recycle) if the memo holds one, one large enough for the rows read
 // when it holds such: a loop that replaces a table every iteration
 // indexes each new one in the memory of an index of a table it replaced
 // before.
 func (m *Memo) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) (x *HashIndex, built bool, err error) {
-	t.Pin()
 	build := func() (*HashIndex, error) {
 		n := t.Len()
 		if part != allParts {
@@ -57,6 +58,7 @@ func (m *Memo) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *
 		e = m.entry(t, part, keys, filter)
 	}
 	if e == nil {
+		t.Pin()
 		x, err = build()
 		return x, true, err
 	}
@@ -131,7 +133,7 @@ func sized(buf []sqltypes.Row, n int) []sqltypes.Row {
 }
 
 // entry returns the memo entry for the request, new or existing, marked
-// used; nil when a key is not a bare column.
+// used; nil when a key is not a bare column. A new entry holds t.
 func (m *Memo) entry(t *storage.Table, part int, keys []*expr.Compiled, filter *expr.Compiled) *indexEntry {
 	if !memoizable(keys) {
 		return nil
@@ -150,7 +152,21 @@ func (m *Memo) entry(t *storage.Table, part int, keys []*expr.Compiled, filter *
 	}
 	e := &indexEntry{part: part, cols: cols, filter: filter, used: true}
 	m.indexes[t] = append(m.indexes[t], e)
+	if !test.unheldEntries {
+		t.Hold()
+	}
 	return e
+}
+
+// drop lets go of e, t's entry: its index joins the spares when recycle
+// is set and its build did not fail, and it lets go of t.
+func (m *Memo) drop(t *storage.Table, e *indexEntry, recycle bool) {
+	if recycle && e.err == nil {
+		m.Recycle(e.x)
+	}
+	if !test.unheldEntries {
+		t.Unhold()
+	}
 }
 
 // memoizable reports whether an index on keys is kept: all of them are

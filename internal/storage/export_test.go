@@ -3,13 +3,15 @@ package storage
 // SeedMutant arms one seeded mutant of the release path until the
 // returned function is called: "ignore-pins" releases a table a reader
 // pinned, "unpinned-clones" makes Clone not pin (a checkpoint's clone
-// shares rows its table then hands back), and "ignore-aliases" releases
-// a table another slot still binds.
+// shares rows its table then hands back), "ignore-aliases" releases a
+// table another slot still binds, and "ignore-holds" releases a table a
+// reader still holds.
 func SeedMutant(name string) (restore func()) {
 	flag := map[string]*bool{
 		"ignore-pins":     &test.ignorePins,
 		"unpinned-clones": &test.unpinnedClones,
 		"ignore-aliases":  &test.ignoreAliases,
+		"ignore-holds":    &test.ignoreHolds,
 	}[name]
 	if flag == nil {
 		panic("storage: no mutant " + name)
@@ -17,3 +19,7 @@ func SeedMutant(name string) (restore func()) {
 	*flag = true
 	return func() { *flag = false }
 }
+
+// Outstanding returns how many holds, over every table, are not yet let
+// go.
+func Outstanding() int64 { return outstanding.Load() }

@@ -1,10 +1,13 @@
 package storage_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"regexp"
 	"strconv"
 	"testing"
+	"time"
 
 	"dbspinner"
 	"dbspinner/internal/bench"
@@ -183,4 +186,62 @@ func TestLifetimeCatchesUnpinnedClone(t *testing.T) {
 		t.Fatal("recycling rows a checkpoint's clone shares passes the lifetime check")
 	}
 	t.Log("caught: " + d)
+}
+
+// TestLifetimeLeavesNoHold runs PageRank on the volcano executor, whose
+// loop holds its maintenance snapshot, and on the MPP machine, whose
+// partitions take the run memo's holds concurrently, to the end clean,
+// failed at the loop step of its third iteration, cancelled while it
+// iterates, and retried from a checkpoint after that fault: no hold a
+// reader took — a run memo entry, a snapshot, a checkpoint — outlives the
+// run.
+func TestLifetimeLeavesNoHold(t *testing.T) {
+	defer sqltypes.Poison()()
+	sql := bench.PRQuery(6)
+	for _, parts := range []int{1, 2} {
+		cfg := dbspinner.Config{Parallel: parts > 1}
+		fault := []dbspinner.Fault{{Point: "step", Hit: loopStepHit(t, lifetimeEngine(t, parts, cfg), sql, 3), Mode: dbspinner.FaultModeError}}
+		failing, retrying := cfg, cfg
+		failing.FaultSchedule = fault
+		retrying.FaultSchedule, retrying.MaxRetries = fault, 1
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"clean", func() error { _, err := lifetimeEngine(t, parts, cfg).Query(sql); return err }},
+			{"failed", func() error {
+				if _, err := lifetimeEngine(t, parts, failing).Query(sql); err == nil {
+					return errors.New("the fault did not fail the run")
+				}
+				return nil
+			}},
+			{"cancelled", func() error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer time.AfterFunc(20*time.Millisecond, cancel).Stop()
+				_, err := lifetimeEngine(t, parts, cfg).QueryContext(ctx, bench.PRQuery(100000))
+				if !errors.Is(err, dbspinner.ErrQueryCanceled) {
+					return fmt.Errorf("err = %v, want ErrQueryCanceled", err)
+				}
+				return nil
+			}},
+			{"retried", func() error {
+				e := lifetimeEngine(t, parts, retrying)
+				if _, err := e.Query(sql); err != nil {
+					return err
+				}
+				if e.Stats().Retries == 0 {
+					return errors.New("the fault never caused a retry")
+				}
+				return nil
+			}},
+		} {
+			before := storage.Outstanding()
+			if err := c.run(); err != nil {
+				t.Fatalf("parts=%d, %s: %v", parts, c.name, err)
+			}
+			if n := storage.Outstanding() - before; n != 0 {
+				t.Errorf("parts=%d, %s: %d holds outlive the run", parts, c.name, n)
+			}
+		}
+	}
 }

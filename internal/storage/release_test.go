@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"dbspinner/internal/sqltypes"
@@ -195,5 +196,88 @@ func TestReleasedChunksAreCarvedAgain(t *testing.T) {
 	}
 	if first, r := carveAfter(2); &r[0] == first {
 		t.Error("a chunk two sweeps left untaken was handed out")
+	}
+}
+
+// checkHeldIsKept holds the table twice and has the store release it: it
+// must keep its rows until the last Unhold, which hands them back.
+func checkHeldIsKept(t *testing.T) string {
+	f := newReleaseFixture(t)
+	f.t.Hold()
+	f.t.Hold()
+	rows := f.t.AllRows()
+	f.s.Drop("c")
+	if d := f.kept(); d != "" {
+		return "released while held: " + d
+	}
+	f.t.Unhold()
+	if d := f.kept(); d != "" {
+		return "one of two holds let go: " + d
+	}
+	f.t.Unhold()
+	if d := f.released(rows); d != "" {
+		return "the last hold let go: " + d
+	}
+	return ""
+}
+
+func TestHeldTableKeepsItsRowsUntilTheLastUnhold(t *testing.T) {
+	if d := checkHeldIsKept(t); d != "" {
+		t.Error(d)
+	}
+}
+
+// TestHeldTableKeepsItsRowsCatchesMutant seeds the release that ignores
+// holds: the check must see it.
+func TestHeldTableKeepsItsRowsCatchesMutant(t *testing.T) {
+	defer SeedMutant("ignore-holds")()
+	if checkHeldIsKept(t) == "" {
+		t.Error("a release of a table a reader holds passes the check")
+	}
+}
+
+// TestPinWinsOverHold: a table a reader holds and another pinned keeps
+// its rows past the last Unhold too.
+func TestPinWinsOverHold(t *testing.T) {
+	f := newReleaseFixture(t)
+	f.t.Hold()
+	f.t.Pin()
+	f.s.Drop("c")
+	f.t.Unhold()
+	if d := f.kept(); d != "" {
+		t.Error(d)
+	}
+}
+
+// TestConcurrentUnholdsReleaseOnce: readers on several goroutines, as
+// the partitions of an MPP machine take the run memo's holds, let go of
+// a table the store released meanwhile; exactly the last one hands its
+// cells back, once.
+func TestConcurrentUnholdsReleaseOnce(t *testing.T) {
+	f := newReleaseFixture(t)
+	rows := f.t.AllRows()
+	const readers = 8
+	var held, done sync.WaitGroup
+	held.Add(readers)
+	done.Add(readers)
+	release := make(chan struct{})
+	for i := 0; i < readers; i++ {
+		go func() {
+			defer done.Done()
+			f.t.Hold()
+			held.Done()
+			<-release
+			f.t.Unhold()
+		}()
+	}
+	held.Wait()
+	f.s.Drop("c")
+	if d := f.kept(); d != "" {
+		t.Fatal("released while held: " + d)
+	}
+	close(release)
+	done.Wait()
+	if d := f.released(rows); d != "" {
+		t.Error(d)
 	}
 }

@@ -26,7 +26,8 @@ import (
 // in the catalog are never frozen; they change only between statements.
 //
 // A table may own its rows (OwnRows), which go back to their run once
-// no slot binds it, unless a reader that keeps rows pinned it (Pin).
+// no slot binds it and no reader holds it (Hold), unless a reader that
+// keeps rows pinned it (Pin).
 type Table struct {
 	Name   string
 	Schema sqltypes.Schema
@@ -47,6 +48,12 @@ type Table struct {
 	// owns them (OwnRows); pinned records that a reader kept some.
 	arena  sqltypes.Arena
 	pinned atomic.Bool
+	// holds counts the readers that hold t (Hold); pending records that
+	// the store released t while one did, so the last Unhold hands its
+	// rows back. hold guards both.
+	hold    sync.Mutex
+	holds   int
+	pending bool
 }
 
 // NewTable creates an empty table with the given partition count
@@ -185,6 +192,50 @@ func (t *Table) OwnRows(pool *sqltypes.ChunkPool) *sqltypes.Arena {
 // concurrent use.
 func (t *Table) Pin() { t.pinned.Store(true) }
 
+// Hold records that a reader with a known end reads rows or partition
+// slices of t until its Unhold: a release of t while any reader holds it
+// is deferred to the last Unhold. A reader that keeps rows for the
+// table's life pins it instead. It is safe for concurrent use.
+func (t *Table) Hold() {
+	t.hold.Lock()
+	t.holds++
+	t.hold.Unlock()
+	outstanding.Add(1)
+}
+
+// Unhold ends one Hold. The last one hands t's rows back if the store
+// released t meanwhile, unless a reader pinned it.
+func (t *Table) Unhold() {
+	t.hold.Lock()
+	if t.holds == 0 {
+		t.hold.Unlock()
+		panic(fmt.Sprintf("storage: Unhold of table %q, which nothing holds", t.Name))
+	}
+	t.holds--
+	free := t.holds == 0 && t.pending
+	if free {
+		t.pending = false
+	}
+	t.hold.Unlock()
+	outstanding.Add(-1)
+	if free {
+		t.handBack()
+	}
+}
+
+// handBack hands the rows of t, which no slot binds and no reader holds,
+// back to its run and leaves t empty; a pinned t keeps its rows.
+func (t *Table) handBack() {
+	pinned := t.pinned.Load() && !test.ignorePins
+	t.arena.Release(t.Parts, int64(t.Len())*int64(len(t.Schema)), pinned)
+	if !pinned {
+		clear(t.Parts)
+	}
+}
+
+// outstanding counts the holds not yet let go, over every table.
+var outstanding atomic.Int64
+
 // Clone returns a deep-enough copy: new partition slices sharing the
 // row values (rows are treated as immutable once stored), so it pins t.
 // The copy owns no rows, and is writable whether or not t is frozen.
@@ -316,7 +367,9 @@ func (s *ResultStore) Rename(old, new string) error {
 // release is the path of every table the store stops binding under a
 // slot: one it binds under no other slot that owns its rows hands them
 // back to its run (sqltypes.Arena.Release) and reads empty, unless a
-// reader pinned it. s.mu is held.
+// reader pinned it; while a reader holds it, when the last one lets go
+// (Unhold). A table the store released is never bound again. s.mu is
+// held.
 func (s *ResultStore) release(t *Table) {
 	if t == nil || !t.arena.Owned() {
 		return
@@ -326,15 +379,17 @@ func (s *ResultStore) release(t *Table) {
 			return
 		}
 	}
-	pinned := t.pinned.Load() && !test.ignorePins
-	t.arena.Release(t.Parts, int64(t.Len())*int64(len(t.Schema)), pinned)
-	if !pinned {
-		clear(t.Parts)
+	t.hold.Lock()
+	held := t.holds > 0 && !test.ignoreHolds
+	t.pending = held
+	t.hold.Unlock()
+	if !held {
+		t.handBack()
 	}
 }
 
 // test holds the seeded mutants of the release path (export_test.go).
-var test struct{ ignorePins, unpinnedClones, ignoreAliases bool }
+var test struct{ ignorePins, unpinnedClones, ignoreAliases, ignoreHolds bool }
 
 // NormalizeName exposes the store's name normalization (lowercasing,
 // SQL identifier semantics) so the partition-property analyses name
