@@ -232,11 +232,10 @@ func BenchmarkRecursive(b *testing.B) {
 // iteration, so a per-row or per-group allocation creeping back into a
 // kernel multiplies into thousands of objects (the Go-map kernels made
 // 109k), and a join that materializes the rows its aggregate folds into
-// megabytes (10.3 MB before rows were borrowed). PageRank makes 767–768
-// objects and 745,640–768,386 bytes (771 and 746,896 under -race), PR-VS
-// 896,357–917,946 bytes (899,762) — the spread is the order the memo's
-// sweep hands chunks back in — when every iteration takes back what the
-// one before let go: the aggregate resets and fills its node's group
+// megabytes (10.3 MB before rows were borrowed). PageRank makes 757
+// objects and 745,464 bytes (759–760 and 746,549–746,674 under -race),
+// PR-VS 878,696 bytes (879,768–880,128), the same from run to run, when
+// every iteration takes back what the one before let go: the aggregate resets and fills its node's group
 // table and accumulators, a join indexes the new CTE table in the
 // storage of the index the memo swept, the maintenance step's diff,
 // affected keys and row indexes reuse the run's key tables, and the CTE
@@ -245,16 +244,18 @@ func BenchmarkRecursive(b *testing.B) {
 // (storage.Table.Hold) — while both pinned every CTE table for good,
 // PageRank made 786 objects and 892,469 bytes. The first iteration of
 // each query takes back what the statement's last query let go
-// (core.RunState). Earlier, PageRank made 1.42 MB starting each query
+// (core.RunState). While the memo's sweep handed its indexes' storage
+// and chunks back in map order, not in the order the run asked for the
+// indexes, the bytes changed from run to run: 745,640–768,386 for
+// PageRank, 896,357–917,946 for PR-VS. Earlier, PageRank made 1.42 MB starting each query
 // from empty, 2.18 MB building the tables anew every iteration, 4.54 MB
 // indexing edges once per iteration instead of once per query (before
 // the run memo kept join indexes, exec.Memo), and 3.14 MB paying for a
-// diff, a closure and a splice on every dense iteration. The PageRank
-// budgets are its count plus 2% and its bytes plus 5%, so any of these
+// diff, a closure and a splice on every dense iteration. The object
+// budget is the 768 objects PageRank made before the ordered sweep plus
+// 2%; both byte budgets are the -race bytes plus 5%, so any of these
 // fails go test, not a benchmark run, and so does a memo entry or a
-// snapshot that never lets go of its table. PR-VS, whose CTE tables the
-// same holds let go, keeps its byte budget from before (1.22 MB under
-// -race plus 5%).
+// snapshot that never lets go of its table.
 func TestAllocBudgetPageRank(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 300, Iterations: 10, Partitions: 1}
 	g, err := benchGraph(cfg)
@@ -270,8 +271,8 @@ func TestAllocBudgetPageRank(t *testing.T) {
 		budget      float64 // objects; 0: not gated
 		bytesBudget uint64
 	}{
-		{"PageRank", bench.PRQuery(cfg.Iterations), 783, 807_000},
-		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 1_276_000},
+		{"PageRank", bench.PRQuery(cfg.Iterations), 783, 785_000},
+		{"PR-VS", bench.PRVSQuery(cfg.Iterations), 0, 925_000},
 	} {
 		query := func() {
 			if _, err := e.Query(c.sql); err != nil {
@@ -322,10 +323,14 @@ func TestAllocBudgetPageRank(t *testing.T) {
 // statement's run filling the tables its last run let go (core.RunState)
 // made 640 and 4.45 MB. Each iteration carving its rows from the chunks
 // of the table the last rename released, instead of allocating them
-// (storage.ResultStore, the run memo's sqltypes.ChunkPool), makes 405 and
-// 1.639 MB, the same under -race. The object budget is the 714 plus 25%,
-// the byte budget 1.639 MB plus 5%: a loop that stops recycling its rows
-// makes 4.45 MB again and fails it.
+// (storage.ResultStore, the run memo's sqltypes.ChunkPool), made 405 and
+// 1.639 MB. The aggregate's group table and accumulators, let go before
+// the loop's first back-edge, surviving the loop's sweeps to be filled
+// again by the statement's next run (sqltypes.Spares), makes 378 and
+// 1.115 MB, the same under -race. The object budget is the 714 plus 25%,
+// the byte budget 1.115 MB plus 5%: a loop that stops recycling its rows
+// makes 4.45 MB again and fails it, and so does a sweep that drops the
+// pre-loop aggregate's storage again (1.639 MB).
 func TestAllocBudgetForecast(t *testing.T) {
 	e := newBenchEngine(t, benchConfig, dbspinner.Config{})
 	sql := bench.FFQuery(benchConfig.Iterations, 2)
@@ -334,7 +339,7 @@ func TestAllocBudgetForecast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget, bytesBudget = 900, 1_722_000
+	const budget, bytesBudget = 900, 1_172_000
 	got := testing.AllocsPerRun(3, query)
 	if got > budget {
 		t.Errorf("FF: %.0f allocations per query, budget %d", got, budget)
@@ -429,7 +434,10 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 // aggregate and shuffled-build join take back the tables the iteration
 // before let go; and each query's first iteration fills the exchange
 // buffers, hash tables and key tables the statement's last query let go
-// (core.RunState): 6.06–6.12 MB per query (up to 6.67 MB under -race).
+// (core.RunState): 3.38 MB per query (3.56–3.58 MB under -race). Of
+// those the sweeps at the loop's back-edges keep what the run filled or
+// let go before the first one; sweeping the exchanges in front of the
+// loop, so that each query made their sites anew, was 5.59–5.63 MB.
 // Starting each query from empty was 10.03 MB; building those tables
 // anew every iteration, the aggregate's presized from the node's previous
 // group count, 13.00 MB; copying every group out of a table grown from
@@ -438,7 +446,7 @@ func TestAllocBudgetSSSPVS(t *testing.T) {
 // Materializing the joins' output for the exchange to walk a second
 // time, and building the exchange's memory anew every iteration, was
 // 45.55 MB. The budget is the -race measurement plus 5%, so that the
-// race run fits under it and starting each query from empty does not.
+// race run fits under it and sweeping the pre-loop sites does not.
 func TestAllocBudgetPageRankMPP(t *testing.T) {
 	cfg := bench.Config{Preset: "dblp-small", Nodes: 1300, Iterations: 10, Partitions: 2, AvailFrac: 0.8}
 	g, err := benchGraph(cfg)
@@ -455,7 +463,7 @@ func TestAllocBudgetPageRankMPP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const bytesBudget = 7_000_000
+	const bytesBudget = 3_760_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 3
 	query() // warm-up

@@ -202,10 +202,11 @@ func (s *LoopStep) Run(ctx *Context) error {
 		return err
 	}
 	// The back-edge: indexes the finished iteration did not ask for are
-	// of tables it replaced (exec.Memo), exchange buffers it did not fill
-	// are those of the steps in front of the loop (mpp's sites), and hash
-	// tables and row chunks no run took since the last back-edge were let
-	// go outside the loop (the memo's spares and free list).
+	// of tables it replaced (exec.Memo); exchange buffers it did not fill,
+	// and hash tables and row chunks no run took since the last back-edge,
+	// are an earlier iteration's (mpp's sites, the memo's spares and free
+	// list). What the run filled or let go before its first back-edge
+	// stays, for the statement's next run.
 	ctx.RT.Memo().Sweep()
 	ctx.MPP.Sweep()
 	// The safety guard: refuse to start an iteration past the cap. The

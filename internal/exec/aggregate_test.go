@@ -145,7 +145,10 @@ func sameCells(t *testing.T, what string, got, want []sqltypes.Row) {
 // aggregates. Runs for a lending consumer give their table and
 // accumulators back when they close, and the next run resets and fills
 // them: those runs must match too, and a keeping run after them must
-// not see its rows change when a lending one takes the storage back.
+// not see its rows change when a lending one takes the storage back. The
+// table they leave before the first back-edge stays through every sweep;
+// one a lending run in the loop gives back goes at the second sweep
+// nobody takes it by.
 func TestAggregateRowsMatchCopy(t *testing.T) {
 	rt := groupRuntime(t)
 	nodes := map[string]*plan.Aggregate{}
@@ -223,12 +226,27 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 			}
 			sameCells(t, what+", keeping run between lending ones", kept, want)
 
-			// The last lending run's table stays through one back-edge
-			// and is dropped at the next if no run takes it.
+			// The last lending run's table was let go before the run's
+			// first back-edge: no sweep drops it. A lending run in the
+			// loop takes it and gives it back; it then stays through one
+			// back-edge and is dropped at the next if no run takes it.
+			for sweep := 1; sweep <= 3; sweep++ {
+				memo.Memo().Sweep()
+				if n := ex.run.spare.Len(); n != 1 {
+					t.Fatalf("%s: %d spare tables after sweep %d, want the one let go before the first", what, n, sweep)
+				}
+			}
+			op, err := buildWith(node, memo, nil, nil, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := drainCopies(op, func(sqltypes.Row) {}); err != nil {
+				t.Fatal(err)
+			}
 			for sweep, spares := range []int{1, 0} {
 				memo.Memo().Sweep()
 				if n := ex.run.spare.Len(); n != spares {
-					t.Fatalf("%s: %d spare tables after sweep %d, want %d", what, n, sweep+1, spares)
+					t.Fatalf("%s: %d spare tables after the loop's lending run and sweep %d, want %d", what, n, sweep+1, spares)
 				}
 			}
 		}

@@ -203,14 +203,11 @@ func RowsText(rows []sqltypes.Row) string { return strings.Join(rowStrings(rows)
 func (m *Memo) AliasByName(resolve func(name string) *storage.Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for t, es := range m.indexes {
-		if now := resolve(t.Name); now != nil && now != t {
-			m.indexes[now] = append(m.indexes[now], es...)
-			delete(m.indexes, t)
-			for range es {
-				now.Hold()
-				t.Unhold()
-			}
+	for _, e := range m.indexes {
+		if now := resolve(e.t.Name); now != nil && now != e.t {
+			now.Hold()
+			e.t.Unhold()
+			e.t = now
 		}
 	}
 }
@@ -224,10 +221,8 @@ func (m *Memo) Spares() int { return m.left.indexes.Len() }
 func (m *Memo) RecycleLive() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, es := range m.indexes {
-		for _, e := range es {
-			m.Recycle(e.x)
-		}
+	for _, e := range m.indexes {
+		m.Recycle(e.x)
 	}
 }
 

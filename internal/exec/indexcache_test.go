@@ -305,9 +305,10 @@ func probeAll(t *testing.T, x *HashIndex, probe []sqltypes.Row, keys []*expr.Com
 // TestIndexCacheTakesBackWhatItLetGo: the storage of an index Sweep drops,
 // or a join's own index Recycle gets, is what the next build fills, and
 // what that build then serves is what a fresh index over the same rows
-// serves; an index in use is never taken back, a spare no build took
-// between two sweeps is dropped at the second, and the end of a run that
-// failed drops them all.
+// serves; an index in use is never taken back, a spare the run let go
+// before its first back-edge stays through every sweep, one an iteration
+// let go and no build took between two sweeps is dropped at the second,
+// and the end of a run that failed drops them all.
 func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 	rt := testRuntime(t)
 	edges := rt.Catalog.Get("edges")
@@ -368,16 +369,28 @@ func TestIndexCacheTakesBackWhatItLetGo(t *testing.T) {
 		}
 	}
 
-	// A spare no build takes between two back-edges goes at the second.
+	// A spare let go before the run's first back-edge stays through every
+	// sweep; one an iteration lets go and no build takes by the next
+	// back-edge goes at the one after.
 	d := NewMemo(nil)
 	d.Recycle(fresh)
 	d.Recycle(nil)
-	for sweep, want := range []int{1, 1, 0} {
+	for sweep := range 4 {
 		if sweep > 0 {
 			d.Sweep()
 		}
+		if d.Spares() != 1 {
+			t.Errorf("after %d sweeps: Spares = %d, want the one let go before the first", sweep, d.Spares())
+		}
+	}
+	if x := d.spareIndex(0); x != fresh {
+		t.Fatal("the build did not take the spare let go before the first back-edge")
+	}
+	d.Recycle(fresh)
+	for sweep, want := range []int{1, 0} {
+		d.Sweep()
 		if d.Spares() != want {
-			t.Errorf("after %d sweeps: Spares = %d, want %d", sweep, d.Spares(), want)
+			t.Errorf("%d sweeps after an iteration let the index go: Spares = %d, want %d", sweep+1, d.Spares(), want)
 		}
 	}
 	d.Recycle(fresh)

@@ -7,7 +7,6 @@ import (
 	"dbspinner/internal/expr"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
-	"dbspinner/internal/storage"
 )
 
 // Memo is the run memo: what the run of one query computes once and
@@ -58,7 +57,7 @@ import (
 // read-only.
 type Memo struct {
 	mu       sync.Mutex
-	indexes  map[*storage.Table][]*indexEntry
+	indexes  []*indexEntry // in the order the run asked for them first
 	compiled map[plan.Node]*compileEntry
 	aggRuns  []*aggRun // every aggregate entry's run state, for Sweep
 	params   []sqltypes.Value
@@ -79,7 +78,6 @@ func NewMemo(params []sqltypes.Value) *Memo {
 
 func newMemo(params []sqltypes.Value, left *Leftovers) *Memo {
 	return &Memo{
-		indexes:  make(map[*storage.Table][]*indexEntry),
 		compiled: make(map[plan.Node]*compileEntry),
 		params:   params,
 		left:     left,
@@ -106,12 +104,15 @@ func (m *Memo) Chunks() *sqltypes.ChunkPool {
 // the back-edge, between steps, when no join holds an index open.
 //   - The index entries nobody asked for since the previous Sweep go,
 //     their indexes' storage is taken back and they let go of their
-//     tables: an index survives exactly as long as every iteration uses
-//     it, the tables of a finished iteration are held for at most one
-//     more, and nobody reads a dropped index again.
+//     tables, in the order the run asked for them first, so the spares
+//     and the chunks they hand back are the same from run to run: an
+//     index survives exactly as long as every iteration uses it, the
+//     tables of a finished iteration are held for at most one more, and
+//     nobody reads a dropped index again.
 //   - The spare indexes, the aggregates' spare group tables and the row
-//     chunks and partition slices no one took since the previous Sweep
-//     go (sqltypes.Spares.Sweep).
+//     chunks and partition slices a loop iteration let go and no one
+//     took since the previous Sweep go; what the run let go before its
+//     first back-edge stays (sqltypes.Spares.Sweep).
 func (m *Memo) Sweep() {
 	if m == nil {
 		return
@@ -119,31 +120,25 @@ func (m *Memo) Sweep() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.left.indexes.Sweep()
-	for t, es := range m.indexes {
-		es = slices.DeleteFunc(es, func(e *indexEntry) bool {
-			unused := !e.used
-			e.used = false
-			if unused {
-				m.drop(t, e, true)
-			}
-			return unused
-		})
-		if len(es) == 0 {
-			delete(m.indexes, t)
-		} else {
-			m.indexes[t] = es
+	m.indexes = slices.DeleteFunc(m.indexes, func(e *indexEntry) bool {
+		unused := !e.used
+		e.used = false
+		if unused {
+			m.drop(e, true)
 		}
-	}
+		return unused
+	})
 	for _, r := range m.aggRuns {
 		r.spare.Sweep()
 	}
 	m.left.chunks.Sweep()
 }
 
-// end ends the run. Every entry goes, and lets go of its table: an
-// index's witness is its table's address, and the next run may read a
-// base table DML changed in place under the same address; a compiled
-// expression is bound to this run's literals. After a clean run the
+// end ends the run. Every entry goes, in the order the run asked for
+// them first, and lets go of its table: an index's witness is its
+// table's address, and the next run may read a base table DML changed in
+// place under the same address; a compiled expression is bound to this
+// run's literals. After a clean run the
 // entries' indexes join the spares and the spares are handed back
 // (sqltypes.Spares.HandBack); after any other, no index is kept.
 func (m *Memo) end(clean bool) {
@@ -155,14 +150,13 @@ func (m *Memo) end(clean bool) {
 	clear(m.compiled)
 	m.aggRuns = nil
 	if test.carryEntries {
+		m.left.carried = m.indexes
 		return
 	}
-	for t, es := range m.indexes {
-		for _, e := range es {
-			m.drop(t, e, clean)
-		}
+	for _, e := range m.indexes {
+		m.drop(e, clean)
 	}
-	clear(m.indexes)
+	m.indexes = nil
 	if clean {
 		m.left.indexes.HandBack()
 	} else {
@@ -177,11 +171,7 @@ func (m *Memo) Len() int {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, es := range m.indexes {
-		n += len(es)
-	}
-	return n
+	return len(m.indexes)
 }
 
 // Nodes returns the number of plan nodes compiled.
@@ -266,7 +256,7 @@ type Leftovers struct {
 	chunks  sqltypes.ChunkPool
 	mu      sync.Mutex
 	aggs    map[*plan.Aggregate]*aggRun
-	carried map[*storage.Table][]*indexEntry // the last run's entries, under test.carryEntries only
+	carried []*indexEntry // the last run's entries, under test.carryEntries only
 }
 
 // Begin starts a run that bound params to the statement's literal slots
@@ -278,10 +268,7 @@ func (l *Leftovers) Begin(params []sqltypes.Value, freed *int64) *Memo {
 	l.chunks.Reset(freed)
 	m := newMemo(params, l)
 	if test.carryEntries {
-		if l.carried != nil {
-			m.indexes = l.carried
-		}
-		l.carried = m.indexes
+		m.indexes = l.carried
 	}
 	return m
 }

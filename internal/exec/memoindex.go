@@ -15,6 +15,7 @@ import (
 const allParts = -1
 
 type indexEntry struct {
+	t      *storage.Table
 	part   int
 	cols   []int
 	filter *expr.Compiled
@@ -144,28 +145,28 @@ func (m *Memo) entry(t *storage.Table, part int, keys []*expr.Compiled, filter *
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.indexes[t] {
-		if e.part == part && e.filter == filter && slices.Equal(e.cols, cols) {
+	for _, e := range m.indexes {
+		if e.t == t && e.part == part && e.filter == filter && slices.Equal(e.cols, cols) {
 			e.used = true
 			return e
 		}
 	}
-	e := &indexEntry{part: part, cols: cols, filter: filter, used: true}
-	m.indexes[t] = append(m.indexes[t], e)
+	e := &indexEntry{t: t, part: part, cols: cols, filter: filter, used: true}
+	m.indexes = append(m.indexes, e)
 	if !test.unheldEntries {
 		t.Hold()
 	}
 	return e
 }
 
-// drop lets go of e, t's entry: its index joins the spares when recycle
-// is set and its build did not fail, and it lets go of t.
-func (m *Memo) drop(t *storage.Table, e *indexEntry, recycle bool) {
+// drop lets go of e: its index joins the spares when recycle is set and
+// its build did not fail, and it lets go of its table.
+func (m *Memo) drop(e *indexEntry, recycle bool) {
 	if recycle && e.err == nil {
 		m.Recycle(e.x)
 	}
 	if !test.unheldEntries {
-		t.Unhold()
+		e.t.Unhold()
 	}
 }
 

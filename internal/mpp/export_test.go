@@ -43,3 +43,7 @@ func SitesMade(m *Machine) int { return m.made }
 
 // SitesHeld is the number of sites m holds now.
 func SitesHeld(m *Machine) int { return len(m.sites) }
+
+// AgePreLoop arms on m the seeded mutant of Sweep's rule under which the
+// first sweep ages the sites filled before it as any other.
+func AgePreLoop(m *Machine) { m.test.agePreLoop = true }

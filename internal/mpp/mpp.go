@@ -129,16 +129,21 @@ type Machine struct {
 
 	// sites are the buffers of the hash exchanges, kept from one
 	// evaluation to the next and, through Resume, from one run of a
-	// statement to the next (site.go); made counts the ones allocated.
+	// statement to the next (site.go); made counts the ones allocated;
+	// swept is set at the first Sweep.
 	sites Sites
 	made  int
+	swept bool
 	// test is zero outside tests (poison_test.go): the hook that sees every
 	// site the moment it is marked free, and the seeded mutants of that
 	// rule — every cut counts as lent; free before the consumer's region;
-	// hand back a kept site for the statement's next run.
+	// hand back a kept site for the statement's next run — and of Sweep's
+	// (site_test.go): the first sweep ages the sites filled before it as
+	// any other; a sweep drops nothing.
 	test struct {
 		freed                            func(*site)
 		lentAll, freeEarly, handBackKept bool
+		agePreLoop, sweepNothing         bool
 	}
 }
 

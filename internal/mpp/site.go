@@ -18,12 +18,18 @@ import (
 // rows is done and kept none of them (free, set by release). Otherwise
 // the rows are somebody's — a sort's, a join's build side, a table
 // Materialize made of them, the rows a run returned — and the exchange
-// gets a new site.
+// gets a new site. A site filled before the run's first back-edge — by
+// the steps in front of its loop or by the loop's first iteration, before
+// the machine's first Sweep — stays until the run ends, for the
+// statement's next run to fill again; one a later iteration filled goes
+// at the first back-edge that follows an iteration which did not fill
+// it.
 type site struct {
 	buckets []bucket         // source-major: [source*parts+destination]
 	out     [][]sqltypes.Row // per destination, the buckets' rows
 	free    bool
 	filled  bool // since the last Sweep
+	preLoop bool // filled before the machine's first Sweep: no Sweep drops it
 	carried bool // handed to the run by the statement's previous one, and not filled since
 }
 
@@ -52,7 +58,7 @@ func (m *Machine) HandBack() {
 		if !s.free || s.carried {
 			delete(m.sites, k)
 		}
-		s.carried = true
+		s.carried, s.preLoop = true, false
 	}
 }
 
@@ -182,10 +188,14 @@ func (m *Machine) release(f *fragment) {
 	}
 }
 
-// Sweep drops the sites not filled since the previous Sweep. The loop
-// operator calls it at the back-edge, beside the run memo's, so the
-// exchanges in front of a loop do not hold their buffers while it runs;
-// the rest goes with the machine. A memo of the machine's own (New) is
+// Sweep drops the sites no exchange filled since the previous Sweep,
+// except those filled before the first: the loop operator calls it at
+// the back-edge, beside the run memo's, so a site only an iteration that
+// is over filled does not hold its buffers while the loop runs on. The
+// machine's first Sweep drops the sites it was handed (Resume) and did
+// not fill, and keeps until the run ends the ones the steps in front of
+// the loop and its first iteration filled: the statement's next run
+// fills them again (HandBack). A memo of the machine's own (New) is
 // swept with them, as the run memo is: an index no evaluation asked for
 // since the last sweep — of a table an iteration replaced — goes.
 func (m *Machine) Sweep() {
@@ -195,9 +205,15 @@ func (m *Machine) Sweep() {
 	if own, ok := m.RT.(ownMemo); ok {
 		own.memo.Sweep()
 	}
+	first := !m.swept && !m.test.agePreLoop
+	m.swept = true
 	for k, s := range m.sites {
-		if !s.filled {
+		switch {
+		case m.test.sweepNothing, s.preLoop:
+		case !s.filled:
 			delete(m.sites, k)
+		case first:
+			s.preLoop = true
 		}
 		s.filled = false
 	}

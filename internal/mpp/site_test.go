@@ -245,33 +245,88 @@ func TestRoutingLoopIsCancelable(t *testing.T) {
 	})
 }
 
-// TestSweepDropsIdleSites: a site nobody filled between two sweeps is
-// dropped, one that is filled every round stays — and is the same one.
-func TestSweepDropsIdleSites(t *testing.T) {
+// checkSiteSweep runs two runs of a statement on machines of their own,
+// the second starting from the sites the first handed back, each with
+// arm applied: a grouping in front of the loop, a grouping every
+// iteration, and a join in the second iteration only. It says what
+// differs from the sweep's rule, "" when nothing does:
+//   - the pre-loop half: the sites filled before the first back-edge —
+//     in front of the loop and in its first iteration — stay through
+//     every sweep, and the next run fills them again;
+//   - the in-loop half: the join's sites, which no iteration after the
+//     second fills, go at the back-edge after the third.
+func checkSiteSweep(t *testing.T, arm func(*Machine)) string {
+	t.Helper()
 	const parts = 2
 	rt := parityRT(t, parts)
-	m := New(rt, parts, nil, nil)
-	once := planOf(rt, "SELECT a.s, b.t FROM a JOIN b ON a.x = b.y")
+	pre := planOf(rt, "SELECT s, COUNT(*) FROM a GROUP BY s")
 	loop := planOf(rt, "SELECT y, COUNT(*) FROM b GROUP BY y")
-	if _, err := m.Run(once); err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 3; round++ {
-		if _, err := m.Run(loop); err != nil {
-			t.Fatal(err)
+	once := planOf(rt, "SELECT a.s, b.t FROM a JOIN b ON a.x = b.y")
+	sites := Sites{}
+	for run := 1; run <= 2; run++ {
+		m := New(rt, parts, nil, nil)
+		arm(m)
+		m.Resume(sites)
+		evaluate := func(n plan.Node) {
+			if _, err := m.Run(n); err != nil {
+				t.Fatal(err)
+			}
 		}
-		m.Sweep()
-		if want := map[int]int{1: 3, 2: 1, 3: 1}[round]; len(m.sites) != want {
-			t.Errorf("round %d: %d sites held after the sweep, want %d", round, len(m.sites), want)
+		evaluate(pre)
+		for round := 1; round <= 4; round++ {
+			evaluate(loop)
+			if round == 2 {
+				evaluate(once)
+			}
+			m.Sweep()
+			if want := map[int]int{1: 2, 2: 4, 3: 2, 4: 2}[round]; len(m.sites) != want {
+				return fmt.Sprintf("run %d, iteration %d: %d sites held after the sweep, want %d", run, round, len(m.sites), want)
+			}
+		}
+		// The join's build side keeps its rows, its probe side's site was
+		// simply not asked for again; the groupings read theirs.
+		if want := map[int]int{1: 4, 2: 2}[run]; m.made != want {
+			return fmt.Sprintf("run %d: %d sites made, want %d", run, m.made, want)
+		}
+		m.HandBack()
+		if len(sites) != 2 {
+			return fmt.Sprintf("run %d: %d sites handed back, want the two groupings'", run, len(sites))
 		}
 	}
-	// The aggregate reads its input: the exchange in front of it is filled
-	// in place from the second round on. The join's build side keeps its
-	// rows, the probe side's site was simply not asked for again.
-	if m.made != 3 {
-		t.Errorf("%d sites made, want the join's two and the aggregate's one", m.made)
+	return ""
+}
+
+// TestSweepDropsIdleSites: a site an iteration after the first filled and
+// nobody filled again by the next back-edge is dropped there, one that is
+// filled every iteration stays — and is the same one — and one filled
+// before the first back-edge stays through every sweep, for the
+// statement's next run to fill again (checkSiteSweep).
+func TestSweepDropsIdleSites(t *testing.T) {
+	if d := checkSiteSweep(t, func(*Machine) {}); d != "" {
+		t.Error(d)
 	}
 	(*Machine)(nil).Sweep()
+}
+
+// TestSiteSweepMutantsFail: the two seeded mutants of the sweep's rule
+// fail TestSweepDropsIdleSites's check — the old rule, under which the
+// first sweep ages the sites filled before it as any other, drops the
+// pre-loop grouping's at the second; a sweep that drops nothing keeps the
+// join's.
+func TestSiteSweepMutantsFail(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  func(*Machine)
+	}{
+		{"the first sweep ages pre-loop sites", func(m *Machine) { m.test.agePreLoop = true }},
+		{"a sweep drops nothing", func(m *Machine) { m.test.sweepNothing = true }},
+	} {
+		d := checkSiteSweep(t, c.arm)
+		if d == "" {
+			t.Errorf("%s: the check passes, it cannot see the mutant", c.name)
+		}
+		t.Logf("%s: %s", c.name, d)
+	}
 }
 
 // handBackRuns runs root twice, as two runs of one statement: each on a

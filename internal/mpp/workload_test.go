@@ -1,6 +1,7 @@
 package mpp_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -34,10 +35,9 @@ func graphRuntime(t *testing.T, g *workload.Graph, parts int) *exec.StoreRuntime
 	return exec.NewStoreRuntime(cat, storage.NewResultStore())
 }
 
-// runParallel rewrites sql and runs the program on the MPP machine over
-// parts partitions (elisions taken and checked), showing watch — when it
-// is set — every machine the run makes.
-func runParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int, watch func(*mpp.Machine)) (string, *core.Stats) {
+// rewriteParallel rewrites sql into a program for the MPP machine over
+// parts partitions (elisions taken and checked).
+func rewriteParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int) *core.Program {
 	t.Helper()
 	stmt, err := parser.Parse(sql)
 	if err != nil {
@@ -49,11 +49,18 @@ func runParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int, wat
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+// runProgram runs prog as one run of its statement over st (nil: a fresh
+// state), showing watch — when it is set — every machine the run makes.
+func runProgram(t *testing.T, rt *exec.StoreRuntime, prog *core.Program, st *core.RunState, watch func(*mpp.Machine)) (string, *core.Stats) {
+	t.Helper()
 	if watch != nil {
 		defer mpp.OnNew(watch)()
 	}
 	var stats core.Stats
-	rows, err := prog.Run(rt, &stats)
+	rows, err := prog.RunBound(context.Background(), rt, nil, st, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +69,13 @@ func runParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int, wat
 		strs[i] = r.String()
 	}
 	return strings.Join(strs, "\n"), &stats
+}
+
+// runParallel rewrites sql and runs the program on the MPP machine over
+// parts partitions, from a fresh state (runProgram).
+func runParallel(t *testing.T, rt *exec.StoreRuntime, sql string, parts int, watch func(*mpp.Machine)) (string, *core.Stats) {
+	t.Helper()
+	return runProgram(t, rt, rewriteParallel(t, rt, sql, parts), nil, watch)
 }
 
 // TestWorkloadQueriesSurvivePoisonedReuse runs the five workload
@@ -107,30 +121,46 @@ func TestWorkloadQueriesSurvivePoisonedReuse(t *testing.T) {
 // TestLoopFillsItsSitesInPlace: PR-VS routes the outputs of the two
 // joins of Ri every iteration, both into readers — so the loop allocates
 // its exchange buffers in the first iteration and none after: ten
-// iterations make as many sites as one does. The back-edge sweep has
-// dropped the buffers of the steps in front of the loop by then.
+// iterations make as many sites as one does. Every site is filled before
+// the first back-edge, by the steps in front of the loop or by its first
+// iteration, so the sweeps drop none, and the statement's next run fills
+// all of them again: a warm run makes no site. Under the old rule (the
+// seeded mutant: the first sweep ages the sites filled before it) the
+// sweeps drop the pre-loop exchanges' — the step-1 UNION's and the
+// step-2 edges→dst one — and every warm run makes them anew.
 func TestLoopFillsItsSitesInPlace(t *testing.T) {
 	const parts = 2
 	g := workload.PreferentialAttachment(300, 3, workload.WeightOutDegree, 5)
 	rt := graphRuntime(t, g, parts)
-	made := func(iterations int) (made, held int, stats *core.Stats) {
+	run := func(prog *core.Program, st *core.RunState, agePreLoop bool) (made, held int, stats *core.Stats) {
 		var top *mpp.Machine // the program's own: the first one made
-		_, stats = runParallel(t, rt, bench.PRVSQuery(iterations), parts, func(m *mpp.Machine) {
+		_, stats = runProgram(t, rt, prog, st, func(m *mpp.Machine) {
 			if top == nil {
 				top = m
+			}
+			if agePreLoop {
+				mpp.AgePreLoop(m)
 			}
 		})
 		return mpp.SitesMade(top), mpp.SitesHeld(top), stats
 	}
-	one, _, _ := made(1)
-	ten, held, stats := made(10)
-	if one == 0 || ten != one {
-		t.Errorf("%d sites made in one iteration, %d in ten: iterations 2 to 10 must fill the first one's in place", one, ten)
+	one, _, _ := run(rewriteParallel(t, rt, bench.PRVSQuery(1), parts), nil, false)
+	for _, agePreLoop := range []bool{false, true} {
+		prog, st := rewriteParallel(t, rt, bench.PRVSQuery(10), parts), new(core.RunState)
+		ten, held, stats := run(prog, st, agePreLoop)
+		warm, _, _ := run(prog, st, agePreLoop)
+		if one == 0 || ten != one {
+			t.Errorf("agePreLoop=%v: %d sites made in one iteration, %d in ten: iterations 2 to 10 must fill the first one's in place", agePreLoop, one, ten)
+		}
+		if !agePreLoop && (held != ten || warm != 0) {
+			t.Errorf("%d of %d sites held at the end, and the warm run made %d: the sweeps dropped sites filled before the first back-edge", held, ten, warm)
+		}
+		if agePreLoop && (held >= ten || warm == 0) {
+			t.Errorf("under the old rule %d of %d sites held at the end, and the warm run made %d: the test cannot see the mutant", held, ten, warm)
+		}
+		t.Logf("PR-VS, %d partitions, agePreLoop=%v: %d sites made, %d held at the end, %d made by the warm run; %d rows routed in 10 iterations",
+			parts, agePreLoop, ten, held, warm, stats.RowsRouted)
 	}
-	if held >= ten {
-		t.Errorf("%d of %d sites still held at the end: the sweep dropped none of the pre-loop exchanges'", held, ten)
-	}
-	t.Logf("PR-VS, %d partitions: %d sites made, %d held at the end; %d rows routed in 10 iterations", parts, ten, held, stats.RowsRouted)
 }
 
 // TestExchangeSkewOnPreferentialAttachment: hashing on the first key

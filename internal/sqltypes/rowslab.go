@@ -136,9 +136,10 @@ func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 // ChunkPool is a query run's free list of what arenas hand back: row
 // chunks, partition slices and chunk lists, each kept by the rules of
 // Spares. A table of the last one's shape is carved from exactly its
-// chunks. A chunk or partition slice nobody took between two back-edges
-// is dropped at the second (Sweep), and all of them when the run ends
-// (Reset); the chunk lists, a few headers each, stay. The zero value is
+// chunks. A chunk or partition slice a loop iteration let go and nobody
+// took between two back-edges is dropped at the second (Sweep), and all
+// of them when the run ends (Reset); the chunk lists, a few headers
+// each, stay. The zero value is
 // empty; it is safe for concurrent use.
 type ChunkPool struct {
 	chunks Spares[[]Value]
@@ -160,8 +161,9 @@ func (p *ChunkPool) Part(n int) []Row {
 	return make([]Row, 0, n)
 }
 
-// Sweep drops the chunks and partition slices no one took since the
-// previous sweep; the loop operator calls it at the back-edge.
+// Sweep drops the chunks and partition slices a loop iteration let go
+// and no one took since the previous sweep (Spares.Sweep); the loop
+// operator calls it at the back-edge.
 func (p *ChunkPool) Sweep() {
 	if p == nil {
 		return

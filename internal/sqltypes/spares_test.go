@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -13,50 +14,57 @@ func held(s *Spares[int]) []int {
 	return slices.Clone(s.items)
 }
 
-// TestSparesTakeBelowTheMarks: a take that reaches below the aged or the
-// carried mark moves the mark down with it, so the next Sweep or HandBack
-// drops exactly the spares that were there before it and nobody took.
+// TestSparesTakeBelowTheMarks: a take that reaches below the kept, the
+// aged or the carried mark moves the mark down with it, so the next Sweep
+// or HandBack drops exactly the spares that were there before it and
+// nobody took, and keeps exactly the ones the run let go in front of its
+// loop.
 func TestSparesTakeBelowTheMarks(t *testing.T) {
 	var s Spares[int]
 	s.Give(1)
 	s.Give(2)
-	s.Sweep() // 1 and 2 aged
+	s.Sweep() // the run's first back-edge: 1 and 2 are kept for good
 	s.Give(3)
 	if x, ok := s.TakeFit(func(x int) bool { return x == 1 }); !ok || x != 1 {
 		t.Fatalf("TakeFit(1) = %d, %v", x, ok)
 	}
-	if s.aged != 1 {
-		t.Fatalf("aged = %d after taking one of the two aged spares, want 1", s.aged)
+	if s.kept != 1 || s.aged != 1 {
+		t.Fatalf("kept = %d, aged = %d after taking one of the two kept spares, want 1 and 1", s.kept, s.aged)
 	}
-	s.Sweep() // drops 2, the aged spare nobody took; 3 ages
-	if got := held(&s); !slices.Equal(got, []int{3}) {
-		t.Fatalf("after the sweep: %v, want [3]", got)
+	s.Sweep() // 3 ages
+	s.Give(4)
+	if x, ok := s.TakeFit(func(x int) bool { return x == 3 }); !ok || x != 3 {
+		t.Fatalf("TakeFit(3) = %d, %v", x, ok)
 	}
-	if x := s.Take(); x != 3 {
-		t.Fatalf("Take = %d, want the aged 3", x)
+	if s.kept != 1 || s.aged != 1 {
+		t.Fatalf("kept = %d, aged = %d after taking the aged spare, want 1 and 1", s.kept, s.aged)
 	}
-	if s.aged != 0 || s.Len() != 0 {
-		t.Fatalf("aged = %d, Len = %d after taking the last spare", s.aged, s.Len())
+	s.Sweep() // drops nothing: 3 was taken; 4 ages
+	s.Sweep() // drops 4, which an iteration let go and nobody took
+	if got := held(&s); !slices.Equal(got, []int{2}) {
+		t.Fatalf("after the sweeps: %v, want the kept [2]", got)
 	}
 
-	// HandBack carries what a run let go; the next run takes one of them
-	// from below the carried mark and lets a new one go.
-	s.Give(4)
+	// HandBack carries what the run let go; the next run takes one of them
+	// from below the carried mark and lets a new one go in front of its
+	// loop, and its first sweep drops the carried spare it did not take.
 	s.Give(5)
-	s.Give(6)
 	s.HandBack()
-	if x, ok := s.TakeFit(func(x int) bool { return x == 5 }); !ok || x != 5 {
-		t.Fatalf("TakeFit(5) = %d, %v", x, ok)
+	if s.carried != 2 || s.aged != 2 || s.kept != 0 {
+		t.Fatalf("carried = %d, aged = %d, kept = %d after the hand-back, want 2, 2 and 0", s.carried, s.aged, s.kept)
 	}
-	if s.carried != 2 || s.aged != 2 {
-		t.Fatalf("carried = %d, aged = %d after taking a carried spare, want 2 and 2", s.carried, s.aged)
+	if x, ok := s.TakeFit(func(x int) bool { return x == 2 }); !ok || x != 2 {
+		t.Fatalf("TakeFit(2) = %d, %v", x, ok)
 	}
-	s.Give(7)
-	s.HandBack() // drops 4 and 6, carried and not taken
-	if got := held(&s); !slices.Equal(got, []int{7}) {
-		t.Fatalf("after the hand-back: %v, want [7]", got)
+	if s.carried != 1 || s.aged != 1 {
+		t.Fatalf("carried = %d, aged = %d after taking a carried spare, want 1 and 1", s.carried, s.aged)
 	}
-	if x, ok := s.TakeFit(func(x int) bool { return x > 7 }); ok || x != 0 {
+	s.Give(6)
+	s.Sweep() // drops 5, carried and not taken; keeps 6
+	if got := held(&s); !slices.Equal(got, []int{6}) || s.kept != 1 {
+		t.Fatalf("after the next run's first sweep: %v, kept = %d; want [6] and 1", got, s.kept)
+	}
+	if x, ok := s.TakeFit(func(x int) bool { return x > 6 }); ok || x != 0 {
 		t.Fatalf("TakeFit with no fit = %d, %v; want 0, false", x, ok)
 	}
 	if s.Len() != 1 {
@@ -64,48 +72,78 @@ func TestSparesTakeBelowTheMarks(t *testing.T) {
 	}
 }
 
-// TestSparesDropOnlyWhatNobodyTook: Sweep drops what was there at the
-// previous sweep or hand-back, HandBack what the run was carried, and
-// neither drops a spare given since; Clear drops every one. Take returns
-// the newest.
-func TestSparesDropOnlyWhatNobodyTook(t *testing.T) {
+// checkSweepRule runs a Spares through three runs of a statement and
+// says what differs from the rule, "" when nothing does:
+//   - the pre-loop half: what a run lets go before its first back-edge
+//     stays through every sweep of the run and is handed to the next;
+//   - the in-loop half: what an iteration lets go and nobody takes by the
+//     following back-edge is dropped there;
+//   - what a run was carried and did not take is dropped at its first
+//     sweep, or when it ends if it has no loop.
+func checkSweepRule() string {
 	var s Spares[int]
-	if x := s.Take(); x != 0 {
-		t.Fatalf("Take on empty = %d", x)
+	for _, c := range []struct {
+		what string
+		do   func()
+		want []int
+	}{
+		{"a run lets 1 go in front of its loop", func() { s.Give(1); s.Sweep() }, []int{1}},
+		{"iteration 1 lets 2 go", func() { s.Give(2); s.Sweep() }, []int{1, 2}},
+		{"iteration 2 takes nothing", s.Sweep, []int{1}},
+		{"iterations 3 to 10 take nothing", func() {
+			for range 8 {
+				s.Sweep()
+			}
+		}, []int{1}},
+		{"the run lets 3 go after its loop", func() { s.Give(3); s.HandBack() }, []int{1, 3}},
+		{"the next run takes 3 and lets 4 go in front of its loop", func() { s.Take(); s.Give(4); s.Sweep() }, []int{4}},
+		{"its iteration lets 5 go", func() { s.Give(5); s.Sweep() }, []int{4, 5}},
+		{"and the next takes 5 and gives it back", func() { s.Take(); s.Give(5); s.Sweep() }, []int{4, 5}},
+		{"and the last takes nothing", func() { s.Sweep(); s.HandBack() }, []int{4}},
+		{"a run with no loop lets 6 go", func() { s.Give(6); s.HandBack() }, []int{6}},
+		{"the next lets 7 go and takes the newest", func() { s.Give(7); s.Take() }, []int{6}},
+		{"Clear", s.Clear, nil},
+		{"after Clear a run lets 8 go in front of its loop", func() { s.Give(8); s.Sweep(); s.Sweep() }, []int{8}},
+	} {
+		c.do()
+		if got := held(&s); !slices.Equal(got, c.want) {
+			return fmt.Sprintf("%s: %v, want %v", c.what, got, c.want)
+		}
 	}
-	s.Give(1)
-	s.Sweep()
-	if s.Len() != 1 {
-		t.Fatal("the first sweep dropped a spare given since the (absent) previous one")
+	return ""
+}
+
+// TestSparesDropOnlyWhatNobodyTook: Sweep drops what a loop iteration let
+// go and nobody took by the following back-edge, and never what the run
+// let go before its first back-edge; HandBack and the run's first sweep
+// drop what the run was carried and did not take; Clear drops every one.
+// Take returns the newest (checkSweepRule).
+func TestSparesDropOnlyWhatNobodyTook(t *testing.T) {
+	if d := checkSweepRule(); d != "" {
+		t.Fatal(d)
 	}
-	s.Give(2)
-	s.Sweep()
-	if got := held(&s); !slices.Equal(got, []int{2}) {
-		t.Fatalf("after the second sweep: %v, want [2]", got)
-	}
-	s.Give(3)
-	s.HandBack() // nothing carried yet: keeps 2 and 3
-	if got := held(&s); !slices.Equal(got, []int{2, 3}) {
-		t.Fatalf("after the first hand-back: %v, want [2 3]", got)
-	}
-	s.Give(4)
-	s.Sweep() // the next run's first back-edge: 2 and 3 were not taken
-	if got := held(&s); !slices.Equal(got, []int{4}) {
-		t.Fatalf("after the next run's first sweep: %v, want [4]", got)
-	}
-	s.Give(5)
-	s.HandBack() // carried nothing: keeps 4 and 5
-	if x := s.Take(); x != 5 {
-		t.Fatalf("Take = %d, want the newest, 5", x)
-	}
-	s.Clear()
-	if s.Len() != 0 || s.aged != 0 || s.carried != 0 {
-		t.Fatalf("after Clear: Len = %d, aged = %d, carried = %d", s.Len(), s.aged, s.carried)
-	}
-	s.Give(6)
-	s.HandBack()
-	if s.Len() != 1 {
-		t.Fatal("a hand-back after Clear dropped a spare given since")
+}
+
+// TestSweepMutantsFail: the two seeded mutants of Sweep's rule fail
+// TestSparesDropOnlyWhatNobodyTook's check — the old rule, under which
+// the run's first sweep ages what the run let go before it as any other,
+// drops it at the second; a sweep that drops nothing keeps what an
+// iteration let go.
+func TestSweepMutantsFail(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  *bool
+	}{
+		{"the first sweep ages pre-loop spares", &test.agePreLoop},
+		{"a sweep drops nothing", &test.sweepNothing},
+	} {
+		*c.arm = true
+		d := checkSweepRule()
+		*c.arm = false
+		if d == "" {
+			t.Errorf("%s: the check passes, it cannot see the mutant", c.name)
+		}
+		t.Logf("%s: %s", c.name, d)
 	}
 }
 
