@@ -75,7 +75,11 @@ bench-eval:
 # allocs_per_op, ...) of every run, each side's median and quartiles,
 # how many pairs the change won, and the verdict: a gain needs at least
 # nine wins in ten and a median gap above the spread (IQR) of BASE's own
-# runs. BASE is exported with git archive into .bench_build/pair-base/
+# runs. Before pair 1 each tree runs one discarded pass, so both are built
+# and cached before anything counts; next to the verdict it prints how
+# many pairs the side that ran first won, so an order effect that the
+# alternation does not cancel shows (about half of the pairs when there
+# is none). BASE is exported with git archive into .bench_build/pair-base/
 # (which is git-ignored), so nothing is registered in .git and the
 # working tree is measured as it stands, uncommitted edits included.
 #   make bench-pair BASE=HEAD~1 [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50]
@@ -89,19 +93,22 @@ bench-pair:
 	rm -rf $$base; mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; : > $$res; \
 	metric() { (cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0) \
 		| tail -n 1 | sed -n 's/.*"$(METRIC)":{"value":\([0-9.eE+-]*\).*/\1/p'; }; \
+	metric $$base > /dev/null; metric . > /dev/null; \
 	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then b=$$(metric $$base); c=$$(metric .); else c=$$(metric .); b=$$(metric $$base); fi; \
+		if [ $$((i % 2)) -eq 1 ]; then b=$$(metric $$base); c=$$(metric .); first=base; else c=$$(metric .); b=$$(metric $$base); first=change; fi; \
 		test -n "$$b" -a -n "$$c" || { echo "pair $$i: a run printed no $(METRIC)" >&2; exit 1; }; \
-		printf 'pair %2d  base %10.4f  change %10.4f  %s\n' $$i $$b $$c $(METRIC); echo "$$b $$c" >> $$res; \
+		printf 'pair %2d  base %10.4f  change %10.4f  %s, %s first\n' $$i $$b $$c $(METRIC) $$first; echo "$$b $$c $$first" >> $$res; \
 	done; \
 	quart() { cut -d' ' -f$$1 $$res | sort -g | awk '{ v[NR] = $$1 } END { \
 		for (k = 1; k <= 3; k++) { h = (NR - 1) * k / 4; lo = int(h); hi = lo + 1 < NR ? lo + 1 : lo; \
 			printf "%s%.4f", (k > 1 ? " " : ""), v[lo + 1] + (h - lo) * (v[hi + 1] - v[lo + 1]) } }'; }; \
-	echo "$$(quart 1) $$(quart 2) $$(awk '$$2 < $$1 { w++ } END { print w + 0 }' $$res)" | awk -v n=$(PAIRS) -v base=$(BASE) -v w=$(WORKLOAD) -v m=$(METRIC) '{ \
+	wins=$$(awk '$$2 < $$1 { w++ } END { print w + 0 }' $$res); \
+	firsts=$$(awk '($$3 == "base" && $$1 < $$2) || ($$3 == "change" && $$2 < $$1) { f++ } END { print f + 0 }' $$res); \
+	echo "$$(quart 1) $$(quart 2) $$wins $$firsts" | awk -v n=$(PAIRS) -v base=$(BASE) -v w=$(WORKLOAD) -v m=$(METRIC) '{ \
 		printf "%s %s, %d pairs: %s q1 %.4f median %.4f q3 %.4f | change q1 %.4f median %.4f q3 %.4f\n", w, m, n, base, $$1, $$2, $$3, $$4, $$5, $$6; \
 		gap = $$2 - $$5; iqr = $$3 - $$1; \
-		printf "change wins %d of %d; median gap %.4f (%.1f%%) against a base IQR of %.4f: %s\n", $$7, n, gap, 100 * gap / $$2, iqr, \
-			(10 * $$7 >= 9 * n && gap > iqr) ? "GAIN" : "NO GAIN SHOWN" }'
+		printf "change wins %d of %d; median gap %.4f (%.1f%%) against a base IQR of %.4f: %s; the side that ran first won %d of %d\n", $$7, n, gap, 100 * gap / $$2, iqr, \
+			(10 * $$7 >= 9 * n && gap > iqr) ? "GAIN" : "NO GAIN SHOWN", $$8, n }'
 
 # profile runs one root benchmark (bench_test.go) at a fixed iteration
 # count with CPU and allocation profiles, and prints both by cumulative

@@ -425,6 +425,8 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 	// The statement's run state goes to this run and comes back only if
 	// the run succeeds: a failure, and a panic above all, leaves the
 	// statement with none, and its next run starts from a fresh one.
+	// The row chunks the states carry then go back under the cache's
+	// ceiling (stmtCache.trim).
 	st := p.state
 	p.state = nil
 	if st == nil {
@@ -433,6 +435,7 @@ func (e *Engine) querySelect(ctx context.Context, prep func() (*prepared, []sqlt
 	res, err = e.run(ctx, p, params, st)
 	if err == nil || e.stmts.test.keepFailed {
 		p.state = st
+		e.stmts.trim()
 	}
 	return res, err
 }

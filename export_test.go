@@ -55,3 +55,25 @@ func SetFaultSchedule(e *Engine, sched []Fault) {
 // CatalogTable returns the table e's catalog holds under name, for a test
 // to tell whether a statement changed it in place.
 func CatalogTable(e *Engine, name string) any { return e.cat.Get(name) }
+
+// SetChunkCeiling lowers the statement cache's ceiling on the row chunks
+// e's cached statements carry between runs to bytes.
+func SetChunkCeiling(e *Engine, bytes int64) { e.stmts.test.ceiling = bytes }
+
+// SeedIgnoreCeiling arms the statement cache's seeded mutant of the
+// ceiling on e: no statement's carried chunks are ever dropped.
+func SeedIgnoreCeiling(e *Engine) { e.stmts.test.ignoreCeiling = true }
+
+// CarriedChunkBytes returns the bytes of the row chunks the run states of
+// e's cached statements carry, counted afresh from the states.
+func CarriedChunkBytes(e *Engine) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var n int64
+	for _, list := range e.stmts.byShape {
+		for _, s := range list {
+			n += s.p.state.ChunkBytes()
+		}
+	}
+	return n
+}

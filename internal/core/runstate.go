@@ -10,9 +10,11 @@ import (
 // next, as §VI-A's rename re-points storage instead of rebuilding it:
 // the storage a clean run let go, and the advisory size hints it left.
 //   - The run memo's spare indexes, each aggregate node's group count,
-//     spare group tables and accumulators, and the bookkeeping of the
-//     free list of row chunks, emptied: the chunks themselves go when the
-//     run ends (exec.Leftovers).
+//     spare group tables and accumulators, and the row chunks and
+//     partition slices the run's released tables handed back, which the
+//     next run's tables are carved from (exec.Leftovers). The statement
+//     cache bounds those chunks over every statement it holds
+//     (ChunkBytes, DropChunks).
 //   - The MPP machine's free exchange sites, by plan node (mpp.Sites).
 //   - The step program's size hints (Context.sizeHint) and the key
 //     tables its keyed passes let go (Context.keyTable).
@@ -42,8 +44,9 @@ type RunState struct {
 // the runtime every executor the run starts — the steps, the MPP
 // machine, the final query — reaches the run memo through: hash indexes
 // and compiled expressions, built for this run over the state's storage,
-// and the free list of the row chunks the run's released tables hand
-// back, which is emptied when the run ends.
+// and the free list of row chunks its tables are carved from, which
+// holds what the last clean run's released tables handed back and, when
+// the run ends clean, what this run's did.
 type Run struct {
 	RT      *exec.StoreRuntime
 	state   *RunState
@@ -96,6 +99,19 @@ func (r *Run) End(clean bool) {
 	st.keys.HandBack()
 	st.merges.HandBack()
 }
+
+// ChunkBytes returns the bytes of the row chunks and partition slices
+// st carries into its statement's next run (0 for a nil state).
+func (st *RunState) ChunkBytes() int64 {
+	if st == nil {
+		return 0
+	}
+	return st.left.ChunkBytes()
+}
+
+// DropChunks drops the row chunks and partition slices st carries; the
+// rest of the state stays.
+func (st *RunState) DropChunks() { st.left.DropChunks() }
 
 // runState returns the state the run is over, a fresh one for a Run
 // built outside Begin (tests that bring their own memo).

@@ -391,3 +391,37 @@ func TestLeftoversCarryOnlyLentTables(t *testing.T) {
 		t.Error("a keeping aggregate that gives its table back goes unseen: the test cannot see it")
 	}
 }
+
+// TestLeftoversCarryChunksOnlyFromCleanRuns: the row chunks a run's
+// released tables hand back outlive a clean run, for the statement's next
+// run to carve from, and go with a run that failed, or when the statement
+// cache drops them.
+func TestLeftoversCarryChunksOnlyFromCleanRuns(t *testing.T) {
+	var l Leftovers
+	// run carves three rows for an arena over the run's chunks, releases
+	// them and ends the run.
+	run := func(clean bool) {
+		m := l.Begin(nil, nil)
+		a := sqltypes.NewArena(m.Chunks())
+		var s sqltypes.RowSlab
+		s.CarveFor(&a)
+		for i := 0; i < 3; i++ {
+			s.Alloc(2)
+		}
+		a.Release(nil, 6, false)
+		l.End(m, clean)
+	}
+	run(true)
+	if l.ChunkBytes() == 0 {
+		t.Fatal("a clean run carries no row chunks into the next")
+	}
+	run(false)
+	if n := l.ChunkBytes(); n != 0 {
+		t.Errorf("a failed run carries %d bytes of row chunks into the next", n)
+	}
+	run(true)
+	l.DropChunks()
+	if n := l.ChunkBytes(); n != 0 {
+		t.Errorf("DropChunks left %d bytes of row chunks", n)
+	}
+}

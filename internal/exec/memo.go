@@ -30,7 +30,8 @@ import (
 //     shape.
 //   - Storage (Leftovers): the indexes let go, each aggregate node's run
 //     state and the free list of row chunks. It is the statement's, not
-//     the run's: the next run of the statement fills what this one left.
+//     the run's: the next run of the statement fills what this one left,
+//     its row chunks too.
 //
 // An index entry's key is (table address, partition, key columns,
 // filter), and the address is a sufficient witness that the rows are the
@@ -92,7 +93,8 @@ func (m *Memo) Params() []sqltypes.Value {
 	return m.params
 }
 
-// Chunks returns the run's free list of row chunks; nil for a nil memo.
+// Chunks returns the statement's free list of row chunks, which the run
+// carves from and hands back to; nil for a nil memo.
 func (m *Memo) Chunks() *sqltypes.ChunkPool {
 	if m == nil {
 		return nil
@@ -246,11 +248,11 @@ var test struct{ keepingGivesBack, carryEntries, unheldEntries bool }
 // next: the hash indexes they let go, each aggregate node's run state
 // (aggRun: its group-count hint, its spare group tables and
 // accumulators), and the free list of row chunks, whose chunks and
-// partition slices go when a run ends. Only storage and advisory hints
-// are in it: a run builds its memo over it (Begin), and nothing the memo
-// computed — an index entry, a compiled expression — outlives the run
-// (End). The zero value is empty. One run at a time may use it, and that
-// run's memo concurrently.
+// partition slices the released tables of the next run are carved from.
+// Only storage and advisory hints are in it: a run builds its memo over
+// it (Begin), and nothing the memo computed — an index entry, a compiled
+// expression — outlives the run (End). The zero value is empty. One run
+// at a time may use it, and that run's memo concurrently.
 type Leftovers struct {
 	indexes sqltypes.Spares[*HashIndex]
 	chunks  sqltypes.ChunkPool
@@ -263,9 +265,9 @@ type Leftovers struct {
 // (nil: none bound), counting the cells its released tables hand back
 // into freed (nil: nowhere), and returns its memo: empty, its builds
 // filling the indexes l holds, its aggregates taking their run state from
-// l, and its tables carving from l's chunks.
+// l, and its tables carving from the chunks the last clean run let go.
 func (l *Leftovers) Begin(params []sqltypes.Value, freed *int64) *Memo {
-	l.chunks.Reset(freed)
+	l.chunks.Begin(freed)
 	m := newMemo(params, l)
 	if test.carryEntries {
 		m.indexes = l.carried
@@ -275,22 +277,31 @@ func (l *Leftovers) Begin(params []sqltypes.Value, freed *int64) *Memo {
 
 // End ends the run whose memo m is (Begin; nil: a run without one).
 // After a clean run, l keeps the storage of m's indexes and what the run
-// let go, less what it was carried and did not take
-// (sqltypes.Spares.HandBack); after any other, l is emptied. The run's
-// chunks and partition slices go either way.
+// let go — spare indexes and group tables, row chunks and partition
+// slices — less what it was carried and did not take
+// (sqltypes.Spares.HandBack); after any other, l is emptied.
 func (l *Leftovers) End(m *Memo, clean bool) {
 	m.end(clean)
-	l.chunks.Reset(nil)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !clean {
+		l.chunks.Reset()
 		l.aggs = nil
 		return
 	}
+	l.chunks.HandBack()
 	for _, r := range l.aggs {
 		r.spare.HandBack()
 	}
 }
+
+// ChunkBytes returns the bytes of the row chunks and partition slices l
+// carries (sqltypes.ChunkPool.Bytes).
+func (l *Leftovers) ChunkBytes() int64 { return l.chunks.Bytes() }
+
+// DropChunks drops the row chunks and partition slices l carries; its
+// statement's next run allocates its tables afresh.
+func (l *Leftovers) DropChunks() { l.chunks.Reset() }
 
 // aggRun returns n's run state, new if no run of the statement has
 // compiled n yet.

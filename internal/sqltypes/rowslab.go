@@ -3,6 +3,7 @@ package sqltypes
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // RowSlab hands out rows carved from shared chunks instead of one
@@ -133,14 +134,17 @@ func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 	*a = Arena{}
 }
 
-// ChunkPool is a query run's free list of what arenas hand back: row
+// ChunkPool is a statement's free list of what arenas hand back: row
 // chunks, partition slices and chunk lists, each kept by the rules of
 // Spares. A table of the last one's shape is carved from exactly its
 // chunks. A chunk or partition slice a loop iteration let go and nobody
-// took between two back-edges is dropped at the second (Sweep), and all
-// of them when the run ends (Reset); the chunk lists, a few headers
-// each, stay. The zero value is
-// empty; it is safe for concurrent use.
+// took between two back-edges is dropped at the second (Sweep). A clean
+// run carries what it let go into the statement's next run (HandBack),
+// whose first sweep drops what it did not take; any other run drops
+// every chunk and partition slice when it ends (Reset). The chunk lists,
+// a few headers each, stay. Bytes says what the pool carries, for the
+// statement cache's ceiling. The zero value is empty; it is safe for
+// concurrent use.
 type ChunkPool struct {
 	chunks Spares[[]Value]
 	parts  Spares[[]Row]
@@ -172,15 +176,43 @@ func (p *ChunkPool) Sweep() {
 	p.parts.Sweep()
 }
 
-// Reset drops every chunk and partition slice, and counts the cells of
-// the tables released from now on into freed (nil: nowhere).
-func (p *ChunkPool) Reset(freed *int64) {
-	p.chunks.Clear()
-	p.parts.Clear()
+// Begin starts a run over the pool: the cells of the tables released
+// from now on are counted into freed (nil: nowhere).
+func (p *ChunkPool) Begin(freed *int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.freed = freed
 }
+
+// HandBack ends a clean run: the chunks and partition slices it let go
+// are carried into the statement's next run, less what it was carried
+// and did not take (Spares.HandBack), and released cells count nowhere.
+func (p *ChunkPool) HandBack() {
+	p.chunks.HandBack()
+	p.parts.HandBack()
+	p.Begin(nil)
+}
+
+// Reset drops every chunk and partition slice, and counts the cells of
+// the tables released from now on nowhere: the end of a run that carries
+// nothing, or a statement whose carried chunks the statement cache's
+// ceiling drops.
+func (p *ChunkPool) Reset() {
+	p.chunks.Clear()
+	p.parts.Clear()
+	p.Begin(nil)
+}
+
+// Bytes returns the bytes of the chunks and partition slices p holds.
+func (p *ChunkPool) Bytes() int64 {
+	return p.chunks.Size(func(c []Value) int64 { return int64(cap(c)) * valueBytes }) +
+		p.parts.Size(func(s []Row) int64 { return int64(cap(s)) * rowBytes })
+}
+
+const (
+	valueBytes = int64(unsafe.Sizeof(Value{}))
+	rowBytes   = int64(unsafe.Sizeof(Row{}))
+)
 
 // Poisoned is what a chunk handed back holds while Poison is armed: a
 // value no test table holds, so a reader that kept a row of it shows it.

@@ -120,6 +120,17 @@ func (s *Spares[T]) Clear() {
 	s.kept, s.aged, s.carried, s.swept = 0, 0, 0, false
 }
 
+// Size returns the sum of size over the spares held.
+func (s *Spares[T]) Size(size func(T) int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, x := range s.items {
+		n += size(x)
+	}
+	return n
+}
+
 // Len returns the number of spares held.
 func (s *Spares[T]) Len() int {
 	s.mu.Lock()

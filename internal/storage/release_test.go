@@ -24,7 +24,7 @@ func newReleaseFixture(tb testing.TB) *releaseFixture {
 	tb.Helper()
 	tb.Cleanup(sqltypes.Poison())
 	f := &releaseFixture{s: NewResultStore()}
-	f.pool.Reset(&f.freed)
+	f.pool.Begin(&f.freed)
 	f.t = carved("c", &f.pool, row(1, 1), row(2, 2), row(3, 3))
 	f.rows = fmt.Sprint(f.t.AllRows())
 	f.s.Put("c", f.t)

@@ -139,7 +139,7 @@ func TestResultStore(t *testing.T) {
 	s := NewResultStore()
 	var pool sqltypes.ChunkPool
 	var freed int64
-	pool.Reset(&freed)
+	pool.Begin(&freed)
 	a := carved("a", &pool, row(1, 1))
 	s.Put("Working", a)
 	if s.Get("working") != a {

@@ -247,15 +247,13 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestStatsSurviveFailure: a canceled statement still publishes the
-// work it did — Stats must not be zeroed by the error path.
+// work it did — Stats must not be zeroed by the error path. The
+// cancellation fires at the poll a whole two-iteration run ends at, so
+// the run it stops has finished an iteration however slow it runs.
 func TestStatsSurviveFailure(t *testing.T) {
+	polls := countPolls(t, lifecycleEngine(t, 4, dbspinner.Config{Parallel: true}), bench.PRQuery(2))
 	e := lifecycleEngine(t, 4, dbspinner.Config{Parallel: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := e.QueryContext(ctx, bench.PRQuery(100000))
+	_, err := e.QueryContext(newPollCtx(polls, context.Canceled), bench.PRQuery(100000))
 	if !errors.Is(err, dbspinner.ErrQueryCanceled) {
 		t.Fatalf("err = %v, want ErrQueryCanceled", err)
 	}

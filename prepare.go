@@ -34,6 +34,11 @@ func (e *Engine) prepare(sel *ast.SelectStmt) (*prepared, error) {
 // cache drops the one used least recently.
 const stmtCacheCap = 64
 
+// chunkCeiling is the most bytes of row chunks the cached statements'
+// run states carry between runs, together. Above it the cache drops the
+// chunks of the statements used least recently first (stmtCache.trim).
+const chunkCeiling = 64 << 20
+
 // stmtCache holds an engine's prepared SELECTs by shape (lexer.Shape).
 // A text of a cached shape runs the cached program with its own literal
 // values bound, provided it agrees with the text the program was
@@ -42,7 +47,8 @@ const stmtCacheCap = 64
 // the catalog's schemas. Data changes do not: a program derives nothing
 // from the rows, and a statement's run state holds storage and size
 // hints, never an index or a row. A statement dropped from the cache
-// takes its run state with it.
+// takes its run state with it. The row chunks the run states carry
+// into their statements' next runs stay under chunkCeiling.
 type stmtCache struct {
 	byShape map[string][]*cachedStmt
 	n       int
@@ -56,6 +62,10 @@ type stmtCache struct {
 		// keepFailed hands a statement's run state back after a run
 		// that failed.
 		keepFailed bool
+		// ceiling, when positive, replaces chunkCeiling; ignoreCeiling
+		// is the mutant that never drops a statement's chunks.
+		ceiling       int64
+		ignoreCeiling bool
 	}
 }
 
@@ -174,6 +184,34 @@ func (c *stmtCache) evict() {
 		c.byShape[old.shape] = list
 	}
 	c.n--
+}
+
+// trim sums the bytes of the row chunks the cached statements' run
+// states carry and, while that is above the ceiling, drops the chunks of
+// the statement used least recently that carries any.
+func (c *stmtCache) trim() {
+	ceiling := int64(chunkCeiling)
+	if c.test.ceiling > 0 {
+		ceiling = c.test.ceiling
+	}
+	var total int64
+	for _, list := range c.byShape {
+		for _, s := range list {
+			total += s.p.state.ChunkBytes()
+		}
+	}
+	for total > ceiling && !c.test.ignoreCeiling {
+		var old *cachedStmt
+		for _, list := range c.byShape {
+			for _, s := range list {
+				if (old == nil || s.used < old.used) && s.p.state.ChunkBytes() > 0 {
+					old = s
+				}
+			}
+		}
+		total -= old.p.state.ChunkBytes()
+		old.p.state.DropChunks()
+	}
 }
 
 // clear drops every statement.

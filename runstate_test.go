@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -194,11 +195,13 @@ func failedRuns() []failedRun {
 // checkFailedRunsCarryNothing runs, for every failed-run cell, configuration
 // and statement: two clean runs, the failed one, then a clean run, which
 // must return a fresh engine's rows byte for byte — and the statement must
-// hold no run state between the failure and the clean run. arm, when set,
-// seeds a mutant on each engine. It returns what went wrong, "" when
-// nothing did.
+// hold no run state between the failure and the clean run, nor the
+// engine any row chunk, though some statements carried chunks before the
+// failure. arm, when set, seeds a mutant on each engine. It returns what
+// went wrong, "" when nothing did.
 func checkFailedRunsCarryNothing(t *testing.T, arm func(*dbspinner.Engine)) string {
 	t.Helper()
+	carrying := 0 // cells whose statement carried row chunks before the failure
 	for _, f := range failedRuns() {
 		for _, c := range runStateConfigs {
 			for _, q := range runStateQueries {
@@ -213,8 +216,14 @@ func checkFailedRunsCarryNothing(t *testing.T, arm func(*dbspinner.Engine)) stri
 						return cell + ": a clean run diverges from a fresh engine's"
 					}
 				}
+				if dbspinner.RunStateOf(e, q.sql).ChunkBytes() > 0 {
+					carrying++
+				}
 				if err := f.fail(t, e, q.sql); err == nil {
 					t.Fatalf("%s: the run meant to fail succeeded", cell)
+				}
+				if n := dbspinner.CarriedChunkBytes(e); n != 0 {
+					return fmt.Sprintf("%s: the statements carry %d bytes of row chunks after a failed run", cell, n)
 				}
 				if dbspinner.RunStateOf(e, q.sql) != nil {
 					return cell + ": the statement holds a run state after a failed run"
@@ -227,6 +236,9 @@ func checkFailedRunsCarryNothing(t *testing.T, arm func(*dbspinner.Engine)) stri
 				}
 			}
 		}
+	}
+	if carrying == 0 {
+		t.Fatal("no statement carried row chunks before its failed run; the check shows nothing")
 	}
 	return ""
 }
@@ -294,4 +306,83 @@ func TestRunStateGoesWithItsStatement(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkChunkCeiling runs the adhoc workload's seven statements, each round
+// with its own literals and in its own order, on an engine whose ceiling
+// on the row chunks its cached statements carry between runs is lowered
+// below what they carry together. Every run must return a fresh engine's
+// rows byte for byte; after every run the statements must carry no more
+// than the ceiling, and the statement that just ran must still carry
+// chunks if it carries any alone: the cache drops the chunks of the
+// statements used least recently first. arm, when set, seeds a mutant on
+// the engine. It returns what went wrong, "" when nothing did.
+func checkChunkCeiling(t *testing.T, arm func(*dbspinner.Engine)) string {
+	t.Helper()
+	cfg := dbspinner.Config{Partitions: 4}
+	const rounds = 2 * adhocVariants
+	// A fresh engine's answer to each text, and what the text's statement
+	// carries alone after its second run there.
+	want, alone := make(map[string]string), make(map[string]int64)
+	for round := 0; round < rounds; round++ {
+		for _, sql := range adhocStatements(round) {
+			fresh := adhocEngine(t, cfg)
+			want[sql] = queryRows(t, fresh, sql)
+			queryRows(t, fresh, sql)
+			alone[sql] = dbspinner.RunStateOf(fresh, sql).ChunkBytes()
+		}
+	}
+	var total, most int64
+	for _, sql := range adhocStatements(0) {
+		total += alone[sql]
+	}
+	for _, n := range alone {
+		most = max(most, n)
+	}
+	ceiling := max(total/2, most)
+	if ceiling >= total {
+		t.Fatalf("the statements carry %d bytes of row chunks together, %d the most alone; the test shows nothing", total, most)
+	}
+	t.Logf("alone, the statements carry %d bytes of row chunks together, %d the most; ceiling %d", total, most, ceiling)
+	e := adhocEngine(t, cfg)
+	dbspinner.SetChunkCeiling(e, ceiling)
+	if arm != nil {
+		arm(e)
+	}
+	for round := 0; round < rounds; round++ {
+		stmts := adhocStatements(round)
+		rand.New(rand.NewSource(int64(round))).Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+		for _, sql := range stmts {
+			if got := queryRows(t, e, sql); got != want[sql] {
+				return fmt.Sprintf("round %d: %s\nreturns\n  %s\na fresh engine\n  %s", round, sql, got, want[sql])
+			}
+			if n := dbspinner.CarriedChunkBytes(e); n > ceiling {
+				return fmt.Sprintf("round %d: the cached statements carry %d bytes of row chunks, over the ceiling of %d", round, n, ceiling)
+			}
+			if alone[sql] > 0 && dbspinner.RunStateOf(e, sql).ChunkBytes() == 0 {
+				return fmt.Sprintf("round %d: %s\ncarries no row chunks after its run, though alone it carries %d bytes, under the ceiling of %d", round, sql, alone[sql], ceiling)
+			}
+		}
+	}
+	return ""
+}
+
+// TestCarriedChunksStayUnderCeiling: the row chunks a statement's clean
+// run hands back outlive the run, but the statement cache holds all its
+// statements' to a ceiling, dropping the chunks of the statements used
+// least recently first; no run reads a chunk another holds.
+func TestCarriedChunksStayUnderCeiling(t *testing.T) {
+	if d := checkChunkCeiling(t, nil); d != "" {
+		t.Error(d)
+	}
+}
+
+// TestChunkCeilingCatchesIgnoredCeiling seeds the mutant that never drops
+// a statement's carried chunks: the check must see it.
+func TestChunkCeilingCatchesIgnoredCeiling(t *testing.T) {
+	d := checkChunkCeiling(t, dbspinner.SeedIgnoreCeiling)
+	if d == "" {
+		t.Error("a statement cache that ignores its ceiling passes the check")
+	}
+	t.Log(d)
 }
