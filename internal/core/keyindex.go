@@ -30,6 +30,10 @@ type keyIndex struct {
 	// changed and fresh are the running patch's changed positions and
 	// new rows' positions (pos), each kept for the next patch's storage.
 	changed, fresh []uint64
+	// rows is the change set the last merge filing into x published, or
+	// would have, kept for the next one's storage: the loop's delta step
+	// has read it by then, and a checkpoint copies it (capture).
+	rows []sqltypes.Row
 }
 
 // keyPos is one filed position: a row of partition part, and the
@@ -113,8 +117,10 @@ func (l *LoopState) freshIndex(ctx *Context, hint int) *keyIndex {
 // giveBackIndex hands l's key index to st for the statement's next run
 // and forgets it; what it filed does not outlive the run.
 func (l *LoopState) giveBackIndex(st *RunState) {
-	if l.index != nil {
-		st.merges.Give(l.index)
+	if x := l.index; x != nil {
+		clear(x.rows[:cap(x.rows)])
+		x.rows = x.rows[:0]
+		st.merges.Give(x)
 	}
 	l.index, l.indexOf = nil, nil
 }

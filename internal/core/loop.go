@@ -62,6 +62,9 @@ type LoopState struct {
 // captures rather than copy it: every writer replaces these wholesale,
 // never mutates or lets them go, so a shared reference stays frozen; the
 // snapshot table, which the store releases, the checkpoint holds too.
+// The change set's rows are the exception: the keyed merges publish each
+// set in the storage of the last (keyIndex.rows), so a checkpoint copies
+// them.
 type loopRun struct {
 	iterations int
 	updates    int64
@@ -90,10 +93,11 @@ func (r *loopRun) keepSnap(t *storage.Table) {
 	r.aggSnap = t
 }
 
-// test is zero outside tests: the seeded mutants of the snapshot's
-// holds (export_test.go), a snapshot the loop does not hold and one a
-// checkpoint does not.
-var test struct{ unheldSnapshot, unheldCheckpoint bool }
+// test is zero outside tests: the seeded mutants (export_test.go) of the
+// snapshot's holds, a snapshot the loop does not hold and one a
+// checkpoint does not, and of the keyed merge's ownership, a merge that
+// keeps one CTE row it should copy.
+var test struct{ unheldSnapshot, unheldCheckpoint, uncopiedSurvivor bool }
 
 // changeSet is what a keyed merge identified as changed, for the loop's
 // DeltaMaterializeStep, which asks for it (wanted) the first time it

@@ -904,7 +904,10 @@ func (c *CopyBackStep) Explain() string {
 // time — visible in the result, see DESIGN.md). It is executed as one
 // operator the way MPPDB's code generation would fuse it; it also
 // performs the §II duplicate-key check while building the hash table.
-// A recursive CTE's round merges in one of the append forms (Form).
+// On the volcano executor the keyed merge's output owns its rows, so
+// neither input is pinned and both hand their storage back (ownership).
+// A recursive CTE's round merges in one of the append forms (Form),
+// whose output keeps both inputs' rows, pinned.
 type MergeStep struct {
 	CTE, Work, Into string
 	// Loop, when set, receives the changed-row count (replaced rows
@@ -948,9 +951,6 @@ func (m *MergeStep) Run(ctx *Context) error {
 	if work == nil {
 		return fmt.Errorf("merge: result %q not found", m.Work)
 	}
-	// out keeps rows of both, and the append forms the CTE's partitions.
-	cte.Pin()
-	work.Pin()
 	// A table's schema is never written after planning: out and the
 	// delta share the CTE's.
 	out := storage.NewTable(m.Into, cte.Schema, ctx.parts)
@@ -959,8 +959,13 @@ func (m *MergeStep) Run(ctx *Context) error {
 	var changed int64
 	var err error
 	if m.Form == MergeByKey {
-		changed, err = m.replace(ctx, cte, work, out)
+		var own ownership
+		own.decide(ctx, cte, work, out)
+		changed, err = m.replace(ctx, cte, work, out, &own)
 	} else {
+		// out keeps rows of both, and the CTE's partitions.
+		cte.Pin()
+		work.Pin()
 		changed, err = m.append(ctx, cte, work, out)
 	}
 	if err != nil {
@@ -975,6 +980,57 @@ func (m *MergeStep) Run(ctx *Context) error {
 	return nil
 }
 
+// ownership is how a keyed merge's out holds its rows (decide).
+type ownership struct {
+	// parts is where out's partition slices come from (nil: make).
+	parts *sqltypes.ChunkPool
+	// copies carves the copies of the CTE rows out keeps, when copying is
+	// set; otherwise out keeps the CTE's own rows.
+	copies  sqltypes.RowSlab
+	copying bool
+	skipped bool // the seeded mutant has kept one CTE row uncopied
+}
+
+// decide makes o how out, the keyed merge of work into cte, holds its
+// rows. On the volcano executor out owns them: it adopts the working
+// table's (storage.Table.AdoptRows), since it keeps every one, and
+// copies into chunks of its own the CTE rows no working row replaced,
+// when the CTE's rows go back once it is released; its partition slices
+// come from the run's free list. Then neither input is pinned, and both
+// hand their storage back. On the MPP machine every fragment scan pins
+// the result it reads, out too, so copies would never come back: out
+// keeps both inputs' rows, which are pinned, as it does without a free
+// list.
+func (o *ownership) decide(ctx *Context, cte, work, out *storage.Table) {
+	pool := ctx.RT.Memo().Chunks()
+	if ctx.MPP != nil || pool == nil {
+		cte.Pin()
+		work.Pin()
+		return
+	}
+	arena := out.OwnRows(pool)
+	out.AdoptRows(work)
+	o.parts = pool
+	if cte.Recycles() {
+		o.copies.CarveFor(arena)
+		o.copying = true
+	}
+}
+
+// keep returns what out holds for r, a CTE row no working row replaced.
+func (o *ownership) keep(r sqltypes.Row) sqltypes.Row {
+	if !o.copying {
+		return r
+	}
+	if test.uncopiedSurvivor && !o.skipped {
+		o.skipped = true
+		return r
+	}
+	c := o.copies.Alloc(len(r))
+	copy(c, r)
+	return c
+}
+
 // replace is the keyed merge of cte and work into out. It counts the
 // rows that changed — replaced with different values, or appended —
 // and, when the loop's delta step has asked, publishes them with the
@@ -984,16 +1040,16 @@ func (m *MergeStep) Run(ctx *Context) error {
 // out's rows in the index on the way. Both give the same tables, counts,
 // change sets and errors; the index describes out once the merge has
 // succeeded, and no table after one that failed.
-func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table) (int64, error) {
+func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table, own *ownership) (int64, error) {
 	l := m.Loop
 	if l == nil {
 		// No loop to carry an index.
-		return m.rebuild(ctx, nil, cte, work, out)
+		return m.rebuild(ctx, nil, cte, work, out, own)
 	}
 	trusted := trusts(l, cte)
 	l.indexOf = nil
 	if trusted {
-		changed, exact, err := m.patch(l.index, cte, work, out)
+		changed, exact, err := m.patch(l.index, cte, work, out, own)
 		if exact {
 			if err == nil {
 				l.indexOf = out
@@ -1003,7 +1059,7 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table) (int64,
 		clear(out.Parts)
 	}
 	x := l.freshIndex(ctx, cte.Len()+work.Len())
-	changed, err := m.rebuild(ctx, x, cte, work, out)
+	changed, err := m.rebuild(ctx, x, cte, work, out, own)
 	if err == nil && !x.inexact {
 		l.indexOf = out
 	}
@@ -1013,7 +1069,7 @@ func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table) (int64,
 // rebuild is replace over any cte: it indexes the working rows, looks
 // each CTE row up in that, and places every row of out, filing it in x
 // (nil: no index).
-func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.Table) (int64, error) {
+func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.Table, own *ownership) (int64, error) {
 	// updated rejects duplicate keys, so its ids are the working rows'
 	// positions in scan order; inCTE marks the ones some CTE row carries.
 	updated := ctx.rowIndex(keyCol, work.Len())
@@ -1037,7 +1093,7 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 	// at its CTE partition's length and a sixteenth more.
 	if len(cte.Parts) == len(out.Parts) {
 		for p, part := range cte.Parts {
-			out.Parts[p] = make([]sqltypes.Row, 0, len(part)+len(part)/16)
+			out.Parts[p] = own.parts.Part(len(part) + len(part)/16)
 		}
 	}
 	place := func(r sqltypes.Row) {
@@ -1047,8 +1103,11 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 		}
 	}
 	// changed are exactly the rows identified as changed, keys the
-	// distinct keys among them.
+	// distinct keys among them; in x's storage when there is an x.
 	var changed []sqltypes.Row
+	if x != nil {
+		changed = x.rows[:0]
+	}
 	keys := 0
 	for _, part := range cte.Parts {
 		for _, r := range part {
@@ -1057,7 +1116,7 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 			}
 			id := updated.find(r)
 			if id < 0 {
-				place(r)
+				place(own.keep(r))
 				continue
 			}
 			seen[id] |= inCTE
@@ -1083,6 +1142,9 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 		keys++
 	}
 	n := int64(len(changed))
+	if x != nil {
+		x.rows = changed
+	}
 	if !m.Loop.keepsRows(keys, out) {
 		changed = nil
 	}
@@ -1097,10 +1159,11 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 // is hashed or routed. The change set it publishes is the changed
 // positions' rows in cte's scan order, which is position order, then the
 // new rows in working order: rebuild's order. A working key exactKey
-// rejects stops it with exact false, and the caller rebuilds.
-func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table) (n int64, exact bool, err error) {
+// rejects stops it with exact false, and the caller rebuilds. The CTE
+// rows still in place once every working row is are the ones out keeps.
+func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table, own *ownership) (n int64, exact bool, err error) {
 	for p, part := range cte.Parts {
-		out.Parts[p] = append(make([]sqltypes.Row, 0, len(part)+len(part)/16), part...)
+		out.Parts[p] = append(own.parts.Part(len(part)+len(part)/16), part...)
 	}
 	x.nextMerge()
 	changed, fresh := x.changed[:0], x.fresh[:0]
@@ -1138,18 +1201,29 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table) (n int64, 
 			}
 		}
 	}
+	if own.copying {
+		for p, part := range cte.Parts {
+			for i, r := range part {
+				// A replaced row is a working row, which carries the key.
+				if len(r) == 0 || &out.Parts[p][i][0] == &r[0] {
+					out.Parts[p][i] = own.keep(r)
+				}
+			}
+		}
+	}
 	x.changed, x.fresh = changed, fresh
 	n = int64(len(changed) + len(fresh))
 	keys += len(fresh)
 	var rows []sqltypes.Row
 	if m.Loop.keepsRows(keys, out) {
 		slices.Sort(changed)
-		rows = make([]sqltypes.Row, 0, n)
+		rows = slices.Grow(x.rows[:0], int(n))
 		for _, ps := range [...][]uint64{changed, fresh} {
 			for _, at := range ps {
 				rows = append(rows, out.Parts[at>>32][uint32(at)])
 			}
 		}
+		x.rows = rows
 	}
 	m.Loop.publish(rows, keys)
 	return n, true, nil

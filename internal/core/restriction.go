@@ -213,7 +213,7 @@ func (r *Restriction) restrict(ctx *Context, what string, changed func(cte *stor
 		}
 	}
 	if f.affected != nil {
-		f.in = exec.FilterTableByKey(f.cte, keyCol, f.affected, r.In, &ctx.Stats.ExecStats)
+		f.in = exec.FilterTableByKey(f.cte, keyCol, f.affected, r.In, ctx.RT.Memo().Chunks(), &ctx.Stats.ExecStats)
 		why = riRestricted
 	}
 	ctx.RT.Results.Put(r.In, f.in)

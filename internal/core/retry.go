@@ -22,7 +22,11 @@ package core
 // cross-config oracles, so a degraded success returns exactly the rows
 // the unfaulted run would have.
 
-import "dbspinner/internal/storage"
+import (
+	"slices"
+
+	"dbspinner/internal/storage"
+)
 
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
@@ -66,7 +70,9 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 		}
 	}
 	p.loopStates(func(l *LoopState) {
-		cp.loops[l] = l.loopRun
+		run := l.loopRun
+		run.changes.rows = slices.Clone(run.changes.rows)
+		cp.loops[l] = run
 		if l.aggSnap != nil && !test.unheldCheckpoint {
 			l.aggSnap.Hold()
 		}

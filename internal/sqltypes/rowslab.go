@@ -99,10 +99,27 @@ func (a *Arena) chunk(n int) []Value {
 	return c
 }
 
+// Part returns an empty partition slice with room for n rows from the
+// arena's pool (ChunkPool.Part), a new one when it carves from none.
+func (a *Arena) Part(n int) []Row { return a.pool.Part(n) }
+
+// Adopt moves b's chunks to a, which carves from the same pool and has
+// carved none yet, and reports whether it did: they go back when a is
+// released, and b, still over its pool, hands back only its table's
+// partition slices.
+func (a *Arena) Adopt(b *Arena) bool {
+	if a.pool == nil || a.pool != b.pool || a.chunks != nil {
+		return false
+	}
+	a.chunks, b.chunks = b.chunks, nil
+	return true
+}
+
 // Release hands the arena's chunks and parts, its table's partition
-// slices, back to the pool, counting cells as freed: nothing may read
-// them afterwards. With keep set the rows outlive the arena and only its
-// list goes back. The arena owns nothing after.
+// slices, back to the pool, counting cells as freed when it carved any
+// of them: nothing may read them afterwards. With keep set the rows
+// outlive the arena and only its list goes back. The arena owns nothing
+// after.
 func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 	p := a.pool
 	if !keep {
@@ -122,7 +139,7 @@ func (a *Arena) Release(parts [][]Row, cells int64, keep bool) {
 			}
 		}
 		p.mu.Lock()
-		if p.freed != nil {
+		if p.freed != nil && len(a.chunks) > 0 {
 			*p.freed += cells
 		}
 		p.mu.Unlock()
@@ -154,8 +171,11 @@ type ChunkPool struct {
 }
 
 // Part returns an empty partition slice with room for n rows, one handed
-// back if the pool (nil: none) has one that large.
+// back if the pool (nil: none) has one that large; nil for none.
 func (p *ChunkPool) Part(n int) []Row {
+	if n <= 0 {
+		return nil
+	}
 	if p == nil {
 		return make([]Row, 0, n)
 	}

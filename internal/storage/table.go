@@ -27,7 +27,9 @@ import (
 //
 // A table may own its rows (OwnRows), which go back to their run once
 // no slot binds it and no reader holds it (Hold), unless a reader that
-// keeps rows pinned it (Pin).
+// keeps rows pinned it (Pin). A table whose rows are another's borrows
+// them (Borrow): it holds that table until it is released itself, and a
+// pin of it pins that table.
 type Table struct {
 	Name   string
 	Schema sqltypes.Schema
@@ -54,6 +56,8 @@ type Table struct {
 	hold    sync.Mutex
 	holds   int
 	pending bool
+	// lender is the table t borrows its rows from (Borrow), nil if none.
+	lender *Table
 }
 
 // NewTable creates an empty table with the given partition count
@@ -113,7 +117,8 @@ func (t *Table) mustBeWritable(op string) {
 // firstRoom is the capacity a partition that has none gets on its first
 // Insert: room for this many rows at once, instead of growing through 1,
 // 2, 4 and 8. A step materializes most of its tables one row at a time
-// and, without a size hint, into partitions that start empty.
+// and, without a size hint, into partitions that start empty. A table
+// that owns its rows takes that room from its run's free list.
 const firstRoom = 16
 
 // Insert appends one row.
@@ -125,7 +130,7 @@ func (t *Table) Place(r sqltypes.Row) (part, pos int) {
 	t.mustBeWritable("Insert")
 	p := t.partitionFor(r)
 	if cap(t.Parts[p]) == 0 {
-		t.Parts[p] = make([]sqltypes.Row, 0, firstRoom)
+		t.Parts[p] = t.arena.Part(firstRoom)
 	}
 	t.Parts[p] = append(t.Parts[p], r)
 	return p, len(t.Parts[p]) - 1
@@ -177,7 +182,10 @@ func (t *Table) Truncate() {
 }
 
 // OwnRows makes t own the rows a slab carves into the returned arena
-// (sqltypes.RowSlab.CarveFor); every row t holds must come from there.
+// (sqltypes.RowSlab.CarveFor), and the partition slices it took from
+// pool (sqltypes.ChunkPool.Part): they go back to pool when t is
+// released. Every row t holds must come from there, from a table it
+// adopted (AdoptRows) or borrows from (Borrow), or from no arena at all.
 // With a nil pool it returns nil, and t owns nothing.
 func (t *Table) OwnRows(pool *sqltypes.ChunkPool) *sqltypes.Arena {
 	if pool == nil {
@@ -187,10 +195,54 @@ func (t *Table) OwnRows(pool *sqltypes.ChunkPool) *sqltypes.Arena {
 	return &t.arena
 }
 
+// AdoptRows makes t, which owns its rows (OwnRows) but has carved none
+// yet, own the rows of from too, every one of which t keeps: from's
+// chunks move to t's arena, so they go back when t is released, and
+// from hands back only its partition slices. When a reader holds from,
+// or t owns nothing, from is pinned instead; a from whose rows never go
+// back (Recycles) is left as it is. t may not be bound yet, and nothing
+// may read either table concurrently.
+func (t *Table) AdoptRows(from *Table) {
+	if !from.Recycles() {
+		return
+	}
+	from.hold.Lock()
+	held := from.holds > 0
+	from.hold.Unlock()
+	if held || !t.arena.Adopt(&from.arena) {
+		from.Pin()
+	}
+}
+
+// Recycles reports whether t's rows go back to their run once t is
+// released: it owns them and no reader pinned it. Only such rows need
+// copying by a table that keeps them past t's release.
+func (t *Table) Recycles() bool { return t.arena.Owned() && !t.keepsRows() }
+
+// keepsRows reports whether a reader pinned t.
+func (t *Table) keepsRows() bool { return t.pinned.Load() && !test.ignorePins }
+
+// Borrow makes t, whose rows are some of lender's, a borrower: it holds
+// lender (Hold) until the store releases t, when the borrower's own
+// holds are done, and a Pin of t pins lender too, since a reader that
+// keeps t's rows keeps lender's. t must not be bound yet.
+func (t *Table) Borrow(lender *Table) {
+	lender.Hold()
+	if test.earlyLender {
+		lender.Unhold()
+	}
+	t.lender = lender
+}
+
 // Pin records that a reader keeps rows or partition slices of t past
-// its step, so t's rows are never handed back. It is safe for
-// concurrent use.
-func (t *Table) Pin() { t.pinned.Store(true) }
+// its step, so t's rows are never handed back, nor those of the table t
+// borrows from (Borrow). It is safe for concurrent use.
+func (t *Table) Pin() {
+	t.pinned.Store(true)
+	if t.lender != nil && !test.unpinnedLender {
+		t.lender.Pin()
+	}
+}
 
 // Hold records that a reader with a known end reads rows or partition
 // slices of t until its Unhold: a release of t while any reader holds it
@@ -224,12 +276,18 @@ func (t *Table) Unhold() {
 }
 
 // handBack hands the rows of t, which no slot binds and no reader holds,
-// back to its run and leaves t empty; a pinned t keeps its rows.
+// back to its run and leaves t empty; a pinned t keeps its rows. A
+// borrower lets go of its lender.
 func (t *Table) handBack() {
-	pinned := t.pinned.Load() && !test.ignorePins
-	t.arena.Release(t.Parts, int64(t.Len())*int64(len(t.Schema)), pinned)
-	if !pinned {
-		clear(t.Parts)
+	if t.arena.Owned() {
+		pinned := t.keepsRows()
+		t.arena.Release(t.Parts, int64(t.Len())*int64(len(t.Schema)), pinned)
+		if !pinned {
+			clear(t.Parts)
+		}
+	}
+	if t.lender != nil && !test.earlyLender {
+		t.lender.Unhold()
 	}
 }
 
@@ -367,11 +425,11 @@ func (s *ResultStore) Rename(old, new string) error {
 // release is the path of every table the store stops binding under a
 // slot: one it binds under no other slot that owns its rows hands them
 // back to its run (sqltypes.Arena.Release) and reads empty, unless a
-// reader pinned it; while a reader holds it, when the last one lets go
-// (Unhold). A table the store released is never bound again. s.mu is
-// held.
+// reader pinned it, and one that borrows lets go of its lender; while a
+// reader holds it, when the last one lets go (Unhold). A table the store
+// released is never bound again. s.mu is held.
 func (s *ResultStore) release(t *Table) {
-	if t == nil || !t.arena.Owned() {
+	if t == nil || !t.arena.Owned() && t.lender == nil {
 		return
 	}
 	for _, u := range s.m {
@@ -388,8 +446,12 @@ func (s *ResultStore) release(t *Table) {
 	}
 }
 
-// test holds the seeded mutants of the release path (export_test.go).
-var test struct{ ignorePins, unpinnedClones, ignoreAliases, ignoreHolds bool }
+// test holds the seeded mutants of the release path and of borrowing
+// (export_test.go).
+var test struct {
+	ignorePins, unpinnedClones, ignoreAliases, ignoreHolds bool
+	earlyLender, unpinnedLender                            bool
+}
 
 // NormalizeName exposes the store's name normalization (lowercasing,
 // SQL identifier semantics) so the partition-property analyses name
