@@ -268,7 +268,12 @@ func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 // but Retries and the trace. The last partition hits land inside Qf,
 // whose retry restores the newest checkpoint like any step's. The runs
 // are partitioned: over one partition a restore's fresh clones are
-// indexed anew (DESIGN.md §5i), which this test does not cover.
+// indexed anew (DESIGN.md §5i), which this test does not cover. The
+// unfaulted run takes no checkpoint, and its machine hands back the CTE
+// tables its renames displace: a retried run that recycled less, because
+// its checkpoints kept what they captured or because its restore dropped
+// the counts of tables the committed iterations freed, reads fewer
+// FreedCells, and one that counted the abandoned attempt's tables more.
 func TestFaultInFinalQueryKeepsUnfaultedCounters(t *testing.T) {
 	const parts = 4
 	for name, sql := range map[string]string{"SSSP": bench.SSSPQuery(1, 8), "PR": bench.PRQuery(5)} {
@@ -278,6 +283,9 @@ func TestFaultInFinalQueryKeepsUnfaultedCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantStats := clean.Stats()
+		if wantStats.FreedCells == 0 {
+			t.Fatalf("%s: the unfaulted run freed no cells, so FreedCells shows nothing", name)
+		}
 		for _, point := range []string{"step", "storage", "partition"} {
 			t.Run(name+"/"+point, func(t *testing.T) {
 				for hit := 1; ; hit++ {

@@ -159,7 +159,11 @@ type Stats struct {
 	MaterializedCells int64
 	// FreedCells counts the cells of the results whose rows a rename, a
 	// rebinding or a drop handed back to the run (storage.ResultStore):
-	// unpinned tables the volcano executor carved every row of.
+	// unpinned tables either executor carved every row of, or whose chunks
+	// they adopted. A checkpoint holds what it captures instead of pinning
+	// it, and a restore rolls the counter back with the others, after the
+	// abandoned attempt's tables handed their rows back, so a retried run
+	// counts what an unfaulted one does, with or without checkpoints.
 	FreedCells int64
 	// Fault-tolerance accounting (Options.MaxRetries): Retries counts the
 	// re-attempts taken from back-edge checkpoints,
@@ -904,8 +908,9 @@ func (c *CopyBackStep) Explain() string {
 // time — visible in the result, see DESIGN.md). It is executed as one
 // operator the way MPPDB's code generation would fuse it; it also
 // performs the §II duplicate-key check while building the hash table.
-// On the volcano executor the keyed merge's output owns its rows, so
-// neither input is pinned and both hand their storage back (ownership).
+// The keyed merge's output owns its rows, on the volcano executor and on
+// the MPP machine alike, so neither input is pinned and both hand their
+// storage back (ownership).
 // A recursive CTE's round merges in one of the append forms (Form),
 // whose output keeps both inputs' rows, pinned.
 type MergeStep struct {
@@ -992,18 +997,16 @@ type ownership struct {
 }
 
 // decide makes o how out, the keyed merge of work into cte, holds its
-// rows. On the volcano executor out owns them: it adopts the working
-// table's (storage.Table.AdoptRows), since it keeps every one, and
-// copies into chunks of its own the CTE rows no working row replaced,
-// when the CTE's rows go back once it is released; its partition slices
-// come from the run's free list. Then neither input is pinned, and both
-// hand their storage back. On the MPP machine every fragment scan pins
-// the result it reads, out too, so copies would never come back: out
-// keeps both inputs' rows, which are pinned, as it does without a free
-// list.
+// rows, on either executor. out owns them: it adopts the working table's
+// (storage.Table.AdoptRows), since it keeps every one, and copies into
+// chunks of its own the CTE rows no working row replaced, when the CTE's
+// rows go back once it is released; its partition slices come from the
+// run's free list. Then neither input is pinned, and both hand their
+// storage back. Without a free list out keeps both inputs' rows, which
+// are pinned.
 func (o *ownership) decide(ctx *Context, cte, work, out *storage.Table) {
 	pool := ctx.RT.Memo().Chunks()
-	if ctx.MPP != nil || pool == nil {
+	if pool == nil {
 		cte.Pin()
 		work.Pin()
 		return

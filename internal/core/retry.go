@@ -31,13 +31,17 @@ import (
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
 // capture, e.g. a rename source), the loop operators' per-run states,
-// the stats and the trace watermark. It holds each loop's maintenance
-// snapshot (loopRun.aggSnap) until it is released.
+// the stats, the run memo's entry mark and the trace watermark. Its
+// clones hold their tables (storage.Table.Clone), and it holds each
+// loop's maintenance snapshot (loopRun.aggSnap), until it is released:
+// a table the run displaces meanwhile hands its rows back then, so a run
+// with checkpoints frees what one without does.
 type checkpoint struct {
 	pc        int
 	tables    map[string]*storage.Table
 	loops     map[*LoopState]loopRun
 	stats     Stats
+	memo      int
 	spans     int
 	traceLast Stats
 }
@@ -78,16 +82,27 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 		}
 	})
 	cp.stats = *ctx.Stats
+	cp.memo = ctx.RT.Memo().Mark()
 	if ctx.Trace != nil {
 		cp.spans, cp.traceLast = ctx.Trace.mark()
 	}
 	return cp
 }
 
-// release lets go of the snapshot tables cp holds (nil: none); the step
-// loop calls it when a newer checkpoint replaces cp and when it returns.
+// release lets go of the clones and the snapshot tables cp holds (nil:
+// none); the step loop calls it before a newer checkpoint replaces cp,
+// so that what the committed iteration displaced is freed before the
+// newer one captures the stats, and when it returns.
 func (cp *checkpoint) release() {
-	if cp == nil || test.unheldCheckpoint {
+	if cp == nil {
+		return
+	}
+	for _, t := range cp.tables {
+		if t != nil {
+			t.LetGo()
+		}
+	}
+	if test.unheldCheckpoint {
 		return
 	}
 	for _, run := range cp.loops {
@@ -97,13 +112,18 @@ func (cp *checkpoint) release() {
 	}
 }
 
-// restore rewinds the execution to a checkpoint: slots created after
-// the capture are dropped, every captured slot is re-bound to a fresh
-// clone (Rename mutates Table.Name in place, so the checkpoint's own
-// clone must never be handed to the store), loop operators and stats
-// roll back — all but the retry counters and the trace — and the trace
-// discards the abandoned attempt's spans.
+// restore rewinds the execution to a checkpoint: the run memo's entries
+// made since the capture go, slots created after it are dropped, every
+// captured slot is re-bound to a fresh clone (Rename mutates Table.Name
+// in place, so the checkpoint's own clone must never be handed to the
+// store), loop operators and stats roll back — all but the retry
+// counters and the trace — and the trace discards the abandoned
+// attempt's spans. The entries go first so that every table the
+// abandoned attempt made and let go hands its rows back here, before the
+// stats roll back: FreedCells, like every work counter, then reads what
+// an unfaulted run's does.
 func (p *Program) restore(ctx *Context, cp *checkpoint) {
+	ctx.RT.Memo().Rewind(cp.memo)
 	for name := range ctx.created {
 		if _, tracked := cp.tables[name]; !tracked {
 			ctx.RT.Results.Drop(name)

@@ -43,10 +43,11 @@ func (p *Program) runSteps(ctx *Context) ([]sqltypes.Row, error) {
 			if _, isLoop := p.Steps[pc].(*LoopStep); isLoop && cp != nil {
 				// The back-edge: one iteration (or the pre-loop prefix)
 				// committed. Checkpoint whatever comes next — another
-				// iteration or the fall-through — with a fresh budget.
-				old := cp
+				// iteration or the fall-through — with a fresh budget,
+				// once the old checkpoint has let go of what the
+				// iteration displaced (the bound tables stay bound).
+				cp.release()
 				cp = p.capture(ctx, next)
-				old.release()
 				attempts = 0
 			}
 			pc = next

@@ -285,9 +285,7 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 		t.DistCol = 0
 	}
 	chunks := rt.Memo().Chunks()
-	if out := rowSource(op); out != nil {
-		out.slab.CarveFor(t.OwnRows(chunks))
-	}
+	CarveRows(op, func() *sqltypes.Arena { return t.OwnRows(chunks) })
 	if len(hint) == len(t.Parts) {
 		for p, rows := range hint {
 			if rows > 0 {
@@ -309,6 +307,22 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 		}
 		t.Insert(r)
 	}
+}
+
+// CarveRows carves the rows op emits from chunks recorded in the arena
+// own returns, when op's tree builds every row it emits (rowSource), and
+// reports whether it did; own is called only then, so that the arena's
+// table owns those rows. A tree that may pass on a row it did not build
+// is left as it is. It is the one ownership rule of a materialized table,
+// MaterializeContext's and the MPP machine's Materialize's; call it before
+// Open, on a tree built for a keeping consumer.
+func CarveRows(op Operator, own func() *sqltypes.Arena) bool {
+	out := rowSource(op)
+	if out == nil {
+		return false
+	}
+	out.slab.CarveFor(own())
+	return true
 }
 
 // rowSource returns the outRows of the project every row op emits
@@ -349,9 +363,11 @@ func planEnv(n plan.Node, params []sqltypes.Value) *expr.Env {
 // --- scan --------------------------------------------------------------
 
 type scanOp struct {
-	name   string
-	base   bool
-	keep   bool // the consumer keeps rows: pin the result, as fragments do
+	name string
+	base bool
+	// keep: the consumer keeps rows (rows.go), so Open pins the result it
+	// reads; a reader's scan, in a fragment or not, pins nothing.
+	keep   bool
 	rt     Runtime
 	stats  *Stats
 	cancel *CancelChecker
@@ -379,7 +395,7 @@ func (s *scanOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if !s.base && (s.keep || s.frag != nil) {
+	if !s.base && s.keep && (s.frag == nil || !test.unpinnedFragmentKeeper) {
 		t.Pin()
 	}
 	switch {

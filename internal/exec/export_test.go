@@ -253,3 +253,13 @@ func SeedUnheldEntries() (restore func()) {
 	test.unheldEntries = true
 	return func() { test.unheldEntries = false }
 }
+
+// SeedUnpinnedFragmentKeeper arms, until the returned function is called,
+// the seeded mutant of the scan's pin: a fragment scan under a keeping
+// consumer does not pin the result it reads, so the rows the MPP machine
+// keeps of it — a sort's, a table it materialized — are handed back with
+// the result once the store releases it.
+func SeedUnpinnedFragmentKeeper() (restore func()) {
+	test.unpinnedFragmentKeeper = true
+	return func() { test.unpinnedFragmentKeeper = false }
+}

@@ -16,7 +16,8 @@ import (
 //   - Hash indexes (Index): the indexes joins build over tables they read
 //     directly, so a loop body indexes a table it does not change once
 //     instead of once per iteration. An entry lives as long as every
-//     iteration asks for it (Sweep).
+//     iteration asks for it (Sweep), and no longer than the attempt that
+//     made it (Rewind).
 //   - Compiled expressions: what the executors compile from each plan
 //     node — a filter's condition, a projection's items, an aggregate's
 //     group keys and arguments, a join's keys and residual — once per run
@@ -59,6 +60,7 @@ import (
 type Memo struct {
 	mu       sync.Mutex
 	indexes  []*indexEntry // in the order the run asked for them first
+	made     int           // entries made so far; the next one's seq
 	compiled map[plan.Node]*compileEntry
 	aggRuns  []*aggRun // every aggregate entry's run state, for Sweep
 	params   []sqltypes.Value
@@ -166,6 +168,38 @@ func (m *Memo) end(clean bool) {
 	}
 }
 
+// Mark returns how many index entries the run has made so far, for
+// Rewind.
+func (m *Memo) Mark() int {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.made
+}
+
+// Rewind drops the index entries made since Mark returned mark, as Sweep
+// drops the ones nobody asked for, so that each lets go of its table now.
+// A checkpoint restore calls it: those entries are the abandoned
+// attempt's. One over a table that attempt made is never asked for again;
+// one over a table the restore keeps is built again when asked, as the
+// unfaulted run built it after the capture.
+func (m *Memo) Rewind(mark int) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.indexes = slices.DeleteFunc(m.indexes, func(e *indexEntry) bool {
+		if e.seq < mark {
+			return false
+		}
+		m.drop(e, true)
+		return true
+	})
+}
+
 // Len returns the number of indexes held.
 func (m *Memo) Len() int {
 	if m == nil {
@@ -240,9 +274,13 @@ func (m *Memo) aggRunOf(n *plan.Aggregate) *aggRun {
 // lending rule — a keeping aggregate giving its table back at Close,
 // which for the final query's aggregate, whose rows the run returns,
 // only the statement's next run shows — of End, the index entries
-// carried into the next run, and of the entries' hold, an entry that
-// does not hold its table.
-var test struct{ keepingGivesBack, carryEntries, unheldEntries bool }
+// carried into the next run, of the entries' hold, an entry that does not
+// hold its table, and of the scan's pin, a fragment scan under a keeping
+// consumer that does not pin the result it reads.
+var test struct {
+	keepingGivesBack, carryEntries, unheldEntries bool
+	unpinnedFragmentKeeper                        bool
+}
 
 // Leftovers is what the runs of one statement carry from one to the
 // next: the hash indexes they let go, each aggregate node's run state

@@ -20,6 +20,7 @@ type indexEntry struct {
 	cols   []int
 	filter *expr.Compiled
 	used   bool // asked for since the last Sweep; guarded by Memo.mu
+	seq    int  // how many entries the memo made before this one (Mark)
 
 	once sync.Once
 	x    *HashIndex
@@ -151,7 +152,8 @@ func (m *Memo) entry(t *storage.Table, part int, keys []*expr.Compiled, filter *
 			return e
 		}
 	}
-	e := &indexEntry{t: t, part: part, cols: cols, filter: filter, used: true}
+	e := &indexEntry{t: t, part: part, cols: cols, filter: filter, used: true, seq: m.made}
+	m.made++
 	m.indexes = append(m.indexes, e)
 	if !test.unheldEntries {
 		t.Hold()

@@ -208,13 +208,39 @@ func (m *Machine) Run(n plan.Node) ([]sqltypes.Row, error) {
 // Materialize executes a plan in parallel into a storage table. hint,
 // when it has one count per partition, presizes the slice each
 // partition's fragment drains into, as exec.MaterializeContext presizes
-// its partitions: advisory, it changes capacity, never rows.
+// its partitions: advisory, it changes capacity, never rows. The slices
+// come from the run's free list (exec.Memo.Chunks), and the table owns
+// its rows by exec.MaterializeContext's rule (exec.CarveRows): when the
+// root fragment builds every row it emits, each partition's tree carves
+// them into an arena of its own, and the arenas join the table's once
+// all have finished, so the trees share no arena. A pre-aggregated root
+// delivers its exchange site's slices, which the table never owns.
 func (m *Machine) Materialize(n plan.Node, name string, hint []int) (*storage.Table, error) {
-	rel, err := m.eval(n, nil, hint)
+	in := &into{hint: hint, pool: m.RT.Memo().Chunks()}
+	if in.pool != nil {
+		in.arenas = make([]sqltypes.Arena, m.Parts)
+	}
+	rel, err := m.eval(n, nil, in)
 	if err != nil {
+		// No table takes the rows the trees carved, and nobody can read
+		// them: their chunks go back at once.
+		for p := range in.arenas {
+			if a := &in.arenas[p]; a.Owned() {
+				a.Release(nil, 0, false)
+			}
+		}
 		return nil, err
 	}
 	t := storage.NewTable(name, plan.Schema(n), m.Parts)
+	var arena *sqltypes.Arena
+	for p := range in.arenas {
+		if a := &in.arenas[p]; a.Owned() {
+			if arena == nil {
+				arena = t.OwnRows(in.pool)
+			}
+			arena.Adopt(a)
+		}
+	}
 	// Keep the fragment partitioning: the next step's scans read the
 	// partitions as they were produced (no extra shuffle). The write-out
 	// is one fragment per partition, counted like Run's parallel
@@ -225,6 +251,28 @@ func (m *Machine) Materialize(n plan.Node, name string, hint []int) (*storage.Ta
 	return t, nil
 }
 
+// into is what Materialize asks of the run of its root fragment: the
+// drained slices presized from hint and taken from pool, and, when
+// arenas has one per partition, the rows each tree builds carved into its
+// partition's arena, which then owns a pool (exec.CarveRows).
+type into struct {
+	hint   []int
+	pool   *sqltypes.ChunkPool
+	arenas []sqltypes.Arena
+}
+
+// carve makes partition p's tree op carve the rows it builds into p's
+// arena, if it builds every row it emits (exec.CarveRows).
+func (in *into) carve(p int, op exec.Operator) {
+	if in.arenas == nil {
+		return
+	}
+	exec.CarveRows(op, func() *sqltypes.Arena {
+		in.arenas[p] = sqltypes.NewArena(in.pool)
+		return &in.arenas[p]
+	})
+}
+
 // --- cutting a plan into fragments ---------------------------------------
 
 // fragment is one exchange-free piece of a plan: the cuts and taps exec
@@ -233,9 +281,9 @@ type fragment struct {
 	exec.Fragment
 	elided [][]partCount       // per tap: the rows each partition showed it
 	sites  map[plan.Node]*site // the cuts whose rows a site holds
-	// presize, when it has one count per partition, is the capacity of
-	// the slice each partition's rows drain into (Materialize's hint).
-	presize []int
+	// into, set on Materialize's root fragment, presizes the slices the
+	// partitions' rows drain into and carves the rows (nil: neither).
+	into *into
 }
 
 // partCount is one partition's counter, a cache line wide so that the
@@ -267,16 +315,16 @@ type exchange func(relation) relation
 // eval evaluates n into a relation: it cuts the plan below n at its
 // exchanges, evaluates what is below each cut, and runs the piece on
 // top, the fragment rooted at n, once per partition, routing its rows by
-// to (nil: they stay where they are produced) or, when they stay, into
-// slices presized from hint (nil: not presized; see run).
-func (m *Machine) eval(n plan.Node, to router, hint []int) (relation, error) {
+// to (nil: they stay where they are produced) or, when they stay, as in
+// asks (nil: into slices of their own; see run).
+func (m *Machine) eval(n plan.Node, to router, in *into) (relation, error) {
 	f := m.newFragment()
 	if err := m.cut(n, f); err != nil {
 		return relation{}, err
 	}
 	agg, ok := n.(*plan.Aggregate)
 	if !ok || !m.preAggregates(agg) {
-		f.presize = hint
+		f.into = in
 		return m.run(n, f, single(n), to)
 	}
 	// One row per group and partition moves instead of the input: to
@@ -449,7 +497,7 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 
 // run builds the fragment rooted at root once per partition — in
 // partition 0 only when one is set — and drains the trees side by side:
-// each into its slice of the relation (presized from f.presize) or,
+// each into its slice of the relation (as f.into asks) or,
 // under a router, straight into the exchange's site, in the region that
 // produced the rows (the root then lends them: the site copies what it
 // routes). Each tree counts into its own exec.Stats; they are summed
@@ -483,8 +531,11 @@ func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relatio
 			return out.from.fill(p, op, to(), cc)
 		}
 		var rows []sqltypes.Row
-		if len(f.presize) == m.Parts && f.presize[p] > 0 {
-			rows = make([]sqltypes.Row, 0, f.presize[p])
+		if in := f.into; in != nil {
+			if len(in.hint) == m.Parts {
+				rows = in.pool.Part(in.hint[p])
+			}
+			in.carve(p, op)
 		}
 		out.parts[p], err = exec.DrainInto(rows, op)
 		return err

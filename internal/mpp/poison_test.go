@@ -264,7 +264,9 @@ func TestDoubleRoutingReusesBothSites(t *testing.T) {
 // TestMaterializedSitesAreNeverReused: when a pre-aggregating node is
 // the plan's root, Materialize adopts the row slices of the regrouping
 // site. Nobody reads that site as an input, so it is never freed: the
-// second call fills a new one and the first table stays what it was.
+// second call fills a new one and the first table stays what it was. The
+// table owns none of it, so its release hands nothing to the run's free
+// list either.
 func TestMaterializedSitesAreNeverReused(t *testing.T) {
 	const parts = 3
 	rt := parityRT(t, parts)
@@ -279,6 +281,9 @@ func TestMaterializedSitesAreNeverReused(t *testing.T) {
 	want := canon(first.AllRows(), false)
 	if volcano, _ := exec.Run(agg, rt, nil); canon(volcano, false) != want {
 		t.Fatalf("materialized rows differ from volcano:\n%s", want)
+	}
+	if first.Recycles() {
+		t.Error("the table owns the regrouping site's slices")
 	}
 	second, err := m.Materialize(agg, "t2", nil)
 	if err != nil {

@@ -103,15 +103,23 @@ func (a *Arena) chunk(n int) []Value {
 // arena's pool (ChunkPool.Part), a new one when it carves from none.
 func (a *Arena) Part(n int) []Row { return a.pool.Part(n) }
 
-// Adopt moves b's chunks to a, which carves from the same pool and has
-// carved none yet, and reports whether it did: they go back when a is
-// released, and b, still over its pool, hands back only its table's
-// partition slices.
+// Adopt moves b's chunks to a, which carves from the same pool, and
+// reports whether it did: they go back when a is released, and b, still
+// over its pool, hands back only its table's partition slices. Nothing
+// may carve for either meanwhile.
 func (a *Arena) Adopt(b *Arena) bool {
-	if a.pool == nil || a.pool != b.pool || a.chunks != nil {
+	if a.pool == nil || a.pool != b.pool {
 		return false
 	}
-	a.chunks, b.chunks = b.chunks, nil
+	switch {
+	case a.chunks == nil:
+		a.chunks, b.chunks = b.chunks, nil
+	case b.chunks != nil:
+		a.chunks = append(a.chunks, b.chunks...)
+		clear(b.chunks)
+		a.pool.lists.Give(b.chunks[:0])
+		b.chunks = nil
+	}
 	return true
 }
 

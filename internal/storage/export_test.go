@@ -2,8 +2,9 @@ package storage
 
 // SeedMutant arms one seeded mutant of the release path until the
 // returned function is called: "ignore-pins" releases a table a reader
-// pinned, "unpinned-clones" makes Clone not pin (a checkpoint's clone
-// shares rows its table then hands back), "ignore-aliases" releases a
+// pinned, "unpinned-clones" makes Clone neither pin nor hold its table
+// (a checkpoint's clone shares rows its table then hands back while the
+// checkpoint lives), "ignore-aliases" releases a
 // table another slot still binds, and "ignore-holds" releases a table a
 // reader still holds. Two are of borrowing: "early-lender" lets go of
 // the lender when the borrower is created instead of when it is

@@ -28,8 +28,8 @@ import (
 // A table may own its rows (OwnRows), which go back to their run once
 // no slot binds it and no reader holds it (Hold), unless a reader that
 // keeps rows pinned it (Pin). A table whose rows are another's borrows
-// them (Borrow): it holds that table until it is released itself, and a
-// pin of it pins that table.
+// them (Borrow), as a clone does: it holds that table until it is
+// released itself, and a pin of it pins that table.
 type Table struct {
 	Name   string
 	Schema sqltypes.Schema
@@ -215,9 +215,15 @@ func (t *Table) AdoptRows(from *Table) {
 }
 
 // Recycles reports whether t's rows go back to their run once t is
-// released: it owns them and no reader pinned it. Only such rows need
-// copying by a table that keeps them past t's release.
-func (t *Table) Recycles() bool { return t.arena.Owned() && !t.keepsRows() }
+// released: it owns them and no reader pinned it, or it borrows them from
+// a table whose rows do. Only such rows need copying by a table that keeps
+// them past t's release.
+func (t *Table) Recycles() bool {
+	if t.lender != nil {
+		return t.lender.Recycles()
+	}
+	return t.arena.Owned() && !t.keepsRows()
+}
 
 // keepsRows reports whether a reader pinned t.
 func (t *Table) keepsRows() bool { return t.pinned.Load() && !test.ignorePins }
@@ -295,18 +301,37 @@ func (t *Table) handBack() {
 var outstanding atomic.Int64
 
 // Clone returns a deep-enough copy: new partition slices sharing the
-// row values (rows are treated as immutable once stored), so it pins t.
-// The copy owns no rows, and is writable whether or not t is frozen.
+// row values (rows are treated as immutable once stored), so it borrows
+// them (Borrow): it holds t until it is released itself — by the store
+// once bound, by LetGo otherwise — and a pin of the copy pins t. The copy
+// owns no rows, and is writable whether or not t is frozen.
 func (t *Table) Clone() *Table {
-	if !test.unpinnedClones {
-		t.Pin()
-	}
 	c := &Table{Name: t.Name, Schema: t.Schema.Clone(), PK: t.PK, DistCol: t.DistCol}
 	c.Parts = make([][]sqltypes.Row, len(t.Parts))
 	for i, p := range t.Parts {
 		c.Parts[i] = append([]sqltypes.Row(nil), p...)
 	}
+	if !test.unpinnedClones {
+		c.Borrow(t)
+	}
 	return c
+}
+
+// LetGo releases t, which no slot binds and none will, as the store
+// releases a table it unbinds (ResultStore.release): a checkpoint lets go
+// of its clones this way.
+func (t *Table) LetGo() { t.release() }
+
+// release hands t's rows back now or, while a reader holds t, marks it
+// pending, and the last Unhold hands them back.
+func (t *Table) release() {
+	t.hold.Lock()
+	held := t.holds > 0 && !test.ignoreHolds
+	t.pending = held
+	t.hold.Unlock()
+	if !held {
+		t.handBack()
+	}
 }
 
 // SetFaults arms (or, with nil, disarms) fault injection on the
@@ -437,13 +462,7 @@ func (s *ResultStore) release(t *Table) {
 			return
 		}
 	}
-	t.hold.Lock()
-	held := t.holds > 0 && !test.ignoreHolds
-	t.pending = held
-	t.hold.Unlock()
-	if !held {
-		t.handBack()
-	}
+	t.release()
 }
 
 // test holds the seeded mutants of the release path and of borrowing

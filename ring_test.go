@@ -22,7 +22,10 @@ import (
 // must be the shortest distances, which 12 iterations reach; five warm
 // runs of the prepared statement, which carve their tables from the
 // chunks earlier iterations and runs handed back (poisoned, TestMain),
-// must return them byte for byte, at one partition and at four.
+// must return them byte for byte, at one partition and at four, and on
+// the MPP machine at two partitions and at four, whose merges own their
+// rows too. The machine withholds the incremental steps, so its Ri is
+// the full plan in every iteration.
 func TestWarmRingRunsMatchAFreshEngine(t *testing.T) {
 	var edges, status []string
 	var graph []graphalgo.Edge
@@ -50,34 +53,41 @@ func TestWarmRingRunsMatchAFreshEngine(t *testing.T) {
 	}
 	sql := bench.SSSPVSQuery(1, 12)
 	sparseThenDense := regexp.MustCompile(`^FR+D+R+$`)
-	for _, parts := range []int{1, 4} {
-		fresh := engine(dbspinner.Config{Partitions: parts, TraceIterations: true})
+	for _, arm := range []struct {
+		parts    int
+		parallel bool
+	}{{1, false}, {4, false}, {2, true}, {4, true}} {
+		parts, label := arm.parts, fmt.Sprintf("parts %d", arm.parts)
+		if arm.parallel {
+			label = "MPP, " + label
+		}
+		fresh := engine(dbspinner.Config{Partitions: parts, Parallel: arm.parallel, TraceIterations: true})
 		res, err := fresh.Query(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprint(resultRows(res))
-		if got := riDecisions(fresh.Stats().Trace); !sparseThenDense.MatchString(got) {
-			t.Fatalf("parts %d: Ri per iteration %s, want sparse, then dense", parts, got)
+		if got := riDecisions(fresh.Stats().Trace); !arm.parallel && !sparseThenDense.MatchString(got) {
+			t.Fatalf("%s: Ri per iteration %s, want sparse, then dense", label, got)
 		}
 		dist := map[int64]float64{}
 		for _, r := range res.Rows {
 			dist[r[0].Int()] = r[1].Float()
 		}
 		if fmt.Sprint(dist) != fmt.Sprint(exact) || len(res.Rows) != len(exact) {
-			t.Fatalf("parts %d: distances %v, want %v", parts, dist, exact)
+			t.Fatalf("%s: distances %v, want %v", label, dist, exact)
 		}
-		e := engine(dbspinner.Config{Partitions: parts})
+		e := engine(dbspinner.Config{Partitions: parts, Parallel: arm.parallel})
 		if cold := queryRows(t, e, sql); cold != want {
-			t.Fatalf("parts %d: the cold run diverges from a fresh engine's", parts)
+			t.Fatalf("%s: the cold run diverges from a fresh engine's", label)
 		}
 		for i := 1; i <= 5; i++ {
 			hits := e.Stats().PreparedHits
 			if warm := queryRows(t, e, sql); warm != want {
-				t.Errorf("parts %d: warm run %d returns\n  %s\na fresh engine\n  %s", parts, i, warm, want)
+				t.Errorf("%s: warm run %d returns\n  %s\na fresh engine\n  %s", label, i, warm, want)
 			}
 			if e.Stats().PreparedHits != hits+1 {
-				t.Fatalf("parts %d: warm run %d did not take the prepared program", parts, i)
+				t.Fatalf("%s: warm run %d did not take the prepared program", label, i)
 			}
 		}
 	}
