@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"dbspinner/internal/ast"
@@ -29,6 +30,7 @@ var (
 // meet across INT/FLOAT and include a NULL.
 func orderRuntime(t testing.TB) *StoreRuntime {
 	t.Helper()
+	t.Cleanup(sqltypes.Poison())
 	cat := catalog.New(1)
 	mk := func(name, val string, rows []sqltypes.Row) {
 		tb, err := cat.Create(name, sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: val, Type: sqltypes.String}}, -1)
@@ -123,20 +125,73 @@ func TestEmittedRowsAreCapped(t *testing.T) {
 	}
 }
 
+// TestKeyTableFormsAgree: the hash operators return the same rows in the
+// same order whether the key table indexes their keys directly or hashes
+// them. Over the kernel tables keyed by 0..999 and by the same numbers
+// plus a half, a join, a join with a residual, an aggregate, a distinct
+// and an aggregate over a join agree row for row once the half is taken
+// off the keys, with the chunks a released result hands back poisoned.
+func TestKeyTableFormsAgree(t *testing.T) {
+	defer sqltypes.Poison()()
+	for _, c := range []struct {
+		sql  string
+		keys []int // the output columns that hold a key
+	}{
+		{benchJoinSQL, nil},
+		{"SELECT fact.k, dim.w FROM fact LEFT JOIN dim ON fact.k = dim.k AND dim.w < 100", []int{0}},
+		{benchAggSQL, []int{0}},
+		{benchDistinctSQL, []int{0}},
+		{"SELECT fact.k, COUNT(*), SUM(fact.v * dim.w) FROM fact JOIN dim ON fact.k = dim.k GROUP BY fact.k", []int{0}},
+	} {
+		var forms [2][]string
+		for i, sparse := range []bool{false, true} {
+			node, rt := kernelPlanKeys(t, c.sql, sparse)
+			rows, err := Run(node, rt, nil)
+			if err != nil {
+				t.Fatalf("%s (sparse %v): %v", c.sql, sparse, err)
+			}
+			for _, r := range rows {
+				r = append(sqltypes.Row(nil), r...)
+				for _, k := range c.keys {
+					if sparse && !r[k].IsNull() {
+						r[k] = i64(int64(r[k].F))
+					}
+				}
+				forms[i] = append(forms[i], r.String())
+			}
+		}
+		if len(forms[0]) < 1000 || strings.Join(forms[0], "\n") != strings.Join(forms[1], "\n") {
+			t.Errorf("%s: %d rows over direct keys and %d over hashed ones, or they differ", c.sql, len(forms[0]), len(forms[1]))
+		}
+	}
+}
+
 // --- allocation-gated benchmarks -----------------------------------------
 
 // kernelPlan plans one statement over a 1k-row dimension table and a
-// 3k-row fact table (three fact rows per key).
+// 3k-row fact table (three fact rows per key), keyed by the INTs 0..999,
+// which key tables index directly.
 func kernelPlan(tb testing.TB, sql string) (plan.Node, *StoreRuntime) {
+	return kernelPlanKeys(tb, sql, false)
+}
+
+// kernelPlanKeys is kernelPlan, and with sparse the keys are those
+// numbers plus a half: FLOATs no key table indexes directly, so every
+// key is hashed.
+func kernelPlanKeys(tb testing.TB, sql string, sparse bool) (plan.Node, *StoreRuntime) {
 	tb.Helper()
 	cat := catalog.New(1)
-	dim, _ := cat.Create("dim", sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "w", Type: sqltypes.Float}}, -1)
-	fact, _ := cat.Create("fact", sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Float}}, -1)
+	kt, key := sqltypes.Int, func(k int) sqltypes.Value { return i64(int64(k)) }
+	if sparse {
+		kt, key = sqltypes.Float, func(k int) sqltypes.Value { return f64(float64(k) + 0.5) }
+	}
+	dim, _ := cat.Create("dim", sqltypes.Schema{{Name: "k", Type: kt}, {Name: "w", Type: sqltypes.Float}}, -1)
+	fact, _ := cat.Create("fact", sqltypes.Schema{{Name: "k", Type: kt}, {Name: "v", Type: sqltypes.Float}}, -1)
 	for i := 0; i < 1000; i++ {
-		dim.Insert(sqltypes.Row{i64(int64(i)), f64(float64(i) / 2)})
+		dim.Insert(sqltypes.Row{key(i), f64(float64(i) / 2)})
 	}
 	for i := 0; i < 3000; i++ {
-		fact.Insert(sqltypes.Row{i64(int64(i * 7 % 1000)), f64(float64(i))})
+		fact.Insert(sqltypes.Row{key(i * 7 % 1000), f64(float64(i))})
 	}
 	rt := NewStoreRuntime(cat, storage.NewResultStore())
 	return planSQL(tb, rt, sql), rt
@@ -163,16 +218,26 @@ const (
 
 var benchSink []sqltypes.Row
 
+// benchKernel times one statement over the kernel tables in both forms
+// of the key table: dense, whose keys it indexes directly, and sparse,
+// whose keys it hashes.
 func benchKernel(b *testing.B, sql string, wantRows int) {
-	node, rt := kernelPlan(b, sql)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := Run(node, rt, nil)
-		if err != nil || len(rows) != wantRows {
-			b.Fatalf("%d rows, %v", len(rows), err)
-		}
-		benchSink = rows
+	for _, form := range []struct {
+		name   string
+		sparse bool
+	}{{"dense", false}, {"sparse", true}} {
+		b.Run(form.name, func(b *testing.B) {
+			node, rt := kernelPlanKeys(b, sql, form.sparse)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := Run(node, rt, nil)
+				if err != nil || len(rows) != wantRows {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+				benchSink = rows
+			}
+		})
 	}
 }
 

@@ -95,8 +95,8 @@ func TestPartitionOfIsTheRoutingFunction(t *testing.T) {
 
 // modelKey is the reference model's notion of a key: a canonical string
 // per tuple, built without the table's hash or equality. Numbers go by
-// their float image except integers beyond 2^53, which the pool only
-// produces as INT and which must stay exact.
+// their float image except integers of 2^53 and beyond, which the pools
+// only produce as INT and which must stay exact.
 func modelKey(key []Value) string {
 	var b strings.Builder
 	for _, v := range key {
@@ -124,11 +124,26 @@ func modelKey(key []Value) string {
 	return b.String()
 }
 
+// edgeKeys are the values at the edges of the direct array: both zeros,
+// the largest integers it takes as INT and as FLOAT, the smallest it does
+// not, the INT extremes, NaN, the infinities, NULL, strings and booleans.
+// Every integer of 2^53 or more is an INT: FLOAT 2^53 equals both INT
+// 2^53 and INT 2^53+1, which differ, so no map model holds all three
+// (TestKeyTableEquality takes them pairwise).
+var edgeKeys = []Value{
+	NewFloat(0), NewFloat(math.Copysign(0, -1)), NewInt(0),
+	NewInt(1<<53 - 1), NewInt(-(1<<53 - 1)), NewFloat(1<<53 - 1), NewFloat(-(1<<53 - 1)),
+	NewInt(1 << 53), NewInt(-1 << 53), NewInt(1<<53 + 1), NewInt(-(1<<53 + 1)),
+	NewInt(math.MaxInt64), NewInt(math.MinInt64),
+	NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+	NullValue, {}, NewString(""), NewString("3"), NewBool(true), NewBool(false),
+}
+
 // randomKeyValue draws from a pool built to collide: small integers as
 // INT and as FLOAT, both zeros, NaN, neighbours beyond 2^53 (INT only),
-// short strings, booleans and NULLs.
+// short strings, booleans, NULLs and the edge keys.
 func randomKeyValue(rng *rand.Rand, spread int) Value {
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0:
 		return NullValue
 	case 1:
@@ -151,23 +166,104 @@ func randomKeyValue(rng *rand.Rand, spread int) Value {
 		return Value{} // the zero Value is NULL too
 	case 6:
 		return NewInt(1<<53 + int64(rng.Intn(4)))
+	case 7:
+		return edgeKeys[rng.Intn(len(edgeKeys))]
 	}
 	return NewInt(int64(rng.Intn(spread)))
 }
 
+// denseKeyValue draws a first column the way the engine's keys come: the
+// integers of [lo, lo+span) in random order, mostly as INT and now and
+// then as the equal FLOAT (3 and 3.0 are one key), with fractions
+// between them (3.5 is another), stragglers one to three spans out that
+// a grown span may later reach, stragglers it never reaches, and the edge
+// keys. Below 2^53 a FLOAT is exact; a fraction is drawn only where a
+// float has room for it.
+func denseKeyValue(rng *rand.Rand, lo int64, span int) Value {
+	k := lo + int64(rng.Intn(span))
+	switch rng.Intn(20) {
+	case 0, 1:
+		if k > -1<<53 && k < 1<<53 {
+			return NewFloat(float64(k))
+		}
+	case 2:
+		if k > -1<<51 && k < 1<<51 {
+			return NewFloat(float64(k) + 0.5)
+		}
+	case 3:
+		return NewInt(k + int64(span)*int64(1+rng.Intn(3)))
+	case 4:
+		return NewInt(k - 1_000_000_000)
+	case 5:
+		return edgeKeys[rng.Intn(len(edgeKeys))]
+	}
+	return NewInt(k)
+}
+
+// keyDist is a distribution of keys: pool values of one spread in every
+// column, or a dense first column over [lo, lo+span) followed by pool
+// values of spread 3, so that keys of width 2 or more share first
+// columns.
+type keyDist struct {
+	name   string
+	spread int
+	dense  bool
+	lo     int64
+	span   int
+}
+
+var keyDists = []keyDist{
+	{name: "pool 3", spread: 3},
+	{name: "pool 40", spread: 40},
+	{name: "pool 2000", spread: 2000},
+	{name: "dense from 0", dense: true, span: 300},
+	{name: "dense across 0", dense: true, lo: -150, span: 300},
+	{name: "dense at 2^53", dense: true, lo: 1<<53 - 100, span: 200},
+	{name: "dense far out", dense: true, lo: 1e12, span: 2000},
+}
+
+// draw fills key with one key of d.
+func (d keyDist) draw(rng *rand.Rand, key []Value) {
+	for i := range key {
+		switch {
+		case !d.dense:
+			key[i] = randomKeyValue(rng, d.spread)
+		case i == 0:
+			key[i] = denseKeyValue(rng, d.lo, d.span)
+		default:
+			key[i] = randomKeyValue(rng, 3)
+		}
+	}
+}
+
+// TestKeyTableAgainstMapModel drives tables of every width from 0 to 5
+// against a reference map over every distribution (checkKeyTableModel).
 func TestKeyTableAgainstMapModel(t *testing.T) {
+	if d := checkKeyTableModel(); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// checkKeyTableModel inserts and finds 6,000 keys per width and
+// distribution, and returns the first answer a map of modelKey strings
+// disagrees with: a Find, an Insert's added flag or its first-insertion
+// id, or a Key that is not the values first inserted under it. Each
+// table starts without a hint, so the pool's spread of 2,000 crosses
+// several slot resizes, and each dense distribution moves its span
+// several times over keys hashed while the span did not reach them, and
+// ends with keys in both places.
+func checkKeyTableModel() string {
 	for width := 0; width <= 5; width++ {
-		for _, spread := range []int{3, 40, 2000} {
-			rng := rand.New(rand.NewSource(int64(100*width + spread)))
+		for _, dist := range keyDists {
+			rng := rand.New(rand.NewSource(int64(100*width + dist.spread + dist.span)))
 			table := NewKeyTable(width, 0)
 			model := map[string]int{}
 			var first [][]Value
-			startSlots := len(table.slots)
+			var direct *int32
+			moves := 0
 			key := make([]Value, width+1) // one longer: Insert uses the first width values
 			for op := 0; op < 6000; op++ {
-				for i := range key {
-					key[i] = randomKeyValue(rng, spread)
-				}
+				dist.draw(rng, key)
 				mk := modelKey(key[:width])
 				wantID, present := model[mk]
 				if op%3 == 0 {
@@ -176,13 +272,14 @@ func TestKeyTableAgainstMapModel(t *testing.T) {
 						wantID = -1
 					}
 					if got != wantID {
-						t.Fatalf("width %d: Find(%v) = %d, model says %d", width, key[:width], got, wantID)
+						return fmt.Sprintf("width %d, %s: Find(%v) = %d, model says %d", width, dist.name, key[:width], got, wantID)
 					}
 					continue
 				}
+				lo := table.lo
 				id, added := table.Insert(key)
 				if added == present {
-					t.Fatalf("width %d: Insert(%v) added=%v, model present=%v", width, key[:width], added, present)
+					return fmt.Sprintf("width %d, %s: Insert(%v) added=%v, model present=%v", width, dist.name, key[:width], added, present)
 				}
 				if !present {
 					wantID = len(model)
@@ -190,36 +287,60 @@ func TestKeyTableAgainstMapModel(t *testing.T) {
 					first = append(first, append([]Value(nil), key[:width]...))
 				}
 				if id != wantID {
-					t.Fatalf("width %d: Insert(%v) id = %d, want first-insertion id %d", width, key[:width], id, wantID)
+					return fmt.Sprintf("width %d, %s: Insert(%v) id = %d, want first-insertion id %d", width, dist.name, key[:width], id, wantID)
+				}
+				if p := unsafe.SliceData(table.direct); p != direct || table.lo != lo {
+					direct, moves = p, moves+1
 				}
 			}
 			if table.Len() != len(model) {
-				t.Fatalf("width %d: Len = %d, model has %d", width, table.Len(), len(model))
+				return fmt.Sprintf("width %d, %s: Len = %d, model has %d", width, dist.name, table.Len(), len(model))
 			}
 			// Every id still resolves to the values first inserted under
 			// it, exactly as given (an INT stays an INT).
 			for id, want := range first {
 				got := table.Key(id)
 				if len(got) != width || cap(got) != width {
-					t.Fatalf("Key(%d) has len %d cap %d, want %d/%d", id, len(got), cap(got), width, width)
+					return fmt.Sprintf("Key(%d) has len %d cap %d, want %d/%d", id, len(got), cap(got), width, width)
 				}
 				for i := range want {
 					if got[i].T != want[i].T || modelKey(got[i:i+1]) != modelKey(want[i:i+1]) {
-						t.Fatalf("Key(%d)[%d] = %#v, first inserted %#v", id, i, got[i], want[i])
+						return fmt.Sprintf("Key(%d)[%d] = %#v, first inserted %#v", id, i, got[i], want[i])
 					}
 				}
 				if table.Find(want) != id {
-					t.Fatalf("Find(Key(%d)) = %d", id, table.Find(want))
+					return fmt.Sprintf("Find(Key(%d)) = %d", id, table.Find(want))
 				}
 			}
-			if spread == 2000 && width > 0 && len(table.slots) < 8*startSlots {
-				t.Errorf("width %d: %d keys grew the table only from %d to %d slots; the test must cross several resizes",
-					width, table.Len(), startSlots, len(table.slots))
+			switch {
+			case width == 0:
+			case dist.spread == 2000 && len(table.slots) < 8*minKeySlots:
+				return fmt.Sprintf("width %d: %d keys grew the slots only to %d; the test must cross several resizes", width, table.Len(), len(table.slots))
+			case dist.dense && (moves < 3 || table.hashed == 0 || table.hashed == table.Len()):
+				return fmt.Sprintf("width %d, %s: the span moved %d times and %d of %d keys are hashed; the test must move it several times and keep keys in both places",
+					width, dist.name, moves, table.hashed, table.Len())
 			}
 		}
 	}
+	return ""
 }
 
+// TestKeyTableAgainstMapModelCatchesMutant seeds a span that moves over
+// keys hashed while it did not reach them and leaves them in the slots:
+// the next Insert of one hands out a second id, which the model sees.
+func TestKeyTableAgainstMapModelCatchesMutant(t *testing.T) {
+	test.keepHashed = true
+	d := checkKeyTableModel()
+	test.keepHashed = false
+	if d == "" {
+		t.Fatal("the model check passes with hashed keys left behind the span")
+	}
+	t.Log("caught: " + d)
+}
+
+// TestKeyTableEquality: KeyEqual says what the cases spell out, and a
+// table calls two keys one exactly when KeyEqual does, in either place
+// (checkKeyTableEquality).
 func TestKeyTableEquality(t *testing.T) {
 	big := int64(1) << 53
 	cases := []struct {
@@ -227,9 +348,16 @@ func TestKeyTableEquality(t *testing.T) {
 		same bool
 	}{
 		{NewInt(1), NewFloat(1), true},
+		{NewInt(3), NewFloat(3.5), false},
+		{NewFloat(3), NewFloat(3.5), false},
 		{NewInt(big), NewInt(big + 1), false}, // same float image, different integers
 		{NewInt(big), NewFloat(float64(big)), true},
+		{NewInt(big + 1), NewFloat(float64(big)), true},
+		{NewInt(-big - 1), NewFloat(-float64(big)), true},
+		{NewInt(big - 1), NewFloat(float64(big)), false},
+		{NewInt(math.MinInt64), NewFloat(math.MinInt64), true},
 		{NewFloat(0), NewFloat(math.Copysign(0, -1)), true},
+		{NewInt(0), NewFloat(math.Copysign(0, -1)), true},
 		{NewFloat(math.NaN()), NewFloat(math.NaN()), true},
 		{NewFloat(math.NaN()), NewFloat(1), false},
 		{NullValue, Value{}, true},
@@ -239,12 +367,85 @@ func TestKeyTableEquality(t *testing.T) {
 		{NewString("a"), NewString("a"), true},
 	}
 	for _, c := range cases {
-		tab := NewKeyTable(1, 0)
-		tab.Insert([]Value{c.a})
-		_, added := tab.Insert([]Value{c.b})
-		if added == c.same {
-			t.Errorf("%#v vs %#v: same key = %v, want %v", c.a, c.b, !added, c.same)
+		if got := KeyEqual(c.a, c.b); got != c.same {
+			t.Errorf("KeyEqual(%#v, %#v) = %v, want %v", c.a, c.b, got, c.same)
 		}
+	}
+	if d := checkKeyTableEquality(); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// equalityPool is the edge keys, FLOAT ±2^53, and small integers as INT,
+// as the equal FLOAT and as a FLOAT fraction beside them.
+var equalityPool = append(append([]Value(nil), edgeKeys...),
+	NewFloat(1<<53), NewFloat(-1<<53),
+	NewInt(3), NewFloat(3), NewFloat(3.5), NewInt(-3), NewFloat(-3), NewFloat(-3.5),
+	NewFloat(0.5), NewFloat(-0.5), NewInt(1<<51), NewFloat(1<<51+0.5))
+
+// checkKeyTableEquality returns the first pair of equalityPool, of width
+// 1 and of width 2 (the pair's values before a shared second column),
+// that a table calls one key when KeyEqual says two or the reverse. Each
+// pair meets in four tables: a new one, a hinted one, and one each whose
+// direct span already holds the INTs around 0 and those just below
+// ±2^53. Those are direct keys, each equal to no value but the ones of
+// its own integer, so the pair's answer cannot depend on which held key
+// it meets first.
+func checkKeyTableEquality() string {
+	var around0, belowBig []Value
+	for k := int64(-8); k <= 8; k++ {
+		around0 = append(around0, NewInt(k))
+	}
+	for k := int64(1); k <= 8; k++ {
+		belowBig = append(belowBig, NewInt(1<<53-k), NewInt(-(1<<53 - k)))
+	}
+	for width := 1; width <= 2; width++ {
+		for _, ctx := range []struct {
+			name    string
+			hint    int
+			prefill []Value
+		}{{"new", 0, nil}, {"hinted", 64, nil}, {"around 0", 0, around0}, {"below ±2^53", 0, belowBig}} {
+			for _, a := range equalityPool {
+				for _, b := range equalityPool {
+					tab := NewKeyTable(width, ctx.hint)
+					for _, p := range ctx.prefill {
+						tab.Insert([]Value{p, NewString("x")})
+					}
+					before := tab.Find([]Value{b, NewString("x")})
+					ia, _ := tab.Insert([]Value{a, NewString("x")})
+					found := tab.Find([]Value{b, NewString("x")})
+					ib, _ := tab.Insert([]Value{b, NewString("x")})
+					want := KeyEqual(a, b)
+					if (ia == ib) != want || (found == ia) != want || (before >= 0 && found != before) {
+						return fmt.Sprintf("width %d, %s table: %s %v then %s %v: ids %d and %d, Find %d; KeyEqual says %v",
+							width, ctx.name, a.T, a, b.T, b, ia, ib, found, want)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestKeyTableEqualityCatchesMutants seeds the two direct arrays that
+// break the equality: one that truncates a FLOAT 3.5 into the entry of
+// 3, and one that takes integers of 2^53 and beyond, where INT 2^53+1
+// equals FLOAT 2^53 and gets another entry.
+func TestKeyTableEqualityCatchesMutants(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arm  *bool
+	}{
+		{"a FLOAT fraction truncated into the direct array", &test.truncate},
+		{"a direct array past 2^53", &test.wideDirect},
+	} {
+		*c.arm = true
+		d := checkKeyTableEquality()
+		*c.arm = false
+		if d == "" {
+			t.Errorf("%s: the equality check passes, it cannot see the mutant", c.name)
+		}
+		t.Logf("%s: %s", c.name, d)
 	}
 }
 
@@ -259,13 +460,26 @@ func TestKeyTableZeroWidthAndHint(t *testing.T) {
 	if id, added := tab.Insert(Row{NewInt(7)}); id != 0 || added {
 		t.Errorf("every zero-width key is the one empty key: id %d added %v", id, added)
 	}
-	hinted := NewKeyTable(1, 1000)
-	slots := len(hinted.slots)
-	for i := 0; i < 1000; i++ {
-		hinted.Insert([]Value{NewInt(int64(i))})
-	}
-	if len(hinted.slots) != slots {
-		t.Errorf("a table hinted for 1000 keys grew from %d to %d slots", slots, len(hinted.slots))
+	// A hinted table allocates each array it needs once: the direct
+	// array for integer keys, the slots for any other.
+	for _, hashed := range []bool{false, true} {
+		hinted := NewKeyTable(1, 1000)
+		var direct *int32
+		var slots *keySlot
+		for i := 0; i < 1000; i++ {
+			key := NewInt(int64(999 - i))
+			if hashed {
+				key = NewString(fmt.Sprint(i))
+			}
+			hinted.Insert([]Value{key})
+			if i == 0 {
+				direct, slots = unsafe.SliceData(hinted.direct), unsafe.SliceData(hinted.slots)
+			}
+		}
+		if unsafe.SliceData(hinted.direct) != direct || unsafe.SliceData(hinted.slots) != slots || (direct == nil) == (slots == nil) {
+			t.Errorf("hashed %v: a table hinted for 1000 keys reallocated an array or allocated both (direct %d, slots %d)",
+				hashed, len(hinted.direct), len(hinted.slots))
+		}
 	}
 }
 
@@ -342,23 +556,28 @@ func TestKeyTablePayloadCells(t *testing.T) {
 // TestKeyTableReset: a table reset for another use is, to every caller,
 // the table NewPayloadKeyTable makes for it — the same ids in the same
 // order, the same Find answers, payload cells zeroed, nothing of the
-// previous keys found — over uses that change width, payload and hint;
-// and a use whose keys fit the storage the previous ones grew allocates
-// nothing.
+// previous keys found — over uses that change width, payload, hint and
+// where the keys lie, so that a use's keys meet a direct span another
+// use left elsewhere; and a use whose keys fit the storage the previous
+// ones grew allocates nothing, direct, hashed or both.
 func TestKeyTableReset(t *testing.T) {
+	pool := func(spread int) keyDist { return keyDist{name: fmt.Sprint("pool ", spread), spread: spread} }
+	from0, across0, at2p53, far := keyDists[3], keyDists[4], keyDists[5], keyDists[6]
 	reused := NewKeyTable(1, 0)
-	for use, u := range []struct{ width, payload, hint, keys, spread int }{
-		{1, 0, 0, 3000, 2000}, {1, 0, 0, 50, 40}, {2, 1, 50, 400, 40}, {0, 2, 0, 5, 3},
-		{1, 0, 3000, 2500, 2000}, {3, 0, 10, 900, 40}, {1, 2, 0, 3000, 2000},
+	for use, u := range []struct {
+		width, payload, hint, keys int
+		dist                       keyDist
+	}{
+		{1, 0, 0, 3000, pool(2000)}, {1, 0, 0, 3000, from0}, {1, 0, 0, 50, pool(40)}, {2, 1, 300, 2000, across0},
+		{2, 1, 50, 400, pool(40)}, {1, 0, 0, 500, far}, {0, 2, 0, 5, pool(3)}, {3, 0, 0, 900, at2p53},
+		{1, 0, 3000, 2500, pool(2000)}, {1, 1, 64, 3000, from0}, {3, 0, 10, 900, pool(40)}, {1, 2, 0, 3000, pool(2000)},
 	} {
 		reused.Reset(u.width, u.payload, u.hint)
 		fresh := NewPayloadKeyTable(u.width, u.payload, u.hint)
 		rng := rand.New(rand.NewSource(int64(use)))
 		key := make([]Value, u.width)
 		for op := 0; op < u.keys; op++ {
-			for i := range key {
-				key[i] = randomKeyValue(rng, u.spread)
-			}
+			u.dist.draw(rng, key)
 			if op%4 == 0 {
 				if got, want := reused.Find(key), fresh.Find(key); got != want {
 					t.Fatalf("use %d: Find(%v) = %d after Reset, %d in a new table", use, key, got, want)
@@ -389,55 +608,94 @@ func TestKeyTableReset(t *testing.T) {
 	}
 
 	// Storage the earlier uses grew is kept: filling it again allocates
-	// nothing.
-	keys := make([][]Value, 2000)
-	for i := range keys {
-		keys[i] = []Value{NewInt(int64(i)), NewString("k")}
-	}
-	table := NewPayloadKeyTable(2, 1, 0)
-	fill := func() {
-		table.Reset(2, 1, 0)
-		for _, k := range keys {
-			table.Insert(k)
+	// nothing, whether the keys went direct, were hashed or both.
+	for _, form := range []string{"direct", "hashed", "both"} {
+		keys := make([][]Value, 2000)
+		for i := range keys {
+			first := NewInt(int64(i))
+			if form == "hashed" || (form == "both" && i%2 == 1) {
+				first = NewString(fmt.Sprint(i))
+			}
+			keys[i] = []Value{first, NewString("k")}
 		}
-	}
-	fill()
-	if n := testing.AllocsPerRun(5, fill); n != 0 {
-		t.Errorf("refilling a reset table with as many keys allocated %.0f times, want 0", n)
+		table := NewPayloadKeyTable(2, 1, 0)
+		fill := func() {
+			table.Reset(2, 1, 0)
+			for _, k := range keys {
+				table.Insert(k)
+			}
+		}
+		fill()
+		if n := testing.AllocsPerRun(5, fill); n != 0 {
+			t.Errorf("%s: refilling a reset table with as many keys allocated %.0f times, want 0", form, n)
+		}
 	}
 }
 
-// TestKeyTableStorageBytes: key storage doubles with the slots and never
-// grows by append. Over 1 to 5,000 keys without a hint, the cells it
-// ever allocated stay within twice what it holds at the end, and that
-// within twice what the keys fill (or the first step's room); with a
-// hint it allocates once, exactly the hint's cells, and keeps them while
-// the keys fit.
+// TestKeyTableStorageBytes: key storage doubles on its own, never by
+// append, and the direct array costs at most half the slots it stands in
+// for.
+//   - Without a hint, over 1 to 5,000 keys, direct or hashed, the cells
+//     ever allocated stay within twice what the table holds at the end,
+//     and that within twice what the keys fill (or the first step's
+//     room).
+//   - With a hint the cells are allocated once, exactly the hint's.
+//   - A table whose keys all went direct (in order without a hint, in
+//     any order within a hint) allocates no slot array. Its direct
+//     array has at most as many entries as a table of slots alone would
+//     have slots, so it takes at most half their bytes; it is allocated
+//     once within a hint, and without one at most once more often than
+//     the cells.
 func TestKeyTableStorageBytes(t *testing.T) {
+	const width = 2
+	halfSlots := func(n int) int { return slotsFor(n) * int(unsafe.Sizeof(keySlot{})) / 2 }
+	directBytes := func(tab *KeyTable) int { return len(tab.direct) * int(unsafe.Sizeof(int32(0))) }
 	for _, payload := range []int{0, 2} {
-		const width = 2
 		stride := width + payload
-		table := NewPayloadKeyTable(width, payload, 0)
-		var seen *Value
-		allocated := 0
-		for n := 1; n <= 5000; n++ {
-			table.Insert([]Value{NewInt(int64(n)), NewString("k")})
-			if p := unsafe.SliceData(table.vals); p != seen {
-				seen, allocated = p, allocated+cap(table.vals)
-			}
-			final := cap(table.vals)
-			if allocated > 2*final || final > 2*max(n, minKeySlots/2)*stride {
-				t.Fatalf("payload %d, %d keys: %d cells allocated in all, %d held, %d filled", payload, n, allocated, final, n*stride)
+		for _, hashed := range []bool{false, true} {
+			table := NewPayloadKeyTable(width, payload, 0)
+			var cells *Value
+			var direct *int32
+			allocated, cellAllocs, directAllocs := 0, 0, 0
+			for n := 1; n <= 5000; n++ {
+				first := NewInt(int64(n))
+				if hashed {
+					first = NewString(fmt.Sprint(n))
+				}
+				table.Insert([]Value{first, NewString("k")})
+				if p := unsafe.SliceData(table.vals); p != cells {
+					cells, allocated, cellAllocs = p, allocated+cap(table.vals), cellAllocs+1
+				}
+				if p := unsafe.SliceData(table.direct); p != direct {
+					direct, directAllocs = p, directAllocs+1
+				}
+				final := cap(table.vals)
+				if allocated > 2*final || final > 2*max(n, minKeySlots/2)*stride {
+					t.Fatalf("payload %d, hashed %v, %d keys: %d cells allocated in all, %d held, %d filled", payload, hashed, n, allocated, final, n*stride)
+				}
+				if !hashed && (table.slots != nil || directBytes(table) > halfSlots(n) || directAllocs > cellAllocs+1) {
+					t.Fatalf("payload %d, %d keys in order: %d slots, a direct array of %d bytes (half of a table's slots: %d), allocated %d times to the cells' %d",
+						payload, n, len(table.slots), directBytes(table), halfSlots(n), directAllocs, cellAllocs)
+				}
 			}
 		}
 		for _, hint := range []int{1, 7, 100, 4096, 5000} {
 			hinted := NewPayloadKeyTable(width, payload, hint)
 			data := unsafe.SliceData(hinted.vals)
-			for n := 1; n <= hint; n++ {
-				hinted.Insert([]Value{NewInt(int64(n)), NewString("k")})
+			var direct *int32
+			directAllocs := 0
+			for _, k := range rand.New(rand.NewSource(int64(hint))).Perm(hint) {
+				hinted.Insert([]Value{NewInt(int64(k)), NewString("k")})
+				if p := unsafe.SliceData(hinted.direct); p != direct {
+					direct, directAllocs = p, directAllocs+1
+				}
 			}
 			if cap(hinted.vals) != hint*stride || unsafe.SliceData(hinted.vals) != data {
 				t.Errorf("payload %d, hint %d: %d keys hold %d cells, want one allocation of %d", payload, hint, hint, cap(hinted.vals), hint*stride)
+			}
+			if hinted.slots != nil || directAllocs != 1 || directBytes(hinted) > halfSlots(hint) {
+				t.Errorf("payload %d, hint %d: %d slots, a direct array of %d bytes (half of a table's slots: %d) allocated %d times, want no slots and one allocation",
+					payload, hint, len(hinted.slots), directBytes(hinted), halfSlots(hint), directAllocs)
 			}
 		}
 	}

@@ -108,8 +108,14 @@ func (s *Spares[T]) drop(i, j int) {
 
 // test is zero outside tests: the seeded mutants of Sweep's rule — the
 // first sweep ages what the run let go before it as any other, and a
-// sweep drops nothing.
-var test struct{ agePreLoop, sweepNothing bool }
+// sweep drops nothing — and of KeyTable's direct array: a FLOAT
+// truncated into the entry of its integer part, a span that takes
+// integers of 2^53 and beyond, and a span that moves over hashed keys
+// without taking them out of the slots.
+var test struct {
+	agePreLoop, sweepNothing         bool
+	truncate, wideDirect, keepHashed bool
+}
 
 // Clear drops every spare.
 func (s *Spares[T]) Clear() {
