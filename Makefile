@@ -59,16 +59,18 @@ bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# bench-eval runs each expression microbenchmark once (BenchmarkEvalFF and
-# one BenchmarkEvalWorkloads entry per workload expression), so the
-# benchmarks the typed FLOAT path is measured by compile and run on every
-# change, and the hash operators' kernel benchmarks once (BenchmarkHashJoin,
-# BenchmarkHashAgg and BenchmarkDistinct, each over keys the key table
-# indexes directly and over keys it hashes). For numbers, run them with
-# -benchtime 2000000x (expressions) or 2000x (kernels) and -count 5.
+# bench-eval runs each expression microbenchmark once (BenchmarkEvalFF's
+# row and batch arms, and one BenchmarkEvalWorkloads entry per workload
+# expression), so the benchmarks the typed FLOAT path is measured by
+# compile and run on every change, and the operators' kernel benchmarks
+# once (BenchmarkHashJoin, BenchmarkHashAgg and BenchmarkDistinct, each
+# over keys the key table indexes directly and over keys it hashes, and
+# BenchmarkProjectBatch, FF's projection materialized in the batch form
+# and a row at a time). For numbers, run them with -benchtime 2000000x
+# (expressions) or 2000x (kernels) and -count 5.
 bench-eval:
 	$(GO) test -run '^$$' -bench '^BenchmarkEval' -benchtime 1x ./internal/expr
-	$(GO) test -run '^$$' -bench '^Benchmark(HashJoin|HashAgg|Distinct)' -benchtime 1x ./internal/exec
+	$(GO) test -run '^$$' -bench '^Benchmark(HashJoin|HashAgg|Distinct|ProjectBatch)' -benchtime 1x ./internal/exec
 
 # bench-pair measures a claimed gain the way the choosing-metrics guide
 # (§8) asks: PAIRS alternating runs of one workload's end-to-end pass on

@@ -7,6 +7,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -154,22 +155,23 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		items, err := shared(rt.Memo(), n, func() ([]*expr.Compiled, error) {
+		px, err := shared(rt.Memo(), n, func() (px projectExprs, err error) {
 			e := planEnv(t.Input, rt.Memo().Params())
-			items := make([]*expr.Compiled, len(t.Items))
+			px.items = make([]*expr.Compiled, len(t.Items))
 			for i, it := range t.Items {
-				c, err := expr.Compile(it.Expr, e)
-				if err != nil {
-					return nil, err
+				if px.items[i], err = expr.Compile(it.Expr, e); err != nil {
+					return px, err
 				}
-				items[i] = c
 			}
-			return items, nil
+			if slices.ContainsFunc(px.items, (*expr.Compiled).Typed) {
+				px.run = runOf(rt.Memo(), n, func() *batchRun { return new(batchRun) })
+			}
+			return px, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &projectOp{input: in, items: items, out: outRows{borrow: borrow}}, nil
+		return &projectOp{input: in, items: px.items, run: px.run, out: outRows{borrow: borrow}}, nil
 	case *plan.Join:
 		return buildJoin(t, rt, stats, cc, borrow, frag)
 	case *plan.Aggregate:
@@ -189,7 +191,10 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{input: in, width: len(t.Input.Columns())}, nil
+		run, _ := shared(rt.Memo(), n, func() (*distinctRun, error) {
+			return runOf(rt.Memo(), n, func() *distinctRun { return new(distinctRun) }), nil
+		})
+		return &distinctOp{input: in, width: len(t.Input.Columns()), run: run}, nil
 	case *plan.Sort:
 		in, err := buildWith(t.Input, rt, stats, cc, false, frag)
 		if err != nil {
@@ -267,7 +272,9 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 //
 // Each row goes into its partition as the plan produces it, so the
 // partitions and their order are what InsertBatch makes of the drained
-// rows, without the drained slice. hint, when it has one count per
+// rows, without the drained slice. A chain of filters and a project with
+// a typed item produces its rows a batch at a time (batch.go), and the
+// same rows in the same order. hint, when it has one count per
 // partition, presizes each partition to hold that many rows: a step
 // passes about what it wrote there last iteration. It is advisory and
 // changes capacity, never rows. The plan's hot loops poll ctx at a
@@ -292,6 +299,12 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 				t.Parts[p] = chunks.Part(rows)
 			}
 		}
+	}
+	if c, ok := batchChainOf(op); ok {
+		if err := c.materialize(t); err != nil {
+			return nil, err
+		}
+		return t, nil
 	}
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -487,7 +500,15 @@ func (f *filterOp) Close() error { return f.input.Close() }
 type projectOp struct {
 	input Operator
 	items []*expr.Compiled
+	run   *batchRun // nil unless an item is typed: the batch form's run state
 	out   outRows
+}
+
+// projectExprs is what a project node's items compile to, plus its run
+// state where an item is typed.
+type projectExprs struct {
+	items []*expr.Compiled
+	run   *batchRun
 }
 
 func (p *projectOp) Open() error {
@@ -579,11 +600,31 @@ func (u *unionOp) Close() error {
 type distinctOp struct {
 	input Operator
 	width int
+	run   *distinctRun
 	seen  *sqltypes.KeyTable
 }
 
+// distinctRun is what a distinct node carries from one of its runs to the
+// next (nodeRun). The operator hands on its input's rows, so its key
+// table is its own at Close whoever its consumer is.
+type distinctRun struct {
+	// lastRows is how many distinct rows the node's last run that
+	// closed produced, in whichever partition closed last: what the next
+	// run presizes its key table to.
+	lastRows atomic.Int64
+	// spare holds the key tables of closed runs, for the next run to
+	// reset and fill instead of allocating.
+	spare sqltypes.Spares[*sqltypes.KeyTable]
+}
+
+func (r *distinctRun) sweep()    { r.spare.Sweep() }
+func (r *distinctRun) handBack() { r.spare.HandBack() }
+
 func (d *distinctOp) Open() error {
-	d.seen = sqltypes.NewKeyTable(d.width, 0)
+	if d.seen = d.run.spare.Take(); d.seen == nil {
+		d.seen = new(sqltypes.KeyTable)
+	}
+	d.seen.Reset(d.width, 0, int(d.run.lastRows.Load()))
 	return d.input.Open()
 }
 
@@ -600,6 +641,10 @@ func (d *distinctOp) Next() (sqltypes.Row, error) {
 }
 
 func (d *distinctOp) Close() error {
+	if d.seen != nil {
+		d.run.lastRows.Store(int64(d.seen.Len()))
+		d.run.spare.Give(d.seen)
+	}
 	d.seen = nil
 	return d.input.Close()
 }
@@ -726,6 +771,9 @@ type aggSpare struct {
 	groups *sqltypes.KeyTable
 	aggs   []expr.Aggregator
 }
+
+func (r *aggRun) sweep()    { r.spare.Sweep() }
+func (r *aggRun) handBack() { r.spare.HandBack() }
 
 // buildAggregate compiles an aggregate node's expressions over its
 // input's rows and resolves each aggregate function once. The
@@ -866,7 +914,7 @@ func (a *aggOp) Close() error {
 // aggExprsOf compiles an aggregate node's expressions, once per m.
 func aggExprsOf(m *Memo, t *plan.Aggregate) (aggExprs, error) {
 	return shared(m, t, func() (ex aggExprs, err error) {
-		ex.run = m.aggRunOf(t)
+		ex.run = runOf(m, t, func() *aggRun { return new(aggRun) })
 		if ex.groupEx, err = groupKeyExprs(t, m.Params()); err != nil {
 			return ex, err
 		}

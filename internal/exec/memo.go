@@ -29,10 +29,10 @@ import (
 //     every expression it compiles reads (expr.Env.Params): a plan
 //     prepared once runs with the literals of each text that has its
 //     shape.
-//   - Storage (Leftovers): the indexes let go, each aggregate node's run
-//     state and the free list of row chunks. It is the statement's, not
-//     the run's: the next run of the statement fills what this one left,
-//     its row chunks too.
+//   - Storage (Leftovers): the indexes let go, the run state of each
+//     aggregate, distinct and batch-run project node, and the free list
+//     of row chunks. It is the statement's, not the run's: the next run of
+//     the statement fills what this one left, its row chunks too.
 //
 // An index entry's key is (table address, partition, key columns,
 // filter), and the address is a sufficient witness that the rows are the
@@ -46,11 +46,13 @@ import (
 // over the build side's read, which the memo gives out once per plan
 // node, so a loop-invariant filtered read is indexed once per run too.
 //
-// An aggregate's run state (aggRun) is advisory: the group count that the
-// next run presizes from, and the group tables and accumulators lending
-// runs gave back. The partitions of an MPP machine overwrite the count
-// and trade the spares freely; a stale or another partition's count, or
-// another partition's spare, changes capacity, never rows.
+// A node's run state (nodeRun) is advisory: an aggregate's group count
+// that the next run presizes from, and the group tables and accumulators
+// lending runs gave back (aggRun); a distinct's key table and its size
+// (distinctRun); a batch-run project's vectors (batchRun). The partitions
+// of an MPP machine overwrite the counts and trade the spares freely; a
+// stale or another partition's count, or another partition's spare,
+// changes capacity, never rows.
 //
 // A nil *Memo is valid: it builds every index and compiles every
 // expression it is asked for, with no bound values, and keeps nothing. A
@@ -62,7 +64,7 @@ type Memo struct {
 	indexes  []*indexEntry // in the order the run asked for them first
 	made     int           // entries made so far; the next one's seq
 	compiled map[plan.Node]*compileEntry
-	aggRuns  []*aggRun // every aggregate entry's run state, for Sweep
+	runs     []nodeRun // the run state of every node compiled, for Sweep
 	params   []sqltypes.Value
 	left     *Leftovers // the statement's storage
 }
@@ -113,10 +115,10 @@ func (m *Memo) Chunks() *sqltypes.ChunkPool {
 //     index survives exactly as long as every iteration uses it, the
 //     tables of a finished iteration are held for at most one more, and
 //     nobody reads a dropped index again.
-//   - The spare indexes, the aggregates' spare group tables and the row
-//     chunks and partition slices a loop iteration let go and no one
-//     took since the previous Sweep go; what the run let go before its
-//     first back-edge stays (sqltypes.Spares.Sweep).
+//   - The spare indexes, the nodes' spares (nodeRun) and the row chunks
+//     and partition slices a loop iteration let go and no one took since
+//     the previous Sweep go; what the run let go before its first
+//     back-edge stays (sqltypes.Spares.Sweep).
 func (m *Memo) Sweep() {
 	if m == nil {
 		return
@@ -132,8 +134,8 @@ func (m *Memo) Sweep() {
 		}
 		return unused
 	})
-	for _, r := range m.aggRuns {
-		r.spare.Sweep()
+	for _, r := range m.runs {
+		r.sweep()
 	}
 	m.left.chunks.Sweep()
 }
@@ -152,7 +154,7 @@ func (m *Memo) end(clean bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.compiled)
-	m.aggRuns = nil
+	m.runs = nil
 	if test.carryEntries {
 		m.left.carried = m.indexes
 		return
@@ -256,16 +258,29 @@ func (m *Memo) GroupKeys(t *plan.Aggregate) ([]*expr.Compiled, error) {
 	return ex.groupEx, err
 }
 
-// aggRunOf returns the run state of aggregate node n compiled under m —
-// what the statement's earlier runs of n left, if any — which Sweep
-// reaches; without a memo, a new one that nothing sweeps.
-func (m *Memo) aggRunOf(n *plan.Aggregate) *aggRun {
+// nodeRun is what one plan node carries from one of its runs to the
+// next, within the run of a statement and from that run to the next
+// (Leftovers): aggRun, distinctRun, batchRun. All of it is advisory: it
+// changes capacity and who allocates, never rows.
+type nodeRun interface {
+	sweep()    // a back-edge: sqltypes.Spares.Sweep of its spares
+	handBack() // a clean run's end: sqltypes.Spares.HandBack
+}
+
+// runOf returns the run state of node n compiled under m — what the
+// statement's earlier runs of n left, if any, else mk() — which Sweep
+// reaches; without a memo, mk(), which nothing sweeps. Call it once per
+// memo and node, from what shared compiles.
+func runOf[R nodeRun](m *Memo, n plan.Node, mk func() R) R {
 	if m == nil {
-		return new(aggRun)
+		return mk()
 	}
-	r := m.left.aggRun(n)
+	r := m.left.run(n, func() nodeRun { return mk() }).(R)
 	m.mu.Lock()
-	m.aggRuns = append(m.aggRuns, r)
+	if m.runs == nil {
+		m.runs = make([]nodeRun, 0, 8) // grown once for most plans
+	}
+	m.runs = append(m.runs, r)
 	m.mu.Unlock()
 	return r
 }
@@ -275,17 +290,19 @@ func (m *Memo) aggRunOf(n *plan.Aggregate) *aggRun {
 // which for the final query's aggregate, whose rows the run returns,
 // only the statement's next run shows — of End, the index entries
 // carried into the next run, of the entries' hold, an entry that does not
-// hold its table, and of the scan's pin, a fragment scan under a keeping
-// consumer that does not pin the result it reads.
+// hold its table, of the scan's pin, a fragment scan under a keeping
+// consumer that does not pin the result it reads, and of the batch form,
+// a batch that returns the first error it meets instead of replaying.
 var test struct {
 	keepingGivesBack, carryEntries, unheldEntries bool
-	unpinnedFragmentKeeper                        bool
+	unpinnedFragmentKeeper, noReplay              bool
 }
 
 // Leftovers is what the runs of one statement carry from one to the
-// next: the hash indexes they let go, each aggregate node's run state
-// (aggRun: its group-count hint, its spare group tables and
-// accumulators), and the free list of row chunks, whose chunks and
+// next: the hash indexes they let go, each node's run state (nodeRun: an
+// aggregate's group-count hint, spare group tables and accumulators, a
+// distinct's key tables, a batch-run project's vectors), and the free
+// list of row chunks, whose chunks and
 // partition slices the released tables of the next run are carved from.
 // Only storage and advisory hints are in it: a run builds its memo over
 // it (Begin), and nothing the memo computed — an index entry, a compiled
@@ -295,7 +312,7 @@ type Leftovers struct {
 	indexes sqltypes.Spares[*HashIndex]
 	chunks  sqltypes.ChunkPool
 	mu      sync.Mutex
-	aggs    map[*plan.Aggregate]*aggRun
+	runs    map[plan.Node]nodeRun
 	carried []*indexEntry // the last run's entries, under test.carryEntries only
 }
 
@@ -324,12 +341,12 @@ func (l *Leftovers) End(m *Memo, clean bool) {
 	defer l.mu.Unlock()
 	if !clean {
 		l.chunks.Reset()
-		l.aggs = nil
+		l.runs = nil
 		return
 	}
 	l.chunks.HandBack()
-	for _, r := range l.aggs {
-		r.spare.HandBack()
+	for _, r := range l.runs {
+		r.handBack()
 	}
 }
 
@@ -341,18 +358,18 @@ func (l *Leftovers) ChunkBytes() int64 { return l.chunks.Bytes() }
 // statement's next run allocates its tables afresh.
 func (l *Leftovers) DropChunks() { l.chunks.Reset() }
 
-// aggRun returns n's run state, new if no run of the statement has
+// run returns n's run state, mk() if no run of the statement has
 // compiled n yet.
-func (l *Leftovers) aggRun(n *plan.Aggregate) *aggRun {
+func (l *Leftovers) run(n plan.Node, mk func() nodeRun) nodeRun {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r := l.aggs[n]
+	r := l.runs[n]
 	if r == nil {
-		if l.aggs == nil {
-			l.aggs = make(map[*plan.Aggregate]*aggRun)
+		if l.runs == nil {
+			l.runs = make(map[plan.Node]nodeRun)
 		}
-		r = new(aggRun)
-		l.aggs[n] = r
+		r = mk()
+		l.runs[n] = r
 	}
 	return r
 }

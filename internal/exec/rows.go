@@ -29,6 +29,13 @@ import "dbspinner/internal/sqltypes"
 // exchange. The operators that build a row per Next — hash join, nested
 // loop, project — take it from an outRows, which is the one place the
 // two answers differ.
+//
+// The batch form (batch.go) holds up to a batch of its source's rows at
+// once, which only a scan of a stored result or an aggregate's output —
+// rows valid until the source closes — may give it. The cells a typed
+// program reads it gathers into vectors of its own, copies of the cells'
+// numbers, and it writes each output cell into a row its project carved
+// as the row path carves it; so no rule above changes.
 
 // outRows is where a row-building operator's output rows come from.
 // The zero value keeps every row alive: rows are carved from a RowSlab.

@@ -6,10 +6,16 @@
 // Compiling resolves everything but the row: operators and functions are
 // bound to their kernels (kernels.go, funcs.go), and leaf operands are
 // read in place (operands.go). An expression whose root is a FLOAT
-// arithmetic tree of two operators or more — FF's ROUND(CAST((a / b) * a
-// AS FLOAT), 5) — also gets a typed program that computes it as float64
+// arithmetic tree of two operators or more — + - * /, CAST AS FLOAT,
+// ROUND to literal digits, CEILING, FLOOR and the INT % or MOD, as in
+// FF's ROUND(CAST((a / b) * a AS FLOAT), 5) and CEILING(a * (1.0 - ((g %
+// 10) / 100.0))) — also gets a typed program that computes it as float64
 // with no Value per node, and falls back to the generic evaluator on any
-// row it cannot reproduce exactly (float.go).
+// row it cannot reproduce exactly (float.go). So does a comparison of
+// two such trees with two operators or more in all, such as MOD(node, 2)
+// = 0, for batches only. The program also runs over a batch of rows at a
+// time, a loop over a column vector per step (batch.go): EvalBatch and
+// SelectBatch, which the executor's batch form calls.
 //
 // Aggregate function calls are not compiled here: the planner extracts
 // them into aggregate-output columns first (see internal/plan), so the
@@ -138,6 +144,10 @@ type Compiled struct {
 	// expression. Its Eval ignores the row, so an operator reads it once,
 	// when it binds (literal).
 	lit *ast.Literal
+	// prog is the typed program of a FLOAT tree or a comparison (float.go),
+	// nil where there is none: what EvalBatch and SelectBatch run over a
+	// batch (batch.go).
+	prog floatProg
 }
 
 // literal returns the value of a compiled literal; ok is false for any

@@ -10,51 +10,85 @@ import (
 
 // The typed path. An expression whose root is a FLOAT arithmetic tree of
 // two operators or more — + - * / whose static type is FLOAT, CAST(… AS
-// FLOAT) and ROUND(x, <literal digits>), over numeric columns and FLOAT
-// literals — is also compiled into a floatProg, which evaluates it as
-// float64 with no Value per node. Exported Compile attaches it at the root
-// only, and the root's Eval runs it once per row; where it cannot
+// FLOAT), ROUND(x, <literal digits>), CEILING/CEIL/FLOOR and the INT % or
+// MOD of two statically INT operands, over numeric columns and INT and
+// FLOAT literals — is also compiled into a floatProg, which evaluates it
+// as float64 with no Value per node. Exported Compile attaches it at the
+// root only, and the root's Eval runs it once per row; where it cannot
 // reproduce the generic result exactly it bails, and the generic
 // evaluator, which never tries it again, computes the row. It bails on:
 //   - a leaf that is not INT or FLOAT at run time (NULL, BOOLEAN,
 //     VARCHAR), or a column the row is too short for;
-//   - an operator over two INTs, which is integer arithmetic with
-//     overflow checks, and a zero divisor, for which the generic one fails;
+//   - an arithmetic operator over two INTs, which is integer arithmetic
+//     with overflow checks, and a zero divisor, for which the generic one
+//     fails;
+//   - a % or MOD whose operands are not both INTs, or one of them is not
+//     below 2^53 in magnitude — the float64 it is carried in would not be
+//     the INT — or whose divisor is 0;
 //   - ROUND of an INT, whose result is an INT, and an INT result.
 //
 // Everywhere else it computes what the generic kernels compute: an INT
 // widens exactly as Value.Float widens it, a FLOAT op FLOAT or a mixed
-// operator is the IEEE operation on the two floats, CAST of a FLOAT is
-// itself, and ROUND calls the same roundFloat.
+// operator is the IEEE operation on the two floats, an INT % INT is the
+// int64 remainder of the INTs the two floats carry exactly, CAST of a
+// FLOAT is itself, CEILING and FLOOR are math.Ceil and math.Floor of the
+// widened operand, and ROUND calls the same roundFloat.
+//
+// A condition whose root is a comparison (= != < <= > >=) of two such
+// trees, or of numeric leaves, with two operators or more in all — FF's
+// MOD(node, 2) = 0 — gets a program too, ending in a floatCmp step. Its
+// Eval does not run it: only a batch does (batch.go), where it yields
+// the rows the condition holds for.
 
 // floatOp is what a step of a floatProg does.
 type floatOp uint8
 
 const (
 	floatCol   floatOp = iota // push row[col] as a float64
-	floatConst                // push v
+	floatConst                // push v, an INT if isInt
 	floatArith                // pop b and a, push kernel(a, b)
+	floatMod                  // pop b and a, push the INT a % b
 	floatCast                 // CAST AS FLOAT: the top is no longer an INT
 	floatRound                // round the top with 10^digits = v
+	floatCeil                 // CEILING of the top
+	floatFloor                // FLOOR of the top
+	floatCmp                  // pop b and a: a condition's root (batch only)
 )
 
 type floatStep struct {
-	op     floatOp
 	col    int
 	v      float64
-	kernel floatKernel
+	kernel floatKernel // floatArith
+	vec    vecKernel   // floatArith: kernel over a batch
+	op     floatOp
+	isInt  bool    // floatConst: v is an INT literal's
+	holds  [3]bool // floatCmp: whether a < b, a = b and a > b satisfy it
 }
 
 // A floatProg is a FLOAT arithmetic tree in postfix order over a stack of
 // float64s, each marked whether it is a widened INT. A tree of n leaves
-// has n-1 binary operators, so a program of maxFloatSteps steps has at
-// most floatDepth leaves, and its stack never holds more values.
+// has at most n-1 binary operators, so a program of maxFloatSteps steps
+// has at most floatDepth leaves, and its stack never holds more values.
 type floatProg []floatStep
 
 const (
 	maxFloatSteps = 15
 	floatDepth    = (maxFloatSteps + 1) / 2
 )
+
+// ops counts the steps that are operators, not leaves.
+func (p floatProg) ops() int {
+	n := 0
+	for _, s := range p {
+		if s.op >= floatArith {
+			n++
+		}
+	}
+	return n
+}
+
+// cond reports whether p is a condition's program, ending in floatCmp.
+func (p floatProg) cond() bool { return len(p) > 0 && p[len(p)-1].op == floatCmp }
 
 // floatKernel is a binary operator of the typed path: a∘b, and ok false
 // where the generic kernel returns no FLOAT a∘b — for two INTs (ints),
@@ -69,6 +103,11 @@ var floatKernels = map[string]floatKernel{
 	"*": func(a, b float64, ints bool) (float64, bool) { return a * b, !ints },
 	"/": func(a, b float64, ints bool) (float64, bool) { return a / b, !ints && b != 0 },
 }
+
+// exactInt reports whether an INT carried as f is carried exactly: an
+// int64 below 2^53 in magnitude widens to the float64 of the same value,
+// and one at or above it to a float64 at or above it.
+func exactInt(f float64) bool { return f > -(1<<53) && f < 1<<53 }
 
 // eval runs p over row: the FLOAT it evaluates to, or ok false where it
 // bails.
@@ -94,6 +133,9 @@ func (p floatProg) eval(row sqltypes.Row) (f float64, ok bool) {
 			n++
 		case floatConst:
 			st[n] = s.v
+			if s.isInt {
+				ints |= 1 << n
+			}
 			n++
 		case floatArith:
 			n--
@@ -101,6 +143,14 @@ func (p floatProg) eval(row sqltypes.Row) (f float64, ok bool) {
 				return 0, false
 			}
 			ints &^= 3 << (n - 1)
+		case floatMod:
+			n--
+			a, b := st[n-1], st[n]
+			if ints>>(n-1)&3 != 3 || !exactInt(a) || !exactInt(b) || b == 0 {
+				return 0, false
+			}
+			st[n-1] = float64(int64(a) % int64(b))
+			ints &^= 1 << n
 		case floatCast:
 			ints &^= 1 << (n - 1)
 		case floatRound:
@@ -108,32 +158,49 @@ func (p floatProg) eval(row sqltypes.Row) (f float64, ok bool) {
 				return 0, false
 			}
 			st[n-1] = roundFloat(st[n-1], s.v)
+		case floatCeil:
+			st[n-1], ints = math.Ceil(st[n-1]), ints&^(1<<(n-1))
+		case floatFloor:
+			st[n-1], ints = math.Floor(st[n-1]), ints&^(1<<(n-1))
+		default: // floatCmp: a condition's program runs over batches only
+			return 0, false
 		}
 	}
 	return st[0], ints == 0
 }
 
 // withFloat attaches the typed path to c, compiled from e, where e is a
-// FLOAT arithmetic tree of two operators or more. A single operator over
+// FLOAT arithmetic tree of two operators or more, or a comparison of two
+// typed trees with two operators or more in all. A single operator over
 // leaves keeps its bindLeaves closure alone, so that the single operators
 // of PageRank and SSSP evaluate as they did (DESIGN.md §5h gives what the
-// program measures on them).
-func withFloat(c *Compiled, e ast.Expr, env *Env) *Compiled {
-	if c.Type != sqltypes.Float || c.Col >= 0 || c.lit != nil {
-		return c // not FLOAT, or a leaf: no operator at all
+// program measures on them). A FLOAT tree's Eval tries the program first;
+// a condition's Eval is left as it was, and its program runs only over a
+// batch (batch.go).
+func withFloat(c *Compiled, e ast.Expr, env *Env) *Compiled { return withProg(c, e, env, 2) }
+
+// withProg is withFloat for programs of minOps operators or more.
+func withProg(c *Compiled, e ast.Expr, env *Env, minOps int) *Compiled {
+	if c.Col >= 0 || c.lit != nil || c.Type != sqltypes.Float && c.Type != sqltypes.Bool {
+		return c // a leaf, or neither a FLOAT nor a condition
 	}
 	var buf [maxFloatSteps]floatStep
-	p, _, ok := emitFloat(buf[:0], e, env)
-	ops := 0
-	for _, s := range p {
-		if s.op >= floatArith {
-			ops++
-		}
+	var p floatProg
+	ok := false
+	if c.Type == sqltypes.Float {
+		p, _, ok = emitFloat(buf[:0], e, env)
+	} else {
+		p, ok = emitCond(buf[:0], e, env)
 	}
-	if !ok || ops < 2 {
+	if !ok || p.ops() < minOps {
 		return c
 	}
-	prog, generic := floatProg(slices.Clone(p)), c.Eval
+	prog := floatProg(slices.Clone(p))
+	c.prog = prog
+	if prog.cond() {
+		return c
+	}
+	generic := c.Eval
 	c.Eval = func(row sqltypes.Row) (sqltypes.Value, error) {
 		if f, ok := prog.eval(row); ok {
 			return sqltypes.NewFloat(f), nil
@@ -143,14 +210,47 @@ func withFloat(c *Compiled, e ast.Expr, env *Env) *Compiled {
 	return c
 }
 
+// comparisons are the comparison operators a condition's program may end
+// in, with whether a < b, a = b and a > b satisfy each.
+var comparisons = map[string][3]bool{
+	"=":  {false, true, false},
+	"!=": {true, false, true},
+	"<":  {true, false, false},
+	"<=": {true, true, false},
+	">":  {false, false, true},
+	">=": {false, true, true},
+}
+
+// emitCond appends the steps of a comparison of two typed trees to p, or
+// returns ok false where e is no such comparison.
+func emitCond(p []floatStep, e ast.Expr, env *Env) (_ []floatStep, ok bool) {
+	t, isBin := e.(*ast.BinaryExpr)
+	if !isBin {
+		return p, false
+	}
+	holds, isCmp := comparisons[t.Op]
+	if !isCmp {
+		return p, false
+	}
+	if p, _, ok = emitFloat(p, t.L, env); !ok {
+		return p, false
+	}
+	if p, _, ok = emitFloat(p, t.R, env); !ok || len(p) == maxFloatSteps {
+		return p, false
+	}
+	return append(p, floatStep{op: floatCmp, holds: holds}), true
+}
+
 // emitFloat appends e's steps to p in postfix order and returns e's
-// static type, or ok false where e is no FLOAT arithmetic tree over
-// numeric columns and FLOAT literals, or needs more steps than a program
-// may have. Every operator it takes must be statically FLOAT: a column
-// typed INT may hold FLOATs at run time (FF's friends does), but INT∘INT
-// would bail on every row.
+// static type, or ok false where e is no typed tree over numeric columns
+// and INT and FLOAT literals, or needs more steps than a program may
+// have. Every arithmetic operator it takes must be statically FLOAT, and
+// every % or MOD statically INT: a column typed INT may hold FLOATs at
+// run time (FF's friends does), but INT∘INT would bail on every row of
+// + - * /, and a FLOAT % on every row of %.
 func emitFloat(p []floatStep, e ast.Expr, env *Env) (_ []floatStep, typ sqltypes.Type, ok bool) {
 	var s floatStep
+	var l, r ast.Expr // the operands of a binary operator, which s is
 	switch t := e.(type) {
 	case *ast.ColumnRef:
 		b, err := env.Resolve(t.Table, t.Name)
@@ -159,24 +259,24 @@ func emitFloat(p []floatStep, e ast.Expr, env *Env) (_ []floatStep, typ sqltypes
 		}
 		s, typ = floatStep{op: floatCol, col: b.Index}, b.Type
 	case *ast.Literal:
-		v := env.bound(t)
-		if v.T != sqltypes.Float {
+		switch v := env.bound(t); v.T {
+		case sqltypes.Float:
+			s = floatStep{op: floatConst, v: v.F}
+		case sqltypes.Int:
+			s = floatStep{op: floatConst, v: v.Float(), isInt: true}
+		default:
 			return p, typ, false
 		}
-		s, typ = floatStep{op: floatConst, v: v.F}, t.Type()
+		typ = t.Type()
 	case *ast.BinaryExpr:
-		k, isArith := floatKernels[t.Op]
-		if !isArith {
+		if t.Op == "%" {
+			s = floatStep{op: floatMod}
+		} else if k, isArith := floatKernels[t.Op]; isArith {
+			s = floatStep{op: floatArith, kernel: k, vec: vecKernels[t.Op]}
+		} else {
 			return p, typ, false
 		}
-		var lt, rt sqltypes.Type
-		if p, lt, ok = emitFloat(p, t.L, env); !ok {
-			return p, typ, false
-		}
-		if p, rt, ok = emitFloat(p, t.R, env); !ok {
-			return p, typ, false
-		}
-		s, typ = floatStep{op: floatArith, kernel: k}, sqltypes.ResultType(lt, rt, t.Op)
+		l, r = t.L, t.R
 	case *ast.CastExpr:
 		if t.To != sqltypes.Float {
 			return p, typ, false
@@ -186,25 +286,48 @@ func emitFloat(p []floatStep, e ast.Expr, env *Env) (_ []floatStep, typ sqltypes
 		}
 		s, typ = floatStep{op: floatCast}, sqltypes.Float
 	case *ast.FuncCall:
-		if t.Name != "ROUND" || len(t.Args) != 2 {
+		switch {
+		case t.Name == "MOD" && len(t.Args) == 2:
+			s, l, r = floatStep{op: floatMod}, t.Args[0], t.Args[1]
+		case (t.Name == "CEILING" || t.Name == "CEIL" || t.Name == "FLOOR") && len(t.Args) == 1:
+			if p, _, ok = emitFloat(p, t.Args[0], env); !ok {
+				return p, typ, false
+			}
+			s, typ = floatStep{op: floatCeil}, sqltypes.Float
+			if t.Name == "FLOOR" {
+				s.op = floatFloor
+			}
+		case t.Name == "ROUND" && len(t.Args) == 2:
+			lit, isLit := t.Args[1].(*ast.Literal)
+			if !isLit {
+				return p, typ, false
+			}
+			d := readDigits(env.bound(lit))
+			if d.null || d.err != nil {
+				return p, typ, false
+			}
+			if p, typ, ok = emitFloat(p, t.Args[0], env); !ok {
+				return p, typ, false
+			}
+			s = floatStep{op: floatRound, v: d.scale}
+		default:
 			return p, typ, false
 		}
-		lit, isLit := t.Args[1].(*ast.Literal)
-		if !isLit {
-			return p, typ, false
-		}
-		d := readDigits(env.bound(lit))
-		if d.null || d.err != nil {
-			return p, typ, false
-		}
-		if p, typ, ok = emitFloat(p, t.Args[0], env); !ok {
-			return p, typ, false
-		}
-		s = floatStep{op: floatRound, v: d.scale}
 	default:
 		return p, typ, false
 	}
-	if s.op >= floatArith && typ != sqltypes.Float || len(p) == maxFloatSteps {
+	if l != nil {
+		var lt, rt sqltypes.Type
+		if p, lt, ok = emitFloat(p, l, env); !ok {
+			return p, typ, false
+		}
+		if p, rt, ok = emitFloat(p, r, env); !ok {
+			return p, typ, false
+		}
+		typ = sqltypes.ResultType(lt, rt, "+") // INT∘INT is INT, else FLOAT
+	}
+	if s.op == floatMod && typ != sqltypes.Int || s.op >= floatArith && s.op != floatMod && typ != sqltypes.Float ||
+		len(p) == maxFloatSteps {
 		return p, typ, false
 	}
 	return append(p, s), typ, true

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"dbspinner/internal/ast"
@@ -21,12 +22,15 @@ var composedPool = append(slices.Clone(kernelPool),
 	sqltypes.NewFloat(1e300), sqltypes.NewFloat(5e-324))
 
 // A composedShape is a FLOAT arithmetic tree of two operators or more
-// over n leaves, the shapes the typed path takes, with its reference.
+// over n leaves, or a condition over such trees, the shapes the typed
+// path takes, with its reference. Its columns are declared FLOAT unless
+// types says otherwise.
 type composedShape struct {
 	name  string
 	n     int
 	build func(leaf func(i int) ast.Expr) ast.Expr
 	ref   func([]refArg) refArg
+	types []sqltypes.Type
 }
 
 // refOp is the reference of op over two evaluated operands: the first
@@ -62,7 +66,7 @@ func composedShapes() []composedShape {
 				func(leaf func(int) ast.Expr) ast.Expr {
 					return &ast.BinaryExpr{Op: op2, L: &ast.BinaryExpr{Op: op1, L: leaf(0), R: leaf(1)}, R: leaf(2)}
 				},
-				func(a []refArg) refArg { return refOp(op2, refOp(op1, a[0], a[1]), a[2]) }})
+				func(a []refArg) refArg { return refOp(op2, refOp(op1, a[0], a[1]), a[2]) }, nil})
 		}
 	}
 	for _, op := range ops {
@@ -70,7 +74,7 @@ func composedShapes() []composedShape {
 			func(leaf func(int) ast.Expr) ast.Expr {
 				return &ast.CastExpr{E: &ast.BinaryExpr{Op: op, L: leaf(0), R: leaf(1)}, To: sqltypes.Float}
 			},
-			func(a []refArg) refArg { return refCastFloat(refOp(op, a[0], a[1])) }})
+			func(a []refArg) refArg { return refCastFloat(refOp(op, a[0], a[1])) }, nil})
 	}
 	for _, d := range []int64{-400, -1, 0, 2, 5, 10, 400} {
 		out = append(out, composedShape{fmt.Sprintf("ROUND(CAST((a / b) * a AS FLOAT), %d)", d), 2,
@@ -86,8 +90,61 @@ func composedShapes() []composedShape {
 				}
 				v, err := refFuncs["ROUND"]([]sqltypes.Value{x.v, sqltypes.NewInt(d)})
 				return refArg{v, err}
-			}})
+			}, nil})
 	}
+	ints := func(n int) []sqltypes.Type {
+		ts := make([]sqltypes.Type, n)
+		for i := range ts {
+			ts[i] = sqltypes.Int
+		}
+		return ts
+	}
+	lit := func(v sqltypes.Value) ast.Expr { return ast.NewLiteral(v) }
+	// FF's base term: CEILING(a * (1.0 - ((g % 10) / 100.0))), a the INT
+	// COUNT(dst) and g the INT src.
+	out = append(out, composedShape{"CEILING(a * (1.0 - ((g % 10) / 100.0)))", 2,
+		func(leaf func(int) ast.Expr) ast.Expr {
+			g := &ast.BinaryExpr{Op: "/", L: &ast.BinaryExpr{Op: "%", L: leaf(1), R: lit(sqltypes.NewInt(10))}, R: lit(sqltypes.NewFloat(100))}
+			x := &ast.BinaryExpr{Op: "*", L: leaf(0), R: &ast.BinaryExpr{Op: "-", L: lit(sqltypes.NewFloat(1)), R: g}}
+			return &ast.FuncCall{Name: "CEILING", Args: []ast.Expr{x}}
+		},
+		func(a []refArg) refArg {
+			g := refOp("/", refOp("%", a[1], refArg{v: sqltypes.NewInt(10)}), refArg{v: sqltypes.NewFloat(100)})
+			x := refOp("*", a[0], refOp("-", refArg{v: sqltypes.NewFloat(1)}, g))
+			if x.err != nil {
+				return x
+			}
+			v, err := refFuncs["CEILING"]([]sqltypes.Value{x.v})
+			return refArg{v, err}
+		}, ints(2)})
+	// FLOOR over a % and a mix: FLOOR((x % k) * 1.5 - y).
+	out = append(out, composedShape{"FLOOR((x % k) * 1.5 - y)", 3,
+		func(leaf func(int) ast.Expr) ast.Expr {
+			m := &ast.BinaryExpr{Op: "*", L: &ast.BinaryExpr{Op: "%", L: leaf(0), R: leaf(1)}, R: lit(sqltypes.NewFloat(1.5))}
+			return &ast.FuncCall{Name: "FLOOR", Args: []ast.Expr{&ast.BinaryExpr{Op: "-", L: m, R: leaf(2)}}}
+		},
+		func(a []refArg) refArg {
+			x := refOp("-", refOp("*", refOp("%", a[0], a[1]), refArg{v: sqltypes.NewFloat(1.5)}), a[2])
+			if x.err != nil {
+				return x
+			}
+			v, err := refFuncs["FLOOR"]([]sqltypes.Value{x.v})
+			return refArg{v, err}
+		}, []sqltypes.Type{sqltypes.Int, sqltypes.Int, sqltypes.Float}})
+	// FF's pushed-down filter, MOD(x, k) = c, and a comparison of two
+	// FLOAT trees.
+	for _, op := range []string{"=", "!=", "<", ">="} {
+		out = append(out, composedShape{fmt.Sprintf("MOD(x, k) %s c", op), 3,
+			func(leaf func(int) ast.Expr) ast.Expr {
+				return &ast.BinaryExpr{Op: op, L: &ast.FuncCall{Name: "MOD", Args: []ast.Expr{leaf(0), leaf(1)}}, R: leaf(2)}
+			},
+			func(a []refArg) refArg { return refOp(op, refOp("%", a[0], a[1]), a[2]) }, ints(3)})
+	}
+	out = append(out, composedShape{"a * b <= a + c", 3,
+		func(leaf func(int) ast.Expr) ast.Expr {
+			return &ast.BinaryExpr{Op: "<=", L: &ast.BinaryExpr{Op: "*", L: leaf(0), R: leaf(1)}, R: &ast.BinaryExpr{Op: "+", L: leaf(0), R: leaf(2)}}
+		},
+		func(a []refArg) refArg { return refOp("<=", refOp("*", a[0], a[1]), refOp("+", a[0], a[2])) }, nil})
 	return out
 }
 
@@ -95,11 +152,15 @@ func composedShapes() []composedShape {
 // leaves all columns, one a bound literal, or one a column past the end
 // of the row, three ways: compiled (typed path attached), compiled
 // through compileOperand (the generic evaluator alone) and by the
-// reference. Tag, payload, float bits and error must agree. It returns
-// the mismatches, the first few described, and on how many rows the
-// typed program did not bail. The columns are declared FLOAT whatever
-// they hold, as FF's friends is declared INT and holds FLOATs.
-func sweepComposed(t *testing.T, s composedShape) (mismatches, typed int, first []string) {
+// reference. Tag, payload, float bits and error must agree. Its batch arm
+// (batchArm) evaluates the compiled expression over the same rows in
+// batches of up to BatchRows, so that each vector mixes INT, FLOAT, NULL
+// and non-numeric cells, and requires the row path's value and error on
+// every row. It returns the mismatches, the first few described, on how
+// many rows the row program did not bail, and on how many the batch's did
+// not. The columns are declared FLOAT whatever they hold, as FF's
+// friends is declared INT and holds FLOATs, or as s.types says.
+func sweepComposed(t *testing.T, s composedShape) (mismatches, typed, batchTyped int, first []string) {
 	t.Helper()
 	layouts := [][]placement{make([]placement, s.n)} // all columns
 	for i := range s.n {
@@ -125,6 +186,22 @@ func sweepComposed(t *testing.T, s composedShape) (mismatches, typed int, first 
 		}
 		var typedC, genericC *Compiled
 		var prog floatProg
+		var b Batch
+		var batch []sqltypes.Row
+		flush := func() {
+			if len(batch) == 0 {
+				return
+			}
+			m, n := batchArm(&b, typedC, batch)
+			batchTyped += n
+			if m != "" {
+				mismatches++
+				if len(first) < 5 {
+					first = append(first, fmt.Sprintf("%s placed %v, batch arm: %s", s.name, layout, m))
+				}
+			}
+			batch = batch[:0]
+		}
 		lastLit := -1
 		for tuple := 0; tuple < pow(len(composedPool), s.n); tuple++ {
 			skip, lit := false, 0
@@ -149,10 +226,15 @@ func sweepComposed(t *testing.T, s composedShape) (mismatches, typed int, first 
 				}
 			}
 			if typedC == nil || lit != lastLit {
+				flush()
 				env := &Env{Params: slices.Clone(vals)}
 				for _, prefix := range []string{"c", "s"} {
 					for i := range vals {
-						env.Add("t", sqltypes.Schema{{Name: fmt.Sprintf("%s%d", prefix, i), Type: sqltypes.Float}})
+						typ := sqltypes.Float
+						if s.types != nil {
+							typ = s.types[i]
+						}
+						env.Add("t", sqltypes.Schema{{Name: fmt.Sprintf("%s%d", prefix, i), Type: typ}})
 					}
 				}
 				var err error
@@ -170,7 +252,10 @@ func sweepComposed(t *testing.T, s composedShape) (mismatches, typed int, first 
 				lastLit = lit
 			}
 			row := sqltypes.Row(vals)
-			if prog != nil {
+			if batch = append(batch, slices.Clone(row)); len(batch) == BatchRows {
+				flush()
+			}
+			if prog != nil && !prog.cond() {
 				if _, ok := prog.eval(row); ok {
 					typed++
 				}
@@ -186,26 +271,32 @@ func sweepComposed(t *testing.T, s composedShape) (mismatches, typed int, first 
 				}
 			}
 		}
+		flush()
 	}
-	return mismatches, typed, first
+	return mismatches, typed, batchTyped, first
 }
 
 // TestComposedMatchReference is the differential test of the typed path:
 // every composed shape, over composedPool with INT and FLOAT leaves mixed
 // as columns, bound literals and short columns, must give the generic
-// evaluator's and the reference's value, float bits and error — and the
-// typed program must have run, not bailed, on some rows of each.
+// evaluator's and the reference's value, float bits and error, row by
+// row and inside a batch — and the typed program must have run, not
+// bailed, on some rows of each: a FLOAT tree's row by row and in a batch,
+// a condition's in a batch, the only place it runs.
 func TestComposedMatchReference(t *testing.T) {
 	for _, s := range composedShapes() {
-		n, typed, first := sweepComposed(t, s)
+		n, typed, batchTyped, first := sweepComposed(t, s)
 		for _, f := range first {
 			t.Error(f)
 		}
 		if n > len(first) {
 			t.Errorf("... %d mismatches in all", n)
 		}
-		if typed == 0 {
+		if typed == 0 && !strings.ContainsAny(s.name, "=<>") {
 			t.Errorf("%s: the typed program bailed on every row", s.name)
+		}
+		if batchTyped == 0 {
+			t.Errorf("%s: the typed program bailed on every row of every batch", s.name)
 		}
 	}
 }
@@ -227,7 +318,7 @@ func TestFloatMutantsAreCaught(t *testing.T) {
 		floatKernels["/"] = m.kernel
 		caught := false
 		for _, s := range composedShapes() {
-			if n, _, first := sweepComposed(t, s); n > 0 {
+			if n, _, _, first := sweepComposed(t, s); n > 0 {
 				t.Logf("%s: fails %d cases of %s, e.g. %s", m.name, n, s.name, first[0])
 				caught = true
 				break
@@ -241,14 +332,19 @@ func TestFloatMutantsAreCaught(t *testing.T) {
 
 // TestTypedPathAllocation: Compile allocates nothing beyond
 // compileOperand for an expression that takes no typed path — a single
-// operator, a FLOAT tree with an INT % inside, an INT tree, one too long
-// for a program, one over a column whose name has upper case — and two
-// objects, the program and the root's closure, for one that does.
+// operator, a FLOAT tree with a FLOAT % inside, an INT tree, one too long
+// for a program, one over a column whose name has upper case, a
+// comparison of two leaves — two objects, the program and the root's
+// closure, for a FLOAT tree that does, and one, the program, for a
+// condition that does, whose Eval is unchanged.
 func TestTypedPathAllocation(t *testing.T) {
 	for src, extra := range map[string]float64{
-		"0.85 * x":  0,
-		"delta + x": 0,
-		"distance * (1.0 - (delta % 10) / 100.0)": 0,
+		"0.85 * x":                            0,
+		"delta + x":                           0,
+		"distance * (1.0 - (x % 10) / 100.0)": 0,
+		"distance * (1.0 - (delta % 10) / 100.0)": 2,
+		"delta != 9999999":                        0,
+		"MOD(distance, 2) = 0":                    1,
 		"(delta + 1) * distance":                  0,
 		"friendsPrev * friendsPrev":               0,
 		"x + x + x + x + x + x + x + x + x":       0,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -131,6 +132,8 @@ func sweep(t *testing.T, name string, n int, build func([]ast.Expr) ast.Expr, re
 	vals := make([]sqltypes.Value, n)
 	args := make([]ast.Expr, n)
 	refArgs := make([]refArg, n)
+	var b Batch
+	batchRows := kernelBatchRows(min(n, 2))
 	for tuple := 0; tuple < pow(len(kernelPool), n); tuple++ {
 		env := &Env{Params: make([]sqltypes.Value, n)}
 		for i, c := 0, tuple; i < n; i, c = i+1, c/len(kernelPool) {
@@ -151,7 +154,8 @@ func sweep(t *testing.T, name string, n int, build func([]ast.Expr) ast.Expr, re
 			}
 			want, wantErr := ref(refArgs)
 			got := sqltypes.NullValue
-			c, gotErr := Compile(build(args), env)
+			e := build(args)
+			c, gotErr := Compile(e, env)
 			if gotErr == nil {
 				got, gotErr = c.Eval(sqltypes.Row(vals))
 			}
@@ -160,6 +164,15 @@ func sweep(t *testing.T, name string, n int, build func([]ast.Expr) ast.Expr, re
 				if len(first) < 5 {
 					first = append(first, fmt.Sprintf("%s over %v placed %v: got %s, reference %s",
 						name, vals, ps, showResult(got, gotErr), showResult(want, wantErr)))
+				}
+			}
+			if c == nil {
+				continue
+			}
+			if m := kernelBatchArm(&b, c, e, env, slices.Clone(vals), batchRows); m != "" {
+				mismatches++
+				if len(first) < 5 {
+					first = append(first, fmt.Sprintf("%s placed %v, batch arm: %s", name, ps, m))
 				}
 			}
 		}
@@ -241,7 +254,10 @@ func funcNames() []string {
 // bound literals, nested expressions and columns the row is too short
 // for, must give the reference evaluator's value (floats bit for bit)
 // and error (reference_test.go) — so also its bound check, and its
-// order: operands evaluate left to right and the first error wins.
+// order: operands evaluate left to right and the first error wins. Its
+// batch arm (batchArm) also evaluates every case inside a batch, with a
+// typed program wherever the case has one, over the case's row and every
+// tuple of the pool, and requires the row path's value and error on each.
 func TestKernelsMatchReference(t *testing.T) {
 	report := func(n int, first []string) {
 		t.Helper()
@@ -516,8 +532,27 @@ func TestCompiledEvalConcurrent(t *testing.T) {
 }
 
 // BenchmarkEvalFF evaluates FF's projection, the whole iterative part of
-// the friends-forecast query, over one row.
-func BenchmarkEvalFF(b *testing.B) { benchEval(b, workloadExprs["ff"]) }
+// the friends-forecast query: row, over one row per op; batch, over a
+// batch of BatchRows rows per op (EvalBatch), reporting ns per row too.
+func BenchmarkEvalFF(b *testing.B) {
+	b.Run("row", func(b *testing.B) { benchEval(b, workloadExprs["ff"]) })
+	b.Run("batch", func(b *testing.B) {
+		c := compileWorkload(b, workloadExprs["ff"])
+		rows, out := make([]sqltypes.Row, BatchRows), make([]sqltypes.Row, BatchRows)
+		for i := range rows {
+			rows[i], out[i] = workloadRow(i), make(sqltypes.Row, 1)
+		}
+		var batch Batch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.EvalBatch(&batch, rows, out, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*BatchRows), "ns/row")
+	})
+}
 
 // BenchmarkEvalWorkloads evaluates each workload expression over one row:
 // ff takes the typed path, the single operators their bindLeaves
