@@ -64,13 +64,15 @@ bench-check:
 # expression), so the benchmarks the typed FLOAT path is measured by
 # compile and run on every change, and the operators' kernel benchmarks
 # once (BenchmarkHashJoin, BenchmarkHashAgg and BenchmarkDistinct, each
-# over keys the key table indexes directly and over keys it hashes, and
+# over keys the key table indexes directly and over keys it hashes;
 # BenchmarkProjectBatch, FF's projection materialized in the batch form
-# and a row at a time). For numbers, run them with -benchtime 2000000x
-# (expressions) or 2000x (kernels) and -count 5.
+# and a row at a time; and BenchmarkJoinAgg, PR's loop body materialized
+# in the join → aggregate form and a row at a time). For numbers, run
+# them with -benchtime 2000000x (expressions) or 2000x (kernels) and
+# -count 5.
 bench-eval:
 	$(GO) test -run '^$$' -bench '^BenchmarkEval' -benchtime 1x ./internal/expr
-	$(GO) test -run '^$$' -bench '^Benchmark(HashJoin|HashAgg|Distinct|ProjectBatch)' -benchtime 1x ./internal/exec
+	$(GO) test -run '^$$' -bench '^Benchmark(HashJoin|HashAgg|Distinct|ProjectBatch|JoinAgg)' -benchtime 1x ./internal/exec
 
 # bench-pair measures a claimed gain the way the choosing-metrics guide
 # (§8) asks: PAIRS alternating runs of one workload's end-to-end pass on

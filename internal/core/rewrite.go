@@ -137,12 +137,14 @@ func (r *rewriter) newBuilder(regular []*ast.CTE) *plan.Builder {
 	return b
 }
 
-// keyCol is the unique row identifier of every iterative CTE: its first
-// column. The paper uses a user primary key or generates row IDs; our
+// keyCol is the column assumed to identify a row of every iterative CTE:
+// its first. The paper uses a user primary key or generates row IDs; our
 // schemas key on the first column, which holds the node in every
-// evaluation query. The keyed merge, the copy-back's identification
-// pass, the Delta condition's snapshot and the restricted steps all key
-// on it, and it is stated nowhere else.
+// evaluation query. Nothing proves it unique: only the keyed merge and
+// the keyed diff check it, at run time, on the rows they see. The keyed
+// merge, the copy-back's identification pass, the Delta condition's
+// snapshot and the restricted steps all key on it, and it is stated
+// nowhere else.
 const keyCol = 0
 
 // expandCTE appends the step program of one iterative CTE (Algorithm 1).

@@ -49,3 +49,20 @@ func (c *CancelChecker) Check() error {
 	}
 	return c.ctx.Err()
 }
+
+// TickN is n calls of Tick at once, for a loop that counts its rows a
+// batch at a time: it polls the context as many times as they would
+// have, and reports the first error a poll returns.
+func (c *CancelChecker) TickN(n int) error {
+	if c == nil {
+		return nil
+	}
+	before := c.n
+	c.n += uint64(n)
+	for polls := c.n/cancelStride - before/cancelStride; polls > 0; polls-- {
+		if err := c.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}

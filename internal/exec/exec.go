@@ -273,10 +273,11 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 // Each row goes into its partition as the plan produces it, so the
 // partitions and their order are what InsertBatch makes of the drained
 // rows, without the drained slice. A chain of filters and a project with
-// a typed item produces its rows a batch at a time (batch.go), and the
-// same rows in the same order. hint, when it has one count per
-// partition, presizes each partition to hold that many rows: a step
-// passes about what it wrote there last iteration. It is advisory and
+// a typed item produces its rows a batch at a time, and an aggregate
+// over a chain of hash joins takes its input a batch at a time
+// (batch.go): the same rows in the same order. hint, when it has one
+// count per partition, presizes each partition to hold that many rows: a
+// step passes about what it wrote there last iteration. It is advisory and
 // changes capacity, never rows. The plan's hot loops poll ctx at a
 // coarse row stride; a nil ctx keeps the zero-cost uncancellable path.
 // The partitions come from the run's free list (Memo.Chunks), and a
@@ -299,6 +300,9 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 				t.Parts[p] = chunks.Part(rows)
 			}
 		}
+	}
+	if a := aggUnder(op); a != nil {
+		a.batch = !rowAtATime.Load()
 	}
 	if c, ok := batchChainOf(op); ok {
 		if err := c.materialize(t); err != nil {
@@ -731,6 +735,9 @@ type aggOp struct {
 	// next (rows.go), so once closed the operator's table and
 	// accumulators can go back to the node's run state for its next run.
 	lend bool
+	// batch: MaterializeContext runs the operator's tree, so a chain of
+	// hash joins under it may feed it a batch at a time (batch.go).
+	batch bool
 
 	// groups holds, once open, one row per group in first-encounter
 	// order: the group key, then one cell per aggregate holding its
@@ -765,6 +772,9 @@ type aggRun struct {
 	// at most one per run of the node open at the same time (the
 	// partitions of an MPP machine).
 	spare sqltypes.Spares[aggSpare]
+	// batch holds the scratch of the node's join → aggregate runs in the
+	// batch form (batch.go).
+	batch sqltypes.Spares[*joinAggScratch]
 }
 
 type aggSpare struct {
@@ -772,8 +782,8 @@ type aggSpare struct {
 	aggs   []expr.Aggregator
 }
 
-func (r *aggRun) sweep()    { r.spare.Sweep() }
-func (r *aggRun) handBack() { r.spare.HandBack() }
+func (r *aggRun) sweep()    { r.spare.Sweep(); r.batch.Sweep() }
+func (r *aggRun) handBack() { r.spare.HandBack(); r.batch.HandBack() }
 
 // buildAggregate compiles an aggregate node's expressions over its
 // input's rows and resolves each aggregate function once. The
@@ -812,48 +822,79 @@ func (a *aggOp) Open() error {
 	nAggs := len(a.node.Aggs)
 	hint := int(a.run.lastGroups.Load())
 	s := a.run.spare.Take()
-	groups, aggs := s.groups, s.aggs
-	if groups == nil {
-		groups = new(sqltypes.KeyTable)
+	a.groups, a.aggs = s.groups, s.aggs
+	if a.groups == nil {
+		a.groups = new(sqltypes.KeyTable)
 	}
-	groups.Reset(len(a.groupEx), nAggs, hint)
-	if cap(aggs) < hint*nAggs {
-		aggs = make([]expr.Aggregator, 0, hint*nAggs)
+	a.groups.Reset(len(a.groupEx), nAggs, hint)
+	if cap(a.aggs) < hint*nAggs {
+		a.aggs = make([]expr.Aggregator, 0, hint*nAggs)
 	}
-	aggs = aggs[:0]
-	newGroup := func() {
-		// Past len, aggs still holds the accumulators of the run that
-		// left it, a group's worth at a time: reset them, or carve new
-		// ones where there are none.
-		n := len(aggs)
-		if nAggs > 0 && n+nAggs <= cap(aggs) && aggs[:n+1][n] != nil {
-			aggs = aggs[:n+nAggs]
-			for _, ag := range aggs[n:] {
-				ag.Reset()
-			}
-			return
-		}
-		for _, mk := range a.newAgg {
-			aggs = append(aggs, mk())
-		}
+	a.aggs = a.aggs[:0]
+
+	var err error
+	if c, ok := a.joinChain(); ok {
+		err = c.feed(a)
+	} else {
+		err = a.feed()
+	}
+	if err != nil {
+		a.groups, a.aggs = nil, nil
+		return err
 	}
 
+	// Scalar aggregate over an empty input still yields one row.
+	groups := a.groups
+	if len(a.groupEx) == 0 && groups.Len() == 0 {
+		groups.Insert(nil)
+		a.newGroup()
+	}
+	for id := range groups.Len() {
+		row := groups.Row(id)
+		for i, ag := range a.aggs[id*nAggs : (id+1)*nAggs] {
+			row[len(a.groupEx)+i] = ag.Result()
+		}
+	}
+	a.run.lastGroups.Store(int64(groups.Len()))
+	a.stats.RowsGrouped += int64(groups.Len())
+	a.pos = 0
+	return nil
+}
+
+// newGroup appends the accumulators of a group the table just added.
+// Past len, aggs still holds the accumulators of the run that left it,
+// a group's worth at a time: it resets them, or carves new ones where
+// there are none.
+func (a *aggOp) newGroup() {
+	nAggs, n := len(a.newAgg), len(a.aggs)
+	if nAggs > 0 && n+nAggs <= cap(a.aggs) && a.aggs[:n+1][n] != nil {
+		a.aggs = a.aggs[:n+nAggs]
+		for _, ag := range a.aggs[n:] {
+			ag.Reset()
+		}
+		return
+	}
+	for _, mk := range a.newAgg {
+		a.aggs = append(a.aggs, mk())
+	}
+}
+
+// feed groups and accumulates the input's rows a row at a time.
+func (a *aggOp) feed() error {
+	nAggs := len(a.node.Aggs)
 	groupVals := make([]sqltypes.Value, len(a.groupEx))
 	for {
 		r, err := a.input.Next()
-		if err != nil {
+		if err != nil || r == nil {
 			return err
-		}
-		if r == nil {
-			break
 		}
 		a.stats.RowsAggInput++
 		if err := evalInto(a.groupEx, r, groupVals); err != nil {
 			return err
 		}
-		id, added := groups.Insert(groupVals)
+		id, added := a.groups.Insert(groupVals)
 		if added {
-			newGroup()
+			a.newGroup()
 		}
 		for i, spec := range a.node.Aggs {
 			var v sqltypes.Value
@@ -867,28 +908,11 @@ func (a *aggOp) Open() error {
 					return err
 				}
 			}
-			if err := aggs[id*nAggs+i].Add(v); err != nil {
+			if err := a.aggs[id*nAggs+i].Add(v); err != nil {
 				return err
 			}
 		}
 	}
-
-	// Scalar aggregate over an empty input still yields one row.
-	if len(a.groupEx) == 0 && groups.Len() == 0 {
-		groups.Insert(nil)
-		newGroup()
-	}
-
-	for id := range groups.Len() {
-		row := groups.Row(id)
-		for i, ag := range aggs[id*nAggs : (id+1)*nAggs] {
-			row[len(a.groupEx)+i] = ag.Result()
-		}
-	}
-	a.run.lastGroups.Store(int64(groups.Len()))
-	a.stats.RowsGrouped += int64(groups.Len())
-	a.groups, a.aggs, a.pos = groups, aggs, 0
-	return nil
 }
 
 func (a *aggOp) Next() (sqltypes.Row, error) {

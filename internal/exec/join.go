@@ -202,11 +202,17 @@ func (x *HashIndex) First(probe sqltypes.Row, keyEx []*expr.Compiled, buf []sqlt
 	if err != nil || null {
 		return -1, err
 	}
-	id := x.keys.Find(buf)
+	return x.find(buf), nil
+}
+
+// find returns the position in Rows of the first build row whose key is
+// key, which holds no NULL, or -1.
+func (x *HashIndex) find(key []sqltypes.Value) int32 {
+	id := x.keys.Find(key)
 	if id < 0 {
-		return -1, nil
+		return -1
 	}
-	return x.head[id], nil
+	return x.head[id]
 }
 
 // Next returns the match after build row i, or -1.

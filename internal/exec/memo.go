@@ -292,10 +292,15 @@ func runOf[R nodeRun](m *Memo, n plan.Node, mk func() R) R {
 // carried into the next run, of the entries' hold, an entry that does not
 // hold its table, of the scan's pin, a fragment scan under a keeping
 // consumer that does not pin the result it reads, and of the batch form,
-// a batch that returns the first error it meets instead of replaying.
+// a batch that returns the first error it meets instead of replaying;
+// and of the join → aggregate form, a group id carried across a probe
+// row's boundary into its NULL-extended first tuple, a group key
+// evaluated for every probe row, and joins and adds that run past a
+// probe key's error.
 var test struct {
 	keepingGivesBack, carryEntries, unheldEntries bool
 	unpinnedFragmentKeeper, noReplay              bool
+	carryGroupID, groupEveryProbe, eagerJoins     bool
 }
 
 // Leftovers is what the runs of one statement carry from one to the

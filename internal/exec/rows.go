@@ -35,7 +35,10 @@ import "dbspinner/internal/sqltypes"
 // rows valid until the source closes — may give it. The cells a typed
 // program reads it gathers into vectors of its own, copies of the cells'
 // numbers, and it writes each output cell into a row its project carved
-// as the row path carves it; so no rule above changes.
+// as the row path carves it; so no rule above changes. The join →
+// aggregate form holds a batch of a result scan's rows the same way, and
+// reads the build rows of the joins under it through their indexes while
+// they are open; it carves no joined row at all.
 
 // outRows is where a row-building operator's output rows come from.
 // The zero value keeps every row alive: rows are carved from a RowSlab.
