@@ -166,17 +166,10 @@ loc:
 # concurrent packages.
 check: fmt vet lint build test fuzz-seed bench-check bench-eval race
 
-# bench-smoke runs the full-vs-incremental and full-vs-pruned
-# comparisons on small PR-VS and SSSP datasets: each fails if its two
-# modes disagree on a single row. incremental runs PR, SSSP, PR-VS and
-# SSSP-VS with incremental evaluation off and on (cross-check armed),
-# asserts byte-identical results, prints which restricted step ran, the
-# Ri rows it was fed against the full count and in how many iterations
-# it restricted, and fails if a query installed no step or no query
-# restricted anywhere (one that chose the full plan in every iteration,
-# as PR-VS does, is not a failure); pruning prints the cells written
-# into and read back from intermediate results per iteration, full width
-# and pruned, and fails if PR-VS moves less than 10% fewer pruned (it
+# bench-smoke runs the on-vs-off comparisons of four mechanisms on small
+# PR-VS and SSSP datasets: each fails if its two modes disagree on a
+# single row. pruning prints the cells written into and read back from
+# intermediate results per iteration, full width and pruned, and fails if PR-VS moves less than 10% fewer pruned (it
 # measures 15%; 30% before the index memo took the per-iteration re-read
 # of Common#1 out of both arms). trace runs PR and SSSP with iteration
 # tracing on and off, asserts identical results plus one span per

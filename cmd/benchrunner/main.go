@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,incremental,pruning,trace,shuffle,faults ('smoke' expands to the CI smoke set)")
+		expList    = flag.String("exp", "all", "comma-separated experiments: table1,fig8,fig9,fig10,fig11,middleware,parallel,pruning,trace,shuffle,faults ('smoke' expands to the CI smoke set)")
 		preset     = flag.String("preset", "dblp-small", "workload preset (dblp-small, pokec-small, web-small, ...)")
 		iterations = flag.Int("iterations", 10, "loop iterations for PR/SSSP experiments (fig10/fig11 use 25 as in the paper)")
 		scale      = flag.Int("scale", 0, "override the preset's node count (0 keeps the preset)")
@@ -56,12 +56,7 @@ func main() {
 	// regenerates bench-smoke.md from it. Every entry must name a
 	// registered runner — the check below fails the run otherwise, so a
 	// renamed experiment cannot silently drop out of the smoke doc.
-	// incremental, the first of them, prints per query which restricted
-	// step ran, the rows it fed Ri and in how many iterations it
-	// restricted; it fails on a row difference, on a query with no step
-	// installed, or when no query restricted in any iteration — not on a
-	// query that chose the full plan throughout (PR-VS does).
-	smokeSet := []string{"incremental", "pruning", "trace", "shuffle", "faults"}
+	smokeSet := []string{"pruning", "trace", "shuffle", "faults"}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expList, ",") {
@@ -93,7 +88,6 @@ func main() {
 		{"fig11", func() (*bench.Experiment, error) { return bench.Fig11(paperCfg) }},
 		{"middleware", func() (*bench.Experiment, error) { return bench.MiddlewareAblation(cfg) }},
 		{"parallel", func() (*bench.Experiment, error) { return bench.ParallelScaling(cfg, nil) }},
-		{"incremental", func() (*bench.Experiment, error) { return bench.IncrementalComparison(cfg) }},
 		{"pruning", func() (*bench.Experiment, error) { return bench.PruningComparison(cfg) }},
 		{"trace", func() (*bench.Experiment, error) { return bench.TraceOverhead(cfg) }},
 		{"shuffle", func() (*bench.Experiment, error) { return bench.ShuffleComparison(cfg) }},

@@ -117,10 +117,6 @@ func statementPlans(t *testing.T, rt *exec.StoreRuntime, stmt ast.Statement, mul
 		switch st := s.(type) {
 		case *core.MaterializeStep:
 			out = append(out, st.Plan)
-		case *core.DeltaMaterializeStep:
-			out = append(out, st.Plan)
-		case *core.MaintainAggStep:
-			out = append(out, st.Plan)
 		case *core.LoopStep:
 			out = append(out, st.Loop.CondPlan)
 		}

@@ -149,14 +149,13 @@ const (
 	OptPushdown       = core.OptPushdown       // Figure 10 baseline: Qf predicates stay in Qf
 	OptColumnPruning  = core.OptColumnPruning  // live-column pruning and last-use truncation
 	OptShuffleElision = core.OptShuffleElision // skip exchanges proven co-partitioned (Parallel)
-	OptIncremental    = core.OptIncremental    // Ri over the affected keys only
 )
 
 // IterationTrace is the per-iteration runtime trace recorded when
 // Config.TraceIterations is set (or EXPLAIN ANALYZE runs): one span
 // per loop iteration — wall clock, rows written, delta-frontier size,
-// and which form of Ri an incremental step chose with the rows it fed —
-// plus cumulative per-step timings.
+// rows scanned and indexed, and under Parallel the exchange skew — plus
+// cumulative per-step timings.
 type IterationTrace = core.IterationTrace
 
 // IterationSpan is one iteration's trace record.
@@ -184,14 +183,12 @@ type Config struct {
 	// are byte-identical under every set.
 	Baseline Opt
 
-	// Paranoid arms the dynamic cross-checks of what the static
-	// analyses licensed: every row consumed through an elided exchange
-	// is re-hashed, and the query fails if it sits on a partition its
-	// claimed routing columns do not map it to; every iteration of
-	// aggregate maintenance recomputes a deterministic sample of the
-	// cached groups from scratch and fails the query on a divergence.
-	// Off by default, because each re-does part of the work its
-	// optimization saved. A belt-and-braces guard for the analyses.
+	// Paranoid arms the dynamic cross-check of what the static
+	// partition-property analysis licensed: every row consumed through
+	// an elided exchange is re-hashed, and the query fails if it sits on
+	// a partition its claimed routing columns do not map it to. Off by
+	// default, because it re-does part of the work shuffle elision
+	// saved. A belt-and-braces guard for the analysis.
 	Paranoid bool
 
 	// QueryTimeout, when > 0, bounds the wall clock of every statement:
@@ -225,8 +222,8 @@ type Config struct {
 	// checkpoint and runs on from it, up to MaxRetries times per
 	// checkpoint. When a checkpoint's retries are spent the engine
 	// degrades gracefully and tries as many times again on
-	// single-threaded volcano execution, with shuffle elision and the
-	// restricted incremental steps off, before the query fails. A query
+	// single-threaded volcano execution, with shuffle elision off,
+	// before the query fails. A query
 	// that retries to success returns byte-identical rows. Zero disables
 	// checkpointing entirely (no snapshot cost on the hot path).
 	MaxRetries int

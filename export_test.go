@@ -77,3 +77,20 @@ func CarriedChunkBytes(e *Engine) int64 {
 	}
 	return n
 }
+
+// ProgramOf returns the step program e has cached for sql, nil when sql
+// is not cached.
+func ProgramOf(e *Engine, sql string) *core.Program {
+	shape, lits, err := lexer.Shape(sql)
+	if err != nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, s := range e.stmts.byShape[shape] {
+		if s.matches(lits) {
+			return s.p.prog
+		}
+	}
+	return nil
+}

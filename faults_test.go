@@ -137,27 +137,24 @@ func faultMatrixCells(t *testing.T, prefix, sql string, parts int) {
 // loopWork are the Stats counters a step program's iterations feed.
 type loopWork struct {
 	Iterations, Renames, MovedRows, CommonBlocks, UpdatedRows int64
-	RiFullRows, RiInputRows, AggFullRows, AggInputRows        int64
 	MaterializedCells                                         int64
 }
 
 func loopWorkOf(s dbspinner.Stats) loopWork {
-	return loopWork{s.Iterations, s.Renames, s.MovedRows, s.CommonBlocks, s.UpdatedRows,
-		s.RiFullRows, s.RiInputRows, s.AggFullRows, s.AggInputRows, s.MaterializedCells}
+	return loopWork{s.Iterations, s.Renames, s.MovedRows, s.CommonBlocks, s.UpdatedRows, s.MaterializedCells}
 }
 
 // spanWork is what one traced iteration did, without its timing and
 // without the index work, which a restore's fresh table clones redo.
 type spanWork struct {
-	Iteration                 int
-	Rows, Frontier, Fed, Full int64
-	Ri                        string
+	Iteration      int
+	Rows, Frontier int64
 }
 
 func spanWorkOf(tr *dbspinner.IterationTrace) []spanWork {
 	var out []spanWork
 	for _, sp := range tr.Spans {
-		out = append(out, spanWork{sp.Iteration, sp.Rows, sp.Frontier, sp.Fed, sp.Full, sp.Ri})
+		out = append(out, spanWork{sp.Iteration, sp.Rows, sp.Frontier})
 	}
 	return out
 }
@@ -184,18 +181,14 @@ func loopStepHit(t *testing.T, e *dbspinner.Engine, sql string, iteration int) i
 // third iteration, at its loop step, after the body has rebound every
 // slot it owns: the retry must restore the back-edge checkpoint of
 // iteration 2, not the one taken before the first step. Each program
-// carries different state across the back-edge: PR's maintenance step
-// (the rename, and the snapshot it diffs against on its loop's state),
-// SSSP-VS's merge (the change set its delta step restricts by, on the
-// loop's state), PR on the copy-back baseline, and the two recursive
-// merges (RecursiveQueries): Delta#, the row set a UNION merge keeps
-// from round to round, and the working sets a UNION ALL one has seen.
-// The retried run must return byte-identical rows, leak no slot, and
-// redo the iteration exactly as the unfaulted run did: the same counters
-// and, per iteration, the same rows, frontier and choice of Ri. A
-// restore that loses loop state can still return the same rows, since
-// the restricted steps fall back to reading the whole CTE, so the rows
-// alone would not show it.
+// carries different state across the back-edge: PR's rename, SSSP-VS's
+// keyed merge (and the key index its loop keeps of the table it last
+// produced), PR on the copy-back baseline, and the two recursive merges
+// (RecursiveQueries): Delta#, the row set a UNION merge keeps from round
+// to round, and the working sets a UNION ALL one has seen. The retried
+// run must return byte-identical rows, leak no slot, and redo the
+// iteration exactly as the unfaulted run did: the same counters and, per
+// iteration, the same rows and frontier.
 func TestFaultMidLoopRetryResumesAtBackEdge(t *testing.T) {
 	const parts, iteration = 4, 3
 	// Four in five vertices available, so SSSP-VS reaches past its source.
@@ -430,40 +423,37 @@ func TestDegradationLadderReachesVolcano(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestDegradationReachesRestrictedSteps: the volcano rung switches off
-// everything that carries state across the back-edge, and on the default
-// (volcano) configuration that includes the delta step a merge-path
-// query runs through: it restricts Ri by the changed-key set
-// the previous merge left in the loop state. Two consecutive step faults
-// mid-loop exhaust the one same-plan retry and degrade the run at
-// iteration k; iterations before k ran restricted, every iteration from
-// k on must read the full CTE (RiInputRows == RiFullRows for those),
-// and the rows must match the unfaulted run. Edges point from newer
-// vertices to older ones, so the search starts at a late vertex, from
-// which the frontier reaches dozens within the iterations; from vertex 1
-// it reaches none, and every restricted iteration would feed no row.
-func TestDegradationReachesRestrictedSteps(t *testing.T) {
+// TestDegradationMidLoopRedoesEveryIteration: two consecutive step
+// faults mid-loop exhaust the one same-plan retry and degrade the run to
+// the volcano rung at iteration k. The degraded run restores the
+// back-edge checkpoint of iteration k-1 and runs on from there, so it
+// returns the unfaulted run's rows, counts what that run counts, and
+// traces, per iteration, the same rows written and the same frontier
+// found by the keyed merge. Edges point from newer vertices to older
+// ones, so the search starts at a late vertex, from which the frontier
+// reaches dozens within the iterations; from vertex 1 it reaches none.
+func TestDegradationMidLoopRedoesEveryIteration(t *testing.T) {
 	const iterations, source = 8, 450
-	run := func(n int, cfg dbspinner.Config) (*dbspinner.Result, dbspinner.Stats) {
+	run := func(cfg dbspinner.Config) (*dbspinner.Result, dbspinner.Stats) {
 		t.Helper()
+		cfg.TraceIterations = true
 		e := lifecycleEngine(t, 4, cfg)
-		res, err := e.Query(bench.SSSPVSQuery(source, n) + " ORDER BY Node")
+		res, err := e.Query(bench.SSSPVSQuery(source, iterations) + " ORDER BY Node")
 		if err != nil {
-			t.Fatalf("%d iterations, %+v: %v", n, cfg, err)
+			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if n := e.LiveResults(); n != 0 {
 			t.Errorf("%d intermediate results leaked", n)
 		}
 		return res, e.Stats()
 	}
-	want, clean := run(iterations, dbspinner.Config{})
-	if clean.RiInputRows >= clean.RiFullRows {
-		t.Fatalf("unfaulted run never restricted Ri (fed %d of %d rows); the test is vacuous", clean.RiInputRows, clean.RiFullRows)
+	want, clean := run(dbspinner.Config{})
+	frontier := int64(0)
+	for _, sp := range clean.Trace.Spans[1:] {
+		frontier += sp.Frontier
 	}
-	// The first iteration reads the whole CTE; the restricted ones must
-	// feed Ri something too, or checking what they fed proves nothing.
-	if first := clean.RiFullRows / iterations; clean.RiInputRows <= first {
-		t.Fatalf("the restricted iterations fed Ri no row (%d fed in all, %d of them by the first, full iteration); the test is vacuous", clean.RiInputRows, first)
+	if frontier == 0 {
+		t.Fatal("the unfaulted run changed no row after its first iteration; the test is vacuous")
 	}
 
 	sched := []dbspinner.Fault{
@@ -471,32 +461,21 @@ func TestDegradationReachesRestrictedSteps(t *testing.T) {
 		{Point: "step", Hit: 21, Mode: dbspinner.FaultModePanic},
 	}
 	recordScheduleOnFailure(t, sched)
-	got, s := run(iterations, dbspinner.Config{
-		FaultSchedule: sched, TraceIterations: true,
-		MaxRetries: 1,
-	})
+	got, s := run(dbspinner.Config{FaultSchedule: sched, MaxRetries: 1})
 	if fmt.Sprint(resultRows(got)) != fmt.Sprint(resultRows(want)) {
 		t.Error("degraded query diverges from the unfaulted run")
 	}
 	if s.Degradations != 1 || len(s.Trace.Retries) != 2 {
 		t.Fatalf("Degradations = %d, retries = %+v; want one rung after two retries", s.Degradations, s.Trace.Retries)
 	}
-	k := s.Trace.Retries[1].Iteration
-	if k < 3 || k >= iterations {
-		t.Fatalf("degraded at iteration %d; the schedule must land after a restricted iteration and before the last", k)
+	if k := s.Trace.Retries[1].Iteration; k < 3 || k >= iterations {
+		t.Fatalf("degraded at iteration %d; the schedule must land mid-loop", k)
 	}
-	// Iterations 1..k-1 are the unfaulted run's; the rest read everything.
-	_, prefix := run(k-1, dbspinner.Config{})
-	if wantFed := prefix.RiInputRows + (clean.RiFullRows - prefix.RiFullRows); s.RiFullRows != clean.RiFullRows || s.RiInputRows != wantFed {
-		t.Errorf("degraded at iteration %d: Ri fed %d of %d rows, want %d of %d (full scans from the degradation on)",
-			k, s.RiInputRows, s.RiFullRows, wantFed, clean.RiFullRows)
+	if g, w := loopWorkOf(s), loopWorkOf(clean); g != w {
+		t.Errorf("degraded run counts %+v, the unfaulted run %+v", g, w)
 	}
-	// The trace says the same per iteration, and says why: the abandoned
-	// attempts' decisions were rewound with their spans.
-	for _, sp := range s.Trace.Spans {
-		if degraded := sp.Ri == "full: degraded"; degraded != (sp.Iteration >= k) || (degraded && sp.Fed != sp.Full) {
-			t.Errorf("iteration %d (degraded at %d): fed %d of %d (%s)", sp.Iteration, k, sp.Fed, sp.Full, sp.Ri)
-		}
+	if g, w := spanWorkOf(s.Trace), spanWorkOf(clean.Trace); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Errorf("degraded run's iterations\n  %+v\nthe unfaulted run's\n  %+v", g, w)
 	}
 }
 

@@ -1,13 +1,10 @@
-// Package aggprop is the frontier license: the one proof that the
-// iterative part Ri of an iterative CTE may be evaluated over only the
-// keys that changed (and the keys those reach), with every other key's
-// row carried over from the previous iteration. Both incremental steps
-// of internal/core rest on it — DeltaMaterializeStep on the merge path,
-// where the merge itself carries unchanged keys forward, and
-// MaintainAggStep on the rename path, where a cached output row stands
-// in for an unchanged key. Like internal/distprop (shuffle elision) it
-// is a fail-closed proof whose positive outcome an independent verifier
-// re-derives.
+// Package aggprop is the frontier license: a proof that the iterative
+// part Ri of an iterative CTE may be evaluated over only the keys that
+// changed (and the keys those reach), with every other key's row carried
+// over from the previous iteration. No engine package calls it: every
+// loop body evaluates Ri over the whole CTE. It stays only because the
+// benchmark module's layer probe (benchmark/probes.go) times AnalyzeCTE;
+// delete it with the change that drops that probe (ROADMAP item 7).
 //
 // The proof never looks at which aggregate functions Ri calls: an
 // affected key's whole group is re-evaluated through the restricted
@@ -34,8 +31,7 @@
 //	    every such row.
 //
 // Anything the analysis cannot prove yields Licensed=false with
-// diagnostics, and the rewrite keeps the full plan; results are
-// byte-identical either way.
+// diagnostics.
 package aggprop
 
 import (

@@ -10,9 +10,9 @@ import (
 // leaf is member 0 and every join attaches one more leaf on its right.
 // It is the one place that decides what such a chain is, who owns an
 // unqualified column, and which top-level conjuncts are column
-// equalities; the analyses that reason about an iterative part
-// (aggprop, converge, the common-result rewrite) add their own
-// conditions and diagnostics on top.
+// equalities; the analyses that reason about an iterative part, such as
+// the common-result rewrite, add their own conditions and diagnostics on
+// top.
 type Chain struct {
 	Members []ChainMember
 	// Aliases maps a member's alias to its chain index. When two members

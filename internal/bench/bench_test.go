@@ -104,50 +104,6 @@ func TestParallelScalingExperiment(t *testing.T) {
 	}
 }
 
-// TestIncrementalExperiment cements the incremental-evaluation
-// acceptance bar: all four aggregate workloads run byte-identical with
-// incremental evaluation on and off (IncrementalComparison errors out
-// otherwise, with the dynamic cross-check armed), each through the step
-// its shape selects — maintenance on the rename path (PR), the delta
-// step on the merge path — and each row's counters agree with its
-// per-iteration choices: fewer rows fed than the full plan reads
-// exactly when some iteration restricted. PR, SSSP and SSSP-VS must
-// restrict somewhere; PR-VS keeps most of its keys changing on this
-// graph, so it must choose the full plan in every iteration and feed
-// every row. PR's frontier thins slowly (deltas stop propagating only
-// where every incoming path has died out), so this runs the full
-// default iteration count rather than the short loop the other
-// experiment tests use.
-func TestIncrementalExperiment(t *testing.T) {
-	cfg := tiny()
-	cfg.Iterations = 10
-	exp, err := IncrementalComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][3]string{{"PR", "maintenance", "some"}, {"SSSP", "delta", "some"}, {"PR-VS", "delta", "0 of 9"}, {"SSSP-VS", "delta", "some"}}
-	if len(exp.Rows) != len(want) {
-		t.Fatalf("rows = %v", exp.Rows)
-	}
-	for i, row := range exp.Rows {
-		if row[0] != want[i][0] || row[4] != want[i][1] {
-			t.Errorf("row %d = %v, want %s through the %s step", i, row, want[i][0], want[i][1])
-		}
-		fed, err1 := strconv.ParseInt(row[5], 10, 64)
-		full, err2 := strconv.ParseInt(row[6], 10, 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("row counters not numeric: %v", row)
-		}
-		restricted := !strings.HasPrefix(row[7], "0 of ")
-		if restricted != (fed < full) {
-			t.Errorf("%s: fed %d of %d rows with %s iterations restricted", row[0], fed, full, row[7])
-		}
-		if restricted != (want[i][2] == "some") || (!restricted && row[7] != want[i][2]) {
-			t.Errorf("%s: restricted in %s iterations, want %s", row[0], row[7], want[i][2])
-		}
-	}
-}
-
 // TestFaultToleranceExperiment cements the fault-tolerance acceptance
 // bar: checkpointing off/on byte-identical (FaultTolerance errors out
 // otherwise), and the deterministically faulted run retries back to

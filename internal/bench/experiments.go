@@ -274,126 +274,6 @@ func ParallelScaling(cfg Config, parts []int) (*Experiment, error) {
 	return exp, nil
 }
 
-// IncrementalComparison is the experiment behind incremental
-// evaluation (OptIncremental): the full Ri plan every
-// iteration vs the restricted step the rewrite picks from the query's
-// shape — the delta step on the merge path (SSSP, PR-VS, SSSP-VS), the
-// maintenance step on the rename path (PR) — which in turn picks the
-// restricted or the full plan each iteration from the size of the
-// frontier. The incremental runs execute with the dynamic cross-check
-// armed, and the run fails if the two modes disagree on a single row
-// or on row order — byte identity including float accumulation order
-// is the contract — if a query installed no step, or if no query
-// restricted in any iteration. A query whose every iteration chose the
-// full plan is not a failure: its frontier is dense, and the row says
-// so. The interesting columns are the CTE rows actually fed to Ri's
-// outer reference against what the full plan reads, and in how many of
-// the iterations after the first the step restricted. The two arms are
-// timed in alternating pairs on two loaded engines (timePairs), at least
-// minPairs of them, and each prints its median and quartiles next to
-// how many pairs the incremental arm won.
-func IncrementalComparison(cfg Config) (*Experiment, error) {
-	cfg = cfg.withDefaults()
-	g, err := dataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	queries := []struct {
-		name string
-		sql  string
-	}{
-		{"PR", PRQuery(cfg.Iterations)},
-		{"SSSP", SSSPQuery(1, cfg.Iterations)},
-		{"PR-VS", PRVSQuery(cfg.Iterations)},
-		{"SSSP-VS", SSSPVSQuery(1, cfg.Iterations)},
-	}
-	exp := &Experiment{
-		ID:      "incremental",
-		Title:   fmt.Sprintf("Incremental evaluation vs the full plan (%s, %d iterations)", cfg.Preset, cfg.Iterations),
-		Headers: []string{"query", "full", "incremental", "speedup", "step", "rows fed", "full rows", "restricted iters", "incremental won"},
-	}
-	anyRestricted := false
-	pairs := max(cfg.Reps, minPairs)
-	for _, query := range queries {
-		fullEngine, err := NewEngine(g, cfg, dbspinner.Config{Baseline: dbspinner.OptIncremental})
-		if err != nil {
-			return nil, err
-		}
-		incEngine, err := NewEngine(g, cfg, dbspinner.Config{Paranoid: true})
-		if err != nil {
-			return nil, err
-		}
-		fullTimes, incTimes, err := timePairs(pairs, fullEngine, incEngine, query.sql)
-		if err != nil {
-			return nil, err
-		}
-		fullRes, err := fullEngine.Query(query.sql)
-		if err != nil {
-			return nil, err
-		}
-		incEngine.ResetStats()
-		incRes, err := incEngine.Query(query.sql)
-		if err != nil {
-			return nil, err
-		}
-		st := incEngine.Stats()
-		if why := sameRowSequence(fullRes.Rows, incRes.Rows); why != "" {
-			return nil, fmt.Errorf("incremental evaluation changed the %s result: %s", query.name, why)
-		}
-		step, fed, full := "delta", st.RiInputRows, st.RiFullRows
-		if st.AggFullRows > 0 {
-			step, fed, full = "maintenance", st.AggInputRows, st.AggFullRows
-		}
-		if full == 0 {
-			return nil, fmt.Errorf("no restricted step installed on %s", query.name)
-		}
-		// The per-iteration choice comes from one more run, traced, so
-		// the timed runs above stay untraced.
-		e, err := NewEngine(g, cfg, dbspinner.Config{TraceIterations: true})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e.Query(query.sql); err != nil {
-			return nil, err
-		}
-		restricted, after := 0, 0
-		if tr := e.Stats().Trace; tr != nil {
-			for _, s := range tr.Spans {
-				if s.Iteration == 1 {
-					continue
-				}
-				after++
-				if s.Ri == "restricted" {
-					restricted++
-				}
-			}
-		}
-		anyRestricted = anyRestricted || restricted > 0
-		won := 0
-		for i := range incTimes {
-			if incTimes[i] < fullTimes[i] {
-				won++
-			}
-		}
-		fq, iq := quartiles(fullTimes), quartiles(incTimes)
-		exp.Rows = append(exp.Rows, []string{
-			query.name, withIQR(fq), withIQR(iq), speedup(fq[1], iq[1]),
-			step, fmt.Sprint(fed), fmt.Sprint(full), fmt.Sprintf("%d of %d", restricted, after),
-			fmt.Sprintf("%d of %d", won, pairs),
-		})
-	}
-	if !anyRestricted {
-		return nil, fmt.Errorf("no query restricted Ri in any iteration")
-	}
-	exp.Notes = fmt.Sprintf("Each arm ran %d times, in pairs alternating which arm goes first, on two engines loaded once; 'full' and 'incremental' are medians with their interquartile range, 'speedup' is the ratio of the medians, and 'incremental won' counts the pairs whose incremental run was the faster. ", pairs) + "Results are asserted byte-identical, row order and float accumulation order included, with the dynamic cross-check recomputing a sample of cached groups from scratch every iteration. 'Rows fed' counts the outer iterative-reference input summed over iterations — the affected keys (changed keys plus their equijoin images) in an iteration that restricted, the whole CTE in one that did not — against the full CTE every time. 'Restricted iters' counts the iterations after the first (which always runs the full plan) whose affected keys were at most half the CTE's; in the others the step ran the full plan, as the OptIncremental baseline does."
-	return exp, nil
-}
-
-// minPairs is the fewest pairs IncrementalComparison times each query
-// in: the medians of three repetitions of one binary spread wider than
-// any difference between its arms.
-const minPairs = 11
-
 // PruningComparison is the experiment behind column-level dataflow
 // (OptColumnPruning): projection pruning, common-block filter
 // hoisting and liveness-driven truncation vs full-width

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -168,52 +167,6 @@ func timeMedian(reps int, f func() error) (time.Duration, error) {
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], nil
-}
-
-// timePairs runs sql once on each of engines a and b to warm them, then
-// times pairs runs on each, alternating: a first in the even pairs, b
-// first in the odd ones, so a drift in the machine's speed falls on both
-// alike. Pair i is ta[i] and tb[i].
-func timePairs(pairs int, a, b *dbspinner.Engine, sql string) (ta, tb []time.Duration, err error) {
-	engines := [2]*dbspinner.Engine{a, b}
-	var times [2][]time.Duration
-	for _, e := range engines {
-		if _, err := e.Query(sql); err != nil {
-			return nil, nil, err
-		}
-	}
-	for i := 0; i < pairs; i++ {
-		for j := range engines {
-			k := j ^ i%2
-			start := time.Now()
-			if _, err := engines[k].Query(sql); err != nil {
-				return nil, nil, err
-			}
-			times[k] = append(times[k], time.Since(start))
-		}
-	}
-	return times[0], times[1], nil
-}
-
-// quartiles returns the first quartile, the median and the third
-// quartile of ts, interpolated between neighbours as make bench-pair
-// does.
-func quartiles(ts []time.Duration) (q [3]time.Duration) {
-	s := slices.Clone(ts)
-	slices.Sort(s)
-	for k := range q {
-		h := float64(len(s)-1) * float64(k+1) / 4
-		lo := int(h)
-		hi := min(lo+1, len(s)-1)
-		q[k] = s[lo] + time.Duration((h-float64(lo))*float64(s[hi]-s[lo]))
-	}
-	return q
-}
-
-// withIQR renders a median and its interquartile range, q as quartiles
-// returns them.
-func withIQR(q [3]time.Duration) string {
-	return fmt.Sprintf("%s (IQR %.1f-%.1f)", ms(q[1]), float64(q[0].Microseconds())/1000, float64(q[2].Microseconds())/1000)
 }
 
 func ms(d time.Duration) string {

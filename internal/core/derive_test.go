@@ -135,9 +135,6 @@ func planRoots(p *Program) []plan.Node {
 		case *InitLoopStep:
 			roots = append(roots, t.Loop.CondPlan)
 		}
-		if r := restrictionOf(s); r != nil {
-			roots = append(roots, r.Plan)
-		}
 	}
 	return roots
 }
@@ -235,12 +232,11 @@ func sortedRows(rows []sqltypes.Row) string {
 	return strings.Join(strs, "\n")
 }
 
-// TestParanoidArmsBothCrossChecks: Options.Paranoid is the one switch
-// for both dynamic cross-checks. On the machine over two partitions,
-// PR-VS elides exchanges, and a run whose elision claims are poisoned
-// must fail on the re-hash; on the rename path, PR's maintenance step
-// must recompute its sample of cached groups.
-func TestParanoidArmsBothCrossChecks(t *testing.T) {
+// TestParanoidArmsTheElisionCrossCheck: Options.Paranoid arms the
+// dynamic cross-check of shuffle elision. On the machine over two
+// partitions, PR-VS elides exchanges, and a run whose elision claims are
+// poisoned must fail on the re-hash.
+func TestParanoidArmsTheElisionCrossCheck(t *testing.T) {
 	rt := newRT(t)
 	prog, err := Rewrite(mustParse(t, prVSQuery), rt, Options{Paranoid: true, Parallel: true, Parts: 2})
 	if err != nil {
@@ -257,19 +253,5 @@ func TestParanoidArmsBothCrossChecks(t *testing.T) {
 	}
 	if _, err := prog.Run(rt, nil); err == nil || !strings.Contains(err.Error(), "is unsound") {
 		t.Errorf("a poisoned elision under Paranoid returned %v, want the re-hash to fail the run", err)
-	}
-
-	prog, err = Rewrite(mustParse(t, prQuery), rt, Options{Paranoid: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maintain *MaintainAggStep
-	for _, s := range prog.Steps {
-		if m, ok := s.(*MaintainAggStep); ok {
-			maintain = m
-		}
-	}
-	if maintain == nil || !maintain.Check {
-		t.Error("PR on the rename path: no maintenance step with Check set")
 	}
 }

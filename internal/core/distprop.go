@@ -121,10 +121,8 @@ func (p *Program) deriveDistProps(license bool) {
 				}
 				return
 			}
-			// A node inferred in more than one context (e.g. a plan
-			// subtree shared between the full and restricted delta
-			// plans) elides only if every context licenses the same
-			// claim.
+			// A node inferred in more than one context elides only if
+			// every context licenses the same claim.
 			if !d.Licensed || !slices.Equal(v.rec.Cols, d.Cols) {
 				v.licensed = false
 			}
@@ -225,18 +223,6 @@ func (c distCases) Materialize(t *MaterializeStep) distStep {
 	return c.bind(t.Into, c.infer(c.in, t.Plan), t.Plan.Columns())
 }
 
-func (c distCases) DeltaMaterialize(t *DeltaMaterializeStep) distStep {
-	return c.restricted(&t.Restriction)
-}
-
-func (c distCases) MaintainAgg(t *MaintainAggStep) distStep {
-	return c.restricted(&t.Restriction)
-}
-
-func (c distCases) restricted(r *Restriction) distStep {
-	return c.bind(r.Into, r.distProp(c.in, c.infer), r.Plan.Columns())
-}
-
 func (c distCases) Rename(t *RenameStep) distStep {
 	from := storage.NormalizeName(t.From)
 	r := c.bind(t.To, c.in[from], nil)
@@ -274,19 +260,6 @@ func (c distCases) Truncate(t *TruncateStep) distStep {
 func (c distCases) InitLoop(*InitLoopStep) distStep     { return distStep{out: c.in} }
 func (c distCases) UpdateLoop(*UpdateLoopStep) distStep { return distStep{out: c.in} }
 func (c distCases) Loop(*LoopStep) distStep             { return distStep{out: c.in} }
-
-// distProp is the property a restricted step's working table is
-// guaranteed to have: Ri's, with In taking the CTE slot's property — In
-// is the CTE table or a partition-preserving filter of it
-// (exec.FilterTableByKey). The maintenance step splices into a fresh
-// DistCol-0 table, so the property under-approximates at worst.
-func (r *Restriction) distProp(st distState, infer func(distState, plan.Node) distprop.Property) distprop.Property {
-	rst := maps.Clone(st)
-	if cte, ok := st[storage.NormalizeName(r.CTE)]; ok {
-		rst.set(r.In, cte)
-	}
-	return infer(rst, r.Plan)
-}
 
 func describeExchange(d distprop.Decision) string {
 	cols := d.Node.Columns()

@@ -61,28 +61,12 @@ func (e IterationEstimate) String() string {
 	}
 }
 
-// restrictedFraction is the planning guess for how much of a full Ri
-// evaluation a restricted one costs: the affected keys are typically a
-// fraction of the CTE, but the optimizer has no cardinality feedback
-// yet, so charge half. The guess is not what decides at run time: there
-// the step measures the frontier each iteration and runs the full plan
-// once more than half the keys are affected (dense, restriction.go), so
-// an installed step is never charged more than a full evaluation plus
-// the walk that found the frontier dense — the planner's half is the
-// same number read as an expectation, and stays a guess. Runtime truth
-// is reported by Stats.RiFullRows vs Stats.RiInputRows (delta step) and
-// Stats.AggFullRows vs Stats.AggInputRows (maintenance step), and per
-// iteration by IterationSpan.Fed, Full and Ri.
-const restrictedFraction = 0.5
-
 // CostEstimate is a coarse per-query cost in abstract units: the cost
 // of the non-iterative part plus, per loop, that loop's estimated
 // iterations times its body cost. It exists to demonstrate how
 // iteration estimation feeds costing; the unit is "materialized
 // steps". Steps may belong to different loops (one per iterative CTE),
-// each with its own iteration estimate, and a restricted step (delta or
-// maintenance) is charged a full evaluation once plus
-// restrictedFraction of one for every later iteration.
+// each with its own iteration estimate.
 func (p *Program) CostEstimate() float64 {
 	// Body intervals: a LoopStep at index l with body start b means
 	// steps [b, l] run once per iteration of that loop.
@@ -105,7 +89,7 @@ func (p *Program) CostEstimate() float64 {
 	cost := 0.0
 	for i, s := range p.Steps {
 		switch s.(type) {
-		case *MaterializeStep, *MergeStep, *CopyBackStep, *DeltaMaterializeStep, *MaintainAggStep:
+		case *MaterializeStep, *MergeStep, *CopyBackStep:
 		default:
 			continue
 		}
@@ -114,12 +98,6 @@ func (p *Program) CostEstimate() float64 {
 			if i >= lv.start && i <= lv.end {
 				times *= lv.iters
 			}
-		}
-		if restrictionOf(s) != nil && times > 1 {
-			// First iteration evaluates the full plan, later ones the
-			// affected keys, or the full plan again when those are dense.
-			cost += 1 + (times-1)*restrictedFraction
-			continue
 		}
 		cost += times
 	}

@@ -388,34 +388,27 @@ func TestScheduledStepsShareOneIndex(t *testing.T) {
 // SSSP-VS joins vertexStatus under its pushed-down status filter inside
 // the loop. That build side does not change, and the memo keys it on the
 // filter the run compiled for its plan node, so a run indexes the
-// available vertices once for the whole loop. The incremental step runs
-// one plan whether it restricts or not, so a licensed run indexes them
-// once too, as an unlicensed one does.
+// available vertices once for the whole loop.
 func TestFilteredInvariantIndexedOncePerRun(t *testing.T) {
 	const n = 10
 	rt := graphRT(t, 1)
 	edges := countRows(t, rt, "SELECT COUNT(*) FROM edges")
 	avail := countRows(t, rt, "SELECT COUNT(*) FROM vertexStatus WHERE status != 0")
 	reached := reachedRows(t, rt, n)
-	for _, incremental := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.Baseline = OptCommonResults
-		if !incremental {
-			opts.Baseline |= OptIncremental
-		}
-		prog, err := Rewrite(mustParse(t, iterating(ssspVSQuery, n)), rt, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats Stats
-		if _, err := prog.RunContext(context.Background(), rt, &stats); err != nil {
-			t.Fatal(err)
-		}
-		// edges on dst and the available vertices once, the reached
-		// vertices of sssp every iteration.
-		if want := edges + avail + reached; stats.ExecStats.RowsIndexed != want {
-			t.Errorf("incremental %v: RowsIndexed = %d, want %d (edges %d, available vertices %d, reached %d)",
-				incremental, stats.ExecStats.RowsIndexed, want, edges, avail, reached)
-		}
+	opts := DefaultOptions()
+	opts.Baseline = OptCommonResults
+	prog, err := Rewrite(mustParse(t, iterating(ssspVSQuery, n)), rt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	if _, err := prog.RunContext(context.Background(), rt, &stats); err != nil {
+		t.Fatal(err)
+	}
+	// edges on dst and the available vertices once, the reached vertices
+	// of sssp every iteration.
+	if want := edges + avail + reached; stats.ExecStats.RowsIndexed != want {
+		t.Errorf("RowsIndexed = %d, want %d (edges %d, available vertices %d, reached %d)",
+			stats.ExecStats.RowsIndexed, want, edges, avail, reached)
 	}
 }

@@ -27,22 +27,11 @@ type keyIndex struct {
 	// depends on which side is looked up in which, and only rebuilding
 	// gives the merge's answer: such a table is never trusted.
 	inexact bool
-	// changed and fresh are the running patch's changed positions and
-	// new rows' positions (pos), each kept for the next patch's storage.
-	changed, fresh []uint64
-	// rows is the change set the last merge filing into x published, or
-	// would have, kept for the next one's storage: the loop's delta step
-	// has read it by then, and a checkpoint copies it (capture).
-	rows []sqltypes.Row
 }
 
 // keyPos is one filed position: a row of partition part, and the
 // position filed before it under the same key.
 type keyPos struct{ part, row, prev int32 }
-
-// pos packs a row position so that packed positions order as the rows
-// of a table scan do: by partition, then by row.
-func pos(part, row int) uint64 { return uint64(part)<<32 | uint64(uint32(row)) }
 
 // reset empties x for a table of about hint rows, over x's own storage.
 func (x *keyIndex) reset(hint int) {
@@ -118,8 +107,6 @@ func (l *LoopState) freshIndex(ctx *Context, hint int) *keyIndex {
 // and forgets it; what it filed does not outlive the run.
 func (l *LoopState) giveBackIndex(st *RunState) {
 	if x := l.index; x != nil {
-		clear(x.rows[:cap(x.rows)])
-		x.rows = x.rows[:0]
 		st.merges.Give(x)
 	}
 	l.index, l.indexOf = nil, nil

@@ -12,16 +12,12 @@ import (
 	"dbspinner/internal/storage"
 )
 
-// mergeResult is what one keyed merge leaves behind: out's partitions,
-// the change set it published — its rows routed as out is (delta), the
-// keys they carry in order, none when the set is dense in out, and the
-// count of changed keys — the changed row count, or the error.
+// mergeResult is what one keyed merge leaves behind: out's partitions
+// and the changed row count, or the error.
 type mergeResult struct {
-	out, delta [][]sqltypes.Row
-	keys       []sqltypes.Value
-	nkeys      int // the distinct keys the change set says it carries
-	changed    int64
-	err        string
+	out     [][]sqltypes.Row
+	changed int64
+	err     string
 }
 
 // same reports the first difference between two merges' results: rows
@@ -34,65 +30,34 @@ func (a mergeResult) same(b mergeResult) error {
 	if a.changed != b.changed {
 		return fmt.Errorf("changed %d, want %d", a.changed, b.changed)
 	}
-	for _, side := range []struct {
-		what string
-		x, y [][]sqltypes.Row
-	}{{"out", a.out, b.out}, {"delta", a.delta, b.delta}} {
-		if len(side.x) != len(side.y) {
-			return fmt.Errorf("%s has %d partitions, want %d", side.what, len(side.x), len(side.y))
+	if len(a.out) != len(b.out) {
+		return fmt.Errorf("out has %d partitions, want %d", len(a.out), len(b.out))
+	}
+	for p := range a.out {
+		if len(a.out[p]) != len(b.out[p]) {
+			return fmt.Errorf("out partition %d has %d rows, want %d", p, len(a.out[p]), len(b.out[p]))
 		}
-		for p := range side.x {
-			if len(side.x[p]) != len(side.y[p]) {
-				return fmt.Errorf("%s partition %d has %d rows, want %d", side.what, p, len(side.x[p]), len(side.y[p]))
+		for i, r := range a.out[p] {
+			if o := b.out[p][i]; !r.Equal(o) || (len(r) > 0 && &r[0] != &o[0]) {
+				return fmt.Errorf("out partition %d row %d is %v, want %v", p, i, r, o)
 			}
-			for i, r := range side.x[p] {
-				if o := side.y[p][i]; !r.Equal(o) || (len(r) > 0 && &r[0] != &o[0]) {
-					return fmt.Errorf("%s partition %d row %d is %v, want %v", side.what, p, i, r, o)
-				}
-			}
-		}
-	}
-	if a.nkeys != b.nkeys {
-		return fmt.Errorf("%d changed keys published, want %d", a.nkeys, b.nkeys)
-	}
-	if len(a.keys) > 0 && len(a.keys) != a.nkeys {
-		return fmt.Errorf("%d changed keys published for rows carrying %d", a.nkeys, len(a.keys))
-	}
-	if len(a.keys) != len(b.keys) {
-		return fmt.Errorf("changed keys %v, want %v", a.keys, b.keys)
-	}
-	for i := range a.keys {
-		if !sqltypes.KeyEqual(a.keys[i], b.keys[i]) || a.keys[i].T != b.keys[i].T {
-			return fmt.Errorf("changed keys %v, want %v", a.keys, b.keys)
 		}
 	}
 	return nil
 }
 
-// mergeInto runs the keyed merge of work into cte over loop, whose delta
-// step has asked for change sets, and returns what it left and out.
+// mergeInto runs the keyed merge of work into cte over loop and returns
+// what it left and out.
 func mergeInto(rt *exec.StoreRuntime, loop *LoopState, cte, work *storage.Table, parts int) (mergeResult, *storage.Table) {
 	rt.Results.Put("c", cte)
 	rt.Results.Put("w", work)
 	rt.Results.Drop("m")
-	loop.changes.wanted = true
 	step := &MergeStep{CTE: "c", Work: "w", Into: "m", Loop: loop}
 	if err := step.Run(&Context{RT: rt, Stats: &Stats{}, parts: parts}); err != nil {
 		return mergeResult{err: err.Error()}, nil
 	}
-	out, set := rt.Results.Get("m"), loop.changes
-	delta := storage.NewTable("d", cte.Schema, parts)
-	delta.DistCol = 0
-	delta.InsertBatch(set.rows)
-	keys := sqltypes.NewKeyTable(1, len(set.rows))
-	for _, r := range set.rows {
-		keys.Insert(r[0:1])
-	}
-	res := mergeResult{out: out.Parts, delta: delta.Parts, nkeys: set.keys, changed: loop.lastUpdate}
-	for id := 0; id < keys.Len(); id++ {
-		res.keys = append(res.keys, keys.Key(id)[0])
-	}
-	return res, out
+	out := rt.Results.Get("m")
+	return mergeResult{out: out.Parts, changed: loop.lastUpdate}, out
 }
 
 // mergeKeys are the keys the generated tables draw from, in classes of
@@ -126,8 +91,7 @@ var mergeSchema = sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", T
 // that repeats keys, scattered over the partitions — and rounds of
 // working rows (unchanged rows, changed ones, new keys, equal keys of
 // another type: NaN payloads, ±0, 1 and 1.0), both leave the same out
-// and delta partitions, row for row, the same changed keys in the same
-// order and the same count. A round with a short working row or a
+// partitions, row for row, and the same changed row count. A round with a short working row or a
 // duplicate working key fails both with the same error, leaves the index
 // trusted for no table, and the next round merges the last good table.
 func TestKeyedMergePatchMatchesRebuild(t *testing.T) {

@@ -56,60 +56,21 @@ type LoopState struct {
 
 // loopRun is the per-run state of one loop operator, which InitLoopStep
 // resets, a checkpoint captures and restores whole, and releaseLoops
-// clears: its counters, the Delta condition's snapshot of the previous
-// iteration by key, and what the loop's incremental step carries across
-// the back-edge (changeSet, aggSnap). A checkpoint shares what it
-// captures rather than copy it: every writer replaces these wholesale,
-// never mutates or lets them go, so a shared reference stays frozen; the
-// snapshot table, which the store releases, the checkpoint holds too.
-// The change set's rows are the exception: the keyed merges publish each
-// set in the storage of the last (keyIndex.rows), so a checkpoint copies
-// them.
+// clears: its counters and the Delta condition's snapshot of the
+// previous iteration by key. A checkpoint shares what it captures rather
+// than copy it: every writer replaces these wholesale, never mutates or
+// lets them go, so a shared reference stays frozen.
 type loopRun struct {
 	iterations int
 	updates    int64
 	lastUpdate int64
 	prev       *rowIndex // Delta: previous iteration by key
 	prevCount  int
-	changes    changeSet
-	// aggSnap is the CTE table MaintainAggStep last computed its output
-	// from (nil: it has not run yet), held (keepSnap), since the rename
-	// that displaces it from the CTE's slot would otherwise hand its rows
-	// back before the next iteration diffs against them.
-	aggSnap *storage.Table
 }
 
-// keepSnap makes t (nil: none) the maintenance snapshot and holds it,
-// and lets go of the snapshot it replaces.
-func (r *loopRun) keepSnap(t *storage.Table) {
-	if !test.unheldSnapshot {
-		if t != nil {
-			t.Hold()
-		}
-		if r.aggSnap != nil {
-			r.aggSnap.Unhold()
-		}
-	}
-	r.aggSnap = t
-}
-
-// test is zero outside tests: the seeded mutants (export_test.go) of the
-// snapshot's holds, a snapshot the loop does not hold and one a
-// checkpoint does not, and of the keyed merge's ownership, a merge that
-// keeps one CTE row it should copy.
-var test struct{ unheldSnapshot, unheldCheckpoint, uncopiedSurvivor bool }
-
-// changeSet is what a keyed merge identified as changed, for the loop's
-// DeltaMaterializeStep, which asks for it (wanted) the first time it
-// runs: from then on every keyed merge of the loop publishes how many
-// distinct keys it changed and, unless they are dense in the table it
-// produced (keepsRows), the rows it replaced with different values or
-// appended. Until one has (merged), there is nothing to restrict by.
-type changeSet struct {
-	wanted, merged bool
-	rows           []sqltypes.Row
-	keys           int
-}
+// test is zero outside tests: the seeded mutant (export_test.go) of the
+// keyed merge's ownership, a merge that keeps one CTE row it should copy.
+var test struct{ uncopiedSurvivor bool }
 
 // noteUpdates records the changed-row count of one identification pass
 // (copy-back or merge), driving UNTIL n UPDATES termination.
@@ -126,7 +87,6 @@ type InitLoopStep struct {
 
 // Run implements Step.
 func (s *InitLoopStep) Run(ctx *Context) error {
-	s.Loop.keepSnap(nil)
 	s.Loop.loopRun = loopRun{}
 	s.Loop.workingSets = nil
 	s.Loop.dropRowSet(ctx)

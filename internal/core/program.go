@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"dbspinner/internal/ast"
@@ -57,16 +56,6 @@ const (
 	// then does the rewrite derive the properties; EXPLAIN derives them
 	// for every program.
 	OptShuffleElision
-	// OptIncremental evaluates Ri over the affected keys only when the
-	// frontier license (internal/aggprop) holds: on the merge path a
-	// DeltaMaterializeStep restricts the scan by the keys the last merge
-	// changed, on the rename path a MaintainAggStep re-folds the
-	// affected groups and serves the rest from the previous iteration's
-	// output. Either step chooses again every iteration, restricting
-	// while the affected keys are at most half the CTE's (restriction.go
-	// states the rule). Withheld under Parallel with more than one
-	// partition, where it measurably costs more than it saves.
-	OptIncremental
 )
 
 // Options configure the rewrite of a SELECT and the runs of the
@@ -75,12 +64,10 @@ type Options struct {
 	// Baseline is the set of optimizations the rewrite withholds; the
 	// zero set runs every one.
 	Baseline Opt
-	// Paranoid arms both dynamic cross-checks of what the static
-	// analyses licensed: every row consumed through an elided exchange
-	// is re-hashed and the run fails if it sits outside its claimed
-	// partition, and every iteration of aggregate maintenance recomputes
-	// a deterministic sample of the cached groups from scratch and fails
-	// the run on a divergence.
+	// Paranoid arms the dynamic cross-check of what the static
+	// partition-property analysis licensed: every row consumed through
+	// an elided exchange is re-hashed and the run fails if it sits
+	// outside its claimed partition.
 	Paranoid bool
 	// MaxIterations is the safety cap installed on every loop, iterative
 	// or recursive: a loop still running after that many iterations fails
@@ -140,22 +127,15 @@ type Stats struct {
 	MovedRows    int64 // rows physically copied back (baseline path)
 	Renames      int64 // rename operator executions
 	CommonBlocks int64 // common results materialized before the loop
-	// Delta-step accounting: per iteration, RiFullRows counts the CTE
-	// rows a full evaluation of Ri would read from the iterative
-	// reference and RiInputRows the rows actually fed to it (equal
-	// unless a DeltaMaterializeStep restricted the scan).
-	RiFullRows  int64
-	RiInputRows int64
-	// Maintenance-step accounting: per iteration, AggFullRows counts
-	// the CTE rows a full re-aggregation of Ri would read and
-	// AggInputRows the rows actually re-folded (equal unless a
-	// MaintainAggStep served unaffected groups from its cache).
-	AggFullRows  int64
-	AggInputRows int64
+	// RiFullRows, RiInputRows, AggFullRows and AggInputRows are always
+	// 0: every loop body evaluates Ri over the whole CTE. They stay only
+	// because the benchmark module's traced pass sums them; delete them
+	// with that change (ROADMAP item 7).
+	RiFullRows, RiInputRows   int64
+	AggFullRows, AggInputRows int64
 	// MaterializedCells counts cells (rows × columns) written into
-	// intermediate results by materialize, delta-materialize, merge and
-	// copy-back steps — the data-movement currency the column-pruning
-	// experiment reports.
+	// intermediate results by materialize, merge and copy-back steps —
+	// the data-movement currency the column-pruning experiment reports.
 	MaterializedCells int64
 	// FreedCells counts the cells of the results whose rows a rename, a
 	// rebinding or a drop handed back to the run (storage.ResultStore):
@@ -274,8 +254,7 @@ func (c *Context) rungName() string {
 // below the configured plan, trading optimization for isolation, and
 // reports false when the context already stands on it. The volcano rung
 // drops the MPP machine, and with it every elided exchange: every step
-// and the final query run on the single-threaded volcano executor, and
-// the restricted incremental steps run the full plan.
+// and the final query run on the single-threaded volcano executor.
 func (c *Context) degradeOnce() bool {
 	if c.volcano {
 		return false
@@ -284,19 +263,6 @@ func (c *Context) degradeOnce() bool {
 	c.Stats.Degradations++
 	c.MPP = nil
 	return true
-}
-
-// degraded reports whether the context has left the configured plan;
-// Restriction.restrict consults it to force the full Ri plan once the
-// ladder has been descended.
-func (c *Context) degraded() bool { return c.volcano }
-
-// noteRi hands a restricted step's per-iteration decision to the trace;
-// untraced runs pay the nil check.
-func (c *Context) noteRi(ri string) {
-	if c.Trace != nil {
-		c.Trace.noteRi(ri)
-	}
 }
 
 // checkpoint is the cooperative cancellation point the step loop
@@ -343,8 +309,7 @@ func (c *Context) noteSizes(t *storage.Table) {
 // hint: a table an earlier keyed pass of the run, or of the statement's
 // last run, let go, reset, if there is one. Every pass takes one if there
 // is one, so the state never holds more than were alive at once: the
-// diff, the affected keys and the row indexes of one iteration are the
-// next iteration's.
+// row indexes of one iteration are the next iteration's.
 func (c *Context) keyTable(width, hint int) *sqltypes.KeyTable {
 	t := c.runState().keys.Take()
 	if t == nil {
@@ -409,10 +374,10 @@ type Program struct {
 	// trusting this record.
 	Dataflow []DataflowEntry
 	// Lookup is the base-table lookup the program was planned against.
-	// The verifier's re-derivations of the frontier license and of the
-	// partition properties read base-table schemas and distributions
-	// from it, so they see what the rewrite saw; it is nil for
-	// hand-built programs, which makes them conservative.
+	// The verifier's re-derivation of the partition properties reads
+	// base-table schemas and distributions from it, so it sees what the
+	// rewrite saw; it is nil for hand-built programs, which makes them
+	// conservative.
 	Lookup plan.TableLookup
 	// DistProps records the distribution property the static
 	// partition-property analysis (internal/distprop) claims for each
@@ -422,15 +387,6 @@ type Program struct {
 	// the verifier re-derives every claim independently
 	// (unsound-partition-claim) rather than trusting the record.
 	DistProps []DistClaim
-	// AggClaims records, for every iterative CTE in order, the
-	// incremental-evaluation decision: the frontier verdict
-	// (internal/aggprop) when the analysis ran, the step it installed
-	// (0 when the full plan runs) and otherwise why none was. EXPLAIN
-	// prints it; the verifier re-derives the license for every licensed
-	// claim and every installed step independently (unsound-agg-claim)
-	// and re-checks the step wiring (unsafe-delta, stale-accumulator)
-	// rather than trusting the record.
-	AggClaims []AggClaim
 	// Elisions records the exchanges the analysis licensed the MPP
 	// machine to skip (OptShuffleElision). The verifier must be able to
 	// re-license each one from its own derivation (missing-exchange),
@@ -526,7 +482,6 @@ func (p *Program) RunBound(goctx context.Context, rt *exec.StoreRuntime, params 
 // gives the keyed merges' key indexes to st, the run's state.
 func (p *Program) releaseLoops(st *RunState) {
 	p.loopStates(func(l *LoopState) {
-		l.keepSnap(nil)
 		l.loopRun, l.workingSets, l.seen, l.seenOf = loopRun{}, nil, nil, nil
 		l.giveBackIndex(st)
 	})
@@ -615,34 +570,6 @@ func (p *Program) Explain() string {
 			b.WriteString(" held to end of program.\n")
 		}
 	}
-	// Incremental-evaluation decisions: per iterative CTE, which
-	// restricted step the frontier license (internal/aggprop) installed,
-	// or why the full plan runs.
-	for _, c := range p.AggClaims {
-		fmt.Fprintf(&b, "Incremental %s: ", c.CTE)
-		kind := ""
-		if c.Step > 0 && c.Step <= len(p.Steps) {
-			switch p.Steps[c.Step-1].(type) {
-			case *DeltaMaterializeStep:
-				kind = "delta"
-			case *MaintainAggStep:
-				kind = "maintenance"
-			}
-		}
-		if kind != "" {
-			fmt.Fprintf(&b, "licensed, %s step at step %d; per iteration: restricted while the affected keys are at most half of %s",
-				kind, c.Step, c.CTE)
-		} else {
-			b.WriteString(c.Reason)
-		}
-		if len(c.Verdict.Calls) > 0 {
-			fmt.Fprintf(&b, "; aggregates %s", strings.Join(c.Verdict.Calls, ", "))
-		}
-		b.WriteString(".\n")
-		for _, ev := range c.Verdict.Evidence {
-			fmt.Fprintf(&b, "  evidence [%s]: %s\n", ev.Rule, ev.Detail)
-		}
-	}
 	// Partition-property analysis (internal/distprop): the distribution
 	// property each step's result provably satisfies, and the shuffle
 	// exchanges that property licensed the machine to skip.
@@ -667,40 +594,12 @@ func (p *Program) Explain() string {
 	// Iteration estimation (paper §IX future work) feeds costing.
 	for _, s := range p.Steps {
 		if init, ok := s.(*InitLoopStep); ok {
-			fmt.Fprintf(&b, "Estimated iterations: %s; estimated cost: %g materialized steps",
+			fmt.Fprintf(&b, "Estimated iterations: %s; estimated cost: %g materialized steps.\n",
 				EstimateIterations(init.Loop.Term), p.CostEstimate())
-			if p.hasRestrictedStep() {
-				fmt.Fprintf(&b, " (restricted Ri charged at %g%% of a full evaluation after the first iteration)",
-					restrictedFraction*100)
-			}
-			b.WriteString(".\n")
 			break
 		}
 	}
 	return b.String()
-}
-
-// restrictionOf returns the Restriction an incremental step embeds,
-// nil for every other step kind.
-func restrictionOf(s Step) *Restriction {
-	switch t := s.(type) {
-	case *DeltaMaterializeStep:
-		return &t.Restriction
-	case *MaintainAggStep:
-		return &t.Restriction
-	}
-	return nil
-}
-
-// hasRestrictedStep reports whether any step evaluates Ri over the
-// affected keys instead of the full CTE.
-func (p *Program) hasRestrictedStep() bool {
-	for _, s := range p.Steps {
-		if restrictionOf(s) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -921,9 +820,7 @@ type MergeStep struct {
 	Loop *LoopState
 	// Delta names the table a recursive round materializes alongside
 	// the main result: the rows it added, which the next round's
-	// recursive term reads. A keyed merge publishes what it changed on
-	// its loop state instead, when the loop's DeltaMaterializeStep asks
-	// (changeSet).
+	// recursive term reads.
 	Delta string
 	// Form is how the working rows combine with the CTE's; the zero
 	// value is the keyed merge above.
@@ -1035,13 +932,12 @@ func (o *ownership) keep(r sqltypes.Row) sqltypes.Row {
 }
 
 // replace is the keyed merge of cte and work into out. It counts the
-// rows that changed — replaced with different values, or appended —
-// and, when the loop's delta step has asked, publishes them with the
-// number of keys they carry (changeSet). Into the table its loop's key
+// rows that changed — replaced with different values, or appended.
+// Into the table its loop's key
 // index describes it patches (patch); into any other — the run's first
 // merge, a checkpoint's clone, a new loop's table — it rebuilds, filing
-// out's rows in the index on the way. Both give the same tables, counts,
-// change sets and errors; the index describes out once the merge has
+// out's rows in the index on the way. Both give the same tables, counts
+// and errors; the index describes out once the merge has
 // succeeded, and no table after one that failed.
 func (m *MergeStep) replace(ctx *Context, cte, work, out *storage.Table, own *ownership) (int64, error) {
 	l := m.Loop
@@ -1087,11 +983,8 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 			}
 		}
 	}
-	// seen[id] marks a working row some CTE row carries (inCTE) and one
-	// that replaced a row with different values (differs): a key the CTE
-	// repeats is one changed key, however many rows it changed.
-	const inCTE, differs = 1, 2
-	seen := make([]uint8, len(updated.rows))
+	// inCTE[id] marks a working row some CTE row carries.
+	inCTE := make([]bool, len(updated.rows))
 	// out holds the CTE's keys plus the new ones: each partition starts
 	// at its CTE partition's length and a sixteenth more.
 	if len(cte.Parts) == len(out.Parts) {
@@ -1105,13 +998,8 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 			x.fileRow(r, keyCol, p, i)
 		}
 	}
-	// changed are exactly the rows identified as changed, keys the
-	// distinct keys among them; in x's storage when there is an x.
-	var changed []sqltypes.Row
-	if x != nil {
-		changed = x.rows[:0]
-	}
-	keys := 0
+	// n counts the rows identified as changed.
+	var n int64
 	for _, part := range cte.Parts {
 		for _, r := range part {
 			if keyCol >= len(r) {
@@ -1122,36 +1010,23 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 				place(own.keep(r))
 				continue
 			}
-			seen[id] |= inCTE
+			inCTE[id] = true
 			nr := updated.rows[id]
 			place(nr)
 			if !r.Equal(nr) {
-				changed = append(changed, nr)
-				if seen[id]&differs == 0 {
-					seen[id] |= differs
-					keys++
-				}
+				n++
 			}
 		}
 	}
 	// Working rows with keys the CTE has never produced: appended, and
 	// by definition changed.
 	for id, r := range updated.rows {
-		if seen[id]&inCTE != 0 {
+		if inCTE[id] {
 			continue
 		}
 		place(r)
-		changed = append(changed, r)
-		keys++
+		n++
 	}
-	n := int64(len(changed))
-	if x != nil {
-		x.rows = changed
-	}
-	if !m.Loop.keepsRows(keys, out) {
-		changed = nil
-	}
-	m.Loop.publish(changed, keys)
 	return n, nil
 }
 
@@ -1159,18 +1034,14 @@ func (m *MergeStep) rebuild(ctx *Context, x *keyIndex, cte, work, out *storage.T
 // where they route: out starts as a copy of cte's partitions, and each
 // working row, looked up once, overwrites every position carrying its
 // key or, under a new key, is placed as an insert places it. No CTE row
-// is hashed or routed. The change set it publishes is the changed
-// positions' rows in cte's scan order, which is position order, then the
-// new rows in working order: rebuild's order. A working key exactKey
-// rejects stops it with exact false, and the caller rebuilds. The CTE
-// rows still in place once every working row is are the ones out keeps.
+// is hashed or routed. A working key exactKey rejects stops it with
+// exact false, and the caller rebuilds. The CTE rows still in place once
+// every working row is are the ones out keeps.
 func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table, own *ownership) (n int64, exact bool, err error) {
 	for p, part := range cte.Parts {
 		out.Parts[p] = append(own.parts.Part(len(part)+len(part)/16), part...)
 	}
 	x.nextMerge()
-	changed, fresh := x.changed[:0], x.fresh[:0]
-	keys := 0
 	for _, part := range work.Parts {
 		for _, r := range part {
 			if keyCol >= len(r) {
@@ -1184,23 +1055,19 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table, own *owner
 			if added {
 				p, i := out.Place(r)
 				x.file(id, true, p, i)
-				fresh = append(fresh, pos(p, i))
+				n++
 				continue
 			}
 			if x.hit[id] == x.gen {
 				return 0, true, fmt.Errorf("iterative part produced duplicate rows for key %s; add an aggregation or GROUP BY to resolve duplicates", r[keyCol])
 			}
 			x.hit[id] = x.gen
-			before := len(changed)
 			for at := x.head[id]; at >= 0; at = x.at[at].prev {
 				p, i := x.at[at].part, x.at[at].row
 				if !out.Parts[p][i].Equal(r) {
-					changed = append(changed, pos(int(p), int(i)))
+					n++
 				}
 				out.Parts[p][i] = r
-			}
-			if len(changed) > before {
-				keys++
 			}
 		}
 	}
@@ -1214,41 +1081,7 @@ func (m *MergeStep) patch(x *keyIndex, cte, work, out *storage.Table, own *owner
 			}
 		}
 	}
-	x.changed, x.fresh = changed, fresh
-	n = int64(len(changed) + len(fresh))
-	keys += len(fresh)
-	var rows []sqltypes.Row
-	if m.Loop.keepsRows(keys, out) {
-		slices.Sort(changed)
-		rows = slices.Grow(x.rows[:0], int(n))
-		for _, ps := range [...][]uint64{changed, fresh} {
-			for _, at := range ps {
-				rows = append(rows, out.Parts[at>>32][uint32(at)])
-			}
-		}
-		x.rows = rows
-	}
-	m.Loop.publish(rows, keys)
 	return n, true, nil
-}
-
-// keepsRows reports whether a keyed merge that changed keys distinct
-// keys, producing out, publishes the rows it changed: when the loop's
-// delta step has asked for change sets, and the keys are not dense in
-// out, the CTE that step reads next. A dense set makes that step run
-// the full plan, which reads only the count.
-func (l *LoopState) keepsRows(keys int, out *storage.Table) bool {
-	return l != nil && l.changes.wanted && !dense(keys, out.Len())
-}
-
-// publish records a keyed merge's change set for the loop's delta step,
-// if it has asked for one (l nil: no loop, no step). rows is the
-// merge's own, nil when it keeps none (keepsRows): the set replaces the
-// last one whole.
-func (l *LoopState) publish(rows []sqltypes.Row, keys int) {
-	if l != nil && l.changes.wanted {
-		l.changes = changeSet{wanted: true, merged: true, rows: rows, keys: keys}
-	}
 }
 
 // append is the recursive merge of cte and work into out: every CTE

@@ -87,10 +87,9 @@ func TestMergePathExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := prog.Explain()
-	// SSSP is licensed and on the merge path, so the default options
-	// materialize the body from the changed-row frontier.
+	// SSSP is on the merge path.
 	wantInOrder := []string{
-		"Materialize Intermediate#sssp from the changed-row frontier of sssp",
+		"Materialize Intermediate#sssp with:",
 		"Merge Intermediate#sssp into Merge#sssp over sssp",
 		"Rename Merge#sssp to sssp.",
 		"Delete tuples from Intermediate#sssp.",

@@ -94,7 +94,7 @@ func TestRandomLinearRecurrences(t *testing.T) {
 		rt := exec.NewStoreRuntime(cat, storage.NewResultStore())
 		for _, opts := range []Options{
 			DefaultOptions(),
-			{Baseline: OptRename | OptColumnPruning | OptShuffleElision | OptIncremental, Parts: 2},
+			{Baseline: OptRename | OptColumnPruning | OptShuffleElision, Parts: 2},
 		} {
 			prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 			if err != nil {

@@ -17,23 +17,17 @@ package core
 //
 // On repeated failure the driver descends the graceful-degradation
 // ladder: retry on the same plan, then on single-threaded volcano with
-// shuffle elision and the restricted incremental steps off. Both rungs
-// are byte-identical to the configured plan by the engine's
-// cross-config oracles, so a degraded success returns exactly the rows
-// the unfaulted run would have.
+// shuffle elision off. Both rungs are byte-identical to the configured
+// plan by the engine's cross-config oracles, so a degraded success
+// returns exactly the rows the unfaulted run would have.
 
-import (
-	"slices"
-
-	"dbspinner/internal/storage"
-)
+import "dbspinner/internal/storage"
 
 // checkpoint is one captured execution state: the pc to resume at, a
 // clone of every tracked result slot (nil marks a slot absent at
 // capture, e.g. a rename source), the loop operators' per-run states,
 // the stats, the run memo's entry mark and the trace watermark. Its
-// clones hold their tables (storage.Table.Clone), and it holds each
-// loop's maintenance snapshot (loopRun.aggSnap), until it is released:
+// clones hold their tables (storage.Table.Clone) until it is released:
 // a table the run displaces meanwhile hands its rows back then, so a run
 // with checkpoints frees what one without does.
 type checkpoint struct {
@@ -73,14 +67,7 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 			cp.tables[name] = nil
 		}
 	}
-	p.loopStates(func(l *LoopState) {
-		run := l.loopRun
-		run.changes.rows = slices.Clone(run.changes.rows)
-		cp.loops[l] = run
-		if l.aggSnap != nil && !test.unheldCheckpoint {
-			l.aggSnap.Hold()
-		}
-	})
+	p.loopStates(func(l *LoopState) { cp.loops[l] = l.loopRun })
 	cp.stats = *ctx.Stats
 	cp.memo = ctx.RT.Memo().Mark()
 	if ctx.Trace != nil {
@@ -89,10 +76,10 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 	return cp
 }
 
-// release lets go of the clones and the snapshot tables cp holds (nil:
-// none); the step loop calls it before a newer checkpoint replaces cp,
-// so that what the committed iteration displaced is freed before the
-// newer one captures the stats, and when it returns.
+// release lets go of the clones cp holds (nil: none); the step loop
+// calls it before a newer checkpoint replaces cp, so that what the
+// committed iteration displaced is freed before the newer one captures
+// the stats, and when it returns.
 func (cp *checkpoint) release() {
 	if cp == nil {
 		return
@@ -100,14 +87,6 @@ func (cp *checkpoint) release() {
 	for _, t := range cp.tables {
 		if t != nil {
 			t.LetGo()
-		}
-	}
-	if test.unheldCheckpoint {
-		return
-	}
-	for _, run := range cp.loops {
-		if run.aggSnap != nil {
-			run.aggSnap.Unhold()
 		}
 	}
 }
@@ -139,7 +118,6 @@ func (p *Program) restore(ctx *Context, cp *checkpoint) {
 		ctx.track(name)
 	}
 	for l, run := range cp.loops {
-		l.keepSnap(run.aggSnap)
 		l.loopRun = run
 	}
 	s := ctx.Stats

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -65,18 +64,6 @@ func Rewrite(stmt *ast.SelectStmt, lookup plan.TableLookup, opts Options) (*Prog
 	if opts.runs(OptColumnPruning) {
 		rw.insertTruncations()
 	}
-	// The step list is final: point each claim at the restricted step
-	// it installed.
-	for i, s := range prog.Steps {
-		if res := restrictionOf(s); res != nil {
-			for c := range prog.AggClaims {
-				if prog.AggClaims[c].CTE == res.CTE {
-					prog.AggClaims[c].Step = i + 1
-				}
-			}
-		}
-	}
-
 	// Static partition-property analysis (internal/distprop): infer the
 	// distribution property of every step's result, license shuffle
 	// elisions the machine may take, and record both for EXPLAIN and
@@ -140,11 +127,10 @@ func (r *rewriter) newBuilder(regular []*ast.CTE) *plan.Builder {
 // keyCol is the column assumed to identify a row of every iterative CTE:
 // its first. The paper uses a user primary key or generates row IDs; our
 // schemas key on the first column, which holds the node in every
-// evaluation query. Nothing proves it unique: only the keyed merge and
-// the keyed diff check it, at run time, on the rows they see. The keyed
-// merge, the copy-back's identification pass, the Delta condition's
-// snapshot and the restricted steps all key on it, and it is stated
-// nowhere else.
+// evaluation query. Nothing proves it unique: only the keyed merge checks
+// it, at run time, on the rows it sees. The keyed merge, the copy-back's
+// identification pass and the Delta condition's snapshot all key on it,
+// and it is stated nowhere else.
 const keyCol = 0
 
 // expandCTE appends the step program of one iterative CTE (Algorithm 1).
@@ -180,8 +166,8 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 
 	// Projection pruning (OptColumnPruning): when the live-column
 	// analysis proves some declared columns unobservable, the whole
-	// schema family (cte, Intermediate#, Merge#, Frontier#)
-	// carries only the live ones. hadWhere is decided on the original
+	// schema family (cte, Intermediate#, Merge#) carries only the live
+	// ones. hadWhere is decided on the original
 	// statement — pruning and hoisting never change the merge/rename
 	// path choice.
 	iterStmt := cte.Iter
@@ -214,24 +200,18 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	loop := &LoopState{Term: cte.Until, CTEName: cte.Name, Cap: r.prog.loopCap(cte.Until)}
 
 	// Algorithm 1 line 3 materializes Ri into the working table (the §II
-	// duplicate-key check happens inside the merge step). Ri is built
-	// once: with its outer reference reading the frontier, inside one of
-	// the incremental steps, when the frontier license allows it, and as
-	// written otherwise.
-	work := r.chooseIncremental(cte, cteSchema, iterStmt, builder, loop, workName, hadWhere)
-	if work == nil {
-		ri, err := builder.Build(iterStmt)
-		if err != nil {
-			return fmt.Errorf("iterative part: %w", err)
-		}
-		if len(ri.Columns()) != len(cteSchema) {
-			return fmt.Errorf("iterative part produces %d columns, CTE has %d", len(ri.Columns()), len(cteSchema))
-		}
-		if ri, err = renameTo(ri, cteSchema); err != nil {
-			return err
-		}
-		work = &MaterializeStep{Into: workName, Plan: ri, CountsAsUpdate: true}
+	// duplicate-key check happens inside the merge step).
+	ri, err := builder.Build(iterStmt)
+	if err != nil {
+		return fmt.Errorf("iterative part: %w", err)
 	}
+	if len(ri.Columns()) != len(cteSchema) {
+		return fmt.Errorf("iterative part produces %d columns, CTE has %d", len(ri.Columns()), len(cteSchema))
+	}
+	if ri, err = renameTo(ri, cteSchema); err != nil {
+		return err
+	}
+	work := &MaterializeStep{Into: workName, Plan: ri, CountsAsUpdate: true}
 	r.lookup.add(workName, cteSchema)
 	r.lookup.add(mergeName, cteSchema)
 	if cte.Until.Type == ast.TermData {
@@ -280,55 +260,6 @@ func (r *rewriter) expandCTE(cte *ast.CTE, regular []*ast.CTE, final *ast.Select
 	*steps = append(*steps, &UpdateLoopStep{Loop: loop})
 	*steps = append(*steps, &LoopStep{Loop: loop, BodyStart: bodyStart})
 	return nil
-}
-
-// chooseIncremental decides how the loop body evaluates Ri, records the
-// decision as the CTE's claim, and returns the incremental step to
-// install, with Ri built into it — nil for the full plan, which the
-// caller builds. The choice follows from what the
-// rewrite observes, not from a knob: a licensed merge-path query (Ri
-// has a WHERE) gets the delta step, because the merge publishes the
-// changed keys and carries every other row forward; a licensed
-// rename-path query with aggregates gets the maintenance step, because
-// there nothing identifies changes and the snapshot diff has to; and
-// everything else — unlicensed, nothing to cache, switched off, or a
-// parallel run, where the restricted form measurably loses — keeps the
-// full plan. Results are identical on every path.
-func (r *rewriter) chooseIncremental(cte *ast.CTE, schema sqltypes.Schema, iterStmt *ast.SelectStmt,
-	b *plan.Builder, loop *LoopState, workName string, hadWhere bool) Step {
-
-	r.prog.AggClaims = append(r.prog.AggClaims, AggClaim{CTE: cte.Name})
-	claim := &r.prog.AggClaims[len(r.prog.AggClaims)-1]
-	switch {
-	case !r.prog.runs(OptIncremental):
-		claim.Reason = "withheld: disabled"
-		return nil
-	case r.prog.Parallel && r.prog.Parts > 1:
-		claim.Reason = "withheld: parallel machine"
-		return nil
-	}
-	// The license is proved on the ORIGINAL iterative AST: its
-	// propagation rules must name catalog base tables, which the
-	// common-result rewrite replaces with Common#k.
-	claim.Verdict = aggprop.AnalyzeCTE(cte, schema, r.lookup)
-	switch {
-	case !claim.Verdict.Licensed:
-		claim.Reason = "not licensed: " + claim.Verdict.Diags[0]
-		return nil
-	case !hadWhere && len(claim.Verdict.Calls) == 0:
-		claim.Reason = "licensed, no aggregates on the rename path"
-		return nil
-	}
-	res, why := r.buildRestriction(cte, schema, iterStmt, b, claim.Verdict, workName)
-	if why != "" {
-		claim.Verdict.Licensed = false
-		claim.Reason = "not licensed: " + why
-		return nil
-	}
-	if hadWhere {
-		return &DeltaMaterializeStep{Restriction: res, Loop: loop}
-	}
-	return &MaintainAggStep{Restriction: res, Loop: loop, Check: r.prog.Paranoid}
 }
 
 // applyCTEColumns renames a plan's outputs to the CTE column list and

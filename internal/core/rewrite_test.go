@@ -298,9 +298,8 @@ func TestTableIExplain(t *testing.T) {
 	rt := newRT(t)
 	stmt, _ := parser.Parse(prQuery)
 	opts := DefaultOptions()
-	// Plain PR has no common block, and Table I shows the full
-	// re-aggregation body.
-	opts.Baseline = OptCommonResults | OptIncremental
+	// Plain PR has no common block.
+	opts.Baseline = OptCommonResults
 	prog, err := Rewrite(stmt.(*ast.SelectStmt), rt, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,6 @@ package core
 // the step's kind.
 type StepCases[R any] interface {
 	Materialize(*MaterializeStep) R
-	DeltaMaterialize(*DeltaMaterializeStep) R
-	MaintainAgg(*MaintainAggStep) R
 	Rename(*RenameStep) R
 	CopyBack(*CopyBackStep) R
 	Merge(*MergeStep) R
@@ -33,8 +31,6 @@ func VisitStep[R any](s Step, c StepCases[R]) R {
 // Step cannot have; stepVisit adapts one to the other.
 type stepVisitor interface {
 	materialize(*MaterializeStep)
-	deltaMaterialize(*DeltaMaterializeStep)
-	maintainAgg(*MaintainAggStep)
 	rename(*RenameStep)
 	copyBack(*CopyBackStep)
 	merge(*MergeStep)
@@ -49,27 +45,23 @@ type stepVisit[R any] struct {
 	r R
 }
 
-func (v *stepVisit[R]) materialize(s *MaterializeStep)           { v.r = v.c.Materialize(s) }
-func (v *stepVisit[R]) deltaMaterialize(s *DeltaMaterializeStep) { v.r = v.c.DeltaMaterialize(s) }
-func (v *stepVisit[R]) maintainAgg(s *MaintainAggStep)           { v.r = v.c.MaintainAgg(s) }
-func (v *stepVisit[R]) rename(s *RenameStep)                     { v.r = v.c.Rename(s) }
-func (v *stepVisit[R]) copyBack(s *CopyBackStep)                 { v.r = v.c.CopyBack(s) }
-func (v *stepVisit[R]) merge(s *MergeStep)                       { v.r = v.c.Merge(s) }
-func (v *stepVisit[R]) truncate(s *TruncateStep)                 { v.r = v.c.Truncate(s) }
-func (v *stepVisit[R]) initLoop(s *InitLoopStep)                 { v.r = v.c.InitLoop(s) }
-func (v *stepVisit[R]) updateLoop(s *UpdateLoopStep)             { v.r = v.c.UpdateLoop(s) }
-func (v *stepVisit[R]) loop(s *LoopStep)                         { v.r = v.c.Loop(s) }
+func (v *stepVisit[R]) materialize(s *MaterializeStep) { v.r = v.c.Materialize(s) }
+func (v *stepVisit[R]) rename(s *RenameStep)           { v.r = v.c.Rename(s) }
+func (v *stepVisit[R]) copyBack(s *CopyBackStep)       { v.r = v.c.CopyBack(s) }
+func (v *stepVisit[R]) merge(s *MergeStep)             { v.r = v.c.Merge(s) }
+func (v *stepVisit[R]) truncate(s *TruncateStep)       { v.r = v.c.Truncate(s) }
+func (v *stepVisit[R]) initLoop(s *InitLoopStep)       { v.r = v.c.InitLoop(s) }
+func (v *stepVisit[R]) updateLoop(s *UpdateLoopStep)   { v.r = v.c.UpdateLoop(s) }
+func (v *stepVisit[R]) loop(s *LoopStep)               { v.r = v.c.Loop(s) }
 
-func (s *MaterializeStep) accept(v stepVisitor)      { v.materialize(s) }
-func (s *DeltaMaterializeStep) accept(v stepVisitor) { v.deltaMaterialize(s) }
-func (s *MaintainAggStep) accept(v stepVisitor)      { v.maintainAgg(s) }
-func (s *RenameStep) accept(v stepVisitor)           { v.rename(s) }
-func (s *CopyBackStep) accept(v stepVisitor)         { v.copyBack(s) }
-func (s *MergeStep) accept(v stepVisitor)            { v.merge(s) }
-func (s *TruncateStep) accept(v stepVisitor)         { v.truncate(s) }
-func (s *InitLoopStep) accept(v stepVisitor)         { v.initLoop(s) }
-func (s *UpdateLoopStep) accept(v stepVisitor)       { v.updateLoop(s) }
-func (s *LoopStep) accept(v stepVisitor)             { v.loop(s) }
+func (s *MaterializeStep) accept(v stepVisitor) { v.materialize(s) }
+func (s *RenameStep) accept(v stepVisitor)      { v.rename(s) }
+func (s *CopyBackStep) accept(v stepVisitor)    { v.copyBack(s) }
+func (s *MergeStep) accept(v stepVisitor)       { v.merge(s) }
+func (s *TruncateStep) accept(v stepVisitor)    { v.truncate(s) }
+func (s *InitLoopStep) accept(v stepVisitor)    { v.initLoop(s) }
+func (s *UpdateLoopStep) accept(v stepVisitor)  { v.updateLoop(s) }
+func (s *LoopStep) accept(v stepVisitor)        { v.loop(s) }
 
 // Forward runs a forward dataflow over the steps' control-flow graph to
 // its fixpoint and returns the state on entry to every step, plus, at

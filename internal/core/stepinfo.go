@@ -13,8 +13,7 @@ import (
 )
 
 // stepIO derives one step's reads, writes and frees for the live-range
-// analysis. Frontier# is written and freed by an incremental step
-// within one Run, so it never grows a cross-step live range.
+// analysis.
 func stepIO(s Step) dataflow.StepIO {
 	return VisitStep[dataflow.StepIO](s, ioCases{})
 }
@@ -23,16 +22,6 @@ type ioCases struct{}
 
 func (ioCases) Materialize(t *MaterializeStep) dataflow.StepIO {
 	return dataflow.StepIO{Reads: planResultNames(t.Plan), Writes: []string{t.Into}, LoopBodyStart: -1}
-}
-
-// What the incremental steps carry across the back-edge lives on their
-// loop's state, not in the result store: their IO is the restriction's.
-func (ioCases) DeltaMaterialize(t *DeltaMaterializeStep) dataflow.StepIO {
-	return t.Restriction.io()
-}
-
-func (ioCases) MaintainAgg(t *MaintainAggStep) dataflow.StepIO {
-	return t.Restriction.io()
 }
 
 func (ioCases) Rename(t *RenameStep) dataflow.StepIO {
@@ -77,16 +66,4 @@ func (ioCases) Loop(t *LoopStep) dataflow.StepIO {
 		}
 	}
 	return io
-}
-
-// io is what both incremental steps do to the result store: read Ri's
-// results and the CTE table directly, write the working table, and
-// transiently bind and drop In.
-func (r *Restriction) io() dataflow.StepIO {
-	return dataflow.StepIO{
-		Reads:         append(planResultNames(r.Plan), r.CTE),
-		Writes:        []string{r.Into, r.In},
-		Drops:         []string{r.In},
-		LoopBodyStart: -1,
-	}
 }

@@ -14,8 +14,7 @@ import (
 // per loop iteration — wall clock, rows written to working tables, the
 // delta-frontier size the iteration's identification pass found, the
 // rows the executors scanned and inserted into join hash indexes, and
-// which form of Ri an incremental step chose with the rows it fed —
-// and under Parallel the skew of its hash exchanges — plus the
+// under Parallel the skew of its hash exchanges — plus the
 // cumulative wall clock of every step. It is
 // captured on the same cooperative checkpoints the cancellation
 // plumbing polls, so tracing adds no extra synchronization points;
@@ -47,8 +46,6 @@ type IterationTrace struct {
 	boundary time.Time
 	last     Stats
 	parts    int
-	// ri is the running iteration's Ri decision, waiting for its span.
-	ri string
 }
 
 // IterationSpan is the trace record of one loop iteration.
@@ -71,17 +68,6 @@ type IterationSpan struct {
 	// exec.Stats.RowsScanned and RowsIndexed): a build side the loop does
 	// not change shows in the first span only.
 	Scanned, Indexed int64
-	// Fed and Full are the CTE rows the iteration's incremental step fed
-	// Ri's outer reference and the rows the full plan reads there (the
-	// growth of Stats.RiInputRows+AggInputRows and RiFullRows+
-	// AggFullRows); both 0 when the loop has no such step.
-	Fed, Full int64
-	// Ri says which form of Ri that step chose and, for the full plan,
-	// the one reason: "restricted", "full: first iteration", "full: dense
-	// frontier" (more than half the keys affected), "full: not
-	// certified" (duplicate keys, restricted output outside the
-	// frontier), "full: degraded". Empty when the loop has no such step.
-	Ri string
 	// Skew is the exchange skew of the iteration's hash exchanges under
 	// Parallel (mpp.Skew: the fullest destination's share of the routed
 	// rows times the partition count, 1 when they spread evenly); 0 when
@@ -133,23 +119,10 @@ func (t *IterationTrace) noteIteration(iter int, now *Stats, frontier int64) {
 		Frontier:  frontier,
 		Scanned:   now.RowsScanned - l.RowsScanned,
 		Indexed:   now.RowsIndexed - l.RowsIndexed,
-		Fed:       now.RiInputRows + now.AggInputRows - l.RiInputRows - l.AggInputRows,
-		Full:      now.RiFullRows + now.AggFullRows - l.RiFullRows - l.AggFullRows,
-		Ri:        t.ri,
 		Skew:      mpp.Skew(now.RowsToBusiest-l.RowsToBusiest, now.RowsRouted-l.RowsRouted, t.parts),
 	})
-	t.ri = ""
 	t.last = *now
 	t.boundary = at
-	t.mu.Unlock()
-}
-
-// noteRi records which form of Ri the running iteration's incremental
-// step chose; the last word before the boundary stands (a splice that
-// cannot certify the restricted output overrides "restricted").
-func (t *IterationTrace) noteRi(ri string) {
-	t.mu.Lock()
-	t.ri = ri
 	t.mu.Unlock()
 }
 
@@ -187,7 +160,6 @@ func (t *IterationTrace) rewind(spans int, last Stats) {
 		t.Spans = t.Spans[:spans]
 	}
 	t.last = last
-	t.ri = ""
 	t.boundary = time.Now()
 	t.mu.Unlock()
 }
@@ -207,9 +179,6 @@ func (t *IterationTrace) Render() string {
 	for _, s := range t.Spans {
 		fmt.Fprintf(&b, "Iteration %d: %s wall, %d rows, frontier %d, scanned %d, indexed %d",
 			s.Iteration, s.Wall, s.Rows, s.Frontier, s.Scanned, s.Indexed)
-		if s.Ri != "" {
-			fmt.Fprintf(&b, ", fed %d of %d (%s)", s.Fed, s.Full, s.Ri)
-		}
 		b.WriteString(".")
 		if s.Skew > 0 {
 			fmt.Fprintf(&b, " Exchange skew %.2f.", s.Skew)

@@ -47,10 +47,7 @@ type Stats struct {
 	// table it does not change once per query adds the table's rows once.
 	RowsIndexed int64
 	RowsGrouped int64 // groups emitted by aggregates
-	// RowsAggInput counts rows fed INTO aggregate operators — the
-	// input-side metric the incremental-aggregate-maintenance
-	// experiment reports (a maintained plan aggregates only the
-	// affected groups' rows, a full plan everything).
+	// RowsAggInput counts rows fed INTO aggregate operators.
 	RowsAggInput int64
 	// ResultCellsRead counts cells (row length per row) read from
 	// materialized intermediate results — the read-side half of the

@@ -6,8 +6,8 @@ import (
 )
 
 // borrower binds as "in", and returns, a table that borrows the first of
-// the fixture table's rows, as exec.FilterTableByKey restricts a CTE:
-// its partition slice is the run's, its row the lender's.
+// the fixture table's rows, as a checkpoint's clone borrows the table it
+// copies (Clone): its partition slice is the run's, its row the lender's.
 func (f *releaseFixture) borrower() *Table {
 	b := NewTable("in", f.t.Schema, 1)
 	b.OwnRows(&f.pool)

@@ -61,6 +61,11 @@ var lifetimeQueries = []struct {
 	{"SSSP", bench.SSSPQuery(1, 6), dbspinner.Config{}},
 	{"SSSP-VS", bench.SSSPVSQuery(1, 6), dbspinner.Config{}},
 	{"PR-copy-back", bench.PRQuery(6), dbspinner.Config{Baseline: dbspinner.OptRename}},
+	// A recursive UNION's merge keeps the rows of both its inputs, which
+	// it pins.
+	{"Reach", `WITH RECURSIVE reach (node) AS (
+  SELECT 25 UNION SELECT edges.dst FROM reach JOIN edges ON edges.src = reach.node
+) SELECT node FROM reach ORDER BY node`, dbspinner.Config{}},
 }
 
 // checkRecycledRowsKeepAnswers runs every lifetime query with arm's
@@ -188,13 +193,12 @@ func TestLifetimeCatchesUnpinnedClone(t *testing.T) {
 	t.Log("caught: " + d)
 }
 
-// TestLifetimeLeavesNoHold runs PageRank on the volcano executor, whose
-// loop holds its maintenance snapshot, and on the MPP machine, whose
-// partitions take the run memo's holds concurrently, to the end clean,
-// failed at the loop step of its third iteration, cancelled while it
-// iterates, and retried from a checkpoint after that fault: no hold a
-// reader took — a run memo entry, a snapshot, a checkpoint — outlives the
-// run.
+// TestLifetimeLeavesNoHold runs PageRank on the volcano executor and on
+// the MPP machine, whose partitions take the run memo's holds
+// concurrently, to the end clean, failed at the loop step of its third
+// iteration, cancelled while it iterates, and retried from a checkpoint
+// after that fault: no hold a reader took — a run memo entry, a
+// checkpoint's clone — outlives the run.
 func TestLifetimeLeavesNoHold(t *testing.T) {
 	defer sqltypes.Poison()()
 	sql := bench.PRQuery(6)

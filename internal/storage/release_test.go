@@ -113,9 +113,9 @@ func TestDisplacementReleasesOnce(t *testing.T) {
 	}
 }
 
-// checkBoundElsewhereIsKept binds the table under a second slot, as the
-// maintenance step binds its Acc and Snap aliases, and displaces it from
-// the first: it must keep its rows until the second lets it go too.
+// checkBoundElsewhereIsKept binds the table under a second slot and
+// displaces it from the first: it must keep its rows until the second
+// lets it go too.
 func checkBoundElsewhereIsKept(t *testing.T) string {
 	f := newReleaseFixture(t)
 	f.s.Put("snap", f.t)

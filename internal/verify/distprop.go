@@ -198,14 +198,6 @@ func (c vCases) Materialize(t *core.MaterializeStep) vStep {
 	return c.bind(t.Into, c.d.infer(c.in, t.Plan))
 }
 
-func (c vCases) DeltaMaterialize(t *core.DeltaMaterializeStep) vStep {
-	return c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
-}
-
-func (c vCases) MaintainAgg(t *core.MaintainAggStep) vStep {
-	return c.bind(t.Into, c.d.restrictedResult(c.in, &t.Restriction))
-}
-
 func (c vCases) Rename(t *core.RenameStep) vStep {
 	prop := c.in[normSlot(t.From)]
 	out := maps.Clone(c.in)
@@ -237,19 +229,6 @@ func (c vCases) Truncate(t *core.TruncateStep) vStep {
 func (c vCases) InitLoop(*core.InitLoopStep) vStep     { return vStep{out: c.in} }
 func (c vCases) UpdateLoop(*core.UpdateLoopStep) vStep { return vStep{out: c.in} }
 func (c vCases) Loop(*core.LoopStep) vStep             { return vStep{out: c.in} }
-
-// restrictedResult re-derives either incremental step's working table:
-// Ri's property, its frontier input inheriting the CTE slot's (In is the
-// CTE table or a partition-preserving filter of it). The maintenance
-// step's spliced output is rebuilt with hash routing on column 0, so
-// the property under-approximates at worst.
-func (d *distChecker) restrictedResult(st vState, t *core.Restriction) vRes {
-	rst := maps.Clone(st)
-	if cte, have := st[normSlot(t.CTE)]; have {
-		rst.bind(t.In, cte)
-	}
-	return vRes{prop: d.infer(rst, t.Plan).prop}
-}
 
 // vRes is a re-derived property plus the column-equality knowledge
 // gathered alongside it. eq is nil for results whose columns carry no

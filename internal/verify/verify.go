@@ -47,13 +47,6 @@ const (
 	// ClassUnsafePush: a predicate recorded as pushed below the loop
 	// fails the independent re-derivation of the §V-B safety conditions.
 	ClassUnsafePush = "unsafe-pushdown"
-	// ClassUnsafeDelta: a DeltaMaterializeStep's Ri does not read the
-	// frontier input exactly once — never, and the restriction is
-	// vacuous; more than once, and an inner reference, which must keep
-	// reading the full CTE, is restricted too — or the step does not sit
-	// in the body of its own loop, whose keyed merges publish the change
-	// sets it restricts by.
-	ClassUnsafeDelta = "unsafe-delta"
 	// ClassPrematureTruncate: a step (or the final query, or a
 	// termination condition) reads a result after a TruncateStep dropped
 	// it — the liveness analysis placed a truncation before the result's
@@ -65,34 +58,14 @@ const (
 	// statement still observes — the projection pruning dropped a live
 	// column.
 	ClassPrunedColumnUse = "pruned-column-use"
-	// ClassUnsoundAggClaim: the program records a licensed incremental
-	// claim (core.Program.AggClaims) — or installs a DeltaMaterializeStep
-	// or MaintainAggStep — that the independent re-derivation of the
-	// frontier license (chain shape, outer key at the head, group-key
-	// stability, routing) cannot re-prove: e.g. a step with no claim, a
-	// group key that drifts across the back-edge, or an inner CTE
-	// reference whose changes are invisible to the frontier.
-	ClassUnsoundAggClaim = "unsound-agg-claim"
-	// ClassStaleAccumulator: a MaintainAggStep's wiring would let the
-	// cached per-group rows go stale. The cache is the CTE itself, the
-	// previous iteration's output, so inside the body of the step's loop
-	// the CTE's only writer must be the rename or copy-back of the step's
-	// working table, after the step (a CTE published before the diff
-	// compares the already-merged table with itself), and nothing else
-	// may write that working table. The step must also sit in that body,
-	// and its Ri must read the frontier input exactly once, in place of
-	// the outer reference, not an inner one.
-	ClassStaleAccumulator = "stale-accumulator"
 )
 
 // Classes lists every diagnostic class the verifier can report.
 var Classes = []string{
 	ClassBadJump, ClassUseBeforeMaterialize, ClassSchemaMismatch,
 	ClassDeadTermination, ClassLeak, ClassUnsafePush,
-	ClassUnsafeDelta,
 	ClassPrematureTruncate, ClassPrunedColumnUse,
 	ClassUnsoundDistProp, ClassMissingExchange,
-	ClassUnsoundAggClaim, ClassStaleAccumulator,
 }
 
 // ClassCount is the number of distinct diagnostic classes.
@@ -150,9 +123,7 @@ func Check(prog *core.Program, stmt *ast.SelectStmt) []Diagnostic {
 		truncated: map[string]int{},
 	}
 	s.run()
-	s.checkLoopState()
 	s.checkLeaks()
-	s.diags = append(s.diags, checkLicense(prog, stmt)...)
 	s.diags = append(s.diags, checkPushdown(prog, stmt)...)
 	s.diags = append(s.diags, checkPruning(prog, stmt)...)
 	s.diags = append(s.diags, checkDistProps(prog)...)
@@ -215,15 +186,9 @@ func (s *sim) readMissing(i int, what, verb, name, suffix string) {
 // plan only names columns the producing step actually materialized.
 // Projection pruning narrows producer schemas; a reader still resolving
 // a pruned column means the liveness analysis and the plan disagree.
-// Reads of in, a (normalized) transient name the step binds to as, are
-// resolved against as's materialization.
-func (s *sim) checkResultCols(i int, what string, n plan.Node, suffix, in, as string) {
+func (s *sim) checkResultCols(i int, what string, n plan.Node, suffix string) {
 	for _, r := range planResultNodes(n) {
-		name := norm(r.Name)
-		if name == in {
-			name = norm(as)
-		}
-		info := s.live[name]
+		info := s.live[norm(r.Name)]
 		if info == nil {
 			continue // the liveness fault is reported separately
 		}
@@ -281,22 +246,7 @@ func (s simCases) Materialize(t *core.MaterializeStep) (_ struct{}) {
 			s.readMissing(s.i, "materialize "+t.Into, "reads", name, s.suffix)
 		}
 	}
-	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix, "", "")
-	s.bind(s.i, t.Into, plan.Schema(t.Plan))
-	return
-}
-
-func (s simCases) DeltaMaterialize(t *core.DeltaMaterializeStep) (_ struct{}) {
-	s.restrictedStep(s.i, &t.Restriction, "delta materialize", ClassUnsafeDelta, s.reEntry, s.suffix)
-	if !s.reEntry && t.Loop == nil {
-		s.addf(s.i, ClassUnsafeDelta, "delta materialize %s has no loop state to carry the changed-key set", t.Into)
-	}
-	s.bind(s.i, t.Into, plan.Schema(t.Plan))
-	return
-}
-
-func (s simCases) MaintainAgg(t *core.MaintainAggStep) (_ struct{}) {
-	s.restrictedStep(s.i, &t.Restriction, "aggregate maintenance", ClassStaleAccumulator, s.reEntry, s.suffix)
+	s.checkResultCols(s.i, "materialize "+t.Into, t.Plan, s.suffix)
 	s.bind(s.i, t.Into, plan.Schema(t.Plan))
 	return
 }
@@ -399,118 +349,6 @@ func (s simCases) Loop(t *core.LoopStep) (_ struct{}) {
 	return
 }
 
-// restrictedStep interprets what the two incremental steps share. The
-// step reads the CTE itself and binds In to it, or to a filter of it,
-// for Ri's outer reference; Ri is otherwise checked like an ordinary
-// materialization, its reads of In resolving against the CTE's columns.
-// The first pass re-derives the substitution invariant independently of
-// the rewrite — In stands for exactly one reference, the outer one the
-// rewrite swapped out — filed under the step kind's own class.
-func (s *sim) restrictedStep(i int, t *core.Restriction, what, class string, reEntry bool, suffix string) {
-	what += " " + t.Into
-	in := norm(t.In)
-	if s.live[norm(t.CTE)] == nil {
-		s.readMissing(i, what, "reads", t.CTE, suffix)
-	}
-	reads := 0
-	for _, name := range planResults(t.Plan) {
-		if name == in {
-			reads++ // bound transiently by the step itself
-		} else if s.live[name] == nil {
-			s.readMissing(i, what, "reads", name, suffix)
-		}
-	}
-	s.checkResultCols(i, what, t.Plan, suffix, in, t.CTE)
-	switch {
-	case reEntry:
-	case reads == 0:
-		s.addf(i, class, "Ri of %s never reads %s; the frontier restriction is vacuous", t.Into, t.In)
-	case reads > 1:
-		s.addf(i, class, "Ri of %s reads %s %d times; only the one outer %s reference may read the frontier", t.Into, t.In, reads, t.CTE)
-	}
-}
-
-// checkLoopState runs after the simulation: each incremental step keeps
-// what it carries across the back-edge on its loop's state, so it must
-// sit in the body of the LoopStep over that state — elsewhere a delta
-// step would restrict by another loop's changes, and a maintenance step
-// would never see a second iteration. A MaintainAggStep serves its
-// cached groups from the CTE, so inside that body the CTE must change
-// only by the rename or copy-back of the step's output, after the step,
-// and nothing else may write that output: any other writer would hand
-// the next iteration rows the step did not compute, and a CTE published
-// before the diff compares the already-merged table with itself.
-func (s *sim) checkLoopState() {
-	// Body intervals from LoopSteps directly — s.bodies only records
-	// loops that passed the jump checks, and this check should not be
-	// masked by an unrelated jump fault.
-	bodies := map[*core.LoopState][2]int{}
-	for i, st := range s.prog.Steps {
-		if l, ok := st.(*core.LoopStep); ok && l.Loop != nil && l.BodyStart >= 0 && l.BodyStart < i {
-			bodies[l.Loop] = [2]int{l.BodyStart, i}
-		}
-	}
-	inBody := func(i int, l *core.LoopState) ([2]int, bool) {
-		b, ok := bodies[l]
-		return b, ok && i >= b[0] && i <= b[1]
-	}
-	for i, st := range s.prog.Steps {
-		switch t := st.(type) {
-		case *core.DeltaMaterializeStep:
-			if _, ok := inBody(i, t.Loop); !ok && t.Loop != nil {
-				s.addf(i, ClassUnsafeDelta, "delta materialize %s sits outside the body of its loop; it would restrict by changes its own loop's merges did not make", t.Into)
-			}
-		case *core.MaintainAggStep:
-			body, ok := inBody(i, t.Loop)
-			if !ok {
-				s.addf(i, ClassStaleAccumulator, "aggregate maintenance of %s sits outside every loop body over its loop state; its snapshot would never see a second iteration", t.CTE)
-				continue
-			}
-			s.checkCacheWriters(i, t, body)
-		}
-	}
-}
-
-// checkCacheWriters enforces the one-writer rule of a MaintainAggStep
-// at step i of body: the CTE changes only by the rename or copy-back of
-// the step's output that follows it, and only the step writes that
-// output.
-func (s *sim) checkCacheWriters(i int, t *core.MaintainAggStep, body [2]int) {
-	published := false
-	for j := body[0]; j <= body[1]; j++ {
-		if j == i {
-			continue
-		}
-		e := deriveStepEffects(s.prog.Steps[j])
-		switch {
-		case hits(e.writes, []string{t.CTE}) && j < i:
-			s.addf(i, ClassStaleAccumulator, "step %d publishes %s before the aggregate maintenance diffs it; the frontier would always be empty and cached groups would be served stale", j+1, t.CTE)
-		case hits(e.writes, []string{t.CTE}) && publishes(s.prog.Steps[j], t) && !published:
-			published = true
-		case hits(e.writes, []string{t.CTE}):
-			s.addf(i, ClassStaleAccumulator, "step %d also writes %s inside the loop body; its rows would be served as groups the maintenance computed", j+1, t.CTE)
-		case hits(e.frees, []string{t.CTE}):
-			s.addf(i, ClassStaleAccumulator, "step %d frees %s inside the loop body; the next iteration would have no cached groups to serve", j+1, t.CTE)
-		case hits(e.writes, []string{t.Into}):
-			s.addf(i, ClassStaleAccumulator, "step %d also writes %s inside the loop body; the CTE would not be the maintained output", j+1, t.Into)
-		}
-	}
-	if !published {
-		s.addf(i, ClassStaleAccumulator, "no rename or copy-back of %s into %s follows the aggregate maintenance in the loop body; the CTE it serves cached groups from would not be its output", t.Into, t.CTE)
-	}
-}
-
-// publishes reports whether st moves t's output into its CTE.
-func publishes(st core.Step, t *core.MaintainAggStep) bool {
-	switch p := st.(type) {
-	case *core.RenameStep:
-		return norm(p.From) == norm(t.Into) && norm(p.To) == norm(t.CTE)
-	case *core.CopyBackStep:
-		return norm(p.From) == norm(t.Into) && norm(p.To) == norm(t.CTE)
-	}
-	return false
-}
-
 // loopStep verifies the loop operator's wiring: jump target, counter
 // initialization and termination-condition liveness, then walks the
 // body once more to catch second-iteration faults.
@@ -540,7 +378,7 @@ func (s *sim) loopStep(i int, t *core.LoopStep, reEntry bool) {
 					}
 				}
 			}
-			s.checkResultCols(i, "termination condition", t.Loop.CondPlan, suffix, "", "")
+			s.checkResultCols(i, "termination condition", t.Loop.CondPlan, suffix)
 		}
 	case ast.TermDelta:
 		if s.live[norm(t.Loop.CTEName)] == nil {

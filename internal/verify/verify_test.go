@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"dbspinner/internal/aggprop"
 	"dbspinner/internal/ast"
 	"dbspinner/internal/catalog"
 	"dbspinner/internal/core"
@@ -101,148 +100,6 @@ func TestValidRenamePathProgramVerifiesClean(t *testing.T) {
 func TestValidMergePathProgramVerifiesClean(t *testing.T) {
 	if diags := Check(mergeProgram(), nil); len(diags) != 0 {
 		t.Fatalf("valid merge program rejected: %v", diags)
-	}
-}
-
-// deltaSQL is the statement deltaProgram stands for: a merge-path loop
-// over t whose only reference to t is the outer one, so the frontier
-// license re-derives from it.
-const deltaSQL = `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges
- ITERATE SELECT t.k, t.v FROM t WHERE t.v > 0 UNTIL 3 ITERATIONS) SELECT k, v FROM t`
-
-// deltaProgram is the merge path with the delta step: the working
-// table comes from a DeltaMaterializeStep whose Ri reads the transient
-// frontier Frontier#t, the merge on the same loop
-// publishes the change set it restricts by, and the program carries the
-// licensed claim the step rests on.
-func deltaProgram() (*core.Program, *core.DeltaMaterializeStep, *core.MergeStep) {
-	loop := metaLoop("t", 3)
-	dm := &core.DeltaMaterializeStep{
-		Restriction: core.Restriction{
-			Into: "Intermediate#t", Plan: result("Frontier#t", "k", "v"),
-			In: "Frontier#t", CTE: "t",
-		},
-		Loop: loop,
-	}
-	merge := &core.MergeStep{CTE: "t", Work: "Intermediate#t", Into: "Merge#t", Loop: loop}
-	prog := &core.Program{
-		Options: core.Options{Parts: 1},
-		Steps: []core.Step{
-			&core.MaterializeStep{Into: "t", Plan: scan("edges", "k", "v")},
-			&core.InitLoopStep{Loop: loop},
-			dm,
-			merge,
-			&core.RenameStep{From: "Merge#t", To: "t"},
-			&core.TruncateStep{Name: "Intermediate#t"},
-			&core.UpdateLoopStep{Loop: loop},
-			&core.LoopStep{Loop: loop, BodyStart: 2},
-		},
-		Final:     result("t", "k", "v"),
-		AggClaims: []core.AggClaim{{CTE: "t", Step: 3, Verdict: aggprop.Verdict{CTE: "t", Licensed: true, OuterAlias: "t"}}},
-	}
-	return prog, dm, merge
-}
-
-func TestValidDeltaProgramVerifiesClean(t *testing.T) {
-	prog, _, _ := deltaProgram()
-	if diags := Check(prog, parseStmt(t, deltaSQL)); len(diags) != 0 {
-		t.Fatalf("valid delta program rejected: %v", diags)
-	}
-}
-
-// TestRejectsUnlicensedDeltaSteps seeds mutants of the delta step's
-// license — the half of the frontier proof the verifier used to take on
-// trust for this step kind: each hand-built program carries a
-// DeltaMaterializeStep, and the statement (or the missing claim) gives
-// the independent re-derivation nothing to license it with.
-func TestRejectsUnlicensedDeltaSteps(t *testing.T) {
-	iter := func(body string) *ast.SelectStmt {
-		return parseStmt(t, `WITH ITERATIVE t (k, v) AS (SELECT k, v FROM edges ITERATE `+body+
-			` UNTIL 3 ITERATIONS) SELECT k, v FROM t`)
-	}
-	t.Run("inner reference without an equijoin route", func(t *testing.T) {
-		prog, _, _ := deltaProgram()
-		stmt := iter(`SELECT t.k, MIN(n.v) FROM t JOIN t AS n ON n.v = t.v WHERE t.v > 0 GROUP BY t.k`)
-		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "no key-equijoin route")
-	})
-	t.Run("output column 0 is not the outer key", func(t *testing.T) {
-		prog, _, _ := deltaProgram()
-		stmt := iter(`SELECT t.k + 0, t.v FROM t WHERE t.v > 0`)
-		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "output column 0 is not the bare key")
-	})
-	t.Run("RIGHT JOIN in the chain", func(t *testing.T) {
-		prog, _, _ := deltaProgram()
-		stmt := iter(`SELECT t.k, t.v FROM t RIGHT JOIN edges AS e ON e.k = t.k WHERE t.v > 0`)
-		assertDiag(t, Check(prog, stmt), ClassUnsoundAggClaim, "RIGHT JOIN")
-	})
-	t.Run("step without a recorded claim", func(t *testing.T) {
-		prog, _, _ := deltaProgram()
-		prog.AggClaims = nil
-		assertDiag(t, Check(prog, parseStmt(t, deltaSQL)), ClassUnsoundAggClaim, "without a licensed incremental claim")
-	})
-}
-
-// TestRejectsCorruptedDeltaPrograms: one constructor per delta
-// invariant, mirroring TestRejectsCorruptedPrograms.
-func TestRejectsCorruptedDeltaPrograms(t *testing.T) {
-	cases := []struct {
-		name    string
-		build   func() *core.Program
-		class   string
-		message string
-	}{
-		{
-			name: "restricted materialization without a loop state",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Loop = nil
-				return prog
-			},
-			class: ClassUnsafeDelta, message: "no loop state",
-		},
-		{
-			name: "restricted materialization on another loop",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Loop = metaLoop("t", 3)
-				return prog
-			},
-			class: ClassUnsafeDelta, message: "outside the body of its loop",
-		},
-		{
-			name: "frontier never read",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Plan = result("t", "k", "v") // reads the full CTE
-				return prog
-			},
-			class: ClassUnsafeDelta, message: "vacuous",
-		},
-		{
-			// The frontier stands for the CTE, so its reads resolve
-			// against the CTE's columns, which have no "extra".
-			name: "frontier read for a column the CTE does not provide",
-			build: func() *core.Program {
-				prog, dm, _ := deltaProgram()
-				dm.Plan = result("Frontier#t", "k", "v", "extra")
-				return prog
-			},
-			class: ClassPrunedColumnUse, message: `column "extra" of result "Frontier#t"`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := Check(tc.build(), nil)
-			found := false
-			for _, d := range diags {
-				if d.Class == tc.class && strings.Contains(d.Message, tc.message) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("no %s diagnostic containing %q; got %v", tc.class, tc.message, diags)
-			}
-		})
 	}
 }
 
@@ -572,10 +429,6 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 	copyBack.Baseline = core.OptRename
 	parted := base
 	parted.Parts = 2
-	// The default options take the delta step on a licensed merge path;
-	// full keeps the plain merge-path shape under test.
-	full := base
-	full.Baseline = core.OptIncremental
 
 	cases := []struct {
 		name string
@@ -587,7 +440,7 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 		{"updates termination", `WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL 3 UPDATES) SELECT i FROM c`, base},
 		{"data termination", `WITH ITERATIVE c (i) AS (SELECT 0 ITERATE SELECT i + 1 FROM c UNTIL ANY (i >= 4)) SELECT i FROM c`, base},
 		{"delta termination", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v FROM c UNTIL DELTA < 1) SELECT k, v FROM c`, base},
-		{"merge path", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, full},
+		{"merge path", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c WHERE k = 1 UNTIL 2 ITERATIONS) SELECT k FROM c`, base},
 		{"partitioned", `WITH ITERATIVE c (k, v) AS (SELECT src, dst FROM edges ITERATE SELECT k, v + 1 FROM c UNTIL 2 ITERATIONS) SELECT k FROM c`, parted},
 		{"two iterative CTEs", `WITH ITERATIVE a (x) AS (SELECT 1 ITERATE SELECT x * 2 FROM a UNTIL 3 ITERATIONS),
 			b (y) AS (SELECT 10 ITERATE SELECT y + 1 FROM b UNTIL 2 ITERATIONS)
@@ -619,17 +472,6 @@ func TestRewrittenProgramsVerifyClean(t *testing.T) {
 			// And once more directly, to assert zero diagnostics.
 			if diags := Check(prog, stmt); len(diags) != 0 {
 				t.Errorf("rewritten program rejected: %v", diags)
-			}
-			if strings.HasPrefix(tc.name, "delta iteration") {
-				found := false
-				for _, s := range prog.Steps {
-					if _, ok := s.(*core.DeltaMaterializeStep); ok {
-						found = true
-					}
-				}
-				if !found {
-					t.Error("delta corpus query silently fell back to the full plan")
-				}
 			}
 		})
 	}

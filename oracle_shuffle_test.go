@@ -185,8 +185,7 @@ func TestShuffleElisionSavingsFloor(t *testing.T) {
 // memo, so rows scanned, joined, indexed, grouped, fed to aggregates and
 // cells read back agree exactly — on PR-VS and SSSP-VS (every build-side
 // exchange elided: the build sides are tables read as they stand) and on
-// FF (no join), at 2 and 4 partitions. Incremental evaluation is off on
-// both sides (the MPP machine runs the full plan either way).
+// FF (no join), at 2 and 4 partitions.
 //
 // Plain PR is the stated exception: its build side edges is stored by
 // src and joined on dst, so the machine re-shuffles it every iteration —
@@ -197,7 +196,7 @@ func TestExecCountersAgreeAcrossExecutors(t *testing.T) {
 	queries := workloadQueries()
 	for _, name := range []string{"PR-VS", "SSSP-VS", "FF", "PR"} {
 		for _, parts := range []int{2, 4} {
-			cfg := dbspinner.Config{Partitions: parts, Baseline: dbspinner.OptIncremental}
+			cfg := dbspinner.Config{Partitions: parts}
 			_, volcano := shuffleRun(t, cfg, queries[name])
 			cfg.Parallel = true
 			_, mpp := shuffleRun(t, cfg, queries[name])

@@ -281,16 +281,16 @@ type latticeQuery struct {
 	sql  string
 }
 
-// checkOptimizationLattice: every subset of the six optimizations
-// Config.Baseline can withhold — all 64 — returns the rows the default
+// checkOptimizationLattice: every subset of the five optimizations
+// Config.Baseline can withhold — all 32 — returns the rows the default
 // returns on the same machine, byte for byte (MPP partitions sum floats
 // in another order), for each query, on volcano over one and four
 // partitions and on the MPP machine over two, always with the Paranoid
-// cross-checks armed. Each engine holds g's edges and vertex status.
+// cross-check armed. Each engine holds g's edges and vertex status.
 func checkOptimizationLattice(t *testing.T, g *workload.Graph, queries []latticeQuery) {
 	t.Helper()
 	machines := []Config{{Partitions: 1}, {Partitions: 4}, {Partitions: 2, Parallel: true}}
-	all := OptRename | OptCommonResults | OptPushdown | OptColumnPruning | OptShuffleElision | OptIncremental
+	all := OptRename | OptCommonResults | OptPushdown | OptColumnPruning | OptShuffleElision
 	for _, m := range machines {
 		want := make([][]string, len(queries))
 		for b := Opt(0); b <= all; b++ {
@@ -315,7 +315,7 @@ func checkOptimizationLattice(t *testing.T, g *workload.Graph, queries []lattice
 					continue
 				}
 				if d := rowsDiff(got, want[qi]); d != "" {
-					t.Errorf("%s partitions=%d parallel=%v baseline=%06b: %s", q.name, m.Partitions, m.Parallel, b, d)
+					t.Errorf("%s partitions=%d parallel=%v baseline=%05b: %s", q.name, m.Partitions, m.Parallel, b, d)
 				}
 			}
 		}
