@@ -11,13 +11,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The race-enabled run covers the packages with concurrency plus the
-# ones incremental evaluation touches: the MPP machine, the executors,
-# the step-program runner, the verifier, and the bench harness that
-# drives full-plan and incremental engines side by side. The root
-# package rides along for the shuffle-elision and incremental parity
-# matrices and the fault matrix, which run the MPP machine's partition
-# workers; expr for one Compiled evaluated from eight goroutines (MPP
+# The race-enabled run covers the packages with concurrency: the MPP
+# machine and the executors its partition workers run side by side, the
+# step-program runner, the verifier and the bench harness. The root
+# package rides along for the shuffle-elision parity matrix, the batch
+# forms' differentials on the machine and the fault matrix, which run the
+# MPP machine's partition workers; expr for one Compiled evaluated from
+# eight goroutines (MPP
 # partitions share compiled expressions, so a bound kernel must keep no
 # state), storage for the tables they read, and sqltypes for Spares, the
 # free list whose mutex the partitions share (an aggregate's spare
@@ -66,13 +66,16 @@ bench-check:
 # once (BenchmarkHashJoin, BenchmarkHashAgg and BenchmarkDistinct, each
 # over keys the key table indexes directly and over keys it hashes;
 # BenchmarkProjectBatch, FF's projection materialized in the batch form
-# and a row at a time; and BenchmarkJoinAgg, PR's loop body materialized
-# in the join → aggregate form and a row at a time). For numbers, run
-# them with -benchtime 2000000x (expressions) or 2000x (kernels) and
-# -count 5.
+# and a row at a time; BenchmarkJoinAgg, PR's loop body materialized in
+# the join → aggregate form and a row at a time; and, in internal/mpp,
+# BenchmarkFragmentRoute, PR-VS's loop body on a 2-partition machine, its
+# joins routed in the join → exchange form and a row at a time). For
+# numbers, run them with -benchtime 2000000x (expressions) or 2000x
+# (kernels) and -count 5.
 bench-eval:
 	$(GO) test -run '^$$' -bench '^BenchmarkEval' -benchtime 1x ./internal/expr
 	$(GO) test -run '^$$' -bench '^Benchmark(HashJoin|HashAgg|Distinct|ProjectBatch|JoinAgg)' -benchtime 1x ./internal/exec
+	$(GO) test -run '^$$' -bench '^BenchmarkFragmentRoute' -benchtime 1x ./internal/mpp
 
 # bench-pair measures a claimed gain the way the choosing-metrics guide
 # (§8) asks: PAIRS alternating runs of one workload's end-to-end pass on

@@ -2,76 +2,241 @@ package exec
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/expr"
 	"dbspinner/internal/sqltypes"
-	"dbspinner/internal/storage"
 )
 
-// The batch form. Under MaterializeContext, a tree that is a chain of
-// filters over one project over filters over a source whose rows stay
-// valid until it closes — a stored result's scan, or an aggregate's
-// output rows — runs up to expr.BatchRows source rows at a time when the
-// project has a typed item (expr.Compiled.Typed): each filter keeps the
-// rows its condition holds for (expr.Compiled.SelectBatch), and the
-// project carves its output rows as the row path does, one per row the
-// filters under it kept, and fills them an item at a time
-// (expr.Compiled.EvalBatch), a typed item's program running once over
-// the batch. An aggregate over a chain of hash joins takes its input a
-// batch at a time too (the join → aggregate form, below). The shape of
-// the plan chooses both, and nothing else: every other tree, and every
-// tree the MPP machine, RunContext, DrainInto or a DML statement runs,
-// runs a row at a time.
+// The batch forms. The shape of a tree chooses how it runs, and nothing
+// else: every drain (drain.go) — MaterializeContext, DrainInto, and so
+// RunContext, a join's build side and the MPP machine's root fragments,
+// and an MPP exchange's routing loop — runs the tree it drains in the form
+// its shape takes, and an aggregate feeds itself in the form its input's
+// takes. A batch source is an operator whose rows stay valid until it
+// closes (batchSource): a stored result's scan, the rows an exchange
+// delivered to a fragment, an aggregate's output rows, and a tap over one
+// of them, which shows each row to its tap as it reads it.
+//
+//   - A chain of filters over one project over filters over a batch
+//     source, where the project has a typed item (expr.Compiled.Typed),
+//     runs up to expr.BatchRows source rows at a time (batchChain): each
+//     filter keeps the rows its condition holds for
+//     (expr.Compiled.SelectBatch), and the project fills its output rows
+//     an item at a time (expr.Compiled.EvalBatch), a typed item's program
+//     running once over the batch.
+//   - An aggregate whose input is a chain of inner or left hash joins
+//     over a batch source takes the joins' tuples a batch of probe rows at
+//     a time, as index vectors, and no joined row is carved (the join →
+//     aggregate form, below).
+//   - An aggregate over a batch source takes its rows a batch at a time,
+//     evaluating its group keys and arguments with EvalBatch.
+//   - A chain of hash joins at the root of a tree an MPP exchange drains
+//     hands the exchange its tuples as the same index vectors (the join →
+//     exchange form, JoinTuples): the exchange routes each tuple by its key
+//     cells where they lie and copies its cells once, into its buffers.
+//   - A batch source at a drain's root hands over its rows a batch at a
+//     time.
+//
+// Every other tree, and every tree while RowAtATime is on, runs a row at
+// a time.
 //
 // A batch evaluates the same expressions over the same rows as the row
 // path, in another order: an item over every row before the next item,
 // not a row through every operator before the next row. So where any
 // evaluation fails, the batch is replayed a row at a time through the
 // row path's closures, which raises the row path's error at the row path's
-// row, with the row path's counters; a batch in which nothing fails
-// inserts the rows the row path inserts, in the row path's order.
+// row, with the row path's counters; a batch in which nothing fails hands
+// on the rows the row path hands on, in the row path's order. A source
+// counts the rows of a batch once its consumer has taken them all, or up
+// to the one it failed on (Drainer.Stop), and polls as often as the row
+// path's Next does, a batch at a time (CancelChecker.TickN).
 
-// rowAtATime turns both batch forms off (RowAtATime).
+// rowAtATime turns the batch forms off (RowAtATime).
 var rowAtATime atomic.Bool
 
-// RowAtATime makes MaterializeContext run every tree a row at a time, in
-// neither batch form, until restore is called: the switch the
-// differential tests compare the batch forms with the row path by.
-// Nothing else calls it.
+// RowAtATime makes every drain and every aggregate run a row at a time,
+// in no batch form, until restore is called: the switch the differential
+// tests compare the batch forms with the row path by. Nothing else calls
+// it.
 func RowAtATime() (restore func()) {
 	rowAtATime.Store(true)
 	return func() { rowAtATime.Store(false) }
-}
-
-// batchRun is what a project node with a typed item carries from one of
-// its runs to the next (nodeRun): the vectors and row slices of its
-// batches, so that a warm run allocates none.
-type batchRun struct {
-	spare sqltypes.Spares[*batchScratch]
-}
-
-func (r *batchRun) sweep()    { r.spare.Sweep() }
-func (r *batchRun) handBack() { r.spare.HandBack() }
-
-// batchScratch is one batch's storage: the chain's conditions, the
-// source's rows, the rows the filters under the project kept, the
-// project's output rows, and the typed programs' vectors.
-type batchScratch struct {
-	above, below   []*expr.Compiled // innermost first
-	in, live, outs []sqltypes.Row
-	b              expr.Batch
 }
 
 // batchSource is an operator whose rows stay valid until it closes, so
 // that a batch may hold many of them at once.
 type batchSource interface {
 	Operator
-	// fill appends up to n rows to dst, counting nothing.
+	// fill appends up to n rows to dst, counting nothing, and polls as
+	// often as Next polls to return them, once more where it appends none
+	// (the row path's last Next). Where it fails, dst holds the rows read
+	// before the failure, which the caller takes before the error.
 	fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error)
 	// counted counts rows as read, as Next counts each row it returns.
 	counted(rows []sqltypes.Row)
+}
+
+// sourceOf returns op as a batch source, and ok false where it is none: a
+// base table's scan, or a tap over an operator that is none.
+func sourceOf(op Operator) (batchSource, bool) {
+	switch o := op.(type) {
+	case *scanOp:
+		return o, !o.base
+	case *rowsOp:
+		return o, true
+	case *aggOp:
+		return o, true
+	case *tapOp:
+		_, ok := sourceOf(o.input)
+		return o, ok
+	}
+	return nil, false
+}
+
+func (s *scanOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
+	start := len(dst)
+	for len(dst) < start+n && s.pi < len(s.parts) {
+		part := s.parts[s.pi]
+		if s.pos >= len(part) {
+			s.pi, s.pos = s.pi+1, 0
+			continue
+		}
+		take := min(start+n-len(dst), len(part)-s.pos)
+		dst = append(dst, part[s.pos:s.pos+take]...)
+		s.pos += take
+	}
+	if err := s.cancel.TickN(max(len(dst)-start, 1)); err != nil {
+		return dst[:start], err
+	}
+	return dst, nil
+}
+
+func (s *scanOp) counted(rows []sqltypes.Row) {
+	s.stats.RowsScanned += int64(len(rows))
+	if !s.base {
+		for _, r := range rows {
+			s.stats.ResultCellsRead += int64(len(r))
+		}
+	}
+}
+
+func (r *rowsOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
+	take := min(n, len(r.rows)-r.pos)
+	if err := r.cancel.TickN(max(take, 1)); err != nil {
+		return dst, err
+	}
+	dst = append(dst, r.rows[r.pos:r.pos+take]...)
+	r.pos += take
+	return dst, nil
+}
+
+func (r *rowsOp) counted([]sqltypes.Row) {}
+
+func (a *aggOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
+	for end := len(dst) + n; len(dst) < end && a.groups != nil && a.pos < a.groups.Len(); a.pos++ {
+		dst = append(dst, a.groups.Row(a.pos))
+	}
+	return dst, nil
+}
+
+func (a *aggOp) counted([]sqltypes.Row) {}
+
+// fill shows each row its input fills to the tap's Check, in order. Where
+// it fails on a row, the rows before it are the batch, and the row itself
+// is counted as read, as the row path's input and tap counted it before
+// the check. The rows of a batch are counted once the consumer took them
+// (counted).
+func (t *tapOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
+	src := t.input.(batchSource)
+	start := len(dst)
+	dst, err := src.fill(dst, n)
+	if test.skipTap || t.tap.Check == nil {
+		return dst, err
+	}
+	for i := start; i < len(dst); i++ {
+		if terr := t.check(dst[i]); terr != nil {
+			src.counted(dst[i : i+1])
+			t.count(1)
+			return dst[:i], terr
+		}
+	}
+	return dst, err
+}
+
+func (t *tapOp) counted(rows []sqltypes.Row) {
+	t.input.(batchSource).counted(rows)
+	t.count(len(rows))
+}
+
+// --- filters and a project over a batch source ---------------------------
+
+// scratchSlots holds a node's batch scratch while no tree of the node runs
+// in a batch form: one per partition — the tree of an MPP machine's
+// partition p, or a volcano tree's, p = 0 — that ran the node. Unlike
+// sqltypes.Spares, its sweeps and hand-backs drop nothing, and a slot is
+// a partition's alone, so that how the partitions of a machine happened
+// to overlap in one run does not decide what the next allocates; it lives
+// as long as the statement's Leftovers, which drop it after a run that
+// fails. The zero value is empty, and it is safe for concurrent use.
+type scratchSlots[T any] struct {
+	mu    sync.Mutex
+	slots []T
+}
+
+// take returns partition part's scratch, or the zero T.
+func (l *scratchSlots[T]) take(part int) (x T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if part < len(l.slots) {
+		var zero T
+		x, l.slots[part] = l.slots[part], zero
+	}
+	return x
+}
+
+// give files x as partition part's scratch.
+func (l *scratchSlots[T]) give(part int, x T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.slots) <= part {
+		var zero T
+		l.slots = append(l.slots, zero)
+	}
+	l.slots[part] = x
+}
+
+// batchRun is what a project node with a typed item carries from one of
+// its runs to the next (nodeRun): the vectors and row slices of its
+// batches, so that a warm run allocates none.
+type batchRun struct {
+	spare scratchSlots[*batchScratch]
+}
+
+func (r *batchRun) sweep()    {}
+func (r *batchRun) handBack() {}
+
+// batchScratch is one batch's storage: the chain's conditions, the
+// source's rows, the rows the filters under the project kept, the
+// project's output rows — carved from cells where the project lends them —
+// and the typed programs' vectors.
+type batchScratch struct {
+	above, below   []*expr.Compiled // innermost first
+	in, live, outs []sqltypes.Row
+	cells          []sqltypes.Value
+	b              expr.Batch
+}
+
+// release lets go of the rows s holds and gives it back to run, as
+// partition part's.
+func (s *batchScratch) release(run *batchRun, part int) {
+	clear(s.in[:cap(s.in)])
+	clear(s.live[:cap(s.live)])
+	clear(s.outs[:cap(s.outs)])
+	clear(s.cells)
+	run.spare.give(part, s)
 }
 
 // batchChain is a tree the batch form runs: filters over project over
@@ -83,7 +248,7 @@ type batchChain struct {
 }
 
 // batchChainOf returns op's tree as a batchChain where the batch form
-// runs it, and ok false where the row path does.
+// runs it, and ok false where it does not.
 func batchChainOf(op Operator) (c batchChain, ok bool) {
 	if rowAtATime.Load() {
 		return c, false
@@ -98,20 +263,20 @@ func batchChainOf(op Operator) (c batchChain, ok bool) {
 				return c, false
 			}
 			c.project, op = o, o.input
-		case *scanOp:
-			c.src = o
-			return c, !o.base && c.project != nil
-		case *aggOp:
-			c.src = o
-			return c, c.project != nil
 		default:
-			return c, false
+			c.src, ok = sourceOf(op)
+			return c, ok && c.project != nil
 		}
 	}
 }
 
-// conds collects the chain's conditions into s, innermost first.
-func (c *batchChain) conds(s *batchScratch) {
+// scratch takes a batch's storage from the project's run state, holding
+// the chain's conditions.
+func (c *batchChain) scratch() *batchScratch {
+	s := c.project.run.spare.take(c.project.part)
+	if s == nil {
+		s = new(batchScratch)
+	}
 	s.above, s.below = s.above[:0], s.below[:0]
 	conds := &s.above
 	for op := c.root; op != c.src; {
@@ -126,53 +291,10 @@ func (c *batchChain) conds(s *batchScratch) {
 	}
 	slices.Reverse(s.above)
 	slices.Reverse(s.below)
+	return s
 }
 
-// materialize runs the chain's tree into t, which its project's rows are
-// carved for.
-func (c *batchChain) materialize(t *storage.Table) error {
-	if err := c.root.Open(); err != nil {
-		return err
-	}
-	defer c.root.Close()
-	run := c.project.run
-	s := run.spare.Take()
-	if s == nil {
-		s = new(batchScratch)
-	}
-	defer func() {
-		clear(s.in[:cap(s.in)])
-		clear(s.live[:cap(s.live)])
-		clear(s.outs[:cap(s.outs)])
-		run.spare.Give(s)
-	}()
-	c.conds(s)
-	for {
-		in, err := c.src.fill(s.in[:0], expr.BatchRows)
-		if s.in = in; err != nil {
-			return err
-		}
-		if len(in) == 0 {
-			return nil
-		}
-		outs, err := c.batch(s, in)
-		if err != nil {
-			if test.noReplay {
-				return err
-			}
-			if err := c.replay(s, in, t); err != nil {
-				return err
-			}
-			continue
-		}
-		c.src.counted(in)
-		for _, r := range outs {
-			t.Insert(r)
-		}
-	}
-}
-
-// batch runs the chain over in: the rows to insert, or the first error it
+// batch runs the chain over in: the rows it emits, or the first error it
 // meets.
 func (c *batchChain) batch(s *batchScratch, in []sqltypes.Row) ([]sqltypes.Row, error) {
 	live := append(s.live[:0], in...)
@@ -185,11 +307,21 @@ func (c *batchChain) batch(s *batchScratch, in []sqltypes.Row) ([]sqltypes.Row, 
 	}
 	// The bare columns are copied a row at a time, as each output row is
 	// carved, while the row is at hand; the other items fill a column at
-	// a time.
-	items := c.project.items
+	// a time. A lending project's consumer is done with the batch's rows
+	// before it asks for the next batch, so they are carved from scratch.
+	items, w := c.project.items, len(c.project.items)
+	lend := c.project.out.borrow
+	if lend {
+		s.cells = resize(s.cells, len(live)*w)
+	}
 	outs := s.outs[:0]
-	for _, r := range live {
-		out := c.project.out.next(len(items))
+	for j, r := range live {
+		var out sqltypes.Row
+		if lend {
+			out = s.cells[j*w : (j+1)*w : (j+1)*w]
+		} else {
+			out = c.project.out.next(w)
+		}
 		for i, item := range items {
 			if item.Col < 0 {
 				continue
@@ -219,31 +351,35 @@ func (c *batchChain) batch(s *batchScratch, in []sqltypes.Row) ([]sqltypes.Row, 
 	return outs, nil
 }
 
-// replay runs in through the row path's closures a row at a time,
-// counting each row as it reads it and inserting each row it builds: the
-// row path's error, at the row path's row, or nil where no row fails.
-func (c *batchChain) replay(s *batchScratch, in []sqltypes.Row, t *storage.Table) error {
-	for i, r := range in {
-		c.src.counted(in[i : i+1])
+// replayRow runs source rows in[*next:] through the row path's closures,
+// counting each as it reads it, up to the next row the chain emits, which
+// it returns (nil: none is left); the row path's error, at the row path's
+// row, where one fails.
+func (c *batchChain) replayRow(s *batchScratch, next *int) (sqltypes.Row, error) {
+	for *next < len(s.in) {
+		i := *next
+		*next++
+		r := s.in[i]
+		c.src.counted(s.in[i : i+1])
 		keep, err := holdsAll(s.below, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !keep {
 			continue
 		}
 		out := c.project.out.next(len(c.project.items))
 		if err := evalInto(c.project.items, r, out); err != nil {
-			return err
+			return nil, err
 		}
 		if keep, err = holdsAll(s.above, out); err != nil {
-			return err
+			return nil, err
 		}
 		if keep {
-			t.Insert(out)
+			return out, nil
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // holdsAll reports whether every condition holds for r, evaluating them
@@ -257,62 +393,147 @@ func holdsAll(conds []*expr.Compiled, r sqltypes.Row) (bool, error) {
 	return true, nil
 }
 
-func (s *scanOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
-	if err := s.cancel.Check(); err != nil {
-		return dst, err
-	}
-	return s.take(dst, n), nil
+// --- an aggregate over a batch source -------------------------------------
+
+// aggBatchScratch is one batch's storage for an aggregate fed by a batch
+// source: the source's rows, per row a scratch row for the values of its
+// group keys then its arguments that are no bare column, and the group key
+// buffer.
+type aggBatchScratch struct {
+	in, vals  []sqltypes.Row
+	cells     []sqltypes.Value
+	groupVals []sqltypes.Value
+	b         expr.Batch
 }
 
-// take is fill with no poll: a caller that polls as the row path does
-// (CancelChecker.TickN) counts the rows itself.
-func (s *scanOp) take(dst []sqltypes.Row, n int) []sqltypes.Row {
-	for len(dst) < n && s.pi < len(s.parts) {
-		part := s.parts[s.pi]
-		if s.pos >= len(part) {
-			s.pi, s.pos = s.pi+1, 0
-			continue
+// feedSource groups and accumulates src's rows into a, a batch at a time:
+// EvalBatch evaluates each computed group key and argument over the whole
+// batch, then the rows are grouped and accumulated in order. A batch in
+// which an evaluation fails is replayed a row at a time through the row
+// path (feedRow).
+func (a *aggOp) feedSource(src batchSource) error {
+	s := a.run.feed.take(a.part)
+	if s == nil {
+		s = new(aggBatchScratch)
+	}
+	defer func() {
+		clear(s.in[:cap(s.in)])
+		clear(s.vals[:cap(s.vals)])
+		clear(s.cells)
+		a.run.feed.give(a.part, s)
+	}()
+	s.groupVals = resize(s.groupVals, len(a.groupEx))
+	for {
+		in, ferr := src.fill(s.in[:0], expr.BatchRows)
+		if s.in = in; len(in) == 0 {
+			return ferr
 		}
-		take := min(n-len(dst), len(part)-s.pos)
-		dst = append(dst, part[s.pos:s.pos+take]...)
-		s.pos += take
-	}
-	return dst
-}
-
-func (s *scanOp) counted(rows []sqltypes.Row) {
-	s.stats.RowsScanned += int64(len(rows))
-	if !s.base {
-		for _, r := range rows {
-			s.stats.ResultCellsRead += int64(len(r))
+		if !a.evalBatch(s, in) {
+			for i, r := range in {
+				src.counted(in[i : i+1])
+				if err := a.feedRow(r, s.groupVals); err != nil {
+					return err
+				}
+			}
+		} else if n, err := a.groupBatch(in, s.vals, s.groupVals); err != nil {
+			src.counted(in[:n])
+			return err
+		} else {
+			src.counted(in)
+		}
+		if ferr != nil {
+			return ferr
 		}
 	}
 }
 
-func (a *aggOp) fill(dst []sqltypes.Row, n int) ([]sqltypes.Row, error) {
-	for len(dst) < n && a.groups != nil && a.pos < a.groups.Len() {
-		dst = append(dst, a.groups.Row(a.pos))
-		a.pos++
+// evalBatch fills s.vals, per row of in, with the values of its group
+// keys then its arguments that are no bare column — a bare column is read
+// where it lies as the row is grouped — and reports whether every
+// evaluation succeeded.
+func (a *aggOp) evalBatch(s *aggBatchScratch, in []sqltypes.Row) bool {
+	nKeys := len(a.groupEx)
+	w := nKeys + len(a.node.Aggs)
+	s.cells = resize(s.cells, len(in)*w)
+	s.vals = resize(s.vals, len(in))
+	for j := range in {
+		s.vals[j] = s.cells[j*w : (j+1)*w : (j+1)*w]
 	}
-	return dst, nil
+	for i, k := range a.groupEx {
+		if k.Col < 0 && k.EvalBatch(&s.b, in, s.vals, i) != nil {
+			return false
+		}
+	}
+	for i, spec := range a.node.Aggs {
+		if arg := a.argEx[i]; !spec.Star && arg.Col < 0 && arg.EvalBatch(&s.b, in, s.vals, nKeys+i) != nil {
+			return false
+		}
+	}
+	return true
 }
 
-func (a *aggOp) counted([]sqltypes.Row) {}
+// groupBatch groups and accumulates the rows of in, in order, their
+// computed values in vals (evalBatch). It returns how many rows the
+// aggregate took, the one an accumulator failed on included, and the
+// error. A bare column a row is too short for fails as the row path's
+// Eval fails on it.
+func (a *aggOp) groupBatch(in, vals []sqltypes.Row, groupVals []sqltypes.Value) (int, error) {
+	nKeys, nAggs := len(a.groupEx), len(a.node.Aggs)
+	for j, r := range in {
+		a.stats.RowsAggInput++
+		v := vals[j]
+		for i, k := range a.groupEx {
+			switch {
+			case k.Col < 0:
+				groupVals[i] = v[i]
+			case k.Col < len(r):
+				groupVals[i] = r[k.Col]
+			default:
+				_, err := k.Eval(r)
+				return j + 1, err
+			}
+		}
+		id, added := a.groups.Insert(groupVals)
+		if added {
+			a.newGroup()
+		}
+		for i, spec := range a.node.Aggs {
+			var x sqltypes.Value
+			switch arg := a.argEx[i]; {
+			case spec.Star:
+				x = sqltypes.NewBool(true) // any non-null marker
+			case arg.Col < 0:
+				x = v[nKeys+i]
+			case arg.Col < len(r):
+				x = r[arg.Col]
+			default:
+				_, err := arg.Eval(r)
+				return j + 1, err
+			}
+			if err := a.aggs[id*nAggs+i].Add(x); err != nil {
+				return j + 1, err
+			}
+		}
+	}
+	return len(in), nil
+}
 
-// The join → aggregate form. Under MaterializeContext, an aggregate whose
-// input is a left-deep chain of inner or left-outer hash joins with no
-// residual, over a stored result's scan, takes that scan's rows
-// expr.BatchRows at a time. Each join, bottom first, turns the batch's
-// tuples into index vectors (joinLevel): which tuple of the level under
-// it, or which probe row, each of its tuples extends, and with which
-// build row, -1 where the tuple is NULL-extended; no joined row is ever
-// carved. The aggregate then walks the top join's tuples in the row
-// path's order and reads each cell its expressions need from the probe or
-// build row it lies in. Where every group key reads only the probe row's
-// columns, as in each of the paper's loop bodies, a probe row's tuples
-// all fall in one group: the aggregate evaluates the keys and looks the
-// group up once per probe row, at its first tuple, not once per tuple.
-// Any other aggregate, and any other input, runs a row at a time.
+// --- chains of hash joins ----------------------------------------------------
+
+// The join → aggregate form. An aggregate whose input is a left-deep
+// chain of inner or left-outer hash joins with no residual, over a batch
+// source, takes that source's rows expr.BatchRows at a time. Each join,
+// bottom first, turns the batch's tuples into index vectors (joinLevel):
+// which tuple of the level under it, or which probe row, each of its
+// tuples extends, and with which build row, -1 where the tuple is
+// NULL-extended; no joined row is ever carved. The aggregate then walks
+// the top join's tuples in the row path's order and reads each cell its
+// expressions need from the probe or build row it lies in. Where every
+// group key reads only the probe row's columns, as in each of the paper's
+// loop bodies, a probe row's tuples all fall in one group: the aggregate
+// evaluates the keys and looks the group up once per probe row, at its
+// first tuple, not once per tuple. The join → exchange form (JoinTuples)
+// expands its batches the same way.
 //
 // Nothing here changes what the row path computes, or where it fails:
 //   - the tuples, and so the groups, their order and each group's order
@@ -320,75 +541,27 @@ func (a *aggOp) counted([]sqltypes.Row) {}
 //   - the joins above the bottom one read bare columns as their probe
 //     keys, which cannot fail; the bottom one's probe keys are the row
 //     path's (HashIndex.First), and where they fail on a probe row, the
-//     batch stops there: the aggregate takes the tuples before it, then
+//     batch stops there: the consumer takes the tuples before it, then
 //     the batch fails with its error;
-//   - the aggregate evaluates in the row path's tuple order, and where it
+//   - the consumer takes the tuples in the row path's order, and where it
 //     fails, the counters are the ones the row path had reached at that
-//     tuple (joinAggScratch.count);
+//     tuple (joinBatch.count);
 //   - the polls are the row path's in number, one per probe row, per
-//     matched tuple and at the scan's end, made a batch at a time
+//     matched tuple and at the source's end, made a batch at a time
 //     (CancelChecker.TickN).
 
-// aggUnder returns the aggregate op's rows come from, under filters,
-// projects, trims and limits, or nil.
-func aggUnder(op Operator) *aggOp {
-	for {
-		switch o := op.(type) {
-		case *filterOp:
-			op = o.input
-		case *projectOp:
-			op = o.input
-		case *trimOp:
-			op = o.input
-		case *limitOp:
-			op = o.input
-		case *aggOp:
-			return o
-		default:
-			return nil
-		}
-	}
-}
-
-// joinChainUnder reports whether op is a chain the join → aggregate
-// form runs: inner or left-outer hash joins with no residual, each
-// probing with the one above it, over a stored result's scan.
-func joinChainUnder(op Operator) bool {
-	for joins := 0; ; joins++ {
-		switch o := op.(type) {
-		case *hashJoinOp:
-			if o.residual != nil || o.typ != ast.InnerJoin && o.typ != ast.LeftJoin {
-				return false
-			}
-			op = o.left
-		case *scanOp:
-			return joins > 0 && !o.base
-		default:
-			return false
-		}
-	}
-}
-
-// joinAggScratch is one join → aggregate run's storage: the chain, the
-// batch's probe rows, each join's tuples, and the row of the joined width
-// the aggregate's expressions read. It is the aggregate node's run state
-// (aggRun.batch), so a warm run allocates none of it.
-type joinAggScratch struct {
-	// What the node's expressions read, worked out at its first run:
-	// fits is false where a group key reads a column off the probe row or
-	// a join above the bottom one probes with other than bare columns.
-	laid, fits bool
-	keyReads   [][]cellRead // per join above the bottom one: its probe keys
-	groupReads []cellRead   // every column the group keys read
-	argReads   [][]cellRead // per aggregate: the columns its argument reads
-
-	src       *scanOp
-	joins     []*hashJoinOp // bottom first
-	rows      []sqltypes.Row
-	levels    []joinLevel // per join, bottom first
-	path      []int32     // one tuple's probe row, then its build rows
-	row       sqltypes.Row
-	groupVals []sqltypes.Value
+// joinBatch is a batch of probe rows run through a chain of joins: the
+// chain, the rows, each join's tuples, and where the cells of the top
+// join's rows lie.
+type joinBatch struct {
+	src    batchSource
+	joins  []*hashJoinOp // bottom first
+	rows   []sqltypes.Row
+	levels []joinLevel // per join, bottom first
+	path   []int32     // one tuple's probe row, then its build rows
+	// keyReads are, per join above the bottom one, where its probe keys'
+	// bare columns lie, worked out by layKeys.
+	keyReads [][]cellRead
 }
 
 // joinLevel is the tuples one join emits for a batch, in the row path's
@@ -401,155 +574,100 @@ type joinLevel struct{ par, bld []int32 }
 // (seg 0) or of the build row of join seg-1.
 type cellRead struct{ col, seg, off int32 }
 
-// joinChain returns the scratch of a's run in the join → aggregate form,
-// holding the chain under it, and ok false where the row path runs a.
-func (a *aggOp) joinChain() (s *joinAggScratch, ok bool) {
-	if !a.batch || !joinChainUnder(a.input) {
-		return nil, false
-	}
-	if s = a.run.batch.Take(); s == nil {
-		s = new(joinAggScratch)
-	}
-	s.joins = s.joins[:0]
-	for op := a.input; ; {
-		if h, ok := op.(*hashJoinOp); ok {
-			s.joins = append(s.joins, h)
-			op = h.left
-			continue
+// joinChain reports whether op is a chain the batch forms run — inner or
+// left-outer hash joins with no residual, each probing with the one above
+// it, over a batch source — and returns its source; it appends the joins,
+// top first, to *joins where joins is not nil.
+func joinChain(op Operator, joins *[]*hashJoinOp) (batchSource, bool) {
+	for n := 0; ; n++ {
+		h, ok := op.(*hashJoinOp)
+		if !ok {
+			src, ok := sourceOf(op)
+			return src, ok && n > 0
 		}
-		s.src = op.(*scanOp)
-		break
+		if h.residual != nil || h.typ != ast.InnerJoin && h.typ != ast.LeftJoin {
+			return nil, false
+		}
+		if joins != nil {
+			*joins = append(*joins, h)
+		}
+		op = h.left
 	}
-	slices.Reverse(s.joins)
-	if !s.laid {
-		s.fits, s.laid = s.layout(a), true
-	}
-	if !s.fits {
-		s.release(a.run)
-		return nil, false
-	}
-	return s, true
 }
 
-// layout works out which cells the chain's probe keys and a's
-// expressions read, and reports whether the form runs a: every join above
-// the bottom one probes with bare columns, and every group key reads only
-// the probe row's columns.
-func (s *joinAggScratch) layout(a *aggOp) bool {
-	read := func(col int) cellRead {
-		c := cellRead{col: int32(col), off: int32(col)}
-		for k, h := range s.joins {
-			if col >= h.leftWidth {
-				c.seg, c.off = int32(k+1), int32(col-h.leftWidth)
-			}
+// isJoinChain reports whether op is a chain joinChain takes.
+func isJoinChain(op Operator) bool {
+	_, ok := joinChain(op, nil)
+	return ok
+}
+
+// joinChainOf collects into b the chain op is, bottom first, which the
+// caller made sure is one (isJoinChain).
+func (b *joinBatch) joinChainOf(op Operator) {
+	b.joins = b.joins[:0]
+	b.src, _ = joinChain(op, &b.joins)
+	slices.Reverse(b.joins)
+}
+
+// read is where column col of the top join's rows lies.
+func (b *joinBatch) read(col int) cellRead {
+	c := cellRead{col: int32(col), off: int32(col)}
+	for k, h := range b.joins {
+		if col >= h.leftWidth {
+			c.seg, c.off = int32(k+1), int32(col-h.leftWidth)
 		}
-		return c
 	}
-	for _, h := range s.joins[1:] {
+	return c
+}
+
+// layKeys works out where the probe keys of the joins above the bottom
+// one lie, and reports whether each is a bare column, as the form needs.
+func (b *joinBatch) layKeys() bool {
+	b.keyReads = b.keyReads[:0]
+	for _, h := range b.joins[1:] {
 		keys := make([]cellRead, len(h.leftKeys))
 		for j, k := range h.leftKeys {
 			if k.Col < 0 {
 				return false
 			}
-			keys[j] = read(k.Col)
+			keys[j] = b.read(k.Col)
 		}
-		s.keyReads = append(s.keyReads, keys)
-	}
-	env := planEnv(a.node.Input, nil)
-	reads := func(e ast.Expr) (out []cellRead, ok bool) {
-		for _, ref := range ast.ColumnRefs(e) {
-			b, err := env.Resolve(ref.Table, ref.Name)
-			if err != nil {
-				return nil, false
-			}
-			out = append(out, read(b.Index))
-		}
-		return out, true
-	}
-	for _, g := range a.node.GroupBy {
-		cols, ok := reads(g)
-		if !ok {
-			return false
-		}
-		for _, c := range cols {
-			if c.seg != 0 {
-				return false
-			}
-		}
-		s.groupReads = append(s.groupReads, cols...)
-	}
-	s.argReads = make([][]cellRead, len(a.node.Aggs))
-	for i, spec := range a.node.Aggs {
-		switch arg := a.argEx[i]; {
-		case spec.Star:
-		case arg.Col >= 0:
-			s.argReads[i] = []cellRead{read(arg.Col)}
-		default:
-			var ok bool
-			if s.argReads[i], ok = reads(spec.Arg); !ok {
-				return false
-			}
-		}
+		b.keyReads = append(b.keyReads, keys)
 	}
 	return true
 }
 
-// release lets go of the run's rows and operators and gives s back to
-// the node's run state.
-func (s *joinAggScratch) release(run *aggRun) {
-	clear(s.joins[:cap(s.joins)])
-	clear(s.rows[:cap(s.rows)])
-	clear(s.row)
-	s.src, s.joins, s.rows = nil, s.joins[:0], s.rows[:0]
-	run.batch.Give(s)
+// release lets go of the run's rows and operators.
+func (b *joinBatch) release() {
+	clear(b.joins[:cap(b.joins)])
+	clear(b.rows[:cap(b.rows)])
+	b.src, b.joins, b.rows = nil, b.joins[:0], b.rows[:0]
 }
 
-// feed groups and accumulates the chain's tuples into a, a batch of
-// probe rows at a time.
-func (s *joinAggScratch) feed(a *aggOp) error {
-	defer s.release(a.run)
-	top := s.joins[len(s.joins)-1]
-	for len(s.levels) < len(s.joins) {
-		s.levels = append(s.levels, joinLevel{})
+// begin sizes the batch's vectors for the chain.
+func (b *joinBatch) begin() {
+	for len(b.levels) < len(b.joins) {
+		b.levels = append(b.levels, joinLevel{})
 	}
-	s.path = resize(s.path, len(s.joins)+1)
-	s.row = resize(s.row, top.leftWidth+top.rightWidth)
-	s.groupVals = resize(s.groupVals, len(a.groupEx))
-	for {
-		if s.rows = s.src.take(s.rows[:0], expr.BatchRows); len(s.rows) == 0 {
-			return s.src.cancel.Tick() // the row path's last Next
-		}
-		scanned, polls, joinErr := s.expand(a)
-		if err := s.src.cancel.TickN(polls); err != nil {
-			return err
-		}
-		n, err := s.walk(a)
-		s.count(a, scanned, n)
-		if err != nil {
-			return err
-		}
-		if joinErr != nil {
-			return joinErr
-		}
-	}
+	b.path = resize(b.path, len(b.joins)+1)
 }
 
 // resize returns s at length n, grown if it must be.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// expand runs the batch's probe rows through the joins into s.levels. It
-// returns how many probe rows the row path reads, how many times it
-// polls, and the error the bottom join's probe keys fail with, if any:
-// the levels then hold the tuples the row path emits before it.
-func (s *joinAggScratch) expand(a *aggOp) (scanned, polls int, err error) {
-	scanned = len(s.rows)
-	h, lv := s.joins[0], &s.levels[0]
+// expand runs the batch's probe rows through the joins into b.levels,
+// calling pre, where it is not nil, on each probe row before its key. It
+// returns how many probe rows the row path reads, how many times its joins
+// poll, and the error the bottom join's probe keys fail with, if any: the
+// levels then hold the tuples the row path emits before it.
+func (b *joinBatch) expand(pre func(p int32) error) (scanned, polls int, err error) {
+	scanned = len(b.rows)
+	h, lv := b.joins[0], &b.levels[0]
 	lv.par, lv.bld = lv.par[:0], lv.bld[:0]
-	for p, r := range s.rows {
+	for p, r := range b.rows {
 		m, ferr := int32(-1), error(nil)
-		if test.groupEveryProbe {
-			s.path[0] = int32(p)
-			ferr = s.groupKey(a, s.path[:1])
+		if pre != nil {
+			ferr = pre(int32(p))
 		}
 		if ferr == nil {
 			m, ferr = h.build.First(r, h.probeKeys, h.probeBuf)
@@ -564,13 +682,12 @@ func (s *joinAggScratch) expand(a *aggOp) (scanned, polls int, err error) {
 		}
 		polls += lv.extend(int32(p), m, h)
 	}
-	polls += scanned
-	for k, h := range s.joins[1:] {
-		in, lv, keys := &s.levels[k], &s.levels[k+1], s.keyReads[k]
+	for k, h := range b.joins[1:] {
+		in, lv, keys := &b.levels[k], &b.levels[k+1], b.keyReads[k]
 		lv.par, lv.bld = lv.par[:0], lv.bld[:0]
 		for u := range in.par {
 			m := int32(-1)
-			if s.probeKey(s.pathOf(k, int32(u)), keys, h.probeBuf) {
+			if b.probeKey(b.pathOf(k, int32(u)), keys, h.probeBuf) {
 				m = h.build.find(h.probeBuf)
 			}
 			polls += lv.extend(int32(u), m, h)
@@ -596,12 +713,15 @@ func (lv *joinLevel) extend(u, m int32, h *hashJoinOp) (matched int) {
 	return matched
 }
 
+// tuples is how many tuples the top join emits for the batch.
+func (b *joinBatch) tuples() int { return len(b.levels[len(b.joins)-1].par) }
+
 // pathOf returns tuple t of join k's level as its probe row, then its
 // build row at each join up to k.
-func (s *joinAggScratch) pathOf(k int, t int32) []int32 {
-	path := s.path[:k+2]
+func (b *joinBatch) pathOf(k int, t int32) []int32 {
+	path := b.path[:k+2]
 	for ; k >= 0; k-- {
-		lv := &s.levels[k]
+		lv := &b.levels[k]
 		path[k+1] = lv.bld[t]
 		t = lv.par[t]
 	}
@@ -612,12 +732,12 @@ func (s *joinAggScratch) pathOf(k int, t int32) []int32 {
 // cell returns column c of the joined row of the tuple path leads to: a
 // NULL-extended side's cells are NULL, and so is a cell past a shorter
 // row's end, as fillSide writes them.
-func (s *joinAggScratch) cell(path []int32, c cellRead) sqltypes.Value {
+func (b *joinBatch) cell(path []int32, c cellRead) sqltypes.Value {
 	var row sqltypes.Row
 	if c.seg == 0 {
-		row = s.rows[path[0]]
-	} else if b := path[c.seg]; b >= 0 {
-		row = s.joins[c.seg-1].build.Rows[b]
+		row = b.rows[path[0]]
+	} else if r := path[c.seg]; r >= 0 {
+		row = b.joins[c.seg-1].build.Rows[r]
 	}
 	if int(c.off) < len(row) {
 		return row[c.off]
@@ -625,24 +745,177 @@ func (s *joinAggScratch) cell(path []int32, c cellRead) sqltypes.Value {
 	return sqltypes.NullValue
 }
 
-// gather copies the cells reads names into s.row.
-func (s *joinAggScratch) gather(path []int32, reads []cellRead) {
-	for _, c := range reads {
-		s.row[c.col] = s.cell(path, c)
-	}
-}
-
 // probeKey reads a join's bare-column probe keys into buf, as EvalKey
 // does: false at the first NULL, which matches nothing.
-func (s *joinAggScratch) probeKey(path []int32, keys []cellRead, buf []sqltypes.Value) bool {
+func (b *joinBatch) probeKey(path []int32, keys []cellRead, buf []sqltypes.Value) bool {
 	for j, c := range keys {
-		v := s.cell(path, c)
+		v := b.cell(path, c)
 		if v.IsNull() {
 			return false
 		}
 		buf[j] = v
 	}
 	return true
+}
+
+// count adds what the row path counts for the batch up to the consumer's
+// n-th tuple: every tuple of the levels, and the first scanned probe rows,
+// where the consumer took them all; where it stopped short, the tuples
+// and probe rows up to that tuple's.
+func (b *joinBatch) count(scanned, n int) {
+	top := len(b.joins) - 1
+	if n >= len(b.levels[top].par) {
+		for k, h := range b.joins {
+			h.stats.RowsJoined += int64(len(b.levels[k].par))
+		}
+		b.src.counted(b.rows[:scanned])
+		return
+	}
+	t := int32(n - 1)
+	for k := top; k >= 0; k-- {
+		b.joins[k].stats.RowsJoined += int64(t + 1)
+		t = b.levels[k].par[t]
+	}
+	b.src.counted(b.rows[:t+1])
+}
+
+// --- the join → aggregate form --------------------------------------------------
+
+// joinAggScratch is one join → aggregate run's storage: the join batch,
+// and the row of the joined width the aggregate's expressions read. It is
+// the aggregate node's run state (aggRun.batch), so a warm run allocates
+// none of it.
+type joinAggScratch struct {
+	joinBatch
+	// What the node's expressions read, worked out at its first run:
+	// fits is false where a group key reads a column off the probe row or
+	// a join above the bottom one probes with other than bare columns.
+	laid, fits bool
+	groupReads []cellRead   // every column the group keys read
+	argReads   [][]cellRead // per aggregate: the columns its argument reads
+
+	row       sqltypes.Row
+	groupVals []sqltypes.Value
+}
+
+// joinChain returns the scratch of a's run in the join → aggregate form,
+// holding the chain under it, and ok false where another form runs a.
+func (a *aggOp) joinChain() (s *joinAggScratch, ok bool) {
+	if rowAtATime.Load() || !isJoinChain(a.input) {
+		return nil, false
+	}
+	if s = a.run.batch.take(a.part); s == nil {
+		s = new(joinAggScratch)
+	}
+	s.joinChainOf(a.input)
+	if !s.laid {
+		s.fits, s.laid = s.layout(a), true
+	}
+	if !s.fits {
+		s.release(a.run, a.part)
+		return nil, false
+	}
+	return s, true
+}
+
+// layout works out which cells the chain's probe keys and a's
+// expressions read, and reports whether the form runs a: every join above
+// the bottom one probes with bare columns, and every group key reads only
+// the probe row's columns.
+func (s *joinAggScratch) layout(a *aggOp) bool {
+	if !s.layKeys() {
+		return false
+	}
+	env := planEnv(a.node.Input, nil)
+	reads := func(e ast.Expr) (out []cellRead, ok bool) {
+		for _, ref := range ast.ColumnRefs(e) {
+			b, err := env.Resolve(ref.Table, ref.Name)
+			if err != nil {
+				return nil, false
+			}
+			out = append(out, s.read(b.Index))
+		}
+		return out, true
+	}
+	for _, g := range a.node.GroupBy {
+		cols, ok := reads(g)
+		if !ok {
+			return false
+		}
+		for _, c := range cols {
+			if c.seg != 0 {
+				return false
+			}
+		}
+		s.groupReads = append(s.groupReads, cols...)
+	}
+	s.argReads = make([][]cellRead, len(a.node.Aggs))
+	for i, spec := range a.node.Aggs {
+		switch arg := a.argEx[i]; {
+		case spec.Star:
+		case arg.Col >= 0:
+			s.argReads[i] = []cellRead{s.read(arg.Col)}
+		default:
+			var ok bool
+			if s.argReads[i], ok = reads(spec.Arg); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// release lets go of the run's rows and operators and gives s back to
+// the node's run state, as partition part's.
+func (s *joinAggScratch) release(run *aggRun, part int) {
+	s.joinBatch.release()
+	clear(s.row)
+	run.batch.give(part, s)
+}
+
+// feed groups and accumulates the chain's tuples into a, a batch of
+// probe rows at a time.
+func (s *joinAggScratch) feed(a *aggOp) error {
+	defer s.release(a.run, a.part)
+	top := s.joins[len(s.joins)-1]
+	s.begin()
+	s.row = resize(s.row, top.leftWidth+top.rightWidth)
+	s.groupVals = resize(s.groupVals, len(a.groupEx))
+	var pre func(int32) error
+	if test.groupEveryProbe {
+		pre = func(p int32) error {
+			s.path[0] = p
+			return s.groupKey(a, s.path[:1])
+		}
+	}
+	for {
+		rows, ferr := s.src.fill(s.rows[:0], expr.BatchRows)
+		if s.rows = rows; len(rows) == 0 {
+			return ferr
+		}
+		scanned, polls, joinErr := s.expand(pre)
+		if err := s.joins[0].cancel.TickN(polls); err != nil {
+			return err
+		}
+		n, err := s.walk(a)
+		a.stats.RowsAggInput += int64(n)
+		s.count(scanned, n)
+		switch {
+		case err != nil:
+			return err
+		case joinErr != nil:
+			return joinErr
+		case ferr != nil:
+			return ferr
+		}
+	}
+}
+
+// gather copies the cells reads names into s.row.
+func (s *joinAggScratch) gather(path []int32, reads []cellRead) {
+	for _, c := range reads {
+		s.row[c.col] = s.cell(path, c)
+	}
 }
 
 // groupKey evaluates a's group keys for the probe row path starts at
@@ -695,24 +968,276 @@ func (s *joinAggScratch) walk(a *aggOp) (int, error) {
 	return len(tuples.par), nil
 }
 
-// count adds what the row path counts for the batch up to the aggregate's
-// n-th tuple: every tuple of the levels, and the first scanned probe
-// rows, where the aggregate took them all; where it stopped short, the
-// tuples and probe rows up to that tuple's.
-func (s *joinAggScratch) count(a *aggOp, scanned, n int) {
-	a.stats.RowsAggInput += int64(n)
-	top := len(s.joins) - 1
-	if n == len(s.levels[top].par) {
-		for k, h := range s.joins {
-			h.stats.RowsJoined += int64(len(s.levels[k].par))
+// routeProbes routes every probe row of the batch by keys, which read only
+// its columns, into s.probeDst: bare columns read in place, the others
+// evaluated over the whole batch (EvalBatch), then one PartitionsOf pass;
+// a NULL key routes to 0, as PartitionOf sends it. It reports false, and
+// routes nothing, where a key fails on some probe row — one no tuple may
+// come from, whose key the row path never evaluates: the caller then
+// evaluates per probe row, in the row path's order.
+func (s *joinRootScratch) routeProbes(keys []*expr.Compiled, parts int) bool {
+	n, nk := len(s.rows), len(keys)
+	s.probeCells = resize(s.probeCells, n*nk)
+	s.probeVals = resize(s.probeVals, n)
+	for j := range s.probeVals {
+		s.probeVals[j] = s.probeCells[j*nk : (j+1)*nk : (j+1)*nk]
+	}
+	for i, k := range keys {
+		if k.Col < 0 {
+			if k.EvalBatch(&s.b, s.rows, s.probeVals, i) != nil {
+				return false
+			}
+			continue
 		}
-		s.src.counted(s.rows[:scanned])
+		for j, r := range s.rows {
+			if k.Col >= len(r) {
+				return false
+			}
+			s.probeVals[j][i] = r[k.Col]
+		}
+	}
+	s.probeDst = resize(s.probeDst, n)
+	sqltypes.PartitionsOf(s.probeDst, s.probeVals, s.idCols, parts)
+	return true
+}
+
+// --- the join → exchange form ---------------------------------------------------
+
+// joinRun is what a hash join node carries from one of its runs to the
+// next (nodeRun): the scratch of the join → exchange form, where the node
+// is the root of a tree an MPP exchange drains.
+type joinRun struct {
+	spare scratchSlots[*joinRootScratch]
+}
+
+func (r *joinRun) sweep()    {}
+func (r *joinRun) handBack() {}
+
+// joinRootScratch is one join → exchange run's storage: the join batch,
+// where every cell of the top join's rows lies, and the key cells of a
+// batch's tuples.
+type joinRootScratch struct {
+	joinBatch
+	laid, fits bool
+	cols       []cellRead // per column of the top join's rows
+	probeWidth int        // the bottom probe rows' columns in a joined row
+	row        sqltypes.Row
+	vals       []sqltypes.Value
+	keyAt      []cellRead // Route's bare-column keys
+	keyCells   []sqltypes.Value
+	keyRows    []sqltypes.Row
+	nulls      sqltypes.Row
+	idCols     []int
+	// routeProbes': each probe row's key values, and its partition
+	probeCells []sqltypes.Value
+	probeVals  []sqltypes.Row
+	probeDst   []int32
+	b          expr.Batch
+}
+
+// joinRootOf returns the scratch of the join → exchange form where op is
+// a chain of joins it runs, and ok false where it is not.
+func joinRootOf(op Operator) (s *joinRootScratch, ok bool) {
+	h, isJoin := op.(*hashJoinOp)
+	if rowAtATime.Load() || !isJoin || h.run == nil || !isJoinChain(op) {
+		return nil, false
+	}
+	if s = h.run.spare.take(h.part); s == nil {
+		s = new(joinRootScratch)
+	}
+	s.joinChainOf(op)
+	if !s.laid {
+		s.laid, s.fits = true, s.layKeys()
+		w := h.leftWidth + h.rightWidth
+		s.cols = make([]cellRead, w)
+		for c := range s.cols {
+			s.cols[c] = s.read(c)
+		}
+		s.probeWidth = s.joins[0].leftWidth
+	}
+	if !s.fits {
+		s.release(h.run, h.part)
+		return nil, false
+	}
+	s.begin()
+	return s, true
+}
+
+// release lets go of the run's rows and operators and gives s back to
+// the top join's run state, as partition part's.
+func (s *joinRootScratch) release(run *joinRun, part int) {
+	s.joinBatch.release()
+	clear(s.row)
+	clear(s.keyCells)
+	clear(s.keyRows[:cap(s.keyRows)])
+	clear(s.probeCells)
+	run.spare.give(part, s)
+}
+
+// JoinTuples is a batch of the tuples a chain of hash joins at the root
+// of a tree emits, which a Drainer opened for an exchange hands over
+// instead of carving a joined row per tuple: an exchange routes each
+// tuple by its key cells where they lie (Route) and copies its cells once,
+// into its own buffers (Copy). It is valid until the Drainer's next call.
+type JoinTuples struct{ s *joinRootScratch }
+
+// Len is how many tuples the batch holds, in the row path's order.
+func (ts *JoinTuples) Len() int { return ts.s.tuples() }
+
+// Width is how many cells a tuple's joined row has.
+func (ts *JoinTuples) Width() int { return len(ts.s.cols) }
+
+// Copy writes the joined row of tuple t into row, Width cells long: the
+// probe row's cells, then each build row's, NULL past a shorter row's end
+// and where a left join NULL-extended the tuple, as the row path's joined
+// row holds them.
+func (ts *JoinTuples) Copy(t int, row sqltypes.Row) {
+	s := ts.s
+	path := s.pathOf(len(s.joins)-1, int32(t))
+	fillSide(row[:s.probeWidth], s.rows[path[0]])
+	for k, h := range s.joins {
+		side := row[h.leftWidth : h.leftWidth+h.rightWidth]
+		if b := path[k+1]; b >= 0 {
+			fillSide(side, h.build.Rows[b])
+		} else if !test.keepCells {
+			clear(side)
+		}
+	}
+}
+
+// Route sets dst[t] to the partition of tuple t among parts: the one
+// sqltypes.PartitionOf gives the values of keys, expressions over the
+// joined row, or, where keys is nil, of its columns cols — partition 0
+// where one is NULL — as an exchange routes the joined row. A bare-column
+// key is read where it lies; a computed one is evaluated over the cells it
+// reads, once per probe row where it reads only the probe row's. It
+// returns how many tuples it routed before the first whose key fails to
+// evaluate, and that error.
+func (ts *JoinTuples) Route(keys []*expr.Compiled, cols []int, parts int, dst []int32) (int, error) {
+	s := ts.s
+	n := s.tuples()
+	dst = dst[:n]
+	s.keyAt = s.keyAt[:0]
+	computed, maxCol := false, -1
+	if keys == nil {
+		for _, c := range cols {
+			s.keyAt = append(s.keyAt, s.cols[c])
+		}
+	}
+	for _, k := range keys {
+		if k.Col < 0 {
+			computed = true
+		} else {
+			s.keyAt = append(s.keyAt, s.cols[k.Col])
+		}
+		maxCol = max(maxCol, k.MaxCol)
+	}
+	if computed {
+		return s.routeComputed(keys, maxCol, parts, dst)
+	}
+	s.routeBare(parts, dst)
+	return n, nil
+}
+
+// routeBare routes every tuple by its bare-column keys (s.keyAt) in one
+// pass (sqltypes.PartitionsOf): over the one row that holds them all,
+// where they lie in one, else over a copy of the key cells.
+func (s *joinRootScratch) routeBare(parts int, dst []int32) {
+	n, top, nk := len(dst), len(s.joins)-1, len(s.keyAt)
+	s.keyRows = resize(s.keyRows, n)
+	s.idCols = resize(s.idCols, nk)
+	seg, width := int32(-1), 0
+	for i, c := range s.keyAt {
+		s.idCols[i] = int(c.off)
+		width = max(width, int(c.off)+1)
+		if i == 0 {
+			seg = c.seg
+		} else if c.seg != seg {
+			seg = -1
+		}
+	}
+	if nk == 0 || seg < 0 {
+		// The keys lie in several rows: copy their cells.
+		s.keyCells = resize(s.keyCells, n*nk)
+		for t := range n {
+			path := s.pathOf(top, int32(t))
+			key := s.keyCells[t*nk : (t+1)*nk : (t+1)*nk]
+			for i, c := range s.keyAt {
+				key[i] = s.cell(path, c)
+			}
+			s.keyRows[t] = key
+		}
+		for i := range s.idCols {
+			s.idCols[i] = i
+		}
+		sqltypes.PartitionsOf(dst, s.keyRows, s.idCols, parts)
 		return
 	}
-	t := int32(n - 1)
-	for k := top; k >= 0; k-- {
-		s.joins[k].stats.RowsJoined += int64(t + 1)
-		t = s.levels[k].par[t]
+	// A row that does not hold them — a NULL-extended side, a row shorter
+	// than the join's — holds NULL keys, which go to partition 0.
+	if len(s.nulls) < width {
+		s.nulls = make(sqltypes.Row, width)
 	}
-	s.src.counted(s.rows[:t+1])
+	for t := range n {
+		path := s.pathOf(top, int32(t))
+		var row sqltypes.Row
+		if seg == 0 {
+			row = s.rows[path[0]]
+		} else if b := path[seg]; b >= 0 {
+			row = s.joins[seg-1].build.Rows[b]
+		}
+		if len(row) < width {
+			row = s.nulls
+		}
+		s.keyRows[t] = row
+	}
+	sqltypes.PartitionsOf(dst, s.keyRows, s.idCols, parts)
+}
+
+// routeComputed routes every tuple by keys, some of them computed, whose
+// cells lie in the joined row's first maxCol+1 columns: where those are
+// all the probe row's, over the batch's probe rows at once (routeProbes),
+// or, where an evaluation fails there, once per probe row in the row
+// path's order; else once per tuple, over a copy of its cells.
+func (s *joinRootScratch) routeComputed(keys []*expr.Compiled, maxCol, parts int, dst []int32) (int, error) {
+	top := len(s.joins) - 1
+	s.row = resize(s.row, maxCol+1)
+	s.vals = resize(s.vals, len(keys))
+	s.idCols = resize(s.idCols, len(keys))
+	for i := range s.idCols {
+		s.idCols[i] = i
+	}
+	perProbe := maxCol < s.probeWidth || test.keyPerProbe
+	if perProbe && s.routeProbes(keys, parts) {
+		top := len(s.joins) - 1
+		for t := range dst {
+			dst[t] = s.probeDst[s.pathOf(top, int32(t))[0]]
+		}
+		return len(dst), nil
+	}
+	probe, d := int32(-1), int32(0)
+	for t := range dst {
+		path := s.pathOf(top, int32(t))
+		if perProbe && path[0] == probe {
+			dst[t] = d
+			continue
+		}
+		probe = path[0]
+		row := s.rows[probe]
+		if !perProbe || len(row) <= maxCol {
+			for c := range s.row {
+				s.row[c] = s.cell(path, s.cols[c])
+			}
+			row = s.row
+		}
+		null, err := EvalKey(keys, row, s.vals)
+		if err != nil {
+			return t, err
+		}
+		if d = 0; !null {
+			d = int32(sqltypes.PartitionOf(s.vals, s.idCols, parts))
+		}
+		dst[t] = d
+	}
+	return len(dst), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbspinner/internal/catalog"
+	"dbspinner/internal/expr"
 	"dbspinner/internal/parser"
 	"dbspinner/internal/plan"
 	"dbspinner/internal/sqltypes"
@@ -167,8 +168,9 @@ func TestBatchFormMatchesRowPath(t *testing.T) {
 }
 
 // TestBatchFormRuns: the chains of TestBatchFormMatchesRowPath are the
-// batch form's, and a chain it does not run — no typed item, two
-// projects, a base table — is the row path's.
+// batch form's, and so is a project whose one typed item is a single
+// operator; a chain it does not run — no typed item, two projects, a base
+// table — is the row path's.
 func TestBatchFormRuns(t *testing.T) {
 	rt := batchRuntime(t, 10, 1, -1)
 	if _, err := rt.Catalog.Create("base", sqltypes.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "a", Type: sqltypes.Float}}, -1); err != nil {
@@ -180,7 +182,8 @@ func TestBatchFormRuns(t *testing.T) {
 	}{
 		{"SELECT k, ROUND(CAST((a / b) * a AS FLOAT), 5) AS f, b FROM src", "", true},
 		{"SELECT k, CEILING(a * (1.0 - ((k % 10) / 100.0))) AS p FROM src", "MOD(k, 2) = 0", true},
-		{"SELECT k, a / b AS x FROM src", "", false},
+		{"SELECT k, a / b AS x FROM src", "", true},
+		{"SELECT k, COALESCE(a, b) AS x FROM src", "", false},
 		{"SELECT * FROM (SELECT k, (a / b) * a + 1.0 AS x FROM src) AS q WHERE x > 1.0", "", false},
 		{"SELECT k, (a / 2.0) * a + 1.0 AS x FROM base", "", false},
 	} {
@@ -214,11 +217,14 @@ func TestBatchReplayMutantIsCaught(t *testing.T) {
 }
 
 // TestBatchWarmRunAllocatesNothingNew: a project node's batch vectors
-// and row slices, and an aggregate node's join → aggregate scratch, are
-// their run state's, so once a run of the statement has grown them, the
-// next run of the same plan allocates no more than the row path does,
-// less what the row path allocates and the form does not: over two
-// joins, the aggregate's key buffer and each join's output row. Under the
+// and row slices, an aggregate node's join → aggregate scratch and its
+// scratch over a batch source, and a join node's join → exchange scratch
+// are their run state's, so once a run of the statement has grown them,
+// the next run of the same plan — materialized, or drained into the
+// buffers of an exchange as the MPP machine drains a fragment — allocates
+// no more than the row path does, less what the row path allocates and
+// the form does not: over two joins, the aggregate's key buffer and each
+// join's output row. Under the
 // race detector, sync.Pool drops what it is given at random, and fmt,
 // which names an aggregate's output columns in every run, allocates its
 // printers from one; so the aggregate's counts vary by a few objects
@@ -226,22 +232,31 @@ func TestBatchReplayMutantIsCaught(t *testing.T) {
 func TestBatchWarmRunAllocatesNothingNew(t *testing.T) {
 	rt := batchRuntime(t, 2100, 2, -1)
 	joins := joinAggRuntime(t, 2100, 2)
+	chain := topJoin(planSQL(t, joins, "SELECT * FROM p LEFT JOIN e ON p.k = e.dst LEFT JOIN r ON r.k = e.src"))
 	for _, c := range []struct {
-		form  string
-		rt    *StoreRuntime
-		n     plan.Node
-		saved float64
+		form     string
+		rt       *StoreRuntime
+		n        plan.Node
+		saved    float64
+		exchange []*expr.Compiled // the keys the machine's exchange routes by
 	}{
-		{"batch form", rt, batchPlan(t, rt, "SELECT k, (a / b) * a + 1.0 AS x, b FROM src WHERE MOD(k, 3) = 0", "x > 0.0"), 0},
-		{"join → aggregate form", joins, planSQL(t, joins, "SELECT p.k, p.a + p.g, SUM(r.d * e.w) FROM p LEFT JOIN e ON p.k = e.dst LEFT JOIN r ON r.k = e.src GROUP BY p.k, p.a + p.g"), 3},
+		{"batch form", rt, batchPlan(t, rt, "SELECT k, (a / b) * a + 1.0 AS x, b FROM src WHERE MOD(k, 3) = 0", "x > 0.0"), 0, nil},
+		{"join → aggregate form", joins, planSQL(t, joins, "SELECT p.k, p.a + p.g, SUM(r.d * e.w) FROM p LEFT JOIN e ON p.k = e.dst LEFT JOIN r ON r.k = e.src GROUP BY p.k, p.a + p.g"), 3, nil},
+		{"aggregate over a source", rt, planSQL(t, rt, "SELECT k % 10, SUM(a * b), COUNT(*) FROM src GROUP BY k % 10"), 0, nil},
+		{"join → exchange form", joins, chain, 0, exchangeKeys(t, chain, "p.k", "p.a + p.g")},
 	} {
 		if raceEnabled && c.saved > 0 { // the aggregate's case
 			continue
 		}
 		left := new(Leftovers)
+		x := new(machineExchange)
 		run := func() {
 			m := left.Begin(nil, nil)
-			if _, err := MaterializeContext(nil, c.n, c.rt.WithMemo(m), nil, "out", 2, nil); err != nil {
+			if c.exchange != nil {
+				if err := x.fill(c.n, c.rt.WithMemo(m), 2, c.exchange); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := MaterializeContext(nil, c.n, c.rt.WithMemo(m), nil, "out", 2, nil); err != nil {
 				t.Fatal(err)
 			}
 			left.End(m, true)
@@ -256,7 +271,79 @@ func TestBatchWarmRunAllocatesNothingNew(t *testing.T) {
 		if batch > rows-c.saved {
 			t.Errorf("a warm run allocates %.0f objects in the %s, %.0f a row at a time, %.0f of which the form does not need", batch, c.form, rows, c.saved)
 		}
+		t.Logf("%s: a warm run allocates %.0f objects, %.0f a row at a time", c.form, batch, rows)
 	}
+}
+
+// machineExchange drains trees into an exchange's buffers as the MPP
+// machine's sites do, keeping them from one fill to the next: a lending
+// fragment per partition, drained by a Drainer opened for an exchange,
+// routed by keys and copied into its destination's rows.
+type machineExchange struct {
+	cells [][]sqltypes.Value
+	rows  [][]sqltypes.Row
+	batch []sqltypes.Row
+	dst   []int32
+	vals  sqltypes.Row
+}
+
+// fill routes n's trees over parts partitions, run over rt, into x.
+func (x *machineExchange) fill(n plan.Node, rt Runtime, parts int, keys []*expr.Compiled) error {
+	if len(x.cells) != parts {
+		x.cells, x.rows = make([][]sqltypes.Value, parts), make([][]sqltypes.Row, parts)
+		x.dst, x.vals = make([]int32, 8*expr.BatchRows), make(sqltypes.Row, len(keys))
+	}
+	used := make([]int, 0, 8)[:0]
+	used = append(used, make([]int, parts)...)
+	for d := range x.rows {
+		x.rows[d] = x.rows[d][:0]
+	}
+	room := func(d, w int) sqltypes.Row {
+		if used[d]+w > len(x.cells[d]) {
+			x.cells[d] = append(x.cells[d], make([]sqltypes.Value, max(w, 1<<16))...)
+		}
+		row := x.cells[d][used[d] : used[d]+w : used[d]+w]
+		used[d] += w
+		x.rows[d] = append(x.rows[d], row)
+		return row
+	}
+	idCols := []int{0, 1}[:len(keys)]
+	for p := range parts {
+		op, err := BuildLendingFragment(n, rt, nil, nil, &Fragment{Parts: parts}, p)
+		if err != nil {
+			return err
+		}
+		var d Drainer
+		if err := d.Open(op, true); err != nil {
+			return err
+		}
+		ts := d.Tuples()
+		for {
+			var ok bool
+			if x.batch, ok, err = d.Next(x.batch[:0]); err != nil || !ok {
+				break
+			}
+			if ts != nil {
+				routed, _ := ts.Route(keys, nil, parts, x.dst)
+				for t := range routed {
+					ts.Copy(t, room(int(x.dst[t]), ts.Width()))
+				}
+				continue
+			}
+			for _, r := range x.batch {
+				to := 0
+				if null, _ := EvalKey(keys, r, x.vals); !null {
+					to = sqltypes.PartitionOf(x.vals, idCols, parts)
+				}
+				copy(room(to, len(r)), r)
+			}
+		}
+		d.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BenchmarkProjectBatch materializes FF's iterative part — node,
@@ -289,5 +376,45 @@ func BenchmarkProjectBatch(b *testing.B) {
 				left.End(m, true)
 			}
 		})
+	}
+}
+
+// TestAggregateOverSourceMatchesRowPath: an aggregate over a stored
+// result's scan takes its rows a batch at a time and groups and
+// accumulates the same rows in the same order as the row path — by a
+// column, an expression and nothing, with typed and untyped arguments —
+// over results of 1,023, 1,024, 1,025 and 2,100 rows at 1 to 4
+// partitions; and where an argument fails to evaluate, a group key fails
+// or an accumulator overflows, it fails with the row path's error, at
+// the row path's row, with its counters.
+func TestAggregateOverSourceMatchesRowPath(t *testing.T) {
+	defer sqltypes.Poison()()
+	cases := []string{
+		"SELECT k % 10, SUM(a * b), COUNT(*), MIN(a), MAX(b) FROM src GROUP BY k % 10",
+		"SELECT k, SUM(a + c), COUNT(b) FROM src GROUP BY k",
+		"SELECT COUNT(*), SUM(a), AVG(b) FROM src",
+		"SELECT b, SUM(a / c) FROM src GROUP BY b",
+		"SELECT k % 3, SUM(CASE WHEN k = 700 THEN 9223372036854775807 ELSE k END) FROM src GROUP BY k % 3",
+		"SELECT 10 / (k - 800), COUNT(*) FROM src GROUP BY 10 / (k - 800)",
+	}
+	for _, rows := range []int{1023, 1024, 1025, 2100} {
+		for parts := 1; parts <= 4; parts++ {
+			rt := batchRuntime(t, rows, parts, 600)
+			for _, sql := range cases {
+				n := planSQL(t, rt, sql)
+				op, err := Build(n, rt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a := aggUnder(op); a == nil {
+					t.Fatalf("%s: no aggregate", sql)
+				} else if _, ok := sourceOf(a.input); !ok {
+					t.Fatalf("%s: the aggregate's input is no batch source", sql)
+				}
+				if d := materializeBoth(rt, n, parts); d != "" {
+					t.Errorf("%s, %d rows, %d partitions: %s", sql, rows, parts, d)
+				}
+			}
+		}
 	}
 }

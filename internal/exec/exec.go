@@ -83,21 +83,34 @@ type Operator interface {
 func Drain(op Operator) ([]sqltypes.Row, error) { return DrainInto(nil, op) }
 
 // DrainInto is Drain appending to out, which a caller that knows about
-// how many rows will come can presize.
+// how many rows will come can presize. It runs op in the form its shape
+// takes (Drainer).
 func DrainInto(out []sqltypes.Row, op Operator) ([]sqltypes.Row, error) {
-	if err := op.Open(); err != nil {
+	var d Drainer
+	if err := d.open(op, false, true); err != nil {
 		return nil, err
 	}
-	defer op.Close()
+	defer d.Close()
 	for {
-		r, err := op.Next()
-		if err != nil {
+		if !d.Batched() {
+			r, err := op.Next()
+			if err != nil {
+				return nil, err
+			}
+			if r == nil {
+				return out, nil
+			}
+			out = append(out, r)
+			continue
+		}
+		var ok bool
+		var err error
+		if out, ok, err = d.Next(out); err != nil {
 			return nil, err
 		}
-		if r == nil {
+		if !ok {
 			return out, nil
 		}
-		out = append(out, r)
 	}
 }
 
@@ -168,7 +181,7 @@ func buildNode(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker, borrow 
 		if err != nil {
 			return nil, err
 		}
-		return &projectOp{input: in, items: px.items, run: px.run, out: outRows{borrow: borrow}}, nil
+		return &projectOp{input: in, items: px.items, run: px.run, part: frag.partition(), out: outRows{borrow: borrow}}, nil
 	case *plan.Join:
 		return buildJoin(t, rt, stats, cc, borrow, frag)
 	case *plan.Aggregate:
@@ -267,12 +280,11 @@ func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]s
 // rows both plans produce (order-sensitive float aggregation stays
 // bit-identical across optimizer variants).
 //
-// Each row goes into its partition as the plan produces it, so the
-// partitions and their order are what InsertBatch makes of the drained
-// rows, without the drained slice. A chain of filters and a project with
-// a typed item produces its rows a batch at a time, and an aggregate
-// over a chain of hash joins takes its input a batch at a time
-// (batch.go): the same rows in the same order. hint, when it has one
+// Each batch of rows goes into the partitions as the plan produces it
+// (storage.Table.PlaceBatch), so the partitions and their order are what
+// InsertBatch makes of the drained rows, without the drained slice. The
+// tree runs in the form its shape takes (Drainer, batch.go): the same
+// rows in the same order. hint, when it has one
 // count per partition, presizes each partition to hold that many rows: a
 // step passes about what it wrote there last iteration. It is advisory and
 // changes capacity, never rows. The plan's hot loops poll ctx at a
@@ -298,28 +310,31 @@ func MaterializeContext(ctx context.Context, n plan.Node, rt Runtime, stats *Sta
 			}
 		}
 	}
-	if a := aggUnder(op); a != nil {
-		a.batch = !rowAtATime.Load()
-	}
-	if c, ok := batchChainOf(op); ok {
-		if err := c.materialize(t); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	if err := op.Open(); err != nil {
+	var d Drainer
+	if err := d.open(op, false, false); err != nil {
 		return nil, err
 	}
-	defer op.Close()
+	defer d.Close()
 	for {
-		r, err := op.Next()
+		if !d.Batched() {
+			r, err := op.Next()
+			if err != nil {
+				return nil, err
+			}
+			if r == nil {
+				return t, nil
+			}
+			t.Insert(r)
+			continue
+		}
+		rows, ok, err := d.next()
 		if err != nil {
 			return nil, err
 		}
-		if r == nil {
+		if !ok {
 			return t, nil
 		}
-		t.Insert(r)
+		t.PlaceBatch(rows)
 	}
 }
 
@@ -502,6 +517,7 @@ type projectOp struct {
 	input Operator
 	items []*expr.Compiled
 	run   *batchRun // nil unless an item is typed: the batch form's run state
+	part  int       // the partition whose tree it is (fragPart.partition)
 	out   outRows
 }
 
@@ -732,9 +748,7 @@ type aggOp struct {
 	// next (rows.go), so once closed the operator's table and
 	// accumulators can go back to the node's run state for its next run.
 	lend bool
-	// batch: MaterializeContext runs the operator's tree, so a chain of
-	// hash joins under it may feed it a batch at a time (batch.go).
-	batch bool
+	part int // the partition whose tree it is (fragPart.partition)
 
 	// groups holds, once open, one row per group in first-encounter
 	// order: the group key, then one cell per aggregate holding its
@@ -769,9 +783,10 @@ type aggRun struct {
 	// at most one per run of the node open at the same time (the
 	// partitions of an MPP machine).
 	spare sqltypes.Spares[aggSpare]
-	// batch holds the scratch of the node's join → aggregate runs in the
-	// batch form (batch.go).
-	batch sqltypes.Spares[*joinAggScratch]
+	// batch holds the scratch of the node's join → aggregate runs, and
+	// feed that of its runs over a batch source (batch.go).
+	batch scratchSlots[*joinAggScratch]
+	feed  scratchSlots[*aggBatchScratch]
 }
 
 type aggSpare struct {
@@ -779,8 +794,8 @@ type aggSpare struct {
 	aggs   []expr.Aggregator
 }
 
-func (r *aggRun) sweep()    { r.spare.Sweep(); r.batch.Sweep() }
-func (r *aggRun) handBack() { r.spare.HandBack(); r.batch.HandBack() }
+func (r *aggRun) sweep()    { r.spare.Sweep() }
+func (r *aggRun) handBack() { r.spare.HandBack() }
 
 // buildAggregate compiles an aggregate node's expressions over its
 // input's rows and resolves each aggregate function once. The
@@ -796,7 +811,7 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 	if err != nil {
 		return nil, err
 	}
-	op := &aggOp{node: t, stats: stats, input: input, aggExprs: ex, newAgg: make([]func() expr.Aggregator, len(t.Aggs)), lend: borrow}
+	op := &aggOp{node: t, stats: stats, input: input, aggExprs: ex, newAgg: make([]func() expr.Aggregator, len(t.Aggs)), lend: borrow, part: frag.partition()}
 	for i, a := range t.Aggs {
 		if op.newAgg[i], err = expr.NewAggregators(a.Name, a.Star, a.Distinct); err != nil {
 			return nil, err
@@ -832,6 +847,8 @@ func (a *aggOp) Open() error {
 	var err error
 	if c, ok := a.joinChain(); ok {
 		err = c.feed(a)
+	} else if src, ok := sourceOf(a.input); ok && !rowAtATime.Load() {
+		err = a.feedSource(src)
 	} else {
 		err = a.feed()
 	}
@@ -878,38 +895,48 @@ func (a *aggOp) newGroup() {
 
 // feed groups and accumulates the input's rows a row at a time.
 func (a *aggOp) feed() error {
-	nAggs := len(a.node.Aggs)
 	groupVals := make([]sqltypes.Value, len(a.groupEx))
 	for {
 		r, err := a.input.Next()
 		if err != nil || r == nil {
 			return err
 		}
-		a.stats.RowsAggInput++
-		if err := evalInto(a.groupEx, r, groupVals); err != nil {
+		if err := a.feedRow(r, groupVals); err != nil {
 			return err
 		}
-		id, added := a.groups.Insert(groupVals)
-		if added {
-			a.newGroup()
-		}
-		for i, spec := range a.node.Aggs {
-			var v sqltypes.Value
-			switch arg := a.argEx[i]; {
-			case spec.Star:
-				v = sqltypes.NewBool(true) // any non-null marker
-			case arg.Col >= 0 && arg.Col < len(r):
-				v = r[arg.Col] // a bare column, read in place
-			default:
-				if v, err = arg.Eval(r); err != nil {
-					return err
-				}
-			}
-			if err := a.aggs[id*nAggs+i].Add(v); err != nil {
+	}
+}
+
+// feedRow groups and accumulates one input row, its group key evaluated
+// into groupVals.
+func (a *aggOp) feedRow(r sqltypes.Row, groupVals []sqltypes.Value) error {
+	nAggs := len(a.node.Aggs)
+	a.stats.RowsAggInput++
+	if err := evalInto(a.groupEx, r, groupVals); err != nil {
+		return err
+	}
+	id, added := a.groups.Insert(groupVals)
+	if added {
+		a.newGroup()
+	}
+	for i, spec := range a.node.Aggs {
+		var v sqltypes.Value
+		switch arg := a.argEx[i]; {
+		case spec.Star:
+			v = sqltypes.NewBool(true) // any non-null marker
+		case arg.Col >= 0 && arg.Col < len(r):
+			v = r[arg.Col] // a bare column, read in place
+		default:
+			var err error
+			if v, err = arg.Eval(r); err != nil {
 				return err
 			}
 		}
+		if err := a.aggs[id*nAggs+i].Add(v); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func (a *aggOp) Next() (sqltypes.Row, error) {

@@ -27,9 +27,8 @@ type Fragment struct {
 	// p's tree reads Inputs[n][p] in its place — what an exchange
 	// delivered to it.
 	Inputs map[plan.Node][][]sqltypes.Row
-	// Taps show every row a node hands up to a function of the machine's:
-	// its stand-in for an exchange it elided. A tap may read the row until
-	// it returns and must not keep it.
+	// Taps show every row a node hands up to the machine: its stand-in
+	// for an exchange it elided.
 	Taps map[plan.Node]Tap
 
 	// kept lists the cuts some tree took for a consumer that keeps rows
@@ -38,14 +37,31 @@ type Fragment struct {
 	kept map[plan.Node]bool
 }
 
-// Tap is called with the partition and each row passing through it; an
-// error fails the fragment.
-type Tap func(part int, r sqltypes.Row) error
+// Tap is what a fragment shows the rows a node hands up. Check, where it
+// is not nil, is shown each row, with the partition, before the node's
+// consumer takes it; it may read the row until it returns and must not
+// keep it, and its error fails the fragment. Count, where it is not nil,
+// is told how many rows of the partition the consumer took, the one a
+// Check failed on included — the rows the row path's consumer had read by
+// then — which a batch form tells it once the consumer is done with them.
+type Tap struct {
+	Check func(part int, r sqltypes.Row) error
+	Count func(part, n int)
+}
 
 // fragPart is buildWith's fragment argument: one partition of one.
 type fragPart struct {
 	*Fragment
 	part int
+}
+
+// partition is the partition whose tree f builds: 0 without a fragment,
+// as the volcano executor's one tree.
+func (f *fragPart) partition() int {
+	if f == nil {
+		return 0
+	}
+	return f.part
 }
 
 // BuildFragment compiles partition part's tree of the fragment of n's
@@ -90,7 +106,7 @@ func (f *fragPart) build(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecke
 	} else if op, err = buildNode(n, rt, stats, cc, borrow, f); err != nil {
 		return nil, err
 	}
-	if tap := f.Taps[n]; tap != nil {
+	if tap, ok := f.Taps[n]; ok {
 		op = &tapOp{input: op, tap: tap, part: f.part}
 	}
 	return op, nil
@@ -123,7 +139,25 @@ type tapOp struct {
 	part  int
 }
 
-func (t *tapOp) see(r sqltypes.Row) error { return t.tap(t.part, r) }
+// see counts r and shows it to the tap, as the row path does for each
+// row its consumer reads.
+func (t *tapOp) see(r sqltypes.Row) error {
+	t.count(1)
+	return t.check(r)
+}
+
+func (t *tapOp) check(r sqltypes.Row) error {
+	if t.tap.Check == nil {
+		return nil
+	}
+	return t.tap.Check(t.part, r)
+}
+
+func (t *tapOp) count(n int) {
+	if t.tap.Count != nil {
+		t.tap.Count(t.part, n)
+	}
+}
 
 func (t *tapOp) Open() error { return t.input.Open() }
 func (t *tapOp) Next() (sqltypes.Row, error) {

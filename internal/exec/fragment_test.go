@@ -207,7 +207,7 @@ func TestFragmentJoinTakesPartitionIndexFromMemo(t *testing.T) {
 			// Every probe row in every partition: whatever share of the
 			// build side a partition holds, it meets its matches there.
 			Inputs: map[plan.Node][][]sqltypes.Row{j.Left: make([][]sqltypes.Row, c.parts)},
-			Taps:   map[plan.Node]Tap{j.Right: func(int, sqltypes.Row) error { tapped++; return nil }},
+			Taps:   map[plan.Node]Tap{j.Right: {Count: func(_, n int) { tapped += n }}},
 		}
 		for p := range frag.Inputs[j.Left] {
 			frag.Inputs[j.Left][p] = rt.Catalog.Get("edges").AllRows()
@@ -248,13 +248,13 @@ func TestFragmentTap(t *testing.T) {
 	frag := cutInputs(map[plan.Node][]sqltypes.Row{j.Left: rt.Catalog.Get("edges").AllRows()})
 	frag.Taps = map[plan.Node]Tap{}
 	for _, n := range []plan.Node{j.Left, j} {
-		frag.Taps[n] = func(part int, r sqltypes.Row) error {
+		frag.Taps[n] = Tap{Check: func(part int, r sqltypes.Row) error {
 			if part != 0 {
 				t.Errorf("tap called for partition %d", part)
 			}
 			seen[n]++
 			return nil
-		}
+		}}
 	}
 	if rows := runFragment(t, join, rt, nil, frag, 0); len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
@@ -263,7 +263,7 @@ func TestFragmentTap(t *testing.T) {
 		t.Errorf("taps saw %d probe and %d joined rows, want 4 each", seen[j.Left], seen[j])
 	}
 	boom := errors.New("unsound")
-	frag.Taps[j.Left] = func(int, sqltypes.Row) error { return boom }
+	frag.Taps[j.Left] = Tap{Check: func(int, sqltypes.Row) error { return boom }}
 	op, err := BuildFragment(join, rt, nil, nil, frag, 0)
 	if err != nil {
 		t.Fatal(err)

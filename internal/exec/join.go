@@ -54,7 +54,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker, borrow
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			buildRead: build, memo: rt.Memo(),
+			buildRead: build, memo: rt.Memo(), run: keys.run, part: frag.partition(),
 			stats: stats, cancel: cc, out: out,
 		}, nil
 	}
@@ -113,16 +113,22 @@ func compileJoinKeys(t *plan.Join, params []sqltypes.Value) (leftKeys, rightKeys
 	return leftKeys, rightKeys, residual, nil
 }
 
-// joinKeys is what compileJoinKeys returns.
+// joinKeys is what compileJoinKeys returns, plus the node's run state
+// where it is an inner or left join with no residual, which the join →
+// exchange form may run (batch.go).
 type joinKeys struct {
 	left, right []*expr.Compiled
 	residual    *expr.Compiled
+	run         *joinRun
 }
 
 // joinKeysOf is compileJoinKeys, once per c.
 func joinKeysOf(m *Memo, t *plan.Join) (joinKeys, error) {
 	return shared(m, t, func() (k joinKeys, err error) {
 		k.left, k.right, k.residual, err = compileJoinKeys(t, m.Params())
+		if err == nil && k.residual == nil && len(k.left) > 0 && (t.Type == ast.InnerJoin || t.Type == ast.LeftJoin) {
+			k.run = runOf(m, t, func() *joinRun { return new(joinRun) })
+		}
 		return k, err
 	})
 }
@@ -256,6 +262,10 @@ type hashJoinOp struct {
 	// memo is the run's, which takes back an index the join built for
 	// itself alone (own) when it closes.
 	memo *Memo
+	// run is the node's run state, nil but for an inner or left join with
+	// no residual (joinKeys); part is the partition whose tree it is.
+	run  *joinRun
+	part int
 
 	build            *HashIndex
 	own              bool

@@ -178,7 +178,7 @@ func TestJoinAggBatchMatchesRowPath(t *testing.T) {
 }
 
 // joinAggForm reports whether the join → aggregate form runs n's
-// aggregate under MaterializeContext.
+// aggregate.
 func joinAggForm(t testing.TB, rt *StoreRuntime, n plan.Node) bool {
 	t.Helper()
 	op, err := Build(n, rt, nil)
@@ -189,12 +189,32 @@ func joinAggForm(t testing.TB, rt *StoreRuntime, n plan.Node) bool {
 	if a == nil {
 		return false
 	}
-	a.batch = true
 	s, ok := a.joinChain()
 	if ok {
-		s.release(a.run)
+		s.release(a.run, a.part)
 	}
 	return ok
+}
+
+// aggUnder returns the aggregate op's rows come from, under filters,
+// projects, trims and limits, or nil.
+func aggUnder(op Operator) *aggOp {
+	for {
+		switch o := op.(type) {
+		case *filterOp:
+			op = o.input
+		case *projectOp:
+			op = o.input
+		case *trimOp:
+			op = o.input
+		case *limitOp:
+			op = o.input
+		case *aggOp:
+			return o
+		default:
+			return nil
+		}
+	}
 }
 
 // TestJoinAggFormRuns: the form runs the paper's loop-body shape, and

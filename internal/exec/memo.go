@@ -296,11 +296,15 @@ func runOf[R nodeRun](m *Memo, n plan.Node, mk func() R) R {
 // and of the join → aggregate form, a group id carried across a probe
 // row's boundary into its NULL-extended first tuple, a group key
 // evaluated for every probe row, and joins and adds that run past a
-// probe key's error.
+// probe key's error; of the join → exchange form, a computed key taken
+// once per probe row though it reads a build row, and a NULL-extended
+// side whose cells keep what the exchange's buffer held; and of a tap over
+// a batch source, a batch it does not show its tap.
 var test struct {
 	keepingGivesBack, carryEntries, unheldEntries bool
 	unpinnedFragmentKeeper, noReplay              bool
 	carryGroupID, groupEveryProbe, eagerJoins     bool
+	keyPerProbe, keepCells, skipTap               bool
 }
 
 // Leftovers is what the runs of one statement carry from one to the

@@ -140,8 +140,8 @@ func TestFusedFragmentSurvivesScribbling(t *testing.T) {
 		Parts:  1,
 		Inputs: map[plan.Node][][]sqltypes.Row{j.Left: {rt.Catalog.Get("l").AllRows()}},
 		Taps: map[plan.Node]Tap{
-			j.Right: func(_ int, r sqltypes.Row) error { build++; return nil },
-			j: func(_ int, r sqltypes.Row) error {
+			j.Right: {Check: func(_ int, r sqltypes.Row) error { build++; return nil }},
+			j: {Check: func(_ int, r sqltypes.Row) error {
 				joined++
 				for _, v := range r {
 					if sqltypes.Compare(v, scribbled) == 0 && !v.IsNull() {
@@ -149,7 +149,7 @@ func TestFusedFragmentSurvivesScribbling(t *testing.T) {
 					}
 				}
 				return nil
-			},
+			}},
 		},
 	}
 	want, _, err := RunOwnershipFragment(node, rt, Retaining, frag, 0)

@@ -30,15 +30,19 @@ import "dbspinner/internal/sqltypes"
 // loop, project — take it from an outRows, which is the one place the
 // two answers differ.
 //
-// The batch form (batch.go) holds up to a batch of its source's rows at
-// once, which only a scan of a stored result or an aggregate's output —
-// rows valid until the source closes — may give it. The cells a typed
-// program reads it gathers into vectors of its own, copies of the cells'
-// numbers, and it writes each output cell into a row its project carved
-// as the row path carves it; so no rule above changes. The join →
-// aggregate form holds a batch of a result scan's rows the same way, and
-// reads the build rows of the joins under it through their indexes while
-// they are open; it carves no joined row at all.
+// The batch forms (batch.go) hold up to a batch of their source's rows at
+// once, which only a batch source — a scan of a stored result, an
+// aggregate's output, the rows an exchange delivered, a tap over one of
+// them: rows valid until the source closes — may give them. The cells a
+// typed program reads they gather into vectors of their own, copies of
+// the cells' numbers, and a project writes each output cell into a row it
+// carved as the row path carves it — a lending project's from scratch of
+// its own, valid until its consumer asks for the next batch, as a lent
+// row is until the next Next; so no rule above changes. The join →
+// aggregate and join → exchange forms hold a batch of a source's rows the
+// same way, and read the build rows of the joins under them through their
+// indexes while they are open; they carve no joined row at all, and the
+// exchange copies each tuple's cells before it asks for the next batch.
 
 // outRows is where a row-building operator's output rows come from.
 // The zero value keeps every row alive: rows are carved from a RowSlab.

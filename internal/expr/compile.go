@@ -139,6 +139,10 @@ type Compiled struct {
 	// fails for a row too short for it, so a consumer may copy row[Col]
 	// in place where Col < len(row) and call Eval otherwise.
 	Col int
+	// MaxCol is the highest input column the expression reads, -1 where it
+	// reads none: Eval over a row agrees with Eval over any row that holds
+	// the same first MaxCol+1 cells.
+	MaxCol int
 
 	// lit is the literal a literal compiled from, nil for any other
 	// expression. Its Eval ignores the row, so an operator reads it once,
@@ -202,13 +206,21 @@ func compileCondition(e ast.Expr, env *Env, clause string) (*Compiled, error) {
 }
 
 // Compile binds an expression to the environment. Where e is a FLOAT
-// arithmetic tree of two operators or more, its Eval tries the typed path
-// first (float.go).
+// arithmetic tree, its Eval tries the typed path first (float.go).
 func Compile(e ast.Expr, env *Env) (*Compiled, error) {
 	c, err := compileOperand(e, env)
 	if err != nil {
 		return nil, err
 	}
+	c.MaxCol = -1
+	ast.WalkExpr(e, func(x ast.Expr) bool {
+		if ref, ok := x.(*ast.ColumnRef); ok {
+			if b, err := env.Resolve(ref.Table, ref.Name); err == nil {
+				c.MaxCol = max(c.MaxCol, b.Index)
+			}
+		}
+		return true
+	})
 	return withFloat(c, e, env), nil
 }
 

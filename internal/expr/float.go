@@ -9,7 +9,7 @@ import (
 )
 
 // The typed path. An expression whose root is a FLOAT arithmetic tree of
-// two operators or more — + - * / whose static type is FLOAT, CAST(… AS
+// one operator or more — + - * / whose static type is FLOAT, CAST(… AS
 // FLOAT), ROUND(x, <literal digits>), CEILING/CEIL/FLOOR and the INT % or
 // MOD of two statically INT operands, over numeric columns and INT and
 // FLOAT literals — is also compiled into a floatProg, which evaluates it
@@ -35,8 +35,8 @@ import (
 // widened operand, and ROUND calls the same roundFloat.
 //
 // A condition whose root is a comparison (= != < <= > >=) of two such
-// trees, or of numeric leaves, with two operators or more in all — FF's
-// MOD(node, 2) = 0 — gets a program too, ending in a floatCmp step. Its
+// trees, or of numeric leaves — FF's MOD(node, 2) = 0, SSSP-VS's
+// delta != 9999999 — gets a program too, ending in a floatCmp step. Its
 // Eval does not run it: only a batch does (batch.go), where it yields
 // the rows the condition holds for.
 
@@ -170,14 +170,12 @@ func (p floatProg) eval(row sqltypes.Row) (f float64, ok bool) {
 }
 
 // withFloat attaches the typed path to c, compiled from e, where e is a
-// FLOAT arithmetic tree of two operators or more, or a comparison of two
-// typed trees with two operators or more in all. A single operator over
-// leaves keeps its bindLeaves closure alone, so that the single operators
-// of PageRank and SSSP evaluate as they did (DESIGN.md §5h gives what the
-// program measures on them). A FLOAT tree's Eval tries the program first;
-// a condition's Eval is left as it was, and its program runs only over a
-// batch (batch.go).
-func withFloat(c *Compiled, e ast.Expr, env *Env) *Compiled { return withProg(c, e, env, 2) }
+// FLOAT arithmetic tree or a comparison of two typed trees or numeric
+// leaves: PageRank's rank + delta, delta * Weight and 0.85 * SUM(…) take
+// it, so a batch runs each as one program over its vectors. A FLOAT
+// tree's Eval tries the program first; a condition's Eval is left as it
+// was, and its program runs only over a batch (batch.go).
+func withFloat(c *Compiled, e ast.Expr, env *Env) *Compiled { return withProg(c, e, env, 1) }
 
 // withProg is withFloat for programs of minOps operators or more.
 func withProg(c *Compiled, e ast.Expr, env *Env, minOps int) *Compiled {

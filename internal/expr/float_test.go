@@ -331,22 +331,22 @@ func TestFloatMutantsAreCaught(t *testing.T) {
 }
 
 // TestTypedPathAllocation: Compile allocates nothing beyond
-// compileOperand for an expression that takes no typed path — a single
-// operator, a FLOAT tree with a FLOAT % inside, an INT tree, one too long
-// for a program, one over a column whose name has upper case, a
-// comparison of two leaves — two objects, the program and the root's
-// closure, for a FLOAT tree that does, and one, the program, for a
-// condition that does, whose Eval is unchanged.
+// compileOperand for an expression that takes no typed path — a FLOAT
+// tree with a FLOAT % inside, an INT tree, one too long for a program, one
+// over a column whose name has upper case — two objects, the program and
+// the root's closure, for a FLOAT tree that does, a single operator too,
+// and one, the program, for a condition that does, a comparison of two
+// leaves too, whose Eval is unchanged.
 func TestTypedPathAllocation(t *testing.T) {
 	for src, extra := range map[string]float64{
-		"0.85 * x":                            0,
-		"delta + x":                           0,
+		"0.85 * x":                            2,
+		"delta + x":                           2,
 		"distance * (1.0 - (x % 10) / 100.0)": 0,
 		"distance * (1.0 - (delta % 10) / 100.0)": 2,
-		"delta != 9999999":                        0,
+		"delta != 9999999":                        1,
 		"MOD(distance, 2) = 0":                    1,
 		"(delta + 1) * distance":                  0,
-		"friendsPrev * friendsPrev":               0,
+		"friendsPrev * friendsPrev":               2,
 		"x + x + x + x + x + x + x + x + x":       0,
 		"x + x + x + x + x + x + x + x":           2,
 		workloadExprs["ff"]:                       2,

@@ -10,7 +10,7 @@ import "dbspinner/internal/sqltypes"
 
 // Poisoned is what Poison leaves in every cell of a freed site: a value
 // no test table holds, so a consumer that still reads the site shows it.
-var Poisoned = sqltypes.NewString("<reused>")
+var Poisoned = sqltypes.Poisoned
 
 // Poison makes m overwrite every cell of a site — the rows delivered and
 // the room behind them — when it marks the site free. It returns the
@@ -19,13 +19,7 @@ func Poison(m *Machine) (freed *int) {
 	freed = new(int)
 	m.test.freed = func(s *site) {
 		*freed++
-		for _, b := range s.buckets {
-			for _, c := range b.chunks {
-				for i := range c {
-					c[i] = Poisoned
-				}
-			}
-		}
+		s.poison()
 	}
 	return freed
 }

@@ -317,7 +317,7 @@ type exchange func(relation) relation
 // top, the fragment rooted at n, once per partition, routing its rows by
 // to (nil: they stay where they are produced) or, when they stay, as in
 // asks (nil: into slices of their own; see run).
-func (m *Machine) eval(n plan.Node, to router, in *into) (relation, error) {
+func (m *Machine) eval(n plan.Node, to *router, in *into) (relation, error) {
 	f := m.newFragment()
 	if err := m.cut(n, f); err != nil {
 		return relation{}, err
@@ -453,7 +453,7 @@ func (m *Machine) below(f *fragment, c plan.Node) error {
 
 // exchanged cuts f at c: c is evaluated on its own, routing its rows by
 // to (nil: not at all), and f reads what ex (nil: nothing) makes of them.
-func (m *Machine) exchanged(f *fragment, c plan.Node, to router, ex exchange) error {
+func (m *Machine) exchanged(f *fragment, c plan.Node, to *router, ex exchange) error {
 	rel, err := m.eval(c, to, nil)
 	if err != nil {
 		return err
@@ -473,7 +473,7 @@ func (m *Machine) exchanged(f *fragment, c plan.Node, to router, ex exchange) er
 // runtime check of the partition-property analysis — behavior never
 // depends on it: it counts them and, under CheckElide, re-hashes each one
 // and reports an unsound claim as an error.
-func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols []int, what string) error {
+func (m *Machine) input(f *fragment, c plan.Node, to *router, elided bool, cols []int, what string) error {
 	if !elided {
 		return m.exchanged(f, c, to, nil)
 	}
@@ -483,15 +483,16 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 	if f.Taps == nil {
 		f.Taps = map[plan.Node]exec.Tap{}
 	}
-	f.Taps[c] = func(p int, r sqltypes.Row) error {
-		seen[p].n++
-		if m.CheckElide {
+	tap := exec.Tap{Count: func(p, n int) { seen[p].n += int64(n) }}
+	if m.CheckElide {
+		tap.Check = func(p int, r sqltypes.Row) error {
 			if dst := sqltypes.PartitionOf(r, cols, m.Parts); dst != p {
 				return fmt.Errorf("mpp: elided %s exchange is unsound: row in partition %d routes to %d on cols %v", what, p, dst, cols)
 			}
+			return nil
 		}
-		return nil
 	}
+	f.Taps[c] = tap
 	return m.below(f, c)
 }
 
@@ -504,7 +505,7 @@ func (m *Machine) input(f *fragment, c plan.Node, to router, elided bool, cols [
 // once all have finished. When they have without an error, f's trees
 // are done with the rows of f's cuts, and those nobody kept may be
 // overwritten.
-func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relation, error) {
+func (m *Machine) run(root plan.Node, f *fragment, one bool, to *router) (relation, error) {
 	out := relation{parts: make([][]sqltypes.Row, m.Parts)}
 	build := exec.BuildFragment
 	if to != nil {
@@ -528,7 +529,7 @@ func (m *Machine) run(root plan.Node, f *fragment, one bool, to router) (relatio
 			return err
 		}
 		if to != nil {
-			return out.from.fill(p, op, to(), cc)
+			return out.from.fill(p, op, to, cc)
 		}
 		var rows []sqltypes.Row
 		if in := f.into; in != nil {
@@ -651,59 +652,80 @@ func (m *Machine) parallel(fn func(p int, cc *exec.CancelChecker) error) error {
 
 // --- exchanges ------------------------------------------------------------
 
-// router makes the routing function of a hash exchange — the partition
-// each row goes to — once per fragment tree, so it may own scratch state.
-type router func() func(sqltypes.Row) (int, error)
+// router is how a hash exchange routes: by the values of keys,
+// expressions over the rows, or, where keys is nil, of the rows' columns
+// cols.
+type router struct {
+	keys []*expr.Compiled
+	cols []int
+	// inRow: every key is a bare column, and a row at least width cells
+	// long routes on them in place.
+	inRow bool
+	width int
+}
 
 // shuffle routes rows so that those with equal key values land in the
 // same partition. NULL keys go to partition 0 (they never match in
 // joins but must survive for outer joins) — the same destination
 // sqltypes.PartitionOf assigns them, so the exchange and the storage
 // layer agree on one routing function.
-func (m *Machine) shuffle(keys []*expr.Compiled) router {
+func (m *Machine) shuffle(keys []*expr.Compiled) *router {
 	// Keys that are all bare columns route on the row itself, at their
 	// positions; a row too short for one takes EvalKey, which fails as
 	// evaluating it does. Other keys route on the values EvalKey puts in
 	// the scratch row, at positions 0..len(keys)-1.
-	cols, width, inRow := make([]int, len(keys)), 0, true
+	to := &router{keys: keys, cols: make([]int, len(keys)), inRow: true}
 	for i, k := range keys {
-		cols[i], width = k.Col, max(width, k.Col+1)
-		inRow = inRow && k.Col >= 0
+		to.cols[i], to.width = k.Col, max(to.width, k.Col+1)
+		to.inRow = to.inRow && k.Col >= 0
 	}
-	if !inRow {
-		for i := range cols {
-			cols[i] = i
+	if !to.inRow {
+		for i := range to.cols {
+			to.cols[i] = i
 		}
 	}
-	return func() func(sqltypes.Row) (int, error) {
-		vals := make(sqltypes.Row, len(keys)) // per-tree key scratch
-		return func(r sqltypes.Row) (int, error) {
-			if inRow && len(r) >= width {
-				return sqltypes.PartitionOf(r, cols, m.Parts), nil
-			}
-			null, err := exec.EvalKey(keys, r, vals)
-			if err != nil {
-				return 0, err
-			}
-			if null {
-				// EvalKey stops at the first NULL, so route explicitly;
-				// Partition sends NULL-bearing keys to 0 too.
-				return 0, nil
-			}
-			return sqltypes.PartitionOf(vals, cols, m.Parts), nil
-		}
-	}
+	return to
 }
 
 // shuffleCols routes each row by the values at the given column
 // positions — the direct-column variant of shuffle used by the
 // pre-aggregated groups and the full-row distinct exchange, where the
 // routing values are already materialized in the row.
-func (m *Machine) shuffleCols(cols []int) router {
-	route := func(r sqltypes.Row) (int, error) {
-		return sqltypes.PartitionOf(r, cols, m.Parts), nil
+func (m *Machine) shuffleCols(cols []int) *router { return &router{cols: cols} }
+
+// inBatch reports whether every row of rows routes on its own columns
+// (route's first case), so that the batch routes in one pass.
+func (to *router) inBatch(rows []sqltypes.Row) bool {
+	if to.keys == nil {
+		return true
 	}
-	return func() func(sqltypes.Row) (int, error) { return route }
+	if !to.inRow {
+		return false
+	}
+	for _, r := range rows {
+		if len(r) < to.width {
+			return false
+		}
+	}
+	return true
+}
+
+// route returns the partition of r among parts, evaluating a key into
+// vals, a scratch row as long as the keys.
+func (to *router) route(r sqltypes.Row, vals sqltypes.Row, parts int) (int, error) {
+	if to.keys == nil || to.inRow && len(r) >= to.width {
+		return sqltypes.PartitionOf(r, to.cols, parts), nil
+	}
+	null, err := exec.EvalKey(to.keys, r, vals)
+	if err != nil {
+		return 0, err
+	}
+	if null {
+		// EvalKey stops at the first NULL, so route explicitly;
+		// Partition sends NULL-bearing keys to 0 too.
+		return 0, nil
+	}
+	return sqltypes.PartitionOf(vals, to.cols, parts), nil
 }
 
 func identityCols(n int) []int {

@@ -27,6 +27,7 @@ import (
 type site struct {
 	buckets []bucket         // source-major: [source*parts+destination]
 	out     [][]sqltypes.Row // per destination, the buckets' rows
+	fills   []fillScratch    // per source, its routing loop's scratch
 	free    bool
 	filled  bool // since the last Sweep
 	preLoop bool // filled before the machine's first Sweep: no Sweep drops it
@@ -83,9 +84,9 @@ type bucket struct {
 	_      [48]byte           // two cache lines: the next bucket may be another worker's
 }
 
-// add copies r into the bucket.
-func (b *bucket) add(r sqltypes.Row) {
-	w := len(r)
+// row returns room for the next row of w cells, which the caller writes
+// in full.
+func (b *bucket) row(w int) sqltypes.Row {
 	if b.next == 0 || len(b.room) < w {
 		if b.next == len(b.chunks) {
 			b.chunks = append(b.chunks, nil)
@@ -98,8 +99,19 @@ func (b *bucket) add(r sqltypes.Row) {
 	}
 	row := b.room[:w:w]
 	b.room = b.room[w:]
-	copy(row, r)
 	b.rows = append(b.rows, row)
+	return row
+}
+
+// add copies r into the bucket.
+func (b *bucket) add(r sqltypes.Row) { copy(b.row(len(r)), r) }
+
+// fillScratch is one source's routing scratch: a batch of its tree's
+// rows, their destinations, and a key's values.
+type fillScratch struct {
+	rows []sqltypes.Row
+	dst  []int32
+	vals sqltypes.Row
 }
 
 // site returns the buffers the exchange k fills: the ones it filled last
@@ -107,7 +119,7 @@ func (b *bucket) add(r sqltypes.Row) {
 func (m *Machine) site(k siteKey) *site {
 	s := m.sites[k]
 	if s == nil || !s.free {
-		s = &site{buckets: make([]bucket, m.Parts*m.Parts), out: make([][]sqltypes.Row, m.Parts)}
+		s = &site{buckets: make([]bucket, m.Parts*m.Parts), out: make([][]sqltypes.Row, m.Parts), fills: make([]fillScratch, m.Parts)}
 		m.sites[k] = s
 		m.made++
 	}
@@ -119,27 +131,81 @@ func (m *Machine) site(k siteKey) *site {
 	return s
 }
 
-// fill drains op, partition p's tree, into p's buckets: each row is
-// copied before the next is asked for, so op may lend its rows.
-func (s *site) fill(p int, op exec.Operator, route func(sqltypes.Row) (int, error), cc *exec.CancelChecker) error {
-	if err := op.Open(); err != nil {
+// fill drains op, partition p's tree, into p's buckets, a batch at a
+// time in the form the tree's shape takes (exec.Drainer): each row is
+// copied before the next batch is asked for, so op may lend its rows, and
+// a chain of joins at the root hands over its tuples, whose cells go
+// straight into the bucket their key routes them to. Where a key fails to
+// evaluate, the rows before it are routed and the drain stops there.
+func (s *site) fill(p int, op exec.Operator, to *router, cc *exec.CancelChecker) error {
+	var d exec.Drainer
+	if err := d.Open(op, true); err != nil {
 		return err
 	}
-	defer op.Close()
-	mine := s.buckets[p*len(s.out):]
+	defer d.Close()
+	parts := len(s.out)
+	mine, sc := s.buckets[p*parts:(p+1)*parts], &s.fills[p]
+	sc.vals = slices.Grow(sc.vals[:0], len(to.keys))[:len(to.keys)]
+	defer func() { clear(sc.rows[:cap(sc.rows)]) }()
+	if !d.Batched() {
+		for {
+			r, err := op.Next()
+			if err != nil || r == nil {
+				return err
+			}
+			if err := cc.Tick(); err != nil {
+				return err
+			}
+			dst, err := to.route(r, sc.vals, parts)
+			if err != nil {
+				return err
+			}
+			mine[dst].add(r)
+		}
+	}
+	ts := d.Tuples()
 	for {
-		r, err := op.Next()
-		if err != nil || r == nil {
+		var ok bool
+		var err error
+		if sc.rows, ok, err = d.Next(sc.rows[:0]); err != nil || !ok {
 			return err
 		}
-		if err := cc.Tick(); err != nil {
+		n := len(sc.rows)
+		if ts != nil {
+			n = ts.Len()
+		}
+		if err := cc.TickN(n); err != nil {
+			d.Stop(0)
 			return err
 		}
-		dst, err := route(r)
-		if err != nil {
-			return err
+		sc.dst = slices.Grow(sc.dst[:0], n)[:n]
+		if ts != nil {
+			routed, err := ts.Route(to.keys, to.cols, parts, sc.dst)
+			w := ts.Width()
+			for t, dst := range sc.dst[:routed] {
+				ts.Copy(t, mine[dst].row(w))
+			}
+			if err != nil {
+				d.Stop(routed)
+				return err
+			}
+			continue
 		}
-		mine[dst].add(r)
+		if to.inBatch(sc.rows) {
+			sqltypes.PartitionsOf(sc.dst, sc.rows, to.cols, parts)
+			for i, r := range sc.rows {
+				mine[sc.dst[i]].add(r)
+			}
+			continue
+		}
+		for i, r := range sc.rows {
+			dst, err := to.route(r, sc.vals, parts)
+			if err != nil {
+				d.Stop(i)
+				return err
+			}
+			mine[dst].add(r)
+		}
 	}
 }
 
@@ -177,12 +243,30 @@ func (s *site) deliver(st *Stats) [][]sqltypes.Row {
 // refers to those rows any more, and overwriting them in the next
 // evaluation is sound for every operator that is sound on borrowed rows.
 // A cut some tree kept, or a failed region read, stays as it is for good.
+//
+// While sqltypes.Poison is armed, a site is poisoned the moment it is
+// marked free: every cell of its buckets becomes sqltypes.Poisoned, so a
+// reader that still holds one of its rows reads a wrong value at once.
 func (m *Machine) release(f *fragment) {
 	for n, s := range f.sites {
 		if f.Lent(n) || m.test.lentAll {
 			s.free = true
+			if sqltypes.Poisoning() {
+				s.poison()
+			}
 			if m.test.freed != nil {
 				m.test.freed(s)
+			}
+		}
+	}
+}
+
+// poison overwrites every cell of s's buckets with sqltypes.Poisoned.
+func (s *site) poison() {
+	for _, b := range s.buckets {
+		for _, c := range b.chunks {
+			for i := range c {
+				c[i] = sqltypes.Poisoned
 			}
 		}
 	}

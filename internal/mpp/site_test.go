@@ -19,13 +19,13 @@ import (
 // row headers per destination, then the locals are concatenated in
 // source order. It is the reference the routed drain must reproduce —
 // rows, order per destination, and both counters.
-func twoPassShuffle(in [][]sqltypes.Row, parts int, newRoute router) (out [][]sqltypes.Row, shuffled, relocated int64, err error) {
+func twoPassShuffle(in [][]sqltypes.Row, parts int, to *router) (out [][]sqltypes.Row, shuffled, relocated int64, err error) {
 	locals := make([][][]sqltypes.Row, parts)
 	for p := range locals {
 		locals[p] = make([][]sqltypes.Row, parts)
-		route := newRoute()
+		vals := make(sqltypes.Row, len(to.keys))
 		for _, r := range in[p] {
-			dst, err := route(r)
+			dst, err := to.route(r, vals, parts)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -99,7 +99,7 @@ func TestRoutedDrainIsTheSameExchange(t *testing.T) {
 					}
 					var st Stats
 					m := New(nil, parts, &st, nil)
-					var to router
+					var to *router
 					switch {
 					case width == 0 && byExpr:
 						to = m.shuffle(nil)
@@ -190,14 +190,12 @@ func TestRoutingLoopIsCancelable(t *testing.T) {
 		m := New(nil, parts, nil, nil)
 		m.Ctx = ctx
 		routed := 0 // only partition 0 has rows to route
-		to := func() func(sqltypes.Row) (int, error) {
-			return func(r sqltypes.Row) (int, error) {
-				if routed++; r[0].Int() == 2000 {
-					cancel()
-				}
-				return 0, nil
+		to := routeBy(m, func(r sqltypes.Row) error {
+			if routed++; r[0].Int() == 2000 {
+				cancel()
 			}
-		}
+			return nil
+		})
 		n := &plan.EmptyNode{}
 		f := cutOver(m, n, [][]sqltypes.Row{many, nil})
 		if _, err := m.run(n, f, false, to); !errors.Is(err, context.Canceled) {
@@ -213,27 +211,25 @@ func TestRoutingLoopIsCancelable(t *testing.T) {
 		m := New(nil, parts, nil, nil)
 		routed := 0 // partition 0's rows; partition 1 has the one that fails
 		started, failed := make(chan struct{}), make(chan struct{})
-		to := func() func(sqltypes.Row) (int, error) {
-			return func(r sqltypes.Row) (int, error) {
-				if r[0].Int() < 0 {
-					<-started // partition 0 is inside its loop
-					close(failed)
-					return 0, errReal
-				}
-				if routed++; routed == 1 {
-					close(started)
-				}
-				select {
-				case <-failed:
-					// Give the failure time to travel: without a
-					// cancellation these waits add up to a second.
-					for until := time.Now().Add(20 * time.Microsecond); time.Now().Before(until); {
-					}
-				default:
-				}
-				return 0, nil
+		to := routeBy(m, func(r sqltypes.Row) error {
+			if r[0].Int() < 0 {
+				<-started // partition 0 is inside its loop
+				close(failed)
+				return errReal
 			}
-		}
+			if routed++; routed == 1 {
+				close(started)
+			}
+			select {
+			case <-failed:
+				// Give the failure time to travel: without a
+				// cancellation these waits add up to a second.
+				for until := time.Now().Add(20 * time.Microsecond); time.Now().Before(until); {
+				}
+			default:
+			}
+			return nil
+		})
 		n := &plan.EmptyNode{}
 		f := cutOver(m, n, [][]sqltypes.Row{many, {{sqltypes.NewInt(-1)}}})
 		if _, err := m.run(n, f, false, to); !errors.Is(err, errReal) {
@@ -243,6 +239,14 @@ func TestRoutingLoopIsCancelable(t *testing.T) {
 			t.Error("partition 0 routed every row: its sibling's failure did not cancel it")
 		}
 	})
+}
+
+// routeBy is a hash exchange whose one key is computed by see, which
+// sees every row it routes and may fail it.
+func routeBy(m *Machine, see func(sqltypes.Row) error) *router {
+	return m.shuffle([]*expr.Compiled{{Col: -1, Type: sqltypes.Int, Eval: func(r sqltypes.Row) (sqltypes.Value, error) {
+		return sqltypes.NewInt(0), see(r)
+	}}})
 }
 
 // checkSiteSweep runs two runs of a statement on machines of their own,

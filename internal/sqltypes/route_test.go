@@ -78,3 +78,27 @@ func BenchmarkPartition(b *testing.B) {
 		}
 	}
 }
+
+// TestPartitionsOfIsPartitionOf: routing a batch in one pass gives every
+// row the partition PartitionOf gives it, over the value pool's rows of
+// one to three columns read at one and at two positions, at every
+// partition count {1,2,3,4,5,8}.
+func TestPartitionsOfIsPartitionOf(t *testing.T) {
+	var rows []Row
+	for _, a := range routingPool {
+		for _, b := range routingPool {
+			rows = append(rows, Row{NewString("unread"), a, b})
+		}
+	}
+	dst := make([]int32, len(rows))
+	for _, cols := range [][]int{{1}, {2}, {2, 1}, {1, 2, 0}} {
+		for _, parts := range []int{1, 2, 3, 4, 5, 8} {
+			PartitionsOf(dst, rows, cols, parts)
+			for i, r := range rows {
+				if want := PartitionOf(r, cols, parts); int(dst[i]) != want {
+					t.Fatalf("PartitionsOf routes %v on %v to %d of %d, PartitionOf to %d", r, cols, dst[i], parts, want)
+				}
+			}
+		}
+	}
+}

@@ -327,6 +327,44 @@ func PartitionOf(r Row, cols []int, parts int) int {
 	return int(h % uint64(parts))
 }
 
+// PartitionsOf routes a batch in one pass: it sets dst[i] to
+// PartitionOf(rows[i], cols, parts) for every row, dst being at least as
+// long as rows. A storage table places a batch of rows through it
+// (storage.Table.PlaceBatch), and an MPP exchange the key cells of a batch
+// of join tuples.
+func PartitionsOf(dst []int32, rows []Row, cols []int, parts int) {
+	dst = dst[:len(rows)]
+	if parts <= 1 {
+		clear(dst)
+		return
+	}
+	if len(cols) != 1 {
+		for i, r := range rows {
+			dst[i] = int32(PartitionOf(r, cols, parts))
+		}
+		return
+	}
+	// One column, the common case: its cell's single-value hash, inline.
+	c, mask := cols[0], uint64(parts-1)
+	for i, r := range rows {
+		h := uint64(fnvOffset)
+		switch v := &r[c]; v.T {
+		case Int:
+			h = fnvNum(h, float64(v.I))
+		case Float:
+			h = fnvNum(h, v.F)
+		default:
+			dst[i] = int32(PartitionOf(r, cols, parts))
+			continue
+		}
+		if parts&(parts-1) == 0 {
+			dst[i] = int32(h & mask)
+		} else {
+			dst[i] = int32(h % uint64(parts))
+		}
+	}
+}
+
 // FNV-1a, the routing hash, a byte at a time.
 const (
 	fnvOffset = 14695981039346656037

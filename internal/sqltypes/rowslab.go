@@ -256,3 +256,8 @@ func Poison() (disarm func()) {
 	poisoning.Add(1)
 	return func() { poisoning.Add(-1) }
 }
+
+// Poisoning reports whether Poison is armed: a buffer that is not a chunk
+// — an MPP exchange's, which the machine fills again — is then poisoned
+// too, the moment it may be filled again.
+func Poisoning() bool { return poisoning.Load() > 0 }

@@ -136,6 +136,43 @@ func (t *Table) Place(r sqltypes.Row) (part, pos int) {
 	return p, len(t.Parts[p]) - 1
 }
 
+// PlaceBatch is Insert of every row of rows, in order, routed in one pass
+// over the batch (sqltypes.PartitionsOf): the partitions and their row
+// order are what one Insert per row makes. A row too short for the
+// distribution column, which Insert deals round-robin, makes the batch go
+// a row at a time.
+func (t *Table) PlaceBatch(rows []sqltypes.Row) {
+	t.mustBeWritable("Insert")
+	if len(t.Parts) == 1 || t.DistCol < 0 {
+		for _, r := range rows {
+			t.Place(r)
+		}
+		return
+	}
+	for _, r := range rows {
+		if len(r) <= t.DistCol {
+			for _, r := range rows {
+				t.Place(r)
+			}
+			return
+		}
+	}
+	var dst [256]int32
+	col := [1]int{t.DistCol}
+	for len(rows) > 0 {
+		n := min(len(rows), len(dst))
+		sqltypes.PartitionsOf(dst[:n], rows[:n], col[:], len(t.Parts))
+		for i, r := range rows[:n] {
+			p := dst[i]
+			if cap(t.Parts[p]) == 0 {
+				t.Parts[p] = t.arena.Part(firstRoom)
+			}
+			t.Parts[p] = append(t.Parts[p], r)
+		}
+		rows = rows[n:]
+	}
+}
+
 // InsertBatch appends many rows: the partitions and their row order are
 // exactly what one Insert per row produces. It routes every row once,
 // counting rows per partition, grows each partition once to its exact

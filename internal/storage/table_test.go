@@ -214,11 +214,12 @@ func TestPartitionRoutingProperties(t *testing.T) {
 }
 
 // TestInsertBatchMatchesInsert: InsertBatch sizes each partition once,
-// and must still lay rows out exactly as one Insert per row does — the
-// same partitions, the same order within each, the same round-robin
-// cursor for the next write — over random rows with NULL keys, keys of
-// both numeric tags and rows too short for DistCol, at 1 to 4 partitions,
-// hash- and round-robin-distributed, into empty and non-empty tables.
+// and PlaceBatch routes a batch in one pass, and each must still lay rows
+// out exactly as one Insert per row does — the same partitions, the same
+// order within each, the same round-robin cursor for the next write —
+// over random rows with NULL keys, keys of both numeric tags and rows too
+// short for DistCol, at 1 to 4 partitions, hash- and
+// round-robin-distributed, into empty and non-empty tables.
 func TestInsertBatchMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	randomRows := func(n int, id *int64) []sqltypes.Row {
@@ -246,27 +247,34 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				one := NewTable("one", schema2(), parts)
 				batch := NewTable("batch", schema2(), parts)
-				one.DistCol, batch.DistCol = dist, dist
+				placed := NewTable("placed", schema2(), parts)
+				one.DistCol, batch.DistCol, placed.DistCol = dist, dist, dist
 				var id int64
 				for round := 0; round < 3; round++ {
 					rows := randomRows(rng.Intn(60), &id)
+					if trial%5 == 0 {
+						rows = randomRows(rng.Intn(600), &id)
+					}
 					for _, r := range rows {
 						one.Insert(r)
 					}
 					batch.InsertBatch(rows)
-					for p := range one.Parts {
-						if fmt.Sprint(one.Parts[p]) != fmt.Sprint(batch.Parts[p]) {
-							t.Fatalf("parts %d, DistCol %d, trial %d, batch %d: partition %d is\n%v\nby InsertBatch, want\n%v",
-								parts, dist, trial, round, p, batch.Parts[p], one.Parts[p])
-						}
-						for i := range one.Parts[p] {
-							if len(one.Parts[p][i]) > 0 && &one.Parts[p][i][0] != &batch.Parts[p][i][0] {
-								t.Fatalf("partition %d row %d is a copy, not the row inserted", p, i)
+					placed.PlaceBatch(rows)
+					for _, got := range []*Table{batch, placed} {
+						for p := range one.Parts {
+							if fmt.Sprint(one.Parts[p]) != fmt.Sprint(got.Parts[p]) {
+								t.Fatalf("parts %d, DistCol %d, trial %d, batch %d: partition %d is\n%v\nin %s, want\n%v",
+									parts, dist, trial, round, p, got.Parts[p], got.Name, one.Parts[p])
+							}
+							for i := range one.Parts[p] {
+								if len(one.Parts[p][i]) > 0 && &one.Parts[p][i][0] != &got.Parts[p][i][0] {
+									t.Fatalf("%s: partition %d row %d is a copy, not the row inserted", got.Name, p, i)
+								}
 							}
 						}
-					}
-					if one.rr != batch.rr {
-						t.Fatalf("round-robin cursor %d after InsertBatch, %d after Insert", batch.rr, one.rr)
+						if one.rr != got.rr {
+							t.Fatalf("round-robin cursor %d in %s, %d after Insert", got.rr, got.Name, one.rr)
+						}
 					}
 				}
 			}

@@ -14,16 +14,18 @@ import (
 )
 
 // TestJoinAggFormMatchesRowAtATime is the end-to-end differential of the
-// join → aggregate form (internal/exec, batch.go): PR, PR-VS, SSSP and
-// SSSP-VS, whose loop bodies are each an aggregate over a chain of
-// joins, run on the volcano executor on two engines, one a row at a time
-// (exec.RowAtATime), at partitions 1 to 4, cold and three warm runs
-// each, over a graph of 1,100 nodes whose edges a coin flip orients, so
-// that SSSP's loop does work in every iteration. Every run must return
-// the same rows, cell for cell and bit for bit, or fail with the same
-// error text, and leave the engines' Stats identical. The chunks a
-// released result hands back are poisoned, so a batch that kept a row of
-// one reads it.
+// join → aggregate form and, on the MPP machine, of the join → exchange
+// form and the aggregate over an exchange (internal/exec, batch.go): PR,
+// PR-VS, SSSP and SSSP-VS, whose loop bodies are each an aggregate over a
+// chain of joins, run on two engines, one a row at a time
+// (exec.RowAtATime), on the volcano executor at partitions 1 to 4 and on
+// the MPP machine at 2 and 4, cold and three warm runs each, over a graph
+// of 1,100 nodes whose edges a coin flip orients, so that SSSP's loop
+// does work in every iteration. Every run must return the same rows, cell
+// for cell and bit for bit, or fail with the same error text, and leave
+// the engines' Stats identical. The chunks a released result hands back,
+// and the exchange buffers the machine marks free, are poisoned, so a
+// batch that kept a row of one reads it.
 func TestJoinAggFormMatchesRowAtATime(t *testing.T) {
 	defer sqltypes.Poison()()
 	g := coinFlipGraph(1100, 55)
@@ -33,15 +35,18 @@ func TestJoinAggFormMatchesRowAtATime(t *testing.T) {
 		{"SSSP", bench.SSSPQuery(1, 8)},
 		{"SSSP-VS", bench.SSSPVSQuery(1, 8)},
 	}
-	for parts := 1; parts <= 4; parts++ {
-		batch, rows := graphEngine(t, g, parts), graphEngine(t, g, parts)
+	for _, cfg := range []dbspinner.Config{
+		{Partitions: 1}, {Partitions: 2}, {Partitions: 3}, {Partitions: 4},
+		{Partitions: 2, Parallel: true}, {Partitions: 4, Parallel: true},
+	} {
+		batch, rows := graphEngine(t, g, cfg), graphEngine(t, g, cfg)
 		for _, q := range queries {
 			for run := 0; run < 4; run++ {
 				got, gotErr := batch.Query(q.sql)
 				restore := exec.RowAtATime()
 				want, wantErr := rows.Query(q.sql)
 				restore()
-				what := fmt.Sprintf("%s, %d partitions, run %d", q.name, parts, run)
+				what := fmt.Sprintf("%s, %d partitions (parallel %v), run %d", q.name, cfg.Partitions, cfg.Parallel, run)
 				if d := outcomeDiff(got, gotErr, want, wantErr); d != "" {
 					t.Fatalf("%s: %s", what, d)
 				}
@@ -72,11 +77,11 @@ func coinFlipGraph(n int, seed int64) *workload.Graph {
 	return g
 }
 
-// graphEngine is a volcano engine over g's edges and a vertexStatus with
-// 80% of the nodes available.
-func graphEngine(t *testing.T, g *workload.Graph, parts int) *dbspinner.Engine {
+// graphEngine is an engine under cfg over g's edges and a vertexStatus
+// with 80% of the nodes available.
+func graphEngine(t *testing.T, g *workload.Graph, cfg dbspinner.Config) *dbspinner.Engine {
 	t.Helper()
-	e := dbspinner.New(dbspinner.Config{Partitions: parts})
+	e := dbspinner.New(cfg)
 	for _, sql := range []string{
 		"CREATE TABLE edges (src int, dst int, weight float)",
 		"CREATE TABLE vertexStatus (node int PRIMARY KEY, status int)",
