@@ -93,20 +93,30 @@ bench-eval:
 # is none). BASE is exported with git archive into .bench_build/pair-base/
 # (which is git-ignored), so nothing is registered in .git and the
 # working tree is measured as it stands, uncommitted edits included.
-#   make bench-pair BASE=HEAD~1 [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50]
+# With NULL=1 the "change" is a second export of BASE, in
+# .bench_build/pair-null/, that differs from it only by an inert file in
+# internal/exec (one exported function nothing calls): the null pair,
+# whose median gap is what two builds of the same code read apart, from
+# the binary's layout and the harness alone. A claimed gain must beat that
+# gap as well as BASE's IQR.
+#   make bench-pair BASE=HEAD~1 [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50] [NULL=1]
 WORKLOAD ?= pr
 PAIRS ?= 10
 SEED ?= 11
 METRIC ?= op_ms_p50
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50]" >&2; exit 2; }
-	@set -eu; base=.bench_build/pair-base; res=.bench_build/pair-$(WORKLOAD).txt; \
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=pr] [PAIRS=10] [SEED=11] [METRIC=op_ms_p50] [NULL=1]" >&2; exit 2; }
+	@set -eu; base=.bench_build/pair-base; res=.bench_build/pair-$(WORKLOAD).txt; chg=.; \
 	rm -rf $$base; mkdir -p $$base; git archive $(BASE) | tar -x -C $$base; : > $$res; \
+	if [ -n "$(NULL)" ]; then \
+		chg=.bench_build/pair-null; rm -rf $$chg; mkdir -p $$chg; git archive $(BASE) | tar -x -C $$chg; \
+		printf 'package exec\n\n// NullPair is the null pair'"'"'s inert edit: nothing calls it.\nfunc NullPair() int { return 1 }\n' > $$chg/internal/exec/nullpair.go; \
+	fi; \
 	metric() { (cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0) \
 		| tail -n 1 | sed -n 's/.*"$(METRIC)":{"value":\([0-9.eE+-]*\).*/\1/p'; }; \
-	metric $$base > /dev/null; metric . > /dev/null; \
+	metric $$base > /dev/null; metric $$chg > /dev/null; \
 	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then b=$$(metric $$base); c=$$(metric .); first=base; else c=$$(metric .); b=$$(metric $$base); first=change; fi; \
+		if [ $$((i % 2)) -eq 1 ]; then b=$$(metric $$base); c=$$(metric $$chg); first=base; else c=$$(metric $$chg); b=$$(metric $$base); first=change; fi; \
 		test -n "$$b" -a -n "$$c" || { echo "pair $$i: a run printed no $(METRIC)" >&2; exit 1; }; \
 		printf 'pair %2d  base %10.4f  change %10.4f  %s, %s first\n' $$i $$b $$c $(METRIC) $$first; echo "$$b $$c $$first" >> $$res; \
 	done; \

@@ -146,9 +146,8 @@ func sameCells(t *testing.T, what string, got, want []sqltypes.Row) {
 // accumulators back when they close, and the next run resets and fills
 // them: those runs must match too, and a keeping run after them must
 // not see its rows change when a lending one takes the storage back. The
-// table they leave before the first back-edge stays through every sweep;
-// one a lending run in the loop gives back goes at the second sweep
-// nobody takes it by.
+// table they leave stays in the partition's slot through every sweep, and
+// a lending run in the loop fills it and gives it back.
 func TestAggregateRowsMatchCopy(t *testing.T) {
 	rt := groupRuntime(t)
 	nodes := map[string]*plan.Aggregate{}
@@ -226,14 +225,22 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 			}
 			sameCells(t, what+", keeping run between lending ones", kept, want)
 
-			// The last lending run's table was let go before the run's
-			// first back-edge: no sweep drops it. A lending run in the
-			// loop takes it and gives it back; it then stays through one
-			// back-edge and is dropped at the next if no run takes it.
+			// The last lending run's table stays in partition 0's slot
+			// through every sweep; a lending run in the loop takes it,
+			// fills it and gives it back, and it stays again.
+			held := func() *sqltypes.KeyTable {
+				s := ex.run.spare.take(0)
+				ex.run.spare.give(0, s)
+				return s.groups
+			}
+			table := held()
+			if table == nil {
+				t.Fatalf("%s: no table held after the lending runs", what)
+			}
 			for sweep := 1; sweep <= 3; sweep++ {
 				memo.Memo().Sweep()
-				if n := ex.run.spare.Len(); n != 1 {
-					t.Fatalf("%s: %d spare tables after sweep %d, want the one let go before the first", what, n, sweep)
+				if held() != table {
+					t.Fatalf("%s: sweep %d let the lending runs' table go", what, sweep)
 				}
 			}
 			op, err := buildWith(node, memo, nil, nil, true, nil)
@@ -243,10 +250,10 @@ func TestAggregateRowsMatchCopy(t *testing.T) {
 			if _, err := drainCopies(op, func(sqltypes.Row) {}); err != nil {
 				t.Fatal(err)
 			}
-			for sweep, spares := range []int{1, 0} {
+			for sweep := 1; sweep <= 2; sweep++ {
 				memo.Memo().Sweep()
-				if n := ex.run.spare.Len(); n != spares {
-					t.Fatalf("%s: %d spare tables after the loop's lending run and sweep %d, want %d", what, n, sweep+1, spares)
+				if held() != table {
+					t.Fatalf("%s: the loop's lending run did not fill and give back the held table (sweep %d)", what, sweep)
 				}
 			}
 		}

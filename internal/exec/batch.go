@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -562,6 +563,10 @@ type joinBatch struct {
 	// keyReads are, per join above the bottom one, where its probe keys'
 	// bare columns lie, worked out by layKeys.
 	keyReads [][]cellRead
+	// keys holds a key's values per probe row, in keyCells (probeKeys).
+	keyCells []sqltypes.Value
+	keys     []sqltypes.Row
+	kb       expr.Batch
 }
 
 // joinLevel is the tuples one join emits for a batch, in the row path's
@@ -641,6 +646,7 @@ func (b *joinBatch) layKeys() bool {
 func (b *joinBatch) release() {
 	clear(b.joins[:cap(b.joins)])
 	clear(b.rows[:cap(b.rows)])
+	clear(b.keyCells)
 	b.src, b.joins, b.rows = nil, b.joins[:0], b.rows[:0]
 }
 
@@ -733,16 +739,28 @@ func (b *joinBatch) pathOf(k int, t int32) []int32 {
 // NULL-extended side's cells are NULL, and so is a cell past a shorter
 // row's end, as fillSide writes them.
 func (b *joinBatch) cell(path []int32, c cellRead) sqltypes.Value {
-	var row sqltypes.Row
-	if c.seg == 0 {
-		row = b.rows[path[0]]
-	} else if r := path[c.seg]; r >= 0 {
-		row = b.joins[c.seg-1].build.Rows[r]
+	return cellOf(b.rowOf(c.seg, path[c.seg]), c.off)
+}
+
+// rowOf returns row r of segment seg of the joined rows: probe row r (seg
+// 0) or build row r of join seg-1, nil where r is -1 (NULL-extended).
+func (b *joinBatch) rowOf(seg, r int32) sqltypes.Row {
+	switch {
+	case seg == 0:
+		return b.rows[r]
+	case r >= 0:
+		return b.joins[seg-1].build.Rows[r]
 	}
-	if int(c.off) < len(row) {
-		return row[c.off]
+	return nil
+}
+
+// cellOf returns cell off of row, and past its end the NULL fillSide
+// writes there, the zero Value.
+func cellOf(row sqltypes.Row, off int32) sqltypes.Value {
+	if int(off) < len(row) {
+		return row[off]
 	}
-	return sqltypes.NullValue
+	return sqltypes.Value{}
 }
 
 // probeKey reads a join's bare-column probe keys into buf, as EvalKey
@@ -782,9 +800,9 @@ func (b *joinBatch) count(scanned, n int) {
 // --- the join → aggregate form --------------------------------------------------
 
 // joinAggScratch is one join → aggregate run's storage: the join batch,
-// and the row of the joined width the aggregate's expressions read. It is
-// the aggregate node's run state (aggRun.batch), so a warm run allocates
-// none of it.
+// where each tuple's cells lie, and the vectors the aggregate's
+// expressions are evaluated in. It is the aggregate node's run state
+// (aggRun.batch), so a warm run allocates none of it.
 type joinAggScratch struct {
 	joinBatch
 	// What the node's expressions read, worked out at its first run:
@@ -794,9 +812,31 @@ type joinAggScratch struct {
 	groupReads []cellRead   // every column the group keys read
 	argReads   [][]cellRead // per aggregate: the columns its argument reads
 
+	// at holds, per segment of the joined row, the row each tuple of the
+	// top join reads it from: its probe row (at[0]), then its build row at
+	// each join, -1 where the tuple is NULL-extended there.
+	at [][]int32
+	// Per aggregate: how the walk takes its argument (kinds), and, for a
+	// typed one, the vectors its program runs in and its result.
+	kinds []argKind
+	args  []expr.Batch
+	res   []expr.Floats
+
+	// The replay's: a row of the joined width holding the cells an
+	// expression reads, and a group key.
 	row       sqltypes.Row
 	groupVals []sqltypes.Value
 }
+
+// argKind is how the join → aggregate form takes an aggregate's argument.
+type argKind uint8
+
+const (
+	argStar  argKind = iota // COUNT(*): any non-null marker
+	argBare                 // a bare column, read where it lies
+	argTyped                // a typed program, run over the batch's tuples
+	argEval                 // anything else: its Eval, a tuple at a time
+)
 
 // joinChain returns the scratch of a's run in the join → aggregate form,
 // holding the chain under it, and ok false where another form runs a.
@@ -874,19 +914,34 @@ func (s *joinAggScratch) release(run *aggRun, part int) {
 }
 
 // feed groups and accumulates the chain's tuples into a, a batch of
-// probe rows at a time.
+// probe rows at a time: it evaluates the group keys over the batch's
+// probe rows and each typed argument over the tuples' cells (evaluate),
+// then walks the tuples in order. A batch in which a group key fails is
+// replayed: the walk evaluates every expression itself, per probe row or
+// per tuple, in the row path's order.
 func (s *joinAggScratch) feed(a *aggOp) error {
 	defer s.release(a.run, a.part)
 	top := s.joins[len(s.joins)-1]
+	nAggs := len(a.node.Aggs)
 	s.begin()
 	s.row = resize(s.row, top.leftWidth+top.rightWidth)
 	s.groupVals = resize(s.groupVals, len(a.groupEx))
+	s.kinds, s.args, s.res = resize(s.kinds, nAggs), resize(s.args, nAggs), resize(s.res, nAggs)
+	for i, arg := range a.argEx {
+		switch {
+		case a.node.Aggs[i].Star:
+			s.kinds[i] = argStar
+		case arg.Col >= 0:
+			s.kinds[i] = argBare
+		case arg.Typed():
+			s.kinds[i] = argTyped
+		default:
+			s.kinds[i] = argEval
+		}
+	}
 	var pre func(int32) error
 	if test.groupEveryProbe {
-		pre = func(p int32) error {
-			s.path[0] = p
-			return s.groupKey(a, s.path[:1])
-		}
+		pre = func(p int32) error { return s.groupKey(a, p) }
 	}
 	for {
 		rows, ferr := s.src.fill(s.rows[:0], expr.BatchRows)
@@ -897,7 +952,12 @@ func (s *joinAggScratch) feed(a *aggOp) error {
 		if err := s.joins[0].cancel.TickN(polls); err != nil {
 			return err
 		}
-		n, err := s.walk(a)
+		s.lay()
+		keyErr := s.evaluate(a)
+		if keyErr != nil && test.noKeyReplay {
+			return keyErr
+		}
+		n, err := s.walk(a, keyErr == nil)
 		a.stats.RowsAggInput += int64(n)
 		s.count(scanned, n)
 		switch {
@@ -911,93 +971,190 @@ func (s *joinAggScratch) feed(a *aggOp) error {
 	}
 }
 
-// gather copies the cells reads names into s.row.
-func (s *joinAggScratch) gather(path []int32, reads []cellRead) {
-	for _, c := range reads {
-		s.row[c.col] = s.cell(path, c)
+// lay fills s.at from the levels.
+func (s *joinAggScratch) lay() {
+	top := len(s.joins) - 1
+	s.at = resize(s.at, top+2)
+	cur := append(s.at[0][:0], s.levels[top].par...)
+	s.at[top+1] = append(s.at[top+1][:0], s.levels[top].bld...)
+	for k := top - 1; k >= 0; k-- {
+		lv, bld := &s.levels[k], resize(s.at[k+1], len(cur))
+		for t, u := range cur {
+			bld[t], cur[t] = lv.bld[u], lv.par[u]
+		}
+		s.at[k+1] = bld
+	}
+	s.at[0] = cur
+}
+
+// evaluate evaluates a's group keys over the batch's probe rows into
+// s.keys (probeKeys), and runs each typed argument over the tuples' cells
+// (EvalColumns, fillLeaf). It returns the error a group key fails with on
+// some probe row — one no tuple may come from, whose key the row path
+// never evaluates — and runs no argument then.
+func (s *joinAggScratch) evaluate(a *aggOp) error {
+	if err := s.probeKeys(a.groupEx); err != nil {
+		return err
+	}
+	n := s.tuples()
+	for i, kind := range s.kinds {
+		if kind == argTyped {
+			s.res[i] = a.argEx[i].EvalColumns(&s.args[i], n, s.fillLeaf)
+		}
+	}
+	return nil
+}
+
+// fillLeaf writes column col of the top join's tuples into c: NULL where
+// the tuple is NULL-extended on the column's side, or its row is too short
+// for it, as fillSide writes the joined row.
+func (s *joinAggScratch) fillLeaf(col int, c *expr.Column) {
+	at := s.read(col)
+	rows := s.rows
+	if at.seg > 0 {
+		rows = s.joins[at.seg-1].build.Rows
+	}
+	for t, r := range s.at[at.seg] {
+		if r < 0 && test.nullSideReadsRow && len(rows) > 0 {
+			r = 0
+		}
+		if r >= 0 && int(at.off) < len(rows[r]) {
+			c.Set(t, &rows[r][at.off])
+		} else {
+			c.SetNull(t)
+		}
 	}
 }
 
-// groupKey evaluates a's group keys for the probe row path starts at
-// into s.groupVals.
-func (s *joinAggScratch) groupKey(a *aggOp, path []int32) error {
-	s.gather(path, s.groupReads)
+// cellAt returns the cell c of tuple t of the top join.
+func (s *joinAggScratch) cellAt(t int, c cellRead) sqltypes.Value {
+	return cellOf(s.rowOf(c.seg, s.at[c.seg][t]), c.off)
+}
+
+// gather copies the cells reads names of tuple t into s.row.
+func (s *joinAggScratch) gather(t int, reads []cellRead) {
+	for _, c := range reads {
+		s.row[c.col] = s.cellAt(t, c)
+	}
+}
+
+// groupKey evaluates a's group keys for probe row p into s.groupVals, over
+// s.row holding the cells they read.
+func (s *joinAggScratch) groupKey(a *aggOp, p int32) error {
+	for _, c := range s.groupReads {
+		s.row[c.col] = cellOf(s.rows[p], c.off)
+	}
 	return evalInto(a.groupEx, s.row, s.groupVals)
 }
 
 // walk groups and accumulates the top join's tuples in order, looking the
-// group up at each probe row's first tuple. It returns how many tuples
-// the aggregate took, the one an error stopped it at included, and the
-// error.
-func (s *joinAggScratch) walk(a *aggOp) (int, error) {
-	top := len(s.joins) - 1
-	tuples := &s.levels[top]
+// group up at each probe row's first tuple. Where evaluated, the group
+// keys are the probe row's s.keys, and a typed argument's value is its
+// program's, a FLOAT added as a float64 (AddFloat), on every tuple the
+// program did not bail on; replayed, each group key is evaluated per
+// probe row. Every other argument is read where it lies (a bare column)
+// or evaluated over s.row, in tuple order. It returns how many tuples the
+// aggregate took, the one an error stopped it at included, and the error.
+func (s *joinAggScratch) walk(a *aggOp, evaluated bool) (int, error) {
+	probes, last := s.at[0], s.at[len(s.at)-1]
 	nAggs := len(a.node.Aggs)
 	probe, id := int32(-1), 0
-	for t := range tuples.par {
-		path := s.pathOf(top, int32(t))
-		if path[0] != probe && !(test.carryGroupID && tuples.bld[t] < 0) {
-			probe = path[0]
-			if err := s.groupKey(a, path); err != nil {
+	for t, p := range probes {
+		if p != probe && !(test.carryGroupID && last[t] < 0) {
+			probe = p
+			key := s.groupVals
+			if evaluated {
+				key = s.keys[p]
+			} else if err := s.groupKey(a, p); err != nil {
 				return t + 1, err
 			}
 			var added bool
-			if id, added = a.groups.Insert(s.groupVals); added {
+			if id, added = a.groups.Insert(key); added {
 				a.newGroup()
 			}
 		}
-		for i, spec := range a.node.Aggs {
+		for i, kind := range s.kinds {
+			acc := a.aggs[id*nAggs+i]
 			var v sqltypes.Value
-			switch arg := a.argEx[i]; {
-			case spec.Star:
+			switch {
+			case kind == argStar:
 				v = sqltypes.NewBool(true) // any non-null marker
-			case arg.Col >= 0:
-				v = s.cell(path, s.argReads[i][0])
+			case kind == argBare:
+				v = s.cellAt(t, s.argReads[i][0])
+			case kind == argTyped && evaluated && (!s.res[i].Bailed(t) || test.ignoreBail):
+				// A NULL adds nothing, as Add(NULL) adds nothing.
+				if f, null := s.res[i].At(t); !null || test.addNull {
+					acc.AddFloat(f)
+				}
+				continue
 			default:
-				s.gather(path, s.argReads[i])
+				s.gather(t, s.argReads[i])
 				var err error
-				if v, err = arg.Eval(s.row); err != nil {
+				if v, err = a.argEx[i].Eval(s.row); err != nil {
 					return t + 1, err
 				}
 			}
-			if err := a.aggs[id*nAggs+i].Add(v); err != nil {
+			if err := acc.Add(v); err != nil {
 				return t + 1, err
 			}
 		}
 	}
-	return len(tuples.par), nil
+	return len(probes), nil
 }
 
+// probeKeys evaluates keys, which read only the probe rows' columns, over
+// every probe row of the batch into b.keys: bare columns read in place,
+// the others over the whole batch (EvalBatch). It returns the first error
+// it meets, which need not be the row path's: a caller reports none of
+// them but replays the batch. A probe row too short for a key fails with
+// errShortProbe before any key is evaluated, so that a batch that holds
+// one allocates no error.
+func (b *joinBatch) probeKeys(keys []*expr.Compiled) error {
+	n, nk := len(b.rows), len(keys)
+	maxCol := -1
+	for _, k := range keys {
+		maxCol = max(maxCol, k.MaxCol)
+	}
+	for _, r := range b.rows {
+		if len(r) <= maxCol {
+			return errShortProbe
+		}
+	}
+	b.keyCells = resize(b.keyCells, n*nk)
+	b.keys = resize(b.keys, n)
+	for j := range b.keys {
+		b.keys[j] = b.keyCells[j*nk : (j+1)*nk : (j+1)*nk]
+	}
+	for i, k := range keys {
+		if k.Col < 0 {
+			if err := k.EvalBatch(&b.kb, b.rows, b.keys, i); err != nil {
+				return err
+			}
+			continue
+		}
+		for j, r := range b.rows {
+			b.keys[j][i] = r[k.Col]
+		}
+	}
+	return nil
+}
+
+// errShortProbe is probeKeys' error for a batch with a probe row too short
+// for a key.
+var errShortProbe = errors.New("a probe row is too short for its key")
+
 // routeProbes routes every probe row of the batch by keys, which read only
-// its columns, into s.probeDst: bare columns read in place, the others
-// evaluated over the whole batch (EvalBatch), then one PartitionsOf pass;
-// a NULL key routes to 0, as PartitionOf sends it. It reports false, and
+// its columns, into s.probeDst (probeKeys, then one PartitionsOf pass); a
+// NULL key routes to 0, as PartitionOf sends it. It reports false, and
 // routes nothing, where a key fails on some probe row — one no tuple may
 // come from, whose key the row path never evaluates: the caller then
 // evaluates per probe row, in the row path's order.
 func (s *joinRootScratch) routeProbes(keys []*expr.Compiled, parts int) bool {
-	n, nk := len(s.rows), len(keys)
-	s.probeCells = resize(s.probeCells, n*nk)
-	s.probeVals = resize(s.probeVals, n)
-	for j := range s.probeVals {
-		s.probeVals[j] = s.probeCells[j*nk : (j+1)*nk : (j+1)*nk]
+	if s.probeKeys(keys) != nil {
+		return false
 	}
-	for i, k := range keys {
-		if k.Col < 0 {
-			if k.EvalBatch(&s.b, s.rows, s.probeVals, i) != nil {
-				return false
-			}
-			continue
-		}
-		for j, r := range s.rows {
-			if k.Col >= len(r) {
-				return false
-			}
-			s.probeVals[j][i] = r[k.Col]
-		}
-	}
-	s.probeDst = resize(s.probeDst, n)
-	sqltypes.PartitionsOf(s.probeDst, s.probeVals, s.idCols, parts)
+	s.probeDst = resize(s.probeDst, len(s.rows))
+	sqltypes.PartitionsOf(s.probeDst, s.keys, s.idCols, parts)
 	return true
 }
 
@@ -1028,11 +1185,7 @@ type joinRootScratch struct {
 	keyRows    []sqltypes.Row
 	nulls      sqltypes.Row
 	idCols     []int
-	// routeProbes': each probe row's key values, and its partition
-	probeCells []sqltypes.Value
-	probeVals  []sqltypes.Row
-	probeDst   []int32
-	b          expr.Batch
+	probeDst   []int32 // routeProbes': each probe row's partition
 }
 
 // joinRootOf returns the scratch of the join → exchange form where op is
@@ -1070,7 +1223,6 @@ func (s *joinRootScratch) release(run *joinRun, part int) {
 	clear(s.row)
 	clear(s.keyCells)
 	clear(s.keyRows[:cap(s.keyRows)])
-	clear(s.probeCells)
 	run.spare.give(part, s)
 }
 

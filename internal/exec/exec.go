@@ -778,11 +778,10 @@ type aggRun struct {
 	// partition's count changes capacity, never rows.
 	lastGroups atomic.Int64
 
-	// spare holds the group tables and accumulators of lending runs that
-	// closed, for the next run to reset and fill instead of allocating:
-	// at most one per run of the node open at the same time (the
-	// partitions of an MPP machine).
-	spare sqltypes.Spares[aggSpare]
+	// spare holds the group table and accumulators of the lending run of
+	// each partition that closed last, for the partition's next run to
+	// reset and fill instead of allocating (scratchSlots).
+	spare scratchSlots[aggSpare]
 	// batch holds the scratch of the node's join → aggregate runs, and
 	// feed that of its runs over a batch source (batch.go).
 	batch scratchSlots[*joinAggScratch]
@@ -794,8 +793,8 @@ type aggSpare struct {
 	aggs   []expr.Aggregator
 }
 
-func (r *aggRun) sweep()    { r.spare.Sweep() }
-func (r *aggRun) handBack() { r.spare.HandBack() }
+func (r *aggRun) sweep()    {}
+func (r *aggRun) handBack() {}
 
 // buildAggregate compiles an aggregate node's expressions over its
 // input's rows and resolves each aggregate function once. The
@@ -833,7 +832,7 @@ func (a *aggOp) Open() error {
 	// from a closed run of the node if one left them, emptied.
 	nAggs := len(a.node.Aggs)
 	hint := int(a.run.lastGroups.Load())
-	s := a.run.spare.Take()
+	s := a.run.spare.take(a.part)
 	a.groups, a.aggs = s.groups, s.aggs
 	if a.groups == nil {
 		a.groups = new(sqltypes.KeyTable)
@@ -953,7 +952,7 @@ func (a *aggOp) Next() (sqltypes.Row, error) {
 // state; a keeping one's rows are its consumer's from now on.
 func (a *aggOp) Close() error {
 	if (a.lend || test.keepingGivesBack) && a.groups != nil {
-		a.run.spare.Give(aggSpare{a.groups, a.aggs})
+		a.run.spare.give(a.part, aggSpare{a.groups, a.aggs})
 	}
 	a.groups, a.aggs = nil, nil
 	return nil

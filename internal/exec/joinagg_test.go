@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,12 +17,16 @@ import (
 // over n probe rows in parts partitions:
 //   - p(k, a, g, y, z): k the row's INT id; a an INT, a FLOAT or NULL; g
 //     = k % 10, so that probe rows share groups; y the FLOAT 1 but 0 at k
-//     = 600, z the FLOAT 1 but 0 at k = 604;
+//     = 600, z the FLOAT 1 but 0 at k = 604; the row of k = 1001 holds k
+//     and a alone, so its g, y and z are NULL in a joined row;
 //   - e(src, dst, w): three edges into every k but those with k % 5 = 4
 //     (604 among them), so those probe rows match nothing; an edge with a
-//     NULL dst and one with a NULL src; w an INT or a FLOAT;
-//   - r(k, d): every k, k % 13 = 0 twice, and a NULL k; d a FLOAT or
-//     NULL;
+//     NULL dst and one with a NULL src; w an INT or a FLOAT, +Inf on an
+//     edge into k % 19 = 0 and -0 on one into k % 41 = 0;
+//   - r(k, d): every k, k % 13 = 0 twice, and a NULL k; d a FLOAT, NULL,
+//     NaN (k % 23 = 0), -0 (k % 29 = 0), +Inf (k % 31 = 0) or -Inf (k %
+//     37 = 0); the rows of k % 17 = 0 hold k alone, so d is NULL in a
+//     joined row;
 //   - v(node, s): every k, s = k % 3.
 func joinAggRuntime(t testing.TB, n, parts int) *StoreRuntime {
 	t.Helper()
@@ -52,21 +57,43 @@ func joinAggRuntime(t testing.TB, n, parts int) *StoreRuntime {
 		if i == 604 {
 			z = f64(0)
 		}
-		p = append(p, sqltypes.Row{i64(k), a, i64(k % 10), y, z})
+		if i == 1001 {
+			p = append(p, sqltypes.Row{i64(k), a})
+		} else {
+			p = append(p, sqltypes.Row{i64(k), a, i64(k % 10), y, z})
+		}
 		if i%5 != 4 {
 			for j := int64(1); j <= 3; j++ {
 				w := f64(float64(j) / 4)
-				if i%2 == 0 {
+				switch {
+				case i%19 == 0 && j == 2:
+					w = f64(math.Inf(1))
+				case i%41 == 0 && j == 3:
+					w = f64(math.Copysign(0, -1))
+				case i%2 == 0:
 					w = i64(j)
 				}
 				e = append(e, sqltypes.Row{i64((k*7 + j) % int64(n)), i64(k), w})
 			}
 		}
 		d := f64(float64(i%9) + 0.25)
-		if i%11 == 0 {
+		switch {
+		case i%11 == 0:
 			d = null
+		case i%23 == 0:
+			d = f64(math.NaN())
+		case i%29 == 0:
+			d = f64(math.Copysign(0, -1))
+		case i%31 == 0:
+			d = f64(math.Inf(1))
+		case i%37 == 0:
+			d = f64(math.Inf(-1))
 		}
-		r = append(r, sqltypes.Row{i64(k), d})
+		if i%17 == 0 {
+			r = append(r, sqltypes.Row{i64(k)})
+		} else {
+			r = append(r, sqltypes.Row{i64(k), d})
+		}
 		if i%13 == 0 {
 			r = append(r, sqltypes.Row{i64(k), f64(-1)})
 		}
@@ -83,12 +110,16 @@ func joinAggRuntime(t testing.TB, n, parts int) *StoreRuntime {
 
 // joinAggChains are the FROM clauses of the chains over p: e, then r,
 // then v, each joined inner or left, one to three deep, and the
-// aggregates that read a column of every level each has.
+// aggregates that read a column of every level each has: bare columns,
+// typed arguments under each of SUM, MIN, MAX, AVG and COUNT — over INT
+// cells and FLOAT ones, INT×INT (which the program bails on), NaN, ±0,
+// ±Inf, NULL cells and those of NULL-extended sides and short rows — and
+// untyped ones.
 func joinAggChains() (chains []struct{ from, args string }) {
 	levels := []struct{ join, arg string }{
-		{"e ON p.k = e.dst", "SUM(e.w), COUNT(e.src), MIN(e.w + p.a)"},
-		{"r ON r.k = e.src", "SUM(r.d * e.w), COUNT(r.d), MAX(COALESCE(r.d, -5.0) + p.g)"},
-		{"v ON v.node = e.src", "SUM(v.s), COUNT(v.node + r.k)"},
+		{"e ON p.k = e.dst", "SUM(e.w), COUNT(e.src), MIN(e.w + p.a), SUM(e.w * p.a), AVG(e.w * p.a), MAX(e.w + p.a), COUNT(e.w + p.a)"},
+		{"r ON r.k = e.src", "SUM(r.d * e.w), COUNT(r.d), MAX(COALESCE(r.d, -5.0) + p.g), AVG(r.d * e.w), MIN(r.d + e.w), MAX(r.d * p.y)"},
+		{"v ON v.node = e.src", "SUM(v.s), COUNT(v.node + r.k), SUM(v.s * r.d)"},
 	}
 	for depth := 1; depth <= len(levels); depth++ {
 		for kinds := 0; kinds < 1<<depth; kinds++ {
@@ -247,12 +278,16 @@ func TestJoinAggFormRuns(t *testing.T) {
 	}
 }
 
-// TestJoinAggMutantsAreCaught seeds three faults into the form and
-// requires the differential cases to see each: a group id carried
-// across a probe-row boundary, into a NULL-extended first tuple; a group
-// key evaluated for a probe row that has no tuple; and a batch whose
-// joins run every probe row and whose aggregate adds every tuple before
-// it reports the error a probe key met on an earlier row.
+// TestJoinAggMutantsAreCaught seeds faults into the form and requires
+// the differential cases to see each: a group id carried across a
+// probe-row boundary, into a NULL-extended first tuple; a group key
+// evaluated for a probe row that has no tuple; a batch whose joins run
+// every probe row and whose aggregate adds every tuple before it reports
+// the error a probe key met on an earlier row; a batch that fails with
+// the error a group key met over the probe rows instead of replaying; a
+// typed argument's leaf that reads a NULL-extended side's cell from the
+// build's first row; a typed result's float added on a tuple the program
+// bailed on; and a NULL result added as its float 0.
 func TestJoinAggMutantsAreCaught(t *testing.T) {
 	rt := joinAggRuntime(t, 1025, 2)
 	cases := joinAggCases()
@@ -263,6 +298,10 @@ func TestJoinAggMutantsAreCaught(t *testing.T) {
 		{"group id carried across a probe row", &test.carryGroupID},
 		{"group key of a probe row with no tuple", &test.groupEveryProbe},
 		{"joins and adds before the error", &test.eagerJoins},
+		{"a group key's error fails the batch", &test.noKeyReplay},
+		{"a NULL-extended leaf reads a build row", &test.nullSideReadsRow},
+		{"a bailed tuple adds the program's float", &test.ignoreBail},
+		{"a NULL result adds its float", &test.addNull},
 	} {
 		caught := func() (caught int) {
 			*m.flag = true

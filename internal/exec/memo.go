@@ -295,8 +295,13 @@ func runOf[R nodeRun](m *Memo, n plan.Node, mk func() R) R {
 // a batch that returns the first error it meets instead of replaying;
 // and of the join → aggregate form, a group id carried across a probe
 // row's boundary into its NULL-extended first tuple, a group key
-// evaluated for every probe row, and joins and adds that run past a
-// probe key's error; of the join → exchange form, a computed key taken
+// evaluated for every probe row, joins and adds that run past a probe
+// key's error, a group key's error over the probe rows that fails the
+// batch instead of replaying it, a typed argument's leaf that reads a
+// NULL-extended side from the build's first row, a float added for a
+// tuple the program bailed on, and a NULL result added as its float; of
+// a filtered index build, the row after each full batch skipped; of the
+// join → exchange form, a computed key taken
 // once per probe row though it reads a build row, and a NULL-extended
 // side whose cells keep what the exchange's buffer held; and of a tap over
 // a batch source, a batch it does not show its tap.
@@ -305,6 +310,8 @@ var test struct {
 	unpinnedFragmentKeeper, noReplay              bool
 	carryGroupID, groupEveryProbe, eagerJoins     bool
 	keyPerProbe, keepCells, skipTap               bool
+	noKeyReplay, nullSideReadsRow                 bool
+	ignoreBail, addNull, skipChunkRow             bool
 }
 
 // Leftovers is what the runs of one statement carry from one to the
@@ -319,6 +326,7 @@ var test struct {
 // at a time may use it, and that run's memo concurrently.
 type Leftovers struct {
 	indexes sqltypes.Spares[*HashIndex]
+	selects scratchSlots[*selectScratch] // filtered index builds' (indexRows)
 	chunks  sqltypes.ChunkPool
 	mu      sync.Mutex
 	runs    map[plan.Node]nodeRun

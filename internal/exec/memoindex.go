@@ -46,7 +46,7 @@ func (m *Memo) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *
 			n = len(t.Parts[part])
 		}
 		x := m.spareIndex(n)
-		rows, owned, err := indexRows(x.rowStorage(), t, part, filter)
+		rows, owned, err := m.indexRows(x.rowStorage(), t, part, filter)
 		if err != nil {
 			return nil, err
 		}
@@ -75,11 +75,12 @@ func (m *Memo) Index(t *storage.Table, part int, keys []*expr.Compiled, filter *
 // them, in scan order) that pass filter (nil: every row), and whether
 // they are in buf's storage, which a gathered or filtered read fills
 // from its start (nil: a new slice). Unfiltered over one partition, they
-// are the partition itself. Filtered, one pass marks the rows that pass
-// in a bitset and the slice is cut to their count: the build side of a
-// selective filter costs a bit per row read, not the growing slice of a
-// drain.
-func indexRows(buf []sqltypes.Row, t *storage.Table, part int, filter *expr.Compiled) (rows []sqltypes.Row, inBuf bool, err error) {
+// are the partition itself. Filtered, the filter selects expr.BatchRows
+// rows at a time (SelectBatch) into a selection scratch (takeSelect), and
+// buf takes the rows kept, sized to their count: the build side of a
+// selective filter costs no growing slice of a drain. The error is the
+// first row's the filter fails on, in scan order.
+func (m *Memo) indexRows(buf []sqltypes.Row, t *storage.Table, part int, filter *expr.Compiled) (rows []sqltypes.Row, inBuf bool, err error) {
 	parts := t.Parts
 	if part != allParts {
 		parts = parts[part : part+1]
@@ -87,44 +88,78 @@ func indexRows(buf []sqltypes.Row, t *storage.Table, part int, filter *expr.Comp
 	if filter == nil && len(parts) == 1 {
 		return parts[0], false, nil
 	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
 	if filter == nil {
+		n := 0
+		for _, p := range parts {
+			n += len(p)
+		}
 		rows = sized(buf, n)
 		for _, p := range parts {
 			rows = append(rows, p...)
 		}
 		return rows, true, nil
 	}
-	pass := make([]uint64, (n+63)/64)
-	i, count := 0, 0
+	sel := m.takeSelect(part)
+	kept, used := sel.kept[:0], 0 // used: how far kept's storage holds rows
+	defer func() {
+		clear(kept[:used])
+		sel.kept = kept[:0]
+		m.giveSelect(part, sel)
+	}()
 	for _, p := range parts {
-		for _, r := range p {
-			ok, err := filter.Holds(r)
+		for len(p) > 0 {
+			chunk := p[:min(len(p), expr.BatchRows)]
+			p = p[len(chunk):]
+			if test.skipChunkRow && len(p) > 0 {
+				p = p[1:]
+			}
+			start := len(kept)
+			kept = append(kept, chunk...)
+			used = max(used, len(kept))
+			held, err := filter.SelectBatch(&sel.b, kept[start:])
 			if err != nil {
 				return nil, false, err
 			}
-			if ok {
-				pass[i/64] |= 1 << (i % 64)
-				count++
-			}
-			i++
+			kept = kept[:start+len(held)]
 		}
 	}
-	rows = sized(buf, count)
-	i = 0
-	for _, p := range parts {
-		for _, r := range p {
-			if pass[i/64]&(1<<(i%64)) != 0 {
-				rows = append(rows, r)
-			}
-			i++
-		}
-	}
-	return rows, true, nil
+	return append(sized(buf, len(kept)), kept...), true, nil
 }
+
+// selectScratch is a filtered index build's storage: the rows it kept,
+// and the vectors its filter selects a batch in. Between builds it holds
+// no row.
+type selectScratch struct {
+	kept []sqltypes.Row
+	b    expr.Batch
+}
+
+// takeSelect takes the scratch of a build over partition part (allParts:
+// all of them) from the statement's leftovers, or makes one; without a
+// memo (a DML statement's read, which keeps no leftovers), from
+// selectPool.
+func (m *Memo) takeSelect(part int) *selectScratch {
+	if m == nil {
+		return selectPool.Get().(*selectScratch)
+	}
+	if s := m.left.selects.take(part + 1); s != nil {
+		return s
+	}
+	return new(selectScratch)
+}
+
+// giveSelect gives s back to where takeSelect took it from, as
+// partition part's.
+func (m *Memo) giveSelect(part int, s *selectScratch) {
+	if m == nil {
+		selectPool.Put(s)
+		return
+	}
+	m.left.selects.give(part+1, s)
+}
+
+// selectPool holds the select scratch of builds without a memo.
+var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
 
 // sized returns buf emptied, or a new slice if buf cannot hold n rows.
 func sized(buf []sqltypes.Row, n int) []sqltypes.Row {

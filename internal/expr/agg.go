@@ -13,6 +13,9 @@ import (
 // SUM/MIN/MAX/AVG and 0 for COUNT.
 type Aggregator interface {
 	Add(v sqltypes.Value) error
+	// AddFloat is Add(sqltypes.NewFloat(f)), with no Value built: the add
+	// of a typed argument's result, which cannot fail.
+	AddFloat(f float64)
 	Result() sqltypes.Value
 	// Reset empties the accumulator, as its constructor made it, so that
 	// another group can take it over.
@@ -114,6 +117,8 @@ func (c *countAgg) Add(v sqltypes.Value) error {
 	return nil
 }
 
+func (c *countAgg) AddFloat(float64) { c.n++ }
+
 func (c *countAgg) Result() sqltypes.Value { return sqltypes.NewInt(c.n) }
 
 func (c *countAgg) Reset() { c.n = 0 }
@@ -141,16 +146,28 @@ func (s *sumAgg) Add(v sqltypes.Value) error {
 		}
 		s.i = sum.I
 	case sqltypes.Float:
-		if !s.isFloat {
-			s.f = float64(s.i)
-			s.isFloat = true
-		}
-		s.f += v.F
+		s.AddFloat(v.F)
+		return nil
 	default:
 		return fmt.Errorf("SUM requires numeric input, got %s", v.T)
 	}
 	s.any = true
 	return nil
+}
+
+// AddFloat is the one float add of SUM and of AVG's sum, called by Add
+// too, and kept out of line: which NaN a NaN + NaN yields depends on the
+// order the compiled add takes its operands in, so Add and AddFloat run
+// the same machine code to stay bit-identical.
+//
+//go:noinline
+func (s *sumAgg) AddFloat(f float64) {
+	if !s.isFloat {
+		s.f = float64(s.i)
+		s.isFloat = true
+	}
+	s.f += f
+	s.any = true
 }
 
 func (s *sumAgg) Result() sqltypes.Value {
@@ -180,6 +197,19 @@ func (e *extremumAgg) Add(v sqltypes.Value) error {
 	return nil
 }
 
+func (e *extremumAgg) AddFloat(f float64) {
+	switch {
+	case e.best.IsNull():
+	case e.best.T == sqltypes.Float:
+		if sqltypes.CompareFloat(f, e.best.F)*e.dir <= 0 {
+			return
+		}
+	case sqltypes.Compare(sqltypes.NewFloat(f), e.best)*e.dir <= 0:
+		return
+	}
+	e.best = sqltypes.NewFloat(f)
+}
+
 func (e *extremumAgg) Result() sqltypes.Value { return e.best }
 
 func (e *extremumAgg) Reset() { e.best = sqltypes.Value{} }
@@ -196,9 +226,16 @@ func (a *avgAgg) Add(v sqltypes.Value) error {
 	if v.T != sqltypes.Int && v.T != sqltypes.Float {
 		return fmt.Errorf("AVG requires numeric input, got %s", v.T)
 	}
-	a.sum += v.Float()
-	a.n++
+	a.AddFloat(v.Float())
 	return nil
+}
+
+// AddFloat is out of line as sumAgg.AddFloat is.
+//
+//go:noinline
+func (a *avgAgg) AddFloat(f float64) {
+	a.sum += f
+	a.n++
 }
 
 func (a *avgAgg) Result() sqltypes.Value {
@@ -226,6 +263,8 @@ func (d *distinctAgg) Add(v sqltypes.Value) error {
 	}
 	return d.inner.Add(v)
 }
+
+func (d *distinctAgg) AddFloat(f float64) { d.Add(sqltypes.NewFloat(f)) }
 
 func (d *distinctAgg) Result() sqltypes.Value { return d.inner.Result() }
 

@@ -7,11 +7,13 @@ import (
 )
 
 // The typed path over a batch. A typed program (float.go) also runs over
-// up to BatchRows rows at once: each step is one loop over a column
-// vector — a float64 per row, a per-row INT mark and a null bitmap — in
-// place of one interpreted step per row. A leaf gathers its column from
-// the rows into a vector, a copy of each cell's number: the rows
-// themselves are only read. It computes exactly what the row program
+// a batch of rows at once, BatchRows or fewer where they are rows: each
+// step is one loop over a column vector — a float64 per row, a per-row
+// INT mark and a null bitmap — in place of one interpreted step per row.
+// A leaf gathers its column from the rows into a vector, a copy of each
+// cell's number: the rows themselves are only read. Where the cells lie
+// in no row, the caller writes each leaf's vector itself (EvalColumns). It
+// computes exactly what the row program
 // computes, and bails on the same rows, with one difference: a NULL leaf
 // does not bail but propagates, as every generic operator the program
 // takes propagates it (NULL op anything is NULL, and a comparison with
@@ -32,6 +34,7 @@ type Batch struct {
 	stack []vector
 	bail  []uint64 // bit i: row i bailed, the row path evaluates it
 	keep  []uint64 // bit i: a condition holds for row i (floatCmp)
+	leaf  Column   // the leaf a caller fills (run)
 }
 
 // A vector is one operand of a typed program over a batch: a float64 per
@@ -47,7 +50,7 @@ type vector struct {
 // words returns bm resized to w words, contents undefined.
 func words(bm []uint64, w int) []uint64 {
 	if cap(bm) < w {
-		return make([]uint64, w, BatchRows/64)
+		return make([]uint64, w, max(w, BatchRows/64))
 	}
 	return bm[:w]
 }
@@ -70,32 +73,47 @@ func (b *Batch) push(i, n int) *vector {
 // the previous batch's NULL marks in the null bitmap.
 var test struct{ staleNulls bool }
 
-// gather reads column col of rows into v: a FLOAT's value, an INT's
-// widened value and INT mark, a NULL's mark. A row too short for the
-// column, or whose cell is no number, bails.
-func gather(v *vector, rows []sqltypes.Row, col int, bail []uint64) {
-	clear(v.ints)
-	if !test.staleNulls {
-		clear(v.null)
+// A Column is where a leaf of a typed program reads its cells over a
+// batch: its vector's numbers and marks, which EvalColumns' caller fills a
+// row at a time.
+type Column struct {
+	f                []float64
+	ints, null, bail []uint64
+}
+
+// Set writes row i's cell: a FLOAT's value, an INT's widened value and
+// INT mark, a NULL's mark. A cell that is no number bails the row.
+func (c *Column) Set(i int, cell *sqltypes.Value) {
+	k, bit := i>>6, uint64(1)<<(i&63)
+	switch cell.T {
+	case sqltypes.Float:
+		c.f[i] = cell.F
+	case sqltypes.Int:
+		c.f[i] = float64(cell.I)
+		c.ints[k] |= bit
+	case sqltypes.Null, sqltypes.Unknown:
+		c.f[i] = 0
+		c.null[k] |= bit
+	default:
+		c.bail[k] |= bit
 	}
+}
+
+// SetNull writes a NULL as row i's cell.
+func (c *Column) SetNull(i int) {
+	c.f[i] = 0
+	c.null[i>>6] |= 1 << (i & 63)
+}
+
+// gather reads column col of rows into c. A row too short for the column
+// bails.
+func gather(c *Column, rows []sqltypes.Row, col int) {
 	for i, r := range rows {
-		k, bit := i>>6, uint64(1)<<(i&63)
 		if uint(col) >= uint(len(r)) {
-			bail[k] |= bit
+			c.bail[i>>6] |= 1 << (i & 63)
 			continue
 		}
-		switch c := &r[col]; c.T {
-		case sqltypes.Float:
-			v.f[i] = c.F
-		case sqltypes.Int:
-			v.f[i] = float64(c.I)
-			v.ints[k] |= bit
-		case sqltypes.Null, sqltypes.Unknown:
-			v.f[i] = 0
-			v.null[k] |= bit
-		default:
-			bail[k] |= bit
-		}
+		c.Set(i, &r[col])
 	}
 }
 
@@ -155,7 +173,12 @@ func bailInts(x, y *vector, bail []uint64) {
 // condition, the rows it holds for are b.keep; the rows it bailed on are
 // b.bail either way.
 func (p floatProg) evalBatch(b *Batch, rows []sqltypes.Row) {
-	n := len(rows)
+	p.run(b, len(rows), func(col int, c *Column) { gather(c, rows, col) })
+}
+
+// run is evalBatch over n rows whose leaves fill writes: column col's
+// cells into c, once per leaf step.
+func (p floatProg) run(b *Batch, n int, fill func(col int, c *Column)) {
 	w := (n + 63) >> 6
 	b.bail = words(b.bail, w)
 	clear(b.bail)
@@ -164,7 +187,13 @@ func (p floatProg) evalBatch(b *Batch, rows []sqltypes.Row) {
 		s := &p[i]
 		switch s.op {
 		case floatCol:
-			gather(b.push(sp, n), rows, s.col, b.bail)
+			v := b.push(sp, n)
+			clear(v.ints)
+			if !test.staleNulls {
+				clear(v.null)
+			}
+			b.leaf = Column{v.f, v.ints, v.null, b.bail}
+			fill(s.col, &b.leaf)
 			sp++
 		case floatConst:
 			v := b.push(sp, n)
@@ -261,8 +290,43 @@ func cmpBatch(b *Batch, x, y *vector, holds [3]bool) {
 }
 
 // Typed reports whether c is a FLOAT tree with a typed program, which
-// EvalBatch runs a batch at a time.
+// EvalBatch and EvalColumns run a batch at a time.
 func (c *Compiled) Typed() bool { return c.prog != nil && !c.prog.cond() }
+
+// Floats is a typed program's result over a batch, in the Batch it ran in
+// and valid until that Batch's next use: row i's FLOAT, or NULL, where
+// the program computed it, and otherwise a mark that the row bailed, whose
+// value is then the expression's Eval over the row.
+type Floats struct {
+	f          []float64
+	null, bail []uint64
+}
+
+// Bailed reports whether the program bailed on row i.
+func (r *Floats) Bailed(i int) bool { return r.bail[i>>6]&(1<<(i&63)) != 0 }
+
+// At returns row i's value, where it did not bail: the FLOAT f, or NULL.
+func (r *Floats) At(i int) (f float64, null bool) { return r.f[i], r.null[i>>6]&(1<<(i&63)) != 0 }
+
+// result is the result of the program that ran in b last: a root that
+// is an INT bails, as its Value would not be the FLOAT the vector holds.
+func (b *Batch) result() Floats {
+	top := &b.stack[0]
+	for k := range b.bail {
+		b.bail[k] |= top.ints[k]
+	}
+	return Floats{top.f, top.null, b.bail}
+}
+
+// EvalColumns runs c's typed program (Typed) over a batch of n rows whose
+// cells are not in rows: fill writes, for each leaf of the program, the
+// cells of the column col it reads into c (Column.Set, Column.SetNull).
+// Where it does not bail on a row, what it computes is what c.Eval returns
+// over a row holding those cells, bit for bit.
+func (c *Compiled) EvalColumns(b *Batch, n int, fill func(col int, c *Column)) Floats {
+	c.prog.run(b, n, fill)
+	return b.result()
+}
 
 // EvalBatch evaluates c over each of rows into cell of the row of out at
 // the same index: a typed program runs over the whole batch in b and the
@@ -273,32 +337,30 @@ func (c *Compiled) Typed() bool { return c.prog != nil && !c.prog.cond() }
 // must report that one replays the batch.
 func (c *Compiled) EvalBatch(b *Batch, rows, out []sqltypes.Row, cell int) error {
 	out = out[:len(rows)]
-	switch {
-	case c.Typed():
-		c.prog.evalBatch(b, rows)
-		top := &b.stack[0]
-		for i, r := range rows {
-			k, bit := i>>6, uint64(1)<<(i&63)
-			switch {
-			case (b.bail[k]|top.ints[k])&bit != 0:
-				v, err := c.Eval(r)
-				if err != nil {
-					return err
-				}
-				out[i][cell] = v
-			case top.null[k]&bit != 0:
-				out[i][cell] = sqltypes.NullValue
-			default:
-				out[i][cell] = sqltypes.NewFloat(top.f[i])
-			}
-		}
-	default:
+	if !c.Typed() {
 		for i, r := range rows {
 			v, err := c.Eval(r)
 			if err != nil {
 				return err
 			}
 			out[i][cell] = v
+		}
+		return nil
+	}
+	c.prog.evalBatch(b, rows)
+	res := b.result()
+	for i, r := range rows {
+		switch f, null := res.At(i); {
+		case res.Bailed(i):
+			v, err := c.Eval(r)
+			if err != nil {
+				return err
+			}
+			out[i][cell] = v
+		case null:
+			out[i][cell] = sqltypes.NullValue
+		default:
+			out[i][cell] = sqltypes.NewFloat(f)
 		}
 	}
 	return nil

@@ -60,7 +60,8 @@ type rowPath struct {
 }
 
 // batchOnce compares one batch of c over the rows of want with the row
-// path: EvalBatch must write each row's value, and SelectBatch, for a
+// path: EvalBatch must write each row's value, EvalColumns over the rows'
+// cells compute it where it does not bail, and SelectBatch, for a
 // condition, keep the rows it holds for; where the row path fails (want
 // is then that one row), each must fail with its error.
 func batchOnce(b *Batch, c *Compiled, want []rowPath) string {
@@ -77,6 +78,11 @@ func batchOnce(b *Batch, c *Compiled, want []rowPath) string {
 			}
 		case !sameValue(out[i][0], w.v):
 			return fmt.Sprintf("EvalBatch over %v (row %d of %d): %s, row path %s", w.row, i, len(rows), showResult(out[i][0], nil), showResult(w.v, nil))
+		}
+	}
+	if c.Typed() && err == nil {
+		if m := columnsOnce(b, c, want); m != "" {
+			return m
 		}
 	}
 	if c.Type != sqltypes.Bool {
@@ -101,6 +107,34 @@ func batchOnce(b *Batch, c *Compiled, want []rowPath) string {
 	}
 	if j != len(kept) {
 		return fmt.Sprintf("SelectBatch kept %d rows, the row path %d", len(kept), j)
+	}
+	return ""
+}
+
+// columnsOnce compares EvalColumns of c over the cells of want's rows,
+// which the row path evaluates without error, with the row path: a row
+// the program does not bail on must hold its value.
+func columnsOnce(b *Batch, c *Compiled, want []rowPath) string {
+	res := c.EvalColumns(b, len(want), func(col int, v *Column) {
+		for i, w := range want {
+			if col < len(w.row) {
+				v.Set(i, &w.row[col])
+			} else {
+				v.SetNull(i)
+			}
+		}
+	})
+	for i, w := range want {
+		if res.Bailed(i) {
+			continue
+		}
+		got := sqltypes.NullValue
+		if f, null := res.At(i); !null {
+			got = sqltypes.NewFloat(f)
+		}
+		if !sameValue(got, w.v) {
+			return fmt.Sprintf("EvalColumns over %v (row %d of %d): %s, row path %s", w.row, i, len(want), showResult(got, nil), showResult(w.v, nil))
+		}
 	}
 	return ""
 }

@@ -21,11 +21,14 @@ import (
 // (exec.RowAtATime), on the volcano executor at partitions 1 to 4 and on
 // the MPP machine at 2 and 4, cold and three warm runs each, over a graph
 // of 1,100 nodes whose edges a coin flip orients, so that SSSP's loop
-// does work in every iteration. Every run must return the same rows, cell
-// for cell and bit for bit, or fail with the same error text, and leave
-// the engines' Stats identical. The chunks a released result hands back,
-// and the exchange buffers the machine marks free, are poisoned, so a
-// batch that kept a row of one reads it.
+// does work in every iteration; and so do the statements of
+// joinAggEdgeCases, cold and once warm. Every run must return the same
+// rows, cell for cell and bit for bit, or fail with the same error text,
+// and leave the engines' Stats identical — but for a failing statement on
+// the machine, whose cancelled partition's counters are timing. The
+// chunks a released result hands back, and the exchange buffers the
+// machine marks free, are poisoned, so a batch that kept a row of one
+// reads it.
 func TestJoinAggFormMatchesRowAtATime(t *testing.T) {
 	defer sqltypes.Poison()()
 	g := coinFlipGraph(1100, 55)
@@ -55,6 +58,115 @@ func TestJoinAggFormMatchesRowAtATime(t *testing.T) {
 				}
 			}
 		}
+		batch, rows = edgeCaseEngine(t, cfg), edgeCaseEngine(t, cfg)
+		for _, q := range joinAggEdgeCases() {
+			for run := 0; run < 2; run++ {
+				batch.ResetStats()
+				rows.ResetStats()
+				got, gotErr := batch.Query(q.sql)
+				restore := exec.RowAtATime()
+				want, wantErr := rows.Query(q.sql)
+				restore()
+				what := fmt.Sprintf("%s, %d partitions (parallel %v), run %d", q.name, cfg.Partitions, cfg.Parallel, run)
+				if d := outcomeDiff(got, gotErr, want, wantErr); d != "" {
+					t.Fatalf("%s: %s", what, d)
+				}
+				if gs, ws := batch.Stats(), rows.Stats(); gs != ws && !(cfg.Parallel && gotErr != nil) {
+					t.Fatalf("%s: join → aggregate form's Stats\n%+v\nrow path's\n%+v", what, gs, ws)
+				}
+			}
+		}
+	}
+}
+
+// edgeCaseEngine is an engine under cfg over joinAggEdgeCases' tables of
+// 1,200 keys k:
+//   - p(k, y, z): y the FLOAT 1 but 0 at k = 600, z the FLOAT 1 but 0 at
+//     k = 604;
+//   - e(src, dst, w, m): three edges into every k but those with k % 5 =
+//     4 (604 among them); w a FLOAT, NaN, +Inf or -0; m the INT 1, 2 or 3;
+//   - r(k, d): d a FLOAT, NULL, NaN, -0, +Inf or -Inf.
+func edgeCaseEngine(t *testing.T, cfg dbspinner.Config) *dbspinner.Engine {
+	t.Helper()
+	const n = 1200
+	e := dbspinner.New(cfg)
+	for _, sql := range []string{
+		"CREATE TABLE p (k int, y float, z float)",
+		"CREATE TABLE e (src int, dst int, w float, m int)",
+		"CREATE TABLE r (k int, d float)",
+	} {
+		if _, err := e.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i, f := sqltypes.NewInt, sqltypes.NewFloat
+	var p, ed, r []sqltypes.Row
+	for k := range int64(n) {
+		y, z := 1.0, 1.0
+		if k == 600 {
+			y = 0
+		}
+		if k == 604 {
+			z = 0
+		}
+		p = append(p, sqltypes.Row{i(k), f(y), f(z)})
+		for j := int64(1); j <= 3 && k%5 != 4; j++ {
+			w := f(float64(j) / 4)
+			switch {
+			case k%43 == 0 && j == 1:
+				w = f(math.NaN())
+			case k%19 == 0 && j == 2:
+				w = f(math.Inf(1))
+			case k%41 == 0 && j == 3:
+				w = f(math.Copysign(0, -1))
+			}
+			ed = append(ed, sqltypes.Row{i((k*7 + j) % n), i(k), w, i(j)})
+		}
+		d := f(float64(k%9) + 0.25)
+		switch {
+		case k%11 == 0:
+			d = sqltypes.NullValue
+		case k%23 == 0:
+			d = f(math.NaN())
+		case k%29 == 0:
+			d = f(math.Copysign(0, -1))
+		case k%31 == 0:
+			d = f(math.Inf(1))
+		case k%37 == 0:
+			d = f(math.Inf(-1))
+		}
+		r = append(r, sqltypes.Row{i(k), d})
+	}
+	for name, rows := range map[string][]sqltypes.Row{"p": p, "e": ed, "r": r} {
+		if err := e.BulkInsert(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// joinAggEdgeCases are statements whose final query the join → aggregate
+// form runs on volcano: an aggregate over a chain of joins on the CTE c,
+// whose a is an INT at k % 3 = 0 and a FLOAT elsewhere. Their typed
+// arguments, under each of SUM, MIN, MAX, AVG and COUNT, read
+// NULL-extended sides, INT×INT products (which the program bails on), and
+// NaN, ±0 and ±Inf cells; one argument divides by zero at k = 600, and a
+// group key divides by zero at k = 604, which has no edge: an inner join
+// drops it, and the row path never evaluates its key; a left join keeps
+// it.
+func joinAggEdgeCases() []struct{ name, sql string } {
+	const cte = `WITH ITERATIVE c (k, a, g, y, z) AS (
+  SELECT k, CASE WHEN k % 3 = 0 THEN k ELSE k / 4.0 END, k % 10, y, z FROM p
+ ITERATE SELECT k, a, g, y, z FROM c UNTIL 1 ITERATIONS) `
+	const args = "COUNT(*), SUM(e.w * c.a), MIN(e.w * c.a), MAX(e.w + c.a), AVG(e.w * c.a), COUNT(e.w + c.a), " +
+		"SUM(c.a * e.m), AVG(c.a * e.m), SUM(r.d * e.w), MIN(r.d + e.w), MAX(r.d * e.w), AVG(r.d * c.y), COUNT(r.d * e.w)"
+	const chain = " FROM c LEFT JOIN e ON c.k = e.dst LEFT JOIN r ON r.k = e.src"
+	return []struct{ name, sql string }{
+		{"typed arguments by k", cte + "SELECT c.k, " + args + chain + " GROUP BY c.k"},
+		{"typed arguments by g", cte + "SELECT c.g, " + args + chain + " GROUP BY c.g"},
+		{"argument divides by zero", cte + "SELECT c.k, SUM(r.d * e.w), SUM(e.w / c.y)" + chain + " GROUP BY c.k"},
+		{"group key fails on a dropped probe row", cte + "SELECT c.k / c.z, SUM(e.w * c.a) FROM c JOIN e ON c.k = e.dst GROUP BY c.k / c.z"},
+		{"group key fails on a kept probe row", cte + "SELECT c.k / c.z, SUM(e.w * c.a)" + chain + " GROUP BY c.k / c.z"},
 	}
 }
 
